@@ -1,6 +1,7 @@
 //! The experiments harness: regenerates every table of EXPERIMENTS.md
 //! (the paper's figures F1–F4 as correctness checks, plus the measurement
-//! experiments E1–E16 its architectural claims imply).
+//! experiments E1–E15 its architectural claims imply; the E11/E12/E14/E16
+//! shoot-outs retired with the strategy knobs they compared).
 //!
 //! Run with: `cargo run --release -p tcdm-bench --bin experiments`
 //!
@@ -127,12 +128,8 @@ fn main() {
     e8_postprocess(&mut report, mode);
     e9_pool_parameters(&mut report, mode);
     e10_worker_scaling(&mut report, mode);
-    e11_representation_shootout(&mut report, mode);
-    e12_borderline_shootout(&mut report, mode);
     e13_preprocess_cache(&mut report, mode);
-    e14_fused_preprocess(&mut report, mode);
     e15_mined_result_cache(&mut report, mode);
-    e16_vectorized_execution(&mut report, mode);
 
     println!("\nall experiments completed.");
 
@@ -360,75 +357,6 @@ fn e13_preprocess_cache(report: &mut Report, mode: Mode) {
     );
 }
 
-/// E14 — the fused simple-class preprocess pass (cost planner, the
-/// default) vs the step-by-step Appendix-A program (naive planner).
-/// The fused pass streams the encoded intermediates out of one source
-/// scan instead of materialising each `Qi` as a catalog table; rules
-/// stay bit-identical and the preprocess wall time must drop.
-fn e14_fused_preprocess(report: &mut Report, mode: Mode) {
-    use relational::PlannerMode;
-
-    println!("## E14 — fused preprocess program (cost) vs step-by-step Q1..Q8 (naive)\n");
-    println!("| baskets | planner | preprocess (ms) | fused steps | preproc rows | rules |");
-    println!("|---|---|---|---|---|---|");
-    let sizes: &[usize] = if mode.quick {
-        &[250, 500]
-    } else {
-        &[500, 1500, 3000]
-    };
-    let statement = simple_statement(0.03, 0.4);
-    for &n in sizes {
-        let mut runs = Vec::new();
-        // Timing gates below need more than quick mode's single shot:
-        // always take the best of three.
-        for (name, planner) in [("naive", PlannerMode::Naive), ("cost", PlannerMode::Cost)] {
-            let (_, out) = best_of(3, || {
-                let mut db = quest_db(n, 23);
-                MineRuleEngine::new()
-                    .with_planner(planner)
-                    .execute(&mut db, &statement)
-                    .unwrap()
-            });
-            let preproc_rows: usize = out.preprocess_report.executed.iter().map(|(_, r)| r).sum();
-            report.case(
-                "E14",
-                format!("baskets={n} planner={name}"),
-                Some(out.rules.len() as u64),
-                out.timings.preprocess,
-            );
-            println!(
-                "| {n} | {name} | {} | {} | {preproc_rows} | {} |",
-                ms(out.timings.preprocess),
-                out.preprocess_report.fused_steps,
-                out.rules.len()
-            );
-            runs.push(out);
-        }
-        let (naive, fused) = (&runs[0], &runs[1]);
-        assert_eq!(naive.preprocess_report.fused_steps, 0);
-        assert_eq!(
-            fused.preprocess_report.fused_steps, 6,
-            "the cost planner must fuse the simple-class program"
-        );
-        assert_eq!(
-            naive.rules, fused.rules,
-            "baskets={n}: fused preprocessing changed the rules"
-        );
-        assert!(
-            fused.timings.preprocess < naive.timings.preprocess,
-            "baskets={n}: fused preprocess must beat the step-by-step \
-             program ({:?} vs {:?})",
-            fused.timings.preprocess,
-            naive.timings.preprocess
-        );
-        println!(
-            "| {n} | speedup (preprocess) | {:.2}x | | | |",
-            naive.timings.preprocess.as_secs_f64() / fused.timings.preprocess.as_secs_f64()
-        );
-    }
-    println!("\n(bit-identical rules and a measured preprocess wall-time drop gated per size)\n");
-}
-
 /// E15 — the mined-result cache on an interactive refine loop: cold
 /// mine, tightened support, tightened confidence, then a small source
 /// delta. Pure threshold refinements must be answered entirely from the
@@ -567,136 +495,6 @@ fn e15_mined_result_cache(report: &mut Report, mode: Mode) {
     );
 }
 
-/// E16 — vectorized columnar batch execution (`\set exec vector`) vs the
-/// row-at-a-time path. The scan leg runs selective scan+filter shapes
-/// over the quest `Baskets` table — a needle filter, a filtered
-/// DISTINCT, and a filtered wide GROUP BY — where the vector path's
-/// fused scan+filter evaluates the predicate over the base table's rows
-/// *before* cloning them, so dropped rows are never materialised. Rows
-/// must be bit-identical (content and order) and the combined scan-leg
-/// speedup is gated at >=2x at full size. The mining leg re-runs the
-/// E14-style simple-class workload under both exec modes: bit-identical
-/// rules, with `relational.vector.*` counters minted only by the vector
-/// run.
-fn e16_vectorized_execution(report: &mut Report, mode: Mode) {
-    use relational::ExecMode;
-
-    println!("## E16 — vectorized batch execution vs row-at-a-time\n");
-    let n = mode.size(1000, 20000);
-
-    let queries = [
-        (
-            "needle",
-            "SELECT COUNT(*) FROM Baskets WHERE tr % 1000 = 500",
-        ),
-        (
-            "distinct",
-            "SELECT DISTINCT item FROM Baskets WHERE tr % 10 = 0",
-        ),
-        (
-            "group",
-            "SELECT tr, COUNT(*) FROM Baskets WHERE tr % 7 = 0 GROUP BY tr",
-        ),
-    ];
-    println!("| query | rows | row (ms) | vector (ms) | speedup |");
-    println!("|---|---|---|---|---|");
-    let mut row_total = Duration::ZERO;
-    let mut vector_total = Duration::ZERO;
-    let mut result_rows = 0u64;
-    for (name, sql) in queries {
-        let mut legs = Vec::new();
-        for exec in [ExecMode::Row, ExecMode::Vector] {
-            let mut db = quest_db(n, 55);
-            db.set_exec(exec);
-            // The timing gate below needs more than quick mode's single
-            // shot: always take the best of three.
-            let (t, rs) = best_of(3, || db.query(sql).unwrap());
-            legs.push((t, rs.rows().len(), format!("{:?}", rs.rows())));
-        }
-        let ((row, rows, row_rows), (vector, _, vector_rows)) = (&legs[0], &legs[1]);
-        assert_eq!(
-            vector_rows, row_rows,
-            "{name}: vector rows or order drifted from the row path"
-        );
-        result_rows += *rows as u64;
-        println!(
-            "| {name} | {rows} | {} | {} | {:.2}x |",
-            ms(*row),
-            ms(*vector),
-            row.as_secs_f64() / vector.as_secs_f64()
-        );
-        row_total += *row;
-        vector_total += *vector;
-    }
-    let speedup = row_total.as_secs_f64() / vector_total.as_secs_f64();
-    println!(
-        "| total | {result_rows} | {} | {} | {speedup:.2}x |",
-        ms(row_total),
-        ms(vector_total)
-    );
-    if !mode.quick {
-        assert!(
-            speedup >= 2.0,
-            "the vector path must be >=2x faster on the scan suite at full \
-             size ({row_total:?} row vs {vector_total:?} vector)"
-        );
-    }
-    report.case("E16", "scan exec=row", Some(result_rows), row_total);
-    report.case("E16", "scan exec=vector", Some(result_rows), vector_total);
-
-    // Mining leg: the simple-class workload under both exec modes.
-    let statement = simple_statement(0.03, 0.4);
-    let mine_n = mode.size(250, 3000);
-    let mut outs = Vec::new();
-    for exec in [ExecMode::Row, ExecMode::Vector] {
-        let engine = MineRuleEngine::new().with_exec(exec);
-        let (t, out) = best_of(3, || {
-            let mut db = quest_db(mine_n, 23);
-            engine.execute(&mut db, &statement).unwrap()
-        });
-        let minted = engine
-            .metrics_snapshot()
-            .counters
-            .keys()
-            .any(|k| k.starts_with("relational.vector."));
-        assert_eq!(
-            minted,
-            exec == ExecMode::Vector,
-            "vector counters must be minted by the vector run only"
-        );
-        report.case(
-            "E16",
-            format!("mine baskets={mine_n} exec={exec}"),
-            Some(out.rules.len() as u64),
-            t,
-        );
-        println!(
-            "\nmine baskets={mine_n} exec={exec}: total {} ms, {} rules",
-            ms(t),
-            out.rules.len()
-        );
-        outs.push(out);
-    }
-    assert_eq!(
-        outs[0].rules, outs[1].rules,
-        "mining rules drifted between exec modes"
-    );
-    assert_eq!(
-        outs[0].preprocess_report.executed, outs[1].preprocess_report.executed,
-        "per-step preprocess row counts drifted between exec modes"
-    );
-    println!(
-        "\n(bit-identical scan rows and mined rules across exec modes; \
-         scan-leg speedup {speedup:.2}x{})\n",
-        if mode.quick {
-            ""
-        } else {
-            ", gated >=2x at full size"
-        }
-    );
-}
-
-/// E3 — the borderline: elementary rules in SQL vs in the core.
 fn e3_borderline(report: &mut Report, mode: Mode) {
     println!("## E3 — borderline ablation: elementary rules in SQL (Q8) vs in core\n");
     println!("| customers | variant | preprocess (ms) | core (ms) | total (ms) | rules |");
@@ -1083,193 +881,6 @@ fn e10_worker_scaling(report: &mut Report, mode: Mode) {
         );
     }
     println!("\n(identical rule sets asserted per worker count)\n");
-}
-
-/// E11 — gid-set representation shootout: list-only vs hybrid (`auto`)
-/// on a dense quest workload (bitsets should win) and a sparse
-/// retail-shaped workload (`auto` must stay on lists and hold parity).
-fn e11_representation_shootout(report: &mut Report, mode: Mode) {
-    use minerule::algo::apriori::AprioriGidList;
-    use minerule::algo::eclat::Eclat;
-    use minerule::algo::{sort_itemsets, GidSetRepr, ItemsetMiner, ShardExec};
-
-    println!("## E11 — gid-set representation shootout (list vs hybrid)\n");
-
-    // Dense: small catalog, long baskets — most gid-lists exceed
-    // universe/32 elements, so `auto` picks the bitset words.
-    let baskets = mode.size(400, 2000);
-    let dense = datagen::generate_quest(&datagen::QuestConfig {
-        transactions: baskets,
-        avg_transaction_size: 12.0,
-        avg_pattern_size: 4.0,
-        patterns: 10,
-        items: 50,
-        seed: 211,
-        ..datagen::QuestConfig::default()
-    });
-    let total = dense.transactions.len() as u32;
-    let dense_input = SimpleInput {
-        groups: dense.transactions,
-        total_groups: total,
-        min_groups: ((total as f64 * 0.05).ceil() as u32).max(1),
-    };
-
-    // Sparse: the retail generator with a wide catalog and short baskets
-    // keeps every gid-list far below the density threshold — `auto` must
-    // stay on sorted lists.
-    let retail = datagen::generate_retail(&datagen::RetailConfig {
-        customers: mode.size(150, 800),
-        items_per_date: 4.0,
-        catalog: 1000,
-        expensive_items: 100,
-        seed: 223,
-        ..datagen::RetailConfig::default()
-    });
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    let mut last_tr = 0i64;
-    for row in &retail.rows {
-        if row.tr != last_tr {
-            groups.push(Vec::new());
-            last_tr = row.tr;
-        }
-        let k: u32 = row.item["item".len()..].parse().expect("item id");
-        groups.last_mut().expect("open group").push(k);
-    }
-    let total = groups.len() as u32;
-    let sparse_input = SimpleInput {
-        groups,
-        total_groups: total,
-        min_groups: ((total as f64 * 0.005).ceil() as u32).max(2),
-    };
-
-    println!(
-        "(quest-dense: {} baskets over 50 items; retail-sparse: {} baskets over 1000 items)\n",
-        dense_input.groups.len(),
-        sparse_input.groups.len()
-    );
-    println!("| workload | algorithm | list (ms) | hybrid (ms) | itemsets |");
-    println!("|---|---|---|---|---|");
-    for (workload, input) in [
-        ("quest-dense", &dense_input),
-        ("retail-sparse", &sparse_input),
-    ] {
-        let miners: [(&str, &dyn ItemsetMiner); 2] =
-            [("apriori-gidlist", &AprioriGidList), ("eclat", &Eclat)];
-        for (alg, miner) in miners {
-            let mut cells = Vec::new();
-            let mut outputs = Vec::new();
-            for (repr_name, repr) in [("list", GidSetRepr::List), ("hybrid", GidSetRepr::Auto)] {
-                let exec = ShardExec::sequential().with_gidset_repr(repr);
-                let (d, mut large) = best_of(mode.reps(3), || miner.mine_sharded(input, &exec));
-                sort_itemsets(&mut large);
-                report.case(
-                    "E11",
-                    format!("{workload} {alg} repr={repr_name}"),
-                    Some(large.len() as u64),
-                    d,
-                );
-                cells.push(ms(d));
-                outputs.push(large);
-            }
-            assert_eq!(
-                outputs[0], outputs[1],
-                "representations disagree on {workload}/{alg}"
-            );
-            println!(
-                "| {workload} | {alg} | {} | {} | {} |",
-                cells[0],
-                cells[1],
-                outputs[0].len()
-            );
-        }
-    }
-    println!("\n(identical itemsets asserted per representation pair)\n");
-}
-
-/// E12 — borderline shootout: compiled vs interpreted expression
-/// execution for the relational half of the pipeline. The mined rules
-/// and preprocessor row counts must be bit-identical; only the
-/// preprocess/postprocess wall-clock moves.
-fn e12_borderline_shootout(report: &mut Report, mode: Mode) {
-    use relational::SqlExec;
-
-    println!("## E12 — borderline shootout: compiled vs interpreted SQL execution\n");
-    println!("| workload | sqlexec | preprocess (ms) | total (ms) | rules | preproc rows |");
-    println!("|---|---|---|---|---|---|");
-
-    let quest_n = mode.size(300, 1500);
-    let retail_n = mode.size(150, 400);
-    // One workload row: (name, database builder, size, seed, statement).
-    type Workload = (
-        &'static str,
-        fn(usize, u64) -> relational::Database,
-        usize,
-        u64,
-        String,
-    );
-    let builders: [Workload; 2] = [
-        (
-            "quest-simple",
-            quest_db,
-            quest_n,
-            31,
-            simple_statement(0.03, 0.4),
-        ),
-        (
-            "retail-temporal",
-            retail_db,
-            retail_n,
-            5,
-            temporal_statement(0.05, 0.2),
-        ),
-    ];
-    for (workload, build, n, seed, stmt) in &builders {
-        let mut runs = Vec::new();
-        for exec in [SqlExec::Interpreted, SqlExec::Compiled] {
-            let (total, out) = best_of(mode.reps(3), || {
-                let mut db = build(*n, *seed);
-                MineRuleEngine::new()
-                    .with_sqlexec(exec)
-                    .execute(&mut db, stmt)
-                    .unwrap()
-            });
-            let preproc_rows: usize = out.preprocess_report.executed.iter().map(|(_, r)| r).sum();
-            report.case(
-                "E12",
-                format!("{workload} sqlexec={exec}"),
-                Some(out.rules.len() as u64),
-                total,
-            );
-            report.case(
-                "E12",
-                format!("{workload} sqlexec={exec} preproc-rows"),
-                Some(preproc_rows as u64),
-                out.timings.preprocess,
-            );
-            println!(
-                "| {workload} | {exec} | {} | {} | {} | {preproc_rows} |",
-                ms(out.timings.preprocess),
-                ms(total),
-                out.rules.len()
-            );
-            runs.push(out);
-        }
-        let (interpreted, compiled) = (&runs[0], &runs[1]);
-        assert_eq!(
-            interpreted.rules, compiled.rules,
-            "{workload}: modes disagree on rules"
-        );
-        assert_eq!(
-            interpreted.preprocess_report.executed, compiled.preprocess_report.executed,
-            "{workload}: modes disagree on preprocessor row counts"
-        );
-        println!(
-            "| {workload} | speedup (preprocess) | {:.2}x | | | |",
-            interpreted.timings.preprocess.as_secs_f64()
-                / compiled.timings.preprocess.as_secs_f64()
-        );
-    }
-    println!("\n(identical rules and preprocessor row counts asserted per workload)\n");
 }
 
 /// E8 — postprocessing cost vs rule count.

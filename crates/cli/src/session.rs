@@ -7,73 +7,97 @@ use std::time::Instant;
 
 use datagen::{generate_quest, generate_retail, load_quest, QuestConfig, RetailConfig};
 use minerule::paper_example::load_purchase_table;
-use minerule::{is_mine_rule, MineRuleEngine};
-use relational::Database;
+use minerule::{is_mine_rule, MineError, MineRuleEngine};
+use relational::{Database, StorageBackend};
 
-/// One `\set` knob: the single source of truth for the `\set` no-arg
-/// listing, the `\help` text and the unknown-setting hint, so the three
-/// surfaces can never drift apart (asserted in the session tests).
+/// Why a `\set` was refused.
+enum Refused {
+    /// The value is outside the knob's domain: answered with the one typed
+    /// knob error, built from the table entry.
+    Domain,
+    /// The value was understood but could not be applied.
+    Failed(String),
+}
+
+/// One `\set` knob: the single source of truth for parsing, the no-arg
+/// listing, `\set <knob>`, the `\help` text and the unknown-setting hint,
+/// so the surfaces can never drift apart (asserted in the session tests,
+/// which also hold the README's knob table to this one).
 pub struct Knob {
     /// The `\set` name.
     pub name: &'static str,
-    /// Value domain shown in help (`on|off`, `<n>`, ...).
+    /// Value domain, shown in help and in the rejection of a bad value.
     pub domain: &'static str,
     /// One-line description for `\help`.
     pub blurb: &'static str,
+    /// The current value, rendered.
+    get: fn(&Session) -> String,
+    /// Parse and apply a value (plus the word after it, if any).
+    set: fn(&mut Session, &str, Option<&str>) -> Result<(), Refused>,
 }
 
-/// Every `\set` knob the shell understands.
+/// Every `\set` knob the shell understands. None of them selects an
+/// execution strategy — those are chosen from what the code observes.
 pub const KNOBS: &[Knob] = &[
     Knob {
         name: "workers",
-        domain: "<n>",
+        domain: "<n> (at least 1)",
         blurb: "mining executor threads (same rules, faster core)",
+        get: |s| s.engine.core.workers.to_string(),
+        set: |s, value, _| match value.parse::<usize>() {
+            Ok(n) if n >= 1 => {
+                s.engine.core.workers = n;
+                Ok(())
+            }
+            _ => Err(Refused::Domain),
+        },
     },
     Knob {
         name: "telemetry",
         domain: "on|off",
         blurb: "toggle metric recording (rules identical either way)",
-    },
-    Knob {
-        name: "gidset",
-        domain: "list|bitset|auto",
-        blurb: "pin the gid-set representation",
-    },
-    Knob {
-        name: "sqlexec",
-        domain: "compiled|interpreted|auto",
-        blurb: "pin SQL expression execution",
-    },
-    Knob {
-        name: "exec",
-        domain: "vector|row|auto",
-        blurb: "pin batch (vectorized) SQL execution",
+        get: |s| on_off(s.engine.telemetry_enabled()).to_string(),
+        set: |s, value, _| {
+            s.engine.set_telemetry_enabled(parse_on_off(value)?);
+            Ok(())
+        },
     },
     Knob {
         name: "preprocache",
         domain: "on|off",
         blurb: "preprocess artifact cache (rules identical either way)",
+        get: |s| on_off(s.engine.preprocache_enabled()).to_string(),
+        set: |s, value, _| {
+            s.engine.set_preprocache_enabled(parse_on_off(value)?);
+            Ok(())
+        },
     },
     Knob {
         name: "minecache",
         domain: "on|off",
         blurb: "mined-result cache for refined reruns (rules identical either way)",
-    },
-    Knob {
-        name: "indexes",
-        domain: "auto|off",
-        blurb: "relational hash-index policy (results identical either way)",
+        get: |s| on_off(s.engine.minecache_enabled()).to_string(),
+        set: |s, value, _| {
+            s.engine.set_minecache_enabled(parse_on_off(value)?);
+            Ok(())
+        },
     },
     Knob {
         name: "storage",
         domain: "memory|paged [dir]",
         blurb: "storage backend (paged adds crash-safe durability; same results)",
-    },
-    Knob {
-        name: "planner",
-        domain: "cost|naive",
-        blurb:
-            "query planner (cost plans from statistics and fuses preprocess steps; same results)",
+        get: |s| s.db.storage().to_string(),
+        set: |s, value, dir| {
+            let backend = StorageBackend::from_name(value).ok_or(Refused::Domain)?;
+            if let (StorageBackend::Paged, Some(dir)) = (backend, dir) {
+                s.db.set_storage_dir(dir);
+            }
+            s.db.set_storage(backend).map_err(|e| {
+                Refused::Failed(format!(
+                    "error: {e} (usage: \\set storage memory | paged <dir>)"
+                ))
+            })
+        },
     },
 ];
 
@@ -82,6 +106,14 @@ fn on_off(state: bool) -> &'static str {
         "on"
     } else {
         "off"
+    }
+}
+
+fn parse_on_off(value: &str) -> Result<bool, Refused> {
+    match value.to_ascii_lowercase().as_str() {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        _ => Err(Refused::Domain),
     }
 }
 
@@ -175,23 +207,6 @@ impl Session {
             out_t = outcome.translation.stmt.output_table
         );
         Ok(out)
-    }
-
-    /// The current value of a `\set` knob, for the no-arg listing.
-    fn knob_value(&self, name: &str) -> String {
-        match name {
-            "workers" => self.engine.core.workers.to_string(),
-            "telemetry" => on_off(self.engine.telemetry_enabled()).to_string(),
-            "gidset" => self.engine.core.gidset.to_string(),
-            "sqlexec" => self.engine.sqlexec.to_string(),
-            "exec" => self.engine.exec.to_string(),
-            "preprocache" => on_off(self.engine.preprocache_enabled()).to_string(),
-            "minecache" => on_off(self.engine.minecache_enabled()).to_string(),
-            "indexes" => self.db.index_policy().to_string(),
-            "storage" => self.db.storage().to_string(),
-            "planner" => self.engine.planner.to_string(),
-            other => format!("<unknown knob '{other}'>"),
-        }
     }
 
     /// Pretty-print a MINE RULE output-table triple, strongest rules first.
@@ -307,189 +322,37 @@ impl Session {
                     }
                 }
             },
-            "set" => match (words.next(), words.next()) {
-                (Some("workers"), Some(n)) => match n.parse::<usize>() {
-                    // Zero is rejected with the same user-facing shape as
-                    // the unknown-algorithm error: the engine's own typed
-                    // error, stated with the valid domain.
-                    Ok(0) => Outcome::Output(
-                        minerule::MineError::InvalidWorkerCount { value: 0 }.to_string(),
-                    ),
-                    Ok(n) => {
-                        self.engine.core.workers = n;
-                        Outcome::Output(format!("workers set to {n}"))
-                    }
-                    Err(_) => Outcome::Output(format!("'{n}' is not a valid worker count (min 1)")),
-                },
-                (Some("workers"), None) => Outcome::Output(format!(
-                    "workers: {} (mining executor threads; rules are identical for any value)",
-                    self.engine.core.workers
-                )),
-                (Some("telemetry"), Some(state)) => match state {
-                    "on" | "off" => {
-                        self.engine.set_telemetry_enabled(state == "on");
-                        Outcome::Output(format!("telemetry is {state}"))
-                    }
-                    other => Outcome::Output(format!(
-                        "'{other}' is not a valid telemetry state (on | off)"
-                    )),
-                },
-                (Some("telemetry"), None) => Outcome::Output(format!(
-                    "telemetry: {} (metric recording; mined rules are identical either way)",
-                    if self.engine.telemetry_enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                )),
-                (Some("gidset"), Some(name)) => match minerule::algo::GidSetRepr::parse(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(repr) => {
-                        self.engine.core.gidset = repr;
-                        Outcome::Output(format!("gidset representation set to {repr}"))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("gidset"), None) => Outcome::Output(format!(
-                    "gidset: {} (gid-set representation: list | bitset | auto; \
-                     rules are identical for any choice)",
-                    self.engine.core.gidset
-                )),
-                (Some("sqlexec"), Some(name)) => match minerule::parse_sqlexec(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(mode) => {
-                        // Mining runs stamp the database from the engine;
-                        // plain SQL goes straight to the database, so set
-                        // both here.
-                        self.engine.sqlexec = mode;
-                        self.db.set_sqlexec(mode);
-                        Outcome::Output(format!("sql executor set to {mode}"))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("sqlexec"), None) => Outcome::Output(format!(
-                    "sqlexec: {} (expression execution: compiled | interpreted | auto; \
-                     results are identical for any choice)",
-                    self.engine.sqlexec
-                )),
-                (Some("exec"), Some(name)) => match minerule::parse_exec(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(mode) => {
-                        // Mining runs stamp the database from the engine;
-                        // plain SQL goes straight to the database, so set
-                        // both here.
-                        self.engine.exec = mode;
-                        self.db.set_exec(mode);
-                        Outcome::Output(format!("batch executor set to {mode}"))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("exec"), None) => Outcome::Output(format!(
-                    "exec: {} (batch execution: vector | row | auto; \
-                     results are identical for any choice)",
-                    self.engine.exec
-                )),
-                (Some("preprocache"), Some(name)) => match minerule::parse_preprocache(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(enabled) => {
-                        self.engine.set_preprocache_enabled(enabled);
-                        Outcome::Output(format!("preprocess cache is {}", on_off(enabled)))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("preprocache"), None) => Outcome::Output(format!(
-                    "preprocache: {} (preprocess artifact cache; mined rules are \
-                     identical either way)",
-                    on_off(self.engine.preprocache_enabled())
-                )),
-                (Some("minecache"), Some(name)) => match minerule::parse_minecache(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(enabled) => {
-                        self.engine.set_minecache_enabled(enabled);
-                        Outcome::Output(format!("mined-result cache is {}", on_off(enabled)))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("minecache"), None) => Outcome::Output(format!(
-                    "minecache: {} (mined-result cache for refined reruns; mined \
-                     rules are identical either way)",
-                    on_off(self.engine.minecache_enabled())
-                )),
-                (Some("indexes"), Some(name)) => match minerule::parse_index_policy(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(policy) => {
-                        self.db.set_index_policy(policy);
-                        Outcome::Output(format!("index policy set to {policy}"))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("indexes"), None) => Outcome::Output(format!(
-                    "indexes: {} (relational hash-index policy: auto | off; \
-                     results are identical either way)",
-                    self.db.index_policy()
-                )),
-                (Some("storage"), Some(name)) => match minerule::parse_storage_backend(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(backend) => {
-                        if backend == relational::StorageBackend::Paged {
-                            if let Some(dir) = words.next() {
-                                self.db.set_storage_dir(dir);
-                            }
-                        }
-                        match self.db.set_storage(backend) {
-                            Ok(()) => Outcome::Output(format!("storage backend set to {backend}")),
-                            Err(e) => Outcome::Output(format!(
-                                "error: {e} (usage: \\set storage memory | paged <dir>)"
-                            )),
-                        }
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("planner"), Some(name)) => match minerule::parse_planner(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(mode) => {
-                        // Mining runs stamp the database from the engine;
-                        // plain SQL goes straight to the database, so set
-                        // both here.
-                        self.engine.planner = mode;
-                        self.db.set_planner(mode);
-                        Outcome::Output(format!("planner set to {mode}"))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("planner"), None) => Outcome::Output(format!(
-                    "planner: {} (query planner: cost | naive; results are \
-                     identical for any choice)",
-                    self.engine.planner
-                )),
-                (Some("storage"), None) => Outcome::Output(format!(
-                    "storage: {} (storage backend: memory | paged <dir>; results are \
-                     identical either way, paged adds crash-safe durability)",
-                    self.db.storage()
-                )),
-                (None, _) => {
+            "set" => {
+                let Some(name) = words.next() else {
                     let mut out = format!("settings:\n  algorithm: {}", self.engine.core.algorithm);
                     for knob in KNOBS {
-                        let _ = write!(out, "\n  {}: {}", knob.name, self.knob_value(knob.name));
+                        let _ = write!(out, "\n  {}: {}", knob.name, (knob.get)(self));
                     }
-                    Outcome::Output(out)
-                }
-                (Some(other), _) => {
+                    return Outcome::Output(out);
+                };
+                let Some(knob) = KNOBS.iter().find(|k| k.name == name) else {
                     let names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
-                    Outcome::Output(format!(
-                        "unknown setting '{other}' — valid settings: {}",
+                    return Outcome::Output(format!(
+                        "unknown setting '{name}' — valid settings: {}",
                         names.join(", ")
-                    ))
-                }
-            },
+                    ));
+                };
+                Outcome::Output(match words.next() {
+                    None => format!("{}: {} ({})", knob.name, (knob.get)(self), knob.blurb),
+                    Some(value) => match (knob.set)(self, value, words.next()) {
+                        Ok(()) => format!("{} set to {}", knob.name, (knob.get)(self)),
+                        // Same user-facing shape as the unknown-algorithm
+                        // rejection: the offending value and the domain.
+                        Err(Refused::Domain) => MineError::InvalidKnob {
+                            knob: knob.name,
+                            value: value.to_string(),
+                            domain: knob.domain,
+                        }
+                        .to_string(),
+                        Err(Refused::Failed(message)) => message,
+                    },
+                })
+            }
             "stats" => match words.next() {
                 None => {
                     if !self.engine.telemetry_enabled() {
@@ -698,16 +561,26 @@ mod tests {
         assert!(out(&mut s, "\\set workers").contains("workers: 1"));
         assert!(out(&mut s, "\\set workers 4").contains("workers set to 4"));
         assert!(out(&mut s, "\\set").contains("workers: 4"));
-        // Zero gets the engine's typed error — the same shape as the
-        // unknown-algorithm rejection (message states the valid domain).
-        let zero = out(&mut s, "\\set workers 0");
-        assert!(zero.contains("invalid worker count '0'"), "{zero}");
-        assert!(zero.contains("at least 1"), "{zero}");
+        // Zero and garbage get the one typed knob error — the same shape
+        // as the unknown-algorithm rejection (offender plus domain).
+        for bad in ["0", "abc"] {
+            let refused = out(&mut s, &format!("\\set workers {bad}"));
+            assert_eq!(
+                refused,
+                MineError::InvalidKnob {
+                    knob: "workers",
+                    value: bad.into(),
+                    domain: "<n> (at least 1)",
+                }
+                .to_string()
+            );
+            assert!(refused.contains(&format!("'{bad}'")), "{refused}");
+            assert!(refused.contains("at least 1"), "{refused}");
+        }
         assert!(
             out(&mut s, "\\set workers").contains("workers: 4"),
             "unchanged"
         );
-        assert!(out(&mut s, "\\set workers nan").contains("not a valid"));
         assert!(out(&mut s, "\\set gizmo on").contains("unknown setting"));
         // Mining still works (and yields the same rules) with 4 workers.
         out(&mut s, "\\demo paper");
@@ -721,142 +594,37 @@ mod tests {
     }
 
     #[test]
-    fn gidset_setting() {
+    fn strategy_selectors_are_not_settings() {
+        // Execution strategies are selected from what the code observes;
+        // neither the retired pins nor the tests' reference selector are
+        // reachable from the shell.
+        assert_eq!(KNOBS.len(), 5);
         let mut s = Session::new();
-        assert!(out(&mut s, "\\set gidset").contains("gidset: auto"));
-        assert!(out(&mut s, "\\set gidset bitset").contains("gidset representation set to bitset"));
-        assert!(out(&mut s, "\\set").contains("gidset: bitset"));
-        // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set gidset roaring");
-        assert!(
-            bad.contains("unknown gid-set representation 'roaring'"),
-            "{bad}"
-        );
-        assert!(bad.contains("list, bitset, auto"), "{bad}");
-        assert!(
-            out(&mut s, "\\set gidset").contains("gidset: bitset"),
-            "unchanged"
-        );
-        // Mining works with every representation and yields the same rules.
-        out(&mut s, "\\demo paper");
-        let stmt =
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-        let mut outputs = Vec::new();
-        for repr in ["list", "bitset", "auto"] {
-            out(&mut s, &format!("\\set gidset {repr}"));
-            let result = out(&mut s, stmt);
-            assert!(result.contains("mined"), "{repr}: {result}");
-            out(&mut s, "DROP TABLE R");
-            outputs.push(result);
+        let help = out(&mut s, "\\help");
+        for name in [
+            "sqlexec",
+            "exec",
+            "planner",
+            "indexes",
+            "gidset",
+            "reference",
+        ] {
+            let answer = out(&mut s, &format!("\\set {name} on"));
+            assert!(answer.contains("unknown setting"), "{name}: {answer}");
+            assert!(!help.contains(&format!("\\set {name}")), "{name}: {help}");
         }
-        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same rule counts");
     }
 
     #[test]
-    fn sqlexec_setting() {
-        let mut s = Session::new();
-        assert!(out(&mut s, "\\set sqlexec").contains("sqlexec: auto"));
-        assert!(out(&mut s, "\\set sqlexec compiled").contains("sql executor set to compiled"));
-        assert!(out(&mut s, "\\set").contains("sqlexec: compiled"));
-        // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set sqlexec vectorized");
-        assert!(
-            bad.contains("unknown sql execution mode 'vectorized'"),
-            "{bad}"
-        );
-        assert!(bad.contains("compiled, interpreted, auto"), "{bad}");
-        assert!(
-            out(&mut s, "\\set sqlexec").contains("sqlexec: compiled"),
-            "unchanged"
-        );
-        // Both plain SQL and mining work under every mode, with identical
-        // results.
-        out(&mut s, "\\demo paper");
-        let stmt =
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-        let mut outputs = Vec::new();
-        for mode in ["interpreted", "compiled", "auto"] {
-            out(&mut s, &format!("\\set sqlexec {mode}"));
-            let select = out(&mut s, "SELECT COUNT(*) FROM Purchase WHERE price >= 100");
-            let result = out(&mut s, stmt);
-            assert!(result.contains("mined"), "{mode}: {result}");
-            out(&mut s, "DROP TABLE R");
-            outputs.push((select, result));
-        }
-        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same results");
-    }
-
-    #[test]
-    fn exec_setting() {
-        let mut s = Session::new();
-        assert!(out(&mut s, "\\set exec").contains("exec: auto"));
-        assert!(out(&mut s, "\\set exec vector").contains("batch executor set to vector"));
-        assert!(out(&mut s, "\\set").contains("exec: vector"));
-        // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set exec columnar");
-        assert!(bad.contains("unknown exec mode 'columnar'"), "{bad}");
-        assert!(bad.contains("vector, row, auto"), "{bad}");
-        assert!(
-            out(&mut s, "\\set exec").contains("exec: vector"),
-            "unchanged"
-        );
-        // Both plain SQL and mining work under every mode, with identical
-        // results.
-        out(&mut s, "\\demo paper");
-        let stmt =
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-        let mut outputs = Vec::new();
-        for mode in ["row", "vector", "auto"] {
-            out(&mut s, &format!("\\set exec {mode}"));
-            let select = out(&mut s, "SELECT COUNT(*) FROM Purchase WHERE price >= 100");
-            let result = out(&mut s, stmt);
-            assert!(result.contains("mined"), "{mode}: {result}");
-            out(&mut s, "DROP TABLE R");
-            outputs.push((select, result));
-        }
-        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same results");
-    }
-
-    #[test]
-    fn planner_setting() {
-        let mut s = Session::new();
-        assert!(out(&mut s, "\\set planner").contains("planner: cost"));
-        assert!(out(&mut s, "\\set planner naive").contains("planner set to naive"));
-        assert!(out(&mut s, "\\set").contains("planner: naive"));
-        // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set planner genetic");
-        assert!(bad.contains("unknown planner mode 'genetic'"), "{bad}");
-        assert!(bad.contains("cost, naive"), "{bad}");
-        assert!(
-            out(&mut s, "\\set planner").contains("planner: naive"),
-            "unchanged"
-        );
-        // Both plain SQL and mining work under every mode, with identical
-        // results.
-        out(&mut s, "\\demo paper");
-        let stmt =
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-        let mut outputs = Vec::new();
-        for mode in ["naive", "cost"] {
-            out(&mut s, &format!("\\set planner {mode}"));
-            let select = out(
-                &mut s,
-                "SELECT COUNT(*) FROM Purchase a, Purchase b WHERE a.customer = b.customer",
-            );
-            let result = out(&mut s, stmt);
-            assert!(result.contains("mined"), "{mode}: {result}");
-            out(&mut s, "DROP TABLE R");
-            outputs.push((select, result));
-        }
-        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same results");
+    fn knob_table_matches_the_readme() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `\\set "))
+            .filter_map(|l| l.split([' ', '`']).next())
+            .collect();
+        let names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
+        assert_eq!(rows, names, "README knob table drifted from KNOBS");
     }
 
     #[test]
@@ -888,15 +656,15 @@ mod tests {
     fn preprocache_setting() {
         let mut s = Session::new();
         assert!(out(&mut s, "\\set preprocache").contains("preprocache: on"));
-        assert!(out(&mut s, "\\set preprocache off").contains("preprocess cache is off"));
+        assert!(out(&mut s, "\\set preprocache off").contains("preprocache set to off"));
         assert!(out(&mut s, "\\set").contains("preprocache: off"));
         // Bad names get the engine's typed error, stating the domain.
         let bad = out(&mut s, "\\set preprocache maybe");
         assert!(
-            bad.contains("unknown preprocess cache mode 'maybe'"),
+            bad.contains("invalid value 'maybe' for preprocache"),
             "{bad}"
         );
-        assert!(bad.contains("on, off"), "{bad}");
+        assert!(bad.contains("on|off"), "{bad}");
         assert!(
             out(&mut s, "\\set preprocache").contains("preprocache: off"),
             "unchanged"
@@ -925,15 +693,12 @@ mod tests {
     fn minecache_setting() {
         let mut s = Session::new();
         assert!(out(&mut s, "\\set minecache").contains("minecache: on"));
-        assert!(out(&mut s, "\\set minecache off").contains("mined-result cache is off"));
+        assert!(out(&mut s, "\\set minecache off").contains("minecache set to off"));
         assert!(out(&mut s, "\\set").contains("minecache: off"));
         // Bad names get the engine's typed error, stating the domain.
         let bad = out(&mut s, "\\set minecache maybe");
-        assert!(
-            bad.contains("unknown mined-result cache mode 'maybe'"),
-            "{bad}"
-        );
-        assert!(bad.contains("on, off"), "{bad}");
+        assert!(bad.contains("invalid value 'maybe' for minecache"), "{bad}");
+        assert!(bad.contains("on|off"), "{bad}");
         assert!(
             out(&mut s, "\\set minecache").contains("minecache: off"),
             "unchanged"
@@ -985,9 +750,15 @@ mod tests {
                 "'\\set {} zzz_bogus' does not name the bad value: {bad}",
                 knob.name
             );
-            assert!(
-                bad.contains("unknown") || bad.contains("not a valid"),
-                "'\\set {} zzz_bogus' is not a typed rejection: {bad}",
+            assert_eq!(
+                bad,
+                MineError::InvalidKnob {
+                    knob: knob.name,
+                    value: "zzz_bogus".into(),
+                    domain: knob.domain,
+                }
+                .to_string(),
+                "'\\set {} zzz_bogus' is not the typed rejection",
                 knob.name
             );
             assert_eq!(
@@ -1000,38 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn indexes_setting() {
-        let mut s = Session::new();
-        assert!(out(&mut s, "\\set indexes").contains("indexes: auto"));
-        assert!(out(&mut s, "\\set indexes off").contains("index policy set to off"));
-        assert!(out(&mut s, "\\set").contains("indexes: off"));
-        // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set indexes fast");
-        assert!(bad.contains("unknown index policy 'fast'"), "{bad}");
-        assert!(bad.contains("auto, off"), "{bad}");
-        assert!(
-            out(&mut s, "\\set indexes").contains("indexes: off"),
-            "unchanged"
-        );
-        // SQL and mining return identical results under both policies.
-        out(&mut s, "\\demo paper");
-        let stmt =
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-        let mut outputs = Vec::new();
-        for policy in ["off", "auto"] {
-            out(&mut s, &format!("\\set indexes {policy}"));
-            let select = out(&mut s, "SELECT item, COUNT(*) FROM Purchase GROUP BY item");
-            let result = out(&mut s, stmt);
-            assert!(result.contains("mined"), "{policy}: {result}");
-            out(&mut s, "DROP TABLE R");
-            outputs.push((select, result));
-        }
-        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same results");
-    }
-
-    #[test]
     fn storage_setting() {
         let dir = std::env::temp_dir().join(format!("tcdm_cli_storage_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1040,8 +779,8 @@ mod tests {
         assert!(out(&mut s, "\\set storage").contains("storage: memory"));
         // Bad names get the engine's typed error, stating the domain.
         let bad = out(&mut s, "\\set storage cloud");
-        assert!(bad.contains("unknown storage backend 'cloud'"), "{bad}");
-        assert!(bad.contains("memory, paged"), "{bad}");
+        assert!(bad.contains("invalid value 'cloud' for storage"), "{bad}");
+        assert!(bad.contains("memory|paged"), "{bad}");
         // Paged without a directory is a usage error, and the session
         // stays on the memory backend.
         let nodir = out(&mut s, "\\set storage paged");
@@ -1050,15 +789,15 @@ mod tests {
         assert!(out(&mut s, "\\set storage").contains("storage: memory"));
         // With a directory the switch works and SQL becomes durable.
         let attach = format!("\\set storage paged {}", dir.display());
-        assert!(out(&mut s, &attach).contains("storage backend set to paged"));
+        assert!(out(&mut s, &attach).contains("storage set to paged"));
         assert!(out(&mut s, "\\set").contains("storage: paged"));
         out(&mut s, "CREATE TABLE t (a INT)");
         out(&mut s, "INSERT INTO t VALUES (1), (2)");
-        assert!(out(&mut s, "\\set storage memory").contains("set to memory"));
+        assert!(out(&mut s, "\\set storage memory").contains("storage set to memory"));
         drop(s);
         // A fresh session re-attaches the directory and sees the data.
         let mut s2 = Session::new();
-        assert!(out(&mut s2, &attach).contains("storage backend set to paged"));
+        assert!(out(&mut s2, &attach).contains("storage set to paged"));
         assert!(out(&mut s2, "SELECT COUNT(*) FROM t").contains('2'));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1083,7 +822,7 @@ mod tests {
         assert!(out(&mut s, "\\stats reset").contains("reset"));
         assert!(out(&mut s, "\\stats").contains("no metrics recorded"));
         // Off: runs record nothing and \stats says so.
-        assert!(out(&mut s, "\\set telemetry off").contains("telemetry is off"));
+        assert!(out(&mut s, "\\set telemetry off").contains("telemetry set to off"));
         out(
             &mut s,
             "MINE RULE R2 AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
@@ -1091,8 +830,10 @@ mod tests {
              EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
         );
         assert!(out(&mut s, "\\stats").contains("telemetry is off"));
-        assert!(out(&mut s, "\\set telemetry maybe").contains("not a valid"));
-        assert!(out(&mut s, "\\set telemetry on").contains("telemetry is on"));
+        assert!(
+            out(&mut s, "\\set telemetry maybe").contains("invalid value 'maybe' for telemetry")
+        );
+        assert!(out(&mut s, "\\set telemetry on").contains("telemetry set to on"));
         assert!(out(&mut s, "\\stats bogus").contains("usage"));
         assert!(out(&mut s, "\\help").contains("\\stats"));
     }

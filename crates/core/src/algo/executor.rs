@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use super::gidset::{GidSet, GidSetCounters, GidSetCtx, GidSetRepr};
+use super::gidset::{GidSet, GidSetCounters, GidSetCtx};
 use super::itemset::{is_subset, Itemset};
 use super::LargeItemset;
 
@@ -78,7 +78,7 @@ pub struct ExecStats {
 #[derive(Debug, Default)]
 pub struct ShardExec {
     workers: usize,
-    gidset_repr: GidSetRepr,
+    list_gidsets: bool,
     gidset_counters: GidSetCounters,
     shard_timings: Mutex<Vec<Duration>>,
     stats: Mutex<ExecStats>,
@@ -89,23 +89,25 @@ impl ShardExec {
     pub fn new(workers: usize) -> ShardExec {
         ShardExec {
             workers: workers.max(1),
-            gidset_repr: GidSetRepr::default(),
+            list_gidsets: false,
             gidset_counters: GidSetCounters::default(),
             shard_timings: Mutex::new(Vec::new()),
             stats: Mutex::new(ExecStats::default()),
         }
     }
 
-    /// Pin the gid-set physical representation the run's [`GidSetCtx`]s
-    /// will use (default: the per-set density heuristic).
-    pub fn with_gidset_repr(mut self, repr: GidSetRepr) -> ShardExec {
-        self.gidset_repr = repr;
+    /// Keep every gid set of the run a sorted list instead of choosing
+    /// per set by density — the reference representation, selected with
+    /// the rest of the reference paths and by the agreement tests.
+    pub fn with_list_gidsets(mut self, on: bool) -> ShardExec {
+        self.list_gidsets = on;
         self
     }
 
-    /// The configured gid-set representation policy.
-    pub fn gidset_repr(&self) -> GidSetRepr {
-        self.gidset_repr
+    /// Whether this run keeps every gid set a list (inner passes of the
+    /// partition and sampling miners inherit it).
+    pub fn list_gidsets(&self) -> bool {
+        self.list_gidsets
     }
 
     /// A gid-set context over `universe` gids, recording representation
@@ -113,7 +115,7 @@ impl ShardExec {
     /// mining a shard-local slice pass that slice's length as the
     /// universe (gids are shard-offset, so density stays meaningful).
     pub fn gidset_ctx(&self, universe: usize) -> GidSetCtx<'_> {
-        GidSetCtx::new(universe, self.gidset_repr, &self.gidset_counters)
+        GidSetCtx::new(universe, self.list_gidsets, &self.gidset_counters)
     }
 
     /// The sequential executor (`workers = 1`); every `mine` call without
@@ -324,7 +326,7 @@ impl ShardExec {
     }
 
     /// [`ShardExec::gidlists`] with each list converted to a [`GidSet`]
-    /// by `ctx`'s representation policy. The lists are built and merged
+    /// in the representation `ctx` picks. The lists are built and merged
     /// under the determinism contract first, so the density decision sees
     /// the same global cardinalities at every worker count.
     pub fn gidsets(&self, groups: &[Vec<u32>], ctx: &GidSetCtx<'_>) -> HashMap<u32, GidSet> {
@@ -487,8 +489,8 @@ mod tests {
     #[test]
     fn gidsets_follow_repr_and_feed_stats() {
         let g = groups();
-        let exec = ShardExec::new(2).with_gidset_repr(GidSetRepr::Bitset);
-        assert_eq!(exec.gidset_repr(), GidSetRepr::Bitset);
+        // Seven groups: every non-empty list is dense enough for a bitset.
+        let exec = ShardExec::new(2);
         let ctx = exec.gidset_ctx(g.len());
         let sets = exec.gidsets(&g, &ctx);
         assert!(sets.values().all(|s| s.is_bitset()));
@@ -499,6 +501,12 @@ mod tests {
         assert_eq!(stats.gidset_list_picked, 0);
         assert_eq!((stats.trie_nodes, stats.trie_lookups), (5, 12));
         assert_eq!(exec.take_stats(), ExecStats::default(), "atomics drained");
+        // The reference representation keeps the same sets as lists.
+        let lists = ShardExec::new(2).with_list_gidsets(true);
+        let ctx = lists.gidset_ctx(g.len());
+        let sets = lists.gidsets(&g, &ctx);
+        assert!(sets.values().all(|s| !s.is_bitset()));
+        assert_eq!(lists.take_stats().gidset_list_picked, sets.len() as u64);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::collections::HashSet;
 
-use super::apriori::mine_gidlist_with_border_repr;
+use super::apriori::mine_gidlist_with_border_exec;
 use super::executor::ShardExec;
 use super::itemset::Itemset;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
@@ -65,7 +65,7 @@ impl ItemsetMiner for Partition {
                     .map(|n| n.get())
                     .unwrap_or(4),
             )
-            .with_gidset_repr(exec.gidset_repr());
+            .with_list_gidsets(exec.list_gidsets());
             &own_exec
         } else {
             exec
@@ -92,12 +92,15 @@ impl ItemsetMiner for Partition {
         // Local passes inherit the caller's gid-set representation; each
         // pass's gid universe is its own partition slice (local gids run
         // 0..part.len()), so the density heuristic scales with it.
-        let repr = exec.gidset_repr();
+        let lists = exec.list_gidsets();
         let parts: Vec<&[Vec<u32>]> = input.groups.chunks(chunk).collect();
         let locals = exec.map_shards(&parts, |_, assigned| {
             assigned
                 .iter()
-                .map(|part| mine_gidlist_with_border_repr(part, local_min(part.len()), repr).0)
+                .map(|part| {
+                    let inner = ShardExec::sequential().with_list_gidsets(lists);
+                    mine_gidlist_with_border_exec(part, local_min(part.len()), &inner).0
+                })
                 .collect::<Vec<Vec<LargeItemset>>>()
         });
         let mut candidates: HashSet<Itemset> = HashSet::new();

@@ -6,7 +6,7 @@
 //! with the others on every input — the sampling is purely a performance
 //! strategy, as the paper's architecture requires.
 
-use super::apriori::{mine_gidlist_with_border_exec, mine_gidlist_with_border_repr};
+use super::apriori::mine_gidlist_with_border_exec;
 use super::executor::ShardExec;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
 
@@ -55,8 +55,8 @@ impl ItemsetMiner for Sampling {
 
         // The sample pass inherits the caller's gid-set representation;
         // its gid universe is the sample itself.
-        let (sample_large, mut border) =
-            mine_gidlist_with_border_repr(&sample, lowered, exec.gidset_repr());
+        let inner = ShardExec::sequential().with_list_gidsets(exec.list_gidsets());
+        let (sample_large, mut border) = mine_gidlist_with_border_exec(&sample, lowered, &inner);
 
         // The negative border must cover the whole item universe: items
         // that never appeared in the sample are minimal non-members too.

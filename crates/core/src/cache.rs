@@ -39,8 +39,9 @@ use crate::error::Result;
 use crate::preprocess::{min_groups_for, run_steps, PreprocessReport};
 use crate::translator::Translation;
 
-/// Most-recently-used artifact sets kept; older entries are evicted.
-const MAX_ENTRIES: usize = 8;
+/// Most-recently-used entries each cache keeps (this one and the
+/// mined-result cache); older entries are evicted.
+pub(crate) const MAX_ENTRIES: usize = 8;
 
 /// One cached artifact set: everything preprocessing materialised, plus
 /// the validity conditions for reuse.
@@ -302,7 +303,10 @@ impl PreprocessCache {
 
 /// Current `(lowercase name, version)` of every FROM table, or `None` when
 /// a source table is missing from the catalog.
-fn source_versions(db: &Database, stmt: &MineRuleStatement) -> Option<Vec<(String, u64)>> {
+pub(crate) fn source_versions(
+    db: &Database,
+    stmt: &MineRuleStatement,
+) -> Option<Vec<(String, u64)>> {
     let mut versions = Vec::with_capacity(stmt.from.len());
     for source in &stmt.from {
         let table = db.catalog().table(&source.name).ok()?;

@@ -45,7 +45,7 @@
 
 use std::time::Duration;
 
-use crate::algo::{self, EncodedRule, GidSetRepr, LargeItemset, ShardExec, SimpleInput};
+use crate::algo::{self, EncodedRule, LargeItemset, ShardExec, SimpleInput};
 use crate::encoded::{EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
 use crate::lattice::elementary::{build_contexts, BuildOptions};
@@ -67,11 +67,6 @@ pub struct CoreOptions {
     /// `1` keeps everything on the calling thread; any value produces the
     /// same rule inventory (the executor's determinism contract).
     pub workers: usize,
-    /// Physical gid-set representation for the vertical pool members
-    /// (simple path). [`GidSetRepr::Auto`] picks per set by density;
-    /// pinning `List` or `Bitset` is a debugging/bench knob — every
-    /// choice yields the same rule inventory.
-    pub gidset: GidSetRepr,
 }
 
 impl Default for CoreOptions {
@@ -81,7 +76,6 @@ impl Default for CoreOptions {
             order: ExpansionOrder::MinParent,
             force_general: false,
             workers: 1,
-            gidset: GidSetRepr::Auto,
         }
     }
 }
@@ -118,8 +112,25 @@ pub fn run_core_with_telemetry(
     opts: &CoreOptions,
     telemetry: &Telemetry,
 ) -> Result<CoreOutput> {
+    run_core_on(input, opts, telemetry, false)
+}
+
+/// [`run_core_with_telemetry`] with the gid-set representation chosen by
+/// the caller's reference selector
+/// ([`relational::Database::set_reference_paths`]): `true` keeps every
+/// gid set a sorted list.
+pub(crate) fn run_core_on(
+    input: &EncodedInput,
+    opts: &CoreOptions,
+    telemetry: &Telemetry,
+    reference_paths: bool,
+) -> Result<CoreOutput> {
     if opts.workers == 0 {
-        return Err(MineError::InvalidWorkerCount { value: 0 });
+        return Err(MineError::InvalidKnob {
+            knob: "workers",
+            value: "0".into(),
+            domain: "at least 1",
+        });
     }
     match &input.data {
         EncodedData::Simple { groups } if !opts.force_general => {
@@ -131,7 +142,7 @@ pub fn run_core_with_telemetry(
                 })?;
             let simple =
                 SimpleInput::from_groups(groups.clone(), input.total_groups, input.min_groups);
-            let exec = ShardExec::new(opts.workers).with_gidset_repr(opts.gidset);
+            let exec = ShardExec::new(opts.workers).with_list_gidsets(reference_paths);
             let large = miner.mine_sharded(&simple, &exec);
             telemetry.counter_add("core.itemsets.large", large.len() as u64);
             let (mut rules, rule_stats) = algo::rules_from_itemsets_counted(
@@ -365,7 +376,13 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(matches!(err, MineError::InvalidWorkerCount { value: 0 }));
+        assert!(matches!(
+            err,
+            MineError::InvalidKnob {
+                knob: "workers",
+                ..
+            }
+        ));
         let message = err.to_string();
         assert!(message.contains("'0'"), "names the offender: {message}");
         assert!(
@@ -409,26 +426,19 @@ mod tests {
             (5, vec![1, 2, 3]),
         ];
         let input = simple_input(groups, CardSpec::one_to_n());
-        let baseline = run_core(
-            &input,
-            &CoreOptions {
-                gidset: GidSetRepr::List,
+        let quiet = Telemetry::disabled();
+        let baseline = run_core_on(&input, &CoreOptions::default(), &quiet, true).unwrap();
+        for algorithm in ["apriori", "eclat", "partition", "sampling"] {
+            let opts = CoreOptions {
+                algorithm: algorithm.into(),
                 ..CoreOptions::default()
-            },
-        )
-        .unwrap();
-        for repr in [GidSetRepr::Bitset, GidSetRepr::Auto] {
-            for algorithm in ["apriori", "eclat", "partition", "sampling"] {
-                let out = run_core(
-                    &input,
-                    &CoreOptions {
-                        algorithm: algorithm.into(),
-                        gidset: repr,
-                        ..CoreOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(out.rules, baseline.rules, "{algorithm} repr={repr}");
+            };
+            for reference_paths in [true, false] {
+                let out = run_core_on(&input, &opts, &quiet, reference_paths).unwrap();
+                assert_eq!(
+                    out.rules, baseline.rules,
+                    "{algorithm} lists={reference_paths}"
+                );
             }
         }
     }

@@ -17,33 +17,14 @@ pub enum MineError {
     /// The requested mining algorithm is not a member of the pool — a
     /// user configuration error, reported with the valid names.
     UnknownAlgorithm { name: String },
-    /// A worker count of zero was configured — a user configuration
-    /// error, reported with the valid domain (like `UnknownAlgorithm`).
-    InvalidWorkerCount { value: usize },
-    /// An unrecognised gid-set representation name was configured — a
-    /// user configuration error, reported with the valid domain.
-    UnknownGidSetRepr { name: String },
-    /// An unrecognised SQL execution mode name was configured — a user
-    /// configuration error, reported with the valid domain.
-    UnknownSqlExec { name: String },
-    /// An unrecognised batch execution mode name was configured — a user
-    /// configuration error, reported with the valid domain.
-    UnknownExecMode { name: String },
-    /// An unrecognised preprocess cache mode was configured — a user
-    /// configuration error, reported with the valid domain.
-    UnknownCacheMode { name: String },
-    /// An unrecognised mined-result cache mode was configured — a user
-    /// configuration error, reported with the valid domain.
-    UnknownMineCacheMode { name: String },
-    /// An unrecognised relational index policy was configured — a user
-    /// configuration error, reported with the valid domain.
-    UnknownIndexPolicy { name: String },
-    /// An unrecognised storage backend name was configured — a user
-    /// configuration error, reported with the valid domain.
-    UnknownStorageBackend { name: String },
-    /// An unrecognised planner mode name was configured — a user
-    /// configuration error, reported with the valid domain.
-    UnknownPlanner { name: String },
+    /// A knob was given a value outside its domain — a user
+    /// configuration error, reported with the valid domain (like
+    /// `UnknownAlgorithm`). The one error every `\set` knob returns.
+    InvalidKnob {
+        knob: &'static str,
+        value: String,
+        domain: &'static str,
+    },
     /// Internal invariant broken (a bug).
     Internal { message: String },
 }
@@ -144,43 +125,11 @@ impl fmt::Display for MineError {
                 "unknown mining algorithm '{name}'; the pool contains: {}",
                 crate::algo::POOL_NAMES.join(", ")
             ),
-            MineError::InvalidWorkerCount { value } => write!(
-                f,
-                "invalid worker count '{value}'; the mining executor needs at least 1 worker"
-            ),
-            MineError::UnknownGidSetRepr { name } => write!(
-                f,
-                "unknown gid-set representation '{name}'; valid choices: list, bitset, auto"
-            ),
-            MineError::UnknownSqlExec { name } => write!(
-                f,
-                "unknown sql execution mode '{name}'; valid choices: compiled, interpreted, auto"
-            ),
-            MineError::UnknownExecMode { name } => write!(
-                f,
-                "unknown exec mode '{name}'; valid choices: vector, row, auto"
-            ),
-            MineError::UnknownCacheMode { name } => write!(
-                f,
-                "unknown preprocess cache mode '{name}'; valid choices: on, off"
-            ),
-            MineError::UnknownMineCacheMode { name } => write!(
-                f,
-                "unknown mined-result cache mode '{name}'; valid choices: on, off"
-            ),
-            MineError::UnknownIndexPolicy { name } => {
-                write!(f, "unknown index policy '{name}'; valid choices: auto, off")
-            }
-            MineError::UnknownStorageBackend { name } => write!(
-                f,
-                "unknown storage backend '{name}'; valid choices: memory, paged"
-            ),
-            MineError::UnknownPlanner { name } => {
-                write!(
-                    f,
-                    "unknown planner mode '{name}'; valid choices: cost, naive"
-                )
-            }
+            MineError::InvalidKnob {
+                knob,
+                value,
+                domain,
+            } => write!(f, "invalid value '{value}' for {knob}; valid: {domain}"),
             MineError::Internal { message } => write!(f, "internal error: {message}"),
         }
     }

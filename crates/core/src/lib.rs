@@ -70,10 +70,7 @@ pub use directives::{Directives, StatementClass};
 pub use error::{MineError, Result, SemanticViolation};
 pub use minecache::{MineResultCache, ServeKind};
 pub use parser::{is_mine_rule, parse_mine_rule};
-pub use pipeline::{
-    parse_exec, parse_index_policy, parse_minecache, parse_planner, parse_preprocache,
-    parse_sqlexec, parse_storage_backend, MineRuleEngine, MiningOutcome, PhaseTimings,
-};
+pub use pipeline::{MineRuleEngine, MiningOutcome, PhaseTimings};
 pub use postprocess::DecodedRule;
 pub use telemetry::{MetricsSnapshot, Telemetry};
 pub use translator::{translate, translate_with_prefix, Translation};

@@ -47,14 +47,11 @@ use relational::{Database, TableDelta, Value};
 
 use crate::algo::{rules_from_itemsets_counted, sort_rules, EncodedRule, LargeItemset};
 use crate::ast::MineRuleStatement;
-use crate::cache::{PreprocessCache, StoreOutcome};
+use crate::cache::{source_versions, PreprocessCache, StoreOutcome, MAX_ENTRIES};
 use crate::directives::StatementClass;
 use crate::error::Result;
 use crate::preprocess::{min_groups_for, PreprocessReport};
 use crate::translator::Translation;
-
-/// Most-recently-used mined-result sets kept; older entries are evicted.
-const MAX_ENTRIES: usize = 8;
 
 /// Delta re-mining budget: a delta with more rows than
 /// `max(BUDGET_MIN_ROWS, cached rows / 4)` falls back to a full mine.
@@ -372,16 +369,6 @@ fn compound_key(values: &[&Value]) -> String {
         .map(|v| value_key(v))
         .collect::<Vec<_>>()
         .join("\u{1f}")
-}
-
-/// Current `(lowercase name, version)` of every FROM table.
-fn source_versions(db: &Database, stmt: &MineRuleStatement) -> Option<Vec<(String, u64)>> {
-    let mut versions = Vec::with_capacity(stmt.from.len());
-    for source in &stmt.from {
-        let table = db.catalog().table(&source.name).ok()?;
-        versions.push((source.name.to_ascii_lowercase(), table.version()));
-    }
-    Some(versions)
 }
 
 /// Resolve the statement's grouping and item (body-schema) columns on the

@@ -14,14 +14,13 @@
 
 use std::time::Duration;
 
-use relational::{
-    Database, ExecMode, ExecStats, IndexPolicy, PlannerMode, SqlExec, StorageBackend,
-};
+use relational::expr::eval::QueryCtx;
+use relational::{Database, ExecStats, StorageBackend};
 
 use crate::cache::PreprocessCache;
-use crate::core_op::{run_core_with_telemetry, CoreOptions, CoreOutput};
+use crate::core_op::{run_core_on, CoreOptions, CoreOutput};
 use crate::encoded::read_encoded;
-use crate::error::{MineError, Result};
+use crate::error::Result;
 use crate::minecache::{MineResultCache, ServeKind};
 use crate::parser::parse_mine_rule;
 use crate::postprocess::{postprocess, read_rules, store_encoded_rules, DecodedRule};
@@ -79,17 +78,6 @@ pub struct MineRuleEngine {
     /// Prefix for the encoded tables (lets several statements share one
     /// catalog, and enables preprocessing reuse).
     pub table_prefix: String,
-    /// How the SQL server evaluates expressions for this engine's runs
-    /// (`auto` — the default — uses the compiled path). Every choice
-    /// produces bit-identical rules and preprocessing reports; this is a
-    /// perf/debugging knob, enforced by `tests/sqlexec_agreement.rs`.
-    pub sqlexec: SqlExec,
-    /// How the SQL server executes its hot sites for this engine's runs
-    /// (`auto` — the default — runs a site batch-at-a-time when every
-    /// program it evaluates is vector-safe). Every choice produces
-    /// bit-identical rules and row orders; this is a perf/debugging
-    /// knob, enforced by `tests/vector_agreement.rs`.
-    pub exec: ExecMode,
     /// The storage backend the database is switched to before each run
     /// (`None` — the default — leaves the database on whatever backend
     /// it already uses). Memory and paged mine bit-identical rules; the
@@ -98,13 +86,6 @@ pub struct MineRuleEngine {
     /// database to have a storage directory configured
     /// ([`relational::Database::set_storage_dir`]).
     pub storage: Option<StorageBackend>,
-    /// How the SQL server plans queries for this engine's runs (`cost` —
-    /// the default — chooses join order, build sides and access paths
-    /// from catalog statistics, and lets the preprocessor fuse the
-    /// simple-class `Qi` program into one pipelined pass). `naive` keeps
-    /// written order and materialises every step. Both modes mine
-    /// bit-identical rules (enforced by `tests/planner_agreement.rs`).
-    pub planner: PlannerMode,
     /// The metrics registry every run reports into. Enabled by default;
     /// clones of the engine share the same registry. Disabling it
     /// changes no mined output (enforced by `tests/telemetry.rs`).
@@ -126,10 +107,7 @@ impl Default for MineRuleEngine {
         MineRuleEngine {
             core: CoreOptions::default(),
             table_prefix: String::new(),
-            sqlexec: SqlExec::default(),
-            exec: ExecMode::default(),
             storage: None,
-            planner: PlannerMode::default(),
             telemetry: Telemetry::new(),
             preprocache: PreprocessCache::new(),
             minecache: MineResultCache::new(),
@@ -159,34 +137,9 @@ impl MineRuleEngine {
     /// Run the core operator's mining executor with `workers` threads.
     /// The mined rule set is identical for every valid value; only
     /// wall-clock changes. A count of 0 is rejected when the statement
-    /// runs ([`crate::MineError::InvalidWorkerCount`]).
+    /// runs ([`crate::MineError::InvalidKnob`]).
     pub fn with_workers(mut self, workers: usize) -> MineRuleEngine {
         self.core.workers = workers;
-        self
-    }
-
-    /// Pin the physical gid-set representation used by the vertical pool
-    /// members (`auto` — the default — picks per set by density). Every
-    /// choice mines the same rules; this is a debugging/bench knob.
-    pub fn with_gidset(mut self, repr: crate::algo::GidSetRepr) -> MineRuleEngine {
-        self.core.gidset = repr;
-        self
-    }
-
-    /// Pin the SQL server's expression execution mode for every run of
-    /// this engine (`auto` — the default — uses the compiled path).
-    /// Every choice mines the same rules; this is a perf/debugging knob.
-    pub fn with_sqlexec(mut self, mode: SqlExec) -> MineRuleEngine {
-        self.sqlexec = mode;
-        self
-    }
-
-    /// Pin the SQL server's batch execution mode for every run of this
-    /// engine (`auto` — the default — vectorizes each hot site whose
-    /// programs are all vector-safe). Every choice mines the same rules;
-    /// this is a perf/debugging knob.
-    pub fn with_exec(mut self, mode: ExecMode) -> MineRuleEngine {
-        self.exec = mode;
         self
     }
 
@@ -196,15 +149,6 @@ impl MineRuleEngine {
     /// database ([`relational::Database::set_storage_dir`]).
     pub fn with_storage(mut self, backend: StorageBackend) -> MineRuleEngine {
         self.storage = Some(backend);
-        self
-    }
-
-    /// Pin the SQL server's planner mode for every run of this engine
-    /// (`cost` — the default — plans from catalog statistics and fuses
-    /// the simple-class preprocess program). Every choice mines the same
-    /// rules; this is a perf/debugging knob.
-    pub fn with_planner(mut self, mode: PlannerMode) -> MineRuleEngine {
-        self.planner = mode;
         self
     }
 
@@ -300,9 +244,6 @@ impl MineRuleEngine {
     /// Parse and execute a MINE RULE statement end to end.
     pub fn execute(&self, db: &mut Database, text: &str) -> Result<MiningOutcome> {
         self.telemetry.counter_inc("translator.statements");
-        db.set_sqlexec(self.sqlexec);
-        db.set_exec(self.exec);
-        db.set_planner(self.planner);
         if let Some(backend) = self.storage {
             db.set_storage(backend)?;
         }
@@ -421,9 +362,6 @@ impl MineRuleEngine {
     ) -> Result<MiningOutcome> {
         self.telemetry.counter_inc("translator.statements");
         self.telemetry.counter_inc("preprocess.reused");
-        db.set_sqlexec(self.sqlexec);
-        db.set_exec(self.exec);
-        db.set_planner(self.planner);
         if let Some(backend) = self.storage {
             db.set_storage(backend)?;
         }
@@ -458,7 +396,7 @@ impl MineRuleEngine {
     }
 
     /// Publish the SQL server's execution-counter deltas for one run
-    /// (`relational.*` metrics). Zero deltas are skipped so interpreted
+    /// (`relational.*` metrics). Zero deltas are skipped so reference-path
     /// runs don't mint empty `relational.compile.*` counters and
     /// memory-backend runs don't mint `relational.storage.*` ones; every
     /// published value is independent of the core's worker count because
@@ -579,11 +517,6 @@ impl MineRuleEngine {
                 before.vector_sel_narrowings,
                 after.vector_sel_narrowings,
             ),
-            (
-                "relational.vector.fallback_batches",
-                before.vector_fallback_batches,
-                after.vector_fallback_batches,
-            ),
         ] {
             let delta = after.saturating_sub(before);
             if delta > 0 {
@@ -630,7 +563,7 @@ impl MineRuleEngine {
                     shard_timings,
                     large_itemsets,
                     ..
-                } = run_core_with_telemetry(&encoded, &self.core, &self.telemetry)?;
+                } = run_core_on(&encoded, &self.core, &self.telemetry, db.reference_paths())?;
                 if let Some(large) = &large_itemsets {
                     let stored = self.minecache.store(
                         db,
@@ -678,75 +611,4 @@ impl MineRuleEngine {
             },
         })
     }
-}
-
-/// Resolve a SQL execution mode by name (`"compiled"`, `"interpreted"`,
-/// `"auto"`; ASCII-case-insensitive), reporting unknown names with the
-/// valid domain like [`crate::MineError::UnknownAlgorithm`] does.
-pub fn parse_sqlexec(name: &str) -> Result<SqlExec> {
-    SqlExec::from_name(name).ok_or_else(|| MineError::UnknownSqlExec {
-        name: name.to_string(),
-    })
-}
-
-/// Resolve a batch execution mode by name (`"vector"`, `"row"`,
-/// `"auto"`; ASCII-case-insensitive), reporting unknown names with the
-/// valid domain like [`crate::MineError::UnknownAlgorithm`] does.
-pub fn parse_exec(name: &str) -> Result<ExecMode> {
-    ExecMode::from_name(name).ok_or_else(|| MineError::UnknownExecMode {
-        name: name.to_string(),
-    })
-}
-
-/// Resolve a preprocess cache mode by name (`"on"`, `"off"`;
-/// ASCII-case-insensitive), reporting unknown names with the valid domain
-/// like [`crate::MineError::UnknownAlgorithm`] does.
-pub fn parse_preprocache(name: &str) -> Result<bool> {
-    match name.to_ascii_lowercase().as_str() {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(MineError::UnknownCacheMode {
-            name: name.to_string(),
-        }),
-    }
-}
-
-/// Resolve a mined-result cache mode by name (`"on"`, `"off"`;
-/// ASCII-case-insensitive), reporting unknown names with the valid domain
-/// like [`crate::MineError::UnknownAlgorithm`] does.
-pub fn parse_minecache(name: &str) -> Result<bool> {
-    match name.to_ascii_lowercase().as_str() {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(MineError::UnknownMineCacheMode {
-            name: name.to_string(),
-        }),
-    }
-}
-
-/// Resolve a relational index policy by name (`"auto"`, `"off"`;
-/// ASCII-case-insensitive), reporting unknown names with the valid domain
-/// like [`crate::MineError::UnknownAlgorithm`] does.
-pub fn parse_index_policy(name: &str) -> Result<IndexPolicy> {
-    IndexPolicy::from_name(name).ok_or_else(|| MineError::UnknownIndexPolicy {
-        name: name.to_string(),
-    })
-}
-
-/// Resolve a planner mode by name (`"cost"`, `"naive"`;
-/// ASCII-case-insensitive), reporting unknown names with the valid domain
-/// like [`crate::MineError::UnknownAlgorithm`] does.
-pub fn parse_planner(name: &str) -> Result<PlannerMode> {
-    PlannerMode::from_name(name).ok_or_else(|| MineError::UnknownPlanner {
-        name: name.to_string(),
-    })
-}
-
-/// Resolve a storage backend by name (`"memory"`, `"paged"`;
-/// ASCII-case-insensitive), reporting unknown names with the valid domain
-/// like [`crate::MineError::UnknownAlgorithm`] does.
-pub fn parse_storage_backend(name: &str) -> Result<StorageBackend> {
-    StorageBackend::from_name(name).ok_or_else(|| MineError::UnknownStorageBackend {
-        name: name.to_string(),
-    })
 }

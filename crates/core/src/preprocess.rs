@@ -1,25 +1,25 @@
 //! The preprocessor (§4.2): runs the translator's SQL program against the
 //! SQL server, producing the encoded tables the core operator works on.
 //!
-//! Under the cost-based planner ([`relational::PlannerMode::Cost`], the
-//! default) the simple-class program (`Q1`..`Q4` of Figure 4a, without a
-//! group HAVING or a source condition) runs as **one fused pipelined
-//! pass** instead of six SQL statements: a single scan of the source
+//! The simple-class program (`Q1`..`Q4` of Figure 4a, without a group
+//! HAVING or a source condition) runs as **one fused pipelined pass**
+//! instead of six SQL statements: a single scan of the source
 //! assigns group and body encodings in first-seen order, and the
 //! intermediate artefacts (`ValidGroupsView`, `DistinctGroupsInBody`)
 //! stream through in-memory maps without ever materialising as catalog
 //! tables. The encoded outputs (`ValidGroups`, `Bset`, `CodedSource`),
 //! the `:totg`/`:mingroups` bindings and the id-sequence states are
 //! bit-identical to the step-by-step SQL program — row contents *and*
-//! row order — which `tests/planner_agreement.rs` enforces.
+//! row order — which `tests/planner_agreement.rs` enforces. Every other
+//! statement, and every statement on the database's reference paths
+//! ([`Database::set_reference_paths`]), runs `Qi` step by step.
 
 use std::collections::HashMap;
 
 use relational::expr::compile::ExecCounter;
 use relational::expr::eval::QueryCtx;
 use relational::{
-    Column, ColumnBatch, DataType, Database, ExecMode, PlannerMode, Schema, Table, Value,
-    VECTOR_BATCH_ROWS,
+    Column, ColumnBatch, DataType, Database, Schema, Table, Value, VECTOR_BATCH_ROWS,
 };
 
 use crate::directives::StatementClass;
@@ -79,11 +79,12 @@ pub fn min_groups_for(total_groups: u64, min_support: f64) -> u64 {
 }
 
 /// Run the full preprocessing phase of a translation: cleanup first, then
-/// `Q0`..`Q11` — fused into one pipelined pass when the cost-based
-/// planner is active and the statement qualifies (see [`fusible`]).
+/// `Q0`..`Q11` — fused into one pipelined pass when the statement
+/// qualifies (see [`fusible`]) and the database is not on its reference
+/// paths.
 pub fn preprocess(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
     run_steps(db, &translation.cleanup, translation.stmt.min_support)?;
-    if db.planner_mode() == PlannerMode::Cost && fusible(translation) {
+    if !db.reference_paths() && fusible(translation) {
         return run_fused_simple(db, translation);
     }
     run_steps(db, &translation.preprocess, translation.stmt.min_support)
@@ -108,11 +109,10 @@ pub fn fusible(translation: &Translation) -> bool {
 /// SQL program uses. The subsumed intermediates (`ValidGroupsView`,
 /// `DistinctGroupsInBody`) never reach the catalog.
 ///
-/// Unless the batch execution mode is pinned to `row`, the scan streams
-/// the source through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`] rows —
-/// the same batches the SQL server's vectorized operators use — bumping
-/// the `relational.vector.*` counters; key order and output tables are
-/// identical either way.
+/// The scan reads plain columns — always vector-safe — so it streams the
+/// source through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`] rows, the
+/// same batches the SQL server's vectorized operators use, bumping the
+/// `relational.vector.*` counters.
 fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
     let stmt = &translation.stmt;
     let names = &translation.names;
@@ -138,9 +138,6 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
     let mut body_groups: Vec<std::collections::HashSet<usize>> = Vec::new();
     // Per source row: (group slot, body slot, join-eligible).
     let mut row_slots: Vec<(usize, usize, bool)> = Vec::new();
-    // The scan reads plain columns — always vector-safe — so only an
-    // explicit `row` exec mode forces the row-at-a-time walk.
-    let batched = db.exec_mode() != ExecMode::Row;
     let mut vector_batches = 0u64;
     let mut vector_rows = 0u64;
     let (g_cols, b_cols) = {
@@ -189,35 +186,24 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
             body_groups[b_slot].insert(g_slot);
             row_slots.push((g_slot, b_slot, joinable));
         };
-        if batched {
-            // Stream the source through column batches: each chunk is
-            // pivoted into typed vectors once, then both key sets gather
-            // from the same batch lane by lane.
-            let key_cols: Vec<usize> = g_cols.iter().chain(&b_cols).map(|&(i, _)| i).collect();
-            for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
-                vector_batches += 1;
-                vector_rows += chunk.len() as u64;
-                let batch = ColumnBatch::from_rows(chunk, &key_cols);
-                for lane in 0..batch.len() {
-                    let g_key = g_cols.iter().map(|&(i, _)| batch.value(i, lane)).collect();
-                    let b_key = b_cols.iter().map(|&(i, _)| batch.value(i, lane)).collect();
-                    take(g_key, b_key);
-                }
-            }
-        } else {
-            let key_of = |row: &[Value], cols: &[(usize, DataType)]| -> Vec<Value> {
-                cols.iter().map(|&(i, _)| row[i].clone()).collect()
-            };
-            for row in rows {
-                take(key_of(row, &g_cols), key_of(row, &b_cols));
+        // Stream the source through column batches: each chunk is
+        // pivoted into typed vectors once, then both key sets gather
+        // from the same batch lane by lane.
+        let key_cols: Vec<usize> = g_cols.iter().chain(&b_cols).map(|&(i, _)| i).collect();
+        for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
+            vector_batches += 1;
+            vector_rows += chunk.len() as u64;
+            let batch = ColumnBatch::from_rows(chunk, &key_cols);
+            for lane in 0..batch.len() {
+                let g_key = g_cols.iter().map(|&(i, _)| batch.value(i, lane)).collect();
+                let b_key = b_cols.iter().map(|&(i, _)| batch.value(i, lane)).collect();
+                take(g_key, b_key);
             }
         }
         (g_cols, b_cols)
     };
-    if batched {
-        db.bump(ExecCounter::VectorBatches, vector_batches);
-        db.bump(ExecCounter::VectorRows, vector_rows);
-    }
+    db.bump(ExecCounter::VectorBatches, vector_batches);
+    db.bump(ExecCounter::VectorRows, vector_rows);
 
     // Q1 + ComputeMinGroups: bind :totg and :mingroups.
     let total_groups = group_order.len() as u64;

@@ -194,7 +194,7 @@ pub fn build_purchase_db(purchases: &[Vec<(u8, u8)>]) -> Database {
 /// A random core-operator workload: `groups` baskets over a
 /// `catalog`-item universe, each item drawn independently with
 /// probability `density`. Small catalogs with high density force the
-/// bitset arm of the `auto` gid-set policy; large catalogs with low
+/// bitset arm of the gid-set density heuristic; large catalogs with low
 /// density keep it on lists (the gid-set agreement suite's generator).
 pub fn random_simple_input(groups: usize, catalog: u32, density: f64, seed: u64) -> SimpleInput {
     let mut rng = Rng::seed_from_u64(seed);

@@ -1,18 +1,18 @@
 //! # tcdm-fuzz — grammar-based differential fuzzing of the mining stack
 //!
 //! The tightly-coupled architecture's central contract is that every
-//! execution strategy computes the *same* relation of rules: compiled or
-//! interpreted SQL, indexed or scanned access paths, any gid-set
-//! representation, any worker count, preprocess cache on or off, memory
-//! or paged storage. The per-feature agreement suites each vary one axis
-//! while pinning the rest; this crate varies **all of them at once**:
+//! configuration computes the *same* relation of rules: production or
+//! reference paths through every layer, any worker count, either cache
+//! on or off, memory or paged storage. The per-feature agreement suites
+//! each vary one axis while pinning the rest; this crate varies **all
+//! of them at once**:
 //!
 //! * [`grammar`] generates random schemas + data (seeded through
 //!   `datagen::rng`) and random well-typed statements — DDL, DML,
 //!   `SELECT`s with joins / `GROUP BY` / set operations / subqueries,
 //!   and full MINE RULE statements spanning every statement class;
-//! * [`matrix`] executes each generated case across the cross-product of
-//!   execution knobs, asserting bit-identical results against a pinned
+//! * [`matrix`] executes each generated case across the configuration
+//!   cross-product, asserting bit-identical results against a pinned
 //!   baseline configuration and (on small cases) against the brute-force
 //!   [`minerule::reference`] oracle, with telemetry-invariance checks
 //!   piggybacked on the same runs;

@@ -45,13 +45,13 @@ OPTIONS:
     --seed <N>                RNG seed for case generation (default 7)
     --cases <N>               number of cases to generate (default 64)
     --max-rows <N>            row budget per case (default 36)
-    --matrix <quick|full>     knob matrix to run (default full)
+    --matrix <quick|full>     configuration matrix to run (default full)
     --out <DIR>               where shrunk repro files go (default fuzz_repros)
     --replay <FILE>           replay a repro file instead of generating
                               (repeatable)
     --inject <SKEW>           inject a deliberate fault to prove the harness
-                              catches it: none | compiled-drop-row |
-                              bitset-drop-rule (default none)
+                              catches it: none | production-drop-row |
+                              production-drop-rule (default none)
     --reference-max-rows <N>  reference-oracle gate (default 40)
     --work-dir <DIR>          scratch dir for paged-storage runs
                               (default: /dev/shm or the system temp dir)
@@ -93,7 +93,9 @@ fn parse_args() -> Result<Args, String> {
             "--inject" => {
                 let v = value("--inject")?;
                 args.inject = Skew::parse(&v).ok_or_else(|| {
-                    format!("unknown skew `{v}` (none | compiled-drop-row | bitset-drop-rule)")
+                    format!(
+                        "unknown skew `{v}` (none | production-drop-row | production-drop-rule)"
+                    )
                 })?;
             }
             "--reference-max-rows" => {
@@ -148,8 +150,8 @@ fn write_repro(dir: &PathBuf, name: &str, case: &FuzzCase, header: &ReproHeader)
 fn skew_name(s: Skew) -> Option<String> {
     match s {
         Skew::None => None,
-        Skew::CompiledDropsLastRow => Some("compiled-drop-row".into()),
-        Skew::BitsetDropsLastRule => Some("bitset-drop-rule".into()),
+        Skew::ProductionDropsLastRow => Some("production-drop-row".into()),
+        Skew::ProductionDropsLastRule => Some("production-drop-rule".into()),
     }
 }
 

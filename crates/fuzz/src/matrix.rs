@@ -1,5 +1,5 @@
-//! The configuration-matrix executor: run one case under many knob
-//! combinations and demand identical observable behaviour.
+//! The configuration-matrix executor: run one case under many
+//! configurations and demand identical observable behaviour.
 //!
 //! Every configuration replays the same setup script and operation list
 //! on its own database. Per operation the runner records a rendered
@@ -14,10 +14,9 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use minerule::algo::GidSetRepr;
 use minerule::reference::reference_mine;
 use minerule::{parse_mine_rule, DecodedRule, MineRuleEngine};
-use relational::{Database, ExecMode, IndexPolicy, PlannerMode, SqlExec, StorageBackend};
+use relational::{Database, StorageBackend};
 
 use crate::{FuzzCase, Op};
 
@@ -29,53 +28,45 @@ const WORKER_DEPENDENT_COUNTER: &str = "core.shards.run";
 // Configurations
 // ---------------------------------------------------------------------
 
-/// One point of the execution-knob cross-product.
+/// One point of the configuration cross-product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
-    pub sqlexec: SqlExec,
-    pub indexes: IndexPolicy,
-    pub gidset: GidSetRepr,
+    /// Run every layer on its reference path
+    /// ([`Database::set_reference_paths`]) instead of the production
+    /// selection.
+    pub reference: bool,
     pub workers: usize,
     pub preprocache: bool,
     pub minecache: bool,
     pub storage: StorageBackend,
-    pub planner: PlannerMode,
-    pub exec: ExecMode,
+}
+
+fn on_off(state: bool) -> &'static str {
+    if state {
+        "on"
+    } else {
+        "off"
+    }
 }
 
 impl Config {
     /// The pinned comparison baseline: the least clever point of the
-    /// matrix — interpreted expressions, no indexes, list gid-sets, one
-    /// worker, no caches, memory storage, naive planning, row-at-a-time
-    /// execution.
+    /// matrix — reference paths (interpreted expressions, row-at-a-time
+    /// flow, written-order join fold, scans, list gid-sets, unfused
+    /// preprocessing), one worker, no caches, memory storage.
     pub fn baseline() -> Config {
         Config {
-            sqlexec: SqlExec::Interpreted,
-            indexes: IndexPolicy::Off,
-            gidset: GidSetRepr::List,
+            reference: true,
             workers: 1,
             preprocache: false,
             minecache: false,
             storage: StorageBackend::Memory,
-            planner: PlannerMode::Naive,
-            exec: ExecMode::Row,
         }
     }
 
     /// Human-readable knob listing, also used in repro headers.
     pub fn label(&self) -> String {
-        format!(
-            "sqlexec={} indexes={} gidset={} workers={} preprocache={} minecache={} storage={} planner={} exec={}",
-            sqlexec_name(self.sqlexec),
-            indexes_name(self.indexes),
-            gidset_name(self.gidset),
-            self.workers,
-            if self.preprocache { "on" } else { "off" },
-            if self.minecache { "on" } else { "off" },
-            storage_name(self.storage),
-            self.planner.name(),
-            exec_name(self.exec),
-        )
+        format!("workers={} {}", self.workers, self.worker_group_key())
     }
 
     /// The label with the `workers` axis stripped: configurations that
@@ -83,81 +74,28 @@ impl Config {
     /// `core.shards.run`).
     fn worker_group_key(&self) -> String {
         format!(
-            "sqlexec={} indexes={} gidset={} preprocache={} minecache={} storage={} planner={} exec={}",
-            sqlexec_name(self.sqlexec),
-            indexes_name(self.indexes),
-            gidset_name(self.gidset),
-            if self.preprocache { "on" } else { "off" },
-            if self.minecache { "on" } else { "off" },
-            storage_name(self.storage),
-            self.planner.name(),
-            exec_name(self.exec),
+            "reference={} preprocache={} minecache={} storage={}",
+            on_off(self.reference),
+            on_off(self.preprocache),
+            on_off(self.minecache),
+            self.storage,
         )
     }
 
     /// Short filesystem-safe slug for per-config scratch directories.
     fn slug(&self) -> String {
-        format!(
-            "{}_{}_{}_w{}_{}_{}_{}_{}_{}",
-            sqlexec_name(self.sqlexec),
-            indexes_name(self.indexes),
-            gidset_name(self.gidset),
-            self.workers,
-            if self.preprocache { "c1" } else { "c0" },
-            if self.minecache { "m1" } else { "m0" },
-            storage_name(self.storage),
-            self.planner.name(),
-            exec_name(self.exec),
-        )
-    }
-}
-
-fn sqlexec_name(m: SqlExec) -> &'static str {
-    match m {
-        SqlExec::Compiled => "compiled",
-        SqlExec::Interpreted => "interpreted",
-        SqlExec::Auto => "auto",
-    }
-}
-
-fn indexes_name(p: IndexPolicy) -> &'static str {
-    match p {
-        IndexPolicy::Auto => "auto",
-        IndexPolicy::Off => "off",
-    }
-}
-
-fn gidset_name(g: GidSetRepr) -> &'static str {
-    match g {
-        GidSetRepr::List => "list",
-        GidSetRepr::Bitset => "bitset",
-        GidSetRepr::Auto => "auto",
-    }
-}
-
-fn storage_name(s: StorageBackend) -> &'static str {
-    match s {
-        StorageBackend::Memory => "memory",
-        StorageBackend::Paged => "paged",
-    }
-}
-
-fn exec_name(m: ExecMode) -> &'static str {
-    match m {
-        ExecMode::Vector => "vector",
-        ExecMode::Row => "row",
-        ExecMode::Auto => "auto",
+        self.label().replace([' ', '='], "_")
     }
 }
 
 /// Which slice of the cross-product a run covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Matrix {
-    /// One configuration per axis value plus two kitchen-sink mixes
-    /// (14 configurations) — the per-`cargo test` corpus budget.
+    /// One configuration per axis value plus a kitchen-sink mix
+    /// (8 configurations) — the per-`cargo test` corpus budget.
     Quick,
-    /// The full cross-product: 2 × 2 × 3 × 3 × 2 × 2 × 2 × 2 × 2 = 1152
-    /// configurations — the fuzzing budget.
+    /// The full cross-product: 2 × 3 × 2 × 2 × 2 = 48 configurations —
+    /// the fuzzing budget.
     Full,
 }
 
@@ -174,105 +112,57 @@ impl Matrix {
     /// The configurations of this matrix; the baseline is always first.
     pub fn configs(&self) -> Vec<Config> {
         let base = Config::baseline();
+        let production = Config {
+            reference: false,
+            ..base
+        };
         match self {
-            Matrix::Quick => {
-                let mut out = vec![base];
-                out.push(Config {
-                    sqlexec: SqlExec::Compiled,
-                    ..base
-                });
-                out.push(Config {
-                    indexes: IndexPolicy::Auto,
-                    ..base
-                });
-                out.push(Config {
-                    gidset: GidSetRepr::Bitset,
-                    ..base
-                });
-                out.push(Config {
-                    gidset: GidSetRepr::Auto,
-                    ..base
-                });
-                out.push(Config { workers: 4, ..base });
-                out.push(Config {
+            Matrix::Quick => vec![
+                base,
+                production,
+                Config { workers: 4, ..base },
+                Config {
                     preprocache: true,
                     ..base
-                });
-                out.push(Config {
+                },
+                Config {
                     minecache: true,
                     ..base
-                });
-                out.push(Config {
+                },
+                Config {
                     storage: StorageBackend::Paged,
                     ..base
-                });
-                out.push(Config {
-                    planner: PlannerMode::Cost,
-                    ..base
-                });
-                out.push(Config {
-                    exec: ExecMode::Vector,
-                    ..base
-                });
-                out.push(Config {
-                    sqlexec: SqlExec::Compiled,
-                    exec: ExecMode::Auto,
-                    ..base
-                });
-                out.push(Config {
-                    sqlexec: SqlExec::Compiled,
-                    indexes: IndexPolicy::Auto,
-                    gidset: GidSetRepr::Auto,
+                },
+                Config {
+                    workers: 2,
+                    preprocache: true,
+                    minecache: true,
+                    ..production
+                },
+                Config {
                     workers: 4,
                     preprocache: true,
                     minecache: true,
                     storage: StorageBackend::Paged,
-                    planner: PlannerMode::Cost,
-                    exec: ExecMode::Auto,
-                });
-                out.push(Config {
-                    sqlexec: SqlExec::Compiled,
-                    indexes: IndexPolicy::Auto,
-                    gidset: GidSetRepr::Bitset,
-                    workers: 2,
-                    preprocache: true,
-                    minecache: true,
-                    storage: StorageBackend::Memory,
-                    planner: PlannerMode::Cost,
-                    exec: ExecMode::Vector,
-                });
-                out
-            }
+                    ..production
+                },
+            ],
             Matrix::Full => {
                 let mut out = vec![base];
-                for sqlexec in [SqlExec::Interpreted, SqlExec::Compiled] {
-                    for indexes in [IndexPolicy::Off, IndexPolicy::Auto] {
-                        for gidset in [GidSetRepr::List, GidSetRepr::Bitset, GidSetRepr::Auto] {
-                            for workers in [1usize, 2, 4] {
-                                for preprocache in [false, true] {
-                                    for minecache in [false, true] {
-                                        for storage in
-                                            [StorageBackend::Memory, StorageBackend::Paged]
-                                        {
-                                            for planner in [PlannerMode::Naive, PlannerMode::Cost] {
-                                                for exec in [ExecMode::Row, ExecMode::Vector] {
-                                                    let c = Config {
-                                                        sqlexec,
-                                                        indexes,
-                                                        gidset,
-                                                        workers,
-                                                        preprocache,
-                                                        minecache,
-                                                        storage,
-                                                        planner,
-                                                        exec,
-                                                    };
-                                                    if c != base {
-                                                        out.push(c);
-                                                    }
-                                                }
-                                            }
-                                        }
+                for reference in [true, false] {
+                    for workers in [1usize, 2, 4] {
+                        for preprocache in [false, true] {
+                            for minecache in [false, true] {
+                                for storage in [StorageBackend::Memory, StorageBackend::Paged] {
+                                    let c = Config {
+                                        reference,
+                                        workers,
+                                        preprocache,
+                                        minecache,
+                                        storage,
+                                    };
+                                    if c != base {
+                                        out.push(c);
                                     }
                                 }
                             }
@@ -296,21 +186,23 @@ impl Matrix {
 pub enum Skew {
     #[default]
     None,
-    /// Under compiled expressions, silently drop the last row of every
-    /// non-empty SELECT result (models a codegen bug).
-    CompiledDropsLastRow,
-    /// Under bitset gid-sets, silently drop the last mined rule (models
-    /// an intersection bug in one representation).
-    BitsetDropsLastRule,
+    /// Off the reference paths, silently drop the last row of every
+    /// non-empty SELECT result (models a codegen bug in the production
+    /// SQL path).
+    ProductionDropsLastRow,
+    /// Off the reference paths, silently drop the last mined rule
+    /// (models an intersection bug in the hybrid gid-set representation).
+    ProductionDropsLastRule,
 }
 
 impl Skew {
-    /// Parse a skew name (`none` | `compiled-drop-row` | `bitset-drop-rule`).
+    /// Parse a skew name (`none` | `production-drop-row` |
+    /// `production-drop-rule`).
     pub fn parse(name: &str) -> Option<Skew> {
         match name.to_ascii_lowercase().as_str() {
             "none" => Some(Skew::None),
-            "compiled-drop-row" => Some(Skew::CompiledDropsLastRow),
-            "bitset-drop-rule" => Some(Skew::BitsetDropsLastRule),
+            "production-drop-row" => Some(Skew::ProductionDropsLastRow),
+            "production-drop-rule" => Some(Skew::ProductionDropsLastRule),
             _ => None,
         }
     }
@@ -466,10 +358,7 @@ fn run_config(
     };
 
     let mut db = Database::new();
-    db.set_sqlexec(config.sqlexec);
-    db.set_index_policy(config.indexes);
-    db.set_planner(config.planner);
-    db.set_exec(config.exec);
+    db.set_reference_paths(config.reference);
     let mut scratch: Option<PathBuf> = None;
     if config.storage == StorageBackend::Paged {
         let dir = work_dir.join(format!("{tag}_{}", config.slug()));
@@ -484,12 +373,8 @@ fn run_config(
 
     let engine = MineRuleEngine::new()
         .with_workers(config.workers)
-        .with_gidset(config.gidset)
-        .with_sqlexec(config.sqlexec)
         .with_preprocache(config.preprocache)
-        .with_minecache(config.minecache)
-        .with_planner(config.planner)
-        .with_exec(config.exec);
+        .with_minecache(config.minecache);
 
     // Setup script: outcome slot 0.
     let mut setup = String::from("ok");
@@ -510,8 +395,8 @@ fn run_config(
             Op::Query(s) => match db.query(s) {
                 Ok(rs) => {
                     let mut rendered = render_rows(&rs);
-                    if skew == Skew::CompiledDropsLastRow
-                        && config.sqlexec == SqlExec::Compiled
+                    if skew == Skew::ProductionDropsLastRow
+                        && !config.reference
                         && !rendered.is_empty()
                     {
                         // Injected fault: lose the (sorted) last row.
@@ -527,7 +412,7 @@ fn run_config(
             Op::Mine(s) => match engine.execute(&mut db, s) {
                 Ok(outcome) => {
                     let mut rules = outcome.rules;
-                    if skew == Skew::BitsetDropsLastRule && config.gidset == GidSetRepr::Bitset {
+                    if skew == Skew::ProductionDropsLastRule && !config.reference {
                         rules.pop();
                     }
                     let sig = signature(&rules);
@@ -785,7 +670,9 @@ mod tests {
     #[test]
     fn full_matrix_is_the_cross_product() {
         let configs = Matrix::Full.configs();
-        assert_eq!(configs.len(), 2 * 2 * 3 * 3 * 2 * 2 * 2 * 2 * 2);
+        // Drift guard: README, docs/FUZZING.md and the CI workflows all
+        // quote this number.
+        assert_eq!(configs.len(), 48, "2 x 3 x 2 x 2 x 2");
         assert_eq!(configs[0], Config::baseline());
         let labels: std::collections::BTreeSet<String> =
             configs.iter().map(|c| c.label()).collect();
@@ -796,19 +683,17 @@ mod tests {
     fn quick_matrix_covers_every_axis_value() {
         let configs = Matrix::Quick.configs();
         assert_eq!(configs[0], Config::baseline());
+        assert!(configs.len() <= 8);
         let joined: Vec<String> = configs.iter().map(|c| c.label()).collect();
         for needle in [
-            "sqlexec=compiled",
-            "indexes=auto",
-            "gidset=bitset",
-            "gidset=auto",
+            "reference=on",
+            "reference=off",
+            "workers=1",
+            "workers=2",
             "workers=4",
             "preprocache=on",
             "minecache=on",
             "storage=paged",
-            "planner=cost",
-            "exec=vector",
-            "exec=auto",
         ] {
             assert!(
                 joined.iter().any(|l| l.contains(needle)),

@@ -10,8 +10,8 @@
 //! ```text
 //! #! tcdm-fuzz repro v1
 //! #! kind: matrix
-//! #! config: sqlexec=compiled indexes=off ... storage=memory
-//! #! against: sqlexec=interpreted indexes=off ... storage=memory
+//! #! config: workers=1 reference=off ... storage=memory
+//! #! against: workers=1 reference=on ... storage=memory
 //! #! note: seed=7 case=12
 //! table Purchase CREATE TABLE Purchase (tr INT, ...)
 //! row Purchase (1, 'c0', 'it3', DATE '1995-03-01', 120, 1)
@@ -158,8 +158,8 @@ mod tests {
             let case = gen_case(11, i, &cfg);
             let header = ReproHeader {
                 kind: Some("matrix".into()),
-                config: Some("sqlexec=compiled".into()),
-                against: Some("sqlexec=interpreted".into()),
+                config: Some("reference=off".into()),
+                against: Some("reference=on".into()),
                 skew: None,
                 note: Some(format!("seed=11 case={i}")),
             };

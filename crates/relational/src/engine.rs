@@ -7,11 +7,10 @@ use std::sync::Arc;
 use crate::catalog::{Catalog, View};
 use crate::error::{Error, Result};
 use crate::exec::run_select;
-use crate::expr::compile::{ExecCounter, ExecMode, SqlExec};
+use crate::expr::compile::ExecCounter;
 use crate::expr::eval::{eval_expr, QueryCtx};
 use crate::expr::Expr;
-use crate::index::{HashIndex, IndexLookup, IndexPolicy, IndexRegistry};
-use crate::planner::PlannerMode;
+use crate::index::{HashIndex, IndexLookup, IndexRegistry};
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sequence::Sequence;
@@ -41,22 +40,24 @@ pub struct ExecStats {
     pub rows_filtered: u64,
     /// Rows produced by join operators.
     pub rows_joined: u64,
-    /// FROM lists planned by the cost-based planner (0 under naive).
+    /// FROM lists planned by the cost-based planner (0 on the reference
+    /// paths, like every `planner_*` and `vector_*` counter).
     pub planner_plans: u64,
-    /// Join steps moved off the naive left-to-right order (0 under naive).
+    /// Join steps moved off the written left-to-right order.
     pub planner_reordered_joins: u64,
     /// WHERE conjuncts pushed beneath joins by the cost-based planner
-    /// (0 under naive — the naive fold pushes too but does not account).
+    /// (the reference fold pushes too but does not account).
     pub planner_pushed_filters: u64,
-    /// Accumulated |estimated − actual| join output rows (0 under naive).
+    /// Accumulated |estimated − actual| join output rows.
     pub planner_est_rows_err: u64,
-    /// Column batches evaluated on the vector path (0 under row exec).
+    /// Column batches evaluated on the vector path.
     pub vector_batches: u64,
-    /// Rows streamed through the vector path (0 under row exec).
+    /// Rows streamed through the vector path.
     pub vector_rows: u64,
     /// Conditional jumps that narrowed a batch's selection vector.
     pub vector_sel_narrowings: u64,
-    /// Batches row-looped under forced vector mode (unsafe programs).
+    /// Always 0: a site either vectorizes whole or row-loops whole. Read
+    /// by the kernel benchmark, so the field outlives its counter.
     pub vector_fallback_batches: u64,
     /// Hash indexes built (lazily, on first use of a key column set).
     pub indexes_built: u64,
@@ -105,10 +106,7 @@ pub struct Database {
     catalog: Catalog,
     vars: HashMap<String, Value>,
     stats: ExecStats,
-    sqlexec: SqlExec,
-    exec: ExecMode,
-    index_policy: IndexPolicy,
-    planner: PlannerMode,
+    reference_paths: bool,
     indexes: IndexRegistry,
     storage_dir: Option<PathBuf>,
     storage_cfg: StorageConfig,
@@ -264,50 +262,15 @@ impl Database {
         }
     }
 
-    /// Set the expression-execution strategy for subsequent statements
-    /// (results are bit-identical for every choice; see [`SqlExec`]).
-    pub fn set_sqlexec(&mut self, mode: SqlExec) {
-        self.sqlexec = mode;
-    }
-
-    /// The current expression-execution strategy.
-    pub fn sqlexec(&self) -> SqlExec {
-        self.sqlexec
-    }
-
-    /// Set the row-flow strategy for subsequent statements: row-at-a-time
-    /// or vectorized column batches (results are bit-identical for every
-    /// choice; see [`ExecMode`]).
-    pub fn set_exec(&mut self, mode: ExecMode) {
-        self.exec = mode;
-    }
-
-    /// The current row-flow strategy.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Set the access-path policy: whether the engine may build and reuse
-    /// hash indexes over base tables (results are bit-identical either
-    /// way; see [`IndexPolicy`]).
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
-    }
-
-    /// The current access-path policy.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
-    }
-
-    /// Set the planner mode for subsequent statements (results are
-    /// bit-identical for every choice; see [`PlannerMode`]).
-    pub fn set_planner(&mut self, mode: PlannerMode) {
-        self.planner = mode;
-    }
-
-    /// The current planner mode.
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.planner
+    /// Route subsequent statements through the reference paths: every
+    /// strategy choice flips at once to interpreted expressions,
+    /// row-at-a-time flow, written-order join fold, no table indexes —
+    /// and the mining kernel on top follows suit (list gid-sets, `Qi`
+    /// steps run one by one). Results are bit-identical either way; the
+    /// agreement suites and the fuzzer use this as their oracle. Not a
+    /// tuning knob: the reference paths are dominated on every workload.
+    pub fn set_reference_paths(&mut self, on: bool) {
+        self.reference_paths = on;
     }
 
     /// Number of live hash indexes in the registry (observability).
@@ -621,12 +584,8 @@ impl QueryCtx for Database {
             })
     }
 
-    fn sqlexec(&self) -> SqlExec {
-        self.sqlexec
-    }
-
-    fn exec(&self) -> ExecMode {
-        self.exec
+    fn reference_paths(&self) -> bool {
+        self.reference_paths
     }
 
     fn bump(&mut self, counter: ExecCounter, n: u64) {
@@ -645,16 +604,15 @@ impl QueryCtx for Database {
             ExecCounter::VectorBatches => stats.vector_batches += n,
             ExecCounter::VectorRows => stats.vector_rows += n,
             ExecCounter::VectorSelNarrowings => stats.vector_sel_narrowings += n,
-            ExecCounter::VectorFallbackBatches => stats.vector_fallback_batches += n,
         }
     }
 
     /// Serve (or lazily build) the hash index on `cols` of a base table.
-    /// Returns `None` under [`IndexPolicy::Off`] or when `version` does
-    /// not match the live table — the caller then falls back to a scan,
-    /// so a stale index can never be consulted.
+    /// Returns `None` on the reference paths or when `version` does not
+    /// match the live table — the caller then falls back to a scan, so a
+    /// stale index can never be consulted.
     fn table_index(&mut self, table: &str, version: u64, cols: &[usize]) -> Option<Arc<HashIndex>> {
-        if self.index_policy == IndexPolicy::Off {
+        if self.reference_paths {
             return None;
         }
         match self.indexes.get(table, cols, version) {
@@ -676,11 +634,7 @@ impl QueryCtx for Database {
     }
 
     fn has_table_index(&self, table: &str, version: u64, cols: &[usize]) -> bool {
-        self.index_policy != IndexPolicy::Off && self.indexes.peek(table, cols, version)
-    }
-
-    fn planner(&self) -> PlannerMode {
-        self.planner
+        !self.reference_paths && self.indexes.peek(table, cols, version)
     }
 
     fn column_distinct(&self, table: &str, col: usize) -> Option<u64> {
@@ -899,12 +853,11 @@ mod tests {
         assert_eq!(db.stats().indexes_built, 1);
         let hit = db.query(q).unwrap();
         assert_eq!(db.stats().index_hits, 1);
-        db.set_index_policy(IndexPolicy::Off);
+        db.set_reference_paths(true);
         let scanned = db.query(q).unwrap();
         assert_eq!(indexed.rows(), scanned.rows());
         assert_eq!(hit.rows(), scanned.rows());
-        assert_eq!(db.stats().indexes_built, 1, "off builds nothing");
-        assert_eq!(db.index_policy(), IndexPolicy::Off);
+        assert_eq!(db.stats().indexes_built, 1, "the reference builds nothing");
     }
 
     #[test]
@@ -920,7 +873,6 @@ mod tests {
         db.execute("INSERT INTO c VALUES (20, 'twenty'), (30, 'thirty')")
             .unwrap();
         let q = "SELECT a.tag, c.lab FROM a, b, c WHERE a.x = b.x AND b.y = c.y AND a.x > 1";
-        assert_eq!(db.planner_mode(), PlannerMode::Cost);
         let cost = db.query(q).unwrap();
         let s = db.stats();
         assert!(s.planner_plans > 0, "cost planner accounts its plans");
@@ -929,8 +881,7 @@ mod tests {
             "smallest-first order deviates from the FROM order"
         );
         assert!(s.planner_pushed_filters > 0, "a.x > 1 pushed to the scan");
-        db.set_planner(PlannerMode::Naive);
-        assert_eq!(db.planner_mode(), PlannerMode::Naive);
+        db.set_reference_paths(true);
         let before = db.stats();
         let naive = db.query(q).unwrap();
         let after = db.stats();
@@ -944,7 +895,7 @@ mod tests {
             (before.planner_pushed_filters, after.planner_pushed_filters),
             (before.planner_est_rows_err, after.planner_est_rows_err),
         ] {
-            assert_eq!(c, n, "naive mode never moves planner counters");
+            assert_eq!(c, n, "the written-order fold never moves planner counters");
         }
     }
 
@@ -957,7 +908,7 @@ mod tests {
             .unwrap();
         db.execute("INSERT INTO small VALUES (2,'s2'), (4,'s4')")
             .unwrap();
-        // `big` comes first in FROM: the naive fold would build over the
+        // `big` comes first in FROM: the written-order fold would build over the
         // *next* factor regardless of size; the cost planner builds over
         // the smaller `small`, so mutating `big` invalidates nothing.
         let q = "SELECT big.v, small.w FROM big, small WHERE big.a = small.a";

@@ -9,11 +9,9 @@
 use crate::engine::Database;
 use crate::error::Result;
 use crate::exec::join::{conjuncts, resolves_in};
-use crate::expr::compile::ExecMode;
-use crate::expr::vector::expr_vector_safe;
+use crate::expr::eval::QueryCtx;
+use crate::expr::vector::vectorizes;
 use crate::expr::{BinOp, Expr};
-use crate::index::IndexPolicy;
-use crate::planner::PlannerMode;
 use crate::sql::ast::{JoinKind, SelectStmt, Statement, TableSource};
 use crate::types::Schema;
 
@@ -128,16 +126,9 @@ fn index_label(
 
 /// The batch-execution tag for a site whose expression programs are
 /// `exprs`: `vector` when the executor would run it batch-at-a-time,
-/// `row` otherwise — mirroring [`crate::expr::vector::VectorPlan::plan`]
-/// (under `auto`, vectorize only compiled sites whose programs are all
-/// vector-safe; an explicit `vector` batches even fallback programs).
+/// `row` otherwise.
 fn exec_tag(db: &Database, exprs: &[&Expr]) -> &'static str {
-    let vectorized = match db.exec_mode() {
-        ExecMode::Row => false,
-        ExecMode::Vector => true,
-        ExecMode::Auto => db.sqlexec().use_compiled() && exprs.iter().all(|e| expr_vector_safe(e)),
-    };
-    if vectorized {
+    if vectorizes(db, exprs) {
         "vector"
     } else {
         "row"
@@ -155,7 +146,7 @@ fn equi_access_path(
     left: &Expr,
     right: &Expr,
 ) -> String {
-    if db.index_policy() == IndexPolicy::Off {
+    if db.reference_paths() {
         return "scan".into();
     }
     let factor_of = |e: &Expr| -> Option<usize> {
@@ -255,7 +246,7 @@ fn join_estimate(
 /// pass: a table index serves it only when the grouped input is one
 /// unfiltered named base table and every key is a plain column.
 fn group_access_path(db: &Database, stmt: &SelectStmt, schemas: &[Option<Schema>]) -> String {
-    if db.index_policy() == IndexPolicy::Off
+    if db.reference_paths()
         || stmt.where_clause.is_some()
         || schemas.len() != 1
         || schemas[0].is_none()
@@ -366,7 +357,7 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
                     "{}hash join on: {c} [{path}] [{tag}]",
                     pad(indent + 1)
                 ));
-                if db.planner_mode() == PlannerMode::Cost {
+                if !db.reference_paths() {
                     if let Some((est, cost)) = join_estimate(db, stmt, &schemas, l, r) {
                         out.push_str(&format!(" (est {est} rows, cost {cost})"));
                     }
@@ -388,7 +379,7 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
             pad(indent + 1),
             keys.join(", ")
         ));
-        if db.planner_mode() == PlannerMode::Cost && schemas.len() == 1 {
+        if !db.reference_paths() && schemas.len() == 1 {
             let rows = factor_rows(db, stmt, 0);
             let ndvs: Option<Vec<u64>> = stmt
                 .group_by
@@ -498,8 +489,8 @@ mod tests {
             p.contains("[index(t.b)] [vector] (est 2 groups of 2 rows)"),
             "{p}"
         );
-        // The naive planner estimates nothing.
-        db.set_planner(PlannerMode::Naive);
+        // The written-order fold estimates nothing.
+        db.set_reference_paths(true);
         let p = explain_statement(&db, &join).unwrap();
         assert!(!p.contains("(est "), "{p}");
     }
@@ -507,29 +498,32 @@ mod tests {
     #[test]
     fn policy_off_reports_scans_everywhere() {
         let mut db = db();
-        db.set_index_policy(IndexPolicy::Off);
+        db.set_reference_paths(true);
         let stmt = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b").unwrap();
         let p = explain_statement(&db, &stmt).unwrap();
         assert!(p.contains("hash join on: t.a = u.a [scan]"), "{p}");
-        assert!(!p.contains("[index("), "no index paths under off: {p}");
+        assert!(
+            !p.contains("[index("),
+            "no index paths on the reference: {p}"
+        );
     }
 
     #[test]
     fn exec_tags_follow_the_batch_mode() {
         let mut db = db();
         let stmt = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b").unwrap();
-        // The default (auto + compiled) vectorizes plain-column sites.
+        // Plain-column sites vectorize.
         let p = explain_statement(&db, &stmt).unwrap();
         assert!(
             p.contains("hash join on: t.a = u.a [index(u.a)] [vector]"),
             "{p}"
         );
         assert!(p.contains("hash aggregate by (t.b) [scan] [vector]"), "{p}");
-        // Pinning the row path re-tags every site.
-        db.set_exec(ExecMode::Row);
+        // The reference paths re-tag every site.
+        db.set_reference_paths(true);
         let p = explain_statement(&db, &stmt).unwrap();
-        assert!(p.contains("[index(u.a)] [row]"), "{p}");
-        assert!(p.contains("[scan] [row]"), "{p}");
+        assert!(p.contains("t.a = u.a [scan] [row]"), "{p}");
+        assert!(p.contains("(t.b) [scan] [row]"), "{p}");
         assert!(!p.contains("[vector]"), "{p}");
     }
 

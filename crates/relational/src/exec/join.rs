@@ -8,16 +8,15 @@
 //! equi-joins between `Source`, `ValidGroups`, `Bset`, ...) to run in
 //! linear-ish time instead of as nested loops.
 //!
-//! Two planners share this machinery. The naive planner folds the FROM
-//! list left-to-right with the next factor always the hash-join build
-//! side. The cost-based planner ([`PlannerMode::Cost`]) orders joins
-//! greedily by estimated intermediate cardinality — `|L|·|R| / ndv(key)`,
-//! with distinct counts from the catalog statistics — and picks the build
-//! side by index availability and actual input size. Instead of
-//! materialising every intermediate, it carries tuples of factor row
-//! indices and materialises once at the end, in the canonical
-//! lexicographic order the naive fold would produce, so both planners
-//! return bit-identical relations.
+//! The planner orders joins greedily by estimated intermediate
+//! cardinality — `|L|·|R| / ndv(key)`, with distinct counts from the
+//! catalog statistics — and picks the build side by index availability
+//! and actual input size. Instead of materialising every intermediate, it
+//! carries tuples of factor row indices and materialises once at the end,
+//! in the canonical lexicographic order of a written-order fold. That
+//! fold — the FROM list left-to-right, the next factor always the
+//! hash-join build side — is kept as the reference path
+//! ([`QueryCtx::reference_paths`]); both return bit-identical relations.
 
 use std::collections::HashMap;
 
@@ -26,7 +25,6 @@ use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::QueryCtx;
 use crate::expr::vector::VectorPlan;
 use crate::expr::{BinOp, Expr};
-use crate::planner::PlannerMode;
 use crate::row::Row;
 use crate::types::Schema;
 use crate::value::Value;
@@ -139,9 +137,8 @@ fn as_equi<'a>(expr: &'a Expr) -> Option<EquiPred<'a>> {
     None
 }
 
-/// Filter `rel` in place by `pred` — the predicate is planned once
-/// (compiled under the context's [`SqlExec`](crate::SqlExec) mode) and
-/// run per row with a reused stack.
+/// Filter `rel` in place by `pred` — the predicate is planned once and
+/// run batch-at-a-time, or per row with a reused stack.
 pub fn filter_relation(rel: &mut Relation, pred: &Expr, ctx: &mut dyn QueryCtx) -> Result<()> {
     rel.base = None; // row positions may shift; drop table provenance
     let schema = rel.schema.clone();
@@ -272,7 +269,7 @@ pub fn join_factors<'a>(
     where_conjuncts: Vec<&'a Expr>,
     ctx: &mut dyn QueryCtx,
 ) -> Result<(Relation, Vec<&'a Expr>)> {
-    let cost = ctx.planner() == PlannerMode::Cost;
+    let cost = !ctx.reference_paths();
     if cost {
         ctx.bump(ExecCounter::PlannerPlans, 1);
     }
@@ -358,7 +355,7 @@ pub fn join_factors<'a>(
 
 /// The factor `expr` resolves in, when that factor is unique. Ambiguous
 /// and unresolvable expressions yield `None` — exactly the predicates the
-/// naive fold also leaves to residual evaluation.
+/// written-order fold also leaves to residual evaluation.
 fn unique_factor(expr: &Expr, factors: &[Relation]) -> Option<usize> {
     let mut found = None;
     for (i, f) in factors.iter().enumerate() {
@@ -410,8 +407,8 @@ impl<'a> FactorPred<'a> {
 /// so wide intermediates cost 4 bytes per factor per row. The build side
 /// of each hash step goes to an existing index if one side has one, else
 /// to the smaller input. At the end the tuples are sorted into canonical
-/// factor order — the exact row order the naive left-to-right fold
-/// produces — and materialised once.
+/// factor order — the exact row order the written-order fold produces —
+/// and materialised once.
 fn cost_join<'a>(
     factors: Vec<Relation>,
     equis: Vec<(&'a Expr, EquiPred<'a>)>,
@@ -628,9 +625,9 @@ fn cost_join<'a>(
     let reordered = order.iter().enumerate().filter(|&(i, &f)| i != f).count() as u64;
     ctx.bump(ExecCounter::PlannerReorderedJoins, reordered);
 
-    // Canonical output: the naive fold emits rows lexicographically by
-    // factor row index, so sorting the tuples reproduces its row order
-    // exactly — bit-identical relations under either planner.
+    // Canonical output: the written-order fold emits rows
+    // lexicographically by factor row index, so sorting the tuples
+    // reproduces its row order exactly — bit-identical relations.
     tuples.sort_unstable();
     let mut schema = factors[0].schema.clone();
     for fct in &factors[1..] {

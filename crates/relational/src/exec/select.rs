@@ -8,11 +8,10 @@ use std::hash::{Hash, Hasher};
 use crate::engine::Database;
 use crate::error::{Error, Result};
 use crate::exec::join::{conjuncts, filter_relation, join_factors, resolves_in, BaseRef, Relation};
-use crate::expr::compile::{ExecCounter, ExecMode, SiteEval, SqlExec};
+use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, QueryCtx};
-use crate::expr::vector::{expr_vector_safe, VectorPlan, VECTOR_BATCH_ROWS};
+use crate::expr::vector::{vectorizes, VectorPlan, VECTOR_BATCH_ROWS};
 use crate::expr::{AggFunc, BinOp, Expr};
-use crate::planner::PlannerMode;
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sql::ast::{JoinKind, OrderItem, SelectItem, SelectStmt, SetOpKind, TableSource};
@@ -35,24 +34,13 @@ fn row_hash(row: &Row) -> u64 {
     h.finish()
 }
 
-/// Whether hash-dedup sites (DISTINCT, set operations) run their hashing
-/// pass batch-at-a-time. They evaluate no expression programs, so under
-/// `auto` the decision defers to the compiled-SQL knob, mirroring the
-/// gate in [`VectorPlan::plan`].
-fn batched_dedup(ctx: &mut dyn QueryCtx) -> bool {
-    match ctx.exec() {
-        ExecMode::Vector => true,
-        ExecMode::Row => false,
-        ExecMode::Auto => ctx.sqlexec().use_compiled(),
-    }
-}
-
-/// Hash every row of a dedup site into a column — chunked by
-/// [`VECTOR_BATCH_ROWS`] (and counted as vector batches) on the vector
-/// path, row-at-a-time otherwise. Both paths produce identical hashes.
+/// Hash every row of a dedup site (DISTINCT, set operations) into a
+/// column — chunked by [`VECTOR_BATCH_ROWS`] (and counted as vector
+/// batches) when the site [`vectorizes`], row-at-a-time otherwise. Both
+/// paths produce identical hashes.
 fn row_hash_column<T>(rows: &[T], key: impl Fn(&T) -> &Row, ctx: &mut dyn QueryCtx) -> Vec<u64> {
     let mut hashes = Vec::with_capacity(rows.len());
-    if batched_dedup(ctx) {
+    if vectorizes(ctx, &[]) {
         for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
             ctx.bump(ExecCounter::VectorBatches, 1);
             ctx.bump(ExecCounter::VectorRows, chunk.len() as u64);
@@ -171,8 +159,8 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
         .map(|w| conjuncts(w))
         .unwrap_or_default();
 
-    // 1. FROM: materialise factors, plan joins, push filters. On the
-    // vector path a single-table FROM first tries the fused scan+filter,
+    // 1. FROM: materialise factors, plan joins, push filters. A
+    // single-table FROM first tries the fused scan+filter,
     // which evaluates the leading pushable conjunct over the base
     // table's rows *before* they are cloned into a relation (consuming
     // that conjunct from `where_conjuncts`).
@@ -275,8 +263,7 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
             out
         } else {
             // Plan every projection and order-key expression once; the
-            // row loop then runs flat programs (or the interpreter, per
-            // the session's sqlexec mode) with a reused stack.
+            // row loop then runs flat programs with a reused stack.
             let item_evals: Vec<SiteEval> = items
                 .iter()
                 .map(|(e, _)| SiteEval::plan(e, &input.schema, db))
@@ -445,17 +432,15 @@ fn explicit_join(
     })
 }
 
-/// A [`QueryCtx`] detached from the database: it mirrors the engine's
-/// execution knobs and buffers counter bumps for later replay. The fused
-/// scan needs it because the vector machine evaluates while the table's
-/// rows are still borrowed from the catalog, so the database itself
-/// cannot serve as the (mutable) context. Subqueries, sequences and host
-/// variables are unreachable here — the caller gates on
-/// [`expr_vector_safe`] plus a host-variable check — so those arms error
-/// rather than carry engine state.
+/// A [`QueryCtx`] detached from the database: it buffers counter bumps
+/// for later replay. The fused scan needs it because the vector machine
+/// evaluates while the table's rows are still borrowed from the catalog,
+/// so the database itself cannot serve as the (mutable) context.
+/// Subqueries, sequences and host variables are unreachable here — the
+/// caller gates on [`vectorizes`] plus a host-variable check — so those
+/// arms error rather than carry engine state.
+#[derive(Default)]
 struct DetachedScanCtx {
-    sqlexec: SqlExec,
-    exec: ExecMode,
     bumps: Vec<(ExecCounter, u64)>,
 }
 
@@ -473,12 +458,6 @@ impl QueryCtx for DetachedScanCtx {
             "host variable in a fused scan predicate",
         ))
     }
-    fn sqlexec(&self) -> SqlExec {
-        self.sqlexec
-    }
-    fn exec(&self) -> ExecMode {
-        self.exec
-    }
     fn bump(&mut self, counter: ExecCounter, n: u64) {
         self.bumps.push((counter, n));
     }
@@ -488,8 +467,8 @@ impl QueryCtx for DetachedScanCtx {
 /// a base table's rows batch-at-a-time *before* cloning them into a
 /// relation, so dropped rows (and their heap payloads) are never
 /// materialised. This is where the vector path's headline win lives —
-/// the row path must copy every row out of the catalog first and filter
-/// the copy.
+/// materialise-then-filter must copy every row out of the catalog first
+/// and filter the copy.
 ///
 /// Engages only when every observable stays identical to
 /// materialise-then-filter:
@@ -499,8 +478,8 @@ impl QueryCtx for DetachedScanCtx {
 ///   — exactly the first predicate the row path would evaluate, so
 ///   error order is preserved (later conjuncts still run through
 ///   [`join_factors`] / [`filter_relation`] on the shrunken relation);
-/// * the conjunct is vector-safe and host-variable-free, so evaluation
-///   needs no engine state (see [`DetachedScanCtx`]).
+/// * the conjunct [`vectorizes`] and is host-variable-free, so
+///   evaluation needs no engine state (see [`DetachedScanCtx`]).
 ///
 /// Returns `None` (and leaves `conjuncts` untouched) whenever any gate
 /// fails; the caller then materialises the full table as before. On
@@ -514,14 +493,7 @@ fn fused_scan<'a>(
     let TableSource::Named(name) = source else {
         return Ok(None);
     };
-    let exec = db.exec();
-    let sqlexec = db.sqlexec();
-    let engage = match exec {
-        ExecMode::Row => false,
-        ExecMode::Vector => true,
-        ExecMode::Auto => sqlexec.use_compiled(),
-    };
-    if !engage || db.catalog().view(name).is_some() {
+    if db.catalog().view(name).is_some() {
         return Ok(None);
     }
     let Ok(table) = db.catalog().table(name) else {
@@ -534,15 +506,11 @@ fn fused_scan<'a>(
     let pred = conjuncts[lead];
     let mut host_var = false;
     pred.walk(&mut |e| host_var |= matches!(e, Expr::HostVar(_)));
-    if !expr_vector_safe(pred) || host_var {
+    if !vectorizes(&*db, &[pred]) || host_var {
         return Ok(None);
     }
 
-    let mut local = DetachedScanCtx {
-        sqlexec,
-        exec,
-        bumps: Vec::new(),
-    };
+    let mut local = DetachedScanCtx::default();
     let (scanned, kept, eval) = {
         let table = db.catalog().table(name).expect("resolved above");
         let rows = table.rows();
@@ -570,9 +538,7 @@ fn fused_scan<'a>(
     }
     eval?;
     db.bump(ExecCounter::RowsFiltered, scanned - kept.len() as u64);
-    if db.planner() == PlannerMode::Cost {
-        db.bump(ExecCounter::PlannerPushedFilters, 1);
-    }
+    db.bump(ExecCounter::PlannerPushedFilters, 1);
     conjuncts.remove(lead);
     Ok(Some(Relation {
         schema,

@@ -15,7 +15,6 @@
 //! exactly like the interpreter, where an empty input never errors.
 
 use std::cmp::Ordering;
-use std::fmt;
 
 use crate::error::{Error, Result};
 use crate::expr::eval::{
@@ -26,101 +25,6 @@ use crate::expr::{BinOp, Expr, UnaryOp};
 use crate::row::Row;
 use crate::types::{DataType, Schema};
 use crate::value::Value;
-
-/// Which expression-execution strategy the engine uses at its hot sites
-/// (scan filters, join keys, group keys, projections).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SqlExec {
-    /// Always lower expressions to compiled programs.
-    Compiled,
-    /// Always walk the `Expr` tree per row.
-    Interpreted,
-    /// Let the engine choose. Currently identical to `Compiled` at every
-    /// site; kept as the default so a future cost heuristic can slot in
-    /// without changing configuration surfaces.
-    #[default]
-    Auto,
-}
-
-impl SqlExec {
-    /// Parse a mode name (`compiled` | `interpreted` | `auto`),
-    /// ASCII-case-insensitively.
-    pub fn from_name(name: &str) -> Option<SqlExec> {
-        match name.to_ascii_lowercase().as_str() {
-            "compiled" => Some(SqlExec::Compiled),
-            "interpreted" => Some(SqlExec::Interpreted),
-            "auto" => Some(SqlExec::Auto),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SqlExec::Compiled => "compiled",
-            SqlExec::Interpreted => "interpreted",
-            SqlExec::Auto => "auto",
-        }
-    }
-
-    /// Whether hot sites should compile under this mode.
-    pub fn use_compiled(self) -> bool {
-        !matches!(self, SqlExec::Interpreted)
-    }
-}
-
-impl fmt::Display for SqlExec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Which row-flow strategy the engine uses at its hot sites: one row at
-/// a time through a [`SiteEval`], or column batches of
-/// [`VECTOR_BATCH_ROWS`](crate::expr::vector::VECTOR_BATCH_ROWS) rows
-/// through the vectorized evaluator (`expr/vector.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Always run the batch path. Programs the vector machine cannot
-    /// host (subqueries, sequence draws) fall back to row-at-a-time
-    /// evaluation per batch.
-    Vector,
-    /// Always run one row at a time (the pre-vectorization path).
-    Row,
-    /// Let the engine choose per site: the batch path when every program
-    /// at the site is vector-safe (no fallback ops, no sequence draws)
-    /// and expressions compile at all, the row path otherwise.
-    #[default]
-    Auto,
-}
-
-impl ExecMode {
-    /// Parse a mode name (`vector` | `row` | `auto`),
-    /// ASCII-case-insensitively.
-    pub fn from_name(name: &str) -> Option<ExecMode> {
-        match name.to_ascii_lowercase().as_str() {
-            "vector" => Some(ExecMode::Vector),
-            "row" => Some(ExecMode::Row),
-            "auto" => Some(ExecMode::Auto),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Vector => "vector",
-            ExecMode::Row => "row",
-            ExecMode::Auto => "auto",
-        }
-    }
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Work the executor reports through [`QueryCtx::bump`]. A plain no-op
 /// outside a `Database`, so unit tests with `NoCtx` cost nothing.
@@ -140,12 +44,12 @@ pub enum ExecCounter {
     RowsJoined,
     /// FROM lists planned by the cost-based planner.
     PlannerPlans,
-    /// Join steps the cost-based planner moved off the naive
+    /// Join steps the cost-based planner moved off the written
     /// left-to-right order.
     PlannerReorderedJoins,
     /// WHERE conjuncts the cost-based planner pushed beneath joins.
     PlannerPushedFilters,
-    /// Accumulated |estimated − actual| join output rows (cost mode).
+    /// Accumulated |estimated − actual| join output rows.
     PlannerEstRowsErr,
     /// Column batches evaluated on the vector path.
     VectorBatches,
@@ -155,9 +59,6 @@ pub enum ExecCounter {
     /// Conditional jumps that narrowed the selection vector (parked at
     /// least one lane) during batch evaluation.
     VectorSelNarrowings,
-    /// Batches that fell back to row-at-a-time evaluation under forced
-    /// vector mode because a site program was not vector-safe.
-    VectorFallbackBatches,
 }
 
 /// One instruction of a compiled expression program. Operand order on
@@ -399,21 +300,12 @@ impl CompiledExpr {
         let mut stack = Vec::new();
         self.eval_with(row, ctx, &mut stack)
     }
-
-    /// Whether the vector machine can host this program. Subquery
-    /// fallbacks need the interpreter, and sequence draws must keep the
-    /// row path's exact per-row draw interleaving.
-    pub fn vector_safe(&self) -> bool {
-        !self
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::Fallback(_) | Op::NextVal(_)))
-    }
 }
 
-/// A per-site evaluator: either a compiled program or the interpreter,
-/// chosen once at plan time from the context's [`SqlExec`] mode. Hot
-/// loops hold one of these per expression and stay mode-agnostic.
+/// A per-site evaluator: a compiled program, or — when the context asks
+/// for the reference paths ([`QueryCtx::reference_paths`]) — the
+/// interpreter. Chosen once at plan time; hot loops hold one of these
+/// per expression and stay agnostic.
 pub enum SiteEval<'e> {
     /// Runs the flat program.
     Compiled(CompiledExpr),
@@ -422,12 +314,12 @@ pub enum SiteEval<'e> {
 }
 
 impl<'e> SiteEval<'e> {
-    /// Plan `expr` for rows of `schema` under the context's mode.
+    /// Plan `expr` for rows of `schema`.
     pub fn plan(expr: &'e Expr, schema: &Schema, ctx: &mut dyn QueryCtx) -> SiteEval<'e> {
-        if ctx.sqlexec().use_compiled() {
-            SiteEval::Compiled(CompiledExpr::compile(expr, schema, ctx))
-        } else {
+        if ctx.reference_paths() {
             SiteEval::Interpreted(expr)
+        } else {
+            SiteEval::Compiled(CompiledExpr::compile(expr, schema, ctx))
         }
     }
 
@@ -785,39 +677,13 @@ mod tests {
     }
 
     #[test]
-    fn sqlexec_names_round_trip() {
-        for mode in [SqlExec::Compiled, SqlExec::Interpreted, SqlExec::Auto] {
-            assert_eq!(SqlExec::from_name(mode.name()), Some(mode));
-            assert_eq!(
-                SqlExec::from_name(&mode.name().to_ascii_uppercase()),
-                Some(mode)
-            );
-        }
-        assert_eq!(SqlExec::from_name("vectorized"), None);
-        assert_eq!(SqlExec::default(), SqlExec::Auto);
-        assert!(SqlExec::Auto.use_compiled());
-        assert!(!SqlExec::Interpreted.use_compiled());
-    }
-
-    #[test]
-    fn exec_mode_names_round_trip() {
-        for mode in [ExecMode::Vector, ExecMode::Row, ExecMode::Auto] {
-            assert_eq!(ExecMode::from_name(mode.name()), Some(mode));
-            assert_eq!(
-                ExecMode::from_name(&mode.name().to_ascii_uppercase()),
-                Some(mode)
-            );
-        }
-        assert_eq!(ExecMode::from_name("columnar"), None);
-        assert_eq!(ExecMode::default(), ExecMode::Auto);
-    }
-
-    #[test]
     fn vector_safety_tracks_fallback_and_sequence_ops() {
-        let s = schema();
+        use crate::expr::vector::vectorizes;
         let plain = parse_expression("a + 1 > 3 AND b LIKE 'he%'").unwrap();
-        assert!(CompiledExpr::compile(&plain, &s, &mut NoCtx).vector_safe());
+        assert!(vectorizes(&NoCtx, &[&plain]));
         let seq = parse_expression("a + counter.NEXTVAL").unwrap();
-        assert!(!CompiledExpr::compile(&seq, &s, &mut NoCtx).vector_safe());
+        assert!(!vectorizes(&NoCtx, &[&seq]));
+        let sub = parse_expression("a IN (SELECT 1)").unwrap();
+        assert!(!vectorizes(&NoCtx, &[&plain, &sub]));
     }
 }

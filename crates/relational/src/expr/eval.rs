@@ -10,10 +10,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::expr::compile::{ExecCounter, ExecMode, SqlExec};
+use crate::expr::compile::ExecCounter;
 use crate::expr::{AggFunc, BinOp, Expr, UnaryOp};
 use crate::index::HashIndex;
-use crate::planner::PlannerMode;
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sql::ast::SelectStmt;
@@ -29,17 +28,14 @@ pub trait QueryCtx {
     fn nextval(&mut self, sequence: &str) -> Result<i64>;
     /// Read a host variable.
     fn host_var(&self, name: &str) -> Result<Value>;
-    /// Which execution strategy the hot operators should plan with.
-    /// Engines with a user-facing knob override this; the default
-    /// compiles (see [`SqlExec`]).
-    fn sqlexec(&self) -> SqlExec {
-        SqlExec::Auto
-    }
-    /// Which row-flow strategy the hot operators should use (row-at-a-time
-    /// or column batches). Engines with a user-facing knob override this;
-    /// the default lets each site choose (see [`ExecMode`]).
-    fn exec(&self) -> ExecMode {
-        ExecMode::Auto
+    /// Whether every strategy choice takes its reference leg: interpreted
+    /// expressions, row-at-a-time flow, written-order join fold, no table
+    /// indexes. Production contexts answer `false` and let each site
+    /// select from what it observes; tests flip it on a
+    /// [`Database`](crate::Database) to get the oracle the production
+    /// paths are compared against.
+    fn reference_paths(&self) -> bool {
+        false
     }
     /// Record executor work ([`ExecCounter`]). A no-op outside an
     /// engine, so plan-level helpers can report unconditionally.
@@ -62,11 +58,6 @@ pub trait QueryCtx {
     /// never builds anything.
     fn has_table_index(&self, _table: &str, _version: u64, _cols: &[usize]) -> bool {
         false
-    }
-    /// Which planner the join executor should use. Contexts without a
-    /// catalog have no statistics, so the default is the naive fold.
-    fn planner(&self) -> PlannerMode {
-        PlannerMode::Naive
     }
     /// Estimated distinct count of one column of a base table, from the
     /// catalog statistics. `None` outside an engine (or off-range).

@@ -21,10 +21,10 @@
 //! extra evaluation of later lanes is unobservable.
 
 use crate::error::{Error, Result};
-use crate::expr::compile::{CompiledExpr, ExecCounter, ExecMode, Op};
+use crate::expr::compile::{CompiledExpr, ExecCounter, Op};
 use crate::expr::eval::{
-    cast_value, eval_binary, eval_expr, eval_scalar_func, eval_unary, like_match, logical_and,
-    logical_or, maybe_negate, QueryCtx,
+    cast_value, eval_binary, eval_scalar_func, eval_unary, like_match, logical_and, logical_or,
+    maybe_negate, QueryCtx,
 };
 use crate::expr::{BinOp, Expr};
 use crate::row::Row;
@@ -390,13 +390,13 @@ impl CompiledExpr {
                         }
                     }
                 }
-                Op::NextVal(_) => {
-                    // Not vector-safe (sites route such programs to the
-                    // row path); fail deterministically if reached.
+                Op::NextVal(_) | Op::Fallback(_) => {
+                    // Not vector-safe: [`vectorizes`] routes such sites to
+                    // the row path. Fail deterministically if reached.
                     scratch.push_slot();
                     let lanes = std::mem::take(&mut scratch.active);
                     for &lane in &lanes {
-                        scratch.fail(lane, Error::unsupported("sequence draw on the vector path"));
+                        scratch.fail(lane, Error::unsupported("row-only op on the vector path"));
                     }
                     scratch.active = lanes;
                     scratch.active.clear();
@@ -663,23 +663,6 @@ impl CompiledExpr {
                     }
                     scratch.drop_failed();
                 }
-                Op::Fallback(expr) => {
-                    // Not vector-safe; kept deterministic for defence in
-                    // depth by interpreting per lane in ascending order.
-                    let schema = self.fallback_schema.as_ref().expect("fallback schema");
-                    let s = scratch.push_slot();
-                    for i in 0..scratch.active.len() {
-                        let lane = scratch.active[i];
-                        match eval_expr(expr, schema, &batch.rows[lane as usize], ctx) {
-                            Ok(v) => scratch.slots[s][lane as usize] = v,
-                            Err(e) => {
-                                scratch.fail(lane, e);
-                                scratch.lane_buf.push(lane);
-                            }
-                        }
-                    }
-                    scratch.drop_failed();
-                }
             }
             pc += 1;
         }
@@ -715,9 +698,8 @@ impl CompiledExpr {
 
 /// Whether an expression tree can run on the vector machine: no subquery
 /// forms (interpreter fallback) and no sequence draws (whose per-row
-/// interleaving the row path must keep). Mirrors
-/// [`CompiledExpr::vector_safe`] without compiling.
-pub fn expr_vector_safe(expr: &Expr) -> bool {
+/// interleaving the row path must keep).
+fn expr_vector_safe(expr: &Expr) -> bool {
     let mut safe = true;
     expr.walk(&mut |e| match e {
         Expr::NextVal(_)
@@ -729,45 +711,39 @@ pub fn expr_vector_safe(expr: &Expr) -> bool {
     safe
 }
 
+/// The one "does this site run batch-at-a-time" decision, shared by the
+/// executor's hot sites and EXPLAIN: a site evaluating `exprs` per row
+/// vectorizes when every expression is vector-safe — decided on the
+/// trees, before compiling — and row-loops otherwise. Sites that evaluate
+/// no expression (dedup hashing) pass an empty slice. The reference paths
+/// never batch.
+pub fn vectorizes(ctx: &dyn QueryCtx, exprs: &[&Expr]) -> bool {
+    !ctx.reference_paths() && exprs.iter().all(|e| expr_vector_safe(e))
+}
+
 /// A planned vector site: the compiled programs for every expression the
 /// site evaluates per row, plus the union of referenced columns.
 pub(crate) struct VectorPlan {
     programs: Vec<CompiledExpr>,
     cols: Vec<usize>,
-    /// Forced-vector mode with a program the machine cannot host: whole
-    /// batches run the row loop instead (draw interleaving must hold
-    /// across *all* the site's programs).
-    fallback: bool,
     scratch: VectorScratch,
-    stack: Vec<Value>,
 }
 
 impl VectorPlan {
-    /// Decide whether this site runs vectorized under `ctx`'s exec mode,
-    /// and compile its programs if so. `None` means: use the row path.
+    /// Compile the site's programs if it [`vectorizes`]. `None` means:
+    /// use the row path.
     pub(crate) fn plan(
         exprs: &[&Expr],
         schema: &Schema,
         ctx: &mut dyn QueryCtx,
     ) -> Option<VectorPlan> {
-        match ctx.exec() {
-            ExecMode::Row => return None,
-            ExecMode::Vector => {}
-            ExecMode::Auto => {
-                // Auto defers to the sqlexec knob (no programs, no batch
-                // path) and takes the vector path only when every
-                // program is vector-safe — decided before compiling so
-                // compile-work telemetry matches the row path.
-                if !ctx.sqlexec().use_compiled() || !exprs.iter().all(|e| expr_vector_safe(e)) {
-                    return None;
-                }
-            }
+        if !vectorizes(ctx, exprs) {
+            return None;
         }
         let programs: Vec<CompiledExpr> = exprs
             .iter()
             .map(|e| CompiledExpr::compile(e, schema, ctx))
             .collect();
-        let fallback = !programs.iter().all(CompiledExpr::vector_safe);
         let mut cols: Vec<usize> = programs
             .iter()
             .flat_map(|p| p.ops.iter())
@@ -781,9 +757,7 @@ impl VectorPlan {
         Some(VectorPlan {
             programs,
             cols,
-            fallback,
             scratch: VectorScratch::default(),
-            stack: Vec::new(),
         })
     }
 
@@ -801,24 +775,11 @@ impl VectorPlan {
         let VectorPlan {
             programs,
             cols,
-            fallback,
             scratch,
-            stack,
         } = self;
         for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
             ctx.bump(ExecCounter::VectorBatches, 1);
             ctx.bump(ExecCounter::VectorRows, chunk.len() as u64);
-            if *fallback {
-                // Row loop per batch, preserving the row path's exact
-                // per-row, per-program evaluation order.
-                ctx.bump(ExecCounter::VectorFallbackBatches, 1);
-                for row in chunk {
-                    for (program, col) in programs.iter().zip(out.iter_mut()) {
-                        col.push(program.eval_with(row, ctx, stack)?);
-                    }
-                }
-                continue;
-            }
             let batch = ColumnBatch::from_rows(chunk, cols);
             let mut narrowings = 0u64;
             // Programs run batch-major; the winning error is the one the

@@ -22,47 +22,10 @@
 //! NULL-containing entries are simply unreachable on that path.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 
 use crate::row::Row;
 use crate::value::Value;
-
-/// Whether the engine may create and consult table indexes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum IndexPolicy {
-    /// Build an index the first time a column set is used as an equi-join
-    /// or GROUP BY key, and reuse it while the table version holds.
-    #[default]
-    Auto,
-    /// Never build or consult indexes; every operator scans.
-    Off,
-}
-
-impl IndexPolicy {
-    /// Parse a policy name (`auto` | `off`), ASCII-case-insensitively.
-    pub fn from_name(name: &str) -> Option<IndexPolicy> {
-        match name.to_ascii_lowercase().as_str() {
-            "auto" => Some(IndexPolicy::Auto),
-            "off" => Some(IndexPolicy::Off),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexPolicy::Auto => "auto",
-            IndexPolicy::Off => "off",
-        }
-    }
-}
-
-impl fmt::Display for IndexPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A hash index on one column set of one table snapshot.
 ///
@@ -181,19 +144,6 @@ impl IndexRegistry {
 mod tests {
     use super::*;
     use crate::row;
-
-    #[test]
-    fn policy_names_round_trip() {
-        for policy in [IndexPolicy::Auto, IndexPolicy::Off] {
-            assert_eq!(IndexPolicy::from_name(policy.name()), Some(policy));
-            assert_eq!(
-                IndexPolicy::from_name(&policy.name().to_ascii_uppercase()),
-                Some(policy)
-            );
-        }
-        assert_eq!(IndexPolicy::from_name("fast"), None);
-        assert_eq!(IndexPolicy::default(), IndexPolicy::Auto);
-    }
 
     #[test]
     fn build_buckets_in_first_seen_order() {

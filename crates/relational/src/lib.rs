@@ -38,7 +38,6 @@ pub mod exec;
 pub mod expr;
 pub mod index;
 pub mod persist;
-pub mod planner;
 pub mod resultset;
 pub mod row;
 pub mod sequence;
@@ -51,10 +50,9 @@ pub mod value;
 
 pub use engine::{Database, ExecOutcome, ExecStats};
 pub use error::{Error, ObjectKind, Result};
-pub use expr::compile::{CompiledExpr, ExecCounter, ExecMode, SqlExec};
+pub use expr::compile::{CompiledExpr, ExecCounter};
 pub use expr::vector::{ColumnBatch, VECTOR_BATCH_ROWS};
-pub use index::{HashIndex, IndexPolicy};
-pub use planner::PlannerMode;
+pub use index::HashIndex;
 pub use resultset::ResultSet;
 pub use row::Row;
 pub use stats::TableStats;

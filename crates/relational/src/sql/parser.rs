@@ -67,11 +67,24 @@ const RESERVED: &[&str] = &[
     "CAST",
 ];
 
+/// The deepest expression tree the parser will build, counting operator
+/// chains (`1+1+…` is left-deep), nesting (parentheses, function
+/// arguments, CASE arms) and nested SELECTs alike. Every later stage —
+/// evaluation, compilation, EXPLAIN, `Display`, `Drop` — recurses over
+/// the tree, so this is what keeps hostile input from overflowing the
+/// stack; sized so the deepest accepted tree runs inside a 2 MiB thread
+/// in a debug build (pinned by `tests/error_paths.rs`).
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Token-stream parser with single-statement and expression entry points.
 pub struct Parser {
     toks: Vec<Token>,
     pos: usize,
     input_len: usize,
+    /// Open expression/SELECT frames (the parser's own recursion).
+    depth: usize,
+    /// Height of the tallest tree completed in the innermost open frame.
+    peak: usize,
 }
 
 /// Parse exactly one statement (a trailing `;` is allowed).
@@ -109,6 +122,8 @@ impl Parser {
             toks: lex(sql)?,
             pos: 0,
             input_len: sql.len(),
+            depth: 0,
+            peak: 0,
         })
     }
 
@@ -136,6 +151,37 @@ impl Parser {
                 .unwrap_or(self.input_len),
             message: message.into(),
         }
+    }
+
+    /// Open a frame for one expression or SELECT: one more level of
+    /// parser recursion, with the heights of its children counted afresh.
+    /// Returns the enclosing frame's peak for [`Parser::leave`].
+    fn enter(&mut self) -> Result<usize> {
+        self.depth += 1;
+        let outer = std::mem::take(&mut self.peak);
+        self.check_depth()?;
+        Ok(outer)
+    }
+
+    /// Close a frame: its tree is now one child of the enclosing frame.
+    fn leave(&mut self, outer: usize) {
+        self.depth -= 1;
+        self.peak = self.peak.max(outer);
+    }
+
+    /// Account one node built over everything parsed so far in this frame.
+    fn grow(&mut self) -> Result<()> {
+        self.peak += 1;
+        self.check_depth()
+    }
+
+    fn check_depth(&self) -> Result<()> {
+        if self.depth + self.peak > MAX_EXPR_DEPTH {
+            return Err(self.error(format!(
+                "expression nested too deeply (limit {MAX_EXPR_DEPTH} levels)"
+            )));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -256,7 +302,11 @@ impl Parser {
     /// Parse one statement.
     pub fn parse_statement(&mut self) -> Result<Statement> {
         if self.accept_kw("EXPLAIN") {
-            return Ok(Statement::Explain(Box::new(self.parse_statement()?)));
+            let outer = self.enter()?;
+            let inner = self.parse_statement()?;
+            self.grow()?;
+            self.leave(outer);
+            return Ok(Statement::Explain(Box::new(inner)));
         }
         if self.peek_kw("SELECT") {
             return Ok(Statement::Select(self.parse_select()?));
@@ -479,6 +529,7 @@ impl Parser {
     /// Parse a full SELECT statement (the leading `SELECT` keyword is
     /// consumed here).
     pub fn parse_select(&mut self) -> Result<SelectStmt> {
+        let outer = self.enter()?;
         self.expect_kw("SELECT")?;
         let distinct = self.accept_kw("DISTINCT");
         if distinct {
@@ -574,6 +625,8 @@ impl Parser {
         } else {
             hoisted_limit
         };
+        self.grow()?;
+        self.leave(outer);
         Ok(SelectStmt {
             distinct,
             items,
@@ -685,7 +738,11 @@ impl Parser {
         self.parse_expr_prec(0)
     }
 
+    /// A prefix expression and the left-deep chain of postfix predicates
+    /// and binary operators wrapped around it (one [`Parser::grow`] each),
+    /// in a frame of its own.
     fn parse_expr_prec(&mut self, min_prec: u8) -> Result<Expr> {
+        let outer = self.enter()?;
         let mut left = self.parse_prefix(min_prec)?;
         loop {
             // Comparison-level postfix predicates.
@@ -707,6 +764,7 @@ impl Parser {
                         low: Box::new(low),
                         high: Box::new(high),
                     };
+                    self.grow()?;
                     continue;
                 }
                 if self.accept_kw("IN") {
@@ -734,6 +792,7 @@ impl Parser {
                             list,
                         };
                     }
+                    self.grow()?;
                     continue;
                 }
                 if self.accept_kw("LIKE") {
@@ -743,6 +802,7 @@ impl Parser {
                         negated,
                         pattern: Box::new(pattern),
                     };
+                    self.grow()?;
                     continue;
                 }
                 if negated {
@@ -755,6 +815,7 @@ impl Parser {
                         expr: Box::new(left),
                         negated,
                     };
+                    self.grow()?;
                     continue;
                 }
             }
@@ -792,13 +853,16 @@ impl Parser {
                 op,
                 right: Box::new(right),
             };
+            self.grow()?;
         }
+        self.leave(outer);
         Ok(left)
     }
 
     fn parse_prefix(&mut self, min_prec: u8) -> Result<Expr> {
         if min_prec <= 3 && self.accept_kw("NOT") {
             let inner = self.parse_expr_prec(3)?;
+            self.grow()?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -806,6 +870,7 @@ impl Parser {
         }
         if self.accept_tok(&Tok::Minus) {
             let inner = self.parse_expr_prec(7)?;
+            self.grow()?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Neg,
                 expr: Box::new(inner),
@@ -817,7 +882,21 @@ impl Parser {
         self.parse_primary()
     }
 
+    /// A primary is one node over whatever it encloses — except a plain
+    /// parenthesised expression, which adds recursion but no node.
     fn parse_primary(&mut self) -> Result<Expr> {
+        if self.peek() == Some(&Tok::LParen) && !self.peek_kw_n(1, "SELECT") {
+            self.pos += 1;
+            let e = self.parse_expr()?;
+            self.expect_tok(&Tok::RParen)?;
+            return Ok(e);
+        }
+        let node = self.parse_primary_node()?;
+        self.grow()?;
+        Ok(node)
+    }
+
+    fn parse_primary_node(&mut self) -> Result<Expr> {
         match self.peek().cloned() {
             Some(Tok::Int(i)) => {
                 self.pos += 1;
@@ -837,15 +916,9 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                if self.peek_kw("SELECT") {
-                    let q = self.parse_select()?;
-                    self.expect_tok(&Tok::RParen)?;
-                    Ok(Expr::ScalarSubquery(Box::new(q)))
-                } else {
-                    let e = self.parse_expr()?;
-                    self.expect_tok(&Tok::RParen)?;
-                    Ok(e)
-                }
+                let q = self.parse_select()?;
+                self.expect_tok(&Tok::RParen)?;
+                Ok(Expr::ScalarSubquery(Box::new(q)))
             }
             Some(Tok::Ident(name)) => self.parse_ident_primary(name),
             _ => Err(self.error("expected an expression")),

@@ -43,11 +43,11 @@ fn general_statement_materialises_figure4b_tables() {
 
 #[test]
 fn simple_statement_materialises_only_figure4a_tables() {
-    // Under the naive planner the full step-by-step Figure 4a program
+    // On the reference paths the full step-by-step Figure 4a program
     // runs, materialising every intermediate.
     let mut db = purchase_db();
+    db.set_reference_paths(true);
     MineRuleEngine::new()
-        .with_planner(relational::PlannerMode::Naive)
         .execute(
             &mut db,
             "MINE RULE Simple AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, \
@@ -73,7 +73,7 @@ fn simple_statement_materialises_only_figure4a_tables() {
 
 #[test]
 fn fused_preprocessing_skips_the_subsumed_intermediates() {
-    // Under the cost planner (the default) the simple-class program runs
+    // On the production paths the simple-class program runs
     // as one fused pass: the encoded outputs still materialise, but the
     // subsumed intermediates never reach the catalog.
     let mut db = purchase_db();

@@ -1,17 +1,18 @@
 //! The cache agreement contract: every combination of worker count ×
-//! preprocess cache × mined-result cache × index policy mines
-//! bit-identical rules — including warm (cache-hit) runs after a
+//! preprocess cache × mined-result cache × reference-or-production
+//! paths mines bit-identical rules — including warm (cache-hit) runs after a
 //! threshold-only refinement, incremental re-mines after a source-table
 //! delta, and runs after a source-table mutation (which must *never*
 //! serve stale artifacts).
 
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::{DecodedRule, MineRuleEngine};
-use relational::IndexPolicy;
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 const CACHE: [bool; 2] = [true, false];
-const POLICIES: [IndexPolicy; 2] = [IndexPolicy::Auto, IndexPolicy::Off];
+/// Production paths (indexed access among them) and the reference
+/// paths (scans) — `Database::set_reference_paths`.
+const REFERENCE: [bool; 2] = [false, true];
 
 /// Bit-exact signature of a rule set (f64s compared by bit pattern).
 fn signature(rules: &[DecodedRule]) -> Vec<String> {
@@ -42,10 +43,10 @@ fn threshold_refinement_agrees_across_all_knobs() {
     let mut reference: Option<(Vec<String>, Vec<String>)> = None;
     for workers in WORKERS {
         for cache in CACHE {
-            for policy in POLICIES {
-                let label = format!("workers={workers} cache={cache} indexes={policy}");
+            for reference_paths in REFERENCE {
+                let label = format!("workers={workers} cache={cache} reference={reference_paths}");
                 let mut db = purchase_db();
-                db.set_index_policy(policy);
+                db.set_reference_paths(reference_paths);
                 let engine = MineRuleEngine::new()
                     .with_workers(workers)
                     .with_preprocache(cache);
@@ -98,10 +99,10 @@ fn general_class_agrees_across_all_knobs() {
     let mut reference: Option<Vec<String>> = None;
     for workers in WORKERS {
         for cache in CACHE {
-            for policy in POLICIES {
-                let label = format!("workers={workers} cache={cache} indexes={policy}");
+            for reference_paths in REFERENCE {
+                let label = format!("workers={workers} cache={cache} reference={reference_paths}");
                 let mut db = purchase_db();
-                db.set_index_policy(policy);
+                db.set_reference_paths(reference_paths);
                 let engine = MineRuleEngine::new()
                     .with_workers(workers)
                     .with_preprocache(cache);
@@ -128,11 +129,11 @@ fn general_class_agrees_across_all_knobs() {
 
 #[test]
 fn source_mutation_never_serves_stale_artifacts() {
-    for policy in POLICIES {
-        let label = format!("indexes={policy}");
+    for reference_paths in REFERENCE {
+        let label = format!("reference={reference_paths}");
         // Cached engine: cold run, mutate the source, rerun.
         let mut db = purchase_db();
-        db.set_index_policy(policy);
+        db.set_reference_paths(reference_paths);
         let engine = MineRuleEngine::new().with_preprocache(true);
         engine.execute(&mut db, &simple(0.25, 0.1)).unwrap();
         db.execute(
@@ -152,7 +153,7 @@ fn source_mutation_never_serves_stale_artifacts() {
         // Reference: an uncached engine over a database that was mutated
         // the same way sees exactly the same rules.
         let mut fresh = purchase_db();
-        fresh.set_index_policy(policy);
+        fresh.set_reference_paths(reference_paths);
         fresh
             .execute(
                 "INSERT INTO Purchase VALUES \

@@ -144,7 +144,16 @@ fn zero_workers_is_rejected_like_an_unknown_algorithm() {
              EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
         )
         .unwrap_err();
-    assert!(matches!(err, MineError::InvalidWorkerCount { value: 0 }));
+    assert!(
+        matches!(
+            err,
+            MineError::InvalidKnob {
+                knob: "workers",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
     // Same user-facing shape as UnknownAlgorithm: name the offending
     // value and the valid domain.
     let message = err.to_string();
@@ -163,64 +172,142 @@ fn zero_workers_is_rejected_like_an_unknown_algorithm() {
 }
 
 #[test]
-fn unknown_sqlexec_is_rejected_like_an_unknown_algorithm() {
-    let err = minerule::parse_sqlexec("vectorized").unwrap_err();
-    assert!(
-        matches!(err, MineError::UnknownSqlExec { ref name } if name == "vectorized"),
-        "{err:?}"
-    );
-    // Same user-facing shape as UnknownAlgorithm: name the offending
-    // value and the valid domain.
-    let message = err.to_string();
-    assert!(message.contains("'vectorized'"), "{message}");
-    for choice in ["compiled", "interpreted", "auto"] {
-        assert!(message.contains(choice), "{message}");
-    }
-    // Valid names parse regardless of ASCII case.
-    for (name, mode) in [
-        ("compiled", relational::SqlExec::Compiled),
-        ("INTERPRETED", relational::SqlExec::Interpreted),
-        ("Auto", relational::SqlExec::Auto),
-    ] {
-        assert_eq!(minerule::parse_sqlexec(name).unwrap(), mode);
-    }
-}
-
-#[test]
 fn unknown_cache_mode_is_rejected_like_an_unknown_algorithm() {
-    let err = minerule::parse_preprocache("maybe").unwrap_err();
-    assert!(
-        matches!(err, MineError::UnknownCacheMode { ref name } if name == "maybe"),
-        "{err:?}"
-    );
+    // Every knob rejection is the one typed error; this is the value the
+    // shell builds for `\set preprocache maybe`.
+    let err = MineError::InvalidKnob {
+        knob: "preprocache",
+        value: "maybe".into(),
+        domain: "on|off",
+    };
     // Same user-facing shape as UnknownAlgorithm: name the offending
     // value and the valid domain.
     let message = err.to_string();
     assert!(message.contains("'maybe'"), "{message}");
-    assert!(message.contains("on, off"), "{message}");
-    // Valid names parse regardless of ASCII case.
-    assert!(minerule::parse_preprocache("ON").unwrap());
-    assert!(!minerule::parse_preprocache("off").unwrap());
+    assert!(message.contains("preprocache"), "{message}");
+    assert!(message.contains("on|off"), "{message}");
 }
 
+/// Hostile nesting must come back as a positioned parse error, not abort
+/// the process: 200 000 levels of each shape the expression grammar can
+/// stack, as SQL and as a MINE RULE mining condition.
 #[test]
-fn unknown_index_policy_is_rejected_like_an_unknown_algorithm() {
-    let err = minerule::parse_index_policy("fast").unwrap_err();
-    assert!(
-        matches!(err, MineError::UnknownIndexPolicy { ref name } if name == "fast"),
-        "{err:?}"
-    );
-    // Same user-facing shape as UnknownAlgorithm: name the offending
-    // value and the valid domain.
-    let message = err.to_string();
-    assert!(message.contains("'fast'"), "{message}");
-    assert!(message.contains("auto, off"), "{message}");
-    // Valid names parse regardless of ASCII case.
-    for (name, policy) in [
-        ("auto", relational::IndexPolicy::Auto),
-        ("OFF", relational::IndexPolicy::Off),
+fn absurdly_deep_expressions_are_parse_errors_not_stack_overflows() {
+    const N: usize = 200_000;
+    let parens = format!("{}1{}", "(".repeat(N), ")".repeat(N));
+    let chain = format!("1{}", "+1".repeat(N));
+    let mut db = purchase_db();
+    for expr in [&parens, &chain] {
+        let err = db.query(&format!("SELECT {expr}")).unwrap_err();
+        assert!(
+            matches!(err, relational::Error::Parse { .. }),
+            "{:.80}",
+            err.to_string()
+        );
+        assert!(err.to_string().contains("nested too deeply"));
+        let err = MineRuleEngine::new()
+            .execute(
+                &mut db,
+                &format!(
+                    "MINE RULE Deep AS SELECT DISTINCT item AS BODY, item AS HEAD, \
+                     SUPPORT, CONFIDENCE WHERE BODY.price < {expr} \
+                     FROM Purchase GROUP BY customer \
+                     EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1"
+                ),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, MineError::Syntax { .. }),
+            "{:.80}",
+            err.to_string()
+        );
+    }
+    for sql in [
+        format!("SELECT {}1{}", "(SELECT ".repeat(N), ")".repeat(N)),
+        format!("SELECT 1{}", " UNION SELECT 1".repeat(N)),
+        format!("{}SELECT 1", "EXPLAIN ".repeat(N)),
     ] {
-        assert_eq!(minerule::parse_index_policy(name).unwrap(), policy);
+        let err = db.execute(&sql).unwrap_err();
+        assert!(matches!(err, relational::Error::Parse { .. }));
+    }
+    // The session is intact.
+    assert_eq!(
+        db.query("SELECT 1 + 1").unwrap().scalar(),
+        Some(&Value::Int(2))
+    );
+}
+
+/// The other half of the budget's contract: the deepest tree it accepts
+/// — of every shape that stacks — parses, evaluates (on both paths),
+/// explains, prints, clones and drops inside this test thread's 2 MiB
+/// stack in a debug build.
+#[test]
+fn deepest_accepted_expressions_run_inside_a_test_thread_stack() {
+    use relational::sql::ast::Statement;
+    use relational::sql::parser::{parse_statement, MAX_EXPR_DEPTH};
+    let shapes: [fn(usize) -> String; 8] = [
+        |n| format!("SELECT {}1{}", "(".repeat(n), ")".repeat(n)),
+        |n| format!("SELECT 1{}", "+1".repeat(n)),
+        |n| format!("SELECT {}1", "- ".repeat(n)),
+        |n| format!("SELECT {}1{}", "ABS(".repeat(n), ")".repeat(n)),
+        |n| {
+            format!(
+                "SELECT {}1{}",
+                "CASE WHEN TRUE THEN ".repeat(n),
+                " END".repeat(n)
+            )
+        },
+        |n| format!("SELECT {}1{}", "(SELECT ".repeat(n), ")".repeat(n)),
+        |n| format!("SELECT 1{}", " UNION SELECT 1".repeat(n)),
+        |n| {
+            format!(
+                "SELECT item FROM Purchase WHERE price > 0{}",
+                " OR price > 0".repeat(n)
+            )
+        },
+    ];
+    for shape in shapes {
+        let deepest = (1..=MAX_EXPR_DEPTH)
+            .rev()
+            .find(|&n| parse_statement(&shape(n)).is_ok())
+            .expect("some depth parses");
+        assert!(
+            deepest >= MAX_EXPR_DEPTH / 2 - 4,
+            "the budget refuses shallow input: {deepest} levels of {:.40}",
+            shape(2)
+        );
+        let sql = shape(deepest);
+        let stmt = parse_statement(&sql).unwrap();
+        for reference in [false, true] {
+            let mut db = purchase_db();
+            db.set_reference_paths(reference);
+            let rs = db.query(&sql).unwrap_or_else(|e| panic!("{e}: {sql:.60}"));
+            assert!(!rs.is_empty(), "{sql:.60}");
+            // (Built, not parsed: `EXPLAIN` itself costs a level.)
+            db.run_statement(&Statement::Explain(Box::new(stmt.clone())))
+                .unwrap();
+        }
+        assert!(stmt.to_string().starts_with("SELECT"), "prints: {sql:.60}");
+    }
+    // A mining condition at its own deepest accepted nesting is embedded
+    // in generated SQL a few levels further down: the statement may be
+    // refused there (a typed error), it must not abort.
+    let mine = |n: usize| {
+        format!(
+            "MINE RULE Deep AS SELECT DISTINCT item AS BODY, item AS HEAD, \
+             SUPPORT, CONFIDENCE WHERE BODY.price < HEAD.price + {}1{} \
+             FROM Purchase GROUP BY customer \
+             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
+            "ABS(".repeat(n),
+            ")".repeat(n)
+        )
+    };
+    let deepest = (1..=MAX_EXPR_DEPTH)
+        .rev()
+        .find(|&n| minerule::parse_mine_rule(&mine(n)).is_ok())
+        .expect("some depth parses");
+    if let Err(e) = MineRuleEngine::new().execute(&mut purchase_db(), &mine(deepest)) {
+        assert!(e.to_string().contains("nested too deeply"), "{e}");
     }
 }
 

@@ -1,12 +1,13 @@
 //! EXPLAIN access-path snapshots over the paper's own data: the Figure 1
 //! `Purchase` table and the §2 / Figure 2b mined-output join shapes. The
-//! plans must state the access path — `index(<table>.<cols>)` under the
-//! default `auto` policy, `scan` under `off` — so the tightly-coupled
-//! claim ("the SQL server does the data management") stays inspectable.
+//! plans must state the access path — `index(<table>.<cols>)` for
+//! untouched base tables, `scan` for derived inputs and on the reference
+//! paths — so the tightly-coupled claim ("the SQL server does the data
+//! management") stays inspectable.
 
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::MineRuleEngine;
-use relational::{Database, IndexPolicy, PlannerMode};
+use relational::Database;
 
 fn plan(db: &mut Database, sql: &str) -> String {
     let rs = db.query(&format!("EXPLAIN {sql}")).unwrap();
@@ -24,14 +25,13 @@ const GROUPED: &str = "SELECT customer, COUNT(*) AS purchases FROM Purchase GROU
 #[test]
 fn figure1_grouping_uses_an_index_under_auto() {
     let mut db = purchase_db();
-    assert_eq!(db.index_policy(), IndexPolicy::Auto, "auto is the default");
     let p = plan(&mut db, GROUPED);
     assert!(
         p.contains("hash aggregate by (customer) [index(Purchase.customer)]"),
         "{p}"
     );
 
-    db.set_index_policy(IndexPolicy::Off);
+    db.set_reference_paths(true);
     let p = plan(&mut db, GROUPED);
     assert!(p.contains("hash aggregate by (customer) [scan]"), "{p}");
     assert!(!p.contains("[index("), "{p}");
@@ -52,7 +52,7 @@ fn figure2b_output_join_reports_its_access_path() {
         "{p}"
     );
 
-    db.set_index_policy(IndexPolicy::Off);
+    db.set_reference_paths(true);
     let p = plan(&mut db, join);
     assert!(
         p.contains("hash join on: r.BodyId = b.BodyId [scan]"),
@@ -65,9 +65,9 @@ fn explain_snapshot_is_stable_for_the_figure1_plan() {
     let mut db = purchase_db();
     let p = plan(&mut db, GROUPED);
     // Full snapshot: the plan shape is part of the observable contract.
-    // The cost planner (the default) annotates its cardinality estimates;
-    // the default exec mode (`auto` with compiled programs) batches, so
-    // the aggregate carries a `[vector]` tag.
+    // The cost planner annotates its cardinality estimates; the plain
+    // column key is vector-safe, so the aggregate carries a `[vector]`
+    // tag.
     assert_eq!(
         p,
         "Select\n  \
@@ -77,23 +77,22 @@ fn explain_snapshot_is_stable_for_the_figure1_plan() {
         "plan drifted"
     );
 
-    // Under the naive planner the estimates disappear: no statistics are
-    // consulted, so none are printed.
-    db.set_planner(PlannerMode::Naive);
+    // On the reference paths every tag flips and the estimates
+    // disappear: no statistics are consulted, so none are printed.
+    db.set_reference_paths(true);
     let p = plan(&mut db, GROUPED);
     assert_eq!(
         p,
         "Select\n  \
          scan Purchase [8 rows]\n  \
-         hash aggregate by (customer) [index(Purchase.customer)] [vector]",
-        "naive plan drifted"
+         hash aggregate by (customer) [scan] [row]",
+        "reference plan drifted"
     );
 }
 
 #[test]
 fn fused_preprocess_plan_snapshot() {
-    // The fused simple-class preprocess pass (cost planner, the default)
-    // subsumes six SQL statements into one pipelined scan; the report is
+    // The fused simple-class preprocess pass subsumes six SQL statements into one pipelined scan; the report is
     // the observable "plan" of that fusion: DDL for the two sequences,
     // then one fused step per Q1, Q2, Q3 and Q4 with the rows each
     // materialised (or 1 for pure bindings).

@@ -68,12 +68,12 @@ fn corpus_replays_clean_across_the_quick_matrix() {
 
 #[test]
 fn injected_skew_is_caught_and_shrinks_to_a_tiny_repro() {
-    // A deliberately skewed runner (compiled expressions drop the last
+    // A deliberately skewed runner (the production paths drop the last
     // SELECT row) must diverge on a generated case, and the shrinker
     // must take the case down to a handful of rows that still
     // reproduces — the acceptance bar for the whole harness.
     let opts = MatrixOptions {
-        skew: Skew::CompiledDropsLastRow,
+        skew: Skew::ProductionDropsLastRow,
         ..quick_opts("skew")
     };
     let gen_cfg = GenConfig::default();
@@ -82,7 +82,7 @@ fn injected_skew_is_caught_and_shrinks_to_a_tiny_repro() {
         let case = gen_case(7, i, &gen_cfg);
         if let Err(div) = run_case(&case, &opts, &format!("skew{i}")) {
             assert_eq!(div.kind, DivergenceKind::Matrix);
-            assert!(div.config.contains("sqlexec=compiled"), "{}", div.config);
+            assert!(div.config.contains("reference=off"), "{}", div.config);
             let b = tcdm_fuzz::matrix::config_by_label(Matrix::Quick, &div.config).unwrap();
             caught = Some((case, Config::baseline(), b));
             break;
@@ -95,7 +95,7 @@ fn injected_skew_is_caught_and_shrinks_to_a_tiny_repro() {
             c,
             &a,
             &b,
-            Skew::CompiledDropsLastRow,
+            Skew::ProductionDropsLastRow,
             &opts.work_dir,
             "shrinkt",
         )
@@ -121,7 +121,7 @@ fn injected_skew_is_caught_and_shrinks_to_a_tiny_repro() {
         kind: Some("matrix".into()),
         config: Some(b.label()),
         against: Some(a.label()),
-        skew: Some("compiled-drop-row".into()),
+        skew: Some("production-drop-row".into()),
         note: Some("tests/fuzz_corpus.rs".into()),
     };
     let text = to_repro(&small, &header);
@@ -140,9 +140,9 @@ fn injected_skew_is_caught_and_shrinks_to_a_tiny_repro() {
 }
 
 #[test]
-fn mine_skew_is_caught_on_the_bitset_axis() {
+fn mine_skew_is_caught_on_the_reference_axis() {
     let opts = MatrixOptions {
-        skew: Skew::BitsetDropsLastRule,
+        skew: Skew::ProductionDropsLastRule,
         ..quick_opts("mskew")
     };
     let gen_cfg = GenConfig::default();
@@ -150,8 +150,8 @@ fn mine_skew_is_caught_on_the_bitset_axis() {
         let case = gen_case(3, i, &gen_cfg);
         if let Err(div) = run_case(&case, &opts, &format!("mskew{i}")) {
             assert!(
-                div.config.contains("gidset=bitset"),
-                "skew must surface on a bitset config: {}",
+                div.config.contains("reference=off"),
+                "skew must surface on a production-path config: {}",
                 div.config
             );
             assert!(
@@ -162,7 +162,7 @@ fn mine_skew_is_caught_on_the_bitset_axis() {
             return;
         }
     }
-    panic!("bitset skew never diverged in 16 cases");
+    panic!("mine skew never diverged in 16 cases");
 }
 
 #[test]

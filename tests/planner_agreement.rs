@@ -1,15 +1,18 @@
-//! Planner-mode agreement: the cost-based planner (statistics-driven
-//! join ordering, build-side selection and the fused simple-class
-//! preprocess pass) must be observably identical to the naive planner —
-//! bit-identical rules, rows *and row order* — across grammar-generated
-//! workloads, SQL execution modes and worker counts. The second half
+//! Planner agreement: the cost-based planner (statistics-driven join
+//! ordering, build-side selection) and the fused simple-class preprocess
+//! pass must be observably identical to the written-order fold and the
+//! step-by-step `Qi` program — bit-identical rules, rows *and row order*
+//! — across grammar-generated workloads and worker counts. The fold and
+//! the stepwise program are the planning legs of the database's
+//! reference paths (`Database::set_reference_paths`). The second half
 //! pins the catalog-statistics maintenance the planner relies on:
 //! incremental upkeep across INSERT/UPDATE/DELETE/TRUNCATE, version
 //! stamping, and survival of a persist/reload cycle.
 
 use minerule::paper_example::purchase_db;
-use minerule::MineRuleEngine;
-use relational::{persist, Database, PlannerMode, SqlExec, Value};
+use minerule::preprocess::{preprocess, run_steps};
+use minerule::{parse_mine_rule, translate, MineRuleEngine};
+use relational::{persist, Database, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{diverges_between, Config, Skew};
 
@@ -26,40 +29,35 @@ const SIMPLE: &str = "MINE RULE R AS \
     EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5";
 
 // ---------------------------------------------------------------------
-// Agreement across the planner × sqlexec × workers cross-product
+// Agreement across the reference × workers cross-product
 // ---------------------------------------------------------------------
 
 #[test]
 fn grammar_cases_agree_across_planner_sqlexec_and_workers() {
     // Grammar-generated workloads (DDL + DML + SELECTs + MINE RULE)
-    // replayed under every planner × sqlexec × workers combination must
-    // produce outcomes bit-identical to the naive baseline: same rule
-    // signatures (float bits included), same sorted SELECT rows, same
-    // DML counts, same error texts.
+    // replayed on the production and the reference paths at every worker
+    // count must produce outcomes bit-identical to the baseline: same
+    // rule signatures (float bits included), same sorted SELECT rows,
+    // same DML counts, same error texts.
     let dir = work_dir("grammar");
     let base = Config::baseline();
-    assert_eq!(base.planner, PlannerMode::Naive, "baseline is naive");
+    assert!(base.reference, "the baseline folds in written order");
     let gen_cfg = GenConfig::default();
     for case_no in 0..4 {
         let case = gen_case(0x51A77, case_no, &gen_cfg);
-        for planner in [PlannerMode::Naive, PlannerMode::Cost] {
-            for sqlexec in [SqlExec::Interpreted, SqlExec::Compiled] {
-                for workers in [1usize, 2, 4] {
-                    let variant = Config {
-                        planner,
-                        sqlexec,
-                        workers,
-                        ..base
-                    };
-                    if variant == base {
-                        continue;
-                    }
-                    let tag = format!("pa{case_no}_{}_{}_{workers}", planner.name(), sqlexec);
-                    if let Some(d) =
-                        diverges_between(&case, &base, &variant, Skew::None, &dir, &tag)
-                    {
-                        panic!("case {case_no} diverged:\n{d}");
-                    }
+        for reference in [true, false] {
+            for workers in [1usize, 2, 4] {
+                let variant = Config {
+                    reference,
+                    workers,
+                    ..base
+                };
+                if variant == base {
+                    continue;
+                }
+                let tag = format!("pa{case_no}_{reference}_{workers}");
+                if let Some(d) = diverges_between(&case, &base, &variant, Skew::None, &dir, &tag) {
+                    panic!("case {case_no} diverged:\n{d}");
                 }
             }
         }
@@ -71,13 +69,18 @@ fn grammar_cases_agree_across_planner_sqlexec_and_workers() {
 fn fused_and_naive_preprocessing_materialise_identical_encoded_tables() {
     // The fused pass must leave the *exact* encoded tables the SQL
     // program leaves: same schema names, same rows, same row order, same
-    // Gid/Bid assignments, same host-variable bindings.
-    let run = |mode: PlannerMode| {
+    // Gid/Bid assignments, same host-variable bindings. Both legs run on
+    // the production paths, so fusion is the only difference.
+    let run = |fused: bool| {
         let mut db = purchase_db();
-        let outcome = MineRuleEngine::new()
-            .with_planner(mode)
-            .execute(&mut db, SIMPLE)
-            .unwrap();
+        let translation = translate(&parse_mine_rule(SIMPLE).unwrap(), db.catalog()).unwrap();
+        let report = if fused {
+            preprocess(&mut db, &translation).unwrap()
+        } else {
+            let min_support = translation.stmt.min_support;
+            run_steps(&mut db, &translation.cleanup, min_support).unwrap();
+            run_steps(&mut db, &translation.preprocess, min_support).unwrap()
+        };
         let mut dump = |sql: &str| {
             let rs = db.query(sql).unwrap();
             let cols: Vec<String> = rs
@@ -95,37 +98,53 @@ fn fused_and_naive_preprocessing_materialise_identical_encoded_tables() {
             dump("SELECT * FROM CodedSource"),
         ];
         let vars = (db.var("totg").cloned(), db.var("mingroups").cloned());
-        (outcome, tables, vars)
+        (report, tables, vars)
     };
-    let (fused, fused_tables, fused_vars) = run(PlannerMode::Cost);
-    let (naive, naive_tables, naive_vars) = run(PlannerMode::Naive);
+    let (fused, fused_tables, fused_vars) = run(true);
+    let (naive, naive_tables, naive_vars) = run(false);
 
-    assert_eq!(fused.preprocess_report.fused_steps, 6);
-    assert_eq!(naive.preprocess_report.fused_steps, 0);
-    assert_eq!(fused.rules, naive.rules, "bit-identical decoded rules");
+    assert_eq!(fused.fused_steps, 6);
+    assert_eq!(naive.fused_steps, 0);
     assert_eq!(fused_tables, naive_tables, "encoded tables differ");
     assert_eq!(fused_vars, naive_vars, ":totg/:mingroups differ");
+    assert_eq!(
+        (fused.total_groups, fused.min_groups),
+        (naive.total_groups, naive.min_groups)
+    );
+
+    // End to end, the reference paths (which never fuse) decode the same
+    // rules as the fused production run.
+    let mine = |reference: bool| {
+        let mut db = purchase_db();
+        db.set_reference_paths(reference);
+        MineRuleEngine::new().execute(&mut db, SIMPLE).unwrap()
+    };
+    let (production, reference) = (mine(false), mine(true));
+    assert_eq!(production.preprocess_report.fused_steps, 6);
+    assert_eq!(reference.preprocess_report.fused_steps, 0);
+    assert_eq!(
+        production.rules, reference.rules,
+        "bit-identical decoded rules"
+    );
 }
 
 #[test]
 fn general_class_statements_never_fuse() {
     // A statement outside the fusion gate (here: a grouped HAVING sets
-    // the G directive) runs the step-by-step program even under the cost
-    // planner, and still matches the naive planner bit for bit.
+    // the G directive) runs the step-by-step program even on the
+    // production paths, and still matches the reference bit for bit.
     let stmt = "MINE RULE G AS \
         SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
         FROM Purchase GROUP BY customer HAVING COUNT(item) >= 2 \
         EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5";
-    let run = |mode: PlannerMode| {
+    let run = |reference: bool| {
         let mut db = purchase_db();
-        let outcome = MineRuleEngine::new()
-            .with_planner(mode)
-            .execute(&mut db, stmt)
-            .unwrap();
+        db.set_reference_paths(reference);
+        let outcome = MineRuleEngine::new().execute(&mut db, stmt).unwrap();
         (outcome.rules, outcome.preprocess_report.fused_steps)
     };
-    let (cost_rules, cost_fused) = run(PlannerMode::Cost);
-    let (naive_rules, naive_fused) = run(PlannerMode::Naive);
+    let (cost_rules, cost_fused) = run(false);
+    let (naive_rules, naive_fused) = run(true);
     assert_eq!(cost_fused, 0, "G directive must disable fusion");
     assert_eq!(naive_fused, 0);
     assert_eq!(cost_rules, naive_rules);
@@ -205,7 +224,7 @@ fn cost_planner_plans_baseref_joins_and_matches_the_naive_fold() {
     // Both join inputs resolve to base tables (BaseRef provenance); the
     // cost planner must consult their statistics (accounted through the
     // planner counters and the EXPLAIN estimates) while producing rows
-    // bit-identical to the naive fold — order included.
+    // bit-identical to the written-order fold — order included.
     let mut db = Database::new();
     db.execute("CREATE TABLE Big (k INT, pad TEXT)").unwrap();
     db.execute("CREATE TABLE Small (k INT)").unwrap();
@@ -234,7 +253,7 @@ fn cost_planner_plans_baseref_joins_and_matches_the_naive_fold() {
         "the cost planner must account the planned join"
     );
 
-    db.set_planner(PlannerMode::Naive);
+    db.set_reference_paths(true);
     let naive = db.query(join).unwrap();
     assert_eq!(cost.rows(), naive.rows(), "row order must match the fold");
     assert_eq!(cost.rows().len(), 20);

@@ -1,42 +1,43 @@
 //! Compiled vs interpreted expression execution must be observationally
 //! identical: same rows, same errors, same mined rules, same
-//! preprocessing reports. The compiled path (`\set sqlexec compiled`,
-//! the default via `auto`) is a pure performance change — this suite is
-//! the contract that keeps it that way.
+//! preprocessing reports. The compiled path is the production path; the
+//! interpreter survives as the expression leg of the database's
+//! reference paths (`Database::set_reference_paths`), and this suite is
+//! the contract that keeps the two interchangeable.
 //!
 //! Three layers of evidence:
 //!
 //! 1. randomized expressions (seeded, reproducible) evaluated per row
-//!    under both modes, comparing the full result **or error**;
+//!    on both paths, comparing the full result **or error**;
 //! 2. hand-written SELECTs exercising every hot site the compiler
 //!    touches (scan filters, hash joins, explicit joins, GROUP BY,
 //!    DISTINCT, set operations, subquery fallback, ORDER BY);
-//! 3. the paper's own statements (§2 / Appendix A shapes) mined under
-//!    every `sqlexec` × worker-count combination, asserting bit-identical
-//!    rules and preprocessing reports.
+//! 3. the paper's own statements (§2 / Appendix A shapes) mined on both
+//!    paths at every worker count, asserting bit-identical rules and
+//!    preprocessing reports.
 
 use datagen::rng::Rng;
 use minerule::paper_example::{purchase_db, FIGURE_2B, FILTERED_ORDERED_SETS};
-use minerule::MineRuleEngine;
-use relational::{Database, SqlExec};
+use minerule::preprocess::run_steps;
+use minerule::{parse_mine_rule, translate, MineRuleEngine};
+use relational::Database;
 use tcdm_fuzz::grammar::{gen_expr, ExprCols};
 
-/// Evaluate `sql` on a fresh fixture database pinned to `mode`, rendering
-/// the result-or-error for comparison. Errors are part of the observable
-/// contract: a mode that fails differently (or at a different row) is a
-/// regression even if successful queries agree.
-fn run(build: fn() -> Database, mode: SqlExec, sql: &str) -> String {
+/// Evaluate `sql` on a fresh fixture database — on the reference paths or
+/// the production ones — rendering the result-or-error for comparison.
+/// Errors are part of the observable contract: a path that fails
+/// differently (or at a different row) is a regression even if
+/// successful queries agree.
+fn run(build: fn() -> Database, reference: bool, sql: &str) -> String {
     let mut db = build();
-    db.set_sqlexec(mode);
+    db.set_reference_paths(reference);
     format!("{:?}", db.query(sql))
 }
 
-fn assert_modes_agree(build: fn() -> Database, sql: &str) {
-    let compiled = run(build, SqlExec::Compiled, sql);
-    let interpreted = run(build, SqlExec::Interpreted, sql);
-    assert_eq!(compiled, interpreted, "modes disagree on: {sql}");
-    let auto = run(build, SqlExec::Auto, sql);
-    assert_eq!(auto, compiled, "auto != compiled on: {sql}");
+fn assert_paths_agree(build: fn() -> Database, sql: &str) {
+    let compiled = run(build, false, sql);
+    let interpreted = run(build, true, sql);
+    assert_eq!(compiled, interpreted, "paths disagree on: {sql}");
 }
 
 /// A small table with every value class the expression language touches:
@@ -73,9 +74,9 @@ fn randomized_expressions_agree() {
     for i in 0..400 {
         let expr = gen_expr(&mut rng, 3, &cols);
         let sql = format!("SELECT {expr} AS v FROM t");
-        let compiled = run(expr_fixture, SqlExec::Compiled, &sql);
-        let interpreted = run(expr_fixture, SqlExec::Interpreted, &sql);
-        assert_eq!(compiled, interpreted, "case {i}: modes disagree on {sql}");
+        let compiled = run(expr_fixture, false, &sql);
+        let interpreted = run(expr_fixture, true, &sql);
+        assert_eq!(compiled, interpreted, "case {i}: paths disagree on {sql}");
     }
 }
 
@@ -88,9 +89,9 @@ fn randomized_filters_agree() {
     for i in 0..200 {
         let pred = gen_expr(&mut rng, 3, &cols);
         let sql = format!("SELECT a, s FROM t WHERE {pred}");
-        let compiled = run(expr_fixture, SqlExec::Compiled, &sql);
-        let interpreted = run(expr_fixture, SqlExec::Interpreted, &sql);
-        assert_eq!(compiled, interpreted, "case {i}: modes disagree on {sql}");
+        let compiled = run(expr_fixture, false, &sql);
+        let interpreted = run(expr_fixture, true, &sql);
+        assert_eq!(compiled, interpreted, "case {i}: paths disagree on {sql}");
     }
 }
 
@@ -156,7 +157,7 @@ const QUERIES: &[&str] = &[
 #[test]
 fn handwritten_queries_agree() {
     for sql in QUERIES {
-        assert_modes_agree(purchase_db, sql);
+        assert_paths_agree(purchase_db, sql);
     }
 }
 
@@ -172,7 +173,7 @@ fn error_reporting_agrees() {
         "SELECT nonexistent FROM Purchase",
         "SELECT item FROM Purchase WHERE LENGTH(price) > (1 / 0)",
     ] {
-        assert_modes_agree(purchase_db, sql);
+        assert_paths_agree(purchase_db, sql);
     }
 }
 
@@ -190,24 +191,37 @@ EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5";
 fn mining_is_bit_identical_across_modes_and_workers() {
     for stmt in [SIMPLE, FILTERED_ORDERED_SETS] {
         let mut db = purchase_db();
-        let baseline = MineRuleEngine::new()
-            .with_sqlexec(SqlExec::Interpreted)
-            .execute(&mut db, stmt)
-            .unwrap();
-        for mode in [SqlExec::Compiled, SqlExec::Interpreted, SqlExec::Auto] {
+        db.set_reference_paths(true);
+        let baseline = MineRuleEngine::new().execute(&mut db, stmt).unwrap();
+        assert_eq!(baseline.preprocess_report.fused_steps, 0);
+        // The Qi program run step by step on the production paths reports
+        // the reference's per-step row counts...
+        let mut db = purchase_db();
+        let translation = translate(&parse_mine_rule(stmt).unwrap(), db.catalog()).unwrap();
+        let min_support = translation.stmt.min_support;
+        run_steps(&mut db, &translation.cleanup, min_support).unwrap();
+        let stepwise = run_steps(&mut db, &translation.preprocess, min_support).unwrap();
+        assert_eq!(
+            stepwise.executed, baseline.preprocess_report.executed,
+            "per-step row counts"
+        );
+        // ...and whole statements agree at every worker count.
+        for reference in [false, true] {
             for workers in [1, 2, 4] {
                 let mut db = purchase_db();
+                db.set_reference_paths(reference);
                 let outcome = MineRuleEngine::new()
-                    .with_sqlexec(mode)
                     .with_workers(workers)
                     .execute(&mut db, stmt)
                     .unwrap();
-                let label = format!("sqlexec={mode} workers={workers}");
+                let label = format!("reference={reference} workers={workers}");
                 assert_eq!(outcome.rules, baseline.rules, "{label}");
-                assert_eq!(
-                    outcome.preprocess_report.executed, baseline.preprocess_report.executed,
-                    "{label}: per-step row counts"
-                );
+                if outcome.preprocess_report.fused_steps == 0 {
+                    assert_eq!(
+                        outcome.preprocess_report.executed, baseline.preprocess_report.executed,
+                        "{label}: per-step row counts"
+                    );
+                }
                 assert_eq!(
                     outcome.preprocess_report.total_groups, baseline.preprocess_report.total_groups,
                     "{label}"
@@ -223,11 +237,10 @@ fn mining_is_bit_identical_across_modes_and_workers() {
 
 #[test]
 fn compiled_mode_reproduces_figure_2b() {
-    // The §2 statement under the compiled path must still produce exactly
-    // the paper's Figure 2b rules.
+    // The §2 statement on the production (compiled) path must produce
+    // exactly the paper's Figure 2b rules.
     let mut db = purchase_db();
     let outcome = MineRuleEngine::new()
-        .with_sqlexec(SqlExec::Compiled)
         .execute(&mut db, FILTERED_ORDERED_SETS)
         .unwrap();
     assert!(outcome.used_general);
@@ -242,9 +255,9 @@ fn compiled_mode_reproduces_figure_2b() {
 
 #[test]
 fn compiled_mode_publishes_compile_counters() {
-    // The telemetry plumbing: compiled runs publish relational.compile.*
-    // and relational.rows.*; interpreted runs publish no compile counters.
-    let engine = MineRuleEngine::new().with_sqlexec(SqlExec::Compiled);
+    // The telemetry plumbing: production runs publish relational.compile.*
+    // and relational.rows.*; reference runs publish no compile counters.
+    let engine = MineRuleEngine::new();
     let mut db = purchase_db();
     engine.execute(&mut db, SIMPLE).unwrap();
     let snapshot = engine.metrics_snapshot();
@@ -260,8 +273,9 @@ fn compiled_mode_publishes_compile_counters() {
         );
     }
 
-    let engine = MineRuleEngine::new().with_sqlexec(SqlExec::Interpreted);
+    let engine = MineRuleEngine::new();
     let mut db = purchase_db();
+    db.set_reference_paths(true);
     engine.execute(&mut db, SIMPLE).unwrap();
     let snapshot = engine.metrics_snapshot();
     assert!(
@@ -272,6 +286,6 @@ fn compiled_mode_publishes_compile_counters() {
     );
     assert!(
         snapshot.counter("relational.rows.scanned") > 0,
-        "row counters are mode-independent"
+        "row counters are path-independent"
     );
 }

@@ -176,19 +176,20 @@ fn work_counters_are_worker_count_invariant() {
 
 #[test]
 fn planner_counters_absent_under_naive_present_under_cost() {
-    // Naive planner: no statistics consulted, nothing fused — neither
-    // the relational.planner.* counters nor preprocess.fused_steps are
-    // ever minted (zero deltas are skipped at publication), and the full
-    // 8-step SQL program runs.
+    // Reference paths (written-order fold): no statistics consulted,
+    // nothing fused — neither the relational.planner.* counters nor
+    // preprocess.fused_steps are ever minted (zero deltas are skipped at
+    // publication), and the full 8-step SQL program runs.
     let mut db = purchase_db();
-    let engine = MineRuleEngine::new().with_planner(relational::PlannerMode::Naive);
+    db.set_reference_paths(true);
+    let engine = MineRuleEngine::new();
     let naive = engine.execute(&mut db, SIMPLE).unwrap();
     let snap = engine.metrics_snapshot();
     assert!(
         snap.counters
             .iter()
             .all(|(name, _)| !name.starts_with("relational.planner.")),
-        "naive planner must mint no planner counters: {:?}",
+        "the reference paths must mint no planner counters: {:?}",
         snap.counters
     );
     assert_eq!(snap.counter("preprocess.fused_steps"), 0);
@@ -205,7 +206,10 @@ fn planner_counters_absent_under_naive_present_under_cost() {
     };
     let (rules_1, snap_1) = run(1);
     let (rules_4, snap_4) = run(4);
-    assert_eq!(rules_1, naive.rules, "planner modes mine identical rules");
+    assert_eq!(
+        rules_1, naive.rules,
+        "fold and planner mine identical rules"
+    );
     assert_eq!(rules_1, rules_4);
     assert!(snap_1.counter("relational.planner.plans") > 0);
     assert_eq!(snap_1.counter("preprocess.fused_steps"), 6);

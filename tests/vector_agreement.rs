@@ -1,9 +1,11 @@
 //! Vectorized vs row-at-a-time execution must be observationally
 //! identical: same rows in the same order, same errors at the same row,
-//! same mined rules and preprocessing reports. The vector path
-//! (`\set exec vector`, the default via `auto`) is a pure performance
-//! change — this suite is the contract that keeps it that way, with the
-//! batch boundaries (`VECTOR_BATCH_ROWS`) deliberately straddled.
+//! same mined rules and preprocessing reports. Every vector-safe site
+//! runs batch-at-a-time in production; the row loop survives as the
+//! row-flow leg of the database's reference paths
+//! (`Database::set_reference_paths`). This suite is the contract that
+//! keeps the two interchangeable, with the batch boundaries
+//! (`VECTOR_BATCH_ROWS`) deliberately straddled.
 //!
 //! Three layers of evidence:
 //!
@@ -14,14 +16,14 @@
 //!    (`tcdm_fuzz::grammar`) evaluated over a NULL-heavy multi-batch
 //!    table, comparing the full result **or error** — including
 //!    erroring expressions that must fail at the same row either way;
-//! 3. the paper's statements mined under every `exec` × worker-count
-//!    combination, asserting bit-identical rules and worker-invariant
+//! 3. the paper's statements mined on both paths at every worker count,
+//!    asserting bit-identical rules and worker-invariant
 //!    `relational.vector.*` telemetry.
 
 use datagen::rng::Rng;
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::MineRuleEngine;
-use relational::{Database, ExecMode, Value, VECTOR_BATCH_ROWS};
+use relational::{Database, Value, VECTOR_BATCH_ROWS};
 use tcdm_fuzz::grammar::{gen_expr, ExprCols};
 
 /// A table of `rows` rows with every value class the expression language
@@ -55,22 +57,20 @@ fn sized_db(rows: usize) -> Database {
     db
 }
 
-/// Evaluate `sql` pinned to `mode`, rendering the result-or-error for
-/// comparison. Errors are part of the observable contract: a mode that
-/// fails differently (or at a different row) is a regression even when
-/// successful queries agree.
-fn run(build: impl Fn() -> Database, mode: ExecMode, sql: &str) -> String {
+/// Evaluate `sql` on the reference (row) or production (vector) paths,
+/// rendering the result-or-error for comparison. Errors are part of the
+/// observable contract: a path that fails differently (or at a different
+/// row) is a regression even when successful queries agree.
+fn run(build: impl Fn() -> Database, reference: bool, sql: &str) -> String {
     let mut db = build();
-    db.set_exec(mode);
+    db.set_reference_paths(reference);
     format!("{:?}", db.query(sql))
 }
 
 fn assert_modes_agree(build: impl Fn() -> Database + Copy, sql: &str, label: &str) {
-    let row = run(build, ExecMode::Row, sql);
-    let vector = run(build, ExecMode::Vector, sql);
+    let row = run(build, true, sql);
+    let vector = run(build, false, sql);
     assert_eq!(vector, row, "{label}: vector != row on: {sql}");
-    let auto = run(build, ExecMode::Auto, sql);
-    assert_eq!(auto, row, "{label}: auto != row on: {sql}");
 }
 
 // ---------------------------------------------------------------------
@@ -175,24 +175,27 @@ EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5";
 fn mining_is_bit_identical_across_exec_modes_and_workers() {
     for stmt in [SIMPLE, FILTERED_ORDERED_SETS] {
         let mut db = purchase_db();
-        let baseline = MineRuleEngine::new()
-            .with_exec(ExecMode::Row)
-            .execute(&mut db, stmt)
-            .unwrap();
-        for mode in [ExecMode::Vector, ExecMode::Row, ExecMode::Auto] {
+        db.set_reference_paths(true);
+        let baseline = MineRuleEngine::new().execute(&mut db, stmt).unwrap();
+        for reference in [false, true] {
             for workers in [1, 2, 4] {
                 let mut db = purchase_db();
+                db.set_reference_paths(reference);
                 let outcome = MineRuleEngine::new()
-                    .with_exec(mode)
                     .with_workers(workers)
                     .execute(&mut db, stmt)
                     .unwrap();
-                let label = format!("exec={mode} workers={workers}");
+                let label = format!("reference={reference} workers={workers}");
                 assert_eq!(outcome.rules, baseline.rules, "{label}");
-                assert_eq!(
-                    outcome.preprocess_report.executed, baseline.preprocess_report.executed,
-                    "{label}: per-step row counts"
-                );
+                // The fused pass reports its own (shorter) step list;
+                // `tests/sqlexec_agreement.rs` pins the per-step counts of
+                // the stepwise program on the production paths.
+                if outcome.preprocess_report.fused_steps == 0 {
+                    assert_eq!(
+                        outcome.preprocess_report.executed, baseline.preprocess_report.executed,
+                        "{label}: per-step row counts"
+                    );
+                }
             }
         }
     }
@@ -202,9 +205,7 @@ fn mining_is_bit_identical_across_exec_modes_and_workers() {
 fn vector_counters_publish_and_stay_worker_invariant() {
     let mut snapshots = Vec::new();
     for workers in [1usize, 2, 4] {
-        let engine = MineRuleEngine::new()
-            .with_exec(ExecMode::Vector)
-            .with_workers(workers);
+        let engine = MineRuleEngine::new().with_workers(workers);
         let mut db = purchase_db();
         engine.execute(&mut db, SIMPLE).unwrap();
         let snapshot = engine.metrics_snapshot();
@@ -234,8 +235,9 @@ fn vector_counters_publish_and_stay_worker_invariant() {
     }
 
     // The row path mints no vector counters at all.
-    let engine = MineRuleEngine::new().with_exec(ExecMode::Row);
+    let engine = MineRuleEngine::new();
     let mut db = purchase_db();
+    db.set_reference_paths(true);
     engine.execute(&mut db, SIMPLE).unwrap();
     let snapshot = engine.metrics_snapshot();
     assert!(
