@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use relational::{Database, ResultSet, Value};
+use relational::{Database, ResultSet, Row, Value};
 
 use crate::ast::CardSpec;
 use crate::directives::{Directives, StatementClass};
@@ -86,6 +86,37 @@ fn col(rs: &ResultSet, name: &str) -> Result<usize> {
     })
 }
 
+/// The stored rows of the encoded catalog table `name`, with the
+/// positions of its `cols`: the typed read's way in — no SQL statement,
+/// no copied value rows.
+fn stored<'a>(db: &'a Database, name: &str, cols: &[&str]) -> Result<(&'a [Row], Vec<usize>)> {
+    let table = db.catalog().table(name)?;
+    let at = cols
+        .iter()
+        .map(|c| {
+            table
+                .schema()
+                .resolve(None, c)
+                .map_err(|_| MineError::Internal {
+                    message: format!("encoded table misses column '{c}'"),
+                })
+        })
+        .collect::<Result<_>>()?;
+    Ok((table.rows(), at))
+}
+
+/// Fold `(Gid, Bid)` pairs sorted by Gid into per-group item lists.
+fn group_sorted(pairs: Vec<(u32, u32)>) -> Vec<(u32, Vec<u32>)> {
+    let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
+    for (gid, bid) in pairs {
+        match groups.last_mut() {
+            Some((g, items)) if *g == gid => items.push(bid),
+            _ => groups.push((gid, vec![bid])),
+        }
+    }
+    groups
+}
+
 /// Read the encoded input for a translation whose preprocessing has run.
 pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<EncodedInput> {
     let dir = translation.directives;
@@ -110,20 +141,17 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
 
     let data = match translation.class {
         StatementClass::Simple => {
-            let rs = db.query(&format!(
-                "SELECT Gid, Bid FROM {} ORDER BY Gid, Bid",
-                names.coded_source()
-            ))?;
-            let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-            for row in rs.rows() {
-                let gid = get_u32(&row[0])?;
-                let bid = get_u32(&row[1])?;
-                match groups.last_mut() {
-                    Some((g, items)) if *g == gid => items.push(bid),
-                    _ => groups.push((gid, vec![bid])),
-                }
+            // `CodedSource` straight off the catalog into typed pairs;
+            // sorting those is the `ORDER BY Gid, Bid` the core expects.
+            let (rows, at) = stored(db, &names.coded_source(), &["Gid", "Bid"])?;
+            let mut pairs = rows
+                .iter()
+                .map(|row| Ok((get_u32(&row[at[0]])?, get_u32(&row[at[1]])?)))
+                .collect::<Result<Vec<(u32, u32)>>>()?;
+            pairs.sort_unstable();
+            EncodedData::Simple {
+                groups: group_sorted(pairs),
             }
-            EncodedData::Simple { groups }
         }
         StatementClass::General => {
             let mut cols = vec!["Gid"];
@@ -163,54 +191,44 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
                 });
             }
             let cluster_couples = if dir.k {
-                let rs = db.query(&format!(
-                    "SELECT Gid, Cidb, Cidh FROM {}",
-                    names.cluster_couples()
-                ))?;
+                let (rows, at) = stored(db, &names.cluster_couples(), &["Gid", "Cidb", "Cidh"])?;
                 Some(
-                    rs.rows()
-                        .iter()
-                        .map(|r| Ok((get_u32(&r[0])?, get_u32(&r[1])?, get_u32(&r[2])?)))
+                    rows.iter()
+                        .map(|r| {
+                            Ok((
+                                get_u32(&r[at[0]])?,
+                                get_u32(&r[at[1]])?,
+                                get_u32(&r[at[2]])?,
+                            ))
+                        })
                         .collect::<Result<Vec<_>>>()?,
                 )
             } else {
                 None
             };
             let input_rules = if dir.m {
-                let mut cols = vec!["Gid"];
+                let mut cols = vec!["Gid", "Bid", "Hid"];
                 if dir.c {
-                    cols.push("Cidb");
-                    cols.push("Cidh");
+                    cols.extend(["Cidb", "Cidh"]);
                 }
-                cols.push("Bid");
-                cols.push("Hid");
-                let rs = db.query(&format!(
-                    "SELECT {} FROM {}",
-                    cols.join(", "),
-                    names.input_rules()
-                ))?;
-                let gid_i = col(&rs, "Gid")?;
-                let bid_i = col(&rs, "Bid")?;
-                let hid_i = col(&rs, "Hid")?;
-                let mut rules = Vec::with_capacity(rs.len());
-                for row in rs.rows() {
-                    rules.push(ElemRule {
-                        gid: get_u32(&row[gid_i])?,
-                        cidb: if dir.c {
-                            get_opt_u32(&row[col(&rs, "Cidb")?])?
-                        } else {
-                            None
-                        },
-                        cidh: if dir.c {
-                            get_opt_u32(&row[col(&rs, "Cidh")?])?
-                        } else {
-                            None
-                        },
-                        bid: get_u32(&row[bid_i])?,
-                        hid: get_u32(&row[hid_i])?,
-                    });
-                }
-                Some(rules)
+                let (rows, at) = stored(db, &names.input_rules(), &cols)?;
+                let cid = |row: &Row, i: usize| match at.get(i) {
+                    Some(&c) => get_opt_u32(&row[c]),
+                    None => Ok(None),
+                };
+                Some(
+                    rows.iter()
+                        .map(|row| {
+                            Ok(ElemRule {
+                                gid: get_u32(&row[at[0]])?,
+                                cidb: cid(row, 3)?,
+                                cidh: cid(row, 4)?,
+                                bid: get_u32(&row[at[1]])?,
+                                hid: get_u32(&row[at[2]])?,
+                            })
+                        })
+                        .collect::<Result<Vec<_>>>()?,
+                )
             } else {
                 None
             };
@@ -346,6 +364,140 @@ mod tests {
                 assert!(groups.iter().any(|(_, items)| items.len() == 3));
             }
             other => panic!("expected simple encoding, got {other:?}"),
+        }
+    }
+
+    const SIMPLE: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
+         FROM Purchase GROUP BY tr EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.1";
+    /// General class with every directive the typed read serves: C and K
+    /// (`ClusterCouples`) and M (`InputRules`).
+    const TEMPORAL: &str = "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD \
+         WHERE BODY.price >= 100 AND HEAD.price < 100 FROM Purchase GROUP BY customer \
+         CLUSTER BY date HAVING BODY.date < HEAD.date \
+         EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.1";
+
+    /// The read this module used before it read typed, kept as the
+    /// oracle: the SQL engine sorts `CodedSource` and hands back value
+    /// rows.
+    fn sql_read_simple(db: &mut Database, t: &Translation) -> Result<Vec<(u32, Vec<u32>)>> {
+        let rs = db.query(&format!(
+            "SELECT Gid, Bid FROM {} ORDER BY Gid, Bid",
+            t.names.coded_source()
+        ))?;
+        let pairs = rs
+            .rows()
+            .iter()
+            .map(|row| Ok((get_u32(&row[0])?, get_u32(&row[1])?)))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(group_sorted(pairs))
+    }
+
+    fn preprocessed(
+        mut db: Database,
+        stmt: &str,
+        reference: bool,
+    ) -> (Database, crate::translator::Translation) {
+        db.set_reference_paths(reference);
+        let translation = translate(&parse_mine_rule(stmt).unwrap(), db.catalog()).unwrap();
+        preprocess(&mut db, &translation).unwrap();
+        (db, translation)
+    }
+
+    fn quest_db() -> Database {
+        let data = datagen::generate_quest(&datagen::QuestConfig {
+            transactions: 400,
+            ..datagen::QuestConfig::default()
+        });
+        let mut db = Database::new();
+        datagen::load_quest(&data, &mut db, "Purchase").unwrap();
+        db
+    }
+
+    fn retail_db() -> Database {
+        let data = datagen::generate_retail(&datagen::RetailConfig::default());
+        let mut db = Database::new();
+        data.load(&mut db, "Purchase").unwrap();
+        db
+    }
+
+    #[test]
+    fn typed_simple_read_equals_the_sql_read() {
+        for (label, db) in [
+            ("paper", purchase_db as fn() -> Database),
+            ("quest", quest_db),
+            ("retail", retail_db),
+        ] {
+            // Fused (production) and stepwise (reference) leave the same
+            // `CodedSource` table; the read must not care which.
+            let mut reads = Vec::new();
+            for reference in [false, true] {
+                let (mut db, t) = preprocessed(db(), SIMPLE, reference);
+                let oracle = sql_read_simple(&mut db, &t).unwrap();
+                assert!(!oracle.is_empty(), "{label}");
+                match read_encoded(&mut db, &t).unwrap().data {
+                    EncodedData::Simple { groups } => {
+                        assert_eq!(groups, oracle, "{label} reference={reference}");
+                        reads.push(groups);
+                    }
+                    other => panic!("expected simple encoding, got {other:?}"),
+                }
+            }
+            assert_eq!(reads[0], reads[1], "{label}: fused vs stepwise");
+        }
+    }
+
+    #[test]
+    fn typed_general_read_equals_the_sql_read() {
+        for (label, db) in [
+            ("paper", purchase_db as fn() -> Database),
+            ("retail", retail_db),
+        ] {
+            let (mut db, t) = preprocessed(db(), TEMPORAL, false);
+            let EncodedData::General {
+                cluster_couples,
+                input_rules,
+                ..
+            } = read_encoded(&mut db, &t).unwrap().data
+            else {
+                panic!("{label}: expected general encoding");
+            };
+            let ids = |db: &mut Database, sql: &str| -> Vec<Vec<u32>> {
+                let rs = db.query(sql).unwrap();
+                rs.rows()
+                    .iter()
+                    .map(|r| r.iter().map(|v| get_u32(v).unwrap()).collect())
+                    .collect()
+            };
+            let couples = ids(&mut db, "SELECT Gid, Cidb, Cidh FROM ClusterCouples");
+            let rules = ids(&mut db, "SELECT Gid, Cidb, Cidh, Bid, Hid FROM InputRules");
+            assert!(!couples.is_empty() && !rules.is_empty(), "{label}");
+            let typed: Vec<Vec<u32>> = cluster_couples
+                .expect("K is set")
+                .iter()
+                .map(|&(g, b, h)| vec![g, b, h])
+                .collect();
+            assert_eq!(typed, couples, "{label}: ClusterCouples");
+            let typed: Vec<Vec<u32>> = input_rules
+                .expect("M is set")
+                .iter()
+                .map(|r| vec![r.gid, r.cidb.unwrap(), r.cidh.unwrap(), r.bid, r.hid])
+                .collect();
+            assert_eq!(typed, rules, "{label}: InputRules");
+        }
+    }
+
+    #[test]
+    fn malformed_ids_fail_the_typed_read_like_the_sql_read() {
+        for bad in ["NULL", "-1", "4294967296"] {
+            let (mut db, t) = preprocessed(purchase_db(), SIMPLE, false);
+            db.execute(&format!("INSERT INTO CodedSource VALUES ({bad}, 1)"))
+                .unwrap();
+            let typed = read_encoded(&mut db, &t).unwrap_err();
+            assert!(
+                matches!(typed, MineError::Internal { .. }),
+                "{bad}: {typed}"
+            );
+            assert_eq!(typed, sql_read_simple(&mut db, &t).unwrap_err(), "{bad}");
         }
     }
 

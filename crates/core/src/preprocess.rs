@@ -14,12 +14,12 @@
 //! statement, and every statement on the database's reference paths
 //! ([`Database::set_reference_paths`]), runs `Qi` step by step.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use relational::expr::compile::ExecCounter;
 use relational::expr::eval::QueryCtx;
 use relational::{
-    Column, ColumnBatch, DataType, Database, Schema, Table, Value, VECTOR_BATCH_ROWS,
+    Column, ColumnBatch, DataType, Database, Row, Schema, Table, Value, VECTOR_BATCH_ROWS,
 };
 
 use crate::directives::StatementClass;
@@ -128,16 +128,18 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
 
     // --- The fused scan: Q1 + Q2 + Q3's DISTINCT all in one pass. ---
     // Group and body keys go into first-seen-order slot maps (the same
-    // order a hash GROUP BY emits); each body slot tracks the *distinct*
-    // groups it occurs in (Q3's `SELECT DISTINCT body, group` pipelined
-    // into its `COUNT(*) GROUP BY body`). NULLs participate in grouping
-    // (SQL GROUP BY keeps NULL keys) but never join in Q4, so each row
-    // also records whether its keys are join-eligible.
+    // order a hash GROUP BY emits). The distinct (group slot, body slot)
+    // pairs, in first-seen order, are the one record both later steps
+    // read: Q3's `SELECT DISTINCT body, group` pipelined into its
+    // `COUNT(*) GROUP BY body` (a count per body slot), and Q4's DISTINCT
+    // over the source-order join. NULLs participate in grouping (SQL
+    // GROUP BY keeps NULL keys) but never join in Q4, so each pair also
+    // records whether its keys are join-eligible.
     let mut group_order: Vec<Vec<Value>> = Vec::new();
     let mut body_order: Vec<Vec<Value>> = Vec::new();
-    let mut body_groups: Vec<std::collections::HashSet<usize>> = Vec::new();
-    // Per source row: (group slot, body slot, join-eligible).
-    let mut row_slots: Vec<(usize, usize, bool)> = Vec::new();
+    let mut body_ngroups: Vec<u64> = Vec::new();
+    // Per distinct pair: (group slot, body slot, join-eligible).
+    let mut pairs: Vec<(usize, usize, bool)> = Vec::new();
     let mut vector_batches = 0u64;
     let mut vector_rows = 0u64;
     let (g_cols, b_cols) = {
@@ -160,8 +162,8 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
 
         let mut group_slots: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut body_slots: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut seen: HashSet<(usize, usize)> = HashSet::new();
         let rows = table.rows();
-        row_slots.reserve(rows.len());
         let mut take = |g_key: Vec<Value>, b_key: Vec<Value>| {
             let joinable = !g_key.iter().any(|v| v.is_null()) && !b_key.iter().any(|v| v.is_null());
             let g_slot = match group_slots.get(&g_key) {
@@ -179,12 +181,14 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
                     let s = body_order.len();
                     body_order.push(b_key.clone());
                     body_slots.insert(b_key, s);
-                    body_groups.push(std::collections::HashSet::new());
+                    body_ngroups.push(0);
                     s
                 }
             };
-            body_groups[b_slot].insert(g_slot);
-            row_slots.push((g_slot, b_slot, joinable));
+            if seen.insert((g_slot, b_slot)) {
+                body_ngroups[b_slot] += 1;
+                pairs.push((g_slot, b_slot, joinable));
+            }
         };
         // Stream the source through column batches: each chunk is
         // pivoted into typed vectors once, then both key sets gather
@@ -220,9 +224,9 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
     for (attr, &(_, dtype)) in stmt.group_by.iter().zip(&g_cols) {
         columns.push(Column::new(attr.clone(), dtype));
     }
-    let mut valid_groups = Table::new(names.valid_groups(), Schema::new(columns));
     let mut gids: Vec<i64> = Vec::with_capacity(group_order.len());
-    for key in &group_order {
+    let mut rows: Vec<Row> = Vec::with_capacity(group_order.len());
+    for key in group_order {
         let gid = db
             .catalog_mut()
             .sequence_mut(&names.gid_sequence())?
@@ -230,17 +234,10 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
         gids.push(gid);
         let mut row = Vec::with_capacity(key.len() + 1);
         row.push(Value::Int(gid));
-        row.extend(key.iter().cloned());
-        valid_groups
-            .insert(row)
-            .map_err(|e| annotate_fused(e, "Q2"))?;
+        row.extend(key);
+        rows.push(row);
     }
-    report
-        .executed
-        .push(("Q2".to_string(), valid_groups.row_count().max(1)));
-    db.catalog_mut()
-        .create_table(valid_groups)
-        .map_err(|e| annotate_fused(e, "Q2"))?;
+    materialize(db, &mut report, "Q2", names.valid_groups(), columns, rows)?;
 
     // Q3: Bset — bodies in first-seen order, filtered by the
     // large-element threshold, Bid drawn only for survivors (HAVING
@@ -250,10 +247,9 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
         columns.push(Column::new(attr.clone(), dtype));
     }
     columns.push(Column::new("ngroups", DataType::Int));
-    let mut bset = Table::new(names.bset(), Schema::new(columns));
     let mut bids: Vec<Option<i64>> = vec![None; body_order.len()];
-    for (slot, key) in body_order.iter().enumerate() {
-        let ngroups = body_groups[slot].len() as u64;
+    let mut rows: Vec<Row> = Vec::new();
+    for (slot, (key, ngroups)) in body_order.into_iter().zip(body_ngroups).enumerate() {
         if ngroups < min_groups {
             continue;
         }
@@ -264,50 +260,51 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
         bids[slot] = Some(bid);
         let mut row = Vec::with_capacity(key.len() + 2);
         row.push(Value::Int(bid));
-        row.extend(key.iter().cloned());
+        row.extend(key);
         row.push(Value::Int(ngroups as i64));
-        bset.insert(row).map_err(|e| annotate_fused(e, "Q3"))?;
+        rows.push(row);
     }
-    report
-        .executed
-        .push(("Q3".to_string(), bset.row_count().max(1)));
-    db.catalog_mut()
-        .create_table(bset)
-        .map_err(|e| annotate_fused(e, "Q3"))?;
+    materialize(db, &mut report, "Q3", names.bset(), columns, rows)?;
 
-    // Q4: CodedSource — the source-scan join replayed from the recorded
-    // slots: source row order, each row matching at most one group and
-    // one large body, DISTINCT keeping the first (Gid, Bid) occurrence.
-    let schema = Schema::new(vec![
+    // Q4: CodedSource — the source-scan join replayed from the distinct
+    // pairs: first-occurrence order in the source, each pair matching at
+    // most one group and one large body (slot ↔ id is one-to-one, so
+    // distinct slot pairs are exactly the DISTINCT (Gid, Bid) rows).
+    let columns = vec![
         Column::new("Gid", DataType::Int),
         Column::new("Bid", DataType::Int),
-    ]);
-    let mut coded = Table::new(names.coded_source(), schema);
-    let mut seen: std::collections::HashSet<(i64, i64)> = std::collections::HashSet::new();
-    for &(g_slot, b_slot, joinable) in &row_slots {
-        if !joinable {
-            continue;
-        }
-        if let Some(bid) = bids[b_slot] {
-            let gid = gids[g_slot];
-            if seen.insert((gid, bid)) {
-                coded
-                    .insert(vec![Value::Int(gid), Value::Int(bid)])
-                    .map_err(|e| annotate_fused(e, "Q4"))?;
-            }
-        }
-    }
-    report
-        .executed
-        .push(("Q4".to_string(), coded.row_count().max(1)));
-    db.catalog_mut()
-        .create_table(coded)
-        .map_err(|e| annotate_fused(e, "Q4"))?;
+    ];
+    let rows: Vec<Row> = pairs
+        .into_iter()
+        .filter_map(|(g_slot, b_slot, joinable)| {
+            let bid = bids[b_slot].filter(|_| joinable)?;
+            Some(vec![Value::Int(gids[g_slot]), Value::Int(bid)])
+        })
+        .collect();
+    materialize(db, &mut report, "Q4", names.coded_source(), columns, rows)?;
 
     // Six SQL statements subsumed: Q1, the Q2 view + table, Q3's two
     // statements and Q4.
     report.fused_steps = 6;
     Ok(report)
+}
+
+/// Create one encoded table of the fused pass from its finished rows —
+/// one bulk append — and report it as step `id`.
+fn materialize(
+    db: &mut Database,
+    report: &mut PreprocessReport,
+    id: &str,
+    name: String,
+    columns: Vec<Column>,
+    rows: Vec<Row>,
+) -> Result<()> {
+    let mut table = Table::new(name, Schema::new(columns));
+    let n = table.insert_all(rows).map_err(|e| annotate_fused(e, id))?;
+    report.executed.push((id.to_string(), n.max(1)));
+    db.catalog_mut()
+        .create_table(table)
+        .map_err(|e| annotate_fused(e, id))
 }
 
 fn annotate_fused(e: relational::Error, id: &str) -> MineError {

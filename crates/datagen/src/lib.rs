@@ -26,10 +26,10 @@ use relational::{Database, Value};
 /// `tr` and mining `item`.
 pub fn load_quest(data: &QuestData, db: &mut Database, name: &str) -> relational::Result<()> {
     db.execute(&format!("CREATE TABLE {name} (tr INT, item VARCHAR)"))?;
-    let table = db.catalog_mut().table_mut(name)?;
-    for (tr, item) in data.rows() {
-        table.insert(vec![Value::Int(tr), Value::Str(format!("i{item:05}"))])?;
-    }
+    let rows = data
+        .rows()
+        .map(|(tr, item)| vec![Value::Int(tr), Value::Str(format!("i{item:05}"))]);
+    db.catalog_mut().table_mut(name)?.insert_all(rows)?;
     Ok(())
 }
 

@@ -415,6 +415,24 @@ impl Expr {
         self.to_string()
     }
 
+    /// Whether the rendering starts with `-`: a negation, a negative
+    /// literal, or a postfix form (printed bare) over one.
+    fn leads_with_minus(&self) -> bool {
+        match self {
+            Expr::Unary {
+                op: UnaryOp::Neg, ..
+            } => true,
+            Expr::Literal(Value::Int(i)) => *i < 0,
+            Expr::Literal(Value::Float(x)) => x.is_sign_negative(),
+            Expr::Between { expr, .. }
+            | Expr::InList { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Like { expr, .. }
+            | Expr::InSubquery { expr, .. } => expr.leads_with_minus(),
+            _ => false,
+        }
+    }
+
     fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, parent_prec: u8) -> fmt::Result {
         match self {
             Expr::Literal(v) => match v {
@@ -428,6 +446,9 @@ impl Expr {
             },
             Expr::HostVar(n) => write!(f, ":{n}"),
             Expr::Unary { op, expr } => match op {
+                // `--` re-lexes as a comment: an operand that itself
+                // renders with a leading minus goes in parentheses.
+                UnaryOp::Neg if expr.leads_with_minus() => write!(f, "-({expr})"),
                 UnaryOp::Neg => {
                     write!(f, "-")?;
                     expr.fmt_prec(f, 7)
@@ -587,6 +608,35 @@ mod tests {
             high: Box::new(Expr::lit("z")),
         };
         assert_eq!(e.to_sql(), "date BETWEEN 'a''b' AND 'z'");
+    }
+
+    #[test]
+    fn nested_negation_round_trips_and_never_prints_a_comment() {
+        use crate::sql::parser::parse_expression;
+        for sql in [
+            "-(-x)",
+            "-(-(-x))",
+            "a - -(-b)",
+            "-(-price) > 100 AND qty = 1",
+            "-(-x IS NULL)",
+        ] {
+            let parsed = parse_expression(sql).unwrap();
+            let printed = parsed.to_sql();
+            assert!(!printed.contains("--"), "{sql} printed as {printed}");
+            assert_eq!(parse_expression(&printed).unwrap(), parsed, "{sql}");
+        }
+        // Negative literals come from code, not the parser (which reads
+        // `-5` as a negation): they must not print `--` either.
+        for literal in [Expr::lit(-5), Expr::Literal(Value::Float(-0.5))] {
+            let neg = Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(literal),
+            };
+            let printed = neg.to_sql();
+            assert!(!printed.contains("--"), "{printed}");
+            parse_expression(&printed).unwrap();
+        }
+        assert_eq!(parse_expression("-(-x)").unwrap().to_sql(), "-(-x)");
     }
 
     #[test]

@@ -137,14 +137,19 @@ pub fn load(dir: &Path) -> Result<Database> {
                 let path = dir.join(format!("{}.tsv", name.to_ascii_lowercase()));
                 if path.exists() {
                     let file = fs::File::open(path).map_err(io_err)?;
+                    let mut rows: Vec<Row> = Vec::new();
                     for line in BufReader::new(file).lines() {
                         let line = line.map_err(io_err)?;
                         if line.is_empty() {
                             continue;
                         }
-                        let row: Result<Row> = line.split('\t').map(decode_value).collect();
-                        table.insert(row?)?;
+                        rows.push(
+                            line.split('\t')
+                                .map(decode_value)
+                                .collect::<Result<Row>>()?,
+                        );
                     }
+                    table.insert_all(rows)?;
                 }
                 db.catalog_mut().create_table(table)?;
             }

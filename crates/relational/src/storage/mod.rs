@@ -542,9 +542,11 @@ impl PagedStore {
         for (name, root, cols) in image.tables {
             let mut table = Table::new(name.clone(), Schema::new(cols));
             let (cells, _) = self.read_chain(root)?;
-            for cell in &cells {
-                table.insert(decode_row(cell)?)?;
-            }
+            let rows: Vec<Row> = cells
+                .iter()
+                .map(|cell| decode_row(cell))
+                .collect::<Result<_>>()?;
+            table.insert_all(rows)?;
             let version = table.version();
             if let Some(entry) = self.tables.get_mut(&name.to_ascii_lowercase()) {
                 entry.version = version;

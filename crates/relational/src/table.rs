@@ -73,6 +73,9 @@ pub struct Table {
     /// Row-level mutation log, oldest first. Applies on top of
     /// `change_base`; bounded by `CHANGE_LOG_ROWS` total rows.
     changes: Vec<ChangeRecord>,
+    /// Rows held by `changes` (inserted + deleted): the running total the
+    /// retention check reads instead of re-summing the log.
+    change_rows: usize,
     /// The version the oldest retained change record applies on top of.
     change_base: u64,
 }
@@ -88,6 +91,7 @@ impl Table {
             version: next_version(),
             stats,
             changes: Vec::new(),
+            change_rows: 0,
             change_base: 0,
         };
         t.stats.stamp(t.version);
@@ -131,8 +135,48 @@ impl Table {
         &self.stats
     }
 
-    /// Append a row after checking arity and column types.
+    /// Append a row after checking arity and column types: the one-row
+    /// case of [`Table::insert_all`].
     pub fn insert(&mut self, row: Row) -> Result<()> {
+        self.insert_all([row]).map(|_| ())
+    }
+
+    /// The append primitive: check every row (arity and column types)
+    /// first, then append them all under one version stamp and one change
+    /// record — all-or-nothing, a bad row leaves the table untouched. An
+    /// empty batch is a no-op, not a version bump. Returns how many rows
+    /// were appended.
+    pub fn insert_all(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
+        let mut batch: Vec<Row> = rows.into_iter().collect();
+        for row in &batch {
+            self.check_row(row)?;
+        }
+        if batch.is_empty() {
+            return Ok(0);
+        }
+        let n = batch.len();
+        for row in &batch {
+            self.stats.observe_row(row);
+        }
+        // A batch the log cannot retain rebases it, so no copy is taken.
+        let logged = self.log_retains(n).then(|| batch.clone());
+        self.rows.append(&mut batch);
+        self.version = next_version();
+        self.stats.stamp(self.version);
+        match logged {
+            Some(inserted) => self.log_change(ChangeRecord {
+                version: self.version,
+                inserted,
+                deleted: Vec::new(),
+                tracked: true,
+            }),
+            None => self.rebase_log(),
+        }
+        Ok(n)
+    }
+
+    /// Arity and column-type check of one incoming row.
+    fn check_row(&self, row: &Row) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(Error::Arity {
                 expected: self.schema.len(),
@@ -150,27 +194,7 @@ impl Table {
                 )));
             }
         }
-        self.stats.observe_row(&row);
-        self.rows.push(row.clone());
-        self.version = next_version();
-        self.stats.stamp(self.version);
-        self.log_change(ChangeRecord {
-            version: self.version,
-            inserted: vec![row],
-            deleted: Vec::new(),
-            tracked: true,
-        });
         Ok(())
-    }
-
-    /// Append many rows; stops at the first bad row.
-    pub fn insert_all(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
-        let mut n = 0;
-        for row in rows {
-            self.insert(row)?;
-            n += 1;
-        }
-        Ok(n)
     }
 
     /// Remove all rows matching the predicate; returns how many were removed.
@@ -222,23 +246,7 @@ impl Table {
                     self.name
                 )));
             }
-            if row.len() != self.schema.len() {
-                return Err(Error::Arity {
-                    expected: self.schema.len(),
-                    got: row.len(),
-                });
-            }
-            for (value, column) in row.iter().zip(self.schema.columns()) {
-                if !column.dtype.admits(value) {
-                    return Err(Error::type_mismatch(format!(
-                        "column '{}' of table '{}' is {} but value is {}",
-                        column.name,
-                        self.name,
-                        column.dtype,
-                        value.type_name()
-                    )));
-                }
-            }
+            self.check_row(row)?;
         }
         if changes.is_empty() {
             return Ok(0);
@@ -277,20 +285,29 @@ impl Table {
         });
     }
 
+    /// Whether the retained log still fits `rows` more rows.
+    fn log_retains(&self, rows: usize) -> bool {
+        self.change_rows + rows <= CHANGE_LOG_ROWS
+    }
+
     /// Append a mutation record, rebasing the log when its retained row
-    /// total exceeds [`CHANGE_LOG_ROWS`] (old windows become unanswerable;
-    /// new ones start from the current version).
+    /// total would exceed [`CHANGE_LOG_ROWS`].
     fn log_change(&mut self, record: ChangeRecord) {
-        self.changes.push(record);
-        let rows: usize = self
-            .changes
-            .iter()
-            .map(|c| c.inserted.len() + c.deleted.len())
-            .sum();
-        if rows > CHANGE_LOG_ROWS {
-            self.changes.clear();
-            self.change_base = self.version;
+        let rows = record.inserted.len() + record.deleted.len();
+        if self.log_retains(rows) {
+            self.change_rows += rows;
+            self.changes.push(record);
+        } else {
+            self.rebase_log();
         }
+    }
+
+    /// Forget the retained log: old windows become unanswerable, new ones
+    /// start from the current version.
+    fn rebase_log(&mut self) {
+        self.changes.clear();
+        self.change_rows = 0;
+        self.change_base = self.version;
     }
 
     /// The row-level delta between `version` and the table's current
@@ -461,6 +478,86 @@ mod tests {
         table.insert(row![-1, "y"]).unwrap();
         let delta = table.changes_since(v1).expect("fresh window after rebase");
         assert_eq!(delta.inserted, vec![row![-1, "y"]]);
+    }
+
+    fn numbered(range: std::ops::Range<usize>) -> Vec<Row> {
+        range.map(|i| row![i as i64, "x"]).collect()
+    }
+
+    #[test]
+    fn row_at_a_time_log_retains_exactly_the_cap_then_rebases() {
+        let mut table = t();
+        let v0 = table.version();
+        for r in numbered(0..CHANGE_LOG_ROWS) {
+            table.insert(r).unwrap();
+        }
+        let delta = table
+            .changes_since(v0)
+            .expect("exactly the cap is retained");
+        assert_eq!(delta.inserted, numbered(0..CHANGE_LOG_ROWS));
+        let at_cap = table.version();
+        table.insert(row![-1, "y"]).unwrap();
+        assert!(table.changes_since(v0).is_none(), "cap + 1 rebases");
+        assert!(table.changes_since(at_cap).is_none(), "every older stamp");
+        assert_eq!(
+            table.changes_since(table.version()),
+            Some(TableDelta::default())
+        );
+    }
+
+    #[test]
+    fn bulk_append_within_the_cap_is_one_record_with_the_row_at_a_time_delta() {
+        let (mut bulk, mut single) = (t(), t());
+        let (b0, s0) = (bulk.version(), single.version());
+        assert_eq!(bulk.insert_all(numbered(0..CHANGE_LOG_ROWS)).unwrap(), 4096);
+        for r in numbered(0..CHANGE_LOG_ROWS) {
+            single.insert(r).unwrap();
+        }
+        assert_eq!(bulk.changes.len(), 1, "one statement, one record");
+        assert_eq!(single.changes.len(), CHANGE_LOG_ROWS);
+        assert_eq!(bulk.changes_since(b0), single.changes_since(s0));
+        assert_eq!(bulk.rows(), single.rows());
+        assert_eq!(bulk.stats().distinct(0), single.stats().distinct(0));
+        assert_eq!(bulk.stats().as_of_version(), bulk.version());
+    }
+
+    #[test]
+    fn bulk_append_beyond_the_cap_rebases_and_older_stamps_answer_none() {
+        let mut table = t();
+        let v0 = table.version();
+        table.insert(row![-1, "y"]).unwrap();
+        let v1 = table.version();
+        table.insert_all(numbered(0..CHANGE_LOG_ROWS + 1)).unwrap();
+        assert_eq!(table.row_count(), CHANGE_LOG_ROWS + 2);
+        assert!(table.changes_since(v0).is_none());
+        assert!(table.changes_since(v1).is_none());
+        assert!(table.changes.is_empty(), "nothing copied into the log");
+        // A batch that fits alone but not on top of the retained rows
+        // rebases too; small deltas on the fresh base replay again.
+        let v2 = table.version();
+        table.insert(row![-2, "y"]).unwrap();
+        table.insert_all(numbered(0..CHANGE_LOG_ROWS)).unwrap();
+        assert!(table.changes_since(v2).is_none());
+        let v3 = table.version();
+        table.insert_all(numbered(0..2)).unwrap();
+        assert_eq!(table.changes_since(v3).unwrap().inserted, numbered(0..2));
+    }
+
+    #[test]
+    fn insert_all_is_all_or_nothing_and_empty_is_a_no_op() {
+        let mut table = t();
+        table.insert(row![1, "x"]).unwrap();
+        let v0 = table.version();
+        assert_eq!(table.insert_all(Vec::new()).unwrap(), 0);
+        assert_eq!(table.version(), v0, "an empty batch bumps no version");
+        assert!(table
+            .insert_all(vec![row![2, "y"], row!["bad", "z"]])
+            .is_err());
+        assert!(table.insert_all(vec![row![2, "y"], row![3]]).is_err());
+        assert_eq!(table.version(), v0, "a failed batch leaves no trace");
+        assert_eq!(table.rows(), &[row![1, "x"]]);
+        assert_eq!(table.stats().row_count(), 1);
+        assert_eq!(table.changes_since(v0), Some(TableDelta::default()));
     }
 
     #[test]

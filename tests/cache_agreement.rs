@@ -223,6 +223,14 @@ const DELTA_INSERT: &str =
 const DELTA_UPDATE: &str =
     "UPDATE Purchase SET item = 'wool_socks' WHERE tr = 1 AND item = 'hiking_boots'";
 
+/// A multi-row INSERT appends under one version stamp and one change
+/// record (a new transaction plus a row for an existing one); well inside
+/// the delta budget, it must ride the same incremental path.
+const DELTA_MULTI_INSERT: &str = "INSERT INTO Purchase VALUES \
+     (10, 'c9', 'jackets', DATE '1997-01-09', 300, 1), \
+     (10, 'c9', 'col_shirts', DATE '1997-01-09', 25, 2), \
+     (1, 'cust1', 'jackets', DATE '1997-01-09', 300, 1)";
+
 /// Counters that prove the core operator ran (or did not).
 fn core_work(snapshot: &minerule::telemetry::MetricsSnapshot) -> Vec<(String, u64)> {
     snapshot
@@ -235,20 +243,22 @@ fn core_work(snapshot: &minerule::telemetry::MetricsSnapshot) -> Vec<(String, u6
 
 /// The tentpole sequence — cold mine, loosen (clean miss + recapture),
 /// tighten support (refine), tighten confidence (refine), insert delta
-/// (incremental re-mine), update delta (delete+insert re-mine) — must
+/// (incremental re-mine), update delta (delete+insert re-mine), multi-row
+/// insert delta (one change record, incremental re-mine) — must
 /// stay bit-identical to a cold mine at every stage, for every worker
 /// count, with the cache on or off. Warm stages must do zero
 /// core-operator work.
 #[test]
 fn mined_result_refinement_sequence_agrees_across_workers() {
     // (mutation applied before the mine, support, confidence, warm?)
-    let stages: [(Option<&str>, f64, f64, bool); 6] = [
-        (None, 0.5, 0.4, false),               // cold capture
-        (None, 0.25, 0.1, false),              // loosened support: clean miss
-        (None, 0.5, 0.1, true),                // tightened support: refine
-        (None, 0.5, 0.7, true),                // tightened confidence: refine
-        (Some(DELTA_INSERT), 0.25, 0.1, true), // delta: incremental re-mine
-        (Some(DELTA_UPDATE), 0.25, 0.1, true), // update delta: delete+insert re-mine
+    let stages: [(Option<&str>, f64, f64, bool); 7] = [
+        (None, 0.5, 0.4, false),                     // cold capture
+        (None, 0.25, 0.1, false),                    // loosened support: clean miss
+        (None, 0.5, 0.1, true),                      // tightened support: refine
+        (None, 0.5, 0.7, true),                      // tightened confidence: refine
+        (Some(DELTA_INSERT), 0.25, 0.1, true),       // delta: incremental re-mine
+        (Some(DELTA_UPDATE), 0.25, 0.1, true),       // update delta: delete+insert re-mine
+        (Some(DELTA_MULTI_INSERT), 0.25, 0.1, true), // one-record bulk delta
     ];
     for workers in WORKERS {
         for minecache in CACHE {
@@ -300,9 +310,9 @@ fn mined_result_refinement_sequence_agrees_across_workers() {
             let snapshot = engine.metrics_snapshot();
             if minecache {
                 assert_eq!(snapshot.counter("core.minecache.miss"), 2, "{label}");
-                assert_eq!(snapshot.counter("core.minecache.hit"), 4, "{label}");
+                assert_eq!(snapshot.counter("core.minecache.hit"), 5, "{label}");
                 assert_eq!(snapshot.counter("core.minecache.refine"), 2, "{label}");
-                assert_eq!(snapshot.counter("core.minecache.delta"), 2, "{label}");
+                assert_eq!(snapshot.counter("core.minecache.delta"), 3, "{label}");
             } else {
                 for name in [
                     "core.minecache.miss",

@@ -224,3 +224,42 @@ fn update_and_delete_with_subqueries() {
         Some(&Value::Int(1))
     );
 }
+
+/// A multi-row INSERT is all-or-nothing on both backends: a bad row
+/// anywhere in the list adds no row, bumps no version and — under the
+/// paged store — reaches the WAL neither then nor at the next statement.
+#[test]
+fn multi_row_insert_is_atomic_on_both_backends() {
+    let dir = std::env::temp_dir().join(format!("tcdm_sql_atomic_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for paged in [false, true] {
+        let mut d = if paged {
+            Database::open_paged(&dir).unwrap()
+        } else {
+            Database::new()
+        };
+        d.execute("CREATE TABLE t (a INT, b VARCHAR)").unwrap();
+        d.execute("INSERT INTO t VALUES (0, 'kept')").unwrap();
+        let version = d.catalog().table("t").unwrap().version();
+        let wal = d.stats().storage_wal_appends;
+
+        let err = d.execute("INSERT INTO t VALUES (1, 'a'), ('x', 'b')");
+        assert!(err.is_err(), "row 2 does not fit (INT, VARCHAR)");
+        let err = d.execute("INSERT INTO t VALUES (1, 'a'), (2)");
+        assert!(err.is_err(), "row 2 has the wrong arity");
+
+        let t = d.catalog().table("t").unwrap();
+        assert_eq!(
+            t.row_count(),
+            1,
+            "paged={paged}: no row of a failed list stays"
+        );
+        assert_eq!(t.version(), version, "paged={paged}: no version bump");
+        // The next statement's sync finds nothing to mirror.
+        let rs = d.query("SELECT a FROM t").unwrap();
+        assert_eq!(rs.rows(), &[vec![Value::Int(0)]]);
+        assert_eq!(d.stats().storage_wal_appends, wal, "paged={paged}");
+        assert_eq!(paged, wal > 0, "the paged leg really logs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -279,3 +279,35 @@ fn group_count_in_output_uses_all_groups() {
     }
     let _ = Value::Null; // keep the import used in all configurations
 }
+
+/// A double negation in a source or mining condition survives the
+/// translator's SQL generation (printed `-(-x)`, never `--x`, which
+/// would comment out the rest of the generated line): the statement
+/// mines exactly what its un-negated twin mines.
+#[test]
+fn double_negation_in_conditions_equals_the_plain_twin() {
+    let source = |cond: &str| {
+        format!(
+            "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, \
+             SUPPORT, CONFIDENCE FROM Purchase WHERE {cond} AND qty >= 1 GROUP BY tr \
+             EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.3"
+        )
+    };
+    let mining = |cond: &str| {
+        format!(
+            "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, \
+             SUPPORT, CONFIDENCE WHERE {cond} AND HEAD.price < 100 \
+             FROM Purchase GROUP BY tr \
+             EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.3"
+        )
+    };
+    for (negated, plain) in [
+        (source("-(-price) > 100"), source("price > 100")),
+        (mining("-(-BODY.price) >= 100"), mining("BODY.price >= 100")),
+    ] {
+        let twin = run(&mut purchase_db(), &plain);
+        let out = run(&mut purchase_db(), &negated);
+        assert!(!twin.rules.is_empty(), "the twin must mine something");
+        assert_eq!(out.rules, twin.rules, "{negated}");
+    }
+}
