@@ -74,6 +74,11 @@ pub struct StoreOutcome {
     pub evicted: u64,
     /// Total approximate bytes retained after the store.
     pub bytes: u64,
+    /// Source-table rows the capture itself had to read (always 0 for
+    /// the preprocess cache, which copies finished tables; the
+    /// mined-result cache reads the source only when no fused pass
+    /// handed it a digest).
+    pub source_rows: u64,
 }
 
 /// The preprocess artifact cache. Clones share the same store (like
@@ -211,7 +216,7 @@ impl PreprocessCache {
             executed: Vec::new(),
             total_groups: entry.total_groups,
             min_groups,
-            fused_steps: 0,
+            ..PreprocessReport::default()
         }))
     }
 
@@ -297,16 +302,14 @@ impl PreprocessCache {
         StoreOutcome {
             evicted,
             bytes: state.entries.iter().map(|e| e.bytes).sum(),
+            source_rows: 0,
         }
     }
 }
 
 /// Current `(lowercase name, version)` of every FROM table, or `None` when
 /// a source table is missing from the catalog.
-pub(crate) fn source_versions(
-    db: &Database,
-    stmt: &MineRuleStatement,
-) -> Option<Vec<(String, u64)>> {
+fn source_versions(db: &Database, stmt: &MineRuleStatement) -> Option<Vec<(String, u64)>> {
     let mut versions = Vec::with_capacity(stmt.from.len());
     for source in &stmt.from {
         let table = db.catalog().table(&source.name).ok()?;

@@ -5,8 +5,8 @@
 //! this cache skips the core operator itself, per *Interactive
 //! Constrained Association Rule Mining* (Goethals & Van den Bussche):
 //! a session keeps the frequent-itemset inventory of each mined
-//! statement — every itemset with its exact group-support and gid-set —
-//! and answers refined reruns by *filtering*:
+//! statement — every itemset with its exact group-support — and answers
+//! refined reruns by *filtering*:
 //!
 //! * **Tightened support** (`min_groups' ≥ min_groups`): by
 //!   anti-monotonicity the inventory filtered at the new threshold *is*
@@ -18,39 +18,39 @@
 //!   does not depend on it.
 //! * **Loosened support**: a clean miss — the cache cannot know itemsets
 //!   it never mined.
-//! * **Source-table deltas** (INSERT/DELETE rows since the cached
+//! * **Source-table deltas** (INSERT/DELETE/UPDATE rows since the cached
 //!   version, reported by [`relational::Table::changes_since`]):
-//!   incremental re-mining in the FUP style. Gid-sets of cached itemsets
-//!   are updated for the affected groups only; itemsets that may have
-//!   *become* frequent must occur in at least
+//!   incremental re-mining in the FUP style. Supports of cached itemsets
+//!   are adjusted for the touched groups only (contained before / now);
+//!   itemsets that may have *become* frequent must occur in at least
 //!   `min_groups' − min_groups + 1` of the grown/new groups, so only the
-//!   small delta is mined for candidates, which are then verified with
-//!   exact counts. A delta beyond the row budget (or crossing an
-//!   UPDATE/TRUNCATE, which the table log does not replay) falls back to
-//!   a full mine.
+//!   small delta is mined for candidates, which are then counted exactly.
+//!   A delta beyond the row budget (or crossing a TRUNCATE, which the
+//!   table log does not replay) falls back to a full mine.
 //!
-//! The cache works in *value space* (type-tagged renderings of the
-//! grouping and item attributes), so entries survive re-encoding: a warm
-//! serve maps items onto the current `Bset` identifiers right before
-//! rule generation, and the pipeline still stores and decodes output
-//! tables exactly as a cold run would. Entries are restricted to
-//! statements whose grouping the cache can replay from raw rows —
-//! simple class, a single FROM table, no source or group condition
-//! (the same shape the fused preprocess pass accepts); everything else
-//! simply misses. Staleness is ruled out by the same per-table version
-//! stamps the preprocess cache uses.
+//! The cache works in *value space*, interned: a [`SourceDigest`] maps
+//! each grouping key and each item key — the very `Vec<Value>` keys the
+//! fused preprocess pass groups by — to a small integer, and holds every
+//! group as a sorted `(item id, row multiplicity)` vector. The fused pass
+//! builds the digest from the one scan it makes anyway, so capturing a
+//! cold run reads no source row. Because the ids name *values*, not
+//! `Bset` identifiers, entries survive re-encoding: a warm serve maps
+//! items onto the current `Bid`s right before rule generation, and the
+//! pipeline still stores and decodes output tables exactly as a cold run
+//! would. Entries are restricted to statements the fused pass accepts
+//! ([`fusible`]); everything else simply misses. Staleness is ruled out
+//! by the same per-table version stamps the preprocess cache uses.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use relational::{Database, TableDelta, Value};
+use relational::{Database, Row, Table, TableDelta, Value};
 
 use crate::algo::{rules_from_itemsets_counted, sort_rules, EncodedRule, LargeItemset};
 use crate::ast::MineRuleStatement;
-use crate::cache::{source_versions, PreprocessCache, StoreOutcome, MAX_ENTRIES};
-use crate::directives::StatementClass;
+use crate::cache::{PreprocessCache, StoreOutcome, MAX_ENTRIES};
 use crate::error::Result;
-use crate::preprocess::{min_groups_for, PreprocessReport};
+use crate::preprocess::{fusible, key_columns, min_groups_for, scan_source, PreprocessReport};
 use crate::translator::Translation;
 
 /// Delta re-mining budget: a delta with more rows than
@@ -61,63 +61,286 @@ const BUDGET_MIN_ROWS: usize = 64;
 /// delta-frequent itemsets aborts incremental re-mining (full mine).
 const MAX_DELTA_CANDIDATES: usize = 4096;
 
-/// A group slot: the group's key plus a multiset of its item renderings
-/// (values are row multiplicities — an item belongs to the group while
-/// its count is positive, matching the preprocessor's DISTINCT).
-#[derive(Debug, Clone)]
-struct GroupSlot {
-    key: String,
-    items: BTreeMap<String, u32>,
+/// One live group of a [`SourceDigest`].
+#[derive(Debug, Clone, PartialEq)]
+struct Group {
+    /// False when a grouping attribute is NULL: the group counts towards
+    /// `:totg` but supports no itemset (`Q4` never joins a NULL key).
+    joins: bool,
+    /// `(item id, row multiplicity)`, sorted by item id, multiplicities
+    /// positive — an item belongs to the group while any row carries it,
+    /// matching the preprocessor's DISTINCT.
+    items: Vec<(u32, u32)>,
 }
 
-impl GroupSlot {
-    fn row_count(&self) -> u64 {
-        self.items.values().map(|&c| c as u64).sum()
+/// A replayable snapshot of a simple-class statement's grouped source,
+/// interned: grouping keys and item (body-schema) keys map to first-seen
+/// ids under the `Vec<Value>` equality SQL GROUP BY uses (`1` and `1.0`
+/// unify, `0.0` and `-0.0` stay apart, NULLs group together), and each
+/// group is a multiset of item ids. Built by
+/// [`crate::preprocess::scan_source`]; the mined-result cache replays
+/// source-table deltas onto it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SourceDigest {
+    /// The source-table version the snapshot stands for.
+    version: u64,
+    /// Grouping key → slot in `groups`, live groups only.
+    group_ids: HashMap<Vec<Value>, u32>,
+    /// Item key → item id. Ids are never retired.
+    item_ids: HashMap<Vec<Value>, u32>,
+    /// Per item id: false when an item attribute is NULL (never joins).
+    item_joins: Vec<bool>,
+    /// Group slots; `None` marks a deleted group (its slot is retired).
+    groups: Vec<Option<Group>>,
+    /// Source rows the snapshot stands for (sum of multiplicities).
+    rows: u64,
+}
+
+fn key_joins(key: &[Value]) -> bool {
+    !key.iter().any(Value::is_null)
+}
+
+fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
+    cols.iter().map(|&i| row[i].clone()).collect()
+}
+
+impl SourceDigest {
+    /// Assemble a digest from a scan's dictionaries, its distinct
+    /// `(group slot, item id)` pairs, and one more entry in `repeats` for
+    /// every further source row of a pair.
+    pub(crate) fn new(
+        version: u64,
+        group_ids: HashMap<Vec<Value>, u32>,
+        item_ids: HashMap<Vec<Value>, u32>,
+        pairs: &[(u32, u32)],
+        repeats: &[(u32, u32)],
+    ) -> SourceDigest {
+        let mut item_joins = vec![false; item_ids.len()];
+        for (key, &id) in &item_ids {
+            item_joins[id as usize] = key_joins(key);
+        }
+        let mut sizes = vec![0usize; group_ids.len()];
+        for &(g, _) in pairs {
+            sizes[g as usize] += 1;
+        }
+        let mut groups: Vec<Group> = sizes
+            .into_iter()
+            .map(|n| Group {
+                joins: false,
+                items: Vec::with_capacity(n),
+            })
+            .collect();
+        for (key, &slot) in &group_ids {
+            groups[slot as usize].joins = key_joins(key);
+        }
+        for &(g, item) in pairs {
+            groups[g as usize].items.push((item, 1));
+        }
+        for group in &mut groups {
+            group.items.sort_unstable();
+        }
+        for &(g, item) in repeats {
+            let items = &mut groups[g as usize].items;
+            let at = items
+                .binary_search_by_key(&item, |&(i, _)| i)
+                .expect("a repeated pair follows its first occurrence");
+            items[at].1 += 1;
+        }
+        SourceDigest {
+            version,
+            group_ids,
+            item_ids,
+            item_joins,
+            groups: groups.into_iter().map(Some).collect(),
+            rows: (pairs.len() + repeats.len()) as u64,
+        }
     }
 
-    fn item_set(&self) -> HashSet<&str> {
-        self.items
+    /// Whether a row pairing this group slot with this item id reaches
+    /// `CodedSource`: neither key holds a NULL.
+    pub(crate) fn joins(&self, group: u32, item: u32) -> bool {
+        self.item_joins[item as usize]
+            && self.groups[group as usize]
+                .as_ref()
+                .is_some_and(|g| g.joins)
+    }
+
+    /// Live groups (`:totg` of the snapshot).
+    fn live_groups(&self) -> u64 {
+        self.group_ids.len() as u64
+    }
+
+    /// The ids, ascending, of the items a group contributes to itemset
+    /// supports: none for a retired or NULL-keyed group.
+    fn items_of(&self, slot: u32) -> impl Iterator<Item = u32> + '_ {
+        let group = self.groups[slot as usize].as_ref().filter(|g| g.joins);
+        group
+            .into_iter()
+            .flat_map(|g| g.items.iter().map(|&(item, _)| item))
+            .filter(|&item| self.item_joins[item as usize])
+    }
+
+    fn item_set(&self, slot: u32) -> Vec<u32> {
+        self.items_of(slot).collect()
+    }
+
+    /// Replay a table delta: inserted rows join (or open) their group,
+    /// deleted rows leave it, a group left without rows is retired.
+    /// Returns the pre-delta item set of every touched slot, or `None`
+    /// when a deleted row cannot be accounted for (the digest and the
+    /// table diverged — never expected, but never cache through it). The
+    /// digest is torn after a `None`.
+    fn apply(
+        &mut self,
+        delta: &TableDelta,
+        group_cols: &[usize],
+        item_cols: &[usize],
+    ) -> Option<BTreeMap<u32, Vec<u32>>> {
+        let width = group_cols
             .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, _)| k.as_str())
-            .collect()
+            .chain(item_cols)
+            .max()
+            .map_or(0, |m| m + 1);
+        if delta
+            .inserted
+            .iter()
+            .chain(&delta.deleted)
+            .any(|row| row.len() < width)
+        {
+            return None; // schema drift
+        }
+        let mut before: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for row in &delta.inserted {
+            let g_key = key_of(row, group_cols);
+            let slot = match self.group_ids.get(&g_key) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = self.groups.len() as u32;
+                    self.groups.push(Some(Group {
+                        joins: key_joins(&g_key),
+                        items: Vec::new(),
+                    }));
+                    self.group_ids.insert(g_key, slot);
+                    slot
+                }
+            };
+            let i_key = key_of(row, item_cols);
+            let item = match self.item_ids.get(&i_key) {
+                Some(&item) => item,
+                None => {
+                    let item = self.item_joins.len() as u32;
+                    self.item_joins.push(key_joins(&i_key));
+                    self.item_ids.insert(i_key, item);
+                    item
+                }
+            };
+            before.entry(slot).or_insert_with(|| self.item_set(slot));
+            let items = &mut self.groups[slot as usize].as_mut()?.items;
+            match items.binary_search_by_key(&item, |&(i, _)| i) {
+                Ok(at) => items[at].1 += 1,
+                Err(at) => items.insert(at, (item, 1)),
+            }
+            self.rows += 1;
+        }
+        for row in &delta.deleted {
+            let g_key = key_of(row, group_cols);
+            let slot = *self.group_ids.get(&g_key)?;
+            let item = *self.item_ids.get(&key_of(row, item_cols))?;
+            before.entry(slot).or_insert_with(|| self.item_set(slot));
+            let items = &mut self.groups[slot as usize].as_mut()?.items;
+            let at = items.binary_search_by_key(&item, |&(i, _)| i).ok()?;
+            items[at].1 -= 1;
+            if items[at].1 == 0 {
+                items.remove(at);
+            }
+            self.rows -= 1;
+            if items.is_empty() {
+                self.groups[slot as usize] = None;
+                self.group_ids.remove(&g_key);
+            }
+        }
+        Some(before)
+    }
+
+    /// Rough retained size, for the bytes gauge.
+    fn approx_bytes(&self) -> u64 {
+        let key_bytes = |key: &Vec<Value>| -> u64 {
+            48 + key
+                .iter()
+                .map(|v| match v {
+                    Value::Str(s) => 24 + s.len() as u64,
+                    _ => 24,
+                })
+                .sum::<u64>()
+        };
+        let dictionaries: u64 = self
+            .group_ids
+            .keys()
+            .chain(self.item_ids.keys())
+            .map(key_bytes)
+            .sum();
+        let groups: u64 = self
+            .groups
+            .iter()
+            .map(|g| 32 + g.as_ref().map_or(0, |g| g.items.len() as u64 * 8))
+            .sum();
+        dictionaries + groups + self.item_joins.len() as u64
     }
 }
 
-/// A cached frequent itemset: value-space items (sorted) plus the sorted
-/// slot ids of every group containing it. The exact group-support is
-/// `gids.len()`.
-#[derive(Debug, Clone)]
+/// A cached frequent itemset: sorted digest item ids plus its exact
+/// group-support.
+#[derive(Debug, Clone, PartialEq)]
 struct CachedItemset {
-    items: Vec<String>,
-    gids: Vec<u32>,
+    items: Vec<u32>,
+    count: u32,
 }
 
-/// One cached mined result with its validity conditions.
-#[derive(Debug, Clone)]
+/// One cached mined result with its validity conditions. The source
+/// version it answers for is its digest's.
+#[derive(Debug)]
 struct MineEntry {
     fingerprint: String,
-    /// `(lowercase table name, version)` of the FROM table at capture.
-    table_versions: Vec<(String, u64)>,
     /// The inventory is complete down to this absolute threshold.
     min_groups: u64,
     /// EXTRACTING thresholds at capture, to tell refines from reruns.
     capture_support: f64,
     capture_confidence: f64,
-    /// Live groups (`:totg` of the cached snapshot).
-    total_groups: u64,
-    /// Group slots; `None` marks a deleted group (its id is retired).
-    slots: Vec<Option<GroupSlot>>,
-    /// Group key → slot id.
-    index: HashMap<String, u32>,
+    /// Shared with the preprocess report it came from; a delta replay
+    /// copies it only while someone else still holds it.
+    digest: Arc<SourceDigest>,
     inventory: Vec<CachedItemset>,
     bytes: u64,
+}
+
+impl MineEntry {
+    /// Rough retained size of the entry, for the bytes gauge.
+    fn approx_bytes(&self) -> u64 {
+        let inventory: u64 = self
+            .inventory
+            .iter()
+            .map(|c| 32 + c.items.len() as u64 * 4)
+            .sum();
+        self.digest.approx_bytes() + inventory + 256
+    }
 }
 
 #[derive(Debug, Default)]
 struct CacheState {
     /// LRU order: least-recently used first.
     entries: Vec<MineEntry>,
+}
+
+impl CacheState {
+    /// Insert (or replace) an entry at the most-recently-used end.
+    fn put(&mut self, entry: MineEntry) {
+        self.entries.retain(|e| e.fingerprint != entry.fingerprint);
+        self.entries.push(entry);
+    }
+
+    fn bytes(&self) -> u64 {
+        self.entries.iter().map(|e| e.bytes).sum()
+    }
 }
 
 /// How a warm serve was produced, for telemetry.
@@ -184,16 +407,6 @@ impl MineResultCache {
         self.len() == 0
     }
 
-    /// Whether the cache can capture/serve this statement at all: the
-    /// grouping must be replayable from raw source rows (simple class,
-    /// one FROM table, no source/group condition — the fused-pass shape).
-    pub fn eligible(translation: &Translation) -> bool {
-        translation.class == StatementClass::Simple
-            && !translation.directives.w
-            && !translation.directives.g
-            && translation.stmt.from.len() == 1
-    }
-
     /// Try to answer the core-operator phase from the cache. Runs after
     /// preprocessing (cold or restored); on a hit the caller skips
     /// `read_encoded` and the core operator entirely and feeds the
@@ -201,7 +414,7 @@ impl MineResultCache {
     /// caller must mine (and should then [`MineResultCache::store`]).
     pub fn try_serve(
         &self,
-        db: &mut Database,
+        db: &Database,
         translation: &Translation,
         prefix: &str,
         report: &PreprocessReport,
@@ -210,287 +423,226 @@ impl MineResultCache {
             Some(inner) => inner,
             None => return Ok(None),
         };
-        if !Self::eligible(translation) {
+        if !fusible(translation) {
             return Ok(None);
         }
-        let stmt = &translation.stmt;
-        let versions = match source_versions(db, stmt) {
-            Some(v) => v,
+        let table = match source_table(db, &translation.stmt) {
+            Some(table) => table,
             None => return Ok(None),
         };
-        let fingerprint = PreprocessCache::fingerprint(stmt, prefix);
-        let entry = {
-            let state = inner.lock().unwrap();
-            match state.entries.iter().find(|e| e.fingerprint == fingerprint) {
-                Some(entry) => entry.clone(),
-                None => return Ok(None),
-            }
-        };
-
-        let (updated, kind) = if entry.table_versions == versions {
-            let new_min = min_groups_for(entry.total_groups, stmt.min_support);
-            if new_min < entry.min_groups {
-                return Ok(None); // loosened support: the inventory is incomplete there
-            }
-            let kind = if stmt.min_support == entry.capture_support
-                && stmt.min_confidence == entry.capture_confidence
+        let fingerprint = PreprocessCache::fingerprint(&translation.stmt, prefix);
+        // The serve works on the entry itself, outside the lock: nothing
+        // is copied, and a delta rewrites only the groups it touches.
+        let mut entry = {
+            let mut state = inner.lock().unwrap();
+            match state
+                .entries
+                .iter()
+                .position(|e| e.fingerprint == fingerprint)
             {
-                ServeKind::Hit
-            } else {
-                ServeKind::Refine
-            };
-            (entry, kind)
-        } else {
-            match apply_delta(db, entry, translation)? {
-                Some(updated) => (updated, ServeKind::Delta),
+                Some(at) => state.entries.remove(at),
                 None => return Ok(None),
             }
         };
-
-        // The SQL preprocessor must agree on the group universe; any
-        // divergence (or a run that bypassed preprocessing) is a miss.
-        if report.total_groups != updated.total_groups {
-            return Ok(None);
+        let stale = entry.digest.version != table.version();
+        let served = serve(&mut entry, db, table, translation, report)?;
+        // A delta replay that did not end in a serve leaves the entry
+        // half-updated: drop it, the full mine that follows recaptures.
+        if served.is_some() || !stale {
+            inner.lock().unwrap().put(entry);
         }
-        let new_min = min_groups_for(updated.total_groups, stmt.min_support);
-        let rules = match extract_rules(db, &updated, translation, new_min)? {
-            Some(rules) => rules,
-            None => return Ok(None),
-        };
-
-        // Commit: refresh thresholds/versions and touch LRU order.
-        let mut committed = updated;
-        committed.capture_support = stmt.min_support;
-        committed.capture_confidence = stmt.min_confidence;
-        if kind == ServeKind::Delta {
-            committed.min_groups = new_min;
-            committed.bytes = approx_entry_bytes(&committed);
-        }
-        let mut state = inner.lock().unwrap();
-        state.entries.retain(|e| e.fingerprint != fingerprint);
-        state.entries.push(committed);
-        Ok(Some(ServeOutcome { rules, kind }))
+        Ok(served)
     }
 
     /// Capture a cold mine's inventory. `large` is the simple-path
-    /// large-itemset inventory the core operator just produced. A
-    /// same-fingerprint entry is replaced; beyond the 8-entry capacity
-    /// the least-recently-used entry is evicted. Statements the cache cannot
-    /// replay (or whose value-space accounting disagrees with the SQL
-    /// preprocessor — never observed, but checked) are skipped.
+    /// large-itemset inventory the core operator just produced, with its
+    /// exact supports. The grouped source comes from the digest the fused
+    /// pass left on `report`; failing that from a same-statement entry
+    /// already at the table's version (a loosened-support recapture);
+    /// only failing both is the source scanned here. A same-fingerprint
+    /// entry is replaced; beyond the 8-entry capacity the
+    /// least-recently-used entry is evicted. Statements the cache cannot
+    /// replay are skipped.
     pub fn store(
         &self,
-        db: &mut Database,
+        db: &Database,
         translation: &Translation,
         prefix: &str,
         report: &PreprocessReport,
         large: &[LargeItemset],
     ) -> StoreOutcome {
         let inner = match &self.inner {
-            Some(inner) => inner.clone(),
+            Some(inner) => inner,
             None => return StoreOutcome::default(),
         };
         // Skipped stores still report the retained total, so the bytes
         // gauge never zeroes out under an uncacheable statement.
-        let retained = |inner: &Arc<Mutex<CacheState>>| StoreOutcome {
-            evicted: 0,
-            bytes: inner.lock().unwrap().entries.iter().map(|e| e.bytes).sum(),
+        let mut outcome = StoreOutcome {
+            bytes: inner.lock().unwrap().bytes(),
+            ..StoreOutcome::default()
         };
-        if !Self::eligible(translation) || report.total_groups == 0 {
-            return retained(&inner);
-        }
         let stmt = &translation.stmt;
-        let versions = match source_versions(db, stmt) {
-            Some(v) => v,
-            None => return retained(&inner),
+        let table = match source_table(db, stmt) {
+            Some(table) if fusible(translation) && report.total_groups > 0 => table,
+            _ => return outcome,
         };
-        let (slots, index) = match scan_source(db, stmt) {
-            Some(v) => v,
-            None => return retained(&inner),
+        let fingerprint = PreprocessCache::fingerprint(stmt, prefix);
+        let current = |d: &Arc<SourceDigest>| d.version == table.version();
+        let digest = report.digest.clone().filter(current).or_else(|| {
+            let state = inner.lock().unwrap();
+            let entry = state.entries.iter().find(|e| e.fingerprint == fingerprint);
+            entry.map(|e| e.digest.clone()).filter(current)
+        });
+        let digest = match digest {
+            Some(digest) => digest,
+            None => match scan_source(db, stmt) {
+                Ok(scan) => {
+                    outcome.source_rows = scan.rows;
+                    Arc::new(scan.digest)
+                }
+                Err(_) => return outcome,
+            },
         };
-        if slots.len() as u64 != report.total_groups {
-            return retained(&inner);
+        // The SQL preprocessor must agree on the group universe.
+        if digest.live_groups() != report.total_groups {
+            return outcome;
         }
-        let bid_items = match read_bid_items(db, translation) {
-            Some(map) => map,
-            None => return retained(&inner),
-        };
-        let inventory = match build_inventory(large, &bid_items, &slots) {
-            Some(inv) => inv,
-            None => return retained(&inner),
+        let inventory = match capture_inventory(db, translation, &digest, large) {
+            Some(inventory) => inventory,
+            None => return outcome,
         };
         let mut entry = MineEntry {
-            fingerprint: PreprocessCache::fingerprint(stmt, prefix),
-            table_versions: versions,
+            fingerprint,
             min_groups: report.min_groups,
             capture_support: stmt.min_support,
             capture_confidence: stmt.min_confidence,
-            total_groups: report.total_groups,
-            slots,
-            index,
+            digest,
             inventory,
             bytes: 0,
         };
-        entry.bytes = approx_entry_bytes(&entry);
+        entry.bytes = entry.approx_bytes();
 
         let mut state = inner.lock().unwrap();
-        state.entries.retain(|e| e.fingerprint != entry.fingerprint);
-        state.entries.push(entry);
-        let mut evicted = 0;
+        state.put(entry);
         while state.entries.len() > MAX_ENTRIES {
             state.entries.remove(0);
-            evicted += 1;
+            outcome.evicted += 1;
         }
-        StoreOutcome {
-            evicted,
-            bytes: state.entries.iter().map(|e| e.bytes).sum(),
-        }
+        outcome.bytes = state.bytes();
+        outcome
     }
 }
 
-/// A collision-free rendering of one value: type-tagged so `1`, `'1'`
-/// and `1.0` never alias (floats render by bit pattern).
-fn value_key(v: &Value) -> String {
-    match v {
-        Value::Null => "n:".into(),
-        Value::Int(i) => format!("i:{i}"),
-        Value::Float(f) => format!("f:{:016x}", f.to_bits()),
-        Value::Str(s) => format!("s:{s}"),
-        Value::Bool(b) => format!("b:{b}"),
-        Value::Date(d) => format!("d:{d}"),
-    }
+/// The statement's one FROM table ([`fusible`] statements have no other).
+fn source_table<'a>(db: &'a Database, stmt: &MineRuleStatement) -> Option<&'a Table> {
+    db.catalog().table(&stmt.from[0].name).ok()
 }
 
-/// Join multi-attribute keys with a separator no rendering contains
-/// naturally (unit separator).
-fn compound_key(values: &[&Value]) -> String {
-    values
-        .iter()
-        .map(|v| value_key(v))
-        .collect::<Vec<_>>()
-        .join("\u{1f}")
-}
-
-/// Resolve the statement's grouping and item (body-schema) columns on the
-/// source table.
-fn resolve_columns(db: &Database, stmt: &MineRuleStatement) -> Option<(Vec<usize>, Vec<usize>)> {
-    let table = db.catalog().table(&stmt.from[0].name).ok()?;
-    let schema = table.schema();
-    let resolve = |names: &[String]| -> Option<Vec<usize>> {
-        names.iter().map(|n| schema.resolve(None, n).ok()).collect()
-    };
-    Some((resolve(&stmt.group_by)?, resolve(&stmt.body.schema)?))
-}
-
-/// Key a row's grouping attributes / item attributes.
-fn row_keys(row: &[Value], group_cols: &[usize], item_cols: &[usize]) -> (String, String) {
-    let gvals: Vec<&Value> = group_cols.iter().map(|&i| &row[i]).collect();
-    let ivals: Vec<&Value> = item_cols.iter().map(|&i| &row[i]).collect();
-    (compound_key(&gvals), compound_key(&ivals))
-}
-
-/// Build the value-space group map from the raw source rows.
-#[allow(clippy::type_complexity)]
-fn scan_source(
+/// Answer the statement from `entry`, bringing it up to the table's
+/// version first when the source moved. `None` is a miss; the entry is
+/// then intact unless a delta replay had begun (its digest was stale).
+fn serve(
+    entry: &mut MineEntry,
     db: &Database,
-    stmt: &MineRuleStatement,
-) -> Option<(Vec<Option<GroupSlot>>, HashMap<String, u32>)> {
-    let (group_cols, item_cols) = resolve_columns(db, stmt)?;
-    let table = db.catalog().table(&stmt.from[0].name).ok()?;
-    let mut slots: Vec<Option<GroupSlot>> = Vec::new();
-    let mut index: HashMap<String, u32> = HashMap::new();
-    for row in table.rows() {
-        let (gkey, ikey) = row_keys(row, &group_cols, &item_cols);
-        let slot = match index.get(&gkey) {
-            Some(&s) => s,
-            None => {
-                let s = slots.len() as u32;
-                slots.push(Some(GroupSlot {
-                    key: gkey.clone(),
-                    items: BTreeMap::new(),
-                }));
-                index.insert(gkey, s);
-                s
-            }
-        };
-        *slots[slot as usize]
-            .as_mut()
-            .unwrap()
-            .items
-            .entry(ikey)
-            .or_insert(0) += 1;
-    }
-    Some((slots, index))
-}
-
-/// Read `Bid → item key` from the statement's `Bset` table.
-fn read_bid_items(db: &mut Database, translation: &Translation) -> Option<HashMap<u32, String>> {
-    let rs = db
-        .query(&format!(
-            "SELECT Bid, {} FROM {}",
-            translation.stmt.body.schema.join(", "),
-            translation.names.bset()
-        ))
-        .ok()?;
-    let mut map = HashMap::with_capacity(rs.len());
-    for row in rs.rows() {
-        let bid = match &row[0] {
-            Value::Int(i) if *i >= 0 => *i as u32,
-            _ => return None,
-        };
-        let vals: Vec<&Value> = row[1..].iter().collect();
-        map.insert(bid, compound_key(&vals));
-    }
-    Some(map)
-}
-
-/// Convert the bid-space inventory to value space and attach exact
-/// gid-sets, computed by prefix intersection over the (downward-closed)
-/// inventory: `gids(X) = gids(X[..k-1]) ∩ slots(X[k-1])`. Returns `None`
-/// when any computed support disagrees with the miner's count (a
-/// value-rendering collision — bail rather than cache wrong results).
-fn build_inventory(
-    large: &[LargeItemset],
-    bid_items: &HashMap<u32, String>,
-    slots: &[Option<GroupSlot>],
-) -> Option<Vec<CachedItemset>> {
-    // Inverted index: item key → sorted slot ids containing it.
-    let mut item_slots: HashMap<&str, Vec<u32>> = HashMap::new();
-    for (i, slot) in slots.iter().enumerate() {
-        if let Some(slot) = slot {
-            for item in slot.item_set() {
-                item_slots.entry(item).or_default().push(i as u32);
-            }
+    table: &Table,
+    translation: &Translation,
+    report: &PreprocessReport,
+) -> Result<Option<ServeOutcome>> {
+    let stmt = &translation.stmt;
+    let kind = if entry.digest.version == table.version() {
+        if min_groups_for(entry.digest.live_groups(), stmt.min_support) < entry.min_groups {
+            return Ok(None); // loosened support: the inventory is incomplete there
         }
-    }
-
-    let mut sets: Vec<(Vec<String>, u32)> = Vec::with_capacity(large.len());
-    for (set, cnt) in large {
-        let mut items: Vec<String> = set
-            .iter()
-            .map(|bid| bid_items.get(bid).cloned())
-            .collect::<Option<_>>()?;
-        items.sort();
-        sets.push((items, *cnt));
-    }
-    sets.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
-
-    let mut gid_map: HashMap<Vec<String>, Vec<u32>> = HashMap::with_capacity(sets.len());
-    let mut inventory = Vec::with_capacity(sets.len());
-    for (items, cnt) in sets {
-        let last = item_slots.get(items.last()?.as_str())?;
-        let gids = if items.len() == 1 {
-            last.clone()
+        if stmt.min_support == entry.capture_support
+            && stmt.min_confidence == entry.capture_confidence
+        {
+            ServeKind::Hit
         } else {
-            intersect_sorted(gid_map.get(&items[..items.len() - 1])?, last)
-        };
-        if gids.len() as u32 != cnt {
-            return None;
+            ServeKind::Refine
         }
-        gid_map.insert(items.clone(), gids.clone());
-        inventory.push(CachedItemset { items, gids });
+    } else {
+        if apply_delta(entry, table, stmt).is_none() {
+            return Ok(None);
+        }
+        ServeKind::Delta
+    };
+    // The SQL preprocessor must agree on the group universe; any
+    // divergence (or a run that bypassed preprocessing) is a miss.
+    let total_groups = entry.digest.live_groups();
+    if report.total_groups != total_groups {
+        return Ok(None);
     }
-    Some(inventory)
+    let new_min = min_groups_for(total_groups, stmt.min_support);
+    let rules = match extract_rules(db, entry, translation, new_min)? {
+        Some(rules) => rules,
+        None => return Ok(None),
+    };
+    entry.capture_support = stmt.min_support;
+    entry.capture_confidence = stmt.min_confidence;
+    if kind == ServeKind::Delta {
+        entry.min_groups = new_min;
+        entry.bytes = entry.approx_bytes();
+    }
+    Ok(Some(ServeOutcome { rules, kind }))
+}
+
+/// `(Bid, digest item id)` for every row of the statement's `Bset`: the
+/// bridge between the current encoding and the digest's value space.
+/// `None` when the table is missing or names an item the digest never saw.
+fn bset_items(
+    db: &Database,
+    translation: &Translation,
+    digest: &SourceDigest,
+) -> Option<Vec<(u32, u32)>> {
+    let bset = db.catalog().table(&translation.names.bset()).ok()?;
+    let bid_col = bset.schema().resolve(None, "Bid").ok()?;
+    let item_cols: Vec<usize> = translation
+        .stmt
+        .body
+        .schema
+        .iter()
+        .map(|a| bset.schema().resolve(None, a).ok())
+        .collect::<Option<_>>()?;
+    bset.rows()
+        .iter()
+        .map(|row| match &row[bid_col] {
+            Value::Int(bid) if *bid >= 0 => {
+                let item = digest.item_ids.get(&key_of(row, &item_cols))?;
+                Some((*bid as u32, *item))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The miner's bid-space inventory in the digest's item-id space, counts
+/// taken as mined.
+fn capture_inventory(
+    db: &Database,
+    translation: &Translation,
+    digest: &SourceDigest,
+    large: &[LargeItemset],
+) -> Option<Vec<CachedItemset>> {
+    let item_of: HashMap<u32, u32> = bset_items(db, translation, digest)?.into_iter().collect();
+    large
+        .iter()
+        .map(|(set, count)| {
+            let mut items: Vec<u32> = set
+                .iter()
+                .map(|bid| item_of.get(bid).copied())
+                .collect::<Option<_>>()?;
+            items.sort_unstable();
+            Some(CachedItemset {
+                items,
+                count: *count,
+            })
+        })
+        .collect()
+}
+
+/// Whether the sorted `set` contains every one of `items`.
+fn contains_all(set: &[u32], items: &[u32]) -> bool {
+    items.iter().all(|i| set.binary_search(i).is_ok())
 }
 
 fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -510,103 +662,54 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Replay the source-table delta onto a clone of the entry: update slot
-/// multisets, patch gid-sets of cached itemsets for affected groups,
-/// mine the grown/new groups for borderline candidates and verify them
-/// exactly. Returns `None` whenever incremental re-mining is unsound or
-/// over budget — the caller falls back to a full mine.
-fn apply_delta(
-    db: &Database,
-    mut entry: MineEntry,
-    translation: &Translation,
-) -> Result<Option<MineEntry>> {
-    let stmt = &translation.stmt;
-    let table = match db.catalog().table(&stmt.from[0].name) {
-        Ok(t) => t,
-        Err(_) => return Ok(None),
-    };
-    let delta = match table.changes_since(entry.table_versions[0].1) {
-        Some(d) => d,
-        None => return Ok(None),
-    };
-    let cached_rows: u64 = entry.slots.iter().flatten().map(|s| s.row_count()).sum();
-    let budget = (cached_rows as usize / 4).max(BUDGET_MIN_ROWS);
+/// Replay the source-table delta onto the entry: update the touched
+/// groups of its digest, adjust the supports of cached itemsets by their
+/// containment in those groups before and now, mine the grown/new groups
+/// for borderline candidates and count them exactly. Returns `None`
+/// whenever incremental re-mining is unsound or over budget — the caller
+/// falls back to a full mine and drops the (possibly torn) entry.
+fn apply_delta(entry: &mut MineEntry, table: &Table, stmt: &MineRuleStatement) -> Option<()> {
+    let delta = table.changes_since(entry.digest.version)?;
+    let budget = (entry.digest.rows as usize / 4).max(BUDGET_MIN_ROWS);
     if delta.row_count() > budget {
-        return Ok(None);
+        return None;
     }
-    let (group_cols, item_cols) = match resolve_columns(db, stmt) {
-        Some(v) => v,
-        None => return Ok(None),
-    };
+    let (group_cols, item_cols) = key_columns(table, stmt).ok()?;
+    // Copy-on-write: in place unless a preprocess report still shares it.
+    let digest = Arc::make_mut(&mut entry.digest);
+    let before = digest.apply(&delta, &group_cols, &item_cols)?;
+    digest.version = table.version();
 
-    // Pre-delta item sets of every slot the delta touches.
-    let mut before: HashMap<u32, HashSet<String>> = HashMap::new();
-    let touch = |entry: &MineEntry, slot: u32, before: &mut HashMap<u32, HashSet<String>>| {
-        before.entry(slot).or_insert_with(|| {
-            entry.slots[slot as usize]
-                .as_ref()
-                .map(|s| s.item_set().into_iter().map(str::to_string).collect())
-                .unwrap_or_default()
-        });
-    };
-
-    if !apply_rows(&mut entry, &delta, &group_cols, &item_cols, &mut |e, s| {
-        touch(e, s, &mut before)
-    }) {
-        return Ok(None);
-    }
-
-    // Retire emptied groups; classify the touched slots.
-    let mut grown_or_new: Vec<(u32, HashSet<String>)> = Vec::new();
-    let mut changed: Vec<u32> = Vec::new();
-    for (&slot, old_set) in &before {
-        let now: HashSet<String> = entry.slots[slot as usize]
-            .as_ref()
-            .map(|s| {
-                if s.row_count() == 0 {
-                    HashSet::new()
-                } else {
-                    s.item_set().into_iter().map(str::to_string).collect()
-                }
-            })
-            .unwrap_or_default();
-        if entry.slots[slot as usize]
-            .as_ref()
-            .is_some_and(|s| s.row_count() == 0)
-        {
-            let key = entry.slots[slot as usize].as_ref().unwrap().key.clone();
-            entry.index.remove(&key);
-            entry.slots[slot as usize] = None;
-        }
-        if now == *old_set {
+    // Touched groups whose item set moved, as (before, now); those that
+    // gained an item may have lifted new itemsets over the threshold.
+    let mut changed: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+    let mut grown: Vec<Vec<u32>> = Vec::new();
+    for (slot, old) in before {
+        let now = digest.item_set(slot);
+        if now == old {
             continue; // duplicate-row churn only: the item set is unchanged
         }
-        changed.push(slot);
-        if now.iter().any(|i| !old_set.contains(i)) {
-            grown_or_new.push((slot, now));
+        if !contains_all(&old, &now) {
+            grown.push(now.clone());
         }
+        changed.push((old, now));
     }
 
-    let new_totg = entry.slots.iter().flatten().count() as u64;
-    let new_min = min_groups_for(new_totg, stmt.min_support);
+    let new_min = min_groups_for(digest.live_groups(), stmt.min_support);
     if new_min < entry.min_groups {
         // The effective threshold loosened (mass deletes): itemsets below
         // the cached pruning line are unknown. Full mine.
-        return Ok(None);
+        return None;
     }
 
-    // Patch gid-sets of the cached inventory for the changed slots only.
     for cached in &mut entry.inventory {
-        for &slot in &changed {
-            let contains_now = entry.slots[slot as usize]
-                .as_ref()
-                .is_some_and(|s| cached.items.iter().all(|i| s.items.contains_key(i)));
-            let pos = cached.gids.binary_search(&slot);
-            match (pos, contains_now) {
-                (Ok(p), false) => {
-                    cached.gids.remove(p);
-                }
-                (Err(p), true) => cached.gids.insert(p, slot),
+        for (old, now) in &changed {
+            match (
+                contains_all(old, &cached.items),
+                contains_all(now, &cached.items),
+            ) {
+                (true, false) => cached.count -= 1,
+                (false, true) => cached.count += 1,
                 _ => {}
             }
         }
@@ -616,161 +719,74 @@ fn apply_delta(
     // support < cached min_groups, so to reach new_min it must occur in
     // at least `t` of the grown/new groups. Mine just those.
     let t = (new_min - entry.min_groups + 1) as usize;
-    let delta_sets: Vec<&HashSet<String>> = grown_or_new.iter().map(|(_, s)| s).collect();
-    let candidates = match mine_delta_candidates(&delta_sets, t) {
-        Some(c) => c,
-        None => return Ok(None), // candidate blow-up: full mine
-    };
+    let mut candidates = mine_delta_candidates(&grown, t)?; // None: blow-up, full mine
+    {
+        let known: HashSet<&[u32]> = entry.inventory.iter().map(|c| &c.items[..]).collect();
+        candidates.retain(|c| !known.contains(&c[..]));
+    }
     if !candidates.is_empty() {
-        let known: HashSet<Vec<String>> = entry.inventory.iter().map(|c| c.items.clone()).collect();
-        // Exact verification over all live groups via an inverted index
-        // restricted to candidate items.
-        let mut item_slots: HashMap<&str, Vec<u32>> = HashMap::new();
-        let wanted: HashSet<&str> = candidates
-            .iter()
-            .flat_map(|c| c.iter().map(String::as_str))
-            .collect();
-        for (i, slot) in entry.slots.iter().enumerate() {
-            if let Some(slot) = slot {
-                for item in slot.item_set() {
-                    if wanted.contains(item) {
-                        item_slots.entry(item).or_default().push(i as u32);
-                    }
+        // Exact counts over all live groups, through an inverted index
+        // restricted to the candidates' items.
+        let mut wanted = vec![false; digest.item_joins.len()];
+        for &item in candidates.iter().flatten() {
+            wanted[item as usize] = true;
+        }
+        let mut item_slots: HashMap<u32, Vec<u32>> = HashMap::new();
+        for slot in 0..digest.groups.len() as u32 {
+            for item in digest.items_of(slot) {
+                if wanted[item as usize] {
+                    item_slots.entry(item).or_default().push(slot);
                 }
             }
         }
-        let mut fresh: Vec<CachedItemset> = Vec::new();
         for items in candidates {
-            if known.contains(&items) {
-                continue;
-            }
-            let mut gids: Option<Vec<u32>> = None;
-            for item in &items {
-                let slots = match item_slots.get(item.as_str()) {
-                    Some(s) => s,
-                    None => {
-                        gids = Some(Vec::new());
-                        break;
-                    }
-                };
-                gids = Some(match gids {
-                    None => slots.clone(),
-                    Some(g) => intersect_sorted(&g, slots),
-                });
-                if gids.as_ref().is_some_and(Vec::is_empty) {
+            let mut slots = item_slots.get(&items[0]).cloned().unwrap_or_default();
+            for item in &items[1..] {
+                if slots.is_empty() {
                     break;
                 }
+                slots = intersect_sorted(&slots, item_slots.get(item).map_or(&[], |s| &s[..]));
             }
-            let gids = gids.unwrap_or_default();
-            if gids.len() as u64 >= new_min {
-                fresh.push(CachedItemset { items, gids });
-            }
+            entry.inventory.push(CachedItemset {
+                items,
+                count: slots.len() as u32,
+            });
         }
-        entry.inventory.extend(fresh);
     }
 
     // Keep exactly the frequent set at the new threshold: the inventory
-    // is complete there (cached updates + verified candidates).
-    entry.inventory.retain(|c| c.gids.len() as u64 >= new_min);
-    entry.inventory.sort_by(|a, b| {
-        a.items
-            .len()
-            .cmp(&b.items.len())
-            .then_with(|| a.items.cmp(&b.items))
-    });
-    entry.total_groups = new_totg;
-    entry.table_versions = match source_versions(db, stmt) {
-        Some(v) => v,
-        None => return Ok(None),
-    };
-    Ok(Some(entry))
-}
-
-/// Apply the delta rows to the entry's group map. Returns false when a
-/// deleted row cannot be accounted for (the map and the table diverged —
-/// never expected, but never cache through it).
-fn apply_rows(
-    entry: &mut MineEntry,
-    delta: &TableDelta,
-    group_cols: &[usize],
-    item_cols: &[usize],
-    touch: &mut impl FnMut(&MineEntry, u32),
-) -> bool {
-    let max_col = group_cols.iter().chain(item_cols).copied().max();
-    for row in delta.inserted.iter().chain(&delta.deleted) {
-        if max_col.is_some_and(|m| m >= row.len()) {
-            return false; // schema drift
-        }
-    }
-    for row in &delta.inserted {
-        let (gkey, ikey) = row_keys(row, group_cols, item_cols);
-        let slot = match entry.index.get(&gkey) {
-            Some(&s) => s,
-            None => {
-                let s = entry.slots.len() as u32;
-                entry.slots.push(Some(GroupSlot {
-                    key: gkey.clone(),
-                    items: BTreeMap::new(),
-                }));
-                entry.index.insert(gkey, s);
-                s
-            }
-        };
-        touch(entry, slot);
-        *entry.slots[slot as usize]
-            .as_mut()
-            .unwrap()
-            .items
-            .entry(ikey)
-            .or_insert(0) += 1;
-    }
-    for row in &delta.deleted {
-        let (gkey, ikey) = row_keys(row, group_cols, item_cols);
-        let slot = match entry.index.get(&gkey) {
-            Some(&s) => s,
-            None => return false,
-        };
-        touch(entry, slot);
-        let slot_ref = entry.slots[slot as usize].as_mut().unwrap();
-        match slot_ref.items.get_mut(&ikey) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
-                if *c == 0 {
-                    slot_ref.items.remove(&ikey);
-                }
-            }
-            _ => return false,
-        }
-    }
-    true
+    // is complete there (adjusted counts + verified candidates).
+    entry.inventory.retain(|c| c.count as u64 >= new_min);
+    Some(())
 }
 
 /// Enumerate every itemset occurring in at least `t` of the given group
-/// item-sets (depth-first with tid-lists over the — small — delta).
-/// Returns `None` past [`MAX_DELTA_CANDIDATES`].
-fn mine_delta_candidates(groups: &[&HashSet<String>], t: usize) -> Option<Vec<Vec<String>>> {
+/// item-sets (depth-first with tid-lists over the — small — delta), each
+/// sorted. Returns `None` past [`MAX_DELTA_CANDIDATES`].
+fn mine_delta_candidates(groups: &[Vec<u32>], t: usize) -> Option<Vec<Vec<u32>>> {
     if groups.is_empty() || t > groups.len() {
         return Some(Vec::new());
     }
-    let mut tids: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut tids: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, set) in groups.iter().enumerate() {
-        for item in set.iter() {
+        for &item in set {
             tids.entry(item).or_default().push(i);
         }
     }
-    let items: Vec<(&str, Vec<usize>)> = tids
+    // Ascending item order, so every emitted prefix is already sorted.
+    let items: Vec<(u32, Vec<usize>)> = tids
         .into_iter()
         .filter(|(_, tids)| tids.len() >= t)
         .collect();
-    let mut out: Vec<Vec<String>> = Vec::new();
+    let mut out: Vec<Vec<u32>> = Vec::new();
 
     fn extend(
-        items: &[(&str, Vec<usize>)],
+        items: &[(u32, Vec<usize>)],
         start: usize,
-        prefix: &mut Vec<String>,
+        prefix: &mut Vec<u32>,
         prefix_tids: &[usize],
         t: usize,
-        out: &mut Vec<Vec<String>>,
+        out: &mut Vec<Vec<u32>>,
     ) -> bool {
         for (i, (item, item_tids)) in items.iter().enumerate().skip(start) {
             let tids: Vec<usize> = if prefix.is_empty() {
@@ -785,13 +801,11 @@ fn mine_delta_candidates(groups: &[&HashSet<String>], t: usize) -> Option<Vec<Ve
             if tids.len() < t {
                 continue;
             }
-            prefix.push(item.to_string());
+            prefix.push(*item);
             if out.len() >= MAX_DELTA_CANDIDATES {
                 return false;
             }
-            let mut emitted = prefix.clone();
-            emitted.sort();
-            out.push(emitted);
+            out.push(prefix.clone());
             if !extend(items, i + 1, prefix, &tids, t, out) {
                 return false;
             }
@@ -807,43 +821,43 @@ fn mine_delta_candidates(groups: &[&HashSet<String>], t: usize) -> Option<Vec<Ve
     Some(out)
 }
 
-/// Filter the inventory at the statement's threshold, map value-space
-/// items onto the current `Bset` identifiers and regenerate rules with
-/// the same derivation a cold mine uses — bit-identical output. `None`
-/// when an item cannot be mapped (serve as a miss instead).
+/// Filter the inventory at the statement's threshold, map item ids onto
+/// the current `Bset` identifiers and regenerate rules with the same
+/// derivation a cold mine uses — bit-identical output. `None` when an
+/// item cannot be mapped (serve as a miss instead).
 fn extract_rules(
-    db: &mut Database,
+    db: &Database,
     entry: &MineEntry,
     translation: &Translation,
     new_min: u64,
 ) -> Result<Option<Vec<EncodedRule>>> {
     let stmt = &translation.stmt;
-    let bid_items = match read_bid_items(db, translation) {
-        Some(map) => map,
-        None => return Ok(None),
-    };
-    let item_bids: HashMap<&str, u32> = bid_items
-        .iter()
-        .map(|(&bid, item)| (item.as_str(), bid))
-        .collect();
-    let mut large: Vec<LargeItemset> = Vec::new();
-    for cached in &entry.inventory {
-        if (cached.gids.len() as u64) < new_min {
-            continue;
-        }
-        let mut set: Vec<u32> = Vec::with_capacity(cached.items.len());
-        for item in &cached.items {
-            match item_bids.get(item.as_str()) {
-                Some(&bid) => set.push(bid),
-                None => return Ok(None),
+    let mut bid_of: Vec<Option<u32>> = vec![None; entry.digest.item_joins.len()];
+    match bset_items(db, translation, &entry.digest) {
+        Some(pairs) => {
+            for (bid, item) in pairs {
+                bid_of[item as usize] = Some(bid);
             }
         }
-        set.sort_unstable();
-        large.push((set, cached.gids.len() as u32));
+        None => return Ok(None),
+    }
+    let mut large: Vec<LargeItemset> = Vec::new();
+    for cached in &entry.inventory {
+        if (cached.count as u64) < new_min {
+            continue;
+        }
+        let set: Option<Vec<u32>> = cached.items.iter().map(|&i| bid_of[i as usize]).collect();
+        match set {
+            Some(mut set) => {
+                set.sort_unstable();
+                large.push((set, cached.count));
+            }
+            None => return Ok(None),
+        }
     }
     let (mut rules, _) = rules_from_itemsets_counted(
         &large,
-        entry.total_groups as u32,
+        entry.digest.live_groups() as u32,
         stmt.body.card,
         stmt.head.card,
         stmt.min_confidence,
@@ -852,29 +866,16 @@ fn extract_rules(
     Ok(Some(rules))
 }
 
-/// Rough retained size of one entry, for the bytes gauge.
-fn approx_entry_bytes(entry: &MineEntry) -> u64 {
-    let slot_bytes: u64 = entry
-        .slots
-        .iter()
-        .flatten()
-        .map(|s| s.key.len() as u64 + s.items.keys().map(|k| k.len() as u64 + 12).sum::<u64>() + 32)
-        .sum();
-    let inv_bytes: u64 = entry
-        .inventory
-        .iter()
-        .map(|c| {
-            c.items.iter().map(|i| i.len() as u64 + 8).sum::<u64>() + c.gids.len() as u64 * 4 + 32
-        })
-        .sum();
-    slot_bytes + inv_bytes + 256
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core_op::{run_core, CoreOptions};
+    use crate::encoded::read_encoded;
     use crate::paper_example::purchase_db;
+    use crate::parser::parse_mine_rule;
     use crate::pipeline::MineRuleEngine;
+    use crate::preprocess::preprocess;
+    use crate::translator::translate;
 
     fn stmt_text(support: f64, confidence: f64, output: &str) -> String {
         format!(
@@ -1045,39 +1046,236 @@ mod tests {
         assert_eq!(warm.rules, cold_reference(&[], &stmt_text(0.5, 0.4, "R")));
     }
 
+    /// A two-table FROM is directive W: one predicate ([`fusible`]) keeps
+    /// it off the fused pass and out of the cache alike.
     #[test]
-    fn value_keys_never_alias_across_types() {
-        assert_ne!(
-            value_key(&Value::Int(1)),
-            value_key(&Value::Str("1".into()))
+    fn joining_from_list_is_w_and_neither_fused_nor_captured() {
+        let text = "MINE RULE J AS SELECT DISTINCT category AS BODY, category AS HEAD \
+                    FROM Purchase, Product GROUP BY customer \
+                    EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1";
+        let mut db = purchase_db();
+        db.execute("CREATE TABLE Product (pitem VARCHAR, category VARCHAR)")
+            .unwrap();
+        db.execute("INSERT INTO Product VALUES ('jackets', 'outer'), ('ski_pants', 'snow')")
+            .unwrap();
+        let translation = translate(&parse_mine_rule(text).unwrap(), db.catalog()).unwrap();
+        assert!(translation.directives.w);
+        assert!(!fusible(&translation));
+        let engine = MineRuleEngine::new();
+        engine.execute(&mut db, text).unwrap();
+        engine.execute(&mut db, text).unwrap();
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.counter("preprocess.fused_steps"), 0);
+        assert_eq!(snap.counter("core.minecache.hit"), 0);
+        assert_eq!(snap.counter("core.minecache.miss"), 2);
+    }
+
+    // ---- the interned representation, driven layer by layer -------------
+
+    /// Preprocess, mine and capture `text` the way the pipeline does.
+    fn capture(
+        db: &mut Database,
+        cache: &MineResultCache,
+        text: &str,
+    ) -> (Translation, PreprocessReport, StoreOutcome) {
+        let translation = translate(&parse_mine_rule(text).unwrap(), db.catalog()).unwrap();
+        let report = preprocess(db, &translation).unwrap();
+        let encoded = read_encoded(db, &translation).unwrap();
+        let mined = run_core(&encoded, &CoreOptions::default()).unwrap();
+        let stored = cache.store(
+            db,
+            &translation,
+            "",
+            &report,
+            mined.large_itemsets.as_deref().unwrap(),
         );
-        assert_ne!(value_key(&Value::Int(1)), value_key(&Value::Float(1.0)));
-        assert_ne!(
-            value_key(&Value::Null),
-            value_key(&Value::Str(String::new()))
+        (translation, report, stored)
+    }
+
+    /// Preprocess `text` and ask the cache for its core phase.
+    fn serve_warm(db: &mut Database, cache: &MineResultCache, text: &str) -> Option<ServeKind> {
+        let translation = translate(&parse_mine_rule(text).unwrap(), db.catalog()).unwrap();
+        let report = preprocess(db, &translation).unwrap();
+        let served = cache.try_serve(db, &translation, "", &report).unwrap();
+        served.map(|s| s.kind)
+    }
+
+    /// The most recently used entry's digest and (sorted) inventory.
+    fn newest(cache: &MineResultCache) -> (Arc<SourceDigest>, Vec<CachedItemset>) {
+        let state = cache.inner.as_ref().unwrap().lock().unwrap();
+        let entry = state.entries.last().expect("an entry was captured");
+        let mut inventory = entry.inventory.clone();
+        inventory.sort_by(|a, b| a.items.cmp(&b.items));
+        (entry.digest.clone(), inventory)
+    }
+
+    #[test]
+    fn fused_digest_capture_equals_the_fallback_scan() {
+        let text = stmt_text(0.25, 0.1, "R");
+        let mut db = purchase_db();
+        let rows = db.catalog().table("Purchase").unwrap().row_count() as u64;
+
+        let fused = MineResultCache::new();
+        let (_, report, stored) = capture(&mut db, &fused, &text);
+        assert_eq!(stored.source_rows, 0, "the fused pass already read them");
+        let (fused_digest, fused_inventory) = newest(&fused);
+        assert!(Arc::ptr_eq(report.digest.as_ref().unwrap(), &fused_digest));
+
+        // Step by step (the reference paths) no digest leaves preprocess,
+        // so the capture runs the same scan itself.
+        db.set_reference_paths(true);
+        let scanned = MineResultCache::new();
+        let (_, report, stored) = capture(&mut db, &scanned, &text);
+        assert!(report.digest.is_none());
+        assert_eq!(stored.source_rows, rows);
+        let (scanned_digest, scanned_inventory) = newest(&scanned);
+        assert_eq!(*fused_digest, *scanned_digest, "dictionaries + multiset");
+        assert_eq!(fused_inventory, scanned_inventory);
+        assert!(!fused_inventory.is_empty());
+        assert_eq!(fused_digest.rows, rows);
+    }
+
+    #[test]
+    fn refine_serves_and_same_version_recaptures_share_the_digest() {
+        // Fused: the entry holds the very digest the report carried, and
+        // warm serves leave it where it is.
+        let mut db = purchase_db();
+        let cache = MineResultCache::new();
+        let (_, report, _) = capture(&mut db, &cache, &stmt_text(0.5, 0.4, "R"));
+        let captured = report.digest.unwrap();
+        for (support, confidence, kind) in [
+            (0.5, 0.7, ServeKind::Refine),
+            (0.75, 0.1, ServeKind::Refine),
+            (0.75, 0.1, ServeKind::Hit),
+        ] {
+            let served = serve_warm(&mut db, &cache, &stmt_text(support, confidence, "R"));
+            assert_eq!(served, Some(kind));
+            assert!(Arc::ptr_eq(&captured, &newest(&cache).0));
+        }
+
+        // Step by step: a loosened support misses, and its recapture at
+        // the unchanged source version reuses the entry's digest instead
+        // of scanning again.
+        let mut db = purchase_db();
+        db.set_reference_paths(true);
+        let cache = MineResultCache::new();
+        let (_, _, stored) = capture(&mut db, &cache, &stmt_text(0.5, 0.4, "R"));
+        assert!(stored.source_rows > 0);
+        let first = newest(&cache).0;
+        assert_eq!(
+            serve_warm(&mut db, &cache, &stmt_text(0.25, 0.1, "R")),
+            None
         );
-        assert_ne!(
-            compound_key(&[&Value::Str("a\u{1f}b".into())]),
-            compound_key(&[&Value::Str("a".into()), &Value::Str("b".into())])
+        let (_, _, stored) = capture(&mut db, &cache, &stmt_text(0.25, 0.1, "R"));
+        assert_eq!(stored.source_rows, 0);
+        assert!(Arc::ptr_eq(&first, &newest(&cache).0));
+        // ... but never across a version change.
+        db.execute("DELETE FROM Purchase WHERE tr = 1").unwrap();
+        let (_, _, stored) = capture(&mut db, &cache, &stmt_text(0.1, 0.1, "R"));
+        assert!(stored.source_rows > 0);
+        assert!(!Arc::ptr_eq(&first, &newest(&cache).0));
+    }
+
+    #[test]
+    fn delta_replay_copies_a_shared_digest_once_then_works_in_place() {
+        let text = stmt_text(0.25, 0.1, "R");
+        let mut db = purchase_db();
+        let cache = MineResultCache::new();
+        let (_, report, _) = capture(&mut db, &cache, &text);
+        // The report (a caller's `MiningOutcome`) still shares the digest:
+        // the first delta must leave that snapshot untouched.
+        let held = report.digest.unwrap();
+        let snapshot = (*held).clone();
+        db.execute("INSERT INTO Purchase VALUES (9, 'c9', 'jackets', DATE '1997-01-08', 300, 1)")
+            .unwrap();
+        assert_eq!(serve_warm(&mut db, &cache, &text), Some(ServeKind::Delta));
+        let after_first = Arc::as_ptr(&newest(&cache).0);
+        assert_ne!(after_first, Arc::as_ptr(&held), "copied on write");
+        assert_eq!(*held, snapshot, "the shared snapshot is untouched");
+
+        // Nobody else holds the copy, so the second delta rewrites it in
+        // place — and still lands on the digest a fresh scan would build.
+        db.execute("DELETE FROM Purchase WHERE tr = 2 AND item = 'jackets'")
+            .unwrap();
+        assert_eq!(serve_warm(&mut db, &cache, &text), Some(ServeKind::Delta));
+        let (twice, _) = newest(&cache);
+        assert_eq!(Arc::as_ptr(&twice), after_first, "updated in place");
+        let stmt = parse_mine_rule(&text).unwrap();
+        let rescanned = scan_source(&db, &stmt).unwrap().digest;
+        assert_eq!(twice.version, rescanned.version);
+        assert_eq!(twice.rows, rescanned.rows);
+        assert_eq!(twice.live_groups(), rescanned.live_groups());
+        for (key, &slot) in &rescanned.group_ids {
+            // Slot and item ids are first-seen, so compare through keys.
+            let items = |d: &SourceDigest, slot: u32| -> Vec<(Vec<Value>, u32)> {
+                let by_id: HashMap<u32, &Vec<Value>> =
+                    d.item_ids.iter().map(|(k, &id)| (id, k)).collect();
+                let group = d.groups[slot as usize].as_ref().unwrap();
+                let mut items: Vec<_> = group
+                    .items
+                    .iter()
+                    .map(|&(item, n)| (by_id[&item].clone(), n))
+                    .collect();
+                items.sort_by(|a, b| a.0[0].total_cmp(&b.0[0]));
+                items
+            };
+            assert_eq!(
+                items(&twice, twice.group_ids[key]),
+                items(&rescanned, slot),
+                "group {key:?}"
+            );
+        }
+    }
+
+    /// The digest keys by SQL grouping equality — what the preprocessor
+    /// groups by — so types never alias (`1` is not `'1'`), numerics
+    /// unify (`1` is `1.0`), signed zeros stay apart and NULLs group
+    /// together without ever joining.
+    #[test]
+    fn digest_keys_follow_sql_grouping_equality() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE T (g FLOAT, item VARCHAR)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO T VALUES (1, '1'), (1.0, '1'), (0.0, 'a'), (-0.0, 'a'), \
+             (NULL, 'a'), (NULL, NULL), (2.5, NULL)",
+        )
+        .unwrap();
+        let stmt = parse_mine_rule(
+            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD FROM T GROUP BY g \
+             EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1",
+        )
+        .unwrap();
+        let digest = scan_source(&db, &stmt).unwrap().digest;
+        assert_eq!(digest.live_groups(), 5, "1|1.0, 0.0, -0.0, NULL, 2.5");
+        assert_eq!(digest.rows, 7);
+        let slot = |v: Value| digest.group_ids[&vec![v]];
+        assert_eq!(slot(Value::Int(1)), slot(Value::Float(1.0)));
+        assert_ne!(slot(Value::Float(0.0)), slot(Value::Float(-0.0)));
+        let one = digest.item_ids[&vec![Value::Str("1".into())]];
+        assert!(!digest.item_ids.contains_key(&vec![Value::Int(1)]));
+        // The `1|1.0` group holds item '1' twice; NULLs never join.
+        assert_eq!(
+            digest.groups[slot(Value::Int(1)) as usize]
+                .as_ref()
+                .unwrap()
+                .items,
+            vec![(one, 2)]
         );
-        // Still... the last two render the same joined text, which is
-        // exactly why stores verify counts before trusting the map.
+        assert_eq!(digest.item_set(slot(Value::Int(1))), vec![one]);
+        assert!(digest.item_set(slot(Value::Null)).is_empty());
+        assert!(digest.item_set(slot(Value::Float(2.5))).is_empty());
+        assert!(!digest.joins(slot(Value::Null), one));
+        assert!(digest.joins(slot(Value::Float(0.0)), one));
     }
 
     #[test]
     fn delta_candidate_miner_enumerates_exactly() {
-        let a: HashSet<String> = ["x", "y", "z"].iter().map(|s| s.to_string()).collect();
-        let b: HashSet<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
-        let c: HashSet<String> = ["y"].iter().map(|s| s.to_string()).collect();
-        let groups = [&a, &b, &c];
+        // Items x = 7, y = 8, z = 9.
+        let groups = [vec![7, 8, 9], vec![7, 8], vec![8]];
         let mut found = mine_delta_candidates(&groups, 2).unwrap();
         found.sort();
-        let expect: Vec<Vec<String>> = vec![
-            vec!["x".into()],
-            vec!["x".into(), "y".into()],
-            vec!["y".into()],
-        ];
-        assert_eq!(found, expect);
+        assert_eq!(found, vec![vec![7], vec![7, 8], vec![8]]);
         assert!(mine_delta_candidates(&groups, 4).unwrap().is_empty());
     }
 }

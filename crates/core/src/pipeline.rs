@@ -579,6 +579,8 @@ impl MineRuleEngine {
                     if self.minecache.is_enabled() {
                         self.telemetry
                             .gauge_set("core.minecache.bytes", stored.bytes as i64);
+                        self.telemetry
+                            .counter_add("core.minecache.capture.source_rows", stored.source_rows);
                     }
                 }
                 (rules, used_general, shard_timings)

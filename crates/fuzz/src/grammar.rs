@@ -642,8 +642,9 @@ impl Gen<'_> {
 
     /// Emit a mine statement, plus (sometimes) an interactive-session
     /// continuation of it: an identical rerun, a tightened- or
-    /// loosened-threshold rerun, or a source-table delta (INSERT/DELETE)
-    /// followed by the same statement again. Together these exercise the
+    /// loosened-threshold rerun, a source-table delta (INSERT/DELETE)
+    /// followed by the same statement again, or a chained session of two
+    /// deltas each followed by a rerun. Together these exercise the
     /// preprocess-cache hit path and every mined-result cache path —
     /// plain hit, refine, clean loosened miss and incremental delta
     /// re-mining — under every knob mix.
@@ -652,17 +653,20 @@ impl Gen<'_> {
         self.next_mine += 1;
         let (stmt, support, confidence) = self.gen_mine(&out);
         case.ops.push(Op::Mine(stmt.clone()));
-        match self.rng.gen_below(6) {
+        let tightened = |stmt: &str| {
+            let s2 = (support * 2.0).min(1.0);
+            let c2 = (confidence + 0.2).min(1.0);
+            stmt.replace(
+                &format!("SUPPORT: {support}, CONFIDENCE: {confidence}"),
+                &format!("SUPPORT: {s2}, CONFIDENCE: {c2}"),
+            )
+        };
+        match self.rng.gen_below(7) {
             0 => case.ops.push(Op::Mine(stmt)), // identical rerun
             1 | 2 => {
                 // Tightened thresholds: the caches' superset rules admit
                 // these as warm hits.
-                let s2 = (support * 2.0).min(1.0);
-                let c2 = (confidence + 0.2).min(1.0);
-                case.ops.push(Op::Mine(stmt.replace(
-                    &format!("SUPPORT: {support}, CONFIDENCE: {confidence}"),
-                    &format!("SUPPORT: {s2}, CONFIDENCE: {c2}"),
-                )));
+                case.ops.push(Op::Mine(tightened(&stmt)));
             }
             3 => {
                 // Loosened support: the mined-result cache must miss
@@ -680,6 +684,17 @@ impl Gen<'_> {
                 let dml = self.gen_delta_dml();
                 case.ops.push(Op::Dml(dml));
                 case.ops.push(Op::Mine(stmt));
+            }
+            5 => {
+                // A chained session: delta → mine → delta → mine at
+                // tightened thresholds. The second replay lands on an
+                // entry a delta already rewrote (copy-on-write no longer
+                // shields it), and the refine then filters those counts.
+                for rerun in [stmt.clone(), tightened(&stmt)] {
+                    let dml = self.gen_delta_dml();
+                    case.ops.push(Op::Dml(dml));
+                    case.ops.push(Op::Mine(rerun));
+                }
             }
             _ => {}
         }

@@ -503,19 +503,57 @@ impl Database {
         })
     }
 
-    fn run_delete(&mut self, table: &str, pred: Option<&Expr>) -> Result<ExecOutcome> {
-        let schema = self.catalog.table(table)?.schema().clone();
-        // Evaluate the predicate over a snapshot (needs &mut self for
-        // subqueries), then remove in one masked mutation so the table's
-        // change log records exactly the deleted rows.
-        let rows: Vec<Row> = self.catalog.table(table)?.rows().to_vec();
-        let mut mask = Vec::with_capacity(rows.len());
-        for row in &rows {
-            mask.push(match pred {
-                None => true,
-                Some(p) => eval_expr(p, &schema, row, self)?.is_true(),
+    /// Visit every row of `table` (with its position) under an
+    /// evaluation context fit for `exprs`. Expressions that reach back
+    /// into the engine — subqueries, sequence draws — need `&mut self`,
+    /// so they see a snapshot of the rows; everything else is evaluated
+    /// against the stored rows in place, without copying the table.
+    fn for_each_target_row(
+        &mut self,
+        table: &str,
+        exprs: &[&Expr],
+        mut visit: impl FnMut(&Schema, usize, &Row, &mut dyn QueryCtx) -> Result<()>,
+    ) -> Result<()> {
+        let mut reaches_engine = false;
+        for e in exprs {
+            e.walk(&mut |e| {
+                reaches_engine |= matches!(
+                    e,
+                    Expr::ScalarSubquery(_)
+                        | Expr::Exists { .. }
+                        | Expr::InSubquery { .. }
+                        | Expr::NextVal(_)
+                )
             });
         }
+        let target = self.catalog.table(table)?;
+        if reaches_engine {
+            let (schema, rows) = (target.schema().clone(), target.rows().to_vec());
+            for (at, row) in rows.iter().enumerate() {
+                visit(&schema, at, row, self)?;
+            }
+        } else {
+            let mut ctx = HostVars(&self.vars);
+            for (at, row) in target.rows().iter().enumerate() {
+                visit(target.schema(), at, row, &mut ctx)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn run_delete(&mut self, table: &str, pred: Option<&Expr>) -> Result<ExecOutcome> {
+        // Evaluate the predicate over every row first, then remove in one
+        // masked mutation so the table's change log records exactly the
+        // deleted rows.
+        let mut mask = Vec::with_capacity(self.catalog.table(table)?.row_count());
+        let exprs: Vec<&Expr> = pred.into_iter().collect();
+        self.for_each_target_row(table, &exprs, |schema, _, row, ctx| {
+            mask.push(match pred {
+                None => true,
+                Some(p) => eval_expr(p, schema, row, ctx)?.is_true(),
+            });
+            Ok(())
+        })?;
         let removed = self.catalog.table_mut(table)?.delete_mask(&mask);
         Ok(ExecOutcome {
             rows_affected: removed,
@@ -529,41 +567,72 @@ impl Database {
         assignments: &[(String, Expr)],
         pred: Option<&Expr>,
     ) -> Result<ExecOutcome> {
-        let schema = self.catalog.table(table)?.schema().clone();
+        let schema = self.catalog.table(table)?.schema();
         let mut idxs = Vec::with_capacity(assignments.len());
         for (c, _) in assignments {
             idxs.push(schema.resolve(None, c)?);
         }
-        // Evaluate predicate and assignments over a snapshot (needs
-        // &mut self for subqueries), then swap the matched rows in one
-        // batch so the change log records the UPDATE as a tracked
-        // delete+insert pair — downstream delta consumers (the mined-
-        // result cache) can replay it instead of refusing the window.
-        let rows: Vec<Row> = self.catalog.table(table)?.rows().to_vec();
+        // Evaluate predicate and assignments over every row first, then
+        // swap the matched rows in one batch so the change log records
+        // the UPDATE as a tracked delete+insert pair — downstream delta
+        // consumers (the mined-result cache) can replay it instead of
+        // refusing the window.
         let mut changes: Vec<(usize, Row)> = Vec::new();
-        for (at, row) in rows.iter().enumerate() {
+        let exprs: Vec<&Expr> = pred
+            .into_iter()
+            .chain(assignments.iter().map(|(_, e)| e))
+            .collect();
+        self.for_each_target_row(table, &exprs, |schema, at, row, ctx| {
             let matches = match pred {
                 None => true,
-                Some(p) => eval_expr(p, &schema, row, self)?.is_true(),
+                Some(p) => eval_expr(p, schema, row, ctx)?.is_true(),
             };
             if !matches {
-                continue;
+                return Ok(());
             }
             let mut new_row = row.clone();
             let mut new_vals = Vec::with_capacity(assignments.len());
             for (_, e) in assignments {
-                new_vals.push(eval_expr(e, &schema, row, self)?);
+                new_vals.push(eval_expr(e, schema, row, ctx)?);
             }
             for (v, &i) in new_vals.into_iter().zip(&idxs) {
                 new_row[i] = v;
             }
             changes.push((at, new_row));
-        }
+            Ok(())
+        })?;
         let updated = self.catalog.table_mut(table)?.apply_updates(changes)?;
         Ok(ExecOutcome {
             rows_affected: updated,
             result: None,
         })
+    }
+}
+
+fn host_var(vars: &HashMap<String, Value>, name: &str) -> Result<Value> {
+    vars.get(&name.to_ascii_lowercase())
+        .cloned()
+        .ok_or_else(|| Error::UnboundVariable {
+            name: name.to_string(),
+        })
+}
+
+/// The evaluation context of a DML expression that needs nothing of the
+/// engine but its host variables: the table's rows stay borrowed from the
+/// catalog while it runs, so the database itself cannot be the context.
+/// [`Database::for_each_target_row`] routes expressions with subqueries
+/// or sequence draws elsewhere, so those arms are unreachable errors.
+struct HostVars<'a>(&'a HashMap<String, Value>);
+
+impl QueryCtx for HostVars<'_> {
+    fn run_subquery(&mut self, _query: &SelectStmt) -> Result<ResultSet> {
+        Err(Error::unsupported("subquery over stored rows"))
+    }
+    fn nextval(&mut self, _sequence: &str) -> Result<i64> {
+        Err(Error::unsupported("sequence draw over stored rows"))
+    }
+    fn host_var(&self, name: &str) -> Result<Value> {
+        host_var(self.0, name)
     }
 }
 
@@ -577,11 +646,7 @@ impl QueryCtx for Database {
     }
 
     fn host_var(&self, name: &str) -> Result<Value> {
-        self.var(name)
-            .cloned()
-            .ok_or_else(|| Error::UnboundVariable {
-                name: name.to_string(),
-            })
+        host_var(&self.vars, name)
     }
 
     fn reference_paths(&self) -> bool {

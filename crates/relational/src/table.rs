@@ -206,8 +206,13 @@ impl Table {
     /// Remove every row whose mask position is true; returns how many were
     /// removed. Positions beyond the mask are kept. This is the DELETE
     /// primitive: removed rows enter the change log, so a consumer holding
-    /// an older version stamp can replay the delta.
+    /// an older version stamp can replay the delta. A mask that removes
+    /// nothing is a no-op, not a version bump: indexes, caches and the
+    /// paged store see an untouched table.
     pub fn delete_mask(&mut self, mask: &[bool]) -> usize {
+        if !mask.iter().take(self.rows.len()).any(|&m| m) {
+            return 0;
+        }
         let mut deleted = Vec::new();
         let mut kept = Vec::with_capacity(self.rows.len());
         for (i, row) in self.rows.drain(..).enumerate() {

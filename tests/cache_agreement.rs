@@ -231,6 +231,10 @@ const DELTA_MULTI_INSERT: &str = "INSERT INTO Purchase VALUES \
      (10, 'c9', 'col_shirts', DATE '1997-01-09', 25, 2), \
      (1, 'cust1', 'jackets', DATE '1997-01-09', 300, 1)";
 
+/// A DELETE whose predicate matches no row: no version bump, so both
+/// caches still answer — not a delta, let alone a miss.
+const NOOP_DELETE: &str = "DELETE FROM Purchase WHERE tr = 424242";
+
 /// Counters that prove the core operator ran (or did not).
 fn core_work(snapshot: &minerule::telemetry::MetricsSnapshot) -> Vec<(String, u64)> {
     snapshot
@@ -241,90 +245,261 @@ fn core_work(snapshot: &minerule::telemetry::MetricsSnapshot) -> Vec<(String, u6
         .collect()
 }
 
-/// The tentpole sequence — cold mine, loosen (clean miss + recapture),
-/// tighten support (refine), tighten confidence (refine), insert delta
-/// (incremental re-mine), update delta (delete+insert re-mine), multi-row
-/// insert delta (one change record, incremental re-mine) — must
-/// stay bit-identical to a cold mine at every stage, for every worker
-/// count, with the cache on or off. Warm stages must do zero
-/// core-operator work.
-#[test]
-fn mined_result_refinement_sequence_agrees_across_workers() {
-    // (mutation applied before the mine, support, confidence, warm?)
-    let stages: [(Option<&str>, f64, f64, bool); 7] = [
-        (None, 0.5, 0.4, false),                     // cold capture
-        (None, 0.25, 0.1, false),                    // loosened support: clean miss
-        (None, 0.5, 0.1, true),                      // tightened support: refine
-        (None, 0.5, 0.7, true),                      // tightened confidence: refine
-        (Some(DELTA_INSERT), 0.25, 0.1, true),       // delta: incremental re-mine
-        (Some(DELTA_UPDATE), 0.25, 0.1, true),       // update delta: delete+insert re-mine
-        (Some(DELTA_MULTI_INSERT), 0.25, 0.1, true), // one-record bulk delta
-    ];
+/// What the mined-result cache must do with one stage of a session.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Expect {
+    /// The core operator runs (first mine, loosened support).
+    Mine,
+    /// Same snapshot and thresholds: a plain hit.
+    Hit,
+    /// Same snapshot, other thresholds: answered by filtering.
+    Refine,
+    /// The source moved: answered by incremental re-mining.
+    Delta,
+}
+
+/// One stage: SQL applied to the source first, then the statement mined
+/// at `(support, confidence)`.
+type Stage<'a> = (&'a [&'a str], f64, f64, Expect);
+
+/// Drive one engine through `stages` over the database `setup` builds,
+/// for every worker count with the mined-result cache on and off. Every
+/// stage must be bit-identical to a cold mine (both caches off) over a
+/// fresh, equally-mutated database; with the cache on, every stage must
+/// be served the way it says, warm stages doing zero core-operator work.
+fn assert_session_agrees(
+    setup: &[&str],
+    statement: impl Fn(f64, f64) -> String,
+    stages: &[Stage<'_>],
+) {
+    let build = |mutations: &[&str]| {
+        let mut db = purchase_db();
+        for sql in setup.iter().chain(mutations) {
+            db.execute(sql).unwrap();
+        }
+        db
+    };
     for workers in WORKERS {
         for minecache in CACHE {
-            let label = format!("workers={workers} minecache={minecache}");
-            let mut db = purchase_db();
+            let mut db = build(&[]);
             let engine = MineRuleEngine::new()
                 .with_workers(workers)
                 .with_minecache(minecache);
             let mut mutations: Vec<&str> = Vec::new();
-            for (stage, (mutation, support, confidence, warm)) in stages.iter().enumerate() {
-                if let Some(dml) = mutation {
-                    db.execute(dml).unwrap();
-                    mutations.push(dml);
+            for (stage, (dml, support, confidence, expect)) in stages.iter().enumerate() {
+                let label = format!("workers={workers} minecache={minecache} stage {stage}");
+                for sql in *dml {
+                    db.execute(sql).unwrap();
+                    mutations.push(sql);
                 }
-                let before = core_work(&engine.metrics_snapshot());
-                let run = engine
-                    .execute(&mut db, &tr_mine(*support, *confidence))
-                    .unwrap();
-                let after = core_work(&engine.metrics_snapshot());
-                if minecache && *warm {
-                    assert_eq!(
-                        before, after,
-                        "{label} stage {stage}: warm serve must skip the core operator"
-                    );
-                } else {
-                    assert_ne!(
-                        before, after,
-                        "{label} stage {stage}: cold stage must run the core operator"
-                    );
+                let text = statement(*support, *confidence);
+                let before = engine.metrics_snapshot();
+                let run = engine.execute(&mut db, &text).unwrap();
+                let after = engine.metrics_snapshot();
+                let moved = |name: &str| after.counter(name) - before.counter(name);
+                let served = if minecache { *expect } else { Expect::Mine };
+                assert_eq!(
+                    core_work(&before) != core_work(&after),
+                    served == Expect::Mine,
+                    "{label}: the core operator runs exactly on a mine"
+                );
+                let (hit, refine, delta, miss) = match served {
+                    Expect::Mine => (0, 0, 0, minecache as u64),
+                    Expect::Hit => (1, 0, 0, 0),
+                    Expect::Refine => (1, 1, 0, 0),
+                    Expect::Delta => (1, 0, 1, 0),
+                };
+                for (name, want) in [
+                    ("core.minecache.hit", hit),
+                    ("core.minecache.refine", refine),
+                    ("core.minecache.delta", delta),
+                    ("core.minecache.miss", miss),
+                ] {
+                    assert_eq!(moved(name), want, "{label}: {name}");
+                }
+                // An untouched source keeps the preprocess cache warm too.
+                if matches!(expect, Expect::Hit | Expect::Refine) {
+                    assert_eq!(moved("preprocess.cache.hit"), 1, "{label}");
                 }
 
-                // Reference: a cold engine over a fresh, equally-mutated db.
-                let mut fresh = purchase_db();
-                for dml in &mutations {
-                    fresh.execute(dml).unwrap();
-                }
                 let reference = MineRuleEngine::new()
                     .with_preprocache(false)
                     .with_minecache(false)
-                    .execute(&mut fresh, &tr_mine(*support, *confidence))
+                    .execute(&mut build(&mutations), &text)
                     .unwrap();
-                assert!(!reference.rules.is_empty(), "{label} stage {stage}");
+                assert!(!reference.rules.is_empty(), "{label}");
                 assert_eq!(
                     signature(&run.rules),
                     signature(&reference.rules),
-                    "{label} stage {stage}: rules diverge from a cold mine"
+                    "{label}: rules diverge from a cold mine"
                 );
-            }
-            let snapshot = engine.metrics_snapshot();
-            if minecache {
-                assert_eq!(snapshot.counter("core.minecache.miss"), 2, "{label}");
-                assert_eq!(snapshot.counter("core.minecache.hit"), 5, "{label}");
-                assert_eq!(snapshot.counter("core.minecache.refine"), 2, "{label}");
-                assert_eq!(snapshot.counter("core.minecache.delta"), 3, "{label}");
-            } else {
-                for name in [
-                    "core.minecache.miss",
-                    "core.minecache.hit",
-                    "core.minecache.refine",
-                    "core.minecache.delta",
-                ] {
-                    assert_eq!(snapshot.counter(name), 0, "{label}: {name}");
-                }
             }
         }
     }
+}
+
+/// The tentpole sequence — cold mine, loosen (clean miss + recapture),
+/// tighten support (refine), tighten confidence (refine), insert delta
+/// (incremental re-mine), update delta (delete+insert re-mine), multi-row
+/// insert delta (one change record, incremental re-mine), a DELETE that
+/// matches nothing (still a hit), then a tightened rerun on the entry
+/// three deltas rewrote — must stay bit-identical to a cold mine at every
+/// stage, for every worker count, with the cache on or off. Warm stages
+/// must do zero core-operator work.
+#[test]
+fn mined_result_refinement_sequence_agrees_across_workers() {
+    assert_session_agrees(
+        &[],
+        tr_mine,
+        &[
+            (&[], 0.5, 0.4, Expect::Mine),                     // cold capture
+            (&[], 0.25, 0.1, Expect::Mine),                    // loosened support: clean miss
+            (&[], 0.5, 0.1, Expect::Refine),                   // tightened support
+            (&[], 0.5, 0.7, Expect::Refine),                   // tightened confidence
+            (&[DELTA_INSERT], 0.25, 0.1, Expect::Delta),       // incremental re-mine
+            (&[DELTA_UPDATE], 0.25, 0.1, Expect::Delta),       // delete+insert re-mine
+            (&[DELTA_MULTI_INSERT], 0.25, 0.1, Expect::Delta), // one-record bulk delta
+            (&[NOOP_DELETE], 0.25, 0.1, Expect::Hit),          // nothing deleted, nothing stale
+            (&[], 0.5, 0.4, Expect::Refine),                   // tightened after the deltas
+        ],
+    );
+}
+
+/// The digest counts rows, not items: of two source rows carrying the
+/// same (group, item), deleting one keeps the item in its group (the
+/// re-mine changes nothing), deleting the other drops it.
+#[test]
+fn duplicate_source_rows_keep_an_item_until_the_last_one_goes() {
+    let twin = "INSERT INTO Purchase VALUES \
+                (2, 'cust2', 'col_shirts', DATE '1995-12-18', 25, 9)";
+    assert_session_agrees(
+        &[twin],
+        tr_mine,
+        &[
+            (&[], 0.25, 0.1, Expect::Mine),
+            (
+                &["DELETE FROM Purchase WHERE tr = 2 AND item = 'col_shirts' AND qty = 9"],
+                0.25,
+                0.1,
+                Expect::Delta,
+            ),
+            (
+                &["DELETE FROM Purchase WHERE tr = 2 AND item = 'col_shirts'"],
+                0.25,
+                0.1,
+                Expect::Delta,
+            ),
+            (&[], 0.25, 0.5, Expect::Refine),
+        ],
+    );
+}
+
+/// NULL grouping and item values group (they count towards `:totg`, a
+/// NULL item is an element of its own) but never join `CodedSource`.
+/// The cache captures such sources now and replays deltas on them.
+#[test]
+fn null_groups_and_items_are_captured_and_replayed() {
+    let nulls = "INSERT INTO Purchase VALUES \
+                 (NULL, 'c8', 'jackets', DATE '1997-01-08', 300, 1), \
+                 (NULL, 'c8', 'ski_pants', DATE '1997-01-08', 140, 1), \
+                 (1, 'cust1', NULL, DATE '1997-01-08', 10, 1), \
+                 (3, 'cust1', NULL, DATE '1997-01-08', 10, 1)";
+    assert_session_agrees(
+        &[nulls],
+        tr_mine,
+        &[
+            (&[], 0.2, 0.1, Expect::Mine),
+            (&[], 0.4, 0.3, Expect::Refine),
+            (
+                &["INSERT INTO Purchase VALUES \
+                   (NULL, 'c8', 'brown_boots', DATE '1997-01-09', 180, 1), \
+                   (4, 'cust2', NULL, DATE '1997-01-09', 10, 1), \
+                   (4, 'cust2', 'ski_pants', DATE '1997-01-09', 140, 1)"],
+                0.2,
+                0.1,
+                Expect::Delta,
+            ),
+            (
+                &["DELETE FROM Purchase WHERE tr IS NULL OR item IS NULL"],
+                0.2,
+                0.1,
+                Expect::Delta,
+            ),
+        ],
+    );
+}
+
+/// Elements over two attributes: the item key is the `(item, qty)` pair.
+#[test]
+fn two_attribute_body_schema_is_captured_and_replayed() {
+    let pairs = |support: f64, confidence: f64| {
+        format!(
+            "MINE RULE PairCached AS SELECT DISTINCT item, qty AS BODY, item, qty AS HEAD, \
+             SUPPORT, CONFIDENCE FROM Purchase GROUP BY customer \
+             EXTRACTING RULES WITH SUPPORT: {support}, CONFIDENCE: {confidence}"
+        )
+    };
+    assert_session_agrees(
+        &[],
+        pairs,
+        &[
+            (&[], 0.5, 0.1, Expect::Mine),
+            (&[], 0.5, 0.6, Expect::Refine),
+            (
+                &["INSERT INTO Purchase VALUES \
+                   (9, 'cust2', 'ski_pants', DATE '1997-01-08', 140, 1), \
+                   (9, 'cust2', 'ski_pants', DATE '1997-01-08', 140, 2)"],
+                0.5,
+                0.1,
+                Expect::Delta,
+            ),
+            (&[], 1.0, 0.1, Expect::Refine),
+        ],
+    );
+}
+
+/// A FLOAT column admits `1` uncoerced next to `1.0`; SQL GROUP BY — and
+/// therefore the digest — unifies them, while `0.0` and `-0.0` stay the
+/// two values `sql_cmp` keeps apart. Such a source is captured and served
+/// like any other. (Each level shows up as a FLOAT first: the SQL
+/// engine types a derived column by its first value, and the decode
+/// joins must see FLOAT to admit both spellings.)
+#[test]
+fn float_keys_unify_ints_and_keep_signed_zeros_apart() {
+    let setup = [
+        "CREATE TABLE Readings (batch FLOAT, level FLOAT)",
+        "INSERT INTO Readings VALUES \
+         (1.0, 1.0), (1, 2.5), (1, 0.0), (2.0, 1), (2, 2.5), (2, -0.0), \
+         (3.0, 1), (3.0, 0.0), (3, -0.0), (4, 2.5), (4.0, 1.0)",
+    ];
+    let readings = |support: f64, confidence: f64| {
+        format!(
+            "MINE RULE FloatCached AS SELECT DISTINCT level AS BODY, level AS HEAD, \
+             SUPPORT, CONFIDENCE FROM Readings GROUP BY batch \
+             EXTRACTING RULES WITH SUPPORT: {support}, CONFIDENCE: {confidence}"
+        )
+    };
+    assert_session_agrees(
+        &setup,
+        readings,
+        &[
+            (&[], 0.25, 0.1, Expect::Mine),
+            (&[], 0.25, 0.1, Expect::Hit),
+            (&[], 0.5, 0.5, Expect::Refine),
+            (
+                &["INSERT INTO Readings VALUES (5, 1), (5.0, -0.0), (1, 2.5)"],
+                0.25,
+                0.1,
+                Expect::Delta,
+            ),
+            (
+                &["DELETE FROM Readings WHERE batch = 3 AND level = 0.0"],
+                0.25,
+                0.1,
+                Expect::Delta,
+            ),
+        ],
+    );
 }
 
 /// Overflowing the bounded store evicts the oldest entry; a rerun of the

@@ -342,3 +342,45 @@ fn unknown_algorithm_fails_after_preprocessing_but_session_recovers() {
         )
         .is_ok());
 }
+
+/// DML that fails part-way — a predicate erroring on a later row, an
+/// assignment the column rejects — reports the same error whether it ran
+/// over the stored rows or (with a subquery) over a snapshot, and leaves
+/// the source untouched: the next mine is still answered by both caches.
+#[test]
+fn failing_dml_is_all_or_nothing_and_keeps_the_caches_warm() {
+    const STMT: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, \
+         SUPPORT, CONFIDENCE FROM Purchase GROUP BY customer \
+         EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
+    let mut db = purchase_db();
+    let engine = MineRuleEngine::new();
+    let cold = engine.execute(&mut db, STMT).unwrap();
+    let version = db.catalog().table("Purchase").unwrap().version();
+    // `qty - 2` first hits zero on the third row: the error surfaces
+    // after rows have already matched.
+    for (plain, reaching) in [
+        (
+            "DELETE FROM Purchase WHERE price / (qty - 2) <= 0",
+            "DELETE FROM Purchase WHERE price / (qty - 2) <= (SELECT MIN(0) FROM Purchase)",
+        ),
+        (
+            "UPDATE Purchase SET price = 'steep' WHERE qty > 1",
+            "UPDATE Purchase SET price = 'steep' WHERE qty > (SELECT MIN(1) FROM Purchase)",
+        ),
+        (
+            "UPDATE Purchase SET qty = 10 / (qty - 2)",
+            "UPDATE Purchase SET qty = 10 / (qty - (SELECT MIN(2) FROM Purchase))",
+        ),
+    ] {
+        let stored = db.execute(plain).unwrap_err();
+        let snapshot = db.execute(reaching).unwrap_err();
+        assert_eq!(stored.to_string(), snapshot.to_string(), "{plain}");
+    }
+    assert_eq!(db.catalog().table("Purchase").unwrap().version(), version);
+    let warm = engine.execute(&mut db, STMT).unwrap();
+    assert_eq!(warm.rules, cold.rules);
+    let snap = engine.metrics_snapshot();
+    assert_eq!(snap.counter("preprocess.cache.hit"), 1);
+    assert_eq!(snap.counter("core.minecache.hit"), 1);
+    assert_eq!(snap.counter("core.minecache.delta"), 0);
+}

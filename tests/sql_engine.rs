@@ -263,3 +263,109 @@ fn multi_row_insert_is_atomic_on_both_backends() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A DELETE that matches nothing is a no-op on both backends: no version
+/// bump (indexes and caches stay valid), no change record, and — under
+/// the paged store — nothing for the next sync to log.
+#[test]
+fn delete_matching_nothing_is_a_no_op_on_both_backends() {
+    let dir = std::env::temp_dir().join(format!("tcdm_sql_noop_delete_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for paged in [false, true] {
+        let mut d = if paged {
+            Database::open_paged(&dir).unwrap()
+        } else {
+            Database::new()
+        };
+        d.execute("CREATE TABLE t (a INT, b VARCHAR)").unwrap();
+        d.execute("INSERT INTO t VALUES (0, 'kept'), (1, 'kept')")
+            .unwrap();
+        let version = d.catalog().table("t").unwrap().version();
+        let wal = d.stats().storage_wal_appends;
+
+        for sql in [
+            "DELETE FROM t WHERE a = 7",
+            "DELETE FROM t WHERE a IN (SELECT a FROM t WHERE b = 'gone')",
+        ] {
+            let outcome = d.execute(sql).unwrap();
+            assert_eq!(outcome.rows_affected, 0, "paged={paged}: {sql}");
+        }
+        let t = d.catalog().table("t").unwrap();
+        assert_eq!(t.version(), version, "paged={paged}: no version bump");
+        assert_eq!(
+            t.changes_since(version),
+            Some(relational::TableDelta::default()),
+            "paged={paged}: nothing logged"
+        );
+        // The next statement's sync finds nothing to mirror.
+        assert_eq!(d.query("SELECT a FROM t").unwrap().len(), 2);
+        assert_eq!(d.stats().storage_wal_appends, wal, "paged={paged}");
+        assert_eq!(paged, wal > 0, "the paged leg really logs");
+
+        // A DELETE that does match still stamps and logs.
+        assert_eq!(
+            d.execute("DELETE FROM t WHERE a = 1")
+                .unwrap()
+                .rows_affected,
+            1
+        );
+        let t = d.catalog().table("t").unwrap();
+        assert_ne!(t.version(), version, "paged={paged}");
+        assert_eq!(t.changes_since(version).unwrap().deleted.len(), 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// DELETE and UPDATE read the stored rows in place unless an expression
+/// reaches back into the engine (subquery, sequence draw); either way the
+/// rows, the change log and the first error are the same.
+#[test]
+fn dml_over_stored_rows_and_over_a_snapshot_agree() {
+    let plain = [
+        "UPDATE emp SET salary = salary + :bonus, dept = dept + 1 WHERE dept = 10",
+        "DELETE FROM emp WHERE salary > :cap",
+    ];
+    let reaching = [
+        "UPDATE emp SET salary = salary + :bonus, dept = dept + 1 \
+         WHERE dept = (SELECT MIN(id) FROM dept)",
+        "DELETE FROM emp WHERE salary > (SELECT MAX(:cap) FROM dept)",
+    ];
+    let run = |script: [&str; 2]| {
+        let mut d = db();
+        d.set_var("bonus", Value::Float(5.0));
+        d.set_var("cap", Value::Float(130.0));
+        let v0 = d.catalog().table("emp").unwrap().version();
+        let affected: Vec<usize> = script
+            .iter()
+            .map(|sql| d.execute(sql).unwrap().rows_affected)
+            .collect();
+        let emp = d.catalog().table("emp").unwrap();
+        (
+            affected,
+            emp.rows().to_vec(),
+            emp.changes_since(v0).unwrap(),
+        )
+    };
+    let (affected, rows, delta) = run(plain);
+    assert_eq!(affected, vec![2, 1]);
+    assert_eq!(rows.len(), 3);
+    assert_eq!((delta.inserted.len(), delta.deleted.len()), (2, 3));
+    assert_eq!(run(reaching), (affected, rows, delta));
+
+    // Errors surface identically, and leave the table untouched.
+    for sql in [
+        "DELETE FROM emp WHERE salary / 0 > 1",
+        "UPDATE emp SET salary = :unbound",
+        "UPDATE emp SET nope = 1",
+        "DELETE FROM emp WHERE name > 1",
+    ] {
+        let mut d = db();
+        let version = d.catalog().table("emp").unwrap().version();
+        assert!(d.execute(sql).is_err(), "{sql}");
+        assert_eq!(
+            d.catalog().table("emp").unwrap().version(),
+            version,
+            "{sql}"
+        );
+    }
+}

@@ -69,6 +69,14 @@ fn simple_path_records_exact_counters() {
     assert!(snap.counter("core.gidset.intersects") > 0);
     assert!(snap.counter("core.trie.nodes") > 0);
     assert!(snap.counter("core.trie.lookups") > 0);
+    // Mined-result cache: a miss, captured from the fused pass's digest
+    // without reading a single source row again.
+    assert_eq!(snap.counter("core.minecache.miss"), 1);
+    assert_eq!(
+        snap.counters.get("core.minecache.capture.source_rows"),
+        Some(&0)
+    );
+    assert!(snap.gauge("core.minecache.bytes").unwrap() > 0);
     // Postprocessor: every encoded rule stored and decoded back.
     assert_eq!(snap.counter("postprocess.rules_stored"), 18);
     assert_eq!(snap.counter("postprocess.rules_decoded"), 18);
@@ -194,6 +202,8 @@ fn planner_counters_absent_under_naive_present_under_cost() {
     );
     assert_eq!(snap.counter("preprocess.fused_steps"), 0);
     assert_eq!(snap.counter("preprocess.steps"), 8);
+    // No fused pass, no digest: the capture scans Purchase's 8 rows itself.
+    assert_eq!(snap.counter("core.minecache.capture.source_rows"), 8);
 
     // Cost planner: planner counters appear, the preprocess program
     // fuses, and both stay invariant under the core's worker count
