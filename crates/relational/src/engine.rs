@@ -208,14 +208,11 @@ impl Database {
                         "the paged backend needs a directory; call set_storage_dir first",
                     )
                 })?;
-                let mut store = PagedStore::open(&dir, self.storage_cfg)?;
-                let catalog_empty = self.catalog.is_empty();
-                if store.is_empty() {
-                    if !catalog_empty {
-                        store.sync(&self.catalog)?;
-                    }
-                } else if catalog_empty {
-                    self.catalog = store.load_catalog()?;
+                let (mut store, stored) = PagedStore::open(&dir, self.storage_cfg)?;
+                if stored.is_empty() {
+                    store.sync(&self.catalog)?;
+                } else if self.catalog.is_empty() {
+                    self.catalog = stored;
                 } else {
                     return Err(Error::storage(format!(
                         "{} already contains a database; attach it from an empty \
@@ -252,6 +249,16 @@ impl Database {
         if let Some(store) = self.store.as_mut() {
             store.set_fault(fault);
         }
+    }
+
+    /// Under the paged backend a row must fit one page: refuse rows that
+    /// do not before any table takes them, so the statement fails with
+    /// memory and store both as they were.
+    fn check_storable<'a>(&self, rows: impl IntoIterator<Item = &'a Row>) -> Result<()> {
+        if self.store.is_some() {
+            rows.into_iter().try_for_each(crate::storage::check_row)?;
+        }
+        Ok(())
     }
 
     /// Mirror the catalog to the paged store, if one is attached.
@@ -370,6 +377,7 @@ impl Database {
             }
             Statement::CreateTableAs { name, query } => {
                 let rs = run_select(self, query)?;
+                self.check_storable(rs.rows())?;
                 let schema = rs.schema().unqualified();
                 let mut table = Table::new(name.clone(), schema);
                 let n = table.insert_all(rs.into_rows())?;
@@ -494,6 +502,7 @@ impl Database {
             }
         };
 
+        self.check_storable(&mapped)?;
         let t = self.catalog.table_mut(table)?;
         let n = t.insert_all(mapped)?;
         self.stats.rows_inserted += n as u64;
@@ -601,6 +610,7 @@ impl Database {
             changes.push((at, new_row));
             Ok(())
         })?;
+        self.check_storable(changes.iter().map(|(_, row)| row))?;
         let updated = self.catalog.table_mut(table)?.apply_updates(changes)?;
         Ok(ExecOutcome {
             rows_affected: updated,

@@ -54,7 +54,7 @@ use crate::row::Row;
 use crate::sequence::Sequence;
 use crate::sql::ast::Statement;
 use crate::sql::parser::parse_statement;
-use crate::table::Table;
+use crate::table::{RowsMoved, Table};
 use crate::types::{Column, DataType, Schema};
 use crate::value::{Date, Value};
 
@@ -222,6 +222,30 @@ fn encode_row(row: &Row) -> Vec<u8> {
     out
 }
 
+/// Length of [`encode_row`]'s output, without producing it.
+fn encoded_len(row: &Row) -> usize {
+    let values = row.iter().map(|v| match v {
+        Value::Null => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Bool(_) => 2,
+        Value::Date(_) => 5,
+    });
+    2 + values.sum::<usize>()
+}
+
+/// A row is one cell and a cell never spans pages: refuse, before any
+/// table or page takes it, a row no page can hold.
+pub(crate) fn check_row(row: &Row) -> Result<()> {
+    let len = encoded_len(row);
+    if len > MAX_CELL {
+        return Err(Error::storage(format!(
+            "row of {len} bytes exceeds the page capacity of {MAX_CELL} bytes"
+        )));
+    }
+    Ok(())
+}
+
 fn decode_row(cell: &[u8]) -> Result<Row> {
     fn take<'a>(cell: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8]> {
         let s = cell
@@ -273,16 +297,35 @@ fn decode_row(cell: &[u8]) -> Result<Row> {
     Ok(row)
 }
 
+/// One page of a table heap as the store remembers it.
+#[derive(Debug, Clone, Copy)]
+struct PageRef {
+    id: u32,
+    /// Rows (cells) the page holds. A page need not be full: a DELETE
+    /// leaves its page short, a split leaves two.
+    rows: u32,
+}
+
 /// The disk-side identity of one table heap.
 #[derive(Debug)]
 struct HeapEntry {
-    /// First page of the chain.
-    root: u32,
-    /// Version stamp of the in-memory [`Table`] this chain mirrors
-    /// (0 = not yet bound to a live table).
+    /// Version stamp of the in-memory [`Table`] this chain mirrors.
     version: u64,
-    /// Every page of the chain, in order (freeing needs no re-walk).
-    pages: Vec<u32>,
+    /// Every page of the chain, in order and never empty: the chain read
+    /// front to back is the table's rows in position order, so the
+    /// running total of `rows` says which page holds which positions.
+    pages: Vec<PageRef>,
+}
+
+impl HeapEntry {
+    /// First page of the chain, the id the catalog blob names.
+    fn root(&self) -> u32 {
+        self.pages[0].id
+    }
+
+    fn row_count(&self) -> usize {
+        self.pages.iter().map(|p| p.rows as usize).sum()
+    }
 }
 
 /// The parsed form of the on-disk catalog blob.
@@ -360,7 +403,7 @@ fn parse_catalog_blob(blob: &str) -> Result<CatalogImage> {
 ///
 /// The store is *write-through at statement granularity*: the engine
 /// calls [`PagedStore::sync`] after every statement, which diffs table
-/// version stamps, rewrites only the chains that changed, and commits
+/// version stamps, writes the pages the statement changed, and commits
 /// the whole statement as one WAL transaction. See `docs/STORAGE.md`.
 #[derive(Debug)]
 pub struct PagedStore {
@@ -379,8 +422,12 @@ pub struct PagedStore {
 
 impl PagedStore {
     /// Open (or create) a store under `dir`, replaying the WAL first if
-    /// the previous process died with committed-but-unflushed work.
-    pub fn open(dir: &Path, cfg: StorageConfig) -> Result<PagedStore> {
+    /// the previous process died with committed-but-unflushed work, and
+    /// materialise what it holds: tables, views and sequences (an empty
+    /// catalog for a new store). Every table gets a *fresh* version
+    /// stamp, so index or cache entries from before the reopen can never
+    /// hit it.
+    pub fn open(dir: &Path, cfg: StorageConfig) -> Result<(PagedStore, Catalog)> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::storage(format!("create {}: {e}", dir.display())))?;
         let (wal, records) = Wal::open(&dir.join(WAL_FILE))?;
@@ -400,13 +447,13 @@ impl PagedStore {
         };
         if fresh {
             store.init_fresh()?;
-        } else {
-            if !records.is_empty() {
-                store.recover(records)?;
-            }
-            store.load_metadata()?;
+            return Ok((store, Catalog::new()));
         }
-        Ok(store)
+        if !records.is_empty() {
+            store.recover(records)?;
+        }
+        let catalog = store.load()?;
+        Ok((store, catalog))
     }
 
     fn check_poisoned(&self) -> Result<()> {
@@ -416,11 +463,6 @@ impl PagedStore {
             ));
         }
         Ok(())
-    }
-
-    /// True when the store holds no tables, views or sequences.
-    pub fn is_empty(&self) -> bool {
-        self.catalog_blob.trim_end() == CATALOG_HEADER
     }
 
     /// Current work counters.
@@ -442,12 +484,7 @@ impl PagedStore {
     }
 
     fn init_fresh(&mut self) -> Result<()> {
-        self.catalog_blob = format!("{CATALOG_HEADER}\n");
-        let cells = vec![self.catalog_blob.as_bytes().to_vec()];
-        let (root, pages) = self.write_chain(&cells)?;
-        self.catalog_root = root;
-        self.catalog_pages = pages;
-        self.write_superblock(root)?;
+        self.write_catalog_blob(format!("{CATALOG_HEADER}\n"))?;
         self.commit()?;
         self.checkpoint()
     }
@@ -492,7 +529,11 @@ impl PagedStore {
         self.checkpoint()
     }
 
-    fn load_metadata(&mut self) -> Result<()> {
+    /// Read the whole store once: superblock, catalog chain, then every
+    /// table chain front to back — each page visited gives its id (for
+    /// the chain record and the mark phase of the free-list sweep), its
+    /// row count, and its rows, decoded straight from the page's cells.
+    fn load(&mut self) -> Result<Catalog> {
         let sb = self.pager.read(0)?;
         let cell_ok = sb.cell_count() == 1 && sb.cell(0).len() == 12 && &sb.cell(0)[..8] == MAGIC;
         if !cell_ok {
@@ -501,56 +542,34 @@ impl PagedStore {
             ));
         }
         let c = sb.cell(0);
-        self.catalog_root = u32::from_le_bytes([c[8], c[9], c[10], c[11]]);
-        let (cells, pages) = self.read_chain(self.catalog_root)?;
-        let bytes: Vec<u8> = cells.concat();
+        let catalog_root = u32::from_le_bytes([c[8], c[9], c[10], c[11]]);
+        let mut blob = Vec::new();
+        let catalog_pages = self.walk_chain(catalog_root, |cell| {
+            blob.extend_from_slice(cell);
+            Ok(())
+        })?;
+        self.catalog_root = catalog_root;
+        self.catalog_pages = catalog_pages.iter().map(|p| p.id).collect();
         self.catalog_blob =
-            String::from_utf8(bytes).map_err(|_| Error::storage("catalog blob is not UTF-8"))?;
-        self.catalog_pages = pages;
+            String::from_utf8(blob).map_err(|_| Error::storage("catalog blob is not UTF-8"))?;
         let image = parse_catalog_blob(&self.catalog_blob)?;
 
-        // Walk every table chain once: binds roots to page lists and
-        // feeds the mark phase of the free-list sweep.
         let mut live: BTreeSet<u32> = BTreeSet::new();
         live.insert(0);
         live.extend(&self.catalog_pages);
-        for (name, root, _) in &image.tables {
-            let (_, pages) = self.read_chain(*root)?;
-            live.extend(&pages);
-            self.tables.insert(
-                name.to_ascii_lowercase(),
-                HeapEntry {
-                    root: *root,
-                    version: 0,
-                    pages,
-                },
-            );
-        }
-        let free: Vec<u32> = (1..self.pager.page_count())
-            .filter(|id| !live.contains(id))
-            .collect();
-        self.pager.set_free(free);
-        Ok(())
-    }
-
-    /// Materialise the stored catalog as in-memory tables, views and
-    /// sequences. Every table gets a *fresh* version stamp, so index or
-    /// cache entries from before the reopen can never hit it.
-    pub fn load_catalog(&mut self) -> Result<Catalog> {
-        let image = parse_catalog_blob(&self.catalog_blob)?;
         let mut catalog = Catalog::new();
         for (name, root, cols) in image.tables {
+            let mut rows: Vec<Row> = Vec::new();
+            let pages = self.walk_chain(root, |cell| {
+                rows.push(decode_row(cell)?);
+                Ok(())
+            })?;
+            live.extend(pages.iter().map(|p| p.id));
             let mut table = Table::new(name.clone(), Schema::new(cols));
-            let (cells, _) = self.read_chain(root)?;
-            let rows: Vec<Row> = cells
-                .iter()
-                .map(|cell| decode_row(cell))
-                .collect::<Result<_>>()?;
             table.insert_all(rows)?;
             let version = table.version();
-            if let Some(entry) = self.tables.get_mut(&name.to_ascii_lowercase()) {
-                entry.version = version;
-            }
+            self.tables
+                .insert(name.to_ascii_lowercase(), HeapEntry { version, pages });
             catalog.create_table(table)?;
         }
         for (name, sql) in image.views {
@@ -562,7 +581,41 @@ impl PagedStore {
         for (name, next, inc) in image.sequences {
             catalog.create_sequence(Sequence::new(name, next, inc))?;
         }
+        let free: Vec<u32> = (1..self.pager.page_count())
+            .filter(|id| !live.contains(id))
+            .collect();
+        self.pager.set_free(free);
         Ok(catalog)
+    }
+
+    /// Follow the chain from `root`, handing every cell to `visit` in
+    /// order; returns the pages passed, in order.
+    fn walk_chain(
+        &mut self,
+        root: u32,
+        mut visit: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<Vec<PageRef>> {
+        let mut pages = Vec::new();
+        let mut id = root;
+        loop {
+            let page = self.pager.read(id)?;
+            for cell in page.cells() {
+                visit(cell)?;
+            }
+            pages.push(PageRef {
+                id,
+                rows: page.cell_count() as u32,
+            });
+            id = page.next();
+            if id == 0 {
+                return Ok(pages);
+            }
+            if pages.len() as u64 > self.pager.page_count() as u64 {
+                return Err(Error::storage(format!(
+                    "page chain from {root} has a cycle"
+                )));
+            }
+        }
     }
 
     fn write_superblock(&mut self, root: u32) -> Result<()> {
@@ -574,51 +627,159 @@ impl PagedStore {
         self.pager.write(page)
     }
 
-    fn write_chain(&mut self, cells: &[Vec<u8>]) -> Result<(u32, Vec<u32>)> {
-        let root = self.pager.allocate();
-        let mut pages = vec![root];
-        let mut current = Page::new(root);
+    /// The one page writer. Push `cells` in order onto `page` — a new
+    /// page, or a chain's tail with the cells it already holds — and onto
+    /// as many newly allocated successors as they need; the last page
+    /// written links to `end`. Returns every page written, in chain
+    /// order, `page` first.
+    fn write_run<C: AsRef<[u8]>>(
+        &mut self,
+        mut page: Page,
+        cells: impl Iterator<Item = C>,
+        end: u32,
+    ) -> Result<Vec<PageRef>> {
+        let mut written = Vec::new();
+        let mut seal = |pager: &mut Pager, mut page: Page, next: u32| {
+            written.push(PageRef {
+                id: page.id(),
+                rows: page.cell_count() as u32,
+            });
+            page.set_next(next);
+            pager.write(page)
+        };
         for cell in cells {
-            if !current.push_cell(cell)? {
+            if !page.push_cell(cell.as_ref())? {
                 let next = self.pager.allocate();
-                current.set_next(next);
-                self.pager.write(current)?;
-                current = Page::new(next);
-                pages.push(next);
-                // An empty page accepts any cell push_cell didn't reject.
-                let pushed = current.push_cell(cell)?;
-                debug_assert!(pushed);
+                seal(
+                    &mut self.pager,
+                    std::mem::replace(&mut page, Page::new(next)),
+                    next,
+                )?;
+                if !page.push_cell(cell.as_ref())? {
+                    return Err(Error::storage("an empty page refused a cell that fits one"));
+                }
             }
         }
-        self.pager.write(current)?;
-        Ok((root, pages))
+        seal(&mut self.pager, page, end)?;
+        Ok(written)
     }
 
-    fn read_chain(&mut self, root: u32) -> Result<(Vec<Vec<u8>>, Vec<u32>)> {
-        let mut cells = Vec::new();
-        let mut pages = Vec::new();
-        let mut id = root;
-        loop {
-            let page = self.pager.read(id)?;
-            cells.extend(page.cells().map(|c| c.to_vec()));
-            pages.push(id);
-            id = page.next();
-            if id == 0 {
-                break;
-            }
-            if pages.len() as u64 > self.pager.page_count() as u64 {
-                return Err(Error::storage(format!(
-                    "page chain from {root} has a cycle"
-                )));
-            }
-        }
-        Ok((cells, pages))
+    /// Lay `rows` out on a chain of new pages: how a table the store has
+    /// no positional record for reaches disk.
+    fn write_whole(&mut self, rows: &[Row]) -> Result<Vec<PageRef>> {
+        let root = Page::new(self.pager.allocate());
+        self.write_run(root, rows.iter().map(encode_row), 0)
     }
 
-    fn free_entry_pages(&mut self, pages: Vec<u32>) {
-        for p in pages {
-            self.pager.free_page(p);
+    /// Rewrite the pages of a chain that an UPDATE or DELETE reached and
+    /// leave the others byte-identical. Page `i` of `old` now holds
+    /// `keep[i]` of `rows`, in chain order; a page is written again when
+    /// `touched[i]` or when its successor changed. A page left without
+    /// rows is unlinked and freed (never the root, whose id the catalog
+    /// names); rows that outgrew their page split it, the overflow going
+    /// to new pages linked right behind.
+    fn rewrite_pages(
+        &mut self,
+        old: &[PageRef],
+        keep: &[u32],
+        touched: &[bool],
+        rows: &[Row],
+    ) -> Result<Vec<PageRef>> {
+        // Back to front, so each page's successor is known when it is
+        // written.
+        let mut chain: Vec<PageRef> = Vec::with_capacity(old.len());
+        let mut next = 0u32;
+        let mut end: usize = keep.iter().map(|&n| n as usize).sum();
+        for i in (0..old.len()).rev() {
+            let begin = end - keep[i] as usize;
+            let linked_to = old.get(i + 1).map_or(0, |p| p.id);
+            if keep[i] == 0 && i > 0 {
+                self.pager.free_page(old[i].id);
+            } else if touched[i] || linked_to != next {
+                let cells = rows[begin..end].iter().map(encode_row);
+                let run = self.write_run(Page::new(old[i].id), cells, next)?;
+                chain.extend(run.into_iter().rev());
+                next = old[i].id;
+            } else {
+                chain.push(old[i]);
+                next = old[i].id;
+            }
+            end = begin;
         }
+        chain.reverse();
+        Ok(chain)
+    }
+
+    /// What the store can prove about how `table` differs from the chain
+    /// it holds for it: the positions the table's latest mutation moved,
+    /// when the chain mirrors the version that mutation replaced and the
+    /// row counts bear it out. `None` — a new table, a TRUNCATE, more
+    /// than one mutation since the last sync — means the chain is
+    /// written whole.
+    fn moved<'t>(&self, table: &'t Table) -> Option<&'t RowsMoved> {
+        let entry = self.tables.get(&table.name().to_ascii_lowercase())?;
+        let moved = table.moved_since(entry.version)?;
+        let (stored, live) = (entry.row_count(), table.row_count());
+        let consistent = match moved {
+            RowsMoved::Appended { from } => *from == stored && stored <= live,
+            RowsMoved::Deleted { at } => {
+                stored == live + at.len() && at.last().map_or(true, |&p| p < stored)
+            }
+            RowsMoved::Updated { at } => stored == live && at.iter().all(|&p| p < stored),
+        };
+        consistent.then_some(moved)
+    }
+
+    /// Forget a table's chain, returning its pages to the free list.
+    fn free_chain(&mut self, key: &str) {
+        for p in self.tables.remove(key).iter().flat_map(|e| &e.pages) {
+            self.pager.free_page(p.id);
+        }
+    }
+
+    /// Bring `table`'s chain up to date: only the pages its latest
+    /// mutation reached when `moved` (from [`PagedStore::moved`]) names
+    /// them, the whole chain otherwise.
+    fn mirror_table(&mut self, table: &Table, moved: Option<&RowsMoved>) -> Result<()> {
+        let key = table.name().to_ascii_lowercase();
+        let rows = table.rows();
+        let entry = moved.and_then(|_| self.tables.remove(&key));
+        let pages = match (entry, moved) {
+            (Some(mut entry), Some(RowsMoved::Appended { from })) => {
+                let tail = entry.pages.pop().expect("a chain has a root");
+                let page = self.pager.read(tail.id)?;
+                let cells = rows[*from..].iter().map(encode_row);
+                entry.pages.extend(self.write_run(page, cells, 0)?);
+                entry.pages
+            }
+            (Some(entry), Some(RowsMoved::Deleted { at } | RowsMoved::Updated { at })) => {
+                let deleting = matches!(moved, Some(RowsMoved::Deleted { .. }));
+                // First position on each page, as of before the mutation.
+                let mut starts = Vec::with_capacity(entry.pages.len());
+                let mut total = 0usize;
+                for p in &entry.pages {
+                    starts.push(total);
+                    total += p.rows as usize;
+                }
+                let mut keep: Vec<u32> = entry.pages.iter().map(|p| p.rows).collect();
+                let mut touched = vec![false; keep.len()];
+                for &position in at {
+                    // The last page starting at or before the position:
+                    // a page without rows shares its start with the next.
+                    let i = starts.partition_point(|&s| s <= position) - 1;
+                    touched[i] = true;
+                    keep[i] -= u32::from(deleting);
+                }
+                self.rewrite_pages(&entry.pages, &keep, &touched, rows)?
+            }
+            _ => {
+                self.free_chain(&key);
+                self.write_whole(rows)?
+            }
+        };
+        let version = table.version();
+        self.tables.insert(key, HeapEntry { version, pages });
+        Ok(())
     }
 
     /// Serialize the catalog using this store's current root map.
@@ -628,8 +789,7 @@ impl PagedStore {
             let root = self
                 .tables
                 .get(&name.to_ascii_lowercase())
-                .map(|e| e.root)
-                .unwrap_or(0);
+                .map_or(0, HeapEntry::root);
             let table = catalog.table(name).expect("listed table exists");
             out.push_str(&format!("table\t{}\t{root}", esc(name)));
             for c in table.schema().columns() {
@@ -646,19 +806,42 @@ impl PagedStore {
         out
     }
 
+    /// Replace the catalog chain with one holding `blob`, repointing the
+    /// superblock when the root moved.
+    fn write_catalog_blob(&mut self, blob: String) -> Result<()> {
+        for id in std::mem::take(&mut self.catalog_pages) {
+            self.pager.free_page(id);
+        }
+        let root = Page::new(self.pager.allocate());
+        let run = self.write_run(root, blob.as_bytes().chunks(MAX_CELL), 0)?;
+        self.catalog_pages = run.iter().map(|p| p.id).collect();
+        if self.catalog_pages[0] != self.catalog_root {
+            self.catalog_root = self.catalog_pages[0];
+            self.write_superblock(self.catalog_root)?;
+        }
+        self.catalog_blob = blob;
+        Ok(())
+    }
+
     /// Mirror `catalog` to disk as one committed transaction. Diffs by
     /// table version stamp: unchanged tables cost one u64 comparison;
-    /// changed tables get their chain rewritten. A no-op when nothing
-    /// moved (the common case for pure SELECTs).
+    /// a changed table costs the pages its statement reached (or its
+    /// whole chain, when the store cannot tell which those are). A no-op
+    /// when nothing moved (the common case for pure SELECTs).
+    ///
+    /// A row that fits no page is refused before anything is written:
+    /// the store is then exactly as it was. Any later failure leaves
+    /// pages half-written in the cache, so it poisons the store — reopen
+    /// to recover the last committed state.
     pub fn sync(&mut self, catalog: &Catalog) -> Result<()> {
         self.check_poisoned()?;
-        let mut changed: Vec<String> = Vec::new();
+        let mut changed: Vec<(&Table, Option<&RowsMoved>)> = Vec::new();
         let mut live_keys: BTreeSet<String> = BTreeSet::new();
         for name in catalog.table_names() {
             let key = name.to_ascii_lowercase();
-            let version = catalog.table(name).expect("listed table exists").version();
-            if self.tables.get(&key).map(|e| e.version) != Some(version) {
-                changed.push(name.to_string());
+            let table = catalog.table(name).expect("listed table exists");
+            if self.tables.get(&key).map(|e| e.version) != Some(table.version()) {
+                changed.push((table, self.moved(table)));
             }
             live_keys.insert(key);
         }
@@ -674,47 +857,33 @@ impl PagedStore {
         {
             return Ok(());
         }
+        for (table, moved) in &changed {
+            let rows = table.rows();
+            match moved {
+                Some(RowsMoved::Appended { from }) => rows[*from..].iter().try_for_each(check_row),
+                Some(RowsMoved::Updated { at }) => at.iter().try_for_each(|&i| check_row(&rows[i])),
+                Some(RowsMoved::Deleted { .. }) => Ok(()),
+                None => rows.iter().try_for_each(check_row),
+            }?;
+        }
 
-        for key in dropped {
-            if let Some(entry) = self.tables.remove(&key) {
-                self.free_entry_pages(entry.pages);
+        let result = (|| {
+            for key in dropped {
+                self.free_chain(&key);
             }
-        }
-        for name in &changed {
-            let key = name.to_ascii_lowercase();
-            if let Some(entry) = self.tables.remove(&key) {
-                self.free_entry_pages(entry.pages);
+            for (table, moved) in changed {
+                self.mirror_table(table, moved)?;
             }
-            let table = catalog.table(name)?;
-            let cells: Vec<Vec<u8>> = table.rows().iter().map(encode_row).collect();
-            let (root, pages) = self.write_chain(&cells)?;
-            self.tables.insert(
-                key,
-                HeapEntry {
-                    root,
-                    version: table.version(),
-                    pages,
-                },
-            );
-        }
-        let blob = self.serialize_catalog(catalog);
-        if blob != self.catalog_blob {
-            let old = std::mem::take(&mut self.catalog_pages);
-            self.free_entry_pages(old);
-            let cells: Vec<Vec<u8>> = blob
-                .as_bytes()
-                .chunks(MAX_CELL)
-                .map(<[u8]>::to_vec)
-                .collect();
-            let (root, pages) = self.write_chain(&cells)?;
-            self.catalog_pages = pages;
-            if root != self.catalog_root {
-                self.catalog_root = root;
-                self.write_superblock(root)?;
+            let blob = self.serialize_catalog(catalog);
+            if blob != self.catalog_blob {
+                self.write_catalog_blob(blob)?;
             }
-            self.catalog_blob = blob;
+            self.commit()
+        })();
+        if result.is_err() {
+            self.poisoned = true;
+            return result;
         }
-        self.commit()?;
         if self.wal.len() > self.cfg.checkpoint_bytes {
             self.checkpoint()?;
         }
@@ -730,24 +899,18 @@ impl PagedStore {
         }
         let tx = self.next_tx;
         self.next_tx += 1;
-        let result = (|| -> Result<()> {
-            self.wal.append(&WalRecord::Begin { tx })?;
-            for page in dirty.iter_mut() {
-                let mut image = Box::new([0u8; PAGE_SIZE]);
-                image.copy_from_slice(page.sealed_bytes());
-                self.wal.append(&WalRecord::Page {
-                    tx,
-                    page_id: page.id(),
-                    image,
-                })?;
-            }
-            self.wal.append(&WalRecord::Commit { tx })?;
-            self.wal.sync()
-        })();
-        if result.is_err() {
-            self.poisoned = true;
-            return result;
+        self.wal.append(&WalRecord::Begin { tx })?;
+        for page in dirty.iter_mut() {
+            let mut image = Box::new([0u8; PAGE_SIZE]);
+            image.copy_from_slice(page.sealed_bytes());
+            self.wal.append(&WalRecord::Page {
+                tx,
+                page_id: page.id(),
+                image,
+            })?;
         }
+        self.wal.append(&WalRecord::Commit { tx })?;
+        self.wal.sync()?;
         self.pager.end_tx();
         Ok(())
     }
@@ -828,7 +991,9 @@ mod tests {
             ],
         ];
         for row in &rows {
-            let decoded = decode_row(&encode_row(row)).unwrap();
+            let cell = encode_row(row);
+            assert_eq!(encoded_len(row), cell.len());
+            let decoded = decode_row(&cell).unwrap();
             assert_eq!(decoded.len(), row.len());
             for (a, b) in row.iter().zip(&decoded) {
                 // Value::eq treats Int(7) == Float(7.0); compare debug
@@ -844,14 +1009,12 @@ mod tests {
     fn fresh_store_roundtrips_a_catalog() {
         let dir = temp_store("roundtrip");
         {
-            let mut store = PagedStore::open(&dir, StorageConfig::default()).unwrap();
-            assert!(store.is_empty());
+            let (mut store, stored) = PagedStore::open(&dir, StorageConfig::default()).unwrap();
+            assert!(stored.is_empty());
             store.sync(&sample_catalog()).unwrap();
-            assert!(!store.is_empty());
         } // dropped without checkpoint: WAL carries the commit
-        let mut store = PagedStore::open(&dir, StorageConfig::default()).unwrap();
+        let (store, catalog) = PagedStore::open(&dir, StorageConfig::default()).unwrap();
         assert_eq!(store.stats().recoveries, 1);
-        let catalog = store.load_catalog().unwrap();
         let t = catalog.table("T").unwrap();
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.rows()[0][1], Value::Str("tab\there".into()));
@@ -866,7 +1029,7 @@ mod tests {
     #[test]
     fn unchanged_catalog_sync_is_a_noop() {
         let dir = temp_store("noop");
-        let mut store = PagedStore::open(&dir, StorageConfig::default()).unwrap();
+        let (mut store, _) = PagedStore::open(&dir, StorageConfig::default()).unwrap();
         let catalog = sample_catalog();
         store.sync(&catalog).unwrap();
         let before = store.stats();
@@ -881,7 +1044,7 @@ mod tests {
     #[test]
     fn dropped_tables_free_their_pages_for_reuse() {
         let dir = temp_store("free");
-        let mut store = PagedStore::open(&dir, StorageConfig::default()).unwrap();
+        let (mut store, _) = PagedStore::open(&dir, StorageConfig::default()).unwrap();
         let mut catalog = sample_catalog();
         store.sync(&catalog).unwrap();
         let grown = store.pager.page_count();
@@ -897,12 +1060,186 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A catalog holding `t (a INT, b VARCHAR)` with rows `0..n`, 19 to a
+    /// page, attached to a fresh store that mirrors it.
+    fn wide_store(tag: &str, n: i64) -> (std::path::PathBuf, PagedStore, Catalog) {
+        let dir = temp_store(tag);
+        let (mut store, _) = PagedStore::open(&dir, StorageConfig::default()).unwrap();
+        let mut catalog = Catalog::new();
+        let schema = Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Str),
+        ]);
+        catalog.create_table(Table::new("t", schema)).unwrap();
+        store.sync(&catalog).unwrap();
+        let t = catalog.table_mut("t").unwrap();
+        t.insert_all((0..n).map(wide)).unwrap();
+        store.sync(&catalog).unwrap();
+        (dir, store, catalog)
+    }
+
+    fn wide(a: i64) -> Row {
+        row![a, format!("{a:0190}")]
+    }
+
+    /// `(page id, rows)` along `t`'s chain, as the store remembers it.
+    fn chain(store: &PagedStore) -> Vec<(u32, u32)> {
+        let pages = &store.tables["t"].pages;
+        pages.iter().map(|p| (p.id, p.rows)).collect()
+    }
+
+    /// Sync `catalog`; returns how many page images the commit logged.
+    fn sync_images(store: &mut PagedStore, catalog: &Catalog) -> u64 {
+        let before = store.stats().wal_appends;
+        store.sync(catalog).unwrap();
+        (store.stats().wal_appends - before).saturating_sub(2)
+    }
+
+    /// What is on disk — by a second store over the same directory, which
+    /// replays the WAL and walks the chains — is `catalog`'s rows in order.
+    fn assert_mirrored(dir: &Path, store: PagedStore, catalog: &Catalog) {
+        let remembered = chain(&store);
+        drop(store);
+        let (reopened, stored) = PagedStore::open(dir, StorageConfig::default()).unwrap();
+        assert_eq!(chain(&reopened), remembered, "the record matches the disk");
+        let (stored, live) = (stored.table("t").unwrap(), catalog.table("t").unwrap());
+        assert_eq!(format!("{:?}", stored.rows()), format!("{:?}", live.rows()));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn appends_fill_the_tail_and_link_pages_behind_it() {
+        let (dir, mut store, mut catalog) = wide_store("append", 30);
+        assert_eq!(chain(&store), [(2, 19), (3, 11)]);
+        let t = catalog.table_mut("t").unwrap();
+        t.insert_all((30..60).map(wide)).unwrap();
+        // The tail it found, plus the two pages the rest needed.
+        assert_eq!(sync_images(&mut store, &catalog), 3);
+        assert_eq!(chain(&store), [(2, 19), (3, 19), (4, 19), (5, 3)]);
+        catalog.table_mut("t").unwrap().insert(wide(60)).unwrap();
+        assert_eq!(sync_images(&mut store, &catalog), 1);
+        assert_eq!(chain(&store)[3], (5, 4));
+        assert_mirrored(&dir, store, &catalog);
+    }
+
+    #[test]
+    fn updates_and_deletes_rewrite_the_pages_they_reach_and_no_other() {
+        let (dir, mut store, mut catalog) = wide_store("point", 95);
+        assert_eq!(chain(&store).len(), 5);
+        let t = catalog.table_mut("t").unwrap();
+        t.apply_updates(vec![(40, row![40, "middle"]), (94, row![94, "last"])])
+            .unwrap();
+        assert_eq!(sync_images(&mut store, &catalog), 2);
+        catalog
+            .table_mut("t")
+            .unwrap()
+            .delete_where(|r| r[0] == Value::Int(0));
+        assert_eq!(sync_images(&mut store, &catalog), 1);
+        let ids: Vec<u32> = (2..7).collect();
+        assert_eq!(chain(&store), [(2, 18), (3, 19), (4, 19), (5, 19), (6, 19)]);
+        // Positions shifted by the delete still find their page: row 19
+        // now sits first on the second page.
+        let t = catalog.table_mut("t").unwrap();
+        t.apply_updates(vec![(18, row![19, "second page"])])
+            .unwrap();
+        assert_eq!(sync_images(&mut store, &catalog), 1);
+        assert_eq!(chain(&store).iter().map(|p| p.0).collect::<Vec<_>>(), ids);
+        assert_mirrored(&dir, store, &catalog);
+    }
+
+    #[test]
+    fn a_row_that_outgrows_its_page_splits_it_in_place() {
+        let (dir, mut store, mut catalog) = wide_store("split", 57);
+        assert_eq!(chain(&store), [(2, 19), (3, 19), (4, 19)]);
+        let t = catalog.table_mut("t").unwrap();
+        t.apply_updates(vec![(25, row![25, "S".repeat(2000)])])
+            .unwrap();
+        // The page and its overflow, linked right behind it; its old
+        // neighbours are not written.
+        assert_eq!(sync_images(&mut store, &catalog), 2);
+        assert_eq!(chain(&store), [(2, 19), (3, 10), (5, 9), (4, 19)]);
+        assert_mirrored(&dir, store, &catalog);
+    }
+
+    #[test]
+    fn a_page_left_without_rows_is_unlinked_unless_it_is_the_root() {
+        let (dir, mut store, mut catalog) = wide_store("unlink", 76);
+        assert_eq!(chain(&store), [(2, 19), (3, 19), (4, 19), (5, 19)]);
+        let in_range =
+            |r: &Row, lo: i64, hi: i64| matches!(r[0], Value::Int(a) if (lo..hi).contains(&a));
+        let t = catalog.table_mut("t").unwrap();
+        t.delete_where(|r| in_range(r, 19, 57));
+        // Two pages gone; the root is written again to point past them.
+        assert_eq!(sync_images(&mut store, &catalog), 1);
+        assert_eq!(chain(&store), [(2, 19), (5, 19)]);
+        catalog
+            .table_mut("t")
+            .unwrap()
+            .delete_where(|r| in_range(r, 0, 19));
+        assert_eq!(sync_images(&mut store, &catalog), 1);
+        assert_eq!(chain(&store), [(2, 0), (5, 19)], "the root stays");
+        // Position 0 now lives on the second page.
+        let t = catalog.table_mut("t").unwrap();
+        t.apply_updates(vec![(0, row![57, "first"])]).unwrap();
+        assert_eq!(sync_images(&mut store, &catalog), 1);
+        // The freed ids are handed out again, smallest first; the tail
+        // takes one more row in the room the shorter row left.
+        let t = catalog.table_mut("t").unwrap();
+        t.insert_all((76..100).map(wide)).unwrap();
+        store.sync(&catalog).unwrap();
+        assert_eq!(chain(&store), [(2, 0), (5, 20), (3, 19), (4, 4)]);
+        catalog.table_mut("t").unwrap().delete_where(|_| true);
+        store.sync(&catalog).unwrap();
+        assert_eq!(chain(&store), [(2, 0)]);
+        assert_mirrored(&dir, store, &catalog);
+    }
+
+    #[test]
+    fn a_table_the_store_cannot_follow_is_written_whole() {
+        let (dir, mut store, mut catalog) = wide_store("whole", 57);
+        // Two mutations between syncs: the first is not on record.
+        let t = catalog.table_mut("t").unwrap();
+        t.delete_where(|r| r[0] == Value::Int(3));
+        t.insert(wide(57)).unwrap();
+        assert_eq!(sync_images(&mut store, &catalog), 3);
+        assert_eq!(chain(&store), [(2, 19), (3, 19), (4, 19)]);
+        let t = catalog.table_mut("t").unwrap();
+        t.truncate();
+        assert_eq!(sync_images(&mut store, &catalog), 1);
+        assert_eq!(chain(&store), [(2, 0)]);
+        assert_mirrored(&dir, store, &catalog);
+    }
+
+    #[test]
+    fn an_unstorable_row_is_refused_before_anything_is_written() {
+        let (dir, mut store, mut catalog) = wide_store("refuse", 30);
+        let before = (chain(&store), store.stats().wal_appends);
+        let huge = || row![99, "H".repeat(MAX_CELL)];
+        // Appended, updated in place, and in a table written whole.
+        catalog.table_mut("t").unwrap().insert(huge()).unwrap();
+        assert!(store.sync(&catalog).is_err());
+        catalog
+            .table_mut("t")
+            .unwrap()
+            .delete_where(|r| r[0] == Value::Int(99));
+        let t = catalog.table_mut("t").unwrap();
+        t.apply_updates(vec![(5, huge())]).unwrap();
+        assert!(store.sync(&catalog).is_err());
+        assert!(store.sync(&catalog).is_err(), "refused, not forgotten");
+        assert_eq!((chain(&store), store.stats().wal_appends), before);
+        // Not poisoned: once the row is gone the table syncs again.
+        let t = catalog.table_mut("t").unwrap();
+        t.apply_updates(vec![(5, wide(5))]).unwrap();
+        store.sync(&catalog).unwrap();
+        assert_mirrored(&dir, store, &catalog);
+    }
+
     #[test]
     fn injected_fault_poisons_then_reopen_recovers_committed_only() {
         let dir = temp_store("fault");
         let mut catalog = sample_catalog();
         {
-            let mut store = PagedStore::open(&dir, StorageConfig::default()).unwrap();
+            let (mut store, _) = PagedStore::open(&dir, StorageConfig::default()).unwrap();
             store.sync(&catalog).unwrap(); // committed
             store.set_fault(Some(WalFault {
                 kind: WalFaultKind::Fsync,
@@ -923,8 +1260,7 @@ mod tests {
             assert!(store.sync(&catalog).is_err(), "store is poisoned");
             assert!(store.checkpoint().is_err(), "checkpoint refused too");
         }
-        let mut store = PagedStore::open(&dir, StorageConfig::default()).unwrap();
-        let recovered = store.load_catalog().unwrap();
+        let (_, recovered) = PagedStore::open(&dir, StorageConfig::default()).unwrap();
         assert_eq!(
             recovered.table("t").unwrap().row_count(),
             2,
@@ -941,7 +1277,7 @@ mod tests {
             checkpoint_bytes: 4096,
         };
         {
-            let mut store = PagedStore::open(&dir, cfg).unwrap();
+            let (mut store, _) = PagedStore::open(&dir, cfg).unwrap();
             let mut catalog = Catalog::new();
             let mut t = Table::new("big", Schema::new(vec![Column::new("s", DataType::Str)]));
             for i in 0..2000 {
@@ -953,8 +1289,7 @@ mod tests {
             assert!(store.stats().cache_evictions > 0, "budget forced spills");
             store.checkpoint().unwrap();
         }
-        let mut store = PagedStore::open(&dir, cfg).unwrap();
-        let catalog = store.load_catalog().unwrap();
+        let (_, catalog) = PagedStore::open(&dir, cfg).unwrap();
         let t = catalog.table("big").unwrap();
         assert_eq!(t.row_count(), 2000);
         assert_eq!(

@@ -46,6 +46,22 @@ impl TableDelta {
     }
 }
 
+/// Which row *positions* a table's latest mutation moved, as reported by
+/// [`Table::moved_since`]. Where the change log above carries row values
+/// for a bounded window, this carries positions for exactly one step:
+/// what a positional mirror of the rows (the paged store's page chain)
+/// needs to bring itself up to date without reading the whole table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RowsMoved {
+    /// Rows `from..` were appended; every earlier row kept its place.
+    Appended { from: usize },
+    /// The rows at these positions (as of before the mutation, ascending)
+    /// were removed; the survivors closed ranks in order.
+    Deleted { at: Vec<usize> },
+    /// The rows at these positions were replaced in place.
+    Updated { at: Vec<usize> },
+}
+
 /// One logged mutation: the version it produced plus the rows it moved.
 /// `tracked` is false for mutations whose row-level effect is not logged
 /// (TRUNCATE); a window crossing one yields no delta. UPDATE logs as a
@@ -78,6 +94,10 @@ pub struct Table {
     change_rows: usize,
     /// The version the oldest retained change record applies on top of.
     change_base: u64,
+    /// The version the latest mutation replaced and the positions it
+    /// moved; `None` when that is not known row by row (new table,
+    /// TRUNCATE).
+    moved: Option<(u64, RowsMoved)>,
 }
 
 impl Table {
@@ -93,6 +113,7 @@ impl Table {
             changes: Vec::new(),
             change_rows: 0,
             change_base: 0,
+            moved: None,
         };
         t.stats.stamp(t.version);
         t.change_base = t.version;
@@ -160,6 +181,8 @@ impl Table {
         }
         // A batch the log cannot retain rebases it, so no copy is taken.
         let logged = self.log_retains(n).then(|| batch.clone());
+        let from = self.rows.len();
+        self.moved = Some((self.version, RowsMoved::Appended { from }));
         self.rows.append(&mut batch);
         self.version = next_version();
         self.stats.stamp(self.version);
@@ -214,15 +237,18 @@ impl Table {
             return 0;
         }
         let mut deleted = Vec::new();
+        let mut at = Vec::new();
         let mut kept = Vec::with_capacity(self.rows.len());
         for (i, row) in self.rows.drain(..).enumerate() {
             if mask.get(i).copied().unwrap_or(false) {
                 deleted.push(row);
+                at.push(i);
             } else {
                 kept.push(row);
             }
         }
         self.rows = kept;
+        self.moved = Some((self.version, RowsMoved::Deleted { at }));
         // Distinct sketches cannot subtract: rebuild over the survivors.
         self.stats.rebuild(&self.rows);
         self.version = next_version();
@@ -258,10 +284,13 @@ impl Table {
         }
         let mut inserted = Vec::with_capacity(changes.len());
         let mut deleted = Vec::with_capacity(changes.len());
+        let mut at = Vec::with_capacity(changes.len());
         for (i, row) in changes {
             inserted.push(row.clone());
             deleted.push(std::mem::replace(&mut self.rows[i], row));
+            at.push(i);
         }
+        self.moved = Some((self.version, RowsMoved::Updated { at }));
         // Distinct sketches cannot subtract: rebuild over the new rows.
         self.stats.rebuild(&self.rows);
         self.version = next_version();
@@ -280,6 +309,7 @@ impl Table {
     pub fn truncate(&mut self) {
         self.rows.clear();
         self.stats.reset();
+        self.moved = None;
         self.version = next_version();
         self.stats.stamp(self.version);
         self.log_change(ChangeRecord {
@@ -338,6 +368,18 @@ impl Table {
             delta.deleted.extend(record.deleted.iter().cloned());
         }
         Some(delta)
+    }
+
+    /// The positions the latest mutation moved, when `version` is the
+    /// stamp that mutation replaced: a mirror at `version` that applies
+    /// them holds the current rows, in order. `None` when `version` is
+    /// any other stamp or the mutation is not known row by row — the
+    /// mirror must then take the rows whole.
+    pub(crate) fn moved_since(&self, version: u64) -> Option<&RowsMoved> {
+        match &self.moved {
+            Some((since, moved)) if *since == version => Some(moved),
+            _ => None,
+        }
     }
 }
 
@@ -595,6 +637,47 @@ mod tests {
         // An empty batch is a no-op, not a version bump.
         assert_eq!(table.apply_updates(Vec::new()).unwrap(), 0);
         assert_eq!(table.version(), v0);
+    }
+
+    #[test]
+    fn moved_since_reports_the_latest_mutation_to_the_version_it_replaced() {
+        let mut table = t();
+        assert_eq!(table.moved_since(table.version()), None, "new table");
+        let v0 = table.version();
+        table.insert_all(numbered(0..5)).unwrap();
+        assert_eq!(
+            table.moved_since(v0),
+            Some(&RowsMoved::Appended { from: 0 })
+        );
+        let v1 = table.version();
+        table.insert(row![5, "x"]).unwrap();
+        assert_eq!(
+            table.moved_since(v1),
+            Some(&RowsMoved::Appended { from: 5 })
+        );
+        assert_eq!(table.moved_since(v0), None, "one step back only");
+        assert_eq!(table.moved_since(table.version()), None);
+
+        let v2 = table.version();
+        table.delete_where(|r| r[0] == Value::Int(1) || r[0] == Value::Int(4));
+        let deleted = RowsMoved::Deleted { at: vec![1, 4] };
+        assert_eq!(table.moved_since(v2), Some(&deleted));
+        let v3 = table.version();
+        table
+            .apply_updates(vec![(3, row![50, "y"]), (0, row![0, "y"])])
+            .unwrap();
+        let updated = RowsMoved::Updated { at: vec![3, 0] };
+        assert_eq!(table.moved_since(v3), Some(&updated));
+
+        // Mutations that change nothing leave the record standing; one
+        // that is not known row by row clears it.
+        table.delete_where(|_| false);
+        assert!(table.insert_all(vec![row!["bad", "z"]]).is_err());
+        assert_eq!(table.moved_since(v3), Some(&updated));
+        let v4 = table.version();
+        table.truncate();
+        assert_eq!(table.moved_since(v4), None);
+        assert_eq!(table.moved_since(v3), None);
     }
 
     #[test]

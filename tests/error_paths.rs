@@ -384,3 +384,68 @@ fn failing_dml_is_all_or_nothing_and_keeps_the_caches_warm() {
     assert_eq!(snap.counter("core.minecache.hit"), 1);
     assert_eq!(snap.counter("core.minecache.delta"), 0);
 }
+
+/// A row that fits no page is the paged backend's to refuse, and it
+/// refuses it whole: a typed storage error, memory and store exactly as
+/// they were (no row, no version bump, nothing logged), and the session
+/// carries on — the next statement, and a reopen, see the old state. The
+/// memory backend has no such limit and takes the row.
+#[test]
+fn a_row_no_page_can_hold_is_refused_atomically_on_the_paged_backend() {
+    let dir = std::env::temp_dir().join(format!("tcdm_err_unstorable_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let long = "x".repeat(5000);
+    let unstorable = [
+        format!("INSERT INTO t VALUES (2, '{long}')"),
+        format!("INSERT INTO t VALUES (2, 'fits'), (3, '{long}')"),
+        format!("UPDATE t SET b = '{long}' WHERE a = 1"),
+        format!("CREATE TABLE u AS SELECT a, '{long}' AS b FROM t"),
+    ];
+    let mut memory = relational::Database::new();
+    let mut paged = relational::Database::open_paged(&dir).unwrap();
+    for db in [&mut memory, &mut paged] {
+        db.execute("CREATE TABLE t (a INT, b VARCHAR)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'one')").unwrap();
+    }
+    for sql in &unstorable {
+        memory.execute(sql).unwrap();
+
+        let version = paged.catalog().table("t").unwrap().version();
+        let logged = paged.stats().storage_wal_appends;
+        let err = paged.execute(sql).unwrap_err();
+        assert!(
+            matches!(err, relational::Error::Storage { .. }),
+            "{err:?}: {}",
+            &sql[..40]
+        );
+        assert!(err.to_string().contains("exceeds the page capacity"));
+        assert_eq!(paged.catalog().table("t").unwrap().version(), version);
+        assert!(!paged.catalog().has_table("u"));
+        // The session is not wedged: reads and unrelated DDL go through,
+        // and the refused statement left nothing for their sync to log.
+        let rows = paged.query("SELECT a, b FROM t").unwrap();
+        assert_eq!(
+            rows.rows(),
+            &[vec![Value::Int(1), Value::Str("one".into())]]
+        );
+        assert_eq!(paged.stats().storage_wal_appends, logged);
+        paged.execute("CREATE TABLE other (x INT)").unwrap();
+        paged.execute("DROP TABLE other").unwrap();
+    }
+    assert!(memory.catalog().has_table("u"), "memory took every row");
+    assert_eq!(memory.catalog().table("t").unwrap().row_count(), 4);
+
+    // A row that does fit still lands, and a reopen finds exactly it.
+    paged.execute("INSERT INTO t VALUES (2, 'two')").unwrap();
+    drop(paged);
+    let mut reopened = relational::Database::open_paged(&dir).unwrap();
+    let rows = reopened.query("SELECT a, b FROM t").unwrap();
+    assert_eq!(
+        rows.rows(),
+        &[
+            vec![Value::Int(1), Value::Str("one".into())],
+            vec![Value::Int(2), Value::Str("two".into())]
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
