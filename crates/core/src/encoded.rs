@@ -4,9 +4,9 @@
 //! attribute names or values, which is the architecture's interoperability
 //! contract (§3): any mining algorithm can be plugged in behind them.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use relational::{Database, ResultSet, Row, Value};
+use relational::{Database, Row, Value};
 
 use crate::ast::CardSpec;
 use crate::directives::{Directives, StatementClass};
@@ -14,7 +14,7 @@ use crate::error::{MineError, Result};
 use crate::translator::Translation;
 
 /// One encoded tuple of the general `CodedSource` view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GeneralTuple {
     pub gid: u32,
     /// Cluster identifier; `None` when the statement has no CLUSTER BY.
@@ -78,12 +78,6 @@ fn get_opt_u32(v: &Value) -> Result<Option<u32>> {
     } else {
         get_u32(v).map(Some)
     }
-}
-
-fn col(rs: &ResultSet, name: &str) -> Result<usize> {
-    rs.column_index(name).ok_or_else(|| MineError::Internal {
-        message: format!("encoded table misses column '{name}'"),
-    })
 }
 
 /// The stored rows of the encoded catalog table `name`, with the
@@ -162,33 +156,36 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
             if dir.h {
                 cols.push("Hid");
             }
-            let rs = db.query(&format!(
-                "SELECT {} FROM {}",
-                cols.join(", "),
-                names.coded_source()
-            ))?;
-            let gid_i = col(&rs, "Gid")?;
-            let cid_i = if dir.c { Some(col(&rs, "Cid")?) } else { None };
-            let bid_i = col(&rs, "Bid")?;
-            let hid_i = if dir.h { Some(col(&rs, "Hid")?) } else { None };
-            let mut tuples = Vec::with_capacity(rs.len());
-            for row in rs.rows() {
+            // What the `CodedSource` view yields — the DISTINCT id tuples
+            // of `MiningSource` in first-seen order — read off the stored
+            // rows, not through the SQL executor.
+            let (rows, at) = stored(db, &names.mining_source(), &cols)?;
+            let mut at = at.into_iter();
+            let gid_i = at.next().expect("Gid is always read");
+            let cid_i = if dir.c { at.next() } else { None };
+            let bid_i = at.next().expect("Bid is always read");
+            let hid_i = at.next();
+            let mut seen = HashSet::with_capacity(rows.len());
+            let mut tuples = Vec::with_capacity(rows.len());
+            for row in rows {
                 let bid = get_opt_u32(&row[bid_i])?;
-                let hid = match hid_i {
-                    Some(i) => get_opt_u32(&row[i])?,
-                    // Same schema for body and head: the body identifier
-                    // doubles as head identifier.
-                    None => bid,
-                };
-                tuples.push(GeneralTuple {
+                let tuple = GeneralTuple {
                     gid: get_u32(&row[gid_i])?,
                     cid: match cid_i {
                         Some(i) => Some(get_u32(&row[i])?),
                         None => None,
                     },
                     bid,
-                    hid,
-                });
+                    hid: match hid_i {
+                        Some(i) => get_opt_u32(&row[i])?,
+                        // Same schema for body and head: the body identifier
+                        // doubles as head identifier.
+                        None => bid,
+                    },
+                };
+                if seen.insert(tuple) {
+                    tuples.push(tuple);
+                }
             }
             let cluster_couples = if dir.k {
                 let (rows, at) = stored(db, &names.cluster_couples(), &["Gid", "Cidb", "Cidh"])?;
@@ -392,6 +389,41 @@ mod tests {
         Ok(group_sorted(pairs))
     }
 
+    /// The general-class read this module used before it read typed:
+    /// `SELECT` through the DISTINCT `CodedSource` view.
+    fn sql_read_general(db: &mut Database, t: &Translation) -> Result<Vec<GeneralTuple>> {
+        let dir = t.directives;
+        let mut cols = vec!["Gid"];
+        if dir.c {
+            cols.push("Cid");
+        }
+        cols.push("Bid");
+        if dir.h {
+            cols.push("Hid");
+        }
+        let rs = db.query(&format!(
+            "SELECT {} FROM {}",
+            cols.join(", "),
+            t.names.coded_source()
+        ))?;
+        let at = |name: &str| rs.column_index(name);
+        rs.rows()
+            .iter()
+            .map(|row| {
+                let bid = get_opt_u32(&row[at("Bid").unwrap()])?;
+                Ok(GeneralTuple {
+                    gid: get_u32(&row[at("Gid").unwrap()])?,
+                    cid: at("Cid").map(|i| get_u32(&row[i])).transpose()?,
+                    bid,
+                    hid: match at("Hid") {
+                        Some(i) => get_opt_u32(&row[i])?,
+                        None => bid,
+                    },
+                })
+            })
+            .collect()
+    }
+
     fn preprocessed(
         mut db: Database,
         stmt: &str,
@@ -446,43 +478,68 @@ mod tests {
         }
     }
 
+    /// Body and head over different attributes (H): body-side and
+    /// head-side rows, NULL on the other side.
+    const CROSS: &str = "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 qty AS HEAD \
+         FROM Purchase GROUP BY customer CLUSTER BY date \
+         EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.1";
+
     #[test]
     fn typed_general_read_equals_the_sql_read() {
         for (label, db) in [
             ("paper", purchase_db as fn() -> Database),
             ("retail", retail_db),
         ] {
-            let (mut db, t) = preprocessed(db(), TEMPORAL, false);
-            let EncodedData::General {
-                cluster_couples,
-                input_rules,
-                ..
-            } = read_encoded(&mut db, &t).unwrap().data
-            else {
-                panic!("{label}: expected general encoding");
-            };
-            let ids = |db: &mut Database, sql: &str| -> Vec<Vec<u32>> {
-                let rs = db.query(sql).unwrap();
-                rs.rows()
+            // Fused (production) and stepwise (reference) leave the same
+            // encoded tables; the read must not care which.
+            let mut reads = Vec::new();
+            for (stmt, reference) in [(TEMPORAL, false), (TEMPORAL, true), (CROSS, false)] {
+                let (mut db, t) = preprocessed(db(), stmt, reference);
+                let EncodedData::General {
+                    tuples,
+                    cluster_couples,
+                    input_rules,
+                } = read_encoded(&mut db, &t).unwrap().data
+                else {
+                    panic!("{label}: expected general encoding");
+                };
+                let oracle = sql_read_general(&mut db, &t).unwrap();
+                assert!(!oracle.is_empty(), "{label}");
+                assert_eq!(tuples, oracle, "{label}: CodedSource");
+                if stmt == CROSS {
+                    assert!(tuples.iter().any(|tu| tu.bid.is_none()), "{label}");
+                    assert!(tuples.iter().any(|tu| tu.hid.is_none()), "{label}");
+                    continue;
+                }
+                // The same price can reach an item twice (retail): the
+                // view de-duplicates what MiningSource keeps apart.
+                let stored = db.catalog().table("MiningSource").unwrap().row_count();
+                assert!(tuples.len() <= stored, "{label}");
+                let ids = |db: &mut Database, sql: &str| -> Vec<Vec<u32>> {
+                    let rs = db.query(sql).unwrap();
+                    rs.rows()
+                        .iter()
+                        .map(|r| r.iter().map(|v| get_u32(v).unwrap()).collect())
+                        .collect()
+                };
+                let couples = ids(&mut db, "SELECT Gid, Cidb, Cidh FROM ClusterCouples");
+                let rules = ids(&mut db, "SELECT Gid, Cidb, Cidh, Bid, Hid FROM InputRules");
+                assert!(!couples.is_empty() && !rules.is_empty(), "{label}");
+                let typed: Vec<Vec<u32>> = cluster_couples
+                    .expect("K is set")
                     .iter()
-                    .map(|r| r.iter().map(|v| get_u32(v).unwrap()).collect())
-                    .collect()
-            };
-            let couples = ids(&mut db, "SELECT Gid, Cidb, Cidh FROM ClusterCouples");
-            let rules = ids(&mut db, "SELECT Gid, Cidb, Cidh, Bid, Hid FROM InputRules");
-            assert!(!couples.is_empty() && !rules.is_empty(), "{label}");
-            let typed: Vec<Vec<u32>> = cluster_couples
-                .expect("K is set")
-                .iter()
-                .map(|&(g, b, h)| vec![g, b, h])
-                .collect();
-            assert_eq!(typed, couples, "{label}: ClusterCouples");
-            let typed: Vec<Vec<u32>> = input_rules
-                .expect("M is set")
-                .iter()
-                .map(|r| vec![r.gid, r.cidb.unwrap(), r.cidh.unwrap(), r.bid, r.hid])
-                .collect();
-            assert_eq!(typed, rules, "{label}: InputRules");
+                    .map(|&(g, b, h)| vec![g, b, h])
+                    .collect();
+                assert_eq!(typed, couples, "{label}: ClusterCouples");
+                let typed: Vec<Vec<u32>> = input_rules
+                    .expect("M is set")
+                    .iter()
+                    .map(|r| vec![r.gid, r.cidb.unwrap(), r.cidh.unwrap(), r.bid, r.hid])
+                    .collect();
+                assert_eq!(typed, rules, "{label}: InputRules");
+                reads.push((tuples, typed));
+            }
+            assert_eq!(reads[0], reads[1], "{label}: fused vs stepwise");
         }
     }
 
@@ -498,6 +555,24 @@ mod tests {
                 "{bad}: {typed}"
             );
             assert_eq!(typed, sql_read_simple(&mut db, &t).unwrap_err(), "{bad}");
+
+            // General class: a bad Gid or Cid anywhere, a bad (non-NULL)
+            // Bid — price is the mining attribute MiningSource carries.
+            for row in [
+                format!("({bad}, 1, 1, 100)"),
+                format!("(1, {bad}, 1, 100)"),
+                format!("(1, 1, {bad}, 100)"),
+            ] {
+                let (mut db, t) = preprocessed(purchase_db(), TEMPORAL, false);
+                db.execute(&format!("INSERT INTO MiningSource VALUES {row}"))
+                    .unwrap();
+                let oracle = sql_read_general(&mut db, &t);
+                match read_encoded(&mut db, &t) {
+                    Err(typed) => assert_eq!(typed, oracle.unwrap_err(), "{row}"),
+                    // A NULL Bid is a head-side row, not an error.
+                    Ok(_) => assert!(oracle.is_ok() && row == "(1, 1, NULL, 100)", "{row}"),
+                }
+            }
         }
     }
 

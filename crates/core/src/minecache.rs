@@ -37,9 +37,10 @@
 //! `Bset` identifiers, entries survive re-encoding: a warm serve maps
 //! items onto the current `Bid`s right before rule generation, and the
 //! pipeline still stores and decodes output tables exactly as a cold run
-//! would. Entries are restricted to statements the fused pass accepts
-//! ([`fusible`]); everything else simply misses. Staleness is ruled out
-//! by the same per-table version stamps the preprocess cache uses.
+//! would. Entries are restricted to statements without directives
+//! ([`cacheable`]) — the ones whose scan yields a digest; everything else
+//! simply misses. Staleness is ruled out by the same per-table version
+//! stamps the preprocess cache uses.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -49,8 +50,11 @@ use relational::{Database, Row, Table, TableDelta, Value};
 use crate::algo::{rules_from_itemsets_counted, sort_rules, EncodedRule, LargeItemset};
 use crate::ast::MineRuleStatement;
 use crate::cache::{PreprocessCache, StoreOutcome, MAX_ENTRIES};
+use crate::directives::Directives;
 use crate::error::Result;
-use crate::preprocess::{fusible, key_columns, min_groups_for, scan_source, PreprocessReport};
+use crate::preprocess::{
+    min_groups_for, scan_source, source_columns, PreprocessReport, SourceScan,
+};
 use crate::translator::Translation;
 
 /// Delta re-mining budget: a delta with more rows than
@@ -77,8 +81,8 @@ struct Group {
 /// interned: grouping keys and item (body-schema) keys map to first-seen
 /// ids under the `Vec<Value>` equality SQL GROUP BY uses (`1` and `1.0`
 /// unify, `0.0` and `-0.0` stay apart, NULLs group together), and each
-/// group is a multiset of item ids. Built by
-/// [`crate::preprocess::scan_source`]; the mined-result cache replays
+/// group is a multiset of item ids. Built by the preprocessor's source
+/// scan (`preprocess::scan_source`); the mined-result cache replays
 /// source-table deltas onto it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceDigest {
@@ -154,15 +158,6 @@ impl SourceDigest {
             groups: groups.into_iter().map(Some).collect(),
             rows: (pairs.len() + repeats.len()) as u64,
         }
-    }
-
-    /// Whether a row pairing this group slot with this item id reaches
-    /// `CodedSource`: neither key holds a NULL.
-    pub(crate) fn joins(&self, group: u32, item: u32) -> bool {
-        self.item_joins[item as usize]
-            && self.groups[group as usize]
-                .as_ref()
-                .is_some_and(|g| g.joins)
     }
 
     /// Live groups (`:totg` of the snapshot).
@@ -423,7 +418,7 @@ impl MineResultCache {
             Some(inner) => inner,
             None => return Ok(None),
         };
-        if !fusible(translation) {
+        if !cacheable(translation) {
             return Ok(None);
         }
         let table = match source_table(db, &translation.stmt) {
@@ -483,7 +478,7 @@ impl MineResultCache {
         };
         let stmt = &translation.stmt;
         let table = match source_table(db, stmt) {
-            Some(table) if fusible(translation) && report.total_groups > 0 => table,
+            Some(table) if cacheable(translation) && report.total_groups > 0 => table,
             _ => return outcome,
         };
         let fingerprint = PreprocessCache::fingerprint(stmt, prefix);
@@ -496,11 +491,15 @@ impl MineResultCache {
         let digest = match digest {
             Some(digest) => digest,
             None => match scan_source(db, stmt) {
-                Ok(scan) => {
-                    outcome.source_rows = scan.rows;
-                    Arc::new(scan.digest)
+                Ok(SourceScan {
+                    rows,
+                    digest: Some(digest),
+                    ..
+                }) => {
+                    outcome.source_rows = rows;
+                    Arc::new(digest)
                 }
-                Err(_) => return outcome,
+                _ => return outcome,
             },
         };
         // The SQL preprocessor must agree on the group universe.
@@ -533,7 +532,15 @@ impl MineResultCache {
     }
 }
 
-/// The statement's one FROM table ([`fusible`] statements have no other).
+/// Whether the cache can hold the statement: no directive set — a simple
+/// statement reading one base table whole (no W, so no join and no source
+/// condition) with every group valid (no G). Those are the statements
+/// whose source scan builds a [`SourceDigest`].
+pub fn cacheable(translation: &Translation) -> bool {
+    translation.directives == Directives::default()
+}
+
+/// The statement's one FROM table ([`cacheable`] statements have no other).
 fn source_table<'a>(db: &'a Database, stmt: &MineRuleStatement) -> Option<&'a Table> {
     db.catalog().table(&stmt.from[0].name).ok()
 }
@@ -674,7 +681,8 @@ fn apply_delta(entry: &mut MineEntry, table: &Table, stmt: &MineRuleStatement) -
     if delta.row_count() > budget {
         return None;
     }
-    let (group_cols, item_cols) = key_columns(table, stmt).ok()?;
+    let cols = source_columns(table, stmt).ok()?;
+    let (group_cols, item_cols) = (cols.group, cols.body);
     // Copy-on-write: in place unless a preprocess report still shares it.
     let digest = Arc::make_mut(&mut entry.digest);
     let before = digest.apply(&delta, &group_cols, &item_cols)?;
@@ -1046,8 +1054,8 @@ mod tests {
         assert_eq!(warm.rules, cold_reference(&[], &stmt_text(0.5, 0.4, "R")));
     }
 
-    /// A two-table FROM is directive W: one predicate ([`fusible`]) keeps
-    /// it off the fused pass and out of the cache alike.
+    /// A two-table FROM is directive W: the fused pass declines it (one
+    /// scan cannot read a join) and the cache cannot hold it.
     #[test]
     fn joining_from_list_is_w_and_neither_fused_nor_captured() {
         let text = "MINE RULE J AS SELECT DISTINCT category AS BODY, category AS HEAD \
@@ -1060,7 +1068,8 @@ mod tests {
             .unwrap();
         let translation = translate(&parse_mine_rule(text).unwrap(), db.catalog()).unwrap();
         assert!(translation.directives.w);
-        assert!(!fusible(&translation));
+        assert!(!crate::preprocess::fusible(&translation));
+        assert!(!cacheable(&translation));
         let engine = MineRuleEngine::new();
         engine.execute(&mut db, text).unwrap();
         engine.execute(&mut db, text).unwrap();
@@ -1201,7 +1210,7 @@ mod tests {
         let (twice, _) = newest(&cache);
         assert_eq!(Arc::as_ptr(&twice), after_first, "updated in place");
         let stmt = parse_mine_rule(&text).unwrap();
-        let rescanned = scan_source(&db, &stmt).unwrap().digest;
+        let rescanned = scan_source(&db, &stmt).unwrap().digest.unwrap();
         assert_eq!(twice.version, rescanned.version);
         assert_eq!(twice.rows, rescanned.rows);
         assert_eq!(twice.live_groups(), rescanned.live_groups());
@@ -1246,7 +1255,7 @@ mod tests {
              EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1",
         )
         .unwrap();
-        let digest = scan_source(&db, &stmt).unwrap().digest;
+        let digest = scan_source(&db, &stmt).unwrap().digest.unwrap();
         assert_eq!(digest.live_groups(), 5, "1|1.0, 0.0, -0.0, NULL, 2.5");
         assert_eq!(digest.rows, 7);
         let slot = |v: Value| digest.group_ids[&vec![v]];
@@ -1265,8 +1274,8 @@ mod tests {
         assert_eq!(digest.item_set(slot(Value::Int(1))), vec![one]);
         assert!(digest.item_set(slot(Value::Null)).is_empty());
         assert!(digest.item_set(slot(Value::Float(2.5))).is_empty());
-        assert!(!digest.joins(slot(Value::Null), one));
-        assert!(digest.joins(slot(Value::Float(0.0)), one));
+        let a = digest.item_ids[&vec![Value::Str("a".into())]];
+        assert_eq!(digest.item_set(slot(Value::Float(0.0))), vec![a]);
     }
 
     #[test]

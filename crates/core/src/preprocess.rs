@@ -1,32 +1,42 @@
 //! The preprocessor (§4.2): runs the translator's SQL program against the
 //! SQL server, producing the encoded tables the core operator works on.
 //!
-//! The simple-class program (`Q1`..`Q4` of Figure 4a, without a group
-//! HAVING or a source condition) runs as **one fused pipelined pass**
-//! instead of six SQL statements: a single scan of the source
-//! assigns group and body encodings in first-seen order, and the
-//! intermediate artefacts (`ValidGroupsView`, `DistinctGroupsInBody`)
-//! stream through in-memory maps without ever materialising as catalog
-//! tables. The encoded outputs (`ValidGroups`, `Bset`, `CodedSource`),
-//! the `:totg`/`:mingroups` bindings and the id-sequence states are
-//! bit-identical to the step-by-step SQL program — row contents *and*
-//! row order — which `tests/planner_agreement.rs` enforces. Every other
-//! statement, and every statement on the database's reference paths
-//! ([`Database::set_reference_paths`]), runs `Qi` step by step.
+//! Every statement whose FROM is one base table — whatever its
+//! directives — runs as **one fused in-memory pass** instead of up to
+//! seventeen SQL statements: a single scan of the source evaluates the
+//! source condition and interns the group, cluster, body, head and
+//! mining-attribute keys in first-seen order, and every encoded table is
+//! derived from that record without the intermediate artefacts (`Source`,
+//! `ValidGroupsView`, `DistinctGroupsIn*`, `InputRulesRaw`, `LargeRules`)
+//! ever materialising. The encoded outputs, the `:totg`/`:mingroups`
+//! bindings and the id-sequence states are bit-identical to the
+//! step-by-step SQL program — schema, row contents *and* row order —
+//! which `tests/planner_agreement.rs` enforces. Every other statement,
+//! every statement on the database's reference paths
+//! ([`Database::set_reference_paths`]), and every statement whose fused
+//! pass fails runs `Qi` step by step.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
-use relational::expr::compile::ExecCounter;
-use relational::expr::eval::QueryCtx;
+use relational::exec::join::{conjuncts, resolves_in};
+use relational::exec::select::{infer_type, value_type};
+use relational::expr::eval::{eval_grouped, NoCtx, QueryCtx};
+use relational::expr::{BinOp, Expr};
+use relational::sequence::Sequence;
 use relational::{
-    Column, ColumnBatch, DataType, Database, Row, Schema, Table, Value, VECTOR_BATCH_ROWS,
+    Column, ColumnBatch, CompiledExpr, DataType, Database, ExecCounter, Row, Schema, Table, Value,
+    VECTOR_BATCH_ROWS,
 };
 
 use crate::ast::MineRuleStatement;
-use crate::directives::StatementClass;
+use crate::directives::{Directives, StatementClass};
 use crate::error::{MineError, Result};
 use crate::minecache::SourceDigest;
+use crate::translator::queries::{
+    cluster_aggregates, cluster_pair_cond, mining_pair_cond, CLUSTER_SIDES, MINING_SIDES,
+};
 use crate::translator::{Step, Translation};
 
 /// Timing/row-count breakdown of a preprocessing run, used by the
@@ -44,8 +54,9 @@ pub struct PreprocessReport {
     pub fused_steps: usize,
     /// The grouped source as the fused pass's scan interned it, for the
     /// mined-result cache to capture without a second read. `None` when
-    /// no scan ran: step-by-step preprocessing, or a restore from the
-    /// artifact cache.
+    /// no scan ran (step-by-step preprocessing, a restore from the
+    /// artifact cache) and for every statement that cache cannot serve
+    /// (any directive set).
     pub digest: Option<Arc<SourceDigest>>,
 }
 
@@ -87,33 +98,72 @@ pub fn min_groups_for(total_groups: u64, min_support: f64) -> u64 {
 }
 
 /// Run the full preprocessing phase of a translation: cleanup first, then
-/// `Q0`..`Q11` — fused into one pipelined pass when the statement
-/// qualifies (see [`fusible`]) and the database is not on its reference
-/// paths.
+/// `Q0`..`Q11` — as one fused in-memory pass when the statement qualifies
+/// (see [`fusible`]) and the database is not on its reference paths.
+///
+/// Whatever fails inside the fused pass — a condition that errors at run
+/// time, an object name the cleanup could not free — its work is
+/// discarded and the stepwise program runs: that program's error is the
+/// statement's error, and the catalog is left as it leaves it.
 pub fn preprocess(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
-    run_steps(db, &translation.cleanup, translation.stmt.min_support)?;
+    let min_support = translation.stmt.min_support;
+    run_steps(db, &translation.cleanup, min_support)?;
     if !db.reference_paths() && fusible(translation) {
-        return run_fused_simple(db, translation);
+        if let Ok(report) = run_fused(db, translation) {
+            return Ok(report);
+        }
+        // The pass touches the catalog only to commit, and a commit stops
+        // at the first object it cannot create: drop the ones before it.
+        run_steps(db, &translation.cleanup, min_support)?;
     }
-    run_steps(db, &translation.preprocess, translation.stmt.min_support)
+    run_steps(db, &translation.preprocess, min_support)
 }
 
-/// Whether the translated program qualifies for the fused pipelined pass:
-/// the simple class (`Q1`..`Q4` only), reading one base table directly
-/// (no `Q0` source materialisation) and encoding every group (no group
-/// HAVING). Everything else runs the step-by-step SQL program.
+/// Whether the translated program qualifies for the fused pass: its FROM
+/// is one base table (so one scan reads the whole source), and no
+/// condition reaches back into the engine — a subquery, a host variable
+/// or a sequence draw needs the SQL server to evaluate. The directives
+/// do not matter. Everything else runs the step-by-step SQL program.
 pub fn fusible(translation: &Translation) -> bool {
-    translation.class == StatementClass::Simple
-        && !translation.directives.w
-        && !translation.directives.g
+    let stmt = &translation.stmt;
+    let engine_free = |cond: &Expr| {
+        let mut free = true;
+        cond.walk(&mut |e| {
+            free &= !matches!(
+                e,
+                Expr::ScalarSubquery(_)
+                    | Expr::Exists { .. }
+                    | Expr::InSubquery { .. }
+                    | Expr::HostVar(_)
+                    | Expr::NextVal(_)
+            )
+        });
+        free
+    };
+    stmt.from.len() == 1
+        && [
+            &stmt.source_cond,
+            &stmt.group_cond,
+            &stmt.cluster_cond,
+            &stmt.mining_cond,
+        ]
+        .into_iter()
+        .flatten()
+        .all(engine_free)
 }
 
-/// The positions of the statement's grouping and item (body-schema)
-/// attributes on its source table.
-pub(crate) fn key_columns(
-    table: &Table,
-    stmt: &MineRuleStatement,
-) -> Result<(Vec<usize>, Vec<usize>)> {
+/// The positions, on the statement's source table, of each attribute
+/// list the encoding reads.
+pub(crate) struct SourceColumns {
+    pub(crate) group: Vec<usize>,
+    pub(crate) body: Vec<usize>,
+    head: Vec<usize>,
+    cluster: Vec<usize>,
+    /// The mining condition's attributes (`Mineattlist`).
+    mining: Vec<usize>,
+}
+
+pub(crate) fn source_columns(table: &Table, stmt: &MineRuleStatement) -> Result<SourceColumns> {
     let resolve = |attrs: &[String]| -> Result<Vec<usize>> {
         attrs
             .iter()
@@ -127,55 +177,60 @@ pub(crate) fn key_columns(
             })
             .collect()
     };
-    Ok((resolve(&stmt.group_by)?, resolve(&stmt.body.schema)?))
+    Ok(SourceColumns {
+        group: resolve(&stmt.group_by)?,
+        body: resolve(&stmt.body.schema)?,
+        head: resolve(&stmt.head.schema)?,
+        cluster: resolve(&stmt.cluster_by)?,
+        mining: resolve(&stmt.mining_attributes())?,
+    })
 }
 
-/// What one scan of a simple-class source yields: the first-seen-order
-/// record the fused pass encodes from, and the [`SourceDigest`] built from
-/// the same dictionaries.
+/// One source row that passed the source condition, as the general scan
+/// loop records it: its position in the table and the first-seen slot of
+/// each key it carries.
+struct Lane {
+    row: u32,
+    group: u32,
+    /// Slot of the `(group, cluster key)` combination; 0 without C.
+    cluster: u32,
+    body: u32,
+    /// Equal to `body` without H.
+    head: u32,
+    /// Slot of the mining-attribute tuple; 0 without M.
+    mining: u32,
+}
+
+/// What one scan of a statement's source yields: the first-seen-order
+/// record the fused pass encodes from and — for a statement without
+/// directives — the [`SourceDigest`] built from the same dictionaries.
+#[derive(Default)]
 pub(crate) struct SourceScan {
-    /// Grouping / body column types, in statement order.
-    g_types: Vec<DataType>,
-    b_types: Vec<DataType>,
     /// Group and body keys by slot: first-seen order, the bucket order the
     /// SQL engine's hash GROUP BY and DISTINCT produce.
     group_order: Vec<Vec<Value>>,
     body_order: Vec<Vec<Value>>,
     /// The distinct `(group slot, body slot)` pairs in first-seen order.
     pairs: Vec<(u32, u32)>,
-    /// Column batches and rows streamed.
+    /// The rest is what only the general loop records. Head keys and the
+    /// distinct `(group slot, head slot)` pairs (H); `(group slot,
+    /// cluster key)` combinations (C); mining-attribute tuples (M).
+    head_order: Vec<Vec<Value>>,
+    head_pairs: Vec<(u32, u32)>,
+    cluster_order: Vec<(u32, Vec<Value>)>,
+    mining_order: Vec<Vec<Value>>,
+    lanes: Vec<Lane>,
+    /// Column batches streamed (simple loop), rows read, and rows the
+    /// source condition dropped.
     batches: u64,
     pub(crate) rows: u64,
-    pub(crate) digest: SourceDigest,
+    filtered: u64,
+    pub(crate) digest: Option<SourceDigest>,
 }
 
-/// Scan the statement's source table once, assigning group keys and body
-/// keys to first-seen slots. This is the only reader of raw source rows
-/// on the simple path: the fused pass encodes from its record, and the
-/// mined-result cache captures its digest (calling it directly only when
-/// no fused pass ran at the table's current version).
-///
-/// The scan reads plain columns — always vector-safe — so it streams the
-/// source through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`] rows, the
-/// same batches the SQL server's vectorized operators use.
-pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<SourceScan> {
-    let table = db.catalog().table(&stmt.from[0].name)?;
-    let (g_cols, b_cols) = key_columns(table, stmt)?;
-
-    let mut group_order: Vec<Vec<Value>> = Vec::new();
-    let mut body_order: Vec<Vec<Value>> = Vec::new();
-    let mut group_slots: HashMap<Vec<Value>, u32> = HashMap::new();
-    let mut body_slots: HashMap<Vec<Value>, u32> = HashMap::new();
-    // Distinct pairs in first-seen order; every further source row of a
-    // pair (a duplicate up to the columns read) lands in `repeats` —
-    // rare, so the per-row work stays one set insert (a count map
-    // measured ≈ 5 % slower end to end on 150 k rows).
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut repeats: Vec<(u32, u32)> = Vec::new();
-    let slot_of = |slots: &mut HashMap<Vec<Value>, u32>,
-                   order: &mut Vec<Vec<Value>>,
-                   key: Vec<Value>| match slots.get(&key) {
+/// The first-seen slot of `key`.
+fn slot_of<K: Hash + Eq + Clone>(slots: &mut HashMap<K, u32>, order: &mut Vec<K>, key: K) -> u32 {
+    match slots.get(&key) {
         Some(&s) => s,
         None => {
             let s = order.len() as u32;
@@ -183,197 +238,884 @@ pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<Sou
             slots.insert(key, s);
             s
         }
-    };
-    // Stream the source through column batches: each chunk is pivoted
-    // into typed vectors once, then both key sets gather from the same
-    // batch lane by lane.
-    let key_cols: Vec<usize> = g_cols.iter().chain(&b_cols).copied().collect();
-    let (mut batches, mut rows) = (0u64, 0u64);
-    for chunk in table.rows().chunks(VECTOR_BATCH_ROWS) {
-        batches += 1;
-        rows += chunk.len() as u64;
-        let batch = ColumnBatch::from_rows(chunk, &key_cols);
-        for lane in 0..batch.len() {
-            let g_key = g_cols.iter().map(|&i| batch.value(i, lane)).collect();
-            let b_key = b_cols.iter().map(|&i| batch.value(i, lane)).collect();
-            let pair = (
-                slot_of(&mut group_slots, &mut group_order, g_key),
-                slot_of(&mut body_slots, &mut body_order, b_key),
-            );
-            if seen.insert(pair) {
-                pairs.push(pair);
-            } else {
-                repeats.push(pair);
-            }
-        }
     }
-    let digest = SourceDigest::new(table.version(), group_slots, body_slots, &pairs, &repeats);
-    Ok(SourceScan {
-        g_types: g_cols
-            .iter()
-            .map(|&i| table.schema().column(i).dtype)
-            .collect(),
-        b_types: b_cols
-            .iter()
-            .map(|&i| table.schema().column(i).dtype)
-            .collect(),
-        group_order,
-        body_order,
-        pairs,
-        batches,
-        rows,
-        digest,
-    })
 }
 
-/// The fused simple-class preprocessing pass.
+/// Keys interned by reference into the scanned rows: a row that repeats a
+/// key copies nothing. Same hash and equality as the owned `Vec<Value>`.
+#[derive(Default)]
+struct KeySlots<'a> {
+    slots: HashMap<Vec<&'a Value>, u32>,
+    probe: Vec<&'a Value>,
+}
+
+impl<'a> KeySlots<'a> {
+    /// The first-seen slot of the key `row` holds at `cols`; a new key is
+    /// appended to `order`.
+    fn slot(&mut self, order: &mut Vec<Vec<Value>>, row: &'a Row, cols: &[usize]) -> u32 {
+        self.probe.clear();
+        self.probe.extend(cols.iter().map(|&i| &row[i]));
+        if let Some(&s) = self.slots.get(self.probe.as_slice()) {
+            return s;
+        }
+        let s = order.len() as u32;
+        order.push(self.probe.iter().map(|&v| v.clone()).collect());
+        self.slots.insert(self.probe.clone(), s);
+        s
+    }
+}
+
+/// Scan the statement's source table once, assigning every key to its
+/// first-seen slot. This is the only reader of raw source rows: the fused
+/// pass encodes from its record, and the mined-result cache captures its
+/// digest (calling it directly only when no fused pass ran at the table's
+/// current version).
 ///
-/// One [`scan_source`] pass assigns group keys and body keys to
-/// first-seen slots, then `ValidGroups`, `Bset` and `CodedSource` are
-/// built directly, drawing Gid/Bid from the same catalog sequences the
-/// SQL program uses. The subsumed intermediates (`ValidGroupsView`,
-/// `DistinctGroupsInBody`) never reach the catalog. The scan's digest
-/// leaves on the report for the mined-result cache.
-fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
-    let stmt = &translation.stmt;
-    let names = &translation.names;
-    let mut report = PreprocessReport::default();
+/// The loop shape is chosen once per scan. A statement without
+/// directives reads plain key columns — always vector-safe — so it
+/// streams the source through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`]
+/// rows, the same batches the SQL server's vectorized operators use, and
+/// keeps nothing per row. Any directive takes the general loop: the
+/// source condition (W) decides each row first, evaluated conjunct by
+/// conjunct like the pushed-down filters of `Q0`, and every surviving row
+/// leaves a [`Lane`].
+pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<SourceScan> {
+    let table = db.catalog().table(&stmt.from[0].name)?;
+    let cols = source_columns(table, stmt)?;
+    let dir = Directives::classify(stmt);
 
-    // The id sequences stay real catalog objects: draws must advance the
-    // same state the SQL program would, so cache captures and later runs
-    // over the same prefix agree bit for bit.
-    for seq in [names.gid_sequence(), names.bid_sequence()] {
-        db.execute(&format!("CREATE SEQUENCE {seq}"))?;
-        report.executed.push(("DDL".to_string(), 1));
+    let mut scan = SourceScan::default();
+    let mut seen: HashSet<(u32, u32)> = HashSet::new();
+
+    if dir == Directives::default() {
+        let mut group_slots: HashMap<Vec<Value>, u32> = HashMap::new();
+        let mut body_slots: HashMap<Vec<Value>, u32> = HashMap::new();
+        // Every further source row of a pair (a duplicate up to the
+        // columns read) lands in `repeats` — rare, so the per-row work
+        // stays one set insert (a count map measured ≈ 5 % slower end to
+        // end on 150 k rows).
+        let mut repeats: Vec<(u32, u32)> = Vec::new();
+        // Each chunk is pivoted into typed vectors once, then both key
+        // sets gather from the same batch lane by lane.
+        let key_cols: Vec<usize> = cols.group.iter().chain(&cols.body).copied().collect();
+        for chunk in table.rows().chunks(VECTOR_BATCH_ROWS) {
+            scan.batches += 1;
+            let batch = ColumnBatch::from_rows(chunk, &key_cols);
+            for lane in 0..batch.len() {
+                let g_key = cols.group.iter().map(|&i| batch.value(i, lane)).collect();
+                let b_key = cols.body.iter().map(|&i| batch.value(i, lane)).collect();
+                let pair = (
+                    slot_of(&mut group_slots, &mut scan.group_order, g_key),
+                    slot_of(&mut body_slots, &mut scan.body_order, b_key),
+                );
+                if seen.insert(pair) {
+                    scan.pairs.push(pair);
+                } else {
+                    repeats.push(pair);
+                }
+            }
+        }
+        scan.digest = Some(SourceDigest::new(
+            table.version(),
+            group_slots,
+            body_slots,
+            &scan.pairs,
+            &repeats,
+        ));
+    } else {
+        let schema = table.schema().with_qualifier(stmt.from[0].visible_name());
+        let source_cond: Vec<CompiledExpr> = stmt
+            .source_cond
+            .iter()
+            .flat_map(conjuncts)
+            .map(|c| CompiledExpr::compile(c, &schema, &mut NoCtx))
+            .collect();
+        let mut groups = KeySlots::default();
+        let mut bodies = KeySlots::default();
+        let mut heads = KeySlots::default();
+        let mut head_seen: HashSet<(u32, u32)> = HashSet::new();
+        // A cluster is a group and a cluster key: the key alone is
+        // interned first, then the pair of slots.
+        let mut cluster_keys = KeySlots::default();
+        let mut cluster_key_order: Vec<Vec<Value>> = Vec::new();
+        let mut cluster_slots: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut minings = KeySlots::default();
+        let mut stack = Vec::new();
+        'rows: for (at, row) in table.rows().iter().enumerate() {
+            for conjunct in &source_cond {
+                if !conjunct.eval_with(row, &mut NoCtx, &mut stack)?.is_true() {
+                    scan.filtered += 1;
+                    continue 'rows;
+                }
+            }
+            let group = groups.slot(&mut scan.group_order, row, &cols.group);
+            let body = bodies.slot(&mut scan.body_order, row, &cols.body);
+            if seen.insert((group, body)) {
+                scan.pairs.push((group, body));
+            }
+            let mut lane = Lane {
+                row: at as u32,
+                group,
+                cluster: 0,
+                body,
+                head: body,
+                mining: 0,
+            };
+            if dir.h {
+                lane.head = heads.slot(&mut scan.head_order, row, &cols.head);
+                if head_seen.insert((group, lane.head)) {
+                    scan.head_pairs.push((group, lane.head));
+                }
+            }
+            if dir.c {
+                let key = cluster_keys.slot(&mut cluster_key_order, row, &cols.cluster);
+                let next = scan.cluster_order.len() as u32;
+                lane.cluster = *cluster_slots.entry((group, key)).or_insert(next);
+                if lane.cluster == next {
+                    let key = cluster_key_order[key as usize].clone();
+                    scan.cluster_order.push((group, key));
+                }
+            }
+            if dir.m {
+                lane.mining = minings.slot(&mut scan.mining_order, row, &cols.mining);
+            }
+            scan.lanes.push(lane);
+        }
+    }
+    scan.rows = table.row_count() as u64;
+    Ok(scan)
+}
+
+/// A condition over pairs of rows — `Q7`'s cluster condition over
+/// `Clusters C1 × C2`, `Q8`'s mining condition over `MiningSource MB ×
+/// MH` — split the way the SQL planner splits the WHERE clause it sits
+/// in, so each part is evaluated on exactly the rows (and pairs) the SQL
+/// program evaluates it on: a conjunct that resolves on one side alone
+/// filters that side (the left one first) before any pairing, `column =
+/// column` across the sides is a hash-join key (equal under grouping
+/// equality, NULL never matches, never an error), and the rest is one
+/// residual predicate over the joined pairs.
+struct PairCond {
+    left: Vec<CompiledExpr>,
+    right: Vec<CompiledExpr>,
+    /// `(left position, right position)` per join key.
+    keys: Vec<(usize, usize)>,
+    residual: Option<CompiledExpr>,
+    joined: Row,
+    stack: Vec<Value>,
+}
+
+impl PairCond {
+    fn plan(cond: &Expr, left: &Schema, right: &Schema) -> PairCond {
+        let mut plan = PairCond {
+            left: Vec::new(),
+            right: Vec::new(),
+            keys: Vec::new(),
+            residual: None,
+            joined: Vec::with_capacity(left.len() + right.len()),
+            stack: Vec::new(),
+        };
+        let position = |e: &Expr, schema: &Schema| match e {
+            Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
+            _ => None,
+        };
+        let (mut residual, mut unused_keys) = (Vec::new(), Vec::new());
+        for conjunct in conjuncts(cond) {
+            if resolves_in(conjunct, left) {
+                plan.left
+                    .push(CompiledExpr::compile(conjunct, left, &mut NoCtx));
+            } else if resolves_in(conjunct, right) {
+                plan.right
+                    .push(CompiledExpr::compile(conjunct, right, &mut NoCtx));
+            } else if let Expr::Binary {
+                left: a,
+                op: BinOp::Eq,
+                right: b,
+            } = conjunct
+            {
+                // A key needs each side to name a column of exactly one
+                // row; anything else (an ambiguous or unknown name) stays
+                // a predicate and fails when evaluated, as in SQL.
+                let at = [
+                    position(a, left),
+                    position(a, right),
+                    position(b, left),
+                    position(b, right),
+                ];
+                match at {
+                    [Some(l), None, None, Some(r)] | [None, Some(r), Some(l), None] => {
+                        plan.keys.push((l, r))
+                    }
+                    _ if matches!((&**a, &**b), (Expr::Column { .. }, Expr::Column { .. })) => {
+                        unused_keys.push(conjunct.clone())
+                    }
+                    _ => residual.push(conjunct.clone()),
+                }
+            } else {
+                residual.push(conjunct.clone());
+            }
+        }
+        residual.extend(unused_keys);
+        plan.residual = Expr::conjoin(residual)
+            .map(|pred| CompiledExpr::compile(&pred, &left.join(right), &mut NoCtx));
+        plan
     }
 
-    // --- The fused scan: Q1 + Q2 + Q3's DISTINCT all in one pass. ---
-    // The distinct (group slot, body slot) pairs, in first-seen order,
-    // are the one record both later steps read: Q3's `SELECT DISTINCT
-    // body, group` pipelined into its `COUNT(*) GROUP BY body` (a count
-    // per body slot), and Q4's DISTINCT over the source-order join. NULLs
-    // participate in grouping (SQL GROUP BY keeps NULL keys) but never
-    // join in Q4.
-    let SourceScan {
-        g_types,
-        b_types,
-        group_order,
-        body_order,
-        pairs,
-        batches,
-        rows: scanned,
-        digest,
-    } = scan_source(db, stmt)?;
-    db.bump(ExecCounter::VectorBatches, batches);
-    db.bump(ExecCounter::VectorRows, scanned);
-    let mut body_ngroups = vec![0u64; body_order.len()];
-    for &(_, b_slot) in &pairs {
-        body_ngroups[b_slot as usize] += 1;
+    /// Per row of `rows`, whether it may stand on the left (or right) of a
+    /// pair: `eligible` first, then that side's conjuncts in order.
+    fn side(
+        &mut self,
+        left: bool,
+        rows: &[Row],
+        eligible: impl Fn(usize) -> bool,
+    ) -> Result<Vec<bool>> {
+        let filters = if left { &self.left } else { &self.right };
+        let mut verdicts = Vec::with_capacity(rows.len());
+        for (at, row) in rows.iter().enumerate() {
+            let mut keep = eligible(at);
+            for filter in filters {
+                keep = keep
+                    && filter
+                        .eval_with(row, &mut NoCtx, &mut self.stack)?
+                        .is_true();
+            }
+            verdicts.push(keep);
+        }
+        Ok(verdicts)
     }
 
-    // Q1 + ComputeMinGroups: bind :totg and :mingroups.
-    let total_groups = group_order.len() as u64;
-    let min_groups = min_groups_for(total_groups, stmt.min_support);
-    db.set_var("totg", Value::Int(total_groups as i64));
-    db.set_var("mingroups", Value::Int(min_groups as i64));
-    report.total_groups = total_groups;
-    report.min_groups = min_groups;
-    report.executed.push(("Q1".to_string(), 1));
+    /// Whether the join keys of `(l, r)` match.
+    fn keys_match(&self, l: &Row, r: &Row) -> bool {
+        self.keys
+            .iter()
+            .all(|&(a, b)| !l[a].is_null() && l[a] == r[b])
+    }
 
-    // Q2: ValidGroups — with no group HAVING every group encodes, in
-    // first-seen order, Gid drawn from the sequence per row.
-    let mut columns = vec![Column::new("Gid", DataType::Int)];
-    for (attr, &dtype) in stmt.group_by.iter().zip(&g_types) {
-        columns.push(Column::new(attr.clone(), dtype));
+    /// Whether the residual predicate holds on the joined pair.
+    fn holds(&mut self, l: &Row, r: &Row) -> Result<bool> {
+        let Some(residual) = &self.residual else {
+            return Ok(true);
+        };
+        self.joined.clear();
+        self.joined.extend_from_slice(l);
+        self.joined.extend_from_slice(r);
+        Ok(residual
+            .eval_with(&self.joined, &mut NoCtx, &mut self.stack)?
+            .is_true())
     }
-    let mut gids: Vec<i64> = Vec::with_capacity(group_order.len());
-    let mut rows: Vec<Row> = Vec::with_capacity(group_order.len());
-    for key in group_order {
-        let gid = db
-            .catalog_mut()
-            .sequence_mut(&names.gid_sequence())?
-            .nextval();
-        gids.push(gid);
-        let mut row = Vec::with_capacity(key.len() + 1);
-        row.push(Value::Int(gid));
-        row.extend(key);
-        rows.push(row);
-    }
-    materialize(db, &mut report, "Q2", names.valid_groups(), columns, rows)?;
+}
 
-    // Q3: Bset — bodies in first-seen order, filtered by the
-    // large-element threshold, Bid drawn only for survivors (HAVING
-    // filters before the projection draws NEXTVAL).
-    let mut columns = vec![Column::new("Bid", DataType::Int)];
-    for (attr, &dtype) in stmt.body.schema.iter().zip(&b_types) {
-        columns.push(Column::new(attr.clone(), dtype));
+/// What the pair loop of `Q8` needs of one `MiningSource` row: its group
+/// slot, its `Clusters` row (0 without C) and its Bid or Hid — a
+/// body-side row has no Hid, a head-side row no Bid.
+#[derive(Clone, Copy)]
+struct Coded {
+    group: u32,
+    cluster: usize,
+    bid: Option<i64>,
+    hid: Option<i64>,
+}
+
+/// One catalog object of a finished encoding, under the id of the step
+/// that creates it in the SQL program.
+enum Encoded {
+    Table(Table),
+    /// A statement to run as written (the `CodedSource` view of `Q11`).
+    Sql(String),
+}
+
+/// Everything the fused pass produces, computed without touching the
+/// catalog: [`FusedEncoding::commit`] is the only writer.
+struct FusedEncoding {
+    sequences: Vec<Sequence>,
+    objects: Vec<(&'static str, Encoded)>,
+    report: PreprocessReport,
+    /// Executor work of the scan, accounted at commit.
+    work: Vec<(ExecCounter, u64)>,
+}
+
+fn no_null(key: &[Value]) -> bool {
+    !key.iter().any(Value::is_null)
+}
+
+/// An encoded table from its finished rows: one bulk append.
+fn table_of(name: String, columns: Vec<Column>, rows: Vec<Row>) -> Result<Table> {
+    let mut table = Table::new(name, Schema::new(columns));
+    table.insert_all(rows)?;
+    Ok(table)
+}
+
+/// INT columns under `names` (the id columns of the encoded tables).
+fn int_columns(names: &[&str]) -> Vec<Column> {
+    names
+        .iter()
+        .map(|name| Column::new(*name, DataType::Int))
+        .collect()
+}
+
+/// `<id columns...>, <attrs...>` with the attributes' source types.
+fn keyed_columns(ids: &[&str], attrs: &[String], at: &[usize], source: &Schema) -> Vec<Column> {
+    let mut columns = int_columns(ids);
+    for (attr, &i) in attrs.iter().zip(at) {
+        columns.push(Column::new(attr.clone(), source.column(i).dtype));
     }
-    columns.push(Column::new("ngroups", DataType::Int));
-    let mut bids: Vec<Option<i64>> = vec![None; body_order.len()];
+    columns
+}
+
+/// `Q3` / `Q5`: the item table over `order`'s keys in first-seen order.
+/// `ngroups` counts over *all* source groups; the large-element filter
+/// runs before the projection draws `NEXTVAL`, so only survivors take an
+/// id. Returns the rows and, per slot, the id source rows join to (a key
+/// holding a NULL is encoded but never joins).
+fn item_table(
+    order: Vec<Vec<Value>>,
+    pairs: &[(u32, u32)],
+    min_groups: u64,
+    ids: &mut Sequence,
+) -> (Vec<Row>, Vec<Option<i64>>) {
+    let mut ngroups = vec![0u64; order.len()];
+    for &(_, item) in pairs {
+        ngroups[item as usize] += 1;
+    }
+    let mut joins: Vec<Option<i64>> = vec![None; order.len()];
     let mut rows: Vec<Row> = Vec::new();
-    for (slot, (key, ngroups)) in body_order.into_iter().zip(body_ngroups).enumerate() {
+    for (slot, (key, ngroups)) in order.into_iter().zip(ngroups).enumerate() {
         if ngroups < min_groups {
             continue;
         }
-        let bid = db
-            .catalog_mut()
-            .sequence_mut(&names.bid_sequence())?
-            .nextval();
-        bids[slot] = Some(bid);
+        let id = ids.nextval();
+        joins[slot] = no_null(&key).then_some(id);
         let mut row = Vec::with_capacity(key.len() + 2);
-        row.push(Value::Int(bid));
+        row.push(Value::Int(id));
         row.extend(key);
         row.push(Value::Int(ngroups as i64));
         rows.push(row);
     }
-    materialize(db, &mut report, "Q3", names.bset(), columns, rows)?;
-
-    // Q4: CodedSource — the source-scan join replayed from the distinct
-    // pairs: first-occurrence order in the source, each pair matching at
-    // most one group and one large body (slot ↔ id is one-to-one, so
-    // distinct slot pairs are exactly the DISTINCT (Gid, Bid) rows).
-    let columns = vec![
-        Column::new("Gid", DataType::Int),
-        Column::new("Bid", DataType::Int),
-    ];
-    let rows: Vec<Row> = pairs
-        .into_iter()
-        .filter_map(|(g_slot, b_slot)| {
-            let bid = bids[b_slot as usize].filter(|_| digest.joins(g_slot, b_slot))?;
-            Some(vec![Value::Int(gids[g_slot as usize]), Value::Int(bid)])
-        })
-        .collect();
-    materialize(db, &mut report, "Q4", names.coded_source(), columns, rows)?;
-
-    // Six SQL statements subsumed: Q1, the Q2 view + table, Q3's two
-    // statements and Q4.
-    report.fused_steps = 6;
-    report.digest = Some(Arc::new(digest));
-    Ok(report)
+    (rows, joins)
 }
 
-/// Create one encoded table of the fused pass from its finished rows —
-/// one bulk append — and report it as step `id`.
-fn materialize(
-    db: &mut Database,
-    report: &mut PreprocessReport,
-    id: &str,
-    name: String,
-    columns: Vec<Column>,
-    rows: Vec<Row>,
-) -> Result<()> {
-    let mut table = Table::new(name, Schema::new(columns));
-    let n = table.insert_all(rows).map_err(|e| annotate_fused(e, id))?;
-    report.executed.push((id.to_string(), n.max(1)));
-    db.catalog_mut()
-        .create_table(table)
-        .map_err(|e| annotate_fused(e, id))
-}
-
-fn annotate_fused(e: relational::Error, id: &str) -> MineError {
-    MineError::Internal {
-        message: format!("preprocessing query {id} failed (fused pass): {e}"),
+/// The source rows of each slot, in source order (the member rows a
+/// grouped aggregate reads).
+fn members<'a>(
+    source: &'a [Row],
+    lanes: &[Lane],
+    slots: usize,
+    slot: impl Fn(&Lane) -> u32,
+) -> Vec<Vec<&'a Row>> {
+    let mut members: Vec<Vec<&Row>> = vec![Vec::new(); slots];
+    for lane in lanes {
+        members[slot(lane) as usize].push(&source[lane.row as usize]);
     }
+    members
+}
+
+impl FusedEncoding {
+    /// The fused preprocessing pass.
+    ///
+    /// One [`scan_source`] pass interns every key; every encoded table is
+    /// then derived in memory from that record, in exactly the order (and
+    /// with exactly the rows, ids and column types) the written-order SQL
+    /// program yields. The subsumed intermediates (`Source`,
+    /// `ValidGroupsView`, `DistinctGroupsIn*`, `InputRulesRaw`,
+    /// `LargeRules`) are never built. A statement without directives is
+    /// the degenerate case: no condition, no cluster, head or mining part,
+    /// `CodedSource` a table of the distinct `(group, body)` pairs.
+    ///
+    /// Conditions are evaluated on a superset of the rows the SQL program
+    /// evaluates them on, so whenever that program fails at run time this
+    /// function fails too (and [`preprocess`] lets the program report).
+    fn compute(db: &Database, translation: &Translation) -> Result<FusedEncoding> {
+        let stmt = &translation.stmt;
+        let names = &translation.names;
+        let dir = translation.directives;
+        let table = db.catalog().table(&stmt.from[0].name)?;
+        let source = table.rows();
+        let cols = source_columns(table, stmt)?;
+        // `CREATE TABLE AS` types a column by its first value, and a
+        // FLOAT column admits INT values: such a source types — or fails
+        // — differently step by step, which is left to the SQL program.
+        for name in stmt.needed_attributes() {
+            let at = table.schema().resolve(None, &name)?;
+            if table.schema().column(at).dtype == DataType::Float
+                && source.iter().any(|row| matches!(row[at], Value::Int(_)))
+            {
+                return Err(MineError::Internal {
+                    message: format!("FLOAT attribute '{name}' stores INT values"),
+                });
+            }
+        }
+
+        let scan = scan_source(db, stmt)?;
+        let mut work = vec![
+            (ExecCounter::VectorBatches, scan.batches),
+            (ExecCounter::VectorRows, scan.batches.min(1) * scan.rows),
+            (
+                ExecCounter::RowsScanned,
+                scan.lanes.len() as u64 + scan.filtered,
+            ),
+            (ExecCounter::RowsFiltered, scan.filtered),
+        ];
+        work.retain(|&(_, n)| n > 0);
+        let mut report = PreprocessReport::default();
+        let mut objects: Vec<(&'static str, Encoded)> = Vec::new();
+
+        // The id sequences are real catalog objects once committed: draws
+        // advance the state the SQL program would leave, so cache captures
+        // and later runs over the same prefix agree bit for bit.
+        let mut gid_seq = Sequence::new(names.gid_sequence(), 1, 1);
+        let mut bid_seq = Sequence::new(names.bid_sequence(), 1, 1);
+        let mut hid_seq = Sequence::new(names.hid_sequence(), 1, 1);
+        let mut cid_seq = Sequence::new(names.cid_sequence(), 1, 1);
+
+        // Q1 + ComputeMinGroups: every group counts, valid or not.
+        let total_groups = scan.group_order.len() as u64;
+        let min_groups = min_groups_for(total_groups, stmt.min_support);
+        report.total_groups = total_groups;
+        report.min_groups = min_groups;
+
+        // What the group and cluster conditions see: the rows of `Source`
+        // (W) or of the table itself, under that name.
+        let src_name = if dir.w {
+            names.source()
+        } else {
+            stmt.from[0].name.clone()
+        };
+        let src_schema = table.schema().with_qualifier(&src_name);
+        let group_exprs: Vec<Expr> = stmt.group_by.iter().map(Expr::col).collect();
+
+        // Q2: ValidGroups — groups in first-seen order, the group HAVING
+        // (G/R) a filter over each group's member rows, Gid drawn per
+        // surviving row. A group whose key holds a NULL is encoded but
+        // never joins.
+        let group_joins: Vec<bool> = scan.group_order.iter().map(|k| no_null(k)).collect();
+        let mut gids: Vec<Option<i64>> = Vec::with_capacity(scan.group_order.len());
+        match &stmt.group_cond {
+            None => gids.extend(scan.group_order.iter().map(|_| Some(gid_seq.nextval()))),
+            Some(cond) => {
+                let rows = members(source, &scan.lanes, scan.group_order.len(), |l| l.group);
+                for (key, rows) in scan.group_order.iter().zip(&rows) {
+                    let keep =
+                        eval_grouped(cond, &src_schema, rows, &group_exprs, key, &mut NoCtx)?;
+                    gids.push(keep.is_true().then(|| gid_seq.nextval()));
+                }
+            }
+        }
+        let rows: Vec<Row> = scan
+            .group_order
+            .iter()
+            .zip(&gids)
+            .filter_map(|(key, gid)| {
+                let mut row = Vec::with_capacity(key.len() + 1);
+                row.push(Value::Int((*gid)?));
+                row.extend(key.iter().cloned());
+                Some(row)
+            })
+            .collect();
+        let columns = keyed_columns(&["Gid"], &stmt.group_by, &cols.group, table.schema());
+        let valid_groups = table_of(names.valid_groups(), columns, rows)?;
+        objects.push(("Q2", Encoded::Table(valid_groups)));
+        // The Gid a source row of this group joins to, if any.
+        let gid_of = |group: u32| gids[group as usize].filter(|_| group_joins[group as usize]);
+
+        // Q3 (and Q5 when the head schema differs): the item tables.
+        let (rows, bids) = item_table(scan.body_order, &scan.pairs, min_groups, &mut bid_seq);
+        let mut columns = keyed_columns(&["Bid"], &stmt.body.schema, &cols.body, table.schema());
+        columns.push(Column::new("ngroups", DataType::Int));
+        objects.push(("Q3", Encoded::Table(table_of(names.bset(), columns, rows)?)));
+        let mut hids: Vec<Option<i64>> = Vec::new();
+        if dir.h {
+            let (rows, joins) =
+                item_table(scan.head_order, &scan.head_pairs, min_groups, &mut hid_seq);
+            hids = joins;
+            let mut columns =
+                keyed_columns(&["Hid"], &stmt.head.schema, &cols.head, table.schema());
+            columns.push(Column::new("ngroups", DataType::Int));
+            objects.push(("Q5", Encoded::Table(table_of(names.hset(), columns, rows)?)));
+        }
+
+        // Q6: Clusters — `(group, cluster)` combinations in first-seen
+        // order joined to their valid group, Cid drawn per joined row,
+        // `aggval<i>` per cluster when the cluster condition aggregates
+        // (F). The SQL program aggregates every combination before the
+        // join discards the invalid groups', so this does too.
+        // Per combination, the `Clusters` row it became; per row, its Cid
+        // and group slot.
+        let mut cluster_at: Vec<Option<usize>> = Vec::new();
+        let mut cluster_rows: Vec<Row> = Vec::new();
+        let mut cluster_ids: Vec<i64> = Vec::new();
+        let mut cluster_group: Vec<u32> = Vec::new();
+        let mut cluster_columns: Vec<Column> = Vec::new();
+        let aggregates = cluster_aggregates(stmt);
+        if dir.c {
+            let mut aggvals: Vec<Vec<Value>> = vec![Vec::new(); scan.cluster_order.len()];
+            if !aggregates.is_empty() {
+                let keys: Vec<Expr> = stmt
+                    .group_by
+                    .iter()
+                    .chain(&stmt.cluster_by)
+                    .map(Expr::col)
+                    .collect();
+                let rows = members(source, &scan.lanes, scan.cluster_order.len(), |l| l.cluster);
+                for (at, ((group, cluster_key), rows)) in
+                    scan.cluster_order.iter().zip(&rows).enumerate()
+                {
+                    let mut key = scan.group_order[*group as usize].clone();
+                    key.extend(cluster_key.iter().cloned());
+                    for aggregate in &aggregates {
+                        let value =
+                            eval_grouped(aggregate, &src_schema, rows, &keys, &key, &mut NoCtx)?;
+                        aggvals[at].push(value);
+                    }
+                }
+            }
+            // An `aggval` column takes the type of its first value, as
+            // `CREATE TABLE AS` has it: among the joined rows, else among
+            // all combinations, else the aggregate's static type.
+            let joined: Vec<bool> = scan
+                .cluster_order
+                .iter()
+                .map(|(group, _)| gid_of(*group).is_some())
+                .collect();
+            let mut columns = keyed_columns(
+                &["Cid", "Gid"],
+                &stmt.cluster_by,
+                &cols.cluster,
+                table.schema(),
+            );
+            for (i, aggregate) in aggregates.iter().enumerate() {
+                let mut joined = aggvals.iter().zip(&joined).filter(|(_, joined)| **joined);
+                let dtype = joined
+                    .find_map(|(values, _)| value_type(&values[i]))
+                    .or_else(|| aggvals.iter().find_map(|values| value_type(&values[i])))
+                    .or_else(|| infer_type(aggregate, &src_schema))
+                    .unwrap_or(DataType::Str);
+                columns.push(Column::new(format!("aggval{i}"), dtype));
+            }
+            for ((group, cluster_key), aggvals) in scan.cluster_order.iter().zip(aggvals) {
+                let Some(gid) = gid_of(*group) else {
+                    cluster_at.push(None);
+                    continue;
+                };
+                let cid = cid_seq.nextval();
+                let mut row = vec![Value::Int(cid), Value::Int(gid)];
+                row.extend(cluster_key.iter().cloned());
+                row.extend(aggvals);
+                cluster_at.push(Some(cluster_rows.len()));
+                cluster_rows.push(row);
+                cluster_ids.push(cid);
+                cluster_group.push(*group);
+            }
+            cluster_columns = columns;
+        }
+
+        // Q7: ClusterCouples — the cluster condition on the cluster pairs
+        // of one group, C1-major. Kept per body cluster row as the head
+        // cluster rows it pairs with.
+        let mut couples: Option<Vec<Vec<usize>>> = None;
+        let mut couple_rows: Vec<Row> = Vec::new();
+        if dir.k {
+            let clusters_schema = Schema::new(cluster_columns.clone());
+            let cond = cluster_pair_cond(stmt, &aggregates)?;
+            let mut cond = PairCond::plan(
+                &cond,
+                &clusters_schema.with_qualifier(CLUSTER_SIDES.0),
+                &clusters_schema.with_qualifier(CLUSTER_SIDES.1),
+            );
+            let left = cond.side(true, &cluster_rows, |_| true)?;
+            let right = cond.side(false, &cluster_rows, |_| true)?;
+            let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); scan.group_order.len()];
+            for (at, &group) in cluster_group.iter().enumerate() {
+                if right[at] {
+                    of_group[group as usize].push(at);
+                }
+            }
+            let mut heads_of: Vec<Vec<usize>> = vec![Vec::new(); cluster_rows.len()];
+            for (b, body) in cluster_rows.iter().enumerate() {
+                if !left[b] {
+                    continue;
+                }
+                for &h in &of_group[cluster_group[b] as usize] {
+                    let head = &cluster_rows[h];
+                    if cond.keys_match(body, head) && cond.holds(body, head)? {
+                        couple_rows.push(vec![body[1].clone(), body[0].clone(), head[0].clone()]);
+                        heads_of[b].push(h);
+                    }
+                }
+            }
+            couples = Some(heads_of);
+        }
+        if dir.c {
+            let clusters = table_of(names.clusters(), cluster_columns, cluster_rows)?;
+            objects.push(("Q6", Encoded::Table(clusters)));
+        }
+        if dir.k {
+            let columns = int_columns(&["Gid", "Cidb", "Cidh"]);
+            let cluster_couples = table_of(names.cluster_couples(), columns, couple_rows)?;
+            objects.push(("Q7", Encoded::Table(cluster_couples)));
+        }
+
+        if translation.class == StatementClass::Simple {
+            // Q4: CodedSource — the source-scan join replayed from the
+            // distinct pairs: first-occurrence order in the source, each
+            // pair matching at most one group and one large body (slot ↔
+            // id is one-to-one, so distinct slot pairs are exactly the
+            // DISTINCT (Gid, Bid) rows).
+            let rows: Vec<Row> = scan
+                .pairs
+                .iter()
+                .filter_map(|&(group, body)| {
+                    Some(vec![
+                        Value::Int(gid_of(group)?),
+                        Value::Int(bids[body as usize]?),
+                    ])
+                })
+                .collect();
+            let columns = int_columns(&["Gid", "Bid"]);
+            let coded_source = table_of(names.coded_source(), columns, rows)?;
+            objects.push(("Q4", Encoded::Table(coded_source)));
+        } else {
+            // Q4b: MiningSource — the per-tuple encoding: the source-scan
+            // join again, DISTINCT over ids *and* mining attributes, in
+            // source order; body-side then head-side rows when H.
+            let mut ids = vec!["Gid"];
+            if dir.c {
+                ids.push("Cid");
+            }
+            ids.push("Bid");
+            if dir.h {
+                ids.push("Hid");
+            }
+            let columns = keyed_columns(
+                &ids,
+                &stmt.mining_attributes(),
+                &cols.mining,
+                table.schema(),
+            );
+            let mining_schema = Schema::new(columns.clone());
+            let mut coded: Vec<Coded> = Vec::new();
+            let mut rows: Vec<Row> = Vec::new();
+            for head_side in [false, true] {
+                if head_side && !dir.h {
+                    break;
+                }
+                let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
+                for lane in &scan.lanes {
+                    let (item, id) = if head_side {
+                        (lane.head, hids[lane.head as usize])
+                    } else {
+                        (lane.body, bids[lane.body as usize])
+                    };
+                    let (Some(gid), Some(id)) = (gid_of(lane.group), id) else {
+                        continue;
+                    };
+                    let mut cluster = 0;
+                    if dir.c {
+                        let (_, key) = &scan.cluster_order[lane.cluster as usize];
+                        match cluster_at[lane.cluster as usize] {
+                            Some(at) if no_null(key) => cluster = at,
+                            _ => continue,
+                        }
+                    }
+                    // `cluster` names its group, so the triple is the row.
+                    let tuple = if dir.c { lane.cluster } else { lane.group };
+                    if !seen.insert((tuple, item, lane.mining)) {
+                        continue;
+                    }
+                    let mut row = Vec::with_capacity(columns.len());
+                    row.push(Value::Int(gid));
+                    if dir.c {
+                        row.push(Value::Int(cluster_ids[cluster]));
+                    }
+                    let (bid, hid) = if head_side {
+                        (None, Some(id))
+                    } else {
+                        (Some(id), None)
+                    };
+                    row.push(bid.map_or(Value::Null, Value::Int));
+                    if dir.h {
+                        row.push(hid.map_or(Value::Null, Value::Int));
+                    }
+                    if dir.m {
+                        row.extend(scan.mining_order[lane.mining as usize].iter().cloned());
+                    }
+                    rows.push(row);
+                    coded.push(Coded {
+                        group: lane.group,
+                        cluster,
+                        bid,
+                        hid,
+                    });
+                }
+            }
+
+            // Q8 + Q9 + Q10: InputRules — the mining condition on the
+            // tuple pairs of one group (MB-major), restricted to valid
+            // cluster couples, DISTINCT, then only the (Bid, Hid) pairs
+            // occurring in at least `:mingroups` groups.
+            let mut input_rules = None;
+            if dir.m {
+                let cond = mining_pair_cond(stmt)?;
+                let mut cond = PairCond::plan(
+                    &cond,
+                    &mining_schema.with_qualifier(MINING_SIDES.0),
+                    &mining_schema.with_qualifier(MINING_SIDES.1),
+                );
+                // With H the `IS NOT NULL` conjuncts precede the mining
+                // condition: bodies come from body-side rows only, heads
+                // from head-side rows only.
+                let left = cond.side(true, &rows, |at| coded[at].bid.is_some())?;
+                let right = cond.side(false, &rows, |at| !dir.h || coded[at].hid.is_some())?;
+                let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); scan.group_order.len()];
+                for (at, tuple) in coded.iter().enumerate() {
+                    if right[at] {
+                        of_group[tuple.group as usize].push(at);
+                    }
+                }
+                type Elementary = (i64, i64, i64, i64, i64);
+                let mut seen: HashSet<Elementary> = HashSet::new();
+                let mut raw: Vec<Elementary> = Vec::new();
+                for (b, body) in rows.iter().enumerate() {
+                    if !left[b] {
+                        continue;
+                    }
+                    let Coded {
+                        group,
+                        cluster: body_cluster,
+                        bid: Some(bid),
+                        ..
+                    } = coded[b]
+                    else {
+                        continue;
+                    };
+                    let Some(gid) = gid_of(group) else { continue };
+                    for &h in &of_group[group as usize] {
+                        let head = &rows[h];
+                        let head_cluster = coded[h].cluster;
+                        // Without H the body id doubles as head id, and
+                        // `MB.Bid <> MH.Bid` leads the residual.
+                        let head_id = if dir.h { coded[h].hid } else { coded[h].bid };
+                        let Some(hid) = head_id else { continue };
+                        if !cond.keys_match(body, head)
+                            || couples.as_ref().is_some_and(|heads_of| {
+                                !heads_of[body_cluster].contains(&head_cluster)
+                            })
+                            || (!dir.h && bid == hid)
+                            || !cond.holds(body, head)?
+                        {
+                            continue;
+                        }
+                        let (cidb, cidh) = if dir.c {
+                            (cluster_ids[body_cluster], cluster_ids[head_cluster])
+                        } else {
+                            (0, 0)
+                        };
+                        let rule = (gid, cidb, cidh, bid, hid);
+                        if seen.insert(rule) {
+                            raw.push(rule);
+                        }
+                    }
+                }
+                // COUNT(DISTINCT Gid) per (Bid, Hid): sorted, each group of
+                // a pair is one run.
+                let mut occurrences: Vec<(i64, i64, i64)> =
+                    raw.iter().map(|r| (r.3, r.4, r.0)).collect();
+                occurrences.sort_unstable();
+                occurrences.dedup();
+                let mut groups_of: HashMap<(i64, i64), u64> = HashMap::new();
+                for (bid, hid, _) in occurrences {
+                    *groups_of.entry((bid, hid)).or_default() += 1;
+                }
+                let mut names_of = vec!["Gid"];
+                if dir.c {
+                    names_of.extend(["Cidb", "Cidh"]);
+                }
+                names_of.extend(["Bid", "Hid"]);
+                let columns = int_columns(&names_of);
+                let rules: Vec<Row> = raw
+                    .into_iter()
+                    .filter(|&(_, _, _, bid, hid)| groups_of[&(bid, hid)] >= min_groups)
+                    .map(|(gid, cidb, cidh, bid, hid)| {
+                        let ids: &[i64] = if dir.c {
+                            &[gid, cidb, cidh, bid, hid]
+                        } else {
+                            &[gid, bid, hid]
+                        };
+                        ids.iter().copied().map(Value::Int).collect()
+                    })
+                    .collect();
+                input_rules = Some(table_of(names.input_rules(), columns, rules)?);
+            }
+
+            let mining_source = table_of(names.mining_source(), columns, rows)?;
+            objects.push(("Q4b", Encoded::Table(mining_source)));
+            // Q11: CodedSource stays the translator's view over
+            // MiningSource, for users; the typed read goes around it.
+            let view = translation.preprocess.iter().find_map(|step| match step {
+                Step::Sql { id, sql } if id == "Q11" => Some(sql.clone()),
+                _ => None,
+            });
+            objects.extend(view.map(|sql| ("Q11", Encoded::Sql(sql))));
+            if let Some(input_rules) = input_rules {
+                objects.push(("Q10", Encoded::Table(input_rules)));
+            }
+        }
+
+        let mut sequences = vec![gid_seq, bid_seq];
+        if dir.h {
+            sequences.push(hid_seq);
+        }
+        if dir.c {
+            sequences.push(cid_seq);
+        }
+        // Every SQL statement of the program but the sequence DDL is
+        // subsumed.
+        report.fused_steps = translation
+            .preprocess
+            .iter()
+            .filter(|step| matches!(step, Step::Sql { id, .. } if id != "DDL"))
+            .count();
+        report.digest = scan.digest.map(Arc::new);
+        Ok(FusedEncoding {
+            sequences,
+            objects,
+            report,
+            work,
+        })
+    }
+
+    /// Create the encoding's objects in the catalog and bind `:totg` /
+    /// `:mingroups`, reporting each object under the id and row count
+    /// the SQL program reports for it.
+    fn commit(self, db: &mut Database) -> Result<PreprocessReport> {
+        let mut report = self.report;
+        for (counter, n) in self.work {
+            db.bump(counter, n);
+        }
+        for sequence in self.sequences {
+            db.catalog_mut().create_sequence(sequence)?;
+            report.executed.push(("DDL".to_string(), 1));
+        }
+        db.set_var("totg", Value::Int(report.total_groups as i64));
+        db.set_var("mingroups", Value::Int(report.min_groups as i64));
+        report.executed.push(("Q1".to_string(), 1));
+        for (id, object) in self.objects {
+            let rows = match object {
+                Encoded::Table(table) => {
+                    let rows = table.row_count();
+                    db.catalog_mut().create_table(table)?;
+                    rows
+                }
+                Encoded::Sql(sql) => db.execute(&sql)?.rows_affected,
+            };
+            report.executed.push((id.to_string(), rows.max(1)));
+        }
+        Ok(report)
+    }
+}
+
+/// The fused pass: compute the whole encoding, then commit it.
+fn run_fused(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
+    FusedEncoding::compute(db, translation)?.commit(db)
 }
 
 fn annotate(e: relational::Error, id: &str, sql: &str) -> MineError {

@@ -253,12 +253,12 @@ impl<'a> ProgramGenerator<'a> {
         }
 
         // Q6: cluster encoding (plus per-cluster aggregates when F).
-        let cluster_aggs = self.cluster_aggregates();
+        let cluster_aggs = cluster_aggregates(stmt);
         if dir.c {
             let cl_list = stmt.cluster_by.join(", ");
             let mut inner_proj = format!("{g_list}, {cl_list}");
             for (i, agg) in cluster_aggs.iter().enumerate() {
-                inner_proj.push_str(&format!(", {agg} AS aggval{i}"));
+                inner_proj.push_str(&format!(", {} AS aggval{i}", agg.to_sql()));
             }
             let mut outer_proj = format!(
                 "{}.NEXTVAL AS Cid, V.Gid, {}",
@@ -283,12 +283,12 @@ impl<'a> ProgramGenerator<'a> {
 
         // Q7: valid cluster pairs (when the cluster condition is present).
         if dir.k {
-            let cond = self.rewrite_cluster_cond(&cluster_aggs)?;
+            let cond = cluster_pair_cond(stmt, &cluster_aggs)?.to_sql();
             steps.push(Step::sql(
                 "Q7",
                 format!(
                     "CREATE TABLE {} AS (SELECT DISTINCT C1.Gid AS Gid, C1.Cid AS Cidb, C2.Cid AS Cidh \
-                     FROM {} C1, {} C2 WHERE C1.Gid = C2.Gid AND {cond})",
+                     FROM {} C1, {} C2 WHERE C1.Gid = C2.Gid AND ({cond}))",
                     n.cluster_couples(),
                     n.clusters(),
                     n.clusters(),
@@ -410,7 +410,7 @@ impl<'a> ProgramGenerator<'a> {
         // Q8/Q9/Q10: elementary rules, evaluated in SQL when the mining
         // condition is present.
         if dir.m {
-            let mining = self.rewrite_mining_cond()?;
+            let mining = mining_pair_cond(stmt)?.to_sql();
             let mut proj = String::from("MB.Gid AS Gid");
             if dir.c {
                 proj.push_str(", MB.Cid AS Cidb, MH.Cid AS Cidh");
@@ -529,60 +529,63 @@ impl<'a> ProgramGenerator<'a> {
         }
         steps
     }
+}
 
-    /// The distinct per-cluster aggregates appearing in the cluster
-    /// condition, with BODY/HEAD qualifiers stripped (each is computed
-    /// once per cluster by `Q6`). Rendered as SQL text for embedding.
-    fn cluster_aggregates(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        if let Some(cond) = &self.stmt.cluster_cond {
-            cond.walk(&mut |e| {
-                if let Expr::Aggregate { .. } = e {
-                    let stripped = strip_role_qualifiers(e);
-                    let sql = stripped.to_sql();
-                    if !out.contains(&sql) {
-                        out.push(sql);
-                    }
+/// The aliases `Q7` and `Q8` give the body and head side of their
+/// self-joins (`Clusters C1, Clusters C2`; `MiningSource MB,
+/// MiningSource MH`).
+pub(crate) const CLUSTER_SIDES: (&str, &str) = ("C1", "C2");
+pub(crate) const MINING_SIDES: (&str, &str) = ("MB", "MH");
+
+/// The distinct per-cluster aggregates appearing in the cluster
+/// condition, with BODY/HEAD qualifiers stripped (each is computed once
+/// per cluster by `Q6`, as column `aggval<i>`). Two aggregates are one
+/// when they render to the same SQL.
+pub(crate) fn cluster_aggregates(stmt: &MineRuleStatement) -> Vec<Expr> {
+    let mut out: Vec<Expr> = Vec::new();
+    if let Some(cond) = &stmt.cluster_cond {
+        cond.walk(&mut |e| {
+            if let Expr::Aggregate { .. } = e {
+                let stripped = strip_role_qualifiers(e);
+                if !out.iter().any(|a| a.to_sql() == stripped.to_sql()) {
+                    out.push(stripped);
                 }
-            });
-        }
-        out
-    }
-
-    /// Rewrite the cluster condition for `Q7`: `BODY.x` → `C1.x`,
-    /// `HEAD.x` → `C2.x`, and each aggregate to its precomputed
-    /// `aggval<i>` column on the proper side.
-    fn rewrite_cluster_cond(&self, aggs: &[String]) -> Result<String> {
-        let cond = self
-            .stmt
-            .cluster_cond
-            .as_ref()
-            .ok_or_else(|| MineError::Internal {
-                message: "rewrite_cluster_cond without cluster condition".into(),
-            })?;
-        let rewritten = rewrite_roles(cond, "C1", "C2", aggs)?;
-        Ok(rewritten.to_sql())
-    }
-
-    /// Rewrite the mining condition for `Q8`: `BODY.x` → `MB.x`,
-    /// `HEAD.x` → `MH.x` (no aggregates are allowed here). Unqualified
-    /// references default to the BODY side, so they stay unambiguous in
-    /// the self-join and match the reference semantics.
-    fn rewrite_mining_cond(&self) -> Result<String> {
-        let cond = self
-            .stmt
-            .mining_cond
-            .as_ref()
-            .ok_or_else(|| MineError::Internal {
-                message: "rewrite_mining_cond without mining condition".into(),
-            })?;
-        let qualified = cond.map_qualifiers(&mut |q, n| match q {
-            None => (Some("BODY".to_string()), n.to_string()),
-            Some(q) => (Some(q.to_string()), n.to_string()),
+            }
         });
-        let rewritten = rewrite_roles(&qualified, "MB", "MH", &[])?;
-        Ok(rewritten.to_sql())
     }
+    out
+}
+
+/// The cluster condition as `Q7` evaluates it over a pair of `Clusters`
+/// rows: `BODY.x` → `C1.x`, `HEAD.x` → `C2.x`, and each aggregate to its
+/// precomputed `aggval<i>` column on the proper side.
+pub(crate) fn cluster_pair_cond(stmt: &MineRuleStatement, aggs: &[Expr]) -> Result<Expr> {
+    let cond = stmt
+        .cluster_cond
+        .as_ref()
+        .ok_or_else(|| MineError::Internal {
+            message: "cluster_pair_cond without cluster condition".into(),
+        })?;
+    rewrite_roles(cond, CLUSTER_SIDES.0, CLUSTER_SIDES.1, aggs)
+}
+
+/// The mining condition as `Q8` evaluates it over a pair of
+/// `MiningSource` rows: `BODY.x` → `MB.x`, `HEAD.x` → `MH.x` (no
+/// aggregates are allowed here). Unqualified references default to the
+/// BODY side, so they stay unambiguous in the self-join and match the
+/// reference semantics.
+pub(crate) fn mining_pair_cond(stmt: &MineRuleStatement) -> Result<Expr> {
+    let cond = stmt
+        .mining_cond
+        .as_ref()
+        .ok_or_else(|| MineError::Internal {
+            message: "mining_pair_cond without mining condition".into(),
+        })?;
+    let qualified = cond.map_qualifiers(&mut |q, n| match q {
+        None => (Some("BODY".to_string()), n.to_string()),
+        Some(q) => (Some(q.to_string()), n.to_string()),
+    });
+    rewrite_roles(&qualified, MINING_SIDES.0, MINING_SIDES.1, &[])
 }
 
 /// `S.a = V.a AND S.b = V.b` over an attribute list.
@@ -615,7 +618,7 @@ fn strip_role_qualifiers(expr: &Expr) -> Expr {
 
 /// Rewrite BODY/HEAD role qualifiers to concrete aliases and replace
 /// aggregates with their precomputed `aggval<i>` columns.
-fn rewrite_roles(expr: &Expr, body_alias: &str, head_alias: &str, aggs: &[String]) -> Result<Expr> {
+fn rewrite_roles(expr: &Expr, body_alias: &str, head_alias: &str, aggs: &[Expr]) -> Result<Expr> {
     // First handle aggregates (they carry the role on their arguments).
     let expr = replace_aggregates(expr, body_alias, head_alias, aggs)?;
     Ok(expr.map_qualifiers(&mut |q, n| match q {
@@ -629,7 +632,7 @@ fn replace_aggregates(
     expr: &Expr,
     body_alias: &str,
     head_alias: &str,
-    aggs: &[String],
+    aggs: &[Expr],
 ) -> Result<Expr> {
     Ok(match expr {
         Expr::Aggregate { arg, .. } => {
@@ -648,12 +651,12 @@ fn replace_aggregates(
                 message: "cluster-condition aggregate without BODY/HEAD role".into(),
             })?;
             let stripped = strip_role_qualifiers(expr).to_sql();
-            let idx =
-                aggs.iter()
-                    .position(|a| *a == stripped)
-                    .ok_or_else(|| MineError::Internal {
-                        message: format!("aggregate '{stripped}' missing from Q6 registration"),
-                    })?;
+            let idx = aggs
+                .iter()
+                .position(|a| a.to_sql() == stripped)
+                .ok_or_else(|| MineError::Internal {
+                    message: format!("aggregate '{stripped}' missing from Q6 registration"),
+                })?;
             Expr::qcol(side, format!("aggval{idx}"))
         }
         Expr::Unary { op, expr } => Expr::Unary {
@@ -845,6 +848,30 @@ mod tests {
             .unwrap()
             .1;
         assert!(q7.contains("C1.date < C2.date"), "{q7}");
+    }
+
+    #[test]
+    fn q7_keeps_a_disjunctive_cluster_condition_under_the_group_join() {
+        // `... WHERE C1.Gid = C2.Gid AND a OR b` would pair clusters of
+        // different groups whenever `b` holds.
+        let db = purchase_db();
+        let stmt = parse_mine_rule(
+            "MINE RULE F AS SELECT DISTINCT item AS BODY, item AS HEAD \
+             FROM Purchase GROUP BY customer \
+             CLUSTER BY date HAVING BODY.date < HEAD.date OR BODY.date > HEAD.date \
+             EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3",
+        )
+        .unwrap();
+        let t = translate(&stmt, db.catalog()).unwrap();
+        let q7 = steps_sql(&t.preprocess)
+            .into_iter()
+            .find(|(id, _)| id == "Q7")
+            .unwrap()
+            .1;
+        assert!(
+            q7.contains("C1.Gid = C2.Gid AND (C1.date < C2.date OR C1.date > C2.date)"),
+            "{q7}"
+        );
     }
 
     #[test]

@@ -484,11 +484,11 @@ impl QueryCtx for DetachedScanCtx {
 /// Returns `None` (and leaves `conjuncts` untouched) whenever any gate
 /// fails; the caller then materialises the full table as before. On
 /// success the consumed conjunct is removed from `conjuncts`.
-fn fused_scan<'a>(
+fn fused_scan(
     db: &mut Database,
     source: &TableSource,
     alias: Option<&str>,
-    conjuncts: &mut Vec<&'a Expr>,
+    conjuncts: &mut Vec<&Expr>,
 ) -> Result<Option<Relation>> {
     let TableSource::Named(name) = source else {
         return Ok(None);
@@ -795,7 +795,8 @@ fn output_schema(items: &[(Expr, String)], input: &Schema, rows: &[Row]) -> Sche
     Schema::new(cols)
 }
 
-fn value_type(v: &Value) -> Option<DataType> {
+/// The column type a value implies; `None` for NULL.
+pub fn value_type(v: &Value) -> Option<DataType> {
     match v {
         Value::Null => None,
         Value::Int(_) => Some(DataType::Int),

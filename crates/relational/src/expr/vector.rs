@@ -133,7 +133,7 @@ impl<'a> ColumnBatch<'a> {
     /// range). Lets a consumer thread a pre-narrowed batch onward.
     pub fn set_sel(&mut self, sel: Vec<u32>) {
         debug_assert!(sel.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(sel.last().is_none_or(|&l| (l as usize) < self.rows.len()));
+        debug_assert!(sel.iter().all(|&l| (l as usize) < self.rows.len()));
         self.sel = sel;
     }
 

@@ -10,7 +10,10 @@ use relational::Value;
 
 #[test]
 fn general_statement_materialises_figure4b_tables() {
+    // On the reference paths the full step-by-step Figure 4b program
+    // runs, materialising every intermediate.
     let mut db = purchase_db();
+    db.set_reference_paths(true);
     MineRuleEngine::new()
         .execute(&mut db, FILTERED_ORDERED_SETS)
         .unwrap();
@@ -73,9 +76,42 @@ fn simple_statement_materialises_only_figure4a_tables() {
 
 #[test]
 fn fused_preprocessing_skips_the_subsumed_intermediates() {
-    // On the production paths the simple-class program runs
-    // as one fused pass: the encoded outputs still materialise, but the
-    // subsumed intermediates never reach the catalog.
+    // On the production paths the program runs as one fused pass: the
+    // encoded outputs still materialise, but the subsumed intermediates
+    // never reach the catalog. The general class first: the paper's
+    // statement (W, M, C, K) leaves exactly the objects the core operator
+    // and the postprocessor read.
+    let mut db = purchase_db();
+    let outcome = MineRuleEngine::new()
+        .execute(&mut db, FILTERED_ORDERED_SETS)
+        .unwrap();
+    assert_eq!(outcome.preprocess_report.fused_steps, 14);
+    assert_eq!(outcome.rules.len(), 3, "Figure 2b");
+    for table in [
+        "ValidGroups",
+        "Bset",
+        "Clusters",
+        "ClusterCouples",
+        "MiningSource",
+        "InputRules",
+    ] {
+        assert!(db.catalog().has_table(table), "{table} missing");
+    }
+    assert!(db.catalog().has_view("CodedSource"), "Q11 stays a view");
+    for table in [
+        "Source",
+        "DistinctGroupsInBody",
+        "InputRulesRaw",
+        "LargeRules",
+        "Hset",
+    ] {
+        assert!(!db.catalog().has_table(table), "{table} must not exist");
+    }
+    assert!(!db.catalog().has_view("ValidGroupsView"));
+    assert_eq!(db.var("totg"), Some(&Value::Int(2)));
+    assert_eq!(db.var("mingroups"), Some(&Value::Int(1)));
+
+    // The simple class is the degenerate case of the same pass.
     let mut db = purchase_db();
     let outcome = MineRuleEngine::new()
         .execute(

@@ -312,6 +312,108 @@ fn deepest_accepted_expressions_run_inside_a_test_thread_stack() {
 }
 
 #[test]
+fn a_condition_failing_at_run_time_reads_the_same_on_every_path() {
+    // A source, group, cluster or mining condition that fails while it is
+    // evaluated (division by zero, string arithmetic): the fused pass
+    // discards its work and the stepwise program reports, so the
+    // production paths give the reference paths' error text and leave
+    // the catalog exactly as the stepwise program leaves it — whatever
+    // the worker count — and the session goes on.
+    let mine = |site: &str| {
+        let (mining, source, group, cluster) = match site {
+            "source" => ("", " WHERE price / (price - price) > 1", "", ""),
+            "source, string arithmetic" => ("", " WHERE item + 1 > 1", "", ""),
+            "group" => (
+                "",
+                "",
+                " HAVING SUM(price) / (COUNT(item) - COUNT(item)) > 1",
+                "",
+            ),
+            "cluster" => (
+                "",
+                "",
+                "",
+                " HAVING SUM(BODY.price) / (SUM(HEAD.price) - SUM(HEAD.price)) > 1",
+            ),
+            "cluster, string arithmetic" => ("", "", "", " HAVING BODY.date + 'x' < HEAD.date"),
+            "mining" => (
+                " WHERE BODY.price / (HEAD.price - HEAD.price) > 1",
+                "",
+                "",
+                "",
+            ),
+            // Failing on some rows only: one cluster of one group totals
+            // 300 (a one-sided conjunct, evaluated per cluster whatever it
+            // pairs with), one item costs 25 (a residual, evaluated per
+            // valid pair).
+            "cluster, one cluster" => (
+                "",
+                "",
+                "",
+                " HAVING BODY.date < HEAD.date AND 1 / (SUM(HEAD.price) - 300) < 1",
+            ),
+            "mining, some pairs" => (" WHERE BODY.price / (HEAD.price - 25) > 1", "", "", ""),
+            other => panic!("{other}"),
+        };
+        format!(
+            "MINE RULE Broken AS SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, \
+             SUPPORT, CONFIDENCE{mining} FROM Purchase{source} GROUP BY customer{group} \
+             CLUSTER BY date{cluster} EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3"
+        )
+    };
+    let good = "MINE RULE Good AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
+                FROM Purchase GROUP BY customer CLUSTER BY date HAVING BODY.date < HEAD.date \
+                EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
+    let catalog = |db: &relational::Database| {
+        let tables: Vec<(String, usize)> = db
+            .catalog()
+            .table_names()
+            .into_iter()
+            .map(|t| {
+                let rows = db.catalog().table(t).unwrap().row_count();
+                (t.to_string(), rows)
+            })
+            .collect();
+        (
+            tables,
+            db.catalog().view_definitions(),
+            db.catalog().sequence_states(),
+        )
+    };
+    for site in [
+        "source",
+        "source, string arithmetic",
+        "group",
+        "cluster",
+        "cluster, string arithmetic",
+        "mining",
+        "cluster, one cluster",
+        "mining, some pairs",
+    ] {
+        let stmt = mine(site);
+        let mut outcomes = Vec::new();
+        for (reference, workers) in [(true, 1), (false, 1), (false, 4)] {
+            let mut db = purchase_db();
+            db.set_reference_paths(reference);
+            let engine = MineRuleEngine::new().with_workers(workers);
+            // A statement before, so the failure meets a used catalog.
+            engine.execute(&mut db, good).unwrap();
+            let err = engine.execute(&mut db, &stmt).unwrap_err();
+            assert!(matches!(err, MineError::Internal { .. }), "{site}: {err:?}");
+            let text = err.to_string();
+            assert!(text.contains("preprocessing query Q"), "{site}: {text}");
+            let left = catalog(&db);
+            // The next statement on the same session succeeds.
+            let after = engine.execute(&mut db, good).unwrap();
+            assert!(!after.rules.is_empty(), "{site}");
+            outcomes.push((text, left, after.rules));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "{site}: production vs reference");
+        assert_eq!(outcomes[1], outcomes[2], "{site}: workers 1 vs 4");
+    }
+}
+
+#[test]
 fn unknown_algorithm_fails_after_preprocessing_but_session_recovers() {
     let mut db = purchase_db();
     let mut engine = MineRuleEngine::new();

@@ -1,7 +1,7 @@
 //! Planner agreement: the cost-based planner (statistics-driven join
-//! ordering, build-side selection) and the fused simple-class preprocess
-//! pass must be observably identical to the written-order fold and the
-//! step-by-step `Qi` program — bit-identical rules, rows *and row order*
+//! ordering, build-side selection) and the fused preprocess pass — every
+//! statement class — must be observably identical to the written-order
+//! fold and the step-by-step `Qi` program — bit-identical rules, rows *and row order*
 //! — across grammar-generated workloads and worker counts. The fold and
 //! the stepwise program are the planning legs of the database's
 //! reference paths (`Database::set_reference_paths`). The second half
@@ -9,12 +9,14 @@
 //! incremental upkeep across INSERT/UPDATE/DELETE/TRUNCATE, version
 //! stamping, and survival of a persist/reload cycle.
 
-use minerule::paper_example::purchase_db;
+use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::preprocess::{preprocess, run_steps};
+use minerule::translator::Step;
 use minerule::{parse_mine_rule, translate, MineRuleEngine};
 use relational::{persist, Database, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{diverges_between, Config, Skew};
+use tcdm_fuzz::Op;
 
 fn work_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tcdm_planner_{tag}_{}", std::process::id()));
@@ -65,89 +67,431 @@ fn grammar_cases_agree_across_planner_sqlexec_and_workers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn fused_and_naive_preprocessing_materialise_identical_encoded_tables() {
-    // The fused pass must leave the *exact* encoded tables the SQL
-    // program leaves: same schema names, same rows, same row order, same
-    // Gid/Bid assignments, same host-variable bindings. Both legs run on
-    // the production paths, so fusion is the only difference.
-    let run = |fused: bool| {
-        let mut db = purchase_db();
-        let translation = translate(&parse_mine_rule(SIMPLE).unwrap(), db.catalog()).unwrap();
-        let report = if fused {
-            preprocess(&mut db, &translation).unwrap()
-        } else {
-            let min_support = translation.stmt.min_support;
-            run_steps(&mut db, &translation.cleanup, min_support).unwrap();
-            run_steps(&mut db, &translation.preprocess, min_support).unwrap()
-        };
-        let mut dump = |sql: &str| {
-            let rs = db.query(sql).unwrap();
-            let cols: Vec<String> = rs
+/// Everything a preprocessing run leaves behind that a later component
+/// (or a user) can read: every encoded object that exists, in stored
+/// order and with its column names and types, the id-sequence states and
+/// the host variables.
+#[derive(Debug, PartialEq)]
+struct Encoding {
+    objects: Vec<(String, Vec<String>, Vec<String>)>,
+    sequences: Vec<(String, i64, i64)>,
+    vars: (Option<Value>, Option<Value>),
+}
+
+const ENCODED_OBJECTS: [&str; 8] = [
+    "ValidGroups",
+    "Bset",
+    "Hset",
+    "Clusters",
+    "ClusterCouples",
+    "MiningSource",
+    "CodedSource",
+    "InputRules",
+];
+
+/// What the stepwise program materialises on the way and the fused pass
+/// never does.
+const SUBSUMED: [&str; 6] = [
+    "Source",
+    "ValidGroupsView",
+    "DistinctGroupsInBody",
+    "DistinctGroupsInHead",
+    "InputRulesRaw",
+    "LargeRules",
+];
+
+fn encoding(db: &mut Database) -> Encoding {
+    let mut objects = Vec::new();
+    for name in ENCODED_OBJECTS {
+        if let Ok(table) = db.catalog().table(name) {
+            let columns = table
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| format!("{} {}", c.name, c.dtype))
+                .collect();
+            let rows = table.rows().iter().map(|r| format!("{r:?}")).collect();
+            objects.push((name.to_string(), columns, rows));
+        } else if db.catalog().has_view(name) {
+            let rs = db.query(&format!("SELECT * FROM {name}")).unwrap();
+            let columns = rs
                 .schema()
                 .columns()
                 .iter()
                 .map(|c| c.name.clone())
                 .collect();
-            let rows: Vec<String> = rs.rows().iter().map(|r| format!("{r:?}")).collect();
-            (cols, rows)
-        };
-        let tables = [
-            dump("SELECT * FROM ValidGroups"),
-            dump("SELECT * FROM Bset"),
-            dump("SELECT * FROM CodedSource"),
-        ];
-        let vars = (db.var("totg").cloned(), db.var("mingroups").cloned());
-        (report, tables, vars)
-    };
-    let (fused, fused_tables, fused_vars) = run(true);
-    let (naive, naive_tables, naive_vars) = run(false);
+            let rows = rs.rows().iter().map(|r| format!("{r:?}")).collect();
+            objects.push((format!("{name} (view)"), columns, rows));
+        }
+    }
+    Encoding {
+        objects,
+        sequences: db.catalog().sequence_states(),
+        vars: (db.var("totg").cloned(), db.var("mingroups").cloned()),
+    }
+}
 
-    assert_eq!(fused.fused_steps, 6);
-    assert_eq!(naive.fused_steps, 0);
-    assert_eq!(fused_tables, naive_tables, "encoded tables differ");
-    assert_eq!(fused_vars, naive_vars, ":totg/:mingroups differ");
+/// Preprocess `stmt` on `fused` through [`preprocess`] and on `stepwise`
+/// through the written SQL program (both on the production paths, so
+/// fusion is the only difference) and demand the *exact* same encoding:
+/// schema, rows, row order, id assignment, sequence states, host
+/// variables. Returns how many SQL steps the fused pass subsumed.
+fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &str) -> usize {
+    let parsed = parse_mine_rule(stmt).unwrap();
+    let translation = translate(&parsed, fused.catalog()).unwrap();
+    let min_support = translation.stmt.min_support;
+
+    let fused_report = preprocess(fused, &translation);
+    run_steps(stepwise, &translation.cleanup, min_support).unwrap();
+    let stepwise_report = run_steps(stepwise, &translation.preprocess, min_support);
+    let (fused_report, stepwise_report) = match (fused_report, stepwise_report) {
+        (Ok(f), Ok(s)) => (f, s),
+        (Err(f), Err(s)) => {
+            assert_eq!(f.to_string(), s.to_string(), "{stmt}");
+            assert_eq!(
+                encoding(fused),
+                encoding(stepwise),
+                "after the error: {stmt}"
+            );
+            return 0;
+        }
+        (f, s) => panic!("only one side failed: {f:?} vs {s:?}\n{stmt}"),
+    };
+    assert_eq!(encoding(fused), encoding(stepwise), "{stmt}");
     assert_eq!(
-        (fused.total_groups, fused.min_groups),
-        (naive.total_groups, naive.min_groups)
+        (fused_report.total_groups, fused_report.min_groups),
+        (stepwise_report.total_groups, stepwise_report.min_groups),
+        "{stmt}"
+    );
+    assert_eq!(stepwise_report.fused_steps, 0);
+    if fused_report.fused_steps > 0 {
+        for name in SUBSUMED {
+            assert!(
+                !fused.catalog().has_table(name) && !fused.catalog().has_view(name),
+                "the fused pass left {name}: {stmt}"
+            );
+        }
+        // The fused pass reports each table it creates under the id of
+        // the step that fills it, with the rows that step leaves there.
+        for (id, name) in [
+            ("Q2", "ValidGroups"),
+            ("Q3", "Bset"),
+            ("Q5", "Hset"),
+            ("Q6", "Clusters"),
+            ("Q7", "ClusterCouples"),
+            ("Q4", "CodedSource"),
+            ("Q4b", "MiningSource"),
+            ("Q10", "InputRules"),
+        ] {
+            let reported: Vec<usize> = fused_report
+                .executed
+                .iter()
+                .filter(|(step, _)| step == id)
+                .map(|(_, rows)| *rows)
+                .collect();
+            match stepwise.catalog().table(name) {
+                Ok(table) => assert_eq!(reported, [table.row_count().max(1)], "{id}: {stmt}"),
+                Err(_) => assert!(reported.is_empty(), "{id}: {stmt}"),
+            }
+        }
+    }
+    fused_report.fused_steps
+}
+
+/// The statements of `tests/statement_classes.rs` that read one table:
+/// W, G+R, M, C, C+K, F, H with cardinalities, multi-attribute schemas,
+/// the paper's W+M+C+K statement, and the simple ones around them.
+const STATEMENT_CLASSES: [&str; 12] = [
+    SIMPLE,
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Purchase GROUP BY tr EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Purchase WHERE price < 200 GROUP BY tr \
+     EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.3",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Purchase GROUP BY customer HAVING COUNT(item) >= 4 \
+     EXTRACTING RULES WITH SUPPORT: 0.4, CONFIDENCE: 0.4",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     WHERE BODY.price >= 100 AND HEAD.price < 100 FROM Purchase GROUP BY tr \
+     EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.3",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE \
+     WHERE BODY.price >= 100 AND HEAD.price < 100 FROM Purchase GROUP BY customer \
+     CLUSTER BY date EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Purchase GROUP BY customer CLUSTER BY date HAVING BODY.date < HEAD.date \
+     EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3",
+    "MINE RULE R AS SELECT DISTINCT 1..1 item AS BODY, 1..1 qty AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Purchase GROUP BY customer EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.3",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Purchase GROUP BY customer CLUSTER BY date HAVING SUM(BODY.price) > SUM(HEAD.price) \
+     EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.1",
+    "MINE RULE R AS SELECT DISTINCT 1..n item, qty AS BODY, 1..1 item, qty AS HEAD, \
+     SUPPORT, CONFIDENCE FROM Purchase GROUP BY customer \
+     EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.5",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     WHERE -(-BODY.price) >= 100 AND HEAD.price < 100 FROM Purchase GROUP BY tr \
+     EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.3",
+    FILTERED_ORDERED_SETS,
+];
+
+#[test]
+fn fused_and_naive_preprocessing_materialise_identical_encoded_tables() {
+    // The fused pass must leave the *exact* encoded tables the SQL
+    // program leaves, for every statement class.
+    for stmt in STATEMENT_CLASSES {
+        let steps = assert_same_encoding(&mut purchase_db(), &mut purchase_db(), stmt);
+        let translation = translate(&parse_mine_rule(stmt).unwrap(), purchase_db().catalog());
+        let subsumed = translation
+            .unwrap()
+            .preprocess
+            .iter()
+            .filter(|s| matches!(s, Step::Sql { id, .. } if id != "DDL"))
+            .count();
+        assert_eq!(steps, subsumed, "every non-DDL step is subsumed: {stmt}");
+    }
+    assert_eq!(
+        assert_same_encoding(&mut purchase_db(), &mut purchase_db(), SIMPLE),
+        6
+    );
+    assert_eq!(
+        assert_same_encoding(
+            &mut purchase_db(),
+            &mut purchase_db(),
+            FILTERED_ORDERED_SETS
+        ),
+        14,
+        "Q0, Q1, 2×Q2, 2×Q3, Q6, Q7, 2×Q4b, Q11, Q8, Q9, Q10"
     );
 
     // End to end, the reference paths (which never fuse) decode the same
-    // rules as the fused production run.
-    let mine = |reference: bool| {
-        let mut db = purchase_db();
-        db.set_reference_paths(reference);
-        MineRuleEngine::new().execute(&mut db, SIMPLE).unwrap()
-    };
-    let (production, reference) = (mine(false), mine(true));
-    assert_eq!(production.preprocess_report.fused_steps, 6);
-    assert_eq!(reference.preprocess_report.fused_steps, 0);
-    assert_eq!(
-        production.rules, reference.rules,
-        "bit-identical decoded rules"
-    );
+    // rules as the fused production run, at every worker count.
+    for stmt in STATEMENT_CLASSES {
+        let mine = |reference: bool, workers: usize| {
+            let mut db = purchase_db();
+            db.set_reference_paths(reference);
+            let engine = MineRuleEngine::new().with_workers(workers);
+            let outcome = engine.execute(&mut db, stmt).unwrap();
+            (outcome.rules, outcome.preprocess_report.fused_steps)
+        };
+        let (reference, stepwise_steps) = mine(true, 1);
+        assert_eq!(stepwise_steps, 0);
+        for workers in [1, 2, 4] {
+            let (production, fused_steps) = mine(false, workers);
+            assert!(fused_steps > 0, "{stmt}");
+            assert_eq!(production, reference, "workers {workers}: {stmt}");
+        }
+    }
 }
 
 #[test]
-fn general_class_statements_never_fuse() {
-    // A statement outside the fusion gate (here: a grouped HAVING sets
-    // the G directive) runs the step-by-step program even on the
-    // production paths, and still matches the reference bit for bit.
-    let stmt = "MINE RULE G AS \
-        SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-        FROM Purchase GROUP BY customer HAVING COUNT(item) >= 2 \
-        EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5";
-    let run = |reference: bool| {
-        let mut db = purchase_db();
-        db.set_reference_paths(reference);
-        let outcome = MineRuleEngine::new().execute(&mut db, stmt).unwrap();
-        (outcome.rules, outcome.preprocess_report.fused_steps)
+fn generated_statements_encode_identically_fused_and_stepwise() {
+    // Grammar-generated sessions, replayed on two equal databases: every
+    // MINE RULE statement preprocesses fused on one and step by step on
+    // the other; DML in between keeps moving the source.
+    let gen_cfg = GenConfig::default();
+    let (mut mines, mut fused, mut general) = (0, 0, 0);
+    let mut case_no = 0;
+    while mines < 240 {
+        let case = gen_case(0xF05ED, case_no, &gen_cfg);
+        case_no += 1;
+        let (mut a, mut b) = (Database::new(), Database::new());
+        for sql in case.setup_statements() {
+            a.execute(&sql).unwrap();
+            b.execute(&sql).unwrap();
+        }
+        for op in &case.ops {
+            match op {
+                Op::Dml(sql) => {
+                    let (ra, rb) = (a.execute(sql), b.execute(sql));
+                    assert_eq!(ra.is_ok(), rb.is_ok(), "{sql}");
+                }
+                Op::Query(_) => {}
+                Op::Mine(stmt) => {
+                    mines += 1;
+                    let steps = assert_same_encoding(&mut a, &mut b, stmt);
+                    let parsed = parse_mine_rule(stmt).unwrap();
+                    assert_eq!(steps > 0, parsed.from.len() == 1, "{stmt}");
+                    fused += usize::from(steps > 0);
+                    general += usize::from(steps > 0 && stmt.contains("CLUSTER BY"));
+                }
+            }
+        }
+    }
+    assert!(fused >= 200, "{fused} of {mines} statements fused");
+    assert!(general >= 30, "{general} clustered statements fused");
+}
+
+/// A Purchase-shaped table with the given rows.
+fn purchases(rows: &str) -> Database {
+    let mut db = Database::new();
+    db.execute(
+        "CREATE TABLE Purchase (tr INT, customer VARCHAR, item VARCHAR, \
+         date DATE, price INT, qty INT)",
+    )
+    .unwrap();
+    if !rows.is_empty() {
+        db.execute(&format!("INSERT INTO Purchase VALUES {rows}"))
+            .unwrap();
+    }
+    db
+}
+
+#[test]
+fn hand_written_edge_sources_encode_identically() {
+    // NULL group / cluster / item keys group but never join; duplicate
+    // source rows; one (group, cluster, item) with two prices (two
+    // MiningSource rows, one CodedSource row); NULL prices under the
+    // mining condition.
+    let edgy = "(1, 'c1', 'a', DATE '1995-03-01', 120, 1), \
+                (1, 'c1', 'a', DATE '1995-03-01', 120, 1), \
+                (1, 'c1', 'a', DATE '1995-03-01', 20, 1), \
+                (1, 'c1', 'b', DATE '1995-03-02', 30, 2), \
+                (2, NULL, 'a', DATE '1995-03-01', 120, 1), \
+                (2, NULL, 'b', DATE '1995-03-02', 30, 1), \
+                (3, 'c2', NULL, DATE '1995-03-01', 150, 1), \
+                (3, 'c2', 'b', NULL, 30, 1), \
+                (3, 'c2', 'a', DATE '1995-03-01', NULL, 1), \
+                (3, 'c2', 'b', DATE '1995-03-03', 40, NULL), \
+                (4, 'c3', 'a', DATE '1995-03-01', 130, 3), \
+                (4, 'c3', 'b', DATE '1995-03-01', 35, 3), \
+                (4, 'c3', 'c', DATE '1995-03-04', 10, 1)";
+    let paper = FILTERED_ORDERED_SETS.replace("1995-01-01", "1995-03-01");
+    let statements = [
+        SIMPLE,
+        STATEMENT_CLASSES[3],
+        STATEMENT_CLASSES[4],
+        STATEMENT_CLASSES[5],
+        STATEMENT_CLASSES[6],
+        STATEMENT_CLASSES[7],
+        STATEMENT_CLASSES[8],
+        STATEMENT_CLASSES[9],
+        paper.as_str(),
+        // Every directive at once, H included, equality across the sides.
+        "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..2 qty AS HEAD, SUPPORT, CONFIDENCE \
+         WHERE BODY.price >= HEAD.price AND BODY.price = HEAD.price OR HEAD.price IS NULL \
+         FROM Purchase WHERE tr < 4 AND qty >= 1 \
+         GROUP BY customer HAVING COUNT(DISTINCT item) >= 1 AND customer <> 'zz' \
+         CLUSTER BY date HAVING BODY.date <= HEAD.date AND COUNT(BODY.item) >= COUNT(HEAD.qty) \
+         EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.1",
+        // A cluster condition that is a disjunction, one side of it
+        // one-sided, and a same-cluster equality.
+        "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE \
+         FROM Purchase GROUP BY customer \
+         CLUSTER BY date HAVING BODY.date = HEAD.date OR BODY.date < DATE '1995-03-02' \
+         EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.1",
+        "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE \
+         FROM Purchase GROUP BY customer \
+         CLUSTER BY date HAVING BODY.date = HEAD.date AND MAX(HEAD.price) > 20 AND 1 = 1 \
+         EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.1",
+    ];
+    for stmt in statements {
+        let steps = assert_same_encoding(&mut purchases(edgy), &mut purchases(edgy), stmt);
+        assert!(steps > 0, "{stmt}");
+        // An empty source: every table exists and is empty, :totg is 0.
+        assert!(assert_same_encoding(&mut purchases(""), &mut purchases(""), stmt) > 0);
+    }
+    // A disjunctive cluster condition stays under the group join: no
+    // couple pairs clusters of two groups.
+    let mut db = purchases(edgy);
+    let disjunctive = statements[statements.len() - 2];
+    let translation = translate(&parse_mine_rule(disjunctive).unwrap(), db.catalog()).unwrap();
+    preprocess(&mut db, &translation).unwrap();
+    let couples = db.query("SELECT COUNT(*) FROM ClusterCouples").unwrap();
+    assert_ne!(couples.scalar(), Some(&Value::Int(0)));
+    let strays = db
+        .query(
+            "SELECT COUNT(*) FROM ClusterCouples CC, Clusters B, Clusters H \
+             WHERE CC.Cidb = B.Cid AND CC.Cidh = H.Cid AND B.Gid <> H.Gid",
+        )
+        .unwrap();
+    assert_eq!(strays.scalar(), Some(&Value::Int(0)));
+
+    // A group HAVING that rejects every group, and a source condition
+    // that rejects every row.
+    for stmt in [
+        STATEMENT_CLASSES[3].replace(">= 4", ">= 40"),
+        paper.replace("HAVING BODY.date", "HAVING 1 = 0 AND BODY.date"),
+        paper.replace("1995-12-31", "1995-02-01"),
+    ] {
+        assert!(assert_same_encoding(&mut purchases(edgy), &mut purchases(edgy), &stmt) > 0);
+    }
+    // The same run twice on one database: cleanup resets the sequences.
+    let (mut a, mut b) = (purchases(edgy), purchases(edgy));
+    for _ in 0..2 {
+        assert!(assert_same_encoding(&mut a, &mut b, &paper) > 0);
+    }
+}
+
+#[test]
+fn a_float_column_holding_ints_is_left_to_the_stepwise_program() {
+    // `CREATE TABLE AS` types a column by its first value; with INT
+    // values in a FLOAT column that depends on which rows a step sees,
+    // so the fused pass declines and the encodings (or errors) agree.
+    let build = |rows: &str| {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE T (g FLOAT, item VARCHAR, price FLOAT)")
+            .unwrap();
+        db.execute(&format!("INSERT INTO T VALUES {rows}")).unwrap();
+        db
     };
-    let (cost_rules, cost_fused) = run(false);
-    let (naive_rules, naive_fused) = run(true);
-    assert_eq!(cost_fused, 0, "G directive must disable fusion");
-    assert_eq!(naive_fused, 0);
-    assert_eq!(cost_rules, naive_rules);
+    let stmt = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
+                WHERE BODY.price > HEAD.price FROM T GROUP BY g \
+                EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1";
+    let floats = "(1.0, 'a', 2.5), (1.0, 'b', 1.5), (2.5, 'a', 2.5), (2.5, 'b', 0.5)";
+    assert!(assert_same_encoding(&mut build(floats), &mut build(floats), stmt) > 0);
+    for mixed in [
+        "(1, 'a', 2.5), (1.0, 'b', 1.5), (2.5, 'a', 2.5)",
+        "(1.0, 'a', 2), (1.0, 'b', 1.5), (2.5, 'a', 2.5)",
+    ] {
+        assert_eq!(
+            assert_same_encoding(&mut build(mixed), &mut build(mixed), stmt),
+            0
+        );
+    }
+}
+
+#[test]
+fn statements_the_fused_pass_declines_run_stepwise_and_match_the_reference() {
+    // A two-table FROM (one scan cannot read a join) and a condition
+    // holding a subquery (only the SQL server evaluates one) run the
+    // step-by-step program even on the production paths, and still match
+    // the reference bit for bit.
+    let with_category = || {
+        let mut db = purchase_db();
+        db.execute("CREATE TABLE Category (citem VARCHAR, cat VARCHAR)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO Category VALUES ('ski_pants','wear'), ('hiking_boots','shoes'), \
+             ('col_shirts','wear'), ('brown_boots','shoes'), ('jackets','wear')",
+        )
+        .unwrap();
+        db
+    };
+    for stmt in [
+        "MINE RULE J AS SELECT DISTINCT 1..n cat AS BODY, 1..1 cat AS HEAD, SUPPORT, CONFIDENCE \
+         FROM Purchase, Category WHERE item = citem GROUP BY customer \
+         EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.5",
+        "MINE RULE S AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
+         FROM Purchase WHERE price > (SELECT MIN(price) FROM Purchase) GROUP BY customer \
+         EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
+    ] {
+        assert_eq!(
+            assert_same_encoding(&mut with_category(), &mut with_category(), stmt),
+            0,
+            "{stmt}"
+        );
+        let run = |reference: bool| {
+            let mut db = with_category();
+            db.set_reference_paths(reference);
+            let outcome = MineRuleEngine::new().execute(&mut db, stmt).unwrap();
+            (outcome.rules, outcome.preprocess_report.fused_steps)
+        };
+        let (production, production_fused) = run(false);
+        let (reference, reference_fused) = run(true);
+        assert_eq!((production_fused, reference_fused), (0, 0), "{stmt}");
+        assert!(!production.is_empty(), "{stmt}");
+        assert_eq!(production, reference, "{stmt}");
+    }
 }
 
 // ---------------------------------------------------------------------

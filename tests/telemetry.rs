@@ -125,14 +125,76 @@ fn general_path_records_exact_counters() {
             "directive {flag}"
         );
     }
-    assert_eq!(snap.counter("preprocess.steps"), 17);
-    assert_eq!(snap.counter("preprocess.rows.Q0"), 8, "one row per tuple");
+    // Preprocessor: the fused pass reports the objects it creates — three
+    // sequences, the bindings (Q1), six tables and the Q11 view — each
+    // table under the id and row count of the SQL step it stands for;
+    // the 14 data steps of the program are subsumed.
+    assert_eq!(snap.counter("preprocess.steps"), 11);
+    assert_eq!(snap.counter("preprocess.fused_steps"), 14);
+    for (step, rows) in [
+        ("DDL", 3),
+        ("Q1", 1),
+        ("Q2", 2),
+        ("Q3", 5),
+        ("Q6", 4),
+        ("Q7", 2),
+        ("Q4b", 8),
+        ("Q11", 1),
+        ("Q10", 2),
+    ] {
+        assert_eq!(
+            snap.counter(&format!("preprocess.rows.{step}")),
+            rows,
+            "{step}"
+        );
+    }
+    for step in ["Q0", "Q8", "Q9"] {
+        let name = format!("preprocess.rows.{step}");
+        assert!(!snap.counters.contains_key(&name), "{step} is subsumed");
+    }
     assert_eq!(snap.counter("core.path.general"), 1);
     assert_eq!(snap.counter("core.path.simple"), 0);
     assert_eq!(snap.counter("core.tuples"), 8);
     assert_eq!(snap.counter("core.rules.emitted"), 3);
     assert_eq!(snap.counter("postprocess.rules_stored"), 3);
     assert_eq!(snap.counter("postprocess.rules_decoded"), 3);
+}
+
+#[test]
+fn general_path_on_the_reference_paths_records_the_stepwise_program() {
+    // The step-by-step figures stay pinned where the program still runs:
+    // 17 SQL statements, `Q0` materialising one `Source` row per tuple,
+    // every `Qi` reporting all the rows it writes — intermediates too.
+    let mut db = purchase_db();
+    db.set_reference_paths(true);
+    let engine = MineRuleEngine::new();
+    let outcome = engine.execute(&mut db, FILTERED_ORDERED_SETS).unwrap();
+    assert_eq!(outcome.rules.len(), 3, "Figure 2b");
+    let snap = engine.metrics_snapshot();
+    assert_eq!(snap.counter("preprocess.steps"), 17);
+    assert_eq!(snap.counter("preprocess.fused_steps"), 0);
+    for (step, rows) in [
+        ("DDL", 3),
+        ("Q0", 8),
+        ("Q1", 1),
+        ("Q2", 1 + 2),
+        ("Q3", 6 + 5),
+        ("Q6", 4),
+        ("Q7", 2),
+        ("Q4b", 1 + 8),
+        ("Q11", 1),
+        ("Q8", 2),
+        ("Q9", 2),
+        ("Q10", 2),
+    ] {
+        assert_eq!(
+            snap.counter(&format!("preprocess.rows.{step}")),
+            rows,
+            "{step}"
+        );
+    }
+    assert_eq!(snap.counter("core.tuples"), 8);
+    assert_eq!(snap.counter("core.rules.emitted"), 3);
 }
 
 #[test]
@@ -162,24 +224,28 @@ fn telemetry_off_yields_bit_identical_rules_and_records_nothing() {
 
 #[test]
 fn work_counters_are_worker_count_invariant() {
-    let run = |workers: usize| {
-        let mut db = purchase_db();
-        let engine = MineRuleEngine::new().with_workers(workers);
-        let outcome = engine.execute(&mut db, SIMPLE).unwrap();
-        (outcome.rules, engine.metrics_snapshot())
-    };
-    let (rules_1, snap_1) = run(1);
-    let (rules_4, snap_4) = run(4);
-    assert_eq!(rules_1, rules_4, "determinism contract");
-    // Every counter except shard accounting is identical: the sharded
-    // executor does the same logical work regardless of fan-out.
-    for (name, value) in &snap_1.counters {
-        if name == "core.shards.run" {
-            continue;
+    for stmt in [SIMPLE, FILTERED_ORDERED_SETS] {
+        let run = |workers: usize| {
+            let mut db = purchase_db();
+            let engine = MineRuleEngine::new().with_workers(workers);
+            let outcome = engine.execute(&mut db, stmt).unwrap();
+            (outcome.rules, engine.metrics_snapshot())
+        };
+        let (rules_1, snap_1) = run(1);
+        let (rules_4, snap_4) = run(4);
+        assert_eq!(rules_1, rules_4, "determinism contract");
+        assert!(snap_1.counter("preprocess.fused_steps") > 0);
+        // Every counter except shard accounting is identical: the fused
+        // pass runs single-threaded and the sharded executor does the
+        // same logical work regardless of fan-out.
+        for (name, value) in &snap_1.counters {
+            if name == "core.shards.run" {
+                continue;
+            }
+            assert_eq!(snap_4.counter(name), *value, "{name}");
         }
-        assert_eq!(snap_4.counter(name), *value, "{name}");
+        assert!(snap_4.counter("core.shards.run") >= snap_1.counter("core.shards.run"));
     }
-    assert!(snap_4.counter("core.shards.run") >= snap_1.counter("core.shards.run"));
 }
 
 #[test]
