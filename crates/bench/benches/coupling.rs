@@ -1,10 +1,7 @@
-//! Experiments E1 and E2.
-//!
-//! E1 — tightly-coupled kernel vs the decoupled baseline (§1's argument):
-//! same mining task, identical rules, different architecture cost.
-//!
-//! E2 — shared preprocessing (§3): re-running a statement against already
-//! materialised encoded tables skips `Q0`..`Q11` entirely.
+//! Experiment E1 — tightly-coupled kernel vs the decoupled baseline (§1's
+//! argument): same mining task, identical rules, different architecture
+//! cost. (Shared preprocessing, §3 — the old E2 — is what the kernel
+//! benchmark's `refine_session` workload measures.)
 
 use minerule::{decoupled, MineRuleEngine};
 use tcdm_bench::bench::Group;
@@ -49,31 +46,6 @@ fn e1_coupled_vs_decoupled() {
     }
 }
 
-fn e2_shared_preprocessing() {
-    let mut group = Group::new("E2_shared_preprocessing");
-    let statement = simple_statement(0.03, 0.4);
-
-    group.bench_batched(
-        "cold_full_pipeline",
-        || quest_db(1000, 9),
-        |mut db| MineRuleEngine::new().execute(&mut db, &statement).unwrap(),
-    );
-    group.bench_batched(
-        "warm_reused_encoding",
-        || {
-            let mut db = quest_db(1000, 9);
-            MineRuleEngine::new().execute(&mut db, &statement).unwrap();
-            db
-        },
-        |mut db| {
-            MineRuleEngine::new()
-                .execute_reusing_preprocessing(&mut db, &statement)
-                .unwrap()
-        },
-    );
-}
-
 fn main() {
     e1_coupled_vs_decoupled();
-    e2_shared_preprocessing();
 }

@@ -63,22 +63,12 @@ pub const KNOBS: &[Knob] = &[
         },
     },
     Knob {
-        name: "preprocache",
+        name: "cache",
         domain: "on|off",
-        blurb: "preprocess artifact cache (rules identical either way)",
-        get: |s| on_off(s.engine.preprocache_enabled()).to_string(),
+        blurb: "session artifact store for warm reruns (rules identical either way)",
+        get: |s| on_off(s.engine.cache_enabled()).to_string(),
         set: |s, value, _| {
-            s.engine.set_preprocache_enabled(parse_on_off(value)?);
-            Ok(())
-        },
-    },
-    Knob {
-        name: "minecache",
-        domain: "on|off",
-        blurb: "mined-result cache for refined reruns (rules identical either way)",
-        get: |s| on_off(s.engine.minecache_enabled()).to_string(),
-        set: |s, value, _| {
-            s.engine.set_minecache_enabled(parse_on_off(value)?);
+            s.engine.set_cache_enabled(parse_on_off(value)?);
             Ok(())
         },
     },
@@ -597,8 +587,8 @@ mod tests {
     fn strategy_selectors_are_not_settings() {
         // Execution strategies are selected from what the code observes;
         // neither the retired pins nor the tests' reference selector are
-        // reachable from the shell.
-        assert_eq!(KNOBS.len(), 5);
+        // reachable from the shell — nor are the two retired cache knobs.
+        assert_eq!(KNOBS.len(), 4);
         let mut s = Session::new();
         let help = out(&mut s, "\\help");
         for name in [
@@ -608,6 +598,8 @@ mod tests {
             "indexes",
             "gidset",
             "reference",
+            "preprocache",
+            "minecache",
         ] {
             let answer = out(&mut s, &format!("\\set {name} on"));
             assert!(answer.contains("unknown setting"), "{name}: {answer}");
@@ -653,58 +645,22 @@ mod tests {
     }
 
     #[test]
-    fn preprocache_setting() {
+    fn cache_setting() {
         let mut s = Session::new();
-        assert!(out(&mut s, "\\set preprocache").contains("preprocache: on"));
-        assert!(out(&mut s, "\\set preprocache off").contains("preprocache set to off"));
-        assert!(out(&mut s, "\\set").contains("preprocache: off"));
+        assert!(out(&mut s, "\\set cache").contains("cache: on"));
+        assert!(out(&mut s, "\\set cache off").contains("cache set to off"));
+        assert!(out(&mut s, "\\set").contains("cache: off"));
         // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set preprocache maybe");
-        assert!(
-            bad.contains("invalid value 'maybe' for preprocache"),
-            "{bad}"
-        );
+        let bad = out(&mut s, "\\set cache maybe");
+        assert!(bad.contains("invalid value 'maybe' for cache"), "{bad}");
         assert!(bad.contains("on|off"), "{bad}");
         assert!(
-            out(&mut s, "\\set preprocache").contains("preprocache: off"),
+            out(&mut s, "\\set cache").contains("cache: off"),
             "unchanged"
         );
-        // Mining yields identical output with the cache on and off, and a
-        // threshold-only rerun with the cache on is a warm hit.
-        out(&mut s, "\\demo paper");
-        let stmt =
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-        let mut outputs = Vec::new();
-        for state in ["off", "on", "on"] {
-            out(&mut s, &format!("\\set preprocache {state}"));
-            let result = out(&mut s, stmt);
-            assert!(result.contains("mined"), "{state}: {result}");
-            out(&mut s, "DROP TABLE R");
-            outputs.push(result);
-        }
-        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same rules");
-        let stats = out(&mut s, "\\stats");
-        assert!(stats.contains("preprocess.cache.hit"), "{stats}");
-    }
-
-    #[test]
-    fn minecache_setting() {
-        let mut s = Session::new();
-        assert!(out(&mut s, "\\set minecache").contains("minecache: on"));
-        assert!(out(&mut s, "\\set minecache off").contains("minecache set to off"));
-        assert!(out(&mut s, "\\set").contains("minecache: off"));
-        // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set minecache maybe");
-        assert!(bad.contains("invalid value 'maybe' for minecache"), "{bad}");
-        assert!(bad.contains("on|off"), "{bad}");
-        assert!(
-            out(&mut s, "\\set minecache").contains("minecache: off"),
-            "unchanged"
-        );
-        // Mining yields identical output with the cache on and off, and a
-        // tightened-threshold rerun with the cache on serves warm.
+        // Mining yields identical output with the store on and off; with
+        // it on, an identical rerun restores the encoding and a
+        // tightened-threshold rerun is served by filtering.
         out(&mut s, "\\demo paper");
         let stmt = |support: f64| {
             format!(
@@ -714,8 +670,8 @@ mod tests {
             )
         };
         let mut outputs = Vec::new();
-        for state in ["off", "on"] {
-            out(&mut s, &format!("\\set minecache {state}"));
+        for state in ["off", "on", "on"] {
+            out(&mut s, &format!("\\set cache {state}"));
             out(&mut s, &stmt(0.25));
             out(&mut s, "DROP TABLE R");
             let result = out(&mut s, &stmt(0.5));
@@ -725,6 +681,7 @@ mod tests {
         }
         assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same rules");
         let stats = out(&mut s, "\\stats");
+        assert!(stats.contains("preprocess.cache.hit"), "{stats}");
         assert!(stats.contains("core.minecache.hit"), "{stats}");
         assert!(stats.contains("core.minecache.refine"), "{stats}");
     }

@@ -92,9 +92,9 @@ pub struct CoreOutput {
     /// one entry per shard of each sharded pass, in pass order).
     pub shard_timings: Vec<Duration>,
     /// The large-itemset inventory the rules were derived from (simple
-    /// path only; `None` on the general lattice). The mined-result cache
-    /// captures this so tightened-threshold reruns can filter it instead
-    /// of re-mining.
+    /// path only; `None` on the general lattice). The session artifact
+    /// store captures this so tightened-threshold reruns can filter it
+    /// instead of re-mining.
     pub large_itemsets: Option<Vec<LargeItemset>>,
 }
 

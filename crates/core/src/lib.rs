@@ -46,15 +46,15 @@
 //! ```
 
 pub mod algo;
+pub mod artifacts;
 pub mod ast;
-pub mod cache;
 pub mod core_op;
 pub mod decoupled;
+pub mod digest;
 pub mod directives;
 pub mod encoded;
 pub mod error;
 pub mod lattice;
-pub mod minecache;
 pub mod paper_example;
 pub mod parser;
 pub mod pipeline;
@@ -64,11 +64,10 @@ pub mod reference;
 pub mod telemetry;
 pub mod translator;
 
+pub use artifacts::{ArtifactStore, ServeKind};
 pub use ast::{CardMax, CardSpec, ElementSpec, MineRuleStatement, SourceTable};
-pub use cache::PreprocessCache;
 pub use directives::{Directives, StatementClass};
 pub use error::{MineError, Result, SemanticViolation};
-pub use minecache::{MineResultCache, ServeKind};
 pub use parser::{is_mine_rule, parse_mine_rule};
 pub use pipeline::{MineRuleEngine, MiningOutcome, PhaseTimings};
 pub use postprocess::DecodedRule;

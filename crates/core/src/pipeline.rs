@@ -15,13 +15,13 @@
 use std::time::Duration;
 
 use relational::expr::eval::QueryCtx;
-use relational::{Database, ExecStats, StorageBackend};
+use relational::{Database, ExecStats};
 
-use crate::cache::PreprocessCache;
+use crate::algo::EncodedRule;
+use crate::artifacts::{ArtifactStore, ServeKind, StoreOutcome};
 use crate::core_op::{run_core_on, CoreOptions, CoreOutput};
 use crate::encoded::read_encoded;
 use crate::error::Result;
-use crate::minecache::{MineResultCache, ServeKind};
 use crate::parser::parse_mine_rule;
 use crate::postprocess::{postprocess, read_rules, store_encoded_rules, DecodedRule};
 use crate::preprocess::{preprocess, PreprocessReport};
@@ -78,28 +78,17 @@ pub struct MineRuleEngine {
     /// Prefix for the encoded tables (lets several statements share one
     /// catalog, and enables preprocessing reuse).
     pub table_prefix: String,
-    /// The storage backend the database is switched to before each run
-    /// (`None` — the default — leaves the database on whatever backend
-    /// it already uses). Memory and paged mine bit-identical rules; the
-    /// paged backend adds durability (enforced by
-    /// `tests/persist_roundtrip.rs`). Switching to `paged` requires the
-    /// database to have a storage directory configured
-    /// ([`relational::Database::set_storage_dir`]).
-    pub storage: Option<StorageBackend>,
     /// The metrics registry every run reports into. Enabled by default;
     /// clones of the engine share the same registry. Disabling it
     /// changes no mined output (enforced by `tests/telemetry.rs`).
     telemetry: Telemetry,
-    /// The preprocess artifact cache. Enabled by default; clones of the
-    /// engine share the same store. Disabling it changes no mined output
-    /// (enforced by `tests/cache_agreement.rs`).
-    preprocache: PreprocessCache,
-    /// The mined-result cache: frequent-itemset inventories keyed like
-    /// the preprocess cache, serving tightened-threshold reruns and
-    /// small source deltas without running the core operator. Enabled by
-    /// default; clones share the same store. On/off mines bit-identical
-    /// rules (enforced by `tests/cache_agreement.rs`).
-    minecache: MineResultCache,
+    /// The session artifact store: per statement fingerprint, the encoded
+    /// tables (a rerun over an unmodified source skips preprocessing) and
+    /// the frequent-itemset inventory (tightened thresholds and small
+    /// source deltas skip the core operator). Enabled by default; clones
+    /// of the engine share the same store. Disabling it changes no mined
+    /// output (enforced by `tests/cache_agreement.rs`).
+    artifacts: ArtifactStore,
 }
 
 impl Default for MineRuleEngine {
@@ -107,10 +96,8 @@ impl Default for MineRuleEngine {
         MineRuleEngine {
             core: CoreOptions::default(),
             table_prefix: String::new(),
-            storage: None,
             telemetry: Telemetry::new(),
-            preprocache: PreprocessCache::new(),
-            minecache: MineResultCache::new(),
+            artifacts: ArtifactStore::new(true),
         }
     }
 }
@@ -143,64 +130,27 @@ impl MineRuleEngine {
         self
     }
 
-    /// Switch the database to the given storage backend before each run
-    /// of this engine. Both backends mine bit-identical rules; `paged`
-    /// adds crash-safe durability and needs a storage directory on the
-    /// database ([`relational::Database::set_storage_dir`]).
-    pub fn with_storage(mut self, backend: StorageBackend) -> MineRuleEngine {
-        self.storage = Some(backend);
+    /// Turn the session artifact store on (a fresh store) or off. With it
+    /// on, a rerun of a statement over unmodified source tables skips
+    /// `Q0`..`Q11`, and a simple-class rerun with tightened thresholds —
+    /// or after a small INSERT/DELETE delta on the source table — skips
+    /// the core operator; on/off mines bit-identical rules (enforced by
+    /// `tests/cache_agreement.rs`).
+    pub fn with_cache(mut self, enabled: bool) -> MineRuleEngine {
+        self.set_cache_enabled(enabled);
         self
     }
 
-    /// Turn the preprocess artifact cache on (a fresh store) or off. The
-    /// cache skips `Q0`..`Q8` when a statement reruns with only changed
-    /// EXTRACTING thresholds over unmodified source tables; on/off mines
-    /// bit-identical rules (enforced by `tests/cache_agreement.rs`).
-    pub fn with_preprocache(mut self, enabled: bool) -> MineRuleEngine {
-        self.set_preprocache_enabled(enabled);
-        self
-    }
-
-    /// Turn the preprocess artifact cache on (a fresh store) or off.
-    pub fn set_preprocache_enabled(&mut self, enabled: bool) {
-        if enabled != self.preprocache.is_enabled() {
-            self.preprocache = if enabled {
-                PreprocessCache::new()
-            } else {
-                PreprocessCache::disabled()
-            };
+    /// Turn the session artifact store on (a fresh store) or off.
+    pub fn set_cache_enabled(&mut self, enabled: bool) {
+        if enabled != self.artifacts.is_enabled() {
+            self.artifacts = ArtifactStore::new(enabled);
         }
     }
 
-    /// Whether runs currently consult the preprocess artifact cache.
-    pub fn preprocache_enabled(&self) -> bool {
-        self.preprocache.is_enabled()
-    }
-
-    /// Turn the mined-result cache on (a fresh store) or off. The cache
-    /// answers reruns of a statement with tightened thresholds — and
-    /// reruns after small INSERT/DELETE deltas on the source table —
-    /// without running the core operator; on/off mines bit-identical
-    /// rules (enforced by `tests/cache_agreement.rs`).
-    pub fn with_minecache(mut self, enabled: bool) -> MineRuleEngine {
-        self.set_minecache_enabled(enabled);
-        self
-    }
-
-    /// Turn the mined-result cache on (a fresh store) or off.
-    pub fn set_minecache_enabled(&mut self, enabled: bool) {
-        if enabled != self.minecache.is_enabled() {
-            self.minecache = if enabled {
-                MineResultCache::new()
-            } else {
-                MineResultCache::disabled()
-            };
-        }
-    }
-
-    /// Whether runs currently consult the mined-result cache.
-    pub fn minecache_enabled(&self) -> bool {
-        self.minecache.is_enabled()
+    /// Whether runs currently consult the session artifact store.
+    pub fn cache_enabled(&self) -> bool {
+        self.artifacts.is_enabled()
     }
 
     /// Report runs into the given telemetry registry (replaces the
@@ -244,9 +194,6 @@ impl MineRuleEngine {
     /// Parse and execute a MINE RULE statement end to end.
     pub fn execute(&self, db: &mut Database, text: &str) -> Result<MiningOutcome> {
         self.telemetry.counter_inc("translator.statements");
-        if let Some(backend) = self.storage {
-            db.set_storage(backend)?;
-        }
         let sql_before = db.stats();
         let stmt = parse_mine_rule(text)?;
 
@@ -260,31 +207,52 @@ impl MineRuleEngine {
         let preprocess_time = span.stop();
         self.record_preprocess(&preprocess_report);
 
-        self.finish(
-            db,
+        let span = self.telemetry.span("phase.core");
+        let (rules, used_general, shard_timings) =
+            self.run_core(db, &translation, &preprocess_report)?;
+        let core_time = span.stop();
+
+        let span = self.telemetry.span("phase.postprocess");
+        store_encoded_rules(db, &translation, &rules)?;
+        self.telemetry
+            .counter_add("postprocess.rules_stored", rules.len() as u64);
+        postprocess(db, &translation)?;
+        let decoded = read_rules(db, &translation)?;
+        self.telemetry
+            .counter_add("postprocess.rules_decoded", decoded.len() as u64);
+        let postprocess_time = span.stop();
+        self.record_relational(sql_before, db.stats());
+
+        Ok(MiningOutcome {
+            rules: decoded,
             translation,
             preprocess_report,
-            translate_time,
-            preprocess_time,
-            sql_before,
-        )
+            used_general,
+            timings: PhaseTimings {
+                translate: translate_time,
+                preprocess: preprocess_time,
+                core: core_time,
+                postprocess: postprocess_time,
+                core_shards: shard_timings,
+            },
+        })
     }
 
-    /// Run preprocessing through the artifact cache: a hit reinstates the
-    /// cached encoded tables (no `Qi` step executes); a miss runs the
-    /// full program and captures the artifacts for the next run. With the
-    /// cache disabled this is exactly [`preprocess`].
+    /// Run preprocessing through the artifact store: a restore reinstates
+    /// the captured encoded tables (no `Qi` step executes); a miss runs
+    /// the full program and captures the encoding for the next run. With
+    /// the store disabled this is exactly [`preprocess`].
     fn run_preprocess(
         &self,
         db: &mut Database,
         translation: &Translation,
     ) -> Result<PreprocessReport> {
-        if !self.preprocache.is_enabled() {
+        if !self.artifacts.is_enabled() {
             return preprocess(db, translation);
         }
-        if let Some(report) = self
-            .preprocache
-            .try_restore(db, translation, &self.table_prefix)?
+        if let Some(report) =
+            self.artifacts
+                .restore_encoding(db, translation, &self.table_prefix)?
         {
             self.telemetry.counter_inc("preprocess.cache.hit");
             return Ok(report);
@@ -292,15 +260,26 @@ impl MineRuleEngine {
         self.telemetry.counter_inc("preprocess.cache.miss");
         let report = preprocess(db, translation)?;
         let stored = self
-            .preprocache
-            .store(db, translation, &self.table_prefix, &report);
-        if stored.evicted > 0 {
-            self.telemetry
-                .counter_add("preprocess.cache.evict", stored.evicted);
-        }
+            .artifacts
+            .capture_encoding(db, translation, &self.table_prefix, &report);
+        self.record_evictions(&stored);
         self.telemetry
-            .gauge_set("preprocess.cache.bytes", stored.bytes as i64);
+            .gauge_set("preprocess.cache.bytes", stored.encoding_bytes as i64);
         Ok(report)
+    }
+
+    /// Count the evictions a capture caused. The metric names say which
+    /// phase a warm run would have skipped: an evicted entry counts once
+    /// for each half it held.
+    fn record_evictions(&self, stored: &StoreOutcome) {
+        if stored.evicted_encodings > 0 {
+            self.telemetry
+                .counter_add("preprocess.cache.evict", stored.evicted_encodings);
+        }
+        if stored.evicted_inventories > 0 {
+            self.telemetry
+                .counter_add("core.minecache.evict", stored.evicted_inventories);
+        }
     }
 
     /// Count the translation's directive classification
@@ -348,51 +327,6 @@ impl MineRuleEngine {
             .gauge_set("preprocess.total_groups", report.total_groups as i64);
         self.telemetry
             .gauge_set("preprocess.min_groups", report.min_groups as i64);
-    }
-
-    /// Execute against *already materialised* encoded tables (the shared
-    /// preprocessing of §3: "the same preprocessing could be in common to
-    /// the execution of several data mining queries"). The caller must
-    /// have run [`MineRuleEngine::execute`] for an identical statement
-    /// shape first; only core + postprocessing run here.
-    pub fn execute_reusing_preprocessing(
-        &self,
-        db: &mut Database,
-        text: &str,
-    ) -> Result<MiningOutcome> {
-        self.telemetry.counter_inc("translator.statements");
-        self.telemetry.counter_inc("preprocess.reused");
-        if let Some(backend) = self.storage {
-            db.set_storage(backend)?;
-        }
-        let sql_before = db.stats();
-        let stmt = parse_mine_rule(text)?;
-        let span = self.telemetry.span("phase.translate");
-        let translation = translate_with_prefix(&stmt, db.catalog(), &self.table_prefix)?;
-        let translate_time = span.stop();
-        self.record_translation(&translation);
-
-        // Drop only the output-side tables so the decode joins can rerun.
-        let out = &translation.stmt.output_table;
-        for table in [
-            translation.names.output_rules(),
-            translation.names.output_bodies(),
-            translation.names.output_heads(),
-            out.clone(),
-            format!("{out}_Bodies"),
-            format!("{out}_Heads"),
-        ] {
-            db.execute(&format!("DROP TABLE IF EXISTS {table}"))?;
-        }
-
-        self.finish(
-            db,
-            translation,
-            PreprocessReport::default(),
-            translate_time,
-            Duration::ZERO,
-            sql_before,
-        )
     }
 
     /// Publish the SQL server's execution-counter deltas for one run
@@ -525,24 +459,23 @@ impl MineRuleEngine {
         }
     }
 
-    fn finish(
+    /// Run the core phase through the artifact store: the encoded rules,
+    /// whether the general path produced them, and the executor's
+    /// per-shard timings. A serve replaces the whole phase: no encoded
+    /// read, no itemset mining, no `core.level.*` activity — the kept
+    /// inventory filtered at the current thresholds yields rules
+    /// bit-identical to a cold mine; a miss mines and captures the
+    /// inventory for the next run.
+    fn run_core(
         &self,
         db: &mut Database,
-        translation: Translation,
-        preprocess_report: PreprocessReport,
-        translate_time: Duration,
-        preprocess_time: Duration,
-        sql_before: ExecStats,
-    ) -> Result<MiningOutcome> {
-        let span = self.telemetry.span("phase.core");
-        // A mined-result cache serve replaces the whole core phase: no
-        // encoded read, no itemset mining, no `core.level.*` activity —
-        // the cached inventory filtered at the current thresholds yields
-        // rules bit-identical to a cold mine.
+        translation: &Translation,
+        preprocess_report: &PreprocessReport,
+    ) -> Result<(Vec<EncodedRule>, bool, Vec<Duration>)> {
         let serve =
-            self.minecache
-                .try_serve(db, &translation, &self.table_prefix, &preprocess_report)?;
-        let (rules, used_general, shard_timings) = match serve {
+            self.artifacts
+                .serve_rules(db, translation, &self.table_prefix, preprocess_report)?;
+        Ok(match serve {
             Some(serve) => {
                 self.telemetry.counter_inc("core.minecache.hit");
                 match serve.kind {
@@ -553,10 +486,10 @@ impl MineRuleEngine {
                 (serve.rules, false, Vec::new())
             }
             None => {
-                if self.minecache.is_enabled() {
+                if self.artifacts.is_enabled() {
                     self.telemetry.counter_inc("core.minecache.miss");
                 }
-                let encoded = read_encoded(db, &translation)?;
+                let encoded = read_encoded(db, translation)?;
                 let CoreOutput {
                     rules,
                     used_general,
@@ -564,53 +497,22 @@ impl MineRuleEngine {
                     large_itemsets,
                     ..
                 } = run_core_on(&encoded, &self.core, &self.telemetry, db.reference_paths())?;
-                if let Some(large) = &large_itemsets {
-                    let stored = self.minecache.store(
+                if let (Some(large), true) = (&large_itemsets, self.artifacts.is_enabled()) {
+                    let stored = self.artifacts.capture_inventory(
                         db,
-                        &translation,
+                        translation,
                         &self.table_prefix,
-                        &preprocess_report,
+                        preprocess_report,
                         large,
                     );
-                    if stored.evicted > 0 {
-                        self.telemetry
-                            .counter_add("core.minecache.evict", stored.evicted);
-                    }
-                    if self.minecache.is_enabled() {
-                        self.telemetry
-                            .gauge_set("core.minecache.bytes", stored.bytes as i64);
-                        self.telemetry
-                            .counter_add("core.minecache.capture.source_rows", stored.source_rows);
-                    }
+                    self.record_evictions(&stored);
+                    self.telemetry
+                        .gauge_set("core.minecache.bytes", stored.inventory_bytes as i64);
+                    self.telemetry
+                        .counter_add("core.minecache.capture.source_rows", stored.source_rows);
                 }
                 (rules, used_general, shard_timings)
             }
-        };
-        let core_time = span.stop();
-
-        let span = self.telemetry.span("phase.postprocess");
-        store_encoded_rules(db, &translation, &rules)?;
-        self.telemetry
-            .counter_add("postprocess.rules_stored", rules.len() as u64);
-        postprocess(db, &translation)?;
-        let decoded = read_rules(db, &translation)?;
-        self.telemetry
-            .counter_add("postprocess.rules_decoded", decoded.len() as u64);
-        let postprocess_time = span.stop();
-        self.record_relational(sql_before, db.stats());
-
-        Ok(MiningOutcome {
-            rules: decoded,
-            translation,
-            preprocess_report,
-            used_general,
-            timings: PhaseTimings {
-                translate: translate_time,
-                preprocess: preprocess_time,
-                core: core_time,
-                postprocess: postprocess_time,
-                core_shards: shard_timings,
-            },
         })
     }
 }

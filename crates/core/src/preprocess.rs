@@ -31,9 +31,9 @@ use relational::{
 };
 
 use crate::ast::MineRuleStatement;
+use crate::digest::SourceDigest;
 use crate::directives::{Directives, StatementClass};
 use crate::error::{MineError, Result};
-use crate::minecache::SourceDigest;
 use crate::translator::queries::{
     cluster_aggregates, cluster_pair_cond, mining_pair_cond, CLUSTER_SIDES, MINING_SIDES,
 };
@@ -53,10 +53,9 @@ pub struct PreprocessReport {
     /// the fused pipelined pass (0 when preprocessing ran step by step).
     pub fused_steps: usize,
     /// The grouped source as the fused pass's scan interned it, for the
-    /// mined-result cache to capture without a second read. `None` when
-    /// no scan ran (step-by-step preprocessing, a restore from the
-    /// artifact cache) and for every statement that cache cannot serve
-    /// (any directive set).
+    /// session artifact store to keep an inventory over without a second
+    /// read. `None` when no scan ran (step-by-step preprocessing, a
+    /// restored encoding) and for every statement with a directive set.
     pub digest: Option<Arc<SourceDigest>>,
 }
 
@@ -267,7 +266,7 @@ impl<'a> KeySlots<'a> {
 
 /// Scan the statement's source table once, assigning every key to its
 /// first-seen slot. This is the only reader of raw source rows: the fused
-/// pass encodes from its record, and the mined-result cache captures its
+/// pass encodes from its record, and the session artifact store keeps its
 /// digest (calling it directly only when no fused pass ran at the table's
 /// current version).
 ///

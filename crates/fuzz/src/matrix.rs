@@ -36,8 +36,8 @@ pub struct Config {
     /// selection.
     pub reference: bool,
     pub workers: usize,
-    pub preprocache: bool,
-    pub minecache: bool,
+    /// The engine's session artifact store (`MineRuleEngine::with_cache`).
+    pub cache: bool,
     pub storage: StorageBackend,
 }
 
@@ -53,13 +53,12 @@ impl Config {
     /// The pinned comparison baseline: the least clever point of the
     /// matrix — reference paths (interpreted expressions, row-at-a-time
     /// flow, written-order join fold, scans, list gid-sets, unfused
-    /// preprocessing), one worker, no caches, memory storage.
+    /// preprocessing), one worker, cache off, memory storage.
     pub fn baseline() -> Config {
         Config {
             reference: true,
             workers: 1,
-            preprocache: false,
-            minecache: false,
+            cache: false,
             storage: StorageBackend::Memory,
         }
     }
@@ -74,10 +73,9 @@ impl Config {
     /// `core.shards.run`).
     fn worker_group_key(&self) -> String {
         format!(
-            "reference={} preprocache={} minecache={} storage={}",
+            "reference={} cache={} storage={}",
             on_off(self.reference),
-            on_off(self.preprocache),
-            on_off(self.minecache),
+            on_off(self.cache),
             self.storage,
         )
     }
@@ -92,9 +90,9 @@ impl Config {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Matrix {
     /// One configuration per axis value plus a kitchen-sink mix
-    /// (8 configurations) — the per-`cargo test` corpus budget.
+    /// (7 configurations) — the per-`cargo test` corpus budget.
     Quick,
-    /// The full cross-product: 2 × 3 × 2 × 2 × 2 = 48 configurations —
+    /// The full cross-product: 2 × 3 × 2 × 2 = 24 configurations —
     /// the fuzzing budget.
     Full,
 }
@@ -122,11 +120,7 @@ impl Matrix {
                 production,
                 Config { workers: 4, ..base },
                 Config {
-                    preprocache: true,
-                    ..base
-                },
-                Config {
-                    minecache: true,
+                    cache: true,
                     ..base
                 },
                 Config {
@@ -135,14 +129,12 @@ impl Matrix {
                 },
                 Config {
                     workers: 2,
-                    preprocache: true,
-                    minecache: true,
+                    cache: true,
                     ..production
                 },
                 Config {
                     workers: 4,
-                    preprocache: true,
-                    minecache: true,
+                    cache: true,
                     storage: StorageBackend::Paged,
                     ..production
                 },
@@ -151,19 +143,16 @@ impl Matrix {
                 let mut out = vec![base];
                 for reference in [true, false] {
                     for workers in [1usize, 2, 4] {
-                        for preprocache in [false, true] {
-                            for minecache in [false, true] {
-                                for storage in [StorageBackend::Memory, StorageBackend::Paged] {
-                                    let c = Config {
-                                        reference,
-                                        workers,
-                                        preprocache,
-                                        minecache,
-                                        storage,
-                                    };
-                                    if c != base {
-                                        out.push(c);
-                                    }
+                        for cache in [false, true] {
+                            for storage in [StorageBackend::Memory, StorageBackend::Paged] {
+                                let c = Config {
+                                    reference,
+                                    workers,
+                                    cache,
+                                    storage,
+                                };
+                                if c != base {
+                                    out.push(c);
                                 }
                             }
                         }
@@ -373,8 +362,7 @@ fn run_config(
 
     let engine = MineRuleEngine::new()
         .with_workers(config.workers)
-        .with_preprocache(config.preprocache)
-        .with_minecache(config.minecache);
+        .with_cache(config.cache);
 
     // Setup script: outcome slot 0.
     let mut setup = String::from("ok");
@@ -672,7 +660,7 @@ mod tests {
         let configs = Matrix::Full.configs();
         // Drift guard: README, docs/FUZZING.md and the CI workflows all
         // quote this number.
-        assert_eq!(configs.len(), 48, "2 x 3 x 2 x 2 x 2");
+        assert_eq!(configs.len(), 24, "2 x 3 x 2 x 2");
         assert_eq!(configs[0], Config::baseline());
         let labels: std::collections::BTreeSet<String> =
             configs.iter().map(|c| c.label()).collect();
@@ -683,7 +671,7 @@ mod tests {
     fn quick_matrix_covers_every_axis_value() {
         let configs = Matrix::Quick.configs();
         assert_eq!(configs[0], Config::baseline());
-        assert!(configs.len() <= 8);
+        assert_eq!(configs.len(), 7);
         let joined: Vec<String> = configs.iter().map(|c| c.label()).collect();
         for needle in [
             "reference=on",
@@ -691,8 +679,7 @@ mod tests {
             "workers=1",
             "workers=2",
             "workers=4",
-            "preprocache=on",
-            "minecache=on",
+            "cache=on",
             "storage=paged",
         ] {
             assert!(

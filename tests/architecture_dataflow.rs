@@ -205,12 +205,12 @@ fn shared_preprocessing_reuse_yields_identical_rules() {
                 EXTRACTING RULES WITH SUPPORT: 0.05, CONFIDENCE: 0.2";
     let engine = MineRuleEngine::new();
     let fresh = engine.execute(&mut db, stmt).unwrap();
-    let reused = engine.execute_reusing_preprocessing(&mut db, stmt).unwrap();
+    let reused = engine.execute(&mut db, stmt).unwrap();
     assert_eq!(fresh.rules, reused.rules);
     assert_eq!(
         reused.preprocess_report.executed.len(),
         0,
-        "no preprocessing queries on the reuse path"
+        "no preprocessing queries on a warm rerun"
     );
 }
 

@@ -1,9 +1,9 @@
 //! The cache agreement contract: every combination of worker count ×
-//! preprocess cache × mined-result cache × reference-or-production
-//! paths mines bit-identical rules — including warm (cache-hit) runs after a
-//! threshold-only refinement, incremental re-mines after a source-table
-//! delta, and runs after a source-table mutation (which must *never*
-//! serve stale artifacts).
+//! session artifact store on/off × reference-or-production paths mines
+//! bit-identical rules — including warm runs after a threshold-only
+//! refinement (encoding restored, inventory filtered), incremental
+//! re-mines after a source-table delta, and runs after a source-table
+//! mutation (which must *never* serve stale artifacts).
 
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::{DecodedRule, MineRuleEngine};
@@ -49,7 +49,7 @@ fn threshold_refinement_agrees_across_all_knobs() {
                 db.set_reference_paths(reference_paths);
                 let engine = MineRuleEngine::new()
                     .with_workers(workers)
-                    .with_preprocache(cache);
+                    .with_cache(cache);
 
                 // Cold run, then a support-only refinement of the same
                 // statement: with the cache on, the second run must be a
@@ -105,7 +105,7 @@ fn general_class_agrees_across_all_knobs() {
                 db.set_reference_paths(reference_paths);
                 let engine = MineRuleEngine::new()
                     .with_workers(workers)
-                    .with_preprocache(cache);
+                    .with_cache(cache);
                 // Run the paper's §2 statement twice: identical statement,
                 // so with the cache on the second run is a warm hit even
                 // though the thresholds did not move.
@@ -134,7 +134,7 @@ fn source_mutation_never_serves_stale_artifacts() {
         // Cached engine: cold run, mutate the source, rerun.
         let mut db = purchase_db();
         db.set_reference_paths(reference_paths);
-        let engine = MineRuleEngine::new().with_preprocache(true);
+        let engine = MineRuleEngine::new().with_cache(true);
         engine.execute(&mut db, &simple(0.25, 0.1)).unwrap();
         db.execute(
             "INSERT INTO Purchase VALUES \
@@ -161,7 +161,7 @@ fn source_mutation_never_serves_stale_artifacts() {
             )
             .unwrap();
         let reference = MineRuleEngine::new()
-            .with_preprocache(false)
+            .with_cache(false)
             .execute(&mut fresh, &simple(0.25, 0.1))
             .unwrap();
         assert_eq!(
@@ -185,7 +185,7 @@ fn looser_threshold_refinement_misses_but_agrees() {
         )
     }
     let mut db = purchase_db();
-    let engine = MineRuleEngine::new().with_preprocache(true);
+    let engine = MineRuleEngine::new().with_cache(true);
     engine.execute(&mut db, &by_tr(0.5)).unwrap();
     // A *looser* support needs items the cached artifacts pruned, so the
     // superset rule forces a cold run.
@@ -195,17 +195,17 @@ fn looser_threshold_refinement_misses_but_agrees() {
     assert_eq!(snapshot.counter("preprocess.cache.hit"), 0);
 
     let reference = MineRuleEngine::new()
-        .with_preprocache(false)
+        .with_cache(false)
         .execute(&mut purchase_db(), &by_tr(0.25))
         .unwrap();
     assert_eq!(signature(&loose.rules), signature(&reference.rules));
 }
 
-// ---- mined-result cache ------------------------------------------------
+// ---- the inventory half ------------------------------------------------
 
 /// A simple-class statement over `tr` (4 groups), so support thresholds
 /// 0.25 / 0.5 map to distinct `:mingroups` (1 vs 2) and loosening is a
-/// genuine mined-result cache miss.
+/// genuine miss on both halves.
 fn tr_mine(support: f64, confidence: f64) -> String {
     format!(
         "MINE RULE TrCached AS SELECT DISTINCT item AS BODY, item AS HEAD, \
@@ -232,7 +232,7 @@ const DELTA_MULTI_INSERT: &str = "INSERT INTO Purchase VALUES \
      (1, 'cust1', 'jackets', DATE '1997-01-09', 300, 1)";
 
 /// A DELETE whose predicate matches no row: no version bump, so both
-/// caches still answer — not a delta, let alone a miss.
+/// halves still answer — not a delta, let alone a miss.
 const NOOP_DELETE: &str = "DELETE FROM Purchase WHERE tr = 424242";
 
 /// Counters that prove the core operator ran (or did not).
@@ -245,7 +245,7 @@ fn core_work(snapshot: &minerule::telemetry::MetricsSnapshot) -> Vec<(String, u6
         .collect()
 }
 
-/// What the mined-result cache must do with one stage of a session.
+/// What the store must do with the core phase of one stage of a session.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Expect {
     /// The core operator runs (first mine, loosened support).
@@ -263,10 +263,10 @@ enum Expect {
 type Stage<'a> = (&'a [&'a str], f64, f64, Expect);
 
 /// Drive one engine through `stages` over the database `setup` builds,
-/// for every worker count with the mined-result cache on and off. Every
-/// stage must be bit-identical to a cold mine (both caches off) over a
-/// fresh, equally-mutated database; with the cache on, every stage must
-/// be served the way it says, warm stages doing zero core-operator work.
+/// for every worker count with the cache on and off. Every stage must be
+/// bit-identical to a cold mine (cache off) over a fresh, equally-mutated
+/// database; with the cache on, every stage must be served the way it
+/// says, warm stages doing zero core-operator work.
 fn assert_session_agrees(
     setup: &[&str],
     statement: impl Fn(f64, f64) -> String,
@@ -280,14 +280,14 @@ fn assert_session_agrees(
         db
     };
     for workers in WORKERS {
-        for minecache in CACHE {
+        for cache in CACHE {
             let mut db = build(&[]);
             let engine = MineRuleEngine::new()
                 .with_workers(workers)
-                .with_minecache(minecache);
+                .with_cache(cache);
             let mut mutations: Vec<&str> = Vec::new();
             for (stage, (dml, support, confidence, expect)) in stages.iter().enumerate() {
-                let label = format!("workers={workers} minecache={minecache} stage {stage}");
+                let label = format!("workers={workers} cache={cache} stage {stage}");
                 for sql in *dml {
                     db.execute(sql).unwrap();
                     mutations.push(sql);
@@ -297,14 +297,14 @@ fn assert_session_agrees(
                 let run = engine.execute(&mut db, &text).unwrap();
                 let after = engine.metrics_snapshot();
                 let moved = |name: &str| after.counter(name) - before.counter(name);
-                let served = if minecache { *expect } else { Expect::Mine };
+                let served = if cache { *expect } else { Expect::Mine };
                 assert_eq!(
                     core_work(&before) != core_work(&after),
                     served == Expect::Mine,
                     "{label}: the core operator runs exactly on a mine"
                 );
                 let (hit, refine, delta, miss) = match served {
-                    Expect::Mine => (0, 0, 0, minecache as u64),
+                    Expect::Mine => (0, 0, 0, cache as u64),
                     Expect::Hit => (1, 0, 0, 0),
                     Expect::Refine => (1, 1, 0, 0),
                     Expect::Delta => (1, 0, 1, 0),
@@ -317,14 +317,13 @@ fn assert_session_agrees(
                 ] {
                     assert_eq!(moved(name), want, "{label}: {name}");
                 }
-                // An untouched source keeps the preprocess cache warm too.
-                if matches!(expect, Expect::Hit | Expect::Refine) {
+                // An untouched source restores the encoding half too.
+                if matches!(served, Expect::Hit | Expect::Refine) {
                     assert_eq!(moved("preprocess.cache.hit"), 1, "{label}");
                 }
 
                 let reference = MineRuleEngine::new()
-                    .with_preprocache(false)
-                    .with_minecache(false)
+                    .with_cache(false)
                     .execute(&mut build(&mutations), &text)
                     .unwrap();
                 assert!(!reference.rules.is_empty(), "{label}");
@@ -502,11 +501,12 @@ fn float_keys_unify_ints_and_keep_signed_zeros_apart() {
     );
 }
 
-/// Overflowing the bounded store evicts the oldest entry; a rerun of the
-/// evicted statement is a clean miss that still agrees with a cold mine.
+/// Overflowing the bounded store evicts the oldest entry — both halves of
+/// it; a rerun of the evicted statement is a clean miss on both that
+/// still agrees with a cold mine.
 #[test]
 fn mined_result_eviction_recaptures_and_agrees() {
-    // The cache fingerprint ignores thresholds and the output name, so
+    // The store's fingerprint ignores thresholds and the output name, so
     // distinct entries need distinct source fragments: vary GROUP BY.
     const GROUPINGS: [&str; 9] = [
         "tr",
@@ -527,40 +527,42 @@ fn mined_result_eviction_recaptures_and_agrees() {
         )
     }
     let mut db = purchase_db();
-    let engine = MineRuleEngine::new().with_minecache(true);
+    let engine = MineRuleEngine::new().with_cache(true);
     // Nine distinct statements against an 8-entry store: the first one
-    // is evicted by the time the ninth lands.
+    // is evicted by the time the ninth lands, and each `evict` counter
+    // reports the half it held.
     for group_by in GROUPINGS {
         engine.execute(&mut db, &named(group_by)).unwrap();
     }
     let snapshot = engine.metrics_snapshot();
-    assert!(snapshot.counter("core.minecache.evict") >= 1);
+    assert_eq!(snapshot.counter("preprocess.cache.evict"), 1);
+    assert_eq!(snapshot.counter("core.minecache.evict"), 1);
+    assert_eq!(snapshot.counter("preprocess.cache.hit"), 0);
     assert_eq!(snapshot.counter("core.minecache.hit"), 0);
 
     let rerun = engine.execute(&mut db, &named("tr")).unwrap();
     let snapshot = engine.metrics_snapshot();
-    assert_eq!(
-        snapshot.counter("core.minecache.miss"),
-        10,
-        "the evicted statement must miss, not serve stale results"
-    );
+    for name in ["preprocess.cache.miss", "core.minecache.miss"] {
+        assert_eq!(
+            snapshot.counter(name),
+            10,
+            "{name}: the evicted statement must miss, not serve stale results"
+        );
+    }
     let reference = MineRuleEngine::new()
-        .with_preprocache(false)
-        .with_minecache(false)
+        .with_cache(false)
         .execute(&mut purchase_db(), &named("tr"))
         .unwrap();
     assert_eq!(signature(&rerun.rules), signature(&reference.rules));
 }
 
-/// The two caches are independent: a general-class rerun is a preprocess
-/// cache *hit* that still feeds a mined-result cache *miss* (the result
-/// cache only captures the simple fused-pass shape).
+/// The two halves are independent: a general-class rerun restores its
+/// encoding (a preprocess *hit*) and still mines (a mined-result *miss* —
+/// an inventory is only kept for the simple fused-pass shape).
 #[test]
 fn preprocess_hit_feeds_mined_result_miss() {
     let mut db = purchase_db();
-    let engine = MineRuleEngine::new()
-        .with_preprocache(true)
-        .with_minecache(true);
+    let engine = MineRuleEngine::new().with_cache(true);
     let first = engine.execute(&mut db, FILTERED_ORDERED_SETS).unwrap();
     let second = engine.execute(&mut db, FILTERED_ORDERED_SETS).unwrap();
     assert!(second.preprocess_report.executed.is_empty());
@@ -571,16 +573,58 @@ fn preprocess_hit_feeds_mined_result_miss() {
     assert_eq!(signature(&first.rules), signature(&second.rules));
 }
 
+/// DML between two runs replaces the entry's encoding half (the source
+/// version moved, so preprocessing reruns) while the inventory half, kept
+/// at the old version, delta-serves the core phase; the unchanged rerun
+/// after that finds both halves current.
+#[test]
+fn insert_replaces_the_encoding_and_delta_serves_from_the_kept_inventory() {
+    let mut db = purchase_db();
+    let engine = MineRuleEngine::new().with_cache(true);
+    let moved = |before: &minerule::MetricsSnapshot, name: &str| {
+        engine.metrics_snapshot().counter(name) - before.counter(name)
+    };
+    engine.execute(&mut db, &tr_mine(0.25, 0.1)).unwrap();
+
+    db.execute(DELTA_INSERT).unwrap();
+    let before = engine.metrics_snapshot();
+    let delta = engine.execute(&mut db, &tr_mine(0.25, 0.1)).unwrap();
+    assert!(!delta.preprocess_report.executed.is_empty());
+    assert_eq!(moved(&before, "preprocess.cache.miss"), 1);
+    assert_eq!(moved(&before, "preprocess.cache.hit"), 0);
+    assert_eq!(moved(&before, "core.minecache.delta"), 1);
+    assert_eq!(moved(&before, "core.minecache.miss"), 0);
+
+    let before = engine.metrics_snapshot();
+    let warm = engine.execute(&mut db, &tr_mine(0.25, 0.1)).unwrap();
+    assert!(warm.preprocess_report.executed.is_empty());
+    assert_eq!(moved(&before, "preprocess.cache.hit"), 1);
+    assert_eq!(moved(&before, "preprocess.cache.miss"), 0);
+    assert_eq!(moved(&before, "core.minecache.hit"), 1);
+    for name in ["core.minecache.refine", "core.minecache.delta"] {
+        assert_eq!(moved(&before, name), 0, "{name}");
+    }
+    assert_eq!(signature(&delta.rules), signature(&warm.rules));
+
+    let mut fresh = purchase_db();
+    fresh.execute(DELTA_INSERT).unwrap();
+    let reference = MineRuleEngine::new()
+        .with_cache(false)
+        .execute(&mut fresh, &tr_mine(0.25, 0.1))
+        .unwrap();
+    assert_eq!(signature(&warm.rules), signature(&reference.rules));
+}
+
 #[test]
 fn confidence_only_refinement_always_hits() {
     let mut db = purchase_db();
-    let engine = MineRuleEngine::new().with_preprocache(true);
+    let engine = MineRuleEngine::new().with_cache(true);
     engine.execute(&mut db, &simple(0.25, 0.1)).unwrap();
     let warm = engine.execute(&mut db, &simple(0.25, 0.8)).unwrap();
     assert!(warm.preprocess_report.executed.is_empty());
     assert_eq!(engine.metrics_snapshot().counter("preprocess.cache.hit"), 1);
     let reference = MineRuleEngine::new()
-        .with_preprocache(false)
+        .with_cache(false)
         .execute(&mut purchase_db(), &simple(0.25, 0.8))
         .unwrap();
     assert_eq!(signature(&warm.rules), signature(&reference.rules));

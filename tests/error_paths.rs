@@ -92,18 +92,49 @@ fn preprocessing_conflict_names_the_failing_query() {
     assert!(text.contains("Q3"), "failing query id missing: {text}");
 }
 
+/// A warm run whose restore the catalog refuses must read like a cold
+/// run. After one successful mine a user *view* takes the name of an
+/// encoded table; the cleanup's `DROP TABLE IF EXISTS` leaves it, so the
+/// store cannot reinstate `Bset`. With the cache on or off — at every
+/// worker count — the statement then fails with the same text, leaves the
+/// same tables behind, and succeeds again once the view is gone.
 #[test]
-fn reuse_without_prior_preprocessing_fails_cleanly() {
-    let mut db = purchase_db();
-    let err = MineRuleEngine::new()
-        .execute_reusing_preprocessing(
-            &mut db,
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
-        )
-        .unwrap_err();
-    assert!(matches!(err, MineError::Internal { .. }), "{err:?}");
+fn a_restore_the_catalog_refuses_reads_like_a_cold_run() {
+    const STMT: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
+                        FROM Purchase GROUP BY customer \
+                        EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
+    let run = |cache: bool, workers: usize| {
+        let mut db = purchase_db();
+        let engine = MineRuleEngine::new()
+            .with_cache(cache)
+            .with_workers(workers);
+        let first = engine.execute(&mut db, STMT).unwrap().rules;
+        db.execute("DROP TABLE Bset").unwrap();
+        db.execute("CREATE VIEW Bset AS (SELECT item FROM Purchase)")
+            .unwrap();
+        let error = engine.execute(&mut db, STMT).unwrap_err().to_string();
+        let tables: Vec<String> = db
+            .catalog()
+            .table_names()
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        db.execute("DROP VIEW Bset").unwrap();
+        let again = engine.execute(&mut db, STMT).unwrap().rules;
+        assert_eq!(again, first, "cache={cache} workers={workers}");
+        (error, tables, again)
+    };
+    let cold = run(false, 1);
+    assert!(
+        cold.0
+            .contains("preprocessing query Q3 failed: view 'Bset' already exists"),
+        "{}",
+        cold.0
+    );
+    assert!(cold.1.contains(&"ValidGroups".to_string()), "{:?}", cold.1);
+    for workers in [1, 2, 4] {
+        assert_eq!(run(true, workers), cold, "workers={workers}");
+    }
 }
 
 #[test]
@@ -174,9 +205,9 @@ fn zero_workers_is_rejected_like_an_unknown_algorithm() {
 #[test]
 fn unknown_cache_mode_is_rejected_like_an_unknown_algorithm() {
     // Every knob rejection is the one typed error; this is the value the
-    // shell builds for `\set preprocache maybe`.
+    // shell builds for `\set cache maybe`.
     let err = MineError::InvalidKnob {
-        knob: "preprocache",
+        knob: "cache",
         value: "maybe".into(),
         domain: "on|off",
     };
@@ -184,7 +215,7 @@ fn unknown_cache_mode_is_rejected_like_an_unknown_algorithm() {
     // value and the valid domain.
     let message = err.to_string();
     assert!(message.contains("'maybe'"), "{message}");
-    assert!(message.contains("preprocache"), "{message}");
+    assert!(message.contains("cache"), "{message}");
     assert!(message.contains("on|off"), "{message}");
 }
 

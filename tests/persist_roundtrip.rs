@@ -616,9 +616,9 @@ fn paged_and_memory_backends_mine_identical_rules() {
         let dir = temp_dir(&format!("agree_{workers}"));
         let mut db = purchase_db();
         db.set_storage_dir(&dir);
+        db.set_storage(StorageBackend::Paged).unwrap();
         let paged = MineRuleEngine::new()
             .with_workers(workers)
-            .with_storage(StorageBackend::Paged)
             .execute(&mut db, STMT)
             .unwrap();
         assert_eq!(

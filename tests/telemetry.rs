@@ -322,9 +322,8 @@ fn storage_counters_absent_on_memory_present_on_paged() {
         let _ = std::fs::remove_dir_all(&dir);
         let mut db = purchase_db();
         db.set_storage_dir(&dir);
-        let engine = MineRuleEngine::new()
-            .with_workers(workers)
-            .with_storage(relational::StorageBackend::Paged);
+        db.set_storage(relational::StorageBackend::Paged).unwrap();
+        let engine = MineRuleEngine::new().with_workers(workers);
         let outcome = engine.execute(&mut db, SIMPLE).unwrap();
         let snap = engine.metrics_snapshot();
         let _ = std::fs::remove_dir_all(&dir);
