@@ -1,8 +1,12 @@
 //! Experiment E8 — postprocessing (§4.4): cost of storing encoded rules
 //! and decoding them into the user tables, as a function of the number of
-//! rules produced (driven by the support threshold).
+//! rules produced (driven by the support threshold). Two arms per point:
+//! the written route (store + the `P1`–`P3` decode joins, the reference
+//! path) and `decode_rules`, the single fused call `execute` makes — which
+//! also hands back the decoded rules the written route would still have
+//! to read.
 
-use minerule::postprocess::{postprocess, store_encoded_rules};
+use minerule::postprocess::{decode_rules, postprocess, store_encoded_rules};
 use minerule::preprocess::preprocess;
 use minerule::{core_op, encoded, parse_mine_rule, translate};
 use tcdm_bench::bench::Group;
@@ -25,12 +29,17 @@ fn e8_decode_cost() {
         };
         let (_, _, rules) = setup();
         group.bench_batched(
-            &format!("s={support}_rules={}", rules.len()),
+            &format!("written/s={support}_rules={}", rules.len()),
             setup,
             |(mut db, translation, rules)| {
                 store_encoded_rules(&mut db, &translation, &rules).unwrap();
                 postprocess(&mut db, &translation).unwrap();
             },
+        );
+        group.bench_batched(
+            &format!("fused/s={support}_rules={}", rules.len()),
+            setup,
+            |(mut db, translation, rules)| decode_rules(&mut db, &translation, &rules).unwrap(),
         );
     }
 }

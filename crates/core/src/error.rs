@@ -25,6 +25,18 @@ pub enum MineError {
         value: String,
         domain: &'static str,
     },
+    /// A stored rule table references a body or head its companion table
+    /// does not hold — the companion was altered or dropped after the
+    /// rules were written (reading an earlier session's output).
+    DanglingItemset {
+        /// The rule table holding the reference.
+        rules: String,
+        /// The companion table (`<out>_Bodies` / `<out>_Heads`).
+        itemsets: String,
+        /// `BodyId` or `HeadId`.
+        column: &'static str,
+        id: i64,
+    },
     /// Internal invariant broken (a bug).
     Internal { message: String },
 }
@@ -130,6 +142,15 @@ impl fmt::Display for MineError {
                 value,
                 domain,
             } => write!(f, "invalid value '{value}' for {knob}; valid: {domain}"),
+            MineError::DanglingItemset {
+                rules,
+                itemsets,
+                column,
+                id,
+            } => write!(
+                f,
+                "rule table '{rules}' references {column} {id}, which '{itemsets}' does not hold"
+            ),
             MineError::Internal { message } => write!(f, "internal error: {message}"),
         }
     }

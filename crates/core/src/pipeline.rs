@@ -23,7 +23,7 @@ use crate::core_op::{run_core_on, CoreOptions, CoreOutput};
 use crate::encoded::read_encoded;
 use crate::error::Result;
 use crate::parser::parse_mine_rule;
-use crate::postprocess::{postprocess, read_rules, store_encoded_rules, DecodedRule};
+use crate::postprocess::{decode_rules, Decoded, DecodedRule};
 use crate::preprocess::{preprocess, PreprocessReport};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::translator::{translate_with_prefix, Translation};
@@ -213,13 +213,18 @@ impl MineRuleEngine {
         let core_time = span.stop();
 
         let span = self.telemetry.span("phase.postprocess");
-        store_encoded_rules(db, &translation, &rules)?;
+        let Decoded {
+            rules: decoded,
+            fused_steps,
+        } = decode_rules(db, &translation, &rules)?;
         self.telemetry
             .counter_add("postprocess.rules_stored", rules.len() as u64);
-        postprocess(db, &translation)?;
-        let decoded = read_rules(db, &translation)?;
         self.telemetry
             .counter_add("postprocess.rules_decoded", decoded.len() as u64);
+        if fused_steps > 0 {
+            self.telemetry
+                .counter_add("postprocess.fused_steps", fused_steps as u64);
+        }
         let postprocess_time = span.stop();
         self.record_relational(sql_before, db.stats());
 

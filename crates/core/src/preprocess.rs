@@ -538,14 +538,14 @@ fn no_null(key: &[Value]) -> bool {
 }
 
 /// An encoded table from its finished rows: one bulk append.
-fn table_of(name: String, columns: Vec<Column>, rows: Vec<Row>) -> Result<Table> {
+pub(crate) fn table_of(name: String, columns: Vec<Column>, rows: Vec<Row>) -> Result<Table> {
     let mut table = Table::new(name, Schema::new(columns));
     table.insert_all(rows)?;
     Ok(table)
 }
 
 /// INT columns under `names` (the id columns of the encoded tables).
-fn int_columns(names: &[&str]) -> Vec<Column> {
+pub(crate) fn int_columns(names: &[&str]) -> Vec<Column> {
     names
         .iter()
         .map(|name| Column::new(*name, DataType::Int))

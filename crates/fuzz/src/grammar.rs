@@ -652,7 +652,17 @@ impl Gen<'_> {
         let out = format!("R{}", self.next_mine);
         self.next_mine += 1;
         let (stmt, support, confidence) = self.gen_mine(&out);
-        case.ops.push(Op::Mine(stmt.clone()));
+        // Every mine op is followed by a read of each decoded output
+        // table, so the matrix compares `<out>`, `<out>_Bodies` and
+        // `<out>_Heads` as stored, not only the returned rules. The reads
+        // are fixed text: nothing is drawn from the case RNG for them.
+        let mine = |case: &mut FuzzCase, stmt: String| {
+            case.ops.push(Op::Mine(stmt));
+            for table in [out.clone(), format!("{out}_Bodies"), format!("{out}_Heads")] {
+                case.ops.push(Op::Query(format!("SELECT * FROM {table}")));
+            }
+        };
+        mine(case, stmt.clone());
         let tightened = |stmt: &str| {
             let s2 = (support * 2.0).min(1.0);
             let c2 = (confidence + 0.2).min(1.0);
@@ -662,20 +672,21 @@ impl Gen<'_> {
             )
         };
         match self.rng.gen_below(7) {
-            0 => case.ops.push(Op::Mine(stmt)), // identical rerun
+            0 => mine(case, stmt), // identical rerun
             1 | 2 => {
                 // Tightened thresholds: the caches' superset rules admit
                 // these as warm hits.
-                case.ops.push(Op::Mine(tightened(&stmt)));
+                mine(case, tightened(&stmt));
             }
             3 => {
                 // Loosened support: the mined-result cache must miss
                 // cleanly and re-mine at the lower threshold.
                 let s2 = support / 2.0;
-                case.ops.push(Op::Mine(stmt.replace(
+                let loosened = stmt.replace(
                     &format!("SUPPORT: {support}, CONFIDENCE: {confidence}"),
                     &format!("SUPPORT: {s2}, CONFIDENCE: {confidence}"),
-                )));
+                );
+                mine(case, loosened);
             }
             4 => {
                 // Source delta, then the same statement again: exercises
@@ -683,7 +694,7 @@ impl Gen<'_> {
                 // fallbacks) against the cold baseline.
                 let dml = self.gen_delta_dml();
                 case.ops.push(Op::Dml(dml));
-                case.ops.push(Op::Mine(stmt));
+                mine(case, stmt);
             }
             5 => {
                 // A chained session: delta → mine → delta → mine at
@@ -693,7 +704,7 @@ impl Gen<'_> {
                 for rerun in [stmt.clone(), tightened(&stmt)] {
                     let dml = self.gen_delta_dml();
                     case.ops.push(Op::Dml(dml));
-                    case.ops.push(Op::Mine(rerun));
+                    mine(case, rerun);
                 }
             }
             _ => {}

@@ -139,7 +139,8 @@ impl Database {
 
     /// Mutable catalog access (programmatic table setup). Under the
     /// paged backend, mutations made here reach disk lazily, with the
-    /// next executed statement or explicit [`Database::checkpoint`].
+    /// next executed statement, [`Database::sync_storage`] or an explicit
+    /// [`Database::checkpoint`].
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
@@ -261,8 +262,12 @@ impl Database {
         Ok(())
     }
 
-    /// Mirror the catalog to the paged store, if one is attached.
-    fn sync_storage(&mut self) -> Result<()> {
+    /// Mirror the catalog to the paged store, if one is attached: one
+    /// storage transaction, WAL-committed before this returns. Every
+    /// executed statement ends with it; a caller that built objects
+    /// through [`Database::catalog_mut`] calls it to make them durable at
+    /// its own statement boundary. A no-op on the memory backend.
+    pub fn sync_storage(&mut self) -> Result<()> {
         match self.store.as_mut() {
             Some(store) => store.sync(&self.catalog),
             None => Ok(()),

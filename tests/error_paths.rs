@@ -3,6 +3,7 @@
 //! data survive every failure).
 
 use minerule::paper_example::purchase_db;
+use minerule::postprocess::read_rules;
 use minerule::{MineError, MineRuleEngine, SemanticViolation};
 use relational::Value;
 
@@ -135,6 +136,77 @@ fn a_restore_the_catalog_refuses_reads_like_a_cold_run() {
     for workers in [1, 2, 4] {
         assert_eq!(run(true, workers), cold, "workers={workers}");
     }
+}
+
+/// Reading an earlier session's rule tables back must never invent data:
+/// a companion table that lost rows (a dangling `BodyId`/`HeadId`) or its
+/// id column is a typed error naming the table and the id — not a rule
+/// with an empty body — and a view a user put in a companion's place is
+/// read through the SQL server to the same rules.
+#[test]
+fn read_rules_refuses_altered_companion_tables() {
+    const STMT: &str = "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, \
+                        SUPPORT, CONFIDENCE FROM Purchase GROUP BY customer \
+                        EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5";
+    let mined = || {
+        let mut db = purchase_db();
+        let outcome = MineRuleEngine::new().execute(&mut db, STMT).unwrap();
+        (db, outcome)
+    };
+    let (mut db, outcome) = mined();
+    assert_eq!(outcome.rules.len(), 18);
+    assert_eq!(
+        read_rules(&mut db, &outcome.translation).unwrap(),
+        outcome.rules,
+        "reading the tables back returns what the run returned"
+    );
+
+    // A dangling BodyId / HeadId.
+    for (table, column, id) in [("R_Bodies", "BodyId", 3), ("R_Heads", "HeadId", 2)] {
+        let (mut db, outcome) = mined();
+        db.execute(&format!("DELETE FROM {table} WHERE {column} = {id}"))
+            .unwrap();
+        let err = read_rules(&mut db, &outcome.translation).unwrap_err();
+        assert_eq!(
+            err,
+            MineError::DanglingItemset {
+                rules: "R".to_string(),
+                itemsets: table.to_string(),
+                column,
+                id,
+            }
+        );
+        assert!(err.to_string().contains(table) && err.to_string().contains(&id.to_string()));
+    }
+
+    // A companion recreated without its id column: column 0 is not the id.
+    let (mut db, outcome) = mined();
+    db.execute("DROP TABLE R_Bodies").unwrap();
+    db.execute("CREATE TABLE R_Bodies AS (SELECT Bid, item FROM Bset)")
+        .unwrap();
+    let err = read_rules(&mut db, &outcome.translation).unwrap_err();
+    assert_eq!(
+        err,
+        MineError::Sql(relational::Error::UnknownColumn {
+            name: "R_Bodies.BodyId".to_string()
+        })
+    );
+    // ... and one dropped outright is the SQL server's unknown-table error.
+    db.execute("DROP TABLE R_Bodies").unwrap();
+    let err = read_rules(&mut db, &outcome.translation).unwrap_err();
+    assert!(matches!(err, MineError::Sql(_)), "{err:?}");
+
+    // A view in a companion's place decodes to the same rules.
+    let (mut db, outcome) = mined();
+    db.execute("CREATE TABLE Kept AS (SELECT * FROM R_Heads)")
+        .unwrap();
+    db.execute("DROP TABLE R_Heads").unwrap();
+    db.execute("CREATE VIEW R_Heads AS SELECT item, HeadId FROM Kept")
+        .unwrap();
+    assert_eq!(
+        read_rules(&mut db, &outcome.translation).unwrap(),
+        outcome.rules
+    );
 }
 
 #[test]

@@ -9,11 +9,14 @@
 //! incremental upkeep across INSERT/UPDATE/DELETE/TRUNCATE, version
 //! stamping, and survival of a persist/reload cycle.
 
+use minerule::core_op::{run_core, CoreOptions};
+use minerule::encoded::read_encoded;
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
+use minerule::postprocess::{decode_rules, postprocess, read_rules, store_encoded_rules};
 use minerule::preprocess::{preprocess, run_steps};
 use minerule::translator::Step;
-use minerule::{parse_mine_rule, translate, MineRuleEngine};
-use relational::{persist, Database, Value};
+use minerule::{parse_mine_rule, translate, DecodedRule, MineRuleEngine};
+use relational::{persist, Database, StorageBackend, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{diverges_between, Config, Skew};
 use tcdm_fuzz::Op;
@@ -289,7 +292,7 @@ fn generated_statements_encode_identically_fused_and_stepwise() {
     // MINE RULE statement preprocesses fused on one and step by step on
     // the other; DML in between keeps moving the source.
     let gen_cfg = GenConfig::default();
-    let (mut mines, mut fused, mut general) = (0, 0, 0);
+    let (mut mines, mut fused, mut general, mut decoded) = (0, 0, 0, 0);
     let mut case_no = 0;
     while mines < 240 {
         let case = gen_case(0xF05ED, case_no, &gen_cfg);
@@ -313,12 +316,46 @@ fn generated_statements_encode_identically_fused_and_stepwise() {
                     assert_eq!(steps > 0, parsed.from.len() == 1, "{stmt}");
                     fused += usize::from(steps > 0);
                     general += usize::from(steps > 0 && stmt.contains("CLUSTER BY"));
+                    decoded += usize::from(assert_same_decoding(&mut a, &mut b, stmt));
                 }
             }
         }
     }
     assert!(fused >= 200, "{fused} of {mines} statements fused");
     assert!(general >= 30, "{general} clustered statements fused");
+    assert!(decoded >= 200, "{decoded} of {mines} statements decoded");
+}
+
+/// Mine the encoding [`assert_same_encoding`] left on both databases and
+/// decode the rules through [`decode_rules`] on `fused` and through the
+/// written store → `P1`–`P3` → read-back route on `written`; demand the
+/// *exact* same six output tables and the same rules. `false` when the
+/// statement's preprocessing failed (nothing to decode).
+fn assert_same_decoding(fused: &mut Database, written: &mut Database, stmt: &str) -> bool {
+    let translation = translate(&parse_mine_rule(stmt).unwrap(), fused.catalog()).unwrap();
+    let (Ok(encoded), Ok(_)) = (
+        read_encoded(fused, &translation),
+        read_encoded(written, &translation),
+    ) else {
+        return false;
+    };
+    let mined = run_core(&encoded, &CoreOptions::default()).unwrap();
+    let decoded = decode_rules(fused, &translation, &mined.rules).unwrap();
+    assert_eq!(decoded.fused_steps, 3, "{stmt}");
+    store_encoded_rules(written, &translation, &mined.rules).unwrap();
+    postprocess(written, &translation).unwrap();
+    assert_eq!(
+        decoded.rules,
+        read_rules(written, &translation).unwrap(),
+        "{stmt}"
+    );
+    let out = &translation.stmt.output_table;
+    assert_eq!(
+        output_tables(fused, out, ""),
+        output_tables(written, out, ""),
+        "{stmt}"
+    );
+    true
 }
 
 /// A Purchase-shaped table with the given rows.
@@ -492,6 +529,297 @@ fn statements_the_fused_pass_declines_run_stepwise_and_match_the_reference() {
         assert!(!production.is_empty(), "{stmt}");
         assert_eq!(production, reference, "{stmt}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Decode agreement: the fused postprocessing pass against P1–P3
+// ---------------------------------------------------------------------
+
+/// One stored table: `name dtype` per column, and its rows in stored
+/// order. `None` when the name is not a base table.
+type StoredTable = Option<(Vec<String>, Vec<String>)>;
+
+/// The six tables the postprocessor leaves, under the engine's `prefix`.
+fn output_tables(db: &Database, out: &str, prefix: &str) -> Vec<(String, StoredTable)> {
+    [
+        format!("{prefix}OutputRules"),
+        format!("{prefix}OutputBodies"),
+        format!("{prefix}OutputHeads"),
+        out.to_string(),
+        format!("{out}_Bodies"),
+        format!("{out}_Heads"),
+    ]
+    .into_iter()
+    .map(|name| {
+        let stored = db.catalog().table(&name).ok().map(|table| {
+            assert_eq!(table.name(), name, "stored under the written name");
+            let columns = table.schema().columns();
+            assert!(columns.iter().all(|c| c.qualifier.is_none()), "{name}");
+            (
+                columns
+                    .iter()
+                    .map(|c| format!("{} {}", c.name, c.dtype))
+                    .collect(),
+                table.rows().iter().map(|r| format!("{r:?}")).collect(),
+            )
+        });
+        (name, stored)
+    })
+    .collect()
+}
+
+/// What a session leaves that a later statement can see: every table and
+/// view name — but for the preprocessing intermediates only the stepwise
+/// program materialises ([`SUBSUMED`]) — and the six output tables in full.
+fn catalog_image(db: &Database, out: &str, prefix: &str) -> impl PartialEq + std::fmt::Debug {
+    let kept = |name: &str| {
+        !SUBSUMED
+            .iter()
+            .any(|s| name.eq_ignore_ascii_case(&format!("{prefix}{s}")))
+    };
+    let mut tables: Vec<String> = db
+        .catalog()
+        .table_names()
+        .into_iter()
+        .filter(|name| kept(name))
+        .map(str::to_string)
+        .collect();
+    tables.sort();
+    let mut views = db.catalog().view_definitions();
+    views.retain(|(name, _)| kept(name));
+    (tables, views, output_tables(db, out, prefix))
+}
+
+/// Run `session` (SQL and MINE RULE statements) on a production and a
+/// reference database built by `setup`, each with its own engine from
+/// `engine`, and demand after every MINE RULE the same outcome — rules or
+/// error `Debug` text — and the same catalog image, the six output tables
+/// byte for byte. Returns each successful statement's rules and the
+/// production engine's counters.
+fn assert_decoding_agrees(
+    setup: &dyn Fn() -> Database,
+    engine: &dyn Fn() -> MineRuleEngine,
+    prefix: &str,
+    session: &[&str],
+) -> (
+    Vec<Vec<DecodedRule>>,
+    std::collections::BTreeMap<String, u64>,
+) {
+    let (mut production, mut reference) = (setup(), setup());
+    reference.set_reference_paths(true);
+    let (fused, written) = (engine(), engine());
+    let mut mined = Vec::new();
+    for stmt in session {
+        if !minerule::is_mine_rule(stmt) {
+            production.execute(stmt).unwrap();
+            reference.execute(stmt).unwrap();
+            continue;
+        }
+        let out = parse_mine_rule(stmt).unwrap().output_table;
+        let plans_before = production.stats().planner_plans;
+        let a = fused.execute(&mut production, stmt);
+        let b = written.execute(&mut reference, stmt);
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.rules, b.rules, "{stmt}");
+                // A fused encoding plans nothing, and after it neither
+                // does the postprocessor.
+                if a.preprocess_report.fused_steps > 0 {
+                    assert_eq!(
+                        production.stats().planner_plans,
+                        plans_before,
+                        "no SELECT planned on the fused routes: {stmt}"
+                    );
+                }
+                mined.push(a.rules);
+            }
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{stmt}"),
+            (a, b) => panic!("only one route failed: {a:?} vs {b:?}\n{stmt}"),
+        }
+        assert_eq!(
+            catalog_image(&production, &out, prefix),
+            catalog_image(&reference, &out, prefix),
+            "{stmt}"
+        );
+    }
+    let counters = fused.metrics_snapshot().counters;
+    assert!(
+        !written
+            .metrics_snapshot()
+            .counters
+            .contains_key("postprocess.fused_steps"),
+        "the reference route never fuses"
+    );
+    (mined, counters)
+}
+
+#[test]
+fn fused_and_written_decoding_leave_identical_output_tables() {
+    let h_multi =
+        "MINE RULE R AS SELECT DISTINCT 1..n item, qty AS BODY, 1..2 price, date AS HEAD, \
+         SUPPORT, CONFIDENCE FROM Purchase GROUP BY customer \
+         EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.2";
+    // (d) every SELECT list: the projection of `<out>` follows it, the
+    // returned rules always carry both measures.
+    let projections = [
+        SIMPLE.replace(", SUPPORT, CONFIDENCE", ", SUPPORT"),
+        SIMPLE.replace(", SUPPORT, CONFIDENCE", ", CONFIDENCE"),
+        SIMPLE.replace(", SUPPORT, CONFIDENCE", ""),
+    ];
+    let mut statements: Vec<&str> = STATEMENT_CLASSES.to_vec();
+    // (b) multi-attribute body *and* head over distinct schemas (H).
+    statements.push(h_multi);
+    statements.extend(projections.iter().map(String::as_str));
+    for stmt in &statements {
+        let (mined, counters) =
+            assert_decoding_agrees(&purchase_db, &MineRuleEngine::new, "", &[stmt]);
+        assert!(!mined[0].is_empty(), "{stmt}");
+        assert_eq!(counters["postprocess.fused_steps"], 3, "{stmt}");
+        assert_eq!(
+            counters["postprocess.rules_decoded"],
+            mined[0].len() as u64,
+            "{stmt}"
+        );
+    }
+    // (c) without H the heads decode through Bset on Hid = Bid.
+    let simple = translate(&parse_mine_rule(SIMPLE).unwrap(), purchase_db().catalog()).unwrap();
+    assert!(!simple.directives.h);
+    let multi = translate(&parse_mine_rule(h_multi).unwrap(), purchase_db().catalog()).unwrap();
+    assert!(multi.directives.h);
+
+    // (a) an empty rule set — an empty source, and thresholds nothing
+    // meets — is six empty tables with the declared column types.
+    let empty = || purchases("");
+    let unmet = SIMPLE.replace("GROUP BY customer", "GROUP BY tr HAVING COUNT(*) > 99");
+    for (setup, stmt) in [
+        (&empty as &dyn Fn() -> Database, STATEMENT_CLASSES[9]),
+        (&empty, h_multi),
+        (&purchase_db, unmet.as_str()),
+    ] {
+        let (mined, counters) = assert_decoding_agrees(setup, &MineRuleEngine::new, "", &[stmt]);
+        assert!(mined[0].is_empty(), "{stmt}");
+        assert_eq!(counters["postprocess.fused_steps"], 3, "{stmt}");
+        let mut db = setup();
+        MineRuleEngine::new().execute(&mut db, stmt).unwrap();
+        for (name, stored) in output_tables(&db, "R", "") {
+            let (columns, rows) = stored.unwrap_or_else(|| panic!("{name} missing"));
+            assert!(rows.is_empty() && columns.len() >= 2, "{name}");
+        }
+    }
+
+    // NULL items and items that render alike: rules tie on (body, head)
+    // and must keep the stored order on both routes.
+    let edgy = || {
+        purchases(
+            "(1, 'c1', 'a', DATE '1995-03-01', 120, 1), (1, 'c1', 'b', DATE '1995-03-01', 20, 1), \
+             (2, 'c1', 'a', DATE '1995-03-02', 120, 1), (2, 'c1', NULL, DATE '1995-03-02', 30, 2), \
+             (3, 'c2', 'a', DATE '1995-03-01', 120, NULL), (3, 'c2', 'b', DATE '1995-03-01', 20, 1)",
+        )
+    };
+    for stmt in [SIMPLE, STATEMENT_CLASSES[1], STATEMENT_CLASSES[7], h_multi] {
+        assert_decoding_agrees(&edgy, &MineRuleEngine::new, "", &[stmt]);
+    }
+}
+
+#[test]
+fn served_runs_decode_identically_on_both_routes() {
+    // (e) refine and delta serves through the artifact store hand the
+    // postprocessor rules no core run produced; a prefix moves the three
+    // normalised tables.
+    let tightened = SIMPLE.replace(
+        "SUPPORT: 0.25, CONFIDENCE: 0.5",
+        "SUPPORT: 0.5, CONFIDENCE: 0.7",
+    );
+    let session = [
+        SIMPLE,
+        tightened.as_str(),
+        "INSERT INTO Purchase VALUES (9, 'c3', 'jackets', DATE '1995-12-20', 300, 1)",
+        "DELETE FROM Purchase WHERE tr = 1",
+        SIMPLE,
+        SIMPLE,
+    ];
+    for prefix in ["", "S1_"] {
+        let engine = || MineRuleEngine::new().with_prefix(prefix).with_cache(true);
+        let (mined, counters) = assert_decoding_agrees(&purchase_db, &engine, prefix, &session);
+        assert_eq!(mined.len(), 4);
+        assert!(counters["core.minecache.refine"] >= 1, "{counters:?}");
+        assert!(counters["core.minecache.delta"] >= 1, "{counters:?}");
+        assert_eq!(counters["postprocess.fused_steps"], 12);
+    }
+}
+
+#[test]
+fn paged_backend_decodes_identically_and_durably() {
+    // (f) the six tables reach the store with the statement: a process
+    // that dies right after `execute` recovers them from the WAL.
+    let root = work_dir("decode_paged");
+    let next = std::cell::Cell::new(0);
+    let paged = || {
+        let dir = root.join(format!("db{}", next.get()));
+        next.set(next.get() + 1);
+        let mut db = purchase_db();
+        db.set_storage_dir(&dir);
+        db.set_storage(StorageBackend::Paged).unwrap();
+        db
+    };
+    for stmt in [SIMPLE, STATEMENT_CLASSES[9], FILTERED_ORDERED_SETS] {
+        assert_decoding_agrees(&paged, &MineRuleEngine::new, "", &[stmt]);
+    }
+
+    let dir = root.join("crash");
+    let mut db = purchase_db();
+    db.set_storage_dir(&dir);
+    db.set_storage(StorageBackend::Paged).unwrap();
+    let fsyncs = db.storage_stats().wal_fsyncs;
+    MineRuleEngine::new().execute(&mut db, SIMPLE).unwrap();
+    assert!(db.storage_stats().wal_fsyncs > fsyncs);
+    let live = output_tables(&db, "R", "");
+    assert!(live.iter().all(|(_, stored)| stored.is_some()));
+    drop(db); // no checkpoint: whatever was not committed is lost
+    let recovered = Database::open_paged(&dir).unwrap();
+    assert_eq!(output_tables(&recovered, "R", ""), live);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_taken_output_name_fails_identically_on_both_routes() {
+    // The cleanup drops tables, not views: a view under one of the six
+    // names stops both routes at the same object with the same error, and
+    // what was created before it is what the written route leaves.
+    for (view, prefix) in [
+        ("R_Heads", ""),
+        ("R_Bodies", ""),
+        ("R", "E_"),
+        ("E_OutputBodies", "E_"),
+        ("OutputRules", ""),
+    ] {
+        let setup = || {
+            let mut db = purchase_db();
+            db.execute(&format!("CREATE VIEW {view} AS SELECT item FROM Purchase"))
+                .unwrap();
+            db
+        };
+        let engine = || MineRuleEngine::new().with_prefix(prefix);
+        for stmt in [
+            SIMPLE,
+            FILTERED_ORDERED_SETS
+                .replace("FilteredOrderedSets", "R")
+                .as_str(),
+        ] {
+            let (mined, counters) = assert_decoding_agrees(&setup, &engine, prefix, &[stmt]);
+            assert!(mined.is_empty(), "{view} must fail the statement");
+            assert!(!counters.contains_key("postprocess.fused_steps"));
+        }
+    }
+    // A *table* under an output name is the previous run's: cleanup drops
+    // it and both routes succeed.
+    let setup = || {
+        let mut db = purchase_db();
+        db.execute("CREATE TABLE R_Heads (x INT)").unwrap();
+        db
+    };
+    let (mined, _) = assert_decoding_agrees(&setup, &MineRuleEngine::new, "", &[SIMPLE]);
+    assert_eq!(mined[0].len(), 18);
 }
 
 // ---------------------------------------------------------------------

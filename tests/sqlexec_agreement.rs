@@ -255,11 +255,24 @@ fn compiled_mode_reproduces_figure_2b() {
 
 #[test]
 fn compiled_mode_publishes_compile_counters() {
-    // The telemetry plumbing: production runs publish relational.compile.*
-    // and relational.rows.*; reference runs publish no compile counters.
+    // The telemetry plumbing: production runs that execute SQL publish
+    // relational.compile.* and relational.rows.*; reference runs publish
+    // no compile counters. (A single-table statement fuses at both ends
+    // and compiles nothing; a joined FROM still runs its Qi step by step.)
     let engine = MineRuleEngine::new();
     let mut db = purchase_db();
-    engine.execute(&mut db, SIMPLE).unwrap();
+    db.execute("CREATE TABLE Category (citem VARCHAR, cat VARCHAR)")
+        .unwrap();
+    db.execute(
+        "INSERT INTO Category VALUES ('ski_pants','wear'), ('hiking_boots','shoes'), \
+         ('col_shirts','wear'), ('brown_boots','shoes'), ('jackets','wear')",
+    )
+    .unwrap();
+    let joined = "MINE RULE J AS \
+        SELECT DISTINCT 1..n cat AS BODY, 1..1 cat AS HEAD, SUPPORT, CONFIDENCE \
+        FROM Purchase, Category WHERE item = citem GROUP BY customer \
+        EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.5";
+    engine.execute(&mut db, joined).unwrap();
     let snapshot = engine.metrics_snapshot();
     for counter in [
         "relational.compile.programs",

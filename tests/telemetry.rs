@@ -44,8 +44,15 @@ fn simple_path_records_exact_counters() {
     assert_eq!(snap.counter("preprocess.rows.Q4"), 6);
     assert_eq!(snap.gauge("preprocess.total_groups"), Some(2));
     assert_eq!(snap.gauge("preprocess.min_groups"), Some(1));
-    // The cost planner accounts its planning work.
-    assert!(snap.counter("relational.planner.plans") > 0);
+    // Fused on the way in and on the way out: the statement plans no SQL
+    // at all, so no relational.planner.* counter is ever minted.
+    assert!(
+        snap.counters
+            .keys()
+            .all(|name| !name.starts_with("relational.planner.")),
+        "a fused simple-class run must plan nothing: {:?}",
+        snap.counters
+    );
     // Core operator: gid-list Apriori over the two encoded groups.
     assert_eq!(snap.counter("core.path.simple"), 1);
     assert_eq!(snap.counter("core.path.general"), 0);
@@ -77,9 +84,11 @@ fn simple_path_records_exact_counters() {
         Some(&0)
     );
     assert!(snap.gauge("core.minecache.bytes").unwrap() > 0);
-    // Postprocessor: every encoded rule stored and decoded back.
+    // Postprocessor: every encoded rule stored and decoded, by the one
+    // in-memory pass that subsumes P1–P3.
     assert_eq!(snap.counter("postprocess.rules_stored"), 18);
     assert_eq!(snap.counter("postprocess.rules_decoded"), 18);
+    assert_eq!(snap.counter("postprocess.fused_steps"), 3);
     // Phase spans: exactly one sample each, and the span sums stay
     // consistent with the PhaseTimings view derived from them.
     for phase in [
@@ -251,9 +260,9 @@ fn work_counters_are_worker_count_invariant() {
 #[test]
 fn planner_counters_absent_under_naive_present_under_cost() {
     // Reference paths (written-order fold): no statistics consulted,
-    // nothing fused — neither the relational.planner.* counters nor
-    // preprocess.fused_steps are ever minted (zero deltas are skipped at
-    // publication), and the full 8-step SQL program runs.
+    // nothing fused — neither the relational.planner.* counters nor the
+    // pre/postprocess.fused_steps ones are ever minted (zero deltas are
+    // skipped at publication), and the full 8-step SQL program runs.
     let mut db = purchase_db();
     db.set_reference_paths(true);
     let engine = MineRuleEngine::new();
@@ -267,30 +276,61 @@ fn planner_counters_absent_under_naive_present_under_cost() {
         snap.counters
     );
     assert_eq!(snap.counter("preprocess.fused_steps"), 0);
+    assert!(!snap.counters.contains_key("postprocess.fused_steps"));
     assert_eq!(snap.counter("preprocess.steps"), 8);
+    assert_eq!(snap.counter("postprocess.rules_stored"), 18);
+    assert_eq!(snap.counter("postprocess.rules_decoded"), 18);
     // No fused pass, no digest: the capture scans Purchase's 8 rows itself.
     assert_eq!(snap.counter("core.minecache.capture.source_rows"), 8);
 
-    // Cost planner: planner counters appear, the preprocess program
-    // fuses, and both stay invariant under the core's worker count
-    // because the relational layer runs single-threaded.
-    let run = |workers: usize| {
+    // Production paths, single-table FROM: both ends fuse and the
+    // statement plans nothing — still no planner counter.
+    let run = |stmt: &str, workers: usize| {
         let mut db = purchase_db();
+        db.execute("CREATE TABLE Category (citem VARCHAR, cat VARCHAR)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO Category VALUES ('ski_pants','wear'), ('hiking_boots','shoes'), \
+             ('col_shirts','wear'), ('brown_boots','shoes'), ('jackets','wear')",
+        )
+        .unwrap();
         let engine = MineRuleEngine::new().with_workers(workers);
-        let outcome = engine.execute(&mut db, SIMPLE).unwrap();
+        let outcome = engine.execute(&mut db, stmt).unwrap();
         (outcome.rules, engine.metrics_snapshot())
     };
-    let (rules_1, snap_1) = run(1);
-    let (rules_4, snap_4) = run(4);
+    let (rules_1, snap_1) = run(SIMPLE, 1);
     assert_eq!(
         rules_1, naive.rules,
         "fold and planner mine identical rules"
     );
+    assert!(
+        snap_1
+            .counters
+            .keys()
+            .all(|name| !name.starts_with("relational.planner.")),
+        "{:?}",
+        snap_1.counters
+    );
+    assert_eq!(snap_1.counter("preprocess.fused_steps"), 6);
+    assert_eq!(snap_1.counter("postprocess.fused_steps"), 3);
+
+    // A joined FROM still preprocesses step by step through the cost
+    // planner: planner counters appear, and they stay invariant under the
+    // core's worker count because the relational layer runs
+    // single-threaded. Its decoding fuses all the same.
+    let joined = "MINE RULE J AS \
+        SELECT DISTINCT 1..n cat AS BODY, 1..1 cat AS HEAD, SUPPORT, CONFIDENCE \
+        FROM Purchase, Category WHERE item = citem GROUP BY customer \
+        EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.5";
+    let (rules_1, snap_1) = run(joined, 1);
+    let (rules_4, snap_4) = run(joined, 4);
+    assert!(!rules_1.is_empty());
     assert_eq!(rules_1, rules_4);
     assert!(snap_1.counter("relational.planner.plans") > 0);
-    assert_eq!(snap_1.counter("preprocess.fused_steps"), 6);
+    assert_eq!(snap_1.counter("preprocess.fused_steps"), 0);
+    assert_eq!(snap_1.counter("postprocess.fused_steps"), 3);
     for (name, value) in &snap_1.counters {
-        if !name.starts_with("relational.planner.") && name != "preprocess.fused_steps" {
+        if !name.starts_with("relational.planner.") && !name.ends_with(".fused_steps") {
             continue;
         }
         assert_eq!(snap_4.counter(name), *value, "{name} worker-invariant");
