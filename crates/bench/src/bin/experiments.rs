@@ -1,9 +1,10 @@
 //! The experiments harness: regenerates every table of EXPERIMENTS.md
 //! (the paper's figures F1–F4 as correctness checks, plus the measurement
-//! experiments E1–E10 its architectural claims imply; the E11/E12/E14/E16
-//! shoot-outs retired with the strategy knobs they compared, and E2/E13/E15
-//! with the cache knobs — the kernel benchmark's `refine_session` workload
-//! carries their numbers).
+//! experiments E3–E6, E9 and E10 its architectural claims imply). What an
+//! end-to-end workload of the kernel benchmark measures is not repeated
+//! here: coupled vs decoupled and scaling (`basket_cold`), postprocessing
+//! vs rule count (`basket_rule_explosion`), the artifact store
+//! (`refine_session`).
 //!
 //! Run with: `cargo run --release -p tcdm-bench --bin experiments`
 //!
@@ -26,29 +27,18 @@ use minerule::algo::{default_pool, SimpleInput};
 
 use minerule::lattice::ExpansionOrder;
 use minerule::paper_example::{run_paper_example, FIGURE_2B};
-use minerule::{decoupled, MineRuleEngine};
+use minerule::MineRuleEngine;
 use tcdm_bench::report::Report;
 use tcdm_bench::{
     quest_db, retail_db, simple_statement, temporal_statement, temporal_statement_no_mining_cond,
 };
 
 fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
-    best_of_fresh(n, || (), |()| f())
-}
-
-/// `best_of` over an operation that consumes its input: every repetition
-/// gets a fresh one from `setup`, built outside the timed span.
-fn best_of_fresh<T, R>(
-    n: usize,
-    mut setup: impl FnMut() -> T,
-    mut f: impl FnMut(T) -> R,
-) -> (Duration, R) {
     let mut best = Duration::MAX;
     let mut result = None;
     for _ in 0..n {
-        let input = setup();
         let t = Instant::now();
-        let r = f(input);
+        let r = f();
         let d = t.elapsed();
         if d < best {
             best = d;
@@ -132,13 +122,10 @@ fn main() {
     println!();
 
     f2_paper_example(&mut report);
-    e1_coupling(&mut report, mode);
     e3_borderline(&mut report, mode);
     e4_algorithm_pool(&mut report, mode);
     e5_lattice_order(&mut report, mode);
     e6_generality_overhead(&mut report, mode);
-    e7_scaling(&mut report, mode);
-    e8_postprocess(&mut report, mode);
     e9_pool_parameters(&mut report, mode);
     e10_worker_scaling(&mut report, mode);
 
@@ -207,59 +194,6 @@ fn f2_paper_example(report: &mut Report) {
         elapsed,
     );
     println!("\nexact match: {} rules, no extras ✓\n", FIGURE_2B.len());
-}
-
-/// E1 — tightly-coupled vs decoupled.
-fn e1_coupling(report: &mut Report, mode: Mode) {
-    println!("## E1 — tightly-coupled vs decoupled architecture\n");
-    println!("| baskets | coupled (ms) | decoupled (ms) | coupled/decoupled |");
-    println!("|---|---|---|---|");
-    let sizes: &[usize] = if mode.quick {
-        &[250, 500]
-    } else {
-        &[500, 1000, 2000]
-    };
-    for &n in sizes {
-        // Both arms start from a loaded database: the load is neither
-        // architecture's work, and the kernel benchmark leaves it out too.
-        let (coupled, out) = best_of_fresh(
-            mode.reps(3),
-            || quest_db(n, 7),
-            |mut db| {
-                MineRuleEngine::new()
-                    .execute(&mut db, &simple_statement(0.03, 0.4))
-                    .unwrap()
-            },
-        );
-        let (dec, flat) = best_of_fresh(
-            mode.reps(3),
-            || quest_db(n, 7),
-            |mut db| {
-                decoupled::run_decoupled(
-                    &mut db,
-                    "SELECT tr, item FROM Baskets",
-                    0.03,
-                    0.4,
-                    "FlatRules",
-                )
-                .unwrap()
-            },
-        );
-        assert_eq!(out.rules.len(), flat.len(), "architectures agree");
-        report.case(
-            "E1",
-            format!("baskets={n}"),
-            Some(out.rules.len() as u64),
-            coupled,
-        );
-        println!(
-            "| {n} | {} | {} | {:.2}x |",
-            ms(coupled),
-            ms(dec),
-            coupled.as_secs_f64() / dec.as_secs_f64()
-        );
-    }
-    println!("\n(identical rule inventories asserted per row)\n");
 }
 
 fn e3_borderline(report: &mut Report, mode: Mode) {
@@ -434,75 +368,6 @@ fn e6_generality_overhead(report: &mut Report, mode: Mode) {
     println!("\n(identical rule sets asserted)\n");
 }
 
-/// E7 — scaling sweeps.
-fn e7_scaling(report: &mut Report, mode: Mode) {
-    println!("## E7 — scaling\n");
-    println!("### groups (support 0.03)\n");
-    println!("| baskets | total (ms) | preprocess (ms) | core (ms) | rules |");
-    println!("|---|---|---|---|---|");
-    let sizes: &[usize] = if mode.quick {
-        &[250, 500, 1000]
-    } else {
-        &[250, 500, 1000, 2000, 4000]
-    };
-    for &n in sizes {
-        let (total, out) = best_of_fresh(
-            mode.reps(2),
-            || quest_db(n, 19),
-            |mut db| {
-                MineRuleEngine::new()
-                    .execute(&mut db, &simple_statement(0.03, 0.4))
-                    .unwrap()
-            },
-        );
-        report.case(
-            "E7",
-            format!("baskets={n}"),
-            Some(out.rules.len() as u64),
-            total,
-        );
-        println!(
-            "| {n} | {} | {} | {} | {} |",
-            ms(out.timings.total()),
-            ms(out.timings.preprocess),
-            ms(out.timings.core),
-            out.rules.len()
-        );
-    }
-    println!("\n### support threshold (1000 baskets)\n");
-    println!("| support | total (ms) | core (ms) | rules |");
-    println!("|---|---|---|---|");
-    let supports: &[f64] = if mode.quick {
-        &[0.08, 0.04]
-    } else {
-        &[0.08, 0.04, 0.02, 0.01]
-    };
-    for &s in supports {
-        let (total, out) = best_of_fresh(
-            mode.reps(2),
-            || quest_db(1000, 19),
-            |mut db| {
-                MineRuleEngine::new()
-                    .execute(&mut db, &simple_statement(s, 0.4))
-                    .unwrap()
-            },
-        );
-        report.case(
-            "E7",
-            format!("support={s}"),
-            Some(out.rules.len() as u64),
-            total,
-        );
-        println!(
-            "| {s} | {} | {} | {} |",
-            ms(out.timings.total()),
-            ms(out.timings.core),
-            out.rules.len()
-        );
-    }
-    println!();
-}
-
 /// E9 — pool parameter ablations.
 fn e9_pool_parameters(report: &mut Report, mode: Mode) {
     use minerule::algo::dhp::Dhp;
@@ -654,37 +519,4 @@ fn e10_worker_scaling(report: &mut Report, mode: Mode) {
         );
     }
     println!("\n(identical rule sets asserted per worker count)\n");
-}
-
-/// E8 — postprocessing cost vs rule count.
-fn e8_postprocess(report: &mut Report, mode: Mode) {
-    println!("## E8 — postprocessing (store + decode) vs rule count\n");
-    println!("| support | rules | postprocess (ms) |");
-    println!("|---|---|---|");
-    let baskets = mode.size(300, 800);
-    let supports: &[f64] = if mode.quick {
-        &[0.05, 0.02]
-    } else {
-        &[0.05, 0.02, 0.01]
-    };
-    for &s in supports {
-        let (_, out) = best_of(mode.reps(2), || {
-            let mut db = quest_db(baskets, 29);
-            MineRuleEngine::new()
-                .execute(&mut db, &simple_statement(s, 0.1))
-                .unwrap()
-        });
-        report.case(
-            "E8",
-            format!("support={s}"),
-            Some(out.rules.len() as u64),
-            out.timings.postprocess,
-        );
-        println!(
-            "| {s} | {} | {} |",
-            out.rules.len(),
-            ms(out.timings.postprocess)
-        );
-    }
-    println!();
 }

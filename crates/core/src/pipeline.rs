@@ -344,119 +344,7 @@ impl MineRuleEngine {
         if !self.telemetry.is_enabled() {
             return;
         }
-        for (name, before, after) in [
-            (
-                "relational.compile.programs",
-                before.programs_compiled,
-                after.programs_compiled,
-            ),
-            (
-                "relational.compile.const_folded",
-                before.exprs_const_folded,
-                after.exprs_const_folded,
-            ),
-            (
-                "relational.compile.fallback_ops",
-                before.compile_fallback_ops,
-                after.compile_fallback_ops,
-            ),
-            (
-                "relational.rows.scanned",
-                before.rows_scanned,
-                after.rows_scanned,
-            ),
-            (
-                "relational.rows.filtered",
-                before.rows_filtered,
-                after.rows_filtered,
-            ),
-            (
-                "relational.rows.joined",
-                before.rows_joined,
-                after.rows_joined,
-            ),
-            (
-                "relational.index.built",
-                before.indexes_built,
-                after.indexes_built,
-            ),
-            ("relational.index.hits", before.index_hits, after.index_hits),
-            (
-                "relational.index.invalidations",
-                before.index_invalidations,
-                after.index_invalidations,
-            ),
-            (
-                "relational.storage.page_reads",
-                before.storage_page_reads,
-                after.storage_page_reads,
-            ),
-            (
-                "relational.storage.page_writes",
-                before.storage_page_writes,
-                after.storage_page_writes,
-            ),
-            (
-                "relational.storage.cache_hits",
-                before.storage_cache_hits,
-                after.storage_cache_hits,
-            ),
-            (
-                "relational.storage.cache_evictions",
-                before.storage_cache_evictions,
-                after.storage_cache_evictions,
-            ),
-            (
-                "relational.storage.wal_appends",
-                before.storage_wal_appends,
-                after.storage_wal_appends,
-            ),
-            (
-                "relational.storage.wal_fsyncs",
-                before.storage_wal_fsyncs,
-                after.storage_wal_fsyncs,
-            ),
-            (
-                "relational.storage.recoveries",
-                before.storage_recoveries,
-                after.storage_recoveries,
-            ),
-            (
-                "relational.planner.plans",
-                before.planner_plans,
-                after.planner_plans,
-            ),
-            (
-                "relational.planner.reordered_joins",
-                before.planner_reordered_joins,
-                after.planner_reordered_joins,
-            ),
-            (
-                "relational.planner.pushed_filters",
-                before.planner_pushed_filters,
-                after.planner_pushed_filters,
-            ),
-            (
-                "relational.planner.est_rows_err",
-                before.planner_est_rows_err,
-                after.planner_est_rows_err,
-            ),
-            (
-                "relational.vector.batches",
-                before.vector_batches,
-                after.vector_batches,
-            ),
-            (
-                "relational.vector.rows",
-                before.vector_rows,
-                after.vector_rows,
-            ),
-            (
-                "relational.vector.sel_narrowings",
-                before.vector_sel_narrowings,
-                after.vector_sel_narrowings,
-            ),
-        ] {
+        for ((name, before), (_, after)) in before.named().into_iter().zip(after.named()) {
             let delta = after.saturating_sub(before);
             if delta > 0 {
                 self.telemetry.counter_add(name, delta);

@@ -81,6 +81,51 @@ pub struct ExecStats {
     pub storage_recoveries: u64,
 }
 
+impl ExecStats {
+    /// Every counter published to telemetry, as (metric name, value), in
+    /// publication order. `statements`, `rows_inserted` and the always-zero
+    /// `vector_fallback_batches` are not published.
+    pub fn named(&self) -> [(&'static str, u64); 23] {
+        [
+            ("relational.compile.programs", self.programs_compiled),
+            ("relational.compile.const_folded", self.exprs_const_folded),
+            ("relational.compile.fallback_ops", self.compile_fallback_ops),
+            ("relational.rows.scanned", self.rows_scanned),
+            ("relational.rows.filtered", self.rows_filtered),
+            ("relational.rows.joined", self.rows_joined),
+            ("relational.index.built", self.indexes_built),
+            ("relational.index.hits", self.index_hits),
+            ("relational.index.invalidations", self.index_invalidations),
+            ("relational.storage.page_reads", self.storage_page_reads),
+            ("relational.storage.page_writes", self.storage_page_writes),
+            ("relational.storage.cache_hits", self.storage_cache_hits),
+            (
+                "relational.storage.cache_evictions",
+                self.storage_cache_evictions,
+            ),
+            ("relational.storage.wal_appends", self.storage_wal_appends),
+            ("relational.storage.wal_fsyncs", self.storage_wal_fsyncs),
+            ("relational.storage.recoveries", self.storage_recoveries),
+            ("relational.planner.plans", self.planner_plans),
+            (
+                "relational.planner.reordered_joins",
+                self.planner_reordered_joins,
+            ),
+            (
+                "relational.planner.pushed_filters",
+                self.planner_pushed_filters,
+            ),
+            ("relational.planner.est_rows_err", self.planner_est_rows_err),
+            ("relational.vector.batches", self.vector_batches),
+            ("relational.vector.rows", self.vector_rows),
+            (
+                "relational.vector.sel_narrowings",
+                self.vector_sel_narrowings,
+            ),
+        ]
+    }
+}
+
 /// Result of executing one statement.
 #[derive(Debug)]
 pub struct ExecOutcome {
@@ -718,10 +763,7 @@ impl QueryCtx for Database {
     }
 
     fn column_distinct(&self, table: &str, col: usize) -> Option<u64> {
-        self.catalog
-            .table(table)
-            .ok()
-            .and_then(|t| t.stats().distinct(col))
+        self.catalog.table(table).ok()?.distinct(col)
     }
 }
 

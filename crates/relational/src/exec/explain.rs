@@ -177,7 +177,7 @@ fn factor_rows(db: &Database, stmt: &SelectStmt, i: usize) -> Option<u64> {
     let TableSource::Named(name) = &tref.source else {
         return None;
     };
-    Some(db.catalog().table(name).ok()?.stats().row_count())
+    Some(db.catalog().table(name).ok()?.row_count() as u64)
 }
 
 /// Catalog distinct estimate for a plain-column key of factor `i`.
@@ -207,7 +207,7 @@ fn column_ndv(
         .as_ref()?
         .resolve(qualifier.as_deref(), col)
         .ok()?;
-    db.catalog().table(name).ok()?.stats().distinct(pos)
+    db.catalog().table(name).ok()?.distinct(pos)
 }
 
 /// Cost-based estimate for one equi-join conjunct: `(est rows, cost)`,

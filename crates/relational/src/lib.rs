@@ -55,7 +55,6 @@ pub use expr::vector::{ColumnBatch, VECTOR_BATCH_ROWS};
 pub use index::HashIndex;
 pub use resultset::ResultSet;
 pub use row::Row;
-pub use stats::TableStats;
 pub use storage::{StorageBackend, StorageConfig, StorageStats, WalFault, WalFaultKind};
 pub use table::{Table, TableDelta};
 pub use types::{Column, DataType, Schema};

@@ -27,7 +27,7 @@ use crate::types::{Column, DataType, Schema};
 use crate::value::{Date, Value};
 
 fn io_err(e: std::io::Error) -> Error {
-    Error::unsupported(format!("persistence I/O error: {e}"))
+    Error::storage(format!("persistence I/O error: {e}"))
 }
 
 fn encode_value(v: &Value) -> String {
@@ -52,15 +52,15 @@ fn decode_value(s: &str) -> Result<Value> {
     }
     let (tag, body) = s
         .split_once(':')
-        .ok_or_else(|| Error::unsupported(format!("bad persisted value '{s}'")))?;
+        .ok_or_else(|| Error::storage(format!("bad persisted value '{s}'")))?;
     Ok(match tag {
         "I" => Value::Int(
             body.parse()
-                .map_err(|_| Error::unsupported(format!("bad persisted int '{body}'")))?,
+                .map_err(|_| Error::storage(format!("bad persisted int '{body}'")))?,
         ),
         "F" => Value::Float(f64::from_bits(
             u64::from_str_radix(body, 16)
-                .map_err(|_| Error::unsupported(format!("bad persisted float '{body}'")))?,
+                .map_err(|_| Error::storage(format!("bad persisted float '{body}'")))?,
         )),
         "S" => {
             let mut out = String::with_capacity(body.len());
@@ -72,7 +72,7 @@ fn decode_value(s: &str) -> Result<Value> {
                         Some('n') => out.push('\n'),
                         Some('\\') => out.push('\\'),
                         other => {
-                            return Err(Error::unsupported(format!(
+                            return Err(Error::storage(format!(
                                 "bad escape in persisted string: \\{other:?}"
                             )))
                         }
@@ -86,9 +86,9 @@ fn decode_value(s: &str) -> Result<Value> {
         "B" => Value::Bool(body == "1"),
         "D" => Value::Date(
             Date::parse(body)
-                .ok_or_else(|| Error::unsupported(format!("bad persisted date '{body}'")))?,
+                .ok_or_else(|| Error::storage(format!("bad persisted date '{body}'")))?,
         ),
-        other => return Err(Error::unsupported(format!("unknown value tag '{other}'"))),
+        other => return Err(Error::storage(format!("unknown value tag '{other}'"))),
     })
 }
 
@@ -164,28 +164,28 @@ pub fn load(dir: &Path) -> Result<Database> {
                 finish_table(&mut db, &mut pending)?;
                 let name = parts
                     .next()
-                    .ok_or_else(|| Error::unsupported("manifest: table without name"))?;
+                    .ok_or_else(|| Error::storage("manifest: table without name"))?;
                 pending = Some((name.to_string(), Vec::new()));
             }
             Some("col") => {
                 let (Some(name), Some(ty)) = (parts.next(), parts.next()) else {
-                    return Err(Error::unsupported("manifest: malformed col line"));
+                    return Err(Error::storage("manifest: malformed col line"));
                 };
                 let dtype = DataType::from_sql_name(ty)
-                    .ok_or_else(|| Error::unsupported(format!("manifest: bad type {ty}")))?;
+                    .ok_or_else(|| Error::storage(format!("manifest: bad type {ty}")))?;
                 match &mut pending {
                     Some((_, cols)) => cols.push(Column::new(name, dtype)),
-                    None => return Err(Error::unsupported("manifest: col outside table")),
+                    None => return Err(Error::storage("manifest: col outside table")),
                 }
             }
             Some("view") => {
                 finish_table(&mut db, &mut pending)?;
                 let (Some(name), Some(sql)) = (parts.next(), parts.next()) else {
-                    return Err(Error::unsupported("manifest: malformed view line"));
+                    return Err(Error::storage("manifest: malformed view line"));
                 };
                 let stmt = parse_statement(sql)?;
                 let crate::sql::ast::Statement::Select(query) = stmt else {
-                    return Err(Error::unsupported("manifest: view body is not a SELECT"));
+                    return Err(Error::storage("manifest: view body is not a SELECT"));
                 };
                 db.catalog_mut().create_view(View {
                     name: name.to_string(),
@@ -197,20 +197,20 @@ pub fn load(dir: &Path) -> Result<Database> {
                 let (Some(name), Some(next), Some(inc)) =
                     (parts.next(), parts.next(), parts.next())
                 else {
-                    return Err(Error::unsupported("manifest: malformed sequence line"));
+                    return Err(Error::storage("manifest: malformed sequence line"));
                 };
                 let next: i64 = next
                     .parse()
-                    .map_err(|_| Error::unsupported("manifest: bad sequence value"))?;
+                    .map_err(|_| Error::storage("manifest: bad sequence value"))?;
                 let inc: i64 = inc
                     .parse()
-                    .map_err(|_| Error::unsupported("manifest: bad sequence increment"))?;
+                    .map_err(|_| Error::storage("manifest: bad sequence increment"))?;
                 db.catalog_mut()
                     .create_sequence(Sequence::new(name.to_string(), next, inc))?;
             }
             Some("") | None => {}
             Some(other) => {
-                return Err(Error::unsupported(format!(
+                return Err(Error::storage(format!(
                     "manifest: unknown record '{other}'"
                 )))
             }
@@ -299,6 +299,32 @@ mod tests {
 
     #[test]
     fn load_missing_dir_errors() {
-        assert!(load(Path::new("/nonexistent/definitely/missing")).is_err());
+        let err = load(Path::new("/nonexistent/definitely/missing")).unwrap_err();
+        assert!(matches!(err, Error::Storage { .. }), "{err}");
+        assert!(err.to_string().contains("persistence I/O error"), "{err}");
+    }
+
+    #[test]
+    fn truncated_or_corrupt_snapshot_is_a_storage_error() {
+        let dir = tempdir("truncated");
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (a INT, b VARCHAR)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'x')").unwrap();
+        save(&db, &dir).unwrap();
+        // The manifest cut off in the middle of a column record.
+        let manifest = dir.join("_catalog.txt");
+        let whole = fs::read_to_string(&manifest).unwrap();
+        let cut = whole.find("\tINT").expect("typed col record");
+        fs::write(&manifest, &whole[..cut]).unwrap();
+        let err = load(&dir).unwrap_err();
+        assert!(matches!(err, Error::Storage { .. }), "{err}");
+        assert!(err.to_string().contains("malformed col line"), "{err}");
+        // A whole manifest over a damaged value file.
+        fs::write(&manifest, &whole).unwrap();
+        fs::write(dir.join("t.tsv"), "I:one\tS:x\n").unwrap();
+        let err = load(&dir).unwrap_err();
+        assert!(matches!(err, Error::Storage { .. }), "{err}");
+        assert!(err.to_string().contains("bad persisted int"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

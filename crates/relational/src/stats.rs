@@ -1,16 +1,12 @@
-//! Table and column statistics for the cost-based planner.
+//! Distinct-count sketch behind the cost-based planner's statistics.
 //!
-//! Every base table carries a [`TableStats`]: an exact row count plus a
-//! per-column distinct-value estimate. Statistics are maintained
-//! *incrementally* — [`TableStats::observe_row`] folds each inserted row
-//! into the per-column sketches — and stamped with the table's version
-//! (PR 5's monotonic stamps), so a consumer can always tell which row
-//! snapshot an estimate describes. Deletions cannot be subtracted from a
-//! distinct sketch, so `DELETE` triggers a rebuild over the surviving rows
-//! and `TRUNCATE` resets to empty; both are cheap at the working-set sizes
-//! this engine targets.
+//! A table keeps no statistics of its own: [`crate::Table::distinct`]
+//! folds one column of the current rows through a [`ColumnStats`] the
+//! first time the planner (or `EXPLAIN`) asks, remembers the answer for
+//! that table version and forgets it on the next mutation — the policy
+//! hash indexes follow. The row count is the table's own `row_count()`.
 //!
-//! The distinct estimator is exact up to [`KMV_K`] values and degrades to
+//! The estimator is exact up to [`KMV_K`] distinct values and degrades to
 //! a KMV ("k minimum values") sketch beyond that: it keeps the `k`
 //! smallest 64-bit value hashes seen and estimates the distinct count as
 //! `(k - 1) / max_kept` on the unit interval. The sketch is insertion
@@ -21,10 +17,9 @@
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
-use crate::row::Row;
 use crate::value::Value;
 
-/// Sketch capacity: exact below this many distinct values per column,
+/// Sketch capacity: exact up to this many distinct values per column,
 /// KMV-estimated above. 256 bounds the error near 6% while keeping the
 /// per-column footprint at 2 KiB.
 pub const KMV_K: usize = 256;
@@ -43,8 +38,9 @@ pub struct ColumnStats {
     /// The `KMV_K` smallest hashes seen (BTreeSet keeps them ordered so
     /// eviction of the largest is O(log k)).
     sketch: BTreeSet<u64>,
-    /// True once an insertion was rejected because the sketch was full —
-    /// from then on the count is an estimate, not exact.
+    /// True once a hash not already kept was evicted from, or refused
+    /// by, the full sketch — from then on the count is an estimate, not
+    /// exact.
     saturated: bool,
 }
 
@@ -57,12 +53,10 @@ impl ColumnStats {
         if self.sketch.len() < KMV_K {
             self.sketch.insert(h);
         } else if let Some(&max) = self.sketch.iter().next_back() {
-            if h < max {
-                if self.sketch.insert(h) {
-                    self.sketch.remove(&max);
-                }
+            if h > max {
                 self.saturated = true;
-            } else if h != max {
+            } else if self.sketch.insert(h) {
+                self.sketch.remove(&max);
                 self.saturated = true;
             }
         }
@@ -84,69 +78,6 @@ impl ColumnStats {
             return self.sketch.len() as u64;
         }
         ((self.sketch.len() as f64 - 1.0) / fraction).round() as u64
-    }
-}
-
-/// Statistics for one table: exact row count, per-column distinct
-/// estimates, and the table version they describe.
-#[derive(Debug, Clone, Default)]
-pub struct TableStats {
-    rows: u64,
-    columns: Vec<ColumnStats>,
-    as_of_version: u64,
-}
-
-impl TableStats {
-    /// Empty statistics for a table with `width` columns.
-    pub fn new(width: usize) -> TableStats {
-        TableStats {
-            rows: 0,
-            columns: vec![ColumnStats::default(); width],
-            as_of_version: 0,
-        }
-    }
-
-    /// Exact number of rows described by these statistics.
-    pub fn row_count(&self) -> u64 {
-        self.rows
-    }
-
-    /// Estimated distinct count for column `idx` (None when out of range).
-    pub fn distinct(&self, idx: usize) -> Option<u64> {
-        self.columns.get(idx).map(|c| c.distinct())
-    }
-
-    /// The table version these statistics describe.
-    pub fn as_of_version(&self) -> u64 {
-        self.as_of_version
-    }
-
-    /// Fold one inserted row into the statistics (incremental path).
-    pub fn observe_row(&mut self, row: &Row) {
-        self.rows += 1;
-        for (c, v) in self.columns.iter_mut().zip(row.iter()) {
-            c.observe(v);
-        }
-    }
-
-    /// Reset to empty (TRUNCATE).
-    pub fn reset(&mut self) {
-        let width = self.columns.len();
-        *self = TableStats::new(width);
-    }
-
-    /// Rebuild from scratch over the surviving rows (DELETE path:
-    /// distinct sketches cannot subtract, so deletions recompute).
-    pub fn rebuild(&mut self, rows: &[Row]) {
-        self.reset();
-        for row in rows {
-            self.observe_row(row);
-        }
-    }
-
-    /// Stamp the version these statistics are current as of.
-    pub fn stamp(&mut self, version: u64) {
-        self.as_of_version = version;
     }
 }
 
@@ -192,31 +123,28 @@ mod tests {
     }
 
     #[test]
-    fn table_stats_track_rows_and_columns() {
-        let mut s = TableStats::new(2);
-        for i in 0..10 {
-            s.observe_row(&vec![Value::Int(i % 3), Value::Int(i)]);
+    fn exactly_k_distinct_values_with_duplicates_is_exact_in_any_order() {
+        let k = KMV_K as i64;
+        // Duplicates arriving at a full sketch, below and at its maximum,
+        // evict nothing: the count stays exact whatever the order.
+        let orders: [Vec<i64>; 3] = [
+            (0..k).chain(0..k).collect(),
+            (0..k).rev().chain(0..k).collect(),
+            (0..2 * k).map(|i| i % k).rev().collect(),
+        ];
+        for order in orders {
+            let mut c = ColumnStats::default();
+            for i in order {
+                c.observe(&Value::Int(i));
+            }
+            assert_eq!(c.distinct(), KMV_K as u64);
         }
-        assert_eq!(s.row_count(), 10);
-        assert_eq!(s.distinct(0), Some(3));
-        assert_eq!(s.distinct(1), Some(10));
-        assert_eq!(s.distinct(2), None);
-    }
-
-    #[test]
-    fn reset_and_rebuild() {
-        let mut s = TableStats::new(1);
-        let rows: Vec<Row> = (0..6).map(|i| vec![Value::Int(i % 2)]).collect();
-        for r in &rows {
-            s.observe_row(r);
+        // One more distinct value does saturate, evicted or refused.
+        let mut c = ColumnStats::default();
+        for i in 0..=k {
+            c.observe(&Value::Int(i));
         }
-        assert_eq!(s.row_count(), 6);
-        s.reset();
-        assert_eq!(s.row_count(), 0);
-        assert_eq!(s.distinct(0), Some(0));
-        s.rebuild(&rows[..3]);
-        assert_eq!(s.row_count(), 3);
-        assert_eq!(s.distinct(0), Some(2));
+        assert!(c.saturated);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! In-memory base tables.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::error::{Error, Result};
 use crate::row::Row;
-use crate::stats::TableStats;
+use crate::stats::ColumnStats;
 use crate::types::Schema;
 
 /// Process-global version stamp source. Every stamp is unique, so a table
@@ -85,7 +86,9 @@ pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     version: u64,
-    stats: TableStats,
+    /// One distinct-count estimate per column, each filled by the first
+    /// [`Table::distinct`] call at this version and emptied by `restamp`.
+    distinct: Vec<OnceLock<u64>>,
     /// Row-level mutation log, oldest first. Applies on top of
     /// `change_base`; bounded by `CHANGE_LOG_ROWS` total rows.
     changes: Vec<ChangeRecord>,
@@ -103,21 +106,25 @@ pub struct Table {
 impl Table {
     /// Create an empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Table {
-        let stats = TableStats::new(schema.len());
-        let mut t = Table {
+        let version = next_version();
+        Table {
             name: name.into(),
+            distinct: vec![OnceLock::new(); schema.len()],
             schema,
             rows: Vec::new(),
-            version: next_version(),
-            stats,
+            version,
             changes: Vec::new(),
             change_rows: 0,
-            change_base: 0,
+            change_base: version,
             moved: None,
-        };
-        t.stats.stamp(t.version);
-        t.change_base = t.version;
-        t
+        }
+    }
+
+    /// Take a fresh version stamp. The one place the version moves, so
+    /// the one place data derived from the old rows is dropped.
+    fn restamp(&mut self) {
+        self.version = next_version();
+        self.distinct.fill(OnceLock::new());
     }
 
     /// The table's current version stamp. Monotonically increasing across
@@ -149,11 +156,18 @@ impl Table {
         self.rows.len()
     }
 
-    /// Planner statistics for this table, current as of [`Table::version`]
-    /// (maintenance happens inside every mutating call, so the stamp never
-    /// lags the table).
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
+    /// Estimated number of distinct values in column `col` (`None` past
+    /// the schema width): exact up to [`crate::stats::KMV_K`] values, a
+    /// KMV estimate beyond. Computed over the current rows on the first
+    /// request and kept until the next mutation, so it always describes
+    /// [`Table::version`].
+    pub fn distinct(&self, col: usize) -> Option<u64> {
+        let cell = self.distinct.get(col)?;
+        Some(*cell.get_or_init(|| {
+            let mut sketch = ColumnStats::default();
+            self.rows.iter().for_each(|row| sketch.observe(&row[col]));
+            sketch.distinct()
+        }))
     }
 
     /// Append a row after checking arity and column types: the one-row
@@ -176,16 +190,12 @@ impl Table {
             return Ok(0);
         }
         let n = batch.len();
-        for row in &batch {
-            self.stats.observe_row(row);
-        }
         // A batch the log cannot retain rebases it, so no copy is taken.
         let logged = self.log_retains(n).then(|| batch.clone());
         let from = self.rows.len();
         self.moved = Some((self.version, RowsMoved::Appended { from }));
         self.rows.append(&mut batch);
-        self.version = next_version();
-        self.stats.stamp(self.version);
+        self.restamp();
         match logged {
             Some(inserted) => self.log_change(ChangeRecord {
                 version: self.version,
@@ -249,10 +259,7 @@ impl Table {
         }
         self.rows = kept;
         self.moved = Some((self.version, RowsMoved::Deleted { at }));
-        // Distinct sketches cannot subtract: rebuild over the survivors.
-        self.stats.rebuild(&self.rows);
-        self.version = next_version();
-        self.stats.stamp(self.version);
+        self.restamp();
         let removed = deleted.len();
         self.log_change(ChangeRecord {
             version: self.version,
@@ -291,10 +298,7 @@ impl Table {
             at.push(i);
         }
         self.moved = Some((self.version, RowsMoved::Updated { at }));
-        // Distinct sketches cannot subtract: rebuild over the new rows.
-        self.stats.rebuild(&self.rows);
-        self.version = next_version();
-        self.stats.stamp(self.version);
+        self.restamp();
         let n = inserted.len();
         self.log_change(ChangeRecord {
             version: self.version,
@@ -308,10 +312,8 @@ impl Table {
     /// Drop every row.
     pub fn truncate(&mut self) {
         self.rows.clear();
-        self.stats.reset();
         self.moved = None;
-        self.version = next_version();
-        self.stats.stamp(self.version);
+        self.restamp();
         self.log_change(ChangeRecord {
             version: self.version,
             inserted: Vec::new(),
@@ -446,24 +448,53 @@ mod tests {
         assert!(t().version() > seen[0]);
     }
 
+    /// Which distinct cells hold a value, without asking for one.
+    fn filled(table: &Table) -> Vec<bool> {
+        table.distinct.iter().map(|c| c.get().is_some()).collect()
+    }
+
     #[test]
-    fn stats_track_every_mutation_and_stamp_versions() {
+    fn distinct_is_computed_on_demand_and_dropped_by_every_mutation() {
         let mut table = t();
+        assert_eq!(filled(&table), [false, false], "a new table asks nothing");
         table
             .insert_all(vec![row![1, "x"], row![2, "y"], row![3, "x"]])
             .unwrap();
-        assert_eq!(table.stats().row_count(), 3);
-        assert_eq!(table.stats().distinct(0), Some(3));
-        assert_eq!(table.stats().distinct(1), Some(2));
-        assert_eq!(table.stats().as_of_version(), table.version());
+        assert_eq!(filled(&table), [false, false], "INSERT sketches nothing");
+        assert_eq!(table.distinct(0), Some(3));
+        assert_eq!(filled(&table), [true, false], "only the column asked for");
+        assert_eq!(table.distinct(1), Some(2));
+        assert_eq!(table.distinct(2), None, "past the schema width");
+        assert_eq!(filled(&table), [true, true]);
+
+        // What changes nothing keeps the cells: no-ops and refused batches.
+        assert_eq!(table.insert_all(Vec::new()).unwrap(), 0);
+        assert_eq!(table.delete_mask(&[false, false, false]), 0);
+        assert_eq!(table.apply_updates(Vec::new()).unwrap(), 0);
+        assert!(table.insert(row!["bad", "z"]).is_err());
+        assert_eq!(filled(&table), [true, true]);
+        // A clone is the same rows at the same version: it carries the
+        // answers and computes none of its own.
+        assert_eq!(filled(&table.clone()), [true, true]);
+
+        table.insert(row![4, "z"]).unwrap();
+        assert_eq!(filled(&table), [false, false], "INSERT invalidates");
+        assert_eq!(filled(&table.clone()), [false, false]);
+        assert_eq!((table.distinct(0), table.distinct(1)), (Some(4), Some(3)));
+
+        table.apply_updates(vec![(3, row![1, "x"])]).unwrap();
+        assert_eq!(filled(&table), [false, false], "UPDATE invalidates");
+        assert_eq!((table.distinct(0), table.distinct(1)), (Some(3), Some(2)));
+
         table.delete_where(|r| r[1] == Value::Str("x".into()));
-        assert_eq!(table.stats().row_count(), 1);
-        assert_eq!(table.stats().distinct(0), Some(1));
-        assert_eq!(table.stats().as_of_version(), table.version());
+        assert_eq!(filled(&table), [false, false], "DELETE invalidates");
+        assert_eq!(table.row_count(), 1);
+        assert_eq!((table.distinct(0), table.distinct(1)), (Some(1), Some(1)));
+
         table.truncate();
-        assert_eq!(table.stats().row_count(), 0);
-        assert_eq!(table.stats().distinct(1), Some(0));
-        assert_eq!(table.stats().as_of_version(), table.version());
+        assert_eq!(filled(&table), [false, false], "TRUNCATE invalidates");
+        assert_eq!(table.row_count(), 0);
+        assert_eq!((table.distinct(0), table.distinct(1)), (Some(0), Some(0)));
     }
 
     #[test]
@@ -564,8 +595,7 @@ mod tests {
         assert_eq!(single.changes.len(), CHANGE_LOG_ROWS);
         assert_eq!(bulk.changes_since(b0), single.changes_since(s0));
         assert_eq!(bulk.rows(), single.rows());
-        assert_eq!(bulk.stats().distinct(0), single.stats().distinct(0));
-        assert_eq!(bulk.stats().as_of_version(), bulk.version());
+        assert_eq!(bulk.distinct(0), single.distinct(0));
     }
 
     #[test]
@@ -603,7 +633,6 @@ mod tests {
         assert!(table.insert_all(vec![row![2, "y"], row![3]]).is_err());
         assert_eq!(table.version(), v0, "a failed batch leaves no trace");
         assert_eq!(table.rows(), &[row![1, "x"]]);
-        assert_eq!(table.stats().row_count(), 1);
         assert_eq!(table.changes_since(v0), Some(TableDelta::default()));
     }
 
@@ -620,7 +649,6 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(table.rows()[0], row![10, "x"]);
         assert_eq!(table.rows()[2], row![3, "z"]);
-        assert_eq!(table.stats().as_of_version(), table.version());
         let delta = table.changes_since(v0).expect("UPDATE windows replay");
         assert_eq!(delta.inserted, vec![row![10, "x"], row![3, "z"]]);
         assert_eq!(delta.deleted, vec![row![1, "x"], row![3, "x"]]);

@@ -823,7 +823,7 @@ fn a_taken_output_name_fails_identically_on_both_routes() {
 }
 
 // ---------------------------------------------------------------------
-// Catalog statistics maintenance
+// Catalog statistics (computed on demand, per table version)
 // ---------------------------------------------------------------------
 
 #[test]
@@ -832,20 +832,11 @@ fn stats_track_insert_update_delete_truncate() {
     db.execute("CREATE TABLE T (a INT, b TEXT)").unwrap();
     let stats = |db: &Database| {
         let t = db.catalog().table("T").unwrap();
-        assert_eq!(
-            t.stats().as_of_version(),
-            t.version(),
-            "stats stamp must never lag the table version"
-        );
-        (
-            t.stats().row_count(),
-            t.stats().distinct(0),
-            t.stats().distinct(1),
-        )
+        (t.row_count(), t.distinct(0), t.distinct(1))
     };
     assert_eq!(stats(&db), (0, Some(0), Some(0)));
 
-    // INSERT maintains incrementally.
+    // Every answer describes the rows as they are now.
     for (a, b) in [(1, "x"), (2, "y"), (3, "x"), (3, "z")] {
         db.execute(&format!("INSERT INTO T VALUES ({a}, '{b}')"))
             .unwrap();
@@ -856,11 +847,11 @@ fn stats_track_insert_update_delete_truncate() {
     db.execute("UPDATE T SET b = 'x' WHERE a = 2").unwrap();
     assert_eq!(stats(&db), (4, Some(3), Some(2)));
 
-    // DELETE rebuilds over the survivors (sketches cannot subtract).
+    // DELETE: the estimate is over the survivors.
     db.execute("DELETE FROM T WHERE a = 3").unwrap();
     assert_eq!(stats(&db), (2, Some(2), Some(1)));
 
-    // Truncation resets to empty (the SQL surface has no TRUNCATE; the
+    // Truncation empties (the SQL surface has no TRUNCATE; the
     // engine truncates through the table API, e.g. for UPDATE rewrites).
     db.catalog_mut().table_mut("T").unwrap().truncate();
     assert_eq!(stats(&db), (0, Some(0), Some(0)));
@@ -875,19 +866,14 @@ fn stats_survive_persist_and_reload() {
         .unwrap();
     let before = {
         let t = db.catalog().table("Purchase").unwrap();
-        (t.stats().row_count(), t.stats().distinct(1))
+        (t.row_count(), t.distinct(1))
     };
     assert_eq!(before.0, 9);
     persist::save(&db, &dir).unwrap();
 
     let reloaded = persist::load(&dir).unwrap();
     let t = reloaded.catalog().table("Purchase").unwrap();
-    assert_eq!((t.stats().row_count(), t.stats().distinct(1)), before);
-    assert_eq!(
-        t.stats().as_of_version(),
-        t.version(),
-        "reloaded stats must describe the reloaded (fresh) version"
-    );
+    assert_eq!((t.row_count(), t.distinct(1)), before);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
