@@ -2,19 +2,20 @@
 //! replayable.
 //!
 //! A [`SourceDigest`] works in *value space*: it maps each grouping key
-//! and each item key — the very `Vec<Value>` keys the fused preprocess
-//! pass groups by — to a small integer, and holds every group as a sorted
-//! `(item id, row multiplicity)` vector. The fused pass builds it from the
-//! one scan it makes anyway, so capturing a cold run reads no source row.
+//! and each item key to a small integer — through the very interners the
+//! fused preprocess pass grouped by, moved in — and holds every group as a
+//! sorted `(item id, row multiplicity)` vector. The fused pass builds it
+//! from the one scan it makes anyway, so capturing a cold run reads no
+//! source row.
 //! Because the ids name *values*, not `Bset` identifiers, whatever is
 //! expressed in them survives re-encoding, and a source-table delta
 //! ([`relational::Table::changes_since`]) can be replayed onto it
 //! (`SourceDigest::apply`). This module knows no cache: the preprocessor
 //! builds digests, the session artifact store (`artifacts.rs`) keeps them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use relational::{Row, TableDelta, Value};
+use relational::{KeyInterner, TableDelta, Value};
 
 /// One live group of a [`SourceDigest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +31,7 @@ struct Group {
 
 /// A replayable snapshot of a simple-class statement's grouped source,
 /// interned: grouping keys and item (body-schema) keys map to first-seen
-/// ids under the `Vec<Value>` equality SQL GROUP BY uses (`1` and `1.0`
+/// ids under the key equality SQL GROUP BY uses (`1` and `1.0`
 /// unify, `0.0` and `-0.0` stay apart, NULLs group together), and each
 /// group is a multiset of item ids. Built by the preprocessor's source
 /// scan; the session artifact store replays source-table deltas onto it.
@@ -39,9 +40,9 @@ pub struct SourceDigest {
     /// The source-table version the snapshot stands for.
     version: u64,
     /// Grouping key → slot in `groups`, live groups only.
-    group_ids: HashMap<Vec<Value>, u32>,
+    group_ids: KeyInterner,
     /// Item key → item id. Ids are never retired.
-    item_ids: HashMap<Vec<Value>, u32>,
+    item_ids: KeyInterner,
     /// Per item id: false when an item attribute is NULL (never joins).
     item_joins: Vec<bool>,
     /// Group slots; `None` marks a deleted group (its slot is retired).
@@ -54,39 +55,30 @@ fn key_joins(key: &[Value]) -> bool {
     !key.iter().any(Value::is_null)
 }
 
-pub(crate) fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
-    cols.iter().map(|&i| row[i].clone()).collect()
-}
-
 impl SourceDigest {
-    /// Assemble a digest from a scan's dictionaries, its distinct
+    /// Assemble a digest from a scan's interners, its distinct
     /// `(group slot, item id)` pairs, and one more entry in `repeats` for
     /// every further source row of a pair.
     pub(crate) fn new(
         version: u64,
-        group_ids: HashMap<Vec<Value>, u32>,
-        item_ids: HashMap<Vec<Value>, u32>,
+        group_ids: KeyInterner,
+        item_ids: KeyInterner,
         pairs: &[(u32, u32)],
         repeats: &[(u32, u32)],
     ) -> SourceDigest {
-        let mut item_joins = vec![false; item_ids.len()];
-        for (key, &id) in &item_ids {
-            item_joins[id as usize] = key_joins(key);
-        }
-        let mut sizes = vec![0usize; group_ids.len()];
+        let joins = |keys: &KeyInterner| -> Vec<bool> { keys.keys().map(key_joins).collect() };
+        let mut sizes = vec![0usize; group_ids.slots() as usize];
         for &(g, _) in pairs {
             sizes[g as usize] += 1;
         }
-        let mut groups: Vec<Group> = sizes
+        let mut groups: Vec<Group> = joins(&group_ids)
             .into_iter()
-            .map(|n| Group {
-                joins: false,
+            .zip(sizes)
+            .map(|(joins, n)| Group {
+                joins,
                 items: Vec::with_capacity(n),
             })
             .collect();
-        for (key, &slot) in &group_ids {
-            groups[slot as usize].joins = key_joins(key);
-        }
         for &(g, item) in pairs {
             groups[g as usize].items.push((item, 1));
         }
@@ -102,9 +94,9 @@ impl SourceDigest {
         }
         SourceDigest {
             version,
+            item_joins: joins(&item_ids),
             group_ids,
             item_ids,
-            item_joins,
             groups: groups.into_iter().map(Some).collect(),
             rows: (pairs.len() + repeats.len()) as u64,
         }
@@ -135,9 +127,10 @@ impl SourceDigest {
         self.item_joins.len()
     }
 
-    /// The id of an item key, if any source row ever carried it.
-    pub(crate) fn item_id(&self, key: &[Value]) -> Option<u32> {
-        self.item_ids.get(key).copied()
+    /// The id of the item key `row` holds at `cols`, if any source row
+    /// ever carried it.
+    pub(crate) fn item_id(&self, row: &[Value], cols: &[usize]) -> Option<u32> {
+        self.item_ids.get(row, cols)
     }
 
     /// The ids, ascending, of the items a group contributes to itemset
@@ -182,29 +175,19 @@ impl SourceDigest {
         }
         let mut before: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for row in &delta.inserted {
-            let g_key = key_of(row, group_cols);
-            let slot = match self.group_ids.get(&g_key) {
-                Some(&slot) => slot,
-                None => {
-                    let slot = self.groups.len() as u32;
-                    self.groups.push(Some(Group {
-                        joins: key_joins(&g_key),
-                        items: Vec::new(),
-                    }));
-                    self.group_ids.insert(g_key, slot);
-                    slot
-                }
-            };
-            let i_key = key_of(row, item_cols);
-            let item = match self.item_ids.get(&i_key) {
-                Some(&item) => item,
-                None => {
-                    let item = self.item_joins.len() as u32;
-                    self.item_joins.push(key_joins(&i_key));
-                    self.item_ids.insert(i_key, item);
-                    item
-                }
-            };
+            // A key not mapped — a retired group's included — takes the
+            // next slot, which is the next position of the vector.
+            let slot = self.group_ids.intern(row, group_cols);
+            if slot as usize == self.groups.len() {
+                self.groups.push(Some(Group {
+                    joins: key_joins(self.group_ids.key(slot)),
+                    items: Vec::new(),
+                }));
+            }
+            let item = self.item_ids.intern(row, item_cols);
+            if item as usize == self.item_joins.len() {
+                self.item_joins.push(key_joins(self.item_ids.key(item)));
+            }
             before.entry(slot).or_insert_with(|| self.item_set(slot));
             let items = &mut self.groups[slot as usize].as_mut()?.items;
             match items.binary_search_by_key(&item, |&(i, _)| i) {
@@ -214,9 +197,8 @@ impl SourceDigest {
             self.rows += 1;
         }
         for row in &delta.deleted {
-            let g_key = key_of(row, group_cols);
-            let slot = *self.group_ids.get(&g_key)?;
-            let item = *self.item_ids.get(&key_of(row, item_cols))?;
+            let slot = self.group_ids.get(row, group_cols)?;
+            let item = self.item_ids.get(row, item_cols)?;
             before.entry(slot).or_insert_with(|| self.item_set(slot));
             let items = &mut self.groups[slot as usize].as_mut()?.items;
             let at = items.binary_search_by_key(&item, |&(i, _)| i).ok()?;
@@ -227,7 +209,7 @@ impl SourceDigest {
             self.rows -= 1;
             if items.is_empty() {
                 self.groups[slot as usize] = None;
-                self.group_ids.remove(&g_key);
+                self.group_ids.retire(slot);
             }
         }
         self.version = version;
@@ -236,7 +218,7 @@ impl SourceDigest {
 
     /// Rough retained size, for the bytes gauge.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        let key_bytes = |key: &Vec<Value>| -> u64 {
+        let key_bytes = |(_, key): (u32, &[Value])| -> u64 {
             48 + key
                 .iter()
                 .map(|v| match v {
@@ -247,8 +229,8 @@ impl SourceDigest {
         };
         let dictionaries: u64 = self
             .group_ids
-            .keys()
-            .chain(self.item_ids.keys())
+            .iter()
+            .chain(self.item_ids.iter())
             .map(key_bytes)
             .sum();
         let groups: u64 = self
@@ -266,6 +248,7 @@ mod tests {
     use crate::parser::parse_mine_rule;
     use crate::preprocess::scan_source;
     use relational::Database;
+    use std::collections::HashMap;
 
     impl SourceDigest {
         /// Every live group rendered as `grouping key: [item key x
@@ -273,12 +256,11 @@ mod tests {
         /// first-seen, so two digests of the same source compare through
         /// their keys.
         pub(crate) fn by_key(&self) -> Vec<String> {
-            let key_of_item: HashMap<u32, &Vec<Value>> =
-                self.item_ids.iter().map(|(k, &id)| (id, k)).collect();
+            let key_of_item: HashMap<u32, &[Value]> = self.item_ids.iter().collect();
             let mut groups: Vec<String> = self
                 .group_ids
                 .iter()
-                .map(|(key, &slot)| {
+                .map(|(slot, key)| {
                     let group = self.groups[slot as usize].as_ref().unwrap();
                     let mut items: Vec<String> = group
                         .items
@@ -313,26 +295,54 @@ mod tests {
              EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1",
         )
         .unwrap();
-        let digest = scan_source(&db, &stmt).unwrap().digest.unwrap();
+        let mut digest = scan_source(&db, &stmt).unwrap().into_digest().unwrap();
         assert_eq!(digest.live_groups(), 5, "1|1.0, 0.0, -0.0, NULL, 2.5");
         assert_eq!(digest.rows, 7);
-        let slot = |v: Value| digest.group_ids[&vec![v]];
-        assert_eq!(slot(Value::Int(1)), slot(Value::Float(1.0)));
-        assert_ne!(slot(Value::Float(0.0)), slot(Value::Float(-0.0)));
-        let one = digest.item_ids[&vec![Value::Str("1".into())]];
-        assert!(!digest.item_ids.contains_key(&vec![Value::Int(1)]));
-        // The `1|1.0` group holds item '1' twice; NULLs never join.
-        assert_eq!(
-            digest.groups[slot(Value::Int(1)) as usize]
-                .as_ref()
-                .unwrap()
-                .items,
-            vec![(one, 2)]
+        let slot = |d: &SourceDigest, v: Value| d.group_ids.get(&[v], &[0]).unwrap();
+        let item = |d: &SourceDigest, v: Value| d.item_ids.get(&[v], &[0]);
+        let ones = slot(&digest, Value::Int(1));
+        assert_eq!(ones, slot(&digest, Value::Float(1.0)));
+        assert_ne!(
+            slot(&digest, Value::Float(0.0)),
+            slot(&digest, Value::Float(-0.0))
         );
-        assert_eq!(digest.item_set(slot(Value::Int(1))), vec![one]);
-        assert!(digest.item_set(slot(Value::Null)).is_empty());
-        assert!(digest.item_set(slot(Value::Float(2.5))).is_empty());
-        let a = digest.item_ids[&vec![Value::Str("a".into())]];
-        assert_eq!(digest.item_set(slot(Value::Float(0.0))), vec![a]);
+        let one = item(&digest, Value::Str("1".into())).unwrap();
+        assert_eq!(item(&digest, Value::Int(1)), None);
+        // The `1|1.0` group holds item '1' twice; NULLs never join.
+        let items_of = |d: &SourceDigest, slot: u32| d.groups[slot as usize].clone().unwrap().items;
+        assert_eq!(items_of(&digest, ones), vec![(one, 2)]);
+        assert_eq!(digest.item_set(ones), vec![one]);
+        assert!(digest.item_set(slot(&digest, Value::Null)).is_empty());
+        assert!(digest.item_set(slot(&digest, Value::Float(2.5))).is_empty());
+        let a = item(&digest, Value::Str("a".into())).unwrap();
+        assert_eq!(digest.item_set(slot(&digest, Value::Float(0.0))), vec![a]);
+
+        // Deleting a group's last row retires its slot; the same key —
+        // under the same equality, so `1` for `1.0` — then opens a fresh
+        // one, while item ids are never retired.
+        let row = |g: Value, item: &str| vec![g, Value::Str(item.into())];
+        let gone = TableDelta {
+            inserted: Vec::new(),
+            deleted: vec![row(Value::Int(1), "1"), row(Value::Float(1.0), "1")],
+        };
+        let before = digest.apply(&gone, 0, &[0], &[1]).unwrap();
+        assert_eq!(before, BTreeMap::from([(ones, vec![one])]));
+        assert_eq!(digest.live_groups(), 4);
+        assert_eq!(digest.group_ids.get(&[Value::Int(1)], &[0]), None);
+        assert_eq!(digest.groups[ones as usize], None);
+        let back = TableDelta {
+            inserted: vec![row(Value::Int(1), "a"), row(Value::Float(1.0), "1")],
+            deleted: Vec::new(),
+        };
+        let slots = digest.slots();
+        let before = digest.apply(&back, 0, &[0], &[1]).unwrap();
+        let reopened = slot(&digest, Value::Float(1.0));
+        assert_eq!(reopened, slots, "a fresh slot, not the retired one");
+        assert_eq!(before, BTreeMap::from([(reopened, vec![])]));
+        assert_eq!(items_of(&digest, reopened), vec![(one, 1), (a, 1)]);
+        assert_eq!((digest.live_groups(), digest.slots()), (5, slots + 1));
+        assert_eq!(digest.rows, 7);
+        // A deletion no row accounts for: the replay gives up.
+        assert!(digest.apply(&gone, 0, &[0], &[1]).is_none());
     }
 }

@@ -17,7 +17,6 @@
 //! pass fails runs `Qi` step by step.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 use std::sync::Arc;
 
 use relational::exec::join::{conjuncts, resolves_in};
@@ -26,8 +25,8 @@ use relational::expr::eval::{eval_grouped, NoCtx, QueryCtx};
 use relational::expr::{BinOp, Expr};
 use relational::sequence::Sequence;
 use relational::{
-    Column, ColumnBatch, CompiledExpr, DataType, Database, ExecCounter, Row, Schema, Table, Value,
-    VECTOR_BATCH_ROWS,
+    Column, CompiledExpr, DataType, Database, ExecCounter, KeyHash, KeyInterner, Row, Schema,
+    Table, Value,
 };
 
 use crate::ast::MineRuleStatement;
@@ -202,66 +201,53 @@ struct Lane {
 
 /// What one scan of a statement's source yields: the first-seen-order
 /// record the fused pass encodes from and — for a statement without
-/// directives — the [`SourceDigest`] built from the same dictionaries.
-#[derive(Default)]
+/// directives — what a [`SourceDigest`] is assembled from.
 pub(crate) struct SourceScan {
+    /// The source-table version scanned.
+    version: u64,
     /// Group and body keys by slot: first-seen order, the bucket order the
     /// SQL engine's hash GROUP BY and DISTINCT produce.
-    group_order: Vec<Vec<Value>>,
-    body_order: Vec<Vec<Value>>,
+    groups: KeyInterner,
+    bodies: KeyInterner,
     /// The distinct `(group slot, body slot)` pairs in first-seen order.
     pairs: Vec<(u32, u32)>,
-    /// The rest is what only the general loop records. Head keys and the
-    /// distinct `(group slot, head slot)` pairs (H); `(group slot,
-    /// cluster key)` combinations (C); mining-attribute tuples (M).
-    head_order: Vec<Vec<Value>>,
+    /// Only for a statement without directives: one entry per further
+    /// source row of a pair (a duplicate up to the columns read — rare, so
+    /// the per-row work stays one set insert).
+    repeats: Option<Vec<(u32, u32)>>,
+    /// The rest is what only a statement with directives records. Head
+    /// keys and the distinct `(group slot, head slot)` pairs (H); cluster
+    /// keys and the `(group slot, cluster-key slot)` combinations (C);
+    /// mining-attribute tuples (M); one lane per surviving row.
+    heads: KeyInterner,
     head_pairs: Vec<(u32, u32)>,
-    cluster_order: Vec<(u32, Vec<Value>)>,
-    mining_order: Vec<Vec<Value>>,
+    cluster_keys: KeyInterner,
+    cluster_order: Vec<(u32, u32)>,
+    minings: KeyInterner,
     lanes: Vec<Lane>,
-    /// Column batches streamed (simple loop), rows read, and rows the
-    /// source condition dropped.
-    batches: u64,
+    /// Rows read, and rows the source condition dropped.
     pub(crate) rows: u64,
     filtered: u64,
-    pub(crate) digest: Option<SourceDigest>,
 }
 
-/// The first-seen slot of `key`.
-fn slot_of<K: Hash + Eq + Clone>(slots: &mut HashMap<K, u32>, order: &mut Vec<K>, key: K) -> u32 {
-    match slots.get(&key) {
-        Some(&s) => s,
-        None => {
-            let s = order.len() as u32;
-            order.push(key.clone());
-            slots.insert(key, s);
-            s
-        }
+impl SourceScan {
+    /// The scan as a replayable digest, its interners moved in: `None`
+    /// for a statement with a directive set.
+    pub(crate) fn into_digest(self) -> Option<SourceDigest> {
+        let repeats = self.repeats?;
+        Some(SourceDigest::new(
+            self.version,
+            self.groups,
+            self.bodies,
+            &self.pairs,
+            &repeats,
+        ))
     }
 }
 
-/// Keys interned by reference into the scanned rows: a row that repeats a
-/// key copies nothing. Same hash and equality as the owned `Vec<Value>`.
-#[derive(Default)]
-struct KeySlots<'a> {
-    slots: HashMap<Vec<&'a Value>, u32>,
-    probe: Vec<&'a Value>,
-}
-
-impl<'a> KeySlots<'a> {
-    /// The first-seen slot of the key `row` holds at `cols`; a new key is
-    /// appended to `order`.
-    fn slot(&mut self, order: &mut Vec<Vec<Value>>, row: &'a Row, cols: &[usize]) -> u32 {
-        self.probe.clear();
-        self.probe.extend(cols.iter().map(|&i| &row[i]));
-        if let Some(&s) = self.slots.get(self.probe.as_slice()) {
-            return s;
-        }
-        let s = order.len() as u32;
-        order.push(self.probe.iter().map(|&v| v.clone()).collect());
-        self.slots.insert(self.probe.clone(), s);
-        s
-    }
+/// Two slots as one set or map key.
+fn pack(a: u32, b: u32) -> u64 {
+    u64::from(a) << 32 | u64::from(b)
 }
 
 /// Scan the statement's source table once, assigning every key to its
@@ -270,118 +256,91 @@ impl<'a> KeySlots<'a> {
 /// digest (calling it directly only when no fused pass ran at the table's
 /// current version).
 ///
-/// The loop shape is chosen once per scan. A statement without
-/// directives reads plain key columns — always vector-safe — so it
-/// streams the source through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`]
-/// rows, the same batches the SQL server's vectorized operators use, and
-/// keeps nothing per row. Any directive takes the general loop: the
-/// source condition (W) decides each row first, evaluated conjunct by
-/// conjunct like the pushed-down filters of `Q0`, and every surviving row
-/// leaves a [`Lane`].
+/// Every key is interned by probing with the source row itself
+/// ([`KeyInterner`]): a row that repeats its keys copies and allocates
+/// nothing. A statement without directives keeps nothing per row; any
+/// directive makes every surviving row leave a [`Lane`], the source
+/// condition (W) deciding each row first, evaluated conjunct by conjunct
+/// like the pushed-down filters of `Q0`.
 pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<SourceScan> {
     let table = db.catalog().table(&stmt.from[0].name)?;
     let cols = source_columns(table, stmt)?;
     let dir = Directives::classify(stmt);
+    let mut scan = SourceScan {
+        version: table.version(),
+        groups: KeyInterner::new(cols.group.len()),
+        bodies: KeyInterner::new(cols.body.len()),
+        pairs: Vec::new(),
+        repeats: (dir == Directives::default()).then(Vec::new),
+        heads: KeyInterner::new(cols.head.len()),
+        head_pairs: Vec::new(),
+        cluster_keys: KeyInterner::new(cols.cluster.len()),
+        cluster_order: Vec::new(),
+        minings: KeyInterner::new(cols.mining.len()),
+        lanes: Vec::new(),
+        rows: table.row_count() as u64,
+        filtered: 0,
+    };
 
-    let mut scan = SourceScan::default();
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
-
-    if dir == Directives::default() {
-        let mut group_slots: HashMap<Vec<Value>, u32> = HashMap::new();
-        let mut body_slots: HashMap<Vec<Value>, u32> = HashMap::new();
-        // Every further source row of a pair (a duplicate up to the
-        // columns read) lands in `repeats` — rare, so the per-row work
-        // stays one set insert (a count map measured ≈ 5 % slower end to
-        // end on 150 k rows).
-        let mut repeats: Vec<(u32, u32)> = Vec::new();
-        // Each chunk is pivoted into typed vectors once, then both key
-        // sets gather from the same batch lane by lane.
-        let key_cols: Vec<usize> = cols.group.iter().chain(&cols.body).copied().collect();
-        for chunk in table.rows().chunks(VECTOR_BATCH_ROWS) {
-            scan.batches += 1;
-            let batch = ColumnBatch::from_rows(chunk, &key_cols);
-            for lane in 0..batch.len() {
-                let g_key = cols.group.iter().map(|&i| batch.value(i, lane)).collect();
-                let b_key = cols.body.iter().map(|&i| batch.value(i, lane)).collect();
-                let pair = (
-                    slot_of(&mut group_slots, &mut scan.group_order, g_key),
-                    slot_of(&mut body_slots, &mut scan.body_order, b_key),
-                );
-                if seen.insert(pair) {
-                    scan.pairs.push(pair);
-                } else {
-                    repeats.push(pair);
-                }
+    let schema = table.schema().with_qualifier(stmt.from[0].visible_name());
+    let source_cond: Vec<CompiledExpr> = stmt
+        .source_cond
+        .iter()
+        .flat_map(conjuncts)
+        .map(|c| CompiledExpr::compile(c, &schema, &mut NoCtx))
+        .collect();
+    let mut seen: HashSet<u64, KeyHash> = HashSet::default();
+    let mut head_seen: HashSet<u64, KeyHash> = HashSet::default();
+    // A cluster is a group and a cluster key: the key alone is interned
+    // first, then the pair of slots.
+    let mut cluster_slots: HashMap<u64, u32, KeyHash> = HashMap::default();
+    let mut stack = Vec::new();
+    'rows: for (at, row) in table.rows().iter().enumerate() {
+        for conjunct in &source_cond {
+            if !conjunct.eval_with(row, &mut NoCtx, &mut stack)?.is_true() {
+                scan.filtered += 1;
+                continue 'rows;
             }
         }
-        scan.digest = Some(SourceDigest::new(
-            table.version(),
-            group_slots,
-            body_slots,
-            &scan.pairs,
-            &repeats,
-        ));
-    } else {
-        let schema = table.schema().with_qualifier(stmt.from[0].visible_name());
-        let source_cond: Vec<CompiledExpr> = stmt
-            .source_cond
-            .iter()
-            .flat_map(conjuncts)
-            .map(|c| CompiledExpr::compile(c, &schema, &mut NoCtx))
-            .collect();
-        let mut groups = KeySlots::default();
-        let mut bodies = KeySlots::default();
-        let mut heads = KeySlots::default();
-        let mut head_seen: HashSet<(u32, u32)> = HashSet::new();
-        // A cluster is a group and a cluster key: the key alone is
-        // interned first, then the pair of slots.
-        let mut cluster_keys = KeySlots::default();
-        let mut cluster_key_order: Vec<Vec<Value>> = Vec::new();
-        let mut cluster_slots: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut minings = KeySlots::default();
-        let mut stack = Vec::new();
-        'rows: for (at, row) in table.rows().iter().enumerate() {
-            for conjunct in &source_cond {
-                if !conjunct.eval_with(row, &mut NoCtx, &mut stack)?.is_true() {
-                    scan.filtered += 1;
-                    continue 'rows;
-                }
-            }
-            let group = groups.slot(&mut scan.group_order, row, &cols.group);
-            let body = bodies.slot(&mut scan.body_order, row, &cols.body);
-            if seen.insert((group, body)) {
-                scan.pairs.push((group, body));
-            }
-            let mut lane = Lane {
-                row: at as u32,
-                group,
-                cluster: 0,
-                body,
-                head: body,
-                mining: 0,
-            };
-            if dir.h {
-                lane.head = heads.slot(&mut scan.head_order, row, &cols.head);
-                if head_seen.insert((group, lane.head)) {
-                    scan.head_pairs.push((group, lane.head));
-                }
-            }
-            if dir.c {
-                let key = cluster_keys.slot(&mut cluster_key_order, row, &cols.cluster);
-                let next = scan.cluster_order.len() as u32;
-                lane.cluster = *cluster_slots.entry((group, key)).or_insert(next);
-                if lane.cluster == next {
-                    let key = cluster_key_order[key as usize].clone();
-                    scan.cluster_order.push((group, key));
-                }
-            }
-            if dir.m {
-                lane.mining = minings.slot(&mut scan.mining_order, row, &cols.mining);
-            }
-            scan.lanes.push(lane);
+        let group = scan.groups.intern(row, &cols.group);
+        let body = scan.bodies.intern(row, &cols.body);
+        let fresh = seen.insert(pack(group, body));
+        if fresh {
+            scan.pairs.push((group, body));
         }
+        if let Some(repeats) = &mut scan.repeats {
+            if !fresh {
+                repeats.push((group, body));
+            }
+            continue;
+        }
+        let mut lane = Lane {
+            row: at as u32,
+            group,
+            cluster: 0,
+            body,
+            head: body,
+            mining: 0,
+        };
+        if dir.h {
+            lane.head = scan.heads.intern(row, &cols.head);
+            if head_seen.insert(pack(group, lane.head)) {
+                scan.head_pairs.push((group, lane.head));
+            }
+        }
+        if dir.c {
+            let key = scan.cluster_keys.intern(row, &cols.cluster);
+            let next = scan.cluster_order.len() as u32;
+            lane.cluster = *cluster_slots.entry(pack(group, key)).or_insert(next);
+            if lane.cluster == next {
+                scan.cluster_order.push((group, key));
+            }
+        }
+        if dir.m {
+            lane.mining = scan.minings.intern(row, &cols.mining);
+        }
+        scan.lanes.push(lane);
     }
-    scan.rows = table.row_count() as u64;
     Ok(scan)
 }
 
@@ -567,26 +526,26 @@ fn keyed_columns(ids: &[&str], attrs: &[String], at: &[usize], source: &Schema) 
 /// id. Returns the rows and, per slot, the id source rows join to (a key
 /// holding a NULL is encoded but never joins).
 fn item_table(
-    order: Vec<Vec<Value>>,
+    order: &KeyInterner,
     pairs: &[(u32, u32)],
     min_groups: u64,
     ids: &mut Sequence,
 ) -> (Vec<Row>, Vec<Option<i64>>) {
-    let mut ngroups = vec![0u64; order.len()];
+    let mut ngroups = vec![0u64; order.slots() as usize];
     for &(_, item) in pairs {
         ngroups[item as usize] += 1;
     }
-    let mut joins: Vec<Option<i64>> = vec![None; order.len()];
+    let mut joins: Vec<Option<i64>> = vec![None; ngroups.len()];
     let mut rows: Vec<Row> = Vec::new();
-    for (slot, (key, ngroups)) in order.into_iter().zip(ngroups).enumerate() {
+    for (slot, (key, ngroups)) in order.keys().zip(ngroups).enumerate() {
         if ngroups < min_groups {
             continue;
         }
         let id = ids.nextval();
-        joins[slot] = no_null(&key).then_some(id);
+        joins[slot] = no_null(key).then_some(id);
         let mut row = Vec::with_capacity(key.len() + 2);
         row.push(Value::Int(id));
-        row.extend(key);
+        row.extend_from_slice(key);
         row.push(Value::Int(ngroups as i64));
         rows.push(row);
     }
@@ -646,8 +605,6 @@ impl FusedEncoding {
 
         let scan = scan_source(db, stmt)?;
         let mut work = vec![
-            (ExecCounter::VectorBatches, scan.batches),
-            (ExecCounter::VectorRows, scan.batches.min(1) * scan.rows),
             (
                 ExecCounter::RowsScanned,
                 scan.lanes.len() as u64 + scan.filtered,
@@ -667,7 +624,7 @@ impl FusedEncoding {
         let mut cid_seq = Sequence::new(names.cid_sequence(), 1, 1);
 
         // Q1 + ComputeMinGroups: every group counts, valid or not.
-        let total_groups = scan.group_order.len() as u64;
+        let total_groups = u64::from(scan.groups.slots());
         let min_groups = min_groups_for(total_groups, stmt.min_support);
         report.total_groups = total_groups;
         report.min_groups = min_groups;
@@ -686,13 +643,14 @@ impl FusedEncoding {
         // (G/R) a filter over each group's member rows, Gid drawn per
         // surviving row. A group whose key holds a NULL is encoded but
         // never joins.
-        let group_joins: Vec<bool> = scan.group_order.iter().map(|k| no_null(k)).collect();
-        let mut gids: Vec<Option<i64>> = Vec::with_capacity(scan.group_order.len());
+        let slots = scan.groups.slots() as usize;
+        let group_joins: Vec<bool> = scan.groups.keys().map(no_null).collect();
+        let mut gids: Vec<Option<i64>> = Vec::with_capacity(slots);
         match &stmt.group_cond {
-            None => gids.extend(scan.group_order.iter().map(|_| Some(gid_seq.nextval()))),
+            None => gids.extend((0..slots).map(|_| Some(gid_seq.nextval()))),
             Some(cond) => {
-                let rows = members(source, &scan.lanes, scan.group_order.len(), |l| l.group);
-                for (key, rows) in scan.group_order.iter().zip(&rows) {
+                let rows = members(source, &scan.lanes, slots, |l| l.group);
+                for (key, rows) in scan.groups.keys().zip(&rows) {
                     let keep =
                         eval_grouped(cond, &src_schema, rows, &group_exprs, key, &mut NoCtx)?;
                     gids.push(keep.is_true().then(|| gid_seq.nextval()));
@@ -700,13 +658,13 @@ impl FusedEncoding {
             }
         }
         let rows: Vec<Row> = scan
-            .group_order
-            .iter()
+            .groups
+            .keys()
             .zip(&gids)
             .filter_map(|(key, gid)| {
                 let mut row = Vec::with_capacity(key.len() + 1);
                 row.push(Value::Int((*gid)?));
-                row.extend(key.iter().cloned());
+                row.extend_from_slice(key);
                 Some(row)
             })
             .collect();
@@ -717,14 +675,13 @@ impl FusedEncoding {
         let gid_of = |group: u32| gids[group as usize].filter(|_| group_joins[group as usize]);
 
         // Q3 (and Q5 when the head schema differs): the item tables.
-        let (rows, bids) = item_table(scan.body_order, &scan.pairs, min_groups, &mut bid_seq);
+        let (rows, bids) = item_table(&scan.bodies, &scan.pairs, min_groups, &mut bid_seq);
         let mut columns = keyed_columns(&["Bid"], &stmt.body.schema, &cols.body, table.schema());
         columns.push(Column::new("ngroups", DataType::Int));
         objects.push(("Q3", Encoded::Table(table_of(names.bset(), columns, rows)?)));
         let mut hids: Vec<Option<i64>> = Vec::new();
         if dir.h {
-            let (rows, joins) =
-                item_table(scan.head_order, &scan.head_pairs, min_groups, &mut hid_seq);
+            let (rows, joins) = item_table(&scan.heads, &scan.head_pairs, min_groups, &mut hid_seq);
             hids = joins;
             let mut columns =
                 keyed_columns(&["Hid"], &stmt.head.schema, &cols.head, table.schema());
@@ -755,11 +712,11 @@ impl FusedEncoding {
                     .map(Expr::col)
                     .collect();
                 let rows = members(source, &scan.lanes, scan.cluster_order.len(), |l| l.cluster);
-                for (at, ((group, cluster_key), rows)) in
+                for (at, (&(group, cluster_key), rows)) in
                     scan.cluster_order.iter().zip(&rows).enumerate()
                 {
-                    let mut key = scan.group_order[*group as usize].clone();
-                    key.extend(cluster_key.iter().cloned());
+                    let mut key = scan.groups.key(group).to_vec();
+                    key.extend_from_slice(scan.cluster_keys.key(cluster_key));
                     for aggregate in &aggregates {
                         let value =
                             eval_grouped(aggregate, &src_schema, rows, &keys, &key, &mut NoCtx)?;
@@ -790,19 +747,19 @@ impl FusedEncoding {
                     .unwrap_or(DataType::Str);
                 columns.push(Column::new(format!("aggval{i}"), dtype));
             }
-            for ((group, cluster_key), aggvals) in scan.cluster_order.iter().zip(aggvals) {
-                let Some(gid) = gid_of(*group) else {
+            for (&(group, cluster_key), aggvals) in scan.cluster_order.iter().zip(aggvals) {
+                let Some(gid) = gid_of(group) else {
                     cluster_at.push(None);
                     continue;
                 };
                 let cid = cid_seq.nextval();
                 let mut row = vec![Value::Int(cid), Value::Int(gid)];
-                row.extend(cluster_key.iter().cloned());
+                row.extend_from_slice(scan.cluster_keys.key(cluster_key));
                 row.extend(aggvals);
                 cluster_at.push(Some(cluster_rows.len()));
                 cluster_rows.push(row);
                 cluster_ids.push(cid);
-                cluster_group.push(*group);
+                cluster_group.push(group);
             }
             cluster_columns = columns;
         }
@@ -822,7 +779,7 @@ impl FusedEncoding {
             );
             let left = cond.side(true, &cluster_rows, |_| true)?;
             let right = cond.side(false, &cluster_rows, |_| true)?;
-            let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); scan.group_order.len()];
+            let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); slots];
             for (at, &group) in cluster_group.iter().enumerate() {
                 if right[at] {
                     of_group[group as usize].push(at);
@@ -909,9 +866,9 @@ impl FusedEncoding {
                     };
                     let mut cluster = 0;
                     if dir.c {
-                        let (_, key) = &scan.cluster_order[lane.cluster as usize];
+                        let (_, key) = scan.cluster_order[lane.cluster as usize];
                         match cluster_at[lane.cluster as usize] {
-                            Some(at) if no_null(key) => cluster = at,
+                            Some(at) if no_null(scan.cluster_keys.key(key)) => cluster = at,
                             _ => continue,
                         }
                     }
@@ -935,7 +892,7 @@ impl FusedEncoding {
                         row.push(hid.map_or(Value::Null, Value::Int));
                     }
                     if dir.m {
-                        row.extend(scan.mining_order[lane.mining as usize].iter().cloned());
+                        row.extend_from_slice(scan.minings.key(lane.mining));
                     }
                     rows.push(row);
                     coded.push(Coded {
@@ -964,7 +921,7 @@ impl FusedEncoding {
                 // from head-side rows only.
                 let left = cond.side(true, &rows, |at| coded[at].bid.is_some())?;
                 let right = cond.side(false, &rows, |at| !dir.h || coded[at].hid.is_some())?;
-                let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); scan.group_order.len()];
+                let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); slots];
                 for (at, tuple) in coded.iter().enumerate() {
                     if right[at] {
                         of_group[tuple.group as usize].push(at);
@@ -1073,7 +1030,7 @@ impl FusedEncoding {
             .iter()
             .filter(|step| matches!(step, Step::Sql { id, .. } if id != "DDL"))
             .count();
-        report.digest = scan.digest.map(Arc::new);
+        report.digest = scan.into_digest().map(Arc::new);
         Ok(FusedEncoding {
             sequences,
             objects,

@@ -18,13 +18,12 @@
 //! hash-join build side — is kept as the reference path
 //! ([`QueryCtx::reference_paths`]); both return bit-identical relations.
 
-use std::collections::HashMap;
-
 use crate::error::Result;
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::QueryCtx;
 use crate::expr::vector::VectorPlan;
 use crate::expr::{BinOp, Expr};
+use crate::key::KeyMap;
 use crate::row::Row;
 use crate::types::Schema;
 use crate::value::Value;
@@ -547,7 +546,7 @@ fn cost_join<'a>(
                     (Some(b), Some(cols)) => ctx.table_index(&b.table, b.version, cols),
                     _ => None,
                 };
-                let mut fresh: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+                let mut fresh: KeyMap<Vec<usize>> = KeyMap::default();
                 if index.is_none() {
                     fresh.reserve(factors[f].rows.len());
                     let fcols = key_columns(&f_keys, &factors[f].schema, &factors[f].rows, ctx)?;
@@ -557,7 +556,7 @@ fn cost_join<'a>(
                         }
                     }
                 }
-                let map: &HashMap<Vec<Value>, Vec<usize>> = match &index {
+                let map: &KeyMap<Vec<usize>> = match &index {
                     Some(ix) => &ix.map,
                     None => &fresh,
                 };
@@ -580,7 +579,7 @@ fn cost_join<'a>(
                     (Some(b), Some(cols)) => ctx.table_index(&b.table, b.version, cols),
                     _ => None,
                 };
-                let mut fresh: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+                let mut fresh: KeyMap<Vec<usize>> = KeyMap::default();
                 if index.is_none() {
                     fresh.reserve(tuples.len());
                     let ocols = other_key_columns(&other, &factors, ctx)?;
@@ -590,7 +589,7 @@ fn cost_join<'a>(
                         }
                     }
                 }
-                let map: &HashMap<Vec<Value>, Vec<usize>> = match &index {
+                let map: &KeyMap<Vec<usize>> = match &index {
                     Some(ix) => &ix.map,
                     None => &fresh,
                 };
@@ -697,7 +696,7 @@ fn hash_join(
         (Some(base), Some(cols)) => ctx.table_index(&base.table, base.version, &cols),
         _ => None,
     };
-    let mut fresh: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    let mut fresh: KeyMap<Vec<usize>> = KeyMap::default();
     let mut key: Vec<Value> = Vec::with_capacity(build_keys.len());
     if index.is_none() {
         fresh.reserve(build.rows.len());
@@ -708,7 +707,7 @@ fn hash_join(
             }
         }
     }
-    let table: &HashMap<Vec<Value>, Vec<usize>> = match &index {
+    let table: &KeyMap<Vec<usize>> = match &index {
         Some(ix) => &ix.map,
         None => &fresh,
     };

@@ -12,6 +12,7 @@ use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, QueryCtx};
 use crate::expr::vector::{vectorizes, VectorPlan, VECTOR_BATCH_ROWS};
 use crate::expr::{AggFunc, BinOp, Expr};
+use crate::key::KeyMap;
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sql::ast::{JoinKind, OrderItem, SelectItem, SelectStmt, SetOpKind, TableSource};
@@ -650,7 +651,7 @@ fn run_grouped(
     };
 
     // Bucket row indices by key (unless the index already did).
-    let mut fresh_buckets: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    let mut fresh_buckets: KeyMap<Vec<usize>> = KeyMap::default();
     let mut fresh_order: Vec<Vec<Value>> = Vec::new(); // first-seen group order
     if index.is_none() {
         if stmt.group_by.is_empty() {

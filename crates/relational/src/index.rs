@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::key::{KeyHash, KeyMap};
 use crate::row::Row;
 use crate::value::Value;
 
@@ -37,7 +38,7 @@ use crate::value::Value;
 #[derive(Debug)]
 pub struct HashIndex {
     /// Key value → positions of the rows carrying it, ascending.
-    pub map: HashMap<Vec<Value>, Vec<usize>>,
+    pub map: KeyMap<Vec<usize>>,
     /// Distinct keys in first-seen row order.
     pub order: Vec<Vec<Value>>,
     /// The table version this index was built against.
@@ -47,7 +48,8 @@ pub struct HashIndex {
 impl HashIndex {
     /// Build an index over `rows` keyed by the given column positions.
     pub fn build(rows: &[Row], cols: &[usize], version: u64) -> HashIndex {
-        let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
+        let mut map: KeyMap<Vec<usize>> =
+            KeyMap::with_capacity_and_hasher(rows.len(), KeyHash::default());
         let mut order: Vec<Vec<Value>> = Vec::new();
         for (i, row) in rows.iter().enumerate() {
             let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();

@@ -37,6 +37,7 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod index;
+pub mod key;
 pub mod persist;
 pub mod resultset;
 pub mod row;
@@ -53,6 +54,7 @@ pub use error::{Error, ObjectKind, Result};
 pub use expr::compile::{CompiledExpr, ExecCounter};
 pub use expr::vector::{ColumnBatch, VECTOR_BATCH_ROWS};
 pub use index::HashIndex;
+pub use key::{KeyHash, KeyInterner};
 pub use resultset::ResultSet;
 pub use row::Row;
 pub use storage::{StorageBackend, StorageConfig, StorageStats, WalFault, WalFaultKind};

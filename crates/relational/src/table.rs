@@ -1,7 +1,7 @@
 //! In-memory base tables.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{Error, Result};
 use crate::row::Row;
@@ -80,18 +80,24 @@ struct ChangeRecord {
 /// Storage is a plain `Vec<Row>`; the engine targets the working-set sizes
 /// of the mining preprocessor (encoded tables of at most a few million
 /// small rows), for which contiguous row vectors beat any paging scheme.
+///
+/// The rows and the change log sit behind `Arc`s, so a clone shares them
+/// — the same rows at the same version, whoever holds it (the catalog,
+/// the session artifact store) — and a mutation copies what it is about
+/// to change only while another holder exists: a shared table copies
+/// once, an unshared one never.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
     version: u64,
     /// One distinct-count estimate per column, each filled by the first
     /// [`Table::distinct`] call at this version and emptied by `restamp`.
     distinct: Vec<OnceLock<u64>>,
     /// Row-level mutation log, oldest first. Applies on top of
     /// `change_base`; bounded by `CHANGE_LOG_ROWS` total rows.
-    changes: Vec<ChangeRecord>,
+    changes: Arc<Vec<ChangeRecord>>,
     /// Rows held by `changes` (inserted + deleted): the running total the
     /// retention check reads instead of re-summing the log.
     change_rows: usize,
@@ -111,9 +117,9 @@ impl Table {
             name: name.into(),
             distinct: vec![OnceLock::new(); schema.len()],
             schema,
-            rows: Vec::new(),
+            rows: Arc::default(),
             version,
-            changes: Vec::new(),
+            changes: Arc::default(),
             change_rows: 0,
             change_base: version,
             moved: None,
@@ -194,7 +200,7 @@ impl Table {
         let logged = self.log_retains(n).then(|| batch.clone());
         let from = self.rows.len();
         self.moved = Some((self.version, RowsMoved::Appended { from }));
-        self.rows.append(&mut batch);
+        Arc::make_mut(&mut self.rows).append(&mut batch);
         self.restamp();
         match logged {
             Some(inserted) => self.log_change(ChangeRecord {
@@ -249,7 +255,7 @@ impl Table {
         let mut deleted = Vec::new();
         let mut at = Vec::new();
         let mut kept = Vec::with_capacity(self.rows.len());
-        for (i, row) in self.rows.drain(..).enumerate() {
+        for (i, row) in Arc::make_mut(&mut self.rows).drain(..).enumerate() {
             if mask.get(i).copied().unwrap_or(false) {
                 deleted.push(row);
                 at.push(i);
@@ -257,7 +263,7 @@ impl Table {
                 kept.push(row);
             }
         }
-        self.rows = kept;
+        self.rows = Arc::new(kept);
         self.moved = Some((self.version, RowsMoved::Deleted { at }));
         self.restamp();
         let removed = deleted.len();
@@ -292,9 +298,10 @@ impl Table {
         let mut inserted = Vec::with_capacity(changes.len());
         let mut deleted = Vec::with_capacity(changes.len());
         let mut at = Vec::with_capacity(changes.len());
+        let rows = Arc::make_mut(&mut self.rows);
         for (i, row) in changes {
             inserted.push(row.clone());
-            deleted.push(std::mem::replace(&mut self.rows[i], row));
+            deleted.push(std::mem::replace(&mut rows[i], row));
             at.push(i);
         }
         self.moved = Some((self.version, RowsMoved::Updated { at }));
@@ -311,7 +318,11 @@ impl Table {
 
     /// Drop every row.
     pub fn truncate(&mut self) {
-        self.rows.clear();
+        // Nothing of a shared vector is kept, so nothing of it is copied.
+        match Arc::get_mut(&mut self.rows) {
+            Some(rows) => rows.clear(),
+            None => self.rows = Arc::default(),
+        }
         self.moved = None;
         self.restamp();
         self.log_change(ChangeRecord {
@@ -333,7 +344,7 @@ impl Table {
         let rows = record.inserted.len() + record.deleted.len();
         if self.log_retains(rows) {
             self.change_rows += rows;
-            self.changes.push(record);
+            Arc::make_mut(&mut self.changes).push(record);
         } else {
             self.rebase_log();
         }
@@ -342,7 +353,7 @@ impl Table {
     /// Forget the retained log: old windows become unanswerable, new ones
     /// start from the current version.
     fn rebase_log(&mut self) {
-        self.changes.clear();
+        self.changes = Arc::default();
         self.change_rows = 0;
         self.change_base = self.version;
     }
@@ -706,6 +717,74 @@ mod tests {
         table.truncate();
         assert_eq!(table.moved_since(v4), None);
         assert_eq!(table.moved_since(v3), None);
+    }
+
+    /// Copy-on-write, on both backends: a clone (what the session
+    /// artifact store captures) shares the rows; the first mutation of
+    /// either holder copies them once, an unshared holder never copies,
+    /// and no holder ever sees another's mutation — a copy put back into
+    /// the catalog (a restored encoding) included.
+    #[test]
+    fn mutations_copy_shared_rows_once_and_leave_every_other_holder_unchanged() {
+        use crate::engine::Database;
+        let dir = std::env::temp_dir().join(format!("tcdm_table_cow_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for paged in [false, true] {
+            let mut db = if paged {
+                Database::open_paged(&dir).unwrap()
+            } else {
+                Database::new()
+            };
+            db.execute("CREATE TABLE t (a INT, b VARCHAR)").unwrap();
+            db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
+                .unwrap();
+            let live = |db: &Database| db.catalog().table("t").unwrap().clone();
+            let captured = live(&db);
+            let (version, rows) = (captured.version(), captured.rows().to_vec());
+            assert!(Arc::ptr_eq(&captured.rows, &live(&db).rows), "shared");
+            assert!(Arc::ptr_eq(&captured.changes, &live(&db).changes));
+
+            db.execute("INSERT INTO t VALUES (4, 'w')").unwrap();
+            let copied = Arc::as_ptr(&live(&db).rows);
+            assert_ne!(copied, Arc::as_ptr(&captured.rows), "copied on write");
+            db.execute("INSERT INTO t VALUES (5, 'v')").unwrap();
+            db.execute("UPDATE t SET b = 'u' WHERE a = 1").unwrap();
+            assert_eq!(Arc::as_ptr(&live(&db).rows), copied, "unshared: in place");
+            db.execute("DELETE FROM t WHERE a = 2").unwrap();
+            assert_eq!(live(&db).row_count(), 4);
+            db.catalog_mut().table_mut("t").unwrap().truncate();
+            assert_eq!(live(&db).row_count(), 0);
+            assert_eq!((captured.version(), captured.rows()), (version, &rows[..]));
+            assert_eq!(captured.changes_since(version), Some(TableDelta::default()));
+
+            // Back into the catalog, shared again, and mutated there by
+            // every primitive in turn.
+            for sql in [
+                "INSERT INTO t VALUES (6, 't')",
+                "UPDATE t SET a = 0",
+                "DELETE FROM t WHERE a = 3",
+            ] {
+                db.execute("DROP TABLE t").unwrap();
+                db.catalog_mut().create_table(captured.clone()).unwrap();
+                assert_eq!(live(&db).version(), version, "the same snapshot");
+                db.execute(sql).unwrap();
+                assert_ne!(live(&db).rows(), &rows[..], "{sql}");
+                assert_eq!((captured.version(), captured.rows()), (version, &rows[..]));
+            }
+            db.execute("DROP TABLE t").unwrap();
+            db.catalog_mut().create_table(captured.clone()).unwrap();
+            db.catalog_mut().table_mut("t").unwrap().truncate();
+            assert_eq!(captured.rows(), &rows[..], "TRUNCATE copies nothing");
+
+            if paged {
+                // The store mirrored what the catalog held, not a holder.
+                db.execute("INSERT INTO t VALUES (7, 's')").unwrap();
+                drop(db);
+                let reopened = Database::open_paged(&dir).unwrap();
+                assert_eq!(live(&reopened).rows(), &[row![7, "s"]]);
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,131 @@
+//! Allocation budgets of the cold `MINE RULE` path, counted rather than
+//! timed: its own test binary, because the counter is the process's
+//! global allocator.
+//!
+//! * The fused pass's source scan allocates per *distinct key*, never per
+//!   source row: a row that repeats its group and item is hashed and
+//!   compared in place (`relational::KeyInterner`).
+//! * Capturing an encoding into the session artifact store and restoring
+//!   it share the committed tables' rows (`relational::Table` is
+//!   copy-on-write): neither allocates per encoded row.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use minerule::preprocess::preprocess;
+use minerule::{parse_mine_rule, translate, ArtifactStore, Translation};
+use relational::{Database, Row, Value};
+
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so reading it from the allocator allocates nothing.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocation and reallocation of
+/// the calling thread (tests run on parallel threads).
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// cell and touches no allocated memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through the methods above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations `work` makes on this thread.
+fn allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const STATEMENT: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
+                         FROM Baskets GROUP BY tr \
+                         EXTRACTING RULES WITH SUPPORT: 0.01, CONFIDENCE: 0.1";
+
+/// `Baskets(tr, item)`: `groups` baskets of `per_group` items out of 50,
+/// every `(tr, item)` row stored `copies` times (copy-major, so repeats
+/// are far apart).
+fn baskets(groups: i64, per_group: i64, copies: usize) -> (Database, Translation) {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE Baskets (tr INT, item VARCHAR)")
+        .unwrap();
+    let mut rows: Vec<Row> = Vec::new();
+    for _ in 0..copies {
+        for tr in 0..groups {
+            for i in 0..per_group {
+                let item = format!("item_{:02}", (tr * 7 + i * 3) % 50);
+                rows.push(vec![Value::Int(tr), Value::Str(item)]);
+            }
+        }
+    }
+    let table = db.catalog_mut().table_mut("Baskets").unwrap();
+    table.insert_all(rows).unwrap();
+    let translation = translate(&parse_mine_rule(STATEMENT).unwrap(), db.catalog()).unwrap();
+    (db, translation)
+}
+
+#[test]
+fn the_source_scan_allocates_per_distinct_key_not_per_row() {
+    let run = |copies: usize| {
+        let (mut db, translation) = baskets(200, 8, copies);
+        let (report, allocated) = allocations(|| preprocess(&mut db, &translation).unwrap());
+        assert!(report.fused_steps > 0, "the fused pass ran");
+        assert_eq!(report.total_groups, 200);
+        let encoded = db.catalog().table("CodedSource").unwrap().row_count();
+        assert_eq!(encoded, 1600, "the same encoding whatever the copies");
+        allocated
+    };
+    let (once, tenfold) = (run(1), run(10));
+    assert!(
+        tenfold < once * 2,
+        "10x the rows over the same keys: {once} -> {tenfold} allocations"
+    );
+}
+
+#[test]
+fn capturing_and_restoring_an_encoding_allocates_independently_of_its_rows() {
+    let run = |groups: i64| {
+        let (mut db, translation) = baskets(groups, 2, 1);
+        let report = preprocess(&mut db, &translation).unwrap();
+        let encoded = db.catalog().table("CodedSource").unwrap().row_count();
+        assert_eq!(encoded as i64, groups * 2);
+        let store = ArtifactStore::new(true);
+        let (restored, allocated) = allocations(|| {
+            store.capture_encoding(&db, &translation, "", &report);
+            store.restore_encoding(&mut db, &translation, "").unwrap()
+        });
+        assert!(restored.is_some(), "a warm restore");
+        let table = db.catalog().table("CodedSource").unwrap();
+        assert_eq!(
+            table.row_count(),
+            encoded,
+            "the restored rows are all there"
+        );
+        allocated
+    };
+    let (small, large) = (run(3_000), run(30_000));
+    assert!(
+        large.abs_diff(small) * 10 <= small,
+        "10x the encoded rows: {small} -> {large} allocations"
+    );
+}

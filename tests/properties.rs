@@ -4,7 +4,10 @@
 //! failures reproduce exactly) plus hand-kept regression cases from
 //! earlier shrunk failures.
 
+use std::collections::HashMap;
+
 use datagen::rng::Rng;
+use relational::{Date, KeyInterner, Value};
 
 use minerule::algo::itemset::{apriori_join, intersect, is_subset};
 use minerule::algo::{default_pool, sort_itemsets, SimpleInput};
@@ -277,5 +280,134 @@ fn min_groups_threshold_is_exact_boundary() {
         (100, 0.01, 1),
     ] {
         assert_eq!(minerule::preprocess::min_groups_for(total, s), expect);
+    }
+}
+
+/// Values that stress grouping equality and the key hash: `1` ≡ `1.0`,
+/// `0.0` ≢ `-0.0`, NaN, NULL, `""` vs `"\0"`, strings equal up to an
+/// 8-byte boundary, and INTs beyond 2^53 — `Value` hashes an INT through
+/// its `f64` image, so neighbours there collide while staying distinct.
+/// No FLOAT of that range is drawn: 2^53 as a FLOAT equals *both* INTs
+/// 2^53 and 2^53 + 1 (equality is not transitive there), so which one a
+/// hash map finds first is the map's business — pinned for the interner
+/// alone in `key_interner_is_first_seen_where_equality_is_not_transitive`.
+fn key_values() -> Vec<Value> {
+    let s = |s: &str| Value::Str(s.to_string());
+    vec![
+        Value::Null,
+        Value::Int(0),
+        Value::Int(1),
+        Value::Int(-1),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(1.0),
+        Value::Float(2.5),
+        Value::Float(f64::NAN),
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::Date(Date::from_days_since_epoch(0)),
+        Value::Date(Date::from_days_since_epoch(1)),
+        s(""),
+        s("\0"),
+        s("1"),
+        s("abcdefg"),
+        s("abcdefgh"),
+        s("abcdefgh\0"),
+        s("abcdefghi"),
+        s("abcdefghabcdefgh"),
+        Value::Int(1 << 53),
+        Value::Int((1 << 53) + 1),
+        Value::Int((1 << 53) + 2),
+        Value::Float(((1u64 << 53) + 2) as f64),
+        Value::Int(i64::MAX),
+        Value::Int(i64::MAX - 1),
+        Value::Int(i64::MIN),
+    ]
+}
+
+/// `KeyInterner` — probing with the borrowed row, its own hash and table
+/// — assigns every key the slot the owned-key oracle assigns it (a
+/// `HashMap<Vec<Value>, u32>` plus a first-seen order vector), over keys
+/// of 1–3 columns drawn at any positions of the row, with lookups and
+/// retirements interleaved.
+#[test]
+fn key_interner_assigns_the_oracle_slots() {
+    let pool = key_values();
+    let mut rng = Rng::seed_from_u64(0xC24);
+    for case in 0..CASES {
+        let width = rng.gen_range_usize(1, 4);
+        let mut cols: Vec<usize> = (0..4).collect();
+        for i in 0..width {
+            cols.swap(i, rng.gen_range_usize(i, 4));
+        }
+        cols.truncate(width);
+        // Few values per case, so keys repeat; many cases, so all meet.
+        let drawn = rng.gen_range_usize(2, 9);
+        let values: Vec<&Value> = (0..drawn)
+            .map(|_| &pool[rng.gen_range_usize(0, pool.len())])
+            .collect();
+
+        let mut interner = KeyInterner::new(width);
+        let mut oracle: HashMap<Vec<Value>, u32> = HashMap::new();
+        let mut order: Vec<Vec<Value>> = Vec::new();
+        for step in 0..600 {
+            let row: Vec<Value> = (0..4)
+                .map(|_| values[rng.gen_range_usize(0, drawn)].clone())
+                .collect();
+            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
+            let label = format!("case {case} step {step} cols {cols:?} row {row:?}");
+            match rng.gen_below(10) {
+                0 => assert_eq!(
+                    interner.get(&row, &cols),
+                    oracle.get(&key).copied(),
+                    "{label}"
+                ),
+                1 => {
+                    if let Some(slot) = oracle.remove(&key) {
+                        interner.retire(slot);
+                    }
+                    assert_eq!(interner.get(&row, &cols), None, "{label}");
+                }
+                _ => {
+                    let next = order.len() as u32;
+                    let expected = *oracle.entry(key.clone()).or_insert(next);
+                    if expected == next {
+                        order.push(key);
+                    }
+                    assert_eq!(interner.intern(&row, &cols), expected, "{label}");
+                }
+            }
+        }
+        assert_eq!(interner.slots() as usize, order.len(), "case {case}");
+        assert_eq!(interner.len(), oracle.len(), "case {case}");
+        // The stored key is the first-seen representation (`1`, not `1.0`).
+        let stored: Vec<String> = interner.keys().map(|k| format!("{k:?}")).collect();
+        let first_seen: Vec<String> = order.iter().map(|k| format!("{k:?}")).collect();
+        assert_eq!(stored, first_seen, "case {case}");
+        let mut mapped: Vec<u32> = interner.iter().map(|(slot, _)| slot).collect();
+        let mut live: Vec<u32> = oracle.values().copied().collect();
+        mapped.sort_unstable();
+        live.sort_unstable();
+        assert_eq!(mapped, live, "case {case}");
+    }
+}
+
+/// Beyond 2^53 `Value`'s INT/FLOAT equality is not transitive: the FLOAT
+/// 2^53 equals the INTs 2^53 and 2^53 + 1, which differ. All three hash
+/// alike, and the interner answers with the earliest interned key that
+/// equals the probe — across table growth too. Pinned, not endorsed.
+#[test]
+fn key_interner_is_first_seen_where_equality_is_not_transitive() {
+    let float = [Value::Float((1u64 << 53) as f64)];
+    for ints in [[1 << 53, (1 << 53) + 1], [(1 << 53) + 1, 1 << 53]] {
+        let mut interner = KeyInterner::new(1);
+        assert_eq!(interner.intern(&[Value::Int(ints[0])], &[0]), 0);
+        assert_eq!(interner.intern(&[Value::Int(ints[1])], &[0]), 1);
+        for filler in 0..1000 {
+            interner.intern(&[Value::Int(filler)], &[0]);
+            assert_eq!(interner.get(&float, &[0]), Some(0));
+        }
+        assert_eq!(interner.intern(&float, &[0]), 0);
+        assert_eq!(interner.slots(), 1002);
     }
 }

@@ -201,13 +201,38 @@ fn mining_is_bit_identical_across_exec_modes_and_workers() {
     }
 }
 
+/// A two-table FROM: the one statement shape whose preprocessing still
+/// runs `Q0`..`Q11` on the SQL server — and so through its vectorized
+/// operators — in production. (The fused pass of every one-table
+/// statement interns straight from the source rows: it pivots no batch
+/// and counts none.)
+const JOINED: &str = "\
+MINE RULE JoinedAssoc AS \
+SELECT DISTINCT category AS BODY, category AS HEAD, SUPPORT, CONFIDENCE \
+FROM Purchase, Product WHERE item = pitem GROUP BY customer \
+EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1";
+
+fn joined_db() -> Database {
+    let mut db = purchase_db();
+    db.execute("CREATE TABLE Product (pitem VARCHAR, category VARCHAR)")
+        .unwrap();
+    db.execute(
+        "INSERT INTO Product VALUES ('jackets', 'outer'), ('ski_pants', 'snow'), \
+         ('hiking_boots', 'snow'), ('col_shirts', 'inner'), ('brown_boots', 'outer')",
+    )
+    .unwrap();
+    db
+}
+
 #[test]
 fn vector_counters_publish_and_stay_worker_invariant() {
     let mut snapshots = Vec::new();
     for workers in [1usize, 2, 4] {
         let engine = MineRuleEngine::new().with_workers(workers);
-        let mut db = purchase_db();
-        engine.execute(&mut db, SIMPLE).unwrap();
+        let mut db = joined_db();
+        let outcome = engine.execute(&mut db, JOINED).unwrap();
+        assert_eq!(outcome.preprocess_report.fused_steps, 0);
+        assert!(!outcome.rules.is_empty());
         let snapshot = engine.metrics_snapshot();
         assert!(
             snapshot.counter("relational.vector.batches") > 0,
@@ -234,18 +259,21 @@ fn vector_counters_publish_and_stay_worker_invariant() {
         );
     }
 
-    // The row path mints no vector counters at all.
-    let engine = MineRuleEngine::new();
-    let mut db = purchase_db();
-    db.set_reference_paths(true);
-    engine.execute(&mut db, SIMPLE).unwrap();
-    let snapshot = engine.metrics_snapshot();
-    assert!(
-        !snapshot
-            .counters
-            .keys()
-            .any(|k| k.starts_with("relational.vector.")),
-        "row runs must not mint vector counters: {}",
-        snapshot.render_text()
-    );
+    // The row path mints no vector counters at all, and neither does a
+    // statement the fused pass encodes: counters say what ran.
+    for (reference, stmt) in [(true, JOINED), (false, SIMPLE)] {
+        let engine = MineRuleEngine::new();
+        let mut db = joined_db();
+        db.set_reference_paths(reference);
+        engine.execute(&mut db, stmt).unwrap();
+        let snapshot = engine.metrics_snapshot();
+        assert!(
+            !snapshot
+                .counters
+                .keys()
+                .any(|k| k.starts_with("relational.vector.")),
+            "reference={reference}: no batch ran, none may be counted: {}",
+            snapshot.render_text()
+        );
+    }
 }
