@@ -565,8 +565,9 @@ impl Database {
     /// Visit every row of `table` (with its position) under an
     /// evaluation context fit for `exprs`. Expressions that reach back
     /// into the engine — subqueries, sequence draws — need `&mut self`,
-    /// so they see a snapshot of the rows; everything else is evaluated
-    /// against the stored rows in place, without copying the table.
+    /// so they see a snapshot of the rows (shared, not copied: the table
+    /// is not mutated until the visit is over); everything else is
+    /// evaluated against the stored rows in place.
     fn for_each_target_row(
         &mut self,
         table: &str,
@@ -587,7 +588,7 @@ impl Database {
         }
         let target = self.catalog.table(table)?;
         if reaches_engine {
-            let (schema, rows) = (target.schema().clone(), target.rows().to_vec());
+            let (schema, rows) = (target.schema().clone(), target.shared_rows());
             for (at, row) in rows.iter().enumerate() {
                 visit(&schema, at, row, self)?;
             }

@@ -12,11 +12,17 @@
 //! cardinality — `|L|·|R| / ndv(key)`, with distinct counts from the
 //! catalog statistics — and picks the build side by index availability
 //! and actual input size. Instead of materialising every intermediate, it
-//! carries tuples of factor row indices and materialises once at the end,
-//! in the canonical lexicographic order of a written-order fold. That
-//! fold — the FROM list left-to-right, the next factor always the
-//! hash-join build side — is kept as the reference path
-//! ([`QueryCtx::reference_paths`]); both return bit-identical relations.
+//! carries tuples of factor row indices and materialises the demanded
+//! columns once at the end, in the canonical lexicographic order of a
+//! written-order fold. That fold — the FROM list left-to-right, the next
+//! factor always the hash-join build side — is kept as the reference path
+//! ([`QueryCtx::reference_paths`]); both return bit-identical results.
+//!
+//! A factor scanned from a base table shares the table's rows
+//! (`Table::shared_rows`): nothing is copied until a filter keeps some
+//! of them, and then only the survivors.
+
+use std::sync::Arc;
 
 use crate::error::Result;
 use crate::expr::compile::{ExecCounter, SiteEval};
@@ -25,7 +31,7 @@ use crate::expr::vector::VectorPlan;
 use crate::expr::{BinOp, Expr};
 use crate::key::KeyMap;
 use crate::row::Row;
-use crate::types::Schema;
+use crate::types::{Column, Schema};
 use crate::value::Value;
 
 /// Provenance of a relation that is a verbatim snapshot of a base table:
@@ -44,7 +50,10 @@ pub struct BaseRef {
 #[derive(Debug, Clone)]
 pub struct Relation {
     pub schema: Schema,
-    pub rows: Vec<Row>,
+    /// Shared with the catalog while the relation is a base-table scan;
+    /// mutate through [`Arc::make_mut`], which copies a shared vector
+    /// first (a filter copies only its survivors).
+    pub rows: Arc<Vec<Row>>,
     /// Set only while `rows` is an untouched base-table snapshot; any
     /// filter or join clears it (row positions stop matching the table).
     pub base: Option<BaseRef>,
@@ -54,9 +63,14 @@ impl Relation {
     /// A relation with no columns and a single empty row — the input for
     /// FROM-less SELECTs (`SELECT 1`).
     pub fn unit() -> Relation {
+        Relation::owned(Schema::default(), vec![Vec::new()])
+    }
+
+    /// A relation over rows nothing else holds, with no table provenance.
+    pub fn owned(schema: Schema, rows: Vec<Row>) -> Relation {
         Relation {
-            schema: Schema::default(),
-            rows: vec![Vec::new()],
+            schema,
+            rows: Arc::new(rows),
             base: None,
         }
     }
@@ -74,6 +88,40 @@ impl Relation {
                 _ => None,
             })
             .collect()
+    }
+}
+
+/// The columns of a joined relation the rest of its statement can read.
+#[derive(Debug, Clone)]
+pub enum Demand<'a> {
+    /// Every column: a `*` or `t.*` item projects them.
+    All,
+    /// The column references of the statement outside its WHERE clause;
+    /// the join adds those of the conjuncts it leaves as residual.
+    Refs(Vec<(Option<&'a str>, &'a str)>),
+}
+
+impl<'a> Demand<'a> {
+    /// This demand plus the column references of `exprs`.
+    fn with(&self, exprs: &[&'a Expr]) -> Demand<'a> {
+        match self {
+            Demand::All => Demand::All,
+            Demand::Refs(refs) => {
+                let more = exprs.iter().flat_map(|e| e.column_refs());
+                Demand::Refs(refs.iter().copied().chain(more).collect())
+            }
+        }
+    }
+
+    /// Whether some reference could resolve to `column` under
+    /// [`Schema::resolve`]'s own rule ([`Column::answers_to`]), so every
+    /// reference keeps its whole candidate set: the same column, or the
+    /// same ambiguity or unknown-column error, as over the full join.
+    fn reads(&self, column: &Column) -> bool {
+        match self {
+            Demand::All => true,
+            Demand::Refs(refs) => refs.iter().any(|&(q, name)| column.answers_to(q, name)),
+        }
     }
 }
 
@@ -137,45 +185,42 @@ fn as_equi<'a>(expr: &'a Expr) -> Option<EquiPred<'a>> {
 }
 
 /// Filter `rel` in place by `pred` — the predicate is planned once and
-/// run batch-at-a-time, or per row with a reused stack.
+/// run batch-at-a-time, or per row with a reused stack (stopping at the
+/// first error) — then compact the rows in one pass.
 pub fn filter_relation(rel: &mut Relation, pred: &Expr, ctx: &mut dyn QueryCtx) -> Result<()> {
     rel.base = None; // row positions may shift; drop table provenance
-    let schema = rel.schema.clone();
     let before = rel.rows.len();
-    // Vector path: evaluate the predicate batch-at-a-time into a verdict
-    // column, then compact the rows in one retain pass.
-    if let Some(mut plan) = VectorPlan::plan(&[pred], &schema, ctx) {
-        let mut verdicts = [Vec::with_capacity(before)];
-        plan.eval_columns(&rel.rows, ctx, &mut verdicts)?;
-        let keep = &verdicts[0];
-        let mut i = 0;
-        rel.rows.retain(|_| {
-            i += 1;
-            keep[i - 1].is_true()
-        });
-        ctx.bump(ExecCounter::RowsFiltered, (before - rel.rows.len()) as u64);
-        return Ok(());
-    }
-    let eval = SiteEval::plan(pred, &schema, ctx);
-    let mut stack = Vec::new();
-    let mut err = None;
-    rel.rows.retain(|row| {
-        if err.is_some() {
-            return false;
+    let keep: Vec<bool> = match VectorPlan::plan(&[pred], &rel.schema, ctx) {
+        Some(mut plan) => {
+            let mut verdicts = [Vec::with_capacity(before)];
+            plan.eval_columns(&rel.rows, ctx, &mut verdicts)?;
+            verdicts[0].iter().map(Value::is_true).collect()
         }
-        match eval.eval(&schema, row, ctx, &mut stack) {
-            Ok(v) => v.is_true(),
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        }
-    });
-    match err {
-        Some(e) => Err(e),
         None => {
-            ctx.bump(ExecCounter::RowsFiltered, (before - rel.rows.len()) as u64);
-            Ok(())
+            let eval = SiteEval::plan(pred, &rel.schema, ctx);
+            let mut stack = Vec::new();
+            rel.rows
+                .iter()
+                .map(|row| Ok(eval.eval(&rel.schema, row, ctx, &mut stack)?.is_true()))
+                .collect::<Result<_>>()?
+        }
+    };
+    retain_rows(&mut rel.rows, &keep);
+    ctx.bump(ExecCounter::RowsFiltered, (before - rel.rows.len()) as u64);
+    Ok(())
+}
+
+/// Keep the rows whose `keep` entry is true, in order: in place when
+/// nothing else holds them, else by copying the survivors alone.
+fn retain_rows(rows: &mut Arc<Vec<Row>>, keep: &[bool]) {
+    match Arc::get_mut(rows) {
+        Some(rows) => {
+            let mut keep = keep.iter();
+            rows.retain(|_| *keep.next().expect("one verdict per row"));
+        }
+        None => {
+            let kept = rows.iter().zip(keep).filter(|(_, &k)| k);
+            *rows = Arc::new(kept.map(|(row, _)| row.clone()).collect());
         }
     }
 }
@@ -262,10 +307,13 @@ fn gather_tuple_key(
 
 /// Join the factors of a FROM list, consuming the usable conjuncts of the
 /// WHERE clause. Returns the joined relation and the conjuncts that were
-/// *not* consumed (the caller must apply them afterwards).
+/// *not* consumed (the caller must apply them afterwards). The cost-based
+/// join keeps only the columns `demand` and those conjuncts can read; the
+/// written-order fold keeps every column.
 pub fn join_factors<'a>(
     mut factors: Vec<Relation>,
     where_conjuncts: Vec<&'a Expr>,
+    demand: &Demand<'a>,
     ctx: &mut dyn QueryCtx,
 ) -> Result<(Relation, Vec<&'a Expr>)> {
     let cost = !ctx.reference_paths();
@@ -298,7 +346,7 @@ pub fn join_factors<'a>(
     }
 
     if cost && factors.len() >= 2 {
-        return cost_join(factors, equis, residual, ctx);
+        return cost_join(factors, equis, residual, demand, ctx);
     }
 
     let mut factors: std::collections::VecDeque<Relation> = factors.into();
@@ -402,16 +450,18 @@ impl<'a> FactorPred<'a> {
 /// repeatedly fold in the factor with the smallest estimated output
 /// (`|acc|·|next| / ndv(next key)`, distinct counts from the catalog
 /// statistics; a disconnected factor estimates as a cross product). The
-/// accumulator is a vector of *row-index tuples*, not materialised rows,
-/// so wide intermediates cost 4 bytes per factor per row. The build side
-/// of each hash step goes to an existing index if one side has one, else
-/// to the smaller input. At the end the tuples are sorted into canonical
-/// factor order — the exact row order the written-order fold produces —
-/// and materialised once.
+/// accumulator is one flat vector of *row-index tuples* (stride = factor
+/// count), not materialised rows, so a tuple costs 4 bytes per factor and
+/// no allocation. The build side of each hash step goes to an existing
+/// index if one side has one, else to the smaller input. At the end the
+/// tuples are put in canonical factor order — the exact row order the
+/// written-order fold produces — and the demanded columns materialised
+/// once: those `demand` or a residual conjunct can read.
 fn cost_join<'a>(
     factors: Vec<Relation>,
     equis: Vec<(&'a Expr, EquiPred<'a>)>,
     mut residual: Vec<&'a Expr>,
+    demand: &Demand<'a>,
     ctx: &mut dyn QueryCtx,
 ) -> Result<(Relation, Vec<&'a Expr>)> {
     let n = factors.len();
@@ -438,20 +488,18 @@ fn cost_join<'a>(
         .expect("cost_join requires factors");
     joined[start] = true;
     let mut order = vec![start];
-    // Each tuple holds one row index per factor; unjoined slots are 0 and
-    // masked by `joined`.
-    let mut tuples: Vec<Vec<u32>> = (0..factors[start].rows.len() as u32)
-        .map(|i| {
-            let mut t = vec![0u32; n];
-            t[start] = i;
-            t
-        })
-        .collect();
+    // Tuple `i` is `tuples[i * n..(i + 1) * n]`: one row index per factor;
+    // unjoined slots are 0 and masked by `joined`.
+    let mut tuples: Vec<u32> = vec![0; factors[start].rows.len() * n];
+    for (i, t) in tuples.chunks_exact_mut(n).enumerate() {
+        t[start] = i as u32;
+    }
     // While `tuples` is still the identity over the start factor, its
     // untouched base snapshot (if any) can serve as an index build side.
     let mut tuples_base: Option<usize> = Some(start);
 
     while order.len() < n {
+        let acc = tuples.len() / n;
         // Pick the unjoined factor with the smallest estimated output.
         let mut best: Option<(u64, usize)> = None;
         for (f, factor) in factors.iter().enumerate() {
@@ -459,7 +507,7 @@ fn cost_join<'a>(
                 continue;
             }
             let fr = factor.rows.len() as u64;
-            let cross = (tuples.len() as u64).saturating_mul(fr);
+            let cross = (acc as u64).saturating_mul(fr);
             let mut connected = false;
             let mut ndv = 1u64;
             for (pi, p) in preds.iter().enumerate() {
@@ -498,15 +546,13 @@ fn cost_join<'a>(
             pred_used[pi] = true;
         }
 
-        let out: Vec<Vec<u32>> = if conn.is_empty() {
+        let out: Vec<u32> = if conn.is_empty() {
             // No usable predicate: cross product.
             let fr = factors[f].rows.len();
             let mut out = Vec::with_capacity(tuples.len().saturating_mul(fr));
-            for t in &tuples {
+            for t in tuples.chunks_exact(n) {
                 for i in 0..fr {
-                    let mut t2 = t.clone();
-                    t2[f] = i as u32;
-                    out.push(t2);
+                    push_tuple(&mut out, t, f, i);
                 }
             }
             out
@@ -533,13 +579,13 @@ fn cost_join<'a>(
             // smaller input builds, ties going to the incoming factor.
             let build_on_f = if f_has_ix != t_has_ix {
                 f_has_ix
-            } else if factors[f].rows.len() != tuples.len() {
-                factors[f].rows.len() < tuples.len()
+            } else if factors[f].rows.len() != acc {
+                factors[f].rows.len() < acc
             } else {
                 true
             };
 
-            let mut out: Vec<Vec<u32>> = Vec::new();
+            let mut out: Vec<u32> = Vec::new();
             let mut key: Vec<Value> = Vec::with_capacity(conn.len());
             if build_on_f {
                 let index = match (&factors[f].base, &f_cols) {
@@ -561,15 +607,13 @@ fn cost_join<'a>(
                     None => &fresh,
                 };
                 let ocols = other_key_columns(&other, &factors, ctx)?;
-                for t in &tuples {
+                for t in tuples.chunks_exact(n) {
                     if !gather_tuple_key(&ocols, &other, t, &mut key) {
                         continue;
                     }
                     if let Some(matches) = map.get(&key) {
                         for &bi in matches {
-                            let mut t2 = t.clone();
-                            t2[f] = bi as u32;
-                            out.push(t2);
+                            push_tuple(&mut out, t, f, bi);
                         }
                     }
                 }
@@ -581,9 +625,9 @@ fn cost_join<'a>(
                 };
                 let mut fresh: KeyMap<Vec<usize>> = KeyMap::default();
                 if index.is_none() {
-                    fresh.reserve(tuples.len());
+                    fresh.reserve(acc);
                     let ocols = other_key_columns(&other, &factors, ctx)?;
-                    for (ti, t) in tuples.iter().enumerate() {
+                    for (ti, t) in tuples.chunks_exact(n).enumerate() {
                         if gather_tuple_key(&ocols, &other, t, &mut key) {
                             fresh.entry(std::mem::take(&mut key)).or_default().push(ti);
                         }
@@ -600,9 +644,7 @@ fn cost_join<'a>(
                     }
                     if let Some(matches) = map.get(&key) {
                         for &ti in matches {
-                            let mut t2 = tuples[ti].clone();
-                            t2[f] = fi as u32;
-                            out.push(t2);
+                            push_tuple(&mut out, &tuples[ti * n..(ti + 1) * n], f, fi);
                         }
                     }
                 }
@@ -610,11 +652,9 @@ fn cost_join<'a>(
             out
         };
 
-        ctx.bump(ExecCounter::RowsJoined, out.len() as u64);
-        ctx.bump(
-            ExecCounter::PlannerEstRowsErr,
-            est.abs_diff(out.len() as u64),
-        );
+        let produced = (out.len() / n) as u64;
+        ctx.bump(ExecCounter::RowsJoined, produced);
+        ctx.bump(ExecCounter::PlannerEstRowsErr, est.abs_diff(produced));
         tuples = out;
         joined[f] = true;
         order.push(f);
@@ -624,39 +664,47 @@ fn cost_join<'a>(
     let reordered = order.iter().enumerate().filter(|&(i, &f)| i != f).count() as u64;
     ctx.bump(ExecCounter::PlannerReorderedJoins, reordered);
 
-    // Canonical output: the written-order fold emits rows
-    // lexicographically by factor row index, so sorting the tuples
-    // reproduces its row order exactly — bit-identical relations.
-    tuples.sort_unstable();
-    let mut schema = factors[0].schema.clone();
-    for fct in &factors[1..] {
-        schema = schema.join(&fct.schema);
-    }
-    let width = schema.len();
-    let mut rows = Vec::with_capacity(tuples.len());
-    for t in &tuples {
-        let mut r = Vec::with_capacity(width);
-        for (fi, fct) in factors.iter().enumerate() {
-            r.extend_from_slice(&fct.rows[t[fi] as usize]);
+    // Only the columns some later reference can resolve to are built; a
+    // `COUNT(*)` join builds width-0 rows, which allocate nothing.
+    let demand = demand.with(&residual);
+    let (mut columns, mut schema) = (Vec::new(), Schema::default());
+    for (fi, fct) in factors.iter().enumerate() {
+        for (ci, c) in fct.schema.columns().iter().enumerate() {
+            if demand.reads(c) {
+                columns.push((fi, ci));
+                schema.push(c.clone());
+            }
         }
-        rows.push(r);
     }
-    Ok((
-        Relation {
-            schema,
-            rows,
-            base: None,
-        },
-        residual,
-    ))
+    let row_of = |t: &[u32]| -> Row {
+        columns
+            .iter()
+            .map(|&(fi, ci)| factors[fi].rows[t[fi] as usize][ci].clone())
+            .collect()
+    };
+    // Canonical output: the written-order fold emits rows
+    // lexicographically by factor row index, so sorting a permutation of
+    // the tuples reproduces its row order exactly — bit-identical results.
+    let tuple = |i: usize| &tuples[i * n..(i + 1) * n];
+    let mut perm: Vec<usize> = (0..tuples.len() / n).collect();
+    perm.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+    let rows: Vec<Row> = perm.into_iter().map(|i| row_of(tuple(i))).collect();
+    Ok((Relation::owned(schema, rows), residual))
+}
+
+/// Append tuple `t` with factor `f`'s slot set to `row`.
+fn push_tuple(out: &mut Vec<u32>, t: &[u32], f: usize, row: usize) {
+    out.extend_from_slice(t);
+    let at = out.len() - t.len() + f;
+    out[at] = row as u32;
 }
 
 fn cross_join(a: &Relation, b: &Relation, ctx: &mut dyn QueryCtx) -> Relation {
     let schema = a.schema.join(&b.schema);
     let width = schema.len();
     let mut rows = Vec::with_capacity(a.rows.len() * b.rows.len());
-    for ra in &a.rows {
-        for rb in &b.rows {
+    for ra in a.rows.iter() {
+        for rb in b.rows.iter() {
             let mut r = Vec::with_capacity(width);
             r.extend_from_slice(ra);
             r.extend_from_slice(rb);
@@ -664,11 +712,7 @@ fn cross_join(a: &Relation, b: &Relation, ctx: &mut dyn QueryCtx) -> Relation {
         }
     }
     ctx.bump(ExecCounter::RowsJoined, rows.len() as u64);
-    Relation {
-        schema,
-        rows,
-        base: None,
-    }
+    Relation::owned(schema, rows)
 }
 
 /// Hash join `probe ⋈ build` on the given key expressions. NULL keys never
@@ -732,11 +776,7 @@ fn hash_join(
         rows.push(r);
     }
     ctx.bump(ExecCounter::RowsJoined, rows.len() as u64);
-    Ok(Relation {
-        schema,
-        rows,
-        base: None,
-    })
+    Ok(Relation::owned(schema, rows))
 }
 
 #[cfg(test)]
@@ -745,19 +785,11 @@ mod tests {
     use crate::expr::eval::NoCtx;
     use crate::row;
     use crate::sql::parser::parse_expression;
-    use crate::types::{Column, DataType};
+    use crate::types::DataType;
 
     fn rel(q: &str, names: &[(&str, DataType)], rows: Vec<Row>) -> Relation {
-        Relation {
-            schema: Schema::new(
-                names
-                    .iter()
-                    .map(|(n, t)| Column::qualified(q, *n, *t))
-                    .collect(),
-            ),
-            rows,
-            base: None,
-        }
+        let columns = names.iter().map(|(n, t)| Column::qualified(q, *n, *t));
+        Relation::owned(Schema::new(columns.collect()), rows)
     }
 
     #[test]
@@ -779,7 +811,8 @@ mod tests {
             vec![row![2, "two"], row![3, "three"], row![3, "III"]],
         );
         let pred = parse_expression("a.x = b.y").unwrap();
-        let (joined, residual) = join_factors(vec![a, b], conjuncts(&pred), &mut NoCtx).unwrap();
+        let (joined, residual) =
+            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 3); // 2-two, 3-three, 3-III
         assert_eq!(joined.schema.len(), 3);
@@ -790,7 +823,8 @@ mod tests {
         let a = rel("a", &[("x", DataType::Int)], vec![vec![Value::Null]]);
         let b = rel("b", &[("y", DataType::Int)], vec![vec![Value::Null]]);
         let pred = parse_expression("a.x = b.y").unwrap();
-        let (joined, _) = join_factors(vec![a, b], conjuncts(&pred), &mut NoCtx).unwrap();
+        let (joined, _) =
+            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
         assert!(joined.rows.is_empty());
     }
 
@@ -798,7 +832,8 @@ mod tests {
     fn no_predicate_gives_cross_product() {
         let a = rel("a", &[("x", DataType::Int)], vec![row![1], row![2]]);
         let b = rel("b", &[("y", DataType::Int)], vec![row![10], row![20]]);
-        let (joined, residual) = join_factors(vec![a, b], vec![], &mut NoCtx).unwrap();
+        let (joined, residual) =
+            join_factors(vec![a, b], vec![], &Demand::All, &mut NoCtx).unwrap();
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 4);
     }
@@ -808,7 +843,8 @@ mod tests {
         let a = rel("a", &[("x", DataType::Int)], vec![row![1], row![2]]);
         let b = rel("b", &[("y", DataType::Int)], vec![row![10]]);
         let pred = parse_expression("a.x = 2").unwrap();
-        let (joined, residual) = join_factors(vec![a, b], conjuncts(&pred), &mut NoCtx).unwrap();
+        let (joined, residual) =
+            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 1);
         assert_eq!(joined.rows[0], row![2, 10]);
@@ -819,7 +855,8 @@ mod tests {
         let a = rel("a", &[("x", DataType::Int)], vec![row![1]]);
         let b = rel("b", &[("y", DataType::Int)], vec![row![10]]);
         let pred = parse_expression("a.x < b.y").unwrap();
-        let (joined, residual) = join_factors(vec![a, b], conjuncts(&pred), &mut NoCtx).unwrap();
+        let (joined, residual) =
+            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
         assert_eq!(joined.rows.len(), 1); // cross join, filter left to caller
         assert_eq!(residual.len(), 1);
     }
@@ -834,9 +871,53 @@ mod tests {
         );
         let c = rel("c", &[("y", DataType::Int)], vec![row![20]]);
         let pred = parse_expression("a.x = b.x AND b.y = c.y").unwrap();
-        let (joined, residual) = join_factors(vec![a, b, c], conjuncts(&pred), &mut NoCtx).unwrap();
+        let (joined, residual) =
+            join_factors(vec![a, b, c], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 1);
         assert_eq!(joined.rows[0], row![2, 2, 20, 20]);
+    }
+
+    #[test]
+    fn cost_join_builds_only_demanded_columns() {
+        let a = rel(
+            "a",
+            &[("x", DataType::Int), ("s", DataType::Str)],
+            vec![row![1, "p"], row![2, "q"]],
+        );
+        let b = rel(
+            "b",
+            &[("x", DataType::Int), ("t", DataType::Str)],
+            vec![row![2, "r"], row![1, "p"], row![2, "q"]],
+        );
+        let pred = parse_expression("a.x = b.x AND a.s <> b.t").unwrap();
+        // The equi conjunct is consumed; the residual reads a.s and b.t.
+        let demand = Demand::Refs(vec![(Some("B"), "T")]);
+        let (joined, residual) =
+            join_factors(vec![a, b], conjuncts(&pred), &demand, &mut NoCtx).unwrap();
+        assert_eq!(residual.len(), 1);
+        let names: Vec<String> = joined
+            .schema
+            .columns()
+            .iter()
+            .map(|c| format!("{}.{}", c.qualifier.as_deref().unwrap_or(""), c.name))
+            .collect();
+        assert_eq!(names, ["a.s", "b.t"]);
+        assert_eq!(
+            *joined.rows,
+            [row!["p", "p"], row!["q", "r"], row!["q", "q"]]
+        );
+    }
+
+    #[test]
+    fn a_join_nothing_reads_builds_width_zero_rows() {
+        let a = rel("a", &[("x", DataType::Int)], vec![row![1], row![1]]);
+        let b = rel("b", &[("x", DataType::Int)], vec![row![1], row![2]]);
+        let pred = parse_expression("a.x = b.x").unwrap();
+        let demand = Demand::Refs(Vec::new());
+        let (joined, _) = join_factors(vec![a, b], conjuncts(&pred), &demand, &mut NoCtx).unwrap();
+        assert!(joined.schema.is_empty());
+        assert_eq!(joined.rows.len(), 2);
+        assert!(joined.rows.iter().all(|r| r.capacity() == 0));
     }
 }

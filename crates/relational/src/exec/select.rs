@@ -1,18 +1,21 @@
 //! SELECT execution: scan/join → filter → group/aggregate → project →
-//! distinct → order → limit, all fully materialised.
+//! distinct → order → limit, each step materialised late: scans share
+//! the catalog's rows, a join builds only the columns the statement
+//! reads ([`Demand`]) and a cutting LIMIT keeps a stable top-k instead of
+//! sorting every row.
 
-use std::collections::hash_map::DefaultHasher;
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 
 use crate::engine::Database;
 use crate::error::{Error, Result};
-use crate::exec::join::{conjuncts, filter_relation, join_factors, resolves_in, BaseRef, Relation};
+use crate::exec::join::{conjuncts, filter_relation, join_factors, BaseRef, Demand, Relation};
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, QueryCtx};
 use crate::expr::vector::{vectorizes, VectorPlan, VECTOR_BATCH_ROWS};
 use crate::expr::{AggFunc, BinOp, Expr};
-use crate::key::KeyMap;
+use crate::key::{KeyHash, KeyMap};
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sql::ast::{JoinKind, OrderItem, SelectItem, SelectStmt, SetOpKind, TableSource};
@@ -27,28 +30,35 @@ pub fn run_select(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
     run_select_arm(db, stmt, true)
 }
 
-/// 64-bit hash of a row, used with candidate-index buckets for
-/// clone-free DISTINCT / set-operation dedup.
-fn row_hash(row: &Row) -> u64 {
-    let mut h = DefaultHasher::new();
-    row.hash(&mut h);
-    h.finish()
+/// Row-index buckets by row hash: the seen-set of a dedup site. One
+/// [`KeyHash`] per site both hashes the rows (`hasher().hash_one`) and
+/// places the buckets; the hash only picks buckets, rows are compared
+/// for equality, so first-occurrence order never depends on it.
+type RowBuckets = HashMap<u64, Vec<usize>, KeyHash>;
+
+fn row_buckets(rows: usize) -> RowBuckets {
+    HashMap::with_capacity_and_hasher(rows, KeyHash::default())
 }
 
 /// Hash every row of a dedup site (DISTINCT, set operations) into a
 /// column — chunked by [`VECTOR_BATCH_ROWS`] (and counted as vector
 /// batches) when the site [`vectorizes`], row-at-a-time otherwise. Both
 /// paths produce identical hashes.
-fn row_hash_column<T>(rows: &[T], key: impl Fn(&T) -> &Row, ctx: &mut dyn QueryCtx) -> Vec<u64> {
+fn row_hash_column<T>(
+    rows: &[T],
+    key: impl Fn(&T) -> &Row,
+    hash: &KeyHash,
+    ctx: &mut dyn QueryCtx,
+) -> Vec<u64> {
     let mut hashes = Vec::with_capacity(rows.len());
     if vectorizes(ctx, &[]) {
         for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
             ctx.bump(ExecCounter::VectorBatches, 1);
             ctx.bump(ExecCounter::VectorRows, chunk.len() as u64);
-            hashes.extend(chunk.iter().map(|r| row_hash(key(r))));
+            hashes.extend(chunk.iter().map(|r| hash.hash_one(key(r))));
         }
     } else {
-        hashes.extend(rows.iter().map(|r| row_hash(key(r))));
+        hashes.extend(rows.iter().map(|r| hash.hash_one(key(r))));
     }
     hashes
 }
@@ -56,8 +66,8 @@ fn row_hash_column<T>(rows: &[T], key: impl Fn(&T) -> &Row, ctx: &mut dyn QueryC
 /// Keep the first occurrence of each distinct row. Rows are moved, never
 /// cloned: the seen-set stores hashes and indices into the output.
 fn dedup_rows(rows: Vec<Row>, ctx: &mut dyn QueryCtx) -> Vec<Row> {
-    let hashes = row_hash_column(&rows, |r| r, ctx);
-    let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(rows.len());
+    let mut seen = row_buckets(rows.len());
+    let hashes = row_hash_column(&rows, |r| r, seen.hasher(), ctx);
     let mut out: Vec<Row> = Vec::with_capacity(rows.len());
     for (row, h) in rows.into_iter().zip(hashes) {
         let bucket = seen.entry(h).or_default();
@@ -85,7 +95,7 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
         });
     }
     let schema = left.schema().clone();
-    let mut rows: Vec<Row> = match kind {
+    let rows: Vec<Row> = match kind {
         SetOpKind::UnionAll => {
             let mut rows = left.into_rows();
             rows.extend(right.into_rows());
@@ -98,52 +108,81 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
         }
         SetOpKind::Intersect | SetOpKind::Except => {
             let right_rows = right.into_rows();
-            let mut membership: HashMap<u64, Vec<usize>> = HashMap::with_capacity(right_rows.len());
+            let mut membership = row_buckets(right_rows.len());
             for (i, r) in right_rows.iter().enumerate() {
-                membership.entry(row_hash(r)).or_default().push(i);
+                let h = membership.hasher().hash_one(r);
+                membership.entry(h).or_default().push(i);
             }
             let keep_members = matches!(kind, SetOpKind::Intersect);
             let mut kept = left.into_rows();
             kept.retain(|r| {
                 let member = membership
-                    .get(&row_hash(r))
+                    .get(&membership.hasher().hash_one(r))
                     .is_some_and(|b| b.iter().any(|&i| right_rows[i] == *r));
                 member == keep_members
             });
             dedup_rows(kept, db)
         }
     };
-    // Trailing ORDER BY: output positions or column names only.
-    if !stmt.order_by.is_empty() {
-        let names: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
-        let mut keyed: Vec<(Row, Vec<Value>)> = Vec::with_capacity(rows.len());
-        for r in rows {
-            let mut keys = Vec::with_capacity(stmt.order_by.len());
-            for o in &stmt.order_by {
-                keys.push(output_key(&o.expr, &r, &names).ok_or_else(|| {
-                    Error::unsupported(
-                        "ORDER BY after a set operation must reference output columns",
-                    )
-                })?);
-            }
-            keyed.push((r, keys));
+    if stmt.order_by.is_empty() {
+        let mut rows = rows;
+        if let Some(l) = stmt.limit {
+            rows.truncate(l as usize);
         }
-        let dirs: Vec<bool> = stmt.order_by.iter().map(|o| o.asc).collect();
-        keyed.sort_by(|(_, ka), (_, kb)| {
-            for ((a, b), asc) in ka.iter().zip(kb.iter()).zip(&dirs) {
-                let ord = a.total_cmp(b);
-                if ord != std::cmp::Ordering::Equal {
-                    return if *asc { ord } else { ord.reverse() };
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows = keyed.into_iter().map(|(r, _)| r).collect();
+        return Ok(ResultSet::new(schema, rows));
     }
-    if let Some(l) = stmt.limit {
-        rows.truncate(l as usize);
+    // Trailing ORDER BY: output positions or column names only.
+    let names: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
+    let mut keyed: Vec<(Row, Vec<Value>)> = Vec::with_capacity(rows.len());
+    for r in rows {
+        let mut keys = Vec::with_capacity(stmt.order_by.len());
+        for o in &stmt.order_by {
+            keys.push(output_key(&o.expr, &r, &names).ok_or_else(|| {
+                Error::unsupported("ORDER BY after a set operation must reference output columns")
+            })?);
+        }
+        keyed.push((r, keys));
     }
+    let rows = order_and_limit(keyed, &stmt.order_by, stmt.limit);
     Ok(ResultSet::new(schema, rows))
+}
+
+/// ORDER BY, then LIMIT, over rows paired with their sort keys. With
+/// nothing cut it is a stable sort; when the LIMIT cuts, it selects the
+/// `k` smallest rows by (keys, input position) and sorts only those —
+/// exactly the prefix the stable sort would keep.
+fn order_and_limit(
+    mut keyed: Vec<(Row, Vec<Value>)>,
+    order_by: &[OrderItem],
+    limit: Option<u64>,
+) -> Vec<Row> {
+    let by_keys = |a: &[Value], b: &[Value]| {
+        for ((a, b), o) in a.iter().zip(b).zip(order_by) {
+            let ord = a.total_cmp(b);
+            if ord != Ordering::Equal {
+                return if o.asc { ord } else { ord.reverse() };
+            }
+        }
+        Ordering::Equal
+    };
+    let k = limit.map_or(keyed.len(), |l| keyed.len().min(l as usize));
+    if order_by.is_empty() || k == 0 {
+        keyed.truncate(k);
+    } else if k == keyed.len() {
+        keyed.sort_by(|(_, a), (_, b)| by_keys(a, b));
+    } else {
+        let by_position =
+            |&i: &usize, &j: &usize| by_keys(&keyed[i].1, &keyed[j].1).then(i.cmp(&j));
+        let mut top: Vec<usize> = (0..keyed.len()).collect();
+        top.select_nth_unstable_by(k - 1, by_position);
+        top.truncate(k);
+        top.sort_unstable_by(by_position);
+        return top
+            .into_iter()
+            .map(|i| std::mem::take(&mut keyed[i].0))
+            .collect();
+    }
+    keyed.into_iter().map(|(r, _)| r).collect()
 }
 
 /// Run one SELECT body. `with_tail` applies the trailing ORDER BY /
@@ -154,45 +193,30 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
     let order_by: &[OrderItem] = if with_tail { &stmt.order_by } else { &[] };
     let limit = if with_tail { stmt.limit } else { None };
 
-    let mut where_conjuncts = stmt
+    let where_conjuncts = stmt
         .where_clause
         .as_ref()
         .map(|w| conjuncts(w))
         .unwrap_or_default();
 
-    // 1. FROM: materialise factors, plan joins, push filters. A
-    // single-table FROM first tries the fused scan+filter,
-    // which evaluates the leading pushable conjunct over the base
-    // table's rows *before* they are cloned into a relation (consuming
-    // that conjunct from `where_conjuncts`).
+    // 1. FROM: materialise factors, plan joins, push filters. A base
+    // table's scan shares the catalog's rows, so a pushed filter copies
+    // only the rows it keeps.
     let mut factors = Vec::with_capacity(stmt.from.len());
-    let fused = match stmt.from.as_slice() {
-        [tref] if tref.joins.is_empty() => fused_scan(
-            db,
-            &tref.source,
-            tref.alias.as_deref(),
-            &mut where_conjuncts,
-        )?,
-        _ => None,
-    };
-    if let Some(rel) = fused {
-        factors.push(rel);
-    } else {
-        for tref in &stmt.from {
-            let mut current = materialize_factor(db, &tref.source, tref.alias.as_deref())?;
-            // Explicit JOIN ... ON chain on this factor.
-            for join in &tref.joins {
-                let right = materialize_factor(db, &join.source, join.alias.as_deref())?;
-                current = explicit_join(db, current, right, join.kind, join.on.as_ref())?;
-            }
-            factors.push(current);
+    for tref in &stmt.from {
+        let mut current = materialize_factor(db, &tref.source, tref.alias.as_deref())?;
+        // Explicit JOIN ... ON chain on this factor.
+        for join in &tref.joins {
+            let right = materialize_factor(db, &join.source, join.alias.as_deref())?;
+            current = explicit_join(db, current, right, join.kind, join.on.as_ref())?;
         }
+        factors.push(current);
     }
 
     let (mut input, residual) = if factors.is_empty() {
         (Relation::unit(), where_conjuncts)
     } else {
-        join_factors(factors, where_conjuncts, db)?
+        join_factors(factors, where_conjuncts, &demand(stmt, order_by), db)?
     };
     if let Some(pred) = Expr::conjoin(residual.into_iter().cloned()) {
         filter_relation(&mut input, &pred, db)?;
@@ -279,7 +303,7 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
                 .collect();
             let mut stack = Vec::new();
             let mut out = Vec::with_capacity(input.rows.len());
-            for row in &input.rows {
+            for row in input.rows.iter() {
                 let mut o = Vec::with_capacity(items.len());
                 for ev in &item_evals {
                     o.push(ev.eval(&input.schema, row, db, &mut stack)?);
@@ -299,8 +323,8 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
 
     // 5. DISTINCT — hashed row-index buckets; rows move, never clone.
     if stmt.distinct {
-        let hashes = row_hash_column(&projected, |p| &p.0, db);
-        let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(projected.len());
+        let mut seen = row_buckets(projected.len());
+        let hashes = row_hash_column(&projected, |p| &p.0, seen.hasher(), db);
         let mut kept: Vec<(Row, Vec<Value>)> = Vec::with_capacity(projected.len());
         for ((row, keys), h) in projected.into_iter().zip(hashes) {
             let bucket = seen.entry(h).or_default();
@@ -313,26 +337,8 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
         projected = kept;
     }
 
-    // 6. ORDER BY.
-    if !order_by.is_empty() {
-        let dirs: Vec<bool> = order_by.iter().map(|o| o.asc).collect();
-        projected.sort_by(|(_, ka), (_, kb)| {
-            for ((a, b), asc) in ka.iter().zip(kb.iter()).zip(&dirs) {
-                let ord = a.total_cmp(b);
-                if ord != std::cmp::Ordering::Equal {
-                    return if *asc { ord } else { ord.reverse() };
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    // 7. LIMIT.
-    if let Some(l) = limit {
-        projected.truncate(l as usize);
-    }
-
-    let rows: Vec<Row> = projected.into_iter().map(|(r, _)| r).collect();
+    // 6/7. ORDER BY and LIMIT.
+    let rows = order_and_limit(projected, order_by, limit);
     let schema = output_schema(&items, &input.schema, &rows);
     let rs = ResultSet::new(schema, rows);
 
@@ -361,11 +367,7 @@ fn materialize_factor(
         TableSource::Named(name) => materialize_named(db, name)?,
         TableSource::Subquery(q) => {
             let rs = run_select(db, q)?;
-            Relation {
-                schema: rs.schema().clone(),
-                rows: rs.into_rows(),
-                base: None,
-            }
+            Relation::owned(rs.schema().clone(), rs.into_rows())
         }
     };
     let qualifier: Option<String> = match (alias, source) {
@@ -403,9 +405,9 @@ fn explicit_join(
     // only when the pair survives the ON predicate.
     let mut combined: Row = Vec::with_capacity(schema.len());
     let mut rows = Vec::new();
-    for lrow in &left.rows {
+    for lrow in left.rows.iter() {
         let mut matched = false;
-        for rrow in &right.rows {
+        for rrow in right.rows.iter() {
             combined.clear();
             combined.extend_from_slice(lrow);
             combined.extend_from_slice(rrow);
@@ -426,144 +428,22 @@ fn explicit_join(
         }
     }
     db.bump(ExecCounter::RowsJoined, rows.len() as u64);
-    Ok(Relation {
-        schema,
-        rows,
-        base: None,
-    })
+    Ok(Relation::owned(schema, rows))
 }
 
-/// A [`QueryCtx`] detached from the database: it buffers counter bumps
-/// for later replay. The fused scan needs it because the vector machine
-/// evaluates while the table's rows are still borrowed from the catalog,
-/// so the database itself cannot serve as the (mutable) context.
-/// Subqueries, sequences and host variables are unreachable here — the
-/// caller gates on [`vectorizes`] plus a host-variable check — so those
-/// arms error rather than carry engine state.
-#[derive(Default)]
-struct DetachedScanCtx {
-    bumps: Vec<(ExecCounter, u64)>,
-}
-
-impl QueryCtx for DetachedScanCtx {
-    fn run_subquery(&mut self, _query: &SelectStmt) -> Result<ResultSet> {
-        Err(Error::unsupported("subquery in a fused scan predicate"))
-    }
-    fn nextval(&mut self, _sequence: &str) -> Result<i64> {
-        Err(Error::unsupported(
-            "sequence draw in a fused scan predicate",
-        ))
-    }
-    fn host_var(&self, _name: &str) -> Result<Value> {
-        Err(Error::unsupported(
-            "host variable in a fused scan predicate",
-        ))
-    }
-    fn bump(&mut self, counter: ExecCounter, n: u64) {
-        self.bumps.push((counter, n));
-    }
-}
-
-/// Fused scan+filter: evaluate the leading pushable WHERE conjunct over
-/// a base table's rows batch-at-a-time *before* cloning them into a
-/// relation, so dropped rows (and their heap payloads) are never
-/// materialised. This is where the vector path's headline win lives —
-/// materialise-then-filter must copy every row out of the catalog first
-/// and filter the copy.
-///
-/// Engages only when every observable stays identical to
-/// materialise-then-filter:
-///
-/// * single-table FROM over a named base table (views re-run queries);
-/// * the conjunct is the *first* one that resolves in the scan's schema
-///   — exactly the first predicate the row path would evaluate, so
-///   error order is preserved (later conjuncts still run through
-///   [`join_factors`] / [`filter_relation`] on the shrunken relation);
-/// * the conjunct [`vectorizes`] and is host-variable-free, so
-///   evaluation needs no engine state (see [`DetachedScanCtx`]).
-///
-/// Returns `None` (and leaves `conjuncts` untouched) whenever any gate
-/// fails; the caller then materialises the full table as before. On
-/// success the consumed conjunct is removed from `conjuncts`.
-fn fused_scan(
-    db: &mut Database,
-    source: &TableSource,
-    alias: Option<&str>,
-    conjuncts: &mut Vec<&Expr>,
-) -> Result<Option<Relation>> {
-    let TableSource::Named(name) = source else {
-        return Ok(None);
-    };
-    if db.catalog().view(name).is_some() {
-        return Ok(None);
-    }
-    let Ok(table) = db.catalog().table(name) else {
-        return Ok(None); // let the normal path surface the error
-    };
-    let schema = table.schema().with_qualifier(alias.unwrap_or(name));
-    let Some(lead) = conjuncts.iter().position(|c| resolves_in(c, &schema)) else {
-        return Ok(None);
-    };
-    let pred = conjuncts[lead];
-    let mut host_var = false;
-    pred.walk(&mut |e| host_var |= matches!(e, Expr::HostVar(_)));
-    if !vectorizes(&*db, &[pred]) || host_var {
-        return Ok(None);
-    }
-
-    let mut local = DetachedScanCtx::default();
-    let (scanned, kept, eval) = {
-        let table = db.catalog().table(name).expect("resolved above");
-        let rows = table.rows();
-        let Some(mut plan) = VectorPlan::plan(&[pred], &schema, &mut local) else {
-            return Ok(None);
-        };
-        let mut verdicts = [Vec::with_capacity(rows.len())];
-        let eval = plan.eval_columns(rows, &mut local, &mut verdicts);
-        let kept: Vec<Row> = match &eval {
-            Ok(()) => rows
-                .iter()
-                .zip(&verdicts[0])
-                .filter(|(_, v)| v.is_true())
-                .map(|(r, _)| r.clone())
-                .collect(),
-            Err(_) => Vec::new(),
-        };
-        (rows.len() as u64, kept, eval)
-    };
-    // Replay bookkeeping in the row path's order: the scan is counted
-    // before a filter error surfaces, filtered rows only on success.
-    db.bump(ExecCounter::RowsScanned, scanned);
-    for (counter, n) in local.bumps {
-        db.bump(counter, n);
-    }
-    eval?;
-    db.bump(ExecCounter::RowsFiltered, scanned - kept.len() as u64);
-    db.bump(ExecCounter::PlannerPushedFilters, 1);
-    conjuncts.remove(lead);
-    Ok(Some(Relation {
-        schema,
-        rows: kept,
-        base: None, // filtered: row positions no longer match the table
-    }))
-}
-
-/// Materialise a named table or view. Base tables carry their provenance
-/// (name + version) so downstream operators can consult table indexes;
-/// views are re-evaluated queries and get none.
+/// Materialise a named table or view. A base table's rows are shared,
+/// not copied, and carry their provenance (name + version) so downstream
+/// operators can consult table indexes; views are re-evaluated queries
+/// and get none.
 fn materialize_named(db: &mut Database, name: &str) -> Result<Relation> {
     if let Some(view) = db.catalog().view(name).cloned() {
         let rs = run_select(db, &view.query)?;
-        return Ok(Relation {
-            schema: rs.schema().clone(),
-            rows: rs.into_rows(),
-            base: None,
-        });
+        return Ok(Relation::owned(rs.schema().clone(), rs.into_rows()));
     }
     let table = db.catalog().table(name)?;
     let relation = Relation {
         schema: table.schema().clone(),
-        rows: table.rows().to_vec(),
+        rows: table.shared_rows(),
         base: Some(BaseRef {
             table: table.name().to_string(),
             version: table.version(),
@@ -571,6 +451,27 @@ fn materialize_named(db: &mut Database, name: &str) -> Result<Relation> {
     };
     db.bump(ExecCounter::RowsScanned, relation.rows.len() as u64);
     Ok(relation)
+}
+
+/// What of its joined input a statement reads outside the WHERE clause
+/// (the join adds the conjuncts it leaves as residual): every column
+/// under a wildcard item, else every column reference of the items,
+/// GROUP BY, HAVING and ORDER BY. Subqueries are not correlated, so
+/// their references never resolve against this input.
+fn demand<'a>(stmt: &'a SelectStmt, order_by: &'a [OrderItem]) -> Demand<'a> {
+    let mut refs = Vec::new();
+    for item in &stmt.items {
+        match item {
+            SelectItem::Expr { expr, .. } => refs.extend(expr.column_refs()),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return Demand::All,
+        }
+    }
+    let rest = stmt.group_by.iter().chain(&stmt.having);
+    refs.extend(
+        rest.chain(order_by.iter().map(|o| &o.expr))
+            .flat_map(Expr::column_refs),
+    );
+    Demand::Refs(refs)
 }
 
 /// Expand wildcards and name every projection item.

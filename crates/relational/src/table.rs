@@ -157,6 +157,13 @@ impl Table {
         &self.rows
     }
 
+    /// The stored rows themselves, shared: a reader (a query's scan)
+    /// holds this version's rows without copying them, and a later
+    /// mutation copies them once only if the reader still holds them.
+    pub(crate) fn shared_rows(&self) -> Arc<Vec<Row>> {
+        Arc::clone(&self.rows)
+    }
+
     /// Number of stored rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -785,6 +792,31 @@ mod tests {
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn statements_share_the_rows_they_scan_and_release_them_before_writing() {
+        use crate::engine::Database;
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (a INT, b VARCHAR)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
+            .unwrap();
+        let rows = |db: &Database| Arc::clone(&db.catalog().table("t").unwrap().rows);
+        let stored = Arc::as_ptr(&rows(&db));
+        for sql in [
+            "SELECT * FROM t",
+            "SELECT COUNT(*) FROM t x, t y WHERE x.a = y.a",
+            "SELECT b FROM t WHERE a > 1 ORDER BY b DESC LIMIT 1",
+        ] {
+            db.query(sql).unwrap();
+            assert_eq!(Arc::strong_count(&rows(&db)), 2, "released: {sql}");
+        }
+        // A subquery predicate visits a shared snapshot, dropped before the
+        // write, so the write is still in place.
+        db.execute("UPDATE t SET b = 'w' WHERE a IN (SELECT a FROM t WHERE b = 'x')")
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&rows(&db)), stored, "updated in place");
+        assert_eq!(rows(&db)[0], row![1, "w"]);
     }
 
     #[test]

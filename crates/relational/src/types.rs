@@ -88,6 +88,18 @@ impl Column {
             qualifier: Some(qualifier.into()),
         }
     }
+
+    /// Whether the reference `qualifier.name` (or a bare `name`) can name
+    /// this column: names match case-insensitively, and a given qualifier
+    /// must match too. The one matching rule of column resolution.
+    pub fn answers_to(&self, qualifier: Option<&str>, name: &str) -> bool {
+        self.name.eq_ignore_ascii_case(name)
+            && qualifier.map_or(true, |q| {
+                self.qualifier
+                    .as_deref()
+                    .is_some_and(|cq| cq.eq_ignore_ascii_case(q))
+            })
+    }
 }
 
 /// An ordered list of columns. Column names are matched case-insensitively,
@@ -142,15 +154,7 @@ impl Schema {
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
         let mut found: Option<usize> = None;
         for (i, c) in self.columns.iter().enumerate() {
-            let name_ok = c.name.eq_ignore_ascii_case(name);
-            let qual_ok = match qualifier {
-                None => true,
-                Some(q) => c
-                    .qualifier
-                    .as_deref()
-                    .is_some_and(|cq| cq.eq_ignore_ascii_case(q)),
-            };
-            if name_ok && qual_ok {
+            if c.answers_to(qualifier, name) {
                 if found.is_some() {
                     let full = match qualifier {
                         Some(q) => format!("{q}.{name}"),

@@ -1,6 +1,6 @@
-//! Allocation budgets of the cold `MINE RULE` path, counted rather than
-//! timed: its own test binary, because the counter is the process's
-//! global allocator.
+//! Allocation budgets of the cold `MINE RULE` path and of the SQL
+//! executor, counted rather than timed: its own test binary, because the
+//! counter is the process's global allocator.
 //!
 //! * The fused pass's source scan allocates per *distinct key*, never per
 //!   source row: a row that repeats its group and item is hashed and
@@ -8,6 +8,10 @@
 //! * Capturing an encoding into the session artifact store and restoring
 //!   it share the committed tables' rows (`relational::Table` is
 //!   copy-on-write): neither allocates per encoded row.
+//! * A join's scans share the catalog's rows, its accumulator is one flat
+//!   vector of row-index tuples and it builds only the columns the
+//!   statement reads: a `COUNT(*)` over an equi-join allocates per input
+//!   row and distinct key at most, never per joined row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -127,5 +131,53 @@ fn capturing_and_restoring_an_encoding_allocates_independently_of_its_rows() {
     assert!(
         large.abs_diff(small) * 10 <= small,
         "10x the encoded rows: {small} -> {large} allocations"
+    );
+}
+
+/// `T(k, v)`: `rows` rows over `keys` distinct `k`s, each with its own
+/// string `v`; plus `Small(k)`, one row per key.
+fn keyed(rows: i64, keys: i64) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE T (k INT, v VARCHAR)").unwrap();
+    db.execute("CREATE TABLE Small (k INT)").unwrap();
+    let catalog = db.catalog_mut();
+    let t = (0..rows).map(|i| vec![Value::Int(i % keys), Value::Str(format!("v{i}"))]);
+    catalog.table_mut("T").unwrap().insert_all(t).unwrap();
+    let small = (0..keys).map(|k| vec![Value::Int(k)]);
+    catalog
+        .table_mut("Small")
+        .unwrap()
+        .insert_all(small)
+        .unwrap();
+    db
+}
+
+/// Allocations of `sql` over `db`, checking its one-value answer.
+fn count_allocations(db: &mut Database, sql: &str, expected: i64) -> u64 {
+    let (rs, allocated) = allocations(|| db.query(sql).unwrap());
+    assert_eq!(rs.scalar(), Some(&Value::Int(expected)), "{sql}");
+    allocated
+}
+
+#[test]
+fn a_count_over_an_equi_self_join_allocates_per_key_not_per_joined_row() {
+    let sql = "SELECT COUNT(*) FROM T a, T b WHERE a.k = b.k";
+    let run = |keys: i64| count_allocations(&mut keyed(2_000, keys), sql, 2_000 * 2_000 / keys);
+    // The same 2 000 input rows joining into 20 000, then 200 000 rows.
+    let (once, tenfold) = (run(200), run(20));
+    assert!(
+        tenfold < once * 2,
+        "10x the joined rows: {once} -> {tenfold} allocations"
+    );
+}
+
+#[test]
+fn a_join_over_an_unfiltered_base_table_copies_none_of_its_rows() {
+    let sql = "SELECT COUNT(*) FROM T, Small WHERE T.k = Small.k";
+    let run = |rows: i64| count_allocations(&mut keyed(rows, 10), sql, rows);
+    let (small, large) = (run(2_000), run(20_000));
+    assert!(
+        large < small * 2,
+        "10x the scanned rows: {small} -> {large} allocations"
     );
 }

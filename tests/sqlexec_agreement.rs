@@ -15,12 +15,18 @@
 //! 3. the paper's own statements (§2 / Appendix A shapes) mined on both
 //!    paths at every worker count, asserting bit-identical rules and
 //!    preprocessing reports.
+//!
+//! Two late-materialisation contracts of the executor ride along:
+//! `ORDER BY … LIMIT k` (a top-k selection) returns exactly the first
+//! `k` rows of the full stable sort, and a cost-planned join that builds
+//! only the columns its statement reads answers — and fails — exactly
+//! like the written-order fold, which builds them all.
 
 use datagen::rng::Rng;
 use minerule::paper_example::{purchase_db, FIGURE_2B, FILTERED_ORDERED_SETS};
 use minerule::preprocess::run_steps;
 use minerule::{parse_mine_rule, translate, MineRuleEngine};
-use relational::Database;
+use relational::{Database, Value};
 use tcdm_fuzz::grammar::{gen_expr, ExprCols};
 
 /// Evaluate `sql` on a fresh fixture database — on the reference paths or
@@ -301,4 +307,123 @@ fn compiled_mode_publishes_compile_counters() {
         snapshot.counter("relational.rows.scanned") > 0,
         "row counters are path-independent"
     );
+}
+
+// ---------------------------------------------------------------------
+// Late materialisation: stable top-k and demanded join columns
+// ---------------------------------------------------------------------
+
+/// `k(id, g, f, s)`: nine rows with duplicate keys in every column,
+/// NULLs in three of them, NaN and -0.0 among the floats.
+fn topk_fixture() -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE k (id INT, g INT, f FLOAT, s VARCHAR)")
+        .unwrap();
+    let (int, float, text) = (Value::Int, Value::Float, |s: &str| Value::Str(s.into()));
+    let rows = vec![
+        vec![int(0), int(2), float(1.5), text("b")],
+        vec![int(1), Value::Null, float(f64::NAN), text("a")],
+        vec![int(2), int(1), float(-0.0), Value::Null],
+        vec![int(3), int(2), Value::Null, text("a")],
+        vec![int(4), int(1), float(0.0), text("b")],
+        vec![int(5), Value::Null, float(1.5), text("b")],
+        vec![int(6), int(3), float(f64::NAN), text("a")],
+        vec![int(7), int(2), float(-1.0), Value::Null],
+        vec![int(8), int(1), float(1.5), text("a")],
+    ];
+    let table = db.catalog_mut().table_mut("k").unwrap();
+    table.insert_all(rows).unwrap();
+    db
+}
+
+/// `head LIMIT k` against the full sort of `head` truncated to `k`, for
+/// `k` ∈ {0, 1, n−1, n, n+1}, on both paths.
+fn assert_top_k_is_a_sorted_prefix(head: &str) {
+    for reference in [false, true] {
+        let mut db = topk_fixture();
+        db.set_reference_paths(reference);
+        let full = db.query(head).unwrap().into_rows();
+        let n = full.len();
+        for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+            let sql = format!("{head} LIMIT {k}");
+            let top = db.query(&sql).unwrap().into_rows();
+            let prefix = &full[..k.min(n)];
+            assert_eq!(
+                format!("{top:?}"),
+                format!("{prefix:?}"),
+                "reference={reference}: {sql}"
+            );
+        }
+    }
+}
+
+#[test]
+fn order_by_limit_is_the_prefix_of_the_stable_sort() {
+    for order in [
+        "g",
+        "g DESC",
+        "f",
+        "f DESC, id DESC",
+        "s, g DESC",
+        "s DESC, f",
+        "g DESC, s, f DESC",
+        "2, 3",
+    ] {
+        assert_top_k_is_a_sorted_prefix(&format!("SELECT id, g, f, s FROM k ORDER BY {order}"));
+    }
+    // Keys that are not projected, duplicate rows, DISTINCT.
+    assert_top_k_is_a_sorted_prefix("SELECT s FROM k ORDER BY g DESC, f");
+    assert_top_k_is_a_sorted_prefix("SELECT DISTINCT g, s FROM k ORDER BY s DESC");
+    assert_top_k_is_a_sorted_prefix("SELECT DISTINCT f FROM k ORDER BY f DESC");
+    // A set operation's trailing ORDER BY.
+    assert_top_k_is_a_sorted_prefix(
+        "SELECT g, s FROM k WHERE id < 6 UNION ALL SELECT g, s FROM k WHERE id >= 3 ORDER BY s",
+    );
+    assert_top_k_is_a_sorted_prefix(
+        "SELECT g, s FROM k UNION SELECT g, s FROM k WHERE id > 4 ORDER BY g DESC, s",
+    );
+    assert_top_k_is_a_sorted_prefix(
+        "SELECT g FROM k EXCEPT SELECT g FROM k WHERE id = 6 ORDER BY 1 DESC",
+    );
+}
+
+#[test]
+fn pruned_join_columns_resolve_and_fail_like_the_full_join() {
+    for sql in [
+        // Unqualified over a self-join: ambiguous on both paths.
+        "SELECT tr FROM Purchase a, Purchase b WHERE a.tr = b.tr",
+        "SELECT COUNT(*) FROM Purchase a, Purchase b WHERE a.tr = b.tr GROUP BY item",
+        "SELECT a.item FROM Purchase a, Purchase b WHERE a.tr = b.tr ORDER BY price",
+        // Unknown columns, qualified and not.
+        "SELECT nonexistent FROM Purchase a, Purchase b WHERE a.tr = b.tr",
+        "SELECT a.nonexistent FROM Purchase a, Purchase b WHERE a.tr = b.tr",
+        "SELECT c.item FROM Purchase a, Purchase b WHERE a.tr = b.tr",
+        // Wildcards.
+        "SELECT a.* FROM Purchase a, Purchase b WHERE a.tr = b.tr AND a.item < b.item \
+         ORDER BY 1, 3",
+        "SELECT * FROM Purchase a, Purchase b WHERE a.tr = b.tr ORDER BY 1, 3, 9",
+        "SELECT c.* FROM Purchase a, Purchase b WHERE a.tr = b.tr",
+        // HAVING and ORDER BY on columns that are not projected.
+        "SELECT a.customer, COUNT(*) FROM Purchase a, Purchase b WHERE a.tr = b.tr \
+         GROUP BY a.customer HAVING MAX(b.price) > 100 ORDER BY a.customer",
+        "SELECT a.item FROM Purchase a, Purchase b WHERE a.customer = b.customer \
+         ORDER BY b.date DESC, a.item, b.qty",
+        // Scalar subqueries in the select list.
+        "SELECT a.item, (SELECT COUNT(*) FROM Purchase) FROM Purchase a, Purchase b \
+         WHERE a.tr = b.tr ORDER BY 1",
+        "SELECT a.item, (SELECT MAX(price) FROM Purchase WHERE item = a.item) \
+         FROM Purchase a, Purchase b WHERE a.tr = b.tr ORDER BY 1",
+        // Aggregates over a self-join.
+        "SELECT COUNT(*) FROM Purchase a, Purchase b WHERE a.tr = b.tr",
+        "SELECT COUNT(a.item) FROM Purchase a, Purchase b WHERE a.customer = b.customer",
+        "SELECT SUM(b.price), a.customer FROM Purchase a, Purchase b \
+         WHERE a.customer = b.customer GROUP BY a.customer ORDER BY 2",
+        // Residual conjuncts, mixed case, three factors.
+        "SELECT COUNT(*) FROM Purchase a, Purchase b WHERE a.tr = b.tr AND a.item <> b.item",
+        "SELECT A.ITEM, b.Qty FROM Purchase a, Purchase b WHERE a.TR = B.tr ORDER BY 1, 2",
+        "SELECT c.price FROM Purchase a, Purchase b, Purchase c \
+         WHERE a.tr = b.tr AND b.item = c.item AND a.qty < c.qty ORDER BY 1",
+    ] {
+        assert_paths_agree(purchase_db, sql);
+    }
 }
