@@ -4,7 +4,7 @@
 //! `(seed, case index)` pair always reproduces the same case. The module
 //! also hosts the scenario generators that the per-feature agreement
 //! suites (`tests/differential.rs`, `tests/sqlexec_agreement.rs`,
-//! `tests/gidset_agreement.rs`) fold in, so the whole matrix of
+//! `tests/vector_agreement.rs`, `tests/gidset_agreement.rs`) fold in, so the whole matrix of
 //! randomized workloads lives in one place.
 
 use datagen::rng::Rng;
@@ -46,6 +46,38 @@ impl ExprCols {
             ],
         }
     }
+}
+
+/// A database holding the table `t (a INT, b INT, c FLOAT, s VARCHAR)`
+/// that [`ExprCols::abcs_fixture`] names, over `rows` rows: ints
+/// (positive, negative, zero), floats and strings, with NULL-heavy `b`
+/// and `s` columns (every 3rd and every 4th row).
+pub fn abcs_table(rows: usize) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a INT, b INT, c FLOAT, s VARCHAR)")
+        .unwrap();
+    let table = db.catalog_mut().table_mut("t").unwrap();
+    for i in 0..rows as i64 {
+        let b = if i % 3 == 0 {
+            Value::Null
+        } else {
+            Value::Int((i % 11) - 5)
+        };
+        let s = if i % 4 == 0 {
+            Value::Null
+        } else {
+            Value::Str(["alpha", "Beta", "GAMMA_9"][(i % 3) as usize].to_string())
+        };
+        table
+            .insert(vec![
+                Value::Int(i - 2),
+                b,
+                Value::Float((i as f64) * 0.25 - 1.5),
+                s,
+            ])
+            .unwrap();
+    }
+    db
 }
 
 /// A random leaf: a column reference, `NULL`, or a literal. The grammar

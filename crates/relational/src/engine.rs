@@ -41,7 +41,7 @@ pub struct ExecStats {
     /// Rows produced by join operators.
     pub rows_joined: u64,
     /// FROM lists planned by the cost-based planner (0 on the reference
-    /// paths, like every `planner_*` and `vector_*` counter).
+    /// paths, like every `planner_*` counter).
     pub planner_plans: u64,
     /// Join steps moved off the written left-to-right order.
     pub planner_reordered_joins: u64,
@@ -50,14 +50,10 @@ pub struct ExecStats {
     pub planner_pushed_filters: u64,
     /// Accumulated |estimated − actual| join output rows.
     pub planner_est_rows_err: u64,
-    /// Column batches evaluated on the vector path.
+    /// Always 0: the executor evaluates expressions row-at-a-time and
+    /// forms no column batches. Kept only because the kernel benchmark
+    /// reads both fields.
     pub vector_batches: u64,
-    /// Rows streamed through the vector path.
-    pub vector_rows: u64,
-    /// Conditional jumps that narrowed a batch's selection vector.
-    pub vector_sel_narrowings: u64,
-    /// Always 0: a site either vectorizes whole or row-loops whole. Read
-    /// by the kernel benchmark, so the field outlives its counter.
     pub vector_fallback_batches: u64,
     /// Hash indexes built (lazily, on first use of a key column set).
     pub indexes_built: u64,
@@ -84,8 +80,8 @@ pub struct ExecStats {
 impl ExecStats {
     /// Every counter published to telemetry, as (metric name, value), in
     /// publication order. `statements`, `rows_inserted` and the always-zero
-    /// `vector_fallback_batches` are not published.
-    pub fn named(&self) -> [(&'static str, u64); 23] {
+    /// `vector_*` fields are not published.
+    pub fn named(&self) -> [(&'static str, u64); 20] {
         [
             ("relational.compile.programs", self.programs_compiled),
             ("relational.compile.const_folded", self.exprs_const_folded),
@@ -116,12 +112,6 @@ impl ExecStats {
                 self.planner_pushed_filters,
             ),
             ("relational.planner.est_rows_err", self.planner_est_rows_err),
-            ("relational.vector.batches", self.vector_batches),
-            ("relational.vector.rows", self.vector_rows),
-            (
-                "relational.vector.sel_narrowings",
-                self.vector_sel_narrowings,
-            ),
         ]
     }
 }
@@ -727,9 +717,6 @@ impl QueryCtx for Database {
             ExecCounter::PlannerReorderedJoins => stats.planner_reordered_joins += n,
             ExecCounter::PlannerPushedFilters => stats.planner_pushed_filters += n,
             ExecCounter::PlannerEstRowsErr => stats.planner_est_rows_err += n,
-            ExecCounter::VectorBatches => stats.vector_batches += n,
-            ExecCounter::VectorRows => stats.vector_rows += n,
-            ExecCounter::VectorSelNarrowings => stats.vector_sel_narrowings += n,
         }
     }
 

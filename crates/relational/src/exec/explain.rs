@@ -10,7 +10,6 @@ use crate::engine::Database;
 use crate::error::Result;
 use crate::exec::join::{conjuncts, resolves_in};
 use crate::expr::eval::QueryCtx;
-use crate::expr::vector::vectorizes;
 use crate::expr::{BinOp, Expr};
 use crate::sql::ast::{JoinKind, SelectStmt, Statement, TableSource};
 use crate::types::Schema;
@@ -122,17 +121,6 @@ fn index_label(
         format!("({})", cols.join(","))
     };
     Some(format!("index({}.{})", table.name(), col_part))
-}
-
-/// The batch-execution tag for a site whose expression programs are
-/// `exprs`: `vector` when the executor would run it batch-at-a-time,
-/// `row` otherwise.
-fn exec_tag(db: &Database, exprs: &[&Expr]) -> &'static str {
-    if vectorizes(db, exprs) {
-        "vector"
-    } else {
-        "row"
-    }
 }
 
 /// The access path the executor would pick for one equi-join conjunct.
@@ -352,11 +340,7 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
             };
             if let Some((l, r)) = equi_sides {
                 let path = equi_access_path(db, stmt, &schemas, &pushed, l, r);
-                let tag = exec_tag(db, &[l, r]);
-                out.push_str(&format!(
-                    "{}hash join on: {c} [{path}] [{tag}]",
-                    pad(indent + 1)
-                ));
+                out.push_str(&format!("{}hash join on: {c} [{path}]", pad(indent + 1)));
                 if !db.reference_paths() {
                     if let Some((est, cost)) = join_estimate(db, stmt, &schemas, l, r) {
                         out.push_str(&format!(" (est {est} rows, cost {cost})"));
@@ -372,10 +356,8 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
     if !stmt.group_by.is_empty() {
         let keys: Vec<String> = stmt.group_by.iter().map(|e| e.to_string()).collect();
         let path = group_access_path(db, stmt, &schemas);
-        let key_refs: Vec<&Expr> = stmt.group_by.iter().collect();
-        let tag = exec_tag(db, &key_refs);
         out.push_str(&format!(
-            "{}hash aggregate by ({}) [{path}] [{tag}]",
+            "{}hash aggregate by ({}) [{path}]",
             pad(indent + 1),
             keys.join(", ")
         ));
@@ -471,6 +453,9 @@ mod tests {
         // A WHERE clause forces the grouped input through a filter.
         let p = plan("SELECT b, COUNT(*) FROM t WHERE a = 1 GROUP BY b");
         assert!(p.contains("hash aggregate by (b) [scan]"), "{p}");
+        // So does a join: the grouped input is no longer one base table.
+        let p = plan("SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b");
+        assert!(p.contains("hash aggregate by (t.b) [scan]"), "{p}");
     }
 
     #[test]
@@ -479,20 +464,16 @@ mod tests {
         db.execute("INSERT INTO u VALUES (1, 7), (2, 8)").unwrap();
         let join = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a").unwrap();
         let p = explain_statement(&db, &join).unwrap();
-        assert!(
-            p.contains("[index(u.a)] [vector] (est 2 rows, cost 6)"),
-            "{p}"
-        );
+        assert!(p.contains("[index(u.a)] (est 2 rows, cost 6)"), "{p}");
         let group = parse_statement("SELECT b, COUNT(*) FROM t GROUP BY b").unwrap();
         let p = explain_statement(&db, &group).unwrap();
-        assert!(
-            p.contains("[index(t.b)] [vector] (est 2 groups of 2 rows)"),
-            "{p}"
-        );
-        // The written-order fold estimates nothing.
+        assert!(p.contains("[index(t.b)] (est 2 groups of 2 rows)"), "{p}");
+        // The written-order fold estimates nothing, for joins or groups.
         db.set_reference_paths(true);
-        let p = explain_statement(&db, &join).unwrap();
-        assert!(!p.contains("(est "), "{p}");
+        for stmt in [&join, &group] {
+            let p = explain_statement(&db, stmt).unwrap();
+            assert!(!p.contains("(est "), "{p}");
+        }
     }
 
     #[test]
@@ -502,29 +483,11 @@ mod tests {
         let stmt = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b").unwrap();
         let p = explain_statement(&db, &stmt).unwrap();
         assert!(p.contains("hash join on: t.a = u.a [scan]"), "{p}");
+        assert!(p.contains("hash aggregate by (t.b) [scan]"), "{p}");
         assert!(
             !p.contains("[index("),
             "no index paths on the reference: {p}"
         );
-    }
-
-    #[test]
-    fn exec_tags_follow_the_batch_mode() {
-        let mut db = db();
-        let stmt = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b").unwrap();
-        // Plain-column sites vectorize.
-        let p = explain_statement(&db, &stmt).unwrap();
-        assert!(
-            p.contains("hash join on: t.a = u.a [index(u.a)] [vector]"),
-            "{p}"
-        );
-        assert!(p.contains("hash aggregate by (t.b) [scan] [vector]"), "{p}");
-        // The reference paths re-tag every site.
-        db.set_reference_paths(true);
-        let p = explain_statement(&db, &stmt).unwrap();
-        assert!(p.contains("t.a = u.a [scan] [row]"), "{p}");
-        assert!(p.contains("(t.b) [scan] [row]"), "{p}");
-        assert!(!p.contains("[vector]"), "{p}");
     }
 
     #[test]

@@ -27,7 +27,6 @@ use std::sync::Arc;
 use crate::error::Result;
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::QueryCtx;
-use crate::expr::vector::VectorPlan;
 use crate::expr::{BinOp, Expr};
 use crate::key::KeyMap;
 use crate::row::Row;
@@ -185,26 +184,18 @@ fn as_equi<'a>(expr: &'a Expr) -> Option<EquiPred<'a>> {
 }
 
 /// Filter `rel` in place by `pred` — the predicate is planned once and
-/// run batch-at-a-time, or per row with a reused stack (stopping at the
-/// first error) — then compact the rows in one pass.
+/// run per row with a reused stack (stopping at the first error) — then
+/// compact the rows in one pass.
 pub fn filter_relation(rel: &mut Relation, pred: &Expr, ctx: &mut dyn QueryCtx) -> Result<()> {
     rel.base = None; // row positions may shift; drop table provenance
     let before = rel.rows.len();
-    let keep: Vec<bool> = match VectorPlan::plan(&[pred], &rel.schema, ctx) {
-        Some(mut plan) => {
-            let mut verdicts = [Vec::with_capacity(before)];
-            plan.eval_columns(&rel.rows, ctx, &mut verdicts)?;
-            verdicts[0].iter().map(Value::is_true).collect()
-        }
-        None => {
-            let eval = SiteEval::plan(pred, &rel.schema, ctx);
-            let mut stack = Vec::new();
-            rel.rows
-                .iter()
-                .map(|row| Ok(eval.eval(&rel.schema, row, ctx, &mut stack)?.is_true()))
-                .collect::<Result<_>>()?
-        }
-    };
+    let eval = SiteEval::plan(pred, &rel.schema, ctx);
+    let mut stack = Vec::new();
+    let keep: Vec<bool> = rel
+        .rows
+        .iter()
+        .map(|row| Ok(eval.eval(&rel.schema, row, ctx, &mut stack)?.is_true()))
+        .collect::<Result<_>>()?;
     retain_rows(&mut rel.rows, &keep);
     ctx.bump(ExecCounter::RowsFiltered, (before - rel.rows.len()) as u64);
     Ok(())
@@ -226,11 +217,10 @@ fn retain_rows(rows: &mut Arc<Vec<Row>>, keep: &[bool]) {
 }
 
 /// Evaluate join-key expressions over `rows` into one value column per
-/// key — batch-at-a-time on the vector path, with per-row programs
-/// otherwise. Join keys are plain column references (see [`as_equi`]), so
-/// they cannot error or draw sequences and both paths produce identical
-/// columns; the build/probe loops then read the columns by row index,
-/// which also turns repeated per-tuple key evaluation into a gather.
+/// key, with per-row programs. Join keys are plain column references (see
+/// [`as_equi`]), so they cannot error or draw sequences; the build/probe
+/// loops then read the columns by row index, which also turns repeated
+/// per-tuple key evaluation into a gather.
 fn key_columns(
     keys: &[&Expr],
     schema: &Schema,
@@ -240,10 +230,6 @@ fn key_columns(
     let mut cols: Vec<Vec<Value>> = (0..keys.len())
         .map(|_| Vec::with_capacity(rows.len()))
         .collect();
-    if let Some(mut plan) = VectorPlan::plan(keys, schema, ctx) {
-        plan.eval_columns(rows, ctx, &mut cols)?;
-        return Ok(cols);
-    }
     let evals: Vec<SiteEval> = keys
         .iter()
         .map(|k| SiteEval::plan(k, schema, ctx))

@@ -13,7 +13,6 @@ use crate::error::{Error, Result};
 use crate::exec::join::{conjuncts, filter_relation, join_factors, BaseRef, Demand, Relation};
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, QueryCtx};
-use crate::expr::vector::{vectorizes, VectorPlan, VECTOR_BATCH_ROWS};
 use crate::expr::{AggFunc, BinOp, Expr};
 use crate::key::{KeyHash, KeyMap};
 use crate::resultset::ResultSet;
@@ -40,36 +39,13 @@ fn row_buckets(rows: usize) -> RowBuckets {
     HashMap::with_capacity_and_hasher(rows, KeyHash::default())
 }
 
-/// Hash every row of a dedup site (DISTINCT, set operations) into a
-/// column — chunked by [`VECTOR_BATCH_ROWS`] (and counted as vector
-/// batches) when the site [`vectorizes`], row-at-a-time otherwise. Both
-/// paths produce identical hashes.
-fn row_hash_column<T>(
-    rows: &[T],
-    key: impl Fn(&T) -> &Row,
-    hash: &KeyHash,
-    ctx: &mut dyn QueryCtx,
-) -> Vec<u64> {
-    let mut hashes = Vec::with_capacity(rows.len());
-    if vectorizes(ctx, &[]) {
-        for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
-            ctx.bump(ExecCounter::VectorBatches, 1);
-            ctx.bump(ExecCounter::VectorRows, chunk.len() as u64);
-            hashes.extend(chunk.iter().map(|r| hash.hash_one(key(r))));
-        }
-    } else {
-        hashes.extend(rows.iter().map(|r| hash.hash_one(key(r))));
-    }
-    hashes
-}
-
 /// Keep the first occurrence of each distinct row. Rows are moved, never
 /// cloned: the seen-set stores hashes and indices into the output.
-fn dedup_rows(rows: Vec<Row>, ctx: &mut dyn QueryCtx) -> Vec<Row> {
+fn dedup_rows(rows: Vec<Row>) -> Vec<Row> {
     let mut seen = row_buckets(rows.len());
-    let hashes = row_hash_column(&rows, |r| r, seen.hasher(), ctx);
     let mut out: Vec<Row> = Vec::with_capacity(rows.len());
-    for (row, h) in rows.into_iter().zip(hashes) {
+    for row in rows {
+        let h = seen.hasher().hash_one(&row);
         let bucket = seen.entry(h).or_default();
         if bucket.iter().any(|&i| out[i] == row) {
             continue;
@@ -104,7 +80,7 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
         SetOpKind::Union => {
             let mut rows = left.into_rows();
             rows.extend(right.into_rows());
-            dedup_rows(rows, db)
+            dedup_rows(rows)
         }
         SetOpKind::Intersect | SetOpKind::Except => {
             let right_rows = right.into_rows();
@@ -121,7 +97,7 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
                     .is_some_and(|b| b.iter().any(|&i| right_rows[i] == *r));
                 member == keep_members
             });
-            dedup_rows(kept, db)
+            dedup_rows(kept)
         }
     };
     if stmt.order_by.is_empty() {
@@ -239,94 +215,47 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
                 message: "HAVING requires GROUP BY or aggregates".into(),
             });
         }
-        // Order keys naming an output position/alias read the projected
-        // row; the rest evaluate against the input row. Decided once —
-        // the decision is row-independent.
-        let order_plan: Vec<Option<usize>> = order_by
+        // Plan every projection and order-key expression once; the row
+        // loop then runs flat programs with a reused stack. Order keys
+        // naming an output position/alias read the projected row; the rest
+        // evaluate against the input row.
+        let item_evals: Vec<SiteEval> = items
             .iter()
-            .map(|o| plan_output_key(&o.expr, &out_names, items.len()))
+            .map(|(e, _)| SiteEval::plan(e, &input.schema, db))
             .collect();
-        let input_keys: Vec<&Expr> = order_by
+        let width = items.len();
+        let order_evals: Vec<OrderSource> = order_by
             .iter()
-            .zip(&order_plan)
-            .filter(|(_, p)| p.is_none())
-            .map(|(o, _)| &o.expr)
+            .map(|o| match plan_output_key(&o.expr, &out_names, width) {
+                Some(idx) => OrderSource::Output(idx),
+                None => OrderSource::Input(SiteEval::plan(&o.expr, &input.schema, db)),
+            })
             .collect();
-        // Vector path: one program per projection item and input-order
-        // key, evaluated batch-at-a-time into value columns, then pivoted
-        // into output rows. Program order matches the row loop's per-row
-        // evaluation order, so the first error is the same on both paths.
-        let exprs: Vec<&Expr> = items
-            .iter()
-            .map(|(e, _)| e)
-            .chain(input_keys.iter().copied())
-            .collect();
-        if let Some(mut plan) = VectorPlan::plan(&exprs, &input.schema, db) {
-            let mut cols: Vec<Vec<Value>> = (0..exprs.len())
-                .map(|_| Vec::with_capacity(input.rows.len()))
-                .collect();
-            plan.eval_columns(&input.rows, db, &mut cols)?;
-            let mut out = Vec::with_capacity(input.rows.len());
-            for r in 0..input.rows.len() {
-                let mut o = Vec::with_capacity(items.len());
-                for c in cols[..items.len()].iter_mut() {
-                    o.push(std::mem::replace(&mut c[r], Value::Null));
-                }
-                let mut keys = Vec::with_capacity(order_plan.len());
-                let mut ki = items.len();
-                for p in &order_plan {
-                    keys.push(match p {
-                        Some(i) => o[*i].clone(),
-                        None => {
-                            ki += 1;
-                            std::mem::replace(&mut cols[ki - 1][r], Value::Null)
-                        }
-                    });
-                }
-                out.push((o, keys));
+        let mut stack = Vec::new();
+        let mut out = Vec::with_capacity(input.rows.len());
+        for row in input.rows.iter() {
+            let mut o = Vec::with_capacity(items.len());
+            for ev in &item_evals {
+                o.push(ev.eval(&input.schema, row, db, &mut stack)?);
             }
-            out
-        } else {
-            // Plan every projection and order-key expression once; the
-            // row loop then runs flat programs with a reused stack.
-            let item_evals: Vec<SiteEval> = items
-                .iter()
-                .map(|(e, _)| SiteEval::plan(e, &input.schema, db))
-                .collect();
-            let order_evals: Vec<OrderSource> = order_by
-                .iter()
-                .zip(&order_plan)
-                .map(|(o, p)| match p {
-                    Some(idx) => OrderSource::Output(*idx),
-                    None => OrderSource::Input(SiteEval::plan(&o.expr, &input.schema, db)),
-                })
-                .collect();
-            let mut stack = Vec::new();
-            let mut out = Vec::with_capacity(input.rows.len());
-            for row in input.rows.iter() {
-                let mut o = Vec::with_capacity(items.len());
-                for ev in &item_evals {
-                    o.push(ev.eval(&input.schema, row, db, &mut stack)?);
-                }
-                let mut keys = Vec::with_capacity(order_evals.len());
-                for src in &order_evals {
-                    keys.push(match src {
-                        OrderSource::Output(i) => o[*i].clone(),
-                        OrderSource::Input(ev) => ev.eval(&input.schema, row, db, &mut stack)?,
-                    });
-                }
-                out.push((o, keys));
+            let mut keys = Vec::with_capacity(order_evals.len());
+            for src in &order_evals {
+                keys.push(match src {
+                    OrderSource::Output(i) => o[*i].clone(),
+                    OrderSource::Input(ev) => ev.eval(&input.schema, row, db, &mut stack)?,
+                });
             }
-            out
+            out.push((o, keys));
         }
+        out
     };
 
     // 5. DISTINCT — hashed row-index buckets; rows move, never clone.
     if stmt.distinct {
         let mut seen = row_buckets(projected.len());
-        let hashes = row_hash_column(&projected, |p| &p.0, seen.hasher(), db);
         let mut kept: Vec<(Row, Vec<Value>)> = Vec::with_capacity(projected.len());
-        for ((row, keys), h) in projected.into_iter().zip(hashes) {
+        for (row, keys) in projected {
+            let h = seen.hasher().hash_one(&row);
             let bucket = seen.entry(h).or_default();
             if bucket.iter().any(|&i| kept[i].0 == row) {
                 continue;
@@ -558,28 +487,6 @@ fn run_grouped(
         if stmt.group_by.is_empty() {
             fresh_buckets.insert(Vec::new(), (0..input.rows.len()).collect());
             fresh_order.push(Vec::new());
-        } else if let Some(mut plan) = VectorPlan::plan(&key_refs, &input.schema, db) {
-            // Vector path: key columns batch-at-a-time, then one
-            // bucketing pass. HAVING and the projection items stay on
-            // the interpreter (`eval_grouped`) on both paths: aggregates
-            // need whole-group context the flat programs cannot host.
-            let mut cols: Vec<Vec<Value>> = (0..key_refs.len())
-                .map(|_| Vec::with_capacity(input.rows.len()))
-                .collect();
-            plan.eval_columns(&input.rows, db, &mut cols)?;
-            for i in 0..input.rows.len() {
-                let key: Vec<Value> = cols
-                    .iter_mut()
-                    .map(|c| std::mem::replace(&mut c[i], Value::Null))
-                    .collect();
-                match fresh_buckets.entry(key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(i),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(vec![i]);
-                        fresh_order.push(key);
-                    }
-                }
-            }
         } else {
             // Key expressions are planned once for the per-row bucketing
             // loop.

@@ -51,14 +51,6 @@ pub enum ExecCounter {
     PlannerPushedFilters,
     /// Accumulated |estimated − actual| join output rows.
     PlannerEstRowsErr,
-    /// Column batches evaluated on the vector path.
-    VectorBatches,
-    /// Rows streamed through the vector path (selected lanes entering
-    /// batch evaluation).
-    VectorRows,
-    /// Conditional jumps that narrowed the selection vector (parked at
-    /// least one lane) during batch evaluation.
-    VectorSelNarrowings,
 }
 
 /// One instruction of a compiled expression program. Operand order on
@@ -674,16 +666,5 @@ mod tests {
             "CASE WHEN a > 10 THEN CASE WHEN c > 1.0 THEN 1 ELSE 2 END ELSE 3 END",
             &row,
         );
-    }
-
-    #[test]
-    fn vector_safety_tracks_fallback_and_sequence_ops() {
-        use crate::expr::vector::vectorizes;
-        let plain = parse_expression("a + 1 > 3 AND b LIKE 'he%'").unwrap();
-        assert!(vectorizes(&NoCtx, &[&plain]));
-        let seq = parse_expression("a + counter.NEXTVAL").unwrap();
-        assert!(!vectorizes(&NoCtx, &[&seq]));
-        let sub = parse_expression("a IN (SELECT 1)").unwrap();
-        assert!(!vectorizes(&NoCtx, &[&plain, &sub]));
     }
 }

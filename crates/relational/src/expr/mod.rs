@@ -7,7 +7,6 @@
 
 pub mod compile;
 pub mod eval;
-pub mod vector;
 
 use std::fmt;
 

@@ -52,7 +52,6 @@ pub mod value;
 pub use engine::{Database, ExecOutcome, ExecStats};
 pub use error::{Error, ObjectKind, Result};
 pub use expr::compile::{CompiledExpr, ExecCounter};
-pub use expr::vector::{ColumnBatch, VECTOR_BATCH_ROWS};
 pub use index::HashIndex;
 pub use key::{KeyHash, KeyInterner};
 pub use resultset::ResultSet;

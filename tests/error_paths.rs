@@ -551,7 +551,8 @@ fn unknown_algorithm_fails_after_preprocessing_but_session_recovers() {
 /// DML that fails part-way — a predicate erroring on a later row, an
 /// assignment the column rejects — reports the same error whether it ran
 /// over the stored rows or (with a subquery) over a snapshot, and leaves
-/// the source untouched: the next mine is still answered by both caches.
+/// the source untouched: the next mine is still answered by both halves of
+/// the artifact store.
 #[test]
 fn failing_dml_is_all_or_nothing_and_keeps_the_caches_warm() {
     const STMT: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, \

@@ -65,27 +65,26 @@ fn explain_snapshot_is_stable_for_the_figure1_plan() {
     let mut db = purchase_db();
     let p = plan(&mut db, GROUPED);
     // Full snapshot: the plan shape is part of the observable contract.
-    // The cost planner annotates its cardinality estimates; the plain
-    // column key is vector-safe, so the aggregate carries a `[vector]`
-    // tag.
+    // The cost planner annotates its cardinality estimates.
     assert_eq!(
         p,
         "Select\n  \
          scan Purchase [8 rows]\n  \
-         hash aggregate by (customer) [index(Purchase.customer)] [vector] \
+         hash aggregate by (customer) [index(Purchase.customer)] \
          (est 2 groups of 8 rows)",
         "plan drifted"
     );
 
-    // On the reference paths every tag flips and the estimates
-    // disappear: no statistics are consulted, so none are printed.
+    // On the reference paths the access path flips to a scan and the
+    // estimates disappear: no statistics are consulted, so none are
+    // printed.
     db.set_reference_paths(true);
     let p = plan(&mut db, GROUPED);
     assert_eq!(
         p,
         "Select\n  \
          scan Purchase [8 rows]\n  \
-         hash aggregate by (customer) [scan] [row]",
+         hash aggregate by (customer) [scan]",
         "reference plan drifted"
     );
 }

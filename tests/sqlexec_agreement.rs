@@ -8,10 +8,13 @@
 //! Three layers of evidence:
 //!
 //! 1. randomized expressions (seeded, reproducible) evaluated per row
-//!    on both paths, comparing the full result **or error**;
+//!    on both paths, comparing the full result **or error** (the same
+//!    grammar over a NULL-heavy 2 000-row table runs in
+//!    `tests/vector_agreement.rs`);
 //! 2. hand-written SELECTs exercising every hot site the compiler
 //!    touches (scan filters, hash joins, explicit joins, GROUP BY,
-//!    DISTINCT, set operations, subquery fallback, ORDER BY);
+//!    DISTINCT, set operations, subquery fallback, ORDER BY), and errors
+//!    that must surface at the same row on both paths;
 //! 3. the paper's own statements (§2 / Appendix A shapes) mined on both
 //!    paths at every worker count, asserting bit-identical rules and
 //!    preprocessing reports.
@@ -27,20 +30,20 @@ use minerule::paper_example::{purchase_db, FIGURE_2B, FILTERED_ORDERED_SETS};
 use minerule::preprocess::run_steps;
 use minerule::{parse_mine_rule, translate, MineRuleEngine};
 use relational::{Database, Value};
-use tcdm_fuzz::grammar::{gen_expr, ExprCols};
+use tcdm_fuzz::grammar::{abcs_table, gen_expr, ExprCols};
 
 /// Evaluate `sql` on a fresh fixture database — on the reference paths or
 /// the production ones — rendering the result-or-error for comparison.
 /// Errors are part of the observable contract: a path that fails
 /// differently (or at a different row) is a regression even if
 /// successful queries agree.
-fn run(build: fn() -> Database, reference: bool, sql: &str) -> String {
+fn run(build: impl Fn() -> Database, reference: bool, sql: &str) -> String {
     let mut db = build();
     db.set_reference_paths(reference);
     format!("{:?}", db.query(sql))
 }
 
-fn assert_paths_agree(build: fn() -> Database, sql: &str) {
+fn assert_paths_agree(build: impl Fn() -> Database + Copy, sql: &str) {
     let compiled = run(build, false, sql);
     let interpreted = run(build, true, sql);
     assert_eq!(compiled, interpreted, "paths disagree on: {sql}");
@@ -62,6 +65,15 @@ fn expr_fixture() -> Database {
     )
     .unwrap();
     db
+}
+
+/// Rows in the multi-row fixture ([`null_heavy_fixture`]).
+const NULL_HEAVY_ROWS: usize = 2_000;
+
+/// The same columns as [`expr_fixture`] over [`NULL_HEAVY_ROWS`] rows,
+/// NULL-heavy in `b` and `s`.
+fn null_heavy_fixture() -> Database {
+    abcs_table(NULL_HEAVY_ROWS)
 }
 
 // ---------------------------------------------------------------------
@@ -164,6 +176,52 @@ const QUERIES: &[&str] = &[
 fn handwritten_queries_agree() {
     for sql in QUERIES {
         assert_paths_agree(purchase_db, sql);
+    }
+}
+
+#[test]
+fn hot_sites_agree_on_empty_single_and_null_heavy_tables() {
+    // One query per per-row site: scan filter, projection, GROUP BY
+    // bucketing, DISTINCT dedup, hash-join keys.
+    for rows in [0, 1, NULL_HEAVY_ROWS] {
+        for sql in [
+            "SELECT a, b + 1, UPPER(s) FROM t WHERE a % 2 = 0 AND c < 100.0",
+            "SELECT CASE WHEN b IS NULL THEN -1 ELSE a * b END FROM t",
+            "SELECT s, COUNT(*), SUM(a) FROM t GROUP BY s ORDER BY s",
+            "SELECT DISTINCT b, s FROM t ORDER BY b, s",
+            "SELECT COUNT(*) FROM t t1, t t2 WHERE t1.a = t2.b",
+        ] {
+            let compiled = run(|| abcs_table(rows), false, sql);
+            let interpreted = run(|| abcs_table(rows), true, sql);
+            assert_eq!(
+                compiled, interpreted,
+                "rows={rows}: paths disagree on {sql}"
+            );
+        }
+    }
+}
+
+#[test]
+fn errors_surface_at_the_same_row() {
+    // A predicate-guarded division places the first failing row on the
+    // first, a middle or the last row (`a` is `i - 2`, so row index k
+    // fails when `a = k - 2`); both paths must report the identical error.
+    for rows in [1, NULL_HEAVY_ROWS] {
+        for fail_at in [0, rows / 2, rows - 1] {
+            let k = fail_at as i64 - 2;
+            let sql = format!("SELECT CASE WHEN a = {k} THEN 1 / 0 ELSE a END FROM t");
+            let compiled = run(|| abcs_table(rows), false, &sql);
+            let interpreted = run(|| abcs_table(rows), true, &sql);
+            assert_eq!(compiled, interpreted, "rows={rows} fail_at={fail_at}");
+        }
+    }
+    // Constant erroring expressions fail on the first row either way.
+    for sql in [
+        "SELECT 1 / 0 FROM t",
+        "SELECT a FROM t WHERE 1 / 0",
+        "SELECT a / (b - b) FROM t",
+    ] {
+        assert_paths_agree(null_heavy_fixture, sql);
     }
 }
 
