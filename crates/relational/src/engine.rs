@@ -51,10 +51,12 @@ pub struct ExecStats {
     /// Accumulated |estimated − actual| join output rows.
     pub planner_est_rows_err: u64,
     /// Always 0: the executor evaluates expressions row-at-a-time and
-    /// forms no column batches. Kept only because the kernel benchmark
-    /// reads both fields.
+    /// forms no column batches, and the paged backend keeps no page
+    /// cache. Kept only because the kernel benchmark reads these fields.
     pub vector_batches: u64,
     pub vector_fallback_batches: u64,
+    pub storage_cache_hits: u64,
+    pub storage_cache_evictions: u64,
     /// Hash indexes built (lazily, on first use of a key column set).
     pub indexes_built: u64,
     /// Operators served by a live hash index instead of a rebuild.
@@ -65,10 +67,6 @@ pub struct ExecStats {
     pub storage_page_reads: u64,
     /// Heap pages written by the paged storage backend (0 under memory).
     pub storage_page_writes: u64,
-    /// Page-cache hits in the paged storage backend (0 under memory).
-    pub storage_cache_hits: u64,
-    /// Page-cache evictions in the paged storage backend (0 under memory).
-    pub storage_cache_evictions: u64,
     /// Records appended to the write-ahead log (0 under memory).
     pub storage_wal_appends: u64,
     /// WAL fsyncs, one per committed transaction (0 under memory).
@@ -80,8 +78,8 @@ pub struct ExecStats {
 impl ExecStats {
     /// Every counter published to telemetry, as (metric name, value), in
     /// publication order. `statements`, `rows_inserted` and the always-zero
-    /// `vector_*` fields are not published.
-    pub fn named(&self) -> [(&'static str, u64); 20] {
+    /// `vector_*` and `storage_cache_*` fields are not published.
+    pub fn named(&self) -> [(&'static str, u64); 18] {
         [
             ("relational.compile.programs", self.programs_compiled),
             ("relational.compile.const_folded", self.exprs_const_folded),
@@ -94,11 +92,6 @@ impl ExecStats {
             ("relational.index.invalidations", self.index_invalidations),
             ("relational.storage.page_reads", self.storage_page_reads),
             ("relational.storage.page_writes", self.storage_page_writes),
-            ("relational.storage.cache_hits", self.storage_cache_hits),
-            (
-                "relational.storage.cache_evictions",
-                self.storage_cache_evictions,
-            ),
             ("relational.storage.wal_appends", self.storage_wal_appends),
             ("relational.storage.wal_fsyncs", self.storage_wal_fsyncs),
             ("relational.storage.recoveries", self.storage_recoveries),
@@ -186,8 +179,6 @@ impl Database {
         let st = self.storage_stats();
         stats.storage_page_reads = st.page_reads;
         stats.storage_page_writes = st.page_writes;
-        stats.storage_cache_hits = st.cache_hits;
-        stats.storage_cache_evictions = st.cache_evictions;
         stats.storage_wal_appends = st.wal_appends;
         stats.storage_wal_fsyncs = st.wal_fsyncs;
         stats.storage_recoveries = st.recoveries;
@@ -217,7 +208,7 @@ impl Database {
         self.storage_dir = Some(dir.as_ref().to_path_buf());
     }
 
-    /// Tune the paged backend (cache budget, checkpoint threshold).
+    /// Tune the paged backend (its checkpoint threshold).
     /// Takes effect at the next switch to [`StorageBackend::Paged`].
     pub fn set_storage_config(&mut self, cfg: StorageConfig) {
         self.storage_cfg = cfg;

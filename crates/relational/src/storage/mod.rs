@@ -1,5 +1,7 @@
-//! Durable paged storage: slotted pages, a pinning page cache, a pager
-//! over one heap file, and a write-ahead log with recovery-on-open.
+//! Durable paged storage: slotted pages, a pager over one heap file, and
+//! a write-ahead log with recovery-on-open. A durability layer over
+//! memory-resident tables: the store is read once, at open, and written
+//! after every statement.
 //!
 //! The tightly-coupled architecture assumes the DBMS side provides real
 //! storage; this module is that side's storage engine. A database opened
@@ -39,7 +41,6 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-pub mod cache;
 pub mod page;
 pub mod pager;
 pub mod wal;
@@ -100,19 +101,18 @@ impl fmt::Display for StorageBackend {
     }
 }
 
-/// Tuning knobs of the paged backend.
+/// Tuning knob of the paged backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageConfig {
-    /// Memory budget of the page cache, in pages (× 4 KiB each).
-    pub cache_pages: usize,
-    /// Auto-checkpoint once the WAL grows past this many bytes.
+    /// Auto-checkpoint once the WAL grows past this many bytes. Also
+    /// bounds the committed pages held in memory for the heap: each has
+    /// its image in the WAL.
     pub checkpoint_bytes: u64,
 }
 
 impl Default for StorageConfig {
     fn default() -> StorageConfig {
         StorageConfig {
-            cache_pages: 256,          // 1 MiB of cached pages
             checkpoint_bytes: 1 << 20, // 1 MiB of WAL
         }
     }
@@ -122,14 +122,10 @@ impl Default for StorageConfig {
 /// backend. Surfaced as `relational.storage.*` telemetry deltas.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StorageStats {
-    /// Pages read from the heap file (cache misses).
+    /// Pages read from the heap file (each reachable page, once per open).
     pub page_reads: u64,
-    /// Pages written to the heap file (LRU spills + checkpoints).
+    /// Pages written to the heap file (checkpoints only).
     pub page_writes: u64,
-    /// Page lookups served by the cache.
-    pub cache_hits: u64,
-    /// Pages pushed out of the cache by the LRU policy.
-    pub cache_evictions: u64,
     /// Records appended to the write-ahead log.
     pub wal_appends: u64,
     /// Successful WAL fsyncs (one per committed transaction).
@@ -144,8 +140,6 @@ impl StorageStats {
         StorageStats {
             page_reads: self.page_reads + other.page_reads,
             page_writes: self.page_writes + other.page_writes,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
             wal_appends: self.wal_appends + other.wal_appends,
             wal_fsyncs: self.wal_fsyncs + other.wal_fsyncs,
             recoveries: self.recoveries + other.recoveries,
@@ -431,7 +425,7 @@ impl PagedStore {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::storage(format!("create {}: {e}", dir.display())))?;
         let (wal, records) = Wal::open(&dir.join(WAL_FILE))?;
-        let pager = Pager::open(&dir.join(HEAP_FILE), cfg.cache_pages)?;
+        let pager = Pager::open(&dir.join(HEAP_FILE))?;
         let fresh = pager.file_pages() == 0 && records.is_empty();
         let mut store = PagedStore {
             pager,
@@ -470,8 +464,6 @@ impl PagedStore {
         StorageStats {
             page_reads: self.pager.reads(),
             page_writes: self.pager.writes(),
-            cache_hits: self.pager.cache_hits(),
-            cache_evictions: self.pager.cache_evictions(),
             wal_appends: self.wal.appends(),
             wal_fsyncs: self.wal.fsyncs(),
             recoveries: self.recoveries,
@@ -521,7 +513,7 @@ impl PagedStore {
                     page.id()
                 )));
             }
-            self.pager.install(page)?;
+            self.pager.install(page);
         }
         self.next_tx = max_tx + 1;
         // Make the replayed state the new heap baseline, then empty the
@@ -624,7 +616,8 @@ impl PagedStore {
         cell.extend_from_slice(MAGIC);
         cell.extend_from_slice(&root.to_le_bytes());
         page.push_cell(&cell)?;
-        self.pager.write(page)
+        self.pager.write(page);
+        Ok(())
     }
 
     /// The one page writer. Push `cells` in order onto `page` — a new
@@ -645,7 +638,7 @@ impl PagedStore {
                 rows: page.cell_count() as u32,
             });
             page.set_next(next);
-            pager.write(page)
+            pager.write(page);
         };
         for cell in cells {
             if !page.push_cell(cell.as_ref())? {
@@ -654,13 +647,13 @@ impl PagedStore {
                     &mut self.pager,
                     std::mem::replace(&mut page, Page::new(next)),
                     next,
-                )?;
+                );
                 if !page.push_cell(cell.as_ref())? {
                     return Err(Error::storage("an empty page refused a cell that fits one"));
                 }
             }
         }
-        seal(&mut self.pager, page, end)?;
+        seal(&mut self.pager, page, end);
         Ok(written)
     }
 
@@ -746,10 +739,13 @@ impl PagedStore {
         let entry = moved.and_then(|_| self.tables.remove(&key));
         let pages = match (entry, moved) {
             (Some(mut entry), Some(RowsMoved::Appended { from })) => {
+                // The tail's image is its cells in order, so it is rebuilt
+                // from the rows it holds, with the new ones behind them.
                 let tail = entry.pages.pop().expect("a chain has a root");
-                let page = self.pager.read(tail.id)?;
-                let cells = rows[*from..].iter().map(encode_row);
-                entry.pages.extend(self.write_run(page, cells, 0)?);
+                let cells = rows[*from - tail.rows as usize..].iter().map(encode_row);
+                entry
+                    .pages
+                    .extend(self.write_run(Page::new(tail.id), cells, 0)?);
                 entry.pages
             }
             (Some(entry), Some(RowsMoved::Deleted { at } | RowsMoved::Updated { at })) => {
@@ -831,7 +827,7 @@ impl PagedStore {
     ///
     /// A row that fits no page is refused before anything is written:
     /// the store is then exactly as it was. Any later failure leaves
-    /// pages half-written in the cache, so it poisons the store — reopen
+    /// pages half-written in the pager, so it poisons the store — reopen
     /// to recover the last committed state.
     pub fn sync(&mut self, catalog: &Catalog) -> Result<()> {
         self.check_poisoned()?;
@@ -893,14 +889,14 @@ impl PagedStore {
     /// WAL-commit the current transaction: Begin, one full-page image
     /// per dirtied page, Commit, then one fsync. Durability boundary.
     fn commit(&mut self) -> Result<()> {
-        let mut dirty = self.pager.tx_dirty_pages();
-        if dirty.is_empty() {
+        let mut pages = self.pager.tx_pages().peekable();
+        if pages.peek().is_none() {
             return Ok(());
         }
         let tx = self.next_tx;
         self.next_tx += 1;
         self.wal.append(&WalRecord::Begin { tx })?;
-        for page in dirty.iter_mut() {
+        for page in pages {
             let mut image = Box::new([0u8; PAGE_SIZE]);
             image.copy_from_slice(page.sealed_bytes());
             self.wal.append(&WalRecord::Page {
@@ -915,19 +911,17 @@ impl PagedStore {
         Ok(())
     }
 
-    /// Flush every dirty page to the heap, fsync it, then truncate the
-    /// WAL: the heap alone now carries the whole state. Ordering is the
-    /// crash-safety linchpin — the WAL only shrinks *after* the heap is
-    /// durable.
+    /// Flush every committed page to the heap, fsync it, then truncate
+    /// the WAL: the heap alone now carries the whole state. Ordering is
+    /// the crash-safety linchpin — the WAL only shrinks *after* the heap
+    /// is durable.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.check_poisoned()?;
         let result = self.pager.flush_dirty().and_then(|_| self.wal.reset());
         if result.is_err() {
             self.poisoned = true;
-            return result;
         }
-        self.pager.end_tx();
-        Ok(())
+        result
     }
 }
 
@@ -1265,36 +1259,6 @@ mod tests {
             recovered.table("t").unwrap().row_count(),
             2,
             "committed rows present, uncommitted row absent"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tiny_cache_budget_still_roundtrips() {
-        let dir = temp_store("tiny");
-        let cfg = StorageConfig {
-            cache_pages: 1,
-            checkpoint_bytes: 4096,
-        };
-        {
-            let (mut store, _) = PagedStore::open(&dir, cfg).unwrap();
-            let mut catalog = Catalog::new();
-            let mut t = Table::new("big", Schema::new(vec![Column::new("s", DataType::Str)]));
-            for i in 0..2000 {
-                t.insert(vec![Value::Str(format!("row-{i}-{}", "x".repeat(40)))])
-                    .unwrap();
-            }
-            catalog.create_table(t).unwrap();
-            store.sync(&catalog).unwrap();
-            assert!(store.stats().cache_evictions > 0, "budget forced spills");
-            store.checkpoint().unwrap();
-        }
-        let (_, catalog) = PagedStore::open(&dir, cfg).unwrap();
-        let t = catalog.table("big").unwrap();
-        assert_eq!(t.row_count(), 2000);
-        assert_eq!(
-            t.rows()[1999][0],
-            Value::Str(format!("row-1999-{}", "x".repeat(40)))
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,6 @@
-//! The pager: maps page ids onto a single heap file, funnels every
-//! access through the [`PageCache`], and hands
-//! out page ids from a free list rebuilt by mark-and-sweep at open.
+//! The pager: maps page ids onto a single heap file, holds the pages
+//! written since the last checkpoint, and hands out page ids from a free
+//! list rebuilt by mark-and-sweep at open.
 //!
 //! The heap file is a flat array of [`PAGE_SIZE`] slots; page id `n`
 //! lives at byte offset `n * PAGE_SIZE`. Page 0 is the superblock and is
@@ -8,17 +8,18 @@
 //! persisted: the store recomputes it at open from the set of reachable
 //! pages, which removes a whole class of free-list corruption bugs.
 //!
-//! Writes inside a transaction stay pinned in the cache (no-steal);
-//! committed pages reach the heap either by LRU spill or by checkpoint
-//! ([`Pager::flush_dirty`]), both of which are safe because commit has
-//! already made their WAL images durable.
+//! No-steal is structural: pages written by the statement in flight wait
+//! in one map until [`Pager::end_tx`] moves them to a second, and only
+//! that second map reaches the heap, at a checkpoint
+//! ([`Pager::flush_dirty`]) — by then commit has made every image in it
+//! durable in the WAL. The tables live in memory, so nothing reads a
+//! page after open.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use super::cache::PageCache;
 use super::page::{Page, PAGE_SIZE};
 use crate::error::{Error, Result};
 
@@ -27,22 +28,24 @@ use crate::error::{Error, Result};
 pub struct Pager {
     file: File,
     /// Pages the store knows about (allocated; the file may be shorter
-    /// until the next spill or checkpoint reaches the tail).
+    /// until the next checkpoint reaches the tail).
     page_count: u32,
     /// Pages physically present in the file at open (fresh-store probe).
     file_pages: u32,
     /// Reusable page ids, sorted descending so `pop` yields the smallest
     /// (deterministic allocation order).
     free: Vec<u32>,
-    cache: PageCache,
-    tx_dirty: BTreeSet<u32>,
+    /// Pages written by the transaction in flight.
+    tx: BTreeMap<u32, Page>,
+    /// Pages logged by a committed transaction, not yet checkpointed.
+    committed: BTreeMap<u32, Page>,
     reads: u64,
     writes: u64,
 }
 
 impl Pager {
-    /// Open (or create) the heap file with a cache of `cache_pages`.
-    pub fn open(path: &Path, cache_pages: usize) -> Result<Pager> {
+    /// Open (or create) the heap file.
+    pub fn open(path: &Path) -> Result<Pager> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -60,8 +63,8 @@ impl Pager {
             page_count: file_pages.max(1), // page 0 is always reserved
             file_pages,
             free: Vec::new(),
-            cache: PageCache::new(cache_pages),
-            tx_dirty: BTreeSet::new(),
+            tx: BTreeMap::new(),
+            committed: BTreeMap::new(),
             reads: 0,
             writes: 0,
         })
@@ -75,11 +78,6 @@ impl Pager {
     /// Pages the store has ever allocated (including freed ones).
     pub fn page_count(&self) -> u32 {
         self.page_count
-    }
-
-    /// Raise the allocation horizon (recovery saw a higher page id).
-    pub fn ensure_page_count(&mut self, n: u32) {
-        self.page_count = self.page_count.max(n);
     }
 
     /// Install the free list computed by mark-and-sweep.
@@ -100,39 +98,20 @@ impl Pager {
         }
     }
 
-    /// Return a page id to the free list and drop any cached copy.
+    /// Return a page id to the free list and drop any image still
+    /// waiting for the WAL or the heap.
     pub fn free_page(&mut self, id: u32) {
-        self.cache.remove(id);
-        self.tx_dirty.remove(&id);
+        self.tx.remove(&id);
+        self.committed.remove(&id);
         match self.free.binary_search_by(|x| id.cmp(x)) {
             Ok(_) => {} // double-free is a no-op
             Err(at) => self.free.insert(at, id),
         }
     }
 
-    fn heap_write(&mut self, page: &mut Page) -> Result<()> {
-        let offset = page.id() as u64 * PAGE_SIZE as u64;
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.write_all(page.sealed_bytes()))
-            .map_err(|e| Error::storage(format!("heap write page {}: {e}", page.id())))?;
-        self.writes += 1;
-        Ok(())
-    }
-
-    fn spill(&mut self, evicted: Vec<Page>) -> Result<()> {
-        for mut page in evicted {
-            self.heap_write(&mut page)?;
-        }
-        Ok(())
-    }
-
-    /// Read a page, from cache when possible, from the heap otherwise
-    /// (verifying its checksum and identity on the way in).
+    /// Read a page from the heap, verifying its checksum and identity on
+    /// the way in.
     pub fn read(&mut self, id: u32) -> Result<Page> {
-        if let Some(page) = self.cache.get(id) {
-            return Ok(page.clone());
-        }
         let mut buf = [0u8; PAGE_SIZE];
         self.file
             .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))
@@ -146,48 +125,42 @@ impl Pager {
                 page.id()
             )));
         }
-        let evicted = self.cache.insert(page.clone(), false);
-        self.spill(evicted)?;
         Ok(page)
     }
 
-    /// Write a page inside the current transaction: cached dirty and
-    /// pinned until [`Pager::end_tx`], and recorded for the commit's WAL
-    /// records.
-    pub fn write(&mut self, page: Page) -> Result<()> {
-        self.tx_dirty.insert(page.id());
-        let evicted = self.cache.insert(page, true);
-        self.spill(evicted)
+    /// Write a page inside the current transaction: held until
+    /// [`Pager::end_tx`], and logged by the commit.
+    pub fn write(&mut self, page: Page) {
+        self.tx.insert(page.id(), page);
     }
 
-    /// Install a committed page image during recovery: dirty (so the
-    /// recovery checkpoint flushes it) but outside any transaction.
-    pub fn install(&mut self, page: Page) -> Result<()> {
-        self.ensure_page_count(page.id() + 1);
-        let evicted = self.cache.insert(page, true);
-        self.spill(evicted)
+    /// Install a committed page image during recovery, for the recovery
+    /// checkpoint to flush, raising the allocation horizon past its id.
+    pub fn install(&mut self, page: Page) {
+        self.page_count = self.page_count.max(page.id() + 1);
+        self.committed.insert(page.id(), page);
     }
 
-    /// Final images of every page written by the current transaction,
-    /// sorted by id (pages freed again within the transaction are
-    /// unreachable and skipped).
-    pub fn tx_dirty_pages(&self) -> Vec<Page> {
-        self.tx_dirty
-            .iter()
-            .filter_map(|id| self.cache.peek(*id).cloned())
-            .collect()
+    /// Every page written by the current transaction, in id order (pages
+    /// freed again within the transaction are unreachable and absent).
+    pub fn tx_pages(&mut self) -> impl Iterator<Item = &mut Page> {
+        self.tx.values_mut()
     }
 
-    /// The transaction committed: clear its dirty set and release pins.
+    /// The transaction committed: its pages now wait for the checkpoint.
     pub fn end_tx(&mut self) {
-        self.tx_dirty.clear();
-        self.cache.unpin_all();
+        self.committed.append(&mut self.tx);
     }
 
-    /// Checkpoint step: write every dirty page to the heap and fsync it.
+    /// Checkpoint step: write every committed page to the heap, in id
+    /// order, and fsync it.
     pub fn flush_dirty(&mut self) -> Result<()> {
-        for mut page in self.cache.take_dirty() {
-            self.heap_write(&mut page)?;
+        for (id, mut page) in std::mem::take(&mut self.committed) {
+            self.file
+                .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))
+                .and_then(|_| self.file.write_all(page.sealed_bytes()))
+                .map_err(|e| Error::storage(format!("heap write page {id}: {e}")))?;
+            self.writes += 1;
         }
         self.file
             .sync_data()
@@ -199,19 +172,9 @@ impl Pager {
         self.reads
     }
 
-    /// Heap pages written to disk (spills + checkpoints).
+    /// Heap pages written to disk (checkpoints only).
     pub fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Reads served by the cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Pages pushed out of the cache by the LRU policy.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
     }
 }
 
@@ -226,35 +189,35 @@ mod tests {
         dir.join("heap")
     }
 
+    fn heap_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
     #[test]
     fn write_flush_reopen_read() {
         let path = temp_heap("roundtrip");
         {
-            let mut pager = Pager::open(&path, 8).unwrap();
+            let mut pager = Pager::open(&path).unwrap();
             assert_eq!(pager.file_pages(), 0, "fresh heap");
             let id = pager.allocate();
             assert_eq!(id, 1, "page 0 stays reserved");
             let mut page = Page::new(id);
             page.push_cell(b"cell").unwrap();
-            pager.write(page).unwrap();
+            pager.write(page);
             pager.end_tx();
             pager.flush_dirty().unwrap();
         }
-        let mut pager = Pager::open(&path, 8).unwrap();
+        let mut pager = Pager::open(&path).unwrap();
         assert_eq!(pager.file_pages(), 2);
         let page = pager.read(1).unwrap();
         assert_eq!(page.cell(0), b"cell");
         assert_eq!(pager.reads(), 1);
-        // Second read is a cache hit, not a heap read.
-        pager.read(1).unwrap();
-        assert_eq!(pager.reads(), 1);
-        assert_eq!(pager.cache_hits(), 1);
     }
 
     #[test]
     fn allocation_prefers_smallest_free_id() {
         let path = temp_heap("alloc");
-        let mut pager = Pager::open(&path, 8).unwrap();
+        let mut pager = Pager::open(&path).unwrap();
         let a = pager.allocate();
         let b = pager.allocate();
         let c = pager.allocate();
@@ -268,25 +231,38 @@ mod tests {
     }
 
     #[test]
-    fn eviction_spills_committed_pages_to_heap() {
-        let path = temp_heap("spill");
-        let mut pager = Pager::open(&path, 2).unwrap();
-        for _ in 0..4 {
+    fn no_page_reaches_the_heap_before_commit_and_checkpoint() {
+        let path = temp_heap("no_steal");
+        let mut pager = Pager::open(&path).unwrap();
+        for _ in 0..1000 {
             let id = pager.allocate();
             let mut p = Page::new(id);
             p.push_cell(&id.to_le_bytes()).unwrap();
-            pager.write(p).unwrap();
+            pager.write(p);
         }
-        // All four are pinned: the cache overshoots instead of stealing.
-        assert_eq!(pager.writes(), 0);
+        // Far more pages than any fixed budget: none is stolen.
+        assert_eq!((pager.writes(), heap_len(&path)), (0, 0));
+        let ids: Vec<u32> = pager.tx_pages().map(|p| p.id()).collect();
+        assert_eq!(ids, (1..=1000).collect::<Vec<_>>(), "logged in id order");
+        // Committed pages wait for the checkpoint, not for pressure.
         pager.end_tx();
-        // Post-commit pressure evicts down to budget, spilling to heap.
+        assert_eq!(pager.tx_pages().count(), 0);
+        assert_eq!((pager.writes(), heap_len(&path)), (0, 0));
+        // A freed page still waiting is dropped, in or out of a
+        // transaction.
+        pager.free_page(1000);
         let id = pager.allocate();
-        pager.write(Page::new(id)).unwrap();
-        assert!(pager.writes() >= 2, "dirty evictions reached the heap");
-        assert!(pager.cache_evictions() >= 2);
-        // Spilled pages read back intact from the heap.
-        let p = pager.read(1).unwrap();
-        assert_eq!(p.cell(0), &1u32.to_le_bytes());
+        assert_eq!(id, 1000);
+        pager.write(Page::new(id));
+        pager.free_page(id);
+        pager.end_tx();
+        pager.flush_dirty().unwrap();
+        assert_eq!(pager.writes(), 999);
+        assert_eq!(heap_len(&path), 1000 * PAGE_SIZE as u64);
+        let p = pager.read(999).unwrap();
+        assert_eq!(p.cell(0), &999u32.to_le_bytes());
+        // The checkpoint drained the committed pages.
+        pager.flush_dirty().unwrap();
+        assert_eq!(pager.writes(), 999);
     }
 }

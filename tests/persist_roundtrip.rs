@@ -515,8 +515,9 @@ fn wal_traffic_follows_the_statement_not_the_table() {
 }
 
 /// The same seeded mix of 200 INSERT/UPDATE/DELETE statements through a
-/// memory database and a paged one — two-page cache, checkpoints at
-/// random points, one drop-and-reopen half way — scans identically after
+/// memory database and a paged one — a 64 KiB WAL threshold that
+/// checkpoints every few statements, explicit checkpoints at random
+/// points, one drop-and-reopen half way — scans identically after
 /// every statement: short pages, splits and unlinked pages never reorder
 /// a chain. `MINE RULE` over the result then agrees bit for bit.
 #[test]
@@ -526,7 +527,6 @@ fn paged_scans_in_memory_order_under_interleaved_dml() {
     let item = |k: u64| format!("i{k:02}{}", "-".repeat(((k * k * k) % 2400 + 9) as usize));
     let dir = temp_dir("interleaved");
     let cfg = StorageConfig {
-        cache_pages: 2,
         checkpoint_bytes: 1 << 16,
     };
     let open = || {
@@ -540,6 +540,8 @@ fn paged_scans_in_memory_order_under_interleaved_dml() {
     let mut memory = Database::new();
     let mut rng = Rng::seed_from_u64(0x1e7e_41ea);
     let mut baskets = 0u64;
+    // Heap pages written by statements alone: the auto-checkpoints.
+    let mut auto_writes = 0u64;
     let run = |paged: &mut Database, memory: &mut Database, sql: &str| {
         let (p, m) = (paged.execute(sql).unwrap(), memory.execute(sql).unwrap());
         assert_eq!(p.rows_affected, m.rows_affected, "{sql}");
@@ -573,7 +575,9 @@ fn paged_scans_in_memory_order_under_interleaved_dml() {
             ),
             _ => format!("UPDATE t SET tr = tr WHERE tr - (tr / 5) * 5 = {}", tr % 5),
         };
+        let before = paged.stats().storage_page_writes;
         run(&mut paged, &mut memory, &sql);
+        auto_writes += paged.stats().storage_page_writes - before;
         if rng.gen_below(8) == 0 {
             paged.checkpoint().unwrap();
         }
@@ -583,7 +587,7 @@ fn paged_scans_in_memory_order_under_interleaved_dml() {
             assert_same_state(&mut paged, &mut memory, "reopened half way");
         }
     }
-    assert!(paged.stats().storage_cache_evictions > 0);
+    assert!(auto_writes > 0, "the WAL threshold must checkpoint");
     assert!(memory.catalog().table("t").unwrap().row_count() > 100);
 
     let stmt = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
@@ -635,33 +639,110 @@ fn paged_and_memory_backends_mine_identical_rules() {
     }
 }
 
-/// A one-page cache with an aggressive checkpoint threshold forces
-/// evictions and mid-run checkpoints; the mined rules and the durable
-/// state are still identical to the memory backend's.
+/// An aggressive checkpoint threshold forces checkpoints in the middle
+/// of the run; the mined rules and the durable state are still identical
+/// to the memory backend's.
 #[test]
-fn tiny_cache_and_frequent_checkpoints_preserve_agreement() {
+fn frequent_checkpoints_preserve_agreement() {
     let mut mem_db = purchase_db();
     let memory = MineRuleEngine::new().execute(&mut mem_db, STMT).unwrap();
 
-    let dir = temp_dir("tiny_cache");
+    let dir = temp_dir("frequent_checkpoints");
     let mut db = purchase_db();
     db.set_storage_dir(&dir);
     db.set_storage_config(StorageConfig {
-        cache_pages: 1,
         checkpoint_bytes: 4096,
     });
     db.set_storage(StorageBackend::Paged).unwrap();
+    let before = db.stats().storage_page_writes;
     let paged = MineRuleEngine::new().execute(&mut db, STMT).unwrap();
     assert_eq!(memory.rules, paged.rules, "bit-identical under pressure");
     assert!(
-        db.stats().storage_cache_evictions > 0,
-        "the one-page budget must actually evict"
+        db.stats().storage_page_writes > before,
+        "a 4 KiB WAL threshold must checkpoint while mining"
     );
     db.checkpoint().unwrap();
     drop(db);
 
     let mut reopened = Database::open_paged(&dir).unwrap();
-    assert_same_state(&mut reopened, &mut mem_db, "tiny cache");
+    assert_same_state(&mut reopened, &mut mem_db, "frequent checkpoints");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Committed pages reach the heap at a checkpoint and at no other time,
+/// however many of them wait: the heap file and the page-write counter
+/// stand still across statements that commit hundreds of pages. And no
+/// statement reads a page — the tables live in memory, so the store
+/// reads the heap only when it opens, even for an append to a tail that
+/// a checkpoint already wrote.
+#[test]
+fn committed_pages_reach_the_heap_only_at_a_checkpoint() {
+    let dir = temp_dir("no_steal");
+    let heap_len = || std::fs::metadata(dir.join("heap.tcdm")).unwrap().len();
+    let mut db = Database::new();
+    db.set_storage_dir(&dir);
+    db.set_storage_config(StorageConfig {
+        checkpoint_bytes: 64 << 20,
+    });
+    db.set_storage(StorageBackend::Paged).unwrap();
+    let mut memory = Database::new();
+    let mut both = |sql: &str, paged: &mut Database| {
+        paged.execute(sql).unwrap();
+        memory.execute(sql).unwrap();
+    };
+    both("CREATE TABLE t (a INT, b VARCHAR)", &mut db);
+    let (len, writes, reads) = (
+        heap_len(),
+        db.stats().storage_page_writes,
+        db.stats().storage_page_reads,
+    );
+    let still = |db: &Database, context: &str| {
+        let stats = db.stats();
+        assert_eq!(
+            (
+                heap_len(),
+                stats.storage_page_writes,
+                stats.storage_page_reads
+            ),
+            (len, writes, reads),
+            "{context}"
+        );
+    };
+    // 34 rows to a page: 300 pages in six statements.
+    let row = |a: usize| format!("({a}, '{a:0100}')");
+    let per_statement = 34 * 50;
+    for s in 0..6 {
+        let values: Vec<String> = (s * per_statement..(s + 1) * per_statement)
+            .map(row)
+            .collect();
+        both(
+            &format!("INSERT INTO t VALUES {}", values.join(", ")),
+            &mut db,
+        );
+        still(&db, &format!("after insert {s}"));
+    }
+    both("UPDATE t SET b = 'short' WHERE a < 500", &mut db);
+    both("DELETE FROM t WHERE a >= 9000 AND a < 9500", &mut db);
+    still(&db, "after update and delete");
+
+    db.checkpoint().unwrap();
+    assert!(
+        heap_len() > len + 256 * 4096,
+        "the checkpoint wrote the pages"
+    );
+    assert!(db.stats().storage_page_writes > writes + 256);
+    both(&format!("INSERT INTO t VALUES {}", row(20_000)), &mut db);
+    both("UPDATE t SET b = 'tail' WHERE a = 20000", &mut db);
+    both("DELETE FROM t WHERE a = 5", &mut db);
+    assert_eq!(
+        db.stats().storage_page_reads,
+        reads,
+        "no statement reads a page"
+    );
+    drop(db);
+
+    let mut reopened = Database::open_paged(&dir).unwrap();
+    assert_same_state(&mut reopened, &mut memory, "no-steal store, reopened");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

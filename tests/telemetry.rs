@@ -416,6 +416,14 @@ fn storage_counters_absent_on_memory_present_on_paged() {
     ] {
         assert!(snap_1.counter(name) > 0, "{name} present under paged");
     }
+    assert!(
+        snap_1
+            .counters
+            .iter()
+            .all(|(name, _)| !name.starts_with("relational.storage.cache_")),
+        "the paged backend keeps no page cache: {:?}",
+        snap_1.counters
+    );
     for (name, value) in &snap_1.counters {
         if !name.starts_with("relational.storage.") {
             continue;
