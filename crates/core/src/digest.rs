@@ -13,7 +13,7 @@
 //! (`SourceDigest::apply`). This module knows no cache: the preprocessor
 //! builds digests, the session artifact store (`artifacts.rs`) keeps them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use relational::{KeyInterner, TableDelta, Value};
 
@@ -240,6 +240,30 @@ impl SourceDigest {
             .sum();
         dictionaries + groups + self.item_joins.len() as u64
     }
+
+    /// Every live group rendered as `grouping key: [item key x
+    /// multiplicity]`, both levels sorted: slot and item ids are
+    /// first-seen, so two digests of the same source — whatever its row
+    /// order — compare through their keys.
+    pub fn by_key(&self) -> Vec<String> {
+        let key_of_item: HashMap<u32, &[Value]> = self.item_ids.iter().collect();
+        let mut groups: Vec<String> = self
+            .group_ids
+            .iter()
+            .map(|(slot, key)| {
+                let group = self.groups[slot as usize].as_ref();
+                let items = group.map_or(&[][..], |g| &g.items[..]);
+                let mut items: Vec<String> = items
+                    .iter()
+                    .map(|&(item, n)| format!("{:?} x {n}", key_of_item[&item]))
+                    .collect();
+                items.sort();
+                format!("{key:?}: {items:?}")
+            })
+            .collect();
+        groups.sort();
+        groups
+    }
 }
 
 #[cfg(test)]
@@ -248,33 +272,6 @@ mod tests {
     use crate::parser::parse_mine_rule;
     use crate::preprocess::scan_source;
     use relational::Database;
-    use std::collections::HashMap;
-
-    impl SourceDigest {
-        /// Every live group rendered as `grouping key: [item key x
-        /// multiplicity]`, both levels sorted: slot and item ids are
-        /// first-seen, so two digests of the same source compare through
-        /// their keys.
-        pub(crate) fn by_key(&self) -> Vec<String> {
-            let key_of_item: HashMap<u32, &[Value]> = self.item_ids.iter().collect();
-            let mut groups: Vec<String> = self
-                .group_ids
-                .iter()
-                .map(|(slot, key)| {
-                    let group = self.groups[slot as usize].as_ref().unwrap();
-                    let mut items: Vec<String> = group
-                        .items
-                        .iter()
-                        .map(|&(item, n)| format!("{:?} x {n}", key_of_item[&item]))
-                        .collect();
-                    items.sort();
-                    format!("{key:?}: {items:?}")
-                })
-                .collect();
-            groups.sort();
-            groups
-        }
-    }
 
     /// The digest keys by SQL grouping equality — what the preprocessor
     /// groups by — so types never alias (`1` is not `'1'`), numerics

@@ -1,10 +1,18 @@
-//! Typed access to the encoded tables the preprocessor materialises.
+//! The core operator's input: the encoded structures the preprocessor
+//! builds.
 //!
 //! The core operator reads *only* these structures — it never sees real
 //! attribute names or values, which is the architecture's interoperability
-//! contract (§3): any mining algorithm can be plugged in behind them.
+//! contract (§3): any mining algorithm can be plugged in behind them. The
+//! fused preprocess pass hands an [`EncodedInput`] over beside the
+//! encoded tables it commits
+//! ([`Preprocessed::encoded_input`](crate::preprocess::Preprocessed::encoded_input));
+//! [`read_encoded`] reads the same input back out of those tables, for
+//! the stepwise program and as the oracle on the database's reference
+//! paths.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use relational::{Database, Row, Value};
 
@@ -37,7 +45,7 @@ pub struct ElemRule {
 }
 
 /// Everything the core operator needs, in encoded form.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedInput {
     pub directives: Directives,
     pub class: StatementClass,
@@ -51,7 +59,7 @@ pub struct EncodedInput {
 }
 
 /// Class-specific payload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EncodedData {
     /// Simple rules: per-group lists of large item identifiers.
     Simple { groups: Vec<(u32, Vec<u32>)> },
@@ -63,7 +71,97 @@ pub enum EncodedData {
     },
 }
 
-fn get_u32(v: &Value) -> Result<u32> {
+impl EncodedInput {
+    /// `data` under `translation`'s directives and thresholds, with the
+    /// bound `:totg` and `:mingroups`.
+    pub(crate) fn new(
+        translation: &Translation,
+        total_groups: u64,
+        min_groups: u64,
+        data: EncodedData,
+    ) -> Result<EncodedInput> {
+        let stmt = &translation.stmt;
+        Ok(EncodedInput {
+            directives: translation.directives,
+            class: translation.class,
+            total_groups: count_u32(total_groups)?,
+            min_groups: count_u32(min_groups)?,
+            min_support: stmt.min_support,
+            min_confidence: stmt.min_confidence,
+            body_card: stmt.body.card,
+            head_card: stmt.head.card,
+            data,
+        })
+    }
+
+    /// This input under `translation`'s thresholds and the given `:totg`
+    /// and `:mingroups`: shared when they are the ones it already
+    /// carries (a cold run), a copy otherwise (a restore for a rerun at
+    /// other thresholds).
+    pub(crate) fn stamped(
+        self: &Arc<Self>,
+        translation: &Translation,
+        total_groups: u64,
+        min_groups: u64,
+    ) -> Result<Arc<EncodedInput>> {
+        let header = |input: &EncodedInput| {
+            (
+                input.directives,
+                input.class,
+                input.total_groups,
+                input.min_groups,
+                input.min_support,
+                input.min_confidence,
+                input.body_card,
+                input.head_card,
+            )
+        };
+        let empty = EncodedData::Simple { groups: Vec::new() };
+        let stamp = EncodedInput::new(translation, total_groups, min_groups, empty)?;
+        if header(&stamp) == header(self) {
+            return Ok(Arc::clone(self));
+        }
+        Ok(Arc::new(EncodedInput {
+            data: self.data.clone(),
+            ..stamp
+        }))
+    }
+
+    /// Rough retained size, for the artifact store's bytes gauge.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let payload = match &self.data {
+            EncodedData::Simple { groups } => groups
+                .iter()
+                .map(|(_, items)| 32 + items.len() as u64 * 4)
+                .sum(),
+            EncodedData::General {
+                tuples,
+                cluster_couples,
+                input_rules,
+            } => {
+                let len = |n: Option<usize>| n.unwrap_or(0) as u64;
+                tuples.len() as u64 * 28
+                    + len(cluster_couples.as_ref().map(Vec::len)) * 12
+                    + len(input_rules.as_ref().map(Vec::len)) * 28
+            }
+        };
+        128 + payload
+    }
+}
+
+/// An encoded id, checked to fit the core's `u32` ids.
+pub(crate) fn id_u32(id: i64) -> Result<u32> {
+    get_u32(&Value::Int(id))
+}
+
+/// `:totg` or `:mingroups`, checked to fit the core's `u32` counts.
+fn count_u32(n: u64) -> Result<u32> {
+    u32::try_from(n).map_err(|_| MineError::Internal {
+        message: format!("group count {n} exceeds the core's u32 range"),
+    })
+}
+
+pub(crate) fn get_u32(v: &Value) -> Result<u32> {
     match v {
         Value::Int(i) if *i >= 0 && *i <= u32::MAX as i64 => Ok(*i as u32),
         other => Err(MineError::Internal {
@@ -111,27 +209,26 @@ fn group_sorted(pairs: Vec<(u32, u32)>) -> Vec<(u32, Vec<u32>)> {
     groups
 }
 
-/// Read the encoded input for a translation whose preprocessing has run.
+/// A group count the preprocessor bound to `:name`.
+fn bound_count(db: &Database, name: &str) -> Result<u64> {
+    match db.var(name) {
+        Some(&Value::Int(n)) => u64::try_from(n).map_err(|_| MineError::Internal {
+            message: format!(":{name} is negative: {n}"),
+        }),
+        _ => Err(MineError::Internal {
+            message: format!(":{name} unset — run preprocessing first"),
+        }),
+    }
+}
+
+/// Read the encoded input back out of the tables of a translation whose
+/// preprocessing has run: the core's input on the stepwise route, and the
+/// oracle the handed-over input must equal.
 pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<EncodedInput> {
     let dir = translation.directives;
     let names = &translation.names;
-    let stmt = &translation.stmt;
-    let total_groups = match db.var("totg") {
-        Some(Value::Int(n)) => *n as u32,
-        _ => {
-            return Err(MineError::Internal {
-                message: ":totg unset — run preprocessing first".into(),
-            })
-        }
-    };
-    let min_groups = match db.var("mingroups") {
-        Some(Value::Int(n)) => *n as u32,
-        _ => {
-            return Err(MineError::Internal {
-                message: ":mingroups unset — run preprocessing first".into(),
-            })
-        }
-    };
+    let total_groups = bound_count(db, "totg")?;
+    let min_groups = bound_count(db, "mingroups")?;
 
     let data = match translation.class {
         StatementClass::Simple => {
@@ -237,17 +334,7 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
         }
     };
 
-    Ok(EncodedInput {
-        directives: dir,
-        class: translation.class,
-        total_groups,
-        min_groups,
-        min_support: stmt.min_support,
-        min_confidence: stmt.min_confidence,
-        body_card: stmt.body.card,
-        head_card: stmt.head.card,
-        data,
-    })
+    EncodedInput::new(translation, total_groups, min_groups, data)
 }
 
 /// Decoding maps read back from `Bset`/`Hset`, used by tests and examples
@@ -573,6 +660,23 @@ mod tests {
                     Ok(_) => assert!(oracle.is_ok() && row == "(1, 1, NULL, 100)", "{row}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn group_counts_outside_u32_fail_the_read_instead_of_wrapping() {
+        for (var, bad) in [
+            ("totg", 1i64 << 32),
+            ("mingroups", (1 << 32) + 1),
+            ("totg", -1),
+        ] {
+            let (mut db, t) = preprocessed(purchase_db(), SIMPLE, false);
+            db.set_var(var, Value::Int(bad));
+            let err = read_encoded(&mut db, &t).unwrap_err();
+            assert!(
+                matches!(err, MineError::Internal { .. }),
+                ":{var} = {bad}: {err}"
+            );
         }
     }
 

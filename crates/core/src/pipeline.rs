@@ -12,6 +12,7 @@
 //! full metric inventory. [`PhaseTimings`] is a per-run view derived
 //! from the same spans, kept for its established accessors.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use relational::expr::eval::QueryCtx;
@@ -24,7 +25,7 @@ use crate::encoded::read_encoded;
 use crate::error::Result;
 use crate::parser::parse_mine_rule;
 use crate::postprocess::{decode_rules, Decoded, DecodedRule};
-use crate::preprocess::{preprocess, PreprocessReport};
+use crate::preprocess::{preprocess_for_core, PreprocessReport, Preprocessed};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::translator::{translate_with_prefix, Translation};
 
@@ -203,13 +204,13 @@ impl MineRuleEngine {
         self.record_translation(&translation);
 
         let span = self.telemetry.span("phase.preprocess");
-        let preprocess_report = self.run_preprocess(db, &translation)?;
+        let preprocessed = self.run_preprocess(db, &translation)?;
         let preprocess_time = span.stop();
-        self.record_preprocess(&preprocess_report);
+        self.record_preprocess(&preprocessed.report);
 
         let span = self.telemetry.span("phase.core");
         let (rules, used_general, shard_timings) =
-            self.run_core(db, &translation, &preprocess_report)?;
+            self.run_core(db, &translation, &preprocessed)?;
         let core_time = span.stop();
 
         let span = self.telemetry.span("phase.postprocess");
@@ -231,7 +232,7 @@ impl MineRuleEngine {
         Ok(MiningOutcome {
             rules: decoded,
             translation,
-            preprocess_report,
+            preprocess_report: preprocessed.report,
             used_general,
             timings: PhaseTimings {
                 translate: translate_time,
@@ -244,33 +245,30 @@ impl MineRuleEngine {
     }
 
     /// Run preprocessing through the artifact store: a restore reinstates
-    /// the captured encoded tables (no `Qi` step executes); a miss runs
-    /// the full program and captures the encoding for the next run. With
-    /// the store disabled this is exactly [`preprocess`].
-    fn run_preprocess(
-        &self,
-        db: &mut Database,
-        translation: &Translation,
-    ) -> Result<PreprocessReport> {
+    /// the captured encoded tables and hands over the kept core input (no
+    /// `Qi` step executes); a miss runs the full program and captures the
+    /// encoding for the next run. With the store disabled this is exactly
+    /// [`preprocess_for_core`].
+    fn run_preprocess(&self, db: &mut Database, translation: &Translation) -> Result<Preprocessed> {
         if !self.artifacts.is_enabled() {
-            return preprocess(db, translation);
+            return preprocess_for_core(db, translation);
         }
-        if let Some(report) =
+        if let Some(restored) =
             self.artifacts
                 .restore_encoding(db, translation, &self.table_prefix)?
         {
             self.telemetry.counter_inc("preprocess.cache.hit");
-            return Ok(report);
+            return Ok(restored);
         }
         self.telemetry.counter_inc("preprocess.cache.miss");
-        let report = preprocess(db, translation)?;
+        let run = preprocess_for_core(db, translation)?;
         let stored = self
             .artifacts
-            .capture_encoding(db, translation, &self.table_prefix, &report);
+            .capture_encoding(db, translation, &self.table_prefix, &run);
         self.record_evictions(&stored);
         self.telemetry
             .gauge_set("preprocess.cache.bytes", stored.encoding_bytes as i64);
-        Ok(report)
+        Ok(run)
     }
 
     /// Count the evictions a capture caused. The metric names say which
@@ -354,17 +352,21 @@ impl MineRuleEngine {
 
     /// Run the core phase through the artifact store: the encoded rules,
     /// whether the general path produced them, and the executor's
-    /// per-shard timings. A serve replaces the whole phase: no encoded
-    /// read, no itemset mining, no `core.level.*` activity — the kept
-    /// inventory filtered at the current thresholds yields rules
-    /// bit-identical to a cold mine; a miss mines and captures the
-    /// inventory for the next run.
+    /// per-shard timings. A serve replaces the whole phase: no itemset
+    /// mining, no `core.level.*` activity — the kept inventory filtered
+    /// at the current thresholds yields rules bit-identical to a cold
+    /// mine; a miss mines and captures the inventory for the next run.
+    /// A miss mines the input preprocessing handed over (the fused pass
+    /// or a restore); only after the stepwise program, and always on the
+    /// reference paths, does it read the encoded tables back
+    /// (`core.encoded.read_back`).
     fn run_core(
         &self,
         db: &mut Database,
         translation: &Translation,
-        preprocess_report: &PreprocessReport,
+        preprocessed: &Preprocessed,
     ) -> Result<(Vec<EncodedRule>, bool, Vec<Duration>)> {
+        let preprocess_report = &preprocessed.report;
         let serve =
             self.artifacts
                 .serve_rules(db, translation, &self.table_prefix, preprocess_report)?;
@@ -382,7 +384,18 @@ impl MineRuleEngine {
                 if self.artifacts.is_enabled() {
                     self.telemetry.counter_inc("core.minecache.miss");
                 }
-                let encoded = read_encoded(db, translation)?;
+                let handed_over = if db.reference_paths() {
+                    None
+                } else {
+                    preprocessed.encoded_input(translation)?
+                };
+                let encoded = match handed_over {
+                    Some(input) => input,
+                    None => {
+                        self.telemetry.counter_inc("core.encoded.read_back");
+                        Arc::new(read_encoded(db, translation)?)
+                    }
+                };
                 let CoreOutput {
                     rules,
                     used_general,

@@ -32,6 +32,7 @@ use relational::{
 use crate::ast::MineRuleStatement;
 use crate::digest::SourceDigest;
 use crate::directives::{Directives, StatementClass};
+use crate::encoded::{get_u32, id_u32, ElemRule, EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
 use crate::translator::queries::{
     cluster_aggregates, cluster_pair_cond, mining_pair_cond, CLUSTER_SIDES, MINING_SIDES,
@@ -56,6 +57,74 @@ pub struct PreprocessReport {
     /// read. `None` when no scan ran (step-by-step preprocessing, a
     /// restored encoding) and for every statement with a directive set.
     pub digest: Option<Arc<SourceDigest>>,
+}
+
+/// What a preprocessing run hands the core: its report and, beside it,
+/// the core's input when the run built one.
+#[derive(Debug, Clone)]
+pub struct Preprocessed {
+    pub report: PreprocessReport,
+    /// The core's input from the fused pass's own record — or as the
+    /// artifact store kept it, on a restore. `None` after the stepwise
+    /// program: the core then reads the encoded tables back.
+    pub(crate) input: Option<Handover>,
+}
+
+/// The core's input as the fused pass hands it over.
+#[derive(Debug, Clone)]
+pub(crate) enum Handover {
+    /// Built by the pass, under the thresholds of the run that built it.
+    Built(Arc<EncodedInput>),
+    /// A statement with a digest — the one kind the artifact store's
+    /// inventory answers without mining — has its input built only when
+    /// the core mines, from the digest's per-group item lists.
+    Digest(Arc<DigestInput>),
+}
+
+/// What a simple-class input is built from when a digest holds the
+/// groups: each group slot's Gid and each body slot's Bid, where the
+/// group joins and the item is large and joins.
+#[derive(Debug)]
+pub(crate) struct DigestInput {
+    digest: Arc<SourceDigest>,
+    gids: Vec<Option<u32>>,
+    bids: Vec<Option<u32>>,
+}
+
+impl Handover {
+    /// Rough retained size, for the artifact store's bytes gauge (a
+    /// digest is counted by the inventory that shares it).
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        match self {
+            Handover::Built(input) => input.approx_bytes(),
+            Handover::Digest(record) => 64 + (record.gids.len() + record.bids.len()) as u64 * 8,
+        }
+    }
+}
+
+impl Preprocessed {
+    /// The core's input this run handed over, under `translation`'s
+    /// thresholds and the report's `:totg` / `:mingroups`: equal to what
+    /// [`read_encoded`](crate::encoded::read_encoded) reads back from the
+    /// committed tables. `None` when the run handed none over.
+    pub fn encoded_input(&self, translation: &Translation) -> Result<Option<Arc<EncodedInput>>> {
+        let (total_groups, min_groups) = (self.report.total_groups, self.report.min_groups);
+        let input = match &self.input {
+            None => return Ok(None),
+            Some(Handover::Built(input)) => input.stamped(translation, total_groups, min_groups)?,
+            Some(Handover::Digest(record)) => {
+                let groups = large_items(&[], Some(&record.digest), &record.gids, &record.bids);
+                let data = EncodedData::Simple { groups };
+                Arc::new(EncodedInput::new(
+                    translation,
+                    total_groups,
+                    min_groups,
+                    data,
+                )?)
+            }
+        };
+        Ok(Some(input))
+    }
 }
 
 /// Run a sequence of translation steps on the database.
@@ -104,17 +173,27 @@ pub fn min_groups_for(total_groups: u64, min_support: f64) -> u64 {
 /// discarded and the stepwise program runs: that program's error is the
 /// statement's error, and the catalog is left as it leaves it.
 pub fn preprocess(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
+    preprocess_for_core(db, translation).map(|run| run.report)
+}
+
+/// [`preprocess`], also handing over the core's input when the fused pass
+/// built it.
+pub fn preprocess_for_core(db: &mut Database, translation: &Translation) -> Result<Preprocessed> {
     let min_support = translation.stmt.min_support;
     run_steps(db, &translation.cleanup, min_support)?;
     if !db.reference_paths() && fusible(translation) {
-        if let Ok(report) = run_fused(db, translation) {
-            return Ok(report);
+        if let Ok(run) = run_fused(db, translation) {
+            return Ok(run);
         }
         // The pass touches the catalog only to commit, and a commit stops
         // at the first object it cannot create: drop the ones before it.
         run_steps(db, &translation.cleanup, min_support)?;
     }
-    run_steps(db, &translation.preprocess, min_support)
+    let report = run_steps(db, &translation.preprocess, min_support)?;
+    Ok(Preprocessed {
+        report,
+        input: None,
+    })
 }
 
 /// Whether the translated program qualifies for the fused pass: its FROM
@@ -213,7 +292,7 @@ pub(crate) struct SourceScan {
     pairs: Vec<(u32, u32)>,
     /// Only for a statement without directives: one entry per further
     /// source row of a pair (a duplicate up to the columns read — rare, so
-    /// the per-row work stays one set insert).
+    /// the per-row work stays one freshness check).
     repeats: Option<Vec<(u32, u32)>>,
     /// The rest is what only a statement with directives records. Head
     /// keys and the distinct `(group slot, head slot)` pairs (H); cluster
@@ -233,16 +312,42 @@ pub(crate) struct SourceScan {
 impl SourceScan {
     /// The scan as a replayable digest, its interners moved in: `None`
     /// for a statement with a directive set.
-    pub(crate) fn into_digest(self) -> Option<SourceDigest> {
-        let repeats = self.repeats?;
+    pub(crate) fn into_digest(mut self) -> Option<SourceDigest> {
+        self.take_digest()
+    }
+
+    /// [`SourceScan::into_digest`], leaving the pairs for the caller (the
+    /// scan's interners move into the digest).
+    fn take_digest(&mut self) -> Option<SourceDigest> {
+        let repeats = self.repeats.take()?;
         Some(SourceDigest::new(
             self.version,
-            self.groups,
-            self.bodies,
+            std::mem::replace(&mut self.groups, KeyInterner::new(0)),
+            std::mem::replace(&mut self.bodies, KeyInterner::new(0)),
             &self.pairs,
             &repeats,
         ))
     }
+}
+
+/// Where a group's rows stand in the scan, for telling a repeated
+/// `(group, body)` pair from a fresh one.
+#[derive(Clone, Copy)]
+enum Run {
+    /// The group's rows have been contiguous since its first row: its
+    /// pairs are `pairs[start..end]`, `end` set once the run ends.
+    First { start: u32, end: u32 },
+    /// The group recurred after another group's rows: its pairs are in
+    /// the pair set.
+    Recurred,
+}
+
+/// Identical values — the same type and the same value or bits — so a
+/// row whose group key is identical to the previous row's interns to the
+/// same slot. Grouping equality is not enough: it is not transitive
+/// across INT and FLOAT.
+fn identical(a: &Value, b: &Value) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
 }
 
 /// Two slots as one set or map key.
@@ -258,10 +363,14 @@ fn pack(a: u32, b: u32) -> u64 {
 ///
 /// Every key is interned by probing with the source row itself
 /// ([`KeyInterner`]): a row that repeats its keys copies and allocates
-/// nothing. A statement without directives keeps nothing per row; any
-/// directive makes every surviving row leave a [`Lane`], the source
-/// condition (W) deciding each row first, evaluated conjunct by conjunct
-/// like the pushed-down filters of `Q0`.
+/// nothing. A row whose group key is identical to the previous surviving
+/// row's is not even hashed, and a group's pairs stay out of the pair
+/// set until the group recurs after another group's rows ([`Run`]).
+/// Slots, pairs and repeats come out in the same first-seen order
+/// whatever the row order. A statement without directives keeps nothing
+/// per row; any directive makes every surviving row leave a [`Lane`],
+/// the source condition (W) deciding each row first, evaluated conjunct
+/// by conjunct like the pushed-down filters of `Q0`.
 pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<SourceScan> {
     let table = db.catalog().table(&stmt.from[0].name)?;
     let cols = source_columns(table, stmt)?;
@@ -289,12 +398,18 @@ pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<Sou
         .flat_map(conjuncts)
         .map(|c| CompiledExpr::compile(c, &schema, &mut NoCtx))
         .collect();
+    // A pair is fresh when its body was not last seen in the same group
+    // while that group's rows are still in their first run; only a group
+    // that recurs after another group's rows keeps its pairs in a set.
+    let mut runs: Vec<Run> = Vec::new();
+    let mut last_group_of_body: Vec<u32> = Vec::new();
     let mut seen: HashSet<u64, KeyHash> = HashSet::default();
     let mut head_seen: HashSet<u64, KeyHash> = HashSet::default();
     // A cluster is a group and a cluster key: the key alone is interned
     // first, then the pair of slots.
     let mut cluster_slots: HashMap<u64, u32, KeyHash> = HashMap::default();
     let mut stack = Vec::new();
+    let mut previous: Option<(&Row, u32)> = None;
     'rows: for (at, row) in table.rows().iter().enumerate() {
         for conjunct in &source_cond {
             if !conjunct.eval_with(row, &mut NoCtx, &mut stack)?.is_true() {
@@ -302,9 +417,43 @@ pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<Sou
                 continue 'rows;
             }
         }
-        let group = scan.groups.intern(row, &cols.group);
+        let group = match previous {
+            Some((prev, group)) if cols.group.iter().all(|&c| identical(&prev[c], &row[c])) => {
+                group
+            }
+            _ => {
+                let group = scan.groups.intern(row, &cols.group);
+                // A new run, unless the key only differs in type (`1`
+                // after `1.0`).
+                if previous.map(|(_, g)| g) != Some(group) {
+                    if let Some((_, ended)) = previous {
+                        if let Run::First { end, .. } = &mut runs[ended as usize] {
+                            *end = scan.pairs.len() as u32;
+                        }
+                    }
+                    if group as usize == runs.len() {
+                        let start = scan.pairs.len() as u32;
+                        runs.push(Run::First { start, end: start });
+                    } else if let Run::First { start, end } = runs[group as usize] {
+                        let first = &scan.pairs[start as usize..end as usize];
+                        seen.extend(first.iter().map(|&(g, b)| pack(g, b)));
+                        runs[group as usize] = Run::Recurred;
+                    }
+                }
+                group
+            }
+        };
+        previous = Some((row, group));
         let body = scan.bodies.intern(row, &cols.body);
-        let fresh = seen.insert(pack(group, body));
+        if body as usize == last_group_of_body.len() {
+            last_group_of_body.push(u32::MAX);
+        }
+        let fresh = match runs[group as usize] {
+            Run::First { .. } => {
+                std::mem::replace(&mut last_group_of_body[body as usize], group) != group
+            }
+            Run::Recurred => seen.insert(pack(group, body)),
+        };
         if fresh {
             scan.pairs.push((group, body));
         }
@@ -488,6 +637,8 @@ struct FusedEncoding {
     sequences: Vec<Sequence>,
     objects: Vec<(&'static str, Encoded)>,
     report: PreprocessReport,
+    /// The core's input, from the same record.
+    input: Handover,
     /// Executor work of the scan, accounted at commit.
     work: Vec<(ExecCounter, u64)>,
 }
@@ -552,6 +703,42 @@ fn item_table(
     (rows, joins)
 }
 
+/// The core's simple-class input: per group that joins, in Gid order,
+/// its large items' Bids ascending — `CodedSource` sorted by `(Gid,
+/// Bid)`, a group without a large item left out. `gids` and `bids` hold
+/// each slot's id, and ids are drawn in slot order, so slot order is id
+/// order: a digest's per-group item lists are already sorted, and only
+/// the scan's pairs need a sort.
+fn large_items(
+    pairs: &[(u32, u32)],
+    digest: Option<&SourceDigest>,
+    gids: &[Option<u32>],
+    bids: &[Option<u32>],
+) -> Vec<(u32, Vec<u32>)> {
+    let mut of_group: Vec<Vec<u32>> = vec![Vec::new(); gids.len()];
+    if digest.is_none() {
+        for &(group, body) in pairs {
+            of_group[group as usize].extend(bids[body as usize]);
+        }
+    }
+    let mut groups = Vec::with_capacity(gids.len());
+    for ((slot, gid), mut items) in (0..).zip(gids).zip(of_group) {
+        let Some(gid) = *gid else { continue };
+        match digest {
+            Some(digest) => {
+                let large = digest.items_of(slot).filter_map(|item| bids[item as usize]);
+                items = large.collect();
+            }
+            None => items.sort_unstable(),
+        }
+        if !items.is_empty() {
+            groups.push((gid, items));
+        }
+    }
+    groups.shrink_to_fit();
+    groups
+}
+
 /// The source rows of each slot, in source order (the member rows a
 /// grouped aggregate reads).
 fn members<'a>(
@@ -603,7 +790,7 @@ impl FusedEncoding {
             }
         }
 
-        let scan = scan_source(db, stmt)?;
+        let mut scan = scan_source(db, stmt)?;
         let mut work = vec![
             (
                 ExecCounter::RowsScanned,
@@ -804,12 +991,16 @@ impl FusedEncoding {
             let clusters = table_of(names.clusters(), cluster_columns, cluster_rows)?;
             objects.push(("Q6", Encoded::Table(clusters)));
         }
+        let mut cluster_couples = None;
         if dir.k {
+            let ids = |row: &Row| Ok((get_u32(&row[0])?, get_u32(&row[1])?, get_u32(&row[2])?));
+            cluster_couples = Some(couple_rows.iter().map(ids).collect::<Result<Vec<_>>>()?);
             let columns = int_columns(&["Gid", "Cidb", "Cidh"]);
             let cluster_couples = table_of(names.cluster_couples(), columns, couple_rows)?;
             objects.push(("Q7", Encoded::Table(cluster_couples)));
         }
 
+        let mut general = None;
         if translation.class == StatementClass::Simple {
             // Q4: CodedSource — the source-scan join replayed from the
             // distinct pairs: first-occurrence order in the source, each
@@ -850,11 +1041,17 @@ impl FusedEncoding {
             let mining_schema = Schema::new(columns.clone());
             let mut coded: Vec<Coded> = Vec::new();
             let mut rows: Vec<Row> = Vec::new();
+            // The core's tuples: the rows' ids without the mining
+            // attributes, DISTINCT in first-seen order (the `CodedSource`
+            // view of Q11). On one side the ids are one-to-one with the
+            // `(tuple, item)` slots, so without M every row is a new tuple.
+            let mut tuples: Vec<GeneralTuple> = Vec::new();
             for head_side in [false, true] {
                 if head_side && !dir.h {
                     break;
                 }
                 let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
+                let mut seen_ids: HashSet<u64, KeyHash> = HashSet::default();
                 for lane in &scan.lanes {
                     let (item, id) = if head_side {
                         (lane.head, hids[lane.head as usize])
@@ -895,6 +1092,19 @@ impl FusedEncoding {
                         row.extend_from_slice(scan.minings.key(lane.mining));
                     }
                     rows.push(row);
+                    if !dir.m || seen_ids.insert(pack(tuple, item)) {
+                        let bid = bid.map(id_u32).transpose()?;
+                        tuples.push(GeneralTuple {
+                            gid: id_u32(gid)?,
+                            cid: dir.c.then(|| id_u32(cluster_ids[cluster])).transpose()?,
+                            bid,
+                            hid: if dir.h {
+                                hid.map(id_u32).transpose()?
+                            } else {
+                                bid
+                            },
+                        });
+                    }
                     coded.push(Coded {
                         group: lane.group,
                         cluster,
@@ -904,11 +1114,15 @@ impl FusedEncoding {
                 }
             }
 
+            // Nothing reads the lanes after Q4b: free them before the pair
+            // loop, the pass's largest transient.
+            scan.lanes = Vec::new();
+
             // Q8 + Q9 + Q10: InputRules — the mining condition on the
             // tuple pairs of one group (MB-major), restricted to valid
             // cluster couples, DISTINCT, then only the (Bid, Hid) pairs
             // occurring in at least `:mingroups` groups.
-            let mut input_rules = None;
+            let (mut input_rules, mut elementary) = (None, None);
             if dir.m {
                 let cond = mining_pair_cond(stmt)?;
                 let mut cond = PairCond::plan(
@@ -987,9 +1201,19 @@ impl FusedEncoding {
                 }
                 names_of.extend(["Bid", "Hid"]);
                 let columns = int_columns(&names_of);
+                raw.retain(|&(_, _, _, bid, hid)| groups_of[&(bid, hid)] >= min_groups);
+                let elem = |&(gid, cidb, cidh, bid, hid): &Elementary| {
+                    Ok(ElemRule {
+                        gid: id_u32(gid)?,
+                        cidb: dir.c.then(|| id_u32(cidb)).transpose()?,
+                        cidh: dir.c.then(|| id_u32(cidh)).transpose()?,
+                        bid: id_u32(bid)?,
+                        hid: id_u32(hid)?,
+                    })
+                };
+                elementary = Some(raw.iter().map(elem).collect::<Result<Vec<_>>>()?);
                 let rules: Vec<Row> = raw
                     .into_iter()
-                    .filter(|&(_, _, _, bid, hid)| groups_of[&(bid, hid)] >= min_groups)
                     .map(|(gid, cidb, cidh, bid, hid)| {
                         let ids: &[i64] = if dir.c {
                             &[gid, cidb, cidh, bid, hid]
@@ -1014,6 +1238,13 @@ impl FusedEncoding {
             if let Some(input_rules) = input_rules {
                 objects.push(("Q10", Encoded::Table(input_rules)));
             }
+            // The artifact store keeps the input: no growth slack.
+            tuples.shrink_to_fit();
+            general = Some(EncodedData::General {
+                tuples,
+                cluster_couples,
+                input_rules: elementary,
+            });
         }
 
         let mut sequences = vec![gid_seq, bid_seq];
@@ -1030,11 +1261,37 @@ impl FusedEncoding {
             .iter()
             .filter(|step| matches!(step, Step::Sql { id, .. } if id != "DDL"))
             .count();
-        report.digest = scan.into_digest().map(Arc::new);
+        report.digest = scan.take_digest().map(Arc::new);
+        let built = |data: EncodedData| -> Result<Handover> {
+            let input = EncodedInput::new(translation, total_groups, min_groups, data)?;
+            Ok(Handover::Built(Arc::new(input)))
+        };
+        let input = match general {
+            Some(data) => built(data)?,
+            None => {
+                let checked = |id: Option<i64>| id.map(id_u32).transpose();
+                let slot_gids = (0..slots as u32).map(|g| checked(gid_of(g)));
+                let slot_gids = slot_gids.collect::<Result<Vec<_>>>()?;
+                let slot_bids = bids.iter().map(|&b| checked(b));
+                let slot_bids = slot_bids.collect::<Result<Vec<_>>>()?;
+                match &report.digest {
+                    Some(digest) => Handover::Digest(Arc::new(DigestInput {
+                        digest: Arc::clone(digest),
+                        gids: slot_gids,
+                        bids: slot_bids,
+                    })),
+                    None => {
+                        let groups = large_items(&scan.pairs, None, &slot_gids, &slot_bids);
+                        built(EncodedData::Simple { groups })?
+                    }
+                }
+            }
+        };
         Ok(FusedEncoding {
             sequences,
             objects,
             report,
+            input,
             work,
         })
     }
@@ -1042,7 +1299,7 @@ impl FusedEncoding {
     /// Create the encoding's objects in the catalog and bind `:totg` /
     /// `:mingroups`, reporting each object under the id and row count
     /// the SQL program reports for it.
-    fn commit(self, db: &mut Database) -> Result<PreprocessReport> {
+    fn commit(self, db: &mut Database) -> Result<Preprocessed> {
         let mut report = self.report;
         for (counter, n) in self.work {
             db.bump(counter, n);
@@ -1065,12 +1322,15 @@ impl FusedEncoding {
             };
             report.executed.push((id.to_string(), rows.max(1)));
         }
-        Ok(report)
+        Ok(Preprocessed {
+            report,
+            input: Some(self.input),
+        })
     }
 }
 
 /// The fused pass: compute the whole encoding, then commit it.
-fn run_fused(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
+fn run_fused(db: &mut Database, translation: &Translation) -> Result<Preprocessed> {
     FusedEncoding::compute(db, translation)?.commit(db)
 }
 

@@ -207,7 +207,13 @@ impl Table {
         let logged = self.log_retains(n).then(|| batch.clone());
         let from = self.rows.len();
         self.moved = Some((self.version, RowsMoved::Appended { from }));
-        Arc::make_mut(&mut self.rows).append(&mut batch);
+        if from == 0 {
+            // An empty table takes the batch itself: no row is copied.
+            batch.shrink_to_fit();
+            self.rows = Arc::new(batch);
+        } else {
+            Arc::make_mut(&mut self.rows).append(&mut batch);
+        }
         self.restamp();
         match logged {
             Some(inserted) => self.log_change(ChangeRecord {
@@ -360,7 +366,9 @@ impl Table {
     /// Forget the retained log: old windows become unanswerable, new ones
     /// start from the current version.
     fn rebase_log(&mut self) {
-        self.changes = Arc::default();
+        if !self.changes.is_empty() {
+            self.changes = Arc::default();
+        }
         self.change_rows = 0;
         self.change_base = self.version;
     }

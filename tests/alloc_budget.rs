@@ -8,6 +8,8 @@
 //! * Capturing an encoding into the session artifact store and restoring
 //!   it share the committed tables' rows (`relational::Table` is
 //!   copy-on-write): neither allocates per encoded row.
+//! * A first bulk insert into an empty table takes the batch itself: it
+//!   copies no row into a block of its own.
 //! * A join's scans share the catalog's rows, its accumulator is one flat
 //!   vector of row-index tuples and it builds only the columns the
 //!   statement reads: a `COUNT(*)` over an equi-join allocates per input
@@ -16,14 +18,22 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use minerule::preprocess::preprocess;
+use minerule::preprocess::{preprocess, preprocess_for_core};
 use minerule::{parse_mine_rule, translate, ArtifactStore, Translation};
-use relational::{Database, Row, Value};
+use relational::{Column, DataType, Database, Row, Schema, Table, Value};
 
 thread_local! {
     /// Allocations made by this thread. Const-initialised and without a
     /// destructor, so reading it from the allocator allocates nothing.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations and reallocations asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes on this thread.
+fn count(size: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + size as u64));
 }
 
 /// The system allocator, counting every allocation and reallocation of
@@ -35,7 +45,7 @@ struct Counting;
 // cell and touches no allocated memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -46,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: `ptr` came from `System` through the methods above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,9 +67,16 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocations `work` makes on this thread.
 fn allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let (out, allocated, _) = allocations_and_bytes(work);
+    (out, allocated)
+}
+
+/// Allocations `work` makes on this thread, and the bytes they ask for.
+fn allocations_and_bytes<T>(work: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let out = work();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    let allocated = ALLOCATIONS.with(Cell::get) - before.0;
+    (out, allocated, BYTES.with(Cell::get) - before.1)
 }
 
 const STATEMENT: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
@@ -110,12 +127,12 @@ fn the_source_scan_allocates_per_distinct_key_not_per_row() {
 fn capturing_and_restoring_an_encoding_allocates_independently_of_its_rows() {
     let run = |groups: i64| {
         let (mut db, translation) = baskets(groups, 2, 1);
-        let report = preprocess(&mut db, &translation).unwrap();
+        let run = preprocess_for_core(&mut db, &translation).unwrap();
         let encoded = db.catalog().table("CodedSource").unwrap().row_count();
         assert_eq!(encoded as i64, groups * 2);
         let store = ArtifactStore::new(true);
         let (restored, allocated) = allocations(|| {
-            store.capture_encoding(&db, &translation, "", &report);
+            store.capture_encoding(&db, &translation, "", &run);
             store.restore_encoding(&mut db, &translation, "").unwrap()
         });
         assert!(restored.is_some(), "a warm restore");
@@ -132,6 +149,33 @@ fn capturing_and_restoring_an_encoding_allocates_independently_of_its_rows() {
         large.abs_diff(small) * 10 <= small,
         "10x the encoded rows: {small} -> {large} allocations"
     );
+}
+
+#[test]
+fn a_first_insert_into_an_empty_table_takes_the_batch_without_copying_it() {
+    let columns = vec![
+        Column::new("k", DataType::Int),
+        Column::new("v", DataType::Str),
+    ];
+    let mut table = Table::new("T", Schema::new(columns));
+    let rows: Vec<Row> = (0..100_000)
+        .map(|i| vec![Value::Int(i), Value::Str(format!("v{i}"))])
+        .collect();
+    let (inserted, allocated, bytes) = allocations_and_bytes(|| table.insert_all(rows).unwrap());
+    assert_eq!(inserted, 100_000);
+    assert_eq!(table.rows().len(), 100_000);
+    // One block beyond the rows at most — the table's shared handle —
+    // and nowhere near a copy of the 100 000 row slots.
+    assert!(
+        allocated <= 1 && bytes < 1024,
+        "{allocated} allocations, {bytes} bytes"
+    );
+    // The batch still passes the column-type check row by row.
+    let mut typed = Table::new("U", Schema::new(vec![Column::new("k", DataType::Int)]));
+    let mut bad: Vec<Row> = (0..10_000).map(|i| vec![Value::Int(i)]).collect();
+    bad.push(vec![Value::Str("x".into())]);
+    assert!(typed.insert_all(bad).is_err());
+    assert!(typed.rows().is_empty(), "a failed batch leaves no row");
 }
 
 /// `T(k, v)`: `rows` rows over `keys` distinct `k`s, each with its own

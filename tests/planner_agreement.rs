@@ -13,9 +13,9 @@ use minerule::core_op::{run_core, CoreOptions};
 use minerule::encoded::read_encoded;
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::postprocess::{decode_rules, postprocess, read_rules, store_encoded_rules};
-use minerule::preprocess::{preprocess, run_steps};
+use minerule::preprocess::{preprocess, preprocess_for_core, run_steps, Preprocessed};
 use minerule::translator::Step;
-use minerule::{parse_mine_rule, translate, DecodedRule, MineRuleEngine};
+use minerule::{parse_mine_rule, translate, ArtifactStore, DecodedRule, MineRuleEngine};
 use relational::{persist, Database, StorageBackend, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{diverges_between, Config, Skew};
@@ -134,20 +134,22 @@ fn encoding(db: &mut Database) -> Encoding {
     }
 }
 
-/// Preprocess `stmt` on `fused` through [`preprocess`] and on `stepwise`
+/// Preprocess `stmt` on `fused` through [`preprocess_for_core`] and on `stepwise`
 /// through the written SQL program (both on the production paths, so
 /// fusion is the only difference) and demand the *exact* same encoding:
 /// schema, rows, row order, id assignment, sequence states, host
-/// variables. Returns how many SQL steps the fused pass subsumed.
+/// variables — and the core's input the fused pass hands over equal to
+/// the one read back from its tables ([`assert_handover_agrees`]).
+/// Returns how many SQL steps the fused pass subsumed.
 fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &str) -> usize {
     let parsed = parse_mine_rule(stmt).unwrap();
     let translation = translate(&parsed, fused.catalog()).unwrap();
     let min_support = translation.stmt.min_support;
 
-    let fused_report = preprocess(fused, &translation);
+    let fused_run = preprocess_for_core(fused, &translation);
     run_steps(stepwise, &translation.cleanup, min_support).unwrap();
     let stepwise_report = run_steps(stepwise, &translation.preprocess, min_support);
-    let (fused_report, stepwise_report) = match (fused_report, stepwise_report) {
+    let (fused_run, stepwise_report) = match (fused_run, stepwise_report) {
         (Ok(f), Ok(s)) => (f, s),
         (Err(f), Err(s)) => {
             assert_eq!(f.to_string(), s.to_string(), "{stmt}");
@@ -161,6 +163,7 @@ fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &st
         (f, s) => panic!("only one side failed: {f:?} vs {s:?}\n{stmt}"),
     };
     assert_eq!(encoding(fused), encoding(stepwise), "{stmt}");
+    let fused_report = &fused_run.report;
     assert_eq!(
         (fused_report.total_groups, fused_report.min_groups),
         (stepwise_report.total_groups, stepwise_report.min_groups),
@@ -197,8 +200,47 @@ fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &st
                 Err(_) => assert!(reported.is_empty(), "{id}: {stmt}"),
             }
         }
+        assert_handover_agrees(fused, &translation, &fused_run);
+    } else {
+        let handed_over = fused_run.encoded_input(&translation).unwrap();
+        assert!(
+            handed_over.is_none(),
+            "the stepwise program hands none over"
+        );
     }
     fused_report.fused_steps
+}
+
+/// The input the fused pass handed over equals `read_encoded` on the
+/// same database: cold, and after a capture and a restore into the
+/// artifact store — at the cold thresholds (the stored input shared) and
+/// at a tighter support and another confidence (stamped anew). Leaves the
+/// database as the cold run left it.
+fn assert_handover_agrees(
+    db: &mut Database,
+    translation: &minerule::Translation,
+    run: &Preprocessed,
+) {
+    let stmt = &translation.stmt;
+    let handed_over = run.encoded_input(translation).unwrap();
+    let handed_over = handed_over.expect("the fused pass hands its input over");
+    let read_back = read_encoded(db, translation);
+    assert_eq!(Ok(&*handed_over), read_back.as_ref(), "cold: {stmt:?}");
+
+    let store = ArtifactStore::new(true);
+    store.capture_encoding(db, translation, "", run);
+    let mut tighter = translation.clone();
+    tighter.stmt.min_support = (stmt.min_support * 1.5).min(1.0);
+    tighter.stmt.min_confidence = 1.0 - stmt.min_confidence / 2.0;
+    // The cold thresholds last, so the database ends as it started.
+    for translation in [&tighter, translation] {
+        let restored = store.restore_encoding(db, translation, "").unwrap();
+        let restored = restored.expect("a tighter support restores");
+        let handed_over = restored.encoded_input(translation).unwrap();
+        let handed_over = handed_over.expect("a restore hands the input over");
+        let read_back = read_encoded(db, translation);
+        assert_eq!(Ok(&*handed_over), read_back.as_ref(), "restored: {stmt:?}");
+    }
 }
 
 /// The statements of `tests/statement_classes.rs` that read one table:

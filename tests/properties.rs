@@ -411,3 +411,141 @@ fn key_interner_is_first_seen_where_equality_is_not_transitive() {
         assert_eq!(interner.slots(), 1002);
     }
 }
+
+/// `Baskets(tr, item, price)` rows, per basket: 1..6 distinct items out
+/// of 10, one in three stored twice (a repeated pair), with NULL baskets
+/// and NULL items among them. Prices put some rows of a run under the
+/// source condition of [`SCAN_ORDER_STATEMENTS`] and some over it.
+fn basket_runs(rng: &mut Rng) -> Vec<Vec<Vec<Value>>> {
+    let baskets = rng.gen_range_usize(2, 9);
+    (0..baskets)
+        .map(|b| {
+            let tr = match rng.gen_below(8) {
+                0 => Value::Null,
+                _ => Value::Int(b as i64),
+            };
+            let mut items = std::collections::BTreeSet::new();
+            let size = rng.gen_range_usize(1, 7);
+            while items.len() < size {
+                items.insert(rng.gen_range_u32(0, 10));
+            }
+            let mut rows = Vec::new();
+            for item in items {
+                let item = match rng.gen_below(12) {
+                    0 => Value::Null,
+                    _ => Value::Str(format!("i{item}")),
+                };
+                let copies = 1 + usize::from(rng.gen_below(3) == 0);
+                for _ in 0..copies {
+                    let price = Value::Int(rng.gen_range_u32(0, 100) as i64);
+                    rows.push(vec![tr.clone(), item.clone(), price]);
+                }
+            }
+            rows
+        })
+        .collect()
+}
+
+/// The row orders the source scan must not tell apart: baskets
+/// contiguous; interleaved round-robin; copy-major (the whole source
+/// twice, so every basket recurs after the others, as in
+/// `tests/alloc_budget.rs`); and shuffled.
+fn scan_orders(runs: &[Vec<Vec<Value>>], rng: &mut Rng) -> Vec<(&'static str, Vec<Vec<Value>>)> {
+    let contiguous: Vec<Vec<Value>> = runs.concat();
+    let longest = runs.iter().map(Vec::len).max().unwrap_or(0);
+    let interleaved = (0..longest)
+        .flat_map(|at| runs.iter().filter_map(move |run| run.get(at).cloned()))
+        .collect();
+    let copy_major = [contiguous.clone(), contiguous.clone()].concat();
+    let mut shuffled = contiguous.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.gen_range_usize(0, i + 1));
+    }
+    vec![
+        ("contiguous", contiguous),
+        ("interleaved", interleaved),
+        ("copy-major", copy_major),
+        ("shuffled", shuffled),
+    ]
+}
+
+/// No directive (the scan builds a digest); a source condition that
+/// drops rows in the middle of a run (W); a mining condition (M, one
+/// lane per row).
+const SCAN_ORDER_STATEMENTS: [&str; 3] = [
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Baskets GROUP BY tr EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     FROM Baskets WHERE price < 60 GROUP BY tr \
+     EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3",
+    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
+     WHERE BODY.price < HEAD.price FROM Baskets GROUP BY tr \
+     EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3",
+];
+
+/// What one preprocess-and-mine of `stmt` over `rows` leaves: the
+/// encoded tables as stored, the digest by key (`None` without one) and
+/// the rules.
+type ScanResult = (Vec<String>, Option<Vec<String>>, Vec<minerule::DecodedRule>);
+
+fn scan_and_mine(rows: &[Vec<Value>], stmt: &str, reference: bool) -> ScanResult {
+    let load = || {
+        let mut db = relational::Database::new();
+        db.set_reference_paths(reference);
+        db.execute("CREATE TABLE Baskets (tr INT, item VARCHAR, price INT)")
+            .unwrap();
+        let table = db.catalog_mut().table_mut("Baskets").unwrap();
+        table.insert_all(rows.to_vec()).unwrap();
+        db
+    };
+    let mut db = load();
+    let translation = minerule::translate(&parse_mine_rule(stmt).unwrap(), db.catalog()).unwrap();
+    let report = minerule::preprocess::preprocess(&mut db, &translation).unwrap();
+    assert_eq!(report.fused_steps > 0, !reference, "{stmt}");
+    let mut tables = Vec::new();
+    for name in [
+        "ValidGroups",
+        "Bset",
+        "CodedSource",
+        "MiningSource",
+        "InputRules",
+    ] {
+        if let Ok(table) = db.catalog().table(name) {
+            tables.push(format!("{name}: {:?}", table.rows()));
+        }
+    }
+    let digest = report.digest.as_ref().map(|digest| digest.by_key());
+    let engine = minerule::MineRuleEngine::new().with_cache(false);
+    let rules = engine.execute(&mut load(), stmt).unwrap().rules;
+    (tables, digest, rules)
+}
+
+/// The fused pass's source scan tells a repeated `(group, body)` pair
+/// from a fresh one without a set while a group's rows are contiguous,
+/// and through a set once it recurs: whatever the row order — contiguous,
+/// interleaved, copy-major, shuffled, with NULL group and item keys, with
+/// a source condition dropping rows mid-run — it leaves the encoded
+/// tables and rules of the stepwise program, and one digest per source.
+#[test]
+fn the_source_scan_encodes_every_row_order_like_the_stepwise_program() {
+    let mut rng = Rng::seed_from_u64(0x5CA7);
+    for case in 0..CASES / 2 {
+        let runs = basket_runs(&mut rng);
+        for stmt in SCAN_ORDER_STATEMENTS {
+            let mut digests = Vec::new();
+            for (order, rows) in scan_orders(&runs, &mut rng) {
+                let label = format!("case {case}, {order}: {stmt}");
+                let fused = scan_and_mine(&rows, stmt, false);
+                let stepwise = scan_and_mine(&rows, stmt, true);
+                assert_eq!(fused.0, stepwise.0, "encoded tables, {label}");
+                assert_eq!(fused.2, stepwise.2, "rules, {label}");
+                assert_eq!(fused.1.is_some(), stmt == SCAN_ORDER_STATEMENTS[0]);
+                // Copy-major doubles every row's multiplicity.
+                if order != "copy-major" {
+                    digests.extend(fused.1);
+                }
+            }
+            assert!(digests.windows(2).all(|w| w[0] == w[1]), "case {case}");
+        }
+    }
+}

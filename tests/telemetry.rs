@@ -227,6 +227,64 @@ fn general_path_on_the_reference_paths_records_the_stepwise_program() {
     assert_eq!(snap.counter("core.rules.emitted"), 3);
 }
 
+/// `stmt` at another support: a rerun that restores the encoding.
+fn with_support(stmt: &str, support: &str) -> String {
+    let (head, tail) = stmt.split_once("SUPPORT: ").unwrap();
+    let (_, rest) = tail.split_once(',').unwrap();
+    format!("{head}SUPPORT: {support},{rest}")
+}
+
+#[test]
+fn the_core_reads_the_encoded_tables_back_only_on_the_stepwise_route() {
+    // The fused pass hands the core its input, and a restore hands over
+    // the one it kept: neither reads the encoded tables back. A group
+    // condition (G) keeps the simple rerun off the mined-result cache, so
+    // the restored input is mined too.
+    let grouped = SIMPLE.replace(
+        "GROUP BY customer",
+        "GROUP BY customer HAVING COUNT(item) >= 2",
+    );
+    for stmt in [SIMPLE, grouped.as_str(), FILTERED_ORDERED_SETS] {
+        let mut db = purchase_db();
+        let engine = MineRuleEngine::new();
+        let cold = engine.execute(&mut db, stmt).unwrap();
+        let rerun = with_support(stmt, "0.5");
+        let warm = engine.execute(&mut db, &rerun).unwrap();
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.counter("preprocess.cache.hit"), 1, "{stmt}");
+        assert!(
+            !snap.counters.contains_key("core.encoded.read_back"),
+            "{stmt}"
+        );
+        assert!(!cold.rules.is_empty(), "{stmt}");
+        let reference = MineRuleEngine::new().with_cache(false);
+        let expected = reference.execute(&mut purchase_db(), &rerun).unwrap();
+        assert_eq!(warm.rules, expected.rules, "{stmt}");
+    }
+    // The stepwise program — the reference paths, or a FROM list the
+    // fused pass declines — leaves the core only the tables; on the
+    // reference paths even a restore reads them back (the general
+    // statement: no mined-result cache answers its rerun).
+    for (stmt, reference) in [
+        (SIMPLE, true),
+        (FILTERED_ORDERED_SETS, true),
+        (JOINED, false),
+    ] {
+        let mut db = category_db();
+        db.set_reference_paths(reference);
+        let engine = MineRuleEngine::new();
+        engine.execute(&mut db, stmt).unwrap();
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.counter("core.encoded.read_back"), 1, "{stmt}");
+        if stmt == FILTERED_ORDERED_SETS {
+            engine.execute(&mut db, &with_support(stmt, "0.5")).unwrap();
+            let snap = engine.metrics_snapshot();
+            assert_eq!(snap.counter("preprocess.cache.hit"), 1, "{stmt}");
+            assert_eq!(snap.counter("core.encoded.read_back"), 2, "{stmt}");
+        }
+    }
+}
+
 #[test]
 fn telemetry_off_yields_bit_identical_rules_and_records_nothing() {
     let mut db_on = purchase_db();
