@@ -48,6 +48,11 @@ fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     (best, result.unwrap())
 }
 
+/// The joined candidates of the engine's general-core runs so far.
+fn lattice_candidates(engine: &MineRuleEngine) -> u64 {
+    engine.metrics_snapshot().counter("core.lattice.candidates")
+}
+
 fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
@@ -306,8 +311,8 @@ fn e5_lattice_order(report: &mut Report, mode: Mode) {
         WHERE BODY.price >= 0 \
         FROM Purchase GROUP BY customer \
         EXTRACTING RULES WITH SUPPORT: 0.08, CONFIDENCE: 0.05";
-    println!("| order | core (ms) | rules |");
-    println!("|---|---|---|");
+    println!("| order | core (ms) | lattice.candidates | rules |");
+    println!("|---|---|---|---|");
     let mut rule_sets = Vec::new();
     for (name, key, order) in [
         (
@@ -317,17 +322,18 @@ fn e5_lattice_order(report: &mut Report, mode: Mode) {
         ),
         ("fixed body-first", "body-first", ExpansionOrder::BodyFirst),
     ] {
-        let (_, out) = best_of(mode.reps(3), || {
+        let (_, (out, candidates)) = best_of(mode.reps(3), || {
             let mut db = retail_db(customers, 13);
             let mut engine = MineRuleEngine::new();
             engine.core.order = order;
-            engine.execute(&mut db, statement).unwrap()
+            let out = engine.execute(&mut db, statement).unwrap();
+            (out, lattice_candidates(&engine))
         });
-        report.case("E5", key, Some(out.rules.len() as u64), out.timings.core);
+        let rules = out.rules.len() as u64;
+        report.lattice_case("E5", key, rules, candidates, out.timings.core);
         println!(
-            "| {name} | {} | {} |",
-            ms(out.timings.core),
-            out.rules.len()
+            "| {name} | {} | {candidates} | {rules} |",
+            ms(out.timings.core)
         );
         rule_sets.push(out.rules);
     }
@@ -343,25 +349,33 @@ fn e6_generality_overhead(report: &mut Report, mode: Mode) {
         SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE \
         FROM Baskets GROUP BY tr \
         EXTRACTING RULES WITH SUPPORT: 0.03, CONFIDENCE: 0.3";
-    println!("| path | core (ms) | rules |");
-    println!("|---|---|---|");
+    println!("| path | core (ms) | lattice.candidates | rules |");
+    println!("|---|---|---|---|");
     let mut rule_sets = Vec::new();
     for (name, key, forced) in [
         ("simple pool (apriori)", "simple", false),
         ("general lattice", "general", true),
     ] {
-        let (_, out) = best_of(mode.reps(3), || {
+        let (_, (out, candidates)) = best_of(mode.reps(3), || {
             let mut db = quest_db(baskets, 17);
             let mut engine = MineRuleEngine::new();
             engine.core.force_general = forced;
-            engine.execute(&mut db, statement).unwrap()
+            let out = engine.execute(&mut db, statement).unwrap();
+            (out, lattice_candidates(&engine))
         });
-        report.case("E6", key, Some(out.rules.len() as u64), out.timings.core);
-        println!(
-            "| {name} | {} | {} |",
-            ms(out.timings.core),
-            out.rules.len()
-        );
+        let rules = out.rules.len() as u64;
+        let time = out.timings.core;
+        if forced {
+            report.lattice_case("E6", key, rules, candidates, time);
+        } else {
+            report.case("E6", key, Some(rules), time);
+        }
+        let candidates = if forced {
+            candidates.to_string()
+        } else {
+            "—".into()
+        };
+        println!("| {name} | {} | {candidates} | {rules} |", ms(time));
         rule_sets.push(out.rules);
     }
     assert_eq!(rule_sets[0], rule_sets[1], "paths agree on results");

@@ -21,6 +21,10 @@ pub struct Entry {
     /// has one. Only these feed the golden regression check — timings
     /// never gate.
     pub rules: Option<u64>,
+    /// The general core's joined candidates (`core.lattice.candidates`)
+    /// on a lattice row: gated with the rule count, so a change that
+    /// enlarges the lattice's candidate space drifts.
+    pub candidates: Option<u64>,
     /// Measured wall-clock in milliseconds.
     pub ms: f64,
 }
@@ -57,8 +61,25 @@ impl Report {
             experiment,
             case: case.into(),
             rules,
+            candidates: None,
             ms: time.as_secs_f64() * 1e3,
         });
+    }
+
+    /// Record one case of the general core: its rule count and its
+    /// lattice's joined candidates both gate.
+    pub fn lattice_case(
+        &mut self,
+        experiment: &'static str,
+        case: impl Into<String>,
+        rules: u64,
+        candidates: u64,
+        time: Duration,
+    ) {
+        self.case(experiment, case, Some(rules), time);
+        if let Some(entry) = self.entries.last_mut() {
+            entry.candidates = Some(candidates);
+        }
     }
 
     /// The recorded rows, in insertion order.
@@ -101,8 +122,9 @@ impl Report {
     }
 
     /// The golden summary: one `experiment/case rules=N` line per
-    /// deterministic row. Timings are deliberately absent — only output
-    /// sizes are stable enough to gate CI on.
+    /// deterministic row, `candidates=M` appended on a lattice row.
+    /// Timings are deliberately absent — only output sizes and work
+    /// counts are stable enough to gate CI on.
     pub fn golden_summary(&self) -> String {
         let mut out = String::from(
             "# tcdm-bench golden rule counts — regenerate with:\n\
@@ -110,7 +132,11 @@ impl Report {
         );
         for e in &self.entries {
             if let Some(rules) = e.rules {
-                out.push_str(&format!("{}/{} rules={rules}\n", e.experiment, e.case));
+                out.push_str(&format!("{}/{} rules={rules}", e.experiment, e.case));
+                if let Some(candidates) = e.candidates {
+                    out.push_str(&format!(" candidates={candidates}"));
+                }
+                out.push('\n');
             }
         }
         out
@@ -120,18 +146,23 @@ impl Report {
     /// summary. Returns every drifted, missing or new row; an empty Ok
     /// means the gate passes.
     pub fn check_golden(&self, golden: &str) -> Result<(), Vec<String>> {
-        let mut expected: Vec<(String, u64)> = Vec::new();
+        let mut expected: Vec<(String, (u64, Option<u64>))> = Vec::new();
         for line in golden.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let Some((key, rules)) = line.rsplit_once(" rules=") else {
+            let Some((key, counts)) = line.rsplit_once(" rules=") else {
                 return Err(vec![format!("golden line not parseable: '{line}'")]);
             };
-            match rules.parse::<u64>() {
-                Ok(n) => expected.push((key.to_string(), n)),
-                Err(_) => return Err(vec![format!("golden count not a number: '{line}'")]),
+            let (rules, candidates) = match counts.split_once(" candidates=") {
+                Some((rules, candidates)) => (rules, Some(candidates)),
+                None => (counts, None),
+            };
+            let candidates = candidates.map(str::parse::<u64>).transpose();
+            match (rules.parse::<u64>(), candidates) {
+                (Ok(n), Ok(c)) => expected.push((key.to_string(), (n, c))),
+                _ => return Err(vec![format!("golden count not a number: '{line}'")]),
             }
         }
         let mut problems = Vec::new();
@@ -143,16 +174,23 @@ impl Report {
                 None => problems.push(format!("new row not in golden: {key} rules={rules}")),
                 Some(i) => {
                     seen[i] = true;
-                    let want = expected[i].1;
+                    let (want, want_candidates) = expected[i].1;
                     if want != rules {
                         problems.push(format!(
                             "rule-count drift: {key} expected {want}, measured {rules}"
                         ));
                     }
+                    if want_candidates != e.candidates {
+                        problems.push(format!(
+                            "candidate-count drift: {key} expected {want_candidates:?}, \
+                             measured {:?}",
+                            e.candidates
+                        ));
+                    }
                 }
             }
         }
-        for (i, (key, want)) in expected.iter().enumerate() {
+        for (i, (key, (want, _))) in expected.iter().enumerate() {
             if !seen[i] {
                 problems.push(format!("golden row missing from run: {key} rules={want}"));
             }
@@ -174,6 +212,7 @@ mod tests {
         r.case("E1", "baskets=100", Some(42), Duration::from_millis(3));
         r.case("E1", "baskets=200", Some(99), Duration::from_millis(7));
         r.case("E7", "timing-only", None, Duration::from_millis(1));
+        r.lattice_case("E5", "min-parent", 7, 120, Duration::from_millis(2));
         r
     }
 
@@ -191,7 +230,8 @@ mod tests {
     fn golden_roundtrip_passes() {
         let r = report();
         let golden = r.golden_summary();
-        assert!(golden.contains("E1/baskets=100 rules=42"));
+        assert!(golden.contains("E1/baskets=100 rules=42\n"));
+        assert!(golden.contains("E5/min-parent rules=7 candidates=120\n"));
         assert!(!golden.contains("timing-only"), "no timing rows");
         assert!(r.check_golden(&golden).is_ok());
     }
@@ -199,8 +239,8 @@ mod tests {
     #[test]
     fn golden_drift_is_reported() {
         let r = report();
-        let golden =
-            "# comment\nE1/baskets=100 rules=41\nE1/baskets=200 rules=99\nE9/gone rules=5\n";
+        let golden = "# comment\nE1/baskets=100 rules=41\nE1/baskets=200 rules=99\n\
+                      E5/min-parent rules=7 candidates=120\nE9/gone rules=5\n";
         let problems = r.check_golden(golden).unwrap_err();
         assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems[0].contains("drift"), "{problems:?}");
@@ -209,8 +249,28 @@ mod tests {
     }
 
     #[test]
+    fn candidate_drift_is_reported_and_the_field_is_optional() {
+        let r = report();
+        let golden = |candidates: &str| {
+            format!("E1/baskets=100 rules=42\nE1/baskets=200 rules=99\nE5/min-parent rules=7{candidates}\n")
+        };
+        assert!(r.check_golden(&golden(" candidates=120")).is_ok());
+        for drifted in [" candidates=119", ""] {
+            let problems = r.check_golden(&golden(drifted)).unwrap_err();
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(
+                problems[0].contains("candidate-count drift"),
+                "{problems:?}"
+            );
+        }
+    }
+
+    #[test]
     fn unparseable_golden_is_an_error() {
         assert!(report().check_golden("E1/baskets=100\n").is_err());
         assert!(report().check_golden("E1/x rules=abc\n").is_err());
+        assert!(report()
+            .check_golden("E1/x rules=1 candidates=z\n")
+            .is_err());
     }
 }

@@ -234,6 +234,7 @@ fn run_general(
 ) -> Result<CoreOutput> {
     telemetry.counter_inc("core.path.general");
     telemetry.counter_add("core.tuples", tuples.len() as u64);
+    let span = telemetry.span("phase.core.contexts");
     let contexts = build_contexts(
         tuples,
         couples,
@@ -245,6 +246,8 @@ fn run_general(
             min_groups: input.min_groups,
         },
     );
+    span.stop();
+    let span = telemetry.span("phase.core.lattice");
     let (rules, stats) = mine_general_with_stats(
         &contexts,
         &GeneralParams {
@@ -256,8 +259,18 @@ fn run_general(
             order: opts.order,
         },
     )?;
+    span.stop();
     telemetry.counter_add("core.lattice.candidates", stats.candidates_evaluated);
-    telemetry.counter_add("core.lattice.sets", stats.set_sizes.len() as u64);
+    telemetry.counter_add("core.lattice.pruned_early", stats.pruned_early);
+    let produced = stats.sets.iter().filter(|(_, _, kept)| *kept > 0).count();
+    telemetry.counter_add("core.lattice.sets", produced as u64);
+    if telemetry.is_enabled() {
+        for &((m, n), generated, kept) in &stats.sets {
+            let set = |what| format!("core.lattice.set.{m}x{n}.{what}");
+            telemetry.counter_add(&set("generated"), generated);
+            telemetry.counter_add(&set("kept"), kept as u64);
+        }
+    }
     telemetry.counter_add("core.rules.emitted", rules.len() as u64);
     Ok(CoreOutput {
         rules,

@@ -63,7 +63,9 @@ pub struct EncodedInput {
 pub enum EncodedData {
     /// Simple rules: per-group lists of large item identifiers.
     Simple { groups: Vec<(u32, Vec<u32>)> },
-    /// General rules: raw tuples plus optional couples/elementary tables.
+    /// General rules: raw tuples plus optional couples/elementary tables,
+    /// the elementary rules ordered by `(gid, cidb, cidh)` and otherwise
+    /// in `InputRules` row order.
     General {
         tuples: Vec<GeneralTuple>,
         cluster_couples: Option<Vec<(u32, u32, u32)>>,
@@ -310,19 +312,21 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
                     Some(&c) => get_opt_u32(&row[c]),
                     None => Ok(None),
                 };
-                Some(
-                    rows.iter()
-                        .map(|row| {
-                            Ok(ElemRule {
-                                gid: get_u32(&row[at[0]])?,
-                                cidb: cid(row, 3)?,
-                                cidh: cid(row, 4)?,
-                                bid: get_u32(&row[at[1]])?,
-                                hid: get_u32(&row[at[2]])?,
-                            })
+                let mut rules = rows
+                    .iter()
+                    .map(|row| {
+                        Ok(ElemRule {
+                            gid: get_u32(&row[at[0]])?,
+                            cidb: cid(row, 3)?,
+                            cidh: cid(row, 4)?,
+                            bid: get_u32(&row[at[1]])?,
+                            hid: get_u32(&row[at[2]])?,
                         })
-                        .collect::<Result<Vec<_>>>()?,
-                )
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                // The core's order, which the fused pass hands over.
+                rules.sort_by_key(|r| (r.gid, r.cidb, r.cidh));
+                Some(rules)
             } else {
                 None
             };
@@ -610,7 +614,10 @@ mod tests {
                         .collect()
                 };
                 let couples = ids(&mut db, "SELECT Gid, Cidb, Cidh FROM ClusterCouples");
-                let rules = ids(&mut db, "SELECT Gid, Cidb, Cidh, Bid, Hid FROM InputRules");
+                // The core's order: by context, then in row order.
+                let rules =
+                    "SELECT Gid, Cidb, Cidh, Bid, Hid FROM InputRules ORDER BY Gid, Cidb, Cidh";
+                let rules = ids(&mut db, rules);
                 assert!(!couples.is_empty() && !rules.is_empty(), "{label}");
                 let typed: Vec<Vec<u32>> = cluster_couples
                     .expect("K is set")

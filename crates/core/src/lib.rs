@@ -61,6 +61,7 @@ pub mod pipeline;
 pub mod postprocess;
 pub mod preprocess;
 pub mod reference;
+mod runs;
 pub mod telemetry;
 pub mod translator;
 

@@ -326,6 +326,17 @@ impl MineRuleEngine {
             self.telemetry
                 .counter_add(&format!("preprocess.rows.{id}"), *rows as u64);
         }
+        for (name, pairs) in [
+            ("cluster", report.cluster_pairs),
+            ("mining", report.mining_pairs),
+        ] {
+            if pairs.evaluated > 0 {
+                let counter = |what| format!("preprocess.pairs.{name}.{what}");
+                self.telemetry
+                    .counter_add(&counter("evaluated"), pairs.evaluated);
+                self.telemetry.counter_add(&counter("kept"), pairs.kept);
+            }
+        }
         self.telemetry
             .gauge_set("preprocess.total_groups", report.total_groups as i64);
         self.telemetry

@@ -34,6 +34,7 @@ use crate::digest::SourceDigest;
 use crate::directives::{Directives, StatementClass};
 use crate::encoded::{get_u32, id_u32, ElemRule, EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
+use crate::runs::{pack, radix_sort};
 use crate::translator::queries::{
     cluster_aggregates, cluster_pair_cond, mining_pair_cond, CLUSTER_SIDES, MINING_SIDES,
 };
@@ -52,11 +53,23 @@ pub struct PreprocessReport {
     /// How many SQL statements of the translated program were subsumed by
     /// the fused pipelined pass (0 when preprocessing ran step by step).
     pub fused_steps: usize,
+    /// `Q7`'s cluster pairs and `Q8`'s mining pairs as the fused pass
+    /// paired them; zero when the step did not run fused.
+    pub cluster_pairs: PairCounts,
+    pub mining_pairs: PairCounts,
     /// The grouped source as the fused pass's scan interned it, for the
     /// session artifact store to keep an inventory over without a second
     /// read. `None` when no scan ran (step-by-step preprocessing, a
     /// restored encoding) and for every statement with a directive set.
     pub digest: Option<Arc<SourceDigest>>,
+}
+
+/// Pairs of rows a pair condition was evaluated on, and the rows the
+/// step kept (`ClusterCouples`, or the DISTINCT `InputRulesRaw` rows).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PairCounts {
+    pub evaluated: u64,
+    pub kept: u64,
 }
 
 /// What a preprocessing run hands the core: its report and, beside it,
@@ -350,11 +363,6 @@ fn identical(a: &Value, b: &Value) -> bool {
     std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
 }
 
-/// Two slots as one set or map key.
-fn pack(a: u32, b: u32) -> u64 {
-    u64::from(a) << 32 | u64::from(b)
-}
-
 /// Scan the statement's source table once, assigning every key to its
 /// first-seen slot. This is the only reader of raw source rows: the fused
 /// pass encodes from its record, and the session artifact store keeps its
@@ -613,14 +621,13 @@ impl PairCond {
 }
 
 /// What the pair loop of `Q8` needs of one `MiningSource` row: its group
-/// slot, its `Clusters` row (0 without C) and its Bid or Hid — a
-/// body-side row has no Hid, a head-side row no Bid.
+/// slot, its `Clusters` row (0 without C) and its ids as the core's
+/// tuple.
 #[derive(Clone, Copy)]
 struct Coded {
     group: u32,
     cluster: usize,
-    bid: Option<i64>,
-    hid: Option<i64>,
+    tuple: GeneralTuple,
 }
 
 /// One catalog object of a finished encoding, under the id of the step
@@ -979,12 +986,14 @@ impl FusedEncoding {
                 }
                 for &h in &of_group[cluster_group[b] as usize] {
                     let head = &cluster_rows[h];
+                    report.cluster_pairs.evaluated += 1;
                     if cond.keys_match(body, head) && cond.holds(body, head)? {
                         couple_rows.push(vec![body[1].clone(), body[0].clone(), head[0].clone()]);
                         heads_of[b].push(h);
                     }
                 }
             }
+            report.cluster_pairs.kept = couple_rows.len() as u64;
             couples = Some(heads_of);
         }
         if dir.c {
@@ -1039,19 +1048,20 @@ impl FusedEncoding {
                 table.schema(),
             );
             let mining_schema = Schema::new(columns.clone());
-            let mut coded: Vec<Coded> = Vec::new();
-            let mut rows: Vec<Row> = Vec::new();
+            let lanes = scan.lanes.len();
+            let mut coded: Vec<Coded> = Vec::with_capacity(lanes);
+            let mut rows: Vec<Row> = Vec::with_capacity(lanes);
             // The core's tuples: the rows' ids without the mining
             // attributes, DISTINCT in first-seen order (the `CodedSource`
             // view of Q11). On one side the ids are one-to-one with the
-            // `(tuple, item)` slots, so without M every row is a new tuple.
-            let mut tuples: Vec<GeneralTuple> = Vec::new();
+            // `(owner, item)` slots, so without M every row is a new tuple.
+            let mut tuples: Vec<GeneralTuple> = Vec::with_capacity(lanes);
             for head_side in [false, true] {
                 if head_side && !dir.h {
                     break;
                 }
-                let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-                let mut seen_ids: HashSet<u64, KeyHash> = HashSet::default();
+                let mut seen = HashSet::with_capacity_and_hasher(lanes, KeyHash::default());
+                let mut seen_ids = HashSet::with_capacity_and_hasher(lanes, KeyHash::default());
                 for lane in &scan.lanes {
                     let (item, id) = if head_side {
                         (lane.head, hids[lane.head as usize])
@@ -1070,8 +1080,8 @@ impl FusedEncoding {
                         }
                     }
                     // `cluster` names its group, so the triple is the row.
-                    let tuple = if dir.c { lane.cluster } else { lane.group };
-                    if !seen.insert((tuple, item, lane.mining)) {
+                    let owner = pack(if dir.c { lane.cluster } else { lane.group }, item);
+                    if !seen.insert((owner, lane.mining)) {
                         continue;
                     }
                     let mut row = Vec::with_capacity(columns.len());
@@ -1092,24 +1102,24 @@ impl FusedEncoding {
                         row.extend_from_slice(scan.minings.key(lane.mining));
                     }
                     rows.push(row);
-                    if !dir.m || seen_ids.insert(pack(tuple, item)) {
-                        let bid = bid.map(id_u32).transpose()?;
-                        tuples.push(GeneralTuple {
-                            gid: id_u32(gid)?,
-                            cid: dir.c.then(|| id_u32(cluster_ids[cluster])).transpose()?,
-                            bid,
-                            hid: if dir.h {
-                                hid.map(id_u32).transpose()?
-                            } else {
-                                bid
-                            },
-                        });
+                    let bid = bid.map(id_u32).transpose()?;
+                    let tuple = GeneralTuple {
+                        gid: id_u32(gid)?,
+                        cid: dir.c.then(|| id_u32(cluster_ids[cluster])).transpose()?,
+                        bid,
+                        hid: if dir.h {
+                            hid.map(id_u32).transpose()?
+                        } else {
+                            bid
+                        },
+                    };
+                    if !dir.m || seen_ids.insert(owner) {
+                        tuples.push(tuple);
                     }
                     coded.push(Coded {
                         group: lane.group,
                         cluster,
-                        bid,
-                        hid,
+                        tuple,
                     });
                 }
             }
@@ -1132,95 +1142,93 @@ impl FusedEncoding {
                 );
                 // With H the `IS NOT NULL` conjuncts precede the mining
                 // condition: bodies come from body-side rows only, heads
-                // from head-side rows only.
-                let left = cond.side(true, &rows, |at| coded[at].bid.is_some())?;
-                let right = cond.side(false, &rows, |at| !dir.h || coded[at].hid.is_some())?;
+                // from head-side rows only (without H the body id doubles
+                // as head id).
+                let left = cond.side(true, &rows, |at| coded[at].tuple.bid.is_some())?;
+                let right = cond.side(false, &rows, |at| coded[at].tuple.hid.is_some())?;
                 let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); slots];
                 for (at, tuple) in coded.iter().enumerate() {
                     if right[at] {
                         of_group[tuple.group as usize].push(at);
                     }
                 }
-                type Elementary = (i64, i64, i64, i64, i64);
-                let mut seen: HashSet<Elementary> = HashSet::new();
-                let mut raw: Vec<Elementary> = Vec::new();
+                // `(Gid, Cidb, Cidh, Bid, Hid)`, the Cids 0 without C.
+                let mut seen: HashSet<[u32; 5], KeyHash> = HashSet::default();
+                let mut raw: Vec<[u32; 5]> = Vec::new();
                 for (b, body) in rows.iter().enumerate() {
-                    if !left[b] {
-                        continue;
-                    }
                     let Coded {
                         group,
-                        cluster: body_cluster,
-                        bid: Some(bid),
-                        ..
-                    } = coded[b]
-                    else {
+                        cluster,
+                        tuple,
+                    } = coded[b];
+                    let Some(bid) = tuple.bid.filter(|_| left[b]) else {
                         continue;
                     };
-                    let Some(gid) = gid_of(group) else { continue };
                     for &h in &of_group[group as usize] {
-                        let head = &rows[h];
-                        let head_cluster = coded[h].cluster;
-                        // Without H the body id doubles as head id, and
-                        // `MB.Bid <> MH.Bid` leads the residual.
-                        let head_id = if dir.h { coded[h].hid } else { coded[h].bid };
-                        let Some(hid) = head_id else { continue };
-                        if !cond.keys_match(body, head)
-                            || couples.as_ref().is_some_and(|heads_of| {
-                                !heads_of[body_cluster].contains(&head_cluster)
-                            })
+                        let (head, Some(hid)) = (&coded[h], coded[h].tuple.hid) else {
+                            continue;
+                        };
+                        report.mining_pairs.evaluated += 1;
+                        // Without H, `MB.Bid <> MH.Bid` leads the residual.
+                        if !cond.keys_match(body, &rows[h])
+                            || couples
+                                .as_ref()
+                                .is_some_and(|heads_of| !heads_of[cluster].contains(&head.cluster))
                             || (!dir.h && bid == hid)
-                            || !cond.holds(body, head)?
+                            || !cond.holds(body, &rows[h])?
                         {
                             continue;
                         }
-                        let (cidb, cidh) = if dir.c {
-                            (cluster_ids[body_cluster], cluster_ids[head_cluster])
-                        } else {
-                            (0, 0)
-                        };
-                        let rule = (gid, cidb, cidh, bid, hid);
+                        let [cidb, cidh] = [tuple.cid, head.tuple.cid].map(|c| c.unwrap_or(0));
+                        let rule = [tuple.gid, cidb, cidh, bid, hid];
                         if seen.insert(rule) {
                             raw.push(rule);
                         }
                     }
                 }
-                // COUNT(DISTINCT Gid) per (Bid, Hid): sorted, each group of
-                // a pair is one run.
-                let mut occurrences: Vec<(i64, i64, i64)> =
-                    raw.iter().map(|r| (r.3, r.4, r.0)).collect();
-                occurrences.sort_unstable();
-                occurrences.dedup();
-                let mut groups_of: HashMap<(i64, i64), u64> = HashMap::new();
-                for (bid, hid, _) in occurrences {
-                    *groups_of.entry((bid, hid)).or_default() += 1;
+                report.mining_pairs.kept = raw.len() as u64;
+                // The rules in the core's order — stable by (Gid, Cidb,
+                // Cidh), dense ids — then COUNT(DISTINCT Gid) per (Bid,
+                // Hid) over it: each group of a pair is one run.
+                let order = raw.iter().zip(0..).map(|(r, at)| (pack(r[1], r[2]), at));
+                let mut order: Vec<(u64, u32)> = order.collect();
+                radix_sort(&mut order);
+                order
+                    .iter_mut()
+                    .for_each(|e| e.0 = raw[e.1 as usize][0].into());
+                radix_sort(&mut order);
+                let sorted = order.iter().map(|&(_, at)| &raw[at as usize]);
+                let mut groups_of: HashMap<u64, (u32, u64), KeyHash> = HashMap::default();
+                for &[gid, _, _, bid, hid] in sorted.clone() {
+                    let (last, count) = groups_of.entry(pack(bid, hid)).or_insert((gid, 0));
+                    *count += u64::from(*count == 0 || *last != gid);
+                    *last = gid;
                 }
+                let large = |r: &&[u32; 5]| groups_of[&pack(r[3], r[4])].1 >= min_groups;
+                let elem = |&[gid, cidb, cidh, bid, hid]: &[u32; 5]| ElemRule {
+                    gid,
+                    cidb: dir.c.then_some(cidb),
+                    cidh: dir.c.then_some(cidh),
+                    bid,
+                    hid,
+                };
+                elementary = Some(sorted.filter(large).map(elem).collect::<Vec<_>>());
                 let mut names_of = vec!["Gid"];
                 if dir.c {
                     names_of.extend(["Cidb", "Cidh"]);
                 }
                 names_of.extend(["Bid", "Hid"]);
                 let columns = int_columns(&names_of);
-                raw.retain(|&(_, _, _, bid, hid)| groups_of[&(bid, hid)] >= min_groups);
-                let elem = |&(gid, cidb, cidh, bid, hid): &Elementary| {
-                    Ok(ElemRule {
-                        gid: id_u32(gid)?,
-                        cidb: dir.c.then(|| id_u32(cidb)).transpose()?,
-                        cidh: dir.c.then(|| id_u32(cidh)).transpose()?,
-                        bid: id_u32(bid)?,
-                        hid: id_u32(hid)?,
-                    })
-                };
-                elementary = Some(raw.iter().map(elem).collect::<Result<Vec<_>>>()?);
                 let rules: Vec<Row> = raw
-                    .into_iter()
-                    .map(|(gid, cidb, cidh, bid, hid)| {
-                        let ids: &[i64] = if dir.c {
-                            &[gid, cidb, cidh, bid, hid]
+                    .iter()
+                    .filter(large)
+                    .map(|rule| {
+                        let ids: &[u32] = if dir.c {
+                            rule
                         } else {
-                            &[gid, bid, hid]
+                            &[rule[0], rule[3], rule[4]]
                         };
-                        ids.iter().copied().map(Value::Int).collect()
+                        ids.iter().map(|&id| Value::Int(id.into())).collect()
                     })
                     .collect();
                 input_rules = Some(table_of(names.input_rules(), columns, rules)?);
