@@ -6,7 +6,7 @@
 //! hash pruning pay off as thresholds drop and candidate sets grow).
 
 use datagen::{generate_quest, QuestConfig};
-use minerule::algo::{default_pool, ShardExec, SimpleInput};
+use minerule::algo::{default_pool, SimpleInput};
 use tcdm_bench::bench::Group;
 
 fn pool_input(transactions: usize, min_support: f64) -> SimpleInput {
@@ -39,22 +39,6 @@ fn e4_algorithm_pool() {
     }
 }
 
-fn e4_pool_workers() {
-    // Every pool member through the sharded executor: identical
-    // inventories, counting passes spread across workers.
-    let mut group = Group::new("E4_pool_workers");
-    let input = pool_input(1500, 0.02);
-    for &workers in &[1usize, 2, 4] {
-        let exec = ShardExec::new(workers);
-        for miner in default_pool() {
-            group.bench(&format!("{}/w={workers}", miner.name()), || {
-                miner.mine_sharded(&input, &exec)
-            });
-        }
-    }
-}
-
 fn main() {
     e4_algorithm_pool();
-    e4_pool_workers();
 }

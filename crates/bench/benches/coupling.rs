@@ -20,16 +20,6 @@ fn e1_coupled_vs_decoupled() {
             },
         );
         group.bench_batched(
-            &format!("tightly_coupled_4workers/{transactions}"),
-            || quest_db(transactions, 7),
-            |mut db| {
-                MineRuleEngine::new()
-                    .with_workers(4)
-                    .execute(&mut db, &simple_statement(0.03, 0.4))
-                    .unwrap()
-            },
-        );
-        group.bench_batched(
             &format!("decoupled/{transactions}"),
             || quest_db(transactions, 7),
             |mut db| {

@@ -1,13 +1,12 @@
 //! Experiments E5 and E6.
 //!
-//! E5 — the lattice-order ablation (§4.3.2: "the efficiency of the
-//! algorithm is maximized if, at each step, we start from the set with
-//! lower cardinality"): MinParent vs the fixed BodyFirst order.
+//! E5 — the lattice under min-parent expansion (§4.3.2: "the efficiency
+//! of the algorithm is maximized if, at each step, we start from the set
+//! with lower cardinality").
 //!
 //! E6 — generality overhead: the same simple-class statement through the
 //! simple algorithm pool vs forced through the general lattice.
 
-use minerule::lattice::ExpansionOrder;
 use minerule::MineRuleEngine;
 use tcdm_bench::bench::Group;
 use tcdm_bench::{quest_db, retail_db};
@@ -25,20 +24,15 @@ fn wide_head_statement(support: f64) -> String {
 
 fn e5_expansion_order() {
     let mut group = Group::new("E5_lattice_order");
-    for (name, order) in [
-        ("min_parent", ExpansionOrder::MinParent),
-        ("body_first", ExpansionOrder::BodyFirst),
-    ] {
-        group.bench_batched(
-            &format!("{name}/250"),
-            || retail_db(250, 13),
-            |mut db| {
-                let mut engine = MineRuleEngine::new();
-                engine.core.order = order;
-                engine.execute(&mut db, &wide_head_statement(0.08)).unwrap()
-            },
-        );
-    }
+    group.bench_batched(
+        "min_parent/250",
+        || retail_db(250, 13),
+        |mut db| {
+            MineRuleEngine::new()
+                .execute(&mut db, &wide_head_statement(0.08))
+                .unwrap()
+        },
+    );
 }
 
 fn e6_simple_vs_general() {

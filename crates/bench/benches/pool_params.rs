@@ -1,5 +1,5 @@
 //! Experiment E9 — parameter ablations inside the algorithm pool:
-//! partition count (sequential and parallel), DHP hash-table size, and
+//! partition count, DHP hash-table size, and
 //! sampling fraction. These are the knobs the respective papers expose;
 //! the architecture makes them swappable without touching the kernel.
 
@@ -32,14 +32,8 @@ fn e9_partition_count() {
     let mut group = Group::new("E9_partition_count");
     let input = input(0.02);
     for &parts in &[1usize, 2, 4, 8, 16] {
-        for parallel in [false, true] {
-            let miner = Partition {
-                partitions: parts,
-                parallel,
-            };
-            let mode = if parallel { "parallel" } else { "sequential" };
-            group.bench(&format!("{mode}/{parts}"), || miner.mine(&input));
-        }
+        let miner = Partition { partitions: parts };
+        group.bench(&parts.to_string(), || miner.mine(&input));
     }
 }
 

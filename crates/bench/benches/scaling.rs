@@ -21,25 +21,6 @@ fn e7_group_scaling() {
     }
 }
 
-fn e7_worker_scaling() {
-    // The parallel-executor dimension: same statement, same rules, the
-    // worker knob swept. On a multi-core host the core phase shrinks;
-    // rule output is bit-identical throughout.
-    let mut group = Group::new("E7_worker_scaling");
-    for &workers in &[1usize, 2, 4, 8] {
-        group.bench_batched(
-            &format!("workers={workers}"),
-            || quest_db(1000, 19),
-            move |mut db| {
-                MineRuleEngine::new()
-                    .with_workers(workers)
-                    .execute(&mut db, &simple_statement(0.02, 0.4))
-                    .unwrap()
-            },
-        );
-    }
-}
-
 fn e7_support_sweep() {
     let mut group = Group::new("E7_support_sweep");
     for &support in &[0.08f64, 0.04, 0.02, 0.01] {
@@ -57,6 +38,5 @@ fn e7_support_sweep() {
 
 fn main() {
     e7_group_scaling();
-    e7_worker_scaling();
     e7_support_sweep();
 }

@@ -1,6 +1,6 @@
 //! The experiments harness: regenerates every table of EXPERIMENTS.md
 //! (the paper's figures F1–F4 as correctness checks, plus the measurement
-//! experiments E3–E6, E9 and E10 its architectural claims imply). What an
+//! experiments E3–E6 and E9 its architectural claims imply). What an
 //! end-to-end workload of the kernel benchmark measures is not repeated
 //! here: coupled vs decoupled and scaling (`basket_cold`), postprocessing
 //! vs rule count (`basket_rule_explosion`), the artifact store
@@ -25,13 +25,10 @@ use std::time::{Duration, Instant};
 
 use minerule::algo::{default_pool, SimpleInput};
 
-use minerule::lattice::ExpansionOrder;
 use minerule::paper_example::{run_paper_example, FIGURE_2B};
 use minerule::MineRuleEngine;
 use tcdm_bench::report::Report;
-use tcdm_bench::{
-    quest_db, retail_db, simple_statement, temporal_statement, temporal_statement_no_mining_cond,
-};
+use tcdm_bench::{quest_db, retail_db, temporal_statement, temporal_statement_no_mining_cond};
 
 fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     let mut best = Duration::MAX;
@@ -132,7 +129,6 @@ fn main() {
     e5_lattice_order(&mut report, mode);
     e6_generality_overhead(&mut report, mode);
     e9_pool_parameters(&mut report, mode);
-    e10_worker_scaling(&mut report, mode);
 
     println!("\nall experiments completed.");
 
@@ -302,9 +298,9 @@ fn e4_algorithm_pool(report: &mut Report, mode: Mode) {
     println!();
 }
 
-/// E5 — lattice expansion order.
+/// E5 — the lattice's candidate count under min-parent expansion.
 fn e5_lattice_order(report: &mut Report, mode: Mode) {
-    println!("## E5 — lattice expansion order (§4.3.2 optimisation)\n");
+    println!("## E5 — lattice expansion from the min-cardinality parent (§4.3.2)\n");
     let customers = mode.size(120, 250);
     let statement = "MINE RULE Wide AS \
         SELECT DISTINCT 1..n item AS BODY, 1..3 item AS HEAD, SUPPORT, CONFIDENCE \
@@ -313,32 +309,18 @@ fn e5_lattice_order(report: &mut Report, mode: Mode) {
         EXTRACTING RULES WITH SUPPORT: 0.08, CONFIDENCE: 0.05";
     println!("| order | core (ms) | lattice.candidates | rules |");
     println!("|---|---|---|---|");
-    let mut rule_sets = Vec::new();
-    for (name, key, order) in [
-        (
-            "min-cardinality parent (paper)",
-            "min-parent",
-            ExpansionOrder::MinParent,
-        ),
-        ("fixed body-first", "body-first", ExpansionOrder::BodyFirst),
-    ] {
-        let (_, (out, candidates)) = best_of(mode.reps(3), || {
-            let mut db = retail_db(customers, 13);
-            let mut engine = MineRuleEngine::new();
-            engine.core.order = order;
-            let out = engine.execute(&mut db, statement).unwrap();
-            (out, lattice_candidates(&engine))
-        });
-        let rules = out.rules.len() as u64;
-        report.lattice_case("E5", key, rules, candidates, out.timings.core);
-        println!(
-            "| {name} | {} | {candidates} | {rules} |",
-            ms(out.timings.core)
-        );
-        rule_sets.push(out.rules);
-    }
-    assert_eq!(rule_sets[0], rule_sets[1], "orders agree on results");
-    println!("\n(identical rule sets asserted)\n");
+    let (_, (out, candidates)) = best_of(mode.reps(3), || {
+        let mut db = retail_db(customers, 13);
+        let engine = MineRuleEngine::new();
+        let out = engine.execute(&mut db, statement).unwrap();
+        (out, lattice_candidates(&engine))
+    });
+    let rules = out.rules.len() as u64;
+    report.lattice_case("E5", "min-parent", rules, candidates, out.timings.core);
+    println!(
+        "| min-cardinality parent (paper) | {} | {candidates} | {rules} |\n",
+        ms(out.timings.core)
+    );
 }
 
 /// E6 — generality overhead.
@@ -408,35 +390,24 @@ fn e9_pool_parameters(report: &mut Report, mode: Mode) {
     };
 
     println!("### partition count\n");
-    println!("| partitions | sequential (ms) | parallel (ms) |");
-    println!("|---|---|---|");
+    println!("| partitions | time (ms) |");
+    println!("|---|---|");
     let partition_counts: &[usize] = if mode.quick {
         &[1, 4]
     } else {
         &[1, 2, 4, 8, 16]
     };
     for &parts in partition_counts {
-        let (seq, large) = best_of(mode.reps(3), || {
-            Partition {
-                partitions: parts,
-                parallel: false,
-            }
-            .mine(&input)
-        });
-        let (par, _) = best_of(mode.reps(3), || {
-            Partition {
-                partitions: parts,
-                parallel: true,
-            }
-            .mine(&input)
+        let (d, large) = best_of(mode.reps(3), || {
+            Partition { partitions: parts }.mine(&input)
         });
         report.case(
             "E9",
             format!("partition parts={parts}"),
             Some(large.len() as u64),
-            seq,
+            d,
         );
-        println!("| {parts} | {} | {} |", ms(seq), ms(par));
+        println!("| {parts} | {} |", ms(d));
     }
 
     println!("\n### DHP hash-table size\n");
@@ -481,56 +452,4 @@ fn e9_pool_parameters(report: &mut Report, mode: Mode) {
         println!("| {fraction} | {} |", ms(d));
     }
     println!();
-}
-
-/// E10 — worker scaling of the sharded mining executor.
-fn e10_worker_scaling(report: &mut Report, mode: Mode) {
-    println!("## E10 — sharded executor: core phase vs worker count\n");
-    println!(
-        "(host has {} hardware threads)\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    println!("| workers | core (ms) | shard busy (ms) | speedup vs 1 | rules |");
-    println!("|---|---|---|---|---|");
-    let baskets = mode.size(500, 1500);
-    let worker_counts: &[usize] = if mode.quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let mut baseline: Option<(Duration, Vec<minerule::DecodedRule>)> = None;
-    for &workers in worker_counts {
-        let (_, out) = best_of(mode.reps(3), || {
-            let mut db = quest_db(baskets, 19);
-            MineRuleEngine::new()
-                .with_workers(workers)
-                .execute(&mut db, &simple_statement(0.02, 0.4))
-                .unwrap()
-        });
-        let core = out.timings.core;
-        let speedup = match &baseline {
-            None => {
-                baseline = Some((core, out.rules.clone()));
-                1.0
-            }
-            Some((base, base_rules)) => {
-                assert_eq!(
-                    &out.rules, base_rules,
-                    "rules invariant at {workers} workers"
-                );
-                base.as_secs_f64() / core.as_secs_f64()
-            }
-        };
-        report.case(
-            "E10",
-            format!("workers={workers}"),
-            Some(out.rules.len() as u64),
-            core,
-        );
-        println!(
-            "| {workers} | {} | {} | {speedup:.2}x | {} |",
-            ms(core),
-            ms(out.timings.core_shard_busy()),
-            out.rules.len()
-        );
-    }
-    println!("\n(identical rule sets asserted per worker count)\n");
 }

@@ -40,19 +40,6 @@ pub struct Knob {
 /// execution strategy — those are chosen from what the code observes.
 pub const KNOBS: &[Knob] = &[
     Knob {
-        name: "workers",
-        domain: "<n> (at least 1)",
-        blurb: "mining executor threads (same rules, faster core)",
-        get: |s| s.engine.core.workers.to_string(),
-        set: |s, value, _| match value.parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                s.engine.core.workers = n;
-                Ok(())
-            }
-            _ => Err(Refused::Domain),
-        },
-    },
-    Knob {
         name: "telemetry",
         domain: "on|off",
         blurb: "toggle metric recording (rules identical either way)",
@@ -543,52 +530,20 @@ mod tests {
             unknown.contains("apriori") && unknown.contains("fpgrowth"),
             "lists the pool: {unknown}"
         );
-    }
-
-    #[test]
-    fn workers_setting() {
-        let mut s = Session::new();
-        assert!(out(&mut s, "\\set workers").contains("workers: 1"));
-        assert!(out(&mut s, "\\set workers 4").contains("workers set to 4"));
-        assert!(out(&mut s, "\\set").contains("workers: 4"));
-        // Zero and garbage get the one typed knob error — the same shape
-        // as the unknown-algorithm rejection (offender plus domain).
-        for bad in ["0", "abc"] {
-            let refused = out(&mut s, &format!("\\set workers {bad}"));
-            assert_eq!(
-                refused,
-                MineError::InvalidKnob {
-                    knob: "workers",
-                    value: bad.into(),
-                    domain: "<n> (at least 1)",
-                }
-                .to_string()
-            );
-            assert!(refused.contains(&format!("'{bad}'")), "{refused}");
-            assert!(refused.contains("at least 1"), "{refused}");
-        }
+        let retired = out(&mut s, "\\algorithm partition-par");
         assert!(
-            out(&mut s, "\\set workers").contains("workers: 4"),
-            "unchanged"
+            retired.contains("unknown algorithm 'partition-par'"),
+            "{retired}"
         );
-        assert!(out(&mut s, "\\set gizmo on").contains("unknown setting"));
-        // Mining still works (and yields the same rules) with 4 workers.
-        out(&mut s, "\\demo paper");
-        let result = out(
-            &mut s,
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
-        );
-        assert!(result.contains("mined"), "{result}");
     }
 
     #[test]
     fn strategy_selectors_are_not_settings() {
         // Execution strategies are selected from what the code observes;
         // neither the retired pins nor the tests' reference selector are
-        // reachable from the shell — nor are the two retired cache knobs.
-        assert_eq!(KNOBS.len(), 4);
+        // reachable from the shell — nor are the two retired cache knobs
+        // or the retired executor thread count.
+        assert_eq!(KNOBS.len(), 3);
         let mut s = Session::new();
         let help = out(&mut s, "\\help");
         for name in [
@@ -600,11 +555,14 @@ mod tests {
             "reference",
             "preprocache",
             "minecache",
+            "workers",
         ] {
             let answer = out(&mut s, &format!("\\set {name} on"));
             assert!(answer.contains("unknown setting"), "{name}: {answer}");
             assert!(!help.contains(&format!("\\set {name}")), "{name}: {help}");
         }
+        let answer = out(&mut s, "\\set workers 4");
+        assert!(answer.contains("unknown setting"), "{answer}");
     }
 
     #[test]

@@ -1,0 +1,281 @@
+//! The counting context of the algorithm pool: the group scans every
+//! member performs, and the work accounting they report.
+//!
+//! Every counting pass of the pool — singleton counts, candidate-support
+//! scans, gid-list construction — is a fold over the encoded group list.
+//! [`CountingCtx`] owns those passes once, so every member counts the
+//! same way and reports the same `core.*` work counters. One context
+//! drives a single mining run on the calling thread.
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+
+use super::gidset::{GidSet, GidSetCounters, GidSetCtx};
+use super::itemset::{is_subset, Itemset};
+use super::LargeItemset;
+
+/// Candidate counts for one level of a level-wise algorithm (keyed by
+/// itemset size `k`). `generated` counts candidates produced by the join
+/// step; `pruned` counts those that then failed the support threshold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelStats {
+    pub generated: u64,
+    pub pruned: u64,
+}
+
+/// Work accounting accumulated by a context across one mining run,
+/// drained by the core operator and published to the telemetry registry
+/// (`core.*` metrics — see `docs/OBSERVABILITY.md`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CountingStats {
+    /// Group rows visited by whole-group scans (L1 scans, gid-list
+    /// builds, candidate-support passes).
+    pub groups_scanned: u64,
+    /// Candidates whose support was counted by [`CountingCtx::count_candidates`].
+    pub candidates_counted: u64,
+    /// Per-level candidate generation/pruning, reported by the
+    /// level-wise pool members via [`CountingCtx::note_level`].
+    pub levels: BTreeMap<u32, LevelStats>,
+    /// Gid sets materialised in list form (`core.gidset.list.picked`).
+    pub gidset_list_picked: u64,
+    /// Gid sets materialised in bitset form (`core.gidset.bitset.picked`).
+    pub gidset_bitset_picked: u64,
+    /// Gid-set intersections performed (`core.gidset.intersects`).
+    pub gidset_intersects: u64,
+    /// Prefix-trie arena nodes built for candidate pruning
+    /// (`core.trie.nodes`), reported via [`CountingCtx::note_trie`].
+    pub trie_nodes: u64,
+    /// Prefix-trie walks performed (`core.trie.lookups`).
+    pub trie_lookups: u64,
+}
+
+/// The counting passes of one mining run, with the run's gid-set
+/// representation switch and its work statistics.
+#[derive(Debug, Default)]
+pub struct CountingCtx {
+    list_gidsets: bool,
+    gidset_counters: GidSetCounters,
+    stats: RefCell<CountingStats>,
+}
+
+impl CountingCtx {
+    /// A context whose gid sets are all sorted lists when `list_gidsets`
+    /// is set — the reference representation, selected with the rest of
+    /// the reference paths and by the agreement tests — and otherwise
+    /// chosen per set by density.
+    pub fn new(list_gidsets: bool) -> CountingCtx {
+        CountingCtx {
+            list_gidsets,
+            ..CountingCtx::default()
+        }
+    }
+
+    /// Whether this run keeps every gid set a list (inner passes of the
+    /// partition and sampling miners inherit it).
+    pub fn list_gidsets(&self) -> bool {
+        self.list_gidsets
+    }
+
+    /// A gid-set context over `universe` gids, recording representation
+    /// choices and intersections into this context's counters.
+    pub fn gidset_ctx(&self, universe: usize) -> GidSetCtx<'_> {
+        GidSetCtx::new(universe, self.list_gidsets, &self.gidset_counters)
+    }
+
+    /// Drain the work statistics accumulated since the last call
+    /// (including the gid-set counters).
+    pub fn take_stats(&self) -> CountingStats {
+        let mut stats = self.stats.take();
+        let (list, bitset, intersects) = self.gidset_counters.drain();
+        stats.gidset_list_picked += list;
+        stats.gidset_bitset_picked += bitset;
+        stats.gidset_intersects += intersects;
+        stats
+    }
+
+    /// Record one candidate prefix-trie: `nodes` arena entries were
+    /// built and `lookups` walks performed.
+    pub fn note_trie(&self, nodes: u64, lookups: u64) {
+        let mut stats = self.stats.borrow_mut();
+        stats.trie_nodes += nodes;
+        stats.trie_lookups += lookups;
+    }
+
+    /// Record one level of candidate generation: `generated` candidates
+    /// of size `k` were produced, of which `pruned` failed the support
+    /// threshold. Called by the level-wise pool members.
+    pub fn note_level(&self, k: u32, generated: u64, pruned: u64) {
+        if generated == 0 && pruned == 0 {
+            return;
+        }
+        let mut stats = self.stats.borrow_mut();
+        let entry = stats.levels.entry(k).or_default();
+        entry.generated += generated;
+        entry.pruned += pruned;
+    }
+
+    fn note_scan(&self, groups: &[Vec<u32>], candidates: u64) {
+        let mut stats = self.stats.borrow_mut();
+        stats.groups_scanned += groups.len() as u64;
+        stats.candidates_counted += candidates;
+    }
+
+    /// Count each candidate's support with one pass over the groups.
+    pub fn count_candidates(
+        &self,
+        groups: &[Vec<u32>],
+        candidates: Vec<Itemset>,
+    ) -> Vec<LargeItemset> {
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        self.note_scan(groups, candidates.len() as u64);
+        let mut counts = vec![0u32; candidates.len()];
+        for items in groups {
+            for (count, c) in counts.iter_mut().zip(&candidates) {
+                if is_subset(c, items) {
+                    *count += 1;
+                }
+            }
+        }
+        candidates.into_iter().zip(counts).collect()
+    }
+
+    /// Per-item occurrence counts over all groups (the L1 scan).
+    pub fn item_counts(&self, groups: &[Vec<u32>]) -> HashMap<u32, u32> {
+        self.note_scan(groups, 0);
+        let mut counts: HashMap<u32, u32> = HashMap::new();
+        for &it in groups.iter().flatten() {
+            *counts.entry(it).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    /// Vertical layout: item → ascending group-id list, a group's id
+    /// being its position in `groups`.
+    pub fn gidlists(&self, groups: &[Vec<u32>]) -> HashMap<u32, Vec<u32>> {
+        self.note_scan(groups, 0);
+        let mut lists: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (g, items) in groups.iter().enumerate() {
+            for &it in items {
+                lists.entry(it).or_default().push(g as u32);
+            }
+        }
+        lists
+    }
+
+    /// [`CountingCtx::gidlists`] with each list converted to a [`GidSet`]
+    /// in the representation `ctx` picks.
+    pub fn gidsets(&self, groups: &[Vec<u32>], ctx: &GidSetCtx<'_>) -> HashMap<u32, GidSet> {
+        self.gidlists(groups)
+            .into_iter()
+            .map(|(it, gl)| (it, ctx.build(gl)))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn groups() -> Vec<Vec<u32>> {
+        vec![
+            vec![1, 2, 3],
+            vec![1, 2],
+            vec![2, 3],
+            vec![1, 3],
+            vec![1, 2, 3],
+            vec![2],
+            vec![7],
+        ]
+    }
+
+    #[test]
+    fn candidate_counts_match_hand_counts() {
+        let candidates = vec![vec![1], vec![2], vec![1, 2], vec![2, 3], vec![9]];
+        let got = CountingCtx::default().count_candidates(&groups(), candidates);
+        assert_eq!(
+            got,
+            vec![
+                (vec![1], 4),
+                (vec![2], 5),
+                (vec![1, 2], 3),
+                (vec![2, 3], 3),
+                (vec![9], 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn gidlists_are_sorted_and_complete() {
+        let lists = CountingCtx::default().gidlists(&groups());
+        assert_eq!(lists.len(), 4);
+        assert_eq!(lists[&1], vec![0, 1, 3, 4]);
+        assert_eq!(lists[&2], vec![0, 1, 2, 4, 5]);
+        assert_eq!(lists[&3], vec![0, 2, 3, 4]);
+        assert_eq!(lists[&7], vec![6]);
+    }
+
+    #[test]
+    fn item_counts_match_hand_counts() {
+        let counts = CountingCtx::default().item_counts(&groups());
+        let expect: HashMap<u32, u32> = [(1, 4), (2, 5), (3, 4), (7, 1)].into();
+        assert_eq!(counts, expect);
+    }
+
+    #[test]
+    fn stats_accumulate_and_drain() {
+        let ctx = CountingCtx::default();
+        let g = groups();
+        ctx.count_candidates(&g, vec![vec![1], vec![2, 3]]);
+        ctx.count_candidates(&g, Vec::new()); // no candidates: no scan
+        ctx.item_counts(&g);
+        ctx.note_level(2, 10, 4);
+        ctx.note_level(2, 5, 1);
+        ctx.note_level(3, 0, 0); // ignored: nothing to record
+        let stats = ctx.take_stats();
+        assert_eq!(
+            stats,
+            CountingStats {
+                groups_scanned: 14,
+                candidates_counted: 2,
+                levels: [(
+                    2,
+                    LevelStats {
+                        generated: 15,
+                        pruned: 5
+                    }
+                )]
+                .into(),
+                ..CountingStats::default()
+            }
+        );
+        assert_eq!(ctx.take_stats(), CountingStats::default(), "drained");
+    }
+
+    #[test]
+    fn gidsets_follow_repr_and_feed_stats() {
+        let g = groups();
+        // Seven groups: every non-empty list is dense enough for a bitset.
+        let counting = CountingCtx::default();
+        let ctx = counting.gidset_ctx(g.len());
+        let sets = counting.gidsets(&g, &ctx);
+        assert!(sets.values().all(|s| s.is_bitset()));
+        assert_eq!(sets[&1].to_sorted_list(), vec![0, 1, 3, 4]);
+        counting.note_trie(5, 12);
+        let stats = counting.take_stats();
+        assert_eq!(
+            (stats.gidset_bitset_picked, stats.gidset_list_picked),
+            (4, 0)
+        );
+        assert_eq!((stats.trie_nodes, stats.trie_lookups), (5, 12));
+        assert_eq!(stats.groups_scanned, 7);
+        assert_eq!(counting.take_stats(), CountingStats::default(), "drained");
+        // The reference representation keeps the same sets as lists.
+        let lists = CountingCtx::new(true);
+        let ctx = lists.gidset_ctx(g.len());
+        let sets = lists.gidsets(&g, &ctx);
+        assert!(sets.values().all(|s| !s.is_bitset()));
+        assert_eq!(lists.take_stats().gidset_list_picked, 4);
+    }
+}

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use super::executor::ShardExec;
+use super::counting::CountingCtx;
 use super::itemset::{apriori_join, Itemset};
 use super::trie::ItemsetTrie;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
@@ -37,36 +37,21 @@ impl ItemsetMiner for Dhp {
         "dhp"
     }
 
-    fn mine_sharded(&self, input: &SimpleInput, exec: &ShardExec) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset> {
         let mut large: Vec<LargeItemset> = Vec::new();
         let buckets_n = self.buckets.max(1);
 
-        // Pass 1: singleton counts + pair-bucket counts, one sharded scan.
-        // Both are sums of per-group contributions, so per-shard partials
-        // merge by addition regardless of shard boundaries.
-        let partials = exec.map_shards(&input.groups, |_, part| {
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            let mut pair_buckets = vec![0u32; buckets_n];
-            for items in part {
-                for &it in items {
-                    *counts.entry(it).or_insert(0) += 1;
-                }
-                for i in 0..items.len() {
-                    for j in (i + 1)..items.len() {
-                        pair_buckets[bucket(items[i], items[j], buckets_n)] += 1;
-                    }
-                }
-            }
-            (counts, pair_buckets)
-        });
+        // Pass 1: singleton counts + pair-bucket counts, one scan.
         let mut counts: HashMap<u32, u32> = HashMap::new();
         let mut pair_buckets = vec![0u32; buckets_n];
-        for (partial_counts, partial_buckets) in partials {
-            for (it, c) in partial_counts {
-                *counts.entry(it).or_insert(0) += c;
+        for items in &input.groups {
+            for &it in items {
+                *counts.entry(it).or_insert(0) += 1;
             }
-            for (t, c) in pair_buckets.iter_mut().zip(partial_buckets) {
-                *t += c;
+            for i in 0..items.len() {
+                for j in (i + 1)..items.len() {
+                    pair_buckets[bucket(items[i], items[j], buckets_n)] += 1;
+                }
             }
         }
         let mut l1: Vec<LargeItemset> = counts
@@ -88,7 +73,7 @@ impl ItemsetMiner for Dhp {
                 }
             }
         }
-        let mut level: Vec<LargeItemset> = exec
+        let mut level: Vec<LargeItemset> = ctx
             .count_candidates(&input.groups, candidates)
             .into_iter()
             .filter(|(_, c)| *c >= input.min_groups)
@@ -110,8 +95,8 @@ impl ItemsetMiner for Dhp {
                     }
                 }
             }
-            exec.note_trie(trie.node_count() as u64, trie.take_lookups());
-            level = exec
+            ctx.note_trie(trie.node_count() as u64, trie.take_lookups());
+            level = ctx
                 .count_candidates(&input.groups, candidates)
                 .into_iter()
                 .filter(|(_, c)| *c >= input.min_groups)

@@ -4,7 +4,7 @@
 //! subset-prune for cache-friendly depth-first list intersections — the
 //! natural "one more member" of the paper's interoperable pool.
 
-use super::executor::ShardExec;
+use super::counting::CountingCtx;
 use super::gidset::{GidSet, GidSetCtx, GidSetScratch};
 use super::itemset::Itemset;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
@@ -18,51 +18,36 @@ impl ItemsetMiner for Eclat {
         "eclat"
     }
 
-    fn mine_sharded(&self, input: &SimpleInput, exec: &ShardExec) -> Vec<LargeItemset> {
-        // Vertical layout: item → gid set (sharded build; representation
-        // chosen per set from the merged global cardinality).
-        let ctx = exec.gidset_ctx(input.groups.len());
-        let gidsets = exec.gidsets(&input.groups, &ctx);
+    fn mine_with(&self, input: &SimpleInput, counting: &CountingCtx) -> Vec<LargeItemset> {
+        // Vertical layout: item → gid set (representation chosen per set
+        // from its cardinality).
+        let ctx = counting.gidset_ctx(input.groups.len());
+        let gidsets = counting.gidsets(&input.groups, &ctx);
         let mut frontier: Vec<(u32, GidSet)> = gidsets
             .into_iter()
             .filter(|(_, gs)| gs.len() >= input.min_groups)
             .collect();
         frontier.sort_by_key(|(it, _)| *it);
 
-        // The search trees rooted at each top-level item are independent,
-        // so the frontier index is sharded across workers; the final sort
-        // makes the inventory order worker-count invariant. Each shard
-        // reuses one intersection scratch for its whole subtree walk.
+        // One search tree per top-level item, walked depth-first with one
+        // reused intersection scratch; the final sort orders the
+        // inventory.
         let min_groups = input.min_groups;
-        let frontier_ref = &frontier;
-        let ctx_ref = &ctx;
-        let parts = exec.map_index_shards(frontier.len(), |range| {
-            let mut out: Vec<LargeItemset> = Vec::new();
-            let mut scratch = GidSetScratch::default();
-            for i in range {
-                let (item, gs) = &frontier_ref[i];
-                let mut prefix: Itemset = vec![*item];
-                out.push((prefix.clone(), gs.len()));
-                let mut next: Vec<(u32, GidSet)> = Vec::new();
-                for (other, other_gs) in &frontier_ref[i + 1..] {
-                    if ctx_ref.intersect_into(gs, other_gs, &mut scratch) >= min_groups {
-                        next.push((*other, ctx_ref.seal(&scratch)));
-                    }
-                }
-                if !next.is_empty() {
-                    dfs(
-                        ctx_ref,
-                        &next,
-                        &mut prefix,
-                        min_groups,
-                        &mut scratch,
-                        &mut out,
-                    );
+        let mut out: Vec<LargeItemset> = Vec::new();
+        let mut scratch = GidSetScratch::default();
+        for (i, (item, gs)) in frontier.iter().enumerate() {
+            let mut prefix: Itemset = vec![*item];
+            out.push((prefix.clone(), gs.len()));
+            let mut next: Vec<(u32, GidSet)> = Vec::new();
+            for (other, other_gs) in &frontier[i + 1..] {
+                if ctx.intersect_into(gs, other_gs, &mut scratch) >= min_groups {
+                    next.push((*other, ctx.seal(&scratch)));
                 }
             }
-            out
-        });
-        let mut out: Vec<LargeItemset> = parts.into_iter().flatten().collect();
+            if !next.is_empty() {
+                dfs(&ctx, &next, &mut prefix, min_groups, &mut scratch, &mut out);
+            }
+        }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use super::executor::ShardExec;
+use super::counting::CountingCtx;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
 
 /// FP-Growth miner.
@@ -167,39 +167,13 @@ impl ItemsetMiner for FpGrowth {
         "fpgrowth"
     }
 
-    fn mine_sharded(&self, input: &SimpleInput, exec: &ShardExec) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: &SimpleInput, _: &CountingCtx) -> Vec<LargeItemset> {
         let transactions: Vec<(Vec<u32>, u32)> =
             input.groups.iter().map(|g| (g.clone(), 1)).collect();
-        // The global tree is built once and shared read-only; each
-        // top-level item's conditional mining is independent, so the
-        // mining-order index is sharded across workers. The final sort +
-        // dedup normalises the order, as in the sequential path.
-        let (tree, order) = build_tree(&transactions, input.min_groups);
-        let min_groups = input.min_groups;
-        let tree_ref = &tree;
-        let order_ref = &order;
-        let parts = exec.map_index_shards(order.len(), |range| {
-            let mut out: Vec<LargeItemset> = Vec::new();
-            for idx in range {
-                let item = order_ref[idx];
-                let support: u32 = tree_ref
-                    .header
-                    .get(&item)
-                    .map(|nodes| nodes.iter().map(|&n| tree_ref.nodes[n].count).sum())
-                    .unwrap_or(0);
-                if support < min_groups {
-                    continue;
-                }
-                out.push((vec![item], support));
-                let base = tree_ref.conditional_base(item);
-                if !base.is_empty() {
-                    let mut suffix = vec![item];
-                    mine_tree(&base, min_groups, &mut suffix, &mut out);
-                }
-            }
-            out
-        });
-        let mut out: Vec<LargeItemset> = parts.into_iter().flatten().collect();
+        // The whole input is the conditional base of the empty suffix; the
+        // final sort + dedup normalises the order.
+        let mut out: Vec<LargeItemset> = Vec::new();
+        mine_tree(&transactions, input.min_groups, &mut Vec::new(), &mut out);
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out.dedup_by(|a, b| a.0 == b.0);
         out

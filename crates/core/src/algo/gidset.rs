@@ -20,13 +20,11 @@
 //! tested against.
 //!
 //! **Determinism.** The choice depends only on the set's cardinality and
-//! the universe size, both of which are worker-count invariant under the
-//! ShardExec contract (contiguous shards merged in shard order), and the
-//! logical content of every intersection is representation independent.
-//! Hence mined inventories are bit-identical to the list-only ones at
-//! every worker count — enforced by `tests/gidset_agreement.rs`.
+//! the universe size, and the logical content of every intersection is
+//! representation independent. Hence mined inventories are bit-identical
+//! to the list-only ones — enforced by `tests/gidset_agreement.rs`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use super::itemset::intersect_into;
 
@@ -88,6 +86,10 @@ impl GidSet {
     }
 }
 
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
+}
+
 /// Append the set bit positions of `words` to `out`, ascending.
 fn push_bits(words: &[u64], out: &mut Vec<u32>) {
     for (wi, &word) in words.iter().enumerate() {
@@ -101,34 +103,32 @@ fn push_bits(words: &[u64], out: &mut Vec<u32>) {
 }
 
 /// Representation-choice and intersection counters, owned by the
-/// executor and drained into `ExecStats` (→ `core.gidset.*` telemetry).
-/// Atomics so shard closures can record without a lock on the data path;
-/// all three are worker-count invariant by the determinism contract.
+/// counting context and drained into `CountingStats` (→ `core.gidset.*`
+/// telemetry).
 #[derive(Debug, Default)]
 pub struct GidSetCounters {
     /// Sets materialised in list form.
-    pub list_picked: AtomicU64,
+    pub list_picked: Cell<u64>,
     /// Sets materialised in bitset form.
-    pub bitset_picked: AtomicU64,
+    pub bitset_picked: Cell<u64>,
     /// Intersections performed (materialising or count-only).
-    pub intersects: AtomicU64,
+    pub intersects: Cell<u64>,
 }
 
 impl GidSetCounters {
     /// Drain `(list_picked, bitset_picked, intersects)`, resetting to 0.
     pub fn drain(&self) -> (u64, u64, u64) {
         (
-            self.list_picked.swap(0, Ordering::Relaxed),
-            self.bitset_picked.swap(0, Ordering::Relaxed),
-            self.intersects.swap(0, Ordering::Relaxed),
+            self.list_picked.take(),
+            self.bitset_picked.take(),
+            self.intersects.take(),
         )
     }
 }
 
 /// Per-run context: the gid universe size (support denominator domain),
 /// whether every set stays a list (the reference representation), and
-/// the counters to record into. `Copy`, so shard closures can capture it
-/// by value.
+/// the counters to record into.
 #[derive(Debug, Clone, Copy)]
 pub struct GidSetCtx<'a> {
     universe: usize,
@@ -144,7 +144,7 @@ enum ScratchKind {
     Words,
 }
 
-/// Reusable intersection buffers: one per shard closure, so the hot loop
+/// Reusable intersection buffers: one per mining loop, so the hot loop
 /// never allocates for candidates that fail the support threshold.
 #[derive(Debug, Default)]
 pub struct GidSetScratch {
@@ -183,7 +183,7 @@ impl<'a> GidSetCtx<'a> {
     /// representation by the density heuristic.
     pub fn build(&self, sorted: Vec<u32>) -> GidSet {
         if self.pick_bitset(sorted.len()) {
-            self.counters.bitset_picked.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.bitset_picked);
             let mut words = vec![0u64; self.words_len()];
             let len = sorted.len() as u32;
             for &g in &sorted {
@@ -191,7 +191,7 @@ impl<'a> GidSetCtx<'a> {
             }
             GidSet::Bits { words, len }
         } else {
-            self.counters.list_picked.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.list_picked);
             GidSet::List(sorted)
         }
     }
@@ -201,7 +201,7 @@ impl<'a> GidSetCtx<'a> {
     /// materialise survivors — candidates below threshold cost no
     /// allocation beyond the reused buffers.
     pub fn intersect_into(&self, a: &GidSet, b: &GidSet, scratch: &mut GidSetScratch) -> u32 {
-        self.counters.intersects.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.intersects);
         match (a, b) {
             (GidSet::List(x), GidSet::List(y)) => {
                 intersect_into(x, y, &mut scratch.list);
@@ -234,13 +234,13 @@ impl<'a> GidSetCtx<'a> {
             ScratchKind::List => self.build(scratch.list.clone()),
             ScratchKind::Words => {
                 if self.pick_bitset(scratch.len as usize) {
-                    self.counters.bitset_picked.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.counters.bitset_picked);
                     GidSet::Bits {
                         words: scratch.words.clone(),
                         len: scratch.len,
                     }
                 } else {
-                    self.counters.list_picked.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.counters.list_picked);
                     let mut out = Vec::with_capacity(scratch.len as usize);
                     push_bits(&scratch.words, &mut out);
                     GidSet::List(out)
@@ -253,7 +253,7 @@ impl<'a> GidSetCtx<'a> {
     /// counting: word-AND + popcount for bitsets, gallop/merge count for
     /// lists, membership probes for mixed pairs).
     pub fn intersect_len(&self, a: &GidSet, b: &GidSet) -> u32 {
-        self.counters.intersects.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.intersects);
         match (a, b) {
             (GidSet::List(x), GidSet::List(y)) => intersect_len_lists(x, y),
             (GidSet::Bits { words: x, .. }, GidSet::Bits { words: y, .. }) => x

@@ -18,9 +18,9 @@
 //!   open to algorithms the architecture's authors never saw).
 
 pub mod apriori;
+pub mod counting;
 pub mod dhp;
 pub mod eclat;
-pub mod executor;
 pub mod fpgrowth;
 pub mod gidset;
 pub mod itemset;
@@ -28,7 +28,7 @@ pub mod partition;
 pub mod sampling;
 pub mod trie;
 
-pub use executor::ShardExec;
+pub use counting::CountingCtx;
 pub use gidset::{GidSet, GidSetCtx, GidSetScratch};
 pub use trie::ItemsetTrie;
 
@@ -82,14 +82,12 @@ pub trait ItemsetMiner {
 
     /// Produce every large itemset (support count ≥ `input.min_groups`)
     /// with its exact group count, running counting passes through the
-    /// given shard executor. The inventory must be *identical* for every
-    /// worker count (see `executor` module docs for the determinism
-    /// rules that make this hold).
-    fn mine_sharded(&self, input: &SimpleInput, exec: &ShardExec) -> Vec<LargeItemset>;
+    /// given counting context (which also records the run's work).
+    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset>;
 
-    /// Sequential entry point: `mine_sharded` on a one-worker executor.
+    /// `mine_with` on a fresh default context.
     fn mine(&self, input: &SimpleInput) -> Vec<LargeItemset> {
-        self.mine_sharded(input, &ShardExec::sequential())
+        self.mine_with(input, &CountingCtx::default())
     }
 }
 
@@ -113,7 +111,6 @@ pub const POOL_NAMES: &[&str] = &[
     "count",
     "dhp",
     "partition",
-    "partition-par",
     "sampling",
     "eclat",
     "fpgrowth",
@@ -126,7 +123,6 @@ pub fn by_name(name: &str) -> Option<Box<dyn ItemsetMiner>> {
         "count" | "apriori-count" => Some(Box::new(apriori::AprioriCount)),
         "dhp" => Some(Box::new(dhp::Dhp::default())),
         "partition" => Some(Box::new(partition::Partition::default())),
-        "partition-par" | "partition-parallel" => Some(Box::new(partition::Partition::parallel())),
         "sampling" => Some(Box::new(sampling::Sampling::default())),
         "eclat" => Some(Box::new(eclat::Eclat)),
         "fpgrowth" | "fp-growth" => Some(Box::new(fpgrowth::FpGrowth)),
@@ -351,5 +347,6 @@ mod tests {
             assert!(by_name(name).is_some(), "{name}");
         }
         assert!(by_name("quantum").is_none());
+        assert!(by_name("partition-par").is_none(), "no parallel variant");
     }
 }

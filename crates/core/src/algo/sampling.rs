@@ -6,8 +6,8 @@
 //! with the others on every input — the sampling is purely a performance
 //! strategy, as the paper's architecture requires.
 
-use super::apriori::mine_gidlist_with_border_exec;
-use super::executor::ShardExec;
+use super::apriori::mine_gidlist_with_border;
+use super::counting::CountingCtx;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
 
 /// Sampling miner parameters. The sample is deterministic (a fixed-stride
@@ -38,7 +38,7 @@ impl ItemsetMiner for Sampling {
         "sampling"
     }
 
-    fn mine_sharded(&self, input: &SimpleInput, exec: &ShardExec) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset> {
         if input.groups.is_empty() {
             return Vec::new();
         }
@@ -53,10 +53,10 @@ impl ItemsetMiner for Sampling {
         let sample_share = take as f64 / n as f64 * input.total_groups as f64;
         let lowered = ((sample_share * fraction * self.threshold_scale).floor() as u32).max(1);
 
-        // The sample pass inherits the caller's gid-set representation;
-        // its gid universe is the sample itself.
-        let inner = ShardExec::sequential().with_list_gidsets(exec.list_gidsets());
-        let (sample_large, mut border) = mine_gidlist_with_border_exec(&sample, lowered, &inner);
+        // The sample pass inherits the caller's gid-set representation but
+        // counts into its own context; its gid universe is the sample.
+        let inner = CountingCtx::new(ctx.list_gidsets());
+        let (sample_large, mut border) = mine_gidlist_with_border(&sample, lowered, &inner);
 
         // The negative border must cover the whole item universe: items
         // that never appeared in the sample are minimal non-members too.
@@ -72,12 +72,11 @@ impl ItemsetMiner for Sampling {
         unseen.dedup();
         border.extend(unseen.into_iter().map(|i| vec![i]));
 
-        // Verify sample candidates AND the negative border on full data —
-        // the verification scan is the full-data pass, so it runs sharded.
+        // Verify sample candidates AND the negative border on full data.
         let mut candidates: Vec<Vec<u32>> = sample_large.into_iter().map(|(s, _)| s).collect();
         let border_start = candidates.len();
         candidates.extend(border);
-        let counted = exec.count_candidates(&input.groups, candidates);
+        let counted = ctx.count_candidates(&input.groups, candidates);
 
         // If anything in the negative border is actually large, the sample
         // may have missed supersets: fall back to an exact full run.
@@ -85,7 +84,7 @@ impl ItemsetMiner for Sampling {
             .iter()
             .any(|(_, c)| *c >= input.min_groups);
         if border_failed {
-            let (large, _) = mine_gidlist_with_border_exec(&input.groups, input.min_groups, exec);
+            let (large, _) = mine_gidlist_with_border(&input.groups, input.min_groups, ctx);
             return large;
         }
         counted

@@ -12,15 +12,12 @@
 //! paths from the root, children are sorted `(item, node)` pairs probed
 //! by binary search, and "subset with one element skipped" is just a walk
 //! that skips one edge. Nodes live in a flat arena (`Vec`), so the whole
-//! structure is two allocations' worth of cache-friendly storage and can
-//! be shared immutably across shard closures.
+//! structure is two allocations' worth of cache-friendly storage.
 //!
-//! Lookup counts are recorded in a relaxed atomic so concurrent shards
-//! can probe without locking; the count is worker-count invariant because
-//! the set of probes (and each probe's early exit) depends only on the
-//! candidate, never on the sharding.
+//! Lookups are counted behind a shared reference, so probing needs no
+//! `&mut`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 #[derive(Debug, Default)]
 struct TrieNode {
@@ -34,7 +31,7 @@ struct TrieNode {
 #[derive(Debug, Default)]
 pub struct ItemsetTrie {
     nodes: Vec<TrieNode>,
-    lookups: AtomicU64,
+    lookups: Cell<u64>,
 }
 
 impl ItemsetTrie {
@@ -42,7 +39,7 @@ impl ItemsetTrie {
     pub fn new() -> ItemsetTrie {
         ItemsetTrie {
             nodes: vec![TrieNode::default()],
-            lookups: AtomicU64::new(0),
+            lookups: Cell::new(0),
         }
     }
 
@@ -87,7 +84,7 @@ impl ItemsetTrie {
 
     /// The stored count for `set`, if it was inserted.
     pub fn get(&self, set: &[u32]) -> Option<u32> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.lookups.set(self.lookups.get() + 1);
         let mut node = 0u32;
         for &item in set {
             node = self.descend(node, item)?;
@@ -104,7 +101,7 @@ impl ItemsetTrie {
     /// `skip ⊆ set`. This is the rule-extraction body lookup: the body is
     /// never materialised, the walk just skips the head's edges.
     pub fn get_excluding(&self, set: &[u32], skip: &[u32]) -> Option<u32> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.lookups.set(self.lookups.get() + 1);
         let mut node = 0u32;
         let mut k = 0usize;
         for &item in set {
@@ -122,7 +119,7 @@ impl ItemsetTrie {
     /// materialised.
     pub fn contains_all_immediate_subsets(&self, cand: &[u32]) -> bool {
         for skip in 0..cand.len() {
-            self.lookups.fetch_add(1, Ordering::Relaxed);
+            self.lookups.set(self.lookups.get() + 1);
             let mut node = 0u32;
             let mut present = true;
             for (i, &item) in cand.iter().enumerate() {
@@ -151,7 +148,7 @@ impl ItemsetTrie {
 
     /// Drain the lookup counter (→ `core.trie.lookups` telemetry).
     pub fn take_lookups(&self) -> u64 {
-        self.lookups.swap(0, Ordering::Relaxed)
+        self.lookups.take()
     }
 }
 

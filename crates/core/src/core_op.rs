@@ -5,16 +5,14 @@
 //! real schemas and values, which is what lets the architecture swap
 //! algorithms freely ("algorithm interoperability"). Simple statements
 //! run one pool member (selected by [`CoreOptions::algorithm`]) through
-//! the sharded executor ([`crate::algo::ShardExec`]): the encoded group
-//! list is split into contiguous shards, one worker thread per shard,
-//! and per-shard results are merged in shard order — so any
-//! [`CoreOptions::workers`] value yields a bit-identical rule set.
+//! one counting context ([`crate::algo::CountingCtx`]) on the calling
+//! thread; general statements run the m×n rule lattice.
 //!
 //! # Example
 //!
 //! Driving the whole pipeline (this module is the third box) through
-//! [`MineRuleEngine`](crate::MineRuleEngine) — same rules at one worker
-//! and four:
+//! [`MineRuleEngine`](crate::MineRuleEngine) — every member of the pool
+//! mines the same rules:
 //!
 //! ```
 //! use minerule::MineRuleEngine;
@@ -33,23 +31,21 @@
 //!      (1,'bread'), (1,'butter'), (2,'bread'), (2,'butter'), (3,'jam')",
 //! )?;
 //!
-//! let sequential = MineRuleEngine::new().execute(&mut db, statement)?;
-//! let parallel = MineRuleEngine::new()
-//!     .with_workers(4)
+//! let apriori = MineRuleEngine::new().execute(&mut db, statement)?;
+//! let eclat = MineRuleEngine::new()
+//!     .with_algorithm("eclat")
 //!     .execute(&mut db, statement)?;
 //!
-//! assert!(!sequential.rules.is_empty());
-//! assert_eq!(sequential.rules, parallel.rules, "determinism contract");
+//! assert!(!apriori.rules.is_empty());
+//! assert_eq!(apriori.rules, eclat.rules, "algorithm interoperability");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::time::Duration;
-
-use crate::algo::{self, EncodedRule, LargeItemset, ShardExec, SimpleInput};
+use crate::algo::{self, CountingCtx, EncodedRule, LargeItemset, SimpleInput};
 use crate::encoded::{EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
 use crate::lattice::elementary::{build_contexts, BuildOptions};
-use crate::lattice::{mine_general_with_stats, ExpansionOrder, GeneralParams, LatticeStats};
+use crate::lattice::{mine_general_with_stats, GeneralParams, LatticeStats};
 use crate::telemetry::Telemetry;
 
 /// Options steering the core operator (the "directives" of Figure 3a that
@@ -58,24 +54,16 @@ use crate::telemetry::Telemetry;
 pub struct CoreOptions {
     /// Which member of the algorithm pool handles simple statements.
     pub algorithm: String,
-    /// Lattice expansion order for general statements.
-    pub order: ExpansionOrder,
     /// Run even simple statements through the general lattice (used by the
     /// E6 overhead experiment).
     pub force_general: bool,
-    /// Worker threads for the sharded mining executor (simple path).
-    /// `1` keeps everything on the calling thread; any value produces the
-    /// same rule inventory (the executor's determinism contract).
-    pub workers: usize,
 }
 
 impl Default for CoreOptions {
     fn default() -> Self {
         CoreOptions {
             algorithm: "apriori".into(),
-            order: ExpansionOrder::MinParent,
             force_general: false,
-            workers: 1,
         }
     }
 }
@@ -88,9 +76,6 @@ pub struct CoreOutput {
     pub used_general: bool,
     /// Lattice statistics (general path only).
     pub lattice_stats: Option<LatticeStats>,
-    /// Wall-clock per shard of the mining executor (simple path only;
-    /// one entry per shard of each sharded pass, in pass order).
-    pub shard_timings: Vec<Duration>,
     /// The large-itemset inventory the rules were derived from (simple
     /// path only; `None` on the general lattice). The session artifact
     /// store captures this so tightened-threshold reruns can filter it
@@ -103,9 +88,9 @@ pub fn run_core(input: &EncodedInput, opts: &CoreOptions) -> Result<CoreOutput> 
     run_core_with_telemetry(input, opts, &Telemetry::disabled())
 }
 
-/// Run the core operator, publishing `core.*` metrics (work counters,
-/// per-level candidate generation/pruning, per-shard timings and merge
-/// time) to the given telemetry registry. Telemetry never changes the
+/// Run the core operator, publishing `core.*` metrics (work counters and
+/// per-level candidate generation/pruning) to the given telemetry
+/// registry. Telemetry never changes the
 /// mined rules — a disabled handle yields a bit-identical [`CoreOutput`].
 pub fn run_core_with_telemetry(
     input: &EncodedInput,
@@ -125,13 +110,6 @@ pub(crate) fn run_core_on(
     telemetry: &Telemetry,
     reference_paths: bool,
 ) -> Result<CoreOutput> {
-    if opts.workers == 0 {
-        return Err(MineError::InvalidKnob {
-            knob: "workers",
-            value: "0".into(),
-            domain: "at least 1",
-        });
-    }
     match &input.data {
         EncodedData::Simple { groups } if !opts.force_general => {
             telemetry.counter_inc("core.path.simple");
@@ -142,8 +120,8 @@ pub(crate) fn run_core_on(
                 })?;
             let simple =
                 SimpleInput::from_groups(groups.clone(), input.total_groups, input.min_groups);
-            let exec = ShardExec::new(opts.workers).with_list_gidsets(reference_paths);
-            let large = miner.mine_sharded(&simple, &exec);
+            let counting = CountingCtx::new(reference_paths);
+            let large = miner.mine_with(&simple, &counting);
             telemetry.counter_add("core.itemsets.large", large.len() as u64);
             let (mut rules, rule_stats) = algo::rules_from_itemsets_counted(
                 &large,
@@ -158,13 +136,11 @@ pub(crate) fn run_core_on(
             telemetry.counter_add("core.rules.emitted", rules.len() as u64);
             telemetry.counter_add("core.trie.nodes", rule_stats.trie_nodes);
             telemetry.counter_add("core.trie.lookups", rule_stats.trie_lookups);
-            let shard_timings = exec.take_shard_timings();
-            publish_exec_stats(telemetry, &exec, &shard_timings);
+            publish_counting_stats(telemetry, &counting);
             Ok(CoreOutput {
                 rules,
                 used_general: false,
                 lattice_stats: None,
-                shard_timings,
                 large_itemsets: Some(large),
             })
         }
@@ -182,7 +158,7 @@ pub(crate) fn run_core_on(
                     })
                 })
                 .collect();
-            run_general(input, &tuples, None, None, opts, telemetry)
+            run_general(input, &tuples, None, None, telemetry)
         }
         EncodedData::General {
             tuples,
@@ -193,31 +169,24 @@ pub(crate) fn run_core_on(
             tuples,
             cluster_couples.as_deref(),
             input_rules.as_deref(),
-            opts,
             telemetry,
         ),
     }
 }
 
-/// Publish a simple-path run's executor accounting as `core.*` metrics.
-fn publish_exec_stats(telemetry: &Telemetry, exec: &ShardExec, shard_timings: &[Duration]) {
+/// Publish a simple-path run's counting accounting as `core.*` metrics.
+fn publish_counting_stats(telemetry: &Telemetry, counting: &CountingCtx) {
     if !telemetry.is_enabled() {
         return;
     }
-    let stats = exec.take_stats();
-    telemetry.counter_add("core.shards.run", stats.shards_run);
+    let stats = counting.take_stats();
     telemetry.counter_add("core.groups.scanned", stats.groups_scanned);
     telemetry.counter_add("core.candidates.counted", stats.candidates_counted);
-    telemetry.counter_add("core.merge.passes", stats.merge_passes);
     telemetry.counter_add("core.gidset.list.picked", stats.gidset_list_picked);
     telemetry.counter_add("core.gidset.bitset.picked", stats.gidset_bitset_picked);
     telemetry.counter_add("core.gidset.intersects", stats.gidset_intersects);
     telemetry.counter_add("core.trie.nodes", stats.trie_nodes);
     telemetry.counter_add("core.trie.lookups", stats.trie_lookups);
-    telemetry.record_duration("core.merge", stats.merge_time);
-    for d in shard_timings {
-        telemetry.record_duration("core.shard", *d);
-    }
     for (k, level) in &stats.levels {
         telemetry.counter_add(&format!("core.level.{k}.generated"), level.generated);
         telemetry.counter_add(&format!("core.level.{k}.pruned"), level.pruned);
@@ -229,7 +198,6 @@ fn run_general(
     tuples: &[GeneralTuple],
     couples: Option<&[(u32, u32, u32)]>,
     elementary: Option<&[crate::encoded::ElemRule]>,
-    opts: &CoreOptions,
     telemetry: &Telemetry,
 ) -> Result<CoreOutput> {
     telemetry.counter_inc("core.path.general");
@@ -256,7 +224,6 @@ fn run_general(
             min_confidence: input.min_confidence,
             body_card: input.body_card,
             head_card: input.head_card,
-            order: opts.order,
         },
     )?;
     span.stop();
@@ -276,7 +243,6 @@ fn run_general(
         rules,
         used_general: true,
         lattice_stats: Some(stats),
-        shard_timings: Vec::new(),
         large_itemsets: None,
     })
 }
@@ -379,32 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_is_a_user_facing_error() {
-        let input = simple_input(vec![(1, vec![1])], CardSpec::one_to_one());
-        let err = run_core(
-            &input,
-            &CoreOptions {
-                workers: 0,
-                ..CoreOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            MineError::InvalidKnob {
-                knob: "workers",
-                ..
-            }
-        ));
-        let message = err.to_string();
-        assert!(message.contains("'0'"), "names the offender: {message}");
-        assert!(
-            message.contains("at least 1"),
-            "states the domain: {message}"
-        );
-    }
-
-    #[test]
     fn telemetry_records_core_metrics_without_changing_rules() {
         let groups = vec![
             (1, vec![1, 2, 3]),
@@ -425,8 +365,7 @@ mod tests {
             instrumented.rules.len() as u64
         );
         assert!(snap.counter("core.level.1.generated") > 0, "L1 reported");
-        assert!(snap.histogram("core.shard").is_some(), "shard timings");
-        assert!(snap.histogram("core.merge").is_some(), "merge time");
+        assert_eq!(snap.counter("core.groups.scanned"), 4, "one gid-list scan");
     }
 
     #[test]
@@ -453,31 +392,6 @@ mod tests {
                     "{algorithm} lists={reference_paths}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn worker_counts_agree_on_rules() {
-        let groups = vec![
-            (1, vec![1, 2, 3]),
-            (2, vec![1, 2]),
-            (3, vec![2, 3]),
-            (4, vec![1, 3]),
-            (5, vec![1, 2, 3]),
-        ];
-        let input = simple_input(groups, CardSpec::one_to_n());
-        let baseline = run_core(&input, &CoreOptions::default()).unwrap();
-        assert!(!baseline.shard_timings.is_empty());
-        for workers in [2, 4, 7] {
-            let out = run_core(
-                &input,
-                &CoreOptions {
-                    workers,
-                    ..CoreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(out.rules, baseline.rules, "workers={workers}");
         }
     }
 }

@@ -4,9 +4,8 @@
 //! The lattice has the elementary 1×1 set at the top; the left child of a
 //! set m×n holds rules (m+1)×n (one more body item), the right child holds
 //! m×(n+1). A set with m,n > 1 is reachable from two parents; following
-//! the paper, efficiency is maximised by expanding from the parent with
-//! the lower rule count ([`ExpansionOrder::MinParent`]); the fixed order
-//! is kept as an ablation baseline.
+//! the paper, it is expanded from the parent with the lower rule count
+//! (ties go to the body parent).
 //!
 //! A child rule joins two parent rules and is supported by the contexts
 //! both occur in. Each joined candidate intersects its parents' context
@@ -25,15 +24,6 @@ use crate::ast::CardSpec;
 use crate::error::{MineError, Result};
 use elementary::Contexts;
 
-/// Which parent a doubly-reachable rule set is generated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExpansionOrder {
-    /// Expand from the parent set with fewer rules (the paper's choice).
-    MinParent,
-    /// Always expand the body dimension first (ablation baseline).
-    BodyFirst,
-}
-
 /// Parameters of a general mining run.
 #[derive(Debug, Clone, Copy)]
 pub struct GeneralParams {
@@ -42,10 +32,9 @@ pub struct GeneralParams {
     pub min_confidence: f64,
     pub body_card: CardSpec,
     pub head_card: CardSpec,
-    pub order: ExpansionOrder,
 }
 
-/// Statistics of a lattice run (exposed for the E5 ablation bench).
+/// Statistics of a lattice run (exposed for the E5 bench).
 #[derive(Debug, Clone, Default)]
 pub struct LatticeStats {
     /// Joined candidate rules whose context lists were intersected.
@@ -126,7 +115,7 @@ pub fn mine_general_with_stats(
                 (Some((k, _)), None) => (k, true),
                 (None, Some((k, _))) => (k, false),
                 (Some((bk, bl)), Some((hk, hl))) => {
-                    if params.order == ExpansionOrder::BodyFirst || bl <= hl {
+                    if bl <= hl {
                         (bk, true)
                     } else {
                         (hk, false)
@@ -327,7 +316,7 @@ pub(crate) mod oracle {
 
     use std::collections::HashMap;
 
-    use super::{ExpansionOrder, GeneralParams};
+    use super::GeneralParams;
     use crate::algo::itemset::{apriori_join, intersect, Itemset};
     use crate::algo::EncodedRule;
     use crate::error::{MineError, Result};
@@ -381,16 +370,13 @@ pub(crate) mod oracle {
                     (None, None) => continue,
                     (Some((k, _)), None) => (k, true),
                     (None, Some((k, _))) => (k, false),
-                    (Some((bk, bl)), Some((hk, hl))) => match params.order {
-                        ExpansionOrder::BodyFirst => (bk, true),
-                        ExpansionOrder::MinParent => {
-                            if bl <= hl {
-                                (bk, true)
-                            } else {
-                                (hk, false)
-                            }
+                    (Some((bk, bl)), Some((hk, hl))) => {
+                        if bl <= hl {
+                            (bk, true)
+                        } else {
+                            (hk, false)
                         }
-                    },
+                    }
                 };
                 let (parent_key, expand_body) = chosen;
                 let parent = &sets[&parent_key];
@@ -541,7 +527,6 @@ mod tests {
             min_confidence: min_conf,
             body_card: CardSpec::one_to_n(),
             head_card: CardSpec::one_to_n(),
-            order: ExpansionOrder::MinParent,
         }
     }
 
@@ -727,8 +712,7 @@ mod tests {
                 assert_eq!(built, Some(groups), "case {case}: body item {item}");
             }
 
-            // Bit-identical rules and the same joined candidates under
-            // both expansion orders, and across them.
+            // Bit-identical rules and the same joined candidates.
             let total_groups = oracle
                 .ctx_gid
                 .iter()
@@ -739,40 +723,25 @@ mod tests {
                 min: 1,
                 max: crate::ast::CardMax::Fixed(2),
             };
-            let mut mined = Vec::new();
-            for order in [ExpansionOrder::MinParent, ExpansionOrder::BodyFirst] {
-                let params = GeneralParams {
-                    total_groups,
-                    min_groups: opts.min_groups,
-                    min_confidence: rng.gen_f64() * 0.6,
-                    body_card: CardSpec::one_to_n(),
-                    head_card: if rng.gen_f64() < 0.5 {
-                        head_card
-                    } else {
-                        CardSpec::one_to_n()
-                    },
-                    order,
-                };
-                let (rules, stats) = mine_general_with_stats(&built, &params).unwrap();
-                let (expected, oracle_stats) =
-                    super::oracle::mine_general(&oracle, &params).unwrap();
-                assert!(same_rules(&rules, &expected), "case {case} {order:?}");
-                assert_eq!(
-                    stats.candidates_evaluated,
-                    oracle_stats.candidates_evaluated
-                );
-                let params = GeneralParams {
-                    min_confidence: 0.0,
-                    head_card: CardSpec::one_to_n(),
-                    ..params
-                };
-                mined.push(mine_general(&built, &params).unwrap());
-                rules_seen += rules.len();
-            }
-            assert!(
-                same_rules(&mined[0], &mined[1]),
-                "case {case}: orders differ"
+            let params = GeneralParams {
+                total_groups,
+                min_groups: opts.min_groups,
+                min_confidence: rng.gen_f64() * 0.6,
+                body_card: CardSpec::one_to_n(),
+                head_card: if rng.gen_f64() < 0.5 {
+                    head_card
+                } else {
+                    CardSpec::one_to_n()
+                },
+            };
+            let (rules, stats) = mine_general_with_stats(&built, &params).unwrap();
+            let (expected, oracle_stats) = super::oracle::mine_general(&oracle, &params).unwrap();
+            assert!(same_rules(&rules, &expected), "case {case}");
+            assert_eq!(
+                stats.candidates_evaluated,
+                oracle_stats.candidates_evaluated
             );
+            rules_seen += rules.len();
         }
         assert!(rules_seen > 2_000, "the cases mined {rules_seen} rules");
     }
@@ -855,31 +824,6 @@ mod tests {
         let s_1_3 = find(&[1], &[3]).unwrap();
         let s_2_3 = find(&[2], &[3]).unwrap();
         assert!(s_12_3 <= s_1_3 && s_12_3 <= s_2_3);
-    }
-
-    #[test]
-    fn expansion_orders_agree() {
-        let groups: Vec<Vec<u32>> = vec![
-            vec![1, 2, 3, 4],
-            vec![1, 2, 3],
-            vec![2, 3, 4],
-            vec![1, 3, 4],
-            vec![1, 2, 4],
-        ];
-        let refs: Vec<&[u32]> = groups.iter().map(|g| g.as_slice()).collect();
-        let contexts = basket_contexts(&refs, 2);
-        let mut a = mine_general(&contexts, &params(2, 0.01, 5)).unwrap();
-        let mut b = mine_general(
-            &contexts,
-            &GeneralParams {
-                order: ExpansionOrder::BodyFirst,
-                ..params(2, 0.01, 5)
-            },
-        )
-        .unwrap();
-        crate::algo::sort_rules(&mut a);
-        crate::algo::sort_rules(&mut b);
-        assert_eq!(a, b, "expansion order must not change the result");
     }
 
     #[test]

@@ -36,23 +36,12 @@ pub struct PhaseTimings {
     pub preprocess: Duration,
     pub core: Duration,
     pub postprocess: Duration,
-    /// Per-shard wall-clock of the core's mining executor (simple path
-    /// with `workers > 0`; empty on the general path). One entry per
-    /// shard of each sharded pass, in pass order.
-    pub core_shards: Vec<Duration>,
 }
 
 impl PhaseTimings {
     /// Total time across phases.
     pub fn total(&self) -> Duration {
         self.translate + self.preprocess + self.core + self.postprocess
-    }
-
-    /// Busy time summed across executor shards — compares against
-    /// [`PhaseTimings::core`] to show the parallel win (core wall-clock
-    /// below summed shard time means shards overlapped).
-    pub fn core_shard_busy(&self) -> Duration {
-        self.core_shards.iter().sum()
     }
 }
 
@@ -74,7 +63,7 @@ pub struct MiningOutcome {
 /// The mining engine: core-operator options plus encoded-table naming.
 #[derive(Debug, Clone)]
 pub struct MineRuleEngine {
-    /// Core-operator configuration (algorithm choice, lattice order).
+    /// Core-operator configuration (algorithm choice, forced general path).
     pub core: CoreOptions,
     /// Prefix for the encoded tables (lets several statements share one
     /// catalog, and enables preprocessing reuse).
@@ -119,15 +108,6 @@ impl MineRuleEngine {
     /// Use a table prefix for all encoded tables.
     pub fn with_prefix(mut self, prefix: &str) -> MineRuleEngine {
         self.table_prefix = prefix.to_string();
-        self
-    }
-
-    /// Run the core operator's mining executor with `workers` threads.
-    /// The mined rule set is identical for every valid value; only
-    /// wall-clock changes. A count of 0 is rejected when the statement
-    /// runs ([`crate::MineError::InvalidKnob`]).
-    pub fn with_workers(mut self, workers: usize) -> MineRuleEngine {
-        self.core.workers = workers;
         self
     }
 
@@ -209,8 +189,7 @@ impl MineRuleEngine {
         self.record_preprocess(&preprocessed.report);
 
         let span = self.telemetry.span("phase.core");
-        let (rules, used_general, shard_timings) =
-            self.run_core(db, &translation, &preprocessed)?;
+        let (rules, used_general) = self.run_core(db, &translation, &preprocessed)?;
         let core_time = span.stop();
 
         let span = self.telemetry.span("phase.postprocess");
@@ -239,7 +218,6 @@ impl MineRuleEngine {
                 preprocess: preprocess_time,
                 core: core_time,
                 postprocess: postprocess_time,
-                core_shards: shard_timings,
             },
         })
     }
@@ -346,9 +324,7 @@ impl MineRuleEngine {
     /// Publish the SQL server's execution-counter deltas for one run
     /// (`relational.*` metrics). Zero deltas are skipped so reference-path
     /// runs don't mint empty `relational.compile.*` counters and
-    /// memory-backend runs don't mint `relational.storage.*` ones; every
-    /// published value is independent of the core's worker count because
-    /// the relational layer runs single-threaded.
+    /// memory-backend runs don't mint `relational.storage.*` ones.
     fn record_relational(&self, before: ExecStats, after: ExecStats) {
         if !self.telemetry.is_enabled() {
             return;
@@ -361,9 +337,8 @@ impl MineRuleEngine {
         }
     }
 
-    /// Run the core phase through the artifact store: the encoded rules,
-    /// whether the general path produced them, and the executor's
-    /// per-shard timings. A serve replaces the whole phase: no itemset
+    /// Run the core phase through the artifact store: the encoded rules
+    /// and whether the general path produced them. A serve replaces the whole phase: no itemset
     /// mining, no `core.level.*` activity — the kept inventory filtered
     /// at the current thresholds yields rules bit-identical to a cold
     /// mine; a miss mines and captures the inventory for the next run.
@@ -376,7 +351,7 @@ impl MineRuleEngine {
         db: &mut Database,
         translation: &Translation,
         preprocessed: &Preprocessed,
-    ) -> Result<(Vec<EncodedRule>, bool, Vec<Duration>)> {
+    ) -> Result<(Vec<EncodedRule>, bool)> {
         let preprocess_report = &preprocessed.report;
         let serve =
             self.artifacts
@@ -389,7 +364,7 @@ impl MineRuleEngine {
                     ServeKind::Refine => self.telemetry.counter_inc("core.minecache.refine"),
                     ServeKind::Delta => self.telemetry.counter_inc("core.minecache.delta"),
                 }
-                (serve.rules, false, Vec::new())
+                (serve.rules, false)
             }
             None => {
                 if self.artifacts.is_enabled() {
@@ -410,7 +385,6 @@ impl MineRuleEngine {
                 let CoreOutput {
                     rules,
                     used_general,
-                    shard_timings,
                     large_itemsets,
                     ..
                 } = run_core_on(&encoded, &self.core, &self.telemetry, db.reference_paths())?;
@@ -428,7 +402,7 @@ impl MineRuleEngine {
                     self.telemetry
                         .counter_add("core.minecache.capture.source_rows", stored.source_rows);
                 }
-                (rules, used_general, shard_timings)
+                (rules, used_general)
             }
         })
     }

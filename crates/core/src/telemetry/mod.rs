@@ -5,7 +5,7 @@
 //! Every phase of the mining pipeline reports through one
 //! [`Telemetry`] handle: the translator counts statements per directive
 //! class, the preprocessor counts rows per `Qi` step, the core operator
-//! counts candidates generated/pruned per level and per-shard work, and
+//! counts candidates generated/pruned per level and its scan work, and
 //! the postprocessor counts stored/decoded rules. Metric names follow
 //! the `phase.subphase` convention documented in
 //! `docs/OBSERVABILITY.md`.
@@ -115,8 +115,8 @@ impl Telemetry {
         });
     }
 
-    /// Fold a pre-aggregated histogram into a named histogram (used to
-    /// publish per-shard timings collected off-registry).
+    /// Fold a pre-aggregated histogram into a named histogram (for
+    /// timings collected off-registry).
     pub fn merge_histogram(&self, name: &str, h: &Histogram) {
         if h.count() == 0 {
             return;

@@ -2,8 +2,8 @@
 //!
 //! The tightly-coupled architecture's central contract is that every
 //! configuration computes the *same* relation of rules: production or
-//! reference paths through every layer, any worker count, either cache
-//! on or off, memory or paged storage. The per-feature agreement suites
+//! reference paths through every layer, either cache on or off, memory
+//! or paged storage. The per-feature agreement suites
 //! each vary one axis while pinning the rest; this crate varies **all
 //! of them at once**:
 //!
@@ -14,8 +14,7 @@
 //! * [`matrix`] executes each generated case across the configuration
 //!   cross-product, asserting bit-identical results against a pinned
 //!   baseline configuration and (on small cases) against the brute-force
-//!   [`minerule::reference`] oracle, with telemetry-invariance checks
-//!   piggybacked on the same runs;
+//!   [`minerule::reference`] oracle;
 //! * [`shrink`] minimises a failing case by deleting rows, statements
 //!   and clauses while the divergence still reproduces;
 //! * [`repro`] serialises cases to self-contained repro files that the

@@ -126,7 +126,7 @@ fn shrink_divergence(case: &FuzzCase, div: &Divergence, opts: &MatrixOptions) ->
                 |c: &FuzzCase| diverges_from_reference(c, &opts.work_dir, "shrink").is_some();
             shrink(case, &mut oracle)
         }
-        DivergenceKind::Matrix | DivergenceKind::Telemetry => {
+        DivergenceKind::Matrix => {
             let a = config_by_label(opts.matrix, &div.against).unwrap_or_else(Config::baseline);
             let Some(b) = config_by_label(opts.matrix, &div.config) else {
                 return case.clone();

@@ -7,9 +7,7 @@
 //! signature for a `MINE RULE`, affected-row counts for DML, or the
 //! error text — and any difference from the baseline configuration is a
 //! [`Divergence`]. Small cases are additionally checked against the
-//! brute-force [`minerule::reference`] oracle, and telemetry counters
-//! are asserted worker-count-invariant across configurations that differ
-//! only in `workers`.
+//! brute-force [`minerule::reference`] oracle.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -19,10 +17,6 @@ use minerule::{parse_mine_rule, DecodedRule, MineRuleEngine};
 use relational::{Database, StorageBackend};
 
 use crate::{FuzzCase, Op};
-
-/// The only counter legitimately dependent on the worker count (the
-/// executor reports how many shards it ran).
-const WORKER_DEPENDENT_COUNTER: &str = "core.shards.run";
 
 // ---------------------------------------------------------------------
 // Configurations
@@ -35,7 +29,6 @@ pub struct Config {
     /// ([`Database::set_reference_paths`]) instead of the production
     /// selection.
     pub reference: bool,
-    pub workers: usize,
     /// The engine's session artifact store (`MineRuleEngine::with_cache`).
     pub cache: bool,
     pub storage: StorageBackend,
@@ -53,11 +46,10 @@ impl Config {
     /// The pinned comparison baseline: the least clever point of the
     /// matrix — reference paths (interpreted expressions, row-at-a-time
     /// flow, written-order join fold, scans, list gid-sets, unfused
-    /// preprocessing), one worker, cache off, memory storage.
+    /// preprocessing), cache off, memory storage.
     pub fn baseline() -> Config {
         Config {
             reference: true,
-            workers: 1,
             cache: false,
             storage: StorageBackend::Memory,
         }
@@ -65,13 +57,6 @@ impl Config {
 
     /// Human-readable knob listing, also used in repro headers.
     pub fn label(&self) -> String {
-        format!("workers={} {}", self.workers, self.worker_group_key())
-    }
-
-    /// The label with the `workers` axis stripped: configurations that
-    /// share this key must publish identical telemetry counters (modulo
-    /// `core.shards.run`).
-    fn worker_group_key(&self) -> String {
         format!(
             "reference={} cache={} storage={}",
             on_off(self.reference),
@@ -89,11 +74,11 @@ impl Config {
 /// Which slice of the cross-product a run covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Matrix {
-    /// One configuration per axis value plus a kitchen-sink mix
-    /// (7 configurations) — the per-`cargo test` corpus budget.
+    /// One configuration per axis value plus production mixes
+    /// (6 configurations) — the per-`cargo test` corpus budget.
     Quick,
-    /// The full cross-product: 2 × 3 × 2 × 2 = 24 configurations —
-    /// the fuzzing budget.
+    /// The full cross-product: 2 × 2 × 2 = 8 configurations — the
+    /// fuzzing budget.
     Full,
 }
 
@@ -118,7 +103,6 @@ impl Matrix {
             Matrix::Quick => vec![
                 base,
                 production,
-                Config { workers: 4, ..base },
                 Config {
                     cache: true,
                     ..base
@@ -128,12 +112,10 @@ impl Matrix {
                     ..base
                 },
                 Config {
-                    workers: 2,
                     cache: true,
                     ..production
                 },
                 Config {
-                    workers: 4,
                     cache: true,
                     storage: StorageBackend::Paged,
                     ..production
@@ -142,18 +124,15 @@ impl Matrix {
             Matrix::Full => {
                 let mut out = vec![base];
                 for reference in [true, false] {
-                    for workers in [1usize, 2, 4] {
-                        for cache in [false, true] {
-                            for storage in [StorageBackend::Memory, StorageBackend::Paged] {
-                                let c = Config {
-                                    reference,
-                                    workers,
-                                    cache,
-                                    storage,
-                                };
-                                if c != base {
-                                    out.push(c);
-                                }
+                    for cache in [false, true] {
+                        for storage in [StorageBackend::Memory, StorageBackend::Paged] {
+                            let c = Config {
+                                reference,
+                                cache,
+                                storage,
+                            };
+                            if c != base {
+                                out.push(c);
                             }
                         }
                     }
@@ -247,8 +226,6 @@ pub enum DivergenceKind {
     Matrix,
     /// The pipeline disagreed with the brute-force reference oracle.
     Reference,
-    /// Telemetry counters were not worker-count-invariant.
-    Telemetry,
 }
 
 impl DivergenceKind {
@@ -256,7 +233,6 @@ impl DivergenceKind {
         match self {
             DivergenceKind::Matrix => "matrix",
             DivergenceKind::Reference => "reference",
-            DivergenceKind::Telemetry => "telemetry",
         }
     }
 }
@@ -267,8 +243,8 @@ pub struct Divergence {
     pub kind: DivergenceKind,
     /// Label of the configuration that disagreed.
     pub config: String,
-    /// What it was compared against (baseline label, `reference`, or the
-    /// worker-group partner).
+    /// What it was compared against (a configuration label or
+    /// `reference`).
     pub against: String,
     /// Index into `case.ops` (`None` = the setup script diverged).
     pub op: Option<usize>,
@@ -305,8 +281,6 @@ struct ConfigRun {
     /// Rendered outcome per slot: index 0 is the setup script, then one
     /// slot per `case.ops` entry.
     outcomes: Vec<String>,
-    /// Telemetry counters accumulated over the whole run.
-    counters: BTreeMap<String, u64>,
     /// Decoded rules per op index, for mine ops that succeeded.
     rules: BTreeMap<usize, Vec<DecodedRule>>,
 }
@@ -342,7 +316,6 @@ fn run_config(
 ) -> ConfigRun {
     let mut run = ConfigRun {
         outcomes: Vec::with_capacity(case.ops.len() + 1),
-        counters: BTreeMap::new(),
         rules: BTreeMap::new(),
     };
 
@@ -360,9 +333,7 @@ fn run_config(
         scratch = Some(dir);
     }
 
-    let engine = MineRuleEngine::new()
-        .with_workers(config.workers)
-        .with_cache(config.cache);
+    let engine = MineRuleEngine::new().with_cache(config.cache);
 
     // Setup script: outcome slot 0.
     let mut setup = String::from("ok");
@@ -413,7 +384,6 @@ fn run_config(
         run.outcomes.push(outcome);
     }
 
-    run.counters = engine.metrics_snapshot().counters;
     if let Some(dir) = scratch {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -446,34 +416,6 @@ fn first_outcome_divergence(
                 statement,
                 expected: expected.clone(),
                 actual: actual.clone(),
-            });
-        }
-    }
-    None
-}
-
-fn counter_divergence(
-    a_label: &str,
-    a: &BTreeMap<String, u64>,
-    b_label: &str,
-    b: &BTreeMap<String, u64>,
-) -> Option<Divergence> {
-    let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-    for key in keys {
-        if key.as_str() == WORKER_DEPENDENT_COUNTER {
-            continue;
-        }
-        let va = a.get(key).copied().unwrap_or(0);
-        let vb = b.get(key).copied().unwrap_or(0);
-        if va != vb {
-            return Some(Divergence {
-                kind: DivergenceKind::Telemetry,
-                config: b_label.to_string(),
-                against: a_label.to_string(),
-                op: None,
-                statement: format!("counter {key}"),
-                expected: va.to_string(),
-                actual: vb.to_string(),
             });
         }
     }
@@ -571,31 +513,11 @@ pub fn run_case(
     let base_label = configs[0].label();
     let base = run_config(case, &configs[0], opts.skew, &opts.work_dir, tag);
 
-    // Worker-invariance groups: label-without-workers → first run seen.
-    let mut groups: BTreeMap<String, (String, BTreeMap<String, u64>)> = BTreeMap::new();
-    groups.insert(
-        configs[0].worker_group_key(),
-        (base_label.clone(), base.counters.clone()),
-    );
-
     for config in &configs[1..] {
         let label = config.label();
         let run = run_config(case, config, opts.skew, &opts.work_dir, tag);
         if let Some(d) = first_outcome_divergence(case, &base_label, &base, &label, &run) {
             return Err(d);
-        }
-        let key = config.worker_group_key();
-        match groups.get(&key) {
-            None => {
-                groups.insert(key, (label, run.counters));
-            }
-            Some((peer_label, peer_counters)) => {
-                if let Some(d) =
-                    counter_divergence(peer_label, peer_counters, &label, &run.counters)
-                {
-                    return Err(d);
-                }
-            }
         }
     }
 
@@ -611,8 +533,7 @@ pub fn run_case(
 
 /// Run just two configurations and report their first disagreement —
 /// the cheap pair oracle the shrinker uses once a full-matrix run has
-/// identified *which* configuration diverges. When the two differ only
-/// in worker count, telemetry counters are compared too.
+/// identified *which* configuration diverges.
 pub fn diverges_between(
     case: &FuzzCase,
     a: &Config,
@@ -623,16 +544,7 @@ pub fn diverges_between(
 ) -> Option<Divergence> {
     let ra = run_config(case, a, skew, work_dir, tag);
     let rb = run_config(case, b, skew, work_dir, tag);
-    let (la, lb) = (a.label(), b.label());
-    if let Some(d) = first_outcome_divergence(case, &la, &ra, &lb, &rb) {
-        return Some(d);
-    }
-    if a.worker_group_key() == b.worker_group_key() {
-        if let Some(d) = counter_divergence(&la, &ra.counters, &lb, &rb.counters) {
-            return Some(d);
-        }
-    }
-    None
+    first_outcome_divergence(case, &a.label(), &ra, &b.label(), &rb)
 }
 
 /// Run only the baseline configuration and cross-check it against the
@@ -660,7 +572,7 @@ mod tests {
         let configs = Matrix::Full.configs();
         // Drift guard: README, docs/FUZZING.md and the CI workflows all
         // quote this number.
-        assert_eq!(configs.len(), 24, "2 x 3 x 2 x 2");
+        assert_eq!(configs.len(), 8, "2 x 2 x 2");
         assert_eq!(configs[0], Config::baseline());
         let labels: std::collections::BTreeSet<String> =
             configs.iter().map(|c| c.label()).collect();
@@ -671,17 +583,9 @@ mod tests {
     fn quick_matrix_covers_every_axis_value() {
         let configs = Matrix::Quick.configs();
         assert_eq!(configs[0], Config::baseline());
-        assert_eq!(configs.len(), 7);
+        assert_eq!(configs.len(), 6);
         let joined: Vec<String> = configs.iter().map(|c| c.label()).collect();
-        for needle in [
-            "reference=on",
-            "reference=off",
-            "workers=1",
-            "workers=2",
-            "workers=4",
-            "cache=on",
-            "storage=paged",
-        ] {
+        for needle in ["reference=on", "reference=off", "cache=on", "storage=paged"] {
             assert!(
                 joined.iter().any(|l| l.contains(needle)),
                 "quick matrix misses {needle}"

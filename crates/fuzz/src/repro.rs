@@ -10,8 +10,8 @@
 //! ```text
 //! #! tcdm-fuzz repro v1
 //! #! kind: matrix
-//! #! config: workers=1 reference=off ... storage=memory
-//! #! against: workers=1 reference=on ... storage=memory
+//! #! config: reference=off cache=off storage=paged
+//! #! against: reference=on cache=off storage=memory
 //! #! note: seed=7 case=12
 //! table Purchase CREATE TABLE Purchase (tr INT, ...)
 //! row Purchase (1, 'c0', 'it3', DATE '1995-03-01', 120, 1)
@@ -31,7 +31,7 @@ pub const MAGIC: &str = "#! tcdm-fuzz repro v1";
 /// typically records only `note`, a shrunk divergence all of them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReproHeader {
-    /// Divergence kind (`matrix` | `reference` | `telemetry`).
+    /// Divergence kind (`matrix` | `reference`).
     pub kind: Option<String>,
     /// Label of the diverging configuration.
     pub config: Option<String>,

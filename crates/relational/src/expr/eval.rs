@@ -17,7 +17,7 @@ use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sql::ast::SelectStmt;
 use crate::types::Schema;
-use crate::value::Value;
+use crate::value::{Date, Value};
 
 /// Services an evaluator needs from the engine: subquery execution,
 /// sequence draws and host-variable lookup.
@@ -438,7 +438,7 @@ fn eval_aggregate(
             if values.iter().all(|v| matches!(v, Value::Int(_))) {
                 let mut s = 0i64;
                 for v in &values {
-                    s += v.as_int()?;
+                    s = s.checked_add(v.as_int()?).ok_or_else(overflow)?;
                 }
                 Ok(Value::Int(s))
             } else {
@@ -546,7 +546,7 @@ pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
     match op {
         UnaryOp::Neg => match v {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => i.checked_neg().map(Value::Int).ok_or_else(overflow),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(Error::type_mismatch(format!(
                 "cannot negate {}",
@@ -558,6 +558,23 @@ pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
             Some(b) => Ok(Value::Bool(!b)),
         },
     }
+}
+
+/// The error of an INT result outside the 64-bit range.
+fn overflow() -> Error {
+    Error::Arithmetic {
+        message: "integer overflow".into(),
+    }
+}
+
+/// `d` moved by `days`, or the overflow error when the result leaves the
+/// date range.
+fn shift_date(d: Date, days: i64) -> Result<Value> {
+    (d.days_since_epoch() as i64)
+        .checked_add(days)
+        .and_then(|days| i32::try_from(days).ok())
+        .map(|days| Value::Date(Date::from_days_since_epoch(days)))
+        .ok_or_else(overflow)
 }
 
 /// Evaluate a binary operator on two values (comparison operators apply
@@ -594,19 +611,17 @@ pub fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
                 return Ok(Value::Null);
             }
             match (&l, &r) {
-                (Value::Date(d), _) if op == Add => {
-                    Ok(Value::Date(d.plus_days(r.as_int()? as i32)))
-                }
+                (Value::Date(d), _) if op == Add => shift_date(*d, r.as_int()?),
                 (Value::Date(d), Value::Int(n)) if op == Sub => {
-                    Ok(Value::Date(d.plus_days(-(*n as i32))))
+                    shift_date(*d, n.checked_neg().ok_or_else(overflow)?)
                 }
                 (Value::Date(a), Value::Date(b)) if op == Sub => Ok(Value::Int(
-                    (a.days_since_epoch() - b.days_since_epoch()) as i64,
+                    a.days_since_epoch() as i64 - b.days_since_epoch() as i64,
                 )),
                 (Value::Int(a), Value::Int(b)) => match op {
-                    Add => Ok(Value::Int(a + b)),
-                    Sub => Ok(Value::Int(a - b)),
-                    Mul => Ok(Value::Int(a * b)),
+                    Add => a.checked_add(*b).map(Value::Int).ok_or_else(overflow),
+                    Sub => a.checked_sub(*b).map(Value::Int).ok_or_else(overflow),
+                    Mul => a.checked_mul(*b).map(Value::Int).ok_or_else(overflow),
                     Div => {
                         if *b == 0 {
                             Err(Error::Arithmetic {
@@ -622,7 +637,7 @@ pub fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
                                 message: "modulo by zero".into(),
                             })
                         } else {
-                            Ok(Value::Int(a % b))
+                            a.checked_rem(*b).map(Value::Int).ok_or_else(overflow)
                         }
                     }
                     _ => unreachable!(),
@@ -669,7 +684,7 @@ pub(crate) fn eval_scalar_func(name: &str, args: Vec<Value>) -> Result<Value> {
             arity(1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i.abs())),
+                Value::Int(i) => i.checked_abs().map(Value::Int).ok_or_else(overflow),
                 Value::Float(f) => Ok(Value::Float(f.abs())),
                 other => Err(Error::type_mismatch(format!(
                     "ABS of {}",

@@ -12,7 +12,7 @@
 //! `(k - 1) / max_kept` on the unit interval. The sketch is insertion
 //! -order independent and deterministic (the hasher is keyed with fixed
 //! zeros), which keeps planner decisions — and therefore rule outputs —
-//! reproducible across runs and worker counts.
+//! reproducible across runs.
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};

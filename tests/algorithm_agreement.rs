@@ -110,25 +110,6 @@ fn decoupled_baseline_matches_coupled_rules() {
 }
 
 #[test]
-fn lattice_expansion_orders_agree_end_to_end() {
-    use minerule::lattice::ExpansionOrder;
-    let mut db = quest_db(250, 41);
-    let stmt = "MINE RULE Wide AS \
-        SELECT DISTINCT 1..n item AS BODY, 1..2 item AS HEAD, SUPPORT, CONFIDENCE \
-        WHERE BODY.item <> 'i99999' \
-        FROM Baskets GROUP BY tr \
-        EXTRACTING RULES WITH SUPPORT: 0.06, CONFIDENCE: 0.2";
-    let mut min_parent = MineRuleEngine::new();
-    min_parent.core.order = ExpansionOrder::MinParent;
-    let mut body_first = MineRuleEngine::new();
-    body_first.core.order = ExpansionOrder::BodyFirst;
-    let a = min_parent.execute(&mut db, stmt).unwrap();
-    let b = body_first.execute(&mut db, stmt).unwrap();
-    assert!(a.used_general, "mining condition forces the general path");
-    assert_eq!(a.rules, b.rules);
-}
-
-#[test]
 fn seeds_change_data_but_not_invariants() {
     for seed in [1, 2, 3] {
         let mut db = quest_db(200, seed);

@@ -1,5 +1,5 @@
-//! The cache agreement contract: every combination of worker count ×
-//! session artifact store on/off × reference-or-production paths mines
+//! The cache agreement contract: every combination of session artifact
+//! store on/off × reference-or-production paths mines
 //! bit-identical rules — including warm runs after a threshold-only
 //! refinement (encoding restored, inventory filtered), incremental
 //! re-mines after a source-table delta, and runs after a source-table
@@ -8,7 +8,6 @@
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::{DecodedRule, MineRuleEngine};
 
-const WORKERS: [usize; 3] = [1, 2, 4];
 const CACHE: [bool; 2] = [true, false];
 /// Production paths (indexed access among them) and the reference
 /// paths (scans) — `Database::set_reference_paths`.
@@ -41,53 +40,49 @@ fn simple(support: f64, confidence: f64) -> String {
 #[test]
 fn threshold_refinement_agrees_across_all_knobs() {
     let mut reference: Option<(Vec<String>, Vec<String>)> = None;
-    for workers in WORKERS {
-        for cache in CACHE {
-            for reference_paths in REFERENCE {
-                let label = format!("workers={workers} cache={cache} reference={reference_paths}");
-                let mut db = purchase_db();
-                db.set_reference_paths(reference_paths);
-                let engine = MineRuleEngine::new()
-                    .with_workers(workers)
-                    .with_cache(cache);
+    for cache in CACHE {
+        for reference_paths in REFERENCE {
+            let label = format!("cache={cache} reference={reference_paths}");
+            let mut db = purchase_db();
+            db.set_reference_paths(reference_paths);
+            let engine = MineRuleEngine::new().with_cache(cache);
 
-                // Cold run, then a support-only refinement of the same
-                // statement: with the cache on, the second run must be a
-                // warm hit that skips every Qi step.
-                let cold = engine.execute(&mut db, &simple(0.25, 0.1)).unwrap();
-                assert!(!cold.preprocess_report.executed.is_empty(), "{label}");
-                let warm = engine.execute(&mut db, &simple(0.5, 0.4)).unwrap();
+            // Cold run, then a support-only refinement of the same
+            // statement: with the cache on, the second run must be a
+            // warm hit that skips every Qi step.
+            let cold = engine.execute(&mut db, &simple(0.25, 0.1)).unwrap();
+            assert!(!cold.preprocess_report.executed.is_empty(), "{label}");
+            let warm = engine.execute(&mut db, &simple(0.5, 0.4)).unwrap();
 
-                let snapshot = engine.metrics_snapshot();
-                if cache {
-                    assert!(
-                        warm.preprocess_report.executed.is_empty(),
-                        "{label}: warm run must not execute preprocessing"
-                    );
-                    assert_eq!(snapshot.counter("preprocess.cache.hit"), 1, "{label}");
-                    assert_eq!(snapshot.counter("preprocess.cache.miss"), 1, "{label}");
-                } else {
-                    assert!(
-                        !warm.preprocess_report.executed.is_empty(),
-                        "{label}: cache off must preprocess every run"
-                    );
-                    assert_eq!(snapshot.counter("preprocess.cache.hit"), 0, "{label}");
-                }
-                // The warm report still states the *current* threshold.
-                assert_eq!(
-                    warm.preprocess_report.min_groups,
-                    minerule::preprocess::min_groups_for(warm.preprocess_report.total_groups, 0.5),
-                    "{label}"
+            let snapshot = engine.metrics_snapshot();
+            if cache {
+                assert!(
+                    warm.preprocess_report.executed.is_empty(),
+                    "{label}: warm run must not execute preprocessing"
                 );
+                assert_eq!(snapshot.counter("preprocess.cache.hit"), 1, "{label}");
+                assert_eq!(snapshot.counter("preprocess.cache.miss"), 1, "{label}");
+            } else {
+                assert!(
+                    !warm.preprocess_report.executed.is_empty(),
+                    "{label}: cache off must preprocess every run"
+                );
+                assert_eq!(snapshot.counter("preprocess.cache.hit"), 0, "{label}");
+            }
+            // The warm report still states the *current* threshold.
+            assert_eq!(
+                warm.preprocess_report.min_groups,
+                minerule::preprocess::min_groups_for(warm.preprocess_report.total_groups, 0.5),
+                "{label}"
+            );
 
-                let sigs = (signature(&cold.rules), signature(&warm.rules));
-                assert!(!sigs.0.is_empty() && !sigs.1.is_empty(), "{label}");
-                match &reference {
-                    None => reference = Some(sigs),
-                    Some(expected) => {
-                        assert_eq!(&sigs.0, &expected.0, "{label}: cold rules diverge");
-                        assert_eq!(&sigs.1, &expected.1, "{label}: warm rules diverge");
-                    }
+            let sigs = (signature(&cold.rules), signature(&warm.rules));
+            assert!(!sigs.0.is_empty() && !sigs.1.is_empty(), "{label}");
+            match &reference {
+                None => reference = Some(sigs),
+                Some(expected) => {
+                    assert_eq!(&sigs.0, &expected.0, "{label}: cold rules diverge");
+                    assert_eq!(&sigs.1, &expected.1, "{label}: warm rules diverge");
                 }
             }
         }
@@ -97,31 +92,27 @@ fn threshold_refinement_agrees_across_all_knobs() {
 #[test]
 fn general_class_agrees_across_all_knobs() {
     let mut reference: Option<Vec<String>> = None;
-    for workers in WORKERS {
-        for cache in CACHE {
-            for reference_paths in REFERENCE {
-                let label = format!("workers={workers} cache={cache} reference={reference_paths}");
-                let mut db = purchase_db();
-                db.set_reference_paths(reference_paths);
-                let engine = MineRuleEngine::new()
-                    .with_workers(workers)
-                    .with_cache(cache);
-                // Run the paper's §2 statement twice: identical statement,
-                // so with the cache on the second run is a warm hit even
-                // though the thresholds did not move.
-                let first = engine.execute(&mut db, FILTERED_ORDERED_SETS).unwrap();
-                let second = engine.execute(&mut db, FILTERED_ORDERED_SETS).unwrap();
-                assert_eq!(
-                    second.preprocess_report.executed.is_empty(),
-                    cache,
-                    "{label}"
-                );
-                let sig = signature(&second.rules);
-                assert_eq!(signature(&first.rules), sig, "{label}: rerun diverges");
-                match &reference {
-                    None => reference = Some(sig),
-                    Some(expected) => assert_eq!(&sig, expected, "{label}: rules diverge"),
-                }
+    for cache in CACHE {
+        for reference_paths in REFERENCE {
+            let label = format!("cache={cache} reference={reference_paths}");
+            let mut db = purchase_db();
+            db.set_reference_paths(reference_paths);
+            let engine = MineRuleEngine::new().with_cache(cache);
+            // Run the paper's §2 statement twice: identical statement,
+            // so with the cache on the second run is a warm hit even
+            // though the thresholds did not move.
+            let first = engine.execute(&mut db, FILTERED_ORDERED_SETS).unwrap();
+            let second = engine.execute(&mut db, FILTERED_ORDERED_SETS).unwrap();
+            assert_eq!(
+                second.preprocess_report.executed.is_empty(),
+                cache,
+                "{label}"
+            );
+            let sig = signature(&second.rules);
+            assert_eq!(signature(&first.rules), sig, "{label}: rerun diverges");
+            match &reference {
+                None => reference = Some(sig),
+                Some(expected) => assert_eq!(&sig, expected, "{label}: rules diverge"),
             }
         }
     }
@@ -263,7 +254,7 @@ enum Expect {
 type Stage<'a> = (&'a [&'a str], f64, f64, Expect);
 
 /// Drive one engine through `stages` over the database `setup` builds,
-/// for every worker count with the cache on and off. Every stage must be
+/// with the cache on and off. Every stage must be
 /// bit-identical to a cold mine (cache off) over a fresh, equally-mutated
 /// database; with the cache on, every stage must be served the way it
 /// says, warm stages doing zero core-operator work.
@@ -279,60 +270,56 @@ fn assert_session_agrees(
         }
         db
     };
-    for workers in WORKERS {
-        for cache in CACHE {
-            let mut db = build(&[]);
-            let engine = MineRuleEngine::new()
-                .with_workers(workers)
-                .with_cache(cache);
-            let mut mutations: Vec<&str> = Vec::new();
-            for (stage, (dml, support, confidence, expect)) in stages.iter().enumerate() {
-                let label = format!("workers={workers} cache={cache} stage {stage}");
-                for sql in *dml {
-                    db.execute(sql).unwrap();
-                    mutations.push(sql);
-                }
-                let text = statement(*support, *confidence);
-                let before = engine.metrics_snapshot();
-                let run = engine.execute(&mut db, &text).unwrap();
-                let after = engine.metrics_snapshot();
-                let moved = |name: &str| after.counter(name) - before.counter(name);
-                let served = if cache { *expect } else { Expect::Mine };
-                assert_eq!(
-                    core_work(&before) != core_work(&after),
-                    served == Expect::Mine,
-                    "{label}: the core operator runs exactly on a mine"
-                );
-                let (hit, refine, delta, miss) = match served {
-                    Expect::Mine => (0, 0, 0, cache as u64),
-                    Expect::Hit => (1, 0, 0, 0),
-                    Expect::Refine => (1, 1, 0, 0),
-                    Expect::Delta => (1, 0, 1, 0),
-                };
-                for (name, want) in [
-                    ("core.minecache.hit", hit),
-                    ("core.minecache.refine", refine),
-                    ("core.minecache.delta", delta),
-                    ("core.minecache.miss", miss),
-                ] {
-                    assert_eq!(moved(name), want, "{label}: {name}");
-                }
-                // An untouched source restores the encoding half too.
-                if matches!(served, Expect::Hit | Expect::Refine) {
-                    assert_eq!(moved("preprocess.cache.hit"), 1, "{label}");
-                }
-
-                let reference = MineRuleEngine::new()
-                    .with_cache(false)
-                    .execute(&mut build(&mutations), &text)
-                    .unwrap();
-                assert!(!reference.rules.is_empty(), "{label}");
-                assert_eq!(
-                    signature(&run.rules),
-                    signature(&reference.rules),
-                    "{label}: rules diverge from a cold mine"
-                );
+    for cache in CACHE {
+        let mut db = build(&[]);
+        let engine = MineRuleEngine::new().with_cache(cache);
+        let mut mutations: Vec<&str> = Vec::new();
+        for (stage, (dml, support, confidence, expect)) in stages.iter().enumerate() {
+            let label = format!("cache={cache} stage {stage}");
+            for sql in *dml {
+                db.execute(sql).unwrap();
+                mutations.push(sql);
             }
+            let text = statement(*support, *confidence);
+            let before = engine.metrics_snapshot();
+            let run = engine.execute(&mut db, &text).unwrap();
+            let after = engine.metrics_snapshot();
+            let moved = |name: &str| after.counter(name) - before.counter(name);
+            let served = if cache { *expect } else { Expect::Mine };
+            assert_eq!(
+                core_work(&before) != core_work(&after),
+                served == Expect::Mine,
+                "{label}: the core operator runs exactly on a mine"
+            );
+            let (hit, refine, delta, miss) = match served {
+                Expect::Mine => (0, 0, 0, cache as u64),
+                Expect::Hit => (1, 0, 0, 0),
+                Expect::Refine => (1, 1, 0, 0),
+                Expect::Delta => (1, 0, 1, 0),
+            };
+            for (name, want) in [
+                ("core.minecache.hit", hit),
+                ("core.minecache.refine", refine),
+                ("core.minecache.delta", delta),
+                ("core.minecache.miss", miss),
+            ] {
+                assert_eq!(moved(name), want, "{label}: {name}");
+            }
+            // An untouched source restores the encoding half too.
+            if matches!(served, Expect::Hit | Expect::Refine) {
+                assert_eq!(moved("preprocess.cache.hit"), 1, "{label}");
+            }
+
+            let reference = MineRuleEngine::new()
+                .with_cache(false)
+                .execute(&mut build(&mutations), &text)
+                .unwrap();
+            assert!(!reference.rules.is_empty(), "{label}");
+            assert_eq!(
+                signature(&run.rules),
+                signature(&reference.rules),
+                "{label}: rules diverge from a cold mine"
+            );
         }
     }
 }
@@ -343,7 +330,7 @@ fn assert_session_agrees(
 /// insert delta (one change record, incremental re-mine), a DELETE that
 /// matches nothing (still a hit), then a tightened rerun on the entry
 /// three deltas rewrote — must stay bit-identical to a cold mine at every
-/// stage, for every worker count, with the cache on or off. Warm stages
+/// stage, with the cache on or off. Warm stages
 /// must do zero core-operator work.
 #[test]
 fn mined_result_refinement_sequence_agrees_across_workers() {

@@ -96,19 +96,17 @@ fn preprocessing_conflict_names_the_failing_query() {
 /// A warm run whose restore the catalog refuses must read like a cold
 /// run. After one successful mine a user *view* takes the name of an
 /// encoded table; the cleanup's `DROP TABLE IF EXISTS` leaves it, so the
-/// store cannot reinstate `Bset`. With the cache on or off — at every
-/// worker count — the statement then fails with the same text, leaves the
-/// same tables behind, and succeeds again once the view is gone.
+/// store cannot reinstate `Bset`. With the cache on or off the statement
+/// then fails with the same text, leaves the same tables behind, and
+/// succeeds again once the view is gone.
 #[test]
 fn a_restore_the_catalog_refuses_reads_like_a_cold_run() {
     const STMT: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
                         FROM Purchase GROUP BY customer \
                         EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-    let run = |cache: bool, workers: usize| {
+    let run = |cache: bool| {
         let mut db = purchase_db();
-        let engine = MineRuleEngine::new()
-            .with_cache(cache)
-            .with_workers(workers);
+        let engine = MineRuleEngine::new().with_cache(cache);
         let first = engine.execute(&mut db, STMT).unwrap().rules;
         db.execute("DROP TABLE Bset").unwrap();
         db.execute("CREATE VIEW Bset AS (SELECT item FROM Purchase)")
@@ -122,10 +120,10 @@ fn a_restore_the_catalog_refuses_reads_like_a_cold_run() {
             .collect();
         db.execute("DROP VIEW Bset").unwrap();
         let again = engine.execute(&mut db, STMT).unwrap().rules;
-        assert_eq!(again, first, "cache={cache} workers={workers}");
+        assert_eq!(again, first, "cache={cache}");
         (error, tables, again)
     };
-    let cold = run(false, 1);
+    let cold = run(false);
     assert!(
         cold.0
             .contains("preprocessing query Q3 failed: view 'Bset' already exists"),
@@ -133,9 +131,7 @@ fn a_restore_the_catalog_refuses_reads_like_a_cold_run() {
         cold.0
     );
     assert!(cold.1.contains(&"ValidGroups".to_string()), "{:?}", cold.1);
-    for workers in [1, 2, 4] {
-        assert_eq!(run(true, workers), cold, "workers={workers}");
-    }
+    assert_eq!(run(true), cold);
 }
 
 /// Reading an earlier session's rule tables back must never invent data:
@@ -233,45 +229,6 @@ fn session_survives_every_failure() {
         )
         .unwrap();
     assert!(!outcome.rules.is_empty());
-}
-
-#[test]
-fn zero_workers_is_rejected_like_an_unknown_algorithm() {
-    let mut db = purchase_db();
-    let mut engine = MineRuleEngine::new().with_workers(0);
-    let err = engine
-        .execute(
-            &mut db,
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
-        )
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            MineError::InvalidKnob {
-                knob: "workers",
-                ..
-            }
-        ),
-        "{err:?}"
-    );
-    // Same user-facing shape as UnknownAlgorithm: name the offending
-    // value and the valid domain.
-    let message = err.to_string();
-    assert!(message.contains("'0'"), "{message}");
-    assert!(message.contains("at least 1"), "{message}");
-    // The session recovers once the setting is corrected.
-    engine.core.workers = 1;
-    assert!(engine
-        .execute(
-            &mut db,
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1",
-        )
-        .is_ok());
 }
 
 #[test]
@@ -420,8 +377,8 @@ fn a_condition_failing_at_run_time_reads_the_same_on_every_path() {
     // evaluated (division by zero, string arithmetic): the fused pass
     // discards its work and the stepwise program reports, so the
     // production paths give the reference paths' error text and leave
-    // the catalog exactly as the stepwise program leaves it — whatever
-    // the worker count — and the session goes on.
+    // the catalog exactly as the stepwise program leaves it — and the
+    // session goes on.
     let mine = |site: &str| {
         let (mining, source, group, cluster) = match site {
             "source" => ("", " WHERE price / (price - price) > 1", "", ""),
@@ -495,10 +452,10 @@ fn a_condition_failing_at_run_time_reads_the_same_on_every_path() {
     ] {
         let stmt = mine(site);
         let mut outcomes = Vec::new();
-        for (reference, workers) in [(true, 1), (false, 1), (false, 4)] {
+        for reference in [true, false] {
             let mut db = purchase_db();
             db.set_reference_paths(reference);
-            let engine = MineRuleEngine::new().with_workers(workers);
+            let engine = MineRuleEngine::new();
             // A statement before, so the failure meets a used catalog.
             engine.execute(&mut db, good).unwrap();
             let err = engine.execute(&mut db, &stmt).unwrap_err();
@@ -512,7 +469,6 @@ fn a_condition_failing_at_run_time_reads_the_same_on_every_path() {
             outcomes.push((text, left, after.rules));
         }
         assert_eq!(outcomes[0], outcomes[1], "{site}: production vs reference");
-        assert_eq!(outcomes[1], outcomes[2], "{site}: workers 1 vs 4");
     }
 }
 

@@ -2,15 +2,13 @@
 //! for random inputs spanning the density spectrum — from sparse (every
 //! set stays a sorted list) to dense (sets flip to bitset words) — every
 //! pool member must produce an itemset inventory *bit-identical* to the
-//! list-only reference run, at every worker count, and whole statements
+//! list-only reference run, and whole statements
 //! must mine identical rule sets with the database on its reference
 //! paths (list gid-sets among them) and off them.
 
-use minerule::algo::{default_pool, sort_itemsets, LargeItemset, ShardExec, SimpleInput};
+use minerule::algo::{default_pool, sort_itemsets, CountingCtx, LargeItemset, SimpleInput};
 use minerule::MineRuleEngine;
 use relational::{Database, Value};
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 // The workload generator lives in the fuzz harness
 // (`tcdm_fuzz::grammar::random_simple_input`) so the differential fuzzer
@@ -43,46 +41,28 @@ fn mine_sorted(
     miner: &dyn minerule::algo::ItemsetMiner,
     input: &SimpleInput,
     list_only: bool,
-    workers: usize,
 ) -> Vec<LargeItemset> {
-    let exec = ShardExec::new(workers).with_list_gidsets(list_only);
-    let mut got = miner.mine_sharded(input, &exec);
+    let mut got = miner.mine_with(input, &CountingCtx::new(list_only));
     sort_itemsets(&mut got);
     got
 }
 
-/// Every pool member × representation × worker count agrees bit-for-bit
-/// with the list-only single-worker inventory on every grid point.
+/// Every pool member agrees bit-for-bit with its list-only inventory on
+/// every grid point.
 #[test]
 fn inventories_agree_across_representations_and_workers() {
     for (input, label) in grid() {
         for miner in default_pool() {
-            let reference = mine_sorted(miner.as_ref(), &input, true, 1);
-            // List at workers > 1 is already covered by the blanket
-            // parallel_agreement suite; here one high worker count pins
-            // it against the same reference. The hybrid arm gets the
-            // full worker grid.
-            for (list_only, workers_to_check) in
-                [(true, &WORKER_COUNTS[3..]), (false, &WORKER_COUNTS[..])]
-            {
-                for &workers in workers_to_check {
-                    let got = mine_sorted(miner.as_ref(), &input, list_only, workers);
-                    assert_eq!(
-                        got,
-                        reference,
-                        "{label}: {} diverges at list_only={list_only} workers={workers}",
-                        miner.name()
-                    );
-                }
-            }
+            let reference = mine_sorted(miner.as_ref(), &input, true);
+            let got = mine_sorted(miner.as_ref(), &input, false);
+            assert_eq!(got, reference, "{label}: {} diverges", miner.name());
         }
     }
 }
 
 /// The representation must never change mined rules through the whole
 /// statement pipeline either: the same baskets mined with the database
-/// on and off its reference paths, per vertical pool member and worker
-/// count.
+/// on and off its reference paths, per vertical pool member.
 #[test]
 fn rule_sets_agree_across_representations_through_run_core() {
     let simple = random_simple_input(80, 30, 0.3, 77);
@@ -108,29 +88,22 @@ fn rule_sets_agree_across_representations_through_run_core() {
     for algorithm in ["apriori", "partition", "sampling", "eclat"] {
         let mut baseline = None;
         for reference in [true, false] {
-            for workers in [1usize, 4] {
-                let engine = MineRuleEngine::new()
-                    .with_algorithm(algorithm)
-                    .with_workers(workers);
-                let out = engine.execute(&mut baskets(reference), stmt).unwrap();
-                assert!(!out.used_general);
-                // The two legs really differ in representation (the inner
-                // passes of partition/sampling do not publish counters).
-                let bitsets = engine
-                    .metrics_snapshot()
-                    .counter("core.gidset.bitset.picked");
-                if reference {
-                    assert_eq!(bitsets, 0, "{algorithm}: the reference keeps lists");
-                } else if algorithm == "apriori" || algorithm == "eclat" {
-                    assert!(bitsets > 0, "{algorithm}: dense baskets pick bitsets");
-                }
-                match &baseline {
-                    None => baseline = Some(out.rules),
-                    Some(b) => assert_eq!(
-                        &out.rules, b,
-                        "{algorithm} reference={reference} workers={workers}"
-                    ),
-                }
+            let engine = MineRuleEngine::new().with_algorithm(algorithm);
+            let out = engine.execute(&mut baskets(reference), stmt).unwrap();
+            assert!(!out.used_general);
+            // The two legs really differ in representation (the inner
+            // passes of partition/sampling do not publish counters).
+            let bitsets = engine
+                .metrics_snapshot()
+                .counter("core.gidset.bitset.picked");
+            if reference {
+                assert_eq!(bitsets, 0, "{algorithm}: the reference keeps lists");
+            } else if algorithm == "apriori" || algorithm == "eclat" {
+                assert!(bitsets > 0, "{algorithm}: dense baskets pick bitsets");
+            }
+            match &baseline {
+                None => baseline = Some(out.rules),
+                Some(b) => assert_eq!(&out.rules, b, "{algorithm} reference={reference}"),
             }
         }
         assert!(!baseline.unwrap().is_empty(), "{algorithm} found rules");

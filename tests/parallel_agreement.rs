@@ -1,107 +1,9 @@
-//! The parallel executor's determinism contract, end to end: for every
-//! member of the algorithm pool and worker counts {1, 2, 4, 7}, the
-//! sharded run must produce an itemset inventory and rule set
-//! *bit-identical* (after the canonical sort) to the sequential run —
-//! on generated Quest and retail workloads and on degenerate inputs.
+//! Degenerate inputs through every member of the algorithm pool. Mining
+//! runs on one thread, so "any worker count" is the single counting pass:
+//! an empty group list must yield nothing, and a single group must yield
+//! exactly every non-empty subset of its items, each with count 1.
 
-use datagen::{generate_quest, generate_retail, QuestConfig, RetailConfig};
-use minerule::algo::{default_pool, sort_itemsets, LargeItemset, ShardExec, SimpleInput};
-use minerule::ast::CardSpec;
-use minerule::core_op::{run_core, CoreOptions};
-use minerule::directives::{Directives, StatementClass};
-use minerule::encoded::{EncodedData, EncodedInput};
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-fn quest_input(transactions: usize, min_support: f64, seed: u64) -> SimpleInput {
-    let data = generate_quest(&QuestConfig {
-        transactions,
-        avg_transaction_size: 6.0,
-        avg_pattern_size: 3.0,
-        patterns: 20,
-        items: 60,
-        seed,
-        ..QuestConfig::default()
-    });
-    let total = data.transactions.len() as u32;
-    SimpleInput {
-        groups: data.transactions,
-        total_groups: total,
-        min_groups: ((total as f64 * min_support).ceil() as u32).max(1),
-    }
-}
-
-/// Retail purchases flattened to per-customer baskets (gid = customer),
-/// with item names encoded to dense ids in first-seen order.
-fn retail_input(customers: usize, min_support: f64, seed: u64) -> SimpleInput {
-    let data = generate_retail(&RetailConfig {
-        customers,
-        dates_per_customer: 3,
-        items_per_date: 2.5,
-        catalog: 30,
-        expensive_items: 8,
-        seed,
-        ..RetailConfig::default()
-    });
-    let mut encode: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-    let mut baskets: std::collections::BTreeMap<&str, Vec<u32>> = std::collections::BTreeMap::new();
-    for row in &data.rows {
-        let next = encode.len() as u32;
-        let id = *encode.entry(row.item.as_str()).or_insert(next);
-        baskets.entry(row.customer.as_str()).or_default().push(id);
-    }
-    let mut groups: Vec<Vec<u32>> = baskets.into_values().collect();
-    for g in &mut groups {
-        g.sort_unstable();
-        g.dedup();
-    }
-    let total = groups.len() as u32;
-    SimpleInput {
-        groups,
-        total_groups: total,
-        min_groups: ((total as f64 * min_support).ceil() as u32).max(1),
-    }
-}
-
-/// Every pool member, every worker count: inventory identical to the
-/// one-worker run of the same algorithm.
-fn check_all_workers(input: &SimpleInput, label: &str) {
-    for miner in default_pool() {
-        let mut baseline: Option<Vec<LargeItemset>> = None;
-        for workers in WORKER_COUNTS {
-            let exec = ShardExec::new(workers);
-            let mut got = miner.mine_sharded(input, &exec);
-            sort_itemsets(&mut got);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(b) => assert_eq!(
-                    &got,
-                    b,
-                    "{label}: {} diverges at workers={workers}",
-                    miner.name()
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn quest_inventories_are_worker_count_invariant() {
-    for (transactions, support, seed) in [(120, 0.05, 11), (200, 0.02, 12)] {
-        let input = quest_input(transactions, support, seed);
-        assert!(!input.groups.is_empty());
-        check_all_workers(&input, &format!("quest n={transactions} s={support}"));
-    }
-}
-
-#[test]
-fn retail_inventories_are_worker_count_invariant() {
-    for (customers, support, seed) in [(60, 0.08, 21), (100, 0.04, 22)] {
-        let input = retail_input(customers, support, seed);
-        assert!(!input.groups.is_empty());
-        check_all_workers(&input, &format!("retail c={customers} s={support}"));
-    }
-}
+use minerule::algo::{default_pool, sort_itemsets, SimpleInput};
 
 #[test]
 fn empty_group_list_yields_nothing_for_any_worker_count() {
@@ -111,89 +13,36 @@ fn empty_group_list_yields_nothing_for_any_worker_count() {
         min_groups: 1,
     };
     for miner in default_pool() {
-        for workers in WORKER_COUNTS {
-            let got = miner.mine_sharded(&input, &ShardExec::new(workers));
-            assert!(
-                got.is_empty(),
-                "{} produced itemsets from nothing at workers={workers}",
-                miner.name()
-            );
-        }
+        assert!(
+            miner.mine(&input).is_empty(),
+            "{} produced itemsets from nothing",
+            miner.name()
+        );
     }
 }
 
 #[test]
 fn single_group_agrees_across_worker_counts() {
-    // More workers than groups: the executor must degrade to one shard.
     let input = SimpleInput {
         groups: vec![vec![2, 5, 9]],
         total_groups: 1,
         min_groups: 1,
     };
-    check_all_workers(&input, "single group");
-    let got = default_pool()[0].mine_sharded(&input, &ShardExec::new(7));
-    assert_eq!(got.len(), 7, "2^3 - 1 subsets");
-}
-
-#[test]
-fn rule_sets_are_worker_count_invariant_through_run_core() {
-    // Through the full core operator (rules, not just itemsets), with the
-    // canonical (body, head) sort applied by run_core itself.
-    let quest = quest_input(150, 0.03, 33);
-    let input = EncodedInput {
-        directives: Directives::default(),
-        class: StatementClass::Simple,
-        total_groups: quest.total_groups,
-        min_groups: quest.min_groups,
-        min_support: 0.03,
-        min_confidence: 0.1,
-        body_card: CardSpec::one_to_n(),
-        head_card: CardSpec::one_to_one(),
-        data: EncodedData::Simple {
-            groups: quest
-                .groups
-                .iter()
-                .enumerate()
-                .map(|(g, items)| (g as u32, items.clone()))
-                .collect(),
-        },
-    };
-    for algorithm in [
-        "apriori",
-        "count",
-        "dhp",
-        "partition",
-        "sampling",
-        "eclat",
-        "fpgrowth",
-    ] {
-        let mut baseline = None;
-        for workers in WORKER_COUNTS {
-            let out = run_core(
-                &input,
-                &CoreOptions {
-                    algorithm: algorithm.into(),
-                    workers,
-                    ..CoreOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(!out.used_general);
-            match &baseline {
-                None => baseline = Some(out.rules),
-                Some(b) => assert_eq!(&out.rules, b, "{algorithm} workers={workers}"),
-            }
-        }
-        assert!(!baseline.unwrap().is_empty(), "{algorithm} found rules");
+    let mut subsets = vec![
+        vec![2],
+        vec![2, 5],
+        vec![2, 5, 9],
+        vec![2, 9],
+        vec![5],
+        vec![5, 9],
+        vec![9],
+    ];
+    subsets.sort();
+    for miner in default_pool() {
+        let mut got = miner.mine(&input);
+        sort_itemsets(&mut got);
+        let sets: Vec<Vec<u32>> = got.iter().map(|(s, _)| s.clone()).collect();
+        assert_eq!(sets, subsets, "{}: 2^3 - 1 subsets", miner.name());
+        assert!(got.iter().all(|(_, c)| *c == 1), "{}", miner.name());
     }
-}
-
-#[test]
-fn shard_timings_reflect_worker_count() {
-    let input = quest_input(100, 0.05, 44);
-    let exec = ShardExec::new(4);
-    let _ = default_pool()[0].mine_sharded(&input, &exec);
-    let timings = exec.take_shard_timings();
-    // At least the L1 pass runs sharded: 4 shards for 100 groups.
-    assert!(timings.len() >= 4, "got {} shard timings", timings.len());
 }

@@ -9,7 +9,7 @@
 //! check that recovery keeps exactly the committed prefix, corruption of
 //! heap and WAL bytes, the counters that pin a statement's WAL traffic to
 //! the pages it changed, and paged-vs-memory agreement — row order under
-//! interleaved DML, mined rules across worker counts.
+//! interleaved DML, mined rules.
 
 use std::path::Path;
 
@@ -602,41 +602,32 @@ fn paged_scans_in_memory_order_under_interleaved_dml() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The paged backend mines bit-identical rules to the memory backend
-/// for every worker count, and the mined output tables survive a
-/// reopen bit-exact.
+/// The paged backend mines bit-identical rules to the memory backend,
+/// and the mined output tables survive a reopen bit-exact.
 #[test]
 fn paged_and_memory_backends_mine_identical_rules() {
     let sig = |rules: &[minerule::DecodedRule]| -> Vec<String> {
         rules.iter().map(|r| r.display()).collect()
     };
-    for workers in [1usize, 2, 4] {
-        let mut mem_db = purchase_db();
-        let memory = MineRuleEngine::new()
-            .with_workers(workers)
-            .execute(&mut mem_db, STMT)
-            .unwrap();
+    let mut mem_db = purchase_db();
+    let memory = MineRuleEngine::new().execute(&mut mem_db, STMT).unwrap();
 
-        let dir = temp_dir(&format!("agree_{workers}"));
-        let mut db = purchase_db();
-        db.set_storage_dir(&dir);
-        db.set_storage(StorageBackend::Paged).unwrap();
-        let paged = MineRuleEngine::new()
-            .with_workers(workers)
-            .execute(&mut db, STMT)
-            .unwrap();
-        assert_eq!(
-            sig(&memory.rules),
-            sig(&paged.rules),
-            "workers={workers}: paged and memory backends must agree"
-        );
-        db.checkpoint().unwrap();
-        drop(db);
+    let dir = temp_dir("agree");
+    let mut db = purchase_db();
+    db.set_storage_dir(&dir);
+    db.set_storage(StorageBackend::Paged).unwrap();
+    let paged = MineRuleEngine::new().execute(&mut db, STMT).unwrap();
+    assert_eq!(
+        sig(&memory.rules),
+        sig(&paged.rules),
+        "paged and memory backends must agree"
+    );
+    db.checkpoint().unwrap();
+    drop(db);
 
-        let mut reopened = Database::open_paged(&dir).unwrap();
-        assert_same_state(&mut reopened, &mut mem_db, &format!("workers={workers}"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let mut reopened = Database::open_paged(&dir).unwrap();
+    assert_same_state(&mut reopened, &mut mem_db, "after mining");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An aggressive checkpoint threshold forces checkpoints in the middle

@@ -2,7 +2,7 @@
 //! ordering, build-side selection) and the fused preprocess pass — every
 //! statement class — must be observably identical to the written-order
 //! fold and the step-by-step `Qi` program — bit-identical rules, rows *and row order*
-//! — across grammar-generated workloads and worker counts. The fold and
+//! — across grammar-generated workloads. The fold and
 //! the stepwise program are the planning legs of the database's
 //! reference paths (`Database::set_reference_paths`). The second half
 //! pins the catalog-statistics maintenance the planner relies on:
@@ -34,14 +34,14 @@ const SIMPLE: &str = "MINE RULE R AS \
     EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5";
 
 // ---------------------------------------------------------------------
-// Agreement across the reference × workers cross-product
+// Agreement between the reference and the production paths
 // ---------------------------------------------------------------------
 
 #[test]
 fn grammar_cases_agree_across_planner_sqlexec_and_workers() {
     // Grammar-generated workloads (DDL + DML + SELECTs + MINE RULE)
-    // replayed on the production and the reference paths at every worker
-    // count must produce outcomes bit-identical to the baseline: same
+    // replayed on the production paths must produce outcomes
+    // bit-identical to the reference baseline: same
     // rule signatures (float bits included), same sorted SELECT rows,
     // same DML counts, same error texts.
     let dir = work_dir("grammar");
@@ -50,21 +50,13 @@ fn grammar_cases_agree_across_planner_sqlexec_and_workers() {
     let gen_cfg = GenConfig::default();
     for case_no in 0..4 {
         let case = gen_case(0x51A77, case_no, &gen_cfg);
-        for reference in [true, false] {
-            for workers in [1usize, 2, 4] {
-                let variant = Config {
-                    reference,
-                    workers,
-                    ..base
-                };
-                if variant == base {
-                    continue;
-                }
-                let tag = format!("pa{case_no}_{reference}_{workers}");
-                if let Some(d) = diverges_between(&case, &base, &variant, Skew::None, &dir, &tag) {
-                    panic!("case {case_no} diverged:\n{d}");
-                }
-            }
+        let production = Config {
+            reference: false,
+            ..base
+        };
+        let tag = format!("pa{case_no}");
+        if let Some(d) = diverges_between(&case, &base, &production, Skew::None, &dir, &tag) {
+            panic!("case {case_no} diverged:\n{d}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -309,22 +301,20 @@ fn fused_and_naive_preprocessing_materialise_identical_encoded_tables() {
     );
 
     // End to end, the reference paths (which never fuse) decode the same
-    // rules as the fused production run, at every worker count.
+    // rules as the fused production run.
     for stmt in STATEMENT_CLASSES {
-        let mine = |reference: bool, workers: usize| {
+        let mine = |reference: bool| {
             let mut db = purchase_db();
             db.set_reference_paths(reference);
-            let engine = MineRuleEngine::new().with_workers(workers);
+            let engine = MineRuleEngine::new();
             let outcome = engine.execute(&mut db, stmt).unwrap();
             (outcome.rules, outcome.preprocess_report.fused_steps)
         };
-        let (reference, stepwise_steps) = mine(true, 1);
+        let (reference, stepwise_steps) = mine(true);
         assert_eq!(stepwise_steps, 0);
-        for workers in [1, 2, 4] {
-            let (production, fused_steps) = mine(false, workers);
-            assert!(fused_steps > 0, "{stmt}");
-            assert_eq!(production, reference, "workers {workers}: {stmt}");
-        }
+        let (production, fused_steps) = mine(false);
+        assert!(fused_steps > 0, "{stmt}");
+        assert_eq!(production, reference, "{stmt}");
     }
 }
 

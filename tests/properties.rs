@@ -14,7 +14,7 @@ use minerule::algo::{default_pool, sort_itemsets, SimpleInput};
 use minerule::ast::{CardMax, CardSpec};
 use minerule::encoded::GeneralTuple;
 use minerule::lattice::elementary::{build_contexts, BuildOptions};
-use minerule::lattice::{mine_general, ExpansionOrder, GeneralParams};
+use minerule::lattice::{mine_general, GeneralParams};
 use minerule::parse_mine_rule;
 
 const CASES: u64 = 64;
@@ -209,7 +209,6 @@ fn lattice_rules_verify_against_bruteforce() {
                     min: 1,
                     max: CardMax::Fixed(2),
                 },
-                order: ExpansionOrder::MinParent,
             },
         )
         .unwrap();

@@ -16,8 +16,7 @@
 //!    DISTINCT, set operations, subquery fallback, ORDER BY), and errors
 //!    that must surface at the same row on both paths;
 //! 3. the paper's own statements (§2 / Appendix A shapes) mined on both
-//!    paths at every worker count, asserting bit-identical rules and
-//!    preprocessing reports.
+//!    paths, asserting bit-identical rules and preprocessing reports.
 //!
 //! Two late-materialisation contracts of the executor ride along:
 //! `ORDER BY … LIMIT k` (a top-k selection) returns exactly the first
@@ -239,6 +238,43 @@ fn error_reporting_agrees() {
     ] {
         assert_paths_agree(purchase_db, sql);
     }
+    // INT arithmetic that leaves the 64-bit range — and a date moved out
+    // of its range — is the one typed error on both paths, never a
+    // wrapped value or an abort.
+    let extremes = || {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE big (a INT, d DATE)").unwrap();
+        db.execute(
+            "INSERT INTO big VALUES (-9223372036854775807, DATE '2000-01-01'), \
+             (-9223372036854775807, DATE '2000-01-02')",
+        )
+        .unwrap();
+        db
+    };
+    for sql in [
+        "SELECT (a - 1) % -1 FROM big",
+        "SELECT 9223372036854775807 + 1 FROM big",
+        "SELECT a - 2 FROM big",
+        "SELECT a * 2 FROM big",
+        "SELECT SUM(a) FROM big",
+        "SELECT -(a - 1) FROM big",
+        "SELECT ABS(a - 1) FROM big",
+        "SELECT d + 4294967296 FROM big",
+        "SELECT d - 4294967296 FROM big",
+        "SELECT d - a FROM big",
+    ] {
+        for reference in [false, true] {
+            let got = run(extremes, reference, sql);
+            assert!(
+                got.contains("Arithmetic { message: \"integer overflow\" }"),
+                "reference={reference}: {sql} gave {got}"
+            );
+        }
+    }
+    // In range, the same operators still compute.
+    let in_range = "SELECT a - 1, ABS(a), -a, d + 1, d - 1, d - d, a % -1 FROM big";
+    assert_paths_agree(extremes, in_range);
+    assert!(run(extremes, false, in_range).starts_with("Ok("));
 }
 
 // ---------------------------------------------------------------------
@@ -269,32 +305,27 @@ fn mining_is_bit_identical_across_modes_and_workers() {
             stepwise.executed, baseline.preprocess_report.executed,
             "per-step row counts"
         );
-        // ...and whole statements agree at every worker count.
+        // ...and whole statements agree on both paths.
         for reference in [false, true] {
-            for workers in [1, 2, 4] {
-                let mut db = purchase_db();
-                db.set_reference_paths(reference);
-                let outcome = MineRuleEngine::new()
-                    .with_workers(workers)
-                    .execute(&mut db, stmt)
-                    .unwrap();
-                let label = format!("reference={reference} workers={workers}");
-                assert_eq!(outcome.rules, baseline.rules, "{label}");
-                if outcome.preprocess_report.fused_steps == 0 {
-                    assert_eq!(
-                        outcome.preprocess_report.executed, baseline.preprocess_report.executed,
-                        "{label}: per-step row counts"
-                    );
-                }
+            let mut db = purchase_db();
+            db.set_reference_paths(reference);
+            let outcome = MineRuleEngine::new().execute(&mut db, stmt).unwrap();
+            let label = format!("reference={reference}");
+            assert_eq!(outcome.rules, baseline.rules, "{label}");
+            if outcome.preprocess_report.fused_steps == 0 {
                 assert_eq!(
-                    outcome.preprocess_report.total_groups, baseline.preprocess_report.total_groups,
-                    "{label}"
-                );
-                assert_eq!(
-                    outcome.preprocess_report.min_groups, baseline.preprocess_report.min_groups,
-                    "{label}"
+                    outcome.preprocess_report.executed, baseline.preprocess_report.executed,
+                    "{label}: per-step row counts"
                 );
             }
+            assert_eq!(
+                outcome.preprocess_report.total_groups, baseline.preprocess_report.total_groups,
+                "{label}"
+            );
+            assert_eq!(
+                outcome.preprocess_report.min_groups, baseline.preprocess_report.min_groups,
+                "{label}"
+            );
         }
     }
 }

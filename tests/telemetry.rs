@@ -311,32 +311,6 @@ fn telemetry_off_yields_bit_identical_rules_and_records_nothing() {
 }
 
 #[test]
-fn work_counters_are_worker_count_invariant() {
-    for stmt in [SIMPLE, FILTERED_ORDERED_SETS] {
-        let run = |workers: usize| {
-            let mut db = purchase_db();
-            let engine = MineRuleEngine::new().with_workers(workers);
-            let outcome = engine.execute(&mut db, stmt).unwrap();
-            (outcome.rules, engine.metrics_snapshot())
-        };
-        let (rules_1, snap_1) = run(1);
-        let (rules_4, snap_4) = run(4);
-        assert_eq!(rules_1, rules_4, "determinism contract");
-        assert!(snap_1.counter("preprocess.fused_steps") > 0);
-        // Every counter except shard accounting is identical: the fused
-        // pass runs single-threaded and the sharded executor does the
-        // same logical work regardless of fan-out.
-        for (name, value) in &snap_1.counters {
-            if name == "core.shards.run" {
-                continue;
-            }
-            assert_eq!(snap_4.counter(name), *value, "{name}");
-        }
-        assert!(snap_4.counter("core.shards.run") >= snap_1.counter("core.shards.run"));
-    }
-}
-
-#[test]
 fn planner_counters_absent_under_naive_present_under_cost() {
     // Reference paths (written-order fold): no statistics consulted,
     // nothing fused — neither the relational.planner.* counters nor the
@@ -364,13 +338,13 @@ fn planner_counters_absent_under_naive_present_under_cost() {
 
     // Production paths, single-table FROM: both ends fuse and the
     // statement plans nothing — still no planner counter.
-    let run = |stmt: &str, workers: usize| {
+    let run = |stmt: &str| {
         let mut db = category_db();
-        let engine = MineRuleEngine::new().with_workers(workers);
+        let engine = MineRuleEngine::new();
         let outcome = engine.execute(&mut db, stmt).unwrap();
         (outcome.rules, engine.metrics_snapshot())
     };
-    let (rules_1, snap_1) = run(SIMPLE, 1);
+    let (rules_1, snap_1) = run(SIMPLE);
     assert_eq!(
         rules_1, naive.rules,
         "fold and planner mine identical rules"
@@ -387,22 +361,12 @@ fn planner_counters_absent_under_naive_present_under_cost() {
     assert_eq!(snap_1.counter("postprocess.fused_steps"), 3);
 
     // A joined FROM still preprocesses step by step through the cost
-    // planner: planner counters appear, and they stay invariant under the
-    // core's worker count because the relational layer runs
-    // single-threaded. Its decoding fuses all the same.
-    let (rules_1, snap_1) = run(JOINED, 1);
-    let (rules_4, snap_4) = run(JOINED, 4);
+    // planner: planner counters appear. Its decoding fuses all the same.
+    let (rules_1, snap_1) = run(JOINED);
     assert!(!rules_1.is_empty());
-    assert_eq!(rules_1, rules_4);
     assert!(snap_1.counter("relational.planner.plans") > 0);
     assert_eq!(snap_1.counter("preprocess.fused_steps"), 0);
     assert_eq!(snap_1.counter("postprocess.fused_steps"), 3);
-    for (name, value) in &snap_1.counters {
-        if !name.starts_with("relational.planner.") && !name.ends_with(".fused_steps") {
-            continue;
-        }
-        assert_eq!(snap_4.counter(name), *value, "{name} worker-invariant");
-    }
 }
 
 #[test]
@@ -447,24 +411,16 @@ fn storage_counters_absent_on_memory_present_on_paged() {
     );
 
     // Paged backend: the run commits through the WAL, so the counters
-    // appear — and they are invariant under the core's worker count
-    // because the relational layer runs single-threaded.
-    let run = |workers: usize| {
-        let dir =
-            std::env::temp_dir().join(format!("tcdm_tel_storage_{workers}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut db = purchase_db();
-        db.set_storage_dir(&dir);
-        db.set_storage(relational::StorageBackend::Paged).unwrap();
-        let engine = MineRuleEngine::new().with_workers(workers);
-        let outcome = engine.execute(&mut db, SIMPLE).unwrap();
-        let snap = engine.metrics_snapshot();
-        let _ = std::fs::remove_dir_all(&dir);
-        (outcome.rules, snap)
-    };
-    let (rules_1, snap_1) = run(1);
-    let (rules_4, snap_4) = run(4);
-    assert_eq!(rules_1, rules_4, "paged mining is worker-invariant");
+    // appear.
+    let dir = std::env::temp_dir().join(format!("tcdm_tel_storage_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = purchase_db();
+    db.set_storage_dir(&dir);
+    db.set_storage(relational::StorageBackend::Paged).unwrap();
+    let engine = MineRuleEngine::new();
+    engine.execute(&mut db, SIMPLE).unwrap();
+    let paged = engine.metrics_snapshot();
+    let _ = std::fs::remove_dir_all(&dir);
     // Commits always reach the WAL; heap page writes can legitimately
     // stay at zero until a checkpoint, so presence is asserted on the
     // WAL counters.
@@ -472,22 +428,16 @@ fn storage_counters_absent_on_memory_present_on_paged() {
         "relational.storage.wal_appends",
         "relational.storage.wal_fsyncs",
     ] {
-        assert!(snap_1.counter(name) > 0, "{name} present under paged");
+        assert!(paged.counter(name) > 0, "{name} present under paged");
     }
     assert!(
-        snap_1
+        paged
             .counters
             .iter()
             .all(|(name, _)| !name.starts_with("relational.storage.cache_")),
         "the paged backend keeps no page cache: {:?}",
-        snap_1.counters
+        paged.counters
     );
-    for (name, value) in &snap_1.counters {
-        if !name.starts_with("relational.storage.") {
-            continue;
-        }
-        assert_eq!(snap_4.counter(name), *value, "{name} worker-invariant");
-    }
 }
 
 #[test]

@@ -11,9 +11,8 @@
 //!    comparing the full result **or error** (`tests/sqlexec_agreement.rs`
 //!    runs the same grammar over a five-row table);
 //! 2. the one statement shape whose preprocessing still runs `Q0..Q11`
-//!    on the SQL server — a two-table FROM — mined on both paths at every
-//!    worker count, asserting bit-identical rules and preprocessing
-//!    reports.
+//!    on the SQL server — a two-table FROM — mined on both paths,
+//!    asserting bit-identical rules and preprocessing reports.
 
 use datagen::rng::Rng;
 use minerule::paper_example::purchase_db;
@@ -102,28 +101,23 @@ fn mining_is_bit_identical_across_exec_modes_and_workers() {
     assert_eq!(baseline.preprocess_report.fused_steps, 0);
     assert!(!baseline.rules.is_empty());
     for reference in [false, true] {
-        for workers in [1, 2, 4] {
-            let mut db = joined_db();
-            db.set_reference_paths(reference);
-            let outcome = MineRuleEngine::new()
-                .with_workers(workers)
-                .execute(&mut db, JOINED)
-                .unwrap();
-            let label = format!("reference={reference} workers={workers}");
-            assert_eq!(outcome.rules, baseline.rules, "{label}");
-            assert_eq!(outcome.preprocess_report.fused_steps, 0, "{label}");
-            assert_eq!(
-                outcome.preprocess_report.executed, baseline.preprocess_report.executed,
-                "{label}: per-step row counts"
-            );
-            assert_eq!(
-                outcome.preprocess_report.total_groups, baseline.preprocess_report.total_groups,
-                "{label}"
-            );
-            assert_eq!(
-                outcome.preprocess_report.min_groups, baseline.preprocess_report.min_groups,
-                "{label}"
-            );
-        }
+        let mut db = joined_db();
+        db.set_reference_paths(reference);
+        let outcome = MineRuleEngine::new().execute(&mut db, JOINED).unwrap();
+        let label = format!("reference={reference}");
+        assert_eq!(outcome.rules, baseline.rules, "{label}");
+        assert_eq!(outcome.preprocess_report.fused_steps, 0, "{label}");
+        assert_eq!(
+            outcome.preprocess_report.executed, baseline.preprocess_report.executed,
+            "{label}: per-step row counts"
+        );
+        assert_eq!(
+            outcome.preprocess_report.total_groups, baseline.preprocess_report.total_groups,
+            "{label}"
+        );
+        assert_eq!(
+            outcome.preprocess_report.min_groups, baseline.preprocess_report.min_groups,
+            "{label}"
+        );
     }
 }
