@@ -292,8 +292,8 @@ impl ArtifactStore {
             return Ok(None);
         };
 
-        // Restored tables keep their capture-time version stamps, so any
-        // relational indexes built over the same snapshot stay valid.
+        // Restored tables keep their capture-time version stamps: each
+        // holds exactly the rows it was captured with.
         run_steps(db, &translation.cleanup, stmt.min_support)?;
         let catalog = db.catalog_mut();
         let reinstated = (|| {

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use crate::catalog::{Catalog, View};
 use crate::error::{Error, Result};
@@ -10,7 +9,6 @@ use crate::exec::run_select;
 use crate::expr::compile::ExecCounter;
 use crate::expr::eval::{eval_expr, QueryCtx};
 use crate::expr::Expr;
-use crate::index::{HashIndex, IndexLookup, IndexRegistry};
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sequence::Sequence;
@@ -51,17 +49,16 @@ pub struct ExecStats {
     /// Accumulated |estimated − actual| join output rows.
     pub planner_est_rows_err: u64,
     /// Always 0: the executor evaluates expressions row-at-a-time and
-    /// forms no column batches, and the paged backend keeps no page
-    /// cache. Kept only because the kernel benchmark reads these fields.
+    /// forms no column batches, the paged backend keeps no page cache,
+    /// and every hash join and GROUP BY buckets its own input, so no
+    /// table index is built, hit or invalidated. Kept only because the
+    /// kernel benchmark reads these fields.
     pub vector_batches: u64,
     pub vector_fallback_batches: u64,
     pub storage_cache_hits: u64,
     pub storage_cache_evictions: u64,
-    /// Hash indexes built (lazily, on first use of a key column set).
     pub indexes_built: u64,
-    /// Operators served by a live hash index instead of a rebuild.
     pub index_hits: u64,
-    /// Index entries discarded because their table version went stale.
     pub index_invalidations: u64,
     /// Heap pages read by the paged storage backend (0 under memory).
     pub storage_page_reads: u64,
@@ -78,7 +75,9 @@ pub struct ExecStats {
 impl ExecStats {
     /// Every counter published to telemetry, as (metric name, value), in
     /// publication order. `statements`, `rows_inserted` and the always-zero
-    /// `vector_*` and `storage_cache_*` fields are not published.
+    /// `vector_*` and `storage_cache_*` fields are not published. The
+    /// `relational.index.*` entries stay listed but always read 0, so
+    /// publication, which skips zero deltas, never mints them.
     pub fn named(&self) -> [(&'static str, u64); 18] {
         [
             ("relational.compile.programs", self.programs_compiled),
@@ -135,7 +134,6 @@ pub struct Database {
     vars: HashMap<String, Value>,
     stats: ExecStats,
     reference_paths: bool,
-    indexes: IndexRegistry,
     storage_dir: Option<PathBuf>,
     storage_cfg: StorageConfig,
     store: Option<PagedStore>,
@@ -302,18 +300,13 @@ impl Database {
 
     /// Route subsequent statements through the reference paths: every
     /// strategy choice flips at once to interpreted expressions,
-    /// row-at-a-time flow, written-order join fold, no table indexes —
-    /// and the mining kernel on top follows suit (list gid-sets, `Qi`
+    /// row-at-a-time flow and the written-order join fold — and the
+    /// mining kernel on top follows suit (list gid-sets, `Qi`
     /// steps run one by one). Results are bit-identical either way; the
     /// agreement suites and the fuzzer use this as their oracle. Not a
     /// tuning knob: the reference paths are dominated on every workload.
     pub fn set_reference_paths(&mut self, on: bool) {
         self.reference_paths = on;
-    }
-
-    /// Number of live hash indexes in the registry (observability).
-    pub fn live_indexes(&self) -> usize {
-        self.indexes.len()
     }
 
     /// Bind a host variable (`:name`).
@@ -400,7 +393,6 @@ impl Database {
                 );
                 self.catalog
                     .create_table(Table::new(name.clone(), schema))?;
-                self.indexes.purge_table(name);
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
@@ -414,7 +406,6 @@ impl Database {
                 let n = table.insert_all(rs.into_rows())?;
                 self.stats.rows_inserted += n as u64;
                 self.catalog.create_table(table)?;
-                self.indexes.purge_table(name);
                 Ok(ExecOutcome {
                     rows_affected: n,
                     result: None,
@@ -444,7 +435,6 @@ impl Database {
             }
             Statement::DropTable { name, if_exists } => {
                 self.catalog.drop_table(name, *if_exists)?;
-                self.indexes.purge_table(name);
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
@@ -711,36 +701,6 @@ impl QueryCtx for Database {
         }
     }
 
-    /// Serve (or lazily build) the hash index on `cols` of a base table.
-    /// Returns `None` on the reference paths or when `version` does not
-    /// match the live table — the caller then falls back to a scan, so a
-    /// stale index can never be consulted.
-    fn table_index(&mut self, table: &str, version: u64, cols: &[usize]) -> Option<Arc<HashIndex>> {
-        if self.reference_paths {
-            return None;
-        }
-        match self.indexes.get(table, cols, version) {
-            IndexLookup::Hit(ix) => {
-                self.stats.index_hits += 1;
-                return Some(ix);
-            }
-            IndexLookup::Stale => self.stats.index_invalidations += 1,
-            IndexLookup::Miss => {}
-        }
-        let t = self.catalog.table(table).ok()?;
-        if t.version() != version {
-            return None;
-        }
-        let ix = Arc::new(HashIndex::build(t.rows(), cols, version));
-        self.stats.indexes_built += 1;
-        self.indexes.put(table, cols, Arc::clone(&ix));
-        Some(ix)
-    }
-
-    fn has_table_index(&self, table: &str, version: u64, cols: &[usize]) -> bool {
-        !self.reference_paths && self.indexes.peek(table, cols, version)
-    }
-
     fn column_distinct(&self, table: &str, col: usize) -> Option<u64> {
         self.catalog.table(table).ok()?.distinct(col)
     }
@@ -923,45 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn indexes_serve_joins_and_invalidate_on_mutation() {
-        let mut db = db_with_t();
-        db.execute("CREATE TABLE u (a INT, c VARCHAR)").unwrap();
-        db.execute("INSERT INTO u VALUES (1, 'one'), (3, 'three')")
-            .unwrap();
-        let q = "SELECT t.b, u.c FROM t, u WHERE t.a = u.a ORDER BY u.c";
-        let r1 = db.query(q).unwrap();
-        assert_eq!(db.stats().indexes_built, 1, "lazy build on first join");
-        let r2 = db.query(q).unwrap();
-        assert_eq!(db.stats().index_hits, 1, "second join reuses it");
-        assert_eq!(db.stats().indexes_built, 1);
-        assert_eq!(r1.rows(), r2.rows());
-        // Mutating the build-side table stales the entry.
-        db.execute("INSERT INTO u VALUES (2, 'two')").unwrap();
-        let r3 = db.query(q).unwrap();
-        assert_eq!(db.stats().index_invalidations, 1);
-        assert_eq!(db.stats().indexes_built, 2, "rebuilt after invalidation");
-        assert_eq!(r3.len(), 3);
-        // DROP purges the registry outright.
-        db.execute("DROP TABLE u").unwrap();
-        assert_eq!(db.live_indexes(), 0);
-    }
-
-    #[test]
-    fn group_by_index_matches_scan_bit_for_bit() {
-        let mut db = db_with_t();
-        let q = "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b";
-        let indexed = db.query(q).unwrap();
-        assert_eq!(db.stats().indexes_built, 1);
-        let hit = db.query(q).unwrap();
-        assert_eq!(db.stats().index_hits, 1);
-        db.set_reference_paths(true);
-        let scanned = db.query(q).unwrap();
-        assert_eq!(indexed.rows(), scanned.rows());
-        assert_eq!(hit.rows(), scanned.rows());
-        assert_eq!(db.stats().indexes_built, 1, "the reference builds nothing");
-    }
-
-    #[test]
     fn planner_modes_agree_bit_for_bit_and_counters_gate() {
         let mut db = Database::new();
         db.execute("CREATE TABLE a (x INT, tag VARCHAR)").unwrap();
@@ -998,34 +919,6 @@ mod tests {
         ] {
             assert_eq!(c, n, "the written-order fold never moves planner counters");
         }
-    }
-
-    #[test]
-    fn cost_build_side_follows_statistics() {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE big (a INT, v VARCHAR)").unwrap();
-        db.execute("CREATE TABLE small (a INT, w VARCHAR)").unwrap();
-        db.execute("INSERT INTO big VALUES (1,'b1'), (2,'b2'), (3,'b3'), (4,'b4'), (5,'b5')")
-            .unwrap();
-        db.execute("INSERT INTO small VALUES (2,'s2'), (4,'s4')")
-            .unwrap();
-        // `big` comes first in FROM: the written-order fold would build over the
-        // *next* factor regardless of size; the cost planner builds over
-        // the smaller `small`, so mutating `big` invalidates nothing.
-        let q = "SELECT big.v, small.w FROM big, small WHERE big.a = small.a";
-        let r1 = db.query(q).unwrap();
-        assert_eq!(r1.len(), 2);
-        assert_eq!(db.stats().indexes_built, 1);
-        db.execute("INSERT INTO big VALUES (6, 'b6')").unwrap();
-        let r2 = db.query(q).unwrap();
-        assert_eq!(r2.len(), 2);
-        assert_eq!(
-            db.stats().index_invalidations,
-            0,
-            "the index lives on the small build side, untouched by the mutation"
-        );
-        assert_eq!(db.stats().index_hits, 1, "second join reuses it");
-        assert_eq!(db.stats().indexes_built, 1);
     }
 
     fn temp_store(tag: &str) -> std::path::PathBuf {

@@ -86,76 +86,6 @@ fn factor_label(db: &Database, source: &TableSource, alias: Option<&str>) -> Str
     }
 }
 
-/// Format `index(<table>.<cols>)` for a factor the executor would serve
-/// from a table index, or `None` when it would scan: the factor must be a
-/// plain named base table (no view, no explicit joins, no pushdown filter
-/// — both clear base-table provenance) and every key a plain column.
-fn index_label(
-    db: &Database,
-    stmt: &SelectStmt,
-    pushed: bool,
-    factor: usize,
-    keys: &[&Expr],
-) -> Option<String> {
-    if pushed {
-        return None;
-    }
-    let tref = stmt.from.get(factor)?;
-    if !tref.joins.is_empty() {
-        return None;
-    }
-    let TableSource::Named(name) = &tref.source else {
-        return None;
-    };
-    let table = db.catalog().table(name).ok()?;
-    let mut cols = Vec::with_capacity(keys.len());
-    for k in keys {
-        match k {
-            Expr::Column { name, .. } => cols.push(name.as_str()),
-            _ => return None,
-        }
-    }
-    let col_part = if cols.len() == 1 {
-        cols[0].to_string()
-    } else {
-        format!("({})", cols.join(","))
-    };
-    Some(format!("index({}.{})", table.name(), col_part))
-}
-
-/// The access path the executor would pick for one equi-join conjunct.
-/// Factors fold left to right, so the side resolving in the later factor
-/// is the hash-build side — the one a table index can replace.
-fn equi_access_path(
-    db: &Database,
-    stmt: &SelectStmt,
-    schemas: &[Option<Schema>],
-    pushed: &[bool],
-    left: &Expr,
-    right: &Expr,
-) -> String {
-    if db.reference_paths() {
-        return "scan".into();
-    }
-    let factor_of = |e: &Expr| -> Option<usize> {
-        schemas
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| resolves_in(e, s)))
-    };
-    let (build_factor, build_key) = match (factor_of(left), factor_of(right)) {
-        (Some(lf), Some(rf)) if lf != rf => {
-            if lf > rf {
-                (lf, left)
-            } else {
-                (rf, right)
-            }
-        }
-        _ => return "scan".into(),
-    };
-    index_label(db, stmt, pushed[build_factor], build_factor, &[build_key])
-        .unwrap_or_else(|| "scan".into())
-}
-
 /// Row count of factor `i` when it is a plain named base table.
 fn factor_rows(db: &Database, stmt: &SelectStmt, i: usize) -> Option<u64> {
     let tref = stmt.from.get(i)?;
@@ -230,21 +160,6 @@ fn join_estimate(
     Some((est, lr.saturating_add(rr).saturating_add(est)))
 }
 
-/// The access path the executor would pick for the GROUP BY bucketing
-/// pass: a table index serves it only when the grouped input is one
-/// unfiltered named base table and every key is a plain column.
-fn group_access_path(db: &Database, stmt: &SelectStmt, schemas: &[Option<Schema>]) -> String {
-    if db.reference_paths()
-        || stmt.where_clause.is_some()
-        || schemas.len() != 1
-        || schemas[0].is_none()
-    {
-        return "scan".into();
-    }
-    let keys: Vec<&Expr> = stmt.group_by.iter().collect();
-    index_label(db, stmt, false, 0, &keys).unwrap_or_else(|| "scan".into())
-}
-
 fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut String) -> Result<()> {
     out.push_str(&format!("{}Select\n", pad(indent)));
     if let Some((kind, rhs)) = &stmt.set_op {
@@ -291,22 +206,6 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
     }
 
     // Predicate classification, mirroring the executor's pushdown logic.
-    // A first pass records which factors receive pushdown filters: a
-    // filtered factor loses base-table provenance, so its joins can no
-    // longer be served by a table index.
-    let mut pushed = vec![false; schemas.len()];
-    if let Some(w) = &stmt.where_clause {
-        for c in conjuncts(w) {
-            for (i, schema) in schemas.iter().enumerate() {
-                if let Some(schema) = schema {
-                    if resolves_in(c, schema) {
-                        pushed[i] = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
     if let Some(w) = &stmt.where_clause {
         for c in conjuncts(w) {
             let mut placed = false;
@@ -339,8 +238,7 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
                 _ => None,
             };
             if let Some((l, r)) = equi_sides {
-                let path = equi_access_path(db, stmt, &schemas, &pushed, l, r);
-                out.push_str(&format!("{}hash join on: {c} [{path}]", pad(indent + 1)));
+                out.push_str(&format!("{}hash join on: {c}", pad(indent + 1)));
                 if !db.reference_paths() {
                     if let Some((est, cost)) = join_estimate(db, stmt, &schemas, l, r) {
                         out.push_str(&format!(" (est {est} rows, cost {cost})"));
@@ -355,9 +253,8 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
 
     if !stmt.group_by.is_empty() {
         let keys: Vec<String> = stmt.group_by.iter().map(|e| e.to_string()).collect();
-        let path = group_access_path(db, stmt, &schemas);
         out.push_str(&format!(
-            "{}hash aggregate by ({}) [{path}]",
+            "{}hash aggregate by ({})",
             pad(indent + 1),
             keys.join(", ")
         ));
@@ -443,19 +340,35 @@ mod tests {
 
     #[test]
     fn access_paths_reported() {
-        let p = plan("SELECT t.b FROM t, u WHERE t.a = u.a");
-        assert!(p.contains("hash join on: t.a = u.a [index(u.a)]"), "{p}");
-        let p = plan("SELECT b, COUNT(*) FROM t GROUP BY b");
-        assert!(p.contains("hash aggregate by (b) [index(t.b)]"), "{p}");
-        // A pushdown filter on the build factor clears its provenance.
-        let p = plan("SELECT t.b FROM t, u WHERE t.a = u.a AND u.c = 1");
-        assert!(p.contains("hash join on: t.a = u.a [scan]"), "{p}");
-        // A WHERE clause forces the grouped input through a filter.
-        let p = plan("SELECT b, COUNT(*) FROM t WHERE a = 1 GROUP BY b");
-        assert!(p.contains("hash aggregate by (b) [scan]"), "{p}");
-        // So does a join: the grouped input is no longer one base table.
-        let p = plan("SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b");
-        assert!(p.contains("hash aggregate by (t.b) [scan]"), "{p}");
+        // Every equi-join is a hash join and every GROUP BY a hash
+        // aggregate over its own bucketing pass, whatever feeds them: the
+        // operator line is the access path and carries no tag.
+        for (sql, op) in [
+            (
+                "SELECT t.b FROM t, u WHERE t.a = u.a",
+                "hash join on: t.a = u.a",
+            ),
+            (
+                "SELECT t.b FROM t, u WHERE t.a = u.a AND u.c = 1",
+                "hash join on: t.a = u.a",
+            ),
+            (
+                "SELECT b, COUNT(*) FROM t GROUP BY b",
+                "hash aggregate by (b)",
+            ),
+            (
+                "SELECT b, COUNT(*) FROM t WHERE a = 1 GROUP BY b",
+                "hash aggregate by (b)",
+            ),
+            (
+                "SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b",
+                "hash aggregate by (t.b)",
+            ),
+        ] {
+            let p = plan(sql);
+            let line = p.lines().find(|l| l.trim_start().starts_with(op));
+            assert!(line.is_some_and(|l| !l.contains('[')), "{p}");
+        }
     }
 
     #[test]
@@ -464,10 +377,16 @@ mod tests {
         db.execute("INSERT INTO u VALUES (1, 7), (2, 8)").unwrap();
         let join = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a").unwrap();
         let p = explain_statement(&db, &join).unwrap();
-        assert!(p.contains("[index(u.a)] (est 2 rows, cost 6)"), "{p}");
+        assert!(
+            p.contains("hash join on: t.a = u.a (est 2 rows, cost 6)"),
+            "{p}"
+        );
         let group = parse_statement("SELECT b, COUNT(*) FROM t GROUP BY b").unwrap();
         let p = explain_statement(&db, &group).unwrap();
-        assert!(p.contains("[index(t.b)] (est 2 groups of 2 rows)"), "{p}");
+        assert!(
+            p.contains("hash aggregate by (b) (est 2 groups of 2 rows)"),
+            "{p}"
+        );
         // The written-order fold estimates nothing, for joins or groups.
         db.set_reference_paths(true);
         for stmt in [&join, &group] {
@@ -482,11 +401,11 @@ mod tests {
         db.set_reference_paths(true);
         let stmt = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a GROUP BY t.b").unwrap();
         let p = explain_statement(&db, &stmt).unwrap();
-        assert!(p.contains("hash join on: t.a = u.a [scan]"), "{p}");
-        assert!(p.contains("hash aggregate by (t.b) [scan]"), "{p}");
-        assert!(
-            !p.contains("[index("),
-            "no index paths on the reference: {p}"
+        assert_eq!(
+            p,
+            "Select\n  scan t [2 rows]\n  scan u [0 rows]\n  \
+             hash join on: t.a = u.a\n  hash aggregate by (t.b)",
+            "the reference plan scans its factors and annotates nothing"
         );
     }
 

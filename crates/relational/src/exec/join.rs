@@ -10,11 +10,11 @@
 //!
 //! The planner orders joins greedily by estimated intermediate
 //! cardinality — `|L|·|R| / ndv(key)`, with distinct counts from the
-//! catalog statistics — and picks the build side by index availability
-//! and actual input size. Instead of materialising every intermediate, it
-//! carries tuples of factor row indices and materialises the demanded
-//! columns once at the end, in the canonical lexicographic order of a
-//! written-order fold. That fold — the FROM list left-to-right, the next
+//! catalog statistics — and builds each hash table over the smaller
+//! input. Instead of materialising every intermediate, it carries tuples
+//! of factor row indices and materialises the demanded columns once at
+//! the end, in the canonical lexicographic order of a written-order
+//! fold. That fold — the FROM list left-to-right, the next
 //! factor always the hash-join build side — is kept as the reference path
 //! ([`QueryCtx::reference_paths`]); both return bit-identical results.
 //!
@@ -28,21 +28,18 @@ use crate::error::Result;
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::QueryCtx;
 use crate::expr::{BinOp, Expr};
-use crate::key::KeyMap;
+use crate::key::{bucket, KeyMap};
 use crate::row::Row;
 use crate::types::{Column, Schema};
 use crate::value::Value;
 
 /// Provenance of a relation that is a verbatim snapshot of a base table:
-/// same rows, same positions, taken at exactly this version. Operators
-/// holding such a relation may answer from a table index instead of
-/// rebuilding hash structures over the rows.
+/// same rows, same positions. The cost join reads its key columns'
+/// catalog distinct counts through it ([`QueryCtx::column_distinct`]).
 #[derive(Debug, Clone)]
 pub struct BaseRef {
     /// Catalog name of the source table.
     pub table: String,
-    /// The table version at materialisation time.
-    pub version: u64,
 }
 
 /// A fully materialised intermediate relation.
@@ -76,8 +73,8 @@ impl Relation {
 
     /// Resolve key expressions that are all plain column references to
     /// their positions in this relation's schema. Any non-column key (or
-    /// unresolvable name) yields `None` — those keys can't be served by a
-    /// positional table index.
+    /// unresolvable name) yields `None` — such a key has no catalog
+    /// distinct estimate.
     pub fn key_positions(&self, keys: &[&Expr]) -> Option<Vec<usize>> {
         keys.iter()
             .map(|k| match k {
@@ -254,6 +251,26 @@ fn gather_key(cols: &[Vec<Value>], i: usize, key: &mut Vec<Value>) -> bool {
         key.push(c[i].clone());
     }
     true
+}
+
+/// The hash table of a join's build side: the positions of `rel`'s rows
+/// bucketed by the key `keys` evaluate to. NULL-containing keys are left
+/// out (they never match), and a key is cloned only the first time it is
+/// seen.
+fn build_table(
+    keys: &[&Expr],
+    rel: &Relation,
+    ctx: &mut dyn QueryCtx,
+) -> Result<KeyMap<Vec<usize>>> {
+    let cols = key_columns(keys, &rel.schema, &rel.rows, ctx)?;
+    let mut table = KeyMap::default();
+    let mut key = Vec::with_capacity(keys.len());
+    for i in 0..rel.rows.len() {
+        if gather_key(&cols, i, &mut key) {
+            bucket(&mut table, &key, i);
+        }
+    }
+    Ok(table)
 }
 
 /// One value column per connecting predicate of a cost-join step, each
@@ -438,11 +455,11 @@ impl<'a> FactorPred<'a> {
 /// statistics; a disconnected factor estimates as a cross product). The
 /// accumulator is one flat vector of *row-index tuples* (stride = factor
 /// count), not materialised rows, so a tuple costs 4 bytes per factor and
-/// no allocation. The build side of each hash step goes to an existing
-/// index if one side has one, else to the smaller input. At the end the
-/// tuples are put in canonical factor order — the exact row order the
-/// written-order fold produces — and the demanded columns materialised
-/// once: those `demand` or a residual conjunct can read.
+/// no allocation. Each hash step builds over the smaller input, ties
+/// going to the incoming factor. At the end the tuples are put in
+/// canonical factor order — the exact row order the written-order fold
+/// produces — and the demanded columns materialised once: those `demand`
+/// or a residual conjunct can read.
 fn cost_join<'a>(
     factors: Vec<Relation>,
     equis: Vec<(&'a Expr, EquiPred<'a>)>,
@@ -480,9 +497,6 @@ fn cost_join<'a>(
     for (i, t) in tuples.chunks_exact_mut(n).enumerate() {
         t[start] = i as u32;
     }
-    // While `tuples` is still the identity over the start factor, its
-    // untouched base snapshot (if any) can serve as an index build side.
-    let mut tuples_base: Option<usize> = Some(start);
 
     while order.len() < n {
         let acc = tuples.len() / n;
@@ -545,59 +559,18 @@ fn cost_join<'a>(
         } else {
             let f_keys: Vec<&Expr> = conn.iter().map(|&pi| preds[pi].side(f)).collect();
             let other: Vec<(usize, &Expr)> = conn.iter().map(|&pi| preds[pi].other(f)).collect();
-
-            // Access paths: either side whose rows are an untouched base
-            // snapshot with plain-column keys can be served by the
-            // engine's persistent index registry.
-            let f_cols = factors[f].key_positions(&f_keys);
-            let t_cols = match tuples_base {
-                Some(s) if factors[s].base.is_some() => {
-                    let other_exprs: Vec<&Expr> = other.iter().map(|(_, e)| *e).collect();
-                    factors[s].key_positions(&other_exprs)
-                }
-                _ => None,
-            };
-            let f_has_ix = matches!((&factors[f].base, &f_cols),
-                (Some(b), Some(cols)) if ctx.has_table_index(&b.table, b.version, cols));
-            let t_has_ix = matches!((tuples_base.and_then(|s| factors[s].base.as_ref()), &t_cols),
-                (Some(b), Some(cols)) if ctx.has_table_index(&b.table, b.version, cols));
-            // Build side: a live index wins outright; otherwise the
-            // smaller input builds, ties going to the incoming factor.
-            let build_on_f = if f_has_ix != t_has_ix {
-                f_has_ix
-            } else if factors[f].rows.len() != acc {
-                factors[f].rows.len() < acc
-            } else {
-                true
-            };
-
+            let ocols = other_key_columns(&other, &factors, ctx)?;
             let mut out: Vec<u32> = Vec::new();
             let mut key: Vec<Value> = Vec::with_capacity(conn.len());
-            if build_on_f {
-                let index = match (&factors[f].base, &f_cols) {
-                    (Some(b), Some(cols)) => ctx.table_index(&b.table, b.version, cols),
-                    _ => None,
-                };
-                let mut fresh: KeyMap<Vec<usize>> = KeyMap::default();
-                if index.is_none() {
-                    fresh.reserve(factors[f].rows.len());
-                    let fcols = key_columns(&f_keys, &factors[f].schema, &factors[f].rows, ctx)?;
-                    for i in 0..factors[f].rows.len() {
-                        if gather_key(&fcols, i, &mut key) {
-                            fresh.entry(std::mem::take(&mut key)).or_default().push(i);
-                        }
-                    }
-                }
-                let map: &KeyMap<Vec<usize>> = match &index {
-                    Some(ix) => &ix.map,
-                    None => &fresh,
-                };
-                let ocols = other_key_columns(&other, &factors, ctx)?;
+            // Build side: the smaller input, ties going to the incoming
+            // factor.
+            if factors[f].rows.len() <= acc {
+                let table = build_table(&f_keys, &factors[f], ctx)?;
                 for t in tuples.chunks_exact(n) {
                     if !gather_tuple_key(&ocols, &other, t, &mut key) {
                         continue;
                     }
-                    if let Some(matches) = map.get(&key) {
+                    if let Some(matches) = table.get(&key) {
                         for &bi in matches {
                             push_tuple(&mut out, t, f, bi);
                         }
@@ -605,30 +578,18 @@ fn cost_join<'a>(
                 }
             } else {
                 // Build over the accumulated tuples, probe the factor.
-                let index = match (tuples_base.and_then(|s| factors[s].base.as_ref()), &t_cols) {
-                    (Some(b), Some(cols)) => ctx.table_index(&b.table, b.version, cols),
-                    _ => None,
-                };
-                let mut fresh: KeyMap<Vec<usize>> = KeyMap::default();
-                if index.is_none() {
-                    fresh.reserve(acc);
-                    let ocols = other_key_columns(&other, &factors, ctx)?;
-                    for (ti, t) in tuples.chunks_exact(n).enumerate() {
-                        if gather_tuple_key(&ocols, &other, t, &mut key) {
-                            fresh.entry(std::mem::take(&mut key)).or_default().push(ti);
-                        }
+                let mut table: KeyMap<Vec<usize>> = KeyMap::default();
+                for (ti, t) in tuples.chunks_exact(n).enumerate() {
+                    if gather_tuple_key(&ocols, &other, t, &mut key) {
+                        bucket(&mut table, &key, ti);
                     }
                 }
-                let map: &KeyMap<Vec<usize>> = match &index {
-                    Some(ix) => &ix.map,
-                    None => &fresh,
-                };
                 let fcols = key_columns(&f_keys, &factors[f].schema, &factors[f].rows, ctx)?;
                 for fi in 0..factors[f].rows.len() {
                     if !gather_key(&fcols, fi, &mut key) {
                         continue;
                     }
-                    if let Some(matches) = map.get(&key) {
+                    if let Some(matches) = table.get(&key) {
                         for &ti in matches {
                             push_tuple(&mut out, &tuples[ti * n..(ti + 1) * n], f, fi);
                         }
@@ -644,7 +605,6 @@ fn cost_join<'a>(
         tuples = out;
         joined[f] = true;
         order.push(f);
-        tuples_base = None;
     }
 
     let reordered = order.iter().enumerate().filter(|&(i, &f)| i != f).count() as u64;
@@ -715,32 +675,8 @@ fn hash_join(
     ctx: &mut dyn QueryCtx,
 ) -> Result<Relation> {
     let schema = probe.schema.join(&build.schema);
-    // Access path: when the build side is an untouched base-table
-    // snapshot and every build key is a plain column, the engine's index
-    // registry serves (or lazily builds) a persistent hash index over
-    // those columns — later statements joining on the same key skip the
-    // build scan entirely. The index also stores NULL-containing keys
-    // (its GROUP BY consumer needs them) but the probe below never looks
-    // one up, preserving SQL equality semantics.
-    let index = match (&build.base, build.key_positions(build_keys)) {
-        (Some(base), Some(cols)) => ctx.table_index(&base.table, base.version, &cols),
-        _ => None,
-    };
-    let mut fresh: KeyMap<Vec<usize>> = KeyMap::default();
-    let mut key: Vec<Value> = Vec::with_capacity(build_keys.len());
-    if index.is_none() {
-        fresh.reserve(build.rows.len());
-        let bcols = key_columns(build_keys, &build.schema, &build.rows, ctx)?;
-        for i in 0..build.rows.len() {
-            if gather_key(&bcols, i, &mut key) {
-                fresh.entry(std::mem::take(&mut key)).or_default().push(i);
-            }
-        }
-    }
-    let table: &KeyMap<Vec<usize>> = match &index {
-        Some(ix) => &ix.map,
-        None => &fresh,
-    };
+    let table = build_table(build_keys, build, ctx)?;
+    let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
     let pcols = key_columns(probe_keys, &probe.schema, &probe.rows, ctx)?;
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for pi in 0..probe.rows.len() {

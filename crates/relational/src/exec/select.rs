@@ -14,7 +14,7 @@ use crate::exec::join::{conjuncts, filter_relation, join_factors, BaseRef, Deman
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, QueryCtx};
 use crate::expr::{AggFunc, BinOp, Expr};
-use crate::key::{KeyHash, KeyMap};
+use crate::key::{bucket, KeyHash, KeyMap};
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sql::ast::{JoinKind, OrderItem, SelectItem, SelectStmt, SetOpKind, TableSource};
@@ -361,9 +361,9 @@ fn explicit_join(
 }
 
 /// Materialise a named table or view. A base table's rows are shared,
-/// not copied, and carry their provenance (name + version) so downstream
-/// operators can consult table indexes; views are re-evaluated queries
-/// and get none.
+/// not copied, and carry their provenance (the table's name) so the
+/// cost join can read its key columns' catalog distinct counts; views
+/// are re-evaluated queries and get none.
 fn materialize_named(db: &mut Database, name: &str) -> Result<Relation> {
     if let Some(view) = db.catalog().view(name).cloned() {
         let rs = run_select(db, &view.query)?;
@@ -375,7 +375,6 @@ fn materialize_named(db: &mut Database, name: &str) -> Result<Relation> {
         rows: table.shared_rows(),
         base: Some(BaseRef {
             table: table.name().to_string(),
-            version: table.version(),
         }),
     };
     db.bump(ExecCounter::RowsScanned, relation.rows.len() as u64);
@@ -465,59 +464,35 @@ fn run_grouped(
     items: &[(Expr, String)],
     out_names: &[String],
 ) -> Result<Vec<(Row, Vec<Value>)>> {
-    // Access path: a GROUP BY whose keys are plain columns of an
-    // untouched base-table snapshot is served by the engine's table
-    // index on those columns — same buckets, same first-seen key order,
-    // no per-row key evaluation. Any filter, join or view boundary
-    // clears the provenance and falls back to the bucketing loop below.
-    let key_refs: Vec<&Expr> = stmt.group_by.iter().collect();
-    let index = if stmt.group_by.is_empty() {
-        None
+    // Bucket row indices by key, in first-seen key order. Each row's key
+    // is evaluated into one reused buffer; only a new key is cloned.
+    let mut buckets: KeyMap<Vec<usize>> = KeyMap::default();
+    let mut order: Vec<Vec<Value>> = Vec::new();
+    if stmt.group_by.is_empty() {
+        buckets.insert(Vec::new(), (0..input.rows.len()).collect());
+        order.push(Vec::new());
     } else {
-        match (&input.base, input.key_positions(&key_refs)) {
-            (Some(b), Some(cols)) => db.table_index(&b.table, b.version, &cols),
-            _ => None,
-        }
-    };
-
-    // Bucket row indices by key (unless the index already did).
-    let mut fresh_buckets: KeyMap<Vec<usize>> = KeyMap::default();
-    let mut fresh_order: Vec<Vec<Value>> = Vec::new(); // first-seen group order
-    if index.is_none() {
-        if stmt.group_by.is_empty() {
-            fresh_buckets.insert(Vec::new(), (0..input.rows.len()).collect());
-            fresh_order.push(Vec::new());
-        } else {
-            // Key expressions are planned once for the per-row bucketing
-            // loop.
-            let key_evals: Vec<SiteEval> = stmt
-                .group_by
-                .iter()
-                .map(|g| SiteEval::plan(g, &input.schema, db))
-                .collect();
-            let mut stack = Vec::new();
-            for (i, row) in input.rows.iter().enumerate() {
-                let mut key = Vec::with_capacity(key_evals.len());
-                for g in &key_evals {
-                    key.push(g.eval(&input.schema, row, db, &mut stack)?);
-                }
-                match fresh_buckets.entry(key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(i),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(vec![i]);
-                        fresh_order.push(key);
-                    }
-                }
+        // Key expressions are planned once for the per-row bucketing loop.
+        let key_evals: Vec<SiteEval> = stmt
+            .group_by
+            .iter()
+            .map(|g| SiteEval::plan(g, &input.schema, db))
+            .collect();
+        let mut stack = Vec::new();
+        let mut key = Vec::with_capacity(key_evals.len());
+        for (i, row) in input.rows.iter().enumerate() {
+            key.clear();
+            for g in &key_evals {
+                key.push(g.eval(&input.schema, row, db, &mut stack)?);
+            }
+            if bucket(&mut buckets, &key, i) {
+                order.push(key.clone());
             }
         }
     }
-    let (buckets, order) = match &index {
-        Some(ix) => (&ix.map, &ix.order),
-        None => (&fresh_buckets, &fresh_order),
-    };
 
     let mut out = Vec::with_capacity(order.len());
-    for key in order {
+    for key in &order {
         let idxs = &buckets[key];
         let rows: Vec<&Row> = idxs.iter().map(|&i| &input.rows[i]).collect();
         if let Some(h) = &stmt.having {

@@ -7,12 +7,10 @@
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::expr::compile::ExecCounter;
 use crate::expr::{AggFunc, BinOp, Expr, UnaryOp};
-use crate::index::HashIndex;
 use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sql::ast::SelectStmt;
@@ -29,36 +27,16 @@ pub trait QueryCtx {
     /// Read a host variable.
     fn host_var(&self, name: &str) -> Result<Value>;
     /// Whether every strategy choice takes its reference leg: interpreted
-    /// expressions, row-at-a-time flow, written-order join fold, no table
-    /// indexes. Production contexts answer `false` and let each site
-    /// select from what it observes; tests flip it on a
-    /// [`Database`](crate::Database) to get the oracle the production
-    /// paths are compared against.
+    /// expressions, row-at-a-time flow, written-order join fold.
+    /// Production contexts answer `false` and let each site select from
+    /// what it observes; tests flip it on a [`Database`](crate::Database)
+    /// to get the oracle the production paths are compared against.
     fn reference_paths(&self) -> bool {
         false
     }
     /// Record executor work ([`ExecCounter`]). A no-op outside an
     /// engine, so plan-level helpers can report unconditionally.
     fn bump(&mut self, _counter: ExecCounter, _n: u64) {}
-    /// Fetch (building lazily if allowed) a hash index over `cols` of the
-    /// named base table, valid only at exactly `version`. The default —
-    /// used by contexts without a catalog — offers no access paths, so
-    /// operators fall back to scans.
-    fn table_index(
-        &mut self,
-        _table: &str,
-        _version: u64,
-        _cols: &[usize],
-    ) -> Option<Arc<HashIndex>> {
-        None
-    }
-    /// True when a live hash index over `cols` of the named base table
-    /// already exists at exactly `version` — a zero-cost access path the
-    /// planner should prefer. Unlike [`QueryCtx::table_index`], peeking
-    /// never builds anything.
-    fn has_table_index(&self, _table: &str, _version: u64, _cols: &[usize]) -> bool {
-        false
-    }
     /// Estimated distinct count of one column of a base table, from the
     /// catalog statistics. `None` outside an engine (or off-range).
     fn column_distinct(&self, _table: &str, _col: usize) -> Option<u64> {

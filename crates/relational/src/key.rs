@@ -43,6 +43,21 @@ impl BuildHasher for KeyHash {
 /// A map from owned keys, hashed with [`KeyHash`].
 pub type KeyMap<V> = HashMap<Vec<Value>, V, KeyHash>;
 
+/// File position `i` under `key`, probing with the borrowed key and cloning
+/// it only when `map` has not seen it yet. Returns whether it was new.
+pub(crate) fn bucket(map: &mut KeyMap<Vec<usize>>, key: &[Value], i: usize) -> bool {
+    match map.get_mut(key) {
+        Some(positions) => {
+            positions.push(i);
+            false
+        }
+        None => {
+            map.insert(key.to_vec(), vec![i]);
+            true
+        }
+    }
+}
+
 /// One multiply per word, its state finalised at every step: the 128-bit
 /// product's high half is folded into the low half. `std`'s table indexes
 /// by the low bits, and a small INT hashes as `f64` bits whose low 32 bits

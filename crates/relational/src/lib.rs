@@ -36,7 +36,6 @@ pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod expr;
-pub mod index;
 pub mod key;
 pub mod persist;
 pub mod resultset;
@@ -52,7 +51,6 @@ pub mod value;
 pub use engine::{Database, ExecOutcome, ExecStats};
 pub use error::{Error, ObjectKind, Result};
 pub use expr::compile::{CompiledExpr, ExecCounter};
-pub use index::HashIndex;
 pub use key::{KeyHash, KeyInterner};
 pub use resultset::ResultSet;
 pub use row::Row;

@@ -3,8 +3,8 @@
 //! A table keeps no statistics of its own: [`crate::Table::distinct`]
 //! folds one column of the current rows through a [`ColumnStats`] the
 //! first time the planner (or `EXPLAIN`) asks, remembers the answer for
-//! that table version and forgets it on the next mutation — the policy
-//! hash indexes follow. The row count is the table's own `row_count()`.
+//! that table version and forgets it on the next mutation. The row count
+//! is the table's own `row_count()`.
 //!
 //! The estimator is exact up to [`KMV_K`] distinct values and degrades to
 //! a KMV ("k minimum values") sketch beyond that: it keeps the `k`

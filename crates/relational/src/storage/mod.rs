@@ -419,8 +419,7 @@ impl PagedStore {
     /// the previous process died with committed-but-unflushed work, and
     /// materialise what it holds: tables, views and sequences (an empty
     /// catalog for a new store). Every table gets a *fresh* version
-    /// stamp, so index or cache entries from before the reopen can never
-    /// hit it.
+    /// stamp, so cache entries from before the reopen can never hit it.
     pub fn open(dir: &Path, cfg: StorageConfig) -> Result<(PagedStore, Catalog)> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::storage(format!("create {}: {e}", dir.display())))?;

@@ -11,8 +11,7 @@ use crate::types::Schema;
 /// Process-global version stamp source. Every stamp is unique, so a table
 /// version identifies one exact row snapshot of one exact table instance:
 /// dropping and recreating a table (or reloading a saved database) can
-/// never resurrect a version that an index or cache entry was built
-/// against.
+/// never resurrect a version that a cache entry was built against.
 static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 fn next_version() -> u64 {
@@ -135,7 +134,7 @@ impl Table {
 
     /// The table's current version stamp. Monotonically increasing across
     /// the whole process: bumped by every mutation, and globally unique,
-    /// so consumers (hash indexes, the preprocess artifact cache) detect
+    /// so consumers (the session artifact store) detect
     /// both in-place mutation and drop/recreate by a simple equality
     /// check.
     pub fn version(&self) -> u64 {
@@ -259,8 +258,8 @@ impl Table {
     /// removed. Positions beyond the mask are kept. This is the DELETE
     /// primitive: removed rows enter the change log, so a consumer holding
     /// an older version stamp can replay the delta. A mask that removes
-    /// nothing is a no-op, not a version bump: indexes, caches and the
-    /// paged store see an untouched table.
+    /// nothing is a no-op, not a version bump: caches and the paged store
+    /// see an untouched table.
     pub fn delete_mask(&mut self, mask: &[bool]) -> usize {
         if !mask.iter().take(self.rows.len()).any(|&m| m) {
             return 0;

@@ -13,7 +13,10 @@
 //! * A join's scans share the catalog's rows, its accumulator is one flat
 //!   vector of row-index tuples and it builds only the columns the
 //!   statement reads: a `COUNT(*)` over an equi-join allocates per input
-//!   row and distinct key at most, never per joined row.
+//!   row and distinct key at most, never per joined row. Its hash table
+//!   is built over the smaller input and clones a key only when it is new.
+//! * A GROUP BY evaluates each row's key into one reused buffer and
+//!   allocates per distinct key, never per row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -179,7 +182,7 @@ fn a_first_insert_into_an_empty_table_takes_the_batch_without_copying_it() {
 }
 
 /// `T(k, v)`: `rows` rows over `keys` distinct `k`s, each with its own
-/// string `v`; plus `Small(k)`, one row per key.
+/// string `v`; plus `Small(k)`, one row for each of the first ten keys.
 fn keyed(rows: i64, keys: i64) -> Database {
     let mut db = Database::new();
     db.execute("CREATE TABLE T (k INT, v VARCHAR)").unwrap();
@@ -187,7 +190,7 @@ fn keyed(rows: i64, keys: i64) -> Database {
     let catalog = db.catalog_mut();
     let t = (0..rows).map(|i| vec![Value::Int(i % keys), Value::Str(format!("v{i}"))]);
     catalog.table_mut("T").unwrap().insert_all(t).unwrap();
-    let small = (0..keys).map(|k| vec![Value::Int(k)]);
+    let small = (0..keys.min(10)).map(|k| vec![Value::Int(k)]);
     catalog
         .table_mut("Small")
         .unwrap()
@@ -217,11 +220,51 @@ fn a_count_over_an_equi_self_join_allocates_per_key_not_per_joined_row() {
 
 #[test]
 fn a_join_over_an_unfiltered_base_table_copies_none_of_its_rows() {
-    let sql = "SELECT COUNT(*) FROM T, Small WHERE T.k = Small.k";
-    let run = |rows: i64| count_allocations(&mut keyed(rows, 10), sql, rows);
-    let (small, large) = (run(2_000), run(20_000));
-    assert!(
-        large < small * 2,
-        "10x the scanned rows: {small} -> {large} allocations"
-    );
+    // Either way round, the cost join starts from `Small` and builds its
+    // hash table over it, the smaller input. Over distinct `T.k`s a table
+    // built over `T` would allocate one key per row.
+    for sql in [
+        "SELECT COUNT(*) FROM T, Small WHERE T.k = Small.k",
+        "SELECT COUNT(*) FROM Small, T WHERE T.k = Small.k",
+    ] {
+        for keys in [Some(10), None] {
+            let run = |rows: i64| {
+                let (keys, expected) = keys.map_or((rows, 10), |k| (k, rows));
+                count_allocations(&mut keyed(rows, keys), sql, expected)
+            };
+            let (small, large) = (run(2_000), run(20_000));
+            assert!(
+                large < small * 2,
+                "{sql}, {keys:?} keys: 10x the scanned rows: {small} -> {large} allocations"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_group_by_allocates_per_distinct_key_not_per_row() {
+    for sql in [
+        "SELECT k, COUNT(*) FROM T GROUP BY k",
+        "SELECT COUNT(*) FROM T GROUP BY k % 5",
+    ] {
+        let run = |rows: i64| {
+            let mut db = keyed(rows, 10);
+            let (rs, allocated) = allocations(|| db.query(sql).unwrap());
+            let counts: i64 = rs
+                .rows()
+                .iter()
+                .map(|r| match r.last() {
+                    Some(Value::Int(n)) => *n,
+                    other => panic!("{sql}: count {other:?}"),
+                })
+                .sum();
+            assert_eq!(counts, rows, "{sql}: every row in one group");
+            allocated
+        };
+        let (small, large) = (run(2_000), run(20_000));
+        assert!(
+            large < small * 2,
+            "{sql}: 10x the grouped rows over the same keys: {small} -> {large} allocations"
+        );
+    }
 }

@@ -9,8 +9,8 @@ use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::{DecodedRule, MineRuleEngine};
 
 const CACHE: [bool; 2] = [true, false];
-/// Production paths (indexed access among them) and the reference
-/// paths (scans) — `Database::set_reference_paths`.
+/// Production paths and the reference paths —
+/// `Database::set_reference_paths`.
 const REFERENCE: [bool; 2] = [false, true];
 
 /// Bit-exact signature of a rule set (f64s compared by bit pattern).

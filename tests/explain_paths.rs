@@ -1,9 +1,10 @@
-//! EXPLAIN access-path snapshots over the paper's own data: the Figure 1
-//! `Purchase` table and the §2 / Figure 2b mined-output join shapes. The
-//! plans must state the access path — `index(<table>.<cols>)` for
-//! untouched base tables, `scan` for derived inputs and on the reference
-//! paths — so the tightly-coupled claim ("the SQL server does the data
-//! management") stays inspectable.
+//! EXPLAIN snapshots over the paper's own data: the Figure 1 `Purchase`
+//! table and the §2 / Figure 2b mined-output join shapes. The plans must
+//! state each operator — a scan per factor, a hash join per equi-join
+//! conjunct, a hash aggregate per GROUP BY, with the cost planner's
+//! estimates beside them and none on the reference paths — so the
+//! tightly-coupled claim ("the SQL server does the data management")
+//! stays inspectable.
 
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::MineRuleEngine;
@@ -23,21 +24,6 @@ fn plan(db: &mut Database, sql: &str) -> String {
 const GROUPED: &str = "SELECT customer, COUNT(*) AS purchases FROM Purchase GROUP BY customer";
 
 #[test]
-fn figure1_grouping_uses_an_index_under_auto() {
-    let mut db = purchase_db();
-    let p = plan(&mut db, GROUPED);
-    assert!(
-        p.contains("hash aggregate by (customer) [index(Purchase.customer)]"),
-        "{p}"
-    );
-
-    db.set_reference_paths(true);
-    let p = plan(&mut db, GROUPED);
-    assert!(p.contains("hash aggregate by (customer) [scan]"), "{p}");
-    assert!(!p.contains("[index("), "{p}");
-}
-
-#[test]
 fn figure2b_output_join_reports_its_access_path() {
     let mut db = purchase_db();
     MineRuleEngine::new()
@@ -48,14 +34,16 @@ fn figure2b_output_join_reports_its_access_path() {
                 FilteredOrderedSets_Bodies b WHERE r.BodyId = b.BodyId";
     let p = plan(&mut db, join);
     assert!(
-        p.contains("hash join on: r.BodyId = b.BodyId [index(FilteredOrderedSets_Bodies.BodyId)]"),
+        p.lines()
+            .any(|l| l == "  hash join on: r.BodyId = b.BodyId (est 4 rows, cost 11)"),
         "{p}"
     );
 
     db.set_reference_paths(true);
     let p = plan(&mut db, join);
     assert!(
-        p.contains("hash join on: r.BodyId = b.BodyId [scan]"),
+        p.lines()
+            .any(|l| l == "  hash join on: r.BodyId = b.BodyId"),
         "{p}"
     );
 }
@@ -70,21 +58,19 @@ fn explain_snapshot_is_stable_for_the_figure1_plan() {
         p,
         "Select\n  \
          scan Purchase [8 rows]\n  \
-         hash aggregate by (customer) [index(Purchase.customer)] \
-         (est 2 groups of 8 rows)",
+         hash aggregate by (customer) (est 2 groups of 8 rows)",
         "plan drifted"
     );
 
-    // On the reference paths the access path flips to a scan and the
-    // estimates disappear: no statistics are consulted, so none are
-    // printed.
+    // On the reference paths the estimates disappear: no statistics are
+    // consulted, so none are printed.
     db.set_reference_paths(true);
     let p = plan(&mut db, GROUPED);
     assert_eq!(
         p,
         "Select\n  \
          scan Purchase [8 rows]\n  \
-         hash aggregate by (customer) [scan]",
+         hash aggregate by (customer)",
         "reference plan drifted"
     );
 }

@@ -1,7 +1,7 @@
 //! Save/load round-trips at the workspace level: a persisted database
 //! reloads bit-exact (tables, views, sequences), supports MINE RULE
 //! immediately, and every reloaded table carries a *fresh* version stamp
-//! so no pre-save index or preprocess-cache entry can ever hit it.
+//! so no pre-save artifact-store entry can ever hit it.
 //!
 //! The second half covers the paged storage backend: kill-and-recover
 //! sweeps that inject a crash at *every* WAL append/fsync boundary of a
@@ -66,8 +66,8 @@ fn reloaded_tables_get_fresh_version_stamps() {
     let reloaded = persist::load(&dir).unwrap();
     let reloaded_version = reloaded.catalog().table("Purchase").unwrap().version();
     // Versions are globally unique: a reload is a *new* table generation,
-    // so stale index registry or preprocess-cache entries keyed on the
-    // old version can never hit the reloaded data.
+    // so stale artifact-store entries keyed on the old version can never
+    // hit the reloaded data.
     assert_ne!(saved_version, reloaded_version);
     assert!(
         reloaded_version > saved_version,
@@ -738,8 +738,8 @@ fn committed_pages_reach_the_heap_only_at_a_checkpoint() {
 }
 
 /// Reopening a paged store mints fresh table version stamps, exactly
-/// like a TSV reload: stale index or preprocess-cache entries keyed on
-/// pre-crash versions can never hit recovered data.
+/// like a TSV reload: stale artifact-store entries keyed on pre-crash
+/// versions can never hit recovered data.
 #[test]
 fn paged_reopen_mints_fresh_version_stamps() {
     let dir = temp_dir("paged_versions");

@@ -265,7 +265,7 @@ fn multi_row_insert_is_atomic_on_both_backends() {
 }
 
 /// A DELETE that matches nothing is a no-op on both backends: no version
-/// bump (indexes and caches stay valid), no change record, and — under
+/// bump (caches stay valid), no change record, and — under
 /// the paged store — nothing for the next sync to log.
 #[test]
 fn delete_matching_nothing_is_a_no_op_on_both_backends() {

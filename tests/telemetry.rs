@@ -387,8 +387,9 @@ fn joined_from_runs_its_sql_steps_on_the_row_loop() {
         snap.render_text()
     );
     // Exact for Figure 1's data: one program per expression the Q-steps
-    // evaluate, and every scanned and joined row.
-    assert_eq!(snap.counter("relational.compile.programs"), 14);
+    // evaluate, the key expressions every hash join and GROUP BY buckets
+    // by included, and every scanned and joined row.
+    assert_eq!(snap.counter("relational.compile.programs"), 17);
     assert_eq!(snap.counter("relational.rows.scanned"), 63);
     assert_eq!(snap.counter("relational.rows.filtered"), 0);
     assert_eq!(snap.counter("relational.rows.joined"), 24);
