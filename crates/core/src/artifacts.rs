@@ -12,9 +12,9 @@
 //! thresholds or the output table name) and holds two independently
 //! replaceable halves, each letting a rerun skip one phase:
 //!
-//! * the **encoding** — every table, view and sequence state
-//!   preprocessing materialised, and the core's input the fused pass
-//!   built beside them. It skips `Q0`..`Q11`, and the restored input
+//! * the **encoding** — every table (a deferred one as its unbuilt
+//!   handle), view and sequence state preprocessing left, and the core's
+//!   input the fused pass built beside them. It skips `Q0`..`Q11`, and the restored input
 //!   spares the core the read back out of the tables. Valid while the
 //!   version stamp ([`relational::Table::version`]) of every FROM table
 //!   still matches the live catalog — stamps are globally unique and
@@ -54,7 +54,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use relational::catalog::View;
+use relational::catalog::{TableEntry, View};
 use relational::expr::Expr;
 use relational::sequence::Sequence;
 use relational::{Database, Table, Value};
@@ -91,7 +91,9 @@ struct Encoding {
     total_groups: u64,
     /// The `:mingroups` the tables were pruned at (superset rule).
     min_groups: u64,
-    tables: Vec<Table>,
+    /// Every table as the catalog held it: a deferred one keeps its
+    /// producer and is registered again unbuilt.
+    tables: Vec<TableEntry>,
     views: Vec<View>,
     /// `(name, next, increment)` of the id sequences at capture.
     sequences: Vec<(String, i64, i64)>,
@@ -208,7 +210,7 @@ pub struct StoreOutcome {
     pub inventory_bytes: u64,
     /// Source-table rows the capture itself had to read (an inventory
     /// capture reads the source only when no fused pass handed it a
-    /// digest; an encoding capture copies finished tables).
+    /// digest; an encoding capture shares the catalog's tables).
     pub source_rows: u64,
 }
 
@@ -293,12 +295,13 @@ impl ArtifactStore {
         };
 
         // Restored tables keep their capture-time version stamps: each
-        // holds exactly the rows it was captured with.
+        // holds exactly the rows it was captured with, and a deferred one
+        // is registered unbuilt again.
         run_steps(db, &translation.cleanup, stmt.min_support)?;
         let catalog = db.catalog_mut();
         let reinstated = (|| {
             for table in encoding.tables {
-                catalog.create_table(table)?;
+                catalog.create_entry(table)?;
             }
             for view in encoding.views {
                 catalog.create_view(view)?;
@@ -359,7 +362,7 @@ impl ArtifactStore {
             names.large_rules(),
             names.input_rules(),
         ] {
-            if let Ok(table) = catalog.table(&name) {
+            if let Ok(table) = catalog.entry(&name) {
                 tables.push(table.clone());
             }
         }
@@ -380,12 +383,10 @@ impl ArtifactStore {
             .into_iter()
             .filter(|(name, _, _)| seq_names.contains(&name.to_ascii_lowercase()))
             .collect();
-        // Rough retained size: values dominate, headers are noise.
+        // Rough retained size: a built table at its per-row cost, a
+        // deferred one at what its producer keeps.
         let input = run.input.clone();
-        let bytes = tables
-            .iter()
-            .map(|t| 64 + (t.row_count() * t.schema().len()) as u64 * 24)
-            .sum::<u64>()
+        let bytes = tables.iter().map(TableEntry::approx_bytes).sum::<u64>()
             + input.as_ref().map_or(0, |i| i.approx_bytes());
         let encoding = Encoding {
             table_versions,
@@ -990,6 +991,29 @@ mod tests {
             db.var("totg"),
             Some(&Value::Int(report.total_groups as i64))
         );
+    }
+
+    #[test]
+    fn encoding_bytes_count_deferred_handles_and_built_rows_at_their_cost() {
+        let text = stmt_text(0.25, 0.1, "R");
+        let mut db = purchase_db();
+        let translation = translated(&db, &text);
+        let run = preprocess_for_core(&mut db, &translation).unwrap();
+        let coded = translation.names.coded_source();
+        let Ok(TableEntry::Deferred(handle)) = db.catalog().entry(&coded) else {
+            panic!("the fused pass defers CodedSource");
+        };
+        let (rows, kept) = (handle.row_count() as u64, handle.approx_bytes());
+        let store = ArtifactStore::new(true);
+        let unbuilt = store.capture_encoding(&db, &translation, "", &run);
+
+        // Once read, the table counts at its per-row cost: a `Vec` header,
+        // its heap block and two values per row.
+        let built = db.catalog().table(&coded).unwrap().approx_bytes();
+        assert_eq!(built, 64 + rows * (24 + 16 + 2 * 24));
+        assert!(kept < built, "the handle keeps less than the rows take");
+        let read = store.capture_encoding(&db, &translation, "", &run);
+        assert_eq!(read.encoding_bytes - unbuilt.encoding_bytes, built);
     }
 
     #[test]

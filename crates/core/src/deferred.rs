@@ -1,0 +1,196 @@
+//! The encoded tables the fused pass registers unbuilt.
+//!
+//! The core mines from the [`EncodedInput`] the fused pass hands over, so
+//! an encoded table that nothing in the pipeline reads would be built for
+//! users' SQL alone. Each such table is registered as a
+//! [`DeferredTable`](relational::DeferredTable) over one of the producers
+//! below: a few ids per row kept from the pass's own record, turned into
+//! rows — bit-identical to the ones the SQL program writes, in the same
+//! order — the first time something reads the table.
+
+use std::sync::Arc;
+
+use relational::{KeyInterner, Row, RowProducer, Value};
+
+use crate::digest::SourceDigest;
+use crate::encoded::{EncodedData, EncodedInput};
+
+fn id(id: u32) -> Value {
+    Value::Int(id.into())
+}
+
+/// Bytes an interner's keys take, one `Value` each plus a slot's share
+/// of the probe table.
+fn interner_bytes(keys: &KeyInterner) -> u64 {
+    keys.keys().map(|key| 16 + key.len() as u64 * 24).sum()
+}
+
+/// Where the group keys of `ValidGroups` live.
+pub(crate) enum GroupKeys {
+    /// The scan's own interner, moved in.
+    Scan(KeyInterner),
+    /// The digest the scan's interner moved into (statements without
+    /// directives), shared with the handed-over input and the artifact
+    /// store's inventory, which account for it.
+    Digest(Arc<SourceDigest>),
+}
+
+/// `ValidGroups`: `(Gid, group key...)` for every group slot that drew a
+/// Gid, in slot order.
+pub(crate) struct ValidGroupsRows {
+    pub(crate) keys: GroupKeys,
+    pub(crate) gids: Vec<Option<u32>>,
+}
+
+impl RowProducer for ValidGroupsRows {
+    fn rows(&self) -> Vec<Row> {
+        let key = |slot: u32| match &self.keys {
+            GroupKeys::Scan(keys) => keys.key(slot),
+            GroupKeys::Digest(digest) => digest.group_key(slot),
+        };
+        (0..)
+            .zip(&self.gids)
+            .filter_map(|(slot, gid)| {
+                let key = key(slot);
+                let mut row = Vec::with_capacity(key.len() + 1);
+                row.push(id((*gid)?));
+                row.extend_from_slice(key);
+                Some(row)
+            })
+            .collect()
+    }
+
+    fn retained_bytes(&self) -> u64 {
+        let keys = match &self.keys {
+            GroupKeys::Scan(keys) => interner_bytes(keys),
+            GroupKeys::Digest(_) => 0,
+        };
+        keys + self.gids.len() as u64 * 8
+    }
+}
+
+/// The simple-class `CodedSource`: `(Gid, Bid)` for every distinct
+/// `(group slot, body slot)` pair of the scan, in first-seen order, whose
+/// group and body both join.
+pub(crate) struct CodedSourceRows {
+    pub(crate) pairs: Vec<(u32, u32)>,
+    /// Per group slot, the Gid its rows join to.
+    pub(crate) gids: Vec<Option<u32>>,
+    /// Per body slot, the Bid its rows join to.
+    pub(crate) bids: Vec<Option<u32>>,
+}
+
+impl CodedSourceRows {
+    /// The ids of each row.
+    fn ids(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (gids, bids) = (&self.gids, &self.bids);
+        self.pairs
+            .iter()
+            .filter_map(|&(group, body)| Some((gids[group as usize]?, bids[body as usize]?)))
+    }
+
+    /// Rows the table has.
+    pub(crate) fn len(&self) -> usize {
+        self.ids().count()
+    }
+}
+
+impl RowProducer for CodedSourceRows {
+    fn rows(&self) -> Vec<Row> {
+        self.ids()
+            .map(|(gid, bid)| vec![id(gid), id(bid)])
+            .collect()
+    }
+
+    fn retained_bytes(&self) -> u64 {
+        (self.pairs.len() + self.gids.len() + self.bids.len()) as u64 * 8
+    }
+}
+
+/// `Clusters` of a statement without a cluster condition: `(Cid, Gid,
+/// cluster key...)` per row, the key by its slot in the scan's interner.
+pub(crate) struct ClustersRows {
+    pub(crate) keys: KeyInterner,
+    /// `(Cid, Gid, cluster-key slot)` per row.
+    pub(crate) rows: Vec<(u32, u32, u32)>,
+}
+
+impl RowProducer for ClustersRows {
+    fn rows(&self) -> Vec<Row> {
+        self.rows
+            .iter()
+            .map(|&(cid, gid, slot)| {
+                let key = self.keys.key(slot);
+                let mut row = Vec::with_capacity(key.len() + 2);
+                row.extend([id(cid), id(gid)]);
+                row.extend_from_slice(key);
+                row
+            })
+            .collect()
+    }
+
+    fn retained_bytes(&self) -> u64 {
+        interner_bytes(&self.keys) + self.rows.len() as u64 * 12
+    }
+}
+
+/// `MiningSource` of a statement without a mining condition: its rows
+/// are the general input's tuples one for one, so the handed-over input
+/// is all it keeps.
+pub(crate) struct MiningSourceRows {
+    pub(crate) input: Arc<EncodedInput>,
+}
+
+impl RowProducer for MiningSourceRows {
+    fn rows(&self) -> Vec<Row> {
+        let EncodedData::General { tuples, .. } = &self.input.data else {
+            return Vec::new();
+        };
+        let dir = self.input.directives;
+        let nullable = |id: Option<u32>| id.map_or(Value::Null, self::id);
+        let width = 2 + usize::from(dir.c) + usize::from(dir.h);
+        tuples
+            .iter()
+            .map(|tuple| {
+                let mut row = Vec::with_capacity(width);
+                row.push(id(tuple.gid));
+                row.extend(tuple.cid.map(id));
+                row.push(nullable(tuple.bid));
+                if dir.h {
+                    row.push(nullable(tuple.hid));
+                }
+                row
+            })
+            .collect()
+    }
+
+    fn retained_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// A table of id columns only (`ClusterCouples`, `InputRules`): the ids
+/// row-major, `width` to a row.
+pub(crate) struct IdRows {
+    pub(crate) width: usize,
+    pub(crate) ids: Vec<u32>,
+}
+
+impl IdRows {
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len() / self.width
+    }
+}
+
+impl RowProducer for IdRows {
+    fn rows(&self) -> Vec<Row> {
+        self.ids
+            .chunks_exact(self.width)
+            .map(|ids| ids.iter().copied().map(id).collect())
+            .collect()
+    }
+
+    fn retained_bytes(&self) -> u64 {
+        self.ids.len() as u64 * 4
+    }
+}

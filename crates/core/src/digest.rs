@@ -127,6 +127,11 @@ impl SourceDigest {
         self.item_joins.len()
     }
 
+    /// The grouping key of a group slot (a retired slot keeps its key).
+    pub(crate) fn group_key(&self, slot: u32) -> &[Value] {
+        self.group_ids.key(slot)
+    }
+
     /// The id of the item key `row` holds at `cols`, if any source row
     /// ever carried it.
     pub(crate) fn item_id(&self, row: &[Value], cols: &[usize]) -> Option<u32> {

@@ -50,6 +50,7 @@ pub mod artifacts;
 pub mod ast;
 pub mod core_op;
 pub mod decoupled;
+mod deferred;
 pub mod digest;
 pub mod directives;
 pub mod encoded;

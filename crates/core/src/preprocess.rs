@@ -8,7 +8,9 @@
 //! mining-attribute keys in first-seen order, and every encoded table is
 //! derived from that record without the intermediate artefacts (`Source`,
 //! `ValidGroupsView`, `DistinctGroupsIn*`, `InputRulesRaw`, `LargeRules`)
-//! ever materialising. The encoded outputs, the `:totg`/`:mingroups`
+//! ever materialising. The tables only SQL reads are registered deferred
+//! (`crate::deferred`): their rows are built on first access. The
+//! encoded outputs, the `:totg`/`:mingroups`
 //! bindings and the id-sequence states are bit-identical to the
 //! step-by-step SQL program — schema, row contents *and* row order —
 //! which `tests/planner_agreement.rs` enforces. Every other statement,
@@ -19,17 +21,21 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use relational::catalog::TableEntry;
 use relational::exec::join::{conjuncts, resolves_in};
 use relational::exec::select::{infer_type, value_type};
 use relational::expr::eval::{eval_grouped, NoCtx, QueryCtx};
 use relational::expr::{BinOp, Expr};
 use relational::sequence::Sequence;
 use relational::{
-    Column, CompiledExpr, DataType, Database, ExecCounter, KeyHash, KeyInterner, Row, Schema,
-    Table, Value,
+    Column, CompiledExpr, DataType, Database, DeferredTable, ExecCounter, KeyHash, KeyInterner,
+    Row, RowProducer, Schema, Table, Value,
 };
 
 use crate::ast::MineRuleStatement;
+use crate::deferred::{
+    ClustersRows, CodedSourceRows, GroupKeys, IdRows, MiningSourceRows, ValidGroupsRows,
+};
 use crate::digest::SourceDigest;
 use crate::directives::{Directives, StatementClass};
 use crate::encoded::{get_u32, id_u32, ElemRule, EncodedData, EncodedInput, GeneralTuple};
@@ -633,9 +639,28 @@ struct Coded {
 /// One catalog object of a finished encoding, under the id of the step
 /// that creates it in the SQL program.
 enum Encoded {
-    Table(Table),
+    /// A table, built or deferred over a producer of its rows.
+    Table(Box<TableEntry>),
     /// A statement to run as written (the `CodedSource` view of `Q11`).
     Sql(String),
+}
+
+impl Encoded {
+    fn built(table: Table) -> Encoded {
+        Encoded::Table(Box::new(TableEntry::Table(table)))
+    }
+
+    /// A table of `rows` rows whose producer builds them on first access.
+    fn deferred(
+        name: String,
+        columns: Vec<Column>,
+        rows: usize,
+        producer: impl RowProducer + 'static,
+    ) -> Encoded {
+        let schema = Schema::new(columns);
+        let table = DeferredTable::new(name, schema, rows, Arc::new(producer));
+        Encoded::Table(Box::new(TableEntry::Deferred(table)))
+    }
 }
 
 /// Everything the fused pass produces, computed without touching the
@@ -769,9 +794,13 @@ impl FusedEncoding {
     /// with exactly the rows, ids and column types) the written-order SQL
     /// program yields. The subsumed intermediates (`Source`,
     /// `ValidGroupsView`, `DistinctGroupsIn*`, `InputRulesRaw`,
-    /// `LargeRules`) are never built. A statement without directives is
-    /// the degenerate case: no condition, no cluster, head or mining part,
-    /// `CodedSource` a table of the distinct `(group, body)` pairs.
+    /// `LargeRules`) are never built, and of the encoded tables only
+    /// those something reads here or in the pipeline are: `Bset`/`Hset`,
+    /// and `Clusters`/`MiningSource` when a pair condition reads their
+    /// rows. The others become producers over the record. A statement
+    /// without directives is the degenerate case: no condition, no
+    /// cluster, head or mining part, `CodedSource` the distinct `(group,
+    /// body)` pairs.
     ///
     /// Conditions are evaluated on a superset of the rows the SQL program
     /// evaluates them on, so whenever that program fails at run time this
@@ -807,7 +836,6 @@ impl FusedEncoding {
         ];
         work.retain(|&(_, n)| n > 0);
         let mut report = PreprocessReport::default();
-        let mut objects: Vec<(&'static str, Encoded)> = Vec::new();
 
         // The id sequences are real catalog objects once committed: draws
         // advance the state the SQL program would leave, so cache captures
@@ -836,7 +864,7 @@ impl FusedEncoding {
         // Q2: ValidGroups — groups in first-seen order, the group HAVING
         // (G/R) a filter over each group's member rows, Gid drawn per
         // surviving row. A group whose key holds a NULL is encoded but
-        // never joins.
+        // never joins. Its rows are deferred (built at the end).
         let slots = scan.groups.slots() as usize;
         let group_joins: Vec<bool> = scan.groups.keys().map(no_null).collect();
         let mut gids: Vec<Option<i64>> = Vec::with_capacity(slots);
@@ -851,51 +879,43 @@ impl FusedEncoding {
                 }
             }
         }
-        let rows: Vec<Row> = scan
-            .groups
-            .keys()
-            .zip(&gids)
-            .filter_map(|(key, gid)| {
-                let mut row = Vec::with_capacity(key.len() + 1);
-                row.push(Value::Int((*gid)?));
-                row.extend_from_slice(key);
-                Some(row)
-            })
-            .collect();
-        let columns = keyed_columns(&["Gid"], &stmt.group_by, &cols.group, table.schema());
-        let valid_groups = table_of(names.valid_groups(), columns, rows)?;
-        objects.push(("Q2", Encoded::Table(valid_groups)));
         // The Gid a source row of this group joins to, if any.
         let gid_of = |group: u32| gids[group as usize].filter(|_| group_joins[group as usize]);
 
-        // Q3 (and Q5 when the head schema differs): the item tables.
+        // Q3 (and Q5 when the head schema differs): the item tables, built
+        // now — the fused decode and the mined-result cache read them.
         let (rows, bids) = item_table(&scan.bodies, &scan.pairs, min_groups, &mut bid_seq);
         let mut columns = keyed_columns(&["Bid"], &stmt.body.schema, &cols.body, table.schema());
         columns.push(Column::new("ngroups", DataType::Int));
-        objects.push(("Q3", Encoded::Table(table_of(names.bset(), columns, rows)?)));
+        let bset = Encoded::built(table_of(names.bset(), columns, rows)?);
         let mut hids: Vec<Option<i64>> = Vec::new();
+        let mut hset = None;
         if dir.h {
             let (rows, joins) = item_table(&scan.heads, &scan.head_pairs, min_groups, &mut hid_seq);
             hids = joins;
             let mut columns =
                 keyed_columns(&["Hid"], &stmt.head.schema, &cols.head, table.schema());
             columns.push(Column::new("ngroups", DataType::Int));
-            objects.push(("Q5", Encoded::Table(table_of(names.hset(), columns, rows)?)));
+            hset = Some(Encoded::built(table_of(names.hset(), columns, rows)?));
         }
 
         // Q6: Clusters — `(group, cluster)` combinations in first-seen
         // order joined to their valid group, Cid drawn per joined row,
         // `aggval<i>` per cluster when the cluster condition aggregates
         // (F). The SQL program aggregates every combination before the
-        // join discards the invalid groups', so this does too.
+        // join discards the invalid groups', so this does too. The rows
+        // are built only for the cluster condition (K) to pair; otherwise
+        // the table is deferred over each row's ids and key slot.
         // Per combination, the `Clusters` row it became; per row, its Cid
         // and group slot.
         let mut cluster_at: Vec<Option<usize>> = Vec::new();
         let mut cluster_rows: Vec<Row> = Vec::new();
+        let mut cluster_keyed: Vec<(u32, u32, u32)> = Vec::new();
         let mut cluster_ids: Vec<i64> = Vec::new();
         let mut cluster_group: Vec<u32> = Vec::new();
         let mut cluster_columns: Vec<Column> = Vec::new();
         let aggregates = cluster_aggregates(stmt);
+        let clusters_built = dir.k || !aggregates.is_empty();
         if dir.c {
             let mut aggvals: Vec<Vec<Value>> = vec![Vec::new(); scan.cluster_order.len()];
             if !aggregates.is_empty() {
@@ -947,11 +967,15 @@ impl FusedEncoding {
                     continue;
                 };
                 let cid = cid_seq.nextval();
-                let mut row = vec![Value::Int(cid), Value::Int(gid)];
-                row.extend_from_slice(scan.cluster_keys.key(cluster_key));
-                row.extend(aggvals);
-                cluster_at.push(Some(cluster_rows.len()));
-                cluster_rows.push(row);
+                if clusters_built {
+                    let mut row = vec![Value::Int(cid), Value::Int(gid)];
+                    row.extend_from_slice(scan.cluster_keys.key(cluster_key));
+                    row.extend(aggvals);
+                    cluster_rows.push(row);
+                } else {
+                    cluster_keyed.push((id_u32(cid)?, id_u32(gid)?, cluster_key));
+                }
+                cluster_at.push(Some(cluster_ids.len()));
                 cluster_ids.push(cid);
                 cluster_group.push(group);
             }
@@ -962,7 +986,7 @@ impl FusedEncoding {
         // of one group, C1-major. Kept per body cluster row as the head
         // cluster rows it pairs with.
         let mut couples: Option<Vec<Vec<usize>>> = None;
-        let mut couple_rows: Vec<Row> = Vec::new();
+        let mut cluster_couples: Option<Vec<(u32, u32, u32)>> = None;
         if dir.k {
             let clusters_schema = Schema::new(cluster_columns.clone());
             let cond = cluster_pair_cond(stmt, &aggregates)?;
@@ -980,6 +1004,7 @@ impl FusedEncoding {
                 }
             }
             let mut heads_of: Vec<Vec<usize>> = vec![Vec::new(); cluster_rows.len()];
+            let mut kept = Vec::new();
             for (b, body) in cluster_rows.iter().enumerate() {
                 if !left[b] {
                     continue;
@@ -988,51 +1013,40 @@ impl FusedEncoding {
                     let head = &cluster_rows[h];
                     report.cluster_pairs.evaluated += 1;
                     if cond.keys_match(body, head) && cond.holds(body, head)? {
-                        couple_rows.push(vec![body[1].clone(), body[0].clone(), head[0].clone()]);
+                        kept.push((get_u32(&body[1])?, get_u32(&body[0])?, get_u32(&head[0])?));
                         heads_of[b].push(h);
                     }
                 }
             }
-            report.cluster_pairs.kept = couple_rows.len() as u64;
+            report.cluster_pairs.kept = kept.len() as u64;
             couples = Some(heads_of);
+            cluster_couples = Some(kept);
         }
-        if dir.c {
-            let clusters = table_of(names.clusters(), cluster_columns, cluster_rows)?;
-            objects.push(("Q6", Encoded::Table(clusters)));
+        let mut clusters = None;
+        if dir.c && clusters_built {
+            let rows = std::mem::take(&mut cluster_rows);
+            let built = table_of(names.clusters(), cluster_columns.clone(), rows)?;
+            clusters = Some(Encoded::built(built));
         }
-        let mut cluster_couples = None;
-        if dir.k {
-            let ids = |row: &Row| Ok((get_u32(&row[0])?, get_u32(&row[1])?, get_u32(&row[2])?));
-            cluster_couples = Some(couple_rows.iter().map(ids).collect::<Result<Vec<_>>>()?);
+        let couples_table = cluster_couples.as_ref().map(|kept| {
+            let ids = kept.iter().flat_map(|&(g, b, h)| [g, b, h]).collect();
+            let couples = IdRows { width: 3, ids };
             let columns = int_columns(&["Gid", "Cidb", "Cidh"]);
-            let cluster_couples = table_of(names.cluster_couples(), columns, couple_rows)?;
-            objects.push(("Q7", Encoded::Table(cluster_couples)));
-        }
+            Encoded::deferred(names.cluster_couples(), columns, couples.len(), couples)
+        });
 
         let mut general = None;
-        if translation.class == StatementClass::Simple {
-            // Q4: CodedSource — the source-scan join replayed from the
-            // distinct pairs: first-occurrence order in the source, each
-            // pair matching at most one group and one large body (slot ↔
-            // id is one-to-one, so distinct slot pairs are exactly the
-            // DISTINCT (Gid, Bid) rows).
-            let rows: Vec<Row> = scan
-                .pairs
-                .iter()
-                .filter_map(|&(group, body)| {
-                    Some(vec![
-                        Value::Int(gid_of(group)?),
-                        Value::Int(bids[body as usize]?),
-                    ])
-                })
-                .collect();
-            let columns = int_columns(&["Gid", "Bid"]);
-            let coded_source = table_of(names.coded_source(), columns, rows)?;
-            objects.push(("Q4", Encoded::Table(coded_source)));
-        } else {
+        let mut mining_source = None;
+        let mut input_rules = None;
+        // `MiningSource`'s columns and row count when it is deferred over
+        // the input.
+        let mut deferred_mining = None;
+        if translation.class == StatementClass::General {
             // Q4b: MiningSource — the per-tuple encoding: the source-scan
             // join again, DISTINCT over ids *and* mining attributes, in
-            // source order; body-side then head-side rows when H.
+            // source order; body-side then head-side rows when H. Its rows
+            // are built only for the mining condition (M) to pair;
+            // without M they are the core's tuples one for one.
             let mut ids = vec!["Gid"];
             if dir.c {
                 ids.push("Cid");
@@ -1041,16 +1055,17 @@ impl FusedEncoding {
             if dir.h {
                 ids.push("Hid");
             }
-            let columns = keyed_columns(
+            let mining_columns = keyed_columns(
                 &ids,
                 &stmt.mining_attributes(),
                 &cols.mining,
                 table.schema(),
             );
-            let mining_schema = Schema::new(columns.clone());
+            let mining_schema = Schema::new(mining_columns.clone());
             let lanes = scan.lanes.len();
-            let mut coded: Vec<Coded> = Vec::with_capacity(lanes);
-            let mut rows: Vec<Row> = Vec::with_capacity(lanes);
+            let kept = if dir.m { lanes } else { 0 };
+            let mut coded: Vec<Coded> = Vec::with_capacity(kept);
+            let mut rows: Vec<Row> = Vec::with_capacity(kept);
             // The core's tuples: the rows' ids without the mining
             // attributes, DISTINCT in first-seen order (the `CodedSource`
             // view of Q11). On one side the ids are one-to-one with the
@@ -1061,7 +1076,7 @@ impl FusedEncoding {
                     break;
                 }
                 let mut seen = HashSet::with_capacity_and_hasher(lanes, KeyHash::default());
-                let mut seen_ids = HashSet::with_capacity_and_hasher(lanes, KeyHash::default());
+                let mut seen_ids = HashSet::with_capacity_and_hasher(kept, KeyHash::default());
                 for lane in &scan.lanes {
                     let (item, id) = if head_side {
                         (lane.head, hids[lane.head as usize])
@@ -1084,36 +1099,38 @@ impl FusedEncoding {
                     if !seen.insert((owner, lane.mining)) {
                         continue;
                     }
-                    let mut row = Vec::with_capacity(columns.len());
-                    row.push(Value::Int(gid));
-                    if dir.c {
-                        row.push(Value::Int(cluster_ids[cluster]));
-                    }
                     let (bid, hid) = if head_side {
                         (None, Some(id))
                     } else {
                         (Some(id), None)
                     };
+                    let id32 = bid.map(id_u32).transpose()?;
+                    let tuple = GeneralTuple {
+                        gid: id_u32(gid)?,
+                        cid: dir.c.then(|| id_u32(cluster_ids[cluster])).transpose()?,
+                        bid: id32,
+                        hid: if dir.h {
+                            hid.map(id_u32).transpose()?
+                        } else {
+                            id32
+                        },
+                    };
+                    if !dir.m {
+                        tuples.push(tuple);
+                        continue;
+                    }
+                    let mut row = Vec::with_capacity(mining_columns.len());
+                    row.push(Value::Int(gid));
+                    if dir.c {
+                        row.push(Value::Int(cluster_ids[cluster]));
+                    }
                     row.push(bid.map_or(Value::Null, Value::Int));
                     if dir.h {
                         row.push(hid.map_or(Value::Null, Value::Int));
                     }
-                    if dir.m {
-                        row.extend_from_slice(scan.minings.key(lane.mining));
-                    }
+                    row.extend_from_slice(scan.minings.key(lane.mining));
                     rows.push(row);
-                    let bid = bid.map(id_u32).transpose()?;
-                    let tuple = GeneralTuple {
-                        gid: id_u32(gid)?,
-                        cid: dir.c.then(|| id_u32(cluster_ids[cluster])).transpose()?,
-                        bid,
-                        hid: if dir.h {
-                            hid.map(id_u32).transpose()?
-                        } else {
-                            bid
-                        },
-                    };
-                    if !dir.m || seen_ids.insert(owner) {
+                    if seen_ids.insert(owner) {
                         tuples.push(tuple);
                     }
                     coded.push(Coded {
@@ -1132,7 +1149,7 @@ impl FusedEncoding {
             // tuple pairs of one group (MB-major), restricted to valid
             // cluster couples, DISTINCT, then only the (Bid, Hid) pairs
             // occurring in at least `:mingroups` groups.
-            let (mut input_rules, mut elementary) = (None, None);
+            let mut elementary = None;
             if dir.m {
                 let cond = mining_pair_cond(stmt)?;
                 let mut cond = PairCond::plan(
@@ -1218,33 +1235,27 @@ impl FusedEncoding {
                     names_of.extend(["Cidb", "Cidh"]);
                 }
                 names_of.extend(["Bid", "Hid"]);
-                let columns = int_columns(&names_of);
-                let rules: Vec<Row> = raw
-                    .iter()
-                    .filter(large)
-                    .map(|rule| {
-                        let ids: &[u32] = if dir.c {
-                            rule
-                        } else {
-                            &[rule[0], rule[3], rule[4]]
-                        };
-                        ids.iter().map(|&id| Value::Int(id.into())).collect()
-                    })
-                    .collect();
-                input_rules = Some(table_of(names.input_rules(), columns, rules)?);
-            }
-
-            let mining_source = table_of(names.mining_source(), columns, rows)?;
-            objects.push(("Q4b", Encoded::Table(mining_source)));
-            // Q11: CodedSource stays the translator's view over
-            // MiningSource, for users; the typed read goes around it.
-            let view = translation.preprocess.iter().find_map(|step| match step {
-                Step::Sql { id, sql } if id == "Q11" => Some(sql.clone()),
-                _ => None,
-            });
-            objects.extend(view.map(|sql| ("Q11", Encoded::Sql(sql))));
-            if let Some(input_rules) = input_rules {
-                objects.push(("Q10", Encoded::Table(input_rules)));
+                let mut ids = Vec::new();
+                for rule in raw.iter().filter(large) {
+                    if dir.c {
+                        ids.extend_from_slice(rule);
+                    } else {
+                        ids.extend([rule[0], rule[3], rule[4]]);
+                    }
+                }
+                let width = names_of.len();
+                let rules = IdRows { width, ids };
+                let (columns, count) = (int_columns(&names_of), rules.len());
+                input_rules = Some(Encoded::deferred(
+                    names.input_rules(),
+                    columns,
+                    count,
+                    rules,
+                ));
+                let built = table_of(names.mining_source(), mining_columns, rows)?;
+                mining_source = Some(Encoded::built(built));
+            } else {
+                deferred_mining = Some((mining_columns, tuples.len()));
             }
             // The artifact store keeps the input: no growth slack.
             tuples.shrink_to_fit();
@@ -1274,27 +1285,99 @@ impl FusedEncoding {
             let input = EncodedInput::new(translation, total_groups, min_groups, data)?;
             Ok(Handover::Built(Arc::new(input)))
         };
-        let input = match general {
-            Some(data) => built(data)?,
+        let checked = |id: Option<i64>| id.map(id_u32).transpose();
+        let (input, coded_source) = match general {
+            Some(data) => {
+                let input = built(data)?;
+                // Q4b without M: the input's tuples are the rows.
+                let mining_source = match (&input, deferred_mining) {
+                    (Handover::Built(input), Some((columns, count))) => {
+                        let rows = MiningSourceRows {
+                            input: Arc::clone(input),
+                        };
+                        Encoded::deferred(names.mining_source(), columns, count, rows)
+                    }
+                    _ => mining_source
+                        .take()
+                        .expect("built for the mining condition"),
+                };
+                (input, ("Q4b", mining_source))
+            }
             None => {
-                let checked = |id: Option<i64>| id.map(id_u32).transpose();
                 let slot_gids = (0..slots as u32).map(|g| checked(gid_of(g)));
                 let slot_gids = slot_gids.collect::<Result<Vec<_>>>()?;
                 let slot_bids = bids.iter().map(|&b| checked(b));
                 let slot_bids = slot_bids.collect::<Result<Vec<_>>>()?;
-                match &report.digest {
+                let input = match &report.digest {
                     Some(digest) => Handover::Digest(Arc::new(DigestInput {
                         digest: Arc::clone(digest),
-                        gids: slot_gids,
-                        bids: slot_bids,
+                        gids: slot_gids.clone(),
+                        bids: slot_bids.clone(),
                     })),
                     None => {
                         let groups = large_items(&scan.pairs, None, &slot_gids, &slot_bids);
                         built(EncodedData::Simple { groups })?
                     }
-                }
+                };
+                // Q4: CodedSource — the source-scan join replayed from the
+                // distinct pairs: first-occurrence order in the source,
+                // each pair matching at most one group and one large body
+                // (slot ↔ id is one-to-one, so distinct slot pairs are
+                // exactly the DISTINCT (Gid, Bid) rows).
+                let rows = CodedSourceRows {
+                    pairs: std::mem::take(&mut scan.pairs),
+                    gids: slot_gids,
+                    bids: slot_bids,
+                };
+                let columns = int_columns(&["Gid", "Bid"]);
+                let count = rows.len();
+                let coded = Encoded::deferred(names.coded_source(), columns, count, rows);
+                (input, ("Q4", coded))
             }
         };
+
+        // Q2's rows, over the group keys wherever the scan left them.
+        let keys = match &report.digest {
+            Some(digest) => GroupKeys::Digest(Arc::clone(digest)),
+            None => GroupKeys::Scan(std::mem::replace(&mut scan.groups, KeyInterner::new(0))),
+        };
+        let gids = gids.into_iter().map(checked).collect::<Result<Vec<_>>>()?;
+        let count = gids.iter().flatten().count();
+        let columns = keyed_columns(&["Gid"], &stmt.group_by, &cols.group, table.schema());
+        let rows = ValidGroupsRows { keys, gids };
+        let valid_groups = Encoded::deferred(names.valid_groups(), columns, count, rows);
+        if dir.c && !clusters_built {
+            let keys = std::mem::replace(&mut scan.cluster_keys, KeyInterner::new(0));
+            let rows = ClustersRows {
+                keys,
+                rows: cluster_keyed,
+            };
+            let count = rows.rows.len();
+            clusters = Some(Encoded::deferred(
+                names.clusters(),
+                cluster_columns,
+                count,
+                rows,
+            ));
+        }
+
+        // In the order the SQL program creates them.
+        let mut objects = vec![("Q2", valid_groups), ("Q3", bset)];
+        objects.extend(hset.map(|t| ("Q5", t)));
+        objects.extend(clusters.map(|t| ("Q6", t)));
+        objects.extend(couples_table.map(|t| ("Q7", t)));
+        objects.push(coded_source);
+        if translation.class == StatementClass::General {
+            // Q11: CodedSource stays the translator's view over
+            // MiningSource, for users; the typed read goes around it.
+            let view = translation.preprocess.iter().find_map(|step| match step {
+                Step::Sql { id, sql } if id == "Q11" => Some(sql.clone()),
+                _ => None,
+            });
+            objects.extend(view.map(|sql| ("Q11", Encoded::Sql(sql))));
+        }
+        objects.extend(input_rules.map(|t| ("Q10", t)));
+
         Ok(FusedEncoding {
             sequences,
             objects,
@@ -1304,9 +1387,9 @@ impl FusedEncoding {
         })
     }
 
-    /// Create the encoding's objects in the catalog and bind `:totg` /
-    /// `:mingroups`, reporting each object under the id and row count
-    /// the SQL program reports for it.
+    /// Create the encoding's objects in the catalog — the deferred
+    /// tables unbuilt — and bind `:totg` / `:mingroups`, reporting each
+    /// object under the id and row count the SQL program reports for it.
     fn commit(self, db: &mut Database) -> Result<Preprocessed> {
         let mut report = self.report;
         for (counter, n) in self.work {
@@ -1323,7 +1406,7 @@ impl FusedEncoding {
             let rows = match object {
                 Encoded::Table(table) => {
                     let rows = table.row_count();
-                    db.catalog_mut().create_table(table)?;
+                    db.catalog_mut().create_entry(*table)?;
                     rows
                 }
                 Encoded::Sql(sql) => db.execute(&sql)?.rows_affected,

@@ -4,7 +4,7 @@
 //! `(seed, case index)` pair always reproduces the same case. The module
 //! also hosts the scenario generators that the per-feature agreement
 //! suites (`tests/differential.rs`, `tests/sqlexec_agreement.rs`,
-//! `tests/vector_agreement.rs`, `tests/gidset_agreement.rs`) fold in, so the whole matrix of
+//! `tests/gidset_agreement.rs`) fold in, so the whole matrix of
 //! randomized workloads lives in one place.
 
 use datagen::rng::Rng;

@@ -5,11 +5,12 @@
 //! lookup as a first-class operation.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Error, ObjectKind, Result};
 use crate::sequence::Sequence;
 use crate::sql::ast::SelectStmt;
-use crate::table::Table;
+use crate::table::{DeferredTable, Table};
 use crate::types::Schema;
 
 /// A non-materialised view: a stored SELECT re-evaluated at use.
@@ -19,15 +20,62 @@ pub struct View {
     pub query: SelectStmt,
 }
 
+/// A base table as the catalog holds it: its rows, or a deferred table
+/// whose rows are built on first access.
+#[derive(Debug, Clone)]
+pub enum TableEntry {
+    Table(Table),
+    Deferred(DeferredTable),
+}
+
+impl TableEntry {
+    pub fn name(&self) -> &str {
+        match self {
+            TableEntry::Table(t) => t.name(),
+            TableEntry::Deferred(d) => d.name(),
+        }
+    }
+
+    pub fn schema(&self) -> &Schema {
+        match self {
+            TableEntry::Table(t) => t.schema(),
+            TableEntry::Deferred(d) => d.schema(),
+        }
+    }
+
+    pub fn row_count(&self) -> usize {
+        match self {
+            TableEntry::Table(t) => t.row_count(),
+            TableEntry::Deferred(d) => d.row_count(),
+        }
+    }
+
+    /// Rough heap footprint: a table's rows at their per-row cost, a
+    /// deferred table's producer (and its rows once built).
+    pub fn approx_bytes(&self) -> u64 {
+        match self {
+            TableEntry::Table(t) => t.approx_bytes(),
+            TableEntry::Deferred(d) => d.approx_bytes(),
+        }
+    }
+}
+
 /// All named objects known to a [`crate::engine::Database`].
 ///
 /// Names are case-insensitive; the original spelling is preserved on the
 /// objects themselves for display.
+///
+/// A deferred table is built by the first [`Catalog::table`] or
+/// [`Catalog::table_mut`] that names it — every read and every write of
+/// its rows goes through one of them — and never by a lookup that needs
+/// only its name, schema or row count, nor by a DROP.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    tables: HashMap<String, Table>,
+    tables: HashMap<String, TableEntry>,
     views: HashMap<String, View>,
     sequences: HashMap<String, Sequence>,
+    /// Rows built for deferred tables so far.
+    deferred_rows_built: AtomicU64,
 }
 
 fn key(name: &str) -> String {
@@ -59,8 +107,13 @@ impl Catalog {
 
     /// Register a new base table.
     pub fn create_table(&mut self, table: Table) -> Result<()> {
-        self.check_free(table.name())?;
-        self.tables.insert(key(table.name()), table);
+        self.create_entry(TableEntry::Table(table))
+    }
+
+    /// Register a new base table, its rows built or deferred.
+    pub fn create_entry(&mut self, entry: TableEntry) -> Result<()> {
+        self.check_free(entry.name())?;
+        self.tables.insert(key(entry.name()), entry);
         Ok(())
     }
 
@@ -117,8 +170,8 @@ impl Catalog {
         Ok(())
     }
 
-    /// Look up a base table.
-    pub fn table(&self, name: &str) -> Result<&Table> {
+    /// A base table as registered, built or deferred: building nothing.
+    pub fn entry(&self, name: &str) -> Result<&TableEntry> {
         self.tables
             .get(&key(name))
             .ok_or_else(|| Error::UnknownObject {
@@ -127,14 +180,48 @@ impl Catalog {
             })
     }
 
-    /// Mutable table lookup.
+    /// Look up a base table, building a deferred one's rows.
+    pub fn table(&self, name: &str) -> Result<&Table> {
+        Ok(match self.entry(name)? {
+            TableEntry::Table(table) => table,
+            TableEntry::Deferred(deferred) => deferred.table(&self.deferred_rows_built),
+        })
+    }
+
+    /// Mutable table lookup. A deferred table becomes an ordinary one.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        self.tables
+        let entry = self
+            .tables
             .get_mut(&key(name))
             .ok_or_else(|| Error::UnknownObject {
                 kind: ObjectKind::Table,
                 name: name.to_string(),
-            })
+            })?;
+        if let TableEntry::Deferred(deferred) = entry {
+            let table = deferred.clone().into_table(&self.deferred_rows_built);
+            *entry = TableEntry::Table(table);
+        }
+        match entry {
+            TableEntry::Table(table) => Ok(table),
+            TableEntry::Deferred(_) => unreachable!("replaced above"),
+        }
+    }
+
+    /// A base table's row count, building nothing.
+    pub fn row_count(&self, name: &str) -> Result<usize> {
+        Ok(self.entry(name)?.row_count())
+    }
+
+    /// Rows built for deferred tables since the catalog was made.
+    pub fn deferred_rows_built(&self) -> u64 {
+        self.deferred_rows_built.load(Ordering::Relaxed)
+    }
+
+    /// Take over `other`'s objects, keeping this catalog's counters.
+    pub(crate) fn replace_objects(&mut self, other: Catalog) {
+        let built = self.deferred_rows_built();
+        *self = other;
+        *self.deferred_rows_built.get_mut() += built;
     }
 
     /// Look up a view.
@@ -170,7 +257,7 @@ impl Catalog {
     /// The schema of a base table (data-dictionary access for the
     /// translator). Views are resolved by the executor, not here.
     pub fn table_schema(&self, name: &str) -> Result<&Schema> {
-        Ok(self.table(name)?.schema())
+        Ok(self.entry(name)?.schema())
     }
 
     /// `(name, SQL text)` of every view, sorted by name (persistence).
@@ -203,7 +290,7 @@ impl Catalog {
 
     /// Names of all base tables, sorted (deterministic listings).
     pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.values().map(|t| t.name()).collect();
+        let mut names: Vec<&str> = self.tables.values().map(TableEntry::name).collect();
         names.sort_unstable();
         names
     }
@@ -211,8 +298,11 @@ impl Catalog {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::types::{Column, DataType};
+    use crate::value::Value;
 
     fn table(name: &str) -> Table {
         Table::new(name, Schema::new(vec![Column::new("a", DataType::Int)]))
@@ -250,6 +340,64 @@ mod tests {
         c.create_table(table("x")).unwrap();
         c.create_sequence(Sequence::new("x", 1, 1)).unwrap();
         assert!(c.has_table("x") && c.has_sequence("x"));
+    }
+
+    /// Two INT rows, `(1)` and `(2)`.
+    struct TwoRows;
+
+    impl crate::table::RowProducer for TwoRows {
+        fn rows(&self) -> Vec<crate::row::Row> {
+            vec![vec![Value::Int(1)], vec![Value::Int(2)]]
+        }
+
+        fn retained_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    fn deferred(name: &str) -> TableEntry {
+        let schema = Schema::new(vec![Column::new("a", DataType::Int)]);
+        TableEntry::Deferred(DeferredTable::new(name, schema, 2, Arc::new(TwoRows)))
+    }
+
+    #[test]
+    fn a_deferred_table_is_built_once_by_its_first_access() {
+        let mut c = Catalog::new();
+        c.create_entry(deferred("d")).unwrap();
+        let version = match c.entry("d").unwrap() {
+            TableEntry::Deferred(d) => d.version(),
+            TableEntry::Table(_) => unreachable!("registered deferred"),
+        };
+        // Lookups that need no row build nothing.
+        assert!(c.has_table("D"));
+        assert_eq!(c.row_count("d").unwrap(), 2);
+        assert_eq!(c.table_schema("d").unwrap().len(), 1);
+        assert_eq!(c.table_names(), vec!["d"]);
+        assert_eq!(c.deferred_rows_built(), 0);
+        // The first read builds it under the stamp taken at registration.
+        let table = c.table("d").unwrap();
+        assert_eq!(table.rows(), [vec![Value::Int(1)], vec![Value::Int(2)]]);
+        assert_eq!(table.version(), version);
+        assert_eq!(c.deferred_rows_built(), 2);
+        c.table("d").unwrap();
+        // A write takes the built table as it is.
+        c.table_mut("d")
+            .unwrap()
+            .insert(vec![Value::Int(3)])
+            .unwrap();
+        assert!(matches!(c.entry("d").unwrap(), TableEntry::Table(_)));
+        assert_eq!((c.row_count("d").unwrap(), c.deferred_rows_built()), (3, 2));
+
+        // A write to an unbuilt one builds it; a DROP builds nothing.
+        c.create_entry(deferred("w")).unwrap();
+        c.table_mut("w")
+            .unwrap()
+            .delete_where(|r| r[0] == Value::Int(1));
+        assert_eq!((c.row_count("w").unwrap(), c.deferred_rows_built()), (1, 4));
+        c.create_entry(deferred("x")).unwrap();
+        c.drop_table("x", false).unwrap();
+        assert_eq!(c.deferred_rows_built(), 4);
+        assert!(c.create_entry(deferred("D")).is_err(), "names stay unique");
     }
 
     #[test]

@@ -70,6 +70,9 @@ pub struct ExecStats {
     pub storage_wal_fsyncs: u64,
     /// WAL recoveries performed at open (0 under memory).
     pub storage_recoveries: u64,
+    /// Rows built for deferred tables on their first access (0 when
+    /// nothing reads one).
+    pub deferred_rows_built: u64,
 }
 
 impl ExecStats {
@@ -78,7 +81,7 @@ impl ExecStats {
     /// `vector_*` and `storage_cache_*` fields are not published. The
     /// `relational.index.*` entries stay listed but always read 0, so
     /// publication, which skips zero deltas, never mints them.
-    pub fn named(&self) -> [(&'static str, u64); 18] {
+    pub fn named(&self) -> [(&'static str, u64); 19] {
         [
             ("relational.compile.programs", self.programs_compiled),
             ("relational.compile.const_folded", self.exprs_const_folded),
@@ -104,6 +107,7 @@ impl ExecStats {
                 self.planner_pushed_filters,
             ),
             ("relational.planner.est_rows_err", self.planner_est_rows_err),
+            ("relational.deferred.rows_built", self.deferred_rows_built),
         ]
     }
 }
@@ -180,6 +184,7 @@ impl Database {
         stats.storage_wal_appends = st.wal_appends;
         stats.storage_wal_fsyncs = st.wal_fsyncs;
         stats.storage_recoveries = st.recoveries;
+        stats.deferred_rows_built = self.catalog.deferred_rows_built();
         stats
     }
 
@@ -237,7 +242,7 @@ impl Database {
                 if stored.is_empty() {
                     store.sync(&self.catalog)?;
                 } else if self.catalog.is_empty() {
-                    self.catalog = stored;
+                    self.catalog.replace_objects(stored);
                 } else {
                     return Err(Error::storage(format!(
                         "{} already contains a database; attach it from an empty \

@@ -68,8 +68,8 @@ fn factor_label(db: &Database, source: &TableSource, alias: Option<&str>) -> Str
         TableSource::Named(name) => {
             let rows = db
                 .catalog()
-                .table(name)
-                .map(|t| format!("{} rows", t.row_count()))
+                .row_count(name)
+                .map(|n| format!("{n} rows"))
                 .unwrap_or_else(|_| {
                     if db.catalog().has_view(name) {
                         "view".to_string()
@@ -95,7 +95,7 @@ fn factor_rows(db: &Database, stmt: &SelectStmt, i: usize) -> Option<u64> {
     let TableSource::Named(name) = &tref.source else {
         return None;
     };
-    Some(db.catalog().table(name).ok()?.row_count() as u64)
+    Some(db.catalog().row_count(name).ok()? as u64)
 }
 
 /// Catalog distinct estimate for a plain-column key of factor `i`.

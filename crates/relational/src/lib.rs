@@ -55,6 +55,6 @@ pub use key::{KeyHash, KeyInterner};
 pub use resultset::ResultSet;
 pub use row::Row;
 pub use storage::{StorageBackend, StorageConfig, StorageStats, WalFault, WalFaultKind};
-pub use table::{Table, TableDelta};
+pub use table::{DeferredTable, RowProducer, Table, TableDelta};
 pub use types::{Column, DataType, Schema};
 pub use value::{Date, Value};

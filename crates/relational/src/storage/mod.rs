@@ -785,9 +785,9 @@ impl PagedStore {
                 .tables
                 .get(&name.to_ascii_lowercase())
                 .map_or(0, HeapEntry::root);
-            let table = catalog.table(name).expect("listed table exists");
+            let schema = catalog.table_schema(name).expect("listed table exists");
             out.push_str(&format!("table\t{}\t{root}", esc(name)));
-            for c in table.schema().columns() {
+            for c in schema.columns() {
                 out.push_str(&format!("\t{}:{}", esc(&c.name), c.dtype));
             }
             out.push('\n');

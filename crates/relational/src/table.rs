@@ -24,6 +24,8 @@ fn next_version() -> u64 {
 /// session (the mined-result cache's re-mining path) remain replayable.
 const CHANGE_LOG_ROWS: usize = 4096;
 
+const VALUE_BYTES: usize = std::mem::size_of::<crate::value::Value>();
+
 /// The row-level difference between two version stamps of one table, as
 /// reported by [`Table::changes_since`]: every row inserted and every row
 /// deleted, in mutation order. Rows are physical — a row inserted and
@@ -79,6 +81,9 @@ struct ChangeRecord {
 /// Storage is a plain `Vec<Row>`; the engine targets the working-set sizes
 /// of the mining preprocessor (encoded tables of at most a few million
 /// small rows), for which contiguous row vectors beat any paging scheme.
+/// A row costs a `Vec` header and one heap block of values, so an
+/// encoded table that only SQL would read is registered as a
+/// [`DeferredTable`] instead, and becomes a `Table` on its first access.
 ///
 /// The rows and the change log sit behind `Arc`s, so a clone shares them
 /// — the same rows at the same version, whoever holds it (the catalog,
@@ -407,6 +412,137 @@ impl Table {
             Some((since, moved)) if *since == version => Some(moved),
             _ => None,
         }
+    }
+
+    /// A table holding `rows` as they are, under a stamp taken earlier:
+    /// what a [`DeferredTable`] becomes. Its change log starts at that
+    /// stamp, and the producer vouches for the rows' arity and types.
+    fn built(name: String, schema: Schema, rows: Vec<Row>, version: u64) -> Table {
+        Table {
+            name,
+            distinct: vec![OnceLock::new(); schema.len()],
+            schema,
+            rows: Arc::new(rows),
+            version,
+            changes: Arc::default(),
+            change_rows: 0,
+            change_base: version,
+            moved: None,
+        }
+    }
+
+    /// Rough heap footprint of the stored rows: per row a `Vec` header,
+    /// its heap block's bookkeeping and one `Value` per column (what a
+    /// value owns beyond that — a string's bytes — is not counted).
+    pub fn approx_bytes(&self) -> u64 {
+        let per_row = std::mem::size_of::<Row>() + 16 + self.schema.len() * VALUE_BYTES;
+        64 + (self.rows.len() * per_row) as u64
+    }
+}
+
+/// What builds the rows of a [`DeferredTable`].
+pub trait RowProducer: Send + Sync {
+    /// Every row of the table, in stored order, each fitting its schema.
+    fn rows(&self) -> Vec<Row>;
+
+    /// Heap bytes the producer keeps alive that no other holder accounts
+    /// for (memory gauges).
+    fn retained_bytes(&self) -> u64;
+}
+
+/// A base table whose rows are not built until something reads them: a
+/// schema, an exact row count and a shared producer. Its version stamp
+/// is taken when it is made, and the [`Table`] it becomes on first
+/// access carries that stamp, so a clone registered again later (a
+/// restore) stands for the same rows. The catalog builds it at most once
+/// per registration ([`crate::catalog::Catalog::table`]).
+#[derive(Clone)]
+pub struct DeferredTable {
+    name: String,
+    schema: Schema,
+    rows: usize,
+    version: u64,
+    producer: Arc<dyn RowProducer>,
+    built: OnceLock<Table>,
+}
+
+impl std::fmt::Debug for DeferredTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeferredTable")
+            .field("name", &self.name)
+            .field("rows", &self.rows)
+            .field("version", &self.version)
+            .field("built", &self.is_built())
+            .finish()
+    }
+}
+
+impl DeferredTable {
+    /// A deferred table of exactly `rows` rows, stamped now.
+    pub fn new(
+        name: impl Into<String>,
+        schema: Schema,
+        rows: usize,
+        producer: Arc<dyn RowProducer>,
+    ) -> DeferredTable {
+        DeferredTable {
+            name: name.into(),
+            schema,
+            rows,
+            version: next_version(),
+            producer,
+            built: OnceLock::new(),
+        }
+    }
+
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The row count, known without building a row.
+    pub fn row_count(&self) -> usize {
+        self.rows
+    }
+
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Whether the rows have been built.
+    pub fn is_built(&self) -> bool {
+        self.built.get().is_some()
+    }
+
+    /// Bytes this handle retains: the producer's own, plus the built
+    /// table's rows when they exist.
+    pub fn approx_bytes(&self) -> u64 {
+        let built = self.built.get().map_or(0, Table::approx_bytes);
+        64 + self.producer.retained_bytes() + built
+    }
+
+    /// The table, built on the first call; `built_rows` counts the rows
+    /// a build makes.
+    pub(crate) fn table(&self, built_rows: &AtomicU64) -> &Table {
+        self.built.get_or_init(|| self.build(built_rows))
+    }
+
+    /// The table by value, built unless it already was.
+    pub(crate) fn into_table(mut self, built_rows: &AtomicU64) -> Table {
+        match self.built.take() {
+            Some(table) => table,
+            None => self.build(built_rows),
+        }
+    }
+
+    fn build(&self, built_rows: &AtomicU64) -> Table {
+        let rows = self.producer.rows();
+        debug_assert_eq!(rows.len(), self.rows, "producer of '{}'", self.name);
+        built_rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        Table::built(self.name.clone(), self.schema.clone(), rows, self.version)
     }
 }
 

@@ -1,8 +1,12 @@
 //! Cross-component agreement on realistic synthetic data: the algorithm
 //! pool, the general lattice and the decoupled baseline must all find the
-//! same rules whenever they express the same semantics.
+//! same rules whenever they express the same semantics. Degenerate inputs
+//! go through every member of the pool too: an empty group list must
+//! yield nothing, and a single group exactly every non-empty subset of
+//! its items, each with count 1.
 
 use datagen::{generate_quest, load_quest, QuestConfig};
+use minerule::algo::{default_pool, sort_itemsets, SimpleInput};
 use minerule::{decoupled, MineRuleEngine};
 use relational::Database;
 
@@ -122,5 +126,47 @@ fn seeds_change_data_but_not_invariants() {
                 assert!(!r.head.contains(b));
             }
         }
+    }
+}
+
+#[test]
+fn empty_group_list_yields_nothing_in_every_pool_member() {
+    let input = SimpleInput {
+        groups: vec![],
+        total_groups: 0,
+        min_groups: 1,
+    };
+    for miner in default_pool() {
+        assert!(
+            miner.mine(&input).is_empty(),
+            "{} produced itemsets from nothing",
+            miner.name()
+        );
+    }
+}
+
+#[test]
+fn single_group_yields_every_subset_in_every_pool_member() {
+    let input = SimpleInput {
+        groups: vec![vec![2, 5, 9]],
+        total_groups: 1,
+        min_groups: 1,
+    };
+    let mut subsets = vec![
+        vec![2],
+        vec![2, 5],
+        vec![2, 5, 9],
+        vec![2, 9],
+        vec![5],
+        vec![5, 9],
+        vec![9],
+    ];
+    subsets.sort();
+    for miner in default_pool() {
+        let mut got = miner.mine(&input);
+        sort_itemsets(&mut got);
+        let sets: Vec<Vec<u32>> = got.iter().map(|(s, _)| s.clone()).collect();
+        assert_eq!(sets, subsets, "{}: 2^3 - 1 subsets", miner.name());
+        assert!(got.iter().all(|(_, c)| *c == 1), "{}", miner.name());
     }
 }

@@ -8,6 +8,9 @@
 //! * Capturing an encoding into the session artifact store and restoring
 //!   it share the committed tables' rows (`relational::Table` is
 //!   copy-on-write): neither allocates per encoded row.
+//! * A cold simple-class `execute` builds no row of the encoded tables
+//!   only SQL reads (`CodedSource`, `ValidGroups` are deferred): it
+//!   allocates fewer blocks than `CodedSource` has rows.
 //! * A first bulk insert into an empty table takes the batch itself: it
 //!   copies no row into a block of its own.
 //! * A join's scans share the catalog's rows, its accumulator is one flat
@@ -22,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use minerule::preprocess::{preprocess, preprocess_for_core};
-use minerule::{parse_mine_rule, translate, ArtifactStore, Translation};
+use minerule::{parse_mine_rule, translate, ArtifactStore, MineRuleEngine, Translation};
 use relational::{Column, DataType, Database, Row, Schema, Table, Value};
 
 thread_local! {
@@ -151,6 +154,26 @@ fn capturing_and_restoring_an_encoding_allocates_independently_of_its_rows() {
     assert!(
         large.abs_diff(small) * 10 <= small,
         "10x the encoded rows: {small} -> {large} allocations"
+    );
+}
+
+#[test]
+fn a_cold_simple_mine_allocates_less_than_once_per_encoded_row() {
+    // The fused pass registers `CodedSource` and `ValidGroups` deferred:
+    // no row of theirs is built, so a whole cold `execute` — scan, core,
+    // rules, telemetry — allocates fewer blocks than `CodedSource` has
+    // rows, where building it takes one block per row.
+    let (mut db, _) = baskets(1_000, 24, 1);
+    let stmt = STATEMENT.replace("SUPPORT: 0.01", "SUPPORT: 0.45");
+    let engine = MineRuleEngine::new();
+    let (outcome, allocated) = allocations(|| engine.execute(&mut db, &stmt).unwrap());
+    assert!(!outcome.rules.is_empty());
+    let coded = db.catalog().row_count("CodedSource").unwrap() as u64;
+    assert_eq!(coded, 24_000);
+    assert!(
+        allocated < coded,
+        "{allocated} allocations for {coded} CodedSource rows, {} rules",
+        outcome.rules.len()
     );
 }
 

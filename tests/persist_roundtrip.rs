@@ -14,7 +14,7 @@
 use std::path::Path;
 
 use datagen::rng::Rng;
-use minerule::paper_example::purchase_db;
+use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::MineRuleEngine;
 use relational::sequence::Sequence;
 use relational::{
@@ -74,6 +74,47 @@ fn reloaded_tables_get_fresh_version_stamps() {
         "version stamps are monotone across generations"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deferred_encoded_tables_save_and_reload_identically() {
+    // A fused pass leaves its encoded tables unbuilt; saving builds and
+    // writes them, and the reloaded database holds the very rows the
+    // stepwise program (the reference paths) builds eagerly.
+    let dir = temp_dir("deferred");
+    for stmt in [STMT, FILTERED_ORDERED_SETS] {
+        let mut db = purchase_db();
+        MineRuleEngine::new().execute(&mut db, stmt).unwrap();
+        assert_eq!(db.stats().deferred_rows_built, 0, "nothing read them");
+        persist::save(&db, &dir).unwrap();
+        assert!(db.stats().deferred_rows_built > 0, "saving reads them");
+        let mut reloaded = persist::load(&dir).unwrap();
+        let mut reference = purchase_db();
+        reference.set_reference_paths(true);
+        MineRuleEngine::new().execute(&mut reference, stmt).unwrap();
+        for name in [
+            "ValidGroups",
+            "Bset",
+            "Clusters",
+            "ClusterCouples",
+            "MiningSource",
+            "CodedSource",
+            "InputRules",
+        ] {
+            if !db.catalog().has_table(name) && !db.catalog().has_view(name) {
+                continue;
+            }
+            let sql = format!("SELECT * FROM {name}");
+            let image = |db: &mut Database| {
+                let rs = db.query(&sql).unwrap();
+                format!("{:?} {:?}", rs.schema().columns(), rs.rows())
+            };
+            let saved = image(&mut db);
+            assert_eq!(image(&mut reloaded), saved, "{name}: {stmt}");
+            assert_eq!(image(&mut reference), saved, "{name}: {stmt}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Everything a database holds, rendered so that equality is bit-exact

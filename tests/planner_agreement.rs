@@ -16,6 +16,7 @@ use minerule::postprocess::{decode_rules, postprocess, read_rules, store_encoded
 use minerule::preprocess::{preprocess, preprocess_for_core, run_steps, Preprocessed};
 use minerule::translator::Step;
 use minerule::{parse_mine_rule, translate, ArtifactStore, DecodedRule, MineRuleEngine};
+use relational::catalog::TableEntry;
 use relational::{persist, Database, StorageBackend, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{diverges_between, Config, Skew};
@@ -95,6 +96,29 @@ const SUBSUMED: [&str; 6] = [
     "LargeRules",
 ];
 
+/// Every encoded object as `SELECT *` returns it: its columns with their
+/// types, and its rows in order, each value with its type and — for a
+/// FLOAT — its bits.
+fn selected(db: &mut Database) -> Vec<(String, Vec<String>, Vec<String>)> {
+    let value = |v: &Value| match v {
+        Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
+        other => format!("{other:?}"),
+    };
+    let mut objects = Vec::new();
+    for name in ENCODED_OBJECTS {
+        if !db.catalog().has_table(name) && !db.catalog().has_view(name) {
+            continue;
+        }
+        let rs = db.query(&format!("SELECT * FROM {name}")).unwrap();
+        let columns = rs.schema().columns().iter();
+        let columns = columns.map(|c| format!("{} {}", c.name, c.dtype)).collect();
+        let rows = rs.rows().iter();
+        let rows = rows.map(|row| row.iter().map(value).collect::<Vec<_>>().join(", "));
+        objects.push((name.to_string(), columns, rows.collect()));
+    }
+    objects
+}
+
 fn encoding(db: &mut Database) -> Encoding {
     let mut objects = Vec::new();
     for name in ENCODED_OBJECTS {
@@ -131,13 +155,19 @@ fn encoding(db: &mut Database) -> Encoding {
 /// fusion is the only difference) and demand the *exact* same encoding:
 /// schema, rows, row order, id assignment, sequence states, host
 /// variables — and the core's input the fused pass hands over equal to
-/// the one read back from its tables ([`assert_handover_agrees`]).
+/// the one read back from its tables ([`assert_handover_agrees`]). The
+/// tables the fused pass defers are first read through `SELECT *`, then
+/// again after a capture into the artifact store and a restore (which
+/// registers them unbuilt once more): both reads must equal the stepwise
+/// program's tables. On the memory backend the pass itself builds none
+/// of them (the paged one builds them at the next statement's sync).
 /// Returns how many SQL steps the fused pass subsumed.
 fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &str) -> usize {
     let parsed = parse_mine_rule(stmt).unwrap();
     let translation = translate(&parsed, fused.catalog()).unwrap();
     let min_support = translation.stmt.min_support;
 
+    let built = fused.stats().deferred_rows_built;
     let fused_run = preprocess_for_core(fused, &translation);
     run_steps(stepwise, &translation.cleanup, min_support).unwrap();
     let stepwise_report = run_steps(stepwise, &translation.preprocess, min_support);
@@ -145,6 +175,11 @@ fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &st
         (Ok(f), Ok(s)) => (f, s),
         (Err(f), Err(s)) => {
             assert_eq!(f.to_string(), s.to_string(), "{stmt}");
+            assert_eq!(
+                selected(fused),
+                selected(stepwise),
+                "after the error: {stmt}"
+            );
             assert_eq!(
                 encoding(fused),
                 encoding(stepwise),
@@ -154,6 +189,14 @@ fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &st
         }
         (f, s) => panic!("only one side failed: {f:?} vs {s:?}\n{stmt}"),
     };
+    if fused.storage() == StorageBackend::Memory {
+        let built = fused.stats().deferred_rows_built - built;
+        assert_eq!(built, 0, "preprocessing read a deferred table: {stmt}");
+    }
+    // Captured before anything reads a deferred table.
+    let store = ArtifactStore::new(true);
+    store.capture_encoding(fused, &translation, "", &fused_run);
+    assert_eq!(selected(fused), selected(stepwise), "{stmt}");
     assert_eq!(encoding(fused), encoding(stepwise), "{stmt}");
     let fused_report = &fused_run.report;
     assert_eq!(
@@ -193,6 +236,16 @@ fn assert_same_encoding(fused: &mut Database, stepwise: &mut Database, stmt: &st
             }
         }
         assert_handover_agrees(fused, &translation, &fused_run);
+        let restored = store.restore_encoding(fused, &translation, "").unwrap();
+        assert!(restored.is_some(), "the cold encoding restores: {stmt}");
+        if fused.storage() == StorageBackend::Memory {
+            let valid_groups = fused.catalog().entry("ValidGroups");
+            assert!(
+                matches!(valid_groups, Ok(TableEntry::Deferred(t)) if !t.is_built()),
+                "a restore registers the deferred tables unbuilt: {stmt}"
+            );
+        }
+        assert_eq!(selected(fused), selected(stepwise), "restored: {stmt}");
     } else {
         let handed_over = fused_run.encoded_input(&translation).unwrap();
         assert!(
@@ -300,6 +353,23 @@ fn fused_and_naive_preprocessing_materialise_identical_encoded_tables() {
         "Q0, Q1, 2×Q2, 2×Q3, Q6, Q7, 2×Q4b, Q11, Q8, Q9, Q10"
     );
 
+    // The same on the paged backend, where the first statement after the
+    // pass mirrors the catalog and so builds every deferred table: the
+    // store holds them, and a reopened database reads them back.
+    let root = work_dir("encode_paged");
+    for (i, stmt) in STATEMENT_CLASSES.iter().enumerate() {
+        let dir = root.join(format!("db{i}"));
+        let mut paged = purchase_db();
+        paged.set_storage_dir(&dir);
+        paged.set_storage(StorageBackend::Paged).unwrap();
+        let mut stepwise = purchase_db();
+        assert!(assert_same_encoding(&mut paged, &mut stepwise, stmt) > 0);
+        drop(paged);
+        let mut reopened = Database::open_paged(&dir).unwrap();
+        assert_eq!(selected(&mut reopened), selected(&mut stepwise), "{stmt}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+
     // End to end, the reference paths (which never fuse) decode the same
     // rules as the fused production run.
     for stmt in STATEMENT_CLASSES {
@@ -322,7 +392,16 @@ fn fused_and_naive_preprocessing_materialise_identical_encoded_tables() {
 fn generated_statements_encode_identically_fused_and_stepwise() {
     // Grammar-generated sessions, replayed on two equal databases: every
     // MINE RULE statement preprocesses fused on one and step by step on
-    // the other; DML in between keeps moving the source.
+    // the other; DML in between keeps moving the source. The fused side
+    // runs on the memory backend, then on the paged one.
+    let root = work_dir("generated");
+    for paged in [false, true] {
+        generated_statements_agree(&root, paged);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+fn generated_statements_agree(root: &std::path::Path, paged: bool) {
     let gen_cfg = GenConfig::default();
     let (mut mines, mut fused, mut general, mut decoded) = (0, 0, 0, 0);
     let mut case_no = 0;
@@ -330,6 +409,10 @@ fn generated_statements_encode_identically_fused_and_stepwise() {
         let case = gen_case(0xF05ED, case_no, &gen_cfg);
         case_no += 1;
         let (mut a, mut b) = (Database::new(), Database::new());
+        if paged {
+            a.set_storage_dir(root.join(format!("case{case_no}")));
+            a.set_storage(StorageBackend::Paged).unwrap();
+        }
         for sql in case.setup_statements() {
             a.execute(&sql).unwrap();
             b.execute(&sql).unwrap();
@@ -356,6 +439,41 @@ fn generated_statements_encode_identically_fused_and_stepwise() {
     assert!(fused >= 200, "{fused} of {mines} statements fused");
     assert!(general >= 30, "{general} clustered statements fused");
     assert!(decoded >= 200, "{decoded} of {mines} statements decoded");
+}
+
+#[test]
+fn dml_on_a_deferred_coded_source_matches_the_eager_build() {
+    // INSERT, UPDATE and DELETE reach a deferred table through the
+    // catalog like any other: the first one builds its rows, and what
+    // every later read sees equals the same DML on the stepwise build.
+    let (mut fused, mut stepwise) = (purchase_db(), purchase_db());
+    assert!(assert_same_encoding(&mut fused, &mut stepwise, SIMPLE) > 0);
+    // A second fused pass over the same source registers the same
+    // tables afresh, unbuilt.
+    let translation = translate(&parse_mine_rule(SIMPLE).unwrap(), fused.catalog()).unwrap();
+    preprocess_for_core(&mut fused, &translation).unwrap();
+    let coded = fused.catalog().row_count("CodedSource").unwrap() as u64;
+    let built = fused.stats().deferred_rows_built;
+    for (i, sql) in [
+        "INSERT INTO CodedSource VALUES (7, 1), (NULL, 2)",
+        "UPDATE CodedSource SET Bid = Bid + 10 WHERE Gid = 1",
+        "DELETE FROM CodedSource WHERE Gid = 2 OR Gid IS NULL",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (a, b) = (fused.execute(sql), stepwise.execute(sql));
+        assert_eq!(
+            a.map(|o| o.rows_affected).map_err(|e| e.to_string()),
+            b.map(|o| o.rows_affected).map_err(|e| e.to_string()),
+            "{sql}"
+        );
+        if i == 0 {
+            let built = fused.stats().deferred_rows_built - built;
+            assert_eq!(built, coded, "the INSERT built CodedSource's rows once");
+        }
+        assert_eq!(selected(&mut fused), selected(&mut stepwise), "{sql}");
+    }
 }
 
 /// Mine the encoding [`assert_same_encoding`] left on both databases and

@@ -7,16 +7,18 @@
 //!
 //! Three layers of evidence:
 //!
-//! 1. randomized expressions (seeded, reproducible) evaluated per row
-//!    on both paths, comparing the full result **or error** (the same
-//!    grammar over a NULL-heavy 2 000-row table runs in
-//!    `tests/vector_agreement.rs`);
+//! 1. randomized expressions and filters (seeded, reproducible)
+//!    evaluated per row on both paths, comparing the full result **or
+//!    error**, over a five-row table with every value class and over a
+//!    NULL-heavy 2 000-row one;
 //! 2. hand-written SELECTs exercising every hot site the compiler
 //!    touches (scan filters, hash joins, explicit joins, GROUP BY,
 //!    DISTINCT, set operations, subquery fallback, ORDER BY), and errors
 //!    that must surface at the same row on both paths;
-//! 3. the paper's own statements (§2 / Appendix A shapes) mined on both
-//!    paths, asserting bit-identical rules and preprocessing reports.
+//! 3. the paper's own statements (§2 / Appendix A shapes) and the one
+//!    statement shape whose preprocessing still runs `Q0..Q11` on the SQL
+//!    server — a two-table FROM — mined on both paths, asserting
+//!    bit-identical rules and preprocessing reports.
 //!
 //! Two late-materialisation contracts of the executor ride along:
 //! `ORDER BY … LIMIT k` (a top-k selection) returns exactly the first
@@ -108,6 +110,32 @@ fn randomized_filters_agree() {
         let sql = format!("SELECT a, s FROM t WHERE {pred}");
         let compiled = run(expr_fixture, false, &sql);
         let interpreted = run(expr_fixture, true, &sql);
+        assert_eq!(compiled, interpreted, "case {i}: paths disagree on {sql}");
+    }
+}
+
+#[test]
+fn randomized_expressions_agree_on_a_null_heavy_table() {
+    let mut rng = Rng::seed_from_u64(0x0bac_ed10);
+    let cols = ExprCols::abcs_fixture();
+    for i in 0..60 {
+        let expr = gen_expr(&mut rng, 3, &cols);
+        let sql = format!("SELECT {expr} AS v FROM t");
+        let compiled = run(null_heavy_fixture, false, &sql);
+        let interpreted = run(null_heavy_fixture, true, &sql);
+        assert_eq!(compiled, interpreted, "case {i}: paths disagree on {sql}");
+    }
+}
+
+#[test]
+fn randomized_filters_agree_on_a_null_heavy_table() {
+    let mut rng = Rng::seed_from_u64(0x0bac_ed20);
+    let cols = ExprCols::abcs_fixture();
+    for i in 0..40 {
+        let pred = gen_expr(&mut rng, 3, &cols);
+        let sql = format!("SELECT a, s FROM t WHERE {pred}");
+        let compiled = run(null_heavy_fixture, false, &sql);
+        let interpreted = run(null_heavy_fixture, true, &sql);
         assert_eq!(compiled, interpreted, "case {i}: paths disagree on {sql}");
     }
 }
@@ -327,6 +355,57 @@ fn mining_is_bit_identical_across_modes_and_workers() {
                 "{label}"
             );
         }
+    }
+}
+
+/// A two-table FROM: its preprocessing runs `Q0..Q11` through the SQL
+/// executor's filter, join, GROUP BY and DISTINCT sites (a one-table FROM
+/// fuses into a single pass over the source rows instead).
+const JOINED: &str = "\
+MINE RULE JoinedAssoc AS \
+SELECT DISTINCT category AS BODY, category AS HEAD, SUPPORT, CONFIDENCE \
+FROM Purchase, Product WHERE item = pitem GROUP BY customer \
+EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1";
+
+/// Figure 1's Purchase table plus the `Product` table [`JOINED`] reads.
+fn joined_db() -> Database {
+    let mut db = purchase_db();
+    db.execute("CREATE TABLE Product (pitem VARCHAR, category VARCHAR)")
+        .unwrap();
+    db.execute(
+        "INSERT INTO Product VALUES ('jackets', 'outer'), ('ski_pants', 'snow'), \
+         ('hiking_boots', 'snow'), ('col_shirts', 'inner'), ('brown_boots', 'outer')",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn a_joined_from_mines_bit_identically_on_both_paths() {
+    let mut db = joined_db();
+    db.set_reference_paths(true);
+    let baseline = MineRuleEngine::new().execute(&mut db, JOINED).unwrap();
+    assert_eq!(baseline.preprocess_report.fused_steps, 0);
+    assert!(!baseline.rules.is_empty());
+    for reference in [false, true] {
+        let mut db = joined_db();
+        db.set_reference_paths(reference);
+        let outcome = MineRuleEngine::new().execute(&mut db, JOINED).unwrap();
+        let label = format!("reference={reference}");
+        assert_eq!(outcome.rules, baseline.rules, "{label}");
+        assert_eq!(outcome.preprocess_report.fused_steps, 0, "{label}");
+        assert_eq!(
+            outcome.preprocess_report.executed, baseline.preprocess_report.executed,
+            "{label}: per-step row counts"
+        );
+        assert_eq!(
+            outcome.preprocess_report.total_groups, baseline.preprocess_report.total_groups,
+            "{label}"
+        );
+        assert_eq!(
+            outcome.preprocess_report.min_groups, baseline.preprocess_report.min_groups,
+            "{label}"
+        );
     }
 }
 

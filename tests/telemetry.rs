@@ -431,6 +431,8 @@ fn storage_counters_absent_on_memory_present_on_paged() {
     ] {
         assert!(paged.counter(name) > 0, "{name} present under paged");
     }
+    // Mirroring the catalog reads every table, deferred ones too.
+    assert!(paged.counter("relational.deferred.rows_built") > 0);
     assert!(
         paged
             .counters
@@ -439,6 +441,56 @@ fn storage_counters_absent_on_memory_present_on_paged() {
         "the paged backend keeps no page cache: {:?}",
         paged.counters
     );
+}
+
+/// The paper-shaped temporal statement (C, K and M) over generated
+/// retail data.
+const TEMPORAL: &str = "MINE RULE Temporal AS \
+    SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE \
+    WHERE BODY.price >= 100 AND HEAD.price < 100 \
+    FROM Purchase GROUP BY customer \
+    CLUSTER BY date HAVING BODY.date < HEAD.date \
+    EXTRACTING RULES WITH SUPPORT: 0.05, CONFIDENCE: 0.2";
+
+#[test]
+fn deferred_encoded_rows_are_built_only_when_read() {
+    // The fused pass registers the encoded tables only SQL reads as
+    // deferred: two cold mines of each statement on one database (the
+    // second's cleanup drops the first's tables) build none of them.
+    let data = datagen::generate_retail(&datagen::RetailConfig {
+        customers: 40,
+        items_per_date: 2.5,
+        catalog: 40,
+        expensive_items: 12,
+        seed: 3,
+        ..datagen::RetailConfig::default()
+    });
+    let mut db = relational::Database::new();
+    data.load(&mut db, "Purchase").unwrap();
+    let simple = SIMPLE.replace("SUPPORT: 0.25", "SUPPORT: 0.1");
+    for stmt in [&simple, TEMPORAL, &simple, TEMPORAL] {
+        let engine = MineRuleEngine::new();
+        let rules = engine.execute(&mut db, stmt).unwrap().rules;
+        assert!(!rules.is_empty(), "{stmt}");
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.counter("relational.deferred.rows_built"), 0, "{stmt}");
+    }
+    assert_eq!(db.stats().deferred_rows_built, 0);
+    // A read builds the table it names, once.
+    for name in ["ValidGroups", "InputRules", "ClusterCouples"] {
+        let before = db.stats().deferred_rows_built;
+        let rows = db.catalog().row_count(name).unwrap();
+        assert!(rows > 0, "{name}");
+        let all = db.query(&format!("SELECT * FROM {name}")).unwrap();
+        assert_eq!(all.len(), rows, "{name}");
+        assert_eq!(db.stats().deferred_rows_built - before, rows as u64);
+        db.query(&format!("SELECT * FROM {name}")).unwrap();
+        assert_eq!(db.stats().deferred_rows_built - before, rows as u64);
+    }
+    let published = relational::ExecStats::default()
+        .named()
+        .map(|(name, _)| name);
+    assert!(published.contains(&"relational.deferred.rows_built"));
 }
 
 #[test]
