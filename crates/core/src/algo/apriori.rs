@@ -5,7 +5,7 @@ use super::counting::CountingCtx;
 use super::gidset::{GidSet, GidSetScratch};
 use super::itemset::{apriori_join, Itemset};
 use super::trie::ItemsetTrie;
-use super::{ItemsetMiner, LargeItemset, SimpleInput};
+use super::{Groups, ItemsetMiner, LargeItemset, SimpleView};
 
 /// Apriori with group-identifier lists: each itemset carries the sorted
 /// list of groups containing it, and the list of a joined candidate is the
@@ -20,8 +20,8 @@ impl ItemsetMiner for AprioriGidList {
         "apriori-gidlist"
     }
 
-    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset> {
-        let (large, _) = mine_gidlist_with_border(&input.groups, input.min_groups, ctx);
+    fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset> {
+        let (large, _) = mine_gidlist_with_border(input.groups, input.min_groups, ctx);
         large
     }
 }
@@ -30,7 +30,7 @@ impl ItemsetMiner for AprioriGidList {
 /// were generated and failed the threshold) — needed by the sampling
 /// algorithm's safety check.
 pub fn mine_gidlist_with_border(
-    groups: &[Vec<u32>],
+    groups: Groups<'_>,
     min_groups: u32,
     counting: &CountingCtx,
 ) -> (Vec<LargeItemset>, Vec<Itemset>) {
@@ -103,11 +103,11 @@ impl ItemsetMiner for AprioriCount {
         "apriori-count"
     }
 
-    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset> {
         let mut large: Vec<LargeItemset> = Vec::new();
 
         // L1: singleton scan.
-        let counts = ctx.item_counts(&input.groups);
+        let counts = ctx.item_counts(input.groups);
         let l1_generated = counts.len() as u64;
         let mut level: Vec<LargeItemset> = counts
             .into_iter()
@@ -138,7 +138,7 @@ impl ItemsetMiner for AprioriCount {
             let generated = candidates.len() as u64;
             // The support scan — the pass that dominates.
             level = ctx
-                .count_candidates(&input.groups, candidates)
+                .count_candidates(input.groups, candidates)
                 .into_iter()
                 .filter(|(_, c)| *c >= input.min_groups)
                 .collect();
@@ -151,7 +151,7 @@ impl ItemsetMiner for AprioriCount {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::sort_itemsets;
+    use crate::algo::{sort_itemsets, SimpleInput};
 
     fn groups() -> Vec<Vec<u32>> {
         vec![
@@ -201,7 +201,8 @@ mod tests {
 
     #[test]
     fn border_contains_failed_candidates() {
-        let (large, border) = mine_gidlist_with_border(&groups(), 3, &CountingCtx::default());
+        let (large, border) =
+            mine_gidlist_with_border(Groups::Lists(&groups()), 3, &CountingCtx::default());
         assert!(!large.iter().any(|(s, _)| s == &vec![1, 3]));
         assert!(border.contains(&vec![1, 3]));
     }

@@ -10,9 +10,11 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
+use relational::KeyHash;
+
 use super::gidset::{GidSet, GidSetCounters, GidSetCtx};
 use super::itemset::{is_subset, Itemset};
-use super::LargeItemset;
+use super::{Groups, LargeItemset};
 
 /// Candidate counts for one level of a level-wise algorithm (keyed by
 /// itemset size `k`). `generated` counts candidates produced by the join
@@ -114,7 +116,7 @@ impl CountingCtx {
         entry.pruned += pruned;
     }
 
-    fn note_scan(&self, groups: &[Vec<u32>], candidates: u64) {
+    fn note_scan(&self, groups: Groups<'_>, candidates: u64) {
         let mut stats = self.stats.borrow_mut();
         stats.groups_scanned += groups.len() as u64;
         stats.candidates_counted += candidates;
@@ -123,7 +125,7 @@ impl CountingCtx {
     /// Count each candidate's support with one pass over the groups.
     pub fn count_candidates(
         &self,
-        groups: &[Vec<u32>],
+        groups: Groups<'_>,
         candidates: Vec<Itemset>,
     ) -> Vec<LargeItemset> {
         if candidates.is_empty() {
@@ -131,7 +133,7 @@ impl CountingCtx {
         }
         self.note_scan(groups, candidates.len() as u64);
         let mut counts = vec![0u32; candidates.len()];
-        for items in groups {
+        for items in groups.iter() {
             for (count, c) in counts.iter_mut().zip(&candidates) {
                 if is_subset(c, items) {
                     *count += 1;
@@ -142,9 +144,9 @@ impl CountingCtx {
     }
 
     /// Per-item occurrence counts over all groups (the L1 scan).
-    pub fn item_counts(&self, groups: &[Vec<u32>]) -> HashMap<u32, u32> {
+    pub fn item_counts(&self, groups: Groups<'_>) -> HashMap<u32, u32, KeyHash> {
         self.note_scan(groups, 0);
-        let mut counts: HashMap<u32, u32> = HashMap::new();
+        let mut counts: HashMap<u32, u32, KeyHash> = HashMap::default();
         for &it in groups.iter().flatten() {
             *counts.entry(it).or_insert(0) += 1;
         }
@@ -153,9 +155,9 @@ impl CountingCtx {
 
     /// Vertical layout: item → ascending group-id list, a group's id
     /// being its position in `groups`.
-    pub fn gidlists(&self, groups: &[Vec<u32>]) -> HashMap<u32, Vec<u32>> {
+    pub fn gidlists(&self, groups: Groups<'_>) -> HashMap<u32, Vec<u32>, KeyHash> {
         self.note_scan(groups, 0);
-        let mut lists: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut lists: HashMap<u32, Vec<u32>, KeyHash> = HashMap::default();
         for (g, items) in groups.iter().enumerate() {
             for &it in items {
                 lists.entry(it).or_default().push(g as u32);
@@ -166,7 +168,11 @@ impl CountingCtx {
 
     /// [`CountingCtx::gidlists`] with each list converted to a [`GidSet`]
     /// in the representation `ctx` picks.
-    pub fn gidsets(&self, groups: &[Vec<u32>], ctx: &GidSetCtx<'_>) -> HashMap<u32, GidSet> {
+    pub fn gidsets(
+        &self,
+        groups: Groups<'_>,
+        ctx: &GidSetCtx<'_>,
+    ) -> HashMap<u32, GidSet, KeyHash> {
         self.gidlists(groups)
             .into_iter()
             .map(|(it, gl)| (it, ctx.build(gl)))
@@ -193,7 +199,7 @@ mod tests {
     #[test]
     fn candidate_counts_match_hand_counts() {
         let candidates = vec![vec![1], vec![2], vec![1, 2], vec![2, 3], vec![9]];
-        let got = CountingCtx::default().count_candidates(&groups(), candidates);
+        let got = CountingCtx::default().count_candidates(Groups::Lists(&groups()), candidates);
         assert_eq!(
             got,
             vec![
@@ -208,7 +214,7 @@ mod tests {
 
     #[test]
     fn gidlists_are_sorted_and_complete() {
-        let lists = CountingCtx::default().gidlists(&groups());
+        let lists = CountingCtx::default().gidlists(Groups::Lists(&groups()));
         assert_eq!(lists.len(), 4);
         assert_eq!(lists[&1], vec![0, 1, 3, 4]);
         assert_eq!(lists[&2], vec![0, 1, 2, 4, 5]);
@@ -218,8 +224,9 @@ mod tests {
 
     #[test]
     fn item_counts_match_hand_counts() {
-        let counts = CountingCtx::default().item_counts(&groups());
-        let expect: HashMap<u32, u32> = [(1, 4), (2, 5), (3, 4), (7, 1)].into();
+        let counts = CountingCtx::default().item_counts(Groups::Lists(&groups()));
+        let expect: HashMap<u32, u32, KeyHash> =
+            [(1, 4), (2, 5), (3, 4), (7, 1)].into_iter().collect();
         assert_eq!(counts, expect);
     }
 
@@ -227,9 +234,10 @@ mod tests {
     fn stats_accumulate_and_drain() {
         let ctx = CountingCtx::default();
         let g = groups();
-        ctx.count_candidates(&g, vec![vec![1], vec![2, 3]]);
-        ctx.count_candidates(&g, Vec::new()); // no candidates: no scan
-        ctx.item_counts(&g);
+        let g = Groups::Lists(&g);
+        ctx.count_candidates(g, vec![vec![1], vec![2, 3]]);
+        ctx.count_candidates(g, Vec::new()); // no candidates: no scan
+        ctx.item_counts(g);
         ctx.note_level(2, 10, 4);
         ctx.note_level(2, 5, 1);
         ctx.note_level(3, 0, 0); // ignored: nothing to record
@@ -259,7 +267,7 @@ mod tests {
         // Seven groups: every non-empty list is dense enough for a bitset.
         let counting = CountingCtx::default();
         let ctx = counting.gidset_ctx(g.len());
-        let sets = counting.gidsets(&g, &ctx);
+        let sets = counting.gidsets(Groups::Lists(&g), &ctx);
         assert!(sets.values().all(|s| s.is_bitset()));
         assert_eq!(sets[&1].to_sorted_list(), vec![0, 1, 3, 4]);
         counting.note_trie(5, 12);
@@ -274,7 +282,7 @@ mod tests {
         // The reference representation keeps the same sets as lists.
         let lists = CountingCtx::new(true);
         let ctx = lists.gidset_ctx(g.len());
-        let sets = lists.gidsets(&g, &ctx);
+        let sets = lists.gidsets(Groups::Lists(&g), &ctx);
         assert!(sets.values().all(|s| !s.is_bitset()));
         assert_eq!(lists.take_stats().gidset_list_picked, 4);
     }

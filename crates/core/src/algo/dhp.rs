@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use super::counting::CountingCtx;
 use super::itemset::{apriori_join, Itemset};
 use super::trie::ItemsetTrie;
-use super::{ItemsetMiner, LargeItemset, SimpleInput};
+use super::{ItemsetMiner, LargeItemset, SimpleView};
 
 /// DHP miner; `buckets` sizes the pair-hash table.
 #[derive(Debug, Clone, Copy)]
@@ -37,14 +37,14 @@ impl ItemsetMiner for Dhp {
         "dhp"
     }
 
-    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset> {
         let mut large: Vec<LargeItemset> = Vec::new();
         let buckets_n = self.buckets.max(1);
 
         // Pass 1: singleton counts + pair-bucket counts, one scan.
         let mut counts: HashMap<u32, u32> = HashMap::new();
         let mut pair_buckets = vec![0u32; buckets_n];
-        for items in &input.groups {
+        for items in input.groups.iter() {
             for &it in items {
                 *counts.entry(it).or_insert(0) += 1;
             }
@@ -74,7 +74,7 @@ impl ItemsetMiner for Dhp {
             }
         }
         let mut level: Vec<LargeItemset> = ctx
-            .count_candidates(&input.groups, candidates)
+            .count_candidates(input.groups, candidates)
             .into_iter()
             .filter(|(_, c)| *c >= input.min_groups)
             .collect();
@@ -97,7 +97,7 @@ impl ItemsetMiner for Dhp {
             }
             ctx.note_trie(trie.node_count() as u64, trie.take_lookups());
             level = ctx
-                .count_candidates(&input.groups, candidates)
+                .count_candidates(input.groups, candidates)
                 .into_iter()
                 .filter(|(_, c)| *c >= input.min_groups)
                 .collect();
@@ -110,7 +110,7 @@ impl ItemsetMiner for Dhp {
 mod tests {
     use super::*;
     use crate::algo::apriori::AprioriGidList;
-    use crate::algo::sort_itemsets;
+    use crate::algo::{sort_itemsets, SimpleInput};
 
     #[test]
     fn agrees_with_apriori_even_with_tiny_hash_table() {

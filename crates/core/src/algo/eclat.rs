@@ -7,7 +7,7 @@
 use super::counting::CountingCtx;
 use super::gidset::{GidSet, GidSetCtx, GidSetScratch};
 use super::itemset::Itemset;
-use super::{ItemsetMiner, LargeItemset, SimpleInput};
+use super::{ItemsetMiner, LargeItemset, SimpleView};
 
 /// Depth-first vertical miner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -18,11 +18,11 @@ impl ItemsetMiner for Eclat {
         "eclat"
     }
 
-    fn mine_with(&self, input: &SimpleInput, counting: &CountingCtx) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: SimpleView<'_>, counting: &CountingCtx) -> Vec<LargeItemset> {
         // Vertical layout: item → gid set (representation chosen per set
         // from its cardinality).
         let ctx = counting.gidset_ctx(input.groups.len());
-        let gidsets = counting.gidsets(&input.groups, &ctx);
+        let gidsets = counting.gidsets(input.groups, &ctx);
         let mut frontier: Vec<(u32, GidSet)> = gidsets
             .into_iter()
             .filter(|(_, gs)| gs.len() >= input.min_groups)
@@ -84,7 +84,7 @@ fn dfs(
 mod tests {
     use super::*;
     use crate::algo::apriori::AprioriGidList;
-    use crate::algo::sort_itemsets;
+    use crate::algo::{sort_itemsets, SimpleInput};
 
     #[test]
     fn agrees_with_apriori() {

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use super::counting::CountingCtx;
-use super::{ItemsetMiner, LargeItemset, SimpleInput};
+use super::{ItemsetMiner, LargeItemset, SimpleView};
 
 /// FP-Growth miner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -167,9 +167,9 @@ impl ItemsetMiner for FpGrowth {
         "fpgrowth"
     }
 
-    fn mine_with(&self, input: &SimpleInput, _: &CountingCtx) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: SimpleView<'_>, _: &CountingCtx) -> Vec<LargeItemset> {
         let transactions: Vec<(Vec<u32>, u32)> =
-            input.groups.iter().map(|g| (g.clone(), 1)).collect();
+            input.groups.iter().map(|g| (g.to_vec(), 1)).collect();
         // The whole input is the conditional base of the empty suffix; the
         // final sort + dedup normalises the order.
         let mut out: Vec<LargeItemset> = Vec::new();
@@ -184,7 +184,7 @@ impl ItemsetMiner for FpGrowth {
 mod tests {
     use super::*;
     use crate::algo::apriori::AprioriGidList;
-    use crate::algo::sort_itemsets;
+    use crate::algo::{sort_itemsets, SimpleInput};
 
     fn check_against_apriori(groups: Vec<Vec<u32>>, min_groups: u32) {
         let input = SimpleInput {

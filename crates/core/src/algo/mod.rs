@@ -34,7 +34,8 @@ pub use trie::ItemsetTrie;
 
 use crate::ast::CardSpec;
 use crate::error::{MineError, Result};
-use itemset::{for_each_proper_subset, Itemset};
+use crate::runs;
+use itemset::Itemset;
 
 /// Encoded input for the simple core processing: one entry per group that
 /// contains at least one large item. `total_groups` counts *all* groups
@@ -50,24 +51,67 @@ pub struct SimpleInput {
 }
 
 impl SimpleInput {
-    /// Build from raw `(gid, items)` pairs, sorting and deduplicating.
-    pub fn from_groups(
-        pairs: Vec<(u32, Vec<u32>)>,
-        total_groups: u32,
-        min_groups: u32,
-    ) -> SimpleInput {
-        let mut groups = Vec::with_capacity(pairs.len());
-        for (_, mut items) in pairs {
-            items.sort_unstable();
-            items.dedup();
-            if !items.is_empty() {
-                groups.push(items);
-            }
+    /// The input with its groups borrowed.
+    pub fn view(&self) -> SimpleView<'_> {
+        SimpleView {
+            groups: Groups::Lists(&self.groups),
+            total_groups: self.total_groups,
+            min_groups: self.min_groups,
         }
-        SimpleInput {
-            groups,
-            total_groups,
-            min_groups,
+    }
+}
+
+/// A [`SimpleInput`] whose group lists are read in place, in whichever
+/// layout their holder keeps them.
+#[derive(Debug, Clone, Copy)]
+pub struct SimpleView<'a> {
+    /// Sorted, deduplicated, non-empty large-item lists per group.
+    pub groups: Groups<'a>,
+    /// Support denominator (`:totg`).
+    pub total_groups: u32,
+    /// Absolute large threshold (`:mingroups`).
+    pub min_groups: u32,
+}
+
+/// Per-group item lists, borrowed: the pool's own layout, or the
+/// `(Gid, items)` pairs the preprocessor hands the core
+/// ([`crate::encoded::EncodedData::Simple`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Groups<'a> {
+    Lists(&'a [Vec<u32>]),
+    Keyed(&'a [(u32, Vec<u32>)]),
+}
+
+impl<'a> Groups<'a> {
+    pub fn len(self) -> usize {
+        match self {
+            Groups::Lists(lists) => lists.len(),
+            Groups::Keyed(pairs) => pairs.len(),
+        }
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The items of group `at` (its position, not its Gid).
+    pub fn get(self, at: usize) -> &'a [u32] {
+        match self {
+            Groups::Lists(lists) => &lists[at],
+            Groups::Keyed(pairs) => &pairs[at].1,
+        }
+    }
+
+    /// The groups' item lists in order.
+    pub fn iter(self) -> impl Iterator<Item = &'a [u32]> {
+        (0..self.len()).map(move |at| self.get(at))
+    }
+
+    /// The groups at positions `range`.
+    pub fn slice(self, range: std::ops::Range<usize>) -> Groups<'a> {
+        match self {
+            Groups::Lists(lists) => Groups::Lists(&lists[range]),
+            Groups::Keyed(pairs) => Groups::Keyed(&pairs[range]),
         }
     }
 }
@@ -83,11 +127,11 @@ pub trait ItemsetMiner {
     /// Produce every large itemset (support count ≥ `input.min_groups`)
     /// with its exact group count, running counting passes through the
     /// given counting context (which also records the run's work).
-    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset>;
+    fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset>;
 
-    /// `mine_with` on a fresh default context.
+    /// `mine_with` over an owned input, on a fresh default context.
     fn mine(&self, input: &SimpleInput) -> Vec<LargeItemset> {
-        self.mine_with(input, &CountingCtx::default())
+        self.mine_with(input.view(), &CountingCtx::default())
     }
 }
 
@@ -160,7 +204,8 @@ pub struct RuleGenStats {
 /// Build rules `(L − H) ⇒ H` from the large-itemset inventory (§4.3.1),
 /// honouring the statement's cardinality specifications and minimum
 /// confidence. Support of each emitted rule is `count(L) / total`;
-/// confidence is `count(L) / count(L − H)`.
+/// confidence is `count(L) / count(L − H)`. The rules come back in
+/// [`sort_rules`] order.
 pub fn rules_from_itemsets(
     large: &[LargeItemset],
     total_groups: u32,
@@ -183,12 +228,17 @@ pub fn rules_from_itemsets_counted(
     // Support lookups go through a prefix trie over the inventory: the
     // body of a split is `set \ head`, which the trie resolves with a
     // skip-walk (`get_excluding`) — the body is only materialised for
-    // rules that actually pass the confidence threshold.
+    // rules that actually pass the confidence threshold. Body and head
+    // are both large itemsets, so the nodes they end at rank them
+    // lexicographically (`preorder`), and the rules are ordered on packed
+    // rank pairs: no itemset is compared per rule.
     let mut counts = ItemsetTrie::new();
     for (set, cnt) in large {
         counts.insert(set, *cnt);
     }
-    let mut out = Vec::new();
+    let rank = counts.preorder();
+    let mut out: Vec<Option<EncodedRule>> = Vec::new();
+    let mut keys: Vec<(u64, u32)> = Vec::new();
     let mut stats = RuleGenStats::default();
     for (set, cnt) in large {
         if set.len() < 2 {
@@ -196,7 +246,7 @@ pub fn rules_from_itemsets_counted(
         }
         let max_head = head_card.upper_limit().min((set.len() - 1) as u32) as usize;
         let mut failure: Option<MineError> = None;
-        for_each_proper_subset(set, max_head, &mut |head| {
+        counts.for_each_proper_subset_node(set, max_head, &mut |head, head_node| {
             if failure.is_some() || !head_card.admits(head.len()) {
                 return;
             }
@@ -204,15 +254,23 @@ pub fn rules_from_itemsets_counted(
             if !body_card.admits(body_len) {
                 return;
             }
-            let Some(body_cnt) = counts.get_excluding(set, head) else {
-                let body: Itemset = set
-                    .iter()
+            let body = || -> Itemset {
+                set.iter()
                     .copied()
                     .filter(|x| head.binary_search(x).is_err())
-                    .collect();
+                    .collect()
+            };
+            let (Some(head_node), Some((body_node, body_cnt))) =
+                (head_node, counts.get_excluding(set, head))
+            else {
+                let missing = if head_node.is_none() {
+                    head.to_vec()
+                } else {
+                    body()
+                };
                 failure = Some(MineError::Internal {
                     message: format!(
-                        "subset {body:?} of large itemset {set:?} missing from inventory \
+                        "subset {missing:?} of large itemset {set:?} missing from inventory \
                          (anti-monotonicity violated)"
                     ),
                 });
@@ -221,18 +279,15 @@ pub fn rules_from_itemsets_counted(
             stats.candidates += 1;
             let confidence = *cnt as f64 / body_cnt as f64;
             if confidence + 1e-12 >= min_confidence {
-                let body: Itemset = set
-                    .iter()
-                    .copied()
-                    .filter(|x| head.binary_search(x).is_err())
-                    .collect();
-                out.push(EncodedRule {
-                    body,
+                let key = runs::pack(rank[body_node as usize], rank[head_node as usize]);
+                keys.push((key, out.len() as u32));
+                out.push(Some(EncodedRule {
+                    body: body(),
                     head: head.to_vec(),
                     group_count: *cnt,
                     support: *cnt as f64 / total_groups as f64,
                     confidence,
-                });
+                }));
             } else {
                 stats.pruned_confidence += 1;
             }
@@ -241,12 +296,18 @@ pub fn rules_from_itemsets_counted(
             return Err(e);
         }
     }
+    runs::radix_sort(&mut keys);
+    let rules = keys
+        .iter()
+        .map(|&(_, at)| out[at as usize].take().expect("one key per rule"))
+        .collect();
     stats.trie_nodes = counts.node_count() as u64;
     stats.trie_lookups = counts.take_lookups();
-    Ok((out, stats))
+    Ok((rules, stats))
 }
 
-/// Canonical sort for comparing rule inventories in tests.
+/// The canonical rule order, by body and then head: the order
+/// [`rules_from_itemsets`] returns and the general lattice sorts into.
 pub fn sort_rules(rules: &mut [EncodedRule]) {
     rules.sort_by(|a, b| a.body.cmp(&b.body).then(a.head.cmp(&b.head)));
 }
@@ -299,6 +360,34 @@ mod tests {
                 .unwrap();
         assert_eq!(rules.len(), 2);
         assert!((rules[0].support - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rules_come_back_in_canonical_order() {
+        // Groups over 9 items drawn by an xorshift; every head width, so
+        // bodies and heads of all sizes interleave in the order.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let groups = (0..60)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (1..10).filter(|i| state >> i & 1 == 1).collect()
+            })
+            .collect();
+        let input = SimpleInput {
+            groups,
+            total_groups: 60,
+            min_groups: 6,
+        };
+        let large = apriori::AprioriGidList.mine(&input);
+        for head in [CardSpec::one_to_one(), CardSpec::one_to_n()] {
+            let rules = rules_from_itemsets(&large, 60, CardSpec::one_to_n(), head, 0.1).unwrap();
+            assert!(rules.len() > 100, "{}", rules.len());
+            let mut sorted = rules.clone();
+            sort_rules(&mut sorted);
+            assert_eq!(rules, sorted);
+        }
     }
 
     #[test]

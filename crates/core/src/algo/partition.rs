@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use super::apriori::mine_gidlist_with_border;
 use super::counting::CountingCtx;
 use super::itemset::Itemset;
-use super::{ItemsetMiner, LargeItemset, SimpleInput};
+use super::{ItemsetMiner, LargeItemset, SimpleView};
 
 /// Partition-based miner. `partitions` controls the split; each partition
 /// is mined with a proportionally scaled local threshold.
@@ -28,7 +28,7 @@ impl ItemsetMiner for Partition {
         "partition"
     }
 
-    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset> {
         if input.groups.is_empty() {
             return Vec::new();
         }
@@ -52,7 +52,10 @@ impl ItemsetMiner for Partition {
         // partition slice (local gids run 0..part.len()), so the density
         // heuristic scales with it.
         let mut candidates: HashSet<Itemset> = HashSet::new();
-        for part in input.groups.chunks(chunk) {
+        for start in (0..input.groups.len()).step_by(chunk) {
+            let part = input
+                .groups
+                .slice(start..(start + chunk).min(input.groups.len()));
             let local = CountingCtx::new(ctx.list_gidsets());
             let (local_large, _) = mine_gidlist_with_border(part, local_min(part.len()), &local);
             candidates.extend(local_large.into_iter().map(|(set, _)| set));
@@ -62,7 +65,7 @@ impl ItemsetMiner for Partition {
         // thresholds.
         let mut candidates: Vec<Itemset> = candidates.into_iter().collect();
         candidates.sort();
-        ctx.count_candidates(&input.groups, candidates)
+        ctx.count_candidates(input.groups, candidates)
             .into_iter()
             .filter(|(_, c)| *c >= input.min_groups)
             .collect()
@@ -73,7 +76,7 @@ impl ItemsetMiner for Partition {
 mod tests {
     use super::*;
     use crate::algo::apriori::AprioriGidList;
-    use crate::algo::sort_itemsets;
+    use crate::algo::{sort_itemsets, SimpleInput};
 
     fn input(min_groups: u32) -> SimpleInput {
         SimpleInput {

@@ -8,7 +8,7 @@
 
 use super::apriori::mine_gidlist_with_border;
 use super::counting::CountingCtx;
-use super::{ItemsetMiner, LargeItemset, SimpleInput};
+use super::{Groups, ItemsetMiner, LargeItemset, SimpleView};
 
 /// Sampling miner parameters. The sample is deterministic (a fixed-stride
 /// systematic sample seeded by `seed`) so runs are reproducible.
@@ -38,7 +38,7 @@ impl ItemsetMiner for Sampling {
         "sampling"
     }
 
-    fn mine_with(&self, input: &SimpleInput, ctx: &CountingCtx) -> Vec<LargeItemset> {
+    fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset> {
         if input.groups.is_empty() {
             return Vec::new();
         }
@@ -46,7 +46,7 @@ impl ItemsetMiner for Sampling {
         let take = ((n as f64 * self.sample_fraction).ceil() as usize).clamp(1, n);
         let offset = (self.seed as usize) % n;
         let sample: Vec<Vec<u32>> = (0..take)
-            .map(|i| input.groups[(offset + i * n / take) % n].clone())
+            .map(|i| input.groups.get((offset + i * n / take) % n).to_vec())
             .collect();
 
         let fraction = input.min_groups as f64 / input.total_groups.max(1) as f64;
@@ -56,7 +56,8 @@ impl ItemsetMiner for Sampling {
         // The sample pass inherits the caller's gid-set representation but
         // counts into its own context; its gid universe is the sample.
         let inner = CountingCtx::new(ctx.list_gidsets());
-        let (sample_large, mut border) = mine_gidlist_with_border(&sample, lowered, &inner);
+        let (sample_large, mut border) =
+            mine_gidlist_with_border(Groups::Lists(&sample), lowered, &inner);
 
         // The negative border must cover the whole item universe: items
         // that never appeared in the sample are minimal non-members too.
@@ -65,7 +66,8 @@ impl ItemsetMiner for Sampling {
         let mut unseen: Vec<u32> = input
             .groups
             .iter()
-            .flat_map(|g| g.iter().copied())
+            .flatten()
+            .copied()
             .filter(|i| !in_sample.contains(i))
             .collect();
         unseen.sort_unstable();
@@ -76,7 +78,7 @@ impl ItemsetMiner for Sampling {
         let mut candidates: Vec<Vec<u32>> = sample_large.into_iter().map(|(s, _)| s).collect();
         let border_start = candidates.len();
         candidates.extend(border);
-        let counted = ctx.count_candidates(&input.groups, candidates);
+        let counted = ctx.count_candidates(input.groups, candidates);
 
         // If anything in the negative border is actually large, the sample
         // may have missed supersets: fall back to an exact full run.
@@ -84,7 +86,7 @@ impl ItemsetMiner for Sampling {
             .iter()
             .any(|(_, c)| *c >= input.min_groups);
         if border_failed {
-            let (large, _) = mine_gidlist_with_border(&input.groups, input.min_groups, ctx);
+            let (large, _) = mine_gidlist_with_border(input.groups, input.min_groups, ctx);
             return large;
         }
         counted
@@ -99,7 +101,7 @@ impl ItemsetMiner for Sampling {
 mod tests {
     use super::*;
     use crate::algo::apriori::AprioriGidList;
-    use crate::algo::sort_itemsets;
+    use crate::algo::{sort_itemsets, SimpleInput};
 
     #[test]
     fn agrees_with_apriori_on_skewed_data() {

@@ -97,10 +97,11 @@ impl ItemsetTrie {
         self.get(set).is_some()
     }
 
-    /// The stored count for `set \ skip` — both strictly ascending,
-    /// `skip ⊆ set`. This is the rule-extraction body lookup: the body is
-    /// never materialised, the walk just skips the head's edges.
-    pub fn get_excluding(&self, set: &[u32], skip: &[u32]) -> Option<u32> {
+    /// The node `set \ skip` ends at and its stored count — both
+    /// strictly ascending, `skip ⊆ set`. This is the rule-extraction body
+    /// lookup: the body is never materialised, the walk just skips the
+    /// head's edges.
+    pub fn get_excluding(&self, set: &[u32], skip: &[u32]) -> Option<(u32, u32)> {
         self.lookups.set(self.lookups.get() + 1);
         let mut node = 0u32;
         let mut k = 0usize;
@@ -111,7 +112,63 @@ impl ItemsetTrie {
             }
             node = self.descend(node, item)?;
         }
-        self.nodes[node as usize].count
+        Some((node, self.nodes[node as usize].count?))
+    }
+
+    /// Every non-empty proper subset of `set` (strictly ascending) with at
+    /// most `max_size` items, in the order
+    /// [`for_each_proper_subset`](super::itemset::for_each_proper_subset)
+    /// yields them, with the node it ends at (`None` off the trie): each
+    /// subset extends the one before it by an item, so its node is one
+    /// edge below — no walk from the root, and no lookup counted.
+    pub(crate) fn for_each_proper_subset_node(
+        &self,
+        set: &[u32],
+        max_size: usize,
+        f: &mut impl FnMut(&[u32], Option<u32>),
+    ) {
+        if set.len() <= 1 || max_size == 0 {
+            return;
+        }
+        let cap = max_size.min(set.len() - 1);
+        let mut buf: Vec<u32> = Vec::with_capacity(cap);
+        self.subsets_below(set, 0, Some(0), cap, &mut buf, f);
+    }
+
+    fn subsets_below(
+        &self,
+        set: &[u32],
+        start: usize,
+        node: Option<u32>,
+        cap: usize,
+        buf: &mut Vec<u32>,
+        f: &mut impl FnMut(&[u32], Option<u32>),
+    ) {
+        for (at, &item) in set.iter().enumerate().skip(start) {
+            let child = node.and_then(|node| self.descend(node, item));
+            buf.push(item);
+            f(buf, child);
+            if buf.len() < cap {
+                self.subsets_below(set, at + 1, child, cap, buf, f);
+            }
+            buf.pop();
+        }
+    }
+
+    /// Each node's position in a pre-order walk that takes children in
+    /// item order: ordering itemsets by the position of their nodes is
+    /// ordering them lexicographically (a prefix before its extensions).
+    pub(crate) fn preorder(&self) -> Vec<u32> {
+        let mut position = vec![0u32; self.nodes.len()];
+        let mut stack = vec![0u32];
+        let mut next = 0u32;
+        while let Some(node) = stack.pop() {
+            position[node as usize] = next;
+            next += 1;
+            let children = &self.nodes[node as usize].children;
+            stack.extend(children.iter().rev().map(|&(_, child)| child));
+        }
+        position
     }
 
     /// The Apriori prune: is every (k-1)-subset of `cand` present? Each
@@ -175,15 +232,51 @@ mod tests {
         let mut trie = ItemsetTrie::new();
         trie.insert(&[1, 3], 5);
         trie.insert(&[2], 6);
+        let count = |set: &[u32], skip: &[u32]| trie.get_excluding(set, skip).map(|(_, c)| c);
         // set {1,2,3} minus head {2} = body {1,3}.
-        assert_eq!(trie.get_excluding(&[1, 2, 3], &[2]), Some(5));
+        assert_eq!(count(&[1, 2, 3], &[2]), Some(5));
         // minus head {1,3} = body {2}.
-        assert_eq!(trie.get_excluding(&[1, 2, 3], &[1, 3]), Some(6));
+        assert_eq!(count(&[1, 2, 3], &[1, 3]), Some(6));
+        assert_eq!(count(&[1, 2, 3], &[3]), None, "body 1-2 absent");
         assert_eq!(
-            trie.get_excluding(&[1, 2, 3], &[3]),
-            None,
-            "body 1-2 absent"
+            trie.get_excluding(&[1, 2, 3], &[2]),
+            trie.get_excluding(&[1, 3], &[])
         );
+    }
+
+    #[test]
+    fn subset_nodes_follow_the_subset_order_and_preorder_ranks_lexicographically() {
+        let sets: [&[u32]; 7] = [&[1], &[2], &[3], &[1, 2], &[1, 3], &[2, 3], &[1, 2, 3]];
+        let trie = ItemsetTrie::from_sets(sets);
+        let mut plain = Vec::new();
+        super::super::itemset::for_each_proper_subset(&[1, 2, 3], 2, &mut |s| {
+            plain.push(s.to_vec())
+        });
+        let mut walked = Vec::new();
+        trie.for_each_proper_subset_node(&[1, 2, 3], 2, &mut |s, node| {
+            walked.push((s.to_vec(), node))
+        });
+        assert_eq!(
+            walked.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
+            plain
+        );
+        let rank = trie.preorder();
+        let mut by_rank: Vec<Vec<u32>> = walked.iter().map(|(s, _)| s.clone()).collect();
+        by_rank.sort_by_key(|s| rank[trie.get_excluding(s, &[]).unwrap().0 as usize]);
+        let mut lexicographic = by_rank.clone();
+        lexicographic.sort();
+        assert_eq!(by_rank, lexicographic);
+        for (set, node) in &walked {
+            assert_eq!(Some(trie.get_excluding(set, &[]).unwrap().0), *node);
+        }
+        // Off the trie: a subset whose prefix is missing has no node.
+        let sparse = ItemsetTrie::from_sets([&[2u32][..], &[3]]);
+        let mut nodes = Vec::new();
+        sparse.for_each_proper_subset_node(&[1, 2, 3], 1, &mut |s, node| {
+            nodes.push((s[0], node.is_some()))
+        });
+        assert_eq!(nodes, [(1, false), (2, true), (3, true)]);
+        assert_eq!(sparse.take_lookups(), 0, "no walk from the root counted");
     }
 
     #[test]

@@ -59,7 +59,7 @@ use relational::expr::Expr;
 use relational::sequence::Sequence;
 use relational::{Database, Table, Value};
 
-use crate::algo::{rules_from_itemsets_counted, sort_rules, EncodedRule, LargeItemset};
+use crate::algo::{rules_from_itemsets_counted, EncodedRule, LargeItemset};
 use crate::ast::MineRuleStatement;
 use crate::digest::SourceDigest;
 use crate::directives::Directives;
@@ -884,14 +884,13 @@ fn extract_rules(
             None => return Ok(None),
         }
     }
-    let (mut rules, _) = rules_from_itemsets_counted(
+    let (rules, _) = rules_from_itemsets_counted(
         &large,
         inventory.digest.live_groups() as u32,
         stmt.body.card,
         stmt.head.card,
         stmt.min_confidence,
     )?;
-    sort_rules(&mut rules);
     Ok(Some(rules))
 }
 

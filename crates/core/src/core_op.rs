@@ -41,7 +41,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::algo::{self, CountingCtx, EncodedRule, LargeItemset, SimpleInput};
+use crate::algo::{self, CountingCtx, EncodedRule, Groups, LargeItemset, SimpleView};
 use crate::encoded::{EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
 use crate::lattice::elementary::{build_contexts, BuildOptions};
@@ -118,19 +118,21 @@ pub(crate) fn run_core_on(
                 algo::by_name(&opts.algorithm).ok_or_else(|| MineError::UnknownAlgorithm {
                     name: opts.algorithm.clone(),
                 })?;
-            let simple =
-                SimpleInput::from_groups(groups.clone(), input.total_groups, input.min_groups);
+            let simple = SimpleView {
+                groups: Groups::Keyed(groups),
+                total_groups: input.total_groups,
+                min_groups: input.min_groups,
+            };
             let counting = CountingCtx::new(reference_paths);
-            let large = miner.mine_with(&simple, &counting);
+            let large = miner.mine_with(simple, &counting);
             telemetry.counter_add("core.itemsets.large", large.len() as u64);
-            let (mut rules, rule_stats) = algo::rules_from_itemsets_counted(
+            let (rules, rule_stats) = algo::rules_from_itemsets_counted(
                 &large,
                 input.total_groups,
                 input.body_card,
                 input.head_card,
                 input.min_confidence,
             )?;
-            algo::sort_rules(&mut rules);
             telemetry.counter_add("core.rules.candidates", rule_stats.candidates);
             telemetry.counter_add("core.rules.pruned_confidence", rule_stats.pruned_confidence);
             telemetry.counter_add("core.rules.emitted", rules.len() as u64);

@@ -16,7 +16,7 @@ use relational::Database;
 
 use crate::algo::apriori::mine_gidlist_with_border;
 use crate::algo::itemset::for_each_proper_subset;
-use crate::algo::CountingCtx;
+use crate::algo::{CountingCtx, Groups};
 use crate::error::{MineError, Result};
 
 /// A rule in the standalone tool's text format.
@@ -91,7 +91,8 @@ pub fn mine_flat_file(csv: &str, min_support: f64, min_confidence: f64) -> Resul
     let min_groups = ((total as f64 * min_support).ceil() as u32).max(1);
 
     // Mine.
-    let (large, _) = mine_gidlist_with_border(&groups, min_groups, &CountingCtx::default());
+    let (large, _) =
+        mine_gidlist_with_border(Groups::Lists(&groups), min_groups, &CountingCtx::default());
     let counts: HashMap<&[u32], u32> = large
         .iter()
         .map(|(set, cnt)| (set.as_slice(), *cnt))

@@ -61,7 +61,9 @@ pub struct EncodedInput {
 /// Class-specific payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedData {
-    /// Simple rules: per-group lists of large item identifiers.
+    /// Simple rules: per group in Gid order, its large item identifiers
+    /// — ascending, without repeats, never empty. The core mines these
+    /// lists in place ([`crate::algo::Groups::Keyed`]).
     Simple { groups: Vec<(u32, Vec<u32>)> },
     /// General rules: raw tuples plus optional couples/elementary tables,
     /// the elementary rules ordered by `(gid, cidb, cidh)` and otherwise
@@ -235,13 +237,15 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
     let data = match translation.class {
         StatementClass::Simple => {
             // `CodedSource` straight off the catalog into typed pairs;
-            // sorting those is the `ORDER BY Gid, Bid` the core expects.
+            // sorting those is the `ORDER BY Gid, Bid` the core expects,
+            // and the DISTINCT of `Q4` leaves no pair to fold.
             let (rows, at) = stored(db, &names.coded_source(), &["Gid", "Bid"])?;
             let mut pairs = rows
                 .iter()
                 .map(|row| Ok((get_u32(&row[at[0]])?, get_u32(&row[at[1]])?)))
                 .collect::<Result<Vec<(u32, u32)>>>()?;
             pairs.sort_unstable();
+            pairs.dedup();
             EncodedData::Simple {
                 groups: group_sorted(pairs),
             }

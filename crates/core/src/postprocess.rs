@@ -9,27 +9,34 @@
 //!
 //! [`decode_rules`] is the whole phase. Inside the server the item
 //! dictionary is an array, not a join: **one in-memory pass** over the
-//! encoded rules assigns the body/head identifiers, looks each item up in
-//! `Bset`/`Hset` by id, and builds the three normalised tables, the three
-//! decoded `<out>` tables and the rules handed back to the caller —
-//! schema, row contents *and* row order bit-identical to the SQL program
-//! `translation.postprocess` (`P1`–`P3`), which `tests/planner_agreement.rs`
-//! enforces. On the database's reference paths
+//! encoded rules assigns the body/head identifiers, keeps each distinct
+//! body and head once, looks its items up in `Bset`/`Hset` by id, and
+//! builds the rules handed back to the caller. The three normalised
+//! tables and the three decoded `<out>` tables are registered as
+//! deferred tables over that record, their rows built the first time
+//! something reads them — schema, row contents *and* row order
+//! bit-identical to the SQL program `translation.postprocess`
+//! (`P1`–`P3`), which `tests/planner_agreement.rs` enforces. On the database's reference paths
 //! ([`Database::set_reference_paths`]), and whenever the pass fails, the
 //! written route runs instead: [`store_encoded_rules`] → [`postprocess`]
 //! → [`read_rules`], which stay public as the oracle and for reading a
 //! rule table an earlier session left behind.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use relational::catalog::Catalog;
+use relational::catalog::{Catalog, TableEntry};
 use relational::exec::select::value_type;
 use relational::expr::eval::QueryCtx;
-use relational::{Column, DataType, Database, ExecCounter, ResultSet, Row, Schema, Table, Value};
+use relational::{
+    Column, DataType, Database, DeferredTable, ExecCounter, KeyHash, ResultSet, Row, RowProducer,
+    Schema, Table, Value,
+};
 
 use crate::algo::EncodedRule;
 use crate::error::{MineError, Result};
-use crate::preprocess::{int_columns, run_steps, table_of};
+use crate::preprocess::{int_columns, run_steps};
+use crate::runs;
 use crate::translator::{Step, Translation};
 
 /// Write the encoded rules into `OutputRules` / `OutputBodies` /
@@ -180,29 +187,30 @@ fn declined(why: String) -> MineError {
 
 /// One side's item dictionary — `Bset`, or `Hset` under H — as an array:
 /// ids are dense sequence values, so id → item is an index.
-struct Dictionary<'a> {
-    /// The dictionary row of each item id; slot 0 is never an id.
-    by_id: Vec<Option<&'a Row>>,
+struct Dictionary {
+    /// The dictionary table, sharing the catalog's rows.
+    table: Table,
+    /// The position among `table`'s rows of each item id; slot 0 is
+    /// never an id, and `u32::MAX` marks an id no row holds.
+    row_of: Vec<u32>,
     /// Where a dictionary row holds the side's schema attributes, with the
     /// columns' declared types.
     attrs: Vec<(usize, DataType)>,
-    /// The rendering of each item, filled on first use.
-    rendered: Vec<Option<String>>,
 }
 
-impl<'a> Dictionary<'a> {
+impl Dictionary {
     /// Index `dict` by `id_col` and resolve `attrs` the way the decode
     /// join's select list resolves them: against the `link` table's two id
     /// columns joined with the dictionary's. A name the join would not
     /// resolve to a dictionary column, or an id column that is not a dense
     /// key, declines.
     fn new(
-        dict: &'a Table,
+        dict: &Table,
         id_col: &str,
         link: &str,
         link_cols: &[&str; 2],
         attrs: &[String],
-    ) -> Result<Dictionary<'a>> {
+    ) -> Result<Dictionary> {
         let joined = Schema::new(int_columns(link_cols))
             .with_qualifier(link)
             .join(&dict.schema().with_qualifier(dict.name()));
@@ -221,14 +229,14 @@ impl<'a> Dictionary<'a> {
             .collect::<Result<Vec<_>>>()?;
 
         let rows = dict.rows();
-        let mut by_id: Vec<Option<&Row>> = vec![None; rows.len() + 1];
-        for row in rows {
+        let mut row_of = vec![u32::MAX; rows.len() + 1];
+        for (at, row) in (0..).zip(rows) {
             let slot = match row[id_at] {
-                Value::Int(id) if id >= 1 => by_id.get_mut(id as usize),
+                Value::Int(id) if id >= 1 => row_of.get_mut(id as usize),
                 _ => None,
             };
             match slot {
-                Some(slot @ None) => *slot = Some(row),
+                Some(slot) if *slot == u32::MAX => *slot = at,
                 _ => {
                     return Err(declined(format!(
                         "{}.{id_col} is not a dense key",
@@ -238,123 +246,260 @@ impl<'a> Dictionary<'a> {
             }
         }
         Ok(Dictionary {
-            rendered: vec![None; by_id.len()],
-            by_id,
+            table: dict.clone(),
+            row_of,
             attrs,
         })
     }
 
-    /// The dictionary row of `item` and its rendering (multi-attribute
-    /// items join with `|`), rendered once.
-    fn item(&mut self, item: u32) -> Result<(&'a Row, &str)> {
-        let at = item as usize;
-        let row = self
-            .by_id
-            .get(at)
-            .copied()
-            .flatten()
-            .ok_or_else(|| declined(format!("item id {item} is not in the dictionary")))?;
-        let attrs = &self.attrs;
-        let text = self.rendered[at].get_or_insert_with(|| {
-            attrs
-                .iter()
-                .map(|&(i, _)| row[i].to_string())
-                .collect::<Vec<_>>()
-                .join("|")
-        });
-        Ok((row, text))
+    /// The dictionary row of `item`.
+    fn row(&self, item: u32) -> Option<&Row> {
+        let at = *self.row_of.get(item as usize)?;
+        self.table.rows().get(at as usize)
     }
 }
 
-/// One side (bodies or heads) of the decoding: the identifier of each
-/// distinct itemset in first-seen order, and the rows that go with it.
-struct Side<'a, 'r> {
-    dict: Dictionary<'a>,
-    /// The normalised link table (`OutputBodies` / `OutputHeads`) and its
-    /// `(set id, item id)` columns.
-    link: String,
-    link_cols: [&'static str; 2],
-    ids: HashMap<&'r [u32], i64>,
-    /// `(set id, item id)`: the rows of the link table.
-    encoded: Vec<Row>,
-    /// `(set id, item attributes...)`: the rows of `<out>_Bodies` /
-    /// `<out>_Heads`, in the order the decode join emits them (one per
-    /// encoded row, in that table's order).
-    decoded: Vec<Row>,
+/// One rule as positions into the two sides' distinct itemsets.
+struct RuleRef {
+    body: u32,
+    head: u32,
+    support: f64,
+    confidence: f64,
+}
+
+/// One side (bodies or heads) of the record: its distinct itemsets in id
+/// order and the dictionary they decode through.
+struct SideRecord {
+    dict: Dictionary,
+    /// The items of every set, set after set.
+    items: Vec<u32>,
+    /// Where each set ends in `items`; set `id` is the `id`-th.
+    ends: Vec<u32>,
+}
+
+impl SideRecord {
+    /// `(set id, item id)` per item of every set, in id order: the rows
+    /// of the link table, and the order of the decoded table's.
+    fn links(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        (1..)
+            .zip(starts.zip(&self.ends))
+            .flat_map(|(id, (start, &end))| {
+                self.items[start as usize..end as usize]
+                    .iter()
+                    .map(move |&item| (id, item))
+            })
+    }
+
+    /// The decoded table's columns: the set id, then `names` typed as
+    /// `CREATE TABLE AS` types them — by the column's first non-NULL value
+    /// in row order, by the declared type of the dictionary column it
+    /// selects when there is none. A later value that type does not admit
+    /// declines, as inserting it would fail.
+    fn decoded_columns(&self, id_col: &str, names: &[String]) -> Result<Vec<Column>> {
+        let attrs = &self.dict.attrs;
+        let mut types: Vec<Option<DataType>> = vec![None; attrs.len()];
+        for &item in &self.items {
+            let row = self.dict.row(item).expect("every item decoded");
+            for (dtype, &(at, _)) in types.iter_mut().zip(attrs) {
+                match dtype {
+                    None => *dtype = value_type(&row[at]),
+                    Some(dtype) if !dtype.admits(&row[at]) => {
+                        return Err(declined(format!("a {dtype} column holds {}", row[at])))
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        let mut columns = int_columns(&[id_col]);
+        for ((name, dtype), &(_, declared)) in names.iter().zip(types).zip(attrs) {
+            columns.push(Column::new(name.clone(), dtype.unwrap_or(declared)));
+        }
+        Ok(columns)
+    }
+}
+
+/// What the fused pass keeps of the decoded rules: the producers of the
+/// six output tables build their rows from it when something reads them.
+struct DecodedRecord {
+    /// `(BodyId - 1, HeadId - 1, SUPPORT, CONFIDENCE)` per rule, in
+    /// stored order.
+    rules: Vec<RuleRef>,
+    /// Whether `<out>` selects SUPPORT and CONFIDENCE.
+    measures: [bool; 2],
+    /// Bodies and heads.
+    sides: [SideRecord; 2],
+}
+
+/// Which output table a producer builds.
+#[derive(Clone, Copy)]
+enum Output {
+    /// `OutputRules`.
+    Rules,
+    /// `<out>`: the rules under the statement's projection.
+    Projected,
+    /// `OutputBodies` / `OutputHeads`: `(set id, item id)`.
+    Links(usize),
+    /// `<out>_Bodies` / `<out>_Heads`: `(set id, item attributes...)`.
+    Decoded(usize),
+}
+
+/// The rows of one output table, from the shared record — bit-identical
+/// to the ones the written route stores, in the same order.
+struct OutputRows {
+    record: Arc<DecodedRecord>,
+    table: Output,
+}
+
+impl RowProducer for OutputRows {
+    fn rows(&self) -> Vec<Row> {
+        let record = &self.record;
+        let ids = |r: &RuleRef| [i64::from(r.body) + 1, i64::from(r.head) + 1].map(Value::Int);
+        match self.table {
+            Output::Rules => record
+                .rules
+                .iter()
+                .map(|r| {
+                    let [body, head] = ids(r);
+                    vec![
+                        body,
+                        head,
+                        Value::Float(r.support),
+                        Value::Float(r.confidence),
+                    ]
+                })
+                .collect(),
+            Output::Projected => {
+                let [support, confidence] = record.measures;
+                let width = 2 + usize::from(support) + usize::from(confidence);
+                record
+                    .rules
+                    .iter()
+                    .map(|r| {
+                        let mut row = Vec::with_capacity(width);
+                        row.extend(ids(r));
+                        row.extend(support.then_some(Value::Float(r.support)));
+                        row.extend(confidence.then_some(Value::Float(r.confidence)));
+                        row
+                    })
+                    .collect()
+            }
+            Output::Links(side) => record.sides[side]
+                .links()
+                .map(|(id, item)| vec![Value::Int(id), Value::Int(item.into())])
+                .collect(),
+            Output::Decoded(side) => {
+                let side = &record.sides[side];
+                let attrs = &side.dict.attrs;
+                side.links()
+                    .map(|(id, item)| {
+                        let row = side.dict.row(item).expect("every item decoded");
+                        let mut decoded = Vec::with_capacity(1 + attrs.len());
+                        decoded.push(Value::Int(id));
+                        decoded.extend(attrs.iter().map(|&(at, _)| row[at].clone()));
+                        decoded
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Each table's own share of the record (`<out>` shares the rules
+    /// with `OutputRules`; the dictionaries are the catalog's rows).
+    fn retained_bytes(&self) -> u64 {
+        let record = &self.record;
+        match self.table {
+            Output::Rules => record.rules.len() as u64 * 24,
+            Output::Projected => 0,
+            Output::Links(side) => {
+                let side = &record.sides[side];
+                (side.items.len() + side.ends.len()) as u64 * 4
+            }
+            Output::Decoded(side) => record.sides[side].dict.row_of.len() as u64 * 4,
+        }
+    }
+}
+
+/// One side as the pass meets it: the id of each distinct itemset in
+/// first-seen order, and each set's rendering.
+struct Side<'r> {
+    record: SideRecord,
+    /// Set → id, for a set that is not the one just seen.
+    ids: HashMap<&'r [u32], u32, KeyHash>,
+    /// The set just seen and its id: rules arrive sorted by body, so the
+    /// bodies come in runs.
+    last: Option<(&'r [u32], u32)>,
+    /// The rendering of each item id (multi-attribute items join with
+    /// `|`), filled on first use.
+    rendered: Vec<Option<String>>,
     /// The sorted rendering of each set; set `id` is at `id - 1`.
     sets: Vec<Vec<String>>,
 }
 
-impl<'a, 'r> Side<'a, 'r> {
-    /// A side decoding through `dict` on `id_col`; `attrs` is the side's
-    /// schema in the MINE RULE statement.
-    fn new(
-        dict: &'a Table,
-        id_col: &str,
-        link: String,
-        link_cols: [&'static str; 2],
-        attrs: &[String],
-    ) -> Result<Side<'a, 'r>> {
-        Ok(Side {
-            dict: Dictionary::new(dict, id_col, &link, &link_cols, attrs)?,
-            link,
-            link_cols,
-            ids: HashMap::new(),
-            encoded: Vec::new(),
-            decoded: Vec::new(),
+impl<'r> Side<'r> {
+    fn new(dict: Dictionary) -> Side<'r> {
+        Side {
+            rendered: vec![None; dict.row_of.len()],
+            record: SideRecord {
+                dict,
+                items: Vec::new(),
+                ends: Vec::new(),
+            },
+            ids: HashMap::default(),
+            last: None,
             sets: Vec::new(),
-        })
+        }
     }
 
-    /// The identifier of `set`, decoding it on first sight.
-    fn id_of(&mut self, set: &'r [u32]) -> Result<i64> {
-        if let Some(&id) = self.ids.get(set) {
-            return Ok(id);
+    /// The position (id - 1) of `set`, decoding it on first sight.
+    fn position(&mut self, set: &'r [u32]) -> Result<u32> {
+        if let Some((last, at)) = self.last {
+            if last == set {
+                return Ok(at);
+            }
         }
-        let id = self.ids.len() as i64 + 1;
+        let at = match self.ids.get(set) {
+            Some(&at) => at,
+            None => self.decode(set)?,
+        };
+        self.last = Some((set, at));
+        Ok(at)
+    }
+
+    fn decode(&mut self, set: &'r [u32]) -> Result<u32> {
+        let record = &mut self.record;
+        let at = record.ends.len() as u32;
         let mut rendered = Vec::with_capacity(set.len());
         for &item in set {
-            let (row, text) = self.dict.item(item)?;
-            rendered.push(text.to_string());
-            let mut decoded = Vec::with_capacity(1 + self.dict.attrs.len());
-            decoded.push(Value::Int(id));
-            decoded.extend(self.dict.attrs.iter().map(|&(i, _)| row[i].clone()));
-            self.decoded.push(decoded);
-            self.encoded
-                .push(vec![Value::Int(id), Value::Int(item as i64)]);
+            let row = record
+                .dict
+                .row(item)
+                .ok_or_else(|| declined(format!("item id {item} is not in the dictionary")))?;
+            let attrs = &record.dict.attrs;
+            let text = self.rendered[item as usize].get_or_insert_with(|| {
+                attrs
+                    .iter()
+                    .map(|&(i, _)| row[i].to_string())
+                    .collect::<Vec<_>>()
+                    .join("|")
+            });
+            rendered.push(text.clone());
         }
+        record.items.extend_from_slice(set);
+        record.ends.push(record.items.len() as u32);
         rendered.sort();
         self.sets.push(rendered);
-        self.ids.insert(set, id);
-        Ok(id)
-    }
-
-    /// The side's link table and its decoded table `decoded_name` over the
-    /// statement's `attrs`. `CREATE TABLE AS` types a column by its first
-    /// non-NULL value and falls back to the declared type of the column it
-    /// selects.
-    fn into_tables(self, decoded_name: String, attrs: &[String]) -> Result<(Table, Table)> {
-        let mut columns = int_columns(&self.link_cols[..1]);
-        for (at, (attr, &(_, declared))) in attrs.iter().zip(&self.dict.attrs).enumerate() {
-            let dtype = self
-                .decoded
-                .iter()
-                .find_map(|row| value_type(&row[at + 1]))
-                .unwrap_or(declared);
-            columns.push(Column::new(attr.clone(), dtype));
-        }
-        Ok((
-            table_of(self.link, int_columns(&self.link_cols), self.encoded)?,
-            table_of(decoded_name, columns, self.decoded)?,
-        ))
+        self.ids.insert(set, at);
+        Ok(at)
     }
 }
 
 /// Everything the fused pass produces, computed without touching the
 /// catalog: [`FusedDecoding::commit`] is the only writer.
 struct FusedDecoding {
-    /// The six output tables, in the order the written route creates them.
-    tables: Vec<Table>,
+    /// The six output tables, in the order the written route creates
+    /// them, each deferred over the shared record.
+    tables: Vec<TableEntry>,
     rules: Vec<DecodedRule>,
     /// The SQL statements of `translation.postprocess` subsumed.
     fused_steps: usize,
@@ -366,11 +511,13 @@ impl FusedDecoding {
     /// The fused postprocessing pass.
     ///
     /// One loop over the encoded rules assigns `BodyId`/`HeadId` exactly
-    /// as [`store_encoded_rules`] does and builds, set by set, the rows
-    /// `P2`/`P3` would join out of `Bset`/`Hset` (without H, heads decode
-    /// through `Bset` on `Hid = Bid`). The rules handed back are ordered
-    /// by a rank computed once per *distinct* body and head, with the tie
-    /// order [`read_rules`] gives.
+    /// as [`store_encoded_rules`] does and keeps each distinct set's items
+    /// once — what `P2`/`P3` would join out of `Bset`/`Hset` (without H,
+    /// heads decode through `Bset` on `Hid = Bid`). The six tables are
+    /// registered over that record with their exact row counts and
+    /// schemas, and built when something reads them. The rules handed
+    /// back are ordered by a rank computed once per *distinct* body and
+    /// head, with the tie order [`read_rules`] gives.
     fn compute(
         db: &Database,
         translation: &Translation,
@@ -386,49 +533,32 @@ impl FusedDecoding {
         } else {
             (bset, "Bid")
         };
-        let mut bodies = Side::new(
+        let (bodies_link, heads_link) = (names.output_bodies(), names.output_heads());
+        let mut bodies = Side::new(Dictionary::new(
             bset,
             "Bid",
-            names.output_bodies(),
-            ["BodyId", "Bid"],
+            &bodies_link,
+            &["BodyId", "Bid"],
             &stmt.body.schema,
-        )?;
-        let mut heads = Side::new(
+        )?);
+        let mut heads = Side::new(Dictionary::new(
             hdict,
             hid,
-            names.output_heads(),
-            ["HeadId", "Hid"],
+            &heads_link,
+            &["HeadId", "Hid"],
             &stmt.head.schema,
-        )?;
+        )?);
 
-        let mut rule_rows: Vec<Row> = Vec::with_capacity(rules.len());
-        let mut out_rows: Vec<Row> = Vec::with_capacity(rules.len());
         let mut refs: Vec<RuleRef> = Vec::with_capacity(rules.len());
         for rule in rules {
-            let body_id = bodies.id_of(&rule.body)?;
-            let head_id = heads.id_of(&rule.head)?;
-            let (support, confidence) = (Value::Float(rule.support), Value::Float(rule.confidence));
-            let mut projected = vec![Value::Int(body_id), Value::Int(head_id)];
-            if stmt.select_support {
-                projected.push(support.clone());
-            }
-            if stmt.select_confidence {
-                projected.push(confidence.clone());
-            }
-            out_rows.push(projected);
-            rule_rows.push(vec![
-                Value::Int(body_id),
-                Value::Int(head_id),
-                support,
-                confidence,
-            ]);
             refs.push(RuleRef {
-                body: body_id as usize - 1,
-                head: head_id as usize - 1,
+                body: bodies.position(&rule.body)?,
+                head: heads.position(&rule.head)?,
                 support: rule.support,
                 confidence: rule.confidence,
             });
         }
+        let decoded_rules = ordered_rules(&bodies.sets, &heads.sets, &refs);
 
         let mut rule_columns = int_columns(&["BodyId", "HeadId"]);
         let mut out_columns = rule_columns.clone();
@@ -440,22 +570,62 @@ impl FusedDecoding {
             out_columns.extend(selected.then(|| column.clone()));
             rule_columns.push(column);
         }
+        let (bodies, heads) = (bodies.record, heads.record);
+        let body_columns = bodies.decoded_columns("BodyId", &stmt.body.schema)?;
+        let head_columns = heads.decoded_columns("HeadId", &stmt.head.schema)?;
 
         // What P1–P3 read and join, had the SQL server run them.
-        let linked = (bodies.encoded.len() + heads.encoded.len()) as u64;
+        let (body_items, head_items) = (bodies.items.len(), heads.items.len());
+        let linked = (body_items + head_items) as u64;
         let scanned = rules.len() as u64 + linked + (bset.row_count() + hdict.row_count()) as u64;
-        let decoded_rules = ordered_rules(&bodies.sets, &heads.sets, refs);
-        let (body_links, body_items) =
-            bodies.into_tables(format!("{out}_Bodies"), &stmt.body.schema)?;
-        let (head_links, head_items) =
-            heads.into_tables(format!("{out}_Heads"), &stmt.head.schema)?;
+        let rule_count = refs.len();
+        let record = Arc::new(DecodedRecord {
+            rules: refs,
+            measures: [stmt.select_support, stmt.select_confidence],
+            sides: [bodies, heads],
+        });
+        let deferred = |name: String, columns: Vec<Column>, rows: usize, table: Output| {
+            let record = Arc::clone(&record);
+            let producer = Arc::new(OutputRows { record, table });
+            TableEntry::Deferred(DeferredTable::new(
+                name,
+                Schema::new(columns),
+                rows,
+                producer,
+            ))
+        };
         let tables = vec![
-            table_of(names.output_rules(), rule_columns, rule_rows)?,
-            body_links,
-            head_links,
-            table_of(out.clone(), out_columns, out_rows)?,
-            body_items,
-            head_items,
+            deferred(
+                names.output_rules(),
+                rule_columns,
+                rule_count,
+                Output::Rules,
+            ),
+            deferred(
+                bodies_link,
+                int_columns(&["BodyId", "Bid"]),
+                body_items,
+                Output::Links(0),
+            ),
+            deferred(
+                heads_link,
+                int_columns(&["HeadId", "Hid"]),
+                head_items,
+                Output::Links(1),
+            ),
+            deferred(out.clone(), out_columns, rule_count, Output::Projected),
+            deferred(
+                format!("{out}_Bodies"),
+                body_columns,
+                body_items,
+                Output::Decoded(0),
+            ),
+            deferred(
+                format!("{out}_Heads"),
+                head_columns,
+                head_items,
+                Output::Decoded(1),
+            ),
         ];
         Ok(FusedDecoding {
             tables,
@@ -472,16 +642,16 @@ impl FusedDecoding {
         })
     }
 
-    /// Create the six tables in the catalog — all of them or, when one
+    /// Register the six tables in the catalog — all of them or, when one
     /// cannot be created or stored, none — as one storage transaction.
     fn commit(self, db: &mut Database) -> Result<Decoded> {
         let mut created: Vec<String> = Vec::with_capacity(self.tables.len());
         let stored = self
             .tables
             .into_iter()
-            .try_for_each(|table| {
-                let name = table.name().to_string();
-                db.catalog_mut().create_table(table)?;
+            .try_for_each(|entry| {
+                let name = entry.name().to_string();
+                db.catalog_mut().create_entry(entry)?;
                 created.push(name);
                 Ok(())
             })
@@ -502,14 +672,6 @@ impl FusedDecoding {
     }
 }
 
-/// One rule as positions into the two sides' distinct itemsets.
-struct RuleRef {
-    body: usize,
-    head: usize,
-    support: f64,
-    confidence: f64,
-}
-
 /// The dense rank of each itemset in rendered order; equal renderings
 /// share a rank, so ordering by rank is ordering by the rendering.
 fn set_ranks(sets: &[Vec<String>]) -> Vec<u32> {
@@ -526,20 +688,31 @@ fn set_ranks(sets: &[Vec<String>]) -> Vec<u32> {
 
 /// The decoded rules sorted by (body, head), rules with equal renderings
 /// staying in stored order: each *distinct* itemset is ranked once and the
-/// rules are ordered by rank pairs — no string is compared per rule.
+/// rules are ordered on packed rank pairs by a stable radix sort — no
+/// string is compared per rule.
 fn ordered_rules(
     bodies: &[Vec<String>],
     heads: &[Vec<String>],
-    mut refs: Vec<RuleRef>,
+    refs: &[RuleRef],
 ) -> Vec<DecodedRule> {
     let (body_rank, head_rank) = (set_ranks(bodies), set_ranks(heads));
-    refs.sort_by_key(|r| (body_rank[r.body], head_rank[r.head]));
-    refs.into_iter()
-        .map(|r| DecodedRule {
-            body: bodies[r.body].clone(),
-            head: heads[r.head].clone(),
-            support: r.support,
-            confidence: r.confidence,
+    let mut keys: Vec<(u64, u32)> = (0..)
+        .zip(refs)
+        .map(|(at, r)| {
+            let key = runs::pack(body_rank[r.body as usize], head_rank[r.head as usize]);
+            (key, at)
+        })
+        .collect();
+    runs::radix_sort(&mut keys);
+    keys.iter()
+        .map(|&(_, at)| {
+            let r = &refs[at as usize];
+            DecodedRule {
+                body: bodies[r.body as usize].clone(),
+                head: heads[r.head as usize].clone(),
+                support: r.support,
+                confidence: r.confidence,
+            }
         })
         .collect()
 }
@@ -598,7 +771,7 @@ pub fn read_rules(db: &mut Database, translation: &Translation) -> Result<Vec<De
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok(ordered_rules(&bodies.sets, &heads.sets, refs))
+    Ok(ordered_rules(&bodies.sets, &heads.sets, &refs))
 }
 
 /// `SELECT <cols> FROM <name>` through the SQL server, unless `name` is a
@@ -631,7 +804,7 @@ struct Itemsets<'n> {
     table: &'n str,
     id_col: &'static str,
     /// Set id → position in `sets` (first-seen order).
-    index: HashMap<i64, usize>,
+    index: HashMap<i64, u32>,
     /// The sorted rendering of each set, every row rendered once.
     sets: Vec<Vec<String>>,
 }
@@ -650,7 +823,7 @@ impl<'n> Itemsets<'n> {
             .ok_or_else(|| relational::Error::UnknownColumn {
                 name: format!("{table}.{id_col}"),
             })?;
-        let mut index: HashMap<i64, usize> = HashMap::new();
+        let mut index: HashMap<i64, u32> = HashMap::new();
         let mut sets: Vec<Vec<String>> = Vec::new();
         for row in rows {
             let id = row[id_at].as_int()?;
@@ -664,9 +837,9 @@ impl<'n> Itemsets<'n> {
                 .join("|");
             let at = *index.entry(id).or_insert_with(|| {
                 sets.push(Vec::new());
-                sets.len() - 1
+                sets.len() as u32 - 1
             });
-            sets[at].push(rendered);
+            sets[at as usize].push(rendered);
         }
         for items in &mut sets {
             items.sort();
@@ -681,7 +854,7 @@ impl<'n> Itemsets<'n> {
 
     /// Where `sets` holds the itemset a row of the rule table `rules`
     /// references by `id`.
-    fn position(&self, rules: &str, id: &Value) -> Result<usize> {
+    fn position(&self, rules: &str, id: &Value) -> Result<u32> {
         let id = id.as_int()?;
         self.index
             .get(&id)

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use crate::catalog::{Catalog, View};
 use crate::error::{Error, Result};
 use crate::exec::run_select;
-use crate::expr::compile::ExecCounter;
+use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_expr, QueryCtx};
 use crate::expr::Expr;
 use crate::resultset::ResultSet;
@@ -538,17 +538,20 @@ impl Database {
         })
     }
 
-    /// Visit every row of `table` (with its position) under an
-    /// evaluation context fit for `exprs`. Expressions that reach back
-    /// into the engine — subqueries, sequence draws — need `&mut self`,
-    /// so they see a snapshot of the rows (shared, not copied: the table
-    /// is not mutated until the visit is over); everything else is
-    /// evaluated against the stored rows in place.
+    /// Visit every row of `table` (with its position) with an evaluator
+    /// of `exprs` over it: `eval(i)` is the value of `exprs[i]` on the
+    /// row. Each expression is planned once ([`SiteEval::plan`]):
+    /// compiled in production, interpreted on the reference paths.
+    /// Expressions that reach back into the engine — subqueries, sequence
+    /// draws — need `&mut self`, so they see a snapshot of the rows
+    /// (shared, not copied: the table is not mutated until the visit is
+    /// over); everything else is evaluated against the stored rows in
+    /// place.
     fn for_each_target_row(
         &mut self,
         table: &str,
         exprs: &[&Expr],
-        mut visit: impl FnMut(&Schema, usize, &Row, &mut dyn QueryCtx) -> Result<()>,
+        mut visit: impl FnMut(usize, &Row, &mut dyn FnMut(usize) -> Result<Value>) -> Result<()>,
     ) -> Result<()> {
         let mut reaches_engine = false;
         for e in exprs {
@@ -559,19 +562,28 @@ impl Database {
                         | Expr::Exists { .. }
                         | Expr::InSubquery { .. }
                         | Expr::NextVal(_)
-                )
+                );
             });
         }
-        let target = self.catalog.table(table)?;
+        let schema = self.catalog.table(table)?.schema().clone();
+        let evals: Vec<SiteEval> = exprs
+            .iter()
+            .map(|e| SiteEval::plan(e, &schema, self))
+            .collect();
+        let mut stack = Vec::new();
         if reaches_engine {
-            let (schema, rows) = (target.schema().clone(), target.shared_rows());
+            let rows = self.catalog.table(table)?.shared_rows();
             for (at, row) in rows.iter().enumerate() {
-                visit(&schema, at, row, self)?;
+                visit(at, row, &mut |i| {
+                    evals[i].eval(&schema, row, self, &mut stack)
+                })?;
             }
         } else {
             let mut ctx = HostVars(&self.vars);
-            for (at, row) in target.rows().iter().enumerate() {
-                visit(target.schema(), at, row, &mut ctx)?;
+            for (at, row) in self.catalog.table(table)?.rows().iter().enumerate() {
+                visit(at, row, &mut |i| {
+                    evals[i].eval(&schema, row, &mut ctx, &mut stack)
+                })?;
             }
         }
         Ok(())
@@ -583,11 +595,8 @@ impl Database {
         // deleted rows.
         let mut mask = Vec::with_capacity(self.catalog.table(table)?.row_count());
         let exprs: Vec<&Expr> = pred.into_iter().collect();
-        self.for_each_target_row(table, &exprs, |schema, _, row, ctx| {
-            mask.push(match pred {
-                None => true,
-                Some(p) => eval_expr(p, schema, row, ctx)?.is_true(),
-            });
+        self.for_each_target_row(table, &exprs, |_, _, eval| {
+            mask.push(pred.is_none() || eval(0)?.is_true());
             Ok(())
         })?;
         let removed = self.catalog.table_mut(table)?.delete_mask(&mask);
@@ -614,23 +623,16 @@ impl Database {
         // consumers (the mined-result cache) can replay it instead of
         // refusing the window.
         let mut changes: Vec<(usize, Row)> = Vec::new();
-        let exprs: Vec<&Expr> = pred
-            .into_iter()
-            .chain(assignments.iter().map(|(_, e)| e))
-            .collect();
-        self.for_each_target_row(table, &exprs, |schema, at, row, ctx| {
-            let matches = match pred {
-                None => true,
-                Some(p) => eval_expr(p, schema, row, ctx)?.is_true(),
-            };
-            if !matches {
+        let exprs: Vec<&Expr> = assignments.iter().map(|(_, e)| e).chain(pred).collect();
+        self.for_each_target_row(table, &exprs, |at, row, eval| {
+            if pred.is_some() && !eval(assignments.len())?.is_true() {
                 return Ok(());
             }
-            let mut new_row = row.clone();
             let mut new_vals = Vec::with_capacity(assignments.len());
-            for (_, e) in assignments {
-                new_vals.push(eval_expr(e, schema, row, ctx)?);
+            for i in 0..assignments.len() {
+                new_vals.push(eval(i)?);
             }
+            let mut new_row = row.clone();
             for (v, &i) in new_vals.into_iter().zip(&idxs) {
                 new_row[i] = v;
             }

@@ -11,6 +11,9 @@
 //! * A cold simple-class `execute` builds no row of the encoded tables
 //!   only SQL reads (`CodedSource`, `ValidGroups` are deferred): it
 //!   allocates fewer blocks than `CodedSource` has rows.
+//! * Decoding the core's rules allocates the blocks the returned rules
+//!   own and at most two more per rule: the six output tables are
+//!   deferred, so no row of theirs is built.
 //! * A first bulk insert into an empty table takes the batch itself: it
 //!   copies no row into a block of its own.
 //! * A join's scans share the catalog's rows, its accumulator is one flat
@@ -24,6 +27,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use minerule::core_op::{run_core, CoreOptions};
+use minerule::postprocess::decode_rules;
 use minerule::preprocess::{preprocess, preprocess_for_core};
 use minerule::{parse_mine_rule, translate, ArtifactStore, MineRuleEngine, Translation};
 use relational::{Column, DataType, Database, Row, Schema, Table, Value};
@@ -174,6 +179,38 @@ fn a_cold_simple_mine_allocates_less_than_once_per_encoded_row() {
         allocated < coded,
         "{allocated} allocations for {coded} CodedSource rows, {} rules",
         outcome.rules.len()
+    );
+}
+
+#[test]
+fn decoding_rules_allocates_what_the_returned_rules_hold_and_little_more() {
+    // The fused decode keeps each distinct body and head once and
+    // registers the six output tables deferred over that record. Beyond
+    // the blocks the returned rules own (two lists and one string per
+    // item each) it allocates at most two blocks per rule, where building
+    // the six tables' rows takes about eleven.
+    let (mut db, _) = baskets(1_000, 24, 1);
+    let stmt = STATEMENT.replace("SUPPORT: 0.01", "SUPPORT: 0.4");
+    let translation = translate(&parse_mine_rule(&stmt).unwrap(), db.catalog()).unwrap();
+    let encoded = preprocess_for_core(&mut db, &translation)
+        .unwrap()
+        .encoded_input(&translation)
+        .unwrap()
+        .expect("the fused pass hands the input over");
+    let rules = run_core(&encoded, &CoreOptions::default()).unwrap().rules;
+    assert_eq!(rules.len(), 2_350);
+    let (decoded, allocated) = allocations(|| decode_rules(&mut db, &translation, &rules).unwrap());
+    assert_eq!(decoded.fused_steps, 3, "the fused route ran");
+    let owned: u64 = decoded
+        .rules
+        .iter()
+        .map(|r| 2 + r.body.len() as u64 + r.head.len() as u64)
+        .sum();
+    let budget = owned + 2 * rules.len() as u64 + 256;
+    assert!(
+        allocated <= budget,
+        "{allocated} allocations to decode {} rules owning {owned} blocks (budget {budget})",
+        rules.len()
     );
 }
 

@@ -42,7 +42,7 @@ fn mine_sorted(
     input: &SimpleInput,
     list_only: bool,
 ) -> Vec<LargeItemset> {
-    let mut got = miner.mine_with(input, &CountingCtx::new(list_only));
+    let mut got = miner.mine_with(input.view(), &CountingCtx::new(list_only));
     sort_itemsets(&mut got);
     got
 }

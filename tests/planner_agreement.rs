@@ -689,8 +689,9 @@ fn statements_the_fused_pass_declines_run_stepwise_and_match_the_reference() {
 /// order. `None` when the name is not a base table.
 type StoredTable = Option<(Vec<String>, Vec<String>)>;
 
-/// The six tables the postprocessor leaves, under the engine's `prefix`.
-fn output_tables(db: &Database, out: &str, prefix: &str) -> Vec<(String, StoredTable)> {
+/// The names of the six tables the postprocessor leaves, under the
+/// engine's `prefix`.
+fn output_names(out: &str, prefix: &str) -> [String; 6] {
     [
         format!("{prefix}OutputRules"),
         format!("{prefix}OutputBodies"),
@@ -699,23 +700,66 @@ fn output_tables(db: &Database, out: &str, prefix: &str) -> Vec<(String, StoredT
         format!("{out}_Bodies"),
         format!("{out}_Heads"),
     ]
-    .into_iter()
-    .map(|name| {
-        let stored = db.catalog().table(&name).ok().map(|table| {
-            assert_eq!(table.name(), name, "stored under the written name");
-            let columns = table.schema().columns();
-            assert!(columns.iter().all(|c| c.qualifier.is_none()), "{name}");
-            (
-                columns
-                    .iter()
-                    .map(|c| format!("{} {}", c.name, c.dtype))
-                    .collect(),
-                table.rows().iter().map(|r| format!("{r:?}")).collect(),
-            )
-        });
-        (name, stored)
-    })
-    .collect()
+}
+
+/// The six tables the postprocessor leaves, under the engine's `prefix`.
+fn output_tables(db: &Database, out: &str, prefix: &str) -> Vec<(String, StoredTable)> {
+    output_names(out, prefix)
+        .into_iter()
+        .map(|name| {
+            let stored = db.catalog().table(&name).ok().map(|table| {
+                assert_eq!(table.name(), name, "stored under the written name");
+                let columns = table.schema().columns();
+                assert!(columns.iter().all(|c| c.qualifier.is_none()), "{name}");
+                (
+                    columns
+                        .iter()
+                        .map(|c| format!("{} {}", c.name, c.dtype))
+                        .collect(),
+                    table.rows().iter().map(|r| format!("{r:?}")).collect(),
+                )
+            });
+            (name, stored)
+        })
+        .collect()
+}
+
+/// The six output tables as `SELECT *` returns them (see [`selected`]):
+/// columns with their types, and every value with its type and — for a
+/// FLOAT — its bits. `None` for a name no table or view holds.
+fn selected_outputs(db: &mut Database, out: &str, prefix: &str) -> Vec<(String, StoredTable)> {
+    let value = |v: &Value| match v {
+        Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
+        other => format!("{other:?}"),
+    };
+    output_names(out, prefix)
+        .into_iter()
+        .map(|name| {
+            let Ok(rs) = db.query(&format!("SELECT * FROM {name}")) else {
+                return (name, None);
+            };
+            let columns = rs.schema().columns().iter();
+            let columns = columns.map(|c| format!("{} {}", c.name, c.dtype)).collect();
+            let rows = rs.rows().iter();
+            let rows = rows.map(|row| row.iter().map(value).collect::<Vec<_>>().join(", "));
+            (name, Some((columns, rows.collect())))
+        })
+        .collect()
+}
+
+/// Whether each of the six output tables is registered deferred and not
+/// yet built.
+fn unbuilt_outputs(db: &Database, out: &str, prefix: &str) -> Vec<(String, bool)> {
+    output_names(out, prefix)
+        .into_iter()
+        .map(|name| {
+            let unbuilt = matches!(
+                db.catalog().entry(&name),
+                Ok(TableEntry::Deferred(table)) if !table.is_built()
+            );
+            (name, unbuilt)
+        })
+        .collect()
 }
 
 /// What a session leaves that a later statement can see: every table and
@@ -744,8 +788,11 @@ fn catalog_image(db: &Database, out: &str, prefix: &str) -> impl PartialEq + std
 /// reference database built by `setup`, each with its own engine from
 /// `engine`, and demand after every MINE RULE the same outcome — rules or
 /// error `Debug` text — and the same catalog image, the six output tables
-/// byte for byte. Returns each successful statement's rules and the
-/// production engine's counters.
+/// byte for byte. The six are first read through `SELECT *`: where the
+/// fused route committed them on the memory backend that read is the one
+/// that builds them, and it must already equal the written route's.
+/// Returns each successful statement's rules and the production engine's
+/// counters.
 fn assert_decoding_agrees(
     setup: &dyn Fn() -> Database,
     engine: &dyn Fn() -> MineRuleEngine,
@@ -767,6 +814,7 @@ fn assert_decoding_agrees(
         }
         let out = parse_mine_rule(stmt).unwrap().output_table;
         let plans_before = production.stats().planner_plans;
+        let fused_before = fused.metrics_snapshot().counter("postprocess.fused_steps");
         let a = fused.execute(&mut production, stmt);
         let b = written.execute(&mut reference, stmt);
         match (a, b) {
@@ -785,6 +833,25 @@ fn assert_decoding_agrees(
             }
             (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{stmt}"),
             (a, b) => panic!("only one route failed: {a:?} vs {b:?}\n{stmt}"),
+        }
+        let committed_fused =
+            fused.metrics_snapshot().counter("postprocess.fused_steps") > fused_before;
+        if committed_fused && production.storage() == StorageBackend::Memory {
+            let built = production.stats().deferred_rows_built;
+            let unbuilt = unbuilt_outputs(&production, &out, prefix);
+            assert!(unbuilt.iter().all(|(_, u)| *u), "{unbuilt:?}\n{stmt}");
+            let read = selected_outputs(&mut production, &out, prefix);
+            let rows: usize = read.iter().map(|(_, t)| t.as_ref().unwrap().1.len()).sum();
+            assert_eq!(
+                production.stats().deferred_rows_built - built,
+                rows as u64,
+                "the SELECTs built the six tables: {stmt}"
+            );
+            assert_eq!(
+                read,
+                selected_outputs(&mut reference, &out, prefix),
+                "{stmt}"
+            );
         }
         assert_eq!(
             catalog_image(&production, &out, prefix),
@@ -868,6 +935,27 @@ fn fused_and_written_decoding_leave_identical_output_tables() {
     };
     for stmt in [SIMPLE, STATEMENT_CLASSES[1], STATEMENT_CLASSES[7], h_multi] {
         assert_decoding_agrees(&edgy, &MineRuleEngine::new, "", &[stmt]);
+    }
+
+    // A FLOAT item column holding INT values: `CREATE TABLE AS` types the
+    // decoded column by its first non-NULL value, which the fused pass
+    // computes at registration — and a later value that type refuses
+    // fails both routes alike.
+    for rows in [
+        "(1, 1), (1, 2.5), (2, 1), (2, 2.5), (3, 1)",
+        "(1, 2.5), (1, 1), (2, 2.5), (2, 1), (3, 2.5)",
+        "(1, NULL), (1, 1), (2, NULL), (2, 1), (3, 4)",
+    ] {
+        let setup = || {
+            let mut db = Database::new();
+            db.execute("CREATE TABLE T (g INT, x FLOAT)").unwrap();
+            db.execute(&format!("INSERT INTO T VALUES {rows}")).unwrap();
+            db
+        };
+        let stmt = "MINE RULE R AS SELECT DISTINCT 1..n x AS BODY, 1..1 x AS HEAD, \
+                    SUPPORT, CONFIDENCE FROM T GROUP BY g \
+                    EXTRACTING RULES WITH SUPPORT: 0.3, CONFIDENCE: 0.1";
+        assert_decoding_agrees(&setup, &MineRuleEngine::new, "", &[stmt]);
     }
 }
 

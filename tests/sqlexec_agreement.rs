@@ -228,6 +228,74 @@ fn hot_sites_agree_on_empty_single_and_null_heavy_tables() {
     }
 }
 
+/// Run the DML statement `dml` on a fresh fixture database on one path,
+/// rendering its outcome — rows affected, or the error — and the table
+/// it leaves behind.
+fn run_dml(build: impl Fn() -> Database, reference: bool, dml: &str) -> String {
+    let mut db = build();
+    db.set_reference_paths(reference);
+    let outcome = db.execute(dml).map(|o| o.rows_affected);
+    format!("{outcome:?} {:?}", db.query("SELECT * FROM t"))
+}
+
+#[test]
+fn randomized_deletes_and_updates_agree() {
+    // DELETE's predicate and UPDATE's SET and WHERE expressions are
+    // planned once per statement: compiled in production, interpreted on
+    // the reference paths. Both must delete and write the same rows, and
+    // fail with the same error at the same row (an UPDATE also when a
+    // value does not fit its column).
+    let mut rng = Rng::seed_from_u64(0xd31e_7e00);
+    let cols = ExprCols::abcs_fixture();
+    for (fixture, cases) in [
+        (expr_fixture as fn() -> Database, 150),
+        (null_heavy_fixture, 25),
+    ] {
+        for i in 0..cases {
+            let pred = gen_expr(&mut rng, 3, &cols);
+            let expr = gen_expr(&mut rng, 2, &cols);
+            for dml in [
+                format!("DELETE FROM t WHERE {pred}"),
+                format!("UPDATE t SET c = {expr} WHERE {pred}"),
+                format!("UPDATE t SET b = {expr}, s = 'x' WHERE {pred}"),
+                format!("UPDATE t SET a = {expr}"),
+            ] {
+                let compiled = run_dml(fixture, false, &dml);
+                let interpreted = run_dml(fixture, true, &dml);
+                assert_eq!(compiled, interpreted, "case {i}: paths disagree on {dml}");
+            }
+        }
+    }
+    // Expressions that reach the engine (a subquery, a sequence draw)
+    // and ones that fail on a given row.
+    for dml in [
+        "DELETE FROM t WHERE a > (SELECT MIN(a) FROM t)",
+        "DELETE FROM t WHERE a IN (SELECT b FROM t)",
+        "UPDATE t SET b = (SELECT MAX(a) FROM t) WHERE c > 0",
+        "DELETE FROM t WHERE 10 / a > 2",
+        "UPDATE t SET a = a * 9223372036854775807 WHERE b IS NULL",
+        "UPDATE t SET a = 'text' WHERE a > 0",
+        "DELETE FROM t WHERE missing = 1",
+        "DELETE FROM t",
+    ] {
+        for fixture in [expr_fixture as fn() -> Database, null_heavy_fixture] {
+            let compiled = run_dml(fixture, false, dml);
+            let interpreted = run_dml(fixture, true, dml);
+            assert_eq!(compiled, interpreted, "paths disagree on {dml}");
+        }
+    }
+    // Production compiles each expression once per statement; the
+    // reference paths compile none.
+    for (reference, programs) in [(false, 3), (true, 0)] {
+        let mut db = null_heavy_fixture();
+        db.set_reference_paths(reference);
+        let before = db.stats().programs_compiled;
+        db.execute("DELETE FROM t WHERE a = -5").unwrap();
+        db.execute("UPDATE t SET b = b + 1 WHERE a = -5").unwrap();
+        assert_eq!(db.stats().programs_compiled - before, programs);
+    }
+}
+
 #[test]
 fn errors_surface_at_the_same_row() {
     // A predicate-guarded division places the first failing row on the

@@ -454,9 +454,10 @@ const TEMPORAL: &str = "MINE RULE Temporal AS \
 
 #[test]
 fn deferred_encoded_rows_are_built_only_when_read() {
-    // The fused pass registers the encoded tables only SQL reads as
-    // deferred: two cold mines of each statement on one database (the
-    // second's cleanup drops the first's tables) build none of them.
+    // The fused passes register the encoded tables only SQL reads, and
+    // the six output tables, as deferred: two cold mines of each
+    // statement on one database (the second's cleanup drops the first's
+    // tables) build none of them.
     let data = datagen::generate_retail(&datagen::RetailConfig {
         customers: 40,
         items_per_date: 2.5,
@@ -476,8 +477,17 @@ fn deferred_encoded_rows_are_built_only_when_read() {
         assert_eq!(snap.counter("relational.deferred.rows_built"), 0, "{stmt}");
     }
     assert_eq!(db.stats().deferred_rows_built, 0);
-    // A read builds the table it names, once.
-    for name in ["ValidGroups", "InputRules", "ClusterCouples"] {
+    // A read builds the table it names, once: a SELECT on a rule table
+    // adds exactly its rows, and builds none of the other five.
+    for name in [
+        "ValidGroups",
+        "InputRules",
+        "ClusterCouples",
+        "SimpleAssociations",
+        "Temporal",
+        "Temporal_Heads",
+        "OutputBodies",
+    ] {
         let before = db.stats().deferred_rows_built;
         let rows = db.catalog().row_count(name).unwrap();
         assert!(rows > 0, "{name}");
