@@ -13,17 +13,28 @@
 //! replaceable halves, each letting a rerun skip one phase:
 //!
 //! * the **encoding** — every table (a deferred one as its unbuilt
-//!   handle), view and sequence state preprocessing left, and the core's
-//!   input the fused pass built beside them. It skips `Q0`..`Q11`, and the restored input
-//!   spares the core the read back out of the tables. Valid while the
-//!   version stamp ([`relational::Table::version`]) of every FROM table
-//!   still matches the live catalog — stamps are globally unique and
-//!   change on every mutation, so drop-and-recreate can never resurrect
-//!   one — and under a superset rule: `Q3`/`Q5`/`Q9` prune at
-//!   `:mingroups`, so a restore requires
-//!   `min_groups_for(total_groups, new_support) >= min_groups`. The core
-//!   operator re-filters at the current `:mingroups`, so warm runs mine
-//!   bit-identical rules (`tests/cache_agreement.rs`).
+//!   handle), view and sequence state preprocessing left, the core's
+//!   input the fused pass built beside them and, for a statement without
+//!   directives, the [`SourceDigest`] they were all derived from. It
+//!   skips `Q0`..`Q11`, and the restored input spares the core the read
+//!   back out of the tables. It is reinstated while the version stamp
+//!   ([`relational::Table::version`]) of every FROM table still matches
+//!   the live catalog — stamps are globally unique and change on every
+//!   mutation, so drop-and-recreate can never resurrect one — and under a
+//!   superset rule: `Q3`/`Q5`/`Q9` prune at `:mingroups`, so a
+//!   reinstatement requires `min_groups_for(total_groups, new_support) >=
+//!   min_groups`. The core operator re-filters at the current
+//!   `:mingroups`, so warm runs mine bit-identical rules
+//!   (`tests/cache_agreement.rs`); the reinstated tables keep the rows of
+//!   the looser threshold they were pruned at. Where the rule refuses a
+//!   reinstatement, the kept digest *re-derives* the encoding: at the
+//!   same version for a looser support (`preprocess.cache.refine`), or
+//!   after the source-table delta ([`relational::Table::changes_since`])
+//!   was replayed onto it (`preprocess.cache.delta`) — no source row is
+//!   read, and the tables, sequences and bindings are bit-identical to a
+//!   cold run's. A delta the digest cannot replay in scan order, or an
+//!   encoding without a digest (the stepwise program, a statement with
+//!   directives), is a miss: the statement preprocesses cold.
 //! * the **inventory** — every frequent itemset with its exact
 //!   group-support over a [`SourceDigest`], for statements without
 //!   directives ([`cacheable`]). It skips the core operator: a rerun with
@@ -33,21 +44,24 @@
 //!   [`crate::algo::rules_from_itemsets_counted`], so they are
 //!   bit-identical); *any confidence change* is free, rules being
 //!   re-derived from itemsets; *loosened support* is a clean miss; a
-//!   *source-table delta* ([`relational::Table::changes_since`]) is
-//!   re-mined incrementally in the FUP style — supports adjusted for the
-//!   touched groups only, and since an itemset that *became* frequent must
-//!   occur in at least `min_groups' − min_groups + 1` of the grown/new
-//!   groups, only that small delta is mined for candidates, which are then
-//!   counted exactly. A delta beyond the row budget, or crossing a
-//!   TRUNCATE the table log does not replay, falls back to a full mine.
+//!   *source-table delta* is re-mined incrementally in the FUP style —
+//!   supports adjusted for the touched groups only, and since an itemset
+//!   that *became* frequent must occur in at least `min_groups' −
+//!   min_groups + 1` of the grown/new groups, only that small delta is
+//!   mined for candidates, which are then counted exactly. A delta beyond
+//!   the row budget, or crossing a TRUNCATE the table log does not
+//!   replay, falls back to a full mine.
 //!
-//! The inventory lives in the digest's value space, so it survives
-//! re-encoding: after DML a rerun re-preprocesses (replacing the encoding
-//! half) while the stale-version inventory stays for the delta replay,
-//! and a warm serve maps items onto the current `Bid`s right before rule
-//! generation. The pipeline performs four operations, in order:
-//! [`ArtifactStore::restore_encoding`] or, after a cold preprocess,
-//! [`ArtifactStore::capture_encoding`]; then
+//! Both halves hold one digest: a delta is replayed once per entry, in
+//! place, when the encoding is re-derived, and the inventory's supports
+//! are adjusted from that same replay. The inventory lives in the
+//! digest's value space, so it survives re-encoding; a warm serve maps
+//! items onto the current `Bid`s right before rule generation. When the
+//! encoding cannot be re-derived and the statement preprocesses cold,
+//! the inventory replays the delta onto its own digest at serve time.
+//! The pipeline performs four operations, in order:
+//! [`ArtifactStore::restore_encoding`] or, after a cold preprocess or a
+//! re-derivation, [`ArtifactStore::capture_encoding`]; then
 //! [`ArtifactStore::serve_rules`] or, after a cold mine,
 //! [`ArtifactStore::capture_inventory`].
 
@@ -55,9 +69,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use relational::catalog::{TableEntry, View};
+use relational::expr::eval::QueryCtx;
 use relational::expr::Expr;
 use relational::sequence::Sequence;
-use relational::{Database, Table, Value};
+use relational::{Database, Table, TableDelta, Value};
 
 use crate::algo::{rules_from_itemsets_counted, EncodedRule, LargeItemset};
 use crate::ast::MineRuleStatement;
@@ -65,8 +80,8 @@ use crate::digest::SourceDigest;
 use crate::directives::Directives;
 use crate::error::Result;
 use crate::preprocess::{
-    min_groups_for, run_steps, scan_source, source_columns, Handover, PreprocessReport,
-    Preprocessed,
+    derive_encoding, float_attribute_with_ints, min_groups_for, run_steps, scan_source,
+    source_columns, Handover, PreprocessReport, Preprocessed, SourceColumns,
 };
 use crate::translator::Translation;
 
@@ -100,6 +115,13 @@ struct Encoding {
     /// The core's input the fused pass handed over beside the tables;
     /// `None` after the stepwise program.
     input: Option<Handover>,
+    /// The source digest the encoding was derived from (a statement
+    /// without directives on the production paths), shared with the
+    /// tables' producers, the input and — until something replaces one of
+    /// them — the inventory: a rerun re-derives the encoding from it.
+    digest: Option<Arc<SourceDigest>>,
+    /// What the tables, views and input retain; the digest is counted
+    /// apart (`State::retained`), once per entry.
     bytes: u64,
 }
 
@@ -120,10 +142,15 @@ struct Inventory {
     /// EXTRACTING thresholds at capture, to tell refines from reruns.
     capture_support: f64,
     capture_confidence: f64,
-    /// Shared with the preprocess report it came from; a delta replay
-    /// copies it only while someone else still holds it.
+    /// Shared with the preprocess report it came from and the encoding
+    /// derived from it; a delta replay copies it only while someone else
+    /// still holds it.
     digest: Arc<SourceDigest>,
     itemsets: Vec<CachedItemset>,
+    /// The digest version of the inventory's last answer (its capture
+    /// counts as one). A serve answering at a newer one reports the delta
+    /// even when the re-derived encoding already replayed it.
+    answered: u64,
     bytes: u64,
 }
 
@@ -186,13 +213,26 @@ impl State {
         self.retained(outcome)
     }
 
-    /// `outcome` with the bytes each half retains right now.
+    /// `outcome` with the bytes each half retains right now. An
+    /// encoding's digest holds the scan's `(group, item)` pairs; it is
+    /// counted with the inventory when that holds the same one, with the
+    /// encoding otherwise.
     fn retained(&self, outcome: StoreOutcome) -> StoreOutcome {
-        let encodings = self.entries.iter().flat_map(|e| &e.encoding);
-        let inventories = self.entries.iter().flat_map(|e| &e.inventory);
+        let (mut encoding_bytes, mut inventory_bytes) = (0, 0);
+        for entry in &self.entries {
+            let inventory = entry.inventory.as_ref();
+            inventory_bytes += inventory.map_or(0, |i| i.bytes);
+            let Some(encoding) = &entry.encoding else {
+                continue;
+            };
+            let shared =
+                |d: &&Arc<SourceDigest>| inventory.is_some_and(|i| Arc::ptr_eq(&i.digest, d));
+            let digest = encoding.digest.as_ref().filter(|d| !shared(d));
+            encoding_bytes += encoding.bytes + digest.map_or(0, |d| d.approx_bytes());
+        }
         StoreOutcome {
-            encoding_bytes: encodings.map(|e| e.bytes).sum(),
-            inventory_bytes: inventories.map(|i| i.bytes).sum(),
+            encoding_bytes,
+            inventory_bytes,
             ..outcome
         }
     }
@@ -266,33 +306,44 @@ impl ArtifactStore {
     /// views and sequences are reinstated and `:totg` / `:mingroups` are
     /// set for the *current* support threshold; the captured input is
     /// handed over beside the report, which stamps it with that
-    /// `:mingroups` ([`Preprocessed::encoded_input`]). `None` is a miss: the
-    /// caller preprocesses cold. A miss found before the cleanup leaves
-    /// the database untouched; a catalog that refuses one of the captured
-    /// objects (a user object took its name) is a miss too, and the cold
-    /// run — which starts with the same cleanup — decides the statement's
-    /// error and its catalog.
+    /// `:mingroups` ([`Preprocessed::encoded_input`]). That is
+    /// [`ServeKind::Hit`] — also at a tighter support, whose `:mingroups`
+    /// the superset rule admits. When the kept encoding cannot be
+    /// reinstated but its source digest can re-derive it
+    /// (`ArtifactStore::rederive`), the kind says why: [`ServeKind::Refine`]
+    /// for a looser support at the same source version,
+    /// [`ServeKind::Delta`] for a replayed source delta.
+    ///
+    /// `None` is a miss: the caller preprocesses cold. A miss found before
+    /// the cleanup leaves the database untouched; a catalog that refuses
+    /// one of the objects (a user object took its name) is a miss too,
+    /// and the cold run — which starts with the same cleanup — decides
+    /// the statement's error and its catalog.
     pub fn restore_encoding(
         &self,
         db: &mut Database,
         translation: &Translation,
         prefix: &str,
-    ) -> Result<Option<Preprocessed>> {
+    ) -> Result<Option<(Preprocessed, ServeKind)>> {
         let stmt = &translation.stmt;
         let Some(versions) = source_versions(db, stmt) else {
             return Ok(None);
         };
-        let valid = |e: &&Encoding| {
-            e.table_versions == versions
-                && min_groups_for(e.total_groups, stmt.min_support) >= e.min_groups
-        };
-        let encoding = self.lock().and_then(|mut state| {
-            let entry = state.touch(&fingerprint(stmt, prefix))?;
-            entry.encoding.as_ref().filter(valid).cloned()
-        });
-        let Some(encoding) = encoding else {
+        let fingerprint = fingerprint(stmt, prefix);
+        let Some(mut state) = self.lock() else {
             return Ok(None);
         };
+        let Some(encoding) = state.touch(&fingerprint).and_then(|e| e.encoding.as_ref()) else {
+            return Ok(None);
+        };
+        if encoding.table_versions != versions
+            || min_groups_for(encoding.total_groups, stmt.min_support) < encoding.min_groups
+        {
+            drop(state);
+            return self.rederive(db, translation, &fingerprint);
+        }
+        let encoding = encoding.clone();
+        drop(state);
 
         // Restored tables keep their capture-time version stamps: each
         // holds exactly the rows it was captured with, and a deferred one
@@ -323,10 +374,115 @@ impl ArtifactStore {
             min_groups,
             ..PreprocessReport::default()
         };
-        Ok(Some(Preprocessed {
+        let run = Preprocessed {
             report,
             input: encoding.input,
-        }))
+        };
+        Ok(Some((run, ServeKind::Hit)))
+    }
+
+    /// Re-derive a statement's encoding from the source digest its stale
+    /// encoding was derived from, instead of scanning the source: at the
+    /// same version when the support loosened (the kept tables were
+    /// pruned at a higher `:mingroups`), or after replaying the
+    /// source-table delta onto it — within the delta budget, on the
+    /// production paths, appended rows only. The replay runs once per
+    /// entry, in place: the stale encoding and the cleanup's tables are
+    /// dropped first, and an inventory holding the same digest has its
+    /// supports adjusted from that one replay (its next serve, answering
+    /// at a newer version than its last, reports the delta). Whatever declines — a delta the table's log cannot give or
+    /// the budget refuses, an UPDATE, an INT stored into a FLOAT attribute,
+    /// a replay that loses the scan order, a catalog that refuses a name —
+    /// is a miss: the cold pass follows. An inventory the replay already
+    /// adjusted keeps that; one on another digest replays the delta
+    /// itself when it serves.
+    fn rederive(
+        &self,
+        db: &mut Database,
+        translation: &Translation,
+        fingerprint: &str,
+    ) -> Result<Option<(Preprocessed, ServeKind)>> {
+        let stmt = &translation.stmt;
+        let Some(table) = source_table(db, stmt) else {
+            return Ok(None);
+        };
+        let Some(mut state) = self.lock() else {
+            return Ok(None);
+        };
+        let Some(entry) = state.touch(fingerprint) else {
+            return Ok(None);
+        };
+        let digest = entry.encoding.as_ref().and_then(|e| e.digest.as_ref());
+        let (false, Some(digest)) = (db.reference_paths(), digest.filter(|d| d.ordered())) else {
+            return Ok(None);
+        };
+        let delta = if digest.version() == table.version() {
+            None
+        } else {
+            let Some(delta) = replayable(table, digest) else {
+                return Ok(None);
+            };
+            let floats = float_attribute_with_ints(table.schema(), stmt, &delta.inserted);
+            if delta.replaced || !matches!(floats, Ok(None)) {
+                return Ok(None);
+            }
+            Some(delta)
+        };
+        let Ok(cols) = source_columns(table, stmt) else {
+            return Ok(None);
+        };
+        let version = table.version();
+        let mut digest = Arc::clone(digest);
+        // The stale encoding can never serve again: dropping it (and the
+        // cleanup's tables below) leaves the digest to the inventory.
+        entry.encoding = None;
+        let shares = |i: &Inventory| Arc::ptr_eq(&i.digest, &digest);
+        let mut inventory = match &delta {
+            Some(_) if entry.inventory.as_ref().is_some_and(shares) => entry.inventory.take(),
+            _ => None,
+        };
+        drop(state);
+        run_steps(db, &translation.cleanup, stmt.min_support)?;
+
+        let kind = match delta {
+            None => ServeKind::Refine,
+            Some(delta) => {
+                let before = match &mut inventory {
+                    Some(inventory) => {
+                        drop(digest);
+                        let before = replay(&mut inventory.digest, &delta, version, &cols);
+                        digest = Arc::clone(&inventory.digest);
+                        before
+                    }
+                    None => replay(&mut digest, &delta, version, &cols),
+                };
+                // A torn replay: neither half can use the digest.
+                let Some(before) = before else {
+                    return Ok(None);
+                };
+                if let Some(adjusted) = &mut inventory {
+                    if adjust(adjusted, before, stmt).is_none() {
+                        inventory = None;
+                    }
+                }
+                if let Some(inventory) = inventory {
+                    if let Some(entry) = self.lock().as_mut().and_then(|s| s.touch(fingerprint)) {
+                        entry.inventory = Some(inventory);
+                    }
+                }
+                ServeKind::Delta
+            }
+        };
+        if !digest.ordered() {
+            return Ok(None);
+        }
+        match derive_encoding(db, translation, digest) {
+            Ok(run) => Ok(Some((run, kind))),
+            Err(_) => {
+                run_steps(db, &translation.cleanup, stmt.min_support)?;
+                Ok(None)
+            }
+        }
     }
 
     /// Capture what a preprocessing run just materialised, replacing the
@@ -396,6 +552,7 @@ impl ArtifactStore {
             views,
             sequences,
             input,
+            digest: run.report.digest.clone(),
             bytes,
         };
         let mut state = self.lock().expect("enabled: checked above");
@@ -502,6 +659,7 @@ impl ArtifactStore {
             min_groups: report.min_groups,
             capture_support: stmt.min_support,
             capture_confidence: stmt.min_confidence,
+            answered: digest.version(),
             digest,
             itemsets,
             bytes: 0,
@@ -583,7 +741,9 @@ fn serve(
         if min_groups_for(inventory.digest.live_groups(), stmt.min_support) < inventory.min_groups {
             return Ok(None); // loosened support: the inventory is incomplete there
         }
-        if stmt.min_support == inventory.capture_support
+        if inventory.answered != table.version() {
+            ServeKind::Delta // replayed when the encoding was re-derived
+        } else if stmt.min_support == inventory.capture_support
             && stmt.min_confidence == inventory.capture_confidence
         {
             ServeKind::Hit
@@ -609,10 +769,7 @@ fn serve(
     };
     inventory.capture_support = stmt.min_support;
     inventory.capture_confidence = stmt.min_confidence;
-    if kind == ServeKind::Delta {
-        inventory.min_groups = new_min;
-        inventory.bytes = inventory.approx_bytes();
-    }
+    inventory.answered = table.version();
     Ok(Some(ServeOutcome { rules, kind }))
 }
 
@@ -692,22 +849,51 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Replay the source-table delta onto the inventory: update the touched
-/// groups of its digest, adjust the supports of its itemsets by their
-/// containment in those groups before and now, mine the grown/new groups
-/// for borderline candidates and count them exactly. Returns `None`
-/// whenever incremental re-mining is unsound or over budget — the caller
-/// falls back to a full mine and drops the (possibly torn) inventory.
+/// The table's delta since the digest's version, when its log can give
+/// it and it is within the re-mining budget: at most
+/// `max(BUDGET_MIN_ROWS, digest rows / 4)` rows.
+fn replayable(table: &Table, digest: &SourceDigest) -> Option<TableDelta> {
+    let delta = table.changes_since(digest.version())?;
+    let budget = (digest.rows() as usize / 4).max(BUDGET_MIN_ROWS);
+    (delta.row_count() <= budget).then_some(delta)
+}
+
+/// Replay `delta` onto the digest, bringing it to `version` —
+/// copy-on-write: in place unless someone else still holds it. Returns
+/// the touched groups' item sets before it (see `SourceDigest::apply`).
+fn replay(
+    digest: &mut Arc<SourceDigest>,
+    delta: &TableDelta,
+    version: u64,
+    cols: &SourceColumns,
+) -> Option<BTreeMap<u32, Vec<u32>>> {
+    Arc::make_mut(digest).apply(delta, version, &cols.group, &cols.body)
+}
+
+/// Replay the source-table delta onto the inventory's digest, then
+/// [`adjust`] its supports. `None` whenever incremental re-mining is
+/// unsound or over budget — the caller falls back to a full mine and
+/// drops the (possibly torn) inventory.
 fn apply_delta(inventory: &mut Inventory, table: &Table, stmt: &MineRuleStatement) -> Option<()> {
-    let delta = table.changes_since(inventory.digest.version())?;
-    let budget = (inventory.digest.rows() as usize / 4).max(BUDGET_MIN_ROWS);
-    if delta.row_count() > budget {
-        return None;
-    }
+    let delta = replayable(table, &inventory.digest)?;
     let cols = source_columns(table, stmt).ok()?;
-    // Copy-on-write: in place unless a preprocess report still shares it.
-    let digest = Arc::make_mut(&mut inventory.digest);
-    let before = digest.apply(&delta, table.version(), &cols.group, &cols.body)?;
+    let before = replay(&mut inventory.digest, &delta, table.version(), &cols)?;
+    adjust(inventory, before, stmt)
+}
+
+/// Bring the inventory's supports up to its digest, a delta having just
+/// been replayed onto it: adjust every itemset by its containment in the
+/// touched groups (`before`: their item sets before the delta) before
+/// and now, mine the grown/new groups for borderline candidates and
+/// count them exactly, then keep exactly the itemsets frequent at the
+/// statement's new `:mingroups`. `None` when that is unsound (the
+/// threshold loosened) or the candidates blow up.
+fn adjust(
+    inventory: &mut Inventory,
+    before: BTreeMap<u32, Vec<u32>>,
+    stmt: &MineRuleStatement,
+) -> Option<()> {
+    let digest = &inventory.digest;
 
     // Touched groups whose item set moved, as (before, now); those that
     // gained an item may have lifted new itemsets over the threshold.
@@ -786,6 +972,8 @@ fn apply_delta(inventory: &mut Inventory, table: &Table, stmt: &MineRuleStatemen
     // Keep exactly the frequent set at the new threshold: the inventory
     // is complete there (adjusted counts + verified candidates).
     inventory.itemsets.retain(|c| c.count as u64 >= new_min);
+    inventory.min_groups = new_min;
+    inventory.bytes = inventory.approx_bytes();
     Some(())
 }
 
@@ -948,9 +1136,26 @@ mod tests {
     }
 
     fn restore(db: &mut Database, store: &ArtifactStore, text: &str) -> Option<PreprocessReport> {
+        restore_kind(db, store, text).map(|(report, _)| report)
+    }
+
+    fn restore_kind(
+        db: &mut Database,
+        store: &ArtifactStore,
+        text: &str,
+    ) -> Option<(PreprocessReport, ServeKind)> {
         let translation = translated(db, text);
         let restored = store.restore_encoding(db, &translation, "").unwrap();
-        restored.map(|run| run.report)
+        restored.map(|(run, kind)| (run.report, kind))
+    }
+
+    /// Every encoded table the statement's preprocessing left, as stored.
+    fn encoded_tables(db: &Database, text: &str) -> Vec<String> {
+        let names = &translated(db, text).names;
+        [names.valid_groups(), names.bset(), names.coded_source()]
+            .iter()
+            .map(|name| format!("{name}: {:?}", db.catalog().table(name).unwrap().rows()))
+            .collect()
     }
 
     #[test]
@@ -978,8 +1183,9 @@ mod tests {
         assert_eq!(store.lock().unwrap().entries.len(), 1);
 
         // Refine the support threshold upwards: superset rule admits it.
-        let warm = restore(&mut db, &store, &stmt_text(0.5, 0.1, "R"))
+        let (warm, kind) = restore_kind(&mut db, &store, &stmt_text(0.5, 0.1, "R"))
             .expect("refined threshold should hit");
+        assert_eq!(kind, ServeKind::Hit, "reinstated, not re-derived");
         assert!(warm.executed.is_empty(), "no Qi steps on a warm run");
         assert_eq!(warm.total_groups, report.total_groups);
         assert_eq!(warm.min_groups, min_groups_for(report.total_groups, 0.5));
@@ -1015,31 +1221,64 @@ mod tests {
         assert_eq!(read.encoding_bytes - unbuilt.encoding_bytes, built);
     }
 
+    /// A looser threshold needs items the captured tables pruned, so they
+    /// are not reinstated. On the production paths
+    /// the kept digest re-derives the encoding at the new `:mingroups`
+    /// instead; the stepwise program keeps no digest, so there it is a
+    /// miss.
     #[test]
     fn lower_threshold_misses_by_superset_rule() {
-        let store = ArtifactStore::new(true);
-        let mut db = purchase_db();
-        capture_cold_encoding(&mut db, &store, &stmt_text(0.5, 0.1, "R"), "");
-        assert!(
-            restore(&mut db, &store, &stmt_text(0.25, 0.1, "R")).is_none(),
-            "a looser threshold needs items the captured tables pruned"
-        );
+        let (tight, loose) = (stmt_text(0.5, 0.1, "R"), stmt_text(0.25, 0.1, "R"));
+        for reference_paths in [false, true] {
+            let store = ArtifactStore::new(true);
+            let mut db = purchase_db();
+            db.set_reference_paths(reference_paths);
+            capture_cold_encoding(&mut db, &store, &tight, "");
+            let restored = restore_kind(&mut db, &store, &loose);
+            if reference_paths {
+                assert!(restored.is_none());
+                continue;
+            }
+            let (report, kind) = restored.expect("re-derived from the digest");
+            assert_eq!(kind, ServeKind::Refine);
+            assert!(report.executed.is_empty(), "no Qi step ran");
+            assert_eq!(report.min_groups, min_groups_for(report.total_groups, 0.25));
+            let derived = encoded_tables(&db, &loose);
+            let mut cold = purchase_db();
+            let translation = translated(&cold, &loose);
+            preprocess(&mut cold, &translation).unwrap();
+            assert_eq!(derived, encoded_tables(&cold, &loose));
+        }
     }
 
+    /// A mutated source never gets its stale encoding back. On the
+    /// production paths the delta is replayed onto the kept digest and
+    /// the encoding re-derived — equal to a cold preprocess of the
+    /// mutated source; the stepwise program keeps no digest and misses.
     #[test]
     fn source_mutation_invalidates_by_version() {
-        let store = ArtifactStore::new(true);
-        let mut db = purchase_db();
-        capture_cold_encoding(&mut db, &store, &stmt_text(0.25, 0.1, "R"), "");
-        db.execute(
-            "INSERT INTO Purchase VALUES \
-             (99, 'c9', 'umbrella', DATE '1997-01-08', 10, 1)",
-        )
-        .unwrap();
-        assert!(
-            restore(&mut db, &store, &stmt_text(0.25, 0.1, "R")).is_none(),
-            "mutated source table must never serve a stale encoding"
-        );
+        let text = stmt_text(0.25, 0.1, "R");
+        let insert = "INSERT INTO Purchase VALUES \
+                      (99, 'c9', 'umbrella', DATE '1997-01-08', 10, 1)";
+        for reference_paths in [false, true] {
+            let store = ArtifactStore::new(true);
+            let mut db = purchase_db();
+            db.set_reference_paths(reference_paths);
+            capture_cold_encoding(&mut db, &store, &text, "");
+            db.execute(insert).unwrap();
+            let restored = restore_kind(&mut db, &store, &text);
+            if reference_paths {
+                assert!(restored.is_none(), "a stale encoding must never serve");
+                continue;
+            }
+            let (_, kind) = restored.expect("the delta replays onto the digest");
+            assert_eq!(kind, ServeKind::Delta);
+            let mut cold = purchase_db();
+            cold.execute(insert).unwrap();
+            let translation = translated(&cold, &text);
+            preprocess(&mut cold, &translation).unwrap();
+            assert_eq!(encoded_tables(&db, &text), encoded_tables(&cold, &text));
+        }
     }
 
     #[test]
@@ -1433,10 +1672,105 @@ mod tests {
         assert_eq!(twice.by_key(), rescanned.by_key());
     }
 
-    /// The halves are replaced independently: a re-preprocess after DML
-    /// replaces the encoding and leaves the stale-version inventory for
-    /// the delta replay; a delta that cannot be replayed drops only the
-    /// inventory.
+    /// Both halves of an entry captured from one fused run share its
+    /// digest, so a delta is replayed once, in place, when the encoding is
+    /// re-derived: the inventory's supports are adjusted from that replay
+    /// (its serve still reports the delta), and the encoding, the
+    /// inventory and a fresh scan of the mutated source all agree.
+    #[test]
+    fn one_replay_updates_both_halves_in_place() {
+        let text = stmt_text(0.25, 0.1, "R");
+        let mut db = purchase_db();
+        let store = ArtifactStore::new(true);
+        let translation = translated(&db, &text);
+        let run = preprocess_for_core(&mut db, &translation).unwrap();
+        store.capture_encoding(&db, &translation, "", &run);
+        let input = run.encoded_input(&translation).unwrap().unwrap();
+        let mined = run_core(&input, &CoreOptions::default()).unwrap();
+        let large = mined.large_itemsets.as_deref().unwrap();
+        store.capture_inventory(&db, &translation, "", &run.report, large);
+        drop(run);
+        let shared = |store: &ArtifactStore| {
+            let state = store.lock().unwrap();
+            let entry = state.entries.last().unwrap();
+            let encoding = entry.encoding.as_ref().unwrap().digest.clone().unwrap();
+            let inventory = entry.inventory.as_ref().unwrap();
+            assert!(Arc::ptr_eq(&encoding, &inventory.digest), "one digest");
+            let unanswered = inventory.answered != inventory.digest.version();
+            (Arc::as_ptr(&encoding), unanswered)
+        };
+        let (captured, _) = shared(&store);
+
+        let insert = "INSERT INTO Purchase VALUES (9, 'c9', 'jackets', DATE '1997-01-08', 300, 1)";
+        db.execute(insert).unwrap();
+        let translation = translated(&db, &text);
+        let (run, kind) = store
+            .restore_encoding(&mut db, &translation, "")
+            .unwrap()
+            .unwrap();
+        assert_eq!(kind, ServeKind::Delta);
+        // The encoding is not captured yet: the inventory alone holds the
+        // digest, replayed where it lies.
+        let (digest, itemsets) = newest(&store);
+        assert_eq!(Arc::as_ptr(&digest), captured, "replayed in place");
+        assert!(Arc::ptr_eq(&digest, run.report.digest.as_ref().unwrap()));
+        drop(digest);
+        store.capture_encoding(&db, &translation, "", &run);
+        assert_eq!(shared(&store), (captured, true));
+
+        let stmt = parse_mine_rule(&text).unwrap();
+        let rescanned = scan_source(&db, &stmt).unwrap().into_digest().unwrap();
+        let (digest, _) = newest(&store);
+        assert_eq!(digest.version(), rescanned.version());
+        assert_eq!(digest.by_key(), rescanned.by_key());
+        assert_eq!(*digest, rescanned, "ids and scan order too");
+        drop(digest);
+
+        // The serve reports the replay and re-mines nothing more.
+        let served = store
+            .serve_rules(&db, &translation, "", &run.report)
+            .unwrap();
+        assert_eq!(served.map(|s| s.kind), Some(ServeKind::Delta));
+        assert_eq!(newest(&store).1, itemsets, "adjusted at restore time");
+        assert_eq!(shared(&store), (captured, false));
+        // Answered once, the delta is not reported again.
+        let mut warm = db;
+        let served = store
+            .serve_rules(&warm, &translation, "", &run.report)
+            .unwrap()
+            .unwrap();
+        assert_eq!(served.kind, ServeKind::Hit);
+        let warm_rules = decoded(&mut warm, &translation, &served.rules);
+        assert_eq!(warm_rules, cold_reference(&[insert], &text));
+    }
+
+    /// The scan's pairs live in the digest: an encoding counts it in its
+    /// bytes until the entry's inventory holds the same digest, which then
+    /// counts it instead — once either way.
+    #[test]
+    fn a_shared_digest_is_counted_once() {
+        let text = stmt_text(0.25, 0.1, "R");
+        let mut db = purchase_db();
+        let store = ArtifactStore::new(true);
+        let translation = translated(&db, &text);
+        let run = preprocess_for_core(&mut db, &translation).unwrap();
+        let digest = run.report.digest.as_ref().unwrap().approx_bytes();
+        let alone = store.capture_encoding(&db, &translation, "", &run);
+        let input = run.encoded_input(&translation).unwrap().unwrap();
+        let mined = run_core(&input, &CoreOptions::default()).unwrap();
+        let large = mined.large_itemsets.as_deref().unwrap();
+        let both = store.capture_inventory(&db, &translation, "", &run.report, large);
+        assert_eq!(alone.encoding_bytes - both.encoding_bytes, digest);
+        let state = store.lock().unwrap();
+        let inventory = state.entries[0].inventory.as_ref().unwrap().bytes;
+        assert_eq!(both.inventory_bytes, inventory);
+        assert!(inventory > digest, "the inventory counts the digest");
+    }
+
+    /// The halves are replaced independently: a cold re-preprocess after
+    /// DML (what follows a declined re-derivation) replaces the encoding
+    /// and leaves the stale-version inventory for the delta replay; a
+    /// delta that cannot be replayed drops only the inventory.
     #[test]
     fn a_new_encoding_keeps_the_stale_inventory_and_a_torn_delta_drops_only_it() {
         let text = stmt_text(0.25, 0.1, "R");
@@ -1448,7 +1782,6 @@ mod tests {
 
         db.execute("INSERT INTO Purchase VALUES (9, 'c9', 'jackets', DATE '1997-01-08', 300, 1)")
             .unwrap();
-        assert!(restore(&mut db, &store, &text).is_none());
         capture_cold_encoding(&mut db, &store, &text, "");
         assert_eq!(newest(&store).0.version(), v0, "the inventory stayed");
         assert_eq!(serve_warm(&mut db, &store, &text), Some(ServeKind::Delta));

@@ -69,11 +69,24 @@ impl RowProducer for ValidGroupsRows {
     }
 }
 
+/// Where the distinct `(group slot, body slot)` pairs of `CodedSource`
+/// live.
+pub(crate) enum Pairs {
+    /// The scan's own pairs, moved in.
+    Scan(Vec<(u32, u32)>),
+    /// The digest the scan's pairs moved into (statements without
+    /// directives), shared like [`GroupKeys::Digest`].
+    Digest(Arc<SourceDigest>),
+}
+
 /// The simple-class `CodedSource`: `(Gid, Bid)` for every distinct
 /// `(group slot, body slot)` pair of the scan, in first-seen order, whose
-/// group and body both join.
+/// group and body both join. This is the source-scan join of `Q4`
+/// replayed: first-occurrence order in the source, each pair matching at
+/// most one group and one large body (slot ↔ id is one-to-one, so
+/// distinct slot pairs are exactly the DISTINCT `(Gid, Bid)` rows).
 pub(crate) struct CodedSourceRows {
-    pub(crate) pairs: Vec<(u32, u32)>,
+    pub(crate) pairs: Pairs,
     /// Per group slot, the Gid its rows join to.
     pub(crate) gids: Vec<Option<u32>>,
     /// Per body slot, the Bid its rows join to.
@@ -84,7 +97,11 @@ impl CodedSourceRows {
     /// The ids of each row.
     fn ids(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         let (gids, bids) = (&self.gids, &self.bids);
-        self.pairs
+        let pairs = match &self.pairs {
+            Pairs::Scan(pairs) => &pairs[..],
+            Pairs::Digest(digest) => digest.pairs(),
+        };
+        pairs
             .iter()
             .filter_map(|&(group, body)| Some((gids[group as usize]?, bids[body as usize]?)))
     }
@@ -103,7 +120,11 @@ impl RowProducer for CodedSourceRows {
     }
 
     fn retained_bytes(&self) -> u64 {
-        (self.pairs.len() + self.gids.len() + self.bids.len()) as u64 * 8
+        let pairs = match &self.pairs {
+            Pairs::Scan(pairs) => pairs.len(),
+            Pairs::Digest(_) => 0,
+        };
+        (pairs + self.gids.len() + self.bids.len()) as u64 * 8
     }
 }
 

@@ -1,17 +1,28 @@
-//! The grouped source of a simple-class statement, interned and
-//! replayable.
+//! The grouped source of a simple-class statement, interned, replayable
+//! and in scan order: what its encoding is derived from.
 //!
 //! A [`SourceDigest`] works in *value space*: it maps each grouping key
 //! and each item key to a small integer — through the very interners the
 //! fused preprocess pass grouped by, moved in — and holds every group as a
-//! sorted `(item id, row multiplicity)` vector. The fused pass builds it
-//! from the one scan it makes anyway, so capturing a cold run reads no
-//! source row.
+//! sorted `(item id, row multiplicity)` vector, plus the distinct `(group,
+//! item)` pairs in the order of the source rows that first carry them.
+//! The fused pass builds it from the one scan it makes anyway, and derives
+//! the whole encoding of a statement without directives from it: slots
+//! and ids are first-seen, so Gids, Bids, `ngroups` and the row order of
+//! `ValidGroups`, `Bset` and `CodedSource` are functions of the pair order
+//! and the keys (`preprocess::FusedEncoding::derive`).
+//!
 //! Because the ids name *values*, not `Bset` identifiers, whatever is
 //! expressed in them survives re-encoding, and a source-table delta
 //! ([`relational::Table::changes_since`]) can be replayed onto it
-//! (`SourceDigest::apply`). This module knows no cache: the preprocessor
-//! builds digests, the session artifact store (`artifacts.rs`) keeps them.
+//! (`SourceDigest::apply`). A replay keeps the pair order exact where the
+//! delta tells it — an appended row's new pair goes last, a pair whose
+//! last row goes leaves — and gives the order up for good where it does
+//! not (a row deleted while a twin stays, a row updated in place, a first
+//! appearance moved past another's); the multiset stays exact either way.
+//! An ordered digest re-derives the encoding without reading a source
+//! row. This module knows no cache: the preprocessor builds digests, the
+//! session artifact store (`artifacts.rs`) keeps and replays them.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -45,8 +56,18 @@ pub struct SourceDigest {
     item_ids: KeyInterner,
     /// Per item id: false when an item attribute is NULL (never joins).
     item_joins: Vec<bool>,
+    /// Per item id: the live groups carrying it (its `ngroups`).
+    item_groups: Vec<u32>,
     /// Group slots; `None` marks a deleted group (its slot is retired).
     groups: Vec<Option<Group>>,
+    /// While `ordered`: every distinct `(group slot, item id)` pair of
+    /// the live groups, in the order of the source rows that first carry
+    /// them. Empty once the order is lost.
+    pairs: Vec<(u32, u32)>,
+    /// Whether `pairs` is the source's first-occurrence order and slots
+    /// and ids number the live groups and the present items in the order
+    /// they first appear there — what a scan of the source would assign.
+    ordered: bool,
     /// Source rows the snapshot stands for (sum of multiplicities).
     rows: u64,
 }
@@ -57,19 +78,22 @@ fn key_joins(key: &[Value]) -> bool {
 
 impl SourceDigest {
     /// Assemble a digest from a scan's interners, its distinct
-    /// `(group slot, item id)` pairs, and one more entry in `repeats` for
-    /// every further source row of a pair.
+    /// `(group slot, item id)` pairs in first-occurrence order (moved in),
+    /// and one more entry in `repeats` for every further source row of a
+    /// pair.
     pub(crate) fn new(
         version: u64,
         group_ids: KeyInterner,
         item_ids: KeyInterner,
-        pairs: &[(u32, u32)],
+        pairs: Vec<(u32, u32)>,
         repeats: &[(u32, u32)],
     ) -> SourceDigest {
         let joins = |keys: &KeyInterner| -> Vec<bool> { keys.keys().map(key_joins).collect() };
         let mut sizes = vec![0usize; group_ids.slots() as usize];
-        for &(g, _) in pairs {
+        let mut item_groups = vec![0u32; item_ids.slots() as usize];
+        for &(g, item) in &pairs {
             sizes[g as usize] += 1;
+            item_groups[item as usize] += 1;
         }
         let mut groups: Vec<Group> = joins(&group_ids)
             .into_iter()
@@ -79,7 +103,7 @@ impl SourceDigest {
                 items: Vec::with_capacity(n),
             })
             .collect();
-        for &(g, item) in pairs {
+        for &(g, item) in &pairs {
             groups[g as usize].items.push((item, 1));
         }
         for group in &mut groups {
@@ -95,10 +119,13 @@ impl SourceDigest {
         SourceDigest {
             version,
             item_joins: joins(&item_ids),
+            item_groups,
             group_ids,
             item_ids,
             groups: groups.into_iter().map(Some).collect(),
             rows: (pairs.len() + repeats.len()) as u64,
+            pairs,
+            ordered: true,
         }
     }
 
@@ -112,6 +139,18 @@ impl SourceDigest {
         self.rows
     }
 
+    /// Whether the digest still knows the source's first-occurrence
+    /// order, so an encoding can be derived from it.
+    pub(crate) fn ordered(&self) -> bool {
+        self.ordered
+    }
+
+    /// The distinct pairs in first-occurrence order (empty once the order
+    /// is lost).
+    pub(crate) fn pairs(&self) -> &[(u32, u32)] {
+        &self.pairs
+    }
+
     /// Live groups (`:totg` of the snapshot).
     pub(crate) fn live_groups(&self) -> u64 {
         self.group_ids.len() as u64
@@ -122,9 +161,19 @@ impl SourceDigest {
         self.groups.len() as u32
     }
 
+    /// Whether a group slot is live, and whether its group joins.
+    pub(crate) fn group(&self, slot: u32) -> Option<bool> {
+        self.groups[slot as usize].as_ref().map(|g| g.joins)
+    }
+
     /// Item ids ever assigned (ids are dense and never retired).
     pub(crate) fn items(&self) -> usize {
         self.item_joins.len()
+    }
+
+    /// The key of an item id and how many live groups carry it.
+    pub(crate) fn item(&self, item: u32) -> (&[Value], u32) {
+        (self.item_ids.key(item), self.item_groups[item as usize])
     }
 
     /// The grouping key of a group slot (a retired slot keeps its key).
@@ -152,12 +201,35 @@ impl SourceDigest {
         self.items_of(slot).collect()
     }
 
+    /// How many distinct pairs join: a group whose key holds no NULL and
+    /// an item `bids` gives an id (the rows of `CodedSource`).
+    pub(crate) fn joined_pairs(&self, bids: &[Option<u32>]) -> usize {
+        let with_id = |item: &u32| bids[*item as usize].is_some();
+        let carried: usize = (0..self.items() as u32)
+            .filter(with_id)
+            .map(|item| self.item_groups[item as usize] as usize)
+            .sum();
+        let unjoined = self.groups.iter().flatten().filter(|g| !g.joins);
+        let unjoined: usize = unjoined
+            .map(|g| g.items.iter().filter(|(item, _)| with_id(item)).count())
+            .sum();
+        carried - unjoined
+    }
+
     /// Replay a table delta that brings the source to `version`: inserted
     /// rows join (or open) their group, deleted rows leave it, a group
     /// left without rows is retired. Returns the pre-delta item set of
     /// every touched slot, or `None` when a deleted row cannot be
     /// accounted for (the digest and the table diverged — never expected,
     /// but never cache through it). The digest is torn after a `None`.
+    ///
+    /// The pair order stays exact where the delta says where rows went:
+    /// an inserted row's new pair is appended (the table appends it), a
+    /// pair whose last row is deleted leaves. It is lost for good when a
+    /// row is updated in place, when a deleted row leaves a twin behind
+    /// (which row was first is unknown), or when a departed pair was a
+    /// group's or an item's first appearance and the one after it comes
+    /// later than another's.
     pub(crate) fn apply(
         &mut self,
         delta: &TableDelta,
@@ -178,7 +250,13 @@ impl SourceDigest {
         {
             return None; // schema drift
         }
+        if delta.replaced {
+            self.lose_order();
+        }
         let mut before: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        // Whether an appended pair brought back an item no live group
+        // held: its first appearance moved to the end.
+        let mut returned = false;
         for row in &delta.inserted {
             // A key not mapped — a retired group's included — takes the
             // next slot, which is the next position of the vector.
@@ -192,15 +270,25 @@ impl SourceDigest {
             let item = self.item_ids.intern(row, item_cols);
             if item as usize == self.item_joins.len() {
                 self.item_joins.push(key_joins(self.item_ids.key(item)));
+                self.item_groups.push(0);
             }
             before.entry(slot).or_insert_with(|| self.item_set(slot));
             let items = &mut self.groups[slot as usize].as_mut()?.items;
             match items.binary_search_by_key(&item, |&(i, _)| i) {
                 Ok(at) => items[at].1 += 1,
-                Err(at) => items.insert(at, (item, 1)),
+                Err(at) => {
+                    items.insert(at, (item, 1));
+                    let holders = &mut self.item_groups[item as usize];
+                    returned |= *holders == 0 && item + 1 < self.item_joins.len() as u32;
+                    *holders += 1;
+                    if self.ordered {
+                        self.pairs.push((slot, item));
+                    }
+                }
             }
             self.rows += 1;
         }
+        let mut departed: Vec<(u32, u32)> = Vec::new();
         for row in &delta.deleted {
             let slot = self.group_ids.get(row, group_cols)?;
             let item = self.item_ids.get(row, item_cols)?;
@@ -208,17 +296,66 @@ impl SourceDigest {
             let items = &mut self.groups[slot as usize].as_mut()?.items;
             let at = items.binary_search_by_key(&item, |&(i, _)| i).ok()?;
             items[at].1 -= 1;
-            if items[at].1 == 0 {
+            let twin = items[at].1 > 0;
+            if !twin {
                 items.remove(at);
             }
+            let emptied = items.is_empty();
             self.rows -= 1;
-            if items.is_empty() {
+            if twin {
+                self.lose_order();
+            } else {
+                self.item_groups[item as usize] -= 1;
+                departed.push((slot, item));
+            }
+            if emptied {
                 self.groups[slot as usize] = None;
                 self.group_ids.retire(slot);
             }
         }
+        if self.ordered && (returned || !departed.is_empty()) && !self.drop_pairs(departed) {
+            self.lose_order();
+        }
         self.version = version;
         Some(before)
+    }
+
+    /// Give the pair order up for good.
+    fn lose_order(&mut self) {
+        self.ordered = false;
+        self.pairs = Vec::new();
+    }
+
+    /// Remove the `departed` pairs from the order, in one pass that also
+    /// checks what is left: whether the live groups and the present items
+    /// still first appear in slot and id order. Returns that verdict.
+    fn drop_pairs(&mut self, mut departed: Vec<(u32, u32)>) -> bool {
+        departed.sort_unstable();
+        let mut touched = vec![false; self.groups.len()];
+        for &(slot, _) in &departed {
+            touched[slot as usize] = true;
+        }
+        let mut group_seen = vec![false; self.groups.len()];
+        let mut item_seen = vec![false; self.item_joins.len()];
+        // The last first appearance of each kind, plus one.
+        let (mut group_next, mut item_next) = (0u32, 0u32);
+        let mut in_order = true;
+        self.pairs.retain(|&(slot, item)| {
+            if touched[slot as usize] && departed.binary_search(&(slot, item)).is_ok() {
+                return false;
+            }
+            for (seen, next, id) in [
+                (&mut group_seen, &mut group_next, slot),
+                (&mut item_seen, &mut item_next, item),
+            ] {
+                if !std::mem::replace(&mut seen[id as usize], true) {
+                    in_order &= id >= *next;
+                    *next = id + 1;
+                }
+            }
+            true
+        });
+        in_order
     }
 
     /// Rough retained size, for the bytes gauge.
@@ -243,7 +380,7 @@ impl SourceDigest {
             .iter()
             .map(|g| 32 + g.as_ref().map_or(0, |g| g.items.len() as u64 * 8))
             .sum();
-        dictionaries + groups + self.item_joins.len() as u64
+        dictionaries + groups + self.pairs.len() as u64 * 8 + self.item_joins.len() as u64 * 5
     }
 
     /// Every live group rendered as `grouping key: [item key x
@@ -324,8 +461,8 @@ mod tests {
         // one, while item ids are never retired.
         let row = |g: Value, item: &str| vec![g, Value::Str(item.into())];
         let gone = TableDelta {
-            inserted: Vec::new(),
             deleted: vec![row(Value::Int(1), "1"), row(Value::Float(1.0), "1")],
+            ..TableDelta::default()
         };
         let before = digest.apply(&gone, 0, &[0], &[1]).unwrap();
         assert_eq!(before, BTreeMap::from([(ones, vec![one])]));
@@ -334,7 +471,7 @@ mod tests {
         assert_eq!(digest.groups[ones as usize], None);
         let back = TableDelta {
             inserted: vec![row(Value::Int(1), "a"), row(Value::Float(1.0), "1")],
-            deleted: Vec::new(),
+            ..TableDelta::default()
         };
         let slots = digest.slots();
         let before = digest.apply(&back, 0, &[0], &[1]).unwrap();

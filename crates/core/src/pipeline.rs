@@ -208,10 +208,14 @@ impl MineRuleEngine {
         let postprocess_time = span.stop();
         self.record_relational(sql_before, db.stats());
 
+        // The outcome does not hold on to the source digest: the store's
+        // next delta replay then finds it unshared and works in place.
+        let mut preprocess_report = preprocessed.report;
+        preprocess_report.digest = None;
         Ok(MiningOutcome {
             rules: decoded,
             translation,
-            preprocess_report: preprocessed.report,
+            preprocess_report,
             used_general,
             timings: PhaseTimings {
                 translate: translate_time,
@@ -224,22 +228,33 @@ impl MineRuleEngine {
 
     /// Run preprocessing through the artifact store: a restore reinstates
     /// the captured encoded tables and hands over the kept core input (no
-    /// `Qi` step executes); a miss runs the full program and captures the
-    /// encoding for the next run. With the store disabled this is exactly
-    /// [`preprocess_for_core`].
+    /// `Qi` step executes); a re-derivation builds the encoding from the
+    /// kept source digest (a loosened support, or a replayed source delta)
+    /// and is captured like a cold run; a miss runs the full program and
+    /// captures the encoding for the next run. With the store disabled
+    /// this is exactly [`preprocess_for_core`].
     fn run_preprocess(&self, db: &mut Database, translation: &Translation) -> Result<Preprocessed> {
         if !self.artifacts.is_enabled() {
             return preprocess_for_core(db, translation);
         }
-        if let Some(restored) =
-            self.artifacts
-                .restore_encoding(db, translation, &self.table_prefix)?
+        let run = match self
+            .artifacts
+            .restore_encoding(db, translation, &self.table_prefix)?
         {
-            self.telemetry.counter_inc("preprocess.cache.hit");
-            return Ok(restored);
-        }
-        self.telemetry.counter_inc("preprocess.cache.miss");
-        let run = preprocess_for_core(db, translation)?;
+            Some((restored, kind)) => {
+                self.telemetry.counter_inc("preprocess.cache.hit");
+                match kind {
+                    ServeKind::Hit => return Ok(restored),
+                    ServeKind::Refine => self.telemetry.counter_inc("preprocess.cache.refine"),
+                    ServeKind::Delta => self.telemetry.counter_inc("preprocess.cache.delta"),
+                }
+                restored
+            }
+            None => {
+                self.telemetry.counter_inc("preprocess.cache.miss");
+                preprocess_for_core(db, translation)?
+            }
+        };
         let stored = self
             .artifacts
             .capture_encoding(db, translation, &self.table_prefix, &run);
@@ -397,6 +412,10 @@ impl MineRuleEngine {
                         large,
                     );
                     self.record_evictions(&stored);
+                    // Both halves: the encoding stops counting a digest the
+                    // new inventory now holds.
+                    self.telemetry
+                        .gauge_set("preprocess.cache.bytes", stored.encoding_bytes as i64);
                     self.telemetry
                         .gauge_set("core.minecache.bytes", stored.inventory_bytes as i64);
                     self.telemetry

@@ -34,7 +34,7 @@ use relational::{
 
 use crate::ast::MineRuleStatement;
 use crate::deferred::{
-    ClustersRows, CodedSourceRows, GroupKeys, IdRows, MiningSourceRows, ValidGroupsRows,
+    ClustersRows, CodedSourceRows, GroupKeys, IdRows, MiningSourceRows, Pairs, ValidGroupsRows,
 };
 use crate::digest::SourceDigest;
 use crate::directives::{Directives, StatementClass};
@@ -110,6 +110,27 @@ pub(crate) struct DigestInput {
     bids: Vec<Option<u32>>,
 }
 
+impl DigestInput {
+    /// The core's simple-class input: per group that joins, in Gid order,
+    /// its large items' Bids ascending — `CodedSource` sorted by `(Gid,
+    /// Bid)`, a group without a large item left out. Ids are drawn in
+    /// slot and item-id order, so the digest's per-group item lists are
+    /// already in Bid order.
+    fn large_items(&self) -> Vec<(u32, Vec<u32>)> {
+        let mut groups = Vec::with_capacity(self.gids.len());
+        for (slot, gid) in (0..).zip(&self.gids) {
+            let Some(gid) = *gid else { continue };
+            let items = self.digest.items_of(slot);
+            let items: Vec<u32> = items.filter_map(|item| self.bids[item as usize]).collect();
+            if !items.is_empty() {
+                groups.push((gid, items));
+            }
+        }
+        groups.shrink_to_fit();
+        groups
+    }
+}
+
 impl Handover {
     /// Rough retained size, for the artifact store's bytes gauge (a
     /// digest is counted by the inventory that shares it).
@@ -132,8 +153,9 @@ impl Preprocessed {
             None => return Ok(None),
             Some(Handover::Built(input)) => input.stamped(translation, total_groups, min_groups)?,
             Some(Handover::Digest(record)) => {
-                let groups = large_items(&[], Some(&record.digest), &record.gids, &record.bids);
-                let data = EncodedData::Simple { groups };
+                let data = EncodedData::Simple {
+                    groups: record.large_items(),
+                };
                 Arc::new(EncodedInput::new(
                     translation,
                     total_groups,
@@ -335,15 +357,15 @@ impl SourceScan {
         self.take_digest()
     }
 
-    /// [`SourceScan::into_digest`], leaving the pairs for the caller (the
-    /// scan's interners move into the digest).
+    /// [`SourceScan::into_digest`] of a scan still in use: its
+    /// interners and pairs move into the digest.
     fn take_digest(&mut self) -> Option<SourceDigest> {
         let repeats = self.repeats.take()?;
         Some(SourceDigest::new(
             self.version,
             std::mem::replace(&mut self.groups, KeyInterner::new(0)),
             std::mem::replace(&mut self.bodies, KeyInterner::new(0)),
-            &self.pairs,
+            std::mem::take(&mut self.pairs),
             &repeats,
         ))
     }
@@ -703,29 +725,36 @@ fn keyed_columns(ids: &[&str], attrs: &[String], at: &[usize], source: &Schema) 
     columns
 }
 
-/// `Q3` / `Q5`: the item table over `order`'s keys in first-seen order.
-/// `ngroups` counts over *all* source groups; the large-element filter
-/// runs before the projection draws `NEXTVAL`, so only survivors take an
-/// id. Returns the rows and, per slot, the id source rows join to (a key
-/// holding a NULL is encoded but never joins).
-fn item_table(
-    order: &KeyInterner,
-    pairs: &[(u32, u32)],
-    min_groups: u64,
-    ids: &mut Sequence,
-) -> (Vec<Row>, Vec<Option<i64>>) {
-    let mut ngroups = vec![0u64; order.slots() as usize];
+/// How many groups carry each slot of `slots` slots, from the distinct
+/// `(group, slot)` pairs.
+fn ngroups_of(pairs: &[(u32, u32)], slots: u32) -> Vec<u64> {
+    let mut ngroups = vec![0u64; slots as usize];
     for &(_, item) in pairs {
         ngroups[item as usize] += 1;
     }
-    let mut joins: Vec<Option<i64>> = vec![None; ngroups.len()];
+    ngroups
+}
+
+/// `Q3` / `Q5`: the item table over the item keys in first-seen order,
+/// each with the number of groups carrying it. `ngroups` counts over
+/// *all* source groups; the large-element filter runs before the
+/// projection draws `NEXTVAL`, so only survivors take an id. Returns the
+/// rows and, per slot, the id source rows join to (a key holding a NULL
+/// is encoded but never joins).
+fn item_table<'a>(
+    items: impl Iterator<Item = (&'a [Value], u64)>,
+    min_groups: u64,
+    ids: &mut Sequence,
+) -> (Vec<Row>, Vec<Option<i64>>) {
+    let mut joins: Vec<Option<i64>> = Vec::new();
     let mut rows: Vec<Row> = Vec::new();
-    for (slot, (key, ngroups)) in order.keys().zip(ngroups).enumerate() {
+    for (key, ngroups) in items {
         if ngroups < min_groups {
+            joins.push(None);
             continue;
         }
         let id = ids.nextval();
-        joins[slot] = no_null(key).then_some(id);
+        joins.push(no_null(key).then_some(id));
         let mut row = Vec::with_capacity(key.len() + 2);
         row.push(Value::Int(id));
         row.extend_from_slice(key);
@@ -735,34 +764,24 @@ fn item_table(
     (rows, joins)
 }
 
-/// The core's simple-class input: per group that joins, in Gid order,
-/// its large items' Bids ascending — `CodedSource` sorted by `(Gid,
-/// Bid)`, a group without a large item left out. `gids` and `bids` hold
-/// each slot's id, and ids are drawn in slot order, so slot order is id
-/// order: a digest's per-group item lists are already sorted, and only
-/// the scan's pairs need a sort.
+/// The core's simple-class input from a scan's pairs: per group that
+/// joins, in Gid order, its large items' Bids ascending — `CodedSource`
+/// sorted by `(Gid, Bid)`, a group without a large item left out. `gids`
+/// and `bids` hold each slot's id, and ids are drawn in slot order, so
+/// slot order is Gid order.
 fn large_items(
     pairs: &[(u32, u32)],
-    digest: Option<&SourceDigest>,
     gids: &[Option<u32>],
     bids: &[Option<u32>],
 ) -> Vec<(u32, Vec<u32>)> {
     let mut of_group: Vec<Vec<u32>> = vec![Vec::new(); gids.len()];
-    if digest.is_none() {
-        for &(group, body) in pairs {
-            of_group[group as usize].extend(bids[body as usize]);
-        }
+    for &(group, body) in pairs {
+        of_group[group as usize].extend(bids[body as usize]);
     }
     let mut groups = Vec::with_capacity(gids.len());
-    for ((slot, gid), mut items) in (0..).zip(gids).zip(of_group) {
+    for (gid, mut items) in gids.iter().zip(of_group) {
         let Some(gid) = *gid else { continue };
-        match digest {
-            Some(digest) => {
-                let large = digest.items_of(slot).filter_map(|item| bids[item as usize]);
-                items = large.collect();
-            }
-            None => items.sort_unstable(),
-        }
+        items.sort_unstable();
         if !items.is_empty() {
             groups.push((gid, items));
         }
@@ -812,18 +831,10 @@ impl FusedEncoding {
         let table = db.catalog().table(&stmt.from[0].name)?;
         let source = table.rows();
         let cols = source_columns(table, stmt)?;
-        // `CREATE TABLE AS` types a column by its first value, and a
-        // FLOAT column admits INT values: such a source types — or fails
-        // — differently step by step, which is left to the SQL program.
-        for name in stmt.needed_attributes() {
-            let at = table.schema().resolve(None, &name)?;
-            if table.schema().column(at).dtype == DataType::Float
-                && source.iter().any(|row| matches!(row[at], Value::Int(_)))
-            {
-                return Err(MineError::Internal {
-                    message: format!("FLOAT attribute '{name}' stores INT values"),
-                });
-            }
+        if let Some(name) = float_attribute_with_ints(table.schema(), stmt, source)? {
+            return Err(MineError::Internal {
+                message: format!("FLOAT attribute '{name}' stores INT values"),
+            });
         }
 
         let mut scan = scan_source(db, stmt)?;
@@ -835,6 +846,14 @@ impl FusedEncoding {
             (ExecCounter::RowsFiltered, scan.filtered),
         ];
         work.retain(|&(_, n)| n > 0);
+        // Without directives the scan is a digest, and the encoding is
+        // what the digest derives.
+        if let Some(digest) = scan.take_digest() {
+            let mut encoding = FusedEncoding::derive(translation, table, Arc::new(digest))?;
+            encoding.report.fused_steps = fused_steps(translation);
+            encoding.work = work;
+            return Ok(encoding);
+        }
         let mut report = PreprocessReport::default();
 
         // The id sequences are real catalog objects once committed: draws
@@ -884,14 +903,18 @@ impl FusedEncoding {
 
         // Q3 (and Q5 when the head schema differs): the item tables, built
         // now — the fused decode and the mined-result cache read them.
-        let (rows, bids) = item_table(&scan.bodies, &scan.pairs, min_groups, &mut bid_seq);
+        let ngroups = ngroups_of(&scan.pairs, scan.bodies.slots());
+        let items = scan.bodies.keys().zip(ngroups);
+        let (rows, bids) = item_table(items, min_groups, &mut bid_seq);
         let mut columns = keyed_columns(&["Bid"], &stmt.body.schema, &cols.body, table.schema());
         columns.push(Column::new("ngroups", DataType::Int));
         let bset = Encoded::built(table_of(names.bset(), columns, rows)?);
         let mut hids: Vec<Option<i64>> = Vec::new();
         let mut hset = None;
         if dir.h {
-            let (rows, joins) = item_table(&scan.heads, &scan.head_pairs, min_groups, &mut hid_seq);
+            let ngroups = ngroups_of(&scan.head_pairs, scan.heads.slots());
+            let heads = scan.heads.keys().zip(ngroups);
+            let (rows, joins) = item_table(heads, min_groups, &mut hid_seq);
             hids = joins;
             let mut columns =
                 keyed_columns(&["Hid"], &stmt.head.schema, &cols.head, table.schema());
@@ -1273,14 +1296,7 @@ impl FusedEncoding {
         if dir.c {
             sequences.push(cid_seq);
         }
-        // Every SQL statement of the program but the sequence DDL is
-        // subsumed.
-        report.fused_steps = translation
-            .preprocess
-            .iter()
-            .filter(|step| matches!(step, Step::Sql { id, .. } if id != "DDL"))
-            .count();
-        report.digest = scan.take_digest().map(Arc::new);
+        report.fused_steps = fused_steps(translation);
         let built = |data: EncodedData| -> Result<Handover> {
             let input = EncodedInput::new(translation, total_groups, min_groups, data)?;
             Ok(Handover::Built(Arc::new(input)))
@@ -1308,24 +1324,12 @@ impl FusedEncoding {
                 let slot_gids = slot_gids.collect::<Result<Vec<_>>>()?;
                 let slot_bids = bids.iter().map(|&b| checked(b));
                 let slot_bids = slot_bids.collect::<Result<Vec<_>>>()?;
-                let input = match &report.digest {
-                    Some(digest) => Handover::Digest(Arc::new(DigestInput {
-                        digest: Arc::clone(digest),
-                        gids: slot_gids.clone(),
-                        bids: slot_bids.clone(),
-                    })),
-                    None => {
-                        let groups = large_items(&scan.pairs, None, &slot_gids, &slot_bids);
-                        built(EncodedData::Simple { groups })?
-                    }
-                };
+                let groups = large_items(&scan.pairs, &slot_gids, &slot_bids);
+                let input = built(EncodedData::Simple { groups })?;
                 // Q4: CodedSource — the source-scan join replayed from the
-                // distinct pairs: first-occurrence order in the source,
-                // each pair matching at most one group and one large body
-                // (slot ↔ id is one-to-one, so distinct slot pairs are
-                // exactly the DISTINCT (Gid, Bid) rows).
+                // distinct pairs (see `CodedSourceRows`).
                 let rows = CodedSourceRows {
-                    pairs: std::mem::take(&mut scan.pairs),
+                    pairs: Pairs::Scan(std::mem::take(&mut scan.pairs)),
                     gids: slot_gids,
                     bids: slot_bids,
                 };
@@ -1336,11 +1340,8 @@ impl FusedEncoding {
             }
         };
 
-        // Q2's rows, over the group keys wherever the scan left them.
-        let keys = match &report.digest {
-            Some(digest) => GroupKeys::Digest(Arc::clone(digest)),
-            None => GroupKeys::Scan(std::mem::replace(&mut scan.groups, KeyInterner::new(0))),
-        };
+        // Q2's rows, over the scan's group keys.
+        let keys = GroupKeys::Scan(std::mem::replace(&mut scan.groups, KeyInterner::new(0)));
         let gids = gids.into_iter().map(checked).collect::<Result<Vec<_>>>()?;
         let count = gids.iter().flatten().count();
         let columns = keyed_columns(&["Gid"], &stmt.group_by, &cols.group, table.schema());
@@ -1387,6 +1388,97 @@ impl FusedEncoding {
         })
     }
 
+    /// The encoding of a statement without directives, derived from a
+    /// digest of its source: the one the fused pass's scan just built, or
+    /// a kept one a delta was replayed onto. Its slots and ids are
+    /// first-seen and its pairs in first-occurrence order
+    /// ([`SourceDigest::ordered`]), so drawing ids in slot and id order
+    /// yields the step-by-step program's ids: a Gid per live group
+    /// (`ValidGroups`, deferred over the digest's keys), a Bid per item
+    /// carried by at least `:mingroups` groups (`Bset`, built — the fused
+    /// decode and the inventory read it), and `CodedSource` deferred over
+    /// the digest's pairs. A group or item key holding a NULL is encoded
+    /// but never joins.
+    fn derive(
+        translation: &Translation,
+        table: &Table,
+        digest: Arc<SourceDigest>,
+    ) -> Result<FusedEncoding> {
+        debug_assert!(digest.ordered(), "an encoding needs the scan order");
+        let stmt = &translation.stmt;
+        let names = &translation.names;
+        let cols = source_columns(table, stmt)?;
+        let mut gid_seq = Sequence::new(names.gid_sequence(), 1, 1);
+        let mut bid_seq = Sequence::new(names.bid_sequence(), 1, 1);
+
+        // Q1 + ComputeMinGroups.
+        let total_groups = digest.live_groups();
+        let min_groups = min_groups_for(total_groups, stmt.min_support);
+
+        // Q2: per slot, the Gid of a live group, and the Gid its rows join
+        // to.
+        let slots = digest.slots() as usize;
+        let mut gids: Vec<Option<u32>> = Vec::with_capacity(slots);
+        let mut slot_gids: Vec<Option<u32>> = Vec::with_capacity(slots);
+        for slot in 0..digest.slots() {
+            let (gid, joins) = match digest.group(slot) {
+                Some(joins) => (Some(id_u32(gid_seq.nextval())?), joins),
+                None => (None, false),
+            };
+            gids.push(gid);
+            slot_gids.push(gid.filter(|_| joins));
+        }
+
+        // Q3: the large items in id order.
+        let items = (0..digest.items() as u32).map(|item| {
+            let (key, ngroups) = digest.item(item);
+            (key, u64::from(ngroups))
+        });
+        let (rows, bids) = item_table(items, min_groups, &mut bid_seq);
+        let slot_bids = bids.into_iter().map(|b| b.map(id_u32).transpose());
+        let slot_bids = slot_bids.collect::<Result<Vec<_>>>()?;
+        let mut columns = keyed_columns(&["Bid"], &stmt.body.schema, &cols.body, table.schema());
+        columns.push(Column::new("ngroups", DataType::Int));
+        let bset = Encoded::built(table_of(names.bset(), columns, rows)?);
+
+        // Q4: one row per pair of a joining group and a joining large item.
+        let count = digest.joined_pairs(&slot_bids);
+        let rows = CodedSourceRows {
+            pairs: Pairs::Digest(Arc::clone(&digest)),
+            gids: slot_gids.clone(),
+            bids: slot_bids.clone(),
+        };
+        let columns = int_columns(&["Gid", "Bid"]);
+        let coded_source = Encoded::deferred(names.coded_source(), columns, count, rows);
+
+        let count = total_groups as usize;
+        let columns = keyed_columns(&["Gid"], &stmt.group_by, &cols.group, table.schema());
+        let rows = ValidGroupsRows {
+            keys: GroupKeys::Digest(Arc::clone(&digest)),
+            gids,
+        };
+        let valid_groups = Encoded::deferred(names.valid_groups(), columns, count, rows);
+
+        let input = Handover::Digest(Arc::new(DigestInput {
+            digest: Arc::clone(&digest),
+            gids: slot_gids,
+            bids: slot_bids,
+        }));
+        let report = PreprocessReport {
+            total_groups,
+            min_groups,
+            digest: Some(digest),
+            ..PreprocessReport::default()
+        };
+        Ok(FusedEncoding {
+            sequences: vec![gid_seq, bid_seq],
+            objects: vec![("Q2", valid_groups), ("Q3", bset), ("Q4", coded_source)],
+            report,
+            input,
+            work: Vec::new(),
+        })
+    }
+
     /// Create the encoding's objects in the catalog — the deferred
     /// tables unbuilt — and bind `:totg` / `:mingroups`, reporting each
     /// object under the id and row count the SQL program reports for it.
@@ -1418,6 +1510,53 @@ impl FusedEncoding {
             input: Some(self.input),
         })
     }
+}
+
+/// Derive the encoding of a statement without directives from a digest
+/// of its source at the table's current version, and commit it: what a
+/// rerun does in place of the fused pass when the session artifact store
+/// kept the digest. No `Qi` step runs and no source row is read, so the
+/// report lists no executed step. The caller has run the cleanup.
+pub(crate) fn derive_encoding(
+    db: &mut Database,
+    translation: &Translation,
+    digest: Arc<SourceDigest>,
+) -> Result<Preprocessed> {
+    let table = db.catalog().table(&translation.stmt.from[0].name)?;
+    let mut run = FusedEncoding::derive(translation, table, digest)?.commit(db)?;
+    run.report.executed.clear();
+    Ok(run)
+}
+
+/// The first attribute the statement reads that is FLOAT in `schema` yet
+/// holds an INT in one of `rows`. `CREATE TABLE AS` types a column by its
+/// first value, and a FLOAT column admits INT values: such a source types
+/// — or fails — differently step by step, which the fused pass leaves to
+/// the SQL program.
+pub(crate) fn float_attribute_with_ints(
+    schema: &Schema,
+    stmt: &MineRuleStatement,
+    rows: &[Row],
+) -> Result<Option<String>> {
+    for name in stmt.needed_attributes() {
+        let at = schema.resolve(None, &name)?;
+        if schema.column(at).dtype == DataType::Float
+            && rows.iter().any(|row| matches!(row[at], Value::Int(_)))
+        {
+            return Ok(Some(name));
+        }
+    }
+    Ok(None)
+}
+
+/// The SQL statements of the program the fused pass subsumes: all of
+/// them but the sequence DDL.
+fn fused_steps(translation: &Translation) -> usize {
+    translation
+        .preprocess
+        .iter()
+        .filter(|step| matches!(step, Step::Sql { id, .. } if id != "DDL"))
+        .count()
 }
 
 /// The fused pass: compute the whole encoding, then commit it.

@@ -695,6 +695,18 @@ impl Gen<'_> {
             }
         };
         mine(case, stmt.clone());
+        // After a rerun over a changed source, the encoded tables too —
+        // re-derived from the kept source digest, or built cold — so the
+        // matrix compares them across every configuration. Fixed text
+        // again. Only after a rerun at the first mine's support: when a
+        // delta leaves the source unchanged, a tightened rerun reinstates
+        // the tables pruned at the looser threshold (the superset rule),
+        // which a cold run does not build (`tests/fuzz_open/`).
+        let read_encoding = |case: &mut FuzzCase| {
+            for table in ["Bset", "ValidGroups", "CodedSource"] {
+                case.ops.push(Op::Query(format!("SELECT * FROM {table}")));
+            }
+        };
         let tightened = |stmt: &str| {
             let s2 = (support * 2.0).min(1.0);
             let c2 = (confidence + 0.2).min(1.0);
@@ -727,16 +739,20 @@ impl Gen<'_> {
                 let dml = self.gen_delta_dml();
                 case.ops.push(Op::Dml(dml));
                 mine(case, stmt);
+                read_encoding(case);
             }
             5 => {
                 // A chained session: delta → mine → delta → mine at
                 // tightened thresholds. The second replay lands on an
                 // entry a delta already rewrote (copy-on-write no longer
                 // shields it), and the refine then filters those counts.
-                for rerun in [stmt.clone(), tightened(&stmt)] {
+                for (rerun, read) in [(stmt.clone(), true), (tightened(&stmt), false)] {
                     let dml = self.gen_delta_dml();
                     case.ops.push(Op::Dml(dml));
                     mine(case, rerun);
+                    if read {
+                        read_encoding(case);
+                    }
                 }
             }
             _ => {}

@@ -18,8 +18,8 @@ use std::cmp::Ordering;
 
 use crate::error::{Error, Result};
 use crate::expr::eval::{
-    cast_value, eval_binary, eval_expr, eval_scalar_func, eval_unary, like_match, logical_and,
-    logical_or, maybe_negate, NoCtx, QueryCtx,
+    cast_value, comparison_holds, eval_binary, eval_expr, eval_scalar_func, eval_unary, like_match,
+    logical_and, logical_or, maybe_negate, NoCtx, QueryCtx,
 };
 use crate::expr::{BinOp, Expr, UnaryOp};
 use crate::row::Row;
@@ -73,6 +73,16 @@ pub(crate) enum Op {
     Unary(UnaryOp),
     /// Pop two, apply a non-logical binary operator.
     Binary(BinOp),
+    /// Push `row[idx] <op> value` — or `value <op> row[idx]` when
+    /// `const_left` — for a comparison operator: one op for the most
+    /// common predicate shape, comparing in place through the same
+    /// [`Value::sql_cmp`] as [`Op::Binary`], operands in source order.
+    CmpColConst {
+        op: BinOp,
+        idx: usize,
+        value: Value,
+        const_left: bool,
+    },
     /// Pop two, combine with three-valued AND / OR (the join point after
     /// a short-circuit jump was not taken).
     And,
@@ -183,6 +193,21 @@ impl CompiledExpr {
                     let r = stack.pop().expect("binary rhs");
                     let l = stack.pop().expect("binary lhs");
                     stack.push(eval_binary(*op, l, r)?);
+                }
+                Op::CmpColConst {
+                    op,
+                    idx,
+                    value,
+                    const_left,
+                } => {
+                    let ord = if *const_left {
+                        value.sql_cmp(&row[*idx])?
+                    } else {
+                        row[*idx].sql_cmp(value)?
+                    };
+                    stack.push(
+                        ord.map_or(Value::Null, |ord| Value::Bool(comparison_holds(*op, ord))),
+                    );
                 }
                 Op::And => {
                     let r = stack.pop().expect("and rhs");
@@ -410,9 +435,13 @@ impl Compiler<'_> {
                     self.ops[jump] = Op::JumpIfTrue(end);
                 }
                 _ => {
+                    let start = self.ops.len();
                     self.emit(left);
+                    let split = self.ops.len();
                     self.emit(right);
-                    self.ops.push(Op::Binary(*op));
+                    if !self.compare_in_place(*op, start, split) {
+                        self.ops.push(Op::Binary(*op));
+                    }
                 }
             },
             Expr::Between {
@@ -519,6 +548,33 @@ impl Compiler<'_> {
         }
     }
 
+    /// Fuse `column <cmp> constant` (either order) into one
+    /// [`Op::CmpColConst`] when the two operands just emitted at
+    /// `start..split` and `split..` are one column push and one constant
+    /// push. Returns whether it did.
+    fn compare_in_place(&mut self, op: BinOp, start: usize, split: usize) -> bool {
+        use BinOp::*;
+        if !matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq)
+            || split != start + 1
+            || self.ops.len() != split + 1
+        {
+            return false;
+        }
+        let (idx, value, const_left) = match (&self.ops[start], &self.ops[split]) {
+            (Op::Col(idx), Op::Const(value)) => (*idx, value.clone(), false),
+            (Op::Const(value), Op::Col(idx)) => (*idx, value.clone(), true),
+            _ => return false,
+        };
+        self.ops.truncate(start);
+        self.ops.push(Op::CmpColConst {
+            op,
+            idx,
+            value,
+            const_left,
+        });
+        true
+    }
+
     /// Emit a placeholder op whose jump target is patched later.
     fn reserve(&mut self) -> usize {
         let at = self.ops.len();
@@ -611,6 +667,53 @@ mod tests {
         ] {
             agree(sql, &row);
         }
+    }
+
+    /// `column <cmp> constant` in either order runs as one fused op, and
+    /// agrees with the interpreter on every verdict, NULL and error:
+    /// NULL on either side, INT against FLOAT, mismatched types.
+    #[test]
+    fn column_constant_comparisons_fuse_and_agree() {
+        let rows = [
+            row_abc(),
+            vec![Value::Null, Value::Null, Value::Null],
+            vec![Value::Int(2), Value::Str("a".into()), Value::Float(-0.0)],
+        ];
+        for op in ["=", "<>", "<", "<=", ">", ">="] {
+            for (col, constant) in [
+                ("a", "5"),
+                ("a", "2.0"),
+                ("a", "4.5"),
+                ("c", "2"),
+                ("c", "0.0"),
+                ("b", "'hello'"),
+                ("b", "1"),
+                ("a", "'5'"),
+                ("a", "NULL"),
+                ("c", "1 + 1"),
+            ] {
+                for sql in [
+                    format!("{col} {op} {constant}"),
+                    format!("{constant} {op} {col}"),
+                ] {
+                    let expr = parse_expression(&sql).unwrap();
+                    let program = CompiledExpr::compile(&expr, &schema(), &mut NoCtx);
+                    assert!(
+                        matches!(program.ops.as_slice(), [Op::CmpColConst { .. }]),
+                        "{sql}: {:?}",
+                        program.ops
+                    );
+                    for row in &rows {
+                        agree(&sql, row);
+                    }
+                }
+            }
+        }
+        // Anything else keeps the general ops.
+        let expr = parse_expression("a + 1 = 6").unwrap();
+        let program = CompiledExpr::compile(&expr, &schema(), &mut NoCtx);
+        assert!(matches!(program.ops.last(), Some(Op::Binary(BinOp::Eq))));
+        agree("a > 1 AND c < 3 OR b = 'x'", &row_abc());
     }
 
     #[test]

@@ -555,6 +555,20 @@ fn shift_date(d: Date, days: i64) -> Result<Value> {
         .ok_or_else(overflow)
 }
 
+/// Whether two non-NULL operands ordered `ord` satisfy the comparison
+/// operator `op` (`=`, `<>`, `<`, `<=`, `>`, `>=`).
+pub(crate) fn comparison_holds(op: BinOp, ord: Ordering) -> bool {
+    match op {
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::NotEq => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::LtEq => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::GtEq => ord != Ordering::Less,
+        _ => unreachable!("not a comparison operator"),
+    }
+}
+
 /// Evaluate a binary operator on two values (comparison operators apply
 /// SQL NULL semantics; `/` always yields FLOAT to keep support/confidence
 /// ratios exact in generated mining SQL).
@@ -567,16 +581,7 @@ pub fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
             let Some(ord) = l.sql_cmp(&r)? else {
                 return Ok(Value::Null);
             };
-            let b = match op {
-                Eq => ord == Ordering::Equal,
-                NotEq => ord != Ordering::Equal,
-                Lt => ord == Ordering::Less,
-                LtEq => ord != Ordering::Greater,
-                Gt => ord == Ordering::Greater,
-                GtEq => ord != Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(b))
+            Ok(Value::Bool(comparison_holds(op, ord)))
         }
         Concat => {
             if l.is_null() || r.is_null() {

@@ -34,6 +34,10 @@ const VALUE_BYTES: usize = std::mem::size_of::<crate::value::Value>();
 pub struct TableDelta {
     pub inserted: Vec<Row>,
     pub deleted: Vec<Row>,
+    /// Whether some inserted row took a deleted row's place (an UPDATE)
+    /// instead of being appended: row *positions* are then not those of
+    /// a table that appends every insert.
+    pub replaced: bool,
 }
 
 impl TableDelta {
@@ -67,13 +71,15 @@ pub(crate) enum RowsMoved {
 /// One logged mutation: the version it produced plus the rows it moved.
 /// `tracked` is false for mutations whose row-level effect is not logged
 /// (TRUNCATE); a window crossing one yields no delta. UPDATE logs as a
-/// tracked delete+insert pair via [`Table::apply_updates`].
+/// tracked delete+insert pair via [`Table::apply_updates`], `replaced`
+/// set: its inserted rows took the deleted rows' places.
 #[derive(Debug, Clone)]
 struct ChangeRecord {
     version: u64,
     inserted: Vec<Row>,
     deleted: Vec<Row>,
     tracked: bool,
+    replaced: bool,
 }
 
 /// A materialised table: a schema plus row storage.
@@ -225,6 +231,7 @@ impl Table {
                 inserted,
                 deleted: Vec::new(),
                 tracked: true,
+                replaced: false,
             }),
             None => self.rebase_log(),
         }
@@ -266,21 +273,28 @@ impl Table {
     /// nothing is a no-op, not a version bump: caches and the paged store
     /// see an untouched table.
     pub fn delete_mask(&mut self, mask: &[bool]) -> usize {
-        if !mask.iter().take(self.rows.len()).any(|&m| m) {
+        let len = self.rows.len();
+        let Some(first) = mask.iter().take(len).position(|&m| m) else {
             return 0;
-        }
+        };
+        // Survivors close ranks in place: each removed row is taken out
+        // of its position (leaving an empty row, no allocation), each
+        // later survivor swaps down into the first hole, and the holes
+        // left past the survivors are cut off at the end.
+        let rows = Arc::make_mut(&mut self.rows);
         let mut deleted = Vec::new();
         let mut at = Vec::new();
-        let mut kept = Vec::with_capacity(self.rows.len());
-        for (i, row) in Arc::make_mut(&mut self.rows).drain(..).enumerate() {
+        let mut kept = first;
+        for i in first..len {
             if mask.get(i).copied().unwrap_or(false) {
-                deleted.push(row);
+                deleted.push(std::mem::take(&mut rows[i]));
                 at.push(i);
             } else {
-                kept.push(row);
+                rows.swap(kept, i);
+                kept += 1;
             }
         }
-        self.rows = Arc::new(kept);
+        rows.truncate(kept);
         self.moved = Some((self.version, RowsMoved::Deleted { at }));
         self.restamp();
         let removed = deleted.len();
@@ -289,6 +303,7 @@ impl Table {
             inserted: Vec::new(),
             deleted,
             tracked: true,
+            replaced: false,
         });
         removed
     }
@@ -329,6 +344,7 @@ impl Table {
             inserted,
             deleted,
             tracked: true,
+            replaced: true,
         });
         Ok(n)
     }
@@ -347,6 +363,7 @@ impl Table {
             inserted: Vec::new(),
             deleted: Vec::new(),
             tracked: false,
+            replaced: false,
         });
     }
 
@@ -398,6 +415,7 @@ impl Table {
             }
             delta.inserted.extend(record.inserted.iter().cloned());
             delta.deleted.extend(record.deleted.iter().cloned());
+            delta.replaced |= record.replaced;
         }
         Some(delta)
     }
@@ -670,6 +688,13 @@ mod tests {
         assert_eq!(delta.inserted, vec![row![2, "y"], row![3, "z"]]);
         assert_eq!(delta.deleted, vec![row![1, "x"]]);
         assert_eq!(delta.row_count(), 3);
+        assert!(!delta.replaced, "every insert was appended");
+        // An UPDATE's rows take the old rows' places.
+        let v1 = table.version();
+        table.apply_updates(vec![(0, row![5, "y"])]).unwrap();
+        let updated = table.changes_since(v1).unwrap();
+        assert_eq!((updated.inserted.len(), updated.replaced), (1, true));
+        assert!(table.changes_since(v0).unwrap().replaced);
         // The current stamp always yields an empty delta.
         assert_eq!(
             table.changes_since(table.version()),
@@ -867,6 +892,30 @@ mod tests {
         table.truncate();
         assert_eq!(table.moved_since(v4), None);
         assert_eq!(table.moved_since(v3), None);
+    }
+
+    /// The in-place compaction keeps the survivors in order and logs the
+    /// removed rows in table order, a mask shorter than the table keeping
+    /// the rows past its end.
+    #[test]
+    fn delete_mask_compacts_in_order() {
+        let mut table = t();
+        table.insert_all(numbered(0..8)).unwrap();
+        let v0 = table.version();
+        let mask = [false, true, true, false, true, false, true];
+        assert_eq!(table.delete_mask(&mask), 4);
+        let ids = |rows: &[Row]| -> Vec<Value> { rows.iter().map(|r| r[0].clone()).collect() };
+        let expected: Vec<Value> = [0, 3, 5, 7].map(Value::Int).into();
+        assert_eq!(ids(table.rows()), expected);
+        let delta = table.changes_since(v0).unwrap();
+        let removed: Vec<Value> = [1, 2, 4, 6].map(Value::Int).into();
+        assert_eq!(ids(&delta.deleted), removed);
+        assert_eq!(
+            table.moved_since(v0),
+            Some(&RowsMoved::Deleted {
+                at: vec![1, 2, 4, 6]
+            })
+        );
     }
 
     /// Copy-on-write, on both backends: a clone (what the session

@@ -8,6 +8,10 @@
 //! * Capturing an encoding into the session artifact store and restoring
 //!   it share the committed tables' rows (`relational::Table` is
 //!   copy-on-write): neither allocates per encoded row.
+//! * A rerun after a small delta re-derives the encoding from the kept
+//!   source digest: it replays the delta in place and reads no source
+//!   row, so its preprocess allocates within one budget whatever the
+//!   source's size — no allocation per group, none per row.
 //! * A cold simple-class `execute` builds no row of the encoded tables
 //!   only SQL reads (`CodedSource`, `ValidGroups` are deferred): it
 //!   allocates fewer blocks than `CodedSource` has rows.
@@ -159,6 +163,41 @@ fn capturing_and_restoring_an_encoding_allocates_independently_of_its_rows() {
     assert!(
         large.abs_diff(small) * 10 <= small,
         "10x the encoded rows: {small} -> {large} allocations"
+    );
+}
+
+#[test]
+fn a_delta_rerun_preprocesses_within_one_budget_at_any_source_size() {
+    // Capture a cold encoding, insert a new basket and delete an old one,
+    // then re-derive: the store replays the delta onto the digest it
+    // kept (no copy: nothing else holds it) and derives the tables from
+    // it. A cold pass would allocate per group — a scan's digest keeps a
+    // vector per group — and copying the digest would too.
+    const BUDGET: u64 = 1_000;
+    let run = |groups: i64| {
+        let (mut db, translation) = baskets(groups, 12, 1);
+        let store = ArtifactStore::new(true);
+        let cold = preprocess_for_core(&mut db, &translation).unwrap();
+        store.capture_encoding(&db, &translation, "", &cold);
+        drop(cold);
+        db.execute("INSERT INTO Baskets VALUES (-1, 'item_01'), (-1, 'item_02')")
+            .unwrap();
+        db.execute("DELETE FROM Baskets WHERE tr = 100").unwrap();
+        let (restored, allocated) = allocations(|| {
+            let restored = store.restore_encoding(&mut db, &translation, "").unwrap();
+            let (run, kind) = restored.expect("the delta re-derives the encoding");
+            store.capture_encoding(&db, &translation, "", &run);
+            (run, kind)
+        });
+        assert_eq!(restored.1, minerule::ServeKind::Delta);
+        assert!(restored.0.report.executed.is_empty(), "no Qi step ran");
+        assert_eq!(restored.0.report.total_groups, groups as u64);
+        allocated
+    };
+    let (small, large) = (run(500), run(5_000));
+    assert!(
+        small <= BUDGET && large <= BUDGET,
+        "{small} and {large} allocations at 500 and 5000 groups (budget {BUDGET})"
     );
 }
 

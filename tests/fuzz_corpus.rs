@@ -3,7 +3,9 @@
 //!
 //! Every repro file in `tests/fuzz_corpus/` replays clean across the
 //! quick configuration matrix (the full matrix runs in CI's `fuzz-smoke`
-//! job and nightly). The remaining tests pin the harness itself: an
+//! job and nightly). Every one in `tests/fuzz_open/` — a divergence not
+//! mended yet — still diverges between the two configurations its header
+//! names. The remaining tests pin the harness itself: an
 //! injected skew is caught, the shrinker converges to a tiny case that
 //! still reproduces, and the shrunk case round-trips through the repro
 //! format.
@@ -64,6 +66,40 @@ fn corpus_replays_clean_across_the_quick_matrix() {
         assert_eq!(report.configs, Matrix::Quick.configs().len());
     }
     let _ = std::fs::remove_dir_all(&opts.work_dir);
+}
+
+/// An open divergence stays checked in as its shrunk repro. Once the
+/// code is mended this fails: the file then moves into
+/// `tests/fuzz_corpus/`, where it must replay clean.
+#[test]
+fn open_divergences_still_reproduce() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_open");
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "repro"))
+        .collect();
+    entries.sort();
+    let work_dir = work_dir("open");
+    for (i, path) in entries.iter().enumerate() {
+        let text = std::fs::read_to_string(path).unwrap();
+        let repro = parse_repro(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let config = |label: &Option<String>| {
+            let label = label
+                .as_deref()
+                .expect("an open repro names both configurations");
+            tcdm_fuzz::matrix::config_by_label(Matrix::Full, label).unwrap()
+        };
+        let (a, b) = (config(&repro.header.against), config(&repro.header.config));
+        let tag = format!("open{i}");
+        let divergence = diverges_between(&repro.case, &a, &b, Skew::None, &work_dir, &tag);
+        assert!(
+            divergence.is_some(),
+            "{} no longer diverges: move it into tests/fuzz_corpus/",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&work_dir);
 }
 
 #[test]

@@ -15,7 +15,7 @@ use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::postprocess::{decode_rules, postprocess, read_rules, store_encoded_rules};
 use minerule::preprocess::{preprocess, preprocess_for_core, run_steps, Preprocessed};
 use minerule::translator::Step;
-use minerule::{parse_mine_rule, translate, ArtifactStore, DecodedRule, MineRuleEngine};
+use minerule::{parse_mine_rule, translate, ArtifactStore, DecodedRule, MineRuleEngine, ServeKind};
 use relational::catalog::TableEntry;
 use relational::{persist, Database, StorageBackend, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
@@ -280,7 +280,8 @@ fn assert_handover_agrees(
     // The cold thresholds last, so the database ends as it started.
     for translation in [&tighter, translation] {
         let restored = store.restore_encoding(db, translation, "").unwrap();
-        let restored = restored.expect("a tighter support restores");
+        let (restored, kind) = restored.expect("a tighter support restores");
+        assert_eq!(kind, ServeKind::Hit, "reinstated: {stmt:?}");
         let handed_over = restored.encoded_input(translation).unwrap();
         let handed_over = handed_over.expect("a restore hands the input over");
         let read_back = read_encoded(db, translation);
