@@ -542,7 +542,13 @@ impl Gen<'_> {
             } else {
                 String::new()
             };
-            match self.rng.gen_below(3) {
+            match self.rng.gen_below(4) {
+                // Written disconnected: Product joins nothing before p2.
+                3 => format!(
+                    "SELECT p1.customer, p2.item, category FROM Purchase p1, Product, \
+                     Purchase p2 WHERE p1.tr = p2.tr AND p2.item = pitem{}",
+                    extra.replace("price", "p1.price")
+                ),
                 0 => format!(
                     "SELECT customer, category, COUNT(*) FROM Purchase, Product \
                      WHERE item = pitem{extra} GROUP BY customer, category"

@@ -1,17 +1,19 @@
 //! `EXPLAIN <statement>`: a human-readable description of how the engine
-//! would execute a query — factor order, predicate pushdown, join
-//! strategy, aggregation and post-processing steps.
+//! executes a query — the scan of each factor, the conjuncts pushed down
+//! to them, the join steps in the order they run, the residual filter,
+//! aggregation and post-processing steps.
 //!
-//! The description is computed from the same classification logic the
-//! executor uses ([`crate::exec::join`]), so it reflects the actual plan,
-//! not a guess.
+//! The FROM list's part is not re-derived: it is the [`JoinPlan`] that
+//! [`plan_joins`] returns for the factors' catalog schemas, the same
+//! function the executor runs its joins by. Views and subqueries have no
+//! schema before they run, so nothing is pushed to a factor holding one
+//! here, while the executor, which has their rows, may push to it.
 
 use crate::engine::Database;
 use crate::error::Result;
-use crate::exec::join::{conjuncts, resolves_in};
+use crate::exec::join::{conjuncts, plan_joins, JoinPlan};
 use crate::expr::eval::QueryCtx;
-use crate::expr::{BinOp, Expr};
-use crate::sql::ast::{JoinKind, SelectStmt, Statement, TableSource};
+use crate::sql::ast::{JoinKind, SelectStmt, Statement, TableRef, TableSource};
 use crate::types::Schema;
 
 /// Render the plan for any statement.
@@ -44,22 +46,30 @@ fn pad(indent: usize) -> String {
     "  ".repeat(indent)
 }
 
-fn factor_schema(db: &Database, source: &TableSource, alias: Option<&str>) -> Option<Schema> {
-    match source {
-        TableSource::Named(name) => {
-            let base = if let Some(view) = db.catalog().view(name) {
-                // Approximate a view's schema by its projection arity only.
-                let _ = view;
-                return None;
-            } else {
-                db.catalog().table_schema(name).ok()?.clone()
-            };
-            Some(match alias {
-                Some(a) => base.with_qualifier(a),
-                None => base.with_qualifier(name),
-            })
+/// The schema the executor gives factor `tref`: its tables' columns under
+/// their qualifiers, joined along its explicit JOIN chain. Empty when the
+/// chain holds a view or a subquery.
+fn factor_schema(db: &Database, tref: &TableRef) -> Schema {
+    let one = |source: &TableSource, alias: &Option<String>| match source {
+        TableSource::Named(name) if !db.catalog().has_view(name) => {
+            let schema = db.catalog().table_schema(name).ok()?;
+            Some(schema.with_qualifier(alias.as_deref().unwrap_or(name)))
         }
-        TableSource::Subquery(_) => None,
+        _ => None,
+    };
+    let chain = tref.joins.iter().map(|j| one(&j.source, &j.alias));
+    std::iter::once(one(&tref.source, &tref.alias))
+        .chain(chain)
+        .try_fold(Schema::default(), |acc, s| Some(acc.join(&s?)))
+        .unwrap_or_default()
+}
+
+/// The name a join step calls factor `tref` by.
+fn factor_name(tref: &TableRef) -> &str {
+    match (&tref.alias, &tref.source) {
+        (Some(a), _) => a,
+        (None, TableSource::Named(name)) => name,
+        (None, TableSource::Subquery(_)) => "(subquery)",
     }
 }
 
@@ -86,78 +96,46 @@ fn factor_label(db: &Database, source: &TableSource, alias: Option<&str>) -> Str
     }
 }
 
-/// Row count of factor `i` when it is a plain named base table.
-fn factor_rows(db: &Database, stmt: &SelectStmt, i: usize) -> Option<u64> {
-    let tref = stmt.from.get(i)?;
-    if !tref.joins.is_empty() {
-        return None;
-    }
-    let TableSource::Named(name) = &tref.source else {
-        return None;
-    };
-    Some(db.catalog().row_count(name).ok()? as u64)
-}
-
-/// Catalog distinct estimate for a plain-column key of factor `i`.
-fn column_ndv(
+/// Print a FROM list's plan: pushed conjuncts, join steps, residual
+/// filters. Each join step names the order it runs in; the reference
+/// paths fold in written order instead, so there the steps carry no
+/// order and no cross product is listed.
+fn explain_plan(
     db: &Database,
     stmt: &SelectStmt,
-    schemas: &[Option<Schema>],
-    i: usize,
-    key: &Expr,
-) -> Option<u64> {
-    let tref = stmt.from.get(i)?;
-    if !tref.joins.is_empty() {
-        return None;
+    plan: &JoinPlan,
+    indent: usize,
+    out: &mut String,
+) {
+    let pad = pad(indent);
+    for (f, c) in &plan.pushed {
+        out.push_str(&format!("{pad}pushdown to factor {}: {c}\n", f + 1));
     }
-    let TableSource::Named(name) = &tref.source else {
-        return None;
-    };
-    let Expr::Column {
-        qualifier,
-        name: col,
-    } = key
-    else {
-        return None;
-    };
-    let pos = schemas
-        .get(i)?
-        .as_ref()?
-        .resolve(qualifier.as_deref(), col)
-        .ok()?;
-    db.catalog().table(name).ok()?.distinct(pos)
-}
-
-/// Cost-based estimate for one equi-join conjunct: `(est rows, cost)`,
-/// with `est = |L|·|R| / ndv(key)` from the catalog statistics and
-/// `cost = |L| + |R| + est` (hash build + probe + emit). `None` when
-/// either side is not a named base table.
-fn join_estimate(
-    db: &Database,
-    stmt: &SelectStmt,
-    schemas: &[Option<Schema>],
-    left: &Expr,
-    right: &Expr,
-) -> Option<(u64, u64)> {
-    let factor_of = |e: &Expr| -> Option<usize> {
-        schemas
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| resolves_in(e, s)))
-    };
-    let (lf, rf) = match (factor_of(left), factor_of(right)) {
-        (Some(lf), Some(rf)) if lf != rf => (lf, rf),
-        _ => return None,
-    };
-    let lr = factor_rows(db, stmt, lf)?;
-    let rr = factor_rows(db, stmt, rf)?;
-    let ndv = column_ndv(db, stmt, schemas, lf, left)
-        .into_iter()
-        .chain(column_ndv(db, stmt, schemas, rf, right))
-        .max()
-        .unwrap_or_else(|| lr.max(rr))
-        .max(1);
-    let est = lr.saturating_mul(rr) / ndv;
-    Some((est, lr.saturating_add(rr).saturating_add(est)))
+    let ordered = !db.reference_paths();
+    let name = |f: usize| factor_name(&stmt.from[f]);
+    for (k, step) in plan.steps.iter().enumerate().skip(1) {
+        let at = match k {
+            1 => format!(
+                "step 1: {} ⋈ {}",
+                name(plan.steps[0].factor),
+                name(step.factor)
+            ),
+            _ => format!("step {k}: ⋈ {}", name(step.factor)),
+        };
+        if step.keys.is_empty() && ordered {
+            out.push_str(&format!("{pad}cross join ({at})\n"));
+        }
+        for key in &step.keys {
+            out.push_str(&format!("{pad}hash join on: {}", key.conjunct));
+            if ordered {
+                out.push_str(&format!(" ({at})"));
+            }
+            out.push('\n');
+        }
+    }
+    for c in &plan.residual {
+        out.push_str(&format!("{pad}filter: {c}\n"));
+    }
 }
 
 fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut String) -> Result<()> {
@@ -178,7 +156,6 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
     }
 
     // Factors and explicit joins.
-    let mut schemas: Vec<Option<Schema>> = Vec::new();
     for tref in &stmt.from {
         out.push_str(&format!(
             "{}scan {}\n",
@@ -202,78 +179,25 @@ fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut Str
         if let TableSource::Subquery(q) = &tref.source {
             explain_select(db, q, indent + 2, out)?;
         }
-        schemas.push(factor_schema(db, &tref.source, tref.alias.as_deref()));
     }
 
-    // Predicate classification, mirroring the executor's pushdown logic.
-    if let Some(w) = &stmt.where_clause {
-        for c in conjuncts(w) {
-            let mut placed = false;
-            for (i, schema) in schemas.iter().enumerate() {
-                if let Some(schema) = schema {
-                    if resolves_in(c, schema) {
-                        out.push_str(&format!(
-                            "{}pushdown to factor {}: {c}\n",
-                            pad(indent + 1),
-                            i + 1
-                        ));
-                        placed = true;
-                        break;
-                    }
-                }
-            }
-            if placed {
-                continue;
-            }
-            let equi_sides = match c {
-                Expr::Binary {
-                    op: BinOp::Eq,
-                    left,
-                    right,
-                } if matches!(**left, Expr::Column { .. })
-                    && matches!(**right, Expr::Column { .. }) =>
-                {
-                    Some((left.as_ref(), right.as_ref()))
-                }
-                _ => None,
-            };
-            if let Some((l, r)) = equi_sides {
-                out.push_str(&format!("{}hash join on: {c}", pad(indent + 1)));
-                if !db.reference_paths() {
-                    if let Some((est, cost)) = join_estimate(db, stmt, &schemas, l, r) {
-                        out.push_str(&format!(" (est {est} rows, cost {cost})"));
-                    }
-                }
-                out.push('\n');
-            } else {
-                out.push_str(&format!("{}filter: {c}\n", pad(indent + 1)));
-            }
-        }
-    }
+    let schemas: Vec<Schema> = stmt.from.iter().map(|t| factor_schema(db, t)).collect();
+    let schemas: Vec<&Schema> = schemas.iter().collect();
+    let where_conjuncts = stmt
+        .where_clause
+        .as_ref()
+        .map(conjuncts)
+        .unwrap_or_default();
+    let plan = plan_joins(&schemas, where_conjuncts);
+    explain_plan(db, stmt, &plan, indent + 1, out);
 
     if !stmt.group_by.is_empty() {
         let keys: Vec<String> = stmt.group_by.iter().map(|e| e.to_string()).collect();
         out.push_str(&format!(
-            "{}hash aggregate by ({})",
+            "{}hash aggregate by ({})\n",
             pad(indent + 1),
             keys.join(", ")
         ));
-        if !db.reference_paths() && schemas.len() == 1 {
-            let rows = factor_rows(db, stmt, 0);
-            let ndvs: Option<Vec<u64>> = stmt
-                .group_by
-                .iter()
-                .map(|k| column_ndv(db, stmt, &schemas, 0, k))
-                .collect();
-            if let (Some(rows), Some(ndvs)) = (rows, ndvs) {
-                let groups = ndvs
-                    .iter()
-                    .fold(1u64, |acc, &d| acc.saturating_mul(d.max(1)))
-                    .min(rows);
-                out.push_str(&format!(" (est {groups} groups of {rows} rows)"));
-            }
-        }
-        out.push('\n');
     } else if stmt
         .items
         .iter()
@@ -327,6 +251,12 @@ mod tests {
         assert!(p.contains("scan t [2 rows]"), "{p}");
         assert!(p.contains("hash join on: t.a = u.a"), "{p}");
         assert!(p.contains("pushdown to factor 1: t.b = 'x'"), "{p}");
+        // `a` answers to `t.a` and `u.a`: pushing it to `t` would pick one.
+        let p = plan("SELECT t.b FROM t, u WHERE a = 1");
+        assert!(
+            p.ends_with("  filter: a = 1") && !p.contains("pushdown"),
+            "{p}"
+        );
     }
 
     #[test]
@@ -372,27 +302,32 @@ mod tests {
     }
 
     #[test]
-    fn cost_estimates_annotate_access_paths() {
+    fn join_steps_name_the_order_that_runs() {
         let mut db = db();
         db.execute("INSERT INTO u VALUES (1, 7), (2, 8)").unwrap();
-        let join = parse_statement("SELECT t.b FROM t, u WHERE t.a = u.a").unwrap();
+        db.execute("CREATE TABLE v (c INT)").unwrap();
+        // `v` is written second but joins nothing before it: it waits.
+        let join =
+            parse_statement("SELECT t.b FROM t, v, u WHERE t.a = u.a AND u.c = v.c").unwrap();
         let p = explain_statement(&db, &join).unwrap();
         assert!(
-            p.contains("hash join on: t.a = u.a (est 2 rows, cost 6)"),
+            p.contains("  hash join on: t.a = u.a (step 1: t ⋈ u)\n"),
             "{p}"
         );
+        assert!(p.contains("  hash join on: u.c = v.c (step 2: ⋈ v)"), "{p}");
+        let cross = parse_statement("SELECT t.b FROM t, u").unwrap();
+        let p = explain_statement(&db, &cross).unwrap();
+        assert!(p.ends_with("  cross join (step 1: t ⋈ u)"), "{p}");
         let group = parse_statement("SELECT b, COUNT(*) FROM t GROUP BY b").unwrap();
         let p = explain_statement(&db, &group).unwrap();
-        assert!(
-            p.contains("hash aggregate by (b) (est 2 groups of 2 rows)"),
-            "{p}"
-        );
-        // The written-order fold estimates nothing, for joins or groups.
+        assert!(p.ends_with("  hash aggregate by (b)"), "{p}");
+        // The written-order fold claims no order and no cross product.
         db.set_reference_paths(true);
-        for stmt in [&join, &group] {
-            let p = explain_statement(&db, stmt).unwrap();
-            assert!(!p.contains("(est "), "{p}");
-        }
+        let p = explain_statement(&db, &join).unwrap();
+        assert!(p.contains("  hash join on: t.a = u.a\n"), "{p}");
+        assert!(!p.contains("(step "), "{p}");
+        let p = explain_statement(&db, &cross).unwrap();
+        assert!(!p.contains("cross join"), "{p}");
     }
 
     #[test]

@@ -1,20 +1,25 @@
-//! FROM-clause materialisation and join planning.
+//! FROM-clause planning and joining.
 //!
-//! The engine plans the comma-join FROM list by splitting the WHERE clause
-//! into conjuncts, pushing single-table predicates down to scans, and
-//! turning `a.x = b.y` conjuncts into hash joins. Everything left over is
-//! applied as a residual filter by the caller. This is exactly enough for
-//! the preprocessing queries of the paper's Appendix A (multi-way
-//! equi-joins between `Source`, `ValidGroups`, `Bset`, ...) to run in
-//! linear-ish time instead of as nested loops.
+//! [`plan_joins`] makes every decision about a comma-join FROM list, from
+//! the factors' schemas and the WHERE conjuncts alone: which conjunct is
+//! pushed down to one factor's scan, which is an equi-join key between two
+//! factors, which stays a residual filter for the caller, and the order
+//! the factors are joined in. The plan is a value ([`JoinPlan`]):
+//! [`join_factors`] runs it and `EXPLAIN` prints it, so the order EXPLAIN
+//! shows is the order that runs.
 //!
-//! The planner orders joins greedily by estimated intermediate
-//! cardinality — `|L|·|R| / ndv(key)`, with distinct counts from the
-//! catalog statistics — and builds each hash table over the smaller
-//! input. Instead of materialising every intermediate, it carries tuples
-//! of factor row indices and materialises the demanded columns once at
-//! the end, in the canonical lexicographic order of a written-order
-//! fold. That fold — the FROM list left-to-right, the next
+//! The order is the written one, except that a factor with no equi-join
+//! key to the factors already joined waits until one connects. A FROM list
+//! written in a disconnected order therefore builds no avoidable cross
+//! product, and the order depends on the statement alone. The paper's
+//! Appendix A programs join every factor to the ones before it, so they
+//! run in written order.
+//!
+//! The executor carries tuples of factor row indices instead of
+//! materialising intermediates, builds each hash table over the smaller
+//! input (exact post-filter sizes) and materialises the demanded columns
+//! once at the end, in the canonical lexicographic order of a
+//! written-order fold. That fold — the FROM list left-to-right, the next
 //! factor always the hash-join build side — is kept as the reference path
 //! ([`QueryCtx::reference_paths`]); both return bit-identical results.
 //!
@@ -33,15 +38,6 @@ use crate::row::Row;
 use crate::types::{Column, Schema};
 use crate::value::Value;
 
-/// Provenance of a relation that is a verbatim snapshot of a base table:
-/// same rows, same positions. The cost join reads its key columns'
-/// catalog distinct counts through it ([`QueryCtx::column_distinct`]).
-#[derive(Debug, Clone)]
-pub struct BaseRef {
-    /// Catalog name of the source table.
-    pub table: String,
-}
-
 /// A fully materialised intermediate relation.
 #[derive(Debug, Clone)]
 pub struct Relation {
@@ -50,9 +46,6 @@ pub struct Relation {
     /// mutate through [`Arc::make_mut`], which copies a shared vector
     /// first (a filter copies only its survivors).
     pub rows: Arc<Vec<Row>>,
-    /// Set only while `rows` is an untouched base-table snapshot; any
-    /// filter or join clears it (row positions stop matching the table).
-    pub base: Option<BaseRef>,
 }
 
 impl Relation {
@@ -62,28 +55,12 @@ impl Relation {
         Relation::owned(Schema::default(), vec![Vec::new()])
     }
 
-    /// A relation over rows nothing else holds, with no table provenance.
+    /// A relation over rows nothing else holds.
     pub fn owned(schema: Schema, rows: Vec<Row>) -> Relation {
         Relation {
             schema,
             rows: Arc::new(rows),
-            base: None,
         }
-    }
-
-    /// Resolve key expressions that are all plain column references to
-    /// their positions in this relation's schema. Any non-column key (or
-    /// unresolvable name) yields `None` — such a key has no catalog
-    /// distinct estimate.
-    pub fn key_positions(&self, keys: &[&Expr]) -> Option<Vec<usize>> {
-        keys.iter()
-            .map(|k| match k {
-                Expr::Column { qualifier, name } => {
-                    self.schema.resolve(qualifier.as_deref(), name).ok()
-                }
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -156,35 +133,152 @@ pub fn resolves_in(expr: &Expr, schema: &Schema) -> bool {
     ok
 }
 
-/// An equi-join conjunct `left_col = right_col` with sides resolved to two
-/// disjoint schemas.
-struct EquiPred<'a> {
+/// The factor `expr` belongs to: the first whose schema resolves it
+/// ([`resolves_in`]), provided none of its column references also
+/// answers to a column of another factor. Such a reference is ambiguous
+/// over the joined row, so the conjunct stays residual and
+/// [`Schema::resolve`] reports the ambiguity there.
+fn home(expr: &Expr, schemas: &[&Schema]) -> Option<usize> {
+    let f = schemas.iter().position(|s| resolves_in(expr, s))?;
+    let refs = expr.column_refs();
+    let elsewhere = schemas.iter().enumerate().any(|(g, s)| {
+        g != f
+            && s.columns()
+                .iter()
+                .any(|c| refs.iter().any(|&(q, name)| c.answers_to(q, name)))
+    });
+    (!elsewhere).then_some(f)
+}
+
+/// An equi-join key: a `left = right` conjunct whose sides are columns of
+/// two different factors.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinKey<'a> {
+    /// The conjunct itself.
+    pub conjunct: &'a Expr,
+    lf: usize,
+    rf: usize,
     left: &'a Expr,
     right: &'a Expr,
 }
 
-fn as_equi<'a>(expr: &'a Expr) -> Option<EquiPred<'a>> {
-    if let Expr::Binary {
-        left,
-        op: BinOp::Eq,
-        right,
-    } = expr
-    {
-        if matches!(**left, Expr::Column { .. }) && matches!(**right, Expr::Column { .. }) {
-            return Some(EquiPred {
-                left: left.as_ref(),
-                right: right.as_ref(),
-            });
+impl<'a> JoinKey<'a> {
+    /// The key expression living in factor `f`, one of the key's two.
+    fn side(&self, f: usize) -> &'a Expr {
+        if self.lf == f {
+            self.left
+        } else {
+            self.right
         }
     }
-    None
+
+    /// The opposite side of factor `f`: `(factor, key expression)`, or
+    /// `None` when `f` is not one of the key's factors.
+    fn other(&self, f: usize) -> Option<(usize, &'a Expr)> {
+        if self.lf == f {
+            Some((self.rf, self.right))
+        } else if self.rf == f {
+            Some((self.lf, self.left))
+        } else {
+            None
+        }
+    }
+}
+
+/// One join step: `factor` joined to the factors of the steps before it
+/// on `keys`, or by a cross product when `keys` is empty. The first step
+/// has no keys: it is the scan the others join to.
+#[derive(Debug, Clone)]
+pub struct JoinStep<'a> {
+    /// The factor's position in the FROM list.
+    pub factor: usize,
+    pub keys: Vec<JoinKey<'a>>,
+}
+
+/// The plan of one comma-join FROM list ([`plan_joins`]).
+#[derive(Debug, Clone)]
+pub struct JoinPlan<'a> {
+    /// Conjuncts pushed down to one factor's scan, `(factor, conjunct)`,
+    /// in WHERE order.
+    pub pushed: Vec<(usize, &'a Expr)>,
+    /// Every factor once, in join order, with the keys each step uses.
+    pub steps: Vec<JoinStep<'a>>,
+    /// Conjuncts the caller filters the joined rows with: the rest in
+    /// WHERE order, then the `column = column` ones that are no key.
+    pub residual: Vec<&'a Expr>,
+}
+
+impl JoinPlan<'_> {
+    /// Factors joined at another position than the one they are written at.
+    pub fn reordered(&self) -> usize {
+        let steps = self.steps.iter().enumerate();
+        steps.filter(|(i, s)| s.factor != *i).count()
+    }
+}
+
+/// Plan a FROM list of factors with the given schemas under the WHERE
+/// clause's conjuncts (see the module docs for the rules).
+pub fn plan_joins<'a>(schemas: &[&Schema], where_conjuncts: Vec<&'a Expr>) -> JoinPlan<'a> {
+    let (mut pushed, mut residual, mut keys, mut unkeyed) = (vec![], vec![], vec![], vec![]);
+    for c in where_conjuncts {
+        if let Some(f) = home(c, schemas) {
+            pushed.push((f, c));
+            continue;
+        }
+        let (left, right) = match c {
+            Expr::Binary {
+                left,
+                op: BinOp::Eq,
+                right,
+            } if matches!(**left, Expr::Column { .. })
+                && matches!(**right, Expr::Column { .. }) =>
+            {
+                (left.as_ref(), right.as_ref())
+            }
+            _ => {
+                residual.push(c);
+                continue;
+            }
+        };
+        match (home(left, schemas), home(right, schemas)) {
+            (Some(lf), Some(rf)) if lf != rf => keys.push(JoinKey {
+                conjunct: c,
+                lf,
+                rf,
+                left,
+                right,
+            }),
+            _ => unkeyed.push(c),
+        }
+    }
+    residual.extend(unkeyed);
+
+    let n = schemas.len();
+    let mut joined = vec![false; n];
+    let mut steps = Vec::with_capacity(n);
+    for _ in 0..n {
+        let connects = |k: &JoinKey, f: usize| k.other(f).is_some_and(|(g, _)| joined[g]);
+        // The first unjoined factor a key connects, else the first one.
+        let factor = (0..n)
+            .filter(|&f| !joined[f])
+            .min_by_key(|&f| (!keys.iter().any(|k| connects(k, f)), f))
+            .expect("an unjoined factor is left");
+        let (now, later) = keys.into_iter().partition(|k| connects(k, factor));
+        keys = later;
+        joined[factor] = true;
+        steps.push(JoinStep { factor, keys: now });
+    }
+    JoinPlan {
+        pushed,
+        steps,
+        residual,
+    }
 }
 
 /// Filter `rel` in place by `pred` — the predicate is planned once and
 /// run per row with a reused stack (stopping at the first error) — then
 /// compact the rows in one pass.
 pub fn filter_relation(rel: &mut Relation, pred: &Expr, ctx: &mut dyn QueryCtx) -> Result<()> {
-    rel.base = None; // row positions may shift; drop table provenance
     let before = rel.rows.len();
     let eval = SiteEval::plan(pred, &rel.schema, ctx);
     let mut stack = Vec::new();
@@ -214,8 +308,8 @@ fn retain_rows(rows: &mut Arc<Vec<Row>>, keep: &[bool]) {
 }
 
 /// Evaluate join-key expressions over `rows` into one value column per
-/// key, with per-row programs. Join keys are plain column references (see
-/// [`as_equi`]), so they cannot error or draw sequences; the build/probe
+/// key, with per-row programs. Join keys are plain column references
+/// ([`JoinKey`]), so they cannot error or draw sequences; the build/probe
 /// loops then read the columns by row index, which also turns repeated
 /// per-tuple key evaluation into a gather.
 fn key_columns(
@@ -273,7 +367,7 @@ fn build_table(
     Ok(table)
 }
 
-/// One value column per connecting predicate of a cost-join step, each
+/// One value column per key of a planned join step, each
 /// evaluated over its own factor's rows (the tuple loops then gather by
 /// the tuple's row index into that factor).
 fn other_key_columns(
@@ -309,245 +403,93 @@ fn gather_tuple_key(
 }
 
 /// Join the factors of a FROM list, consuming the usable conjuncts of the
-/// WHERE clause. Returns the joined relation and the conjuncts that were
-/// *not* consumed (the caller must apply them afterwards). The cost-based
-/// join keeps only the columns `demand` and those conjuncts can read; the
-/// written-order fold keeps every column.
+/// WHERE clause as [`plan_joins`] decides. Returns the joined relation and
+/// the residual conjuncts (the caller must apply them afterwards). The
+/// planned join keeps only the columns `demand` and those conjuncts can
+/// read; the written-order fold keeps every column.
 pub fn join_factors<'a>(
     mut factors: Vec<Relation>,
     where_conjuncts: Vec<&'a Expr>,
     demand: &Demand<'a>,
     ctx: &mut dyn QueryCtx,
 ) -> Result<(Relation, Vec<&'a Expr>)> {
-    let cost = !ctx.reference_paths();
-    if cost {
+    let planned = !ctx.reference_paths();
+    if planned {
         ctx.bump(ExecCounter::PlannerPlans, 1);
     }
-    // Push single-factor predicates down to their scans.
-    let mut remaining: Vec<&Expr> = Vec::new();
-    'conj: for c in where_conjuncts {
-        for factor in factors.iter_mut() {
-            if resolves_in(c, &factor.schema) {
-                filter_relation(factor, c, ctx)?;
-                if cost {
-                    ctx.bump(ExecCounter::PlannerPushedFilters, 1);
-                }
-                continue 'conj;
-            }
-        }
-        remaining.push(c);
-    }
-
-    // Collect equi-join candidates from what's left.
-    let mut equis: Vec<(&Expr, EquiPred)> = Vec::new();
-    let mut residual: Vec<&Expr> = Vec::new();
-    for c in remaining {
-        match as_equi(c) {
-            Some(e) => equis.push((c, e)),
-            None => residual.push(c),
+    let schemas: Vec<&Schema> = factors.iter().map(|f| &f.schema).collect();
+    let plan = plan_joins(&schemas, where_conjuncts);
+    for &(f, c) in &plan.pushed {
+        filter_relation(&mut factors[f], c, ctx)?;
+        if planned {
+            ctx.bump(ExecCounter::PlannerPushedFilters, 1);
         }
     }
-
-    if cost && factors.len() >= 2 {
-        return cost_join(factors, equis, residual, demand, ctx);
+    if planned && factors.len() >= 2 {
+        run_plan(factors, plan, demand, ctx)
+    } else {
+        fold(factors, plan, ctx)
     }
+}
 
-    let mut factors: std::collections::VecDeque<Relation> = factors.into();
-    let mut current = match factors.pop_front() {
-        Some(f) => f,
-        None => Relation::unit(),
-    };
-
-    while let Some(next) = factors.pop_front() {
-        // Find every equi predicate linking `current` and `next`.
-        let mut build_keys: Vec<&Expr> = Vec::new();
-        let mut probe_keys: Vec<&Expr> = Vec::new();
-        let mut used = vec![false; equis.len()];
-        for (i, (_, e)) in equis.iter().enumerate() {
-            let l_cur = resolves_in(e.left, &current.schema);
-            let r_nxt = resolves_in(e.right, &next.schema);
-            let l_nxt = resolves_in(e.left, &next.schema);
-            let r_cur = resolves_in(e.right, &current.schema);
-            if l_cur && r_nxt && !l_nxt && !r_cur {
-                probe_keys.push(e.left);
-                build_keys.push(e.right);
-                used[i] = true;
-            } else if l_nxt && r_cur && !l_cur && !r_nxt {
-                probe_keys.push(e.right);
-                build_keys.push(e.left);
-                used[i] = true;
-            }
-        }
-        // Drop consumed predicates; keep the rest for later factors or
-        // the residual pass.
-        let mut kept = Vec::new();
-        for (i, pair) in equis.into_iter().enumerate() {
-            if !used[i] {
-                kept.push(pair);
-            }
-        }
-        equis = kept;
-
-        current = if build_keys.is_empty() {
+/// The reference join: fold the factors in written order, the next factor
+/// always the build side, on the plan's keys, materialising every
+/// intermediate row whole.
+fn fold<'a>(
+    factors: Vec<Relation>,
+    plan: JoinPlan<'a>,
+    ctx: &mut dyn QueryCtx,
+) -> Result<(Relation, Vec<&'a Expr>)> {
+    let keys: Vec<&JoinKey> = plan.steps.iter().flat_map(|s| &s.keys).collect();
+    let mut factors = factors.into_iter().enumerate();
+    let mut current = factors.next().map_or_else(Relation::unit, |(_, f)| f);
+    for (j, next) in factors {
+        // The keys between `next` and a factor already folded in.
+        let (probe, build): (Vec<&Expr>, Vec<&Expr>) = keys
+            .iter()
+            .filter_map(|k| {
+                k.other(j)
+                    .filter(|&(g, _)| g < j)
+                    .map(|(_, e)| (e, k.side(j)))
+            })
+            .unzip();
+        current = if build.is_empty() {
             cross_join(&current, &next, ctx)
         } else {
-            hash_join(&current, &next, &probe_keys, &build_keys, ctx)?
+            hash_join(&current, &next, &probe, &build, ctx)?
         };
     }
-
-    // Unconsumed equi predicates (self-comparisons, three-way references)
-    // fall back to residual evaluation.
-    for (orig, _) in equis {
-        residual.push(orig);
-    }
-    Ok((current, residual))
+    Ok((current, plan.residual))
 }
 
-/// The factor `expr` resolves in, when that factor is unique. Ambiguous
-/// and unresolvable expressions yield `None` — exactly the predicates the
-/// written-order fold also leaves to residual evaluation.
-fn unique_factor(expr: &Expr, factors: &[Relation]) -> Option<usize> {
-    let mut found = None;
-    for (i, f) in factors.iter().enumerate() {
-        if resolves_in(expr, &f.schema) {
-            if found.is_some() {
-                return None;
-            }
-            found = Some(i);
-        }
-    }
-    found
-}
-
-/// An equi predicate with both sides resolved to two distinct factors.
-struct FactorPred<'a> {
-    lf: usize,
-    rf: usize,
-    left: &'a Expr,
-    right: &'a Expr,
-}
-
-impl<'a> FactorPred<'a> {
-    /// The key expression living in factor `f`.
-    fn side(&self, f: usize) -> &'a Expr {
-        if self.lf == f {
-            self.left
-        } else {
-            self.right
-        }
-    }
-
-    /// The opposite side: `(factor, key expression)`.
-    fn other(&self, f: usize) -> (usize, &'a Expr) {
-        if self.lf == f {
-            (self.rf, self.right)
-        } else {
-            (self.lf, self.left)
-        }
-    }
-}
-
-/// Cost-based join of a multi-factor FROM list.
+/// Run a plan of two or more factors in its step order.
 ///
-/// Joins are ordered greedily: start from the smallest factor, then
-/// repeatedly fold in the factor with the smallest estimated output
-/// (`|acc|·|next| / ndv(next key)`, distinct counts from the catalog
-/// statistics; a disconnected factor estimates as a cross product). The
-/// accumulator is one flat vector of *row-index tuples* (stride = factor
-/// count), not materialised rows, so a tuple costs 4 bytes per factor and
-/// no allocation. Each hash step builds over the smaller input, ties
-/// going to the incoming factor. At the end the tuples are put in
-/// canonical factor order — the exact row order the written-order fold
-/// produces — and the demanded columns materialised once: those `demand`
-/// or a residual conjunct can read.
-fn cost_join<'a>(
+/// The accumulator is one flat vector of *row-index tuples* (stride =
+/// factor count), not materialised rows, so a tuple costs 4 bytes per
+/// factor and no allocation. Each hash step builds over the smaller
+/// input, ties going to the incoming factor. At the end the tuples are
+/// put in canonical factor order — the exact row order the written-order
+/// fold produces — and the demanded columns materialised once: those
+/// `demand` or a residual conjunct can read.
+fn run_plan<'a>(
     factors: Vec<Relation>,
-    equis: Vec<(&'a Expr, EquiPred<'a>)>,
-    mut residual: Vec<&'a Expr>,
+    plan: JoinPlan<'a>,
     demand: &Demand<'a>,
     ctx: &mut dyn QueryCtx,
 ) -> Result<(Relation, Vec<&'a Expr>)> {
     let n = factors.len();
-    let mut preds: Vec<FactorPred> = Vec::new();
-    for (orig, e) in equis {
-        match (
-            unique_factor(e.left, &factors),
-            unique_factor(e.right, &factors),
-        ) {
-            (Some(lf), Some(rf)) if lf != rf => preds.push(FactorPred {
-                lf,
-                rf,
-                left: e.left,
-                right: e.right,
-            }),
-            _ => residual.push(orig),
-        }
-    }
-
-    let mut joined = vec![false; n];
-    let mut pred_used = vec![false; preds.len()];
-    let start = (0..n)
-        .min_by_key(|&i| (factors[i].rows.len(), i))
-        .expect("cost_join requires factors");
-    joined[start] = true;
-    let mut order = vec![start];
+    let start = plan.steps[0].factor;
     // Tuple `i` is `tuples[i * n..(i + 1) * n]`: one row index per factor;
-    // unjoined slots are 0 and masked by `joined`.
+    // the slots of factors not joined yet are 0.
     let mut tuples: Vec<u32> = vec![0; factors[start].rows.len() * n];
     for (i, t) in tuples.chunks_exact_mut(n).enumerate() {
         t[start] = i as u32;
     }
 
-    while order.len() < n {
+    for step in &plan.steps[1..] {
+        let f = step.factor;
         let acc = tuples.len() / n;
-        // Pick the unjoined factor with the smallest estimated output.
-        let mut best: Option<(u64, usize)> = None;
-        for (f, factor) in factors.iter().enumerate() {
-            if joined[f] {
-                continue;
-            }
-            let fr = factor.rows.len() as u64;
-            let cross = (acc as u64).saturating_mul(fr);
-            let mut connected = false;
-            let mut ndv = 1u64;
-            for (pi, p) in preds.iter().enumerate() {
-                if pred_used[pi] || !((joined[p.lf] && p.rf == f) || (joined[p.rf] && p.lf == f)) {
-                    continue;
-                }
-                connected = true;
-                let key = p.side(f);
-                let d = match (&factor.base, factor.key_positions(&[key])) {
-                    (Some(b), Some(cols)) => {
-                        ctx.column_distinct(&b.table, cols[0]).unwrap_or(fr.max(1))
-                    }
-                    _ => fr.max(1),
-                };
-                ndv = ndv.max(d.max(1));
-            }
-            let est = if connected { cross / ndv } else { cross };
-            let better = match best {
-                None => true,
-                Some(b) => (est, f) < b,
-            };
-            if better {
-                best = Some((est, f));
-            }
-        }
-        let (est, f) = best.expect("an unjoined factor exists");
-
-        let conn: Vec<usize> = (0..preds.len())
-            .filter(|&pi| {
-                !pred_used[pi]
-                    && ((joined[preds[pi].lf] && preds[pi].rf == f)
-                        || (joined[preds[pi].rf] && preds[pi].lf == f))
-            })
-            .collect();
-        for &pi in &conn {
-            pred_used[pi] = true;
-        }
-
-        let out: Vec<u32> = if conn.is_empty() {
-            // No usable predicate: cross product.
+        let out: Vec<u32> = if step.keys.is_empty() {
             let fr = factors[f].rows.len();
             let mut out = Vec::with_capacity(tuples.len().saturating_mul(fr));
             for t in tuples.chunks_exact(n) {
@@ -557,13 +499,15 @@ fn cost_join<'a>(
             }
             out
         } else {
-            let f_keys: Vec<&Expr> = conn.iter().map(|&pi| preds[pi].side(f)).collect();
-            let other: Vec<(usize, &Expr)> = conn.iter().map(|&pi| preds[pi].other(f)).collect();
+            let f_keys: Vec<&Expr> = step.keys.iter().map(|k| k.side(f)).collect();
+            let other: Vec<(usize, &Expr)> = step
+                .keys
+                .iter()
+                .map(|k| k.other(f).expect("a step's keys reach its factor"))
+                .collect();
             let ocols = other_key_columns(&other, &factors, ctx)?;
             let mut out: Vec<u32> = Vec::new();
-            let mut key: Vec<Value> = Vec::with_capacity(conn.len());
-            // Build side: the smaller input, ties going to the incoming
-            // factor.
+            let mut key: Vec<Value> = Vec::with_capacity(other.len());
             if factors[f].rows.len() <= acc {
                 let table = build_table(&f_keys, &factors[f], ctx)?;
                 for t in tuples.chunks_exact(n) {
@@ -598,20 +542,14 @@ fn cost_join<'a>(
             }
             out
         };
-
-        let produced = (out.len() / n) as u64;
-        ctx.bump(ExecCounter::RowsJoined, produced);
-        ctx.bump(ExecCounter::PlannerEstRowsErr, est.abs_diff(produced));
+        ctx.bump(ExecCounter::RowsJoined, (out.len() / n) as u64);
         tuples = out;
-        joined[f] = true;
-        order.push(f);
     }
-
-    let reordered = order.iter().enumerate().filter(|&(i, &f)| i != f).count() as u64;
-    ctx.bump(ExecCounter::PlannerReorderedJoins, reordered);
+    ctx.bump(ExecCounter::PlannerReorderedJoins, plan.reordered() as u64);
 
     // Only the columns some later reference can resolve to are built; a
     // `COUNT(*)` join builds width-0 rows, which allocate nothing.
+    let residual = plan.residual;
     let demand = demand.with(&residual);
     let (mut columns, mut schema) = (Vec::new(), Schema::default());
     for (fi, fct) in factors.iter().enumerate() {
@@ -712,6 +650,55 @@ mod tests {
     fn rel(q: &str, names: &[(&str, DataType)], rows: Vec<Row>) -> Relation {
         let columns = names.iter().map(|(n, t)| Column::qualified(q, *n, *t));
         Relation::owned(Schema::new(columns.collect()), rows)
+    }
+
+    fn schema(q: &str, names: &[&str]) -> Schema {
+        let columns = names
+            .iter()
+            .map(|n| Column::qualified(q, *n, DataType::Int));
+        Schema::new(columns.collect())
+    }
+
+    #[test]
+    fn a_factor_no_key_connects_yet_waits_for_one() {
+        let (a, c, b) = (
+            schema("a", &["x"]),
+            schema("c", &["y"]),
+            schema("b", &["x", "y"]),
+        );
+        let pred = parse_expression("a.x = b.x AND b.y = c.y").unwrap();
+        let plan = plan_joins(&[&a, &c, &b], conjuncts(&pred));
+        let order: Vec<usize> = plan.steps.iter().map(|s| s.factor).collect();
+        assert_eq!(order, [0, 2, 1]);
+        assert_eq!(plan.steps[1].keys[0].conjunct.to_string(), "a.x = b.x");
+        assert_eq!(plan.steps[2].keys[0].conjunct.to_string(), "b.y = c.y");
+        assert_eq!(plan.reordered(), 2);
+        // Connected as written: the written order.
+        let plan = plan_joins(&[&a, &b, &c], conjuncts(&pred));
+        assert_eq!(plan.reordered(), 0);
+        // Nothing connects: a cross product per step, in written order.
+        let plan = plan_joins(&[&a, &c, &b], Vec::new());
+        assert!(plan.steps.iter().all(|s| s.keys.is_empty()));
+        assert_eq!(plan.reordered(), 0);
+    }
+
+    #[test]
+    fn a_column_answering_in_two_factors_is_never_pushed_or_keyed() {
+        let (a, b) = (schema("a", &["x", "tag"]), schema("b", &["x", "y"]));
+        let pred = parse_expression("x = 1 AND tag = 2 AND x = y AND a.x = y AND b.y > 0").unwrap();
+        let plan = plan_joins(&[&a, &b], conjuncts(&pred));
+        let pushed: Vec<(usize, String)> = plan
+            .pushed
+            .iter()
+            .map(|(f, c)| (*f, c.to_string()))
+            .collect();
+        assert_eq!(
+            pushed,
+            [(0, "tag = 2".to_string()), (1, "b.y > 0".to_string())]
+        );
+        assert_eq!(plan.steps[1].keys[0].conjunct.to_string(), "a.x = y");
+        let residual: Vec<String> = plan.residual.iter().map(|c| c.to_string()).collect();
+        assert_eq!(residual, ["x = 1", "x = y"]);
     }
 
     #[test]

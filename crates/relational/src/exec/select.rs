@@ -10,7 +10,7 @@ use std::hash::BuildHasher;
 
 use crate::engine::Database;
 use crate::error::{Error, Result};
-use crate::exec::join::{conjuncts, filter_relation, join_factors, BaseRef, Demand, Relation};
+use crate::exec::join::{conjuncts, filter_relation, join_factors, Demand, Relation};
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, QueryCtx};
 use crate::expr::{AggFunc, BinOp, Expr};
@@ -304,15 +304,12 @@ fn materialize_factor(
         (None, TableSource::Named(n)) => Some(n.clone()),
         (None, TableSource::Subquery(_)) => None,
     };
-    // Re-qualifying columns keeps positions intact, so base-table
-    // provenance survives the aliasing step.
     Ok(Relation {
         schema: match &qualifier {
             Some(q) => base.schema.with_qualifier(q),
             None => base.schema,
         },
         rows: base.rows,
-        base: base.base,
     })
 }
 
@@ -361,9 +358,7 @@ fn explicit_join(
 }
 
 /// Materialise a named table or view. A base table's rows are shared,
-/// not copied, and carry their provenance (the table's name) so the
-/// cost join can read its key columns' catalog distinct counts; views
-/// are re-evaluated queries and get none.
+/// not copied; a view is a re-evaluated query.
 fn materialize_named(db: &mut Database, name: &str) -> Result<Relation> {
     if let Some(view) = db.catalog().view(name).cloned() {
         let rs = run_select(db, &view.query)?;
@@ -373,9 +368,6 @@ fn materialize_named(db: &mut Database, name: &str) -> Result<Relation> {
     let relation = Relation {
         schema: table.schema().clone(),
         rows: table.shared_rows(),
-        base: Some(BaseRef {
-            table: table.name().to_string(),
-        }),
     };
     db.bump(ExecCounter::RowsScanned, relation.rows.len() as u64);
     Ok(relation)

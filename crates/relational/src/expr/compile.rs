@@ -42,15 +42,13 @@ pub enum ExecCounter {
     RowsFiltered,
     /// Rows produced by join operators.
     RowsJoined,
-    /// FROM lists planned by the cost-based planner.
+    /// FROM lists planned by [`crate::exec::join::plan_joins`] and run
+    /// in its step order.
     PlannerPlans,
-    /// Join steps the cost-based planner moved off the written
-    /// left-to-right order.
+    /// Factors the plan joins at another position than the written one.
     PlannerReorderedJoins,
-    /// WHERE conjuncts the cost-based planner pushed beneath joins.
+    /// WHERE conjuncts the plan pushed beneath joins.
     PlannerPushedFilters,
-    /// Accumulated |estimated − actual| join output rows.
-    PlannerEstRowsErr,
 }
 
 /// One instruction of a compiled expression program. Operand order on

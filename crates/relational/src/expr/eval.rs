@@ -37,11 +37,6 @@ pub trait QueryCtx {
     /// Record executor work ([`ExecCounter`]). A no-op outside an
     /// engine, so plan-level helpers can report unconditionally.
     fn bump(&mut self, _counter: ExecCounter, _n: u64) {}
-    /// Estimated distinct count of one column of a base table, from the
-    /// catalog statistics. `None` outside an engine (or off-range).
-    fn column_distinct(&self, _table: &str, _col: usize) -> Option<u64> {
-        None
-    }
 }
 
 /// A context for expression evaluation outside any engine (literals only);

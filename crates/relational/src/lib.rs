@@ -42,7 +42,6 @@ pub mod resultset;
 pub mod row;
 pub mod sequence;
 pub mod sql;
-pub mod stats;
 pub mod storage;
 pub mod table;
 pub mod types;

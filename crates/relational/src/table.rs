@@ -5,7 +5,6 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::{Error, Result};
 use crate::row::Row;
-use crate::stats::ColumnStats;
 use crate::types::Schema;
 
 /// Process-global version stamp source. Every stamp is unique, so a table
@@ -102,9 +101,6 @@ pub struct Table {
     schema: Schema,
     rows: Arc<Vec<Row>>,
     version: u64,
-    /// One distinct-count estimate per column, each filled by the first
-    /// [`Table::distinct`] call at this version and emptied by `restamp`.
-    distinct: Vec<OnceLock<u64>>,
     /// Row-level mutation log, oldest first. Applies on top of
     /// `change_base`; bounded by `CHANGE_LOG_ROWS` total rows.
     changes: Arc<Vec<ChangeRecord>>,
@@ -125,7 +121,6 @@ impl Table {
         let version = next_version();
         Table {
             name: name.into(),
-            distinct: vec![OnceLock::new(); schema.len()],
             schema,
             rows: Arc::default(),
             version,
@@ -136,11 +131,9 @@ impl Table {
         }
     }
 
-    /// Take a fresh version stamp. The one place the version moves, so
-    /// the one place data derived from the old rows is dropped.
+    /// Take a fresh version stamp: the one place the version moves.
     fn restamp(&mut self) {
         self.version = next_version();
-        self.distinct.fill(OnceLock::new());
     }
 
     /// The table's current version stamp. Monotonically increasing across
@@ -177,20 +170,6 @@ impl Table {
     /// Number of stored rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Estimated number of distinct values in column `col` (`None` past
-    /// the schema width): exact up to [`crate::stats::KMV_K`] values, a
-    /// KMV estimate beyond. Computed over the current rows on the first
-    /// request and kept until the next mutation, so it always describes
-    /// [`Table::version`].
-    pub fn distinct(&self, col: usize) -> Option<u64> {
-        let cell = self.distinct.get(col)?;
-        Some(*cell.get_or_init(|| {
-            let mut sketch = ColumnStats::default();
-            self.rows.iter().for_each(|row| sketch.observe(&row[col]));
-            sketch.distinct()
-        }))
     }
 
     /// Append a row after checking arity and column types: the one-row
@@ -438,7 +417,6 @@ impl Table {
     fn built(name: String, schema: Schema, rows: Vec<Row>, version: u64) -> Table {
         Table {
             name,
-            distinct: vec![OnceLock::new(); schema.len()],
             schema,
             rows: Arc::new(rows),
             version,
@@ -627,55 +605,6 @@ mod tests {
         assert!(t().version() > seen[0]);
     }
 
-    /// Which distinct cells hold a value, without asking for one.
-    fn filled(table: &Table) -> Vec<bool> {
-        table.distinct.iter().map(|c| c.get().is_some()).collect()
-    }
-
-    #[test]
-    fn distinct_is_computed_on_demand_and_dropped_by_every_mutation() {
-        let mut table = t();
-        assert_eq!(filled(&table), [false, false], "a new table asks nothing");
-        table
-            .insert_all(vec![row![1, "x"], row![2, "y"], row![3, "x"]])
-            .unwrap();
-        assert_eq!(filled(&table), [false, false], "INSERT sketches nothing");
-        assert_eq!(table.distinct(0), Some(3));
-        assert_eq!(filled(&table), [true, false], "only the column asked for");
-        assert_eq!(table.distinct(1), Some(2));
-        assert_eq!(table.distinct(2), None, "past the schema width");
-        assert_eq!(filled(&table), [true, true]);
-
-        // What changes nothing keeps the cells: no-ops and refused batches.
-        assert_eq!(table.insert_all(Vec::new()).unwrap(), 0);
-        assert_eq!(table.delete_mask(&[false, false, false]), 0);
-        assert_eq!(table.apply_updates(Vec::new()).unwrap(), 0);
-        assert!(table.insert(row!["bad", "z"]).is_err());
-        assert_eq!(filled(&table), [true, true]);
-        // A clone is the same rows at the same version: it carries the
-        // answers and computes none of its own.
-        assert_eq!(filled(&table.clone()), [true, true]);
-
-        table.insert(row![4, "z"]).unwrap();
-        assert_eq!(filled(&table), [false, false], "INSERT invalidates");
-        assert_eq!(filled(&table.clone()), [false, false]);
-        assert_eq!((table.distinct(0), table.distinct(1)), (Some(4), Some(3)));
-
-        table.apply_updates(vec![(3, row![1, "x"])]).unwrap();
-        assert_eq!(filled(&table), [false, false], "UPDATE invalidates");
-        assert_eq!((table.distinct(0), table.distinct(1)), (Some(3), Some(2)));
-
-        table.delete_where(|r| r[1] == Value::Str("x".into()));
-        assert_eq!(filled(&table), [false, false], "DELETE invalidates");
-        assert_eq!(table.row_count(), 1);
-        assert_eq!((table.distinct(0), table.distinct(1)), (Some(1), Some(1)));
-
-        table.truncate();
-        assert_eq!(filled(&table), [false, false], "TRUNCATE invalidates");
-        assert_eq!(table.row_count(), 0);
-        assert_eq!((table.distinct(0), table.distinct(1)), (Some(0), Some(0)));
-    }
-
     #[test]
     fn changes_since_replays_inserts_and_deletes() {
         let mut table = t();
@@ -781,7 +710,6 @@ mod tests {
         assert_eq!(single.changes.len(), CHANGE_LOG_ROWS);
         assert_eq!(bulk.changes_since(b0), single.changes_since(s0));
         assert_eq!(bulk.rows(), single.rows());
-        assert_eq!(bulk.distinct(0), single.distinct(0));
     }
 
     #[test]

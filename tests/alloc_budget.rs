@@ -319,9 +319,10 @@ fn a_count_over_an_equi_self_join_allocates_per_key_not_per_joined_row() {
 
 #[test]
 fn a_join_over_an_unfiltered_base_table_copies_none_of_its_rows() {
-    // Either way round, the cost join starts from `Small` and builds its
-    // hash table over it, the smaller input. Over distinct `T.k`s a table
-    // built over `T` would allocate one key per row.
+    // Either way round, the planned join builds its hash table over
+    // `Small`, the smaller input: as the incoming factor or as the first
+    // step's tuples. Over distinct `T.k`s a table built over `T` would
+    // allocate one key per row.
     for sql in [
         "SELECT COUNT(*) FROM T, Small WHERE T.k = Small.k",
         "SELECT COUNT(*) FROM Small, T WHERE T.k = Small.k",

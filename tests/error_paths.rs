@@ -372,6 +372,44 @@ fn deepest_accepted_expressions_run_inside_a_test_thread_stack() {
 }
 
 #[test]
+fn a_column_two_factors_answer_to_is_ambiguous_wherever_it_is_written() {
+    // `x` answers to `a.x` and `b.x`. A WHERE conjunct naming it is not
+    // pushed down to the first factor that has an `x` (which read
+    // `x = y` as `b.x = b.y`): like a projection or an ON condition, it
+    // fails over the joined row, on the production and reference paths.
+    for reference in [false, true] {
+        let mut db = relational::Database::new();
+        db.set_reference_paths(reference);
+        for sql in [
+            "CREATE TABLE a (x INT, tag VARCHAR)",
+            "CREATE TABLE b (x INT, y INT)",
+            "INSERT INTO a VALUES (1, 'p'), (2, 'q')",
+            "INSERT INTO b VALUES (1, 1), (3, 4)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        for sql in [
+            "SELECT * FROM a, b WHERE x = 1",
+            "SELECT x FROM a, b",
+            "SELECT * FROM a JOIN b ON x = 1",
+            "SELECT COUNT(*) FROM a, b WHERE x = y",
+        ] {
+            let err = db.query(sql).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "ambiguous column 'x'",
+                "{sql} (reference paths: {reference})"
+            );
+        }
+        // Qualified, the same conjuncts push down and join as before.
+        let rs = db.query("SELECT COUNT(*) FROM a, b WHERE a.x = 1").unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(2)));
+        let rs = db.query("SELECT COUNT(*) FROM a, b WHERE b.x = y").unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(2)));
+    }
+}
+
+#[test]
 fn a_condition_failing_at_run_time_reads_the_same_on_every_path() {
     // A source, group, cluster or mining condition that fails while it is
     // evaluated (division by zero, string arithmetic): the fused pass

@@ -1,10 +1,9 @@
 //! EXPLAIN snapshots over the paper's own data: the Figure 1 `Purchase`
 //! table and the §2 / Figure 2b mined-output join shapes. The plans must
 //! state each operator — a scan per factor, a hash join per equi-join
-//! conjunct, a hash aggregate per GROUP BY, with the cost planner's
-//! estimates beside them and none on the reference paths — so the
-//! tightly-coupled claim ("the SQL server does the data management")
-//! stays inspectable.
+//! conjunct with the step it runs at (none on the reference paths), a
+//! hash aggregate per GROUP BY — so the tightly-coupled claim ("the SQL
+//! server does the data management") stays inspectable.
 
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::MineRuleEngine;
@@ -35,7 +34,7 @@ fn figure2b_output_join_reports_its_access_path() {
     let p = plan(&mut db, join);
     assert!(
         p.lines()
-            .any(|l| l == "  hash join on: r.BodyId = b.BodyId (est 4 rows, cost 11)"),
+            .any(|l| l == "  hash join on: r.BodyId = b.BodyId (step 1: r ⋈ b)"),
         "{p}"
     );
 
@@ -51,28 +50,61 @@ fn figure2b_output_join_reports_its_access_path() {
 #[test]
 fn explain_snapshot_is_stable_for_the_figure1_plan() {
     let mut db = purchase_db();
-    let p = plan(&mut db, GROUPED);
     // Full snapshot: the plan shape is part of the observable contract.
-    // The cost planner annotates its cardinality estimates.
+    // A one-factor plan has no join step, so both paths print the same.
+    for reference in [false, true] {
+        db.set_reference_paths(reference);
+        assert_eq!(
+            plan(&mut db, GROUPED),
+            "Select\n  \
+             scan Purchase [8 rows]\n  \
+             hash aggregate by (customer)",
+            "plan drifted (reference paths: {reference})"
+        );
+    }
+}
+
+#[test]
+fn explain_shows_the_order_that_ran() {
+    let mut db = Database::new();
+    for sql in [
+        "CREATE TABLE a (x INT, tag VARCHAR)",
+        "CREATE TABLE b (x INT, y INT)",
+        "CREATE TABLE c (y INT, lab VARCHAR)",
+        "INSERT INTO a VALUES (1, 'p'), (2, 'q'), (3, 'r'), (4, 's')",
+        "INSERT INTO b VALUES (1, 10), (2, 20), (3, 30), (3, 31)",
+        "INSERT INTO c VALUES (20, 'twenty'), (30, 'thirty'), (30, 'xxx'), (99, 'none')",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    // Written order a, c, b: no key joins c to a, so c waits for b.
+    let q = "SELECT a.tag, c.lab FROM a, c, b WHERE a.x = b.x AND b.y = c.y";
+    let p = plan(&mut db, q);
+    let steps: Vec<&str> = p.lines().filter(|l| l.contains(" join")).collect();
     assert_eq!(
-        p,
-        "Select\n  \
-         scan Purchase [8 rows]\n  \
-         hash aggregate by (customer) (est 2 groups of 8 rows)",
-        "plan drifted"
+        steps,
+        [
+            "  hash join on: a.x = b.x (step 1: a ⋈ b)",
+            "  hash join on: b.y = c.y (step 2: ⋈ c)",
+        ],
+        "{p}"
     );
 
-    // On the reference paths the estimates disappear: no statistics are
-    // consulted, so none are printed.
-    db.set_reference_paths(true);
-    let p = plan(&mut db, GROUPED);
+    let before = db.stats();
+    let planned = db.query(q).unwrap();
+    let after = db.stats();
     assert_eq!(
-        p,
-        "Select\n  \
-         scan Purchase [8 rows]\n  \
-         hash aggregate by (customer)",
-        "reference plan drifted"
+        after.planner_reordered_joins - before.planner_reordered_joins,
+        2,
+        "b and c each run off their written position"
     );
+    // |a ⋈ b| = 4, then |a ⋈ b ⋈ c| = 3: the 16-row a × c is never built.
+    assert_eq!(after.rows_joined - before.rows_joined, 4 + 3);
+
+    db.set_reference_paths(true);
+    let folded = db.query(q).unwrap();
+    assert_eq!(planned.rows(), folded.rows(), "rows and row order agree");
+    assert_eq!(planned.len(), 3);
 }
 
 #[test]

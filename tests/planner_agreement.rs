@@ -1,13 +1,10 @@
-//! Planner agreement: the cost-based planner (statistics-driven join
-//! ordering, build-side selection) and the fused preprocess pass — every
-//! statement class — must be observably identical to the written-order
-//! fold and the step-by-step `Qi` program — bit-identical rules, rows *and row order*
-//! — across grammar-generated workloads. The fold and
-//! the stepwise program are the planning legs of the database's
-//! reference paths (`Database::set_reference_paths`). The second half
-//! pins the catalog-statistics maintenance the planner relies on:
-//! incremental upkeep across INSERT/UPDATE/DELETE/TRUNCATE, version
-//! stamping, and survival of a persist/reload cycle.
+//! Planner agreement: the planned join (the step order of `plan_joins`,
+//! build-side selection) and the fused preprocess pass — every statement
+//! class — must be observably identical to the written-order fold and the
+//! step-by-step `Qi` program — bit-identical rules, rows *and row order* —
+//! across grammar-generated workloads. The fold and the stepwise program
+//! are the planning legs of the database's reference paths
+//! (`Database::set_reference_paths`).
 
 use minerule::core_op::{run_core, CoreOptions};
 use minerule::encoded::read_encoded;
@@ -17,7 +14,7 @@ use minerule::preprocess::{preprocess, preprocess_for_core, run_steps, Preproces
 use minerule::translator::Step;
 use minerule::{parse_mine_rule, translate, ArtifactStore, DecodedRule, MineRuleEngine, ServeKind};
 use relational::catalog::TableEntry;
-use relational::{persist, Database, StorageBackend, Value};
+use relational::{Database, StorageBackend, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{diverges_between, Config, Skew};
 use tcdm_fuzz::Op;
@@ -1061,67 +1058,12 @@ fn a_taken_output_name_fails_identically_on_both_routes() {
     assert_eq!(mined[0].len(), 18);
 }
 
-// ---------------------------------------------------------------------
-// Catalog statistics (computed on demand, per table version)
-// ---------------------------------------------------------------------
-
-#[test]
-fn stats_track_insert_update_delete_truncate() {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE T (a INT, b TEXT)").unwrap();
-    let stats = |db: &Database| {
-        let t = db.catalog().table("T").unwrap();
-        (t.row_count(), t.distinct(0), t.distinct(1))
-    };
-    assert_eq!(stats(&db), (0, Some(0), Some(0)));
-
-    // Every answer describes the rows as they are now.
-    for (a, b) in [(1, "x"), (2, "y"), (3, "x"), (3, "z")] {
-        db.execute(&format!("INSERT INTO T VALUES ({a}, '{b}')"))
-            .unwrap();
-    }
-    assert_eq!(stats(&db), (4, Some(3), Some(3)));
-
-    // UPDATE rewrites the rows and the statistics follow.
-    db.execute("UPDATE T SET b = 'x' WHERE a = 2").unwrap();
-    assert_eq!(stats(&db), (4, Some(3), Some(2)));
-
-    // DELETE: the estimate is over the survivors.
-    db.execute("DELETE FROM T WHERE a = 3").unwrap();
-    assert_eq!(stats(&db), (2, Some(2), Some(1)));
-
-    // Truncation empties (the SQL surface has no TRUNCATE; the
-    // engine truncates through the table API, e.g. for UPDATE rewrites).
-    db.catalog_mut().table_mut("T").unwrap().truncate();
-    assert_eq!(stats(&db), (0, Some(0), Some(0)));
-}
-
-#[test]
-fn stats_survive_persist_and_reload() {
-    let dir = work_dir("persist");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut db = purchase_db();
-    db.execute("INSERT INTO Purchase VALUES (10, 'c3', 'boots', DATE '2026-01-05', 140, 1)")
-        .unwrap();
-    let before = {
-        let t = db.catalog().table("Purchase").unwrap();
-        (t.row_count(), t.distinct(1))
-    };
-    assert_eq!(before.0, 9);
-    persist::save(&db, &dir).unwrap();
-
-    let reloaded = persist::load(&dir).unwrap();
-    let t = reloaded.catalog().table("Purchase").unwrap();
-    assert_eq!((t.row_count(), t.distinct(1)), before);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn cost_planner_plans_baseref_joins_and_matches_the_naive_fold() {
-    // Both join inputs resolve to base tables (BaseRef provenance); the
-    // cost planner must consult their statistics (accounted through the
-    // planner counters and the EXPLAIN estimates) while producing rows
-    // bit-identical to the written-order fold — order included.
+    // Both join inputs are base tables; the planned join (accounted
+    // through the planner counters, its step order printed by EXPLAIN)
+    // must produce rows bit-identical to the written-order fold — order
+    // included.
     let mut db = Database::new();
     db.execute("CREATE TABLE Big (k INT, pad TEXT)").unwrap();
     db.execute("CREATE TABLE Small (k INT)").unwrap();
@@ -1138,25 +1080,29 @@ fn cost_planner_plans_baseref_joins_and_matches_the_naive_fold() {
     let plan: Vec<String> = explain.rows().iter().map(|r| r[0].to_string()).collect();
     let plan = plan.join("\n");
     assert!(
-        plan.contains("(est ") && plan.contains("cost "),
-        "cost planner must annotate its estimates: {plan}"
+        plan.contains("  hash join on: b.k = s.k (step 1: b ⋈ s)"),
+        "EXPLAIN names the step order: {plan}"
     );
 
     let before = db.stats();
-    let cost = db.query(join).unwrap();
+    let planned = db.query(join).unwrap();
     let after = db.stats();
     assert!(
         after.planner_plans > before.planner_plans,
-        "the cost planner must account the planned join"
+        "the planned join is accounted"
     );
 
     db.set_reference_paths(true);
     let naive = db.query(join).unwrap();
-    assert_eq!(cost.rows(), naive.rows(), "row order must match the fold");
-    assert_eq!(cost.rows().len(), 20);
+    assert_eq!(
+        planned.rows(),
+        naive.rows(),
+        "row order must match the fold"
+    );
+    assert_eq!(planned.rows().len(), 20);
 
     // The sequence of values matters too: canonical order is the
     // left-to-right fold's order.
-    let first: Vec<&Value> = cost.rows()[0].iter().collect();
+    let first: Vec<&Value> = planned.rows()[0].iter().collect();
     assert_eq!(first, vec![&Value::Int(0), &Value::Int(0)]);
 }

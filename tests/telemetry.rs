@@ -388,11 +388,15 @@ fn joined_from_runs_its_sql_steps_on_the_row_loop() {
     );
     // Exact for Figure 1's data: one program per expression the Q-steps
     // evaluate, the key expressions every hash join and GROUP BY buckets
-    // by included, and every scanned and joined row.
+    // by included, and every scanned and joined row. Every Q-step joins
+    // its factors in written order, each connected to the ones before.
     assert_eq!(snap.counter("relational.compile.programs"), 17);
     assert_eq!(snap.counter("relational.rows.scanned"), 63);
     assert_eq!(snap.counter("relational.rows.filtered"), 0);
-    assert_eq!(snap.counter("relational.rows.joined"), 24);
+    assert_eq!(snap.counter("relational.rows.joined"), 28);
+    assert!(!snap
+        .counters
+        .contains_key("relational.planner.reordered_joins"));
 }
 
 #[test]
