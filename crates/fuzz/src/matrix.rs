@@ -8,12 +8,21 @@
 //! error text — and any difference from the baseline configuration is a
 //! [`Divergence`]. Small cases are additionally checked against the
 //! brute-force [`minerule::reference`] oracle.
+//!
+//! On the production configurations a query's outcome also carries any
+//! disagreement between its `EXPLAIN` and its run: the number of
+//! `pushdown to factor` lines must equal the conjuncts the executor
+//! pushed (`planner.pushed_filters`). The baseline runs the reference
+//! paths, which push nothing, so a disagreement is a divergence from it.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use minerule::reference::reference_mine;
 use minerule::{parse_mine_rule, DecodedRule, MineRuleEngine};
+use relational::expr::Expr;
+use relational::sql::ast::{SelectItem, SelectStmt, Statement, TableSource};
+use relational::sql::parser::parse_statement;
 use relational::{Database, StorageBackend};
 
 use crate::{FuzzCase, Op};
@@ -307,6 +316,61 @@ fn render_rows(rs: &relational::ResultSet) -> String {
     lines.join("\n")
 }
 
+/// Whether a SELECT holds a subquery inside an expression (scalar, IN or
+/// EXISTS). Such a subquery is planned and run where it is evaluated, so
+/// its pushdowns are not among the plan's that EXPLAIN prints.
+fn has_expression_subquery(stmt: &SelectStmt) -> bool {
+    let items = stmt.items.iter().filter_map(|i| match i {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    let on = stmt
+        .from
+        .iter()
+        .flat_map(|t| t.joins.iter().flat_map(|j| &j.on));
+    let exprs = items.chain(&stmt.where_clause).chain(&stmt.group_by);
+    let exprs = exprs
+        .chain(&stmt.having)
+        .chain(stmt.order_by.iter().map(|o| &o.expr));
+    let mut found = false;
+    for e in exprs.chain(on) {
+        e.walk(&mut |e| {
+            found |= matches!(
+                e,
+                Expr::ScalarSubquery(_) | Expr::Exists { .. } | Expr::InSubquery { .. }
+            )
+        });
+    }
+    let sources = stmt
+        .from
+        .iter()
+        .flat_map(|t| std::iter::once(&t.source).chain(t.joins.iter().map(|j| &j.source)));
+    let derived = sources.filter_map(|s| match s {
+        TableSource::Subquery(q) => Some(q.as_ref()),
+        TableSource::Named(_) => None,
+    });
+    found
+        || stmt
+            .set_op
+            .iter()
+            .map(|(_, rhs)| rhs.as_ref())
+            .chain(derived)
+            .any(has_expression_subquery)
+}
+
+/// The `pushdown to factor` lines EXPLAIN prints for a query, or `None`
+/// when the check does not apply (not a SELECT, a subquery inside an
+/// expression, or EXPLAIN itself fails).
+fn explained_pushdowns(db: &mut Database, sql: &str) -> Option<u64> {
+    match parse_statement(sql).ok()? {
+        Statement::Select(stmt) if !has_expression_subquery(&stmt) => {}
+        _ => return None,
+    }
+    let plan = db.query(&format!("EXPLAIN {sql}")).ok()?;
+    let lines = plan.rows().iter().map(|r| r[0].to_string());
+    Some(lines.filter(|l| l.contains("pushdown to factor")).count() as u64)
+}
+
 fn run_config(
     case: &FuzzCase,
     config: &Config,
@@ -351,23 +415,36 @@ fn run_config(
                 Ok(out) => format!("ok rows={}", out.rows_affected),
                 Err(e) => format!("err: {e:?}"),
             },
-            Op::Query(s) => match db.query(s) {
-                Ok(rs) => {
-                    let mut rendered = render_rows(&rs);
-                    if skew == Skew::ProductionDropsLastRow
-                        && !config.reference
-                        && !rendered.is_empty()
-                    {
-                        // Injected fault: lose the (sorted) last row.
-                        rendered = match rendered.rsplit_once('\n') {
-                            Some((head, _)) => head.to_string(),
-                            None => String::new(),
-                        };
+            Op::Query(s) => {
+                let explained = (!config.reference)
+                    .then(|| explained_pushdowns(&mut db, s))
+                    .flatten();
+                let pushed_before = db.stats().planner_pushed_filters;
+                match db.query(s) {
+                    Ok(rs) => {
+                        let mut rendered = render_rows(&rs);
+                        if skew == Skew::ProductionDropsLastRow
+                            && !config.reference
+                            && !rendered.is_empty()
+                        {
+                            // Injected fault: lose the (sorted) last row.
+                            rendered = match rendered.rsplit_once('\n') {
+                                Some((head, _)) => head.to_string(),
+                                None => String::new(),
+                            };
+                        }
+                        let mut outcome = format!("rows:\n{rendered}");
+                        let pushed = db.stats().planner_pushed_filters - pushed_before;
+                        if let Some(printed) = explained.filter(|&n| n != pushed) {
+                            let line =
+                                format!("\nexplain: {printed} pushdown lines, {pushed} pushed");
+                            outcome.push_str(&line);
+                        }
+                        outcome
                     }
-                    format!("rows:\n{rendered}")
+                    Err(e) => format!("err: {e:?}"),
                 }
-                Err(e) => format!("err: {e:?}"),
-            },
+            }
             Op::Mine(s) => match engine.execute(&mut db, s) {
                 Ok(outcome) => {
                     let mut rules = outcome.rules;

@@ -1,35 +1,32 @@
 //! `EXPLAIN <statement>`: a human-readable description of how the engine
-//! executes a query — the scan of each factor, the conjuncts pushed down
-//! to them, the join steps in the order they run, the residual filter,
-//! aggregation and post-processing steps.
-//!
-//! The FROM list's part is not re-derived: it is the [`JoinPlan`] that
-//! [`plan_joins`] returns for the factors' catalog schemas, the same
-//! function the executor runs its joins by. Views and subqueries have no
-//! schema before they run, so nothing is pushed to a factor holding one
-//! here, while the executor, which has their rows, may push to it.
+//! executes a query. It prints the `SelectPlan` that `plan_select`
+//! returns — the value [`crate::exec::run_select`] runs — and reads none
+//! of the statement's clauses: per factor its scan (a view's or derived
+//! table's own plan nested under it), the pushed conjuncts, the join
+//! steps in the order they run, the residual filters, aggregation,
+//! DISTINCT, a set operation's arms, then ORDER BY and LIMIT. The node
+//! list is in docs/ARCHITECTURE.md.
 
 use crate::engine::Database;
 use crate::error::Result;
-use crate::exec::join::{conjuncts, plan_joins, JoinPlan};
+use crate::exec::select::{plan_select, Body, Factor, SelectPlan, Shape, SortKey};
 use crate::expr::eval::QueryCtx;
-use crate::sql::ast::{JoinKind, SelectStmt, Statement, TableRef, TableSource};
-use crate::types::Schema;
+use crate::sql::ast::{InsertSource, JoinKind, Statement};
 
 /// Render the plan for any statement.
 pub fn explain_statement(db: &Database, stmt: &Statement) -> Result<String> {
     let mut out = String::new();
     match stmt {
-        Statement::Select(s) => explain_select(db, s, 0, &mut out)?,
+        Statement::Select(s) => explain_select(db, &plan_select(db, s)?, 0, &mut out),
         Statement::Insert { table, source, .. } => {
             out.push_str(&format!("Insert into {table}\n"));
-            if let crate::sql::ast::InsertSource::Query(q) = source {
-                explain_select(db, q, 1, &mut out)?;
+            if let InsertSource::Query(q) = source {
+                explain_select(db, &plan_select(db, q)?, 1, &mut out);
             }
         }
         Statement::CreateTableAs { name, query } => {
             out.push_str(&format!("Materialise into new table {name}\n"));
-            explain_select(db, query, 1, &mut out)?;
+            explain_select(db, &plan_select(db, query)?, 1, &mut out);
         }
         Statement::Delete { table, .. } => {
             out.push_str(&format!("Delete from {table} (scan + filter)\n"));
@@ -46,81 +43,82 @@ fn pad(indent: usize) -> String {
     "  ".repeat(indent)
 }
 
-/// The schema the executor gives factor `tref`: its tables' columns under
-/// their qualifiers, joined along its explicit JOIN chain. Empty when the
-/// chain holds a view or a subquery.
-fn factor_schema(db: &Database, tref: &TableRef) -> Schema {
-    let one = |source: &TableSource, alias: &Option<String>| match source {
-        TableSource::Named(name) if !db.catalog().has_view(name) => {
-            let schema = db.catalog().table_schema(name).ok()?;
-            Some(schema.with_qualifier(alias.as_deref().unwrap_or(name)))
+fn explain_select(db: &Database, plan: &SelectPlan, indent: usize, out: &mut String) {
+    out.push_str(&format!("{}Select\n", pad(indent)));
+    let pad = pad(indent + 1);
+    match &plan.shape {
+        Shape::Body(body) => explain_body(db, body, indent + 1, out),
+        Shape::SetOp(op, left, right) => {
+            out.push_str(&format!("{pad}set operation: {}\n", op.sql()));
+            explain_select(db, left, indent + 1, out);
+            explain_select(db, right, indent + 1, out);
         }
-        _ => None,
-    };
-    let chain = tref.joins.iter().map(|j| one(&j.source, &j.alias));
-    std::iter::once(one(&tref.source, &tref.alias))
-        .chain(chain)
-        .try_fold(Schema::default(), |acc, s| Some(acc.join(&s?)))
-        .unwrap_or_default()
-}
-
-/// The name a join step calls factor `tref` by.
-fn factor_name(tref: &TableRef) -> &str {
-    match (&tref.alias, &tref.source) {
-        (Some(a), _) => a,
-        (None, TableSource::Named(name)) => name,
-        (None, TableSource::Subquery(_)) => "(subquery)",
+    }
+    if !plan.sort.is_empty() {
+        let key = |k: &SortKey| format!("{}{}", k.expr, if k.asc { "" } else { " DESC" });
+        let keys: Vec<String> = plan.sort.iter().map(key).collect();
+        out.push_str(&format!("{pad}sort by {}\n", keys.join(", ")));
+    }
+    if let Some(l) = plan.max_rows {
+        out.push_str(&format!("{pad}limit {l}\n"));
     }
 }
 
-fn factor_label(db: &Database, source: &TableSource, alias: Option<&str>) -> String {
-    match source {
-        TableSource::Named(name) => {
-            let rows = db
-                .catalog()
-                .row_count(name)
-                .map(|n| format!("{n} rows"))
-                .unwrap_or_else(|_| {
-                    if db.catalog().has_view(name) {
-                        "view".to_string()
-                    } else {
-                        "missing".to_string()
-                    }
-                });
-            match alias {
-                Some(a) => format!("{name} AS {a} [{rows}]"),
-                None => format!("{name} [{rows}]"),
-            }
-        }
-        TableSource::Subquery(_) => "(subquery)".to_string(),
-    }
-}
-
-/// Print a FROM list's plan: pushed conjuncts, join steps, residual
-/// filters. Each join step names the order it runs in; the reference
-/// paths fold in written order instead, so there the steps carry no
-/// order and no cross product is listed.
-fn explain_plan(
+/// One factor's line, `{head} {label}{tail}`, then the plan of a view or
+/// derived table under it.
+fn explain_factor(
     db: &Database,
-    stmt: &SelectStmt,
-    plan: &JoinPlan,
+    head: &str,
+    factor: &Factor,
+    tail: &str,
     indent: usize,
     out: &mut String,
 ) {
+    let named = |name: &str| match &factor.alias {
+        Some(a) => format!("{name} AS {a}"),
+        None => name.to_string(),
+    };
+    let label = match (&factor.name, &factor.plan) {
+        (Some(name), None) => {
+            let rows = db.catalog().row_count(name).unwrap_or_default();
+            format!("{} [{rows} rows]", named(name))
+        }
+        (Some(name), Some(_)) => format!("{} [view]", named(name)),
+        (None, _) => "(subquery)".to_string(),
+    };
+    out.push_str(&format!("{}{head} {label}{tail}\n", pad(indent)));
+    if let Some(plan) = &factor.plan {
+        explain_select(db, plan, indent + 1, out);
+    }
+}
+
+fn explain_body(db: &Database, body: &Body, indent: usize, out: &mut String) {
     let pad = pad(indent);
+    for (factor, joins) in &body.from {
+        explain_factor(db, "scan", factor, "", indent, out);
+        for (kind, factor, on) in joins {
+            let kw = match kind {
+                JoinKind::Inner => "inner join",
+                JoinKind::LeftOuter => "left outer join",
+            };
+            let on = on.as_ref().map_or("TRUE".into(), |e| e.to_string());
+            explain_factor(db, kw, factor, &format!(" on {on}"), indent + 1, out);
+        }
+    }
+
+    // The FROM list's join plan: pushed conjuncts, join steps in the order
+    // they run, residual filters.
+    let plan = &body.joins;
     for (f, c) in &plan.pushed {
         out.push_str(&format!("{pad}pushdown to factor {}: {c}\n", f + 1));
     }
     let ordered = !db.reference_paths();
-    let name = |f: usize| factor_name(&stmt.from[f]);
+    let name = |f: usize| body.from[f].0.qualifier().unwrap_or("(subquery)");
     for (k, step) in plan.steps.iter().enumerate().skip(1) {
+        let (first, this) = (name(plan.steps[0].factor), name(step.factor));
         let at = match k {
-            1 => format!(
-                "step 1: {} ⋈ {}",
-                name(plan.steps[0].factor),
-                name(step.factor)
-            ),
-            _ => format!("step {k}: ⋈ {}", name(step.factor)),
+            1 => format!("step 1: {first} ⋈ {this}"),
+            _ => format!("step {k}: ⋈ {this}"),
         };
         if step.keys.is_empty() && ordered {
             out.push_str(&format!("{pad}cross join ({at})\n"));
@@ -136,93 +134,19 @@ fn explain_plan(
     for c in &plan.residual {
         out.push_str(&format!("{pad}filter: {c}\n"));
     }
-}
 
-fn explain_select(db: &Database, stmt: &SelectStmt, indent: usize, out: &mut String) -> Result<()> {
-    out.push_str(&format!("{}Select\n", pad(indent)));
-    if let Some((kind, rhs)) = &stmt.set_op {
-        out.push_str(&format!(
-            "{}set operation: {}\n",
-            pad(indent + 1),
-            kind.sql()
-        ));
-        let mut left = stmt.clone();
-        left.set_op = None;
-        left.order_by = Vec::new();
-        left.limit = None;
-        explain_select(db, &left, indent + 1, out)?;
-        explain_select(db, rhs, indent + 1, out)?;
-        return Ok(());
+    if !body.group_keys.is_empty() {
+        let keys: Vec<String> = body.group_keys.iter().map(|e| e.to_string()).collect();
+        out.push_str(&format!("{pad}hash aggregate by ({})\n", keys.join(", ")));
+    } else if body.grouped {
+        out.push_str(&format!("{pad}aggregate (single group)\n"));
     }
-
-    // Factors and explicit joins.
-    for tref in &stmt.from {
-        out.push_str(&format!(
-            "{}scan {}\n",
-            pad(indent + 1),
-            factor_label(db, &tref.source, tref.alias.as_deref())
-        ));
-        for j in &tref.joins {
-            let kw = match j.kind {
-                JoinKind::Inner => "inner join",
-                JoinKind::LeftOuter => "left outer join",
-            };
-            out.push_str(&format!(
-                "{}{kw} {} on {}\n",
-                pad(indent + 2),
-                factor_label(db, &j.source, j.alias.as_deref()),
-                j.on.as_ref()
-                    .map(|e| e.to_string())
-                    .unwrap_or_else(|| "TRUE".into())
-            ));
-        }
-        if let TableSource::Subquery(q) = &tref.source {
-            explain_select(db, q, indent + 2, out)?;
-        }
+    if let Some(h) = &body.group_filter {
+        out.push_str(&format!("{pad}having: {h}\n"));
     }
-
-    let schemas: Vec<Schema> = stmt.from.iter().map(|t| factor_schema(db, t)).collect();
-    let schemas: Vec<&Schema> = schemas.iter().collect();
-    let where_conjuncts = stmt
-        .where_clause
-        .as_ref()
-        .map(conjuncts)
-        .unwrap_or_default();
-    let plan = plan_joins(&schemas, where_conjuncts);
-    explain_plan(db, stmt, &plan, indent + 1, out);
-
-    if !stmt.group_by.is_empty() {
-        let keys: Vec<String> = stmt.group_by.iter().map(|e| e.to_string()).collect();
-        out.push_str(&format!(
-            "{}hash aggregate by ({})\n",
-            pad(indent + 1),
-            keys.join(", ")
-        ));
-    } else if stmt
-        .items
-        .iter()
-        .any(|i| matches!(i, crate::sql::ast::SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-    {
-        out.push_str(&format!("{}aggregate (single group)\n", pad(indent + 1)));
+    if body.dedup {
+        out.push_str(&format!("{pad}distinct\n"));
     }
-    if let Some(h) = &stmt.having {
-        out.push_str(&format!("{}having: {h}\n", pad(indent + 1)));
-    }
-    if stmt.distinct {
-        out.push_str(&format!("{}distinct\n", pad(indent + 1)));
-    }
-    if !stmt.order_by.is_empty() {
-        let keys: Vec<String> = stmt
-            .order_by
-            .iter()
-            .map(|o| format!("{}{}", o.expr, if o.asc { "" } else { " DESC" }))
-            .collect();
-        out.push_str(&format!("{}sort by {}\n", pad(indent + 1), keys.join(", ")));
-    }
-    if let Some(l) = stmt.limit {
-        out.push_str(&format!("{}limit {l}\n", pad(indent + 1)));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

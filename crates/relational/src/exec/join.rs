@@ -66,26 +66,15 @@ impl Relation {
 
 /// The columns of a joined relation the rest of its statement can read.
 #[derive(Debug, Clone)]
-pub enum Demand<'a> {
+pub enum Demand {
     /// Every column: a `*` or `t.*` item projects them.
     All,
-    /// The column references of the statement outside its WHERE clause;
-    /// the join adds those of the conjuncts it leaves as residual.
-    Refs(Vec<(Option<&'a str>, &'a str)>),
+    /// The column references of the statement outside its WHERE clause,
+    /// and those of the residual conjuncts.
+    Refs(Vec<(Option<String>, String)>),
 }
 
-impl<'a> Demand<'a> {
-    /// This demand plus the column references of `exprs`.
-    fn with(&self, exprs: &[&'a Expr]) -> Demand<'a> {
-        match self {
-            Demand::All => Demand::All,
-            Demand::Refs(refs) => {
-                let more = exprs.iter().flat_map(|e| e.column_refs());
-                Demand::Refs(refs.iter().copied().chain(more).collect())
-            }
-        }
-    }
-
+impl Demand {
     /// Whether some reference could resolve to `column` under
     /// [`Schema::resolve`]'s own rule ([`Column::answers_to`]), so every
     /// reference keeps its whole candidate set: the same column, or the
@@ -93,7 +82,9 @@ impl<'a> Demand<'a> {
     fn reads(&self, column: &Column) -> bool {
         match self {
             Demand::All => true,
-            Demand::Refs(refs) => refs.iter().any(|&(q, name)| column.answers_to(q, name)),
+            Demand::Refs(refs) => refs
+                .iter()
+                .any(|(q, name)| column.answers_to(q.as_deref(), name)),
         }
     }
 }
@@ -151,37 +142,32 @@ fn home(expr: &Expr, schemas: &[&Schema]) -> Option<usize> {
 }
 
 /// An equi-join key: a `left = right` conjunct whose sides are columns of
-/// two different factors.
-#[derive(Debug, Clone, Copy)]
-pub struct JoinKey<'a> {
+/// two different factors, `factors[0]` and `factors[1]`.
+#[derive(Debug, Clone)]
+pub struct JoinKey {
     /// The conjunct itself.
-    pub conjunct: &'a Expr,
-    lf: usize,
-    rf: usize,
-    left: &'a Expr,
-    right: &'a Expr,
+    pub conjunct: Expr,
+    factors: [usize; 2],
 }
 
-impl<'a> JoinKey<'a> {
-    /// The key expression living in factor `f`, one of the key's two.
-    fn side(&self, f: usize) -> &'a Expr {
-        if self.lf == f {
-            self.left
-        } else {
-            self.right
+impl JoinKey {
+    fn sides(&self) -> [&Expr; 2] {
+        match &self.conjunct {
+            Expr::Binary { left, right, .. } => [left, right],
+            _ => unreachable!("a join key is a `column = column` conjunct"),
         }
+    }
+
+    /// The key expression living in factor `f`, one of the key's two.
+    fn side(&self, f: usize) -> &Expr {
+        self.sides()[usize::from(self.factors[0] != f)]
     }
 
     /// The opposite side of factor `f`: `(factor, key expression)`, or
     /// `None` when `f` is not one of the key's factors.
-    fn other(&self, f: usize) -> Option<(usize, &'a Expr)> {
-        if self.lf == f {
-            Some((self.rf, self.right))
-        } else if self.rf == f {
-            Some((self.lf, self.left))
-        } else {
-            None
-        }
+    fn other(&self, f: usize) -> Option<(usize, &Expr)> {
+        let i = 1 - self.factors.iter().position(|&g| g == f)?;
+        Some((self.factors[i], self.sides()[i]))
     }
 }
 
@@ -189,26 +175,27 @@ impl<'a> JoinKey<'a> {
 /// on `keys`, or by a cross product when `keys` is empty. The first step
 /// has no keys: it is the scan the others join to.
 #[derive(Debug, Clone)]
-pub struct JoinStep<'a> {
+pub struct JoinStep {
     /// The factor's position in the FROM list.
     pub factor: usize,
-    pub keys: Vec<JoinKey<'a>>,
+    pub keys: Vec<JoinKey>,
 }
 
 /// The plan of one comma-join FROM list ([`plan_joins`]).
 #[derive(Debug, Clone)]
-pub struct JoinPlan<'a> {
+pub struct JoinPlan {
     /// Conjuncts pushed down to one factor's scan, `(factor, conjunct)`,
     /// in WHERE order.
-    pub pushed: Vec<(usize, &'a Expr)>,
+    pub pushed: Vec<(usize, Expr)>,
     /// Every factor once, in join order, with the keys each step uses.
-    pub steps: Vec<JoinStep<'a>>,
+    pub steps: Vec<JoinStep>,
     /// Conjuncts the caller filters the joined rows with: the rest in
     /// WHERE order, then the `column = column` ones that are no key.
-    pub residual: Vec<&'a Expr>,
+    /// With no factors, every conjunct in WHERE order.
+    pub residual: Vec<Expr>,
 }
 
-impl JoinPlan<'_> {
+impl JoinPlan {
     /// Factors joined at another position than the one they are written at.
     pub fn reordered(&self) -> usize {
         let steps = self.steps.iter().enumerate();
@@ -218,35 +205,33 @@ impl JoinPlan<'_> {
 
 /// Plan a FROM list of factors with the given schemas under the WHERE
 /// clause's conjuncts (see the module docs for the rules).
-pub fn plan_joins<'a>(schemas: &[&Schema], where_conjuncts: Vec<&'a Expr>) -> JoinPlan<'a> {
+pub fn plan_joins(schemas: &[&Schema], where_conjuncts: Vec<Expr>) -> JoinPlan {
     let (mut pushed, mut residual, mut keys, mut unkeyed) = (vec![], vec![], vec![], vec![]);
     for c in where_conjuncts {
-        if let Some(f) = home(c, schemas) {
+        if let Some(f) = home(&c, schemas) {
             pushed.push((f, c));
             continue;
         }
-        let (left, right) = match c {
+        let homes = match &c {
             Expr::Binary {
                 left,
                 op: BinOp::Eq,
                 right,
             } if matches!(**left, Expr::Column { .. })
-                && matches!(**right, Expr::Column { .. }) =>
+                && matches!(**right, Expr::Column { .. })
+                && !schemas.is_empty() =>
             {
-                (left.as_ref(), right.as_ref())
+                (home(left, schemas), home(right, schemas))
             }
             _ => {
                 residual.push(c);
                 continue;
             }
         };
-        match (home(left, schemas), home(right, schemas)) {
+        match homes {
             (Some(lf), Some(rf)) if lf != rf => keys.push(JoinKey {
                 conjunct: c,
-                lf,
-                rf,
-                left,
-                right,
+                factors: [lf, rf],
             }),
             _ => unkeyed.push(c),
         }
@@ -402,25 +387,22 @@ fn gather_tuple_key(
     true
 }
 
-/// Join the factors of a FROM list, consuming the usable conjuncts of the
-/// WHERE clause as [`plan_joins`] decides. Returns the joined relation and
-/// the residual conjuncts (the caller must apply them afterwards). The
-/// planned join keeps only the columns `demand` and those conjuncts can
-/// read; the written-order fold keeps every column.
-pub fn join_factors<'a>(
+/// Join the factors of a FROM list as `plan` says. The caller filters
+/// the result by the plan's residual conjuncts. The planned join keeps
+/// only the columns `demand` reads; the written-order fold keeps every
+/// column.
+pub fn join_factors(
     mut factors: Vec<Relation>,
-    where_conjuncts: Vec<&'a Expr>,
-    demand: &Demand<'a>,
+    plan: &JoinPlan,
+    demand: &Demand,
     ctx: &mut dyn QueryCtx,
-) -> Result<(Relation, Vec<&'a Expr>)> {
+) -> Result<Relation> {
     let planned = !ctx.reference_paths();
     if planned {
         ctx.bump(ExecCounter::PlannerPlans, 1);
     }
-    let schemas: Vec<&Schema> = factors.iter().map(|f| &f.schema).collect();
-    let plan = plan_joins(&schemas, where_conjuncts);
-    for &(f, c) in &plan.pushed {
-        filter_relation(&mut factors[f], c, ctx)?;
+    for (f, c) in &plan.pushed {
+        filter_relation(&mut factors[*f], c, ctx)?;
         if planned {
             ctx.bump(ExecCounter::PlannerPushedFilters, 1);
         }
@@ -435,11 +417,7 @@ pub fn join_factors<'a>(
 /// The reference join: fold the factors in written order, the next factor
 /// always the build side, on the plan's keys, materialising every
 /// intermediate row whole.
-fn fold<'a>(
-    factors: Vec<Relation>,
-    plan: JoinPlan<'a>,
-    ctx: &mut dyn QueryCtx,
-) -> Result<(Relation, Vec<&'a Expr>)> {
+fn fold(factors: Vec<Relation>, plan: &JoinPlan, ctx: &mut dyn QueryCtx) -> Result<Relation> {
     let keys: Vec<&JoinKey> = plan.steps.iter().flat_map(|s| &s.keys).collect();
     let mut factors = factors.into_iter().enumerate();
     let mut current = factors.next().map_or_else(Relation::unit, |(_, f)| f);
@@ -459,7 +437,7 @@ fn fold<'a>(
             hash_join(&current, &next, &probe, &build, ctx)?
         };
     }
-    Ok((current, plan.residual))
+    Ok(current)
 }
 
 /// Run a plan of two or more factors in its step order.
@@ -469,14 +447,13 @@ fn fold<'a>(
 /// factor and no allocation. Each hash step builds over the smaller
 /// input, ties going to the incoming factor. At the end the tuples are
 /// put in canonical factor order — the exact row order the written-order
-/// fold produces — and the demanded columns materialised once: those
-/// `demand` or a residual conjunct can read.
-fn run_plan<'a>(
+/// fold produces — and the demanded columns materialised once.
+fn run_plan(
     factors: Vec<Relation>,
-    plan: JoinPlan<'a>,
-    demand: &Demand<'a>,
+    plan: &JoinPlan,
+    demand: &Demand,
     ctx: &mut dyn QueryCtx,
-) -> Result<(Relation, Vec<&'a Expr>)> {
+) -> Result<Relation> {
     let n = factors.len();
     let start = plan.steps[0].factor;
     // Tuple `i` is `tuples[i * n..(i + 1) * n]`: one row index per factor;
@@ -549,8 +526,6 @@ fn run_plan<'a>(
 
     // Only the columns some later reference can resolve to are built; a
     // `COUNT(*)` join builds width-0 rows, which allocate nothing.
-    let residual = plan.residual;
-    let demand = demand.with(&residual);
     let (mut columns, mut schema) = (Vec::new(), Schema::default());
     for (fi, fct) in factors.iter().enumerate() {
         for (ci, c) in fct.schema.columns().iter().enumerate() {
@@ -573,7 +548,7 @@ fn run_plan<'a>(
     let mut perm: Vec<usize> = (0..tuples.len() / n).collect();
     perm.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
     let rows: Vec<Row> = perm.into_iter().map(|i| row_of(tuple(i))).collect();
-    Ok((Relation::owned(schema, rows), residual))
+    Ok(Relation::owned(schema, rows))
 }
 
 /// Append tuple `t` with factor `f`'s slot set to `row`.
@@ -652,6 +627,27 @@ mod tests {
         Relation::owned(Schema::new(columns.collect()), rows)
     }
 
+    /// The conjuncts of `pred`, owned as a plan holds them.
+    fn where_(pred: &str) -> Vec<Expr> {
+        conjuncts(&parse_expression(pred).unwrap())
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+
+    /// Plan and run a join; the result and the residual conjuncts.
+    fn join(factors: Vec<Relation>, pred: &str, demand: &Demand) -> (Relation, Vec<Expr>) {
+        let schemas: Vec<&Schema> = factors.iter().map(|f| &f.schema).collect();
+        let conjuncts = if pred.is_empty() {
+            vec![]
+        } else {
+            where_(pred)
+        };
+        let plan = plan_joins(&schemas, conjuncts);
+        let joined = join_factors(factors, &plan, demand, &mut NoCtx).unwrap();
+        (joined, plan.residual)
+    }
+
     fn schema(q: &str, names: &[&str]) -> Schema {
         let columns = names
             .iter()
@@ -666,15 +662,15 @@ mod tests {
             schema("c", &["y"]),
             schema("b", &["x", "y"]),
         );
-        let pred = parse_expression("a.x = b.x AND b.y = c.y").unwrap();
-        let plan = plan_joins(&[&a, &c, &b], conjuncts(&pred));
+        let pred = where_("a.x = b.x AND b.y = c.y");
+        let plan = plan_joins(&[&a, &c, &b], pred.clone());
         let order: Vec<usize> = plan.steps.iter().map(|s| s.factor).collect();
         assert_eq!(order, [0, 2, 1]);
         assert_eq!(plan.steps[1].keys[0].conjunct.to_string(), "a.x = b.x");
         assert_eq!(plan.steps[2].keys[0].conjunct.to_string(), "b.y = c.y");
         assert_eq!(plan.reordered(), 2);
         // Connected as written: the written order.
-        let plan = plan_joins(&[&a, &b, &c], conjuncts(&pred));
+        let plan = plan_joins(&[&a, &b, &c], pred);
         assert_eq!(plan.reordered(), 0);
         // Nothing connects: a cross product per step, in written order.
         let plan = plan_joins(&[&a, &c, &b], Vec::new());
@@ -685,8 +681,8 @@ mod tests {
     #[test]
     fn a_column_answering_in_two_factors_is_never_pushed_or_keyed() {
         let (a, b) = (schema("a", &["x", "tag"]), schema("b", &["x", "y"]));
-        let pred = parse_expression("x = 1 AND tag = 2 AND x = y AND a.x = y AND b.y > 0").unwrap();
-        let plan = plan_joins(&[&a, &b], conjuncts(&pred));
+        let pred = where_("x = 1 AND tag = 2 AND x = y AND a.x = y AND b.y > 0");
+        let plan = plan_joins(&[&a, &b], pred);
         let pushed: Vec<(usize, String)> = plan
             .pushed
             .iter()
@@ -719,9 +715,7 @@ mod tests {
             &[("y", DataType::Int), ("z", DataType::Str)],
             vec![row![2, "two"], row![3, "three"], row![3, "III"]],
         );
-        let pred = parse_expression("a.x = b.y").unwrap();
-        let (joined, residual) =
-            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
+        let (joined, residual) = join(vec![a, b], "a.x = b.y", &Demand::All);
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 3); // 2-two, 3-three, 3-III
         assert_eq!(joined.schema.len(), 3);
@@ -731,9 +725,7 @@ mod tests {
     fn null_keys_do_not_join() {
         let a = rel("a", &[("x", DataType::Int)], vec![vec![Value::Null]]);
         let b = rel("b", &[("y", DataType::Int)], vec![vec![Value::Null]]);
-        let pred = parse_expression("a.x = b.y").unwrap();
-        let (joined, _) =
-            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
+        let (joined, _) = join(vec![a, b], "a.x = b.y", &Demand::All);
         assert!(joined.rows.is_empty());
     }
 
@@ -741,8 +733,7 @@ mod tests {
     fn no_predicate_gives_cross_product() {
         let a = rel("a", &[("x", DataType::Int)], vec![row![1], row![2]]);
         let b = rel("b", &[("y", DataType::Int)], vec![row![10], row![20]]);
-        let (joined, residual) =
-            join_factors(vec![a, b], vec![], &Demand::All, &mut NoCtx).unwrap();
+        let (joined, residual) = join(vec![a, b], "", &Demand::All);
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 4);
     }
@@ -751,9 +742,7 @@ mod tests {
     fn single_factor_predicate_pushed_down() {
         let a = rel("a", &[("x", DataType::Int)], vec![row![1], row![2]]);
         let b = rel("b", &[("y", DataType::Int)], vec![row![10]]);
-        let pred = parse_expression("a.x = 2").unwrap();
-        let (joined, residual) =
-            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
+        let (joined, residual) = join(vec![a, b], "a.x = 2", &Demand::All);
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 1);
         assert_eq!(joined.rows[0], row![2, 10]);
@@ -763,9 +752,7 @@ mod tests {
     fn non_equi_predicate_returned_as_residual() {
         let a = rel("a", &[("x", DataType::Int)], vec![row![1]]);
         let b = rel("b", &[("y", DataType::Int)], vec![row![10]]);
-        let pred = parse_expression("a.x < b.y").unwrap();
-        let (joined, residual) =
-            join_factors(vec![a, b], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
+        let (joined, residual) = join(vec![a, b], "a.x < b.y", &Demand::All);
         assert_eq!(joined.rows.len(), 1); // cross join, filter left to caller
         assert_eq!(residual.len(), 1);
     }
@@ -779,9 +766,7 @@ mod tests {
             vec![row![1, 10], row![2, 20]],
         );
         let c = rel("c", &[("y", DataType::Int)], vec![row![20]]);
-        let pred = parse_expression("a.x = b.x AND b.y = c.y").unwrap();
-        let (joined, residual) =
-            join_factors(vec![a, b, c], conjuncts(&pred), &Demand::All, &mut NoCtx).unwrap();
+        let (joined, residual) = join(vec![a, b, c], "a.x = b.x AND b.y = c.y", &Demand::All);
         assert!(residual.is_empty());
         assert_eq!(joined.rows.len(), 1);
         assert_eq!(joined.rows[0], row![2, 2, 20, 20]);
@@ -799,11 +784,15 @@ mod tests {
             &[("x", DataType::Int), ("t", DataType::Str)],
             vec![row![2, "r"], row![1, "p"], row![2, "q"]],
         );
-        let pred = parse_expression("a.x = b.x AND a.s <> b.t").unwrap();
-        // The equi conjunct is consumed; the residual reads a.s and b.t.
-        let demand = Demand::Refs(vec![(Some("B"), "T")]);
-        let (joined, residual) =
-            join_factors(vec![a, b], conjuncts(&pred), &demand, &mut NoCtx).unwrap();
+        // The equi conjunct is consumed; the residual reads a.s and b.t,
+        // and the demand names them beside the statement's own `B.T`.
+        let refs = [(Some("B"), "T"), (Some("a"), "s"), (Some("b"), "t")];
+        let demand = Demand::Refs(
+            refs.iter()
+                .map(|(q, n)| (q.map(str::to_string), n.to_string()))
+                .collect(),
+        );
+        let (joined, residual) = join(vec![a, b], "a.x = b.x AND a.s <> b.t", &demand);
         assert_eq!(residual.len(), 1);
         let names: Vec<String> = joined
             .schema
@@ -822,9 +811,7 @@ mod tests {
     fn a_join_nothing_reads_builds_width_zero_rows() {
         let a = rel("a", &[("x", DataType::Int)], vec![row![1], row![1]]);
         let b = rel("b", &[("x", DataType::Int)], vec![row![1], row![2]]);
-        let pred = parse_expression("a.x = b.x").unwrap();
-        let demand = Demand::Refs(Vec::new());
-        let (joined, _) = join_factors(vec![a, b], conjuncts(&pred), &demand, &mut NoCtx).unwrap();
+        let (joined, _) = join(vec![a, b], "a.x = b.x", &Demand::Refs(Vec::new()));
         assert!(joined.schema.is_empty());
         assert_eq!(joined.rows.len(), 2);
         assert!(joined.rows.iter().all(|r| r.capacity() == 0));

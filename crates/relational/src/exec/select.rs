@@ -1,8 +1,18 @@
-//! SELECT execution: scan/join → filter → group/aggregate → project →
+//! SELECT planning and execution. `plan_select` makes every decision
+//! about a statement before any row is read and returns it as a value
+//! (`SelectPlan`): each FROM factor with its output schema (a view or a
+//! derived table through its own nested plan), the join plan over those
+//! schemas, the columns the join must build ([`Demand`]), the expanded
+//! items, grouped or not, where each ORDER BY key comes from, DISTINCT,
+//! LIMIT, and a set operation's arms with its trailing ORDER BY / LIMIT.
+//! [`run_select`] runs that value and `EXPLAIN` prints it.
+//!
+//! Execution is scan/join → filter → group/aggregate → project →
 //! distinct → order → limit, each step materialised late: scans share
-//! the catalog's rows, a join builds only the columns the statement
-//! reads ([`Demand`]) and a cutting LIMIT keeps a stable top-k instead of
-//! sorting every row.
+//! the catalog's rows, a join builds only the demanded columns and a
+//! cutting LIMIT keeps a stable top-k instead of sorting every row.
+//! Column references are resolved as rows flow: the plan resolves
+//! tables, views and factor schemas only.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -10,7 +20,8 @@ use std::hash::BuildHasher;
 
 use crate::engine::Database;
 use crate::error::{Error, Result};
-use crate::exec::join::{conjuncts, filter_relation, join_factors, Demand, Relation};
+use crate::exec::join::{conjuncts, filter_relation, join_factors, plan_joins, Demand};
+use crate::exec::join::{JoinPlan, Relation};
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, QueryCtx};
 use crate::expr::{AggFunc, BinOp, Expr};
@@ -21,12 +32,212 @@ use crate::sql::ast::{JoinKind, OrderItem, SelectItem, SelectStmt, SetOpKind, Ta
 use crate::types::{Column, DataType, Schema};
 use crate::value::Value;
 
-/// Execute a SELECT against the database.
-pub fn run_select(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
-    if stmt.set_op.is_some() {
-        return run_set_op(db, stmt);
+/// The plan of one SELECT ([`plan_select`]).
+#[derive(Debug)]
+pub(crate) struct SelectPlan {
+    pub(crate) shape: Shape,
+    /// ORDER BY keys over the output rows.
+    pub(crate) sort: Vec<SortKey>,
+    /// LIMIT, applied after the sort.
+    pub(crate) max_rows: Option<u64>,
+    /// The output columns: names as they run, types inferred statically
+    /// (the result refines them from the rows).
+    schema: Schema,
+}
+
+/// What produces a plan's rows.
+#[derive(Debug)]
+pub(crate) enum Shape {
+    Body(Box<Body>),
+    /// `left <op> right`, both run whole before they are combined.
+    SetOp(SetOpKind, Box<SelectPlan>, Box<SelectPlan>),
+}
+
+/// One ORDER BY key.
+#[derive(Debug)]
+pub(crate) struct SortKey {
+    pub(crate) expr: Expr,
+    pub(crate) asc: bool,
+    /// The output column `expr` names (`ORDER BY 2`, an output name or
+    /// alias); `None` evaluates it over the input row or group, which a
+    /// set operation's tail refuses.
+    output: Option<usize>,
+}
+
+/// One SELECT body, without its trailing ORDER BY / LIMIT.
+#[derive(Debug)]
+pub(crate) struct Body {
+    /// The FROM factors, each with the explicit JOIN chain on it.
+    pub(crate) from: Vec<(Factor, Vec<ExplicitJoin>)>,
+    /// The comma-join plan over the FROM entries' schemas.
+    pub(crate) joins: JoinPlan,
+    demand: Demand,
+    /// The projection, wildcards expanded: `(expression, output name)`.
+    outputs: Vec<(Expr, String)>,
+    /// What expanding a wildcard failed with, reported when the body runs
+    /// after its join and WHERE filter, whose faults come first.
+    expand_error: Option<Error>,
+    pub(crate) group_keys: Vec<Expr>,
+    pub(crate) group_filter: Option<Expr>,
+    /// Aggregated: GROUP BY, or an aggregate in the items or in HAVING.
+    pub(crate) grouped: bool,
+    pub(crate) dedup: bool,
+    into_var: Option<String>,
+}
+
+/// An explicit `[LEFT] JOIN factor ON …` chained to a FROM factor.
+pub(crate) type ExplicitJoin = (JoinKind, Factor, Option<Expr>);
+
+/// One table factor: a base table (`name`, no `plan`), a view (both) or
+/// a derived table (`plan` alone).
+#[derive(Debug)]
+pub(crate) struct Factor {
+    pub(crate) name: Option<String>,
+    pub(crate) alias: Option<String>,
+    pub(crate) plan: Option<Box<SelectPlan>>,
+    /// The output schema under the factor's qualifier.
+    schema: Schema,
+}
+
+impl Factor {
+    /// Its alias, else its name; an unaliased derived table has none.
+    pub(crate) fn qualifier(&self) -> Option<&str> {
+        self.alias.as_deref().or(self.name.as_deref())
     }
-    run_select_arm(db, stmt, true)
+}
+
+/// Plan a SELECT: resolve its tables and views, and decide everything
+/// [`run_select`] does with their rows.
+pub(crate) fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan> {
+    let Some((op, rhs)) = &stmt.set_op else {
+        return plan_body(db, stmt, &stmt.order_by, stmt.limit);
+    };
+    let left = plan_body(db, stmt, &[], None)?;
+    let right = plan_select(db, rhs)?;
+    Ok(SelectPlan {
+        sort: sort_keys(&stmt.order_by, &left.schema),
+        max_rows: stmt.limit,
+        schema: left.schema.clone(),
+        shape: Shape::SetOp(*op, Box::new(left), Box::new(right)),
+    })
+}
+
+/// Plan one SELECT body under the given ORDER BY / LIMIT (a set
+/// operation's left arm has none: the tail belongs to the combination).
+fn plan_body(
+    db: &Database,
+    stmt: &SelectStmt,
+    order_by: &[OrderItem],
+    max_rows: Option<u64>,
+) -> Result<SelectPlan> {
+    let (mut from, mut schemas) = (Vec::new(), Vec::new());
+    for tref in &stmt.from {
+        let factor = plan_factor(db, &tref.source, tref.alias.as_deref())?;
+        let (mut schema, mut joins) = (factor.schema.clone(), Vec::new());
+        for j in &tref.joins {
+            let right = plan_factor(db, &j.source, j.alias.as_deref())?;
+            schema = schema.join(&right.schema);
+            joins.push((j.kind, right, j.on.clone()));
+        }
+        from.push((factor, joins));
+        schemas.push(schema);
+    }
+    let input = schemas.iter().fold(Schema::default(), |acc, s| acc.join(s));
+    let where_conjuncts = stmt.where_clause.iter().flat_map(conjuncts).cloned();
+    let schema_refs: Vec<&Schema> = schemas.iter().collect();
+    let joins = plan_joins(&schema_refs, where_conjuncts.collect());
+
+    let (outputs, expand_error) = match expand_items(&stmt.items, &input) {
+        Ok(outputs) => (outputs, None),
+        Err(e) => (Vec::new(), Some(e)),
+    };
+    let schema = output_schema(&outputs, &input, &[]);
+    let sort = sort_keys(order_by, &schema);
+    // The columns read after the join: every one under a wildcard, else
+    // those the items, GROUP BY, HAVING, ORDER BY and the residual
+    // conjuncts reference. Subqueries are not correlated, so their
+    // references never resolve against this input.
+    let exprs = outputs.iter().map(|(e, _)| e).chain(&stmt.group_by);
+    let exprs = exprs
+        .chain(&stmt.having)
+        .chain(sort.iter().map(|k| &k.expr));
+    let refs = exprs.chain(&joins.residual).flat_map(Expr::column_refs);
+    let wildcard = |i: &SelectItem| !matches!(i, SelectItem::Expr { .. });
+    let demand = match stmt.items.iter().any(wildcard) {
+        true => Demand::All,
+        false => Demand::Refs(refs.map(|(q, n)| (q.map(Into::into), n.into())).collect()),
+    };
+    let grouped = !stmt.group_by.is_empty()
+        || outputs.iter().any(|(e, _)| e.contains_aggregate())
+        || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
+    let body = Body {
+        from,
+        joins,
+        demand,
+        outputs,
+        expand_error,
+        group_keys: stmt.group_by.clone(),
+        group_filter: stmt.having.clone(),
+        grouped,
+        dedup: stmt.distinct,
+        into_var: stmt.into_var.clone(),
+    };
+    Ok(SelectPlan {
+        shape: Shape::Body(Box::new(body)),
+        sort,
+        max_rows,
+        schema,
+    })
+}
+
+/// Plan one table factor: a base table's schema comes from the catalog
+/// (which builds no deferred rows for it), a view's or derived table's
+/// from its own plan.
+fn plan_factor(db: &Database, source: &TableSource, alias: Option<&str>) -> Result<Factor> {
+    let (name, query) = match source {
+        TableSource::Named(name) => (Some(name), db.catalog().view(name).map(|v| &v.query)),
+        TableSource::Subquery(q) => (None, Some(q.as_ref())),
+    };
+    let plan = query.map(|q| plan_select(db, q)).transpose()?;
+    let schema = match (&plan, name) {
+        (Some(plan), _) => &plan.schema,
+        (None, Some(name)) => db.catalog().table_schema(name)?,
+        (None, None) => unreachable!("a derived table has a plan"),
+    };
+    let schema = match alias.or(name.map(String::as_str)) {
+        Some(q) => schema.with_qualifier(q),
+        None => schema.clone(),
+    };
+    Ok(Factor {
+        name: name.cloned(),
+        alias: alias.map(str::to_string),
+        plan: plan.map(Box::new),
+        schema,
+    })
+}
+
+/// Decide where each ORDER BY key comes from, given the output columns.
+fn sort_keys(order_by: &[OrderItem], output: &Schema) -> Vec<SortKey> {
+    let key = |o: &OrderItem| SortKey {
+        expr: o.expr.clone(),
+        asc: o.asc,
+        output: output_position(&o.expr, output),
+    };
+    order_by.iter().map(key).collect()
+}
+
+/// Execute a SELECT against the database: plan it, then run the plan.
+pub fn run_select(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
+    let plan = plan_select(db, stmt)?;
+    execute(db, &plan)
+}
+
+/// Run a plan: one body, or a set operation over two plans.
+fn execute(db: &mut Database, plan: &SelectPlan) -> Result<ResultSet> {
+    match &plan.shape {
+        Shape::Body(body) => run_body(db, body, plan),
+        Shape::SetOp(op, left, right) => run_set_op(db, *op, left, right, plan),
+    }
 }
 
 /// Row-index buckets by row hash: the seen-set of a dedup site. One
@@ -39,31 +250,36 @@ fn row_buckets(rows: usize) -> RowBuckets {
     HashMap::with_capacity_and_hasher(rows, KeyHash::default())
 }
 
-/// Keep the first occurrence of each distinct row. Rows are moved, never
-/// cloned: the seen-set stores hashes and indices into the output.
-fn dedup_rows(rows: Vec<Row>) -> Vec<Row> {
-    let mut seen = row_buckets(rows.len());
-    let mut out: Vec<Row> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let h = seen.hasher().hash_one(&row);
+/// Keep the first entry of each distinct row (`row` reads it out of an
+/// entry). Entries are moved, never cloned: the seen-set stores hashes
+/// and indices into the output.
+fn dedup<T>(entries: Vec<T>, row: impl Fn(&T) -> &Row) -> Vec<T> {
+    let mut seen = row_buckets(entries.len());
+    let mut out: Vec<T> = Vec::with_capacity(entries.len());
+    for entry in entries {
+        let h = seen.hasher().hash_one(row(&entry));
         let bucket = seen.entry(h).or_default();
-        if bucket.iter().any(|&i| out[i] == row) {
+        if bucket.iter().any(|&i| row(&out[i]) == row(&entry)) {
             continue;
         }
         bucket.push(out.len());
-        out.push(row);
+        out.push(entry);
     }
     out
 }
 
-/// Execute a SELECT combined with UNION/INTERSECT/EXCEPT: evaluate both
-/// sides, combine with SQL set semantics, then apply the trailing
-/// ORDER BY / LIMIT to the combined rows. The left arm is the statement
-/// itself minus its set-op tail, borrowed directly (no clone).
-fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
-    let (kind, rhs) = stmt.set_op.as_ref().expect("checked by run_select");
-    let left = run_select_arm(db, stmt, false)?;
-    let right = run_select(db, rhs)?;
+/// Run a UNION/INTERSECT/EXCEPT: run both arms, combine with SQL set
+/// semantics, then apply the trailing ORDER BY / LIMIT, whose keys name
+/// output columns only.
+fn run_set_op(
+    db: &mut Database,
+    op: SetOpKind,
+    left: &SelectPlan,
+    right: &SelectPlan,
+    plan: &SelectPlan,
+) -> Result<ResultSet> {
+    let left = execute(db, left)?;
+    let right = execute(db, right)?;
     if left.schema().len() != right.schema().len() {
         return Err(Error::Arity {
             expected: left.schema().len(),
@@ -71,7 +287,7 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
         });
     }
     let schema = left.schema().clone();
-    let rows: Vec<Row> = match kind {
+    let rows: Vec<Row> = match op {
         SetOpKind::UnionAll => {
             let mut rows = left.into_rows();
             rows.extend(right.into_rows());
@@ -80,7 +296,7 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
         SetOpKind::Union => {
             let mut rows = left.into_rows();
             rows.extend(right.into_rows());
-            dedup_rows(rows)
+            dedup(rows, |r| r)
         }
         SetOpKind::Intersect | SetOpKind::Except => {
             let right_rows = right.into_rows();
@@ -89,7 +305,7 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
                 let h = membership.hasher().hash_one(r);
                 membership.entry(h).or_default().push(i);
             }
-            let keep_members = matches!(kind, SetOpKind::Intersect);
+            let keep_members = matches!(op, SetOpKind::Intersect);
             let mut kept = left.into_rows();
             kept.retain(|r| {
                 let member = membership
@@ -97,29 +313,20 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
                     .is_some_and(|b| b.iter().any(|&i| right_rows[i] == *r));
                 member == keep_members
             });
-            dedup_rows(kept)
+            dedup(kept, |r| r)
         }
     };
-    if stmt.order_by.is_empty() {
-        let mut rows = rows;
-        if let Some(l) = stmt.limit {
-            rows.truncate(l as usize);
-        }
-        return Ok(ResultSet::new(schema, rows));
-    }
-    // Trailing ORDER BY: output positions or column names only.
-    let names: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
     let mut keyed: Vec<(Row, Vec<Value>)> = Vec::with_capacity(rows.len());
     for r in rows {
-        let mut keys = Vec::with_capacity(stmt.order_by.len());
-        for o in &stmt.order_by {
-            keys.push(output_key(&o.expr, &r, &names).ok_or_else(|| {
+        let key = |k: &SortKey| {
+            k.output.map(|i| r[i].clone()).ok_or_else(|| {
                 Error::unsupported("ORDER BY after a set operation must reference output columns")
-            })?);
-        }
+            })
+        };
+        let keys = plan.sort.iter().map(key).collect::<Result<_>>()?;
         keyed.push((r, keys));
     }
-    let rows = order_and_limit(keyed, &stmt.order_by, stmt.limit);
+    let rows = order_and_limit(keyed, &plan.sort, plan.max_rows);
     Ok(ResultSet::new(schema, rows))
 }
 
@@ -129,11 +336,11 @@ fn run_set_op(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
 /// exactly the prefix the stable sort would keep.
 fn order_and_limit(
     mut keyed: Vec<(Row, Vec<Value>)>,
-    order_by: &[OrderItem],
+    sort: &[SortKey],
     limit: Option<u64>,
 ) -> Vec<Row> {
     let by_keys = |a: &[Value], b: &[Value]| {
-        for ((a, b), o) in a.iter().zip(b).zip(order_by) {
+        for ((a, b), o) in a.iter().zip(b).zip(sort) {
             let ord = a.total_cmp(b);
             if ord != Ordering::Equal {
                 return if o.asc { ord } else { ord.reverse() };
@@ -142,7 +349,7 @@ fn order_and_limit(
         Ordering::Equal
     };
     let k = limit.map_or(keyed.len(), |l| keyed.len().min(l as usize));
-    if order_by.is_empty() || k == 0 {
+    if sort.is_empty() || k == 0 {
         keyed.truncate(k);
     } else if k == keyed.len() {
         keyed.sort_by(|(_, a), (_, b)| by_keys(a, b));
@@ -161,75 +368,53 @@ fn order_and_limit(
     keyed.into_iter().map(|(r, _)| r).collect()
 }
 
-/// Run one SELECT body. `with_tail` applies the trailing ORDER BY /
-/// LIMIT; the left arm of a set operation passes `false` (the tail
-/// belongs to the combined result), which lets `run_set_op` borrow the
-/// arm from the original statement instead of deep-cloning it.
-fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Result<ResultSet> {
-    let order_by: &[OrderItem] = if with_tail { &stmt.order_by } else { &[] };
-    let limit = if with_tail { stmt.limit } else { None };
-
-    let where_conjuncts = stmt
-        .where_clause
-        .as_ref()
-        .map(|w| conjuncts(w))
-        .unwrap_or_default();
-
-    // 1. FROM: materialise factors, plan joins, push filters. A base
-    // table's scan shares the catalog's rows, so a pushed filter copies
-    // only the rows it keeps.
-    let mut factors = Vec::with_capacity(stmt.from.len());
-    for tref in &stmt.from {
-        let mut current = materialize_factor(db, &tref.source, tref.alias.as_deref())?;
+/// Run one SELECT body with the plan's ORDER BY / LIMIT.
+fn run_body(db: &mut Database, body: &Body, plan: &SelectPlan) -> Result<ResultSet> {
+    // 1. FROM: materialise factors, join them as planned, push filters. A
+    // base table's scan shares the catalog's rows, so a pushed filter
+    // copies only the rows it keeps.
+    let mut factors = Vec::with_capacity(body.from.len());
+    for (factor, joins) in &body.from {
+        let mut current = materialize(db, factor)?;
         // Explicit JOIN ... ON chain on this factor.
-        for join in &tref.joins {
-            let right = materialize_factor(db, &join.source, join.alias.as_deref())?;
-            current = explicit_join(db, current, right, join.kind, join.on.as_ref())?;
+        for (kind, factor, on) in joins {
+            let right = materialize(db, factor)?;
+            current = explicit_join(db, current, right, *kind, on.as_ref())?;
         }
         factors.push(current);
     }
-
-    let (mut input, residual) = if factors.is_empty() {
-        (Relation::unit(), where_conjuncts)
+    let mut input = if factors.is_empty() {
+        Relation::unit()
     } else {
-        join_factors(factors, where_conjuncts, &demand(stmt, order_by), db)?
+        join_factors(factors, &body.joins, &body.demand, db)?
     };
-    if let Some(pred) = Expr::conjoin(residual.into_iter().cloned()) {
+    if let Some(pred) = Expr::conjoin(body.joins.residual.iter().cloned()) {
         filter_relation(&mut input, &pred, db)?;
     }
+    if let Some(e) = &body.expand_error {
+        return Err(e.clone());
+    }
+    let items = &body.outputs;
 
-    // 2. Expand projection items.
-    let items = expand_items(&stmt.items, &input.schema)?;
-
-    let has_agg = items.iter().any(|(e, _)| e.contains_aggregate())
-        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate());
-    let grouped = !stmt.group_by.is_empty() || has_agg;
-
-    // 3/4. Evaluate rows (grouped or per-row) together with sort keys.
-    let out_names: Vec<String> = items.iter().map(|(_, n)| n.clone()).collect();
-    let mut projected: Vec<(Row, Vec<Value>)> = if grouped {
-        run_grouped(db, &input, stmt, order_by, &items, &out_names)?
+    // 2/3. Evaluate rows (grouped or per-row) together with sort keys.
+    let mut projected: Vec<(Row, Vec<Value>)> = if body.grouped {
+        run_grouped(db, &input, body, &plan.sort)?
     } else {
-        if stmt.having.is_some() {
+        if body.group_filter.is_some() {
             return Err(Error::Aggregate {
                 message: "HAVING requires GROUP BY or aggregates".into(),
             });
         }
         // Plan every projection and order-key expression once; the row
         // loop then runs flat programs with a reused stack. Order keys
-        // naming an output position/alias read the projected row; the rest
+        // naming an output column read the projected row; the rest
         // evaluate against the input row.
         let item_evals: Vec<SiteEval> = items
             .iter()
             .map(|(e, _)| SiteEval::plan(e, &input.schema, db))
             .collect();
-        let width = items.len();
-        let order_evals: Vec<OrderSource> = order_by
-            .iter()
-            .map(|o| match plan_output_key(&o.expr, &out_names, width) {
-                Some(idx) => OrderSource::Output(idx),
-                None => OrderSource::Input(SiteEval::plan(&o.expr, &input.schema, db)),
-            })
+        let order_evals: Vec<Option<SiteEval>> = (plan.sort.iter())
+            .map(|k| (k.output.is_none()).then(|| SiteEval::plan(&k.expr, &input.schema, db)))
             .collect();
         let mut stack = Vec::new();
         let mut out = Vec::with_capacity(input.rows.len());
@@ -239,10 +424,10 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
                 o.push(ev.eval(&input.schema, row, db, &mut stack)?);
             }
             let mut keys = Vec::with_capacity(order_evals.len());
-            for src in &order_evals {
-                keys.push(match src {
-                    OrderSource::Output(i) => o[*i].clone(),
-                    OrderSource::Input(ev) => ev.eval(&input.schema, row, db, &mut stack)?,
+            for (k, ev) in plan.sort.iter().zip(&order_evals) {
+                keys.push(match (ev, k.output) {
+                    (Some(ev), _) => ev.eval(&input.schema, row, db, &mut stack)?,
+                    (None, i) => o[i.expect("a key without an evaluator names an output")].clone(),
                 });
             }
             out.push((o, keys));
@@ -250,29 +435,18 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
         out
     };
 
-    // 5. DISTINCT — hashed row-index buckets; rows move, never clone.
-    if stmt.distinct {
-        let mut seen = row_buckets(projected.len());
-        let mut kept: Vec<(Row, Vec<Value>)> = Vec::with_capacity(projected.len());
-        for (row, keys) in projected {
-            let h = seen.hasher().hash_one(&row);
-            let bucket = seen.entry(h).or_default();
-            if bucket.iter().any(|&i| kept[i].0 == row) {
-                continue;
-            }
-            bucket.push(kept.len());
-            kept.push((row, keys));
-        }
-        projected = kept;
+    // 4. DISTINCT.
+    if body.dedup {
+        projected = dedup(projected, |(row, _)| row);
     }
 
-    // 6/7. ORDER BY and LIMIT.
-    let rows = order_and_limit(projected, order_by, limit);
-    let schema = output_schema(&items, &input.schema, &rows);
+    // 5/6. ORDER BY and LIMIT.
+    let rows = order_and_limit(projected, &plan.sort, plan.max_rows);
+    let schema = output_schema(items, &input.schema, &rows);
     let rs = ResultSet::new(schema, rows);
 
-    // 8. INTO :var — store the scalar on the session.
-    if let Some(var) = &stmt.into_var {
+    // 7. INTO :var — store the scalar on the session.
+    if let Some(var) = &body.into_var {
         let v = rs.scalar().cloned().ok_or_else(|| Error::ScalarSubquery {
             message: format!(
                 "SELECT INTO :{var} requires a 1x1 result, got {}x{}",
@@ -285,27 +459,27 @@ fn run_select_arm(db: &mut Database, stmt: &SelectStmt, with_tail: bool) -> Resu
     Ok(rs)
 }
 
-/// Materialise one table factor (named table, view or derived table),
-/// applying its alias as the column qualifier.
-fn materialize_factor(
-    db: &mut Database,
-    source: &TableSource,
-    alias: Option<&str>,
-) -> Result<Relation> {
-    let base = match source {
-        TableSource::Named(name) => materialize_named(db, name)?,
-        TableSource::Subquery(q) => {
-            let rs = run_select(db, q)?;
+/// Materialise one table factor under its qualifier. A base table's rows
+/// are shared, not copied; a view or derived table runs its plan.
+fn materialize(db: &mut Database, factor: &Factor) -> Result<Relation> {
+    let base = match (&factor.plan, &factor.name) {
+        (Some(plan), _) => {
+            let rs = execute(db, plan)?;
             Relation::owned(rs.schema().clone(), rs.into_rows())
         }
-    };
-    let qualifier: Option<String> = match (alias, source) {
-        (Some(a), _) => Some(a.to_string()),
-        (None, TableSource::Named(n)) => Some(n.clone()),
-        (None, TableSource::Subquery(_)) => None,
+        (None, name) => {
+            let name = name.as_deref().expect("a factor without a plan is a table");
+            let table = db.catalog().table(name)?;
+            let relation = Relation {
+                schema: table.schema().clone(),
+                rows: table.shared_rows(),
+            };
+            db.bump(ExecCounter::RowsScanned, relation.rows.len() as u64);
+            relation
+        }
     };
     Ok(Relation {
-        schema: match &qualifier {
+        schema: match factor.qualifier() {
             Some(q) => base.schema.with_qualifier(q),
             None => base.schema,
         },
@@ -355,43 +529,6 @@ fn explicit_join(
     }
     db.bump(ExecCounter::RowsJoined, rows.len() as u64);
     Ok(Relation::owned(schema, rows))
-}
-
-/// Materialise a named table or view. A base table's rows are shared,
-/// not copied; a view is a re-evaluated query.
-fn materialize_named(db: &mut Database, name: &str) -> Result<Relation> {
-    if let Some(view) = db.catalog().view(name).cloned() {
-        let rs = run_select(db, &view.query)?;
-        return Ok(Relation::owned(rs.schema().clone(), rs.into_rows()));
-    }
-    let table = db.catalog().table(name)?;
-    let relation = Relation {
-        schema: table.schema().clone(),
-        rows: table.shared_rows(),
-    };
-    db.bump(ExecCounter::RowsScanned, relation.rows.len() as u64);
-    Ok(relation)
-}
-
-/// What of its joined input a statement reads outside the WHERE clause
-/// (the join adds the conjuncts it leaves as residual): every column
-/// under a wildcard item, else every column reference of the items,
-/// GROUP BY, HAVING and ORDER BY. Subqueries are not correlated, so
-/// their references never resolve against this input.
-fn demand<'a>(stmt: &'a SelectStmt, order_by: &'a [OrderItem]) -> Demand<'a> {
-    let mut refs = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Expr { expr, .. } => refs.extend(expr.column_refs()),
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return Demand::All,
-        }
-    }
-    let rest = stmt.group_by.iter().chain(&stmt.having);
-    refs.extend(
-        rest.chain(order_by.iter().map(|o| &o.expr))
-            .flat_map(Expr::column_refs),
-    );
-    Demand::Refs(refs)
 }
 
 /// Expand wildcards and name every projection item.
@@ -447,26 +584,24 @@ fn expand_items(items: &[SelectItem], input: &Schema) -> Result<Vec<(Expr, Strin
 }
 
 /// Grouped execution: hash rows into groups on the GROUP BY keys, filter
-/// groups with HAVING, evaluate projections per group.
+/// groups with HAVING, evaluate projections and sort keys per group.
 fn run_grouped(
     db: &mut Database,
     input: &Relation,
-    stmt: &SelectStmt,
-    order_by: &[OrderItem],
-    items: &[(Expr, String)],
-    out_names: &[String],
+    body: &Body,
+    sort: &[SortKey],
 ) -> Result<Vec<(Row, Vec<Value>)>> {
+    let group_keys = &body.group_keys;
     // Bucket row indices by key, in first-seen key order. Each row's key
     // is evaluated into one reused buffer; only a new key is cloned.
     let mut buckets: KeyMap<Vec<usize>> = KeyMap::default();
     let mut order: Vec<Vec<Value>> = Vec::new();
-    if stmt.group_by.is_empty() {
+    if group_keys.is_empty() {
         buckets.insert(Vec::new(), (0..input.rows.len()).collect());
         order.push(Vec::new());
     } else {
         // Key expressions are planned once for the per-row bucketing loop.
-        let key_evals: Vec<SiteEval> = stmt
-            .group_by
+        let key_evals: Vec<SiteEval> = group_keys
             .iter()
             .map(|g| SiteEval::plan(g, &input.schema, db))
             .collect();
@@ -487,74 +622,45 @@ fn run_grouped(
     for key in &order {
         let idxs = &buckets[key];
         let rows: Vec<&Row> = idxs.iter().map(|&i| &input.rows[i]).collect();
-        if let Some(h) = &stmt.having {
-            let keep = eval_grouped(h, &input.schema, &rows, &stmt.group_by, key, db)?;
-            if !keep.is_true() {
+        let mut eval = |e: &Expr| eval_grouped(e, &input.schema, &rows, group_keys, key, db);
+        if let Some(h) = &body.group_filter {
+            if !eval(h)?.is_true() {
                 continue;
             }
         }
-        let mut o = Vec::with_capacity(items.len());
-        for (e, _) in items {
-            o.push(eval_grouped(
-                e,
-                &input.schema,
-                &rows,
-                &stmt.group_by,
-                key,
-                db,
-            )?);
+        let mut o = Vec::with_capacity(body.outputs.len());
+        for (e, _) in &body.outputs {
+            o.push(eval(e)?);
         }
-        // Order keys for the grouped row.
-        let mut keys = Vec::with_capacity(order_by.len());
-        for ord in order_by {
-            if let Some(v) = output_key(&ord.expr, &o, out_names) {
-                keys.push(v);
-            } else {
-                keys.push(eval_grouped(
-                    &ord.expr,
-                    &input.schema,
-                    &rows,
-                    &stmt.group_by,
-                    key,
-                    db,
-                )?);
-            }
+        let mut keys = Vec::with_capacity(sort.len());
+        for k in sort {
+            keys.push(match k.output {
+                Some(i) => o[i].clone(),
+                None => eval(&k.expr)?,
+            });
         }
         out.push((o, keys));
     }
     Ok(out)
 }
 
-/// Where a non-grouped ORDER BY key comes from, decided once per
-/// statement (the decision in [`plan_output_key`] is row-independent).
-enum OrderSource<'e> {
-    /// Index into the projected output row.
-    Output(usize),
-    /// Planned evaluator over the input row.
-    Input(SiteEval<'e>),
-}
-
-/// The row-independent half of [`output_key`]: whether an ORDER BY
-/// expression names an output position (`ORDER BY 2`) or an output
-/// column/alias, and which index that is.
-fn plan_output_key(expr: &Expr, out_names: &[String], width: usize) -> Option<usize> {
+/// Whether an ORDER BY expression names an output position (`ORDER BY
+/// 2`) or an output column/alias, and which index that is.
+fn output_position(expr: &Expr, output: &Schema) -> Option<usize> {
     match expr {
         Expr::Literal(Value::Int(i)) => {
             let idx = (*i as usize).checked_sub(1)?;
-            (idx < width).then_some(idx)
+            (idx < output.len()).then_some(idx)
         }
         Expr::Column {
             qualifier: None,
             name,
-        } => out_names.iter().position(|n| n.eq_ignore_ascii_case(name)),
+        } => output
+            .columns()
+            .iter()
+            .position(|c| c.name.eq_ignore_ascii_case(name)),
         _ => None,
     }
-}
-
-/// Resolve an ORDER BY expression against the projected output row:
-/// positional (`ORDER BY 2`) or by output name/alias.
-fn output_key(expr: &Expr, out_row: &Row, out_names: &[String]) -> Option<Value> {
-    plan_output_key(expr, out_names, out_row.len()).and_then(|i| out_row.get(i).cloned())
 }
 
 /// Infer the output schema: static expression typing refined by the first
@@ -634,11 +740,4 @@ pub fn infer_type(expr: &Expr, input: &Schema) -> Option<DataType> {
         Expr::Case { branches, .. } => branches.first().and_then(|(_, v)| infer_type(v, input)),
         Expr::Cast { dtype, .. } => Some(*dtype),
     }
-}
-
-// The QueryCtx impl for Database lives in engine.rs; select execution only
-// uses it through the trait.
-#[allow(unused)]
-fn _assert_ctx_impl(db: &mut Database) -> &mut dyn QueryCtx {
-    db
 }

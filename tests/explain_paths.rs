@@ -135,3 +135,103 @@ fn fused_preprocess_plan_snapshot() {
         "fused preprocess plan drifted"
     );
 }
+
+/// A database with `t(a, b)` and `u(a, c)`, a few rows in each.
+fn tu_db() -> Database {
+    let mut db = Database::new();
+    for sql in [
+        "CREATE TABLE t (a INT, b VARCHAR)",
+        "CREATE TABLE u (a INT, c INT)",
+        "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')",
+        "INSERT INTO u VALUES (1, 9), (2, 6), (3, 7), (3, 4)",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    db
+}
+
+/// EXPLAIN's `pushdown` lines for `sql`, and the conjuncts the executor
+/// pushed while running it (`planner.pushed_filters`): the same number
+/// when EXPLAIN prints the plan that runs.
+fn pushdowns(db: &mut Database, sql: &str) -> (String, usize, u64) {
+    let p = plan(db, sql);
+    let printed = p
+        .lines()
+        .filter(|l| l.contains("pushdown to factor"))
+        .count();
+    let before = db.stats().planner_pushed_filters;
+    db.query(sql).unwrap();
+    (p, printed, db.stats().planner_pushed_filters - before)
+}
+
+#[test]
+fn a_view_factor_is_planned_through_its_own_plan() {
+    let mut db = tu_db();
+    db.execute("CREATE VIEW v AS SELECT a, c FROM u WHERE c > 5")
+        .unwrap();
+    let q = "SELECT t.b FROM t, v WHERE t.a = v.a AND v.c > 6";
+    let (p, printed, pushed) = pushdowns(&mut db, q);
+    assert_eq!(
+        p,
+        "Select\n  \
+         scan t [3 rows]\n  \
+         scan v [view]\n    \
+         Select\n      \
+         scan u [4 rows]\n      \
+         pushdown to factor 1: c > 5\n  \
+         pushdown to factor 2: v.c > 6\n  \
+         hash join on: t.a = v.a (step 1: t ⋈ v)"
+    );
+    assert_eq!((printed, pushed), (2, 2), "{p}");
+}
+
+#[test]
+fn a_derived_table_is_planned_through_its_own_plan() {
+    let mut db = tu_db();
+    let q = "SELECT x.a FROM (SELECT a FROM t) x, u WHERE x.a = u.a AND x.a > 1";
+    let (p, printed, pushed) = pushdowns(&mut db, q);
+    assert_eq!(
+        p,
+        "Select\n  \
+         scan (subquery)\n    \
+         Select\n      \
+         scan t [3 rows]\n  \
+         scan u [4 rows]\n  \
+         pushdown to factor 1: x.a > 1\n  \
+         hash join on: x.a = u.a (step 1: x ⋈ u)"
+    );
+    assert_eq!((printed, pushed), (1, 1), "{p}");
+}
+
+#[test]
+fn an_aggregate_in_having_alone_makes_one_group() {
+    let mut db = tu_db();
+    let q = "SELECT 'many' FROM t HAVING COUNT(*) > 1";
+    assert_eq!(
+        plan(&mut db, q),
+        "Select\n  scan t [3 rows]\n  aggregate (single group)\n  having: COUNT(*) > 1"
+    );
+    assert_eq!(db.query(q).unwrap().len(), 1, "one group, kept");
+}
+
+#[test]
+fn a_set_operation_prints_its_tail_after_both_arms() {
+    let mut db = tu_db();
+    let q = "SELECT a FROM t WHERE a > 0 UNION SELECT a FROM t ORDER BY 1 DESC LIMIT 1";
+    assert_eq!(
+        plan(&mut db, q),
+        "Select\n  \
+         set operation: UNION\n  \
+         Select\n    \
+         scan t [3 rows]\n    \
+         pushdown to factor 1: a > 0\n  \
+         Select\n    \
+         scan t [3 rows]\n  \
+         sort by 1 DESC\n  \
+         limit 1"
+    );
+    assert_eq!(
+        db.query(q).unwrap().rows(),
+        [vec![relational::Value::Int(3)]]
+    );
+}
