@@ -20,7 +20,8 @@
 //!   back out of the tables. It is reinstated while the version stamp
 //!   ([`relational::Table::version`]) of every FROM table still matches
 //!   the live catalog — stamps are globally unique and change on every
-//!   mutation, so drop-and-recreate can never resurrect one — and under a
+//!   mutation, so drop-and-recreate can never resurrect one; a statement
+//!   whose conditions read anything else keeps no encoding — and under a
 //!   superset rule: `Q3`/`Q5`/`Q9` prune at `:mingroups`, so a
 //!   reinstatement requires `min_groups_for(total_groups, new_support) >=
 //!   min_groups`. The core operator re-filters at the current
@@ -703,8 +704,13 @@ pub fn fingerprint(stmt: &MineRuleStatement, prefix: &str) -> String {
 }
 
 /// Current `(lowercase name, version)` of every FROM table, or `None` when
-/// a source table is missing from the catalog.
+/// a source table is missing from the catalog or a condition reads
+/// anything else ([`MineRuleStatement::reads_only_from_tables`]): those
+/// versions would not say whether a kept encoding is still the answer.
 fn source_versions(db: &Database, stmt: &MineRuleStatement) -> Option<Vec<(String, u64)>> {
+    if !stmt.reads_only_from_tables() {
+        return None;
+    }
     let mut versions = Vec::with_capacity(stmt.from.len());
     for source in &stmt.from {
         let table = db.catalog().table(&source.name).ok()?;

@@ -130,6 +130,32 @@ pub struct MineRuleStatement {
 }
 
 impl MineRuleStatement {
+    /// Whether the conditions read the FROM tables alone: no subquery,
+    /// host variable or sequence draw, each of which reads state that
+    /// the FROM tables' versions do not stamp.
+    pub fn reads_only_from_tables(&self) -> bool {
+        let conds = [
+            &self.source_cond,
+            &self.group_cond,
+            &self.cluster_cond,
+            &self.mining_cond,
+        ];
+        let mut only = true;
+        for cond in conds.into_iter().flatten() {
+            cond.walk(&mut |e| {
+                only &= !matches!(
+                    e,
+                    Expr::ScalarSubquery(_)
+                        | Expr::Exists { .. }
+                        | Expr::InSubquery { .. }
+                        | Expr::HostVar(_)
+                        | Expr::NextVal(_)
+                )
+            });
+        }
+        only
+    }
+
     /// All attributes mentioned anywhere (for `Q0`'s `<needed attr list>`):
     /// body ∪ head ∪ grouping ∪ clustering ∪ mining/condition attributes.
     pub fn needed_attributes(&self) -> Vec<String> {

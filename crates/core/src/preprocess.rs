@@ -239,35 +239,14 @@ pub fn preprocess_for_core(db: &mut Database, translation: &Translation) -> Resu
 
 /// Whether the translated program qualifies for the fused pass: its FROM
 /// is one base table (so one scan reads the whole source), and no
-/// condition reaches back into the engine — a subquery, a host variable
-/// or a sequence draw needs the SQL server to evaluate. The directives
-/// do not matter. Everything else runs the step-by-step SQL program.
+/// condition reaches back into the engine
+/// ([`MineRuleStatement::reads_only_from_tables`]): a subquery, a host
+/// variable or a sequence draw needs the SQL server to evaluate. The
+/// directives do not matter. Everything else runs the step-by-step SQL
+/// program.
 pub fn fusible(translation: &Translation) -> bool {
     let stmt = &translation.stmt;
-    let engine_free = |cond: &Expr| {
-        let mut free = true;
-        cond.walk(&mut |e| {
-            free &= !matches!(
-                e,
-                Expr::ScalarSubquery(_)
-                    | Expr::Exists { .. }
-                    | Expr::InSubquery { .. }
-                    | Expr::HostVar(_)
-                    | Expr::NextVal(_)
-            )
-        });
-        free
-    };
-    stmt.from.len() == 1
-        && [
-            &stmt.source_cond,
-            &stmt.group_cond,
-            &stmt.cluster_cond,
-            &stmt.mining_cond,
-        ]
-        .into_iter()
-        .flatten()
-        .all(engine_free)
+    stmt.from.len() == 1 && stmt.reads_only_from_tables()
 }
 
 /// The positions, on the statement's source table, of each attribute

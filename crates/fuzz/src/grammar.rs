@@ -595,7 +595,7 @@ impl Gen<'_> {
     }
 
     fn gen_subquery_select(&mut self) -> String {
-        match self.rng.gen_below(3) {
+        match self.rng.gen_below(4) {
             0 => "SELECT item FROM Purchase WHERE price > \
                   (SELECT AVG(price) FROM Purchase)"
                 .into(),
@@ -603,6 +603,12 @@ impl Gen<'_> {
                 "SELECT DISTINCT customer FROM Purchase WHERE item IN \
                  (SELECT item FROM Purchase WHERE qty >= {})",
                 1 + self.rng.gen_below(3)
+            ),
+            2 => format!(
+                "SELECT DISTINCT item FROM Purchase WHERE {}EXISTS \
+                 (SELECT tr FROM Purchase WHERE qty >= {})",
+                ["", "NOT "][self.rng.gen_below(2) as usize],
+                2 + self.rng.gen_below(3)
             ),
             _ => "SELECT DISTINCT p1.item FROM Purchase p1 WHERE EXISTS \
                   (SELECT * FROM Purchase p2 WHERE p2.item = p1.item AND p2.tr <> p1.tr)"
@@ -622,7 +628,7 @@ impl Gen<'_> {
 
     fn gen_dml(&mut self) -> String {
         let item = self.rng.gen_range_u32(0, self.items);
-        match self.rng.gen_below(5) {
+        match self.rng.gen_below(7) {
             0 => {
                 let c = self.rng.gen_range_u32(0, self.customers);
                 let d = self.rng.gen_below(3);
@@ -651,6 +657,15 @@ impl Gen<'_> {
                 };
                 format!("DELETE FROM Purchase WHERE {pred}")
             }
+            4 => format!(
+                "DELETE FROM Purchase WHERE price > (SELECT MAX(price) - {} FROM Purchase)",
+                self.rng.gen_below(10)
+            ),
+            5 => format!(
+                "UPDATE Purchase SET qty = (SELECT MAX(qty) FROM Purchase) \
+                 WHERE item IN (SELECT item FROM Purchase WHERE price < {})",
+                20 + 10 * self.rng.gen_below(5)
+            ),
             _ => {
                 // DDL: snapshot a projection into a new table, which later
                 // queries may reference.

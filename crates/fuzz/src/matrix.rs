@@ -20,8 +20,7 @@ use std::path::{Path, PathBuf};
 
 use minerule::reference::reference_mine;
 use minerule::{parse_mine_rule, DecodedRule, MineRuleEngine};
-use relational::expr::Expr;
-use relational::sql::ast::{SelectItem, SelectStmt, Statement, TableSource};
+use relational::sql::ast::Statement;
 use relational::sql::parser::parse_statement;
 use relational::{Database, StorageBackend};
 
@@ -316,55 +315,12 @@ fn render_rows(rs: &relational::ResultSet) -> String {
     lines.join("\n")
 }
 
-/// Whether a SELECT holds a subquery inside an expression (scalar, IN or
-/// EXISTS). Such a subquery is planned and run where it is evaluated, so
-/// its pushdowns are not among the plan's that EXPLAIN prints.
-fn has_expression_subquery(stmt: &SelectStmt) -> bool {
-    let items = stmt.items.iter().filter_map(|i| match i {
-        SelectItem::Expr { expr, .. } => Some(expr),
-        _ => None,
-    });
-    let on = stmt
-        .from
-        .iter()
-        .flat_map(|t| t.joins.iter().flat_map(|j| &j.on));
-    let exprs = items.chain(&stmt.where_clause).chain(&stmt.group_by);
-    let exprs = exprs
-        .chain(&stmt.having)
-        .chain(stmt.order_by.iter().map(|o| &o.expr));
-    let mut found = false;
-    for e in exprs.chain(on) {
-        e.walk(&mut |e| {
-            found |= matches!(
-                e,
-                Expr::ScalarSubquery(_) | Expr::Exists { .. } | Expr::InSubquery { .. }
-            )
-        });
-    }
-    let sources = stmt
-        .from
-        .iter()
-        .flat_map(|t| std::iter::once(&t.source).chain(t.joins.iter().map(|j| &j.source)));
-    let derived = sources.filter_map(|s| match s {
-        TableSource::Subquery(q) => Some(q.as_ref()),
-        TableSource::Named(_) => None,
-    });
-    found
-        || stmt
-            .set_op
-            .iter()
-            .map(|(_, rhs)| rhs.as_ref())
-            .chain(derived)
-            .any(has_expression_subquery)
-}
-
-/// The `pushdown to factor` lines EXPLAIN prints for a query, or `None`
-/// when the check does not apply (not a SELECT, a subquery inside an
-/// expression, or EXPLAIN itself fails).
+/// The `pushdown to factor` lines EXPLAIN prints for a query, its
+/// subqueries' included, or `None` when the check does not apply (not a
+/// SELECT, or EXPLAIN itself fails).
 fn explained_pushdowns(db: &mut Database, sql: &str) -> Option<u64> {
-    match parse_statement(sql).ok()? {
-        Statement::Select(stmt) if !has_expression_subquery(&stmt) => {}
-        _ => return None,
+    if !matches!(parse_statement(sql).ok()?, Statement::Select(_)) {
+        return None;
     }
     let plan = db.query(&format!("EXPLAIN {sql}")).ok()?;
     let lines = plan.rows().iter().map(|r| r[0].to_string());

@@ -2,12 +2,14 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::catalog::{Catalog, View};
 use crate::error::{Error, Result};
 use crate::exec::run_select;
+use crate::exec::select::{kept, plan_subqueries, slot, Frame};
 use crate::expr::compile::{ExecCounter, SiteEval};
-use crate::expr::eval::{eval_expr, QueryCtx};
+use crate::expr::eval::{eval_expr, Kept, QueryCtx, SubqueryKind};
 use crate::expr::Expr;
 use crate::resultset::ResultSet;
 use crate::row::Row;
@@ -30,7 +32,8 @@ pub struct ExecStats {
     pub programs_compiled: u64,
     /// Constant subtrees folded during expression compilation.
     pub exprs_const_folded: u64,
-    /// Interpreter-fallback ops emitted by the compiler (subqueries).
+    /// Always 0: the compiler lowers every node, subqueries included, to
+    /// its own ops. Kept only because the kernel benchmark reads it.
     pub compile_fallback_ops: u64,
     /// Base-table rows fed into SELECT evaluation.
     pub rows_scanned: u64,
@@ -141,6 +144,8 @@ pub struct Database {
     vars: HashMap<String, Value>,
     stats: ExecStats,
     reference_paths: bool,
+    /// The running statement's subqueries and what they kept.
+    pub(crate) frame: Frame,
     storage_dir: Option<PathBuf>,
     storage_cfg: StorageConfig,
     store: Option<PagedStore>,
@@ -544,52 +549,32 @@ impl Database {
     /// Visit every row of `table` (with its position) with an evaluator
     /// of `exprs` over it: `eval(i)` is the value of `exprs[i]` on the
     /// row. Each expression is planned once ([`SiteEval::plan`]):
-    /// compiled in production, interpreted on the reference paths.
-    /// Expressions that reach back into the engine — subqueries, sequence
-    /// draws — need `&mut self`, so they see a snapshot of the rows
-    /// (shared, not copied: the table is not mutated until the visit is
-    /// over); everything else is evaluated against the stored rows in
-    /// place.
+    /// compiled in production, interpreted on the reference paths; the
+    /// subqueries of `exprs` are planned with them and run once each. The
+    /// visit reads a snapshot of the rows (shared, not copied), released
+    /// before the caller writes the table.
     fn for_each_target_row(
         &mut self,
         table: &str,
         exprs: &[&Expr],
         mut visit: impl FnMut(usize, &Row, &mut dyn FnMut(usize) -> Result<Value>) -> Result<()>,
     ) -> Result<()> {
-        let mut reaches_engine = false;
-        for e in exprs {
-            e.walk(&mut |e| {
-                reaches_engine |= matches!(
-                    e,
-                    Expr::ScalarSubquery(_)
-                        | Expr::Exists { .. }
-                        | Expr::InSubquery { .. }
-                        | Expr::NextVal(_)
-                );
-            });
-        }
-        let schema = self.catalog.table(table)?.schema().clone();
+        let subqueries = Arc::new(plan_subqueries(self, exprs.iter().copied())?);
+        let table = self.catalog.table(table)?;
+        let (schema, rows) = (table.schema().clone(), table.shared_rows());
+        let outer = std::mem::replace(&mut self.frame, Frame::new(subqueries));
         let evals: Vec<SiteEval> = exprs
             .iter()
             .map(|e| SiteEval::plan(e, &schema, self))
             .collect();
         let mut stack = Vec::new();
-        if reaches_engine {
-            let rows = self.catalog.table(table)?.shared_rows();
-            for (at, row) in rows.iter().enumerate() {
-                visit(at, row, &mut |i| {
-                    evals[i].eval(&schema, row, self, &mut stack)
-                })?;
-            }
-        } else {
-            let mut ctx = HostVars(&self.vars);
-            for (at, row) in self.catalog.table(table)?.rows().iter().enumerate() {
-                visit(at, row, &mut |i| {
-                    evals[i].eval(&schema, row, &mut ctx, &mut stack)
-                })?;
-            }
-        }
-        Ok(())
+        let visited = rows.iter().enumerate().try_for_each(|(at, row)| {
+            visit(at, row, &mut |i| {
+                evals[i].eval(&schema, row, self, &mut stack)
+            })
+        });
+        self.frame = outer;
+        visited
     }
 
     fn run_delete(&mut self, table: &str, pred: Option<&Expr>) -> Result<ExecOutcome> {
@@ -651,36 +636,17 @@ impl Database {
     }
 }
 
-fn host_var(vars: &HashMap<String, Value>, name: &str) -> Result<Value> {
-    vars.get(&name.to_ascii_lowercase())
-        .cloned()
-        .ok_or_else(|| Error::UnboundVariable {
-            name: name.to_string(),
-        })
-}
-
-/// The evaluation context of a DML expression that needs nothing of the
-/// engine but its host variables: the table's rows stay borrowed from the
-/// catalog while it runs, so the database itself cannot be the context.
-/// [`Database::for_each_target_row`] routes expressions with subqueries
-/// or sequence draws elsewhere, so those arms are unreachable errors.
-struct HostVars<'a>(&'a HashMap<String, Value>);
-
-impl QueryCtx for HostVars<'_> {
-    fn run_subquery(&mut self, _query: &SelectStmt) -> Result<ResultSet> {
-        Err(Error::unsupported("subquery over stored rows"))
-    }
-    fn nextval(&mut self, _sequence: &str) -> Result<i64> {
-        Err(Error::unsupported("sequence draw over stored rows"))
-    }
-    fn host_var(&self, name: &str) -> Result<Value> {
-        host_var(self.0, name)
-    }
-}
-
 impl QueryCtx for Database {
     fn run_subquery(&mut self, query: &SelectStmt) -> Result<ResultSet> {
         run_select(self, query)
+    }
+
+    fn subquery_slot(&self, kind: SubqueryKind, query: &SelectStmt) -> Option<usize> {
+        slot(&self.frame.subqueries, kind, query)
+    }
+
+    fn subquery(&mut self, slot: usize) -> Result<&Kept> {
+        kept(self, slot)
     }
 
     fn nextval(&mut self, sequence: &str) -> Result<i64> {
@@ -688,7 +654,11 @@ impl QueryCtx for Database {
     }
 
     fn host_var(&self, name: &str) -> Result<Value> {
-        host_var(&self.vars, name)
+        self.var(name)
+            .cloned()
+            .ok_or_else(|| Error::UnboundVariable {
+                name: name.to_string(),
+            })
     }
 
     fn reference_paths(&self) -> bool {
@@ -700,7 +670,6 @@ impl QueryCtx for Database {
         match counter {
             ExecCounter::ProgramsCompiled => stats.programs_compiled += n,
             ExecCounter::ConstFolded => stats.exprs_const_folded += n,
-            ExecCounter::FallbackOps => stats.compile_fallback_ops += n,
             ExecCounter::RowsScanned => stats.rows_scanned += n,
             ExecCounter::RowsFiltered => stats.rows_filtered += n,
             ExecCounter::RowsJoined => stats.rows_joined += n,

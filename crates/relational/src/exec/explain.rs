@@ -4,8 +4,8 @@
 //! of the statement's clauses: per factor its scan (a view's or derived
 //! table's own plan nested under it), the pushed conjuncts, the join
 //! steps in the order they run, the residual filters, aggregation,
-//! DISTINCT, a set operation's arms, then ORDER BY and LIMIT. The node
-//! list is in docs/ARCHITECTURE.md.
+//! DISTINCT, a set operation's arms, then ORDER BY, LIMIT and each
+//! expression subquery's plan. The node list is in docs/ARCHITECTURE.md.
 
 use crate::engine::Database;
 use crate::error::Result;
@@ -61,6 +61,15 @@ fn explain_select(db: &Database, plan: &SelectPlan, indent: usize, out: &mut Str
     }
     if let Some(l) = plan.max_rows {
         out.push_str(&format!("{pad}limit {l}\n"));
+    }
+    // Each subquery's plan, or the fault planning it met, which the
+    // statement raises only if it runs the subquery.
+    for (k, subquery) in plan.subqueries.iter().enumerate() {
+        out.push_str(&format!("{pad}subquery {}: {}\n", k + 1, subquery.query));
+        match &subquery.plan {
+            Ok(plan) => explain_select(db, plan, indent + 2, out),
+            Err(e) => out.push_str(&format!("{pad}  error: {e}\n")),
+        }
     }
 }
 

@@ -4,8 +4,14 @@
 //! derived table through its own nested plan), the join plan over those
 //! schemas, the columns the join must build ([`Demand`]), the expanded
 //! items, grouped or not, where each ORDER BY key comes from, DISTINCT,
-//! LIMIT, and a set operation's arms with its trailing ORDER BY / LIMIT.
+//! LIMIT, a set operation's arms with its trailing ORDER BY / LIMIT, and
+//! every expression subquery of the statement with its own nested plan.
 //! [`run_select`] runs that value and `EXPLAIN` prints it.
+//!
+//! Subqueries are not correlated, so each one runs at most once per
+//! statement, on its first use, and keeps what its readers need
+//! ([`Kept`]): a subquery no row reaches never runs, so it raises
+//! nothing, and a fault in its plan is raised only where it would run.
 //!
 //! Execution is scan/join → filter → group/aggregate → project →
 //! distinct → order → limit, each step materialised late: scans share
@@ -17,13 +23,14 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
+use std::sync::Arc;
 
 use crate::engine::Database;
 use crate::error::{Error, Result};
 use crate::exec::join::{conjuncts, filter_relation, join_factors, plan_joins, Demand};
 use crate::exec::join::{JoinPlan, Relation};
 use crate::expr::compile::{ExecCounter, SiteEval};
-use crate::expr::eval::{eval_grouped, QueryCtx};
+use crate::expr::eval::{eval_grouped, Kept, QueryCtx, SubqueryKind};
 use crate::expr::{AggFunc, BinOp, Expr};
 use crate::key::{bucket, KeyHash, KeyMap};
 use crate::resultset::ResultSet;
@@ -43,6 +50,20 @@ pub(crate) struct SelectPlan {
     /// The output columns: names as they run, types inferred statically
     /// (the result refines them from the rows).
     schema: Schema,
+    /// Every expression subquery of the statement, nested ones included
+    /// (each before the one that holds it); empty below the statement's
+    /// own plan.
+    pub(crate) subqueries: Arc<Vec<Subquery>>,
+}
+
+/// One expression subquery of a statement ([`SubqueryKind`] tells how it
+/// is read): equal subqueries read alike share one.
+#[derive(Debug)]
+pub(crate) struct Subquery {
+    kind: SubqueryKind,
+    pub(crate) query: Box<SelectStmt>,
+    /// Its plan, or the fault planning it met, raised on its first run.
+    pub(crate) plan: Result<SelectPlan>,
 }
 
 /// What produces a plan's rows.
@@ -109,111 +130,189 @@ impl Factor {
 /// Plan a SELECT: resolve its tables and views, and decide everything
 /// [`run_select`] does with their rows.
 pub(crate) fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan> {
-    let Some((op, rhs)) = &stmt.set_op else {
-        return plan_body(db, stmt, &stmt.order_by, stmt.limit);
-    };
-    let left = plan_body(db, stmt, &[], None)?;
-    let right = plan_select(db, rhs)?;
-    Ok(SelectPlan {
-        sort: sort_keys(&stmt.order_by, &left.schema),
-        max_rows: stmt.limit,
-        schema: left.schema.clone(),
-        shape: Shape::SetOp(*op, Box::new(left), Box::new(right)),
-    })
+    let mut planner = Planner::default();
+    let plan = planner.select(db, stmt);
+    let subqueries = Arc::new(planner.finish()?);
+    plan.map(|plan| SelectPlan { subqueries, ..plan })
 }
 
-/// Plan one SELECT body under the given ORDER BY / LIMIT (a set
-/// operation's left arm has none: the tail belongs to the combination).
-fn plan_body(
+/// Plan the subqueries of a DELETE's or UPDATE's expressions.
+pub(crate) fn plan_subqueries<'e>(
     db: &Database,
-    stmt: &SelectStmt,
-    order_by: &[OrderItem],
-    max_rows: Option<u64>,
-) -> Result<SelectPlan> {
-    let (mut from, mut schemas) = (Vec::new(), Vec::new());
-    for tref in &stmt.from {
-        let factor = plan_factor(db, &tref.source, tref.alias.as_deref())?;
-        let (mut schema, mut joins) = (factor.schema.clone(), Vec::new());
-        for j in &tref.joins {
-            let right = plan_factor(db, &j.source, j.alias.as_deref())?;
-            schema = schema.join(&right.schema);
-            joins.push((j.kind, right, j.on.clone()));
-        }
-        from.push((factor, joins));
-        schemas.push(schema);
-    }
-    let input = schemas.iter().fold(Schema::default(), |acc, s| acc.join(s));
-    let where_conjuncts = stmt.where_clause.iter().flat_map(conjuncts).cloned();
-    let schema_refs: Vec<&Schema> = schemas.iter().collect();
-    let joins = plan_joins(&schema_refs, where_conjuncts.collect());
-
-    let (outputs, expand_error) = match expand_items(&stmt.items, &input) {
-        Ok(outputs) => (outputs, None),
-        Err(e) => (Vec::new(), Some(e)),
-    };
-    let schema = output_schema(&outputs, &input, &[]);
-    let sort = sort_keys(order_by, &schema);
-    // The columns read after the join: every one under a wildcard, else
-    // those the items, GROUP BY, HAVING, ORDER BY and the residual
-    // conjuncts reference. Subqueries are not correlated, so their
-    // references never resolve against this input.
-    let exprs = outputs.iter().map(|(e, _)| e).chain(&stmt.group_by);
-    let exprs = exprs
-        .chain(&stmt.having)
-        .chain(sort.iter().map(|k| &k.expr));
-    let refs = exprs.chain(&joins.residual).flat_map(Expr::column_refs);
-    let wildcard = |i: &SelectItem| !matches!(i, SelectItem::Expr { .. });
-    let demand = match stmt.items.iter().any(wildcard) {
-        true => Demand::All,
-        false => Demand::Refs(refs.map(|(q, n)| (q.map(Into::into), n.into())).collect()),
-    };
-    let grouped = !stmt.group_by.is_empty()
-        || outputs.iter().any(|(e, _)| e.contains_aggregate())
-        || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
-    let body = Body {
-        from,
-        joins,
-        demand,
-        outputs,
-        expand_error,
-        group_keys: stmt.group_by.clone(),
-        group_filter: stmt.having.clone(),
-        grouped,
-        dedup: stmt.distinct,
-        into_var: stmt.into_var.clone(),
-    };
-    Ok(SelectPlan {
-        shape: Shape::Body(Box::new(body)),
-        sort,
-        max_rows,
-        schema,
-    })
+    exprs: impl IntoIterator<Item = &'e Expr>,
+) -> Result<Vec<Subquery>> {
+    let mut planner = Planner::default();
+    planner.subqueries_in(db, exprs);
+    planner.finish()
 }
 
-/// Plan one table factor: a base table's schema comes from the catalog
-/// (which builds no deferred rows for it), a view's or derived table's
-/// from its own plan.
-fn plan_factor(db: &Database, source: &TableSource, alias: Option<&str>) -> Result<Factor> {
-    let (name, query) = match source {
-        TableSource::Named(name) => (Some(name), db.catalog().view(name).map(|v| &v.query)),
-        TableSource::Subquery(q) => (None, Some(q.as_ref())),
-    };
-    let plan = query.map(|q| plan_select(db, q)).transpose()?;
-    let schema = match (&plan, name) {
-        (Some(plan), _) => &plan.schema,
-        (None, Some(name)) => db.catalog().table_schema(name)?,
-        (None, None) => unreachable!("a derived table has a plan"),
-    };
-    let schema = match alias.or(name.map(String::as_str)) {
-        Some(q) => schema.with_qualifier(q),
-        None => schema.clone(),
-    };
-    Ok(Factor {
-        name: name.cloned(),
-        alias: alias.map(str::to_string),
-        plan: plan.map(Box::new),
-        schema,
-    })
+/// The position of the subquery `query` read as `kind` among `planned`.
+pub(crate) fn slot(planned: &[Subquery], kind: SubqueryKind, query: &SelectStmt) -> Option<usize> {
+    planned
+        .iter()
+        .position(|s| s.kind == kind && *s.query == *query)
+}
+
+/// Plans one statement, collecting its expression subqueries.
+#[derive(Default)]
+struct Planner {
+    subqueries: Vec<Subquery>,
+    /// How many expression subqueries deep the planner is.
+    depth: usize,
+    /// The refusal of a sequence draw inside an expression subquery: run
+    /// once per statement, it would draw once where the interpreter draws
+    /// per evaluation. It comes before any other fault of the plan.
+    refusal: Option<Error>,
+}
+
+impl Planner {
+    fn finish(self) -> Result<Vec<Subquery>> {
+        self.refusal.map_or(Ok(self.subqueries), Err)
+    }
+
+    /// Plan each subquery below `exprs` that is not planned yet, inner
+    /// ones first. A fault of its plan is kept for its first run.
+    fn subqueries_in<'e>(&mut self, db: &Database, exprs: impl IntoIterator<Item = &'e Expr>) {
+        let (mut found, mut draw) = (Vec::new(), None);
+        for e in exprs {
+            e.walk(&mut |e| {
+                found.extend(SubqueryKind::of(e));
+                if let Expr::NextVal(seq) = e {
+                    draw.get_or_insert(seq);
+                }
+            });
+        }
+        if self.depth > 0 && self.refusal.is_none() {
+            let refusal = |seq| format!("sequence draw {seq}.NEXTVAL inside a subquery");
+            self.refusal = draw.map(|seq| Error::unsupported(refusal(seq)));
+        }
+        for (kind, query) in found {
+            if slot(&self.subqueries, kind, query).is_none() {
+                self.depth += 1;
+                let plan = self.select(db, query);
+                self.depth -= 1;
+                let query = Box::new(query.clone());
+                self.subqueries.push(Subquery { kind, query, plan });
+            }
+        }
+    }
+
+    fn select(&mut self, db: &Database, stmt: &SelectStmt) -> Result<SelectPlan> {
+        let Some((op, rhs)) = &stmt.set_op else {
+            return self.body(db, stmt, &stmt.order_by, stmt.limit);
+        };
+        let left = self.body(db, stmt, &[], None)?;
+        let right = self.select(db, rhs)?;
+        Ok(SelectPlan {
+            sort: sort_keys(&stmt.order_by, &left.schema),
+            max_rows: stmt.limit,
+            schema: left.schema.clone(),
+            shape: Shape::SetOp(*op, Box::new(left), Box::new(right)),
+            subqueries: Arc::default(),
+        })
+    }
+
+    /// Plan one SELECT body under the given ORDER BY / LIMIT (a set
+    /// operation's left arm has none: the tail belongs to the combination).
+    fn body(
+        &mut self,
+        db: &Database,
+        stmt: &SelectStmt,
+        order_by: &[OrderItem],
+        max_rows: Option<u64>,
+    ) -> Result<SelectPlan> {
+        self.subqueries_in(db, stmt.exprs());
+        let (mut from, mut schemas) = (Vec::new(), Vec::new());
+        for tref in &stmt.from {
+            let factor = self.factor(db, &tref.source, tref.alias.as_deref())?;
+            let (mut schema, mut joins) = (factor.schema.clone(), Vec::new());
+            for j in &tref.joins {
+                let right = self.factor(db, &j.source, j.alias.as_deref())?;
+                schema = schema.join(&right.schema);
+                joins.push((j.kind, right, j.on.clone()));
+            }
+            from.push((factor, joins));
+            schemas.push(schema);
+        }
+        let input = schemas.iter().fold(Schema::default(), |acc, s| acc.join(s));
+        let where_conjuncts = stmt.where_clause.iter().flat_map(conjuncts).cloned();
+        let schema_refs: Vec<&Schema> = schemas.iter().collect();
+        let joins = plan_joins(&schema_refs, where_conjuncts.collect());
+
+        let (outputs, expand_error) = match expand_items(&stmt.items, &input) {
+            Ok(outputs) => (outputs, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        let schema = output_schema(&outputs, &input, &[]);
+        let sort = sort_keys(order_by, &schema);
+        // The columns read after the join: every one under a wildcard, else
+        // those the items, GROUP BY, HAVING, ORDER BY and the residual
+        // conjuncts reference. Subqueries are not correlated, so their
+        // references never resolve against this input.
+        let exprs = outputs.iter().map(|(e, _)| e).chain(&stmt.group_by);
+        let exprs = exprs
+            .chain(&stmt.having)
+            .chain(sort.iter().map(|k| &k.expr));
+        let refs = exprs.chain(&joins.residual).flat_map(Expr::column_refs);
+        let wildcard = |i: &SelectItem| !matches!(i, SelectItem::Expr { .. });
+        let demand = match stmt.items.iter().any(wildcard) {
+            true => Demand::All,
+            false => Demand::Refs(refs.map(|(q, n)| (q.map(Into::into), n.into())).collect()),
+        };
+        let grouped = !stmt.group_by.is_empty()
+            || outputs.iter().any(|(e, _)| e.contains_aggregate())
+            || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
+        let body = Body {
+            from,
+            joins,
+            demand,
+            outputs,
+            expand_error,
+            group_keys: stmt.group_by.clone(),
+            group_filter: stmt.having.clone(),
+            grouped,
+            dedup: stmt.distinct,
+            into_var: stmt.into_var.clone(),
+        };
+        Ok(SelectPlan {
+            shape: Shape::Body(Box::new(body)),
+            sort,
+            max_rows,
+            schema,
+            subqueries: Arc::default(),
+        })
+    }
+
+    /// Plan one table factor: a base table's schema comes from the catalog
+    /// (which builds no deferred rows for it), a view's or derived table's
+    /// from its own plan.
+    fn factor(
+        &mut self,
+        db: &Database,
+        source: &TableSource,
+        alias: Option<&str>,
+    ) -> Result<Factor> {
+        let (name, query) = match source {
+            TableSource::Named(name) => (Some(name), db.catalog().view(name).map(|v| &v.query)),
+            TableSource::Subquery(q) => (None, Some(q.as_ref())),
+        };
+        let plan = query.map(|q| self.select(db, q)).transpose()?;
+        let schema = match (&plan, name) {
+            (Some(plan), _) => &plan.schema,
+            (None, Some(name)) => db.catalog().table_schema(name)?,
+            (None, None) => unreachable!("a derived table has a plan"),
+        };
+        let schema = match alias.or(name.map(String::as_str)) {
+            Some(q) => schema.with_qualifier(q),
+            None => schema.clone(),
+        };
+        Ok(Factor {
+            name: name.cloned(),
+            alias: alias.map(str::to_string),
+            plan: plan.map(Box::new),
+            schema,
+        })
+    }
 }
 
 /// Decide where each ORDER BY key comes from, given the output columns.
@@ -226,10 +325,40 @@ fn sort_keys(order_by: &[OrderItem], output: &Schema) -> Vec<SortKey> {
     order_by.iter().map(key).collect()
 }
 
-/// Execute a SELECT against the database: plan it, then run the plan.
+/// Execute a SELECT against the database: plan it, then run the plan
+/// with its subqueries as the running statement's.
 pub fn run_select(db: &mut Database, stmt: &SelectStmt) -> Result<ResultSet> {
     let plan = plan_select(db, stmt)?;
-    execute(db, &plan)
+    let outer = std::mem::replace(&mut db.frame, Frame::new(Arc::clone(&plan.subqueries)));
+    let rs = execute(db, &plan);
+    db.frame = outer;
+    rs
+}
+
+/// The running statement's frame: its subqueries, with what each kept
+/// once it ran.
+#[derive(Debug, Default)]
+pub(crate) struct Frame {
+    pub(crate) subqueries: Arc<Vec<Subquery>>,
+    kept: Vec<Option<Kept>>,
+}
+
+impl Frame {
+    pub(crate) fn new(subqueries: Arc<Vec<Subquery>>) -> Frame {
+        let kept = vec![None; subqueries.len()];
+        Frame { subqueries, kept }
+    }
+}
+
+/// What the running statement's subquery `k` keeps, run on its first use.
+pub(crate) fn kept(db: &mut Database, k: usize) -> Result<&Kept> {
+    if db.frame.kept[k].is_none() {
+        let subqueries = Arc::clone(&db.frame.subqueries);
+        let plan = subqueries[k].plan.as_ref().map_err(Clone::clone)?;
+        let rs = execute(db, plan)?;
+        db.frame.kept[k] = Some(Kept::of(subqueries[k].kind, rs)?);
+    }
+    Ok(db.frame.kept[k].as_ref().expect("kept above"))
 }
 
 /// Run a plan: one body, or a set operation over two plans.

@@ -6,8 +6,10 @@
 //! every row. A [`CompiledExpr`] does that work once per statement:
 //! column references become row offsets, constant subtrees fold to a
 //! single push, and `AND`/`OR`/`IN`/`CASE` lower to short-circuit jumps.
-//! Nodes the program machine cannot host (subqueries) fall back to the
-//! interpreter per evaluation; everything else runs on the flat program.
+//! A subquery node becomes one op naming the statement's planned
+//! subquery ([`QueryCtx::subquery_slot`]): it runs on its first use and
+//! every later evaluation reads what it kept
+//! ([`Kept`](crate::expr::eval::Kept)).
 //!
 //! Compilation is *total*: it never fails. Anything that cannot be
 //! pre-resolved (an unknown column, an aggregate outside grouping)
@@ -19,7 +21,7 @@ use std::cmp::Ordering;
 use crate::error::{Error, Result};
 use crate::expr::eval::{
     cast_value, comparison_holds, eval_binary, eval_expr, eval_scalar_func, eval_unary, like_match,
-    logical_and, logical_or, maybe_negate, NoCtx, QueryCtx,
+    logical_and, logical_or, maybe_negate, NoCtx, QueryCtx, SubqueryKind,
 };
 use crate::expr::{BinOp, Expr, UnaryOp};
 use crate::row::Row;
@@ -34,8 +36,6 @@ pub enum ExecCounter {
     ProgramsCompiled,
     /// Constant subtrees folded at compile time.
     ConstFolded,
-    /// Interpreter-fallback ops emitted (subquery nodes).
-    FallbackOps,
     /// Base-table rows fed into SELECT evaluation.
     RowsScanned,
     /// Rows removed by WHERE / join-residual filters.
@@ -126,17 +126,19 @@ pub(crate) enum Op {
     },
     /// Pop one, CAST to the type.
     Cast(DataType),
-    /// Evaluate the subtree with the interpreter (subquery nodes need
-    /// the full engine machinery).
-    Fallback(Box<Expr>),
+    /// Push the kept value of the statement's scalar or EXISTS subquery
+    /// `k`, running it on first use.
+    Subquery(usize),
+    /// Pop the test value; push NULL when it is NULL (the subquery does
+    /// not run), else probe the kept column of the statement's IN
+    /// subquery `k`, running it on first use.
+    InSubquery(usize),
 }
 
-/// A compiled expression: a flat program over a value stack, plus the
-/// input schema when any op needs the interpreter fallback.
+/// A compiled expression: a flat program over a value stack.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr {
     pub(crate) ops: Vec<Op>,
-    pub(crate) fallback_schema: Option<Schema>,
 }
 
 impl CompiledExpr {
@@ -148,22 +150,16 @@ impl CompiledExpr {
         let mut c = Compiler {
             ops: Vec::new(),
             schema,
-            needs_fallback: false,
+            ctx: &*ctx,
             folded: 0,
-            fallback_ops: 0,
         };
         c.emit(expr);
+        let (ops, folded) = (c.ops, c.folded);
         ctx.bump(ExecCounter::ProgramsCompiled, 1);
-        if c.folded > 0 {
-            ctx.bump(ExecCounter::ConstFolded, c.folded);
+        if folded > 0 {
+            ctx.bump(ExecCounter::ConstFolded, folded);
         }
-        if c.fallback_ops > 0 {
-            ctx.bump(ExecCounter::FallbackOps, c.fallback_ops);
-        }
-        CompiledExpr {
-            ops: c.ops,
-            fallback_schema: c.needs_fallback.then(|| schema.clone()),
-        }
+        CompiledExpr { ops }
     }
 
     /// Evaluate against one row, reusing `stack` as scratch so hot loops
@@ -300,9 +296,13 @@ impl CompiledExpr {
                     let v = stack.pop().expect("cast operand");
                     stack.push(cast_value(v, *dtype)?);
                 }
-                Op::Fallback(expr) => {
-                    let schema = self.fallback_schema.as_ref().expect("fallback schema");
-                    stack.push(eval_expr(expr, schema, row, ctx)?);
+                Op::Subquery(k) => stack.push(ctx.subquery(*k)?.value()),
+                Op::InSubquery(k) => {
+                    let v = stack.pop().expect("in test value");
+                    stack.push(match v.is_null() {
+                        true => Value::Null,
+                        false => ctx.subquery(*k)?.probe(&v)?,
+                    });
                 }
             }
             pc += 1;
@@ -375,9 +375,8 @@ fn is_const(expr: &Expr) -> bool {
 struct Compiler<'a> {
     ops: Vec<Op>,
     schema: &'a Schema,
-    needs_fallback: bool,
+    ctx: &'a dyn QueryCtx,
     folded: u64,
-    fallback_ops: u64,
 }
 
 impl Compiler<'_> {
@@ -488,9 +487,7 @@ impl Compiler<'_> {
                 })));
             }
             Expr::ScalarSubquery(_) | Expr::Exists { .. } | Expr::InSubquery { .. } => {
-                self.needs_fallback = true;
-                self.fallback_ops += 1;
-                self.ops.push(Op::Fallback(Box::new(expr.clone())));
+                self.emit_subquery(expr)
             }
             Expr::Cast { expr, dtype } => {
                 self.emit(expr);
@@ -518,6 +515,33 @@ impl Compiler<'_> {
                     self.ops[j] = Op::Jump(end);
                 }
             }
+        }
+    }
+
+    /// Lower a subquery node to the op naming its slot — after the test
+    /// value, for `IN` — then a NOT when negated (the verdict is BOOLEAN or
+    /// NULL, which NOT maps as the interpreter's negation does). A
+    /// subquery the statement did not plan fails as it would outside an
+    /// engine.
+    fn emit_subquery(&mut self, node: &Expr) {
+        let (kind, query) = SubqueryKind::of(node).expect("a subquery node");
+        let negated = match node {
+            Expr::InSubquery { expr, negated, .. } => {
+                self.emit(expr);
+                *negated
+            }
+            Expr::Exists { negated, .. } => *negated,
+            _ => false,
+        };
+        self.ops.push(match self.ctx.subquery_slot(kind, query) {
+            Some(k) if kind == SubqueryKind::In => Op::InSubquery(k),
+            Some(k) => Op::Subquery(k),
+            None => Op::Fail(Box::new(Error::unsupported(
+                "subquery outside engine context",
+            ))),
+        });
+        if negated {
+            self.ops.push(Op::Unary(UnaryOp::Not));
         }
     }
 

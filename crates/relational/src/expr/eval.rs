@@ -5,6 +5,7 @@
 //! (grouped projections, HAVING), which computes aggregates over the
 //! group's rows and resolves group-key expressions to their key values.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -20,8 +21,18 @@ use crate::value::{Date, Value};
 /// Services an evaluator needs from the engine: subquery execution,
 /// sequence draws and host-variable lookup.
 pub trait QueryCtx {
-    /// Run a (non-correlated) subquery and return its full result.
+    /// Run a (non-correlated) subquery and return its full result: what
+    /// the interpreter does at every evaluation on the reference paths.
     fn run_subquery(&mut self, query: &SelectStmt) -> Result<ResultSet>;
+    /// Which of the running statement's planned subqueries `query`, read
+    /// as `kind`, is: the compiler's path. `None` outside a statement.
+    fn subquery_slot(&self, _kind: SubqueryKind, _query: &SelectStmt) -> Option<usize> {
+        None
+    }
+    /// What the statement's subquery `slot` keeps, run on its first use.
+    fn subquery(&mut self, _slot: usize) -> Result<&Kept> {
+        Err(Error::unsupported("subquery outside engine context"))
+    }
     /// Draw the next value from a sequence.
     fn nextval(&mut self, sequence: &str) -> Result<i64>;
     /// Read a host variable.
@@ -37,6 +48,83 @@ pub trait QueryCtx {
     /// Record executor work ([`ExecCounter`]). A no-op outside an
     /// engine, so plan-level helpers can report unconditionally.
     fn bump(&mut self, _counter: ExecCounter, _n: u64) {}
+}
+
+/// How an expression reads a subquery's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubqueryKind {
+    /// `(SELECT …)`: its one value.
+    Scalar,
+    /// `v [NOT] IN (SELECT …)`: its one column.
+    In,
+    /// `[NOT] EXISTS (SELECT …)`: whether it has a row.
+    Exists,
+}
+
+impl SubqueryKind {
+    /// The subquery an expression node runs, and how it reads it.
+    pub(crate) fn of(expr: &Expr) -> Option<(SubqueryKind, &SelectStmt)> {
+        match expr {
+            Expr::ScalarSubquery(q) => Some((SubqueryKind::Scalar, q)),
+            Expr::InSubquery { query, .. } => Some((SubqueryKind::In, query)),
+            Expr::Exists { query, .. } => Some((SubqueryKind::Exists, query)),
+            _ => None,
+        }
+    }
+}
+
+/// What an expression keeps of a subquery's result ([`SubqueryKind`]): a
+/// scalar's value or EXISTS's verdict, or IN's one column.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Kept {
+    Value(Value),
+    Column(Vec<Value>),
+}
+
+impl Kept {
+    /// Keep what `kind` reads of `rs`, or fail on a result of the wrong
+    /// shape.
+    pub(crate) fn of(kind: SubqueryKind, rs: ResultSet) -> Result<Kept> {
+        Ok(match kind {
+            SubqueryKind::Scalar => Kept::Value(scalar_from_resultset(&rs)?),
+            SubqueryKind::Exists => Kept::Value(Value::Bool(!rs.is_empty())),
+            SubqueryKind::In if rs.schema().len() != 1 => {
+                return Err(Error::ScalarSubquery {
+                    message: format!("IN subquery returns {} columns", rs.schema().len()),
+                })
+            }
+            SubqueryKind::In => Kept::Column(rs.into_rows().into_iter().flatten().collect()),
+        })
+    }
+
+    /// A scalar's value, or EXISTS's verdict.
+    pub(crate) fn value(&self) -> Value {
+        let Kept::Value(v) = self else {
+            unreachable!("an IN subquery is probed")
+        };
+        v.clone()
+    }
+
+    /// `v IN (column)` for a non-NULL `v`, probing in order: TRUE at the
+    /// first equal item, else NULL when an item was NULL, else FALSE.
+    pub(crate) fn probe(&self, v: &Value) -> Result<Value> {
+        let Kept::Column(items) = self else {
+            unreachable!("only an IN subquery is probed")
+        };
+        let mut saw_null = false;
+        for item in items {
+            if item.is_null() {
+                saw_null = true;
+            } else if v.sql_cmp(item)? == Some(Ordering::Equal) {
+                return Ok(Value::Bool(true));
+            }
+        }
+        Ok(if saw_null {
+            Value::Null
+        } else {
+            Value::Bool(false)
+        })
+    }
 }
 
 /// A context for expression evaluation outside any engine (literals only);
@@ -150,13 +238,10 @@ pub fn eval_expr(expr: &Expr, schema: &Schema, row: &Row, ctx: &mut dyn QueryCtx
         Expr::Aggregate { .. } => Err(Error::Aggregate {
             message: "aggregate used outside GROUP BY / HAVING context".into(),
         }),
-        Expr::ScalarSubquery(q) => {
-            let rs = ctx.run_subquery(q)?;
-            scalar_from_resultset(&rs)
-        }
+        Expr::ScalarSubquery(q) => Ok(read_subquery(ctx, SubqueryKind::Scalar, q)?.value()),
         Expr::Exists { negated, query } => {
-            let rs = ctx.run_subquery(query)?;
-            Ok(Value::Bool((rs.rows().is_empty()) == *negated))
+            let verdict = read_subquery(ctx, SubqueryKind::Exists, query)?.value();
+            Ok(maybe_negate(verdict, *negated))
         }
         Expr::InSubquery {
             expr,
@@ -167,27 +252,8 @@ pub fn eval_expr(expr: &Expr, schema: &Schema, row: &Row, ctx: &mut dyn QueryCtx
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let rs = ctx.run_subquery(query)?;
-            if rs.schema().len() != 1 {
-                return Err(Error::ScalarSubquery {
-                    message: format!("IN subquery returns {} columns", rs.schema().len()),
-                });
-            }
-            let mut saw_null = false;
-            for r in rs.rows() {
-                if r[0].is_null() {
-                    saw_null = true;
-                    continue;
-                }
-                if matches!(v.sql_cmp(&r[0])?, Some(Ordering::Equal)) {
-                    return Ok(maybe_negate(Value::Bool(true), *negated));
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(maybe_negate(Value::Bool(false), *negated))
-            }
+            let kept = read_subquery(ctx, SubqueryKind::In, query)?;
+            Ok(maybe_negate(kept.probe(&v)?, *negated))
         }
         Expr::Case {
             branches,
@@ -207,6 +273,21 @@ pub fn eval_expr(expr: &Expr, schema: &Schema, row: &Row, ctx: &mut dyn QueryCtx
             let v = eval_expr(expr, schema, row, ctx)?;
             cast_value(v, *dtype)
         }
+    }
+}
+
+/// What a subquery node reads: on the reference paths a fresh run, once
+/// per evaluation; elsewhere the running statement's kept result, run on
+/// its first use — grouped expressions and aggregate arguments are
+/// interpreted in production too.
+fn read_subquery<'c>(
+    ctx: &'c mut dyn QueryCtx,
+    kind: SubqueryKind,
+    query: &SelectStmt,
+) -> Result<Cow<'c, Kept>> {
+    match ctx.subquery_slot(kind, query) {
+        Some(k) if !ctx.reference_paths() => ctx.subquery(k).map(Cow::Borrowed),
+        _ => Kept::of(kind, ctx.run_subquery(query)?).map(Cow::Owned),
     }
 }
 

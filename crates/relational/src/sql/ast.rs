@@ -110,6 +110,23 @@ pub struct SelectStmt {
     pub limit: Option<u64>,
 }
 
+impl SelectStmt {
+    /// The expressions of this SELECT's own clauses: items, ON, WHERE,
+    /// GROUP BY, HAVING and ORDER BY.
+    pub(crate) fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let items = self.items.iter().filter_map(|i| match i {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            _ => None,
+        });
+        let joins = self.from.iter().flat_map(|t| &t.joins);
+        let exprs = items
+            .chain(joins.flat_map(|j| &j.on))
+            .chain(&self.where_clause);
+        let exprs = exprs.chain(&self.group_by).chain(&self.having);
+        exprs.chain(self.order_by.iter().map(|o| &o.expr))
+    }
+}
+
 /// Source of rows for INSERT.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InsertSource {

@@ -925,3 +925,63 @@ fn rederived_encodings_agree_with_cold_mines_under_random_dml() {
     assert!(derived > 0, "no delta was re-derived");
     assert!(declined > 0, "no delta declined to a cold pass");
 }
+
+/// One session over `Purchase(tr, item, qty)` and a one-row `Lim(x)`:
+/// mine `stmt`, run `change`, mine it again. Returns each run's rule
+/// signature and the encoded tables it left.
+fn limit_session(cache: bool, stmt: &str, change: &str) -> Vec<Vec<String>> {
+    let mut db = Database::new();
+    for sql in [
+        "CREATE TABLE Purchase (tr INT, item VARCHAR, qty INT)",
+        "INSERT INTO Purchase VALUES (1, 'a', 1), (1, 'b', 2), (2, 'a', 3), (2, 'c', 4), \
+         (3, 'b', 2), (3, 'c', 5), (4, 'a', 4), (4, 'b', 1)",
+        "CREATE TABLE Lim (x INT)",
+        "INSERT INTO Lim VALUES (1)",
+        "SELECT x INTO :lim FROM Lim",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    let engine = MineRuleEngine::new().with_cache(cache);
+    let mut runs = Vec::new();
+    for step in [None, Some(change)] {
+        for sql in step.into_iter().flat_map(|s| s.split(';')) {
+            db.execute(sql).unwrap();
+        }
+        let outcome = engine.execute(&mut db, stmt).unwrap();
+        runs.push(signature(&outcome.rules));
+        runs.push(encoded_state(&mut db));
+    }
+    runs
+}
+
+/// A condition that reads a table outside FROM, or a host variable, is
+/// stamped by no FROM-table version: after that input changes, the rerun
+/// must mine what a cold run mines, never the kept encoding's answer.
+#[test]
+fn conditions_reading_beyond_the_from_tables_are_never_served_stale() {
+    let item_rules = |cond: &str| {
+        format!(
+            "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, \
+             SUPPORT, CONFIDENCE {cond} GROUP BY tr \
+             EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.1"
+        )
+    };
+    for (stmt, change) in [
+        (
+            item_rules("FROM Purchase WHERE qty > (SELECT MAX(x) FROM Lim)"),
+            "UPDATE Lim SET x = 3",
+        ),
+        (
+            item_rules("FROM Purchase WHERE qty > :lim"),
+            "UPDATE Lim SET x = 3; SELECT x INTO :lim FROM Lim",
+        ),
+        (
+            item_rules("WHERE HEAD.qty > (SELECT MAX(x) FROM Lim) FROM Purchase"),
+            "UPDATE Lim SET x = 3",
+        ),
+    ] {
+        let cold = limit_session(false, &stmt, change);
+        assert_ne!(cold[0], cold[2], "the change moves the answer: {stmt}");
+        assert_eq!(limit_session(true, &stmt, change), cold, "{stmt}");
+    }
+}

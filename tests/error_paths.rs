@@ -543,10 +543,9 @@ fn unknown_algorithm_fails_after_preprocessing_but_session_recovers() {
 }
 
 /// DML that fails part-way — a predicate erroring on a later row, an
-/// assignment the column rejects — reports the same error whether it ran
-/// over the stored rows or (with a subquery) over a snapshot, and leaves
-/// the source untouched: the next mine is still answered by both halves of
-/// the artifact store.
+/// assignment the column rejects — reports the same error whether or not
+/// it holds a subquery, and leaves the source untouched: the next mine is
+/// still answered by both halves of the artifact store.
 #[test]
 fn failing_dml_is_all_or_nothing_and_keeps_the_caches_warm() {
     const STMT: &str = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, \
@@ -648,4 +647,70 @@ fn a_row_no_page_can_hold_is_refused_atomically_on_the_paged_backend() {
         ]
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sequence draw inside an expression subquery is refused when the
+/// statement is planned, before any row is read and on every path: the
+/// subquery runs once per statement, so it cannot draw once per
+/// evaluation. Nothing is drawn, and a draw outside a subquery still
+/// draws per row.
+#[test]
+fn a_sequence_draw_inside_a_subquery_is_refused_when_planned() {
+    for reference in [false, true] {
+        let mut db = relational::Database::new();
+        db.set_reference_paths(reference);
+        for sql in [
+            "CREATE TABLE t (a INT)",
+            "CREATE TABLE e (a INT)",
+            "INSERT INTO t VALUES (1), (2)",
+            "CREATE SEQUENCE s",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        for sql in [
+            "SELECT a FROM e WHERE a > (SELECT s.NEXTVAL)",
+            "SELECT a FROM t WHERE a IN (SELECT s.NEXTVAL FROM t)",
+            "SELECT a FROM t WHERE EXISTS (SELECT x FROM (SELECT s.NEXTVAL AS x FROM t) d)",
+            "DELETE FROM e WHERE a = (SELECT s.NEXTVAL)",
+            "UPDATE t SET a = (SELECT s.NEXTVAL)",
+        ] {
+            let err = db.execute(sql).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "unsupported: sequence draw s.NEXTVAL inside a subquery",
+                "{sql} (reference paths: {reference})"
+            );
+        }
+        let rs = db.query("SELECT s.NEXTVAL FROM t").unwrap();
+        assert_eq!(rs.rows(), [vec![Value::Int(1)], vec![Value::Int(2)]]);
+    }
+}
+
+/// A subquery runs on its first use: one that no row reaches raises
+/// nothing, a fault in running or planning it included, on every path.
+#[test]
+fn a_subquery_no_row_reaches_raises_nothing() {
+    for reference in [false, true] {
+        let mut db = relational::Database::new();
+        db.set_reference_paths(reference);
+        for sql in [
+            "CREATE TABLE t (a INT)",
+            "CREATE TABLE e (a INT)",
+            "INSERT INTO t VALUES (1), (2)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        for (sql, err) in [
+            (
+                "a > (SELECT 1/0 FROM t)",
+                "arithmetic error: division by zero",
+            ),
+            ("a IN (SELECT x FROM nosuch)", "unknown table 'nosuch'"),
+        ] {
+            let rs = db.query(&format!("SELECT a FROM e WHERE {sql}")).unwrap();
+            assert!(rs.is_empty(), "{sql}");
+            let found = db.query(&format!("SELECT a FROM t WHERE {sql}"));
+            assert_eq!(found.unwrap_err().to_string(), err, "{sql}");
+        }
+    }
 }

@@ -235,3 +235,92 @@ fn a_set_operation_prints_its_tail_after_both_arms() {
         [vec![relational::Value::Int(3)]]
     );
 }
+
+/// `t(a)` holding `0..n`.
+fn numbers_db(n: i64) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a INT)").unwrap();
+    let values: Vec<String> = (0..n).map(|i| format!("({i})")).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+    db
+}
+
+/// `(exec.rows_scanned, planner.plans)` for running `sql` once.
+fn scans_and_plans(db: &mut Database, sql: &str) -> (u64, u64) {
+    let before = db.stats();
+    db.execute(sql).unwrap();
+    let after = db.stats();
+    (
+        after.rows_scanned - before.rows_scanned,
+        after.planner_plans - before.planner_plans,
+    )
+}
+
+/// An uncorrelated subquery is planned with its statement and runs once
+/// per statement, not once per outer row: each shape scans `t` twice.
+#[test]
+fn a_subquery_runs_once_per_statement() {
+    const N: u64 = 1_000;
+    let mut db = numbers_db(N as i64);
+    for sql in [
+        "SELECT COUNT(*) FROM t WHERE a > (SELECT AVG(a) FROM t)",
+        "SELECT COUNT(*) FROM t WHERE a IN (SELECT a FROM t WHERE a < 10)",
+        "SELECT COUNT(*) FROM t WHERE EXISTS (SELECT a FROM t WHERE a = 7)",
+        "SELECT a, (SELECT MAX(a) FROM t) AS top FROM t",
+        // Grouped expressions and aggregate arguments are interpreted,
+        // and read the kept result too.
+        "SELECT a FROM t GROUP BY a HAVING COUNT(*) > (SELECT MIN(a) FROM t)",
+        "SELECT SUM(a + (SELECT MIN(a) FROM t)) FROM t",
+    ] {
+        assert_eq!(scans_and_plans(&mut db, sql), (2 * N, 2), "{sql}");
+    }
+    let rs = db
+        .query("SELECT COUNT(*) FROM t WHERE a > (SELECT AVG(a) FROM t)")
+        .unwrap();
+    assert_eq!(rs.rows()[0][0], relational::Value::Int(500));
+
+    // DML: the table's own pass scans nothing; each subquery scans once.
+    let delete = "DELETE FROM t WHERE a > (SELECT AVG(a) FROM t)";
+    assert_eq!(scans_and_plans(&mut db, delete), (N, 1));
+    let mut db = numbers_db(N as i64);
+    let update =
+        "UPDATE t SET a = (SELECT MAX(a) FROM t) WHERE a IN (SELECT a FROM t WHERE a < 10)";
+    assert_eq!(scans_and_plans(&mut db, update), (2 * N, 2));
+    let rs = db.query("SELECT COUNT(*) FROM t WHERE a = 999").unwrap();
+    assert_eq!(rs.rows()[0][0], relational::Value::Int(11));
+}
+
+/// EXPLAIN prints each subquery's plan under a `subquery k` node, its
+/// pushdowns among the ones that run.
+#[test]
+fn a_subquery_is_printed_as_its_own_plan() {
+    let mut db = tu_db();
+    let q = "SELECT b FROM t WHERE a IN (SELECT a FROM u WHERE c > 6) ORDER BY b";
+    let (p, printed, pushed) = pushdowns(&mut db, q);
+    assert_eq!(
+        p,
+        "Select\n  \
+         scan t [3 rows]\n  \
+         pushdown to factor 1: a IN (SELECT a FROM u WHERE c > 6)\n  \
+         sort by b\n  \
+         subquery 1: SELECT a FROM u WHERE c > 6\n    \
+         Select\n      \
+         scan u [4 rows]\n      \
+         pushdown to factor 1: c > 6"
+    );
+    assert_eq!((printed, pushed), (2, 2), "{p}");
+    // A fault planning a subquery is printed where its plan would be: the
+    // statement raises it only if some row reaches the subquery.
+    db.execute("CREATE TABLE e (a INT)").unwrap();
+    let q = "SELECT a FROM e WHERE a > (SELECT MAX(c) FROM nosuch)";
+    assert_eq!(
+        plan(&mut db, q),
+        "Select\n  \
+         scan e [0 rows]\n  \
+         pushdown to factor 1: a > (SELECT MAX(c) FROM nosuch)\n  \
+         subquery 1: SELECT MAX(c) FROM nosuch\n    \
+         error: unknown table 'nosuch'"
+    );
+    assert!(db.query(q).unwrap().is_empty());
+}

@@ -316,9 +316,10 @@ fn delete_matching_nothing_is_a_no_op_on_both_backends() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// DELETE and UPDATE read the stored rows in place unless an expression
-/// reaches back into the engine (subquery, sequence draw); either way the
-/// rows, the change log and the first error are the same.
+/// DELETE and UPDATE evaluate over one snapshot of the table's rows, with
+/// the database as their context: a predicate or SET expression written
+/// with a subquery that yields the same value leaves the same rows, the
+/// same change log and the same first error as one written without.
 #[test]
 fn dml_over_stored_rows_and_over_a_snapshot_agree() {
     let plain = [

@@ -174,9 +174,18 @@ const QUERIES: &[&str] = &[
      SELECT item FROM Purchase WHERE customer = 'cust2' ORDER BY item",
     "SELECT item FROM Purchase EXCEPT \
      SELECT item FROM Purchase WHERE price < 100 ORDER BY item",
-    // Subqueries: the compiler's interpreter-fallback ops.
+    // Subqueries: planned with the statement and run once in production
+    // (a grouped expression or an aggregate's argument included), run at
+    // every evaluation on the reference paths.
     "SELECT item FROM Purchase WHERE price > \
      (SELECT AVG(price) FROM Purchase) ORDER BY item",
+    "SELECT item FROM Purchase WHERE item NOT IN \
+     (SELECT item FROM Purchase WHERE qty > 1) ORDER BY item",
+    "SELECT DISTINCT customer FROM Purchase WHERE NOT EXISTS \
+     (SELECT tr FROM Purchase WHERE price > 1000) ORDER BY customer",
+    "SELECT customer, SUM(price + (SELECT MIN(qty) FROM Purchase)) FROM Purchase \
+     GROUP BY customer HAVING COUNT(*) > (SELECT MIN(qty) FROM Purchase) ORDER BY 1",
+    "SELECT item FROM Purchase ORDER BY price * (SELECT MAX(qty) FROM Purchase), item",
     "SELECT DISTINCT customer FROM Purchase WHERE item IN \
      (SELECT item FROM Purchase WHERE price < 100) ORDER BY customer",
     "SELECT DISTINCT p1.item FROM Purchase p1 WHERE EXISTS \
@@ -272,6 +281,7 @@ fn randomized_deletes_and_updates_agree() {
         "DELETE FROM t WHERE a > (SELECT MIN(a) FROM t)",
         "DELETE FROM t WHERE a IN (SELECT b FROM t)",
         "UPDATE t SET b = (SELECT MAX(a) FROM t) WHERE c > 0",
+        "UPDATE t SET b = (SELECT MIN(a) FROM t) WHERE a NOT IN (SELECT b FROM t)",
         "DELETE FROM t WHERE 10 / a > 2",
         "UPDATE t SET a = a * 9223372036854775807 WHERE b IS NULL",
         "UPDATE t SET a = 'text' WHERE a > 0",
