@@ -13,7 +13,7 @@ use std::sync::Arc;
 use relational::{KeyInterner, Row, RowProducer, Value};
 
 use crate::digest::SourceDigest;
-use crate::encoded::{EncodedData, EncodedInput};
+use crate::encoded::{EncodedData, EncodedInput, GeneralTuple};
 
 fn id(id: u32) -> Value {
     Value::Int(id.into())
@@ -128,65 +128,105 @@ impl RowProducer for CodedSourceRows {
     }
 }
 
-/// `Clusters` of a statement without a cluster condition: `(Cid, Gid,
-/// cluster key...)` per row, the key by its slot in the scan's interner.
+/// `Clusters`: `(Cid, Gid, cluster key..., aggval...)` per row, the key
+/// by its slot in the scan's interner and the aggregates (F) `width` to
+/// a row.
 pub(crate) struct ClustersRows {
     pub(crate) keys: KeyInterner,
     /// `(Cid, Gid, cluster-key slot)` per row.
     pub(crate) rows: Vec<(u32, u32, u32)>,
+    pub(crate) aggvals: Vec<Value>,
+    pub(crate) width: usize,
 }
 
 impl RowProducer for ClustersRows {
     fn rows(&self) -> Vec<Row> {
-        self.rows
-            .iter()
-            .map(|&(cid, gid, slot)| {
+        (0..)
+            .zip(&self.rows)
+            .map(|(at, &(cid, gid, slot))| {
                 let key = self.keys.key(slot);
-                let mut row = Vec::with_capacity(key.len() + 2);
+                let mut row = Vec::with_capacity(key.len() + 2 + self.width);
                 row.extend([id(cid), id(gid)]);
                 row.extend_from_slice(key);
+                row.extend_from_slice(&self.aggvals[at * self.width..][..self.width]);
                 row
             })
             .collect()
     }
 
     fn retained_bytes(&self) -> u64 {
-        interner_bytes(&self.keys) + self.rows.len() as u64 * 12
+        interner_bytes(&self.keys) + self.rows.len() as u64 * 12 + self.aggvals.len() as u64 * 24
     }
 }
 
-/// `MiningSource` of a statement without a mining condition: its rows
-/// are the general input's tuples one for one, so the handed-over input
-/// is all it keeps.
-pub(crate) struct MiningSourceRows {
-    pub(crate) input: Arc<EncodedInput>,
+/// One `MiningSource` row of a statement with a mining condition, as
+/// ids: its tuple, its `Clusters` row (0 without C) and the slot of its
+/// mining attributes.
+#[derive(Clone, Copy)]
+pub(crate) struct Coded {
+    pub(crate) cluster: u32,
+    pub(crate) tuple: GeneralTuple,
+    pub(crate) mining: u32,
+}
+
+/// The id columns of a `MiningSource` row: Gid, Cid (C), Bid, and Hid
+/// (H), a side's missing item id NULL.
+pub(crate) fn tuple_ids(tuple: &GeneralTuple, h: bool) -> impl Iterator<Item = Value> {
+    let nullable = |id: Option<u32>| id.map_or(Value::Null, self::id);
+    let hid = h.then(|| nullable(tuple.hid));
+    let ids = [
+        Some(id(tuple.gid)),
+        tuple.cid.map(id),
+        Some(nullable(tuple.bid)),
+        hid,
+    ];
+    ids.into_iter().flatten()
+}
+
+/// `MiningSource`.
+pub(crate) enum MiningSourceRows {
+    /// Without a mining condition its rows are the general input's
+    /// tuples one for one, so the handed-over input is all it keeps.
+    Input(Arc<EncodedInput>),
+    /// With one, each row's ids and the mining attributes by their slot
+    /// in the scan's interner.
+    Coded {
+        rows: Vec<Coded>,
+        minings: KeyInterner,
+        h: bool,
+    },
 }
 
 impl RowProducer for MiningSourceRows {
     fn rows(&self) -> Vec<Row> {
-        let EncodedData::General { tuples, .. } = &self.input.data else {
-            return Vec::new();
+        let row = |tuple: &GeneralTuple, h: bool, key: &[Value]| {
+            let mut row = Vec::with_capacity(4 + key.len());
+            row.extend(tuple_ids(tuple, h));
+            row.extend_from_slice(key);
+            row
         };
-        let dir = self.input.directives;
-        let nullable = |id: Option<u32>| id.map_or(Value::Null, self::id);
-        let width = 2 + usize::from(dir.c) + usize::from(dir.h);
-        tuples
-            .iter()
-            .map(|tuple| {
-                let mut row = Vec::with_capacity(width);
-                row.push(id(tuple.gid));
-                row.extend(tuple.cid.map(id));
-                row.push(nullable(tuple.bid));
-                if dir.h {
-                    row.push(nullable(tuple.hid));
-                }
-                row
-            })
-            .collect()
+        match self {
+            MiningSourceRows::Input(input) => {
+                let EncodedData::General { tuples, .. } = &input.data else {
+                    return Vec::new();
+                };
+                let h = input.directives.h;
+                tuples.iter().map(|tuple| row(tuple, h, &[])).collect()
+            }
+            MiningSourceRows::Coded { rows, minings, h } => rows
+                .iter()
+                .map(|c| row(&c.tuple, *h, minings.key(c.mining)))
+                .collect(),
+        }
     }
 
     fn retained_bytes(&self) -> u64 {
-        0
+        match self {
+            MiningSourceRows::Input(_) => 0,
+            MiningSourceRows::Coded { rows, minings, .. } => {
+                interner_bytes(minings) + (rows.len() * std::mem::size_of::<Coded>()) as u64
+            }
+        }
     }
 }
 

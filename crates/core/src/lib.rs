@@ -56,6 +56,7 @@ pub mod directives;
 pub mod encoded;
 pub mod error;
 pub mod lattice;
+mod pair_cond;
 pub mod paper_example;
 pub mod parser;
 pub mod pipeline;

@@ -330,6 +330,10 @@ impl MineRuleEngine {
                 self.telemetry.counter_add(&counter("kept"), pairs.kept);
             }
         }
+        if report.cond_evaluated > 0 {
+            self.telemetry
+                .counter_add("preprocess.cond.evaluated", report.cond_evaluated);
+        }
         self.telemetry
             .gauge_set("preprocess.total_groups", report.total_groups as i64);
         self.telemetry

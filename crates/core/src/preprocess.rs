@@ -18,14 +18,15 @@
 //! ([`Database::set_reference_paths`]), and every statement whose fused
 //! pass fails runs `Qi` step by step.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use relational::catalog::TableEntry;
-use relational::exec::join::{conjuncts, resolves_in};
+use relational::exec::join::conjuncts;
 use relational::exec::select::{infer_type, value_type};
 use relational::expr::eval::{eval_grouped, NoCtx, QueryCtx};
-use relational::expr::{BinOp, Expr};
+use relational::expr::Expr;
 use relational::sequence::Sequence;
 use relational::{
     Column, CompiledExpr, DataType, Database, DeferredTable, ExecCounter, KeyHash, KeyInterner,
@@ -34,12 +35,14 @@ use relational::{
 
 use crate::ast::MineRuleStatement;
 use crate::deferred::{
-    ClustersRows, CodedSourceRows, GroupKeys, IdRows, MiningSourceRows, Pairs, ValidGroupsRows,
+    tuple_ids, ClustersRows, Coded, CodedSourceRows, GroupKeys, IdRows, MiningSourceRows, Pairs,
+    ValidGroupsRows,
 };
 use crate::digest::SourceDigest;
 use crate::directives::{Directives, StatementClass};
-use crate::encoded::{get_u32, id_u32, ElemRule, EncodedData, EncodedInput, GeneralTuple};
+use crate::encoded::{id_u32, ElemRule, EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
+use crate::pair_cond::{ByGroup, Couples, PairCond, SideRow};
 use crate::runs::{pack, radix_sort};
 use crate::translator::queries::{
     cluster_aggregates, cluster_pair_cond, mining_pair_cond, CLUSTER_SIDES, MINING_SIDES,
@@ -63,6 +66,8 @@ pub struct PreprocessReport {
     /// paired them; zero when the step did not run fused.
     pub cluster_pairs: PairCounts,
     pub mining_pairs: PairCounts,
+    /// Evaluations of those two conditions' compiled parts.
+    pub cond_evaluated: u64,
     /// The grouped source as the fused pass's scan interned it, for the
     /// session artifact store to keep an inventory over without a second
     /// read. `None` when no scan ran (step-by-step preprocessing, a
@@ -508,135 +513,6 @@ pub(crate) fn scan_source(db: &Database, stmt: &MineRuleStatement) -> Result<Sou
     Ok(scan)
 }
 
-/// A condition over pairs of rows — `Q7`'s cluster condition over
-/// `Clusters C1 × C2`, `Q8`'s mining condition over `MiningSource MB ×
-/// MH` — split the way the SQL planner splits the WHERE clause it sits
-/// in, so each part is evaluated on exactly the rows (and pairs) the SQL
-/// program evaluates it on: a conjunct that resolves on one side alone
-/// filters that side (the left one first) before any pairing, `column =
-/// column` across the sides is a hash-join key (equal under grouping
-/// equality, NULL never matches, never an error), and the rest is one
-/// residual predicate over the joined pairs.
-struct PairCond {
-    left: Vec<CompiledExpr>,
-    right: Vec<CompiledExpr>,
-    /// `(left position, right position)` per join key.
-    keys: Vec<(usize, usize)>,
-    residual: Option<CompiledExpr>,
-    joined: Row,
-    stack: Vec<Value>,
-}
-
-impl PairCond {
-    fn plan(cond: &Expr, left: &Schema, right: &Schema) -> PairCond {
-        let mut plan = PairCond {
-            left: Vec::new(),
-            right: Vec::new(),
-            keys: Vec::new(),
-            residual: None,
-            joined: Vec::with_capacity(left.len() + right.len()),
-            stack: Vec::new(),
-        };
-        let position = |e: &Expr, schema: &Schema| match e {
-            Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
-            _ => None,
-        };
-        let (mut residual, mut unused_keys) = (Vec::new(), Vec::new());
-        for conjunct in conjuncts(cond) {
-            if resolves_in(conjunct, left) {
-                plan.left
-                    .push(CompiledExpr::compile(conjunct, left, &mut NoCtx));
-            } else if resolves_in(conjunct, right) {
-                plan.right
-                    .push(CompiledExpr::compile(conjunct, right, &mut NoCtx));
-            } else if let Expr::Binary {
-                left: a,
-                op: BinOp::Eq,
-                right: b,
-            } = conjunct
-            {
-                // A key needs each side to name a column of exactly one
-                // row; anything else (an ambiguous or unknown name) stays
-                // a predicate and fails when evaluated, as in SQL.
-                let at = [
-                    position(a, left),
-                    position(a, right),
-                    position(b, left),
-                    position(b, right),
-                ];
-                match at {
-                    [Some(l), None, None, Some(r)] | [None, Some(r), Some(l), None] => {
-                        plan.keys.push((l, r))
-                    }
-                    _ if matches!((&**a, &**b), (Expr::Column { .. }, Expr::Column { .. })) => {
-                        unused_keys.push(conjunct.clone())
-                    }
-                    _ => residual.push(conjunct.clone()),
-                }
-            } else {
-                residual.push(conjunct.clone());
-            }
-        }
-        residual.extend(unused_keys);
-        plan.residual = Expr::conjoin(residual)
-            .map(|pred| CompiledExpr::compile(&pred, &left.join(right), &mut NoCtx));
-        plan
-    }
-
-    /// Per row of `rows`, whether it may stand on the left (or right) of a
-    /// pair: `eligible` first, then that side's conjuncts in order.
-    fn side(
-        &mut self,
-        left: bool,
-        rows: &[Row],
-        eligible: impl Fn(usize) -> bool,
-    ) -> Result<Vec<bool>> {
-        let filters = if left { &self.left } else { &self.right };
-        let mut verdicts = Vec::with_capacity(rows.len());
-        for (at, row) in rows.iter().enumerate() {
-            let mut keep = eligible(at);
-            for filter in filters {
-                keep = keep
-                    && filter
-                        .eval_with(row, &mut NoCtx, &mut self.stack)?
-                        .is_true();
-            }
-            verdicts.push(keep);
-        }
-        Ok(verdicts)
-    }
-
-    /// Whether the join keys of `(l, r)` match.
-    fn keys_match(&self, l: &Row, r: &Row) -> bool {
-        self.keys
-            .iter()
-            .all(|&(a, b)| !l[a].is_null() && l[a] == r[b])
-    }
-
-    /// Whether the residual predicate holds on the joined pair.
-    fn holds(&mut self, l: &Row, r: &Row) -> Result<bool> {
-        let Some(residual) = &self.residual else {
-            return Ok(true);
-        };
-        self.joined.clear();
-        self.joined.extend_from_slice(l);
-        self.joined.extend_from_slice(r);
-        Ok(residual
-            .eval_with(&self.joined, &mut NoCtx, &mut self.stack)?
-            .is_true())
-    }
-}
-
-/// What the pair loop of `Q8` needs of one `MiningSource` row: its group
-/// slot, its `Clusters` row (0 without C) and its ids as the core's
-/// tuple.
-#[derive(Clone, Copy)]
-struct Coded {
-    group: u32,
-    cluster: usize,
-    tuple: GeneralTuple,
-}
-
 /// One catalog object of a finished encoding, under the id of the step
 /// that creates it in the SQL program.
 enum Encoded {
@@ -793,16 +669,18 @@ impl FusedEncoding {
     /// program yields. The subsumed intermediates (`Source`,
     /// `ValidGroupsView`, `DistinctGroupsIn*`, `InputRulesRaw`,
     /// `LargeRules`) are never built, and of the encoded tables only
-    /// those something reads here or in the pipeline are: `Bset`/`Hset`,
-    /// and `Clusters`/`MiningSource` when a pair condition reads their
-    /// rows. The others become producers over the record. A statement
-    /// without directives is the degenerate case: no condition, no
-    /// cluster, head or mining part, `CodedSource` the distinct `(group,
-    /// body)` pairs.
+    /// those something reads here or in the pipeline are: `Bset`/`Hset`.
+    /// The others become producers over the record — `Clusters` and
+    /// `MiningSource` too: the pair conditions read ids and key slots
+    /// ([`PairCond`]), not rows. A statement without directives is the
+    /// degenerate case: no condition, no cluster, head or mining part,
+    /// `CodedSource` the distinct `(group, body)` pairs.
     ///
     /// Conditions are evaluated on a superset of the rows the SQL program
-    /// evaluates them on, so whenever that program fails at run time this
-    /// function fails too (and [`preprocess`] lets the program report).
+    /// evaluates them on — a pair condition's parts once per distinct key,
+    /// or pair of keys, those rows carry — so whenever that program fails
+    /// at run time this function fails too (and [`preprocess`] lets the
+    /// program report).
     fn compute(db: &Database, translation: &Translation) -> Result<FusedEncoding> {
         let stmt = &translation.stmt;
         let names = &translation.names;
@@ -905,22 +783,19 @@ impl FusedEncoding {
         // order joined to their valid group, Cid drawn per joined row,
         // `aggval<i>` per cluster when the cluster condition aggregates
         // (F). The SQL program aggregates every combination before the
-        // join discards the invalid groups', so this does too. The rows
-        // are built only for the cluster condition (K) to pair; otherwise
-        // the table is deferred over each row's ids and key slot.
-        // Per combination, the `Clusters` row it became; per row, its Cid
-        // and group slot.
-        let mut cluster_at: Vec<Option<usize>> = Vec::new();
-        let mut cluster_rows: Vec<Row> = Vec::new();
-        let mut cluster_keyed: Vec<(u32, u32, u32)> = Vec::new();
-        let mut cluster_ids: Vec<i64> = Vec::new();
-        let mut cluster_group: Vec<u32> = Vec::new();
+        // join discards the invalid groups', so this does too. The table
+        // is deferred over each row's ids, key slot and aggregates.
+        // Per combination, the `Clusters` row it became; per row, its
+        // `(Cid, Gid, key slot)` and its aggregates.
+        let mut cluster_at: Vec<Option<u32>> = Vec::new();
+        let mut clusters: Vec<(u32, u32, u32)> = Vec::new();
+        let mut aggvals: Vec<Value> = Vec::new();
         let mut cluster_columns: Vec<Column> = Vec::new();
         let aggregates = cluster_aggregates(stmt);
-        let clusters_built = dir.k || !aggregates.is_empty();
+        let width = aggregates.len();
         if dir.c {
-            let mut aggvals: Vec<Vec<Value>> = vec![Vec::new(); scan.cluster_order.len()];
-            if !aggregates.is_empty() {
+            let mut all: Vec<Value> = Vec::new();
+            if width > 0 {
                 let keys: Vec<Expr> = stmt
                     .group_by
                     .iter()
@@ -928,15 +803,13 @@ impl FusedEncoding {
                     .map(Expr::col)
                     .collect();
                 let rows = members(source, &scan.lanes, scan.cluster_order.len(), |l| l.cluster);
-                for (at, (&(group, cluster_key), rows)) in
-                    scan.cluster_order.iter().zip(&rows).enumerate()
-                {
+                for (&(group, cluster_key), rows) in scan.cluster_order.iter().zip(&rows) {
                     let mut key = scan.groups.key(group).to_vec();
                     key.extend_from_slice(scan.cluster_keys.key(cluster_key));
                     for aggregate in &aggregates {
                         let value =
                             eval_grouped(aggregate, &src_schema, rows, &keys, &key, &mut NoCtx)?;
-                        aggvals[at].push(value);
+                        all.push(value);
                     }
                 }
             }
@@ -955,39 +828,36 @@ impl FusedEncoding {
                 table.schema(),
             );
             for (i, aggregate) in aggregates.iter().enumerate() {
-                let mut joined = aggvals.iter().zip(&joined).filter(|(_, joined)| **joined);
+                let values = || all.chunks_exact(width).map(|values| &values[i]);
+                let mut joined = values().zip(&joined).filter(|(_, joined)| **joined);
                 let dtype = joined
-                    .find_map(|(values, _)| value_type(&values[i]))
-                    .or_else(|| aggvals.iter().find_map(|values| value_type(&values[i])))
+                    .find_map(|(value, _)| value_type(value))
+                    .or_else(|| values().find_map(value_type))
                     .or_else(|| infer_type(aggregate, &src_schema))
                     .unwrap_or(DataType::Str);
                 columns.push(Column::new(format!("aggval{i}"), dtype));
             }
-            for (&(group, cluster_key), aggvals) in scan.cluster_order.iter().zip(aggvals) {
+            for (at, &(group, cluster_key)) in scan.cluster_order.iter().enumerate() {
                 let Some(gid) = gid_of(group) else {
                     cluster_at.push(None);
                     continue;
                 };
-                let cid = cid_seq.nextval();
-                if clusters_built {
-                    let mut row = vec![Value::Int(cid), Value::Int(gid)];
-                    row.extend_from_slice(scan.cluster_keys.key(cluster_key));
-                    row.extend(aggvals);
-                    cluster_rows.push(row);
-                } else {
-                    cluster_keyed.push((id_u32(cid)?, id_u32(gid)?, cluster_key));
-                }
-                cluster_at.push(Some(cluster_ids.len()));
-                cluster_ids.push(cid);
-                cluster_group.push(group);
+                cluster_at.push(Some(clusters.len() as u32));
+                clusters.push((id_u32(cid_seq.nextval())?, id_u32(gid)?, cluster_key));
+                aggvals.extend_from_slice(&all[at * width..][..width]);
             }
             cluster_columns = columns;
         }
+        let cluster_row = |c: usize| {
+            let (cid, gid, slot) = clusters[c];
+            let aggvals = &aggvals[c * width..][..width];
+            let ids = [cid, gid].map(|id| Value::Int(id.into()));
+            SideRow::new(ids, scan.cluster_keys.key(slot), aggvals)
+        };
 
         // Q7: ClusterCouples — the cluster condition on the cluster pairs
-        // of one group, C1-major. Kept per body cluster row as the head
-        // cluster rows it pairs with.
-        let mut couples: Option<Vec<Vec<usize>>> = None;
+        // of one group, C1-major, kept as a bitset per body cluster.
+        let mut couples: Option<Couples> = None;
         let mut cluster_couples: Option<Vec<(u32, u32, u32)>> = None;
         if dir.k {
             let clusters_schema = Schema::new(cluster_columns.clone());
@@ -996,39 +866,31 @@ impl FusedEncoding {
                 &cond,
                 &clusters_schema.with_qualifier(CLUSTER_SIDES.0),
                 &clusters_schema.with_qualifier(CLUSTER_SIDES.1),
+                2..2 + cols.cluster.len(),
             );
-            let left = cond.side(true, &cluster_rows, |_| true)?;
-            let right = cond.side(false, &cluster_rows, |_| true)?;
-            let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); slots];
-            for (at, &group) in cluster_group.iter().enumerate() {
-                if right[at] {
-                    of_group[group as usize].push(at);
-                }
-            }
-            let mut heads_of: Vec<Vec<usize>> = vec![Vec::new(); cluster_rows.len()];
+            let slot = |c: usize| clusters[c].2;
+            let left = cond.side(true, clusters.len(), slot, cluster_row, |_| true)?;
+            let right = cond.side(false, clusters.len(), slot, cluster_row, |_| true)?;
+            let of_group = ByGroup::new(&right, |at| clusters[at].1, slots + 1);
+            let mut pairs = Couples::new(&clusters, slots + 1);
             let mut kept = Vec::new();
-            for (b, body) in cluster_rows.iter().enumerate() {
+            for (b, &(cidb, gid, body)) in clusters.iter().enumerate() {
                 if !left[b] {
                     continue;
                 }
-                for &h in &of_group[cluster_group[b] as usize] {
-                    let head = &cluster_rows[h];
+                for &h in of_group.of(gid) {
                     report.cluster_pairs.evaluated += 1;
-                    if cond.keys_match(body, head) && cond.holds(body, head)? {
-                        kept.push((get_u32(&body[1])?, get_u32(&body[0])?, get_u32(&head[0])?));
-                        heads_of[b].push(h);
+                    let (cidh, _, head) = clusters[h];
+                    if cond.pair((body, head), || [cluster_row(b), cluster_row(h)])? {
+                        kept.push((gid, cidb, cidh));
+                        pairs.insert(b, h);
                     }
                 }
             }
             report.cluster_pairs.kept = kept.len() as u64;
-            couples = Some(heads_of);
+            report.cond_evaluated += cond.evaluated;
+            couples = Some(pairs);
             cluster_couples = Some(kept);
-        }
-        let mut clusters = None;
-        if dir.c && clusters_built {
-            let rows = std::mem::take(&mut cluster_rows);
-            let built = table_of(names.clusters(), cluster_columns.clone(), rows)?;
-            clusters = Some(Encoded::built(built));
         }
         let couples_table = cluster_couples.as_ref().map(|kept| {
             let ids = kept.iter().flat_map(|&(g, b, h)| [g, b, h]).collect();
@@ -1038,17 +900,15 @@ impl FusedEncoding {
         });
 
         let mut general = None;
-        let mut mining_source = None;
         let mut input_rules = None;
-        // `MiningSource`'s columns and row count when it is deferred over
-        // the input.
-        let mut deferred_mining = None;
+        // `MiningSource`'s columns, row count and, with M, its rows.
+        let mut mining_source = None;
         if translation.class == StatementClass::General {
             // Q4b: MiningSource — the per-tuple encoding: the source-scan
             // join again, DISTINCT over ids *and* mining attributes, in
-            // source order; body-side then head-side rows when H. Its rows
-            // are built only for the mining condition (M) to pair;
-            // without M they are the core's tuples one for one.
+            // source order; body-side then head-side rows when H. With M
+            // a row is its tuple and its mining slot; without M the rows
+            // are the core's tuples one for one.
             let mut ids = vec!["Gid"];
             if dir.c {
                 ids.push("Cid");
@@ -1063,11 +923,9 @@ impl FusedEncoding {
                 &cols.mining,
                 table.schema(),
             );
-            let mining_schema = Schema::new(mining_columns.clone());
             let lanes = scan.lanes.len();
             let kept = if dir.m { lanes } else { 0 };
             let mut coded: Vec<Coded> = Vec::with_capacity(kept);
-            let mut rows: Vec<Row> = Vec::with_capacity(kept);
             // The core's tuples: the rows' ids without the mining
             // attributes, DISTINCT in first-seen order (the `CodedSource`
             // view of Q11). On one side the ids are one-to-one with the
@@ -1077,8 +935,10 @@ impl FusedEncoding {
                 if head_side && !dir.h {
                     break;
                 }
-                let mut seen = HashSet::with_capacity_and_hasher(lanes, KeyHash::default());
-                let mut seen_ids = HashSet::with_capacity_and_hasher(kept, KeyHash::default());
+                // Per owner, the mining slot of its first row; the rare
+                // further `(owner, mining)` rows of an owner in `more`.
+                let mut first = HashMap::with_capacity_and_hasher(lanes, KeyHash::default());
+                let mut more = HashSet::with_hasher(KeyHash::default());
                 for lane in &scan.lanes {
                     let (item, id) = if head_side {
                         (lane.head, hids[lane.head as usize])
@@ -1098,48 +958,34 @@ impl FusedEncoding {
                     }
                     // `cluster` names its group, so the triple is the row.
                     let owner = pack(if dir.c { lane.cluster } else { lane.group }, item);
-                    if !seen.insert((owner, lane.mining)) {
-                        continue;
-                    }
-                    let (bid, hid) = if head_side {
-                        (None, Some(id))
-                    } else {
-                        (Some(id), None)
+                    // Whether the row is its owner's first: a new tuple.
+                    let fresh = match first.entry(owner) {
+                        Entry::Vacant(at) => {
+                            at.insert(lane.mining);
+                            true
+                        }
+                        Entry::Occupied(at) if *at.get() == lane.mining => continue,
+                        Entry::Occupied(_) if !more.insert((owner, lane.mining)) => continue,
+                        Entry::Occupied(_) => false,
                     };
-                    let id32 = bid.map(id_u32).transpose()?;
+                    let id = Some(id_u32(id)?);
                     let tuple = GeneralTuple {
                         gid: id_u32(gid)?,
-                        cid: dir.c.then(|| id_u32(cluster_ids[cluster])).transpose()?,
-                        bid: id32,
-                        hid: if dir.h {
-                            hid.map(id_u32).transpose()?
-                        } else {
-                            id32
-                        },
+                        cid: dir.c.then(|| clusters[cluster as usize].0),
+                        bid: if head_side { None } else { id },
+                        hid: if head_side || !dir.h { id } else { None },
                     };
-                    if !dir.m {
-                        tuples.push(tuple);
-                        continue;
-                    }
-                    let mut row = Vec::with_capacity(mining_columns.len());
-                    row.push(Value::Int(gid));
-                    if dir.c {
-                        row.push(Value::Int(cluster_ids[cluster]));
-                    }
-                    row.push(bid.map_or(Value::Null, Value::Int));
-                    if dir.h {
-                        row.push(hid.map_or(Value::Null, Value::Int));
-                    }
-                    row.extend_from_slice(scan.minings.key(lane.mining));
-                    rows.push(row);
-                    if seen_ids.insert(owner) {
+                    if fresh {
                         tuples.push(tuple);
                     }
-                    coded.push(Coded {
-                        group: lane.group,
-                        cluster,
-                        tuple,
-                    });
+                    if dir.m {
+                        let mining = lane.mining;
+                        coded.push(Coded {
+                            cluster,
+                            tuple,
+                            mining,
+                        });
+                    }
                 }
             }
 
@@ -1154,58 +1000,60 @@ impl FusedEncoding {
             let mut elementary = None;
             if dir.m {
                 let cond = mining_pair_cond(stmt)?;
+                let mining_schema = Schema::new(mining_columns.clone());
                 let mut cond = PairCond::plan(
                     &cond,
                     &mining_schema.with_qualifier(MINING_SIDES.0),
                     &mining_schema.with_qualifier(MINING_SIDES.1),
+                    ids.len()..mining_columns.len(),
                 );
+                let minings = &scan.minings;
+                let row = |at: usize| {
+                    let Coded { tuple, mining, .. } = coded[at];
+                    SideRow::new(tuple_ids(&tuple, dir.h), minings.key(mining), &[])
+                };
+                let slot = |at: usize| coded[at].mining;
                 // With H the `IS NOT NULL` conjuncts precede the mining
                 // condition: bodies come from body-side rows only, heads
                 // from head-side rows only (without H the body id doubles
                 // as head id).
-                let left = cond.side(true, &rows, |at| coded[at].tuple.bid.is_some())?;
-                let right = cond.side(false, &rows, |at| coded[at].tuple.hid.is_some())?;
-                let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); slots];
-                for (at, tuple) in coded.iter().enumerate() {
-                    if right[at] {
-                        of_group[tuple.group as usize].push(at);
-                    }
-                }
-                // `(Gid, Cidb, Cidh, Bid, Hid)`, the Cids 0 without C.
+                let bodies = |at: usize| coded[at].tuple.bid.is_some();
+                let left = cond.side(true, coded.len(), slot, row, bodies)?;
+                let heads = |at: usize| coded[at].tuple.hid.is_some();
+                let right = cond.side(false, coded.len(), slot, row, heads)?;
+                let of_group = ByGroup::new(&right, |at| coded[at].tuple.gid, slots + 1);
+                // `(Gid, Cidb, Cidh, Bid, Hid)`, the Cids 0 without C. A
+                // rule names its two rows' tuples, so when no two rows
+                // share a tuple, distinct pairs are distinct rules.
+                let distinct = tuples.len() == coded.len();
                 let mut seen: HashSet<[u32; 5], KeyHash> = HashSet::default();
                 let mut raw: Vec<[u32; 5]> = Vec::new();
-                for (b, body) in rows.iter().enumerate() {
-                    let Coded {
-                        group,
-                        cluster,
-                        tuple,
-                    } = coded[b];
-                    let Some(bid) = tuple.bid.filter(|_| left[b]) else {
+                for (b, body) in coded.iter().enumerate() {
+                    let Some(bid) = body.tuple.bid.filter(|_| left[b]) else {
                         continue;
                     };
-                    for &h in &of_group[group as usize] {
+                    for &h in of_group.of(body.tuple.gid) {
                         let (head, Some(hid)) = (&coded[h], coded[h].tuple.hid) else {
                             continue;
                         };
                         report.mining_pairs.evaluated += 1;
                         // Without H, `MB.Bid <> MH.Bid` leads the residual.
-                        if !cond.keys_match(body, &rows[h])
-                            || couples
-                                .as_ref()
-                                .is_some_and(|heads_of| !heads_of[cluster].contains(&head.cluster))
+                        let (cb, ch) = (body.cluster as usize, head.cluster as usize);
+                        if couples.as_ref().is_some_and(|c| !c.contains(cb, ch))
                             || (!dir.h && bid == hid)
-                            || !cond.holds(body, &rows[h])?
+                            || !cond.pair((body.mining, head.mining), || [row(b), row(h)])?
                         {
                             continue;
                         }
-                        let [cidb, cidh] = [tuple.cid, head.tuple.cid].map(|c| c.unwrap_or(0));
-                        let rule = [tuple.gid, cidb, cidh, bid, hid];
-                        if seen.insert(rule) {
+                        let [cidb, cidh] = [body.tuple.cid, head.tuple.cid].map(|c| c.unwrap_or(0));
+                        let rule = [body.tuple.gid, cidb, cidh, bid, hid];
+                        if distinct || seen.insert(rule) {
                             raw.push(rule);
                         }
                     }
                 }
                 report.mining_pairs.kept = raw.len() as u64;
+                report.cond_evaluated += cond.evaluated;
                 // The rules in the core's order — stable by (Gid, Cidb,
                 // Cidh), dense ids — then COUNT(DISTINCT Gid) per (Bid,
                 // Hid) over it: each group of a pair is one run.
@@ -1254,11 +1102,10 @@ impl FusedEncoding {
                     count,
                     rules,
                 ));
-                let built = table_of(names.mining_source(), mining_columns, rows)?;
-                mining_source = Some(Encoded::built(built));
-            } else {
-                deferred_mining = Some((mining_columns, tuples.len()));
             }
+            let minings = std::mem::replace(&mut scan.minings, KeyInterner::new(0));
+            let count = if dir.m { coded.len() } else { tuples.len() };
+            mining_source = Some((mining_columns, count, dir.m.then_some((coded, minings))));
             // The artifact store keeps the input: no growth slack.
             tuples.shrink_to_fit();
             general = Some(EncodedData::General {
@@ -1276,26 +1123,24 @@ impl FusedEncoding {
             sequences.push(cid_seq);
         }
         report.fused_steps = fused_steps(translation);
-        let built = |data: EncodedData| -> Result<Handover> {
+        let built = |data: EncodedData| -> Result<Arc<EncodedInput>> {
             let input = EncodedInput::new(translation, total_groups, min_groups, data)?;
-            Ok(Handover::Built(Arc::new(input)))
+            Ok(Arc::new(input))
         };
         let checked = |id: Option<i64>| id.map(id_u32).transpose();
         let (input, coded_source) = match general {
             Some(data) => {
                 let input = built(data)?;
-                // Q4b without M: the input's tuples are the rows.
-                let mining_source = match (&input, deferred_mining) {
-                    (Handover::Built(input), Some((columns, count))) => {
-                        let rows = MiningSourceRows {
-                            input: Arc::clone(input),
-                        };
-                        Encoded::deferred(names.mining_source(), columns, count, rows)
-                    }
-                    _ => mining_source
-                        .take()
-                        .expect("built for the mining condition"),
+                let (columns, count, coded) = mining_source.expect("a general encoding");
+                let rows = match coded {
+                    Some((rows, minings)) => MiningSourceRows::Coded {
+                        rows,
+                        minings,
+                        h: dir.h,
+                    },
+                    None => MiningSourceRows::Input(Arc::clone(&input)),
                 };
+                let mining_source = Encoded::deferred(names.mining_source(), columns, count, rows);
                 (input, ("Q4b", mining_source))
             }
             None => {
@@ -1326,20 +1171,16 @@ impl FusedEncoding {
         let columns = keyed_columns(&["Gid"], &stmt.group_by, &cols.group, table.schema());
         let rows = ValidGroupsRows { keys, gids };
         let valid_groups = Encoded::deferred(names.valid_groups(), columns, count, rows);
-        if dir.c && !clusters_built {
-            let keys = std::mem::replace(&mut scan.cluster_keys, KeyInterner::new(0));
+        let clusters = dir.c.then(|| {
             let rows = ClustersRows {
-                keys,
-                rows: cluster_keyed,
+                keys: std::mem::replace(&mut scan.cluster_keys, KeyInterner::new(0)),
+                rows: clusters,
+                aggvals,
+                width,
             };
             let count = rows.rows.len();
-            clusters = Some(Encoded::deferred(
-                names.clusters(),
-                cluster_columns,
-                count,
-                rows,
-            ));
-        }
+            Encoded::deferred(names.clusters(), cluster_columns, count, rows)
+        });
 
         // In the order the SQL program creates them.
         let mut objects = vec![("Q2", valid_groups), ("Q3", bset)];
@@ -1362,7 +1203,7 @@ impl FusedEncoding {
             sequences,
             objects,
             report,
-            input,
+            input: Handover::Built(input),
             work,
         })
     }

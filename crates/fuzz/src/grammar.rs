@@ -722,9 +722,25 @@ impl Gen<'_> {
         // again. Only after a rerun at the first mine's support: when a
         // delta leaves the source unchanged, a tightened rerun reinstates
         // the tables pruned at the looser threshold (the superset rule),
-        // which a cold run does not build (`tests/fuzz_open/`).
-        let read_encoding = |case: &mut FuzzCase| {
-            for table in ["Bset", "ValidGroups", "CodedSource"] {
+        // which a cold run does not build (`tests/fuzz_open/`). Each
+        // further encoded table the statement creates is read as well:
+        // `Clusters` (C), `ClusterCouples` (K), `MiningSource` (general
+        // class) and `InputRules` (M).
+        let read_encoding = |case: &mut FuzzCase, stmt: &str| {
+            let mut tables = vec!["Bset", "ValidGroups", "CodedSource"];
+            if let Ok(parsed) = minerule::parse_mine_rule(stmt) {
+                let dir = minerule::Directives::classify(&parsed);
+                let general = dir.class() == minerule::StatementClass::General;
+                for (creates, table) in [
+                    (dir.c, "Clusters"),
+                    (dir.k, "ClusterCouples"),
+                    (general, "MiningSource"),
+                    (dir.m, "InputRules"),
+                ] {
+                    tables.extend(creates.then_some(table));
+                }
+            }
+            for table in tables {
                 case.ops.push(Op::Query(format!("SELECT * FROM {table}")));
             }
         };
@@ -759,8 +775,8 @@ impl Gen<'_> {
                 // fallbacks) against the cold baseline.
                 let dml = self.gen_delta_dml();
                 case.ops.push(Op::Dml(dml));
-                mine(case, stmt);
-                read_encoding(case);
+                mine(case, stmt.clone());
+                read_encoding(case, &stmt);
             }
             5 => {
                 // A chained session: delta → mine → delta → mine at
@@ -770,9 +786,9 @@ impl Gen<'_> {
                 for (rerun, read) in [(stmt.clone(), true), (tightened(&stmt), false)] {
                     let dml = self.gen_delta_dml();
                     case.ops.push(Op::Dml(dml));
-                    mine(case, rerun);
+                    mine(case, rerun.clone());
                     if read {
-                        read_encoding(case);
+                        read_encoding(case, &rerun);
                     }
                 }
             }

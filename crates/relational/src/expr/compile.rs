@@ -166,7 +166,45 @@ impl CompiledExpr {
     /// allocate nothing per row.
     pub fn eval_with(
         &self,
-        row: &Row,
+        row: &[Value],
+        ctx: &mut dyn QueryCtx,
+        stack: &mut Vec<Value>,
+    ) -> Result<Value> {
+        self.run(|i| &row[i], ctx, stack)
+    }
+
+    /// [`CompiledExpr::eval_with`] against a row given as consecutive
+    /// slices — the two rows of a pair, say — so no joined copy is built.
+    pub fn eval_parts(
+        &self,
+        parts: &[&[Value]],
+        ctx: &mut dyn QueryCtx,
+        stack: &mut Vec<Value>,
+    ) -> Result<Value> {
+        let col = |mut i: usize| {
+            for part in parts {
+                match part.get(i) {
+                    Some(value) => return value,
+                    None => i -= part.len(),
+                }
+            }
+            panic!("column past the end of the row")
+        };
+        self.run(col, ctx, stack)
+    }
+
+    /// The row positions the program reads.
+    pub fn columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ops.iter().filter_map(|op| match op {
+            Op::Col(idx) | Op::CmpColConst { idx, .. } => Some(*idx),
+            _ => None,
+        })
+    }
+
+    /// The evaluator, column `i` of the row being `col(i)`.
+    fn run<'r>(
+        &self,
+        col: impl Fn(usize) -> &'r Value,
         ctx: &mut dyn QueryCtx,
         stack: &mut Vec<Value>,
     ) -> Result<Value> {
@@ -175,7 +213,7 @@ impl CompiledExpr {
         while pc < self.ops.len() {
             match &self.ops[pc] {
                 Op::Const(v) => stack.push(v.clone()),
-                Op::Col(idx) => stack.push(row[*idx].clone()),
+                Op::Col(idx) => stack.push(col(*idx).clone()),
                 Op::Fail(e) => return Err((**e).clone()),
                 Op::HostVar(name) => stack.push(ctx.host_var(name)?),
                 Op::NextVal(seq) => stack.push(Value::Int(ctx.nextval(seq)?)),
@@ -195,9 +233,9 @@ impl CompiledExpr {
                     const_left,
                 } => {
                     let ord = if *const_left {
-                        value.sql_cmp(&row[*idx])?
+                        value.sql_cmp(col(*idx))?
                     } else {
-                        row[*idx].sql_cmp(value)?
+                        col(*idx).sql_cmp(value)?
                     };
                     stack.push(
                         ord.map_or(Value::Null, |ord| Value::Bool(comparison_holds(*op, ord))),
@@ -638,6 +676,34 @@ mod tests {
         let expr = parse_expression("a + 1").unwrap();
         let program = CompiledExpr::compile(&expr, &schema(), &mut NoCtx);
         assert_eq!(program.eval(&row_abc(), &mut NoCtx), Ok(Value::Int(6)));
+    }
+
+    #[test]
+    fn a_row_in_parts_reads_like_the_whole_row() {
+        let row = row_abc();
+        for sql in [
+            "a + 1",
+            "b || 'x'",
+            "c > 2.0 AND a = 5",
+            "a IN (1, 5)",
+            "5 < a",
+        ] {
+            let expr = parse_expression(sql).unwrap();
+            let program = CompiledExpr::compile(&expr, &schema(), &mut NoCtx);
+            let whole = program.eval(&row, &mut NoCtx);
+            let mut stack = Vec::new();
+            for at in 0..=row.len() {
+                let (a, b) = row.split_at(at);
+                let parts = [&[][..], a, &[], b];
+                let split = program.eval_parts(&parts, &mut NoCtx, &mut stack);
+                assert_eq!(split, whole, "{sql} split at {at}");
+            }
+        }
+        let expr = parse_expression("c > 2.0 AND 3 < a AND a = 5").unwrap();
+        let program = CompiledExpr::compile(&expr, &schema(), &mut NoCtx);
+        let mut read: Vec<usize> = program.columns().collect();
+        read.sort_unstable();
+        assert_eq!(read, [0, 0, 2]);
     }
 
     #[test]

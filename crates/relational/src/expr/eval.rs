@@ -412,13 +412,22 @@ pub fn eval_grouped(
             if v.is_null() {
                 return Ok(Value::Null);
             }
+            let mut saw_null = false;
             for e in list {
                 let item = eval_grouped(e, schema, rows, group_keys, key_values, ctx)?;
-                if !item.is_null() && matches!(v.sql_cmp(&item)?, Some(Ordering::Equal)) {
+                if item.is_null() {
+                    saw_null = true;
+                    continue;
+                }
+                if matches!(v.sql_cmp(&item)?, Some(Ordering::Equal)) {
                     return Ok(maybe_negate(Value::Bool(true), *negated));
                 }
             }
-            Ok(maybe_negate(Value::Bool(false), *negated))
+            if saw_null {
+                Ok(Value::Null)
+            } else {
+                Ok(maybe_negate(Value::Bool(false), *negated))
+            }
         }
         Expr::IsNull { expr, negated } => {
             let v = eval_grouped(expr, schema, rows, group_keys, key_values, ctx)?;

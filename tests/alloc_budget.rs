@@ -15,6 +15,10 @@
 //! * A cold simple-class `execute` builds no row of the encoded tables
 //!   only SQL reads (`CodedSource`, `ValidGroups` are deferred): it
 //!   allocates fewer blocks than `CodedSource` has rows.
+//! * So does a cold general-class `execute` under a cluster and a mining
+//!   condition: the pair conditions read ids and key slots, and
+//!   `Clusters` and `MiningSource` are deferred, so it allocates fewer
+//!   blocks than `MiningSource` has rows.
 //! * Decoding the core's rules allocates the blocks the returned rules
 //!   own and at most two more per rule: the six output tables are
 //!   deferred, so no row of theirs is built.
@@ -217,6 +221,41 @@ fn a_cold_simple_mine_allocates_less_than_once_per_encoded_row() {
     assert!(
         allocated < coded,
         "{allocated} allocations for {coded} CodedSource rows, {} rules",
+        outcome.rules.len()
+    );
+}
+
+#[test]
+fn a_cold_general_mine_allocates_less_than_once_per_mining_source_row() {
+    // The general-class twin: under a cluster condition (K) and a mining
+    // condition (M) the pair conditions run on ids and key slots, and
+    // `Clusters` and `MiningSource` are deferred, so a whole cold
+    // `execute` allocates fewer blocks than `MiningSource` has rows.
+    let data = datagen::generate_retail(&datagen::RetailConfig {
+        customers: 500,
+        dates_per_customer: 4,
+        items_per_date: 2.5,
+        catalog: 40,
+        expensive_items: 12,
+        seed: 7,
+        ..datagen::RetailConfig::default()
+    });
+    let mut db = Database::new();
+    data.load(&mut db, "Purchase").unwrap();
+    let stmt = "MINE RULE Temporal AS \
+        SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE \
+        WHERE BODY.price >= 100 AND HEAD.price < 100 \
+        FROM Purchase GROUP BY customer \
+        CLUSTER BY date HAVING BODY.date < HEAD.date \
+        EXTRACTING RULES WITH SUPPORT: 0.05, CONFIDENCE: 0.2";
+    let engine = MineRuleEngine::new();
+    let (outcome, allocated) = allocations(|| engine.execute(&mut db, stmt).unwrap());
+    assert!(!outcome.rules.is_empty());
+    let mining = db.catalog().row_count("MiningSource").unwrap() as u64;
+    assert!(mining > 4_000, "{mining} MiningSource rows");
+    assert!(
+        allocated < mining,
+        "{allocated} allocations for {mining} MiningSource rows, {} rules",
         outcome.rules.len()
     );
 }

@@ -370,3 +370,36 @@ fn dml_over_stored_rows_and_over_a_snapshot_agree() {
         );
     }
 }
+
+#[test]
+fn grouped_not_in_with_a_null_item_is_null() {
+    // `x NOT IN (5, NULL)` is NULL unless x = 5: the grouped evaluator
+    // remembers the NULL item exactly as the per-row one does.
+    let mut d = db();
+    let rs = d
+        .query("SELECT COUNT(*) FROM emp HAVING COUNT(*) NOT IN (5, NULL)")
+        .unwrap();
+    assert_eq!(rs.len(), 0);
+    let rs = d
+        .query("SELECT COUNT(*) FROM emp HAVING COUNT(*) IN (5, NULL)")
+        .unwrap();
+    assert_eq!(rs.len(), 0);
+    let rs = d
+        .query("SELECT COUNT(*) FROM emp HAVING COUNT(*) IN (4, NULL)")
+        .unwrap();
+    assert_eq!(rs.len(), 1);
+    let rs = d
+        .query("SELECT COUNT(*) NOT IN (5, NULL), COUNT(*) NOT IN (4, NULL) FROM emp")
+        .unwrap();
+    assert_eq!(rs.rows()[0][0], Value::Null);
+    assert_eq!(rs.rows()[0][1], Value::Bool(false));
+    let rs = d
+        .query("SELECT dept FROM emp GROUP BY dept HAVING COUNT(*) NOT IN (2, NULL)")
+        .unwrap();
+    assert_eq!(rs.len(), 0);
+    // The per-row form agrees.
+    let rs = d
+        .query("SELECT id FROM emp WHERE id NOT IN (5, NULL)")
+        .unwrap();
+    assert_eq!(rs.len(), 0);
+}

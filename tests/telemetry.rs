@@ -182,6 +182,20 @@ fn general_path_records_exact_counters() {
         let name = format!("preprocess.rows.{step}");
         assert!(!snap.counters.contains_key(&name), "{step} is subsumed");
     }
+    // The pair loops pair what the SQL program's joins pair, while each
+    // condition part runs once per distinct key (or pair of keys), and
+    // none of `Clusters` / `MiningSource` is built to evaluate them.
+    for (name, n) in [
+        ("preprocess.pairs.cluster.evaluated", 8),
+        ("preprocess.pairs.cluster.kept", 2),
+        ("preprocess.pairs.mining.evaluated", 6),
+        ("preprocess.pairs.mining.kept", 2),
+        ("preprocess.cond.evaluated", 17),
+        ("relational.deferred.rows_built", 0),
+    ] {
+        assert_eq!(snap.counter(name), n, "{name}");
+    }
+    assert_eq!(db.stats().deferred_rows_built, 0);
     assert_eq!(snap.counter("core.path.general"), 1);
     assert_eq!(snap.counter("core.path.simple"), 0);
     assert_eq!(snap.counter("core.tuples"), 8);
