@@ -174,10 +174,7 @@ fn f2_paper_example(report: &mut Report) {
         let got = outcome
             .rules
             .iter()
-            .find(|r| {
-                r.body == body.iter().map(|x| x.to_string()).collect::<Vec<_>>()
-                    && r.head == head.iter().map(|x| x.to_string()).collect::<Vec<_>>()
-            })
+            .find(|r| r.body[..] == body[..] && r.head[..] == head[..])
             .expect("rule present");
         println!(
             "| {{{}}} | {{{}}} | {s} | {c} | {} | {} |",

@@ -32,6 +32,10 @@ pub use counting::CountingCtx;
 pub use gidset::{GidSet, GidSetCtx, GidSetScratch};
 pub use trie::ItemsetTrie;
 
+use std::collections::HashMap;
+
+use relational::KeyHash;
+
 use crate::ast::CardSpec;
 use crate::error::{MineError, Result};
 use crate::runs;
@@ -174,15 +178,131 @@ pub fn by_name(name: &str) -> Option<Box<dyn ItemsetMiner>> {
     }
 }
 
-/// An encoded rule as produced by the core operator.
-#[derive(Debug, Clone, PartialEq)]
+/// One side's distinct itemsets — the bodies or the heads of a rule
+/// list — each stored once, items after items: set `id` is
+/// `items[ends[id - 1]..ends[id]]` (from 0 for the first). This is the
+/// paper's `OutputBodies` / `OutputHeads` with `BodyId = id + 1`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ItemsetArena {
+    /// The items of every set, set after set.
+    pub items: Vec<u32>,
+    /// Where each set ends in `items`.
+    pub ends: Vec<u32>,
+}
+
+impl ItemsetArena {
+    /// How many sets the arena holds.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The items of set `id`.
+    pub fn get(&self, id: u32) -> &[u32] {
+        let start = id.checked_sub(1).map_or(0, |at| self.ends[at as usize]);
+        &self.items[start as usize..self.ends[id as usize] as usize]
+    }
+
+    /// The sets in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len() as u32).map(|id| self.get(id))
+    }
+
+    /// Close the set whose items were pushed since the last one; its id.
+    fn close(&mut self) -> u32 {
+        self.ends.push(self.items.len() as u32);
+        self.ends.len() as u32 - 1
+    }
+}
+
+/// One rule of an [`EncodedRules`]: its body and head as set ids into
+/// the list's two arenas.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncodedRule {
-    pub body: Itemset,
-    pub head: Itemset,
+    /// `BodyId - 1`.
+    pub body: u32,
+    /// `HeadId - 1`.
+    pub head: u32,
     /// Groups containing body ∪ head.
     pub group_count: u32,
     pub support: f64,
     pub confidence: f64,
+}
+
+/// A rule of an [`EncodedRules`] with its body and head items.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RuleView<'a> {
+    pub body: &'a [u32],
+    pub head: &'a [u32],
+    pub group_count: u32,
+    pub support: f64,
+    pub confidence: f64,
+}
+
+/// The core operator's output in the paper's normalised form (§4.3): the
+/// rules in canonical order — by body, then head — each naming its body
+/// and head by id, and every distinct body and head stored once. Ids are
+/// assigned in first-seen order over the rules, so equal rule lists are
+/// equal values.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EncodedRules {
+    pub bodies: ItemsetArena,
+    pub heads: ItemsetArena,
+    pub rules: Vec<EncodedRule>,
+}
+
+impl EncodedRules {
+    /// How many rules there are.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// Each rule with its body and head items, in order.
+    pub fn iter(&self) -> impl Iterator<Item = RuleView<'_>> {
+        self.rules.iter().map(|r| RuleView {
+            body: self.bodies.get(r.body),
+            head: self.heads.get(r.head),
+            group_count: r.group_count,
+            support: r.support,
+            confidence: r.confidence,
+        })
+    }
+
+    /// Rules given in canonical order, their sides interned: a body is
+    /// new when it differs from the one before (the bodies come in runs),
+    /// a head when no earlier rule had it.
+    pub(crate) fn from_sorted<'s>(sorted: impl IntoIterator<Item = RuleView<'s>>) -> EncodedRules {
+        let mut out = EncodedRules::default();
+        let mut head_ids: HashMap<&[u32], u32, KeyHash> = HashMap::default();
+        let mut last_body: Option<&[u32]> = None;
+        for rule in sorted {
+            if last_body != Some(rule.body) {
+                out.bodies.items.extend_from_slice(rule.body);
+                out.bodies.close();
+                last_body = Some(rule.body);
+            }
+            let heads = &mut out.heads;
+            let head = *head_ids.entry(rule.head).or_insert_with(|| {
+                heads.items.extend_from_slice(rule.head);
+                heads.close()
+            });
+            out.rules.push(EncodedRule {
+                body: out.bodies.len() as u32 - 1,
+                head,
+                group_count: rule.group_count,
+                support: rule.support,
+                confidence: rule.confidence,
+            });
+        }
+        out
+    }
 }
 
 /// Accounting from [`rules_from_itemsets_counted`], published to the
@@ -205,16 +325,25 @@ pub struct RuleGenStats {
 /// honouring the statement's cardinality specifications and minimum
 /// confidence. Support of each emitted rule is `count(L) / total`;
 /// confidence is `count(L) / count(L − H)`. The rules come back in
-/// [`sort_rules`] order.
+/// canonical order.
 pub fn rules_from_itemsets(
     large: &[LargeItemset],
     total_groups: u32,
     body_card: CardSpec,
     head_card: CardSpec,
     min_confidence: f64,
-) -> Result<Vec<EncodedRule>> {
+) -> Result<EncodedRules> {
     rules_from_itemsets_counted(large, total_groups, body_card, head_card, min_confidence)
         .map(|(rules, _)| rules)
+}
+
+/// A rule as the split loop finds it: body and head as the trie nodes
+/// their itemsets end at.
+struct Split {
+    body: u32,
+    head: u32,
+    group_count: u32,
+    confidence: f64,
 }
 
 /// [`rules_from_itemsets`] also returning split-evaluation counts.
@@ -224,20 +353,21 @@ pub fn rules_from_itemsets_counted(
     body_card: CardSpec,
     head_card: CardSpec,
     min_confidence: f64,
-) -> Result<(Vec<EncodedRule>, RuleGenStats)> {
+) -> Result<(EncodedRules, RuleGenStats)> {
     // Support lookups go through a prefix trie over the inventory: the
     // body of a split is `set \ head`, which the trie resolves with a
-    // skip-walk (`get_excluding`) — the body is only materialised for
-    // rules that actually pass the confidence threshold. Body and head
-    // are both large itemsets, so the nodes they end at rank them
-    // lexicographically (`preorder`), and the rules are ordered on packed
-    // rank pairs: no itemset is compared per rule.
+    // skip-walk (`get_excluding`). Body and head are both large itemsets,
+    // so a rule is the pair of nodes they end at: the nodes rank them
+    // lexicographically (`preorder`), the rules are ordered on packed
+    // rank pairs, and each distinct node's itemset is read off the trie
+    // once, when the ordered rules first name it. No itemset is built or
+    // compared per rule.
     let mut counts = ItemsetTrie::new();
     for (set, cnt) in large {
         counts.insert(set, *cnt);
     }
     let rank = counts.preorder();
-    let mut out: Vec<Option<EncodedRule>> = Vec::new();
+    let mut splits: Vec<Split> = Vec::new();
     let mut keys: Vec<(u64, u32)> = Vec::new();
     let mut stats = RuleGenStats::default();
     for (set, cnt) in large {
@@ -254,19 +384,14 @@ pub fn rules_from_itemsets_counted(
             if !body_card.admits(body_len) {
                 return;
             }
-            let body = || -> Itemset {
-                set.iter()
-                    .copied()
-                    .filter(|x| head.binary_search(x).is_err())
-                    .collect()
-            };
             let (Some(head_node), Some((body_node, body_cnt))) =
                 (head_node, counts.get_excluding(set, head))
             else {
-                let missing = if head_node.is_none() {
+                let missing: Itemset = if head_node.is_none() {
                     head.to_vec()
                 } else {
-                    body()
+                    let body = set.iter().filter(|x| head.binary_search(x).is_err());
+                    body.copied().collect()
                 };
                 failure = Some(MineError::Internal {
                     message: format!(
@@ -280,14 +405,13 @@ pub fn rules_from_itemsets_counted(
             let confidence = *cnt as f64 / body_cnt as f64;
             if confidence + 1e-12 >= min_confidence {
                 let key = runs::pack(rank[body_node as usize], rank[head_node as usize]);
-                keys.push((key, out.len() as u32));
-                out.push(Some(EncodedRule {
-                    body: body(),
-                    head: head.to_vec(),
+                keys.push((key, splits.len() as u32));
+                splits.push(Split {
+                    body: body_node,
+                    head: head_node,
                     group_count: *cnt,
-                    support: *cnt as f64 / total_groups as f64,
                     confidence,
-                }));
+                });
             } else {
                 stats.pruned_confidence += 1;
             }
@@ -297,19 +421,40 @@ pub fn rules_from_itemsets_counted(
         }
     }
     runs::radix_sort(&mut keys);
-    let rules = keys
-        .iter()
-        .map(|&(_, at)| out[at as usize].take().expect("one key per rule"))
-        .collect();
+    let mut out = EncodedRules {
+        rules: Vec::with_capacity(keys.len()),
+        ..EncodedRules::default()
+    };
+    let parents = counts.parents();
+    let mut set_id = [vec![u32::MAX; parents.len()], vec![u32::MAX; parents.len()]];
+    let mut intern = |side: usize, arena: &mut ItemsetArena, node: u32| {
+        let id = &mut set_id[side][node as usize];
+        if *id == u32::MAX {
+            let start = arena.items.len();
+            let mut at = node;
+            while at != 0 {
+                let (parent, item) = parents[at as usize];
+                arena.items.push(item);
+                at = parent;
+            }
+            arena.items[start..].reverse();
+            *id = arena.close();
+        }
+        *id
+    };
+    for &(_, at) in &keys {
+        let split = &splits[at as usize];
+        out.rules.push(EncodedRule {
+            body: intern(0, &mut out.bodies, split.body),
+            head: intern(1, &mut out.heads, split.head),
+            group_count: split.group_count,
+            support: split.group_count as f64 / total_groups as f64,
+            confidence: split.confidence,
+        });
+    }
     stats.trie_nodes = counts.node_count() as u64;
     stats.trie_lookups = counts.take_lookups();
-    Ok((rules, stats))
-}
-
-/// The canonical rule order, by body and then head: the order
-/// [`rules_from_itemsets`] returns and the general lattice sorts into.
-pub fn sort_rules(rules: &mut [EncodedRule]) {
-    rules.sort_by(|a, b| a.body.cmp(&b.body).then(a.head.cmp(&b.head)));
+    Ok((out, stats))
 }
 
 /// Canonical sort for comparing itemset inventories in tests.
@@ -359,7 +504,7 @@ mod tests {
             rules_from_itemsets(&large, 4, CardSpec::one_to_n(), CardSpec::one_to_one(), 0.6)
                 .unwrap();
         assert_eq!(rules.len(), 2);
-        assert!((rules[0].support - 0.5).abs() < 1e-12);
+        assert!((rules.rules[0].support - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -384,9 +529,25 @@ mod tests {
         for head in [CardSpec::one_to_one(), CardSpec::one_to_n()] {
             let rules = rules_from_itemsets(&large, 60, CardSpec::one_to_n(), head, 0.1).unwrap();
             assert!(rules.len() > 100, "{}", rules.len());
-            let mut sorted = rules.clone();
-            sort_rules(&mut sorted);
-            assert_eq!(rules, sorted);
+            let pairs: Vec<(&[u32], &[u32])> = rules.iter().map(|r| (r.body, r.head)).collect();
+            assert!(pairs.windows(2).all(|w| w[0] < w[1]), "by body, then head");
+            // Ids are first-seen over that order, each set stored once.
+            let mut seen = [0, 0];
+            for r in &rules.rules {
+                for (side, id) in [r.body, r.head].into_iter().enumerate() {
+                    assert!(id <= seen[side], "{side}: id {id} before {}", seen[side]);
+                    seen[side] = seen[side].max(id + 1);
+                }
+            }
+            assert_eq!(seen, [rules.bodies.len() as u32, rules.heads.len() as u32]);
+            let distinct = |sets: &ItemsetArena| {
+                let mut all: Vec<&[u32]> = sets.iter().collect();
+                all.sort_unstable();
+                all.dedup();
+                all.len()
+            };
+            assert_eq!(distinct(&rules.bodies), rules.bodies.len());
+            assert_eq!(distinct(&rules.heads), rules.heads.len());
         }
     }
 

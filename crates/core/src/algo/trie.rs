@@ -171,6 +171,19 @@ impl ItemsetTrie {
         position
     }
 
+    /// Each node's parent and the item on the edge into it (the root's
+    /// entry is `(0, 0)`): a node's itemset is the items on its path up
+    /// to the root, read backwards.
+    pub(crate) fn parents(&self) -> Vec<(u32, u32)> {
+        let mut parents = vec![(0, 0); self.nodes.len()];
+        for (node, entry) in (0..).zip(&self.nodes) {
+            for &(item, child) in &entry.children {
+                parents[child as usize] = (node, item);
+            }
+        }
+        parents
+    }
+
     /// The Apriori prune: is every (k-1)-subset of `cand` present? Each
     /// subset is a walk that skips one position — no subset is ever
     /// materialised.

@@ -75,7 +75,7 @@ use relational::expr::Expr;
 use relational::sequence::Sequence;
 use relational::{Database, Table, TableDelta, Value};
 
-use crate::algo::{rules_from_itemsets_counted, EncodedRule, LargeItemset};
+use crate::algo::{rules_from_itemsets_counted, EncodedRules, LargeItemset};
 use crate::ast::MineRuleStatement;
 use crate::digest::SourceDigest;
 use crate::directives::Directives;
@@ -270,7 +270,7 @@ pub enum ServeKind {
 /// would produce at the statement's thresholds and snapshot.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
-    pub rules: Vec<EncodedRule>,
+    pub rules: EncodedRules,
     pub kind: ServeKind,
 }
 
@@ -1053,7 +1053,7 @@ fn extract_rules(
     inventory: &Inventory,
     translation: &Translation,
     new_min: u64,
-) -> Result<Option<Vec<EncodedRule>>> {
+) -> Result<Option<EncodedRules>> {
     let stmt = &translation.stmt;
     let mut bid_of: Vec<Option<u32>> = vec![None; inventory.digest.items()];
     match bset_items(db, translation, &inventory.digest) {
@@ -1332,7 +1332,7 @@ mod tests {
     fn decoded(
         db: &mut Database,
         translation: &Translation,
-        rules: &[EncodedRule],
+        rules: &EncodedRules,
     ) -> Vec<DecodedRule> {
         store_encoded_rules(db, translation, rules).unwrap();
         postprocess(db, translation).unwrap();

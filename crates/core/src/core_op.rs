@@ -41,7 +41,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::algo::{self, CountingCtx, EncodedRule, Groups, LargeItemset, SimpleView};
+use crate::algo::{self, CountingCtx, EncodedRules, Groups, LargeItemset, SimpleView};
 use crate::encoded::{EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
 use crate::lattice::elementary::{build_contexts, BuildOptions};
@@ -71,7 +71,9 @@ impl Default for CoreOptions {
 /// What the core operator hands to the postprocessor.
 #[derive(Debug, Clone)]
 pub struct CoreOutput {
-    pub rules: Vec<EncodedRule>,
+    /// The rules in the normalised form the postprocessor stores and
+    /// decodes: each distinct body and head once, rules by id.
+    pub rules: EncodedRules,
     /// Which path ran, for reporting.
     pub used_general: bool,
     /// Lattice statistics (general path only).
@@ -302,7 +304,7 @@ mod tests {
             (4, vec![1, 2, 3]),
         ];
         let input = simple_input(groups, CardSpec::one_to_one());
-        let mut reference: Option<Vec<EncodedRule>> = None;
+        let mut reference: Option<EncodedRules> = None;
         for name in [
             "apriori",
             "count",

@@ -19,7 +19,7 @@ pub mod elementary;
 use std::collections::HashMap;
 
 use crate::algo::itemset::Itemset;
-use crate::algo::EncodedRule;
+use crate::algo::{EncodedRules, RuleView};
 use crate::ast::CardSpec;
 use crate::error::{MineError, Result};
 use elementary::Contexts;
@@ -66,7 +66,7 @@ fn group_bits(ctxs: &[u32], on: &Contexts, words: Option<usize>) -> Option<Vec<u
 }
 
 /// Mine general association rules from prepared contexts.
-pub fn mine_general(contexts: &Contexts, params: &GeneralParams) -> Result<Vec<EncodedRule>> {
+pub fn mine_general(contexts: &Contexts, params: &GeneralParams) -> Result<EncodedRules> {
     mine_general_with_stats(contexts, params).map(|(rules, _)| rules)
 }
 
@@ -74,7 +74,7 @@ pub fn mine_general(contexts: &Contexts, params: &GeneralParams) -> Result<Vec<E
 pub fn mine_general_with_stats(
     contexts: &Contexts,
     params: &GeneralParams,
-) -> Result<(Vec<EncodedRule>, LatticeStats)> {
+) -> Result<(EncodedRules, LatticeStats)> {
     let mut stats = LatticeStats::default();
     // Each rule's groups also as a bitset when one costs at most four
     // words per group a rule must reach: two rules are then counted by
@@ -148,7 +148,8 @@ pub fn mine_general_with_stats(
     }
 
     // Emission: every stored rule within the cardinality specs and above
-    // the confidence threshold.
+    // the confidence threshold, by reference until the rules are sorted
+    // and their sides interned.
     let mut body_gids_memo: HashMap<&[u32], u32> = HashMap::new();
     let mut out = Vec::new();
     for ((m, n), rules) in &sets {
@@ -172,9 +173,9 @@ pub fn mine_general_with_stats(
             let gids = contexts.distinct_gids(&rule.ctxs);
             let confidence = gids as f64 / body_gids as f64;
             if confidence + 1e-12 >= params.min_confidence {
-                out.push(EncodedRule {
-                    body: rule.body.clone(),
-                    head: rule.head.clone(),
+                out.push(RuleView {
+                    body: &rule.body,
+                    head: &rule.head,
                     group_count: gids,
                     support: gids as f64 / params.total_groups.max(1) as f64,
                     confidence,
@@ -182,8 +183,8 @@ pub fn mine_general_with_stats(
             }
         }
     }
-    crate::algo::sort_rules(&mut out);
-    Ok((out, stats))
+    out.sort_unstable_by(|a, b| (a.body, a.head).cmp(&(b.body, b.head)));
+    Ok((EncodedRules::from_sorted(out), stats))
 }
 
 /// Generate the child set by extending the body (or head) dimension:
@@ -318,7 +319,7 @@ pub(crate) mod oracle {
 
     use super::GeneralParams;
     use crate::algo::itemset::{apriori_join, intersect, Itemset};
-    use crate::algo::EncodedRule;
+    use crate::algo::{EncodedRules, RuleView};
     use crate::error::{MineError, Result};
     use crate::lattice::elementary::oracle::MapContexts;
 
@@ -335,7 +336,7 @@ pub(crate) mod oracle {
     pub(crate) fn mine_general(
         contexts: &MapContexts,
         params: &GeneralParams,
-    ) -> Result<(Vec<EncodedRule>, OracleStats)> {
+    ) -> Result<(EncodedRules, OracleStats)> {
         let mut stats = OracleStats::default();
 
         // Rules are kept sorted by (body, head) so join partners are adjacent.
@@ -417,9 +418,9 @@ pub(crate) mod oracle {
                 }
                 let confidence = gids as f64 / body_gids as f64;
                 if confidence + 1e-12 >= params.min_confidence {
-                    out.push(EncodedRule {
-                        body: body.clone(),
-                        head: head.clone(),
+                    out.push(RuleView {
+                        body,
+                        head,
                         group_count: gids,
                         support: gids as f64 / params.total_groups.max(1) as f64,
                         confidence,
@@ -427,8 +428,8 @@ pub(crate) mod oracle {
                 }
             }
         }
-        crate::algo::sort_rules(&mut out);
-        Ok((out, stats))
+        out.sort_by(|a, b| (a.body, a.head).cmp(&(b.body, b.head)));
+        Ok((EncodedRules::from_sorted(out), stats))
     }
 
     /// Generate the child set by extending the body (or head) dimension:
@@ -660,12 +661,12 @@ mod tests {
         (tuples, couples, rules)
     }
 
-    fn same_rules(a: &[EncodedRule], b: &[EncodedRule]) -> bool {
-        let bits = |r: &EncodedRule| (r.support.to_bits(), r.confidence.to_bits());
+    fn same_rules(a: &EncodedRules, b: &EncodedRules) -> bool {
+        let bits = |r: &RuleView| (r.support.to_bits(), r.confidence.to_bits());
         a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                (&x.body, &x.head, x.group_count, bits(x))
-                    == (&y.body, &y.head, y.group_count, bits(y))
+            && a.iter().zip(b.iter()).all(|(x, y)| {
+                (x.body, x.head, x.group_count, bits(&x))
+                    == (y.body, y.head, y.group_count, bits(&y))
             })
     }
 
@@ -803,8 +804,8 @@ mod tests {
     fn body_and_head_stay_disjoint() {
         let contexts = basket_contexts(&[&[1, 2, 3], &[1, 2, 3]], 1);
         let rules = mine_general(&contexts, &params(1, 0.0001, 2)).unwrap();
-        for r in &rules {
-            for b in &r.body {
+        for r in rules.iter() {
+            for b in r.body {
                 assert!(!r.head.contains(b), "{r:?}");
             }
         }

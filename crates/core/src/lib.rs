@@ -73,6 +73,6 @@ pub use directives::{Directives, StatementClass};
 pub use error::{MineError, Result, SemanticViolation};
 pub use parser::{is_mine_rule, parse_mine_rule};
 pub use pipeline::{MineRuleEngine, MiningOutcome, PhaseTimings};
-pub use postprocess::DecodedRule;
+pub use postprocess::{DecodedRule, Items};
 pub use telemetry::{MetricsSnapshot, Telemetry};
 pub use translator::{translate, translate_with_prefix, Translation};

@@ -18,7 +18,7 @@ use std::time::Duration;
 use relational::expr::eval::QueryCtx;
 use relational::{Database, ExecStats};
 
-use crate::algo::EncodedRule;
+use crate::algo::EncodedRules;
 use crate::artifacts::{ArtifactStore, ServeKind, StoreOutcome};
 use crate::core_op::{run_core_on, CoreOptions, CoreOutput};
 use crate::encoded::read_encoded;
@@ -196,11 +196,14 @@ impl MineRuleEngine {
         let Decoded {
             rules: decoded,
             fused_steps,
+            sets_rendered,
         } = decode_rules(db, &translation, &rules)?;
         self.telemetry
             .counter_add("postprocess.rules_stored", rules.len() as u64);
         self.telemetry
             .counter_add("postprocess.rules_decoded", decoded.len() as u64);
+        self.telemetry
+            .counter_add("postprocess.sets_rendered", sets_rendered as u64);
         if fused_steps > 0 {
             self.telemetry
                 .counter_add("postprocess.fused_steps", fused_steps as u64);
@@ -370,7 +373,7 @@ impl MineRuleEngine {
         db: &mut Database,
         translation: &Translation,
         preprocessed: &Preprocessed,
-    ) -> Result<(Vec<EncodedRule>, bool)> {
+    ) -> Result<(EncodedRules, bool)> {
         let preprocess_report = &preprocessed.report;
         let serve =
             self.artifacts

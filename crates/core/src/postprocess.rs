@@ -7,11 +7,13 @@
 //! precisely because SQL92 has no set-valued attributes. Decoding is then
 //! a pair of joins with `Bset`/`Hset`.
 //!
-//! [`decode_rules`] is the whole phase. Inside the server the item
-//! dictionary is an array, not a join: **one in-memory pass** over the
-//! encoded rules assigns the body/head identifiers, keeps each distinct
-//! body and head once, looks its items up in `Bset`/`Hset` by id, and
-//! builds the rules handed back to the caller. The three normalised
+//! The core operator already hands the rules over in that form
+//! ([`EncodedRules`]: each distinct body and head once, the rules by
+//! id), and [`decode_rules`] is the whole phase. Inside the server the
+//! item dictionary is an array, not a join: **one in-memory pass**
+//! renders each distinct body and head once, looking its items up in
+//! `Bset`/`Hset` by id, and the rules handed back to the caller share
+//! those renderings ([`Items`]). The three normalised
 //! tables and the three decoded `<out>` tables are registered as
 //! deferred tables over that record, their rows built the first time
 //! something reads them — schema, row contents *and* row order
@@ -23,29 +25,32 @@
 //! rule table an earlier session left behind.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use relational::catalog::{Catalog, TableEntry};
 use relational::exec::select::value_type;
 use relational::expr::eval::QueryCtx;
 use relational::{
-    Column, DataType, Database, DeferredTable, ExecCounter, KeyHash, ResultSet, Row, RowProducer,
-    Schema, Table, Value,
+    Column, DataType, Database, DeferredTable, ExecCounter, ResultSet, Row, RowProducer, Schema,
+    Table, Value,
 };
 
-use crate::algo::EncodedRule;
+use crate::algo::{EncodedRule, EncodedRules, ItemsetArena};
 use crate::error::{MineError, Result};
 use crate::preprocess::{int_columns, run_steps};
 use crate::runs;
 use crate::translator::{Step, Translation};
 
 /// Write the encoded rules into `OutputRules` / `OutputBodies` /
-/// `OutputHeads`, assigning body/head identifiers (identical itemsets
-/// share an identifier, as the normalised form intends).
+/// `OutputHeads`. The core's set ids are the identifiers, one past each
+/// (`BodyId = body + 1`): identical itemsets share one, as the
+/// normalised form intends.
 pub fn store_encoded_rules(
     db: &mut Database,
     translation: &Translation,
-    rules: &[EncodedRule],
+    rules: &EncodedRules,
 ) -> Result<()> {
     let names = &translation.names;
     db.execute(&format!(
@@ -61,46 +66,40 @@ pub fn store_encoded_rules(
         names.output_heads()
     ))?;
 
-    let mut body_ids: HashMap<&[u32], i64> = HashMap::new();
-    let mut head_ids: HashMap<&[u32], i64> = HashMap::new();
-    let mut body_rows: Vec<Vec<Value>> = Vec::new();
-    let mut head_rows: Vec<Vec<Value>> = Vec::new();
-    let mut rule_rows: Vec<Vec<Value>> = Vec::with_capacity(rules.len());
-
-    for rule in rules {
-        let next_body = body_ids.len() as i64 + 1;
-        let body_id = *body_ids.entry(rule.body.as_slice()).or_insert_with(|| {
-            for &bid in &rule.body {
-                body_rows.push(vec![Value::Int(next_body), Value::Int(bid as i64)]);
-            }
-            next_body
-        });
-        let next_head = head_ids.len() as i64 + 1;
-        let head_id = *head_ids.entry(rule.head.as_slice()).or_insert_with(|| {
-            for &hid in &rule.head {
-                head_rows.push(vec![Value::Int(next_head), Value::Int(hid as i64)]);
-            }
-            next_head
-        });
-        rule_rows.push(vec![
-            Value::Int(body_id),
-            Value::Int(head_id),
-            Value::Float(rule.support),
-            Value::Float(rule.confidence),
-        ]);
-    }
-
     let catalog = db.catalog_mut();
     catalog
         .table_mut(&names.output_rules())?
-        .insert_all(rule_rows)?;
+        .insert_all(rules.rules.iter().map(|r| rule_row(&r.into())))?;
     catalog
         .table_mut(&names.output_bodies())?
-        .insert_all(body_rows)?;
+        .insert_all(links(&rules.bodies).map(link_row))?;
     catalog
         .table_mut(&names.output_heads())?
-        .insert_all(head_rows)?;
+        .insert_all(links(&rules.heads).map(link_row))?;
     Ok(())
+}
+
+/// The `OutputRules` row of `rule`.
+fn rule_row(rule: &RuleRef) -> Row {
+    vec![
+        Value::Int(i64::from(rule.body) + 1),
+        Value::Int(i64::from(rule.head) + 1),
+        Value::Float(rule.support),
+        Value::Float(rule.confidence),
+    ]
+}
+
+/// `(set id, item id)` per item of every set, in id order: the rows of
+/// `OutputBodies` / `OutputHeads`, and the order of the decoded table's.
+fn links(sets: &ItemsetArena) -> impl Iterator<Item = (i64, u32)> + '_ {
+    (1..)
+        .zip(sets.iter())
+        .flat_map(|(id, set)| set.iter().map(move |&item| (id, item)))
+}
+
+/// The `OutputBodies` / `OutputHeads` row of one link.
+fn link_row((id, item): (i64, u32)) -> Row {
+    vec![Value::Int(id), Value::Int(item.into())]
 }
 
 /// Run the decode joins, producing `<out>`, `<out>_Bodies`, `<out>_Heads`.
@@ -109,13 +108,74 @@ pub fn postprocess(db: &mut Database, translation: &Translation) -> Result<()> {
     Ok(())
 }
 
-/// A decoded rule, read back from the output tables.
+/// A rule's body or head as the caller reads it: the sorted rendered
+/// items (multi-attribute items join with `|`). Rendered once per
+/// distinct itemset and shared by every rule that has it, so cloning one
+/// copies no string.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Items(Arc<[String]>);
+
+impl Items {
+    pub fn as_slice(&self) -> &[String] {
+        &self.0
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl Deref for Items {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        &self.0
+    }
+}
+
+impl From<Vec<String>> for Items {
+    fn from(items: Vec<String>) -> Items {
+        Items(items.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a Items {
+    type Item = &'a String;
+    type IntoIter = std::slice::Iter<'a, String>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// Compares with a list of items, as `Vec<String>` does.
+impl<T> PartialEq<Vec<T>> for Items
+where
+    String: PartialEq<T>,
+{
+    fn eq(&self, other: &Vec<T>) -> bool {
+        self.0[..] == other[..]
+    }
+}
+
+/// Prints as the list of its items.
+impl fmt::Debug for Items {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// A decoded rule: what the caller reads of the core's encoded rules.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedRule {
-    /// Sorted rendered body items (multi-attribute items join with `|`).
-    pub body: Vec<String>,
+    /// Sorted rendered body items.
+    pub body: Items,
     /// Sorted rendered head items.
-    pub head: Vec<String>,
+    pub head: Items,
     pub support: f64,
     pub confidence: f64,
 }
@@ -141,6 +201,8 @@ pub struct Decoded {
     /// How many SQL statements of `translation.postprocess` the fused
     /// pass subsumed (0 when the written route ran).
     pub fused_steps: usize,
+    /// Distinct bodies plus distinct heads rendered into [`Items`].
+    pub sets_rendered: usize,
 }
 
 /// The postprocessing phase: leave the six output tables in the catalog
@@ -155,7 +217,7 @@ pub struct Decoded {
 pub fn decode_rules(
     db: &mut Database,
     translation: &Translation,
-    rules: &[EncodedRule],
+    rules: &EncodedRules,
 ) -> Result<Decoded> {
     if !db.reference_paths() {
         if let Ok(decoded) = run_fused(db, translation, rules) {
@@ -164,9 +226,11 @@ pub fn decode_rules(
     }
     store_encoded_rules(db, translation, rules)?;
     postprocess(db, translation)?;
+    let (rules, sets_rendered) = read_back(db, translation)?;
     Ok(Decoded {
-        rules: read_rules(db, translation)?,
+        rules,
         fused_steps: 0,
+        sets_rendered,
     })
 }
 
@@ -174,7 +238,7 @@ pub fn decode_rules(
 fn run_fused(
     db: &mut Database,
     translation: &Translation,
-    rules: &[EncodedRule],
+    rules: &EncodedRules,
 ) -> Result<Decoded> {
     FusedDecoding::compute(db, translation, rules)?.commit(db)
 }
@@ -267,28 +331,67 @@ struct RuleRef {
     confidence: f64,
 }
 
+impl From<&EncodedRule> for RuleRef {
+    fn from(rule: &EncodedRule) -> RuleRef {
+        RuleRef {
+            body: rule.body,
+            head: rule.head,
+            support: rule.support,
+            confidence: rule.confidence,
+        }
+    }
+}
+
 /// One side (bodies or heads) of the record: its distinct itemsets in id
 /// order and the dictionary they decode through.
 struct SideRecord {
     dict: Dictionary,
-    /// The items of every set, set after set.
-    items: Vec<u32>,
-    /// Where each set ends in `items`; set `id` is the `id`-th.
-    ends: Vec<u32>,
+    sets: ItemsetArena,
 }
 
 impl SideRecord {
-    /// `(set id, item id)` per item of every set, in id order: the rows
-    /// of the link table, and the order of the decoded table's.
-    fn links(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        (1..)
-            .zip(starts.zip(&self.ends))
-            .flat_map(|(id, (start, &end))| {
-                self.items[start as usize..end as usize]
-                    .iter()
-                    .map(move |&item| (id, item))
-            })
+    /// Each set rendered once: its items' renderings (multi-attribute
+    /// items join with `|`, each item rendered once), sorted, in one
+    /// block per set beside its strings. Sets are ranked on their items'
+    /// ranks among the renderings, so no string is compared per set. An
+    /// item the dictionary does not hold declines.
+    fn render(&self) -> Result<RenderedSets> {
+        let (dict, attrs) = (&self.dict, &self.dict.attrs);
+        let mut rendered: Vec<Option<String>> = vec![None; dict.row_of.len()];
+        let mut used: Vec<u32> = Vec::new();
+        for &item in &self.sets.items {
+            let row = dict
+                .row(item)
+                .ok_or_else(|| declined(format!("item id {item} is not in the dictionary")))?;
+            let text = &mut rendered[item as usize];
+            if text.is_none() {
+                let attrs = attrs.iter().map(|&(at, _)| row[at].to_string());
+                *text = Some(attrs.collect::<Vec<_>>().join("|"));
+                used.push(item);
+            }
+        }
+        let text = |item: u32| rendered[item as usize].as_ref().expect("rendered");
+        let mut item_rank = vec![0u32; rendered.len()];
+        let texts: Vec<&String> = used.iter().map(|&item| text(item)).collect();
+        for (&item, rank) in used.iter().zip(dense_ranks(&texts)) {
+            item_rank[item as usize] = rank;
+        }
+        let mut ranked: Vec<u32> = Vec::with_capacity(self.sets.items.len());
+        let mut sorted: Vec<(u32, u32)> = Vec::new();
+        let sets = self.sets.iter().map(|set| {
+            sorted.clear();
+            sorted.extend(set.iter().map(|&item| (item_rank[item as usize], item)));
+            sorted.sort_unstable();
+            ranked.extend(sorted.iter().map(|&(rank, _)| rank));
+            Items(sorted.iter().map(|&(_, item)| text(item).clone()).collect())
+        });
+        let sets: Vec<Items> = sets.collect();
+        let ranked = ItemsetArena {
+            items: ranked,
+            ends: self.sets.ends.clone(),
+        };
+        let rank = dense_ranks(&ranked.iter().collect::<Vec<_>>());
+        Ok(RenderedSets { sets, rank })
     }
 
     /// The decoded table's columns: the set id, then `names` typed as
@@ -299,7 +402,7 @@ impl SideRecord {
     fn decoded_columns(&self, id_col: &str, names: &[String]) -> Result<Vec<Column>> {
         let attrs = &self.dict.attrs;
         let mut types: Vec<Option<DataType>> = vec![None; attrs.len()];
-        for &item in &self.items {
+        for &item in &self.sets.items {
             let row = self.dict.row(item).expect("every item decoded");
             for (dtype, &(at, _)) in types.iter_mut().zip(attrs) {
                 match dtype {
@@ -356,19 +459,7 @@ impl RowProducer for OutputRows {
         let record = &self.record;
         let ids = |r: &RuleRef| [i64::from(r.body) + 1, i64::from(r.head) + 1].map(Value::Int);
         match self.table {
-            Output::Rules => record
-                .rules
-                .iter()
-                .map(|r| {
-                    let [body, head] = ids(r);
-                    vec![
-                        body,
-                        head,
-                        Value::Float(r.support),
-                        Value::Float(r.confidence),
-                    ]
-                })
-                .collect(),
+            Output::Rules => record.rules.iter().map(rule_row).collect(),
             Output::Projected => {
                 let [support, confidence] = record.measures;
                 let width = 2 + usize::from(support) + usize::from(confidence);
@@ -384,14 +475,11 @@ impl RowProducer for OutputRows {
                     })
                     .collect()
             }
-            Output::Links(side) => record.sides[side]
-                .links()
-                .map(|(id, item)| vec![Value::Int(id), Value::Int(item.into())])
-                .collect(),
+            Output::Links(side) => links(&record.sides[side].sets).map(link_row).collect(),
             Output::Decoded(side) => {
                 let side = &record.sides[side];
                 let attrs = &side.dict.attrs;
-                side.links()
+                links(&side.sets)
                     .map(|(id, item)| {
                         let row = side.dict.row(item).expect("every item decoded");
                         let mut decoded = Vec::with_capacity(1 + attrs.len());
@@ -412,85 +500,11 @@ impl RowProducer for OutputRows {
             Output::Rules => record.rules.len() as u64 * 24,
             Output::Projected => 0,
             Output::Links(side) => {
-                let side = &record.sides[side];
-                (side.items.len() + side.ends.len()) as u64 * 4
+                let sets = &record.sides[side].sets;
+                (sets.items.len() + sets.ends.len()) as u64 * 4
             }
             Output::Decoded(side) => record.sides[side].dict.row_of.len() as u64 * 4,
         }
-    }
-}
-
-/// One side as the pass meets it: the id of each distinct itemset in
-/// first-seen order, and each set's rendering.
-struct Side<'r> {
-    record: SideRecord,
-    /// Set → id, for a set that is not the one just seen.
-    ids: HashMap<&'r [u32], u32, KeyHash>,
-    /// The set just seen and its id: rules arrive sorted by body, so the
-    /// bodies come in runs.
-    last: Option<(&'r [u32], u32)>,
-    /// The rendering of each item id (multi-attribute items join with
-    /// `|`), filled on first use.
-    rendered: Vec<Option<String>>,
-    /// The sorted rendering of each set; set `id` is at `id - 1`.
-    sets: Vec<Vec<String>>,
-}
-
-impl<'r> Side<'r> {
-    fn new(dict: Dictionary) -> Side<'r> {
-        Side {
-            rendered: vec![None; dict.row_of.len()],
-            record: SideRecord {
-                dict,
-                items: Vec::new(),
-                ends: Vec::new(),
-            },
-            ids: HashMap::default(),
-            last: None,
-            sets: Vec::new(),
-        }
-    }
-
-    /// The position (id - 1) of `set`, decoding it on first sight.
-    fn position(&mut self, set: &'r [u32]) -> Result<u32> {
-        if let Some((last, at)) = self.last {
-            if last == set {
-                return Ok(at);
-            }
-        }
-        let at = match self.ids.get(set) {
-            Some(&at) => at,
-            None => self.decode(set)?,
-        };
-        self.last = Some((set, at));
-        Ok(at)
-    }
-
-    fn decode(&mut self, set: &'r [u32]) -> Result<u32> {
-        let record = &mut self.record;
-        let at = record.ends.len() as u32;
-        let mut rendered = Vec::with_capacity(set.len());
-        for &item in set {
-            let row = record
-                .dict
-                .row(item)
-                .ok_or_else(|| declined(format!("item id {item} is not in the dictionary")))?;
-            let attrs = &record.dict.attrs;
-            let text = self.rendered[item as usize].get_or_insert_with(|| {
-                attrs
-                    .iter()
-                    .map(|&(i, _)| row[i].to_string())
-                    .collect::<Vec<_>>()
-                    .join("|")
-            });
-            rendered.push(text.clone());
-        }
-        record.items.extend_from_slice(set);
-        record.ends.push(record.items.len() as u32);
-        rendered.sort();
-        self.sets.push(rendered);
-        self.ids.insert(set, at);
-        Ok(at)
     }
 }
 
@@ -501,6 +515,7 @@ struct FusedDecoding {
     /// them, each deferred over the shared record.
     tables: Vec<TableEntry>,
     rules: Vec<DecodedRule>,
+    sets_rendered: usize,
     /// The SQL statements of `translation.postprocess` subsumed.
     fused_steps: usize,
     /// Executor work of the pass, accounted at commit.
@@ -510,18 +525,18 @@ struct FusedDecoding {
 impl FusedDecoding {
     /// The fused postprocessing pass.
     ///
-    /// One loop over the encoded rules assigns `BodyId`/`HeadId` exactly
-    /// as [`store_encoded_rules`] does and keeps each distinct set's items
-    /// once — what `P2`/`P3` would join out of `Bset`/`Hset` (without H,
-    /// heads decode through `Bset` on `Hid = Bid`). The six tables are
-    /// registered over that record with their exact row counts and
-    /// schemas, and built when something reads them. The rules handed
-    /// back are ordered by a rank computed once per *distinct* body and
-    /// head, with the tie order [`read_rules`] gives.
+    /// The core's rules already name each distinct body and head by its
+    /// `BodyId - 1` / `HeadId - 1`, and keep each set's items once — what
+    /// `P2`/`P3` would join out of `Bset`/`Hset` (without H, heads decode
+    /// through `Bset` on `Hid = Bid`). The six tables are registered over
+    /// that record with their exact row counts and schemas, and built
+    /// when something reads them. Each distinct set is rendered once; the
+    /// rules handed back share those renderings, ordered by a rank
+    /// computed once per set, with the tie order [`read_rules`] gives.
     fn compute(
         db: &Database,
         translation: &Translation,
-        rules: &[EncodedRule],
+        rules: &EncodedRules,
     ) -> Result<FusedDecoding> {
         let stmt = &translation.stmt;
         let names = &translation.names;
@@ -534,31 +549,30 @@ impl FusedDecoding {
             (bset, "Bid")
         };
         let (bodies_link, heads_link) = (names.output_bodies(), names.output_heads());
-        let mut bodies = Side::new(Dictionary::new(
-            bset,
-            "Bid",
-            &bodies_link,
-            &["BodyId", "Bid"],
-            &stmt.body.schema,
-        )?);
-        let mut heads = Side::new(Dictionary::new(
-            hdict,
-            hid,
-            &heads_link,
-            &["HeadId", "Hid"],
-            &stmt.head.schema,
-        )?);
-
-        let mut refs: Vec<RuleRef> = Vec::with_capacity(rules.len());
-        for rule in rules {
-            refs.push(RuleRef {
-                body: bodies.position(&rule.body)?,
-                head: heads.position(&rule.head)?,
-                support: rule.support,
-                confidence: rule.confidence,
-            });
-        }
-        let decoded_rules = ordered_rules(&bodies.sets, &heads.sets, &refs);
+        let bodies = SideRecord {
+            dict: Dictionary::new(
+                bset,
+                "Bid",
+                &bodies_link,
+                &["BodyId", "Bid"],
+                &stmt.body.schema,
+            )?,
+            sets: rules.bodies.clone(),
+        };
+        let heads = SideRecord {
+            dict: Dictionary::new(
+                hdict,
+                hid,
+                &heads_link,
+                &["HeadId", "Hid"],
+                &stmt.head.schema,
+            )?,
+            sets: rules.heads.clone(),
+        };
+        let (body_sets, head_sets) = (bodies.render()?, heads.render()?);
+        let sets_rendered = body_sets.sets.len() + head_sets.sets.len();
+        let refs: Vec<RuleRef> = rules.rules.iter().map(RuleRef::from).collect();
+        let decoded_rules = ordered_rules(&body_sets, &head_sets, &refs);
 
         let mut rule_columns = int_columns(&["BodyId", "HeadId"]);
         let mut out_columns = rule_columns.clone();
@@ -570,12 +584,11 @@ impl FusedDecoding {
             out_columns.extend(selected.then(|| column.clone()));
             rule_columns.push(column);
         }
-        let (bodies, heads) = (bodies.record, heads.record);
         let body_columns = bodies.decoded_columns("BodyId", &stmt.body.schema)?;
         let head_columns = heads.decoded_columns("HeadId", &stmt.head.schema)?;
 
         // What P1–P3 read and join, had the SQL server run them.
-        let (body_items, head_items) = (bodies.items.len(), heads.items.len());
+        let (body_items, head_items) = (bodies.sets.items.len(), heads.sets.items.len());
         let linked = (body_items + head_items) as u64;
         let scanned = rules.len() as u64 + linked + (bset.row_count() + hdict.row_count()) as u64;
         let rule_count = refs.len();
@@ -630,6 +643,7 @@ impl FusedDecoding {
         Ok(FusedDecoding {
             tables,
             rules: decoded_rules,
+            sets_rendered,
             fused_steps: translation
                 .postprocess
                 .iter()
@@ -668,38 +682,54 @@ impl FusedDecoding {
         Ok(Decoded {
             rules: self.rules,
             fused_steps: self.fused_steps,
+            sets_rendered: self.sets_rendered,
         })
     }
 }
 
-/// The dense rank of each itemset in rendered order; equal renderings
-/// share a rank, so ordering by rank is ordering by the rendering.
-fn set_ranks(sets: &[Vec<String>]) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..sets.len()).collect();
-    order.sort_by(|&a, &b| sets[a].cmp(&sets[b]));
-    let mut ranks = vec![0u32; sets.len()];
+/// One side's distinct sets as the caller reads them, by set id, and the
+/// rank of each in rendered order.
+struct RenderedSets {
+    sets: Vec<Items>,
+    rank: Vec<u32>,
+}
+
+impl RenderedSets {
+    /// Ranked by comparing the renderings themselves.
+    fn new(sets: Vec<Items>) -> RenderedSets {
+        let keys: Vec<&[String]> = sets.iter().map(Items::as_slice).collect();
+        let rank = dense_ranks(&keys);
+        RenderedSets { sets, rank }
+    }
+}
+
+/// The dense rank of each key in sorted order; equal keys share a rank,
+/// so ordering by rank is ordering by key.
+fn dense_ranks<K: Ord>(keys: &[K]) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+    let mut ranks = vec![0u32; keys.len()];
     let mut rank = 0;
     for pair in order.windows(2) {
-        rank += u32::from(sets[pair[0]] != sets[pair[1]]);
+        rank += u32::from(keys[pair[0]] != keys[pair[1]]);
         ranks[pair[1]] = rank;
     }
     ranks
 }
 
 /// The decoded rules sorted by (body, head), rules with equal renderings
-/// staying in stored order: each *distinct* itemset is ranked once and the
-/// rules are ordered on packed rank pairs by a stable radix sort — no
-/// string is compared per rule.
+/// staying in stored order: the rules are ordered on packed rank pairs by
+/// a stable radix sort and share their sets' renderings — no string is
+/// compared or copied per rule.
 fn ordered_rules(
-    bodies: &[Vec<String>],
-    heads: &[Vec<String>],
+    bodies: &RenderedSets,
+    heads: &RenderedSets,
     refs: &[RuleRef],
 ) -> Vec<DecodedRule> {
-    let (body_rank, head_rank) = (set_ranks(bodies), set_ranks(heads));
     let mut keys: Vec<(u64, u32)> = (0..)
         .zip(refs)
         .map(|(at, r)| {
-            let key = runs::pack(body_rank[r.body as usize], head_rank[r.head as usize]);
+            let key = runs::pack(bodies.rank[r.body as usize], heads.rank[r.head as usize]);
             (key, at)
         })
         .collect();
@@ -708,8 +738,8 @@ fn ordered_rules(
         .map(|&(_, at)| {
             let r = &refs[at as usize];
             DecodedRule {
-                body: bodies[r.body as usize].clone(),
-                head: heads[r.head as usize].clone(),
+                body: bodies.sets[r.body as usize].clone(),
+                head: heads.sets[r.head as usize].clone(),
                 support: r.support,
                 confidence: r.confidence,
             }
@@ -725,6 +755,11 @@ fn ordered_rules(
 /// or head the companion table does not hold is an error, never an empty
 /// itemset.
 pub fn read_rules(db: &mut Database, translation: &Translation) -> Result<Vec<DecodedRule>> {
+    read_back(db, translation).map(|(rules, _)| rules)
+}
+
+/// [`read_rules`] also returning how many sets it rendered.
+fn read_back(db: &mut Database, translation: &Translation) -> Result<(Vec<DecodedRule>, usize)> {
     let stmt = &translation.stmt;
     let out = &stmt.output_table;
     let (bodies_name, heads_name) = (format!("{out}_Bodies"), format!("{out}_Heads"));
@@ -771,7 +806,8 @@ pub fn read_rules(db: &mut Database, translation: &Translation) -> Result<Vec<De
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok(ordered_rules(&bodies.sets, &heads.sets, &refs))
+    let rendered = bodies.sets.sets.len() + heads.sets.sets.len();
+    Ok((ordered_rules(&bodies.sets, &heads.sets, &refs), rendered))
 }
 
 /// `SELECT <cols> FROM <name>` through the SQL server, unless `name` is a
@@ -806,7 +842,7 @@ struct Itemsets<'n> {
     /// Set id → position in `sets` (first-seen order).
     index: HashMap<i64, u32>,
     /// The sorted rendering of each set, every row rendered once.
-    sets: Vec<Vec<String>>,
+    sets: RenderedSets,
 }
 
 impl<'n> Itemsets<'n> {
@@ -841,9 +877,11 @@ impl<'n> Itemsets<'n> {
             });
             sets[at as usize].push(rendered);
         }
-        for items in &mut sets {
+        let sets = sets.into_iter().map(|mut items| {
             items.sort();
-        }
+            Items::from(items)
+        });
+        let sets = RenderedSets::new(sets.collect());
         Ok(Itemsets {
             table,
             id_col,

@@ -291,8 +291,8 @@ pub fn reference_mine(db: &mut Database, stmt: &MineRuleStatement) -> Result<Vec
             continue;
         }
         out.push(DecodedRule {
-            body,
-            head,
+            body: body.into(),
+            head: head.into(),
             support,
             confidence,
         });

@@ -92,7 +92,7 @@ fn decoupled_baseline_matches_coupled_rules() {
     let mut a: Vec<(Vec<String>, Vec<String>)> = coupled
         .rules
         .iter()
-        .map(|r| (r.body.clone(), r.head.clone()))
+        .map(|r| (r.body.to_vec(), r.head.to_vec()))
         .collect();
     let mut b: Vec<(Vec<String>, Vec<String>)> = flat
         .iter()

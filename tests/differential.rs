@@ -27,8 +27,8 @@ fn compare(db: &mut Database, statement: &str) {
             .iter()
             .map(|r| {
                 (
-                    r.body.clone(),
-                    r.head.clone(),
+                    r.body.to_vec(),
+                    r.head.to_vec(),
                     format!("{:.6}", r.support),
                     format!("{:.6}", r.confidence),
                 )

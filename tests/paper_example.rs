@@ -44,7 +44,7 @@ fn f2b_rules_match_figure_2b_exactly() {
     let mut got: Vec<(Vec<String>, Vec<String>, f64, f64)> = outcome
         .rules
         .iter()
-        .map(|r| (r.body.clone(), r.head.clone(), r.support, r.confidence))
+        .map(|r| (r.body.to_vec(), r.head.to_vec(), r.support, r.confidence))
         .collect();
     got.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut expected: Vec<(Vec<String>, Vec<String>, f64, f64)> = FIGURE_2B

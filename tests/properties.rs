@@ -212,11 +212,11 @@ fn lattice_rules_verify_against_bruteforce() {
             },
         )
         .unwrap();
-        for r in &rules {
+        for r in rules.iter() {
             let mut union: Vec<u32> = r.body.iter().chain(r.head.iter()).copied().collect();
             union.sort_unstable();
             let rule_count = groups.iter().filter(|g| is_subset(&union, g)).count() as u32;
-            let body_count = groups.iter().filter(|g| is_subset(&r.body, g)).count() as u32;
+            let body_count = groups.iter().filter(|g| is_subset(r.body, g)).count() as u32;
             assert_eq!(r.group_count, rule_count, "support count of {r:?}");
             assert!((r.support - rule_count as f64 / total as f64).abs() < 1e-9);
             assert!(

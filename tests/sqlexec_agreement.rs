@@ -498,8 +498,8 @@ fn compiled_mode_reproduces_figure_2b() {
     assert!(outcome.used_general);
     assert_eq!(outcome.rules.len(), FIGURE_2B.len());
     for (rule, (body, head, support, confidence)) in outcome.rules.iter().zip(FIGURE_2B) {
-        assert_eq!(rule.body, *body);
-        assert_eq!(rule.head, *head);
+        assert_eq!(rule.body.as_slice(), *body);
+        assert_eq!(rule.head.as_slice(), *head);
         assert!((rule.support - support).abs() < 1e-9);
         assert!((rule.confidence - confidence).abs() < 1e-9);
     }

@@ -2,8 +2,10 @@
 //! records exact, deterministic work counters for the paper's example
 //! data, and recording never changes the mined rules.
 
+use std::collections::HashSet;
+
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
-use minerule::MineRuleEngine;
+use minerule::{DecodedRule, MineRuleEngine};
 
 /// A simple-class statement over the paper's Purchase table (Figure 1):
 /// two customer groups, gid-list Apriori, 18 rules at these thresholds.
@@ -31,6 +33,14 @@ fn category_db() -> relational::Database {
     )
     .unwrap();
     db
+}
+
+/// Distinct bodies plus distinct heads of `rules`: what
+/// `postprocess.sets_rendered` counts, each set rendered once.
+fn distinct_sets(rules: &[DecodedRule]) -> u64 {
+    let bodies: HashSet<_> = rules.iter().map(|r| &r.body).collect();
+    let heads: HashSet<_> = rules.iter().map(|r| &r.head).collect();
+    (bodies.len() + heads.len()) as u64
 }
 
 #[test]
@@ -106,9 +116,12 @@ fn simple_path_records_exact_counters() {
     );
     assert!(snap.gauge("core.minecache.bytes").unwrap() > 0);
     // Postprocessor: every encoded rule stored and decoded, by the one
-    // in-memory pass that subsumes P1–P3.
+    // in-memory pass that subsumes P1–P3, which renders each distinct
+    // body and head once.
     assert_eq!(snap.counter("postprocess.rules_stored"), 18);
     assert_eq!(snap.counter("postprocess.rules_decoded"), 18);
+    assert_eq!(snap.counter("postprocess.sets_rendered"), 16);
+    assert_eq!(distinct_sets(&outcome.rules), 16);
     assert_eq!(snap.counter("postprocess.fused_steps"), 3);
     // Phase spans: exactly one sample each, and the span sums stay
     // consistent with the PhaseTimings view derived from them.
@@ -202,6 +215,8 @@ fn general_path_records_exact_counters() {
     assert_eq!(snap.counter("core.rules.emitted"), 3);
     assert_eq!(snap.counter("postprocess.rules_stored"), 3);
     assert_eq!(snap.counter("postprocess.rules_decoded"), 3);
+    assert_eq!(snap.counter("postprocess.sets_rendered"), 4);
+    assert_eq!(distinct_sets(&outcome.rules), 4);
 }
 
 #[test]
@@ -347,6 +362,10 @@ fn planner_counters_absent_under_naive_present_under_cost() {
     assert_eq!(snap.counter("preprocess.steps"), 8);
     assert_eq!(snap.counter("postprocess.rules_stored"), 18);
     assert_eq!(snap.counter("postprocess.rules_decoded"), 18);
+    // The written route renders what `read_rules` reads back: the same
+    // distinct sets the fused pass renders.
+    assert_eq!(snap.counter("postprocess.sets_rendered"), 16);
+    assert_eq!(distinct_sets(&naive.rules), 16);
     // No fused pass, no digest: the capture scans Purchase's 8 rows itself.
     assert_eq!(snap.counter("core.minecache.capture.source_rows"), 8);
 
