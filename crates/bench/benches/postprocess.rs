@@ -39,7 +39,7 @@ fn e8_decode_cost() {
         group.bench_batched(
             &format!("fused/s={support}_rules={}", rules.len()),
             setup,
-            |(mut db, translation, rules)| decode_rules(&mut db, &translation, &rules).unwrap(),
+            |(mut db, translation, rules)| decode_rules(&mut db, &translation, rules).unwrap(),
         );
     }
 }

@@ -193,13 +193,14 @@ impl MineRuleEngine {
         let core_time = span.stop();
 
         let span = self.telemetry.span("phase.postprocess");
+        let rules_stored = rules.len() as u64;
         let Decoded {
             rules: decoded,
             fused_steps,
             sets_rendered,
-        } = decode_rules(db, &translation, &rules)?;
+        } = decode_rules(db, &translation, rules)?;
         self.telemetry
-            .counter_add("postprocess.rules_stored", rules.len() as u64);
+            .counter_add("postprocess.rules_stored", rules_stored);
         self.telemetry
             .counter_add("postprocess.rules_decoded", decoded.len() as u64);
         self.telemetry

@@ -69,7 +69,7 @@ pub fn store_encoded_rules(
     let catalog = db.catalog_mut();
     catalog
         .table_mut(&names.output_rules())?
-        .insert_all(rules.rules.iter().map(|r| rule_row(&r.into())))?;
+        .insert_all(rules.rules.iter().map(rule_row))?;
     catalog
         .table_mut(&names.output_bodies())?
         .insert_all(links(&rules.bodies).map(link_row))?;
@@ -80,7 +80,7 @@ pub fn store_encoded_rules(
 }
 
 /// The `OutputRules` row of `rule`.
-fn rule_row(rule: &RuleRef) -> Row {
+fn rule_row(rule: &EncodedRule) -> Row {
     vec![
         Value::Int(i64::from(rule.body) + 1),
         Value::Int(i64::from(rule.head) + 1),
@@ -118,14 +118,6 @@ pub struct Items(Arc<[String]>);
 impl Items {
     pub fn as_slice(&self) -> &[String] {
         &self.0
-    }
-
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -209,6 +201,8 @@ pub struct Decoded {
 /// and return the decoded rules — as one fused in-memory pass, unless the
 /// database is on its reference paths.
 ///
+/// The rules move into the record the deferred output tables share.
+///
 /// Whatever fails inside the fused pass — a dictionary table that is not
 /// what the preprocessor left, an output name the cleanup could not free —
 /// its work is discarded and the written route runs: that route's error
@@ -217,14 +211,15 @@ pub struct Decoded {
 pub fn decode_rules(
     db: &mut Database,
     translation: &Translation,
-    rules: &EncodedRules,
+    rules: EncodedRules,
 ) -> Result<Decoded> {
+    let rules = Arc::new(rules);
     if !db.reference_paths() {
-        if let Ok(decoded) = run_fused(db, translation, rules) {
+        if let Ok(decoded) = run_fused(db, translation, &rules) {
             return Ok(decoded);
         }
     }
-    store_encoded_rules(db, translation, rules)?;
+    store_encoded_rules(db, translation, &rules)?;
     postprocess(db, translation)?;
     let (rules, sets_rendered) = read_back(db, translation)?;
     Ok(Decoded {
@@ -238,7 +233,7 @@ pub fn decode_rules(
 fn run_fused(
     db: &mut Database,
     translation: &Translation,
-    rules: &EncodedRules,
+    rules: &Arc<EncodedRules>,
 ) -> Result<Decoded> {
     FusedDecoding::compute(db, translation, rules)?.commit(db)
 }
@@ -321,90 +316,48 @@ impl Dictionary {
         let at = *self.row_of.get(item as usize)?;
         self.table.rows().get(at as usize)
     }
-}
 
-/// One rule as positions into the two sides' distinct itemsets.
-struct RuleRef {
-    body: u32,
-    head: u32,
-    support: f64,
-    confidence: f64,
-}
-
-impl From<&EncodedRule> for RuleRef {
-    fn from(rule: &EncodedRule) -> RuleRef {
-        RuleRef {
-            body: rule.body,
-            head: rule.head,
-            support: rule.support,
-            confidence: rule.confidence,
-        }
-    }
-}
-
-/// One side (bodies or heads) of the record: its distinct itemsets in id
-/// order and the dictionary they decode through.
-struct SideRecord {
-    dict: Dictionary,
-    sets: ItemsetArena,
-}
-
-impl SideRecord {
-    /// Each set rendered once: its items' renderings (multi-attribute
-    /// items join with `|`, each item rendered once), sorted, in one
-    /// block per set beside its strings. Sets are ranked on their items'
-    /// ranks among the renderings, so no string is compared per set. An
-    /// item the dictionary does not hold declines.
-    fn render(&self) -> Result<RenderedSets> {
-        let (dict, attrs) = (&self.dict, &self.dict.attrs);
-        let mut rendered: Vec<Option<String>> = vec![None; dict.row_of.len()];
-        let mut used: Vec<u32> = Vec::new();
-        for &item in &self.sets.items {
-            let row = dict
+    /// Each of `sets` rendered once: its items' renderings (multi-attribute
+    /// items join with `|`, each item rendered once), sorted. An item the
+    /// dictionary does not hold declines.
+    fn render(&self, sets: &ItemsetArena) -> Result<RenderedSets> {
+        let mut rendered: Vec<Option<String>> = vec![None; self.row_of.len()];
+        for &item in &sets.items {
+            let row = self
                 .row(item)
                 .ok_or_else(|| declined(format!("item id {item} is not in the dictionary")))?;
             let text = &mut rendered[item as usize];
             if text.is_none() {
-                let attrs = attrs.iter().map(|&(at, _)| row[at].to_string());
+                let attrs = self.attrs.iter().map(|&(at, _)| row[at].to_string());
                 *text = Some(attrs.collect::<Vec<_>>().join("|"));
-                used.push(item);
             }
         }
         let text = |item: u32| rendered[item as usize].as_ref().expect("rendered");
-        let mut item_rank = vec![0u32; rendered.len()];
-        let texts: Vec<&String> = used.iter().map(|&item| text(item)).collect();
-        for (&item, rank) in used.iter().zip(dense_ranks(&texts)) {
-            item_rank[item as usize] = rank;
-        }
-        let mut ranked: Vec<u32> = Vec::with_capacity(self.sets.items.len());
-        let mut sorted: Vec<(u32, u32)> = Vec::new();
-        let sets = self.sets.iter().map(|set| {
+        let mut sorted: Vec<&String> = Vec::new();
+        let sets = sets.iter().map(|set| {
             sorted.clear();
-            sorted.extend(set.iter().map(|&item| (item_rank[item as usize], item)));
+            sorted.extend(set.iter().map(|&item| text(item)));
             sorted.sort_unstable();
-            ranked.extend(sorted.iter().map(|&(rank, _)| rank));
-            Items(sorted.iter().map(|&(_, item)| text(item).clone()).collect())
+            Items(sorted.iter().map(|&text| text.clone()).collect())
         });
-        let sets: Vec<Items> = sets.collect();
-        let ranked = ItemsetArena {
-            items: ranked,
-            ends: self.sets.ends.clone(),
-        };
-        let rank = dense_ranks(&ranked.iter().collect::<Vec<_>>());
-        Ok(RenderedSets { sets, rank })
+        Ok(RenderedSets::new(sets.collect()))
     }
 
-    /// The decoded table's columns: the set id, then `names` typed as
-    /// `CREATE TABLE AS` types them — by the column's first non-NULL value
-    /// in row order, by the declared type of the dictionary column it
-    /// selects when there is none. A later value that type does not admit
-    /// declines, as inserting it would fail.
-    fn decoded_columns(&self, id_col: &str, names: &[String]) -> Result<Vec<Column>> {
-        let attrs = &self.dict.attrs;
-        let mut types: Vec<Option<DataType>> = vec![None; attrs.len()];
-        for &item in &self.sets.items {
-            let row = self.dict.row(item).expect("every item decoded");
-            for (dtype, &(at, _)) in types.iter_mut().zip(attrs) {
+    /// The decoded table of `sets`' columns: the set id, then `names`
+    /// typed as `CREATE TABLE AS` types them — by the column's first
+    /// non-NULL value in row order, by the declared type of the dictionary
+    /// column it selects when there is none. A later value that type does
+    /// not admit declines, as inserting it would fail.
+    fn decoded_columns(
+        &self,
+        sets: &ItemsetArena,
+        id_col: &str,
+        names: &[String],
+    ) -> Result<Vec<Column>> {
+        let mut types: Vec<Option<DataType>> = vec![None; self.attrs.len()];
+        for &item in &sets.items {
+            let row = self.row(item).expect("every item decoded");
+            for (dtype, &(at, _)) in types.iter_mut().zip(&self.attrs) {
                 match dtype {
                     None => *dtype = value_type(&row[at]),
                     Some(dtype) if !dtype.admits(&row[at]) => {
@@ -415,7 +368,7 @@ impl SideRecord {
             }
         }
         let mut columns = int_columns(&[id_col]);
-        for ((name, dtype), &(_, declared)) in names.iter().zip(types).zip(attrs) {
+        for ((name, dtype), &(_, declared)) in names.iter().zip(types).zip(&self.attrs) {
             columns.push(Column::new(name.clone(), dtype.unwrap_or(declared)));
         }
         Ok(columns)
@@ -425,13 +378,20 @@ impl SideRecord {
 /// What the fused pass keeps of the decoded rules: the producers of the
 /// six output tables build their rows from it when something reads them.
 struct DecodedRecord {
-    /// `(BodyId - 1, HeadId - 1, SUPPORT, CONFIDENCE)` per rule, in
-    /// stored order.
-    rules: Vec<RuleRef>,
+    /// The core's rules and their distinct bodies and heads, shared.
+    rules: Arc<EncodedRules>,
     /// Whether `<out>` selects SUPPORT and CONFIDENCE.
     measures: [bool; 2],
-    /// Bodies and heads.
-    sides: [SideRecord; 2],
+    /// The dictionaries bodies and heads decode through.
+    dicts: [Dictionary; 2],
+}
+
+impl DecodedRecord {
+    /// The sets of side 0 (bodies) or 1 (heads) and their dictionary.
+    fn side(&self, side: usize) -> (&ItemsetArena, &Dictionary) {
+        let sets = [&self.rules.bodies, &self.rules.heads][side];
+        (sets, &self.dicts[side])
+    }
 }
 
 /// Which output table a producer builds.
@@ -457,14 +417,14 @@ struct OutputRows {
 impl RowProducer for OutputRows {
     fn rows(&self) -> Vec<Row> {
         let record = &self.record;
-        let ids = |r: &RuleRef| [i64::from(r.body) + 1, i64::from(r.head) + 1].map(Value::Int);
+        let rules = &record.rules.rules;
+        let ids = |r: &EncodedRule| [i64::from(r.body) + 1, i64::from(r.head) + 1].map(Value::Int);
         match self.table {
-            Output::Rules => record.rules.iter().map(rule_row).collect(),
+            Output::Rules => rules.iter().map(rule_row).collect(),
             Output::Projected => {
                 let [support, confidence] = record.measures;
                 let width = 2 + usize::from(support) + usize::from(confidence);
-                record
-                    .rules
+                rules
                     .iter()
                     .map(|r| {
                         let mut row = Vec::with_capacity(width);
@@ -475,13 +435,13 @@ impl RowProducer for OutputRows {
                     })
                     .collect()
             }
-            Output::Links(side) => links(&record.sides[side].sets).map(link_row).collect(),
+            Output::Links(side) => links(record.side(side).0).map(link_row).collect(),
             Output::Decoded(side) => {
-                let side = &record.sides[side];
-                let attrs = &side.dict.attrs;
-                links(&side.sets)
+                let (sets, dict) = record.side(side);
+                let attrs = &dict.attrs;
+                links(sets)
                     .map(|(id, item)| {
-                        let row = side.dict.row(item).expect("every item decoded");
+                        let row = dict.row(item).expect("every item decoded");
                         let mut decoded = Vec::with_capacity(1 + attrs.len());
                         decoded.push(Value::Int(id));
                         decoded.extend(attrs.iter().map(|&(at, _)| row[at].clone()));
@@ -497,13 +457,13 @@ impl RowProducer for OutputRows {
     fn retained_bytes(&self) -> u64 {
         let record = &self.record;
         match self.table {
-            Output::Rules => record.rules.len() as u64 * 24,
+            Output::Rules => (record.rules.len() * size_of::<EncodedRule>()) as u64,
             Output::Projected => 0,
             Output::Links(side) => {
-                let sets = &record.sides[side].sets;
+                let sets = record.side(side).0;
                 (sets.items.len() + sets.ends.len()) as u64 * 4
             }
-            Output::Decoded(side) => record.sides[side].dict.row_of.len() as u64 * 4,
+            Output::Decoded(side) => record.dicts[side].row_of.len() as u64 * 4,
         }
     }
 }
@@ -536,7 +496,7 @@ impl FusedDecoding {
     fn compute(
         db: &Database,
         translation: &Translation,
-        rules: &EncodedRules,
+        rules: &Arc<EncodedRules>,
     ) -> Result<FusedDecoding> {
         let stmt = &translation.stmt;
         let names = &translation.names;
@@ -549,30 +509,24 @@ impl FusedDecoding {
             (bset, "Bid")
         };
         let (bodies_link, heads_link) = (names.output_bodies(), names.output_heads());
-        let bodies = SideRecord {
-            dict: Dictionary::new(
-                bset,
-                "Bid",
-                &bodies_link,
-                &["BodyId", "Bid"],
-                &stmt.body.schema,
-            )?,
-            sets: rules.bodies.clone(),
-        };
-        let heads = SideRecord {
-            dict: Dictionary::new(
-                hdict,
-                hid,
-                &heads_link,
-                &["HeadId", "Hid"],
-                &stmt.head.schema,
-            )?,
-            sets: rules.heads.clone(),
-        };
-        let (body_sets, head_sets) = (bodies.render()?, heads.render()?);
+        let bodies = Dictionary::new(
+            bset,
+            "Bid",
+            &bodies_link,
+            &["BodyId", "Bid"],
+            &stmt.body.schema,
+        )?;
+        let heads = Dictionary::new(
+            hdict,
+            hid,
+            &heads_link,
+            &["HeadId", "Hid"],
+            &stmt.head.schema,
+        )?;
+        let body_sets = bodies.render(&rules.bodies)?;
+        let head_sets = heads.render(&rules.heads)?;
         let sets_rendered = body_sets.sets.len() + head_sets.sets.len();
-        let refs: Vec<RuleRef> = rules.rules.iter().map(RuleRef::from).collect();
-        let decoded_rules = ordered_rules(&body_sets, &head_sets, &refs);
+        let decoded_rules = ordered_rules(&body_sets, &head_sets, &rules.rules);
 
         let mut rule_columns = int_columns(&["BodyId", "HeadId"]);
         let mut out_columns = rule_columns.clone();
@@ -584,18 +538,18 @@ impl FusedDecoding {
             out_columns.extend(selected.then(|| column.clone()));
             rule_columns.push(column);
         }
-        let body_columns = bodies.decoded_columns("BodyId", &stmt.body.schema)?;
-        let head_columns = heads.decoded_columns("HeadId", &stmt.head.schema)?;
+        let body_columns = bodies.decoded_columns(&rules.bodies, "BodyId", &stmt.body.schema)?;
+        let head_columns = heads.decoded_columns(&rules.heads, "HeadId", &stmt.head.schema)?;
 
         // What P1–P3 read and join, had the SQL server run them.
-        let (body_items, head_items) = (bodies.sets.items.len(), heads.sets.items.len());
+        let (body_items, head_items) = (rules.bodies.items.len(), rules.heads.items.len());
         let linked = (body_items + head_items) as u64;
         let scanned = rules.len() as u64 + linked + (bset.row_count() + hdict.row_count()) as u64;
-        let rule_count = refs.len();
+        let rule_count = rules.len();
         let record = Arc::new(DecodedRecord {
-            rules: refs,
+            rules: Arc::clone(rules),
             measures: [stmt.select_support, stmt.select_confidence],
-            sides: [bodies, heads],
+            dicts: [bodies, heads],
         });
         let deferred = |name: String, columns: Vec<Column>, rows: usize, table: Output| {
             let record = Arc::clone(&record);
@@ -724,10 +678,10 @@ fn dense_ranks<K: Ord>(keys: &[K]) -> Vec<u32> {
 fn ordered_rules(
     bodies: &RenderedSets,
     heads: &RenderedSets,
-    refs: &[RuleRef],
+    rules: &[EncodedRule],
 ) -> Vec<DecodedRule> {
     let mut keys: Vec<(u64, u32)> = (0..)
-        .zip(refs)
+        .zip(rules)
         .map(|(at, r)| {
             let key = runs::pack(bodies.rank[r.body as usize], heads.rank[r.head as usize]);
             (key, at)
@@ -736,7 +690,7 @@ fn ordered_rules(
     runs::radix_sort(&mut keys);
     keys.iter()
         .map(|&(_, at)| {
-            let r = &refs[at as usize];
+            let r = &rules[at as usize];
             DecodedRule {
                 body: bodies.sets[r.body as usize].clone(),
                 head: heads.sets[r.head as usize].clone(),
@@ -795,19 +749,21 @@ fn read_back(db: &mut Database, translation: &Translation) -> Result<(Vec<Decode
     for (at, name) in at.iter_mut().zip(rule_cols) {
         *at = schema.resolve(None, name)?;
     }
-    let refs = rows
+    // The rule tables keep no group count, and the decode reads none.
+    let rules = rows
         .iter()
         .map(|row| {
-            Ok(RuleRef {
+            Ok(EncodedRule {
                 body: bodies.position(&rules_name, &row[at[0]])?,
                 head: heads.position(&rules_name, &row[at[1]])?,
+                group_count: 0,
                 support: row[at[2]].as_float()?,
                 confidence: row[at[3]].as_float()?,
             })
         })
         .collect::<Result<Vec<_>>>()?;
     let rendered = bodies.sets.sets.len() + heads.sets.sets.len();
-    Ok((ordered_rules(&bodies.sets, &heads.sets, &refs), rendered))
+    Ok((ordered_rules(&bodies.sets, &heads.sets, &rules), rendered))
 }
 
 /// `SELECT <cols> FROM <name>` through the SQL server, unless `name` is a

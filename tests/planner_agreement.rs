@@ -488,7 +488,7 @@ fn assert_same_decoding(fused: &mut Database, written: &mut Database, stmt: &str
         return false;
     };
     let mined = run_core(&encoded, &CoreOptions::default()).unwrap();
-    let decoded = decode_rules(fused, &translation, &mined.rules).unwrap();
+    let decoded = decode_rules(fused, &translation, mined.rules.clone()).unwrap();
     assert_eq!(decoded.fused_steps, 3, "{stmt}");
     store_encoded_rules(written, &translation, &mined.rules).unwrap();
     postprocess(written, &translation).unwrap();
