@@ -21,7 +21,7 @@ fn pool_input(transactions: usize, min_support: f64) -> SimpleInput {
     });
     let total = data.transactions.len() as u32;
     SimpleInput {
-        groups: data.transactions,
+        groups: data.transactions.into(),
         total_groups: total,
         min_groups: ((total as f64 * min_support).ceil() as u32).max(1),
     }

@@ -272,7 +272,7 @@ fn e4_algorithm_pool(report: &mut Report, mode: Mode) {
         let mut last_count = 0;
         for &s in supports {
             let input = SimpleInput {
-                groups: groups.clone(),
+                groups: groups.clone().into(),
                 total_groups: total,
                 min_groups: ((total as f64 * s).ceil() as u32).max(1),
             };
@@ -381,7 +381,7 @@ fn e9_pool_parameters(report: &mut Report, mode: Mode) {
     });
     let total = data.transactions.len() as u32;
     let input = SimpleInput {
-        groups: data.transactions,
+        groups: data.transactions.into(),
         total_groups: total,
         min_groups: ((total as f64 * 0.02).ceil() as u32).max(1),
     };

@@ -40,13 +40,10 @@ pub fn mine_gidlist_with_border(
     // L1 with gid sets (the representation is chosen per set from its
     // cardinality).
     let ctx = counting.gidset_ctx(groups.len());
-    let mut gidsets = counting.gidsets(groups, &ctx);
+    let gidsets = counting.gidsets(groups, &ctx);
+    let l1_generated = gidsets.len() as u64;
     let mut level: Vec<(Itemset, GidSet)> = Vec::new();
-    let mut items: Vec<u32> = gidsets.keys().copied().collect();
-    items.sort_unstable();
-    let l1_generated = items.len() as u64;
-    for it in items {
-        let gs = gidsets.remove(&it).unwrap();
+    for (it, gs) in gidsets {
         if gs.len() >= min_groups {
             level.push((vec![it], gs));
         } else {
@@ -151,7 +148,7 @@ impl ItemsetMiner for AprioriCount {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{sort_itemsets, SimpleInput};
+    use crate::algo::{sort_itemsets, GroupArena, SimpleInput};
 
     fn groups() -> Vec<Vec<u32>> {
         vec![
@@ -168,7 +165,7 @@ mod tests {
     #[test]
     fn gidlist_finds_classic_inventory() {
         let input = SimpleInput {
-            groups: groups(),
+            groups: groups().into(),
             total_groups: 7,
             min_groups: 3,
         };
@@ -188,7 +185,7 @@ mod tests {
     #[test]
     fn count_variant_matches_gidlist() {
         let input = SimpleInput {
-            groups: groups(),
+            groups: groups().into(),
             total_groups: 7,
             min_groups: 2,
         };
@@ -201,8 +198,8 @@ mod tests {
 
     #[test]
     fn border_contains_failed_candidates() {
-        let (large, border) =
-            mine_gidlist_with_border(Groups::Lists(&groups()), 3, &CountingCtx::default());
+        let groups = GroupArena::from(groups());
+        let (large, border) = mine_gidlist_with_border(groups.groups(), 3, &CountingCtx::default());
         assert!(!large.iter().any(|(s, _)| s == &vec![1, 3]));
         assert!(border.contains(&vec![1, 3]));
     }
@@ -210,7 +207,7 @@ mod tests {
     #[test]
     fn empty_input_no_itemsets() {
         let input = SimpleInput {
-            groups: vec![],
+            groups: Default::default(),
             total_groups: 0,
             min_groups: 1,
         };
@@ -221,7 +218,7 @@ mod tests {
     #[test]
     fn threshold_one_keeps_everything() {
         let input = SimpleInput {
-            groups: vec![vec![5, 9]],
+            groups: vec![vec![5, 9]].into(),
             total_groups: 1,
             min_groups: 1,
         };

@@ -153,39 +153,58 @@ impl CountingCtx {
         counts
     }
 
-    /// Vertical layout: item → ascending group-id list, a group's id
-    /// being its position in `groups`.
-    pub fn gidlists(&self, groups: Groups<'_>) -> HashMap<u32, Vec<u32>, KeyHash> {
+    /// Vertical layout by counting: for every item below the groups'
+    /// item bound, the ascending positions of the groups holding it —
+    /// item `i`'s at `gids[ends[i - 1]..ends[i]]` (from 0 for item 0).
+    /// One counting pass over the flat items, one scatter pass in group
+    /// order: no map, no per-item vector.
+    fn vertical(&self, groups: Groups<'_>) -> (Vec<u32>, Vec<u32>) {
         self.note_scan(groups, 0);
-        let mut lists: HashMap<u32, Vec<u32>, KeyHash> = HashMap::default();
-        for (g, items) in groups.iter().enumerate() {
-            for &it in items {
-                lists.entry(it).or_default().push(g as u32);
+        let mut ends = vec![0u32; groups.item_bound() as usize];
+        for &item in groups.flat() {
+            ends[item as usize] += 1;
+        }
+        // Each item's start, advanced to its end by the scatter.
+        let mut at = 0;
+        for end in ends.iter_mut() {
+            (at, *end) = (at + *end, at);
+        }
+        let mut gids = vec![0u32; at as usize];
+        for (g, items) in (0..).zip(groups.iter()) {
+            for &item in items {
+                let next = &mut ends[item as usize];
+                gids[*next as usize] = g;
+                *next += 1;
             }
         }
-        lists
+        (ends, gids)
     }
 
-    /// [`CountingCtx::gidlists`] with each list converted to a [`GidSet`]
-    /// in the representation `ctx` picks.
-    pub fn gidsets(
-        &self,
-        groups: Groups<'_>,
-        ctx: &GidSetCtx<'_>,
-    ) -> HashMap<u32, GidSet, KeyHash> {
-        self.gidlists(groups)
-            .into_iter()
-            .map(|(it, gl)| (it, ctx.build(gl)))
-            .collect()
+    /// The first level of a vertical miner: every item some group holds,
+    /// ascending, with the [`GidSet`] of the groups holding it — a
+    /// group's id being its position in `groups` — in the representation
+    /// `ctx` picks.
+    pub fn gidsets(&self, groups: Groups<'_>, ctx: &GidSetCtx<'_>) -> Vec<(u32, GidSet)> {
+        let (ends, gids) = self.vertical(groups);
+        let mut start = 0;
+        let mut sets = Vec::new();
+        for (item, &end) in (0..).zip(&ends) {
+            if end > start {
+                sets.push((item, ctx.build(&gids[start as usize..end as usize])));
+            }
+            start = end;
+        }
+        sets
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::GroupArena;
 
-    fn groups() -> Vec<Vec<u32>> {
-        vec![
+    fn groups() -> GroupArena {
+        GroupArena::from(vec![
             vec![1, 2, 3],
             vec![1, 2],
             vec![2, 3],
@@ -193,13 +212,13 @@ mod tests {
             vec![1, 2, 3],
             vec![2],
             vec![7],
-        ]
+        ])
     }
 
     #[test]
     fn candidate_counts_match_hand_counts() {
         let candidates = vec![vec![1], vec![2], vec![1, 2], vec![2, 3], vec![9]];
-        let got = CountingCtx::default().count_candidates(Groups::Lists(&groups()), candidates);
+        let got = CountingCtx::default().count_candidates(groups().groups(), candidates);
         assert_eq!(
             got,
             vec![
@@ -213,18 +232,38 @@ mod tests {
     }
 
     #[test]
-    fn gidlists_are_sorted_and_complete() {
-        let lists = CountingCtx::default().gidlists(Groups::Lists(&groups()));
-        assert_eq!(lists.len(), 4);
-        assert_eq!(lists[&1], vec![0, 1, 3, 4]);
-        assert_eq!(lists[&2], vec![0, 1, 2, 4, 5]);
-        assert_eq!(lists[&3], vec![0, 2, 3, 4]);
-        assert_eq!(lists[&7], vec![6]);
+    fn gidsets_are_sorted_and_complete() {
+        let counting = CountingCtx::new(true);
+        let ctx = counting.gidset_ctx(7);
+        let sets = counting.gidsets(groups().groups(), &ctx);
+        let lists: Vec<(u32, Vec<u32>)> = sets
+            .iter()
+            .map(|(item, set)| (*item, set.to_sorted_list()))
+            .collect();
+        assert_eq!(
+            lists,
+            [
+                (1, vec![0, 1, 3, 4]),
+                (2, vec![0, 1, 2, 4, 5]),
+                (3, vec![0, 2, 3, 4]),
+                (7, vec![6])
+            ]
+        );
+        // A slice's gids are positions in the slice.
+        let sets = counting.gidsets(groups().groups().slice(4..7), &ctx);
+        let lists: Vec<(u32, Vec<u32>)> = sets
+            .iter()
+            .map(|(item, set)| (*item, set.to_sorted_list()))
+            .collect();
+        assert_eq!(
+            lists,
+            [(1, vec![0]), (2, vec![0, 1]), (3, vec![0]), (7, vec![2])]
+        );
     }
 
     #[test]
     fn item_counts_match_hand_counts() {
-        let counts = CountingCtx::default().item_counts(Groups::Lists(&groups()));
+        let counts = CountingCtx::default().item_counts(groups().groups());
         let expect: HashMap<u32, u32, KeyHash> =
             [(1, 4), (2, 5), (3, 4), (7, 1)].into_iter().collect();
         assert_eq!(counts, expect);
@@ -234,7 +273,7 @@ mod tests {
     fn stats_accumulate_and_drain() {
         let ctx = CountingCtx::default();
         let g = groups();
-        let g = Groups::Lists(&g);
+        let g = g.groups();
         ctx.count_candidates(g, vec![vec![1], vec![2, 3]]);
         ctx.count_candidates(g, Vec::new()); // no candidates: no scan
         ctx.item_counts(g);
@@ -267,9 +306,12 @@ mod tests {
         // Seven groups: every non-empty list is dense enough for a bitset.
         let counting = CountingCtx::default();
         let ctx = counting.gidset_ctx(g.len());
-        let sets = counting.gidsets(Groups::Lists(&g), &ctx);
-        assert!(sets.values().all(|s| s.is_bitset()));
-        assert_eq!(sets[&1].to_sorted_list(), vec![0, 1, 3, 4]);
+        let sets = counting.gidsets(g.groups(), &ctx);
+        assert!(sets.iter().all(|(_, s)| s.is_bitset()));
+        assert_eq!(
+            (sets[0].0, sets[0].1.to_sorted_list()),
+            (1, vec![0, 1, 3, 4])
+        );
         counting.note_trie(5, 12);
         let stats = counting.take_stats();
         assert_eq!(
@@ -282,8 +324,8 @@ mod tests {
         // The reference representation keeps the same sets as lists.
         let lists = CountingCtx::new(true);
         let ctx = lists.gidset_ctx(g.len());
-        let sets = lists.gidsets(Groups::Lists(&g), &ctx);
-        assert!(sets.values().all(|s| !s.is_bitset()));
+        let sets = lists.gidsets(g.groups(), &ctx);
+        assert!(sets.iter().all(|(_, s)| !s.is_bitset()));
         assert_eq!(lists.take_stats().gidset_list_picked, 4);
     }
 }

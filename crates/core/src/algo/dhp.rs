@@ -123,7 +123,7 @@ mod tests {
             vec![1, 4],
         ];
         let input = SimpleInput {
-            groups,
+            groups: groups.into(),
             total_groups: 6,
             min_groups: 2,
         };

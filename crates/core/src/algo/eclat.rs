@@ -22,12 +22,8 @@ impl ItemsetMiner for Eclat {
         // Vertical layout: item → gid set (representation chosen per set
         // from its cardinality).
         let ctx = counting.gidset_ctx(input.groups.len());
-        let gidsets = counting.gidsets(input.groups, &ctx);
-        let mut frontier: Vec<(u32, GidSet)> = gidsets
-            .into_iter()
-            .filter(|(_, gs)| gs.len() >= input.min_groups)
-            .collect();
-        frontier.sort_by_key(|(it, _)| *it);
+        let mut frontier = counting.gidsets(input.groups, &ctx);
+        frontier.retain(|(_, gs)| gs.len() >= input.min_groups);
 
         // One search tree per top-level item, walked depth-first with one
         // reused intersection scratch; the final sort orders the
@@ -95,7 +91,8 @@ mod tests {
                 vec![2, 3],
                 vec![1, 3],
                 vec![1, 2, 3],
-            ],
+            ]
+            .into(),
             total_groups: 5,
             min_groups: 2,
         };
@@ -109,7 +106,7 @@ mod tests {
     #[test]
     fn deep_itemsets_found() {
         let input = SimpleInput {
-            groups: vec![vec![1, 2, 3, 4, 5], vec![1, 2, 3, 4, 5]],
+            groups: vec![vec![1, 2, 3, 4, 5], vec![1, 2, 3, 4, 5]].into(),
             total_groups: 2,
             min_groups: 2,
         };
@@ -122,7 +119,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let input = SimpleInput {
-            groups: vec![],
+            groups: Default::default(),
             total_groups: 0,
             min_groups: 1,
         };

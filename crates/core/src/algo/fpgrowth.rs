@@ -189,7 +189,7 @@ mod tests {
     fn check_against_apriori(groups: Vec<Vec<u32>>, min_groups: u32) {
         let input = SimpleInput {
             total_groups: groups.len() as u32,
-            groups,
+            groups: groups.into(),
             min_groups,
         };
         let mut a = AprioriGidList.mine(&input);
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let input = SimpleInput {
-            groups: vec![],
+            groups: Default::default(),
             total_groups: 0,
             min_groups: 1,
         };

@@ -181,18 +181,18 @@ impl<'a> GidSetCtx<'a> {
 
     /// Build a set from a strictly ascending gid list, choosing the
     /// representation by the density heuristic.
-    pub fn build(&self, sorted: Vec<u32>) -> GidSet {
+    pub fn build(&self, sorted: &[u32]) -> GidSet {
         if self.pick_bitset(sorted.len()) {
             bump(&self.counters.bitset_picked);
             let mut words = vec![0u64; self.words_len()];
             let len = sorted.len() as u32;
-            for &g in &sorted {
+            for &g in sorted {
                 words[(g >> 6) as usize] |= 1u64 << (g & 63);
             }
             GidSet::Bits { words, len }
         } else {
             bump(&self.counters.list_picked);
-            GidSet::List(sorted)
+            GidSet::List(sorted.to_vec())
         }
     }
 
@@ -231,7 +231,7 @@ impl<'a> GidSetCtx<'a> {
     /// the representation for the *result's* cardinality.
     pub fn seal(&self, scratch: &GidSetScratch) -> GidSet {
         match scratch.kind {
-            ScratchKind::List => self.build(scratch.list.clone()),
+            ScratchKind::List => self.build(&scratch.list),
             ScratchKind::Words => {
                 if self.pick_bitset(scratch.len as usize) {
                     bump(&self.counters.bitset_picked);
@@ -332,8 +332,8 @@ mod tests {
         let counters = GidSetCounters::default();
         let c = ctx(320, &counters);
         // 320-bit universe: list of ≤10 stays a list (10 * 32 = 320 ≯ 320).
-        assert!(!c.build((0..10).collect()).is_bitset());
-        assert!(c.build((0..11).collect()).is_bitset());
+        assert!(!c.build(&(0..10).collect::<Vec<_>>()).is_bitset());
+        assert!(c.build(&(0..11).collect::<Vec<_>>()).is_bitset());
         let (l, b, _) = counters.drain();
         assert_eq!((l, b), (1, 1));
     }
@@ -342,11 +342,11 @@ mod tests {
     fn pinned_reprs_override_density() {
         let counters = GidSetCounters::default();
         let dense: Vec<u32> = (0..100).collect();
-        assert!(ctx(100, &counters).build(dense.clone()).is_bitset());
+        assert!(ctx(100, &counters).build(&dense).is_bitset());
         let list_only = GidSetCtx::new(100, true, &counters);
-        assert!(!list_only.build(dense.clone()).is_bitset());
+        assert!(!list_only.build(&dense).is_bitset());
         // Results stay lists too, however dense.
-        let both = list_only.intersect(&list_only.build(dense.clone()), &list_only.build(dense));
+        let both = list_only.intersect(&list_only.build(&dense), &list_only.build(&dense));
         assert!(!both.is_bitset());
         assert_eq!(both.len(), 100);
     }
@@ -355,7 +355,7 @@ mod tests {
     fn bitset_roundtrips_and_contains() {
         let counters = GidSetCounters::default();
         let gids = vec![0, 1, 63, 64, 65, 127, 200];
-        let set = ctx(201, &counters).build(gids.clone());
+        let set = ctx(201, &counters).build(&gids);
         assert!(set.is_bitset(), "7 * 32 > 201");
         assert_eq!(set.len(), gids.len() as u32);
         assert_eq!(set.to_sorted_list(), gids);
@@ -372,7 +372,7 @@ mod tests {
         let expect: Vec<u32> = (0..300).filter(|g| g % 15 == 0).collect();
         let auto = ctx(300, &counters);
         let as_list = |v: &[u32]| GidSet::List(v.to_vec());
-        let as_bits = |v: &[u32]| auto.build(v.to_vec());
+        let as_bits = |v: &[u32]| auto.build(v);
         assert!(as_bits(&a).is_bitset() && as_bits(&b).is_bitset());
         let pairs: Vec<(GidSet, GidSet)> = vec![
             (as_list(&a), as_list(&b)),
@@ -422,8 +422,8 @@ mod tests {
     fn counters_drain_and_reset() {
         let counters = GidSetCounters::default();
         let c = ctx(32, &counters);
-        let a = c.build(vec![1, 2, 3]);
-        let b = c.build(vec![2, 3, 4]);
+        let a = c.build(&[1, 2, 3]);
+        let b = c.build(&[2, 3, 4]);
         c.intersect_len(&a, &b);
         let (l, b_picked, i) = counters.drain();
         assert_eq!(l + b_picked, 2);

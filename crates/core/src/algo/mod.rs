@@ -47,7 +47,7 @@ use itemset::Itemset;
 #[derive(Debug, Clone)]
 pub struct SimpleInput {
     /// Sorted, deduplicated large-item lists per group.
-    pub groups: Vec<Vec<u32>>,
+    pub groups: GroupArena,
     /// Support denominator (`:totg`).
     pub total_groups: u32,
     /// Absolute large threshold (`:mingroups`).
@@ -58,18 +58,18 @@ impl SimpleInput {
     /// The input with its groups borrowed.
     pub fn view(&self) -> SimpleView<'_> {
         SimpleView {
-            groups: Groups::Lists(&self.groups),
+            groups: self.groups.groups(),
             total_groups: self.total_groups,
             min_groups: self.min_groups,
         }
     }
 }
 
-/// A [`SimpleInput`] whose group lists are read in place, in whichever
-/// layout their holder keeps them.
+/// A [`SimpleInput`] whose groups are read in place, in the arena that
+/// holds them.
 #[derive(Debug, Clone, Copy)]
 pub struct SimpleView<'a> {
-    /// Sorted, deduplicated, non-empty large-item lists per group.
+    /// Sorted, deduplicated large-item lists per group.
     pub groups: Groups<'a>,
     /// Support denominator (`:totg`).
     pub total_groups: u32,
@@ -77,33 +77,172 @@ pub struct SimpleView<'a> {
     pub min_groups: u32,
 }
 
-/// Per-group item lists, borrowed: the pool's own layout, or the
-/// `(Gid, items)` pairs the preprocessor hands the core
-/// ([`crate::encoded::EncodedData::Simple`]).
+/// Groups of item ids stored flat, the layout of the paper's
+/// `CodedSource(Gid, Bid)` in group order: group `at` has key (Gid)
+/// `keys[at]` and items `items[ends[at - 1]..ends[at]]` (from 0 for the
+/// first), ascending. The simple-class core input from the preprocessor
+/// to the miner's first level, and every pool input: three vectors
+/// however many groups, so building, copying or handing one over
+/// allocates nothing per group.
+///
+/// Built by [`GroupArena::push`]ing a group's items and
+/// [`GroupArena::close`]-ing it under its key. Item ids index the first
+/// level's counting arrays ([`GroupArena::item_bound`]): they are meant
+/// to be dense, as the Bids the id sequences draw are.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GroupArena {
+    /// The key of each group (its Gid in an encoded input), in order.
+    keys: Vec<u32>,
+    /// Where each group ends in `items`.
+    ends: Vec<u32>,
+    /// The items of every group, group after group.
+    items: Vec<u32>,
+    /// One more than the largest item (0 when there is none).
+    bound: u32,
+}
+
+impl GroupArena {
+    /// An empty arena with room for `groups` groups and `items` items.
+    pub fn with_capacity(groups: usize, items: usize) -> GroupArena {
+        GroupArena {
+            keys: Vec::with_capacity(groups),
+            ends: Vec::with_capacity(groups),
+            items: Vec::with_capacity(items),
+            bound: 0,
+        }
+    }
+
+    /// Append an item to the group being built; a group's items come
+    /// ascending.
+    pub fn push(&mut self, item: u32) {
+        debug_assert!(self.items.len() == self.open_start() || self.items.last() < Some(&item));
+        self.items.push(item);
+        self.bound = self.bound.max(item + 1);
+    }
+
+    /// Close the group whose items were pushed since the last close,
+    /// under `key`.
+    pub fn close(&mut self, key: u32) {
+        self.keys.push(key);
+        self.ends.push(self.items.len() as u32);
+    }
+
+    /// Push a whole group's items, ascending, and close it under `key`.
+    pub fn push_group(&mut self, key: u32, items: &[u32]) {
+        items.iter().for_each(|&item| self.push(item));
+        self.close(key);
+    }
+
+    /// [`GroupArena::close`], unless no item was pushed: an encoded group
+    /// without a large item is not handed to the core.
+    pub(crate) fn close_unless_empty(&mut self, key: u32) {
+        if self.items.len() > self.open_start() {
+            self.close(key);
+        }
+    }
+
+    /// The arena of distinct `(key, item)` pairs sorted by key, then
+    /// item: one group per key.
+    pub(crate) fn from_sorted(pairs: impl ExactSizeIterator<Item = (u32, u32)>) -> GroupArena {
+        let mut arena = GroupArena::with_capacity(0, pairs.len());
+        let mut open = None;
+        for (key, item) in pairs {
+            if let Some(last) = open.filter(|&last| last != key) {
+                arena.close(last);
+            }
+            arena.push(item);
+            open = Some(key);
+        }
+        if let Some(last) = open {
+            arena.close(last);
+        }
+        arena
+    }
+
+    fn open_start(&self) -> usize {
+        self.ends.last().map_or(0, |&end| end as usize)
+    }
+
+    /// How many groups the arena holds.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The items of group `at` (its position, not its key).
+    pub fn get(&self, at: usize) -> &[u32] {
+        self.groups().get(at)
+    }
+
+    /// Each group's key and items, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        self.keys.iter().copied().zip(self.groups().iter())
+    }
+
+    /// One more than the largest item id (0 for no item).
+    pub fn item_bound(&self) -> u32 {
+        self.bound
+    }
+
+    /// All groups, borrowed.
+    pub fn groups(&self) -> Groups<'_> {
+        Groups {
+            start: 0,
+            ends: &self.ends,
+            items: &self.items,
+            bound: self.bound,
+        }
+    }
+
+    /// Rough retained size, in bytes.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        (self.keys.len() + self.ends.len() + self.items.len()) as u64 * 4 + 80
+    }
+}
+
+impl From<Vec<Vec<u32>>> for GroupArena {
+    /// One group per list, keyed by its position; empty lists stay.
+    fn from(lists: Vec<Vec<u32>>) -> GroupArena {
+        let items = lists.iter().map(Vec::len).sum();
+        let mut arena = GroupArena::with_capacity(lists.len(), items);
+        for (at, list) in (0..).zip(&lists) {
+            arena.push_group(at, list);
+        }
+        arena
+    }
+}
+
+/// Consecutive groups of a [`GroupArena`], borrowed: what the pool's
+/// counting passes read.
 #[derive(Debug, Clone, Copy)]
-pub enum Groups<'a> {
-    Lists(&'a [Vec<u32>]),
-    Keyed(&'a [(u32, Vec<u32>)]),
+pub struct Groups<'a> {
+    /// Where the first group starts in `items`.
+    start: u32,
+    /// Where each group ends in `items`.
+    ends: &'a [u32],
+    items: &'a [u32],
+    /// The arena's item bound.
+    bound: u32,
 }
 
 impl<'a> Groups<'a> {
     pub fn len(self) -> usize {
-        match self {
-            Groups::Lists(lists) => lists.len(),
-            Groups::Keyed(pairs) => pairs.len(),
-        }
+        self.ends.len()
     }
 
     pub fn is_empty(self) -> bool {
-        self.len() == 0
+        self.ends.is_empty()
     }
 
-    /// The items of group `at` (its position, not its Gid).
+    /// The items of group `at` (its position, not its key).
     pub fn get(self, at: usize) -> &'a [u32] {
-        match self {
-            Groups::Lists(lists) => &lists[at],
-            Groups::Keyed(pairs) => &pairs[at].1,
-        }
+        let start = at
+            .checked_sub(1)
+            .map_or(self.start, |before| self.ends[before]);
+        &self.items[start as usize..self.ends[at] as usize]
     }
 
     /// The groups' item lists in order.
@@ -113,10 +252,26 @@ impl<'a> Groups<'a> {
 
     /// The groups at positions `range`.
     pub fn slice(self, range: std::ops::Range<usize>) -> Groups<'a> {
-        match self {
-            Groups::Lists(lists) => Groups::Lists(&lists[range]),
-            Groups::Keyed(pairs) => Groups::Keyed(&pairs[range]),
+        let start = range
+            .start
+            .checked_sub(1)
+            .map_or(self.start, |before| self.ends[before]);
+        Groups {
+            start,
+            ends: &self.ends[range],
+            ..self
         }
+    }
+
+    /// One more than the largest item id the groups can hold.
+    pub fn item_bound(self) -> u32 {
+        self.bound
+    }
+
+    /// The items of every group, group after group.
+    fn flat(self) -> &'a [u32] {
+        let end = self.ends.last().map_or(self.start, |&end| end);
+        &self.items[self.start as usize..end as usize]
     }
 }
 
@@ -469,7 +624,7 @@ mod tests {
     fn input() -> SimpleInput {
         // 4 groups over items {1,2,3}.
         SimpleInput {
-            groups: vec![vec![1, 2, 3], vec![1, 2], vec![1, 3], vec![2, 3]],
+            groups: vec![vec![1, 2, 3], vec![1, 2], vec![1, 3], vec![2, 3]].into(),
             total_groups: 4,
             min_groups: 2,
         }
@@ -512,7 +667,7 @@ mod tests {
         // Groups over 9 items drawn by an xorshift; every head width, so
         // bodies and heads of all sizes interleave in the order.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let groups = (0..60)
+        let groups: Vec<Vec<u32>> = (0..60)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
@@ -521,7 +676,7 @@ mod tests {
             })
             .collect();
         let input = SimpleInput {
-            groups,
+            groups: groups.into(),
             total_groups: 60,
             min_groups: 6,
         };

@@ -89,7 +89,8 @@ mod tests {
                 vec![2],
                 vec![1, 2],
                 vec![3],
-            ],
+            ]
+            .into(),
             total_groups: 8,
             min_groups,
         }
@@ -112,7 +113,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let inp = SimpleInput {
-            groups: vec![],
+            groups: Default::default(),
             total_groups: 0,
             min_groups: 1,
         };

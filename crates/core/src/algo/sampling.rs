@@ -8,7 +8,7 @@
 
 use super::apriori::mine_gidlist_with_border;
 use super::counting::CountingCtx;
-use super::{Groups, ItemsetMiner, LargeItemset, SimpleView};
+use super::{GroupArena, ItemsetMiner, LargeItemset, SimpleView};
 
 /// Sampling miner parameters. The sample is deterministic (a fixed-stride
 /// systematic sample seeded by `seed`) so runs are reproducible.
@@ -45,9 +45,11 @@ impl ItemsetMiner for Sampling {
         let n = input.groups.len();
         let take = ((n as f64 * self.sample_fraction).ceil() as usize).clamp(1, n);
         let offset = (self.seed as usize) % n;
-        let sample: Vec<Vec<u32>> = (0..take)
-            .map(|i| input.groups.get((offset + i * n / take) % n).to_vec())
-            .collect();
+        let mut sample = GroupArena::with_capacity(take, 0);
+        for i in 0..take {
+            let at = (offset + i * n / take) % n;
+            sample.push_group(at as u32, input.groups.get(at));
+        }
 
         let fraction = input.min_groups as f64 / input.total_groups.max(1) as f64;
         let sample_share = take as f64 / n as f64 * input.total_groups as f64;
@@ -56,13 +58,12 @@ impl ItemsetMiner for Sampling {
         // The sample pass inherits the caller's gid-set representation but
         // counts into its own context; its gid universe is the sample.
         let inner = CountingCtx::new(ctx.list_gidsets());
-        let (sample_large, mut border) =
-            mine_gidlist_with_border(Groups::Lists(&sample), lowered, &inner);
+        let (sample_large, mut border) = mine_gidlist_with_border(sample.groups(), lowered, &inner);
 
         // The negative border must cover the whole item universe: items
         // that never appeared in the sample are minimal non-members too.
         let in_sample: std::collections::HashSet<u32> =
-            sample.iter().flat_map(|g| g.iter().copied()).collect();
+            sample.iter().flat_map(|(_, g)| g.iter().copied()).collect();
         let mut unseen: Vec<u32> = input
             .groups
             .iter()
@@ -116,7 +117,7 @@ mod tests {
             }
         }
         let input = SimpleInput {
-            groups,
+            groups: groups.into(),
             total_groups: 40,
             min_groups: 15,
         };
@@ -136,7 +137,7 @@ mod tests {
     #[test]
     fn tiny_inputs() {
         let input = SimpleInput {
-            groups: vec![vec![3]],
+            groups: vec![vec![3]].into(),
             total_groups: 1,
             min_groups: 1,
         };

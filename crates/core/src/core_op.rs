@@ -41,7 +41,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::algo::{self, CountingCtx, EncodedRules, Groups, LargeItemset, SimpleView};
+use crate::algo::{self, CountingCtx, EncodedRules, LargeItemset, SimpleView};
 use crate::encoded::{EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
 use crate::lattice::elementary::{build_contexts, BuildOptions};
@@ -121,13 +121,16 @@ pub(crate) fn run_core_on(
                     name: opts.algorithm.clone(),
                 })?;
             let simple = SimpleView {
-                groups: Groups::Keyed(groups),
+                groups: groups.groups(),
                 total_groups: input.total_groups,
                 min_groups: input.min_groups,
             };
             let counting = CountingCtx::new(reference_paths);
+            let span = telemetry.span("phase.core.mine");
             let large = miner.mine_with(simple, &counting);
+            span.stop();
             telemetry.counter_add("core.itemsets.large", large.len() as u64);
+            let span = telemetry.span("phase.core.rules");
             let (rules, rule_stats) = algo::rules_from_itemsets_counted(
                 &large,
                 input.total_groups,
@@ -135,6 +138,7 @@ pub(crate) fn run_core_on(
                 input.head_card,
                 input.min_confidence,
             )?;
+            span.stop();
             telemetry.counter_add("core.rules.candidates", rule_stats.candidates);
             telemetry.counter_add("core.rules.pruned_confidence", rule_stats.pruned_confidence);
             telemetry.counter_add("core.rules.emitted", rules.len() as u64);
@@ -155,7 +159,7 @@ pub(crate) fn run_core_on(
                 .iter()
                 .flat_map(|(gid, bids)| {
                     bids.iter().map(move |&b| GeneralTuple {
-                        gid: *gid,
+                        gid,
                         cid: None,
                         bid: Some(b),
                         hid: Some(b),
@@ -254,10 +258,15 @@ fn run_general(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::GroupArena;
     use crate::ast::CardSpec;
     use crate::directives::{Directives, StatementClass};
 
     fn simple_input(groups: Vec<(u32, Vec<u32>)>, head_card: CardSpec) -> EncodedInput {
+        let mut arena = GroupArena::default();
+        for (gid, items) in &groups {
+            arena.push_group(*gid, items);
+        }
         EncodedInput {
             directives: Directives::default(),
             class: StatementClass::Simple,
@@ -267,7 +276,7 @@ mod tests {
             min_confidence: 0.01,
             body_card: CardSpec::one_to_n(),
             head_card,
-            data: EncodedData::Simple { groups },
+            data: EncodedData::Simple { groups: arena },
         }
     }
 

@@ -16,7 +16,7 @@ use relational::Database;
 
 use crate::algo::apriori::mine_gidlist_with_border;
 use crate::algo::itemset::for_each_proper_subset;
-use crate::algo::{CountingCtx, Groups};
+use crate::algo::{CountingCtx, GroupArena};
 use crate::error::{MineError, Result};
 
 /// A rule in the standalone tool's text format.
@@ -80,19 +80,18 @@ pub fn mine_flat_file(csv: &str, min_support: f64, min_confidence: f64) -> Resul
             })
             .push(id);
     }
-    let mut groups: Vec<Vec<u32>> = Vec::with_capacity(group_order.len());
-    for g in &group_order {
+    let mut groups = GroupArena::default();
+    for (at, g) in (0..).zip(&group_order) {
         let mut items = groups_by_key.remove(g).unwrap_or_default();
         items.sort_unstable();
         items.dedup();
-        groups.push(items);
+        groups.push_group(at, &items);
     }
     let total = groups.len() as u32;
     let min_groups = ((total as f64 * min_support).ceil() as u32).max(1);
 
     // Mine.
-    let (large, _) =
-        mine_gidlist_with_border(Groups::Lists(&groups), min_groups, &CountingCtx::default());
+    let (large, _) = mine_gidlist_with_border(groups.groups(), min_groups, &CountingCtx::default());
     let counts: HashMap<&[u32], u32> = large
         .iter()
         .map(|(set, cnt)| (set.as_slice(), *cnt))

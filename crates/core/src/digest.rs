@@ -4,8 +4,9 @@
 //! A [`SourceDigest`] works in *value space*: it maps each grouping key
 //! and each item key to a small integer — through the very interners the
 //! fused preprocess pass grouped by, moved in — and holds every group as a
-//! sorted `(item id, row multiplicity)` vector, plus the distinct `(group,
-//! item)` pairs in the order of the source rows that first carry them.
+//! sorted run of `(item id, row multiplicity)` entries in one arena, plus
+//! the distinct `(group, item)` pairs in the order of the source rows
+//! that first carry them.
 //! The fused pass builds it from the one scan it makes anyway, and derives
 //! the whole encoding of a statement without directives from it: slots
 //! and ids are first-seen, so Gids, Bids, `ngroups` and the row order of
@@ -28,17 +29,29 @@ use std::collections::{BTreeMap, HashMap};
 
 use relational::{KeyInterner, TableDelta, Value};
 
-/// One live group of a [`SourceDigest`].
-#[derive(Debug, Clone, PartialEq)]
+/// One live group of a [`SourceDigest`]: where its run lies in the
+/// digest's arena.
+#[derive(Debug, Clone, Copy)]
 struct Group {
     /// False when a grouping attribute is NULL: the group counts towards
     /// `:totg` but supports no itemset (`Q4` never joins a NULL key).
     joins: bool,
-    /// `(item id, row multiplicity)`, sorted by item id, multiplicities
-    /// positive — an item belongs to the group while any row carries it,
-    /// matching the preprocessor's DISTINCT.
-    items: Vec<(u32, u32)>,
+    /// The run is `runs[start..start + len]`; the `room - len` entries
+    /// after it are the run's to grow into.
+    start: u32,
+    len: u32,
+    room: u32,
 }
+
+impl Group {
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Spare entries the arena tolerates beyond its live ones before a
+/// replay compacts it.
+const SPARE_SLACK: usize = 4096;
 
 /// A replayable snapshot of a simple-class statement's grouped source,
 /// interned: grouping keys and item (body-schema) keys map to first-seen
@@ -46,7 +59,7 @@ struct Group {
 /// unify, `0.0` and `-0.0` stay apart, NULLs group together), and each
 /// group is a multiset of item ids. Built by the preprocessor's source
 /// scan; the session artifact store replays source-table deltas onto it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SourceDigest {
     /// The source-table version the snapshot stands for.
     version: u64,
@@ -60,6 +73,14 @@ pub struct SourceDigest {
     item_groups: Vec<u32>,
     /// Group slots; `None` marks a deleted group (its slot is retired).
     groups: Vec<Option<Group>>,
+    /// Every live group's `(item id, row multiplicity)` entries, sorted
+    /// by item id, multiplicities positive — an item belongs to the group
+    /// while any row carries it, matching the preprocessor's DISTINCT —
+    /// one run per group. A run that outgrows its room moves to the end;
+    /// what it leaves behind is spare until a replay compacts the arena.
+    runs: Vec<(u32, u32)>,
+    /// Entries in live runs: the distinct pairs of the live groups.
+    live: usize,
     /// While `ordered`: every distinct `(group slot, item id)` pair of
     /// the live groups, in the order of the source rows that first carry
     /// them. Empty once the order is lost.
@@ -72,6 +93,26 @@ pub struct SourceDigest {
     rows: u64,
 }
 
+/// Equal snapshots: the same ids, keys, order and live runs, wherever
+/// the arena holds the runs.
+impl PartialEq for SourceDigest {
+    fn eq(&self, other: &SourceDigest) -> bool {
+        let same_groups = self.slots() == other.slots()
+            && (0..self.slots()).all(|slot| {
+                self.group(slot) == other.group(slot) && self.run(slot) == other.run(slot)
+            });
+        same_groups
+            && self.version == other.version
+            && self.group_ids == other.group_ids
+            && self.item_ids == other.item_ids
+            && self.item_joins == other.item_joins
+            && self.item_groups == other.item_groups
+            && self.pairs == other.pairs
+            && self.ordered == other.ordered
+            && self.rows == other.rows
+    }
+}
+
 fn key_joins(key: &[Value]) -> bool {
     !key.iter().any(Value::is_null)
 }
@@ -81,6 +122,11 @@ impl SourceDigest {
     /// `(group slot, item id)` pairs in first-occurrence order (moved in),
     /// and one more entry in `repeats` for every further source row of a
     /// pair.
+    ///
+    /// The pairs are scattered item-major — a counting sort by item id,
+    /// then each item's groups in turn — into one arena of exactly sized
+    /// runs, so every run comes out sorted by item id without sorting a
+    /// group, and no group owns an allocation.
     pub(crate) fn new(
         version: u64,
         group_ids: KeyInterner,
@@ -89,44 +135,148 @@ impl SourceDigest {
         repeats: &[(u32, u32)],
     ) -> SourceDigest {
         let joins = |keys: &KeyInterner| -> Vec<bool> { keys.keys().map(key_joins).collect() };
-        let mut sizes = vec![0usize; group_ids.slots() as usize];
+        let mut sizes = vec![0u32; group_ids.slots() as usize];
         let mut item_groups = vec![0u32; item_ids.slots() as usize];
         for &(g, item) in &pairs {
             sizes[g as usize] += 1;
             item_groups[item as usize] += 1;
         }
-        let mut groups: Vec<Group> = joins(&group_ids)
+        let starts = |sizes: &[u32]| -> Vec<u32> {
+            let mut at = 0;
+            sizes
+                .iter()
+                .map(|&n| {
+                    at += n;
+                    at - n
+                })
+                .collect()
+        };
+        let group_starts = starts(&sizes);
+        // The pairs' group slots, counting-sorted by item id: item `i`'s
+        // end at `item_ends[i]`.
+        let mut item_ends = starts(&item_groups);
+        let mut by_item = vec![0u32; pairs.len()];
+        for &(g, item) in &pairs {
+            let next = &mut item_ends[item as usize];
+            by_item[*next as usize] = g;
+            *next += 1;
+        }
+        // Each item's groups in turn: every run fills in item order.
+        let mut fill = group_starts.clone();
+        let mut runs = vec![(0u32, 0u32); pairs.len()];
+        let mut from = 0;
+        for (item, &to) in (0..).zip(&item_ends) {
+            for &g in &by_item[from as usize..to as usize] {
+                let next = &mut fill[g as usize];
+                runs[*next as usize] = (item, 1);
+                *next += 1;
+            }
+            from = to;
+        }
+        let groups = joins(&group_ids)
             .into_iter()
             .zip(sizes)
-            .map(|(joins, n)| Group {
-                joins,
-                items: Vec::with_capacity(n),
+            .zip(group_starts)
+            .map(|((joins, len), start)| {
+                Some(Group {
+                    joins,
+                    start,
+                    len,
+                    room: len,
+                })
             })
             .collect();
-        for &(g, item) in &pairs {
-            groups[g as usize].items.push((item, 1));
-        }
-        for group in &mut groups {
-            group.items.sort_unstable();
-        }
-        for &(g, item) in repeats {
-            let items = &mut groups[g as usize].items;
-            let at = items
-                .binary_search_by_key(&item, |&(i, _)| i)
-                .expect("a repeated pair follows its first occurrence");
-            items[at].1 += 1;
-        }
-        SourceDigest {
+        let mut digest = SourceDigest {
             version,
             item_joins: joins(&item_ids),
             item_groups,
             group_ids,
             item_ids,
-            groups: groups.into_iter().map(Some).collect(),
+            groups,
+            runs,
+            live: pairs.len(),
             rows: (pairs.len() + repeats.len()) as u64,
             pairs,
             ordered: true,
+        };
+        for &(g, item) in repeats {
+            let run = digest.run_mut(g).expect("a repeated pair's group is live");
+            let at = run
+                .binary_search_by_key(&item, |&(i, _)| i)
+                .expect("a repeated pair follows its first occurrence");
+            run[at].1 += 1;
         }
+        digest
+    }
+
+    /// The `(item id, multiplicity)` run of a group slot: empty for a
+    /// retired slot.
+    fn run(&self, slot: u32) -> &[(u32, u32)] {
+        match &self.groups[slot as usize] {
+            Some(group) => &self.runs[group.span()],
+            None => &[],
+        }
+    }
+
+    fn run_mut(&mut self, slot: u32) -> Option<&mut [(u32, u32)]> {
+        let span = self.groups[slot as usize].as_ref()?.span();
+        Some(&mut self.runs[span])
+    }
+
+    /// Add one row of `item` to a live group: `Some(true)` when the item
+    /// is new to it. A run without room moves to the end of the arena
+    /// with twice the room.
+    fn add(&mut self, slot: u32, item: u32) -> Option<bool> {
+        let mut group = self.groups[slot as usize]?;
+        let at = match self.runs[group.span()].binary_search_by_key(&item, |&(i, _)| i) {
+            Ok(at) => {
+                self.runs[group.start as usize + at].1 += 1;
+                return Some(false);
+            }
+            Err(at) => at,
+        };
+        if group.len == group.room {
+            let start = self.runs.len();
+            group.room = (2 * group.len).max(4);
+            self.runs.extend_from_within(group.span());
+            self.runs.resize(start + group.room as usize, (0, 0));
+            group.start = start as u32;
+        }
+        let span = group.span();
+        self.runs
+            .copy_within(span.start + at..span.end, span.start + at + 1);
+        self.runs[span.start + at] = (item, 1);
+        group.len += 1;
+        self.groups[slot as usize] = Some(group);
+        self.live += 1;
+        Some(true)
+    }
+
+    /// Take one row of `item` from a live group: `Some(true)` when it was
+    /// the item's last row there, `None` when the group holds no such row.
+    fn remove(&mut self, slot: u32, item: u32) -> Option<bool> {
+        let group = self.groups[slot as usize].as_mut()?;
+        let run = &mut self.runs[group.span()];
+        let at = run.binary_search_by_key(&item, |&(i, _)| i).ok()?;
+        run[at].1 -= 1;
+        if run[at].1 > 0 {
+            return Some(false);
+        }
+        run.copy_within(at + 1.., at);
+        group.len -= 1;
+        self.live -= 1;
+        Some(true)
+    }
+
+    /// Move the live runs together, each with no room to spare.
+    fn compact(&mut self) {
+        let mut runs = Vec::with_capacity(self.live);
+        for group in self.groups.iter_mut().flatten() {
+            let start = runs.len() as u32;
+            runs.extend_from_slice(&self.runs[group.span()]);
+            (group.start, group.room) = (start, group.len);
+        }
+        self.runs = runs;
     }
 
     /// The source-table version the snapshot stands for.
@@ -149,6 +299,11 @@ impl SourceDigest {
     /// is lost).
     pub(crate) fn pairs(&self) -> &[(u32, u32)] {
         &self.pairs
+    }
+
+    /// Distinct `(group, item)` pairs of the live groups.
+    pub(crate) fn live_pairs(&self) -> usize {
+        self.live
     }
 
     /// Live groups (`:totg` of the snapshot).
@@ -190,10 +345,10 @@ impl SourceDigest {
     /// The ids, ascending, of the items a group contributes to itemset
     /// supports: none for a retired or NULL-keyed group.
     pub(crate) fn items_of(&self, slot: u32) -> impl Iterator<Item = u32> + '_ {
-        let group = self.groups[slot as usize].as_ref().filter(|g| g.joins);
-        group
-            .into_iter()
-            .flat_map(|g| g.items.iter().map(|&(item, _)| item))
+        let joins = self.groups[slot as usize].is_some_and(|g| g.joins);
+        let run = if joins { self.run(slot) } else { &[] };
+        run.iter()
+            .map(|&(item, _)| item)
             .filter(|&item| self.item_joins[item as usize])
     }
 
@@ -211,7 +366,12 @@ impl SourceDigest {
             .sum();
         let unjoined = self.groups.iter().flatten().filter(|g| !g.joins);
         let unjoined: usize = unjoined
-            .map(|g| g.items.iter().filter(|(item, _)| with_id(item)).count())
+            .map(|g| {
+                self.runs[g.span()]
+                    .iter()
+                    .filter(|(item, _)| with_id(item))
+                    .count()
+            })
             .sum();
         carried - unjoined
     }
@@ -264,7 +424,9 @@ impl SourceDigest {
             if slot as usize == self.groups.len() {
                 self.groups.push(Some(Group {
                     joins: key_joins(self.group_ids.key(slot)),
-                    items: Vec::new(),
+                    start: self.runs.len() as u32,
+                    len: 0,
+                    room: 0,
                 }));
             }
             let item = self.item_ids.intern(row, item_cols);
@@ -273,17 +435,12 @@ impl SourceDigest {
                 self.item_groups.push(0);
             }
             before.entry(slot).or_insert_with(|| self.item_set(slot));
-            let items = &mut self.groups[slot as usize].as_mut()?.items;
-            match items.binary_search_by_key(&item, |&(i, _)| i) {
-                Ok(at) => items[at].1 += 1,
-                Err(at) => {
-                    items.insert(at, (item, 1));
-                    let holders = &mut self.item_groups[item as usize];
-                    returned |= *holders == 0 && item + 1 < self.item_joins.len() as u32;
-                    *holders += 1;
-                    if self.ordered {
-                        self.pairs.push((slot, item));
-                    }
+            if self.add(slot, item)? {
+                let holders = &mut self.item_groups[item as usize];
+                returned |= *holders == 0 && item + 1 < self.item_joins.len() as u32;
+                *holders += 1;
+                if self.ordered {
+                    self.pairs.push((slot, item));
                 }
             }
             self.rows += 1;
@@ -293,14 +450,8 @@ impl SourceDigest {
             let slot = self.group_ids.get(row, group_cols)?;
             let item = self.item_ids.get(row, item_cols)?;
             before.entry(slot).or_insert_with(|| self.item_set(slot));
-            let items = &mut self.groups[slot as usize].as_mut()?.items;
-            let at = items.binary_search_by_key(&item, |&(i, _)| i).ok()?;
-            items[at].1 -= 1;
-            let twin = items[at].1 > 0;
-            if !twin {
-                items.remove(at);
-            }
-            let emptied = items.is_empty();
+            let twin = !self.remove(slot, item)?;
+            let emptied = self.run(slot).is_empty();
             self.rows -= 1;
             if twin {
                 self.lose_order();
@@ -315,6 +466,9 @@ impl SourceDigest {
         }
         if self.ordered && (returned || !departed.is_empty()) && !self.drop_pairs(departed) {
             self.lose_order();
+        }
+        if self.runs.len() > 2 * self.live + SPARE_SLACK {
+            self.compact();
         }
         self.version = version;
         Some(before)
@@ -375,11 +529,7 @@ impl SourceDigest {
             .chain(self.item_ids.iter())
             .map(key_bytes)
             .sum();
-        let groups: u64 = self
-            .groups
-            .iter()
-            .map(|g| 32 + g.as_ref().map_or(0, |g| g.items.len() as u64 * 8))
-            .sum();
+        let groups = self.groups.len() as u64 * 16 + self.runs.len() as u64 * 8;
         dictionaries + groups + self.pairs.len() as u64 * 8 + self.item_joins.len() as u64 * 5
     }
 
@@ -393,9 +543,8 @@ impl SourceDigest {
             .group_ids
             .iter()
             .map(|(slot, key)| {
-                let group = self.groups[slot as usize].as_ref();
-                let items = group.map_or(&[][..], |g| &g.items[..]);
-                let mut items: Vec<String> = items
+                let mut items: Vec<String> = self
+                    .run(slot)
                     .iter()
                     .map(|&(item, n)| format!("{:?} x {n}", key_of_item[&item]))
                     .collect();
@@ -448,7 +597,7 @@ mod tests {
         let one = item(&digest, Value::Str("1".into())).unwrap();
         assert_eq!(item(&digest, Value::Int(1)), None);
         // The `1|1.0` group holds item '1' twice; NULLs never join.
-        let items_of = |d: &SourceDigest, slot: u32| d.groups[slot as usize].clone().unwrap().items;
+        let items_of = |d: &SourceDigest, slot: u32| d.run(slot).to_vec();
         assert_eq!(items_of(&digest, ones), vec![(one, 2)]);
         assert_eq!(digest.item_set(ones), vec![one]);
         assert!(digest.item_set(slot(&digest, Value::Null)).is_empty());
@@ -468,7 +617,7 @@ mod tests {
         assert_eq!(before, BTreeMap::from([(ones, vec![one])]));
         assert_eq!(digest.live_groups(), 4);
         assert_eq!(digest.group_ids.get(&[Value::Int(1)], &[0]), None);
-        assert_eq!(digest.groups[ones as usize], None);
+        assert!(digest.groups[ones as usize].is_none());
         let back = TableDelta {
             inserted: vec![row(Value::Int(1), "a"), row(Value::Float(1.0), "1")],
             ..TableDelta::default()
@@ -483,5 +632,62 @@ mod tests {
         assert_eq!(digest.rows, 7);
         // A deletion no row accounts for: the replay gives up.
         assert!(digest.apply(&gone, 0, &[0], &[1]).is_none());
+    }
+
+    /// Replayed inserts move full runs to the end of the arena, and a
+    /// replay that leaves more spare entries than live ones compacts it:
+    /// either way every group holds what a fresh scan of the same rows
+    /// finds.
+    #[test]
+    fn replays_relocate_runs_and_compact_the_arena() {
+        let row = |g: i64, item: &str| vec![Value::Int(g), Value::Str(item.into())];
+        let digest_of = |rows: Vec<Vec<Value>>| {
+            let mut db = Database::new();
+            db.execute("CREATE TABLE T (g INT, item VARCHAR)").unwrap();
+            db.catalog_mut()
+                .table_mut("T")
+                .unwrap()
+                .insert_all(rows)
+                .unwrap();
+            let stmt = parse_mine_rule(
+                "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD FROM T \
+                 GROUP BY g EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1",
+            )
+            .unwrap();
+            scan_source(&db, &stmt).unwrap().into_digest().unwrap()
+        };
+        let base = |g| [row(g, "b"), row(g, "a")];
+        let mut digest = digest_of((0..3_000).flat_map(base).collect());
+        assert_eq!((digest.runs.len(), digest.live), (6_000, 6_000));
+
+        // Three new items in each of 100 groups: every run outgrows its
+        // room and moves, twice; a repeated row only counts.
+        let grown: Vec<Vec<Value>> = (0..100)
+            .flat_map(|g| [row(g, "e"), row(g, "c"), row(g, "d"), row(g, "c")])
+            .collect();
+        let inserted = TableDelta {
+            inserted: grown.clone(),
+            ..TableDelta::default()
+        };
+        digest.apply(&inserted, 1, &[0], &[1]).unwrap();
+        assert_eq!(digest.live, 6_300);
+        assert!(digest.runs.len() > 6_300, "runs moved, leaving spare room");
+        let id = |item| digest.item_ids.get(&row(0, item), &[1]).unwrap();
+        let sorted = [("b", 1), ("a", 1), ("e", 1), ("c", 2), ("d", 1)].map(|(i, n)| (id(i), n));
+        assert_eq!(digest.run(0), sorted, "ids are first-seen; runs sorted");
+
+        // Retiring most groups leaves more spare entries than live ones.
+        let deleted = TableDelta {
+            deleted: (100..2_990).flat_map(base).collect(),
+            ..TableDelta::default()
+        };
+        digest.apply(&deleted, 2, &[0], &[1]).unwrap();
+        assert_eq!(digest.live, 5 * 100 + 2 * 10);
+        assert_eq!(digest.runs.len(), digest.live, "compacted");
+
+        let kept = (0..100).chain(2_990..3_000).flat_map(base);
+        let rescanned = digest_of(kept.chain(grown).collect());
+        assert_eq!(digest.by_key(), rescanned.by_key());
+        assert_eq!(digest.live_groups(), rescanned.live_groups());
     }
 }

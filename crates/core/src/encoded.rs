@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use relational::{Database, Row, Value};
 
+use crate::algo::GroupArena;
 use crate::ast::CardSpec;
 use crate::directives::{Directives, StatementClass};
 use crate::error::{MineError, Result};
@@ -61,10 +62,11 @@ pub struct EncodedInput {
 /// Class-specific payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedData {
-    /// Simple rules: per group in Gid order, its large item identifiers
-    /// — ascending, without repeats, never empty. The core mines these
-    /// lists in place ([`crate::algo::Groups::Keyed`]).
-    Simple { groups: Vec<(u32, Vec<u32>)> },
+    /// Simple rules: `CodedSource` sorted by `(Gid, Bid)` as one flat
+    /// arena — per group in Gid order, keyed by its Gid, its large item
+    /// identifiers ascending, without repeats, never empty. The core
+    /// mines it in place ([`crate::algo::Groups`]).
+    Simple { groups: GroupArena },
     /// General rules: raw tuples plus optional couples/elementary tables,
     /// the elementary rules ordered by `(gid, cidb, cidh)` and otherwise
     /// in `InputRules` row order.
@@ -120,7 +122,9 @@ impl EncodedInput {
                 input.head_card,
             )
         };
-        let empty = EncodedData::Simple { groups: Vec::new() };
+        let empty = EncodedData::Simple {
+            groups: GroupArena::default(),
+        };
         let stamp = EncodedInput::new(translation, total_groups, min_groups, empty)?;
         if header(&stamp) == header(self) {
             return Ok(Arc::clone(self));
@@ -134,10 +138,7 @@ impl EncodedInput {
     /// Rough retained size, for the artifact store's bytes gauge.
     pub(crate) fn approx_bytes(&self) -> u64 {
         let payload = match &self.data {
-            EncodedData::Simple { groups } => groups
-                .iter()
-                .map(|(_, items)| 32 + items.len() as u64 * 4)
-                .sum(),
+            EncodedData::Simple { groups } => groups.approx_bytes(),
             EncodedData::General {
                 tuples,
                 cluster_couples,
@@ -201,18 +202,6 @@ fn stored<'a>(db: &'a Database, name: &str, cols: &[&str]) -> Result<(&'a [Row],
     Ok((table.rows(), at))
 }
 
-/// Fold `(Gid, Bid)` pairs sorted by Gid into per-group item lists.
-fn group_sorted(pairs: Vec<(u32, u32)>) -> Vec<(u32, Vec<u32>)> {
-    let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-    for (gid, bid) in pairs {
-        match groups.last_mut() {
-            Some((g, items)) if *g == gid => items.push(bid),
-            _ => groups.push((gid, vec![bid])),
-        }
-    }
-    groups
-}
-
 /// A group count the preprocessor bound to `:name`.
 fn bound_count(db: &Database, name: &str) -> Result<u64> {
     match db.var(name) {
@@ -247,7 +236,7 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
             pairs.sort_unstable();
             pairs.dedup();
             EncodedData::Simple {
-                groups: group_sorted(pairs),
+                groups: GroupArena::from_sorted(pairs.into_iter()),
             }
         }
         StatementClass::General => {
@@ -471,7 +460,7 @@ mod tests {
     /// The read this module used before it read typed, kept as the
     /// oracle: the SQL engine sorts `CodedSource` and hands back value
     /// rows.
-    fn sql_read_simple(db: &mut Database, t: &Translation) -> Result<Vec<(u32, Vec<u32>)>> {
+    fn sql_read_simple(db: &mut Database, t: &Translation) -> Result<GroupArena> {
         let rs = db.query(&format!(
             "SELECT Gid, Bid FROM {} ORDER BY Gid, Bid",
             t.names.coded_source()
@@ -481,7 +470,7 @@ mod tests {
             .iter()
             .map(|row| Ok((get_u32(&row[0])?, get_u32(&row[1])?)))
             .collect::<Result<Vec<_>>>()?;
-        Ok(group_sorted(pairs))
+        Ok(GroupArena::from_sorted(pairs.into_iter()))
     }
 
     /// The general-class read this module used before it read typed:

@@ -393,6 +393,7 @@ impl MineRuleEngine {
                 if self.artifacts.is_enabled() {
                     self.telemetry.counter_inc("core.minecache.miss");
                 }
+                let span = self.telemetry.span("phase.core.handover");
                 let handed_over = if db.reference_paths() {
                     None
                 } else {
@@ -405,6 +406,7 @@ impl MineRuleEngine {
                         Arc::new(read_encoded(db, translation)?)
                     }
                 };
+                span.stop();
                 let CoreOutput {
                     rules,
                     used_general,

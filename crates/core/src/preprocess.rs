@@ -33,6 +33,7 @@ use relational::{
     Row, RowProducer, Schema, Table, Value,
 };
 
+use crate::algo::GroupArena;
 use crate::ast::MineRuleStatement;
 use crate::deferred::{
     tuple_ids, ClustersRows, Coded, CodedSourceRows, GroupKeys, IdRows, MiningSourceRows, Pairs,
@@ -119,19 +120,19 @@ impl DigestInput {
     /// The core's simple-class input: per group that joins, in Gid order,
     /// its large items' Bids ascending — `CodedSource` sorted by `(Gid,
     /// Bid)`, a group without a large item left out. Ids are drawn in
-    /// slot and item-id order, so the digest's per-group item lists are
-    /// already in Bid order.
-    fn large_items(&self) -> Vec<(u32, Vec<u32>)> {
-        let mut groups = Vec::with_capacity(self.gids.len());
+    /// slot and item-id order, so the digest's runs, walked in slot
+    /// order, already are: the arena is filled front to back.
+    fn large_items(&self) -> GroupArena {
+        let mut groups = GroupArena::with_capacity(self.gids.len(), self.digest.live_pairs());
         for (slot, gid) in (0..).zip(&self.gids) {
             let Some(gid) = *gid else { continue };
-            let items = self.digest.items_of(slot);
-            let items: Vec<u32> = items.filter_map(|item| self.bids[item as usize]).collect();
-            if !items.is_empty() {
-                groups.push((gid, items));
+            for item in self.digest.items_of(slot) {
+                if let Some(bid) = self.bids[item as usize] {
+                    groups.push(bid);
+                }
             }
+            groups.close_unless_empty(gid);
         }
-        groups.shrink_to_fit();
         groups
     }
 }
@@ -622,27 +623,19 @@ fn item_table<'a>(
 /// The core's simple-class input from a scan's pairs: per group that
 /// joins, in Gid order, its large items' Bids ascending — `CodedSource`
 /// sorted by `(Gid, Bid)`, a group without a large item left out. `gids`
-/// and `bids` hold each slot's id, and ids are drawn in slot order, so
-/// slot order is Gid order.
-fn large_items(
-    pairs: &[(u32, u32)],
-    gids: &[Option<u32>],
-    bids: &[Option<u32>],
-) -> Vec<(u32, Vec<u32>)> {
-    let mut of_group: Vec<Vec<u32>> = vec![Vec::new(); gids.len()];
-    for &(group, body) in pairs {
-        of_group[group as usize].extend(bids[body as usize]);
-    }
-    let mut groups = Vec::with_capacity(gids.len());
-    for (gid, mut items) in gids.iter().zip(of_group) {
-        let Some(gid) = *gid else { continue };
-        items.sort_unstable();
-        if !items.is_empty() {
-            groups.push((gid, items));
-        }
-    }
-    groups.shrink_to_fit();
-    groups
+/// and `bids` hold each slot's id; distinct pairs of slots are distinct
+/// pairs of ids, ordered by one radix sort.
+fn large_items(pairs: &[(u32, u32)], gids: &[Option<u32>], bids: &[Option<u32>]) -> GroupArena {
+    let mut coded: Vec<(u64, u32)> = pairs
+        .iter()
+        .filter_map(|&(group, body)| Some((pack(gids[group as usize]?, bids[body as usize]?), 0)))
+        .collect();
+    radix_sort(&mut coded);
+    GroupArena::from_sorted(
+        coded
+            .iter()
+            .map(|&(ids, _)| ((ids >> 32) as u32, ids as u32)),
+    )
 }
 
 /// The source rows of each slot, in source order (the member rows a

@@ -241,7 +241,7 @@ pub fn random_simple_input(groups: usize, catalog: u32, density: f64, seed: u64)
     // Support low enough that several levels survive at every density.
     let min_groups = ((total as f64 * density * 0.5).ceil() as u32).max(2);
     SimpleInput {
-        groups: transactions,
+        groups: transactions.into(),
         total_groups: total,
         min_groups,
     }

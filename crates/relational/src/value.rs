@@ -239,8 +239,17 @@ impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         // Equality used for grouping/dedup: NULLs compare equal to each
         // other (SQL GROUP BY semantics), numerics compare across types.
+        // Same-type pairs compare directly — what `sql_cmp` would decide,
+        // without building its result; FLOATs by `total_cmp`, so `0.0`
+        // and `-0.0` stay apart and a NaN equals itself.
+        use Value::*;
         match (self, other) {
-            (Value::Null, Value::Null) => true,
+            (Null, Null) => true,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.total_cmp(b).is_eq(),
+            (Str(a), Str(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            (Date(a), Date(b)) => a == b,
             _ => matches!(self.sql_cmp(other), Ok(Some(Ordering::Equal))),
         }
     }
@@ -337,6 +346,53 @@ impl From<Date> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Grouping equality as it was defined before same-type pairs took a
+    /// shortcut: through `sql_cmp`.
+    fn eq_by_comparison(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Null, Value::Null) => true,
+            _ => matches!(a.sql_cmp(b), Ok(Some(Ordering::Equal))),
+        }
+    }
+
+    #[test]
+    fn equality_agrees_with_the_comparison_on_every_pair() {
+        let date = |days| Value::Date(Date::from_days_since_epoch(days));
+        let values = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Int(i64::MAX),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.0),
+            Value::Float(-1.0),
+            Value::Float(1.5),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(i64::MAX as f64),
+            Value::Str(String::new()),
+            Value::Str("1".into()),
+            Value::Str("a".into()),
+            Value::Str("A".into()),
+            Value::Str("é".into()),
+            Value::Str("e\u{301}".into()),
+            Value::Str("日本".into()),
+            Value::Bool(false),
+            Value::Bool(true),
+            date(0),
+            date(1),
+            date(-1),
+        ];
+        for a in &values {
+            for b in &values {
+                assert_eq!(a == b, eq_by_comparison(a, b), "{a:?} == {b:?}");
+            }
+        }
+    }
 
     #[test]
     fn date_roundtrip() {

@@ -132,7 +132,7 @@ fn seeds_change_data_but_not_invariants() {
 #[test]
 fn empty_group_list_yields_nothing_in_every_pool_member() {
     let input = SimpleInput {
-        groups: vec![],
+        groups: Default::default(),
         total_groups: 0,
         min_groups: 1,
     };
@@ -148,7 +148,7 @@ fn empty_group_list_yields_nothing_in_every_pool_member() {
 #[test]
 fn single_group_yields_every_subset_in_every_pool_member() {
     let input = SimpleInput {
-        groups: vec![vec![2, 5, 9]],
+        groups: vec![vec![2, 5, 9]].into(),
         total_groups: 1,
         min_groups: 1,
     };

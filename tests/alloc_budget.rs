@@ -12,6 +12,11 @@
 //!   source digest: it replays the delta in place and reads no source
 //!   row, so its preprocess allocates within one budget whatever the
 //!   source's size — no allocation per group, none per row.
+//! * The simple-class core input is one flat arena from the source
+//!   digest to the miner's first level: the digest's runs, the handed-over
+//!   groups and the first level's gid array are each one block, so
+//!   handing the core its input and building the first level allocate
+//!   per item, never per group.
 //! * A cold simple-class `execute` builds no row of the encoded tables
 //!   only SQL reads (`CodedSource`, `ValidGroups` are deferred): it
 //!   allocates fewer blocks than `CodedSource` has rows, and within a
@@ -42,9 +47,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use minerule::algo::rules_from_itemsets_counted;
+use minerule::algo::{rules_from_itemsets_counted, CountingCtx};
 use minerule::core_op::{run_core, CoreOptions, CoreOutput};
-use minerule::encoded::EncodedInput;
+use minerule::encoded::{EncodedData, EncodedInput};
 use minerule::postprocess::decode_rules;
 use minerule::preprocess::{preprocess, preprocess_for_core};
 use minerule::{parse_mine_rule, translate, ArtifactStore, MineRuleEngine, Translation};
@@ -215,14 +220,44 @@ fn a_delta_rerun_preprocesses_within_one_budget_at_any_source_size() {
 }
 
 #[test]
+fn handing_the_core_its_input_and_building_its_first_level_allocate_per_item_not_per_group() {
+    // The handover fills one arena from the digest's runs, and the first
+    // level counts by item over the arena's flat Bids: neither keeps a
+    // vector per group, so ten times the groups over the same 50 items
+    // allocate the same blocks: 61 measured, the budget 10 % more.
+    let run = |groups: i64| {
+        let (mut db, translation) = baskets(groups, 12, 1);
+        let run = preprocess_for_core(&mut db, &translation).unwrap();
+        let ((handed, items), allocated) = allocations(|| {
+            let input = run.encoded_input(&translation).unwrap();
+            let input = input.expect("the fused pass hands its input over");
+            let EncodedData::Simple { groups } = &input.data else {
+                panic!("a simple-class input");
+            };
+            let counting = CountingCtx::default();
+            let level = counting.gidsets(groups.groups(), &counting.gidset_ctx(groups.len()));
+            (groups.len(), level.len())
+        });
+        assert_eq!((handed, items), (groups as usize, 50));
+        allocated
+    };
+    let (small, large) = (run(500), run(5_000));
+    assert!(
+        small == large && large <= 67,
+        "{small} and {large} allocations at 500 and 5000 groups"
+    );
+}
+
+#[test]
 fn a_cold_simple_mine_allocates_less_than_once_per_encoded_row() {
     // The fused pass registers `CodedSource` and `ValidGroups` deferred:
     // no row of theirs is built, so a whole cold `execute` — scan, core,
     // rules, telemetry — allocates fewer blocks than `CodedSource` has
     // rows, where building it takes one block per row. The budget is
-    // the 10 214 blocks measured with rules kept as ids (10 824 when
-    // every rule owned its body and head), plus 10 %.
-    const BUDGET: u64 = 11_250;
+    // the 4 827 blocks measured with the core's input one arena from the
+    // digest to the first level (10 214 when the digest, the handover and
+    // the first level kept a vector per group or item), plus 10 %.
+    const BUDGET: u64 = 5_310;
     let (mut db, _) = baskets(1_000, 24, 1);
     let stmt = STATEMENT.replace("SUPPORT: 0.01", "SUPPORT: 0.45");
     let engine = MineRuleEngine::new();

@@ -72,7 +72,7 @@ fn rule_sets_agree_across_representations_through_run_core() {
         db.execute("CREATE TABLE Baskets (tr INT, item INT)")
             .unwrap();
         let table = db.catalog_mut().table_mut("Baskets").unwrap();
-        for (g, items) in simple.groups.iter().enumerate() {
+        for (g, items) in simple.groups.iter() {
             for &item in items {
                 table
                     .insert(vec![Value::Int(g as i64), Value::Int(item as i64)])

@@ -94,7 +94,7 @@ fn pool_agreement() {
     for (groups, min_groups) in cases {
         let input = SimpleInput {
             total_groups: groups.len() as u32,
-            groups,
+            groups: groups.into(),
             min_groups,
         };
         let mut reference: Option<Vec<(Vec<u32>, u32)>> = None;
@@ -117,7 +117,7 @@ fn apriori_antimonotone() {
         let min_groups = rng.gen_range_u32(1, 4);
         let input = SimpleInput {
             total_groups: groups.len() as u32,
-            groups,
+            groups: groups.into(),
             min_groups,
         };
         let large = default_pool()[0].mine(&input);
@@ -155,7 +155,7 @@ fn exact_counts_match_bruteforce() {
         let groups = random_groups(&mut rng);
         let input = SimpleInput {
             total_groups: groups.len() as u32,
-            groups: groups.clone(),
+            groups: groups.clone().into(),
             min_groups: 1,
         };
         let large = default_pool()[0].mine(&input);

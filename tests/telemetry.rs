@@ -140,6 +140,44 @@ fn simple_path_records_exact_counters() {
     );
 }
 
+/// The simple core's stages, nested in `phase.core`: the handover of
+/// its input, the mining and the rule generation.
+const SIMPLE_CORE_STAGES: [&str; 3] =
+    ["phase.core.handover", "phase.core.mine", "phase.core.rules"];
+
+#[test]
+fn the_simple_core_records_each_stage_once_per_mine_and_none_on_a_hit() {
+    let samples = |engine: &MineRuleEngine, stage: &str| {
+        let snap = engine.metrics_snapshot();
+        snap.histogram(stage)
+            .map_or((0, 0), |h| (h.count(), h.sum_us()))
+    };
+    let mut db = purchase_db();
+    let engine = MineRuleEngine::new();
+    let cold = engine.execute(&mut db, SIMPLE).unwrap();
+    let mut nested = 0;
+    for stage in SIMPLE_CORE_STAGES {
+        let (count, sum_us) = samples(&engine, stage);
+        assert_eq!(count, 1, "{stage}");
+        nested += sum_us;
+    }
+    let (_, core_us) = samples(&engine, "phase.core");
+    assert!(nested <= core_us, "the stages lie within phase.core");
+    // A mined-result cache hit mines nothing: no stage runs.
+    let warm = engine.execute(&mut db, SIMPLE).unwrap();
+    assert_eq!(engine.metrics_snapshot().counter("core.minecache.hit"), 1);
+    for stage in SIMPLE_CORE_STAGES {
+        assert_eq!(samples(&engine, stage).0, 1, "{stage} after a hit");
+    }
+    assert_eq!(warm.rules, cold.rules);
+    // Recording the stages changes no rule.
+    let mut off = MineRuleEngine::new();
+    off.set_telemetry_enabled(false);
+    let unrecorded = off.execute(&mut purchase_db(), SIMPLE).unwrap();
+    assert_eq!(unrecorded.rules, cold.rules);
+    assert!(off.metrics_snapshot().is_empty());
+}
+
 #[test]
 fn general_path_records_exact_counters() {
     let mut db = purchase_db();
