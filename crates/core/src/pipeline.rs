@@ -414,6 +414,7 @@ impl MineRuleEngine {
                     ..
                 } = run_core_on(&encoded, &self.core, &self.telemetry, db.reference_paths())?;
                 if let (Some(large), true) = (&large_itemsets, self.artifacts.is_enabled()) {
+                    let span = self.telemetry.span("phase.core.capture");
                     let stored = self.artifacts.capture_inventory(
                         db,
                         translation,
@@ -421,6 +422,7 @@ impl MineRuleEngine {
                         preprocess_report,
                         large,
                     );
+                    span.stop();
                     self.record_evictions(&stored);
                     // Both halves: the encoding stops counting a digest the
                     // new inventory now holds.

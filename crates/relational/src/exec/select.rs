@@ -15,8 +15,10 @@
 //!
 //! Execution is scan/join → filter → group/aggregate → project →
 //! distinct → order → limit, each step materialised late: scans share
-//! the catalog's rows, a join builds only the demanded columns and a
-//! cutting LIMIT keeps a stable top-k instead of sorting every row.
+//! the catalog's rows, a join builds only the demanded columns, and the
+//! cutting operators decide before they keep a row — DISTINCT probes its
+//! seen-set with a reused row and an ORDER BY … LIMIT keeps a bounded
+//! top-k ([`Cut`]).
 //! Column references are resolved as rows flow: the plan resolves
 //! tables, views and factor schemas only.
 
@@ -375,26 +377,139 @@ fn execute(db: &mut Database, plan: &SelectPlan) -> Result<ResultSet> {
 /// for equality, so first-occurrence order never depends on it.
 type RowBuckets = HashMap<u64, Vec<usize>, KeyHash>;
 
-fn row_buckets(rows: usize) -> RowBuckets {
-    HashMap::with_capacity_and_hasher(rows, KeyHash::default())
+/// One row offered to a [`Cut`]: its output values, the values of the
+/// ORDER BY keys that do not name an output column (a key that names one
+/// is read from `row`), and its arrival position, which breaks ties.
+#[derive(Debug, Default)]
+struct Entry {
+    row: Row,
+    keys: Vec<Value>,
+    pos: usize,
 }
 
-/// Keep the first entry of each distinct row (`row` reads it out of an
-/// entry). Entries are moved, never cloned: the seen-set stores hashes
-/// and indices into the output.
-fn dedup<T>(entries: Vec<T>, row: impl Fn(&T) -> &Row) -> Vec<T> {
-    let mut seen = row_buckets(entries.len());
-    let mut out: Vec<T> = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let h = seen.hasher().hash_one(row(&entry));
-        let bucket = seen.entry(h).or_default();
-        if bucket.iter().any(|&i| row(&out[i]) == row(&entry)) {
-            continue;
+/// DISTINCT, ORDER BY and LIMIT over rows as they are produced: the
+/// cutting operators decide before a row is kept. The producer fills one
+/// reused [`Entry`] per row and [`offer`](Cut::offer)s it; only a row
+/// that is kept moves out of it.
+///
+/// - DISTINCT probes the seen-set with the offered row; only a new row is
+///   kept, in first-occurrence order.
+/// - A LIMIT `k` without DISTINCT keeps at most `k` rows. Under ORDER BY
+///   they are a max-heap on (keys, position): a row enters only when it
+///   ranks below the heap's top, and it takes the evicted entry's place,
+///   so the offered entry gets that entry's buffers back to refill.
+/// - [`finish`](Cut::finish) sorts what is kept on (keys, position) and
+///   applies the LIMIT: exactly the prefix a stable sort of every row
+///   would give.
+struct Cut<'a> {
+    sort: &'a [SortKey],
+    limit: usize,
+    seen: Option<RowBuckets>,
+    kept: Vec<Entry>,
+    offered: usize,
+}
+
+impl<'a> Cut<'a> {
+    fn new(sort: &'a [SortKey], dedup: bool, limit: Option<u64>) -> Cut<'a> {
+        Cut {
+            sort,
+            limit: limit.map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX)),
+            seen: dedup.then(|| RowBuckets::with_hasher(KeyHash::default())),
+            kept: Vec::new(),
+            offered: 0,
         }
-        bucket.push(out.len());
-        out.push(entry);
     }
-    out
+
+    /// Make room for what `rows` more offered rows can keep: none ahead
+    /// under DISTINCT, which cannot tell how many are new.
+    fn reserve(&mut self, rows: usize) {
+        if self.seen.is_none() {
+            self.kept
+                .reserve_exact(rows.min(self.limit - self.kept.len()));
+        }
+    }
+
+    /// Offer `e` (its `pos` is set here). A row that is kept leaves `e`
+    /// with empty buffers or with those of the row it evicted; either way
+    /// the producer clears `e` before it fills it again.
+    fn offer(&mut self, e: &mut Entry) {
+        e.pos = self.offered;
+        self.offered += 1;
+        if let Some(seen) = &mut self.seen {
+            let bucket = seen.entry(seen.hasher().hash_one(&e.row)).or_default();
+            if bucket.iter().any(|&i| self.kept[i].row == e.row) {
+                return;
+            }
+            bucket.push(self.kept.len());
+        } else if self.kept.len() == self.limit {
+            // Full: the candidate arrived last, so it ranks below the
+            // top only on strictly smaller keys.
+            if self.limit > 0
+                && !self.sort.is_empty()
+                && rank(self.sort, e, &self.kept[0]) == Ordering::Less
+            {
+                std::mem::swap(e, &mut self.kept[0]);
+                sift_down(self.sort, &mut self.kept, 0);
+            }
+            return;
+        }
+        self.kept.push(std::mem::take(e));
+        if self.seen.is_none() && self.kept.len() == self.limit && !self.sort.is_empty() {
+            for i in (0..self.kept.len() / 2).rev() {
+                sift_down(self.sort, &mut self.kept, i);
+            }
+        }
+    }
+
+    /// The kept rows in ORDER BY order (ties in arrival order), cut to
+    /// the LIMIT.
+    fn finish(mut self) -> Vec<Row> {
+        if !self.sort.is_empty() {
+            let sort = self.sort;
+            self.kept.sort_unstable_by(|a, b| rank(sort, a, b));
+        }
+        self.kept.truncate(self.limit);
+        // Collected in place into the entries' block; give its tail back.
+        let mut rows: Vec<Row> = self.kept.into_iter().map(|e| e.row).collect();
+        rows.shrink_to_fit();
+        rows
+    }
+}
+
+/// Order two entries on the ORDER BY keys, then by arrival position.
+fn rank(sort: &[SortKey], a: &Entry, b: &Entry) -> Ordering {
+    let mut slot = 0;
+    for k in sort {
+        let (x, y) = match k.output {
+            Some(i) => (&a.row[i], &b.row[i]),
+            None => {
+                slot += 1;
+                (&a.keys[slot - 1], &b.keys[slot - 1])
+            }
+        };
+        let ord = x.total_cmp(y);
+        if ord != Ordering::Equal {
+            return if k.asc { ord } else { ord.reverse() };
+        }
+    }
+    a.pos.cmp(&b.pos)
+}
+
+/// Restore the max-heap order of `heap` below node `i`.
+fn sift_down(sort: &[SortKey], heap: &mut [Entry], mut i: usize) {
+    loop {
+        let mut top = i;
+        for child in [2 * i + 1, 2 * i + 2] {
+            if child < heap.len() && rank(sort, &heap[child], &heap[top]) == Ordering::Greater {
+                top = child;
+            }
+        }
+        if top == i {
+            return;
+        }
+        heap.swap(i, top);
+        i = top;
+    }
 }
 
 /// Run a UNION/INTERSECT/EXCEPT: run both arms, combine with SQL set
@@ -416,85 +531,40 @@ fn run_set_op(
         });
     }
     let schema = left.schema().clone();
-    let rows: Vec<Row> = match op {
-        SetOpKind::UnionAll => {
-            let mut rows = left.into_rows();
-            rows.extend(right.into_rows());
-            rows
-        }
-        SetOpKind::Union => {
-            let mut rows = left.into_rows();
-            rows.extend(right.into_rows());
-            dedup(rows, |r| r)
-        }
+    let mut rows = left.into_rows();
+    match op {
+        SetOpKind::UnionAll | SetOpKind::Union => rows.extend(right.into_rows()),
         SetOpKind::Intersect | SetOpKind::Except => {
             let right_rows = right.into_rows();
-            let mut membership = row_buckets(right_rows.len());
+            let mut membership =
+                RowBuckets::with_capacity_and_hasher(right_rows.len(), KeyHash::default());
             for (i, r) in right_rows.iter().enumerate() {
                 let h = membership.hasher().hash_one(r);
                 membership.entry(h).or_default().push(i);
             }
             let keep_members = matches!(op, SetOpKind::Intersect);
-            let mut kept = left.into_rows();
-            kept.retain(|r| {
+            rows.retain(|r| {
                 let member = membership
                     .get(&membership.hasher().hash_one(r))
                     .is_some_and(|b| b.iter().any(|&i| right_rows[i] == *r));
                 member == keep_members
             });
-            dedup(kept, |r| r)
         }
-    };
-    let mut keyed: Vec<(Row, Vec<Value>)> = Vec::with_capacity(rows.len());
-    for r in rows {
-        let key = |k: &SortKey| {
-            k.output.map(|i| r[i].clone()).ok_or_else(|| {
-                Error::unsupported("ORDER BY after a set operation must reference output columns")
-            })
-        };
-        let keys = plan.sort.iter().map(key).collect::<Result<_>>()?;
-        keyed.push((r, keys));
     }
-    let rows = order_and_limit(keyed, &plan.sort, plan.max_rows);
-    Ok(ResultSet::new(schema, rows))
-}
-
-/// ORDER BY, then LIMIT, over rows paired with their sort keys. With
-/// nothing cut it is a stable sort; when the LIMIT cuts, it selects the
-/// `k` smallest rows by (keys, input position) and sorts only those —
-/// exactly the prefix the stable sort would keep.
-fn order_and_limit(
-    mut keyed: Vec<(Row, Vec<Value>)>,
-    sort: &[SortKey],
-    limit: Option<u64>,
-) -> Vec<Row> {
-    let by_keys = |a: &[Value], b: &[Value]| {
-        for ((a, b), o) in a.iter().zip(b).zip(sort) {
-            let ord = a.total_cmp(b);
-            if ord != Ordering::Equal {
-                return if o.asc { ord } else { ord.reverse() };
-            }
-        }
-        Ordering::Equal
-    };
-    let k = limit.map_or(keyed.len(), |l| keyed.len().min(l as usize));
-    if sort.is_empty() || k == 0 {
-        keyed.truncate(k);
-    } else if k == keyed.len() {
-        keyed.sort_by(|(_, a), (_, b)| by_keys(a, b));
-    } else {
-        let by_position =
-            |&i: &usize, &j: &usize| by_keys(&keyed[i].1, &keyed[j].1).then(i.cmp(&j));
-        let mut top: Vec<usize> = (0..keyed.len()).collect();
-        top.select_nth_unstable_by(k - 1, by_position);
-        top.truncate(k);
-        top.sort_unstable_by(by_position);
-        return top
-            .into_iter()
-            .map(|i| std::mem::take(&mut keyed[i].0))
-            .collect();
+    if !rows.is_empty() && plan.sort.iter().any(|k| k.output.is_none()) {
+        return Err(Error::unsupported(
+            "ORDER BY after a set operation must reference output columns",
+        ));
     }
-    keyed.into_iter().map(|(r, _)| r).collect()
+    let dedup = !matches!(op, SetOpKind::UnionAll);
+    let mut cut = Cut::new(&plan.sort, dedup, plan.max_rows);
+    cut.reserve(rows.len());
+    let mut e = Entry::default();
+    for row in rows {
+        e.row = row;
+        cut.offer(&mut e);
+    }
+    Ok(ResultSet::new(schema, cut.finish()))
 }
 
 /// Run one SELECT body with the plan's ORDER BY / LIMIT.
@@ -525,52 +595,47 @@ fn run_body(db: &mut Database, body: &Body, plan: &SelectPlan) -> Result<ResultS
     }
     let items = &body.outputs;
 
-    // 2/3. Evaluate rows (grouped or per-row) together with sort keys.
-    let mut projected: Vec<(Row, Vec<Value>)> = if body.grouped {
-        run_grouped(db, &input, body, &plan.sort)?
+    // 2-6. Evaluate rows (grouped or per-row) with their sort keys, and
+    // hand each to the cutting operators (DISTINCT, ORDER BY, LIMIT).
+    let mut cut = Cut::new(&plan.sort, body.dedup, plan.max_rows);
+    if body.grouped {
+        run_grouped(db, &input, body, &mut cut)?;
     } else {
         if body.group_filter.is_some() {
             return Err(Error::Aggregate {
                 message: "HAVING requires GROUP BY or aggregates".into(),
             });
         }
-        // Plan every projection and order-key expression once; the row
-        // loop then runs flat programs with a reused stack. Order keys
-        // naming an output column read the projected row; the rest
-        // evaluate against the input row.
+        // Plan every projection and input-side order-key expression once;
+        // the row loop then runs flat programs with a reused stack into
+        // one reused entry. Every item and key is evaluated on every row,
+        // kept or not, so a row's error is raised whatever the cut keeps.
         let item_evals: Vec<SiteEval> = items
             .iter()
             .map(|(e, _)| SiteEval::plan(e, &input.schema, db))
             .collect();
-        let order_evals: Vec<Option<SiteEval>> = (plan.sort.iter())
-            .map(|k| (k.output.is_none()).then(|| SiteEval::plan(&k.expr, &input.schema, db)))
+        let key_evals: Vec<SiteEval> = (plan.sort.iter())
+            .filter(|k| k.output.is_none())
+            .map(|k| SiteEval::plan(&k.expr, &input.schema, db))
             .collect();
         let mut stack = Vec::new();
-        let mut out = Vec::with_capacity(input.rows.len());
+        let mut e = Entry::default();
+        cut.reserve(input.rows.len());
         for row in input.rows.iter() {
-            let mut o = Vec::with_capacity(items.len());
+            e.row.clear();
+            e.row.reserve_exact(items.len());
             for ev in &item_evals {
-                o.push(ev.eval(&input.schema, row, db, &mut stack)?);
+                e.row.push(ev.eval(&input.schema, row, db, &mut stack)?);
             }
-            let mut keys = Vec::with_capacity(order_evals.len());
-            for (k, ev) in plan.sort.iter().zip(&order_evals) {
-                keys.push(match (ev, k.output) {
-                    (Some(ev), _) => ev.eval(&input.schema, row, db, &mut stack)?,
-                    (None, i) => o[i.expect("a key without an evaluator names an output")].clone(),
-                });
+            e.keys.clear();
+            e.keys.reserve_exact(key_evals.len());
+            for ev in &key_evals {
+                e.keys.push(ev.eval(&input.schema, row, db, &mut stack)?);
             }
-            out.push((o, keys));
+            cut.offer(&mut e);
         }
-        out
-    };
-
-    // 4. DISTINCT.
-    if body.dedup {
-        projected = dedup(projected, |(row, _)| row);
     }
-
-    // 5/6. ORDER BY and LIMIT.
-    let rows = order_and_limit(projected, &plan.sort, plan.max_rows);
+    let rows = cut.finish();
     let schema = output_schema(items, &input.schema, &rows);
     let rs = ResultSet::new(schema, rows);
 
@@ -713,13 +778,9 @@ fn expand_items(items: &[SelectItem], input: &Schema) -> Result<Vec<(Expr, Strin
 }
 
 /// Grouped execution: hash rows into groups on the GROUP BY keys, filter
-/// groups with HAVING, evaluate projections and sort keys per group.
-fn run_grouped(
-    db: &mut Database,
-    input: &Relation,
-    body: &Body,
-    sort: &[SortKey],
-) -> Result<Vec<(Row, Vec<Value>)>> {
+/// groups with HAVING, evaluate projections and input-side sort keys per
+/// group, and offer each group's row to `cut`.
+fn run_grouped(db: &mut Database, input: &Relation, body: &Body, cut: &mut Cut) -> Result<()> {
     let group_keys = &body.group_keys;
     // Bucket row indices by key, in first-seen key order. Each row's key
     // is evaluated into one reused buffer; only a new key is cloned.
@@ -747,7 +808,9 @@ fn run_grouped(
         }
     }
 
-    let mut out = Vec::with_capacity(order.len());
+    let mut e = Entry::default();
+    let key_count = cut.sort.iter().filter(|k| k.output.is_none()).count();
+    cut.reserve(order.len());
     for key in &order {
         let idxs = &buckets[key];
         let rows: Vec<&Row> = idxs.iter().map(|&i| &input.rows[i]).collect();
@@ -757,20 +820,19 @@ fn run_grouped(
                 continue;
             }
         }
-        let mut o = Vec::with_capacity(body.outputs.len());
-        for (e, _) in &body.outputs {
-            o.push(eval(e)?);
+        e.row.clear();
+        e.row.reserve_exact(body.outputs.len());
+        for (expr, _) in &body.outputs {
+            e.row.push(eval(expr)?);
         }
-        let mut keys = Vec::with_capacity(sort.len());
-        for k in sort {
-            keys.push(match k.output {
-                Some(i) => o[i].clone(),
-                None => eval(&k.expr)?,
-            });
+        e.keys.clear();
+        e.keys.reserve_exact(key_count);
+        for k in cut.sort.iter().filter(|k| k.output.is_none()) {
+            e.keys.push(eval(&k.expr)?);
         }
-        out.push((o, keys));
+        cut.offer(&mut e);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Whether an ORDER BY expression names an output position (`ORDER BY

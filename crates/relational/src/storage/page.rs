@@ -183,43 +183,116 @@ impl Page {
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
 /// checksum Ethernet, gzip and SQLite's WAL use for torn-write
-/// detection. Table-driven, table built at compile time.
+/// detection. Slicing-by-8: eight 256-entry tables, built at compile
+/// time, fold eight bytes per step; the tail is folded a byte at a
+/// time through the first table. Same polynomial, same value for every
+/// input as the bytewise loop, so every stored checksum is unchanged.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
     let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][w[4] as usize]
+            ^ CRC_TABLES[2][w[5] as usize]
+            ^ CRC_TABLES[1][w[6] as usize]
+            ^ CRC_TABLES[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][i]` is the CRC
+/// state after byte `i` is followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise table loop `crc32` replaced: the oracle for it.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
 
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_slicing_equals_bytewise() {
+        // Every length 0..=64 at every start offset 0..8 of one buffer,
+        // so every word alignment and every tail length is covered.
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for off in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {off} len {len}");
+            }
+        }
+        // Full page images: a zero page, a sealed page with cells, and a
+        // page of pseudo-random bytes.
+        let mut p = Page::new(5);
+        p.push_cell(b"alpha").unwrap();
+        p.push_cell(&[0xA5; 300]).unwrap();
+        p.set_next(6);
+        let sealed = p.sealed_bytes().to_vec();
+        let mut x = 0x9E37_79B9u32;
+        let noise: Vec<u8> = (0..PAGE_SIZE)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        for image in [vec![0u8; PAGE_SIZE], sealed.clone(), noise] {
+            assert_eq!(image.len(), PAGE_SIZE);
+            assert_eq!(crc32(&image), crc32_bytewise(&image));
+            assert_eq!(crc32(&image[4..]), crc32_bytewise(&image[4..]));
+        }
+        assert_eq!(read_u32(&sealed, 0), crc32_bytewise(&sealed[4..]));
     }
 
     #[test]

@@ -42,6 +42,10 @@
 //!   is built over the smaller input and clones a key only when it is new.
 //! * A GROUP BY evaluates each row's key into one reused buffer and
 //!   allocates per distinct key, never per row.
+//! * The cutting operators decide before they keep a row: each row is
+//!   evaluated into one reused entry, `ORDER BY … LIMIT k` keeps a
+//!   bounded top-k whose evicted entries are refilled, and DISTINCT keeps
+//!   only a new row. Both allocate per kept row, never per input row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -439,12 +443,26 @@ fn count_allocations(db: &mut Database, sql: &str, expected: i64) -> u64 {
 #[test]
 fn a_count_over_an_equi_self_join_allocates_per_key_not_per_joined_row() {
     let sql = "SELECT COUNT(*) FROM T a, T b WHERE a.k = b.k";
-    let run = |keys: i64| count_allocations(&mut keyed(2_000, keys), sql, 2_000 * 2_000 / keys);
+    let run = |keys: i64| {
+        let mut db = keyed(2_000, keys);
+        let (rs, allocated, bytes) = allocations_and_bytes(|| db.query(sql).unwrap());
+        assert_eq!(rs.scalar(), Some(&Value::Int(2_000 * 2_000 / keys)));
+        (allocated, bytes)
+    };
     // The same 2 000 input rows joining into 20 000, then 200 000 rows.
-    let (once, tenfold) = (run(200), run(20));
+    let ((once, once_bytes), (tenfold, tenfold_bytes)) = (run(200), run(20));
     assert!(
         tenfold < once * 2,
         "10x the joined rows: {once} -> {tenfold} allocations"
+    );
+    // Per added joined row: its index tuple (8 bytes, grown by doubling),
+    // its width-0 row (24) and the aggregate's row index and reference
+    // (16) — about 60 bytes. No 8-byte permutation entry: rows nothing
+    // reads are not put in canonical order.
+    let per_row = (tenfold_bytes - once_bytes) / (200_000 - 20_000);
+    assert!(
+        per_row < 64,
+        "{per_row} bytes per added joined row ({once_bytes} -> {tenfold_bytes})"
     );
 }
 
@@ -496,6 +514,39 @@ fn a_group_by_allocates_per_distinct_key_not_per_row() {
         assert!(
             large < small * 2,
             "{sql}: 10x the grouped rows over the same keys: {small} -> {large} allocations"
+        );
+    }
+}
+
+/// `N(k, v)`: `rows` INT-only rows over ten distinct `k`s, `v` a
+/// permutation of `0..rows` that is neither ascending nor descending.
+fn ints(rows: i64) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE N (k INT, v INT)").unwrap();
+    let n = (0..rows).map(|i| vec![Value::Int(i % 10), Value::Int((i * 7_919) % rows)]);
+    let catalog = db.catalog_mut();
+    catalog.table_mut("N").unwrap().insert_all(n).unwrap();
+    db
+}
+
+#[test]
+fn a_cutting_select_allocates_per_kept_row_not_per_input_row() {
+    for (sql, kept) in [
+        ("SELECT k, v FROM N ORDER BY v DESC, k LIMIT 20", 20),
+        ("SELECT v, k FROM N ORDER BY k, v LIMIT 20", 20),
+        ("SELECT DISTINCT k FROM N", 10),
+        ("SELECT DISTINCT k FROM N ORDER BY k DESC LIMIT 3", 3),
+    ] {
+        let run = |rows: i64| {
+            let mut db = ints(rows);
+            let (rs, allocated) = allocations(|| db.query(sql).unwrap());
+            assert_eq!(rs.len(), kept, "{sql}");
+            allocated
+        };
+        let (small, large) = (run(2_000), run(20_000));
+        assert!(
+            large < small * 2,
+            "{sql}: 10x the input rows: {small} -> {large} allocations"
         );
     }
 }

@@ -714,3 +714,41 @@ fn a_subquery_no_row_reaches_raises_nothing() {
         }
     }
 }
+
+/// The cutting operators decide which rows to keep only after every item
+/// and every input-side ORDER BY key of a row is evaluated: a row that a
+/// LIMIT cuts, a DISTINCT drops as a duplicate or a grouped top-k leaves
+/// out still raises its error, on every path.
+#[test]
+fn a_row_the_cut_drops_still_raises_its_error() {
+    for reference in [false, true] {
+        let mut db = relational::Database::new();
+        db.set_reference_paths(reference);
+        db.execute("CREATE TABLE t (id INT, s VARCHAR)").unwrap();
+        db.execute(
+            "INSERT INTO t VALUES (0, 'a'), (1, 'b'), (2, 'a'), (3, 'b'), (4, 'a'), \
+             (5, 'b'), (6, 'a'), (7, 'b'), (8, 'a'), (9, 'b')",
+        )
+        .unwrap();
+        for sql in [
+            // Outside the top-k: the failing row ranks last.
+            "SELECT id, 10 / (id - 9) FROM t ORDER BY id LIMIT 3",
+            "SELECT id FROM t ORDER BY 10 / (9 - id), id LIMIT 3",
+            "SELECT id, 10 / (id - 9) FROM t ORDER BY id DESC LIMIT 0",
+            "SELECT 10 / (id - 9) FROM t LIMIT 2",
+            // Only on a row DISTINCT drops as a duplicate of row 1.
+            "SELECT DISTINCT s, CASE WHEN id = 7 THEN 1 / 0 ELSE 0 END FROM t",
+            "SELECT DISTINCT s FROM t ORDER BY 1 / (id - 7)",
+            "SELECT DISTINCT s FROM t ORDER BY s, 1 / (id - 9) LIMIT 1",
+            // A group outside the top-k.
+            "SELECT s, SUM(id) / (MIN(id) - 1) FROM t GROUP BY s ORDER BY s LIMIT 1",
+        ] {
+            let got = db.query(sql).map(|rs| rs.into_rows());
+            assert_eq!(
+                got.unwrap_err().to_string(),
+                "arithmetic error: division by zero",
+                "{sql} (reference paths: {reference})"
+            );
+        }
+    }
+}

@@ -20,11 +20,13 @@
 //!    server — a two-table FROM — mined on both paths, asserting
 //!    bit-identical rules and preprocessing reports.
 //!
-//! Two late-materialisation contracts of the executor ride along:
-//! `ORDER BY … LIMIT k` (a top-k selection) returns exactly the first
-//! `k` rows of the full stable sort, and a cost-planned join that builds
-//! only the columns its statement reads answers — and fails — exactly
-//! like the written-order fold, which builds them all.
+//! Two late-materialisation contracts of the executor ride along. The
+//! cutting operators (a bounded top-k for `ORDER BY … LIMIT k`, a
+//! seen-set for DISTINCT) return exactly the first `k` rows of the full
+//! stable sort, and agree with an oracle computed outside the engine.
+//! A cost-planned join that builds only the columns its statement reads
+//! answers — and fails — exactly like the written-order fold, which
+//! builds them all.
 
 use datagen::rng::Rng;
 use minerule::paper_example::{purchase_db, FIGURE_2B, FILTERED_ORDERED_SETS};
@@ -631,6 +633,129 @@ fn order_by_limit_is_the_prefix_of_the_stable_sort() {
     assert_top_k_is_a_sorted_prefix(
         "SELECT g FROM k EXCEPT SELECT g FROM k WHERE id = 6 ORDER BY 1 DESC",
     );
+    // A grouped body's ORDER BY, on an aggregate and on a key.
+    assert_top_k_is_a_sorted_prefix("SELECT g, COUNT(*) FROM k GROUP BY g ORDER BY 2 DESC, g");
+    assert_top_k_is_a_sorted_prefix("SELECT s, MAX(f) FROM k GROUP BY s ORDER BY s DESC");
+}
+
+/// `SELECT [DISTINCT] <out> FROM <all> ORDER BY <keys> LIMIT <limit>`
+/// computed outside the engine over the table's rows in scan order:
+/// DISTINCT keeps each projected row's first occurrence (with that
+/// row's keys), ORDER BY is a stable sort on [`Value::total_cmp`]
+/// (`(column, ascending)`, NULLs first), LIMIT takes the prefix.
+fn cutting_oracle(
+    all: &[Vec<Value>],
+    out: &[usize],
+    keys: &[(usize, bool)],
+    distinct: bool,
+    limit: usize,
+) -> Vec<Vec<Value>> {
+    let mut rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+    for r in all {
+        let projected: Vec<Value> = out.iter().map(|&c| r[c].clone()).collect();
+        if distinct && rows.iter().any(|(p, _)| *p == projected) {
+            continue;
+        }
+        rows.push((projected, keys.iter().map(|&(c, _)| r[c].clone()).collect()));
+    }
+    rows.sort_by(|(_, a), (_, b)| {
+        let mut ord = std::cmp::Ordering::Equal;
+        for ((x, y), &(_, asc)) in a.iter().zip(b).zip(keys) {
+            ord = ord.then_with(|| if asc { x.total_cmp(y) } else { y.total_cmp(x) });
+        }
+        ord
+    });
+    rows.truncate(limit);
+    rows.into_iter().map(|(p, _)| p).collect()
+}
+
+#[test]
+fn the_cutting_select_matches_a_stable_sort_oracle() {
+    // (table, its columns, row count, cases: DISTINCT, output columns,
+    // ORDER BY keys). Ties in every key, NULLs, NaN and -0.0 (`k`),
+    // DESC, keys that are not projected, and over `t` enough rows that
+    // a LIMIT 20 top-k evicts.
+    type Case = (bool, &'static [usize], &'static [(usize, bool)]);
+    let k_cases: &[Case] = &[
+        (false, &[0, 1, 2, 3], &[(1, true)]),
+        (false, &[0, 1, 2, 3], &[(1, false)]),
+        (false, &[0, 1, 2, 3], &[(2, true)]),
+        (false, &[0, 1, 2, 3], &[(2, false), (0, false)]),
+        (false, &[0, 1, 2, 3], &[(3, true), (1, false)]),
+        (false, &[3], &[(1, false), (2, true)]),
+        (false, &[1, 3], &[]),
+        (true, &[1, 3], &[(3, false)]),
+        (true, &[2], &[(2, false)]),
+        (true, &[3], &[(1, true)]),
+        (true, &[1], &[]),
+    ];
+    let t_cases: &[Case] = &[
+        (false, &[0, 1, 3], &[(3, true), (1, false)]),
+        (false, &[2], &[(3, false)]),
+        (false, &[1, 3], &[(1, true)]),
+        (true, &[3, 1], &[(1, true)]),
+        (true, &[1], &[(3, false), (1, true)]),
+        (true, &[3], &[]),
+    ];
+    type Fixture = (
+        fn() -> Database,
+        &'static str,
+        [&'static str; 4],
+        &'static [Case],
+    );
+    let tables: [Fixture; 2] = [
+        (topk_fixture, "k", ["id", "g", "f", "s"], k_cases),
+        (null_heavy_fixture, "t", ["a", "b", "c", "s"], t_cases),
+    ];
+    for (build, table, names, cases) in tables {
+        for reference in [false, true] {
+            let mut db = build();
+            db.set_reference_paths(reference);
+            let all = db
+                .query(&format!("SELECT * FROM {table}"))
+                .unwrap()
+                .into_rows();
+            let n = all.len();
+            for &(distinct, out, keys) in cases {
+                let cols: Vec<&str> = out.iter().map(|&c| names[c]).collect();
+                let order: Vec<String> = keys
+                    .iter()
+                    .map(|&(c, asc)| format!("{}{}", names[c], if asc { "" } else { " DESC" }))
+                    .collect();
+                let head = format!(
+                    "SELECT {}{} FROM {table}{}",
+                    if distinct { "DISTINCT " } else { "" },
+                    cols.join(", "),
+                    if order.is_empty() {
+                        String::new()
+                    } else {
+                        format!(" ORDER BY {}", order.join(", "))
+                    },
+                );
+                for limit in [
+                    None,
+                    Some(0),
+                    Some(1),
+                    Some(20),
+                    Some(n - 1),
+                    Some(n),
+                    Some(n + 1),
+                ] {
+                    let sql = match limit {
+                        Some(l) => format!("{head} LIMIT {l}"),
+                        None => head.clone(),
+                    };
+                    let got = db.query(&sql).unwrap().into_rows();
+                    let want = cutting_oracle(&all, out, keys, distinct, limit.unwrap_or(n));
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "reference={reference}: {sql}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -141,9 +141,14 @@ fn simple_path_records_exact_counters() {
 }
 
 /// The simple core's stages, nested in `phase.core`: the handover of
-/// its input, the mining and the rule generation.
-const SIMPLE_CORE_STAGES: [&str; 3] =
-    ["phase.core.handover", "phase.core.mine", "phase.core.rules"];
+/// its input, the mining, the rule generation and, with the session
+/// cache on, the capture of the mined inventory.
+const SIMPLE_CORE_STAGES: [&str; 4] = [
+    "phase.core.handover",
+    "phase.core.mine",
+    "phase.core.rules",
+    "phase.core.capture",
+];
 
 #[test]
 fn the_simple_core_records_each_stage_once_per_mine_and_none_on_a_hit() {
