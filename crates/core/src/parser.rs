@@ -12,10 +12,13 @@ use crate::error::{MineError, Result};
 /// Parse one MINE RULE statement (a trailing `;` is allowed).
 pub fn parse_mine_rule(text: &str) -> Result<MineRuleStatement> {
     let mut p = Parser::from_sql(text)?;
-    let stmt = parse_with(&mut p)?;
-    p.accept_tok(&Tok::Semi);
-    p.expect_eof()?;
-    Ok(stmt)
+    let stmt = parse_with(&mut p).and_then(|stmt| {
+        p.accept_tok(&Tok::Semi);
+        p.expect_eof()?;
+        Ok(stmt)
+    });
+    // A failed parse reports what the shared parser says it reports.
+    stmt.map_err(|e| p.deferred_error().map_or(e, MineError::from))
 }
 
 /// True when `text` looks like a MINE RULE statement (starts with the
@@ -28,7 +31,7 @@ pub fn is_mine_rule(text: &str) -> bool {
     )
 }
 
-fn parse_with(p: &mut Parser) -> Result<MineRuleStatement> {
+fn parse_with(p: &mut Parser<'_>) -> Result<MineRuleStatement> {
     p.expect_kw("MINE")?;
     p.expect_kw("RULE")?;
     let output_table = p.expect_ident()?;
@@ -132,7 +135,7 @@ fn parse_with(p: &mut Parser) -> Result<MineRuleStatement> {
 }
 
 /// `[<card spec>] <attr> (, <attr>)* AS BODY|HEAD`
-fn parse_element(p: &mut Parser, kind: &str, default_card: CardSpec) -> Result<ElementSpec> {
+fn parse_element(p: &mut Parser<'_>, kind: &str, default_card: CardSpec) -> Result<ElementSpec> {
     let card = parse_opt_cardspec(p)?.unwrap_or(default_card);
     let mut schema = Vec::new();
     loop {
@@ -147,7 +150,7 @@ fn parse_element(p: &mut Parser, kind: &str, default_card: CardSpec) -> Result<E
     Ok(ElementSpec { card, schema })
 }
 
-fn parse_opt_cardspec(p: &mut Parser) -> Result<Option<CardSpec>> {
+fn parse_opt_cardspec(p: &mut Parser<'_>) -> Result<Option<CardSpec>> {
     if !matches!(p.peek_tok(), Some(Tok::Int(_))) {
         return Ok(None);
     }
@@ -164,7 +167,7 @@ fn parse_opt_cardspec(p: &mut Parser) -> Result<Option<CardSpec>> {
     }))
 }
 
-fn parse_attr_list(p: &mut Parser) -> Result<Vec<String>> {
+fn parse_attr_list(p: &mut Parser<'_>) -> Result<Vec<String>> {
     let mut out = vec![p.expect_ident()?];
     while p.accept_tok(&Tok::Comma) {
         out.push(p.expect_ident()?);

@@ -565,7 +565,8 @@ impl Gen<'_> {
         } else {
             let key = ["customer", "tr", "item", "date"][self.rng.gen_below(4) as usize];
             let cmp = ["<", "<=", "<>"][self.rng.gen_below(3) as usize];
-            match self.rng.gen_below(3) {
+            match self.rng.gen_below(4) {
+                3 => self.gen_counted_join(key),
                 0 => format!(
                     "SELECT p1.item, p2.item FROM Purchase p1, Purchase p2 \
                      WHERE p1.{key} = p2.{key} AND p1.item {cmp} p2.item"
@@ -579,6 +580,50 @@ impl Gen<'_> {
                      WHERE p1.{key} = p2.{key} AND p1.qty {cmp} p2.qty"
                 ),
             }
+        }
+    }
+
+    /// An aggregate-only join with no residual conjunct — the statements
+    /// a planned join counts instead of building: self-joins on one or
+    /// two keys, three-way chains, key-less cross products and the
+    /// fact-dimension join, under COUNT, INT SUM and MIN / MAX items.
+    fn gen_counted_join(&mut self, key: &str) -> String {
+        const ITEMS: &[&str] = &[
+            "COUNT(*)",
+            "COUNT(p2.item)",
+            "SUM(p1.price)",
+            "SUM(p2.qty)",
+            "MIN(p2.date)",
+            "MAX(p1.customer)",
+            "MIN(p1.tr)",
+            "MAX(p2.price)",
+        ];
+        let n = self.rng.gen_range_usize(1, 4);
+        let items: Vec<&str> = (0..n)
+            .map(|_| ITEMS[self.rng.gen_range_usize(0, ITEMS.len())])
+            .collect();
+        let filter = match self.rng.gen_below(3) {
+            0 => format!(" AND p1.qty >= {}", 1 + self.rng.gen_below(3)),
+            _ => String::new(),
+        };
+        let items = items.join(", ");
+        match self.rng.gen_below(5) {
+            0 if self.has_dim => format!(
+                "SELECT COUNT(*), SUM(grade), MAX(category) FROM Purchase p1, Product \
+                 WHERE p1.item = pitem{filter}"
+            ),
+            1 => format!("SELECT {items} FROM Purchase p1, Purchase p2"),
+            2 => format!(
+                "SELECT {items}, MIN(p3.item) FROM Purchase p1, Purchase p2, Purchase p3 \
+                 WHERE p1.{key} = p2.{key} AND p2.tr = p3.tr{filter}"
+            ),
+            3 => format!(
+                "SELECT {items} FROM Purchase p1, Purchase p2 \
+                 WHERE p1.{key} = p2.{key} AND p1.customer = p2.customer{filter}"
+            ),
+            _ => format!(
+                "SELECT {items} FROM Purchase p1, Purchase p2 WHERE p1.{key} = p2.{key}{filter}"
+            ),
         }
     }
 
@@ -969,7 +1014,7 @@ mod tests {
         // delta followed by the same statement.
         let cfg = GenConfig::default();
         let (mut cluster, mut mining, mut having, mut cross, mut rerun) = (0, 0, 0, 0, 0);
-        let (mut loosened, mut delta) = (0, 0);
+        let (mut loosened, mut delta, mut counted) = (0, 0, 0);
         let support_of = |s: &str| {
             s.split("SUPPORT: ")
                 .nth(1)
@@ -1015,7 +1060,18 @@ mod tests {
                         dml_between = false;
                     }
                     Op::Dml(_) => dml_between = true,
-                    _ => {}
+                    // An aggregate-only join without a residual conjunct.
+                    Op::Query(text) => {
+                        let aggregate = ["COUNT(", "SUM(", "MIN(", "MAX("]
+                            .iter()
+                            .any(|a| text.starts_with(&format!("SELECT {a}")));
+                        if aggregate
+                            && text.contains("FROM Purchase p1, P")
+                            && !text.contains(" p2.qty")
+                        {
+                            counted += 1;
+                        }
+                    }
                 }
             }
         }
@@ -1026,6 +1082,7 @@ mod tests {
         assert!(rerun > 10, "refinement reruns: {rerun}");
         assert!(loosened > 10, "loosened-threshold reruns: {loosened}");
         assert!(delta > 10, "delta-then-repeat mines: {delta}");
+        assert!(counted > 10, "counted joins: {counted}");
     }
 
     #[test]

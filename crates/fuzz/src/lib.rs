@@ -18,10 +18,14 @@
 //! * [`shrink`] minimises a failing case by deleting rows, statements
 //!   and clauses while the divergence still reproduces;
 //! * [`repro`] serialises cases to self-contained repro files that the
-//!   `tcdm-fuzz` binary (and `tests/fuzz_corpus.rs`) replay.
+//!   `tcdm-fuzz` binary (and `tests/fuzz_corpus.rs`) replay;
+//! * [`frontend`] feeds mangled copies of each generated statement —
+//!   prefixes, byte deletions and replacements, noise — to both parsers,
+//!   which must return a typed error inside the input, never panic.
 //!
 //! See `docs/FUZZING.md` for the operational tour.
 
+pub mod frontend;
 pub mod grammar;
 pub mod matrix;
 pub mod repro;

@@ -1,9 +1,10 @@
 //! `tcdm-fuzz` — drive the grammar-based differential fuzzer.
 //!
 //! Generate mode (default): produce `--cases` random cases from
-//! `--seed`, run each across the configuration matrix, and on the first
-//! divergence shrink it with the cheap pair oracle and write a
-//! self-contained repro file under `--out`.
+//! `--seed`, put each statement's mangled copies through both parsers
+//! (`tcdm_fuzz::frontend`), run each case across the configuration
+//! matrix, and on the first divergence shrink it with the cheap pair
+//! oracle and write a self-contained repro file under `--out`.
 //!
 //! Replay mode (`--replay FILE...`): parse repro files and run each
 //! across the matrix, exiting non-zero if any still diverges.
@@ -205,6 +206,12 @@ fn run_generate(args: &Args, opts: &MatrixOptions, configs: usize) -> ExitCode {
     let mut reference_mines = 0usize;
     for i in 0..args.cases {
         let case = gen_case(args.seed, i, &gen_cfg);
+        for op in &case.ops {
+            if let Err(e) = tcdm_fuzz::frontend::mangle(op.text(), args.seed ^ i) {
+                println!("  case {}/{}: FRONT END: {e}", i + 1, args.cases);
+                return ExitCode::FAILURE;
+            }
+        }
         match run_case(&case, opts, &format!("c{i}")) {
             Ok(report) => {
                 reference_mines += report.reference_mines;

@@ -15,7 +15,7 @@ use crate::resultset::ResultSet;
 use crate::row::Row;
 use crate::sequence::Sequence;
 use crate::sql::ast::{InsertSource, SelectStmt, Statement};
-use crate::sql::parser::{parse_statement, parse_statements};
+use crate::sql::parser::Parser;
 use crate::storage::{PagedStore, StorageBackend, StorageConfig, StorageStats, WalFault};
 use crate::table::Table;
 use crate::types::{Column, Schema};
@@ -39,8 +39,18 @@ pub struct ExecStats {
     pub rows_scanned: u64,
     /// Rows removed by WHERE / join-residual filters.
     pub rows_filtered: u64,
-    /// Rows produced by join operators.
+    /// Rows produced by join operators. A counted join
+    /// (`exec::counted`) adds what it would have built: the sum of its
+    /// entries' counts after each step.
     pub rows_joined: u64,
+    /// What join operators actually built: one tuple or row per joined
+    /// row, or one entry per distinct live value of a counted join.
+    pub join_tuples: u64,
+    /// Tokens lexed from the SQL text handed to [`Database::execute`]
+    /// and [`Database::execute_script`].
+    pub tokens_lexed: u64,
+    /// Bytes of that text.
+    pub bytes_lexed: u64,
     /// FROM lists run in the step order of their join plan (0 on the
     /// reference paths, like every `planner_*` counter).
     pub planner_plans: u64,
@@ -87,7 +97,7 @@ impl ExecStats {
     /// `relational.index.*` and `relational.planner.est_rows_err` entries
     /// stay listed but always read 0, so publication, which skips zero
     /// deltas, never mints them.
-    pub fn named(&self) -> [(&'static str, u64); 19] {
+    pub fn named(&self) -> [(&'static str, u64); 22] {
         [
             ("relational.compile.programs", self.programs_compiled),
             ("relational.compile.const_folded", self.exprs_const_folded),
@@ -95,6 +105,7 @@ impl ExecStats {
             ("relational.rows.scanned", self.rows_scanned),
             ("relational.rows.filtered", self.rows_filtered),
             ("relational.rows.joined", self.rows_joined),
+            ("relational.rows.join_tuples", self.join_tuples),
             ("relational.index.built", self.indexes_built),
             ("relational.index.hits", self.index_hits),
             ("relational.index.invalidations", self.index_invalidations),
@@ -114,6 +125,8 @@ impl ExecStats {
             ),
             ("relational.planner.est_rows_err", self.planner_est_rows_err),
             ("relational.deferred.rows_built", self.deferred_rows_built),
+            ("relational.sql.tokens_lexed", self.tokens_lexed),
+            ("relational.sql.bytes_lexed", self.bytes_lexed),
         ]
     }
 }
@@ -334,14 +347,23 @@ impl Database {
 
     /// Parse and execute one statement.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let stmt = parse_statement(sql)?;
-        self.run_statement(&stmt)
+        let stmt = self.lex(sql)?.statement()?;
+        self.run_statement(stmt)
     }
 
     /// Parse and execute a `;`-separated script.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<ExecOutcome>> {
-        let stmts = parse_statements(sql)?;
-        stmts.iter().map(|s| self.run_statement(s)).collect()
+        let stmts = self.lex(sql)?.script()?;
+        stmts.into_iter().map(|s| self.run_statement(s)).collect()
+    }
+
+    /// Lex `sql` into a parser over its tokens, counting the bytes and,
+    /// when it lexes, the tokens.
+    fn lex<'a>(&mut self, sql: &'a str) -> Result<Parser<'a>> {
+        self.stats.bytes_lexed += sql.len() as u64;
+        let p = Parser::from_sql(sql)?;
+        self.stats.tokens_lexed += p.tokens() as u64;
+        Ok(p)
     }
 
     /// Parse and execute a query, returning its result set.
@@ -359,17 +381,17 @@ impl Database {
     /// is mirrored to the store and WAL-committed (fsync included)
     /// before this returns — the statement boundary is the durability
     /// boundary.
-    pub fn run_statement(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
+    pub fn run_statement(&mut self, stmt: Statement) -> Result<ExecOutcome> {
         let outcome = self.dispatch_statement(stmt)?;
         self.sync_storage()?;
         Ok(outcome)
     }
 
-    fn dispatch_statement(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
+    fn dispatch_statement(&mut self, stmt: Statement) -> Result<ExecOutcome> {
         self.stats.statements += 1;
         match stmt {
             Statement::Explain(inner) => {
-                let text = crate::exec::explain::explain_statement(self, inner)?;
+                let text = crate::exec::explain::explain_statement(self, &inner)?;
                 let schema = Schema::new(vec![Column::new("plan", crate::types::DataType::Str)]);
                 let rows = text
                     .lines()
@@ -381,7 +403,7 @@ impl Database {
                 })
             }
             Statement::Select(sel) => {
-                let rs = run_select(self, sel)?;
+                let rs = run_select(self, &sel)?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: Some(rs),
@@ -392,30 +414,25 @@ impl Database {
                 columns,
                 if_not_exists,
             } => {
-                if *if_not_exists && self.catalog.has_table(name) {
+                if if_not_exists && self.catalog.has_table(&name) {
                     return Ok(ExecOutcome {
                         rows_affected: 0,
                         result: None,
                     });
                 }
-                let schema = Schema::new(
-                    columns
-                        .iter()
-                        .map(|(n, t)| Column::new(n.clone(), *t))
-                        .collect(),
-                );
-                self.catalog
-                    .create_table(Table::new(name.clone(), schema))?;
+                let columns = columns.into_iter().map(|(n, t)| Column::new(n, t));
+                let schema = Schema::new(columns.collect());
+                self.catalog.create_table(Table::new(name, schema))?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
                 })
             }
             Statement::CreateTableAs { name, query } => {
-                let rs = run_select(self, query)?;
+                let rs = run_select(self, &query)?;
                 self.check_storable(rs.rows())?;
                 let schema = rs.schema().unqualified();
-                let mut table = Table::new(name.clone(), schema);
+                let mut table = Table::new(name, schema);
                 let n = table.insert_all(rs.into_rows())?;
                 self.stats.rows_inserted += n as u64;
                 self.catalog.create_table(table)?;
@@ -425,10 +442,7 @@ impl Database {
                 })
             }
             Statement::CreateView { name, query } => {
-                self.catalog.create_view(View {
-                    name: name.clone(),
-                    query: query.clone(),
-                })?;
+                self.catalog.create_view(View { name, query })?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
@@ -440,28 +454,28 @@ impl Database {
                 increment,
             } => {
                 self.catalog
-                    .create_sequence(Sequence::new(name.clone(), *start, *increment))?;
+                    .create_sequence(Sequence::new(name, start, increment))?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
                 })
             }
             Statement::DropTable { name, if_exists } => {
-                self.catalog.drop_table(name, *if_exists)?;
+                self.catalog.drop_table(&name, if_exists)?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
                 })
             }
             Statement::DropView { name, if_exists } => {
-                self.catalog.drop_view(name, *if_exists)?;
+                self.catalog.drop_view(&name, if_exists)?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
                 })
             }
             Statement::DropSequence { name, if_exists } => {
-                self.catalog.drop_sequence(name, *if_exists)?;
+                self.catalog.drop_sequence(&name, if_exists)?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     result: None,
@@ -471,16 +485,16 @@ impl Database {
                 table,
                 columns,
                 source,
-            } => self.run_insert(table, columns.as_deref(), source),
+            } => self.run_insert(&table, columns.as_deref(), source),
             Statement::Delete {
                 table,
                 where_clause,
-            } => self.run_delete(table, where_clause.as_ref()),
+            } => self.run_delete(&table, where_clause.as_ref()),
             Statement::Update {
                 table,
                 assignments,
                 where_clause,
-            } => self.run_update(table, assignments, where_clause.as_ref()),
+            } => self.run_update(&table, &assignments, where_clause.as_ref()),
         }
     }
 
@@ -488,25 +502,30 @@ impl Database {
         &mut self,
         table: &str,
         columns: Option<&[String]>,
-        source: &InsertSource,
+        source: InsertSource,
     ) -> Result<ExecOutcome> {
         // Compute the incoming rows first (needs &mut self for NEXTVAL and
-        // subqueries), then touch the target table.
+        // subqueries), then touch the target table. A literal's value
+        // moves into its row; every other item is evaluated, in order.
         let incoming: Vec<Row> = match source {
             InsertSource::Values(rows) => {
                 let empty_schema = Schema::default();
                 let empty_row: Row = Vec::new();
-                let mut out = Vec::with_capacity(rows.len());
-                for exprs in rows {
-                    let mut r = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        r.push(eval_expr(e, &empty_schema, &empty_row, self)?);
+                let mut out = Vec::with_capacity(rows.widths.len());
+                let mut exprs = rows.exprs.into_iter();
+                for width in rows.widths {
+                    let mut r = Vec::with_capacity(width);
+                    for e in exprs.by_ref().take(width) {
+                        r.push(match e {
+                            Expr::Literal(v) => v,
+                            e => eval_expr(&e, &empty_schema, &empty_row, self)?,
+                        });
                     }
                     out.push(r);
                 }
                 out
             }
-            InsertSource::Query(q) => run_select(self, q)?.into_rows(),
+            InsertSource::Query(q) => run_select(self, &q)?.into_rows(),
         };
 
         // Map through the explicit column list, if present.
@@ -665,18 +684,22 @@ impl QueryCtx for Database {
         self.reference_paths
     }
 
+    /// Counters saturate: a counted join can stand for more joined rows
+    /// than a `u64` holds.
     fn bump(&mut self, counter: ExecCounter, n: u64) {
         let stats = &mut self.stats;
-        match counter {
-            ExecCounter::ProgramsCompiled => stats.programs_compiled += n,
-            ExecCounter::ConstFolded => stats.exprs_const_folded += n,
-            ExecCounter::RowsScanned => stats.rows_scanned += n,
-            ExecCounter::RowsFiltered => stats.rows_filtered += n,
-            ExecCounter::RowsJoined => stats.rows_joined += n,
-            ExecCounter::PlannerPlans => stats.planner_plans += n,
-            ExecCounter::PlannerReorderedJoins => stats.planner_reordered_joins += n,
-            ExecCounter::PlannerPushedFilters => stats.planner_pushed_filters += n,
-        }
+        let counter = match counter {
+            ExecCounter::ProgramsCompiled => &mut stats.programs_compiled,
+            ExecCounter::ConstFolded => &mut stats.exprs_const_folded,
+            ExecCounter::RowsScanned => &mut stats.rows_scanned,
+            ExecCounter::RowsFiltered => &mut stats.rows_filtered,
+            ExecCounter::RowsJoined => &mut stats.rows_joined,
+            ExecCounter::JoinTuples => &mut stats.join_tuples,
+            ExecCounter::PlannerPlans => &mut stats.planner_plans,
+            ExecCounter::PlannerReorderedJoins => &mut stats.planner_reordered_joins,
+            ExecCounter::PlannerPushedFilters => &mut stats.planner_pushed_filters,
+        };
+        *counter = counter.saturating_add(n);
     }
 }
 

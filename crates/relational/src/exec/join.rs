@@ -30,6 +30,7 @@
 use std::sync::Arc;
 
 use crate::error::Result;
+use crate::exec::counted::{self, CountedAgg};
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::QueryCtx;
 use crate::expr::{BinOp, Expr};
@@ -159,13 +160,13 @@ impl JoinKey {
     }
 
     /// The key expression living in factor `f`, one of the key's two.
-    fn side(&self, f: usize) -> &Expr {
+    pub(crate) fn side(&self, f: usize) -> &Expr {
         self.sides()[usize::from(self.factors[0] != f)]
     }
 
     /// The opposite side of factor `f`: `(factor, key expression)`, or
     /// `None` when `f` is not one of the key's factors.
-    fn other(&self, f: usize) -> Option<(usize, &Expr)> {
+    pub(crate) fn other(&self, f: usize) -> Option<(usize, &Expr)> {
         let i = 1 - self.factors.iter().position(|&g| g == f)?;
         Some((self.factors[i], self.sides()[i]))
     }
@@ -387,16 +388,29 @@ fn gather_tuple_key(
     true
 }
 
+/// What joining a FROM list hands its statement.
+#[derive(Debug)]
+pub(crate) enum Joined {
+    /// The joined rows.
+    Rows(Relation),
+    /// The answer of a counted join ([`counted::answer`]): the one row of
+    /// the statement's aggregates, and the joined schema.
+    Counted(Schema, Row),
+}
+
 /// Join the factors of a FROM list as `plan` says. The caller filters
-/// the result by the plan's residual conjuncts. The planned join keeps
-/// only the columns `demand` reads; the written-order fold keeps every
-/// column.
-pub fn join_factors(
+/// the joined rows by the plan's residual conjuncts. The planned join
+/// keeps only the columns `demand` reads; the written-order fold keeps
+/// every column. With `counted` — the items of an aggregate-only
+/// statement over a plan with no residual — a planned join of two or more
+/// factors answers them by counting, where that answer is the fold's.
+pub(crate) fn join_factors(
     mut factors: Vec<Relation>,
     plan: &JoinPlan,
     demand: &Demand,
+    counted: Option<&[CountedAgg]>,
     ctx: &mut dyn QueryCtx,
-) -> Result<Relation> {
+) -> Result<Joined> {
     let planned = !ctx.reference_paths();
     if planned {
         ctx.bump(ExecCounter::PlannerPlans, 1);
@@ -407,11 +421,16 @@ pub fn join_factors(
             ctx.bump(ExecCounter::PlannerPushedFilters, 1);
         }
     }
-    if planned && factors.len() >= 2 {
-        run_plan(factors, plan, demand, ctx)
-    } else {
-        fold(factors, plan, ctx)
+    if !planned || factors.len() < 2 {
+        return fold(factors, plan, ctx).map(Joined::Rows);
     }
+    ctx.bump(ExecCounter::PlannerReorderedJoins, plan.reordered() as u64);
+    if let Some(aggs) = counted {
+        if let Some((schema, row)) = counted::answer(&factors, plan, aggs, ctx)? {
+            return Ok(Joined::Counted(schema, row));
+        }
+    }
+    run_plan(factors, plan, demand, ctx).map(Joined::Rows)
 }
 
 /// The reference join: fold the factors in written order, the next factor
@@ -519,13 +538,13 @@ fn run_plan(
             }
             out
         };
-        ctx.bump(ExecCounter::RowsJoined, (out.len() / n) as u64);
+        joined_as_built(ctx, (out.len() / n) as u64);
         tuples = out;
     }
-    ctx.bump(ExecCounter::PlannerReorderedJoins, plan.reordered() as u64);
 
     // Only the columns some later reference can resolve to are built; a
-    // `COUNT(*)` join builds width-0 rows, which allocate nothing.
+    // statement that reads none (`SELECT 1 FROM a, b`) builds width-0
+    // rows, which allocate nothing.
     let (mut columns, mut schema) = (Vec::new(), Schema::default());
     for (fi, fct) in factors.iter().enumerate() {
         for (ci, c) in fct.schema.columns().iter().enumerate() {
@@ -534,10 +553,6 @@ fn run_plan(
                 schema.push(c.clone());
             }
         }
-    }
-    if columns.is_empty() {
-        // Every output row is the same empty row, so their order is moot.
-        return Ok(Relation::owned(schema, vec![Vec::new(); tuples.len() / n]));
     }
     let row_of = |t: &[u32]| -> Row {
         columns
@@ -553,6 +568,12 @@ fn run_plan(
     perm.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
     let rows: Vec<Row> = perm.into_iter().map(|i| row_of(tuple(i))).collect();
     Ok(Relation::owned(schema, rows))
+}
+
+/// Account `n` joined rows, each built as a tuple or row of its own.
+pub(crate) fn joined_as_built(ctx: &mut dyn QueryCtx, n: u64) {
+    ctx.bump(ExecCounter::RowsJoined, n);
+    ctx.bump(ExecCounter::JoinTuples, n);
 }
 
 /// Append tuple `t` with factor `f`'s slot set to `row`.
@@ -574,7 +595,7 @@ fn cross_join(a: &Relation, b: &Relation, ctx: &mut dyn QueryCtx) -> Relation {
             rows.push(r);
         }
     }
-    ctx.bump(ExecCounter::RowsJoined, rows.len() as u64);
+    joined_as_built(ctx, rows.len() as u64);
     Relation::owned(schema, rows)
 }
 
@@ -614,7 +635,7 @@ fn hash_join(
         r.extend_from_slice(&build.rows[bi]);
         rows.push(r);
     }
-    ctx.bump(ExecCounter::RowsJoined, rows.len() as u64);
+    joined_as_built(ctx, rows.len() as u64);
     Ok(Relation::owned(schema, rows))
 }
 
@@ -648,7 +669,10 @@ mod tests {
             where_(pred)
         };
         let plan = plan_joins(&schemas, conjuncts);
-        let joined = join_factors(factors, &plan, demand, &mut NoCtx).unwrap();
+        let Joined::Rows(joined) = join_factors(factors, &plan, demand, None, &mut NoCtx).unwrap()
+        else {
+            unreachable!("nothing counted")
+        };
         (joined, plan.residual)
     }
 

@@ -1,5 +1,6 @@
 //! Query execution.
 
+pub(crate) mod counted;
 pub mod explain;
 pub mod join;
 pub mod select;

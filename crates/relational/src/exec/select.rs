@@ -29,8 +29,9 @@ use std::sync::Arc;
 
 use crate::engine::Database;
 use crate::error::{Error, Result};
-use crate::exec::join::{conjuncts, filter_relation, join_factors, plan_joins, Demand};
-use crate::exec::join::{JoinPlan, Relation};
+use crate::exec::counted::CountedAgg;
+use crate::exec::join::{conjuncts, filter_relation, join_factors, joined_as_built, plan_joins};
+use crate::exec::join::{Demand, JoinPlan, Joined, Relation};
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::{eval_grouped, Kept, QueryCtx, SubqueryKind};
 use crate::expr::{AggFunc, BinOp, Expr};
@@ -106,6 +107,12 @@ pub(crate) struct Body {
     pub(crate) grouped: bool,
     pub(crate) dedup: bool,
     into_var: Option<String>,
+    /// The items of a statement a planned join can count instead of
+    /// build ([`crate::exec::counted`]): two or more FROM entries and no
+    /// residual conjunct; every item a `COUNT`, `SUM`, `MIN` or `MAX`
+    /// of `*` or of a column, not DISTINCT; no GROUP BY, HAVING or
+    /// DISTINCT, and ORDER BY keys that name output columns.
+    pub(crate) counted: Option<Vec<CountedAgg>>,
 }
 
 /// An explicit `[LEFT] JOIN factor ON …` chained to a FROM factor.
@@ -264,6 +271,16 @@ impl Planner {
         let grouped = !stmt.group_by.is_empty()
             || outputs.iter().any(|(e, _)| e.contains_aggregate())
             || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
+        let countable = from.len() >= 2
+            && joins.residual.is_empty()
+            && expand_error.is_none()
+            && stmt.group_by.is_empty()
+            && stmt.having.is_none()
+            && !stmt.distinct
+            && sort.iter().all(|k| k.output.is_some());
+        let counted = countable
+            .then(|| outputs.iter().map(|(e, _)| CountedAgg::of(e)).collect())
+            .flatten();
         let body = Body {
             from,
             joins,
@@ -275,6 +292,7 @@ impl Planner {
             grouped,
             dedup: stmt.distinct,
             into_var: stmt.into_var.clone(),
+            counted,
         };
         Ok(SelectPlan {
             shape: Shape::Body(Box::new(body)),
@@ -582,10 +600,20 @@ fn run_body(db: &mut Database, body: &Body, plan: &SelectPlan) -> Result<ResultS
         }
         factors.push(current);
     }
-    let mut input = if factors.is_empty() {
-        Relation::unit()
+    let joined = if factors.is_empty() {
+        Joined::Rows(Relation::unit())
     } else {
-        join_factors(factors, &body.joins, &body.demand, db)?
+        join_factors(
+            factors,
+            &body.joins,
+            &body.demand,
+            body.counted.as_deref(),
+            db,
+        )?
+    };
+    let (mut input, counted) = match joined {
+        Joined::Rows(input) => (input, None),
+        Joined::Counted(schema, row) => (Relation::owned(schema, Vec::new()), Some(row)),
     };
     if let Some(pred) = Expr::conjoin(body.joins.residual.iter().cloned()) {
         filter_relation(&mut input, &pred, db)?;
@@ -596,9 +624,15 @@ fn run_body(db: &mut Database, body: &Body, plan: &SelectPlan) -> Result<ResultS
     let items = &body.outputs;
 
     // 2-6. Evaluate rows (grouped or per-row) with their sort keys, and
-    // hand each to the cutting operators (DISTINCT, ORDER BY, LIMIT).
+    // hand each to the cutting operators (DISTINCT, ORDER BY, LIMIT). A
+    // counted join has already answered its one row.
     let mut cut = Cut::new(&plan.sort, body.dedup, plan.max_rows);
-    if body.grouped {
+    if let Some(row) = counted {
+        cut.offer(&mut Entry {
+            row,
+            ..Entry::default()
+        });
+    } else if body.grouped {
         run_grouped(db, &input, body, &mut cut)?;
     } else {
         if body.group_filter.is_some() {
@@ -721,7 +755,7 @@ fn explicit_join(
             rows.push(r);
         }
     }
-    db.bump(ExecCounter::RowsJoined, rows.len() as u64);
+    joined_as_built(db, rows.len() as u64);
     Ok(Relation::owned(schema, rows))
 }
 

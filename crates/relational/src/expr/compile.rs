@@ -42,6 +42,9 @@ pub enum ExecCounter {
     RowsFiltered,
     /// Rows produced by join operators.
     RowsJoined,
+    /// What join operators actually built to produce them: a tuple per
+    /// joined row, or one entry per distinct live value of a counted join.
+    JoinTuples,
     /// FROM lists planned by [`crate::exec::join::plan_joins`] and run
     /// in its step order.
     PlannerPlans,

@@ -624,7 +624,7 @@ pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
 }
 
 /// The error of an INT result outside the 64-bit range.
-fn overflow() -> Error {
+pub(crate) fn overflow() -> Error {
     Error::Arithmetic {
         message: "integer overflow".into(),
     }

@@ -131,9 +131,30 @@ impl SelectStmt {
 #[derive(Debug, Clone, PartialEq)]
 pub enum InsertSource {
     /// `VALUES (..), (..)`
-    Values(Vec<Vec<Expr>>),
+    Values(ValuesRows),
     /// `INSERT INTO t (SELECT ...)` (boxed: SelectStmt is large).
     Query(Box<SelectStmt>),
+}
+
+/// The rows of a `VALUES` list: every row's expressions in one vector,
+/// row after row, so a bulk list costs no block per row.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ValuesRows {
+    pub exprs: Vec<Expr>,
+    /// Each row's number of expressions, in order.
+    pub widths: Vec<usize>,
+}
+
+impl ValuesRows {
+    /// The rows, in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Expr]> {
+        let mut rest = self.exprs.as_slice();
+        self.widths.iter().map(move |&w| {
+            let (row, tail) = rest.split_at(w);
+            rest = tail;
+            row
+        })
+    }
 }
 
 /// A top-level SQL statement.
@@ -343,7 +364,7 @@ impl fmt::Display for Statement {
                 match source {
                     InsertSource::Values(rows) => {
                         write!(f, " VALUES ")?;
-                        for (i, row) in rows.iter().enumerate() {
+                        for (i, row) in rows.rows().enumerate() {
                             if i > 0 {
                                 write!(f, ", ")?;
                             }

@@ -9,7 +9,7 @@ use crate::error::{Error, Result};
 use crate::expr::{AggFunc, BinOp, Expr, UnaryOp};
 use crate::sql::ast::{
     InsertSource, Join, JoinKind, OrderItem, SelectItem, SelectStmt, SetOpKind, Statement,
-    TableRef, TableSource,
+    TableRef, TableSource, ValuesRows,
 };
 use crate::sql::lexer::{lex, Tok, Token};
 use crate::types::DataType;
@@ -77,8 +77,12 @@ const RESERVED: &[&str] = &[
 pub const MAX_EXPR_DEPTH: usize = 64;
 
 /// Token-stream parser with single-statement and expression entry points.
-pub struct Parser {
-    toks: Vec<Token>,
+///
+/// The whole input is lexed before parsing starts, so a lex error comes
+/// before any parse error. Tokens borrow the input's text; the parser
+/// never clones one: a literal's token moves into its `Expr`.
+pub struct Parser<'a> {
+    toks: Vec<Token<'a>>,
     pos: usize,
     input_len: usize,
     /// Open expression/SELECT frames (the parser's own recursion).
@@ -89,35 +93,27 @@ pub struct Parser {
 
 /// Parse exactly one statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let mut p = Parser::from_sql(sql)?;
-    let stmt = p.parse_statement()?;
-    p.accept_tok(&Tok::Semi);
-    p.expect_eof()?;
-    Ok(stmt)
+    Parser::from_sql(sql)?.statement()
 }
 
 /// Parse a `;`-separated script.
 pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
-    let mut p = Parser::from_sql(sql)?;
-    let mut out = Vec::new();
-    while !p.eof() {
-        out.push(p.parse_statement()?);
-        while p.accept_tok(&Tok::Semi) {}
-    }
-    Ok(out)
+    Parser::from_sql(sql)?.script()
 }
 
 /// Parse a standalone scalar expression (used for MINE RULE conditions).
 pub fn parse_expression(sql: &str) -> Result<Expr> {
     let mut p = Parser::from_sql(sql)?;
-    let e = p.parse_expr()?;
-    p.expect_eof()?;
-    Ok(e)
+    let e = p.parse_expr().and_then(|e| {
+        p.expect_eof()?;
+        Ok(e)
+    });
+    p.settle(e)
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Lex `sql` and build a parser over its tokens.
-    pub fn from_sql(sql: &str) -> Result<Parser> {
+    pub fn from_sql(sql: &'a str) -> Result<Parser<'a>> {
         Ok(Parser {
             toks: lex(sql)?,
             pos: 0,
@@ -125,6 +121,47 @@ impl Parser {
             depth: 0,
             peak: 0,
         })
+    }
+
+    /// Tokens lexed from the input.
+    pub fn tokens(&self) -> usize {
+        self.toks.len()
+    }
+
+    /// The error a failed parse reports: the lex error of the input's
+    /// first [`Tok::IntMinMagnitude`], if it has one — the error every
+    /// such input reported before a unary minus could take that token —
+    /// and otherwise the parse's own.
+    pub fn deferred_error(&self) -> Option<Error> {
+        self.toks.iter().find_map(Token::deferred_error)
+    }
+
+    /// `parsed`, with a failure replaced as [`Parser::deferred_error`] says.
+    pub fn settle<T>(&self, parsed: Result<T>) -> Result<T> {
+        parsed.map_err(|e| self.deferred_error().unwrap_or(e))
+    }
+
+    /// The input as exactly one statement (a trailing `;` is allowed).
+    pub fn statement(mut self) -> Result<Statement> {
+        let stmt = self.parse_statement().and_then(|stmt| {
+            self.accept_tok(&Tok::Semi);
+            self.expect_eof()?;
+            Ok(stmt)
+        });
+        self.settle(stmt)
+    }
+
+    /// The input as a `;`-separated script.
+    pub fn script(mut self) -> Result<Vec<Statement>> {
+        let mut out = Vec::new();
+        while !self.eof() {
+            match self.parse_statement() {
+                Ok(stmt) => out.push(stmt),
+                Err(e) => return self.settle(Err(e)),
+            }
+            while self.accept_tok(&Tok::Semi) {}
+        }
+        Ok(out)
     }
 
     /// True when all tokens are consumed.
@@ -184,22 +221,23 @@ impl Parser {
         Ok(())
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos).map(|t| &t.tok)
     }
 
     /// Peek at the next token without consuming it (for embedding parsers
     /// such as the MINE RULE front-end).
-    pub fn peek_tok(&self) -> Option<&Tok> {
+    pub fn peek_tok(&self) -> Option<&Tok<'a>> {
         self.peek()
     }
 
-    fn peek_n(&self, n: usize) -> Option<&Tok> {
+    fn peek_n(&self, n: usize) -> Option<&Tok<'a>> {
         self.toks.get(self.pos + n).map(|t| &t.tok)
     }
 
-    fn advance(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
+    /// Consume the next token and return it by reference.
+    fn advance(&mut self) -> Option<&Tok<'a>> {
+        let t = self.toks.get(self.pos).map(|t| &t.tok);
         if t.is_some() {
             self.pos += 1;
         }
@@ -207,7 +245,7 @@ impl Parser {
     }
 
     /// Consume `t` if it is next; report whether it was.
-    pub fn accept_tok(&mut self, t: &Tok) -> bool {
+    pub fn accept_tok(&mut self, t: &Tok<'a>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -217,7 +255,7 @@ impl Parser {
     }
 
     /// Require token `t`.
-    pub fn expect_tok(&mut self, t: &Tok) -> Result<()> {
+    pub fn expect_tok(&mut self, t: &Tok<'a>) -> Result<()> {
         if self.accept_tok(t) {
             Ok(())
         } else {
@@ -257,10 +295,9 @@ impl Parser {
     /// Require any identifier and return it.
     pub fn expect_ident(&mut self) -> Result<String> {
         match self.peek() {
-            Some(Tok::Ident(s)) => {
-                let s = s.clone();
+            Some(&Tok::Ident(s)) => {
                 self.pos += 1;
-                Ok(s)
+                Ok(s.to_string())
             }
             _ => Err(self.error("expected identifier")),
         }
@@ -480,18 +517,23 @@ impl Parser {
             columns = Some(cols);
         }
         if self.accept_kw("VALUES") {
-            let mut rows = Vec::new();
+            let mut rows = ValuesRows::default();
             loop {
                 self.expect_tok(&Tok::LParen)?;
-                let mut row = Vec::new();
+                let mut width = 0;
                 loop {
-                    row.push(self.parse_expr()?);
+                    let item = match self.lone_literal() {
+                        Some(value) => Expr::Literal(value),
+                        None => self.parse_expr()?,
+                    };
+                    rows.exprs.push(item);
+                    width += 1;
                     if !self.accept_tok(&Tok::Comma) {
                         break;
                     }
                 }
                 self.expect_tok(&Tok::RParen)?;
-                rows.push(row);
+                rows.widths.push(width);
                 if !self.accept_tok(&Tok::Comma) {
                     break;
                 }
@@ -546,7 +588,7 @@ impl Parser {
         }
         let into_var = if self.accept_kw("INTO") {
             match self.advance() {
-                Some(Tok::HostVar(v)) => Some(v),
+                Some(&Tok::HostVar(v)) => Some(v.to_string()),
                 _ => return Err(self.error("expected host variable after INTO")),
             }
         } else {
@@ -646,12 +688,11 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // `alias.*`
-        if let (Some(Tok::Ident(q)), Some(Tok::Dot), Some(Tok::Star)) =
+        if let (Some(&Tok::Ident(q)), Some(Tok::Dot), Some(Tok::Star)) =
             (self.peek(), self.peek_n(1), self.peek_n(2))
         {
-            let q = q.clone();
             self.pos += 3;
-            return Ok(SelectItem::QualifiedWildcard(q));
+            return Ok(SelectItem::QualifiedWildcard(q.to_string()));
         }
         let expr = self.parse_expr()?;
         let alias = self.parse_opt_alias();
@@ -663,11 +704,10 @@ impl Parser {
         if self.accept_kw("AS") {
             return self.expect_ident().ok();
         }
-        if let Some(Tok::Ident(s)) = self.peek() {
+        if let Some(&Tok::Ident(s)) = self.peek() {
             if !RESERVED.iter().any(|k| s.eq_ignore_ascii_case(k)) {
-                let s = s.clone();
                 self.pos += 1;
-                return Some(s);
+                return Some(s.to_string());
             }
         }
         None
@@ -869,6 +909,11 @@ impl Parser {
             });
         }
         if self.accept_tok(&Tok::Minus) {
+            if let Some(Tok::IntMinMagnitude(_)) = self.peek() {
+                self.pos += 1;
+                self.grow()?;
+                return Ok(Expr::Literal(Value::Int(i64::MIN)));
+            }
             let inner = self.parse_expr_prec(7)?;
             self.grow()?;
             return Ok(Expr::Unary {
@@ -896,23 +941,43 @@ impl Parser {
         Ok(node)
     }
 
+    /// The next token's value when it is an INT, FLOAT or string literal,
+    /// which consumes it. A string's text moves out of the token (nothing
+    /// reads a consumed token's text again; an error reads only its
+    /// position): an escaped literal's copy moves, a slice is copied once.
+    fn literal(&mut self) -> Option<Value> {
+        let value = match &mut self.toks.get_mut(self.pos)?.tok {
+            Tok::Int(i) => Value::Int(*i),
+            Tok::Float(x) => Value::Float(*x),
+            Tok::Str(s) => Value::Str(std::mem::take(s).into_owned()),
+            _ => return None,
+        };
+        self.pos += 1;
+        Some(value)
+    }
+
+    /// A VALUES item that is a lone literal — an INT, FLOAT or string
+    /// token directly followed by `,` or `)` — as its value, consumed
+    /// without descending through the precedence levels. The frame it
+    /// would have opened holds one node, as [`Parser::parse_expr`] counts.
+    fn lone_literal(&mut self) -> Option<Value> {
+        let fits = self.depth + 2 <= MAX_EXPR_DEPTH;
+        if !fits || !matches!(self.peek_n(1), Some(Tok::Comma | Tok::RParen)) {
+            return None;
+        }
+        let value = self.literal()?;
+        self.peak = self.peak.max(1);
+        Some(value)
+    }
+
     fn parse_primary_node(&mut self) -> Result<Expr> {
-        match self.peek().cloned() {
-            Some(Tok::Int(i)) => {
+        if let Some(value) = self.literal() {
+            return Ok(Expr::Literal(value));
+        }
+        match self.peek() {
+            Some(&Tok::HostVar(v)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Int(i)))
-            }
-            Some(Tok::Float(x)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Float(x)))
-            }
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Str(s)))
-            }
-            Some(Tok::HostVar(v)) => {
-                self.pos += 1;
-                Ok(Expr::HostVar(v))
+                Ok(Expr::HostVar(v.to_string()))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
@@ -920,12 +985,15 @@ impl Parser {
                 self.expect_tok(&Tok::RParen)?;
                 Ok(Expr::ScalarSubquery(Box::new(q)))
             }
-            Some(Tok::Ident(name)) => self.parse_ident_primary(name),
+            Some(&Tok::Ident(name)) => self.parse_ident_primary(name),
+            Some(Tok::IntMinMagnitude(_)) => {
+                Err(self.toks[self.pos].deferred_error().expect("deferred"))
+            }
             _ => Err(self.error("expected an expression")),
         }
     }
 
-    fn parse_ident_primary(&mut self, name: String) -> Result<Expr> {
+    fn parse_ident_primary(&mut self, name: &'a str) -> Result<Expr> {
         let upper = name.to_ascii_uppercase();
         match upper.as_str() {
             "NULL" => {
@@ -941,14 +1009,13 @@ impl Parser {
                 return Ok(Expr::Literal(Value::Bool(false)));
             }
             "DATE" => {
-                if let Some(Tok::Str(_)) = self.peek_n(1) {
-                    self.pos += 1;
-                    if let Some(Tok::Str(s)) = self.advance() {
-                        let d = Date::parse(&s)
-                            .ok_or_else(|| self.error(format!("bad date literal '{s}'")))?;
-                        return Ok(Expr::Literal(Value::Date(d)));
-                    }
-                    unreachable!();
+                if let Some(Tok::Str(s)) = self.peek_n(1) {
+                    let d = Date::parse(s).ok_or_else(|| format!("bad date literal '{s}'"));
+                    // The error points past the string, as its position
+                    // was read after both tokens were consumed.
+                    self.pos += 2;
+                    let d = d.map_err(|message| self.error(message))?;
+                    return Ok(Expr::Literal(Value::Date(d)));
                 }
             }
             "CASE" => {
@@ -1023,7 +1090,7 @@ impl Parser {
         // Function or aggregate call: ident '('.
         if self.peek_n(1) == Some(&Tok::LParen) {
             self.pos += 2;
-            if let Some(func) = AggFunc::from_name(&name) {
+            if let Some(func) = AggFunc::from_name(name) {
                 if func == AggFunc::Count && self.accept_tok(&Tok::Star) {
                     self.expect_tok(&Tok::RParen)?;
                     return Ok(Expr::Aggregate {
@@ -1051,21 +1118,23 @@ impl Parser {
                 }
                 self.expect_tok(&Tok::RParen)?;
             }
-            return Ok(Expr::Func { name, args });
+            return Ok(Expr::Func {
+                name: name.to_string(),
+                args,
+            });
         }
 
         // Qualified reference: ident '.' ident — either sequence NEXTVAL
         // or a qualified column.
         if self.peek_n(1) == Some(&Tok::Dot) {
-            if let Some(Tok::Ident(second)) = self.peek_n(2) {
-                let second = second.clone();
+            if let Some(&Tok::Ident(second)) = self.peek_n(2) {
                 self.pos += 3;
                 if second.eq_ignore_ascii_case("NEXTVAL") {
-                    return Ok(Expr::NextVal(name));
+                    return Ok(Expr::NextVal(name.to_string()));
                 }
                 return Ok(Expr::Column {
-                    qualifier: Some(name),
-                    name: second,
+                    qualifier: Some(name.to_string()),
+                    name: second.to_string(),
                 });
             }
         }
@@ -1073,7 +1142,7 @@ impl Parser {
         self.pos += 1;
         Ok(Expr::Column {
             qualifier: None,
-            name,
+            name: name.to_string(),
         })
     }
 }
@@ -1196,7 +1265,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(columns.unwrap(), vec!["a", "b"]);
-                assert_eq!(rows.len(), 2);
+                assert_eq!(rows.widths, vec![2, 2]);
             }
             _ => unreachable!(),
         }

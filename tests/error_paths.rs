@@ -344,7 +344,7 @@ fn deepest_accepted_expressions_run_inside_a_test_thread_stack() {
             let rs = db.query(&sql).unwrap_or_else(|e| panic!("{e}: {sql:.60}"));
             assert!(!rs.is_empty(), "{sql:.60}");
             // (Built, not parsed: `EXPLAIN` itself costs a level.)
-            db.run_statement(&Statement::Explain(Box::new(stmt.clone())))
+            db.run_statement(Statement::Explain(Box::new(stmt.clone())))
                 .unwrap();
         }
         assert!(stmt.to_string().starts_with("SELECT"), "prints: {sql:.60}");
@@ -751,4 +751,72 @@ fn a_row_the_cut_drops_still_raises_its_error() {
             );
         }
     }
+}
+
+#[test]
+fn i64_min_is_written_under_a_unary_minus_and_nowhere_else() {
+    let mut db = purchase_db();
+    let rs = db
+        .query("SELECT -9223372036854775808, - 9223372036854775808 * 1")
+        .unwrap();
+    assert_eq!(
+        rs.rows()[0],
+        vec![Value::Int(i64::MIN), Value::Int(i64::MIN)]
+    );
+    db.execute("CREATE TABLE m (k INT, v VARCHAR)").unwrap();
+    db.execute("INSERT INTO m VALUES (-9223372036854775808, 'x'), (-09223372036854775808, 'y')")
+        .unwrap();
+    let rs = db
+        .query("SELECT COUNT(*) FROM m WHERE k = -9223372036854775808")
+        .unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(2)));
+    // Negating it again, or subtracting from it, is the arithmetic overflow.
+    for sql in [
+        "SELECT - -9223372036854775808",
+        "SELECT -9223372036854775808 - 1",
+    ] {
+        let err = db.query(sql).unwrap_err().to_string();
+        assert_eq!(err, "arithmetic error: integer overflow", "{sql}");
+    }
+    // Every other spelling fails as before, at the first bad literal.
+    for (sql, err) in [
+        (
+            "SELECT 9223372036854775808",
+            "lex error at 7: bad integer literal '9223372036854775808'",
+        ),
+        (
+            "SELECT 1 -9223372036854775808",
+            "lex error at 10: bad integer literal '9223372036854775808'",
+        ),
+        (
+            "SELECT -9223372036854775809",
+            "lex error at 8: bad integer literal '9223372036854775809'",
+        ),
+        (
+            "SELECT -9223372036854775808 FROM",
+            "lex error at 8: bad integer literal '9223372036854775808'",
+        ),
+        (
+            "SELECT -9223372036854775808 'open",
+            "lex error at 8: bad integer literal '9223372036854775808'",
+        ),
+        (
+            "SELECT - 9223372036854775808, 9223372036854775808",
+            "lex error at 9: bad integer literal '9223372036854775808'",
+        ),
+    ] {
+        assert_eq!(db.query(sql).unwrap_err().to_string(), err, "{sql}");
+    }
+    // The MINE RULE parser shares the lexer and the rule.
+    let mine = "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
+                FROM Purchase WHERE price > -9223372036854775808 GROUP BY customer \
+                EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
+    assert!(minerule::parse_mine_rule(mine).is_ok());
+    let broken = mine.replace("GROUP BY", "GROUP");
+    let err = minerule::parse_mine_rule(&broken).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("bad integer literal '9223372036854775808'"),
+        "{err}"
+    );
 }

@@ -204,6 +204,23 @@ fn a_derived_table_is_planned_through_its_own_plan() {
 }
 
 #[test]
+fn an_aggregate_only_join_says_it_is_counted() {
+    let mut db = tu_db();
+    let q = "SELECT COUNT(*), MAX(u.a) FROM t x, u WHERE x.a = u.a";
+    assert_eq!(
+        plan(&mut db, q),
+        "Select\n  scan t AS x [3 rows]\n  scan u [4 rows]\n  \
+         hash join on: x.a = u.a (step 1: x ⋈ u)\n  aggregate (single group, join counted)"
+    );
+    db.set_reference_paths(true);
+    assert_eq!(
+        plan(&mut db, q),
+        "Select\n  scan t AS x [3 rows]\n  scan u [4 rows]\n  \
+         hash join on: x.a = u.a\n  aggregate (single group)"
+    );
+}
+
+#[test]
 fn an_aggregate_in_having_alone_makes_one_group() {
     let mut db = tu_db();
     let q = "SELECT 'many' FROM t HAVING COUNT(*) > 1";

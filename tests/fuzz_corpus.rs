@@ -5,13 +5,16 @@
 //! quick configuration matrix (the full matrix runs in CI's `fuzz-smoke`
 //! job and nightly). Every one in `tests/fuzz_open/` — a divergence not
 //! mended yet — still diverges between the two configurations its header
-//! names. The remaining tests pin the harness itself: an
+//! names. Both front ends survive mangled copies of every corpus
+//! statement (`tcdm_fuzz::frontend`). The remaining tests pin the
+//! harness itself: an
 //! injected skew is caught, the shrinker converges to a tiny case that
 //! still reproduces, and the shrunk case round-trips through the repro
 //! format.
 
 use std::path::{Path, PathBuf};
 
+use tcdm_fuzz::frontend::mangle;
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{
     diverges_between, run_case, Config, DivergenceKind, Matrix, MatrixOptions, Skew,
@@ -213,4 +216,41 @@ fn generated_cases_pass_the_quick_matrix() {
             .unwrap_or_else(|d| panic!("seed=0xC0FFEE case={i} diverged:\n{d}"));
     }
     let _ = std::fs::remove_dir_all(&opts.work_dir);
+}
+
+/// The statement shapes of the kernel benchmark's durable pass: a bulk
+/// load chunk, point DML and its analytic queries.
+const DURABLE_SHAPES: &[&str] = &[
+    "INSERT INTO Baskets VALUES (1, 'item17'), (1, 'item3'), (2, 'it''s'), \
+     (-9223372036854775808, 'é€'), (3, '')",
+    "INSERT INTO Journal VALUES (2000001, 'item42')",
+    "UPDATE Baskets SET item = 'item5' WHERE tr = 17",
+    "DELETE FROM Baskets WHERE tr = 17",
+    "SELECT COUNT(*) FROM Baskets a, Baskets b WHERE a.tr = b.tr",
+    "SELECT tr, item FROM Baskets ORDER BY item, tr LIMIT 20",
+];
+
+#[test]
+fn both_front_ends_survive_mangled_corpus_statements() {
+    let mut texts: Vec<String> = DURABLE_SHAPES.iter().map(|s| s.to_string()).collect();
+    for dir in [corpus_dir(), corpus_dir().join("../fuzz_open")] {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "repro") {
+                let repro = parse_repro(&std::fs::read_to_string(&path).unwrap()).unwrap();
+                texts.extend(repro.case.setup_statements());
+                texts.extend(repro.case.ops.iter().map(|op| op.text().to_string()));
+            }
+        }
+    }
+    texts.sort();
+    let mut checked = 0;
+    for (seed, text) in texts.iter().enumerate() {
+        checked += mangle(text, seed as u64).unwrap_or_else(|e| panic!("{e}"));
+    }
+    assert!(
+        checked > 10_000,
+        "{checked} inputs from {} statements",
+        texts.len()
+    );
 }

@@ -798,3 +798,116 @@ fn pruned_join_columns_resolve_and_fail_like_the_full_join() {
         assert_paths_agree(purchase_db, sql);
     }
 }
+
+/// `k` — NULL join keys, NULLs in every aggregated column, strings and
+/// floats (`-0.0` beside `0.0`); `e`, with `k`'s key columns and no
+/// rows; `big`, whose INT sum over its self-join overflows; `mixed`,
+/// whose positive and negative parts each leave `i64` while some sums
+/// stay in it.
+fn counted_fixture() -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE k (id INT, g INT, v INT, s VARCHAR, f FLOAT, d DATE);
+         INSERT INTO k VALUES (1, 1, 5, 'a', 1.5, DATE '1995-01-02'),
+           (2, 1, NULL, 'b', -0.0, NULL), (3, 2, -7, NULL, 0.0, DATE '1994-12-31'),
+           (4, NULL, 9, 'c', NULL, DATE '1995-03-01'), (5, 2, 3, 'a', 2.5, NULL),
+           (6, 3, 0, 'b', -1.0, DATE '1995-01-02');
+         CREATE TABLE e (id INT, g INT);
+         CREATE TABLE big (g INT, x INT);
+         INSERT INTO big VALUES (1, 9223372036854775807), (1, 1), (2, 3);
+         CREATE TABLE mixed (g INT, x INT);
+         INSERT INTO mixed VALUES (1, 9223372036854775807), (1, -9223372036854775807);
+         CREATE VIEW kv AS SELECT g, v FROM k WHERE v IS NOT NULL",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn counted_joins_answer_and_fail_like_the_fold() {
+    for sql in [
+        // NULL keys never match; NULLs are not counted by COUNT(col).
+        "SELECT COUNT(*) FROM k a, k b WHERE a.g = b.g",
+        "SELECT COUNT(*), COUNT(a.v), COUNT(b.s), COUNT(a.f) FROM k a, k b WHERE a.g = b.g",
+        "SELECT SUM(a.v), SUM(b.v), MIN(b.s), MAX(a.s), MIN(a.f), MAX(b.f), MIN(a.d), \
+         MAX(b.d) FROM k a, k b WHERE a.g = b.g",
+        "SELECT MIN(a.v), MAX(a.v), MIN(b.id) FROM k a, k b WHERE a.s = b.s",
+        // Empty factors, keyed and key-less.
+        "SELECT COUNT(*), COUNT(a.v), SUM(a.v), MIN(a.s), MAX(e.g) FROM k a, e \
+         WHERE a.id = e.id",
+        "SELECT COUNT(*), SUM(k.v) FROM k, e",
+        "SELECT COUNT(*) FROM e x, e y",
+        // Key-less cross products, three ways, with aggregated columns.
+        "SELECT COUNT(*) FROM k x, k y, k z",
+        "SELECT COUNT(*), SUM(y.v), MAX(z.s), COUNT(x.f) FROM k x, k y, k z",
+        // Self-joins on several keys, and a pushed filter.
+        "SELECT COUNT(*), SUM(b.v) FROM k a, k b WHERE a.g = b.g AND a.s = b.s",
+        "SELECT COUNT(*), MIN(b.f) FROM k a, k b WHERE a.g = b.g AND a.v > 0",
+        // Three-way chains: connected, and written disconnected.
+        "SELECT COUNT(*), MIN(c.v), MAX(a.s) FROM k a, k b, k c \
+         WHERE a.g = b.g AND b.id = c.id",
+        "SELECT COUNT(*), SUM(c.v) FROM k a, k c, k b WHERE a.g = b.g AND b.v = c.v",
+        "SELECT COUNT(*) FROM k a, k b, k c, k d WHERE a.g = b.g AND c.s = d.s",
+        // An explicit JOIN, a view and a derived table as factors.
+        "SELECT COUNT(*), SUM(c.v) FROM k a JOIN k b ON a.id = b.id, k c WHERE a.g = c.g",
+        "SELECT COUNT(*), SUM(kv.v) FROM kv, k WHERE kv.g = k.g",
+        "SELECT COUNT(*), MAX(d.m) FROM k a, (SELECT g, s AS m FROM k) d WHERE a.g = d.g",
+        // Values whose aggregate depends on row order: the row path.
+        "SELECT MIN(d.m), MAX(d.m) FROM k a, (SELECT id, CASE WHEN id > 3 THEN 1.0 \
+         ELSE id END AS m FROM k) d WHERE a.id = d.id",
+        "SELECT SUM(a.f), AVG(b.v), COUNT(DISTINCT a.g) FROM k a, k b WHERE a.g = b.g",
+        // INT sums: an overflow, and mixed signs that may or may not.
+        "SELECT SUM(a.x) FROM big a, big b WHERE a.g = b.g",
+        "SELECT COUNT(*), SUM(b.x) FROM big a, big b WHERE a.g = b.g",
+        "SELECT SUM(b.x) FROM mixed a, mixed b WHERE a.g = b.g",
+        "SELECT SUM(a.x) FROM mixed a, mixed b WHERE a.g = b.g",
+        "SELECT SUM(a.x), COUNT(*) FROM mixed a, mixed b",
+        // Columns that do not resolve: raised only over joined rows.
+        "SELECT COUNT(v) FROM k a, k b WHERE a.g = b.g",
+        "SELECT COUNT(a.nosuch) FROM k a, k b WHERE a.g = b.g",
+        "SELECT COUNT(nosuch), MIN(a.nosuch) FROM k a, e WHERE a.id = e.id",
+        // ORDER BY an output, LIMIT, INTO.
+        "SELECT COUNT(*) AS n FROM k a, k b WHERE a.g = b.g ORDER BY n LIMIT 0",
+        "SELECT COUNT(*), MAX(b.s) FROM k a, k b WHERE a.g = b.g ORDER BY 2 DESC LIMIT 1",
+        "SELECT COUNT(*) INTO :n FROM k a, k b WHERE a.g = b.g",
+    ] {
+        assert_paths_agree(counted_fixture, sql);
+    }
+}
+
+#[test]
+fn a_counted_join_counts_its_rows_and_builds_its_entries() {
+    let mut db = counted_fixture();
+    let before = db.stats();
+    let rs = db
+        .query("SELECT COUNT(*) FROM k a, k b WHERE a.g = b.g")
+        .unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(9)));
+    let after = db.stats();
+    // The joined rows are counted as the row path counts them; one entry
+    // is built: nothing is read after the step.
+    assert_eq!(after.rows_joined - before.rows_joined, 9);
+    assert_eq!(after.join_tuples - before.join_tuples, 1);
+    db.set_reference_paths(true);
+    let before = db.stats();
+    db.query("SELECT COUNT(*) FROM k a, k b WHERE a.g = b.g")
+        .unwrap();
+    let after = db.stats();
+    assert_eq!(after.rows_joined - before.rows_joined, 9);
+    assert_eq!(after.join_tuples - before.join_tuples, 9);
+}
+
+#[test]
+fn a_count_beyond_i64_is_the_overflow_error() {
+    // 6^24 rows fit in `i64`; 6^25 do not. Only the counted join can
+    // answer these: the fold would build every row.
+    let mut db = counted_fixture();
+    let cross = |n: usize| {
+        let from: Vec<String> = (0..n).map(|i| format!("k t{i}")).collect();
+        format!("SELECT COUNT(*) FROM {}", from.join(", "))
+    };
+    let rs = db.query(&cross(24)).unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(6i64.pow(24))));
+    let err = db.query(&cross(25)).unwrap_err();
+    assert_eq!(err.to_string(), "arithmetic error: integer overflow");
+}

@@ -584,6 +584,40 @@ fn deferred_encoded_rows_are_built_only_when_read() {
 }
 
 #[test]
+fn the_front_end_and_the_counted_join_keep_their_own_counters() {
+    let published = relational::ExecStats::default()
+        .named()
+        .map(|(name, _)| name);
+    for name in [
+        "relational.rows.join_tuples",
+        "relational.sql.tokens_lexed",
+        "relational.sql.bytes_lexed",
+    ] {
+        assert!(published.contains(&name), "{name}");
+    }
+    let mut db = relational::Database::new();
+    let sql = "CREATE TABLE t (k INT, v VARCHAR)";
+    db.execute(sql).unwrap();
+    let (tokens, bytes) = (db.stats().tokens_lexed, db.stats().bytes_lexed);
+    assert_eq!((tokens, bytes), (10, sql.len() as u64));
+    db.execute_script("INSERT INTO t VALUES (1, 'a'), (1, 'b'), (2, 'c'); SELECT k FROM t")
+        .unwrap();
+    assert_eq!(db.stats().tokens_lexed - tokens, 26);
+    // A count over a self-join counts its 5 joined rows and builds one
+    // entry; on the reference paths every joined row is built.
+    let count = "SELECT COUNT(*) FROM t a, t b WHERE a.k = b.k";
+    for (reference, built) in [(false, 1), (true, 5)] {
+        db.set_reference_paths(reference);
+        let before = db.stats();
+        let rs = db.query(count).unwrap();
+        assert_eq!(rs.scalar(), Some(&relational::Value::Int(5)));
+        let after = db.stats();
+        assert_eq!(after.rows_joined - before.rows_joined, 5);
+        assert_eq!(after.join_tuples - before.join_tuples, built);
+    }
+}
+
+#[test]
 fn snapshot_json_is_schema_versioned() {
     let mut db = purchase_db();
     let engine = MineRuleEngine::new();
