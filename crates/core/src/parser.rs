@@ -11,14 +11,12 @@ use crate::error::{MineError, Result};
 
 /// Parse one MINE RULE statement (a trailing `;` is allowed).
 pub fn parse_mine_rule(text: &str) -> Result<MineRuleStatement> {
-    let mut p = Parser::from_sql(text)?;
-    let stmt = parse_with(&mut p).and_then(|stmt| {
+    Parser::run(text, |p| {
+        let stmt = parse_with(p)?;
         p.accept_tok(&Tok::Semi);
         p.expect_eof()?;
         Ok(stmt)
-    });
-    // A failed parse reports what the shared parser says it reports.
-    stmt.map_err(|e| p.deferred_error().map_or(e, MineError::from))
+    })
 }
 
 /// True when `text` looks like a MINE RULE statement (starts with the

@@ -565,8 +565,8 @@ impl Gen<'_> {
         } else {
             let key = ["customer", "tr", "item", "date"][self.rng.gen_below(4) as usize];
             let cmp = ["<", "<=", "<>"][self.rng.gen_below(3) as usize];
-            match self.rng.gen_below(4) {
-                3 => self.gen_counted_join(key),
+            match self.rng.gen_below(5) {
+                3 | 4 => self.gen_counted_join(key),
                 0 => format!(
                     "SELECT p1.item, p2.item FROM Purchase p1, Purchase p2 \
                      WHERE p1.{key} = p2.{key} AND p1.item {cmp} p2.item"
@@ -583,10 +583,11 @@ impl Gen<'_> {
         }
     }
 
-    /// An aggregate-only join with no residual conjunct — the statements
-    /// a planned join counts instead of building: self-joins on one or
-    /// two keys, three-way chains, key-less cross products and the
-    /// fact-dimension join, under COUNT, INT SUM and MIN / MAX items.
+    /// An aggregate-only join with no residual conjunct: self-joins on
+    /// one or two keys, three-way chains, key-less cross products and the
+    /// fact-dimension join. Under `COUNT(*)` alone a planned join counts
+    /// them instead of building them; under COUNT, SUM, MIN and MAX items
+    /// they take the row path, beside the counted ones.
     fn gen_counted_join(&mut self, key: &str) -> String {
         const ITEMS: &[&str] = &[
             "COUNT(*)",
@@ -598,23 +599,31 @@ impl Gen<'_> {
             "MIN(p1.tr)",
             "MAX(p2.price)",
         ];
-        let n = self.rng.gen_range_usize(1, 4);
-        let items: Vec<&str> = (0..n)
-            .map(|_| ITEMS[self.rng.gen_range_usize(0, ITEMS.len())])
-            .collect();
+        let items = match self.rng.gen_below(4) {
+            0..=2 => "COUNT(*)".to_string(),
+            _ => {
+                let n = self.rng.gen_range_usize(1, 4);
+                let items: Vec<&str> = (0..n)
+                    .map(|_| ITEMS[self.rng.gen_range_usize(0, ITEMS.len())])
+                    .collect();
+                items.join(", ")
+            }
+        };
         let filter = match self.rng.gen_below(3) {
             0 => format!(" AND p1.qty >= {}", 1 + self.rng.gen_below(3)),
             _ => String::new(),
         };
-        let items = items.join(", ");
+        let dim_items = match items.as_str() {
+            "COUNT(*)" => "COUNT(*)",
+            _ => "COUNT(*), SUM(grade), MAX(category)",
+        };
         match self.rng.gen_below(5) {
             0 if self.has_dim => format!(
-                "SELECT COUNT(*), SUM(grade), MAX(category) FROM Purchase p1, Product \
-                 WHERE p1.item = pitem{filter}"
+                "SELECT {dim_items} FROM Purchase p1, Product WHERE p1.item = pitem{filter}"
             ),
             1 => format!("SELECT {items} FROM Purchase p1, Purchase p2"),
             2 => format!(
-                "SELECT {items}, MIN(p3.item) FROM Purchase p1, Purchase p2, Purchase p3 \
+                "SELECT {items} FROM Purchase p1, Purchase p2, Purchase p3 \
                  WHERE p1.{key} = p2.{key} AND p2.tr = p3.tr{filter}"
             ),
             3 => format!(
@@ -1060,13 +1069,9 @@ mod tests {
                         dml_between = false;
                     }
                     Op::Dml(_) => dml_between = true,
-                    // An aggregate-only join without a residual conjunct.
+                    // A `COUNT(*)` join without a residual conjunct.
                     Op::Query(text) => {
-                        let aggregate = ["COUNT(", "SUM(", "MIN(", "MAX("]
-                            .iter()
-                            .any(|a| text.starts_with(&format!("SELECT {a}")));
-                        if aggregate
-                            && text.contains("FROM Purchase p1, P")
+                        if text.starts_with("SELECT COUNT(*) FROM Purchase p1, P")
                             && !text.contains(" p2.qty")
                         {
                             counted += 1;

@@ -347,23 +347,29 @@ impl Database {
 
     /// Parse and execute one statement.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let stmt = self.lex(sql)?.statement()?;
+        let stmt = self.parse(sql, Parser::statement)?;
         self.run_statement(stmt)
     }
 
     /// Parse and execute a `;`-separated script.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<ExecOutcome>> {
-        let stmts = self.lex(sql)?.script()?;
+        let stmts = self.parse(sql, Parser::script)?;
         stmts.into_iter().map(|s| self.run_statement(s)).collect()
     }
 
-    /// Lex `sql` into a parser over its tokens, counting the bytes and,
-    /// when it lexes, the tokens.
-    fn lex<'a>(&mut self, sql: &'a str) -> Result<Parser<'a>> {
+    /// Parse `sql` with `parse`, counting the bytes and, when it lexes,
+    /// the tokens.
+    fn parse<'a, T>(
+        &mut self,
+        sql: &'a str,
+        parse: impl FnOnce(&mut Parser<'a>) -> Result<T>,
+    ) -> Result<T> {
         self.stats.bytes_lexed += sql.len() as u64;
-        let p = Parser::from_sql(sql)?;
-        self.stats.tokens_lexed += p.tokens() as u64;
-        Ok(p)
+        let tokens = &mut self.stats.tokens_lexed;
+        Parser::run(sql, |p| {
+            *tokens += p.tokens() as u64;
+            parse(p)
+        })
     }
 
     /// Parse and execute a query, returning its result set.

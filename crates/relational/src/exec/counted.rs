@@ -1,78 +1,38 @@
-//! Counted joins: an aggregate-only SELECT over a planned join counts the
-//! join instead of building it.
+//! Counted joins: `SELECT COUNT(*)` over a planned join counts the join
+//! instead of building it.
 //!
 //! This is the paper's own move for elementary rules (§4.3.2: group-wise
 //! products, never a materialised cartesian product) applied to SQL, and
 //! eager aggregation in the sense of Yan & Larson (VLDB 1995). Each step
 //! of the [`JoinPlan`] keeps one *entry* per distinct value of the columns
-//! that later steps and the aggregates still read, each with the number of
-//! joined rows it stands for:
+//! later steps join on, each with the number of joined rows it stands for:
 //!
-//! - the first factor's rows are grouped on its live columns;
-//! - a key-less step pairs every entry with every group of the incoming
-//!   factor and multiplies their counts;
-//! - a hash step groups the incoming factor on its key (and its own live
-//!   columns), and multiplies each probe entry's count by the totals of
-//!   the groups its key finds.
+//! - the first factor's rows are grouped on those columns;
+//! - the incoming factor's rows are grouped on the step's key, then on its
+//!   own columns later steps join on; each probe entry meets the groups its
+//!   key finds (every group, for a key-less step), and the entry they make
+//!   takes the product of their counts.
 //!
 //! So `SELECT COUNT(*) FROM t a, t b WHERE a.k = b.k` builds one entry per
 //! distinct `k` of `a`, then a single entry, whatever the joined-row
 //! count; `SELECT COUNT(*) FROM t x, t y, t z` builds one entry per step.
-//!
-//! The answer equals the written-order fold's — value, type and error —
-//! only where row order cannot matter, so [`answer`] declines (the caller
-//! runs the row path) unless every aggregate is order-free on the data:
-//! `COUNT`, `SUM` of a column whose values are all INT, and `MIN` / `MAX`
-//! of a column whose values are all of one type. An INT `SUM` whose
-//! positive or negative part alone leaves `i64` while the whole stays in
-//! it could overflow at some prefix of the fold's order only: declined
-//! too. Counts saturate instead of wrapping; a saturated count that
-//! reaches the answer is the fold's integer-overflow error.
+//! Only `COUNT(*)` is counted: no value it reads can make its answer
+//! depend on the order the written-order fold builds rows in. Counts
+//! saturate instead of wrapping; a count beyond `i64` is the fold's
+//! integer-overflow error.
 
 use crate::error::Result;
 use crate::exec::join::{JoinPlan, Relation};
 use crate::expr::compile::ExecCounter;
 use crate::expr::eval::{overflow, QueryCtx};
-use crate::expr::{AggFunc, Expr};
+use crate::expr::Expr;
 use crate::key::KeyInterner;
 use crate::row::Row;
 use crate::types::Schema;
 use crate::value::Value;
 
-/// One aggregate item a counted join answers: `COUNT(*)` (no column) or
-/// `COUNT`, `SUM`, `MIN`, `MAX` of one column reference, not DISTINCT.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CountedAgg {
-    pub(crate) func: AggFunc,
-    /// The argument's `(qualifier, name)`.
-    pub(crate) column: Option<(Option<String>, String)>,
-}
-
-impl CountedAgg {
-    /// The counted form of a SELECT item, if it has one.
-    pub(crate) fn of(item: &Expr) -> Option<CountedAgg> {
-        let Expr::Aggregate {
-            func,
-            distinct: false,
-            arg,
-        } = item
-        else {
-            return None;
-        };
-        let column = match arg.as_deref() {
-            None => None,
-            Some(Expr::Column { qualifier, name }) => Some((qualifier.clone(), name.clone())),
-            Some(_) => return None,
-        };
-        match func {
-            AggFunc::Avg => None,
-            _ => Some(CountedAgg {
-                func: *func,
-                column,
-            }),
-        }
-    }
-}
+/// The end of a key's hash chain of groups.
+const NO_GROUP: u32 = u32::MAX;
 
 /// A factor column: `(factor, column index in it)`.
 type Col = (usize, usize);
@@ -86,45 +46,16 @@ enum Source {
     Factor(usize),
 }
 
-/// The aggregates' values over the joined factors, with the joined schema
-/// their types are inferred over; `None` when an aggregate is not
-/// order-free on this data or its column does not resolve (the caller
-/// runs the row path, which raises what the fold raises). Counters are
-/// bumped only for an answer.
-pub(crate) fn answer(
+/// `COUNT(*)` over the joined factors, with the joined schema its type is
+/// inferred over.
+pub(crate) fn count(
     factors: &[Relation],
     plan: &JoinPlan,
-    aggs: &[CountedAgg],
     ctx: &mut dyn QueryCtx,
-) -> Result<Option<(Schema, Row)>> {
+) -> Result<(Schema, Value)> {
     let joined = factors
         .iter()
         .fold(Schema::default(), |acc, f| acc.join(&f.schema));
-    let mut starts = Vec::with_capacity(factors.len());
-    factors.iter().fold(0, |at, f| {
-        starts.push(at);
-        at + f.schema.len()
-    });
-    let mut agg_cols: Vec<Option<Col>> = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        let col = match &agg.column {
-            None => None,
-            Some((q, name)) => {
-                let Ok(i) = joined.resolve(q.as_deref(), name) else {
-                    return Ok(None);
-                };
-                let f = starts
-                    .iter()
-                    .rposition(|&s| s <= i)
-                    .expect("factor 0 starts at 0");
-                if !order_free(agg.func, &factors[f].rows, i - starts[f]) {
-                    return Ok(None);
-                }
-                Some((f, i - starts[f]))
-            }
-        };
-        agg_cols.push(col);
-    }
 
     // Each step's keys as (incoming factor's column, joined column).
     let mut step_keys: Vec<Vec<(usize, Col)>> = Vec::with_capacity(plan.steps.len());
@@ -134,19 +65,14 @@ pub(crate) fn answer(
             let (g, other) = key
                 .other(step.factor)
                 .expect("a step's keys reach its factor");
-            let (Some(mine), Some(theirs)) = (
-                column_in(key.side(step.factor), &factors[step.factor].schema),
-                column_in(other, &factors[g].schema),
-            ) else {
-                return Ok(None);
-            };
-            keys.push((mine, (g, theirs)));
+            let mine = column_in(key.side(step.factor), &factors[step.factor].schema)?;
+            keys.push((mine, (g, column_in(other, &factors[g].schema)?)));
         }
         step_keys.push(keys);
     }
 
-    // The columns live after each step: joined by then, and read by the
-    // aggregates or by a later step's key.
+    // The columns live after each step: joined by then, and read by a
+    // later step's key.
     let mut at_step = vec![0; factors.len()];
     for (i, step) in plan.steps.iter().enumerate() {
         at_step[step.factor] = i;
@@ -154,8 +80,7 @@ pub(crate) fn answer(
     let live: Vec<Vec<Col>> = (0..plan.steps.len())
         .map(|i| {
             let later = step_keys[i + 1..].iter().flatten().map(|&(_, col)| col);
-            let mut cols: Vec<Col> = agg_cols.iter().flatten().copied().chain(later).collect();
-            cols.retain(|&(f, _)| at_step[f] <= i);
+            let mut cols: Vec<Col> = later.filter(|&(f, _)| at_step[f] <= i).collect();
             cols.sort_unstable();
             cols.dedup();
             cols
@@ -168,7 +93,8 @@ pub(crate) fn answer(
     let (mut entries, mut counts) = group(&factors[first].rows, &first_cols, 0);
     for (i, step) in plan.steps.iter().enumerate().skip(1) {
         let f = step.factor;
-        // The incoming factor grouped on its key, then its live columns.
+        // The incoming factor grouped on its key, then its live columns,
+        // and its groups bucketed by key.
         let mut f_cols: Vec<usize> = step_keys[i].iter().map(|&(mine, _)| mine).collect();
         let key_width = f_cols.len();
         let mut layout = Vec::with_capacity(live[i].len());
@@ -181,7 +107,20 @@ pub(crate) fn answer(
             });
         }
         let (groups, group_counts) = group(&factors[f].rows, &f_cols, key_width);
-        let (keys, members) = by_key(&groups, key_width);
+        // Each key's groups as a hash chain: the key's last group, and
+        // each group's previous one under its key. A bucket per key would
+        // allocate per distinct key of the incoming factor.
+        let key_cols: Vec<usize> = (0..key_width).collect();
+        let mut keys = KeyInterner::new(key_width);
+        let (mut last, mut previous) = (Vec::new(), Vec::with_capacity(group_counts.len()));
+        for (g, group) in groups.keys().enumerate() {
+            let k = keys.intern(group, &key_cols) as usize;
+            if k == last.len() {
+                last.push(NO_GROUP);
+            }
+            previous.push(last[k]);
+            last[k] = g as u32;
+        }
         let probe: Vec<usize> = (step_keys[i].iter())
             .map(|&(_, col)| position(&live[i - 1], col))
             .collect();
@@ -195,10 +134,11 @@ pub(crate) fn answer(
             if probe.iter().any(|&p| entry[p].is_null()) {
                 continue;
             }
-            let Some(key) = keys.get(entry, &probe) else {
+            let Some(k) = keys.get(entry, &probe) else {
                 continue;
             };
-            for &g in members.of(key) {
+            let mut g = last[k as usize];
+            while g != NO_GROUP {
                 let group = groups.key(g);
                 values.clear();
                 values.extend(layout.iter().map(|from| match *from {
@@ -211,6 +151,7 @@ pub(crate) fn answer(
                 }
                 let product = count.saturating_mul(group_counts[g as usize]);
                 next_counts[s] = next_counts[s].saturating_add(product);
+                g = previous[g as usize];
             }
         }
         let step_rows = next_counts.iter().fold(0u64, |a, &n| a.saturating_add(n));
@@ -218,102 +159,12 @@ pub(crate) fn answer(
         built += next_counts.len() as u64;
         (entries, counts) = (next, next_counts);
     }
-
-    // Each aggregate over the last entries, in item order: the first
-    // error is the statement's, as the row path raises it.
-    let last = live.last().expect("a plan has steps");
-    let value = |(agg, col): (&CountedAgg, &Option<Col>)| {
-        let at = col.map(|col| position(last, col));
-        let present = (0..counts.len()).filter_map(|s| match at {
-            None => Some((&Value::Null, counts[s])),
-            Some(p) => {
-                let v = &entries.key(s as u32)[p];
-                (!v.is_null()).then_some((v, counts[s]))
-            }
-        });
-        aggregate(agg.func, present)
-    };
-    // In item order: the first error is the statement's, as on the row
-    // path, and one aggregate the fold's order decides declines them all.
-    let row: Result<Option<Row>> = aggs.iter().zip(&agg_cols).map(value).collect();
-    if let Ok(None) = row {
-        return Ok(None);
-    }
     ctx.bump(ExecCounter::RowsJoined, joined_rows);
     ctx.bump(ExecCounter::JoinTuples, built);
-    Ok(row?.map(|row| (joined, row)))
-}
 
-/// `func` over the non-NULL `values` of the joined rows, each value
-/// standing for `n` rows; `Ok(None)` where the fold's row order decides.
-fn aggregate<'v>(
-    func: AggFunc,
-    values: impl Iterator<Item = (&'v Value, u64)>,
-) -> Result<Option<Value>> {
-    Ok(Some(match func {
-        AggFunc::Count => {
-            let total = values.fold(0u64, |total, (_, n)| total.saturating_add(n));
-            Value::Int(i64::try_from(total).map_err(|_| overflow())?)
-        }
-        AggFunc::Sum => return int_sum(values),
-        AggFunc::Min | AggFunc::Max => {
-            let better = |v: &Value, best: &Value| match func {
-                AggFunc::Min => v.total_cmp(best).is_lt(),
-                _ => v.total_cmp(best).is_gt(),
-            };
-            let values = values.map(|(v, _)| v);
-            let best = values.reduce(|best, v| if better(v, best) { v } else { best });
-            best.cloned().unwrap_or(Value::Null)
-        }
-        AggFunc::Avg => unreachable!("AVG is not counted"),
-    }))
-}
-
-/// Whether `func` over column `c` of `rows` gives the same value whatever
-/// order the joined rows arrive in.
-fn order_free(func: AggFunc, rows: &[Row], c: usize) -> bool {
-    let mut present = rows.iter().map(|r| &r[c]).filter(|v| !v.is_null());
-    match func {
-        AggFunc::Count => true,
-        AggFunc::Sum => present.all(|v| matches!(v, Value::Int(_))),
-        AggFunc::Min | AggFunc::Max => {
-            let Some(first) = present.next() else {
-                return true;
-            };
-            let kind = std::mem::discriminant(first);
-            present.all(|v| std::mem::discriminant(v) == kind)
-        }
-        AggFunc::Avg => false,
-    }
-}
-
-/// The INT sum of `values` each taken `n` times; `Ok(None)` when the
-/// fold's row order could decide whether it overflows.
-fn int_sum<'v>(values: impl Iterator<Item = (&'v Value, u64)>) -> Result<Option<Value>> {
-    // The positive and the negative part, `None` once beyond `i128`.
-    let (mut pos, mut neg, mut any) = (Some(0i128), Some(0i128), false);
-    for (v, n) in values {
-        any = true;
-        let Value::Int(v) = *v else {
-            unreachable!("order_free admits INT sums only")
-        };
-        let term = i128::from(v).checked_mul(i128::from(n));
-        let side = if v >= 0 { &mut pos } else { &mut neg };
-        *side = side.zip(term).and_then(|(s, t)| s.checked_add(t));
-    }
-    if !any {
-        return Ok(Some(Value::Null));
-    }
-    let fits = |s: Option<i128>| s.and_then(|s| i64::try_from(s).ok());
-    Ok(match (fits(pos), fits(neg)) {
-        // Every prefix lies between the negative part and the positive
-        // one, so none leaves `i64`.
-        (Some(p), Some(n)) => Some(Value::Int(p + n)),
-        // One sign only: the prefixes are monotone, so the whole
-        // overflows exactly where the fold does.
-        _ if neg == Some(0) || pos == Some(0) => return Err(overflow()),
-        _ => None,
-    })
+    let total = counts.iter().fold(0u64, |a, &n| a.saturating_add(n));
+    let total = i64::try_from(total).map_err(|_| overflow())?;
+    Ok((joined, Value::Int(total)))
 }
 
 /// Group `rows` on the values at `cols`: the distinct keys in first-seen
@@ -335,55 +186,13 @@ fn group(rows: &[Row], cols: &[usize], key_width: usize) -> (KeyInterner, Vec<u6
     (groups, counts)
 }
 
-/// The group slots of one step's incoming factor, bucketed by key slot in
-/// one flat vector.
-struct Members {
-    starts: Vec<u32>,
-    groups: Vec<u32>,
-}
-
-impl Members {
-    /// The group slots holding key slot `k`.
-    fn of(&self, k: u32) -> &[u32] {
-        let (from, to) = (self.starts[k as usize], self.starts[k as usize + 1]);
-        &self.groups[from as usize..to as usize]
-    }
-}
-
-/// The distinct join keys (the first `key_width` values) of `groups`, and
-/// which groups hold each.
-fn by_key(groups: &KeyInterner, key_width: usize) -> (KeyInterner, Members) {
-    let key_cols: Vec<usize> = (0..key_width).collect();
-    let mut keys = KeyInterner::new(key_width);
-    let key_of: Vec<u32> = (groups.keys())
-        .map(|group| keys.intern(group, &key_cols))
-        .collect();
-    let mut starts = vec![0u32; keys.slots() as usize + 1];
-    for &k in &key_of {
-        starts[k as usize + 1] += 1;
-    }
-    for k in 0..keys.slots() as usize {
-        starts[k + 1] += starts[k];
-    }
-    let mut filled = starts.clone();
-    let mut members = vec![0u32; key_of.len()];
-    for (g, &k) in key_of.iter().enumerate() {
-        members[filled[k as usize] as usize] = g as u32;
-        filled[k as usize] += 1;
-    }
-    let members = Members {
-        starts,
-        groups: members,
+/// The column index a join key side (a column, [`crate::exec::join::JoinKey`])
+/// names in its factor's schema.
+fn column_in(side: &Expr, schema: &Schema) -> Result<usize> {
+    let Expr::Column { qualifier, name } = side else {
+        unreachable!("a join key side is a column")
     };
-    (keys, members)
-}
-
-/// The column index a join key side names in its factor's schema.
-fn column_in(side: &Expr, schema: &Schema) -> Option<usize> {
-    match side {
-        Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
-        _ => None,
-    }
+    schema.resolve(qualifier.as_deref(), name)
 }
 
 /// Where `col` sits in a live-column list.

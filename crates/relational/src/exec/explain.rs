@@ -147,7 +147,7 @@ fn explain_body(db: &Database, body: &Body, indent: usize, out: &mut String) {
     if !body.group_keys.is_empty() {
         let keys: Vec<String> = body.group_keys.iter().map(|e| e.to_string()).collect();
         out.push_str(&format!("{pad}hash aggregate by ({})\n", keys.join(", ")));
-    } else if body.counted.is_some() && ordered {
+    } else if body.counted && ordered {
         out.push_str(&format!("{pad}aggregate (single group, join counted)\n"));
     } else if body.grouped {
         out.push_str(&format!("{pad}aggregate (single group)\n"));

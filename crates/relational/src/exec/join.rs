@@ -30,7 +30,7 @@
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::exec::counted::{self, CountedAgg};
+use crate::exec::counted;
 use crate::expr::compile::{ExecCounter, SiteEval};
 use crate::expr::eval::QueryCtx;
 use crate::expr::{BinOp, Expr};
@@ -393,22 +393,22 @@ fn gather_tuple_key(
 pub(crate) enum Joined {
     /// The joined rows.
     Rows(Relation),
-    /// The answer of a counted join ([`counted::answer`]): the one row of
-    /// the statement's aggregates, and the joined schema.
-    Counted(Schema, Row),
+    /// The `COUNT(*)` of a counted join ([`counted::count`]), and the
+    /// joined schema.
+    Counted(Schema, Value),
 }
 
 /// Join the factors of a FROM list as `plan` says. The caller filters
 /// the joined rows by the plan's residual conjuncts. The planned join
 /// keeps only the columns `demand` reads; the written-order fold keeps
-/// every column. With `counted` — the items of an aggregate-only
-/// statement over a plan with no residual — a planned join of two or more
-/// factors answers them by counting, where that answer is the fold's.
+/// every column. With `counted` — a statement whose items are all
+/// `COUNT(*)` over a plan with no residual — a planned join of two or more
+/// factors counts its rows instead of building them.
 pub(crate) fn join_factors(
     mut factors: Vec<Relation>,
     plan: &JoinPlan,
     demand: &Demand,
-    counted: Option<&[CountedAgg]>,
+    counted: bool,
     ctx: &mut dyn QueryCtx,
 ) -> Result<Joined> {
     let planned = !ctx.reference_paths();
@@ -425,10 +425,9 @@ pub(crate) fn join_factors(
         return fold(factors, plan, ctx).map(Joined::Rows);
     }
     ctx.bump(ExecCounter::PlannerReorderedJoins, plan.reordered() as u64);
-    if let Some(aggs) = counted {
-        if let Some((schema, row)) = counted::answer(&factors, plan, aggs, ctx)? {
-            return Ok(Joined::Counted(schema, row));
-        }
+    if counted {
+        let (schema, count) = counted::count(&factors, plan, ctx)?;
+        return Ok(Joined::Counted(schema, count));
     }
     run_plan(factors, plan, demand, ctx).map(Joined::Rows)
 }
@@ -669,7 +668,7 @@ mod tests {
             where_(pred)
         };
         let plan = plan_joins(&schemas, conjuncts);
-        let Joined::Rows(joined) = join_factors(factors, &plan, demand, None, &mut NoCtx).unwrap()
+        let Joined::Rows(joined) = join_factors(factors, &plan, demand, false, &mut NoCtx).unwrap()
         else {
             unreachable!("nothing counted")
         };

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use crate::engine::Database;
 use crate::error::{Error, Result};
-use crate::exec::counted::CountedAgg;
 use crate::exec::join::{conjuncts, filter_relation, join_factors, joined_as_built, plan_joins};
 use crate::exec::join::{Demand, JoinPlan, Joined, Relation};
 use crate::expr::compile::{ExecCounter, SiteEval};
@@ -107,12 +106,11 @@ pub(crate) struct Body {
     pub(crate) grouped: bool,
     pub(crate) dedup: bool,
     into_var: Option<String>,
-    /// The items of a statement a planned join can count instead of
-    /// build ([`crate::exec::counted`]): two or more FROM entries and no
-    /// residual conjunct; every item a `COUNT`, `SUM`, `MIN` or `MAX`
-    /// of `*` or of a column, not DISTINCT; no GROUP BY, HAVING or
+    /// Whether a planned join counts its rows instead of building them
+    /// ([`crate::exec::counted`]): two or more FROM entries and no
+    /// residual conjunct; every item `COUNT(*)`; no GROUP BY, HAVING or
     /// DISTINCT, and ORDER BY keys that name output columns.
-    pub(crate) counted: Option<Vec<CountedAgg>>,
+    pub(crate) counted: bool,
 }
 
 /// An explicit `[LEFT] JOIN factor ON …` chained to a FROM factor.
@@ -271,16 +269,25 @@ impl Planner {
         let grouped = !stmt.group_by.is_empty()
             || outputs.iter().any(|(e, _)| e.contains_aggregate())
             || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
-        let countable = from.len() >= 2
+        let count_star = |(e, _): &(Expr, String)| {
+            matches!(
+                e,
+                Expr::Aggregate {
+                    func: AggFunc::Count,
+                    distinct: false,
+                    arg: None,
+                }
+            )
+        };
+        let counted = grouped
+            && outputs.iter().all(count_star)
+            && from.len() >= 2
             && joins.residual.is_empty()
             && expand_error.is_none()
             && stmt.group_by.is_empty()
             && stmt.having.is_none()
             && !stmt.distinct
             && sort.iter().all(|k| k.output.is_some());
-        let counted = countable
-            .then(|| outputs.iter().map(|(e, _)| CountedAgg::of(e)).collect())
-            .flatten();
         let body = Body {
             from,
             joins,
@@ -603,17 +610,14 @@ fn run_body(db: &mut Database, body: &Body, plan: &SelectPlan) -> Result<ResultS
     let joined = if factors.is_empty() {
         Joined::Rows(Relation::unit())
     } else {
-        join_factors(
-            factors,
-            &body.joins,
-            &body.demand,
-            body.counted.as_deref(),
-            db,
-        )?
+        join_factors(factors, &body.joins, &body.demand, body.counted, db)?
     };
     let (mut input, counted) = match joined {
         Joined::Rows(input) => (input, None),
-        Joined::Counted(schema, row) => (Relation::owned(schema, Vec::new()), Some(row)),
+        Joined::Counted(schema, count) => {
+            let row = vec![count; body.outputs.len()];
+            (Relation::owned(schema, Vec::new()), Some(row))
+        }
     };
     if let Some(pred) = Expr::conjoin(body.joins.residual.iter().cloned()) {
         filter_relation(&mut input, &pred, db)?;

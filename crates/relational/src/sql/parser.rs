@@ -11,7 +11,7 @@ use crate::sql::ast::{
     InsertSource, Join, JoinKind, OrderItem, SelectItem, SelectStmt, SetOpKind, Statement,
     TableRef, TableSource, ValuesRows,
 };
-use crate::sql::lexer::{lex, Tok, Token};
+use crate::sql::lexer::{lex_prefix, Tok, Token};
 use crate::types::DataType;
 use crate::value::{Date, Value};
 
@@ -93,33 +93,49 @@ pub struct Parser<'a> {
 
 /// Parse exactly one statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    Parser::from_sql(sql)?.statement()
+    Parser::run(sql, Parser::statement)
 }
 
 /// Parse a `;`-separated script.
 pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
-    Parser::from_sql(sql)?.script()
+    Parser::run(sql, Parser::script)
 }
 
 /// Parse a standalone scalar expression (used for MINE RULE conditions).
 pub fn parse_expression(sql: &str) -> Result<Expr> {
-    let mut p = Parser::from_sql(sql)?;
-    let e = p.parse_expr().and_then(|e| {
+    Parser::run(sql, |p| {
+        let e = p.parse_expr()?;
         p.expect_eof()?;
         Ok(e)
-    });
-    p.settle(e)
+    })
 }
 
 impl<'a> Parser<'a> {
-    /// Lex `sql` and build a parser over its tokens.
-    pub fn from_sql(sql: &'a str) -> Result<Parser<'a>> {
-        Ok(Parser {
-            toks: lex(sql)?,
+    /// Lex `sql` and run `parse` over its tokens; `parse` runs only when
+    /// the whole input lexes. Every entry point parses through here, so a
+    /// failure is reported one way: a failed lex or parse reports the lex
+    /// error of the first [`Tok::IntMinMagnitude`] lexed, if there is one
+    /// — the error every such input reported before a unary minus could
+    /// take that token — and otherwise its own.
+    pub fn run<T, E: From<Error>>(
+        sql: &'a str,
+        parse: impl FnOnce(&mut Parser<'a>) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        let (toks, lexed) = lex_prefix(sql);
+        let mut p = Parser {
+            toks,
             pos: 0,
             input_len: sql.len(),
             depth: 0,
             peak: 0,
+        };
+        let parsed = match lexed {
+            Ok(()) => parse(&mut p),
+            Err(e) => Err(e.into()),
+        };
+        parsed.map_err(|e| match p.toks.iter().find_map(Token::deferred_error) {
+            Some(deferred) => deferred.into(),
+            None => e,
         })
     }
 
@@ -128,37 +144,19 @@ impl<'a> Parser<'a> {
         self.toks.len()
     }
 
-    /// The error a failed parse reports: the lex error of the input's
-    /// first [`Tok::IntMinMagnitude`], if it has one — the error every
-    /// such input reported before a unary minus could take that token —
-    /// and otherwise the parse's own.
-    pub fn deferred_error(&self) -> Option<Error> {
-        self.toks.iter().find_map(Token::deferred_error)
-    }
-
-    /// `parsed`, with a failure replaced as [`Parser::deferred_error`] says.
-    pub fn settle<T>(&self, parsed: Result<T>) -> Result<T> {
-        parsed.map_err(|e| self.deferred_error().unwrap_or(e))
-    }
-
     /// The input as exactly one statement (a trailing `;` is allowed).
-    pub fn statement(mut self) -> Result<Statement> {
-        let stmt = self.parse_statement().and_then(|stmt| {
-            self.accept_tok(&Tok::Semi);
-            self.expect_eof()?;
-            Ok(stmt)
-        });
-        self.settle(stmt)
+    pub fn statement(&mut self) -> Result<Statement> {
+        let stmt = self.parse_statement()?;
+        self.accept_tok(&Tok::Semi);
+        self.expect_eof()?;
+        Ok(stmt)
     }
 
     /// The input as a `;`-separated script.
-    pub fn script(mut self) -> Result<Vec<Statement>> {
+    pub fn script(&mut self) -> Result<Vec<Statement>> {
         let mut out = Vec::new();
         while !self.eof() {
-            match self.parse_statement() {
-                Ok(stmt) => out.push(stmt),
-                Err(e) => return self.settle(Err(e)),
-            }
+            out.push(self.parse_statement()?);
             while self.accept_tok(&Tok::Semi) {}
         }
         Ok(out)
@@ -986,9 +984,6 @@ impl<'a> Parser<'a> {
                 Ok(Expr::ScalarSubquery(Box::new(q)))
             }
             Some(&Tok::Ident(name)) => self.parse_ident_primary(name),
-            Some(Tok::IntMinMagnitude(_)) => {
-                Err(self.toks[self.pos].deferred_error().expect("deferred"))
-            }
             _ => Err(self.error("expected an expression")),
         }
     }

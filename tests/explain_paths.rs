@@ -204,19 +204,35 @@ fn a_derived_table_is_planned_through_its_own_plan() {
 }
 
 #[test]
-fn an_aggregate_only_join_says_it_is_counted() {
+fn a_count_over_a_join_says_it_is_counted() {
     let mut db = tu_db();
-    let q = "SELECT COUNT(*), MAX(u.a) FROM t x, u WHERE x.a = u.a";
+    let q = "SELECT COUNT(*), COUNT(*) AS n FROM t x, u WHERE x.a = u.a";
+    let scans = "Select\n  scan t AS x [3 rows]\n  scan u [4 rows]\n  ";
     assert_eq!(
         plan(&mut db, q),
-        "Select\n  scan t AS x [3 rows]\n  scan u [4 rows]\n  \
-         hash join on: x.a = u.a (step 1: x ⋈ u)\n  aggregate (single group, join counted)"
+        format!(
+            "{scans}hash join on: x.a = u.a (step 1: x ⋈ u)\n  \
+             aggregate (single group, join counted)"
+        )
     );
+    // Any other aggregate beside it runs on the joined rows: a float sum
+    // depends on the order they are added in.
+    db.execute("CREATE TABLE f (a INT, x FLOAT)").unwrap();
+    db.execute("INSERT INTO f VALUES (1, 0.1), (2, 1e16), (3, -1e16)")
+        .unwrap();
+    for q in [
+        "SELECT COUNT(*), MAX(u.a) FROM t x, u WHERE x.a = u.a",
+        "SELECT SUM(f.x) FROM t x, f WHERE x.a = f.a",
+        "SELECT COUNT(*) FROM t x, u WHERE x.a = u.a AND x.a < u.c",
+    ] {
+        let p = plan(&mut db, q);
+        assert!(p.ends_with("\n  aggregate (single group)"), "{q}: {p}");
+    }
     db.set_reference_paths(true);
+    let q = "SELECT COUNT(*), COUNT(*) AS n FROM t x, u WHERE x.a = u.a";
     assert_eq!(
         plan(&mut db, q),
-        "Select\n  scan t AS x [3 rows]\n  scan u [4 rows]\n  \
-         hash join on: x.a = u.a\n  aggregate (single group)"
+        format!("{scans}hash join on: x.a = u.a\n  aggregate (single group)")
     );
 }
 
