@@ -170,3 +170,86 @@ fn single_group_yields_every_subset_in_every_pool_member() {
         assert!(got.iter().all(|(_, c)| *c == 1), "{}", miner.name());
     }
 }
+
+/// The core's exact work counters after one cold `execute`: every
+/// `core.level.k.*`, the gid-set intersections, the large itemsets and
+/// the rule-generation counts.
+fn core_counters(db: &mut Database, algorithm: &str, stmt: &str) -> Vec<(String, u64)> {
+    let engine = MineRuleEngine::new().with_algorithm(algorithm);
+    engine.execute(db, stmt).unwrap();
+    let snap = engine.metrics_snapshot();
+    snap.counters
+        .iter()
+        .filter(|(name, _)| {
+            name.starts_with("core.level.")
+                || name.starts_with("core.rules.")
+                || *name == "core.gidset.intersects"
+                || *name == "core.itemsets.large"
+                || *name == "core.candidates.counted"
+        })
+        .map(|(name, &value)| (name.clone(), value))
+        .collect()
+}
+
+/// `core.level.k.{generated,pruned}` for k = 1..7 on the dense fixture:
+/// the candidates the join and prune keep, and those the threshold then
+/// drops. Gid-list and counting Apriori generate the same candidates.
+const DENSE_LEVELS: [(u64, u64); 7] = [
+    (32, 0),
+    (496, 245),
+    (1395, 712),
+    (1500, 767),
+    (648, 352),
+    (104, 62),
+    (3, 2),
+];
+
+#[test]
+fn dense_core_counters_are_pinned_per_level_wise_member() {
+    // Dense Quest data (T12.I4 over 60 items): seven levels, ~2 000 large
+    // itemsets and thousands of rules. The counters are exact work, so
+    // they must not move when the candidate generator or the rule
+    // splits change how they find subsets.
+    let data = generate_quest(&QuestConfig {
+        transactions: 300,
+        avg_transaction_size: 12.0,
+        avg_pattern_size: 4.0,
+        patterns: 20,
+        items: 60,
+        seed: 5,
+        ..QuestConfig::default()
+    });
+    let mut db = Database::new();
+    load_quest(&data, &mut db, "Baskets").unwrap();
+    for (heads, rules) in [("1..1", [7222, 5951, 1271]), ("1..n", [26472, 9868, 16604])] {
+        let stmt = format!(
+            "MINE RULE Dense AS \
+             SELECT DISTINCT 1..n item AS BODY, {heads} item AS HEAD, SUPPORT, CONFIDENCE \
+             FROM Baskets GROUP BY tr \
+             EXTRACTING RULES WITH SUPPORT: 0.06, CONFIDENCE: 0.4"
+        );
+        for (algorithm, intersects, counted) in
+            [("apriori", 4146, 0), ("count", 0, 4146), ("dhp", 0, 3903)]
+        {
+            let mut expect = vec![
+                ("core.candidates.counted".to_string(), counted),
+                ("core.gidset.intersects".to_string(), intersects),
+                ("core.itemsets.large".to_string(), 2038),
+            ];
+            // DHP reports no per-level counts.
+            if algorithm != "dhp" {
+                for (k, (generated, pruned)) in (1..).zip(DENSE_LEVELS) {
+                    expect.push((format!("core.level.{k}.generated"), generated));
+                    expect.push((format!("core.level.{k}.pruned"), pruned));
+                }
+            }
+            let names = ["candidates", "emitted", "pruned_confidence"];
+            for (name, value) in names.into_iter().zip(rules) {
+                expect.push((format!("core.rules.{name}"), value));
+            }
+            expect.sort();
+            let got = core_counters(&mut db, algorithm, &stmt);
+            assert_eq!(got, expect, "{algorithm}, {heads} heads");
+        }
+    }
+}
