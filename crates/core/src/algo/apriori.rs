@@ -3,8 +3,8 @@
 
 use super::counting::CountingCtx;
 use super::gidset::{GidSet, GidSetScratch};
-use super::itemset::{apriori_join, Itemset};
-use super::trie::ItemsetTrie;
+use super::itemset::Itemset;
+use super::trie::LinkedTrie;
 use super::{Groups, ItemsetMiner, LargeItemset, SimpleView};
 
 /// Apriori with group-identifier lists: each itemset carries the sorted
@@ -34,7 +34,6 @@ pub fn mine_gidlist_with_border(
     min_groups: u32,
     counting: &CountingCtx,
 ) -> (Vec<LargeItemset>, Vec<Itemset>) {
-    let mut large: Vec<LargeItemset> = Vec::new();
     let mut border: Vec<Itemset> = Vec::new();
 
     // L1 with gid sets (the representation is chosen per set from its
@@ -42,52 +41,83 @@ pub fn mine_gidlist_with_border(
     let ctx = counting.gidset_ctx(groups.len());
     let gidsets = counting.gidsets(groups, &ctx);
     let l1_generated = gidsets.len() as u64;
-    let mut level: Vec<(Itemset, GidSet)> = Vec::new();
+    let mut singletons: Vec<(u32, u32)> = Vec::new();
+    let mut level: Vec<GidSet> = Vec::new();
     for (it, gs) in gidsets {
         if gs.len() >= min_groups {
-            level.push((vec![it], gs));
+            singletons.push((it, gs.len()));
+            level.push(gs);
         } else {
             border.push(vec![it]);
         }
     }
     counting.note_level(1, l1_generated, border.len() as u64);
-
+    // The candidates come from the drop-linked trie's join and prune; each
+    // survivor's gid set is its parents' intersection, computed in one
+    // scratch buffer, so a failed candidate allocates only its border
+    // entry and a pruned one nothing.
     let mut scratch = GidSetScratch::default();
-    while !level.is_empty() {
-        for (set, gs) in &level {
-            large.push((set.clone(), gs.len()));
-        }
-        // Join step. `level` is sorted lexicographically, so joinable
-        // prefixes are adjacent runs. The prune probes a prefix trie over
-        // the level, and intersections run through one scratch buffer so
-        // failed candidates never allocate.
-        let trie = ItemsetTrie::from_sets(level.iter().map(|(s, _)| s.as_slice()));
-        let mut next: Vec<(Itemset, GidSet)> = Vec::new();
-        let mut failed = 0u64;
-        for i in 0..level.len() {
-            for j in (i + 1)..level.len() {
-                let Some(cand) = apriori_join(&level[i].0, &level[j].0) else {
-                    break; // sorted: once prefixes diverge, no more joins
-                };
-                // Prune: every (k-1)-subset must be large.
-                if !trie.contains_all_immediate_subsets(&cand) {
-                    continue;
-                }
-                let support = ctx.intersect_into(&level[i].1, &level[j].1, &mut scratch);
-                if support >= min_groups {
-                    next.push((cand, ctx.seal(&scratch)));
-                } else {
-                    failed += 1;
-                    border.push(cand);
-                }
+    let trie = level_wise(&singletons, |trie| {
+        let mut next: Vec<GidSet> = Vec::new();
+        let k = trie.depth() as u32 + 1;
+        let generated = trie.extend(|x, y, cand| {
+            let support = ctx.intersect_into(&level[x as usize], &level[y as usize], &mut scratch);
+            if support >= min_groups {
+                next.push(ctx.seal(&scratch));
+                Some(support)
+            } else {
+                border.push(cand.to_vec());
+                None
             }
-        }
-        counting.note_trie(trie.node_count() as u64, trie.take_lookups());
-        let next_size = level[0].0.len() as u32 + 1;
-        counting.note_level(next_size, next.len() as u64 + failed, failed);
+        });
+        counting.note_level(k, generated, generated - next.len() as u64);
         level = next;
+    });
+    counting.note_trie(trie.node_count() as u64, trie.steps());
+    (trie.into_large(), border)
+}
+
+/// The drop-linked trie over the large `singletons` (item and count,
+/// ascending), grown by `grow` until a level comes out empty.
+pub(crate) fn level_wise(
+    singletons: &[(u32, u32)],
+    mut grow: impl FnMut(&mut LinkedTrie),
+) -> LinkedTrie {
+    let mut trie = LinkedTrie::new();
+    let singletons = singletons
+        .iter()
+        .map(|(it, c)| (std::slice::from_ref(it), *c));
+    trie.push_sorted(singletons)
+        .expect("every singleton hangs off the root");
+    while trie.len(trie.depth()) > 0 {
+        grow(&mut trie);
     }
-    (large, border)
+    trie
+}
+
+/// Counting Apriori over the large `singletons` (item and count,
+/// ascending): each level's candidates come from the drop-linked trie's
+/// join and prune, those `admit` accepts are counted with one scan of the
+/// groups, and the large ones form the next level. `note(k, generated,
+/// kept)` hears of each level of size `k ≥ 2`.
+pub(crate) fn mine_counting(
+    input: SimpleView<'_>,
+    ctx: &CountingCtx,
+    singletons: &[(u32, u32)],
+    mut admit: impl FnMut(&[u32]) -> bool,
+    mut note: impl FnMut(u32, u64, u64),
+) -> Vec<LargeItemset> {
+    let trie = level_wise(singletons, |trie| {
+        let k = trie.depth() as u32 + 1;
+        trie.extend(|_, _, cand| admit(cand).then_some(0));
+        let generated = trie.len(k as usize) as u64;
+        // The support scan — the pass that dominates.
+        let counts = ctx.count_candidates(input.groups, trie.top_sets());
+        let kept = trie.settle(&counts, input.min_groups);
+        note(k, generated, kept);
+    });
+    ctx.note_trie(trie.node_count() as u64, trie.steps());
+    trie.into_large()
 }
 
 /// Classical Apriori: candidates generated level-wise, support obtained by
@@ -101,47 +131,22 @@ impl ItemsetMiner for AprioriCount {
     }
 
     fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset> {
-        let mut large: Vec<LargeItemset> = Vec::new();
-
         // L1: singleton scan.
         let counts = ctx.item_counts(input.groups);
         let l1_generated = counts.len() as u64;
-        let mut level: Vec<LargeItemset> = counts
+        let mut singletons: Vec<(u32, u32)> = counts
             .into_iter()
             .filter(|(_, c)| *c >= input.min_groups)
-            .map(|(it, c)| (vec![it], c))
             .collect();
-        level.sort_by(|a, b| a.0.cmp(&b.0));
-        ctx.note_level(1, l1_generated, l1_generated - level.len() as u64);
-
-        while !level.is_empty() {
-            large.extend(level.iter().cloned());
-            // Candidate generation; the subset prune walks a prefix trie
-            // over the level.
-            let trie = ItemsetTrie::from_sets(level.iter().map(|(s, _)| s.as_slice()));
-            let mut candidates: Vec<Itemset> = Vec::new();
-            for i in 0..level.len() {
-                for j in (i + 1)..level.len() {
-                    let Some(cand) = apriori_join(&level[i].0, &level[j].0) else {
-                        break;
-                    };
-                    if trie.contains_all_immediate_subsets(&cand) {
-                        candidates.push(cand);
-                    }
-                }
-            }
-            ctx.note_trie(trie.node_count() as u64, trie.take_lookups());
-            let next_size = level[0].0.len() as u32 + 1;
-            let generated = candidates.len() as u64;
-            // The support scan — the pass that dominates.
-            level = ctx
-                .count_candidates(input.groups, candidates)
-                .into_iter()
-                .filter(|(_, c)| *c >= input.min_groups)
-                .collect();
-            ctx.note_level(next_size, generated, generated - level.len() as u64);
-        }
-        large
+        singletons.sort_unstable();
+        ctx.note_level(1, l1_generated, l1_generated - singletons.len() as u64);
+        mine_counting(
+            input,
+            ctx,
+            &singletons,
+            |_| true,
+            |k, generated, kept| ctx.note_level(k, generated, generated - kept),
+        )
     }
 }
 

@@ -13,8 +13,8 @@ use std::collections::{BTreeMap, HashMap};
 use relational::KeyHash;
 
 use super::gidset::{GidSet, GidSetCounters, GidSetCtx};
-use super::itemset::{is_subset, Itemset};
-use super::{Groups, LargeItemset};
+use super::itemset::is_subset;
+use super::Groups;
 
 /// Candidate counts for one level of a level-wise algorithm (keyed by
 /// itemset size `k`). `generated` counts candidates produced by the join
@@ -44,10 +44,11 @@ pub struct CountingStats {
     pub gidset_bitset_picked: u64,
     /// Gid-set intersections performed (`core.gidset.intersects`).
     pub gidset_intersects: u64,
-    /// Prefix-trie arena nodes built for candidate pruning
-    /// (`core.trie.nodes`), reported via [`CountingCtx::note_trie`].
+    /// Nodes of the drop-linked trie the level-wise members join and
+    /// prune over (`core.trie.nodes`), reported via
+    /// [`CountingCtx::note_trie`].
     pub trie_nodes: u64,
-    /// Prefix-trie walks performed (`core.trie.lookups`).
+    /// Child steps taken by the prune (`core.trie.lookups`).
     pub trie_lookups: u64,
 }
 
@@ -95,8 +96,8 @@ impl CountingCtx {
         stats
     }
 
-    /// Record one candidate prefix-trie: `nodes` arena entries were
-    /// built and `lookups` walks performed.
+    /// Record a drop-linked trie: it held `nodes` nodes, and its prune
+    /// took `lookups` child steps.
     pub fn note_trie(&self, nodes: u64, lookups: u64) {
         let mut stats = self.stats.borrow_mut();
         stats.trie_nodes += nodes;
@@ -122,25 +123,26 @@ impl CountingCtx {
         stats.candidates_counted += candidates;
     }
 
-    /// Count each candidate's support with one pass over the groups.
-    pub fn count_candidates(
+    /// Count each candidate's support with one pass over the groups: the
+    /// counts, in the candidates' order.
+    pub fn count_candidates<'c>(
         &self,
         groups: Groups<'_>,
-        candidates: Vec<Itemset>,
-    ) -> Vec<LargeItemset> {
-        if candidates.is_empty() {
+        candidates: impl ExactSizeIterator<Item = &'c [u32]> + Clone,
+    ) -> Vec<u32> {
+        if candidates.len() == 0 {
             return Vec::new();
         }
         self.note_scan(groups, candidates.len() as u64);
         let mut counts = vec![0u32; candidates.len()];
         for items in groups.iter() {
-            for (count, c) in counts.iter_mut().zip(&candidates) {
+            for (count, c) in counts.iter_mut().zip(candidates.clone()) {
                 if is_subset(c, items) {
                     *count += 1;
                 }
             }
         }
-        candidates.into_iter().zip(counts).collect()
+        counts
     }
 
     /// Per-item occurrence counts over all groups (the L1 scan).
@@ -217,18 +219,10 @@ mod tests {
 
     #[test]
     fn candidate_counts_match_hand_counts() {
-        let candidates = vec![vec![1], vec![2], vec![1, 2], vec![2, 3], vec![9]];
-        let got = CountingCtx::default().count_candidates(groups().groups(), candidates);
-        assert_eq!(
-            got,
-            vec![
-                (vec![1], 4),
-                (vec![2], 5),
-                (vec![1, 2], 3),
-                (vec![2, 3], 3),
-                (vec![9], 0)
-            ]
-        );
+        let candidates: [&[u32]; 5] = [&[1], &[2], &[1, 2], &[2, 3], &[9]];
+        let got =
+            CountingCtx::default().count_candidates(groups().groups(), candidates.into_iter());
+        assert_eq!(got, [4, 5, 3, 3, 0]);
     }
 
     #[test]
@@ -274,8 +268,8 @@ mod tests {
         let ctx = CountingCtx::default();
         let g = groups();
         let g = g.groups();
-        ctx.count_candidates(g, vec![vec![1], vec![2, 3]]);
-        ctx.count_candidates(g, Vec::new()); // no candidates: no scan
+        ctx.count_candidates(g, [&[1u32][..], &[2, 3]].into_iter());
+        ctx.count_candidates(g, std::iter::empty()); // no candidates: no scan
         ctx.item_counts(g);
         ctx.note_level(2, 10, 4);
         ctx.note_level(2, 5, 1);

@@ -6,9 +6,8 @@
 
 use std::collections::HashMap;
 
+use super::apriori::mine_counting;
 use super::counting::CountingCtx;
-use super::itemset::{apriori_join, Itemset};
-use super::trie::ItemsetTrie;
 use super::{ItemsetMiner, LargeItemset, SimpleView};
 
 /// DHP miner; `buckets` sizes the pair-hash table.
@@ -38,7 +37,6 @@ impl ItemsetMiner for Dhp {
     }
 
     fn mine_with(&self, input: SimpleView<'_>, ctx: &CountingCtx) -> Vec<LargeItemset> {
-        let mut large: Vec<LargeItemset> = Vec::new();
         let buckets_n = self.buckets.max(1);
 
         // Pass 1: singleton counts + pair-bucket counts, one scan.
@@ -54,55 +52,20 @@ impl ItemsetMiner for Dhp {
                 }
             }
         }
-        let mut l1: Vec<LargeItemset> = counts
+        let mut singletons: Vec<(u32, u32)> = counts
             .into_iter()
             .filter(|(_, c)| *c >= input.min_groups)
-            .map(|(it, c)| (vec![it], c))
             .collect();
-        l1.sort_by(|a, b| a.0.cmp(&b.0));
-        large.extend(l1.iter().cloned());
+        singletons.sort_unstable();
 
         // C2 with hash pruning: a pair whose bucket stayed below the
-        // threshold cannot be large (bucket count ≥ pair support).
-        let mut candidates: Vec<Itemset> = Vec::new();
-        for i in 0..l1.len() {
-            for j in (i + 1)..l1.len() {
-                let (a, b) = (l1[i].0[0], l1[j].0[0]);
-                if pair_buckets[bucket(a, b, buckets_n)] >= input.min_groups {
-                    candidates.push(vec![a, b]);
-                }
-            }
-        }
-        let mut level: Vec<LargeItemset> = ctx
-            .count_candidates(input.groups, candidates)
-            .into_iter()
-            .filter(|(_, c)| *c >= input.min_groups)
-            .collect();
-
-        // Levels ≥ 3: classical Apriori (subset prune via a prefix trie
-        // over the level, probed without materialising the subsets).
-        while !level.is_empty() {
-            large.extend(level.iter().cloned());
-            let trie = ItemsetTrie::from_sets(level.iter().map(|(s, _)| s.as_slice()));
-            let mut candidates: Vec<Itemset> = Vec::new();
-            for i in 0..level.len() {
-                for j in (i + 1)..level.len() {
-                    let Some(cand) = apriori_join(&level[i].0, &level[j].0) else {
-                        break;
-                    };
-                    if trie.contains_all_immediate_subsets(&cand) {
-                        candidates.push(cand);
-                    }
-                }
-            }
-            ctx.note_trie(trie.node_count() as u64, trie.take_lookups());
-            level = ctx
-                .count_candidates(input.groups, candidates)
-                .into_iter()
-                .filter(|(_, c)| *c >= input.min_groups)
-                .collect();
-        }
-        large
+        // threshold cannot be large (bucket count ≥ pair support). Levels
+        // ≥ 3 proceed as in classical Apriori.
+        let admit = |cand: &[u32]| match *cand {
+            [a, b] => pair_buckets[bucket(a, b, buckets_n)] >= input.min_groups,
+            _ => true,
+        };
+        mine_counting(input, ctx, &singletons, admit, |_, _, _| {})
     }
 }
 

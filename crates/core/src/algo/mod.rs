@@ -30,7 +30,6 @@ pub mod trie;
 
 pub use counting::CountingCtx;
 pub use gidset::{GidSet, GidSetCtx, GidSetScratch};
-pub use trie::ItemsetTrie;
 
 use std::collections::HashMap;
 
@@ -40,6 +39,7 @@ use crate::ast::CardSpec;
 use crate::error::{MineError, Result};
 use crate::runs;
 use itemset::Itemset;
+use trie::LinkedTrie;
 
 /// Encoded input for the simple core processing: one entry per group that
 /// contains at least one large item. `total_groups` counts *all* groups
@@ -468,10 +468,10 @@ pub struct RuleGenStats {
     pub candidates: u64,
     /// Splits rejected by the confidence threshold.
     pub pruned_confidence: u64,
-    /// Arena nodes in the support-lookup trie over the inventory
-    /// (`core.trie.nodes`).
+    /// Nodes of the drop-linked trie over the inventory, the root
+    /// included (`core.trie.nodes`).
     pub trie_nodes: u64,
-    /// Trie walks performed for body-support lookups
+    /// Child steps taken to link the inventory and to find the heads
     /// (`core.trie.lookups`).
     pub trie_lookups: u64,
 }
@@ -492,13 +492,86 @@ pub fn rules_from_itemsets(
         .map(|(rules, _)| rules)
 }
 
-/// A rule as the split loop finds it: body and head as the trie nodes
-/// their itemsets end at.
+/// A rule as the split loop finds it: body and head as the node ids of
+/// their itemsets.
 struct Split {
     body: u32,
     head: u32,
     group_count: u32,
     confidence: f64,
+}
+
+/// The splits of one large itemset, walked depth-first over its heads.
+struct Splits<'a> {
+    trie: &'a LinkedTrie,
+    /// The itemset's items and group count.
+    set: &'a [u32],
+    count: u32,
+    /// The largest head walked.
+    max_head: usize,
+    body_card: CardSpec,
+    head_card: CardSpec,
+    min_confidence: f64,
+    rank: &'a [u32],
+    splits: &'a mut Vec<Split>,
+    keys: &'a mut Vec<(u64, u32)>,
+    stats: &'a mut RuleGenStats,
+}
+
+impl Splits<'_> {
+    /// Every head that extends `head` (of `h` items, at `head_at`) by an
+    /// item of the set from position `from` on. Its body is `body_at`,
+    /// the set without the head: a head one item larger drops that item
+    /// from the body, which is one link read, and the head itself is one
+    /// child step.
+    fn walk(&mut self, from: usize, h: usize, head_at: u32, body_at: u32) -> Result<()> {
+        let n = self.set.len();
+        for (at, &item) in self.set.iter().enumerate().skip(from) {
+            let Some(head) = self.trie.child(h, head_at as usize, item) else {
+                let mut missing = self.trie.set(h, head_at as usize).to_vec();
+                missing.push(item);
+                return Err(missing_subset(&missing, self.set));
+            };
+            // Every head item is before `at`, so `item` is at `at - h` in
+            // the body.
+            let body = self.trie.drop_one(n - h, body_at as usize, at - h);
+            let (h, b) = (h + 1, n - h - 1);
+            if self.head_card.admits(h) && self.body_card.admits(b) {
+                self.stats.candidates += 1;
+                let confidence = self.count as f64 / self.trie.count(b, body as usize) as f64;
+                if confidence + 1e-12 >= self.min_confidence {
+                    let (body, head) = (
+                        self.trie.id(b, body as usize),
+                        self.trie.id(h, head as usize),
+                    );
+                    let key = runs::pack(self.rank[body as usize], self.rank[head as usize]);
+                    self.keys.push((key, self.splits.len() as u32));
+                    self.splits.push(Split {
+                        body,
+                        head,
+                        group_count: self.count,
+                        confidence,
+                    });
+                } else {
+                    self.stats.pruned_confidence += 1;
+                }
+            }
+            if h < self.max_head {
+                self.walk(at + 1, h, head, body)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The error for an inventory that is not downward closed.
+fn missing_subset(missing: &[u32], set: &[u32]) -> MineError {
+    MineError::Internal {
+        message: format!(
+            "subset {missing:?} of large itemset {set:?} missing from inventory \
+             (anti-monotonicity violated)"
+        ),
+    }
 }
 
 /// [`rules_from_itemsets`] also returning split-evaluation counts.
@@ -509,70 +582,36 @@ pub fn rules_from_itemsets_counted(
     head_card: CardSpec,
     min_confidence: f64,
 ) -> Result<(EncodedRules, RuleGenStats)> {
-    // Support lookups go through a prefix trie over the inventory: the
-    // body of a split is `set \ head`, which the trie resolves with a
-    // skip-walk (`get_excluding`). Body and head are both large itemsets,
-    // so a rule is the pair of nodes they end at: the nodes rank them
-    // lexicographically (`preorder`), the rules are ordered on packed
-    // rank pairs, and each distinct node's itemset is read off the trie
-    // once, when the ordered rules first name it. No itemset is built or
-    // compared per rule.
-    let mut counts = ItemsetTrie::new();
-    for (set, cnt) in large {
-        counts.insert(set, *cnt);
-    }
-    let rank = counts.preorder();
+    // The inventory goes into a drop-linked trie: the body of a split is
+    // the set without the head's items, which is one link read per head
+    // item, and the head is one child step from the head before it. Body
+    // and head are both large itemsets, so a rule is the pair of their
+    // node ids: the nodes rank them lexicographically (`preorder`), the
+    // rules are ordered on packed rank pairs, and each distinct node's
+    // itemset is copied once, when the ordered rules first name it. No
+    // itemset is built or compared per rule.
+    let trie =
+        LinkedTrie::from_large(large).map_err(|gap| missing_subset(&gap.missing, &gap.of))?;
+    let rank = trie.preorder();
     let mut splits: Vec<Split> = Vec::new();
     let mut keys: Vec<(u64, u32)> = Vec::new();
     let mut stats = RuleGenStats::default();
-    for (set, cnt) in large {
-        if set.len() < 2 {
-            continue;
-        }
-        let max_head = head_card.upper_limit().min((set.len() - 1) as u32) as usize;
-        let mut failure: Option<MineError> = None;
-        counts.for_each_proper_subset_node(set, max_head, &mut |head, head_node| {
-            if failure.is_some() || !head_card.admits(head.len()) {
-                return;
+    for n in 2..=trie.depth() {
+        for at in 0..trie.len(n) {
+            Splits {
+                trie: &trie,
+                set: trie.set(n, at),
+                count: trie.count(n, at),
+                max_head: head_card.upper_limit().min(n as u32 - 1) as usize,
+                body_card,
+                head_card,
+                min_confidence,
+                rank: &rank,
+                splits: &mut splits,
+                keys: &mut keys,
+                stats: &mut stats,
             }
-            let body_len = set.len() - head.len();
-            if !body_card.admits(body_len) {
-                return;
-            }
-            let (Some(head_node), Some((body_node, body_cnt))) =
-                (head_node, counts.get_excluding(set, head))
-            else {
-                let missing: Itemset = if head_node.is_none() {
-                    head.to_vec()
-                } else {
-                    let body = set.iter().filter(|x| head.binary_search(x).is_err());
-                    body.copied().collect()
-                };
-                failure = Some(MineError::Internal {
-                    message: format!(
-                        "subset {missing:?} of large itemset {set:?} missing from inventory \
-                         (anti-monotonicity violated)"
-                    ),
-                });
-                return;
-            };
-            stats.candidates += 1;
-            let confidence = *cnt as f64 / body_cnt as f64;
-            if confidence + 1e-12 >= min_confidence {
-                let key = runs::pack(rank[body_node as usize], rank[head_node as usize]);
-                keys.push((key, splits.len() as u32));
-                splits.push(Split {
-                    body: body_node,
-                    head: head_node,
-                    group_count: *cnt,
-                    confidence,
-                });
-            } else {
-                stats.pruned_confidence += 1;
-            }
-        });
-        if let Some(e) = failure {
-            return Err(e);
+            .walk(0, 0, 0, at as u32)?;
         }
     }
     runs::radix_sort(&mut keys);
@@ -580,19 +619,12 @@ pub fn rules_from_itemsets_counted(
         rules: Vec::with_capacity(keys.len()),
         ..EncodedRules::default()
     };
-    let parents = counts.parents();
-    let mut set_id = [vec![u32::MAX; parents.len()], vec![u32::MAX; parents.len()]];
+    let nodes = trie.node_count();
+    let mut set_id = [vec![u32::MAX; nodes], vec![u32::MAX; nodes]];
     let mut intern = |side: usize, arena: &mut ItemsetArena, node: u32| {
         let id = &mut set_id[side][node as usize];
         if *id == u32::MAX {
-            let start = arena.items.len();
-            let mut at = node;
-            while at != 0 {
-                let (parent, item) = parents[at as usize];
-                arena.items.push(item);
-                at = parent;
-            }
-            arena.items[start..].reverse();
+            arena.items.extend_from_slice(trie.set_by_id(node));
             *id = arena.close();
         }
         *id
@@ -607,8 +639,8 @@ pub fn rules_from_itemsets_counted(
             confidence: split.confidence,
         });
     }
-    stats.trie_nodes = counts.node_count() as u64;
-    stats.trie_lookups = counts.take_lookups();
+    stats.trie_nodes = nodes as u64;
+    stats.trie_lookups = trie.steps();
     Ok((out, stats))
 }
 
@@ -703,6 +735,120 @@ mod tests {
             };
             assert_eq!(distinct(&rules.bodies), rules.bodies.len());
             assert_eq!(distinct(&rules.heads), rules.heads.len());
+        }
+    }
+
+    /// A rule as `(body, head, group count, support, confidence)`.
+    type OwnedRule = (Itemset, Itemset, u32, f64, f64);
+
+    /// The rules of `large` by brute force: every split of every set,
+    /// each body's count looked up by value.
+    fn naive_rules(
+        large: &[LargeItemset],
+        total: u32,
+        body_card: CardSpec,
+        head_card: CardSpec,
+        min_confidence: f64,
+    ) -> (Vec<OwnedRule>, u64) {
+        let counts: HashMap<&[u32], u32> = large.iter().map(|(s, c)| (s.as_slice(), *c)).collect();
+        let mut rules = Vec::new();
+        let mut candidates = 0;
+        for (set, count) in large {
+            for mask in 1u32..(1 << set.len()) - 1 {
+                let in_head = |i: usize| mask >> i & 1 == 1;
+                let pick = |head: bool| -> Itemset {
+                    let at = (0..set.len()).filter(|&i| in_head(i) == head);
+                    at.map(|i| set[i]).collect()
+                };
+                let (head, body) = (pick(true), pick(false));
+                if !head_card.admits(head.len()) || !body_card.admits(body.len()) {
+                    continue;
+                }
+                candidates += 1;
+                let confidence = *count as f64 / counts[body.as_slice()] as f64;
+                if confidence + 1e-12 >= min_confidence {
+                    let support = *count as f64 / total as f64;
+                    rules.push((body, head, *count, support, confidence));
+                }
+            }
+        }
+        rules.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        (rules, candidates)
+    }
+
+    #[test]
+    fn rules_match_brute_force_splits_for_every_head_width() {
+        // Several link reads per body once heads have more than one item.
+        let two_to_n = CardSpec {
+            min: 2,
+            ..CardSpec::one_to_n()
+        };
+        let two_to_three = CardSpec {
+            min: 2,
+            max: crate::ast::CardMax::Fixed(3),
+        };
+        let cards = [
+            (CardSpec::one_to_n(), CardSpec::one_to_one()),
+            (CardSpec::one_to_n(), CardSpec::one_to_n()),
+            (CardSpec::one_to_one(), CardSpec::one_to_n()),
+            (two_to_n, two_to_three),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..8 {
+            let groups: Vec<Vec<u32>> = (0..80)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (0..9).filter(|i| state >> (i + round) & 3 != 0).collect()
+                })
+                .collect();
+            let input = SimpleInput {
+                groups: groups.into(),
+                total_groups: 80,
+                min_groups: 12,
+            };
+            let mut large = apriori::AprioriGidList.mine(&input);
+            // Any inventory order: other pool members return their own.
+            large.reverse();
+            for (body_card, head_card) in cards {
+                let (rules, stats) =
+                    rules_from_itemsets_counted(&large, 80, body_card, head_card, 0.6).unwrap();
+                let got: Vec<_> = rules
+                    .iter()
+                    .map(|r| {
+                        let (body, head) = (r.body.to_vec(), r.head.to_vec());
+                        (body, head, r.group_count, r.support, r.confidence)
+                    })
+                    .collect();
+                let (expect, candidates) = naive_rules(&large, 80, body_card, head_card, 0.6);
+                assert!(!expect.is_empty());
+                assert_eq!(got, expect, "round {round}, {body_card:?} => {head_card:?}");
+                assert_eq!(stats.candidates, candidates);
+                assert_eq!(stats.pruned_confidence, candidates - got.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn an_inventory_missing_a_subset_is_an_internal_error() {
+        let gaps: [&[&[u32]]; 3] = [
+            &[&[1], &[1, 2]],
+            &[&[2], &[1, 2]],
+            &[&[1], &[2], &[3], &[1, 2], &[2, 3], &[1, 2, 3]],
+        ];
+        for sets in gaps {
+            let large: Vec<LargeItemset> = sets.iter().map(|s| (s.to_vec(), 2)).collect();
+            for head in [CardSpec::one_to_one(), CardSpec::one_to_n()] {
+                let got = rules_from_itemsets_counted(&large, 4, CardSpec::one_to_n(), head, 0.1);
+                let Err(MineError::Internal { message }) = got else {
+                    panic!("{sets:?}: {got:?}");
+                };
+                assert!(
+                    message.ends_with("missing from inventory (anti-monotonicity violated)"),
+                    "{message}"
+                );
+            }
         }
     }
 

@@ -65,8 +65,10 @@ impl ItemsetMiner for Partition {
         // thresholds.
         let mut candidates: Vec<Itemset> = candidates.into_iter().collect();
         candidates.sort();
-        ctx.count_candidates(input.groups, candidates)
+        let counts = ctx.count_candidates(input.groups, candidates.iter().map(Vec::as_slice));
+        candidates
             .into_iter()
+            .zip(counts)
             .filter(|(_, c)| *c >= input.min_groups)
             .collect()
     }

@@ -79,19 +79,20 @@ impl ItemsetMiner for Sampling {
         let mut candidates: Vec<Vec<u32>> = sample_large.into_iter().map(|(s, _)| s).collect();
         let border_start = candidates.len();
         candidates.extend(border);
-        let counted = ctx.count_candidates(input.groups, candidates);
+        let counts = ctx.count_candidates(input.groups, candidates.iter().map(Vec::as_slice));
 
         // If anything in the negative border is actually large, the sample
         // may have missed supersets: fall back to an exact full run.
-        let border_failed = counted[border_start..]
+        let border_failed = counts[border_start..]
             .iter()
-            .any(|(_, c)| *c >= input.min_groups);
+            .any(|c| *c >= input.min_groups);
         if border_failed {
             let (large, _) = mine_gidlist_with_border(input.groups, input.min_groups, ctx);
             return large;
         }
-        counted
+        candidates
             .into_iter()
+            .zip(counts)
             .take(border_start)
             .filter(|(_, c)| *c >= input.min_groups)
             .collect()
