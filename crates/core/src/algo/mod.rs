@@ -501,21 +501,22 @@ struct Split {
     confidence: f64,
 }
 
-/// The splits of one large itemset, walked depth-first over its heads.
+/// The split loop: each large itemset's heads, walked depth-first.
 struct Splits<'a> {
     trie: &'a LinkedTrie,
-    /// The itemset's items and group count.
-    set: &'a [u32],
-    count: u32,
-    /// The largest head walked.
-    max_head: usize,
+    /// The nodes' lexicographic ranks (`LinkedTrie::preorder`).
+    rank: Vec<u32>,
     body_card: CardSpec,
     head_card: CardSpec,
     min_confidence: f64,
-    rank: &'a [u32],
-    splits: &'a mut Vec<Split>,
-    keys: &'a mut Vec<(u64, u32)>,
-    stats: &'a mut RuleGenStats,
+    /// The itemset being split, its group count and its largest head.
+    set: &'a [u32],
+    count: u32,
+    max_head: usize,
+    /// The rules found, and their sort keys.
+    splits: Vec<Split>,
+    keys: Vec<(u64, u32)>,
+    stats: RuleGenStats,
 }
 
 impl Splits<'_> {
@@ -592,28 +593,32 @@ pub fn rules_from_itemsets_counted(
     // itemset is built or compared per rule.
     let trie =
         LinkedTrie::from_large(large).map_err(|gap| missing_subset(&gap.missing, &gap.of))?;
-    let rank = trie.preorder();
-    let mut splits: Vec<Split> = Vec::new();
-    let mut keys: Vec<(u64, u32)> = Vec::new();
-    let mut stats = RuleGenStats::default();
+    let mut walk = Splits {
+        trie: &trie,
+        rank: trie.preorder(),
+        body_card,
+        head_card,
+        min_confidence,
+        set: &[],
+        count: 0,
+        max_head: 0,
+        splits: Vec::new(),
+        keys: Vec::new(),
+        stats: RuleGenStats::default(),
+    };
     for n in 2..=trie.depth() {
+        walk.max_head = head_card.upper_limit().min(n as u32 - 1) as usize;
         for at in 0..trie.len(n) {
-            Splits {
-                trie: &trie,
-                set: trie.set(n, at),
-                count: trie.count(n, at),
-                max_head: head_card.upper_limit().min(n as u32 - 1) as usize,
-                body_card,
-                head_card,
-                min_confidence,
-                rank: &rank,
-                splits: &mut splits,
-                keys: &mut keys,
-                stats: &mut stats,
-            }
-            .walk(0, 0, 0, at as u32)?;
+            (walk.set, walk.count) = (trie.set(n, at), trie.count(n, at));
+            walk.walk(0, 0, 0, at as u32)?;
         }
     }
+    let Splits {
+        splits,
+        mut keys,
+        mut stats,
+        ..
+    } = walk;
     runs::radix_sort(&mut keys);
     let mut out = EncodedRules {
         rules: Vec::with_capacity(keys.len()),

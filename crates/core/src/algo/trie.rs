@@ -309,8 +309,9 @@ impl LinkedTrie {
                 kept.counts.push(count);
             }
         }
+        let len = kept.len() as u64;
         self.seal(kept);
-        self.levels.last().map_or(0, |top| top.len() as u64)
+        len
     }
 
     /// Make `level` the top: the old top's children are its sets.
